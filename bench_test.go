@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"webbrief/internal/corpus"
 	"webbrief/internal/experiments"
@@ -160,9 +159,7 @@ func benchHTTPPath(b *testing.B, handler http.Handler, html string) {
 // BenchmarkServeBrief measures briefing throughput through the concurrent
 // serving subsystem (internal/serve) at two pool sizes: a single replica
 // (all clients contend for one model) and GOMAXPROCS replicas (each client
-// can hold its own). Run with -cpu N>1 to see the multi-replica scaling;
-// compare against BenchmarkServeBriefSerialMutex, the pre-pool wb.Briefer
-// path that serialises every forward behind one lock.
+// can hold its own). Run with -cpu N>1 to see the multi-replica scaling.
 func BenchmarkServeBrief(b *testing.B) {
 	bench := func(replicas int) func(*testing.B) {
 		return func(b *testing.B) {
@@ -219,34 +216,27 @@ func benchHTTPClients(b *testing.B, handler http.Handler, html string, clients i
 	}
 }
 
-// BenchmarkServeBriefConcurrency is the continuous-batching scaling grid:
-// req/sec at 1, 4 and 16 concurrent clients with micro-batching off
-// (window=0, the exact per-request path) and on (500µs window). With
-// batching on, req/sec should improve as client concurrency grows —
-// concurrent requests coalesce into B-row fused forwards — while the
-// clients=1 cells measure the price of an empty window. Results land in
-// BENCH_4.json via scripts/bench.sh.
+// BenchmarkServeBriefConcurrency is the batch scheduler's scaling grid:
+// req/sec at 1, 4 and 16 concurrent clients against one replica. The
+// clients=1 cell is the idle path (every briefing a batch of one, launched
+// at once); with more clients than replicas, req/sec should improve as
+// concurrency grows — what queues while the replica is busy coalesces into
+// B-row fused forwards. Results land in EXPERIMENTS.md via scripts/bench.sh.
 func BenchmarkServeBriefConcurrency(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		window time.Duration
-	}{{"batch=off", 0}, {"batch=on", 500 * time.Microsecond}} {
-		for _, clients := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
-				m, v, html := serveBenchModel(b)
-				srv, err := serve.New(m, v, serve.Config{
-					Replicas: 1, QueueDepth: 1 << 16, BeamWidth: 4,
-					BatchWindow: mode.window, BatchMax: 8,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := srv.Warm(html); err != nil {
-					b.Fatal(err)
-				}
-				benchHTTPClients(b, srv.Handler(), html, clients)
+	for _, clients := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			m, v, html := serveBenchModel(b)
+			srv, err := serve.New(m, v, serve.Config{
+				Replicas: 1, QueueDepth: 1 << 16, BeamWidth: 4, BatchMax: 8,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := srv.Warm(html); err != nil {
+				b.Fatal(err)
+			}
+			benchHTTPClients(b, srv.Handler(), html, clients)
+		})
 	}
 }
 
@@ -284,14 +274,6 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 	}
 	b.Run("teacher-f64", bench(false))
 	b.Run("student-f32", bench(true))
-}
-
-// BenchmarkServeBriefSerialMutex is the before-picture: the wb.Briefer
-// handler whose single mutex serialises every briefing, under the same
-// concurrent client load as BenchmarkServeBrief.
-func BenchmarkServeBriefSerialMutex(b *testing.B) {
-	m, v, html := serveBenchModel(b)
-	benchHTTPPath(b, wb.NewBriefer(m, v, 4, 0), html)
 }
 
 // BenchmarkServeBriefCacheHit measures the content-addressed cache's hit

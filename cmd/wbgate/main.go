@@ -42,6 +42,15 @@ import (
 	"webbrief/internal/gateway"
 )
 
+// Connection limits for clients that never finish (or never start) a
+// request: without them a slow-header client pins a connection outside every
+// counted outcome. Bodies are bounded by -maxbody and -timeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wbgate: ")
@@ -88,7 +97,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: g.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           g.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

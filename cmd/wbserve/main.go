@@ -5,6 +5,14 @@
 // overload with 429, and /metrics exposes counters and per-stage latency
 // histograms.
 //
+// Every briefing reaches a replica through one batch scheduler. A request
+// that finds a replica idle runs at once, alone — one forward pass per
+// briefing, no added wait. When every replica is busy, whatever queues
+// behind them coalesces (up to -batch-max) into one fused batched forward
+// pass on the next replica to free up, so saturation widens matmuls instead
+// of lengthening the queue. There is nothing to switch on; /metrics reports
+// the batch sizes under "batching".
+//
 // Usage:
 //
 //	wbserve -model model.bin -addr :8080 -replicas 4 -queue 64 -timeout 30s
@@ -24,12 +32,6 @@
 //
 //	wbserve -model model.bin -chaos 0.3 -chaosseed 7 -stall 500ms
 //
-// With -batch-window set, concurrently admitted requests coalesce into one
-// fused batched forward pass (up to -batch-max wide) — higher throughput
-// under concurrent load for a bounded, deadline-aware latency cost:
-//
-//	wbserve -model model.bin -batch-window 2ms -batch-max 8
-//
 // With -cascade set, every briefing first runs on a float32 student copy of
 // the model; only decodes whose confidence score falls below
 // -confidence-threshold re-run on the full float64 teacher. /metrics gains
@@ -39,7 +41,7 @@
 //
 // With -cache set, repeat briefings of the same page content are served
 // from a content-addressed cache in microseconds — no replica checkout, no
-// batching — and concurrent cold misses of one page coalesce into a single
+// scheduler — and concurrent cold misses of one page coalesce into a single
 // computation. A -cache-policy file controls per-domain admission and TTL,
 // keyed by the optional ?src= query parameter:
 //
@@ -52,8 +54,9 @@
 // The model hot-reloads with zero downtime: SIGHUP (or POST /admin/reload)
 // re-reads -model, builds and warms a shadow replica pool off-path, and
 // atomically swaps it in — in-flight briefings finish on the old
-// generation, new admissions brief on the new one. The serving generation
-// is visible in /metrics under "reload". Disable the signal handler with
+// generation, new admissions brief on the new one, and the briefing cache
+// starts a fresh namespace so no page replays the old model's answer. The
+// serving generation is visible in /metrics under "reload". Disable the signal handler with
 // -reload-signal=false (the admin endpoint still works):
 //
 //	wbtrain ... -o model.bin        # write a new bundle in place
@@ -78,6 +81,15 @@ import (
 	"webbrief/internal/wb"
 )
 
+// Connection limits for clients that never finish (or never start) a
+// request: without them a slow-header client pins a connection outside every
+// counted /brief outcome. Bodies are bounded by -maxbody and -timeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wbserve: ")
@@ -97,8 +109,7 @@ func main() {
 	probeOK := flag.Int("probe-successes", 2, "consecutive clean probes required to readmit an ejected replica")
 	chaos := flag.Float64("chaos", 0, "fault rate in [0,1] injected into ONE pool replica (0 = off) — a resilience drill")
 	chaosSeed := flag.Int64("chaosseed", 1, "seed for the -chaos fault schedule")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batching window: admitted requests wait up to this long for batchmates before one fused batched forward (0 = off, exact per-request path)")
-	batchMax := flag.Int("batch-max", 8, "max requests coalesced into one micro-batch")
+	batchMax := flag.Int("batch-max", 8, "max queued requests coalesced into one batched forward when every replica is busy")
 	cascade := flag.Bool("cascade", false, "float32 student fast path: brief on a float32 model copy and escalate low-confidence decodes to the float64 teacher")
 	confThreshold := flag.Float64("confidence-threshold", 0.5, "cascade escalation cutoff in [0,1]: student decodes whose confidence score falls below it re-run on the teacher")
 	cacheCap := flag.Int("cache", 0, "content-addressed briefing cache capacity in entries (0 = off)")
@@ -135,7 +146,6 @@ func main() {
 		StallTimeout:        *stall,
 		ProbeInterval:       *probeEvery,
 		ProbeSuccesses:      *probeOK,
-		BatchWindow:         *batchWindow,
 		BatchMax:            *batchMax,
 		Cascade:             *cascade,
 		ConfidenceThreshold: *confThreshold,
@@ -184,7 +194,13 @@ func main() {
 		log.Printf("chaos drill armed: one replica faulted at rate %.2f, seed %d", *chaos, *chaosSeed)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

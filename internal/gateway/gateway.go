@@ -162,6 +162,9 @@ func New(cfg Config) (*Gateway, error) {
 	if g.client == nil {
 		g.client = &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: cfg.MaxConnsPerBackend,
+			// Below wbserve's idle timeout, so the gateway retires a quiet
+			// connection before the backend closes it under a relay.
+			IdleConnTimeout: 90 * time.Second,
 		}}
 	}
 	for _, name := range g.names {

@@ -8,14 +8,15 @@ import (
 	"webbrief/internal/wb"
 )
 
-// This file is the cross-request micro-batch scheduler: the batching stage
-// that sits between admission and the replica pool when Config.BatchWindow
-// is set. Requests admitted concurrently coalesce into one batch of up to
-// BatchMax; the batch briefs in fused B-row forward passes on a single
-// replica checkout (see BatchReplica), so concurrent load turns into wider
-// matmuls instead of replica contention. The window is bounded and
-// deadline-aware: a batch fires as soon as it is full, its window elapses,
-// or waiting longer would expire a member's context.
+// This file is the batch scheduler, the only way a request reaches a
+// replica: every admitted request enqueues for one dispatcher goroutine,
+// which forms batches by replica occupancy. A request that finds a replica
+// idle launches alone, at once — a batch of one, no added wait. When every
+// replica is busy the dispatcher waits for the next one to free up and then
+// coalesces whatever queued meanwhile, up to BatchMax, into one batch that
+// briefs in fused B-row forward passes on that single checkout (see
+// BatchReplica), so saturation turns into wider matmuls instead of replica
+// contention.
 //
 // Ownership is linear, so no item field needs a lock: the handler builds a
 // batchItem and only ever touches ctx and result afterwards; the dispatcher
@@ -24,7 +25,7 @@ import (
 // channel, which orders the accesses.
 
 // batchItem is one admitted request waiting in (or running through) the
-// micro-batch scheduler.
+// scheduler.
 type batchItem struct {
 	ctx      context.Context
 	body     []byte
@@ -56,14 +57,11 @@ func (it *batchItem) deliver(o pipelineOutcome) {
 	it.result <- batchResult{o: o, queueWait: it.queueWait}
 }
 
-// briefBatched is handleBrief's tail when batching is on: enqueue the
-// request for the dispatcher and wait for its outcome or the context. The
-// batchCh buffer is the admission queue (same depth as the serial path's
-// queueSlots); a full channel sheds with 429 exactly like a full queue.
-// fill is the request's cache-fill obligation (nil when caching is off or
-// the request bypassed the cache); shed and expired exits leave it to the
-// caller's deferred abandon.
-func (s *Server) briefBatched(w http.ResponseWriter, lg *accessEntry, ctx context.Context, body []byte, fill *cacheFill) {
+// enqueue is handleBrief's tail: admit the request, hand it to the
+// dispatcher and wait for its outcome or the context. fill is the request's
+// cache-fill obligation (nil when caching is off or the request bypassed the
+// cache); shed and expired exits leave it to the caller's deferred abandon.
+func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Context, body []byte, fill *cacheFill) {
 	m := s.metrics
 	it := &batchItem{
 		ctx:      ctx,
@@ -72,8 +70,7 @@ func (s *Server) briefBatched(w http.ResponseWriter, lg *accessEntry, ctx contex
 		result:   make(chan batchResult, 1),
 	}
 	// Admission: take a slot or shed. Slots are held until the response, so
-	// the scheduler can never accumulate more outstanding requests than the
-	// serial path's queued + in-flight ceiling.
+	// at most QueueDepth requests wait while every replica is busy.
 	select {
 	case s.batchSlots <- struct{}{}:
 	default:
@@ -104,22 +101,22 @@ func (s *Server) briefBatched(w http.ResponseWriter, lg *accessEntry, ctx contex
 		lg.QueueMS = roundMS(res.queueWait)
 		s.respondOutcome(w, lg, res.o, fill)
 	case <-ctx.Done():
-		// The executor skips or ctxErr-delivers expired items; this
-		// request's slot in the batch cannot poison its batchmates.
+		// The scheduler skips or ctxErr-delivers expired items; this
+		// request's slot in a batch cannot poison its batchmates.
 		s.failCtx(w, lg, ctx.Err())
 	}
 }
 
-// dispatchBatches is the scheduler goroutine: it groups enqueued requests
-// into batches and hands each to an executor. On shutdown it flushes the
-// queue without windowing and exits once every outstanding request is
-// answered.
+// dispatchBatches is the scheduler goroutine: it forms a batch around each
+// queued request in arrival order and hands it to an executor. On shutdown
+// it keeps forming batches until every admitted request is answered, then
+// exits.
 func (s *Server) dispatchBatches() {
 	defer close(s.batcherDone)
 	for {
 		select {
 		case it := <-s.batchCh:
-			s.collectAndLaunch(it)
+			s.formAndLaunch(it)
 		case <-s.shutdownCh:
 			s.drainBatcher()
 			return
@@ -127,44 +124,57 @@ func (s *Server) dispatchBatches() {
 	}
 }
 
-// collectAndLaunch grows a batch around its first member until it is full,
-// the batching window closes, or shutdown begins. The window anchors at the
-// first member's enqueue time and shrinks to the earliest member context
-// deadline, so no request expires merely waiting for batchmates.
-func (s *Server) collectAndLaunch(first *batchItem) {
+// formAndLaunch checks a replica out for the oldest queued request and
+// launches the batch that forms around it. A replica idle right now takes
+// the request alone — light load spreads across the pool instead of piling
+// onto one replica. Otherwise the dispatcher blocks until a replica frees up
+// (dropping leads whose context expires first; their handlers answer from
+// ctx.Done) and then drains whatever queued meanwhile, up to BatchMax, into
+// the same batch.
+//
+// The pool pointer is snapshotted before the checkout and re-read after the
+// last member joined: if a hot reload swapped it in between, the replica goes
+// back and formation restarts on the live pool. Every member therefore
+// briefs on a generation at least as new as the one it read at its cache
+// stage, and the executor's retries and Put target that one generation.
+func (s *Server) formAndLaunch(first *batchItem) {
 	batch := append(make([]*batchItem, 0, s.cfg.BatchMax), first)
-	fireAt := first.enqueued.Add(s.cfg.BatchWindow)
-	if dl, ok := first.ctx.Deadline(); ok && dl.Before(fireAt) {
-		fireAt = dl
-	}
-	timer := time.NewTimer(time.Until(fireAt))
-	defer func() { timer.Stop() }()
-collect:
-	for len(batch) < s.cfg.BatchMax {
-		select {
-		case it := <-s.batchCh:
-			batch = append(batch, it)
-			if dl, ok := it.ctx.Deadline(); ok && dl.Before(fireAt) {
-				fireAt = dl
-				// Replace rather than Reset: Reset on a possibly-fired
-				// timer requires draining its channel, racing the select.
-				timer.Stop()
-				timer = time.NewTimer(time.Until(fireAt))
+	for {
+		pool := s.pool.Load()
+		rep, idle := pool.TryGet()
+		if !idle {
+			var err error
+			if rep, err = pool.Get(batch[0].ctx); err != nil {
+				if batch = batch[1:]; len(batch) == 0 {
+					return
+				}
+				continue
 			}
-		case <-timer.C:
-			break collect
-		case <-s.shutdownCh:
-			break collect
+		drain:
+			for len(batch) < s.cfg.BatchMax {
+				select {
+				case it := <-s.batchCh:
+					batch = append(batch, it)
+				default:
+					break drain
+				}
+			}
 		}
+		if s.pool.Load() != pool {
+			pool.Put(rep)
+			continue
+		}
+		s.launch(pool, rep, batch)
+		return
 	}
-	s.launch(batch)
 }
 
-// launch records the batch-formation metrics and starts the executor.
-func (s *Server) launch(batch []*batchItem) {
+// launch records the batch-formation metrics and starts the executor, which
+// takes over the replica checkout.
+func (s *Server) launch(pool *Pool, rep Replica, batch []*batchItem) {
 	m := s.metrics
 	m.BatchesTotal.Add(1)
-	m.BatchSize.Observe(len(batch))
+	m.BatchSize.observe(int64(len(batch)))
 	if len(batch) > 1 {
 		m.CoalescedRequests.Add(int64(len(batch)))
 	}
@@ -173,29 +183,19 @@ func (s *Server) launch(batch []*batchItem) {
 		m.BatchWait.Observe(now.Sub(it.enqueued))
 	}
 	s.batchWG.Add(1)
-	go s.executeBatch(batch)
+	go s.executeBatch(pool, rep, batch)
 }
 
-// drainBatcher runs after shutdown begins: flush whatever is already queued
-// (no window — latency no longer buys batchmates), then wait until every
-// enqueued request has left Queued and every executor has finished.
+// drainBatcher runs after shutdown begins: keep dispatching what is already
+// admitted, then wait until every enqueued request has left Queued and every
+// executor has finished.
 func (s *Server) drainBatcher() {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
 		select {
 		case it := <-s.batchCh:
-			batch := append(make([]*batchItem, 0, s.cfg.BatchMax), it)
-		fill:
-			for len(batch) < s.cfg.BatchMax {
-				select {
-				case more := <-s.batchCh:
-					batch = append(batch, more)
-				default:
-					break fill
-				}
-			}
-			s.launch(batch)
+			s.formAndLaunch(it)
 		case <-tick.C:
 			if s.metrics.Queued.Load() == 0 {
 				s.batchWG.Wait()
@@ -205,36 +205,36 @@ func (s *Server) drainBatcher() {
 	}
 }
 
-// executeBatch runs one batch through the pipeline, retrying unanswered
-// members on a fresh replica when one faults — the batched analogue of
-// handleBrief's retry loop, with the same per-request retry budget.
-func (s *Server) executeBatch(items []*batchItem) {
+// executeBatch runs one batch through the pipeline on rep, retrying
+// unanswered members on a fresh replica of the same pool when one faults,
+// within the per-request retry budget.
+func (s *Server) executeBatch(pool *Pool, rep Replica, items []*batchItem) {
 	defer s.batchWG.Done()
 	m := s.metrics
-	// One pool snapshot per batch: every checkout, retry and Put in this
-	// execution targets a single model generation even if a hot reload swaps
-	// the live pointer mid-batch.
-	pool := s.pool.Load()
-	pending := items
 	attempt := 0
 	for {
 		var live []*batchItem
-		for _, it := range pending {
+		for _, it := range items {
 			if it.ctx.Err() == nil {
 				live = append(live, it)
 			}
 			// Expired items get no result; their handlers answer from
-			// ctx.Done, matching the serial path's queue-expiry 504.
+			// ctx.Done with the queue-expiry 504.
 		}
 		if len(live) == 0 {
+			if rep != nil {
+				pool.Put(rep)
+			}
 			return
 		}
-		rep, err := pool.Get(live[0].ctx)
-		if err != nil {
-			// The lead item's context died waiting for a replica; drop it
-			// and keep trying for the rest.
-			pending = live[1:]
-			continue
+		if rep == nil {
+			var err error
+			if rep, err = pool.Get(live[0].ctx); err != nil {
+				// The lead item's context died waiting for a replica; drop it
+				// and keep trying for the rest.
+				items = live[1:]
+				continue
+			}
 		}
 		now := time.Now()
 		for _, it := range live {
@@ -250,6 +250,7 @@ func (s *Server) executeBatch(items []*batchItem) {
 		}
 		// The replica faulted mid-batch and is already ejected (runStage);
 		// members answered before the fault keep their responses.
+		rep = nil
 		var rem []*batchItem
 		for _, it := range live {
 			if !it.answered {
@@ -267,18 +268,17 @@ func (s *Server) executeBatch(items []*batchItem) {
 		}
 		attempt++
 		m.Retries.Add(int64(len(rem)))
-		pending = rem
+		items = rem
 	}
 }
 
 // runBatchOn briefs a batch on one replica: parse each member, then one
-// batched encode and one batched decode when the replica supports it (per
-// member otherwise, e.g. under a fault-injection wrapper or for a batch of
-// one, where the per-request path is already exact). Stage latencies are
-// observed once per member — each request did wait the whole stage — so
-// per-request latency semantics match the serial path; stage sums are
-// wall-clock waits, not CPU time. Reports false when the replica faulted
-// (it is already ejected and must not be Put back).
+// batched encode and one batched decode when the replica supports it, member
+// by member otherwise. Stage latencies are observed once per member — each
+// request did wait the whole stage — so stage sums are wall-clock waits, not
+// CPU time. A faulted stage observes nothing (its duration is the fault's,
+// not the pipeline's). Reports false when the replica faulted (it is already
+// ejected and must not be Put back); on true the replica is back in the pool.
 func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	m := s.metrics
 
@@ -295,65 +295,67 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	parseDur := time.Since(t0)
 
 	// Settle every member's fate after parse: unparseable pages answer 422,
-	// members whose deadline expired during the window answer their ctx
-	// error, and the rest go on to the fused forward.
+	// members whose deadline expired meanwhile answer their ctx error, and
+	// the rest go on to the forward. The replica goes back to the pool before
+	// the last member is answered, so a client that has its response can
+	// count on the replica being idle again.
+	settled := make([]pipelineOutcome, len(items)) // zero: goes on to the forward
 	var liveItems []*batchItem
 	var liveInsts []*wb.Instance
 	for i, it := range items {
 		m.Parse.Observe(parseDur)
 		if perrs[i] != nil {
-			it.deliver(pipelineOutcome{unbriefable: perrs[i]})
-			continue
+			settled[i] = pipelineOutcome{unbriefable: perrs[i]}
+		} else if err := it.ctx.Err(); err != nil {
+			settled[i] = pipelineOutcome{ctxErr: err}
+		} else {
+			liveItems = append(liveItems, it)
+			liveInsts = append(liveInsts, insts[i])
 		}
-		if err := it.ctx.Err(); err != nil {
-			it.deliver(pipelineOutcome{ctxErr: err})
-			continue
-		}
-		liveItems = append(liveItems, it)
-		liveInsts = append(liveInsts, insts[i])
 	}
 	if len(liveItems) == 0 {
 		pool.Put(rep)
+	}
+	for i, it := range items {
+		if settled[i] != (pipelineOutcome{}) {
+			it.deliver(settled[i])
+		}
+	}
+	if len(liveItems) == 0 {
 		return true
 	}
 
-	br, batched := rep.(BatchReplica)
-	batched = batched && len(liveItems) > 1
-	briefs := make([]*wb.Brief, len(liveItems))
-	t1 := time.Now()
-	var ok bool
-	if batched {
-		ok = s.runStage(pool, rep, func() { briefs = br.EncodeBatch(liveInsts) })
-	} else {
-		ok = s.runStage(pool, rep, func() {
-			for i, inst := range liveInsts {
-				briefs[i] = rep.Encode(inst)
-			}
-		})
-	}
-	if !ok {
-		return false
-	}
-	encodeDur := time.Since(t1)
-
-	// No member drops between encode and decode: EncodeBatch retained
-	// per-instance state aligned to liveInsts that DecodeBatch consumes.
+	// No member drops between encode and decode: the encode stage retains
+	// per-instance state on the replica that the decode stage consumes.
 	// Deadlines are re-checked per member after decode instead.
-	t2 := time.Now()
-	if batched {
-		ok = s.runStage(pool, rep, func() { br.DecodeBatch(liveInsts, briefs) })
+	briefs := make([]*wb.Brief, len(liveItems))
+	var encodeDur, decodeDur time.Duration
+	if br, ok := rep.(BatchReplica); ok {
+		t1 := time.Now()
+		if !s.runStage(pool, rep, func() { briefs = br.EncodeBatch(liveInsts) }) {
+			return false
+		}
+		t2 := time.Now()
+		if !s.runStage(pool, rep, func() { br.DecodeBatch(liveInsts, briefs) }) {
+			return false
+		}
+		encodeDur, decodeDur = t2.Sub(t1), time.Since(t2)
 	} else {
-		ok = s.runStage(pool, rep, func() {
-			for i, inst := range liveInsts {
-				rep.Decode(inst, briefs[i])
+		for i, inst := range liveInsts {
+			t1 := time.Now()
+			if !s.runStage(pool, rep, func() { briefs[i] = rep.Encode(inst) }) {
+				return false
 			}
-		})
+			t2 := time.Now()
+			if !s.runStage(pool, rep, func() { rep.Decode(inst, briefs[i]) }) {
+				return false
+			}
+			encodeDur += t2.Sub(t1)
+			decodeDur += time.Since(t2)
+		}
 	}
-	if !ok {
-		return false
-	}
-	decodeDur := time.Since(t2)
 	s.observeCascade(rep)
+	pool.Put(rep) // briefs hold only strings and ints, never workspace memory
 
 	for i, it := range liveItems {
 		m.Encode.Observe(encodeDur)
@@ -364,6 +366,5 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 		}
 		it.deliver(pipelineOutcome{brief: briefs[i]})
 	}
-	pool.Put(rep)
 	return true
 }

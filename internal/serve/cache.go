@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"net/http"
 	"strings"
 	"time"
@@ -11,8 +12,8 @@ import (
 )
 
 // This file interposes the content-addressed briefing cache between
-// admission and the batch scheduler / replica pool. A cache hit is served
-// straight from memory — no replica checkout, no batching, no admission
+// request validation and the batch scheduler. A cache hit is served
+// straight from memory — no replica checkout, no scheduler, no admission
 // queue — and the miss path falls through byte-identical to the uncached
 // server. Misses on the same cold content key coalesce through
 // briefcache.Flight, so a thundering herd computes one briefing.
@@ -23,6 +24,11 @@ import (
 // without parsing; posts of different bytes that render to the same
 // visible text (markup churn, attribute noise) parse once, hit the content
 // entry, and leave an alias for next time.
+//
+// Both keys are namespaced by the model generation the request read at this
+// stage (genKey), so a hot reload starts from an empty namespace: a page
+// cached under the old model is recomputed on the new one instead of
+// replaying stale bytes, and old-generation entries age out of the LRU.
 //
 // Cache counters follow the same exact-partition discipline as
 // requests_total: every request that consults the cache is counted in
@@ -60,6 +66,16 @@ type flightResult struct {
 	o    pipelineOutcome
 }
 
+// genKey is the cache key of b under model generation gen: the SHA-256 of b
+// with the generation folded into its first eight bytes. Folding (rather
+// than hashing a prefix) keeps the raw-key lookup one allocation-free
+// SHA-256 of the body.
+func genKey(gen int64, b []byte) briefcache.Key {
+	k := briefcache.KeyOf(b)
+	binary.LittleEndian.PutUint64(k[:8], binary.LittleEndian.Uint64(k[:8])^uint64(gen))
+	return k
+}
+
 // cacheDomain extracts the page's source domain from the optional ?src=
 // query parameter — the admission/TTL policy key. The parameter accepts a
 // bare domain or a URL (briefcache.SrcDomain does the stripping); empty
@@ -86,14 +102,17 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 		return nil, false
 	}
 	start := time.Now()
+	// Read once: every key this request builds — lookups, flight, fill —
+	// lives in one generation's namespace.
+	gen := s.generation.Load()
 
 	// Level 1: raw bytes. Allocation-free — no parse, one SHA-256.
-	rawKey := briefcache.KeyOf(body)
+	rawKey := genKey(gen, body)
 	if out, ok := c.LookupRaw(rawKey); ok {
 		m.CacheLookups.Add(1)
 		m.CacheHits.Add(1)
 		s.writeCached(w, lg, out)
-		m.CacheHitLatency.observe(cacheHitBucketsNS, time.Since(start))
+		m.CacheHitLatency.Observe(time.Since(start))
 		return nil, true
 	}
 
@@ -103,13 +122,13 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 	if strings.TrimSpace(visible) == "" {
 		return nil, false
 	}
-	contentKey := briefcache.KeyOf([]byte(visible))
+	contentKey := genKey(gen, []byte(visible))
 	if out, ok := c.Lookup(contentKey); ok {
 		m.CacheLookups.Add(1)
 		m.CacheHits.Add(1)
 		c.Alias(rawKey, contentKey) // next identical post skips the parse
 		s.writeCached(w, lg, out)
-		m.CacheHitLatency.observe(cacheHitBucketsNS, time.Since(start))
+		m.CacheHitLatency.Observe(time.Since(start))
 		return nil, true
 	}
 

@@ -339,15 +339,12 @@ func TestCachePolicyDenyAndSrcDomain(t *testing.T) {
 	}
 }
 
-// TestCacheHitBypassesBatching: with the micro-batch scheduler on, a miss
-// still dispatches through a batch but a hit is served before batching —
-// no batch forms, no replica is touched.
+// TestCacheHitBypassesBatching: a miss dispatches through the scheduler as
+// a batch, but a hit is served before it — no batch forms, no replica is
+// touched.
 func TestCacheHitBypassesBatching(t *testing.T) {
 	rep := &okReplica{}
-	srv := NewFromPool(PoolOf(rep), Config{
-		BatchWindow:   time.Millisecond,
-		CacheCapacity: 64,
-	})
+	srv := NewFromPool(PoolOf(rep), Config{CacheCapacity: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -510,8 +507,9 @@ func TestChaosServeCachedSoak(t *testing.T) {
 		t.Fatalf("soak evicted %d entries from an underfull cache", srv.Cache().Evictions())
 	}
 
-	// Fault events reconcile, and the schedule actually reached the pool.
-	if ms.Panics.Load()+ms.Stalls.Load() != ms.Retries.Load()+ms.ReplicaFailure.Load() {
+	// Fault events reconcile (each one retried or ended every unanswered
+	// member of its batch), and the schedule actually reached the pool.
+	if ms.Panics.Load()+ms.Stalls.Load() > ms.Retries.Load()+ms.ReplicaFailure.Load() {
 		t.Fatalf("fault events do not reconcile: panics=%d stalls=%d retries=%d failures=%d",
 			ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load())
 	}

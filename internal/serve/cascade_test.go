@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"webbrief/internal/corpus"
 	"webbrief/internal/nn"
@@ -25,19 +24,7 @@ func cascadeServer(t *testing.T, cfg Config, threshold float64) (*Server, *httpt
 	cfg.ConfidenceThreshold = threshold
 
 	// Teacher-only reference bytes via the serial path, Encoder framing.
-	serial := wb.NewBriefer(m, v, beam, 0)
-	want := make([][]byte, len(pages))
-	for i, p := range pages {
-		b, err := serial.BriefHTML(p.HTML)
-		if err != nil {
-			t.Fatalf("serial brief %d: %v", i, err)
-		}
-		j, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = append(j, '\n')
-	}
+	want := serialWire(t, wb.NewBriefer(m, v, beam, 0), pageHTML(pages))
 
 	srv, err := New(m, v, cfg)
 	if err != nil {
@@ -51,11 +38,23 @@ func cascadeServer(t *testing.T, cfg Config, threshold float64) (*Server, *httpt
 	return srv, ts, pages, want
 }
 
+// pageHTML extracts the raw markup of each corpus page.
+func pageHTML(pages []*corpus.Page) []string {
+	out := make([]string, len(pages))
+	for i, p := range pages {
+		out[i] = p.HTML
+	}
+	return out
+}
+
 // TestCascadeNeverEscalates: with a negative threshold the confidence gate
 // never trips, so every briefing is answered by the float32 student and the
-// cascade partition reads all-student.
+// cascade partition reads all-student — for one client briefing page by
+// page (batches of one) and for many clients whose requests coalesce into
+// fused student forwards and batched beam decodes.
 func TestCascadeNeverEscalates(t *testing.T) {
-	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 2}, -1)
+	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 1, BatchMax: 4}, -1)
+	var solo [][]byte
 	for i, p := range pages {
 		status, body, err := postBrief(ts.URL, p.HTML)
 		if err != nil || status != http.StatusOK {
@@ -64,9 +63,16 @@ func TestCascadeNeverEscalates(t *testing.T) {
 		if !bytes.Contains(body, []byte(`"Topic"`)) {
 			t.Fatalf("page %d: student response has no topic: %s", i, body)
 		}
+		solo = append(solo, body)
+	}
+	for i, body := range postWhileHeld(t, srv, ts.URL, pageHTML(pages)) {
+		if !bytes.Equal(body, solo[i]) {
+			t.Fatalf("page %d: student briefing in a coalesced batch diverges from its batch-of-one bytes:\n got %s\nwant %s",
+				i, body, solo[i])
+		}
 	}
 	m := srv.Metrics()
-	n := int64(len(pages))
+	n := int64(2 * len(pages))
 	if got := m.CascadeRequests.Load(); got != n {
 		t.Fatalf("cascade_requests_total = %d, want %d", got, n)
 	}
@@ -82,13 +88,18 @@ func TestCascadeNeverEscalates(t *testing.T) {
 	if got := m.TeacherLatency.count.Load(); got != 0 {
 		t.Fatalf("teacher latency histogram has %d observations, want 0", got)
 	}
+	if got := m.CoalescedRequests.Load(); got != int64(len(pages)) {
+		t.Fatalf("coalesced_requests_total = %d, want %d (the held round forms full batches)", got, len(pages))
+	}
 }
 
 // TestCascadeAlwaysEscalates: a threshold above 1 escalates every briefing,
 // so the wire bytes must be identical to the teacher-only serial path — the
 // proof that an escalation replaces the whole brief, not just the topic.
+// One client exercises the batch-of-one escalation, many clients the
+// batched student forward plus the batched teacher escalation.
 func TestCascadeAlwaysEscalates(t *testing.T) {
-	srv, ts, pages, want := cascadeServer(t, Config{Replicas: 2}, 2)
+	srv, ts, pages, want := cascadeServer(t, Config{Replicas: 1, BatchMax: 4}, 2)
 	for i, p := range pages {
 		status, body, err := postBrief(ts.URL, p.HTML)
 		if err != nil || status != http.StatusOK {
@@ -99,8 +110,16 @@ func TestCascadeAlwaysEscalates(t *testing.T) {
 				i, body, want[i])
 		}
 	}
+	for i, body := range postWhileHeld(t, srv, ts.URL, pageHTML(pages)) {
+		if !bytes.Equal(body, want[i]) {
+			t.Fatalf("page %d: batched escalated response diverges from teacher-only path", i)
+		}
+	}
 	m := srv.Metrics()
-	n := int64(len(pages))
+	n := int64(2 * len(pages))
+	if got := m.CascadeRequests.Load(); got != n {
+		t.Fatalf("cascade_requests_total = %d, want %d", got, n)
+	}
 	if got := m.CascadeTeacher.Load(); got != n {
 		t.Fatalf("teacher tier answered %d, want %d", got, n)
 	}
@@ -109,6 +128,9 @@ func TestCascadeAlwaysEscalates(t *testing.T) {
 	}
 	if got := m.TeacherLatency.count.Load(); got != n {
 		t.Fatalf("teacher latency histogram has %d observations, want %d", got, n)
+	}
+	if got := m.CoalescedRequests.Load(); got != int64(len(pages)) {
+		t.Fatalf("coalesced_requests_total = %d, want %d (the held round forms full batches)", got, len(pages))
 	}
 }
 
@@ -187,78 +209,6 @@ func TestCascadePartitionReconciles(t *testing.T) {
 	if c.LatencyMS.Student.Count != total || c.LatencyMS.Teacher.Count != teacher {
 		t.Fatalf("tier histogram counts (%d, %d), want (%d, %d)",
 			c.LatencyMS.Student.Count, c.LatencyMS.Teacher.Count, total, teacher)
-	}
-}
-
-// TestCascadeBatchedWireEquivalence: micro-batching over a cascade pool at
-// a force-escalate threshold must still answer teacher-only bytes for every
-// member, and the partition must hold — the batched analogue of
-// TestCascadeAlwaysEscalates, exercising the batched student forward plus
-// the batched teacher escalation path.
-func TestCascadeBatchedWireEquivalence(t *testing.T) {
-	srv, ts, pages, want := cascadeServer(t,
-		Config{Replicas: 1, BatchWindow: 3 * time.Millisecond, BatchMax: 4}, 2)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, len(pages)*2)
-	for round := 0; round < 2; round++ {
-		for i, p := range pages {
-			wg.Add(1)
-			go func(i int, html string) {
-				defer wg.Done()
-				status, body, err := postBrief(ts.URL, html)
-				if err != nil || status != http.StatusOK {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(body, want[i]) {
-					t.Errorf("page %d: batched escalated response diverges from teacher-only path", i)
-				}
-			}(i, p.HTML)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	m := srv.Metrics()
-	total := m.CascadeRequests.Load()
-	if total != int64(2*len(pages)) {
-		t.Fatalf("cascade_requests_total = %d, want %d", total, 2*len(pages))
-	}
-	if s, tt := m.CascadeStudent.Load(), m.CascadeTeacher.Load(); s != 0 || tt != total {
-		t.Fatalf("batched partition (student %d, teacher %d), want (0, %d)", s, tt, total)
-	}
-}
-
-// TestCascadeBatchedStudentOnly: the batched cascade with escalation
-// disabled must serve every member from the student tier and deliver a
-// valid brief — covering the batched student forward + batched beam decode
-// under the scheduler.
-func TestCascadeBatchedStudentOnly(t *testing.T) {
-	srv, ts, pages, _ := cascadeServer(t,
-		Config{Replicas: 1, BatchWindow: 3 * time.Millisecond, BatchMax: 4}, -1)
-
-	var wg sync.WaitGroup
-	for _, p := range pages {
-		wg.Add(1)
-		go func(html string) {
-			defer wg.Done()
-			status, body, err := postBrief(ts.URL, html)
-			if err != nil || status != http.StatusOK || !bytes.Contains(body, []byte(`"Topic"`)) {
-				t.Errorf("batched student brief failed: status %d err %v", status, err)
-			}
-		}(p.HTML)
-	}
-	wg.Wait()
-
-	m := srv.Metrics()
-	if s, tt := m.CascadeStudent.Load(), m.CascadeTeacher.Load(); tt != 0 || s != int64(len(pages)) {
-		t.Fatalf("batched student-only partition (student %d, teacher %d), want (%d, 0)", s, tt, len(pages))
 	}
 }
 

@@ -13,12 +13,22 @@ import (
 	"webbrief/internal/wb"
 )
 
-// okReplica briefs instantly and successfully — the healthy pool member.
-type okReplica struct{ briefs atomic.Int64 }
+// okReplica briefs successfully — the healthy pool member. delay, when set,
+// is a per-briefing service time that yields the processor, so concurrent
+// clients can saturate the pool on any core count.
+type okReplica struct {
+	briefs atomic.Int64
+	delay  time.Duration
+}
 
 func (r *okReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *okReplica) Encode(inst *wb.Instance) *wb.Brief      { return &wb.Brief{Topic: []string{"ok"}} }
-func (r *okReplica) Decode(inst *wb.Instance, b *wb.Brief)   { r.briefs.Add(1) }
+func (r *okReplica) Decode(inst *wb.Instance, b *wb.Brief) {
+	if r.delay > 0 {
+		time.Sleep(r.delay)
+	}
+	r.briefs.Add(1)
+}
 
 // panicNReplica panics during its first n Encodes, then behaves.
 type panicNReplica struct {
@@ -231,9 +241,11 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 	<-a.started
 	<-b.started
 	go post()
-	waitCond(t, "third request to queue", func() bool { return srv.Metrics().Queued.Load() == 1 })
+	// Queued counts every admitted, unanswered request: two briefing, one waiting.
+	waitCond(t, "third request to queue", func() bool { return srv.Metrics().Queued.Load() == 3 })
 
 	// Shutdown begins with all of that in flight; then the replicas blow up.
+	srv.BeginShutdown()
 	drained := make(chan int64, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -309,94 +321,133 @@ func TestPoolWrapOne(t *testing.T) {
 
 // TestChaosServeSoakFaultedReplica is the seeded serve soak of the
 // acceptance criteria: a 3-replica pool with one replica wrapped in a
-// fault.Replica at ≥30% fault rate (panics, wedges, slow responses) under
-// concurrent client load. Healthy replicas must keep p99 success — every
-// client request ends in a briefing unless the retry budget provably ran
-// out — and /metrics must reconcile exactly with the outcomes the clients
-// observed. Skipped under -short; scripts/check.sh runs it race-enabled.
+// fault.Replica at ≥30% fault rate (panics, wedges, slow responses). Healthy
+// replicas must keep p99 success — every client request ends in a briefing
+// unless the retry budget provably ran out — /metrics must reconcile exactly
+// with the outcomes the clients observed, capacity recovers fully, and the
+// server drains clean. Two scenarios of the same server: one client, where
+// every batch is a batch of one and each fault event costs exactly one
+// retry or failure; and eight clients saturating the pool, where batches
+// coalesce and a fault mid-batch may cost every unanswered member a retry,
+// never a hung or wrongly-failed batchmate. Skipped under -short;
+// scripts/check.sh runs it race-enabled.
 func TestChaosServeSoakFaultedReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short")
 	}
-	sched := fault.NewSchedule(fault.Config{
-		Seed: 11, Rate: 0.35,
-		ErrorWeight: 1, TimeoutWeight: 1, SlowWeight: 1, GarbageWeight: 1,
-		SlowDelay:   time.Millisecond,
-		TimeoutHang: 40 * time.Millisecond, // wedge: resolves after the watchdog fires
-	})
-	faulted := fault.NewReplica(&okReplica{}, sched)
-	srv := NewFromPool(PoolOf(faulted, &okReplica{}, &okReplica{}), Config{
-		ReplicaRetries: 2,
-		StallTimeout:   15 * time.Millisecond,
-		ProbeInterval:  2 * time.Millisecond,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, sc := range []struct {
+		name               string
+		seed               int64
+		clients, perClient int
+		delay              time.Duration
+	}{
+		{"one-client", 11, 1, 200, 0},
+		{"eight-clients", 17, 8, 25, 300 * time.Microsecond},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			sched := fault.NewSchedule(fault.Config{
+				Seed: sc.seed, Rate: 0.35,
+				ErrorWeight: 1, TimeoutWeight: 1, SlowWeight: 1, GarbageWeight: 1,
+				SlowDelay:   time.Millisecond,
+				TimeoutHang: 40 * time.Millisecond, // wedge: resolves after the watchdog fires
+			})
+			faulted := fault.NewReplica(&okReplica{delay: sc.delay}, sched)
+			srv := NewFromPool(PoolOf(faulted, &okReplica{delay: sc.delay}, &okReplica{delay: sc.delay}), Config{
+				ReplicaRetries: 2,
+				StallTimeout:   15 * time.Millisecond,
+				ProbeInterval:  2 * time.Millisecond,
+				BatchMax:       4,
+			})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	const clients, perClient = 8, 25
-	var ok200, fail500, other atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				status, _, err := postBrief(ts.URL, "<p>soak</p>")
-				switch {
-				case err != nil:
-					other.Add(1)
-				case status == http.StatusOK:
-					ok200.Add(1)
-				case status == http.StatusInternalServerError:
-					fail500.Add(1)
-				default:
-					other.Add(1)
+			var ok200, fail500, other atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < sc.clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < sc.perClient; i++ {
+						status, _, err := postBrief(ts.URL, "<p>soak</p>")
+						switch {
+						case err != nil:
+							other.Add(1)
+						case status == http.StatusOK:
+							ok200.Add(1)
+						case status == http.StatusInternalServerError:
+							fail500.Add(1)
+						default:
+							other.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			total := int64(sc.clients * sc.perClient)
+			if other.Load() != 0 {
+				t.Fatalf("%d requests ended outside the 200/500 contract", other.Load())
+			}
+			// p99 success: with a 2-retry budget against one faulted replica in
+			// three, terminal 500s need three consecutive faulted draws.
+			if ok200.Load() < total*99/100 {
+				t.Fatalf("successes %d/%d, below p99 with one faulted replica", ok200.Load(), total)
+			}
+
+			// /metrics reconciles exactly with the client-observed outcomes.
+			ms := srv.Metrics()
+			if ms.Requests.Load() != total {
+				t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Load(), total)
+			}
+			if ms.OK.Load() != ok200.Load() || ms.ReplicaFailure.Load() != fail500.Load() {
+				t.Fatalf("server ok=%d/500=%d, clients saw %d/%d",
+					ms.OK.Load(), ms.ReplicaFailure.Load(), ok200.Load(), fail500.Load())
+			}
+			if ms.Requests.Load() != ms.OK.Load()+ms.ReplicaFailure.Load() {
+				t.Fatalf("counters do not partition: total=%d ok=%d failure=%d",
+					ms.Requests.Load(), ms.OK.Load(), ms.ReplicaFailure.Load())
+			}
+			// Every recovered fault event retried or ended each unanswered
+			// member of its batch — exactly one request when batches are
+			// singletons.
+			events, settled := ms.Panics.Load()+ms.Stalls.Load(), ms.Retries.Load()+ms.ReplicaFailure.Load()
+			if events == 0 {
+				t.Fatal("soak injected no faults; the chaos schedule is not reaching the replica")
+			}
+			if sc.clients == 1 {
+				if events != settled || ms.CoalescedRequests.Load() != 0 || ms.BatchesTotal.Load() != total {
+					t.Fatalf("one client: panics=%d stalls=%d retries=%d failures=%d coalesced=%d batches=%d, want events==retries+failures, no coalescing, %d batches",
+						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load(),
+						ms.CoalescedRequests.Load(), ms.BatchesTotal.Load(), total)
+				}
+			} else {
+				if settled < events {
+					t.Fatalf("fault events outnumber their settlements: panics=%d stalls=%d retries=%d failures=%d",
+						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load())
+				}
+				if ms.CoalescedRequests.Load() == 0 {
+					t.Fatalf("batches=%d coalesced=0 with %d clients saturating 3 replicas", ms.BatchesTotal.Load(), sc.clients)
 				}
 			}
-		}()
-	}
-	wg.Wait()
+			if ms.BatchSize.sum.Load() != total {
+				t.Fatalf("batch_size.sum=%d, want %d (every request dispatched in exactly one batch)", ms.BatchSize.sum.Load(), total)
+			}
 
-	total := int64(clients * perClient)
-	if other.Load() != 0 {
-		t.Fatalf("%d requests ended outside the 200/500 contract", other.Load())
-	}
-	// p99 success: with a 2-retry budget against one faulted replica in
-	// three, terminal 500s need three consecutive faulted draws.
-	if ok200.Load() < total*99/100 {
-		t.Fatalf("successes %d/%d, below p99 with one faulted replica", ok200.Load(), total)
-	}
-
-	// /metrics reconciles exactly with the client-observed outcomes.
-	ms := srv.Metrics()
-	if ms.Requests.Load() != total {
-		t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Load(), total)
-	}
-	if ms.OK.Load() != ok200.Load() || ms.ReplicaFailure.Load() != fail500.Load() {
-		t.Fatalf("server ok=%d/500=%d, clients saw %d/%d",
-			ms.OK.Load(), ms.ReplicaFailure.Load(), ok200.Load(), fail500.Load())
-	}
-	if ms.Requests.Load() != ms.OK.Load()+ms.ReplicaFailure.Load() {
-		t.Fatalf("counters do not partition: total=%d ok=%d failure=%d",
-			ms.Requests.Load(), ms.OK.Load(), ms.ReplicaFailure.Load())
-	}
-	// Every recovered fault event either retried the request or ended it.
-	if ms.Panics.Load()+ms.Stalls.Load() != ms.Retries.Load()+ms.ReplicaFailure.Load() {
-		t.Fatalf("fault events do not reconcile: panics=%d stalls=%d retries=%d failures=%d",
-			ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load())
-	}
-	if ms.Panics.Load()+ms.Stalls.Load() == 0 {
-		t.Fatal("soak injected no faults; the chaos schedule is not reaching the replica")
-	}
-
-	// Quiesce: the prober returns the faulted replica to rotation, so
-	// capacity recovers fully and ejections balance readmissions.
-	waitCond(t, "pool capacity recovery", func() bool { return srv.Pool().Healthy() == 3 })
-	if srv.Pool().Ejections() != srv.Pool().Readmissions() {
-		t.Fatalf("ejections=%d readmissions=%d after quiesce",
-			srv.Pool().Ejections(), srv.Pool().Readmissions())
-	}
-	if srv.Metrics().InFlight.Load() != 0 || srv.Metrics().Queued.Load() != 0 {
-		t.Fatalf("residual in_flight=%d queued=%d", srv.Metrics().InFlight.Load(), srv.Metrics().Queued.Load())
+			// Quiesce: the prober returns the faulted replica to rotation, so
+			// capacity recovers fully and ejections balance readmissions.
+			waitCond(t, "pool capacity recovery", func() bool { return srv.Pool().Healthy() == 3 })
+			if srv.Pool().Ejections() != srv.Pool().Readmissions() {
+				t.Fatalf("ejections=%d readmissions=%d after quiesce",
+					srv.Pool().Ejections(), srv.Pool().Readmissions())
+			}
+			if ms.InFlight.Load() != 0 || ms.Queued.Load() != 0 {
+				t.Fatalf("residual in_flight=%d queued=%d", ms.InFlight.Load(), ms.Queued.Load())
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if n := srv.Drain(ctx); n != 0 {
+				t.Fatalf("drain left %d requests", n)
+			}
+		})
 	}
 }

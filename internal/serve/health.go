@@ -135,46 +135,6 @@ func (s *Server) probeOnce(rep Replica) (ok bool) {
 	return true
 }
 
-// briefOn runs the three pipeline stages on rep with per-stage timing and
-// deadline checks between stages. Stage latencies are observed for stages
-// that complete; a faulted stage observes nothing (its duration is the
-// fault's, not the pipeline's).
-func (s *Server) briefOn(ctxErr func() error, pool *Pool, rep Replica, body []byte) pipelineOutcome {
-	m := s.metrics
-
-	var inst *wb.Instance
-	var perr error
-	t0 := time.Now()
-	if !s.runStage(pool, rep, func() { inst, perr = rep.Parse(string(body)) }) {
-		return pipelineOutcome{faulted: true}
-	}
-	m.Parse.Observe(time.Since(t0))
-	if perr != nil {
-		return pipelineOutcome{unbriefable: perr}
-	}
-	if err := ctxErr(); err != nil {
-		return pipelineOutcome{ctxErr: err}
-	}
-
-	var brief *wb.Brief
-	t1 := time.Now()
-	if !s.runStage(pool, rep, func() { brief = rep.Encode(inst) }) {
-		return pipelineOutcome{faulted: true}
-	}
-	m.Encode.Observe(time.Since(t1))
-	if err := ctxErr(); err != nil {
-		return pipelineOutcome{ctxErr: err}
-	}
-
-	t2 := time.Now()
-	if !s.runStage(pool, rep, func() { rep.Decode(inst, brief) }) {
-		return pipelineOutcome{faulted: true}
-	}
-	m.Decode.Observe(time.Since(t2))
-	s.observeCascade(rep)
-	return pipelineOutcome{brief: brief}
-}
-
 // observeCascade folds the replica's per-briefing cascade decisions into
 // the tier counters and histograms. Replicas without the cascade capability
 // (teacher-only pools, fault wrappers) report nothing. Called only after a

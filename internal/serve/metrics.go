@@ -7,144 +7,55 @@ import (
 	"webbrief/internal/briefcache"
 )
 
-// latencyBucketsMS are the fixed histogram bucket upper bounds, in
-// milliseconds. The last slot of a Histogram's counts is the overflow
-// bucket (> 1s). Fixed buckets keep observation lock-free (one atomic add)
-// and make /metrics output directly comparable across runs.
-var latencyBucketsMS = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+// The fixed histogram bucket upper bounds, one set per scale. Fixed buckets
+// keep observation lock-free (a few atomic adds) and make /metrics output
+// directly comparable across runs.
+var (
+	// latencyBucketsNS: request and stage latencies, 0.5ms–1s (rendered in
+	// milliseconds).
+	latencyBucketsNS = []int64{
+		500_000, 1_000_000, 2_000_000, 5_000_000,
+		10_000_000, 20_000_000, 50_000_000, 100_000_000,
+		200_000_000, 500_000_000, 1_000_000_000,
+	}
+	// batchWaitBucketsNS: enqueue → dispatch waits, 50µs–100ms. An idle
+	// server dispatches in microseconds, so these get a finer scale than
+	// request latencies.
+	batchWaitBucketsNS = []int64{
+		50_000, 100_000, 200_000, 500_000,
+		1_000_000, 2_000_000, 5_000_000, 10_000_000,
+		20_000_000, 50_000_000, 100_000_000,
+	}
+	// cacheHitBucketsNS: cache-hit latencies, 1µs–10ms. A hit is one or two
+	// SHA-256s plus a shard-locked map probe, an order of magnitude below
+	// even the batch-wait scale.
+	cacheHitBucketsNS = []int64{
+		1_000, 2_000, 5_000, 10_000,
+		20_000, 50_000, 100_000, 200_000,
+		500_000, 1_000_000, 10_000_000,
+	}
+	// batchSizeBuckets: requests per dispatched batch.
+	batchSizeBuckets = []int64{1, 2, 3, 4, 6, 8, 12, 16}
+)
 
-// histogram is a fixed-bucket latency histogram safe for concurrent
-// observation. Sum is tracked in microseconds so it stays an integer add.
+// histogram is a fixed-bucket histogram over int64 values (nanoseconds for
+// the duration histograms, a count for the size histogram), safe for
+// concurrent observation. counts has one slot per bound plus a trailing
+// overflow slot for values above the last bound.
 type histogram struct {
-	counts [12]atomic.Int64 // len(latencyBucketsMS) + overflow
-	count  atomic.Int64
-	sumUS  atomic.Int64
-}
-
-// Observe records one duration.
-func (h *histogram) Observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(latencyBucketsMS) && ms > latencyBucketsMS[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(d.Microseconds())
-}
-
-// snapshot renders the histogram for /metrics.
-func (h *histogram) snapshot() histogramSnapshot {
-	s := histogramSnapshot{
-		BucketsMS: latencyBucketsMS,
-		Counts:    make([]int64, len(h.counts)),
-		Count:     h.count.Load(),
-		SumMS:     float64(h.sumUS.Load()) / 1e3,
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
-// histogramSnapshot is the JSON form of one histogram. Counts has one extra
-// trailing slot: observations above the last bucket bound.
-type histogramSnapshot struct {
-	BucketsMS []float64 `json:"buckets_ms"`
-	Counts    []int64   `json:"counts"`
-	Count     int64     `json:"count"`
-	SumMS     float64   `json:"sum_ms"`
-}
-
-// batchWaitBucketsNS are the batch-wait histogram bucket upper bounds, in
-// nanoseconds: 50µs–100ms. Batch waits sit well below request latencies (the
-// window is typically a fraction of one briefing), so they get their own
-// finer scale.
-var batchWaitBucketsNS = []int64{
-	50_000, 100_000, 200_000, 500_000,
-	1_000_000, 2_000_000, 5_000_000, 10_000_000,
-	20_000_000, 50_000_000, 100_000_000,
-}
-
-// cacheHitBucketsNS are the cache-hit latency bucket upper bounds, in
-// nanoseconds: 1µs–10ms. A hit is one or two SHA-256s plus a shard-locked
-// map probe, an order of magnitude below even the batch-wait scale, so it
-// gets its own buckets on the shared nsHistogram machinery.
-var cacheHitBucketsNS = []int64{
-	1_000, 2_000, 5_000, 10_000,
-	20_000, 50_000, 100_000, 200_000,
-	500_000, 1_000_000, 10_000_000,
-}
-
-// nsHistogram is a fixed-bucket nanosecond histogram, same lock-free
-// observation discipline as histogram. The bucket bounds are supplied per
-// call site (observe/snapshotWith), so one struct serves both the
-// batch-wait and cache-hit scales; Observe/snapshot keep the original
-// batch-wait binding.
-type nsHistogram struct {
-	counts [12]atomic.Int64 // len(bucket slice) + overflow
-	count  atomic.Int64
-	sumNS  atomic.Int64
-}
-
-// observe records one duration against explicit bucket bounds (which must
-// have len(counts)-1 entries and be used consistently for one histogram).
-func (h *nsHistogram) observe(buckets []int64, d time.Duration) {
-	ns := d.Nanoseconds()
-	i := 0
-	for i < len(buckets) && ns > buckets[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(ns)
-}
-
-// Observe records one batch-wait duration.
-func (h *nsHistogram) Observe(d time.Duration) { h.observe(batchWaitBucketsNS, d) }
-
-// snapshotWith renders the histogram for /metrics against the bucket
-// bounds it was observed with.
-func (h *nsHistogram) snapshotWith(buckets []int64) nsHistogramSnapshot {
-	s := nsHistogramSnapshot{
-		BucketsNS: buckets,
-		Counts:    make([]int64, len(h.counts)),
-		Count:     h.count.Load(),
-		SumNS:     h.sumNS.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
-// snapshot renders a batch-wait histogram.
-func (h *nsHistogram) snapshot() nsHistogramSnapshot { return h.snapshotWith(batchWaitBucketsNS) }
-
-// nsHistogramSnapshot is the JSON form of one nanosecond histogram.
-type nsHistogramSnapshot struct {
-	BucketsNS []int64 `json:"buckets_ns"`
-	Counts    []int64 `json:"counts"`
-	Count     int64   `json:"count"`
-	SumNS     int64   `json:"sum_ns"`
-}
-
-// batchSizeBuckets are the batch-size histogram bucket upper bounds
-// (requests per formed batch); the trailing slot catches larger batches.
-var batchSizeBuckets = []int64{1, 2, 3, 4, 6, 8, 12, 16}
-
-// sizeHistogram is a fixed-bucket histogram over small integer sizes.
-type sizeHistogram struct {
-	counts [9]atomic.Int64 // len(batchSizeBuckets) + overflow
+	bounds []int64
+	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Int64
 }
 
-// Observe records one batch size.
-func (h *sizeHistogram) Observe(n int) {
-	v := int64(n)
+func newHistogram(bounds []int64) histogram {
+	return histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+}
+
+func (h *histogram) observe(v int64) {
 	i := 0
-	for i < len(batchSizeBuckets) && v > batchSizeBuckets[i] {
+	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
 	h.counts[i].Add(1)
@@ -152,21 +63,49 @@ func (h *sizeHistogram) Observe(n int) {
 	h.sum.Add(v)
 }
 
-// snapshot renders the histogram for /metrics.
-func (h *sizeHistogram) snapshot() sizeHistogramSnapshot {
-	s := sizeHistogramSnapshot{
-		Buckets: batchSizeBuckets,
-		Counts:  make([]int64, len(h.counts)),
-		Count:   h.count.Load(),
-		Sum:     h.sum.Load(),
-	}
+// Observe records one duration.
+func (h *histogram) Observe(d time.Duration) { h.observe(d.Nanoseconds()) }
+
+func (h *histogram) loadCounts() []int64 {
+	out := make([]int64, len(h.counts))
 	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+		out[i] = h.counts[i].Load()
 	}
-	return s
+	return out
 }
 
-// sizeHistogramSnapshot is the JSON form of one size histogram.
+// The three /metrics renderings of a histogram. Counts always has one extra
+// trailing slot: observations above the last bucket bound.
+
+// histogramSnapshot renders a duration histogram in milliseconds.
+type histogramSnapshot struct {
+	BucketsMS []float64 `json:"buckets_ms"`
+	Counts    []int64   `json:"counts"`
+	Count     int64     `json:"count"`
+	SumMS     float64   `json:"sum_ms"`
+}
+
+func (h *histogram) snapshotMS() histogramSnapshot {
+	ms := make([]float64, len(h.bounds))
+	for i, b := range h.bounds {
+		ms[i] = float64(b) / 1e6
+	}
+	return histogramSnapshot{ms, h.loadCounts(), h.count.Load(), float64(h.sum.Load()) / 1e6}
+}
+
+// nsHistogramSnapshot renders a duration histogram in nanoseconds.
+type nsHistogramSnapshot struct {
+	BucketsNS []int64 `json:"buckets_ns"`
+	Counts    []int64 `json:"counts"`
+	Count     int64   `json:"count"`
+	SumNS     int64   `json:"sum_ns"`
+}
+
+func (h *histogram) snapshotNS() nsHistogramSnapshot {
+	return nsHistogramSnapshot{h.bounds, h.loadCounts(), h.count.Load(), h.sum.Load()}
+}
+
+// sizeHistogramSnapshot renders a histogram over small integer sizes.
 type sizeHistogramSnapshot struct {
 	Buckets []int64 `json:"buckets"`
 	Counts  []int64 `json:"counts"`
@@ -174,8 +113,13 @@ type sizeHistogramSnapshot struct {
 	Sum     int64   `json:"sum"`
 }
 
+func (h *histogram) snapshotSize() sizeHistogramSnapshot {
+	return sizeHistogramSnapshot{h.bounds, h.loadCounts(), h.count.Load(), h.sum.Load()}
+}
+
 // Metrics aggregates the serving counters exported at /metrics. All fields
-// are atomics: the hot path never takes a lock to record.
+// are atomics: the hot path never takes a lock to record. Build one with
+// newMetrics (the histograms carry their bucket bounds).
 type Metrics struct {
 	// Requests counts every request that reached the /brief handler,
 	// whatever its outcome. The outcome counters below partition it.
@@ -193,7 +137,7 @@ type Metrics struct {
 	ReplicaFailure atomic.Int64 // 500: replica panicked/stalled and the retry budget ran out
 
 	InFlight atomic.Int64 // requests holding (or briefing on) a replica
-	Queued   atomic.Int64 // requests waiting for a replica
+	Queued   atomic.Int64 // requests admitted and not yet answered: waiting for or briefing on a replica
 
 	// Resilience counters: every recovered replica panic and detected
 	// stall ejects the offending replica; each such event then either
@@ -209,14 +153,15 @@ type Metrics struct {
 	Decode    histogram // beam-search topic generation
 	Total     histogram // handler entry → response written
 
-	// Batching counters, populated only when Config.BatchWindow > 0. They
-	// partition batches, not requests: the requests_total outcome partition
-	// above stays exact because every batched request still ends in exactly
-	// one per-request outcome.
-	BatchesTotal      atomic.Int64  // micro-batches dispatched (batches_total)
-	CoalescedRequests atomic.Int64  // requests served in batches of size ≥ 2
-	BatchSize         sizeHistogram // requests per dispatched batch
-	BatchWait         nsHistogram   // enqueue → batch dispatch, per request
+	// Batching counters: every request that reaches a replica does so in a
+	// batch (of one when a replica was idle). They partition batches, not
+	// requests: the requests_total outcome partition above stays exact
+	// because every batched request still ends in exactly one per-request
+	// outcome.
+	BatchesTotal      atomic.Int64 // batches dispatched (batches_total)
+	CoalescedRequests atomic.Int64 // requests served in batches of size ≥ 2
+	BatchSize         histogram    // requests per dispatched batch (batchSizeBuckets)
+	BatchWait         histogram    // enqueue → batch dispatch, per request (batchWaitBucketsNS)
 
 	// Cache counters, populated only when the briefing cache is enabled.
 	// CacheLookups counts every request that consulted the cache, and the
@@ -228,7 +173,7 @@ type Metrics struct {
 	CacheHits       atomic.Int64 // served from cache, no replica checkout
 	CacheMisses     atomic.Int64 // flight winners that computed the briefing
 	CacheCoalesced  atomic.Int64 // waiters served by a winner's flight
-	CacheHitLatency nsHistogram  // lookup start → hit response written (cacheHitBucketsNS)
+	CacheHitLatency histogram    // lookup start → hit response written (cacheHitBucketsNS)
 
 	// Cascade counters, populated only when the pool runs the float32
 	// student cascade (NewCascadePool). CascadeRequests counts every
@@ -243,6 +188,22 @@ type Metrics struct {
 	CascadeTeacher  atomic.Int64 // escalated to the float64 teacher tier
 	StudentLatency  histogram    // student encode+decode wall time, per briefing
 	TeacherLatency  histogram    // teacher re-brief wall time, per escalation
+}
+
+// newMetrics returns zeroed counters with every histogram on its scale.
+func newMetrics() *Metrics {
+	return &Metrics{
+		QueueWait:       newHistogram(latencyBucketsNS),
+		Parse:           newHistogram(latencyBucketsNS),
+		Encode:          newHistogram(latencyBucketsNS),
+		Decode:          newHistogram(latencyBucketsNS),
+		Total:           newHistogram(latencyBucketsNS),
+		BatchSize:       newHistogram(batchSizeBuckets),
+		BatchWait:       newHistogram(batchWaitBucketsNS),
+		CacheHitLatency: newHistogram(cacheHitBucketsNS),
+		StudentLatency:  newHistogram(latencyBucketsNS),
+		TeacherLatency:  newHistogram(latencyBucketsNS),
+	}
 }
 
 // requestOutcomeFields names the Metrics counters that partition
@@ -364,13 +325,12 @@ type metricsSnapshot struct {
 	} `json:"reload"`
 }
 
-// snapshot collects a point-in-time view of every counter. batching flags
-// whether the server dispatches through the micro-batch scheduler; cache
-// is the briefing cache (nil when disabled), read for eviction and
+// snapshot collects a point-in-time view of every counter. cache is the
+// briefing cache (nil when disabled), read for eviction and
 // occupancy figures; cascade and threshold describe the student fast path
 // (threshold is only meaningful when cascade is set); gen and reloads are
 // the hot-reload generation counter and lifetime reload count.
-func (m *Metrics) snapshot(pool *Pool, batching bool, cache *briefcache.Cache, cascade bool, threshold float64, gen, reloads int64) metricsSnapshot {
+func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, threshold float64, gen, reloads int64) metricsSnapshot {
 	var s metricsSnapshot
 	s.RequestsTotal = m.Requests.Load()
 	s.Responses.OK = m.OK.Load()
@@ -397,16 +357,16 @@ func (m *Metrics) snapshot(pool *Pool, batching bool, cache *briefcache.Cache, c
 	s.Pool.BreakerState.Closed = closed
 	s.Pool.BreakerState.Open = open
 	s.Pool.BreakerState.HalfOpen = half
-	s.LatencyMS.QueueWait = m.QueueWait.snapshot()
-	s.LatencyMS.Parse = m.Parse.snapshot()
-	s.LatencyMS.Encode = m.Encode.snapshot()
-	s.LatencyMS.Decode = m.Decode.snapshot()
-	s.LatencyMS.Total = m.Total.snapshot()
-	s.Batching.Enabled = batching
+	s.LatencyMS.QueueWait = m.QueueWait.snapshotMS()
+	s.LatencyMS.Parse = m.Parse.snapshotMS()
+	s.LatencyMS.Encode = m.Encode.snapshotMS()
+	s.LatencyMS.Decode = m.Decode.snapshotMS()
+	s.LatencyMS.Total = m.Total.snapshotMS()
+	s.Batching.Enabled = true // kept for scrapers: the scheduler is the only path
 	s.Batching.BatchesTotal = m.BatchesTotal.Load()
 	s.Batching.CoalescedRequestsTotal = m.CoalescedRequests.Load()
-	s.Batching.BatchSize = m.BatchSize.snapshot()
-	s.Batching.BatchWaitNS = m.BatchWait.snapshot()
+	s.Batching.BatchSize = m.BatchSize.snapshotSize()
+	s.Batching.BatchWaitNS = m.BatchWait.snapshotNS()
 	s.Cache.Enabled = cache != nil
 	s.Cache.CacheLookups = m.CacheLookups.Load()
 	s.Cache.CacheOutcomes.CacheHits = m.CacheHits.Load()
@@ -416,7 +376,7 @@ func (m *Metrics) snapshot(pool *Pool, batching bool, cache *briefcache.Cache, c
 		s.Cache.Evictions = cache.Evictions()
 		s.Cache.Entries = cache.Len()
 	}
-	s.Cache.HitLatencyNS = m.CacheHitLatency.snapshotWith(cacheHitBucketsNS)
+	s.Cache.HitLatencyNS = m.CacheHitLatency.snapshotNS()
 	s.Cascade.Enabled = cascade
 	if cascade {
 		s.Cascade.ConfidenceThreshold = threshold
@@ -427,8 +387,8 @@ func (m *Metrics) snapshot(pool *Pool, batching bool, cache *briefcache.Cache, c
 	if total := s.Cascade.CascadeRequests; total > 0 {
 		s.Cascade.EscalationRate = float64(s.Cascade.CascadeTiers.CascadeTeacher) / float64(total)
 	}
-	s.Cascade.LatencyMS.Student = m.StudentLatency.snapshot()
-	s.Cascade.LatencyMS.Teacher = m.TeacherLatency.snapshot()
+	s.Cascade.LatencyMS.Student = m.StudentLatency.snapshotMS()
+	s.Cascade.LatencyMS.Teacher = m.TeacherLatency.snapshotMS()
 	s.Reload.Generation = gen
 	s.Reload.ReloadsTotal = reloads
 	return s

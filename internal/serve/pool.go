@@ -39,26 +39,31 @@ func WarmupHTML(n int) string {
 }
 
 // Replica is one independently-forwardable briefing engine, checked out of
-// a Pool for the duration of a request. The three methods are the stages of
+// a Pool for the duration of a batch. The three methods are the stages of
 // the briefing pipeline, split so the serving layer can time each one and
 // check the request deadline between them:
 //
 //	Parse:  raw HTML → model instance (DOM parse, visible text, encoding)
 //	Encode: eval forward pass → attributes + section flags
 //	Decode: beam-search topic generation
+//
+// Decode may consume state its own Encode left on the replica (a real model
+// decodes from the forward Encode ran), so the two are called back to back
+// for one instance under the same exclusive checkout.
 type Replica interface {
 	Parse(html string) (*wb.Instance, error)
 	Encode(inst *wb.Instance) *wb.Brief
 	Decode(inst *wb.Instance, b *wb.Brief)
 }
 
-// BatchReplica is the optional batched capability of a Replica: encode and
-// decode a whole micro-batch in fused B-row forward passes. EncodeBatch
-// retains per-instance state on the replica that the matching DecodeBatch
-// call consumes, so the two must be called back to back with the same
-// instances, under the same exclusive checkout. The batch executor falls
-// back to the per-request methods when a replica (e.g. a fault-injection
-// wrapper) does not implement this.
+// BatchReplica is the batched capability of a Replica: encode and decode a
+// whole batch — of any size, one included — in fused B-row forward passes.
+// EncodeBatch retains per-instance state on the replica that the matching
+// DecodeBatch call consumes, so the two must be called back to back with the
+// same instances, under the same exclusive checkout. The batch executor
+// drives every replica that implements it this way and briefs member by
+// member through Encode/Decode on the rest (test stubs, the fault-injection
+// wrapper).
 type BatchReplica interface {
 	Replica
 	EncodeBatch(insts []*wb.Instance) []*wb.Brief
@@ -86,34 +91,34 @@ type cascadeReporter interface {
 }
 
 // modelReplica adapts one Joint-WB model (the original or a
-// wb.CloneForServing copy) to the Replica interface. The vocabulary is
+// wb.CloneForServing copy) to the BatchReplica interface. The vocabulary is
 // shared across all replicas: it is read-only after construction. Each
-// replica owns its inference workspace — a replica serves one request at a
-// time (Pool checkout is exclusive), so the scratch is never shared between
-// concurrent requests.
+// replica owns one inference workspace per tier — a replica serves one batch
+// at a time (Pool checkout is exclusive), so a workspace is never shared
+// between concurrent batches. Every briefing runs one Eval forward per tier:
+// the encode stage's outputs stay live on the workspace tape and the decode
+// stage beam-searches from them.
 //
 // With a student attached (NewCascadePool), the replica runs the
-// confidence-gated cascade: Encode and Decode execute on the float32
-// student first, and a decode whose confidence score falls below threshold
-// re-briefs the page on the float64 teacher under the same checkout. The
+// confidence-gated cascade: encode and decode execute on the float32
+// student first, and decodes whose confidence score falls below threshold
+// re-brief their pages on the float64 teacher under the same checkout. The
 // student weights are read-only at inference, so one *wb.JointWB32 is
-// shared by every replica; the float32 scratches are per-replica like the
-// float64 ones.
+// shared by every replica; the float32 workspace is per-replica like the
+// float64 one.
 type modelReplica struct {
 	model     wb.Model
 	vocab     *textproc.Vocab
 	beam      int
 	maxTokens int
-	scratch   *wb.InferScratch
-	batch     *wb.BatchScratch
+	scratch   *wb.BatchScratch
 	outs      []*wb.Output // encode-stage outputs awaiting DecodeBatch
 
 	student   *wb.JointWB32 // float32 fast path, nil = teacher-only replica
 	threshold float64       // escalate when confidence score < threshold
-	sscratch  *wb.InferScratch32
-	sbatch    *wb.BatchScratch32
+	sscratch  *wb.BatchScratch32
 	souts     []*wb.Output32    // student encode outputs awaiting DecodeBatch
-	decisions []cascadeDecision // per-briefing cascade report, reset at Encode
+	decisions []cascadeDecision // per-briefing cascade report, reset at EncodeBatch
 }
 
 // Parse implements Replica.
@@ -125,75 +130,35 @@ func (r *modelReplica) Parse(html string) (*wb.Instance, error) {
 	return inst, nil
 }
 
-// Encode implements Replica. On a cascade replica the float32 student runs
-// the forward; the teacher executes only if Decode later escalates.
+// Encode implements Replica as a batch of one (probes, Warm, and the inner
+// replica of a fault-injection wrapper).
 func (r *modelReplica) Encode(inst *wb.Instance) *wb.Brief {
-	if r.student == nil {
-		return wb.ExtractBriefWith(r.model, inst, r.vocab, r.scratch)
-	}
-	t0 := time.Now()
-	b := wb.ExtractBriefWith32(r.student, inst, r.vocab, r.sscratch)
-	r.decisions = append(r.decisions[:0], cascadeDecision{student: time.Since(t0)})
-	return b
+	return r.EncodeBatch([]*wb.Instance{inst})[0]
 }
 
-// Decode implements Replica. On a cascade replica the student decodes first
-// and the confidence gate decides whether the teacher re-briefs the page:
-// an escalation replaces the whole brief (extraction and topic), so every
-// answer a client sees came entirely from one tier.
+// Decode implements Replica as a batch of one; it must follow Encode(inst).
 func (r *modelReplica) Decode(inst *wb.Instance, b *wb.Brief) {
-	if r.student == nil {
-		b.Topic = wb.DecodeTopicWith(r.model, inst, r.vocab, r.beam, r.scratch)
-		return
-	}
-	if len(r.decisions) == 0 { // Decode without Encode (not a server path)
-		r.decisions = append(r.decisions, cascadeDecision{})
-	}
-	d := &r.decisions[0]
-	t0 := time.Now()
-	topic, conf := wb.DecodeTopicWith32(r.student, inst, r.vocab, r.beam, r.sscratch)
-	d.student += time.Since(t0)
-	if conf.Score() >= r.threshold {
-		b.Topic = topic
-		return
-	}
-	t1 := time.Now()
-	*b = *r.teacherBrief(inst)
-	d.escalated = true
-	d.teacher = time.Since(t1)
+	r.DecodeBatch([]*wb.Instance{inst}, []*wb.Brief{b})
 }
 
-// teacherBrief runs the full float64 pipeline on the replica's teacher —
-// the cascade's escalation target, and what Warm uses to grow the teacher
-// scratch on a cascade replica.
-func (r *modelReplica) teacherBrief(inst *wb.Instance) *wb.Brief {
-	b := wb.ExtractBriefWith(r.model, inst, r.vocab, r.scratch)
-	b.Topic = wb.DecodeTopicWith(r.model, inst, r.vocab, r.beam, r.scratch)
-	return b
-}
-
-// teacherBriefBatch re-briefs escalated members on the float64 teacher:
-// fused batched forwards when more than one escalated, serial otherwise.
+// teacherBriefBatch runs the full float64 pipeline on the replica's teacher
+// — the cascade's escalation target, and what Warm uses to grow the teacher
+// workspace on a cascade replica.
 func (r *modelReplica) teacherBriefBatch(insts []*wb.Instance) []*wb.Brief {
-	if len(insts) == 1 {
-		return []*wb.Brief{r.teacherBrief(insts[0])}
-	}
-	briefs, outs := wb.ExtractBriefBatch(r.model, insts, r.vocab, r.batch)
-	wb.DecodeTopicBatch(r.model, insts, outs, r.vocab, r.beam, r.batch, briefs)
-	return briefs
+	return wb.MakeBriefBatch(r.model, insts, r.vocab, r.beam, r.scratch)
 }
 
 // EncodeBatch implements BatchReplica: one fused Eval forward for the whole
-// micro-batch (on the student when the cascade is on). The forward outputs
-// stay live on the batch tape for the DecodeBatch call that must follow.
+// batch (on the student when the cascade is on). The forward outputs stay
+// live on the workspace tape for the DecodeBatch call that must follow.
 func (r *modelReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
 	if r.student == nil {
-		briefs, outs := wb.ExtractBriefBatch(r.model, insts, r.vocab, r.batch)
+		briefs, outs := wb.ExtractBriefBatch(r.model, insts, r.vocab, r.scratch)
 		r.outs = outs
 		return briefs
 	}
 	t0 := time.Now()
-	briefs, outs := wb.ExtractBriefBatch32(r.student, insts, r.vocab, r.sbatch)
+	briefs, outs := wb.ExtractBriefBatch32(r.student, insts, r.vocab, r.sscratch)
 	r.souts = outs
 	dur := time.Since(t0)
 	r.decisions = r.decisions[:0]
@@ -207,16 +172,17 @@ func (r *modelReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
 
 // DecodeBatch implements BatchReplica: one batched beam search over the
 // encode outputs EncodeBatch retained. On a cascade replica the
-// low-confidence subset then re-briefs on the teacher, batched when more
-// than one member escalates.
+// low-confidence subset then re-briefs on the teacher in one more batch: an
+// escalation replaces the whole brief (extraction and topic), so every
+// answer a client sees came entirely from one tier.
 func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) {
 	if r.student == nil {
-		wb.DecodeTopicBatch(r.model, insts, r.outs, r.vocab, r.beam, r.batch, briefs)
+		wb.DecodeTopicBatch(r.model, insts, r.outs, r.vocab, r.beam, r.scratch, briefs)
 		r.outs = nil
 		return
 	}
 	t0 := time.Now()
-	confs := wb.DecodeTopicBatch32(r.student, insts, r.souts, r.vocab, r.beam, r.sbatch, briefs)
+	confs := wb.DecodeTopicBatch32(r.student, insts, r.souts, r.vocab, r.beam, r.sscratch, briefs)
 	r.souts = nil
 	sdur := time.Since(t0)
 	var escIdx []int
@@ -275,7 +241,7 @@ func (s BreakerState) String() string {
 
 // Pool holds a fixed set of interchangeable eval-mode replicas. A request
 // checks one out with Get, briefs on it exclusively, and returns it with
-// Put — so up to Size briefings proceed concurrently with no shared mutex,
+// Put — so up to Size batches proceed concurrently with no shared mutex,
 // unlike wb.Briefer which serialises every forward pass behind one lock.
 //
 // The pool also tracks per-replica health: a replica that panics or wedges
@@ -315,7 +281,7 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) (*Pool, e
 // path with confidence-gated escalation to the float64 teacher: the model
 // is converted once with wb.ConvertJointWB (GloVe-encoder models only) and
 // the read-only student weights are shared across all replicas, each of
-// which owns its own float32 scratch workspaces. threshold is the
+// which owns its own float32 workspace. threshold is the
 // escalation cutoff on the decode confidence score: ≤ 0 never escalates,
 // > 1 escalates every briefing.
 func NewCascadePool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int, threshold float64) (*Pool, error) {
@@ -331,8 +297,7 @@ func NewCascadePool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int, th
 	for i, r := range reps {
 		r.student = student
 		r.threshold = threshold
-		r.sscratch = wb.NewInferScratch32For(v, beam)
-		r.sbatch = wb.NewBatchScratch32For(v, beam, 0)
+		r.sscratch = wb.NewBatchScratch32For(v, beam, 1)
 		replicas[i] = r
 	}
 	return PoolOf(replicas...), nil
@@ -347,8 +312,7 @@ func newModelReplicas(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) 
 	replicas := make([]*modelReplica, n)
 	replicas[0] = &modelReplica{
 		model: m, vocab: v, beam: beam, maxTokens: maxTokens,
-		scratch: wb.NewInferScratchFor(v, beam),
-		batch:   wb.NewBatchScratchFor(v, beam, 0),
+		scratch: wb.NewBatchScratchFor(v, beam, 1),
 	}
 	if n > 1 {
 		clones, err := wb.CloneManyForServing(m, v, n-1)
@@ -358,8 +322,7 @@ func newModelReplicas(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) 
 		for i, c := range clones {
 			replicas[i+1] = &modelReplica{
 				model: c, vocab: v, beam: beam, maxTokens: maxTokens,
-				scratch: wb.NewInferScratchFor(v, beam),
-				batch:   wb.NewBatchScratchFor(v, beam, 0),
+				scratch: wb.NewBatchScratchFor(v, beam, 1),
 			}
 		}
 	}
@@ -382,58 +345,17 @@ func PoolOf(replicas ...Replica) *Pool {
 	return p
 }
 
-// Warm briefs html twice on every replica so each scratch workspace grows
-// its arena, pack and beam buffers to steady state before real traffic
-// arrives; the first request per replica then runs the same allocation-free
-// path as every later one. Two passes because first-use growth (arena
-// blocks, pack panels, beam pools) happens during the first brief — the
-// second proves the workspace has stopped growing for this page shape. Warm
-// with a max-shape page (see WarmupHTML) so one-time growth never shows up
-// in per-request numbers. Call it before serving starts: it requires a
-// fully idle pool and checks all replicas out while it runs.
+// Warm briefs html twice on every replica, as a batch of one, so each
+// workspace grows its arena, pack and beam buffers to steady state before
+// real traffic arrives; the first request per replica then runs the same
+// allocation-free path as every later one. Two passes because first-use
+// growth (arena blocks, pack panels, beam pools) happens during the first
+// brief — the second proves the workspace has stopped growing for this page
+// shape. Warm with a max-shape page (see WarmupHTML) so one-time growth never
+// shows up in per-request numbers; wider batches grow the same grow-only
+// buffers the first time they occur. Call it before serving starts: it
+// requires a fully idle pool and checks all replicas out while it runs.
 func (p *Pool) Warm(html string) error {
-	return p.warmAll(html, func(r Replica, inst *wb.Instance) {
-		r.Decode(inst, r.Encode(inst))
-		r.Decode(inst, r.Encode(inst))
-		if mr, ok := r.(*modelReplica); ok && mr.student != nil {
-			// The passes above grew the student tier; the escalation
-			// target must not hit a cold teacher scratch either.
-			mr.teacherBrief(inst)
-			mr.teacherBrief(inst)
-		}
-	})
-}
-
-// WarmBatch pre-grows each replica's batched workspace by briefing size
-// copies of html as one micro-batch, twice, on every replica that supports
-// batching (others are skipped). Same idle-pool contract as Warm.
-func (p *Pool) WarmBatch(html string, size int) error {
-	if size < 1 {
-		size = 1
-	}
-	return p.warmAll(html, func(r Replica, inst *wb.Instance) {
-		br, ok := r.(BatchReplica)
-		if !ok {
-			return
-		}
-		insts := make([]*wb.Instance, size)
-		for i := range insts {
-			insts[i] = inst
-		}
-		br.DecodeBatch(insts, br.EncodeBatch(insts))
-		br.DecodeBatch(insts, br.EncodeBatch(insts))
-		if mr, ok := r.(*modelReplica); ok && mr.student != nil {
-			// Batched escalations run the teacher's batched path; grow its
-			// workspace at full width too.
-			mr.teacherBriefBatch(insts)
-			mr.teacherBriefBatch(insts)
-		}
-	})
-}
-
-// warmAll checks every replica out of an idle pool, parses html on it and
-// runs fn, returning all replicas afterwards.
-func (p *Pool) warmAll(html string, fn func(Replica, *wb.Instance)) error {
 	if p.Idle() != p.size {
 		return fmt.Errorf("serve: Warm needs an idle pool (%d of %d idle)", p.Idle(), p.size)
 	}
@@ -453,7 +375,14 @@ func (p *Pool) warmAll(html string, fn func(Replica, *wb.Instance)) error {
 		if err != nil {
 			return fmt.Errorf("serve: warmup page: %w", err)
 		}
-		fn(r, inst)
+		r.Decode(inst, r.Encode(inst))
+		r.Decode(inst, r.Encode(inst))
+		if mr, ok := r.(*modelReplica); ok && mr.student != nil {
+			// The passes above grew the student tier; the escalation
+			// target must not hit a cold teacher workspace either.
+			mr.teacherBriefBatch([]*wb.Instance{inst})
+			mr.teacherBriefBatch([]*wb.Instance{inst})
+		}
 	}
 	return nil
 }

@@ -11,21 +11,25 @@ import (
 
 // This file is the zero-downtime hot model reload path: build a complete
 // shadow pool from a freshly loaded bundle, warm it off-path exactly like a
-// cold boot (Pool.Warm / Pool.WarmBatch grow every scratch workspace to
-// steady state), then atomically swap it in under the live handler. No
-// request is ever dropped or torn across the swap:
+// cold boot (Pool.Warm grows every workspace to steady state), then
+// atomically swap it in under the live handler. No request is ever dropped
+// or torn across the swap:
 //
-//   - a request snapshots the pool pointer once (at checkout for the serial
-//     path, per batch for the scheduler), so every retry and every stage of
-//     one briefing runs on replicas of a single generation;
-//   - requests in flight on the old pool finish on the old pool and Put
+//   - the scheduler snapshots the pool pointer once per batch, so every
+//     retry and every stage of one briefing runs on replicas of a single
+//     generation;
+//   - batches in flight on the old pool finish on the old pool and Put
 //     their replicas back there; once the last one returns, nothing
 //     references the retired pool and it is garbage collected;
-//   - requests admitted after the swap check out of the new pool.
+//   - batches formed after the swap check out of the new pool.
 //
 // The generation counter (1 at boot, +1 per completed reload) is exported
 // at /metrics and in the reload response, so fleet drivers (cmd/wbgate) can
-// observe which model generation each backend serves.
+// observe which model generation each backend serves. It also namespaces
+// the briefing cache (cache.go): swapPool stores the pool before it bumps
+// the generation, so a request that read generation g briefs on generation
+// g or newer, and an answer computed by an old model can never be cached
+// under a newer generation's keys.
 
 // ReloadSource loads a fresh model bundle for Reload — typically a re-read
 // of the -model file (cmd/wbserve), or a test's in-memory bundle.
@@ -70,14 +74,25 @@ func (s *Server) Reload(m *wb.JointWB, v *textproc.Vocab) (int64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	//wbcheck:ignore lockhold -- holding reloadMu across build+warm is the point: reloads serialise on it, and no request-path code ever takes it (the hot path reads s.pool atomically)
-	pool, err := buildPool(m, v, s.cfg, s.pool.Load().Size())
+	pool, err := s.shadowPool(m, v)
 	if err != nil {
-		return 0, fmt.Errorf("serve: reload: %w", err)
-	}
-	if err := s.warmPool(pool); err != nil {
-		return 0, fmt.Errorf("serve: reload warm: %w", err)
+		return 0, err
 	}
 	return s.swapPool(pool)
+}
+
+// shadowPool builds a pool of the live pool's size from m/v and grows its
+// workspaces to steady state off-path — the same warmup a cold boot runs, so
+// the first post-swap request already rides the allocation-free path.
+func (s *Server) shadowPool(m *wb.JointWB, v *textproc.Vocab) (*Pool, error) {
+	pool, err := buildPool(m, v, s.cfg, s.pool.Load().Size())
+	if err != nil {
+		return nil, fmt.Errorf("serve: reload: %w", err)
+	}
+	if err := pool.Warm(WarmupHTML(0)); err != nil {
+		return nil, fmt.Errorf("serve: reload warm: %w", err)
+	}
+	return pool, nil
 }
 
 // ReloadFromSource reloads via the registered ReloadSource.
@@ -98,13 +113,14 @@ func (s *Server) ReloadFromSource() (int64, error) {
 // SwapPool atomically swaps a pre-built (and, for real models, pre-warmed)
 // pool in — the test seam behind the hot-reload equivalence suite, and the
 // tail of Reload. The new pool must match the live pool's size: the
-// admission ceilings (queueSlots, batchSlots) were sized off it at
-// construction and are not resized mid-flight.
+// admission ceiling (batchSlots) was sized off it at construction and is not
+// resized mid-flight.
 func (s *Server) SwapPool(p *Pool) (int64, error) {
 	return s.swapPool(p)
 }
 
-// swapPool performs the atomic swap and generation bump.
+// swapPool performs the atomic swap and generation bump, in that order (the
+// cache namespace depends on it, see the file comment).
 func (s *Server) swapPool(p *Pool) (int64, error) {
 	if live := s.pool.Load(); p.Size() != live.Size() {
 		return 0, fmt.Errorf("serve: reload pool has %d replicas, live pool %d — reloads must keep capacity", p.Size(), live.Size())
@@ -120,20 +136,6 @@ func (s *Server) swapPool(p *Pool) (int64, error) {
 	// it. Probe loops for old-pool ejections readmit into the retired pool
 	// (harmless) and exit.
 	return gen, nil
-}
-
-// warmPool grows a shadow pool's workspaces to steady state before it goes
-// live — the same warmup a cold boot runs, so the first post-swap request
-// already rides the allocation-free path.
-func (s *Server) warmPool(p *Pool) error {
-	html := WarmupHTML(0)
-	if err := p.Warm(html); err != nil {
-		return err
-	}
-	if s.batchCh != nil {
-		return p.WarmBatch(html, s.cfg.BatchMax)
-	}
-	return nil
 }
 
 // handleReload is the admin reload endpoint: POST /admin/reload loads a

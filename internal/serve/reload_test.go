@@ -60,50 +60,57 @@ func genPool(gen string, delay time.Duration, n int) *Pool {
 	return PoolOf(reps...)
 }
 
-// runReloadEquivalence hammers srv with concurrent clients while the main
+// runReloadEquivalence drives srv with concurrent clients while the main
 // goroutine swaps through the given generations, then checks the torn-read
 // contract: every single response is a 200 whose body is byte-identical to
 // exactly one generation's output — never a mix, never an error, never a
-// drop — and the generation counter ends at 1+len(swaps).
-func runReloadEquivalence(t *testing.T, srv *Server, url string, swapGens []string, delay time.Duration) {
+// drop — no client ever sees an older generation after a newer one, and the
+// generation counter ends at 1+len(swaps). Clients cycle through a small
+// page set, so with the briefing cache on most requests are hits and every
+// swap must start them missing again: a page cached under an old generation
+// may never answer for a newer one.
+func runReloadEquivalence(t *testing.T, srv *Server, url string, clients int, swapGens []string, delay time.Duration) {
 	t.Helper()
-	wants := map[string][]byte{"g1": genBytes(t, "g1")}
-	for _, g := range swapGens {
-		wants[g] = genBytes(t, g)
+	gens := append([]string{"g1"}, swapGens...)
+	wants := make([][]byte, len(gens))
+	for i, g := range gens {
+		wants[i] = genBytes(t, g)
 	}
+	genOf := func(body []byte) int {
+		for i, want := range wants {
+			if bytes.Equal(body, want) {
+				return i
+			}
+		}
+		return -1
+	}
+	const loadPages = 4
+	loadPage := func(i int) string { return fmt.Sprintf("<html><body>reload load %d</body></html>", i%loadPages) }
 
-	const clients = 8
-	const perClient = 40
+	perClient := 320 / clients
 	var (
 		wg     sync.WaitGroup
 		served atomic.Int64
-		byGen  sync.Map // gen -> *atomic.Int64
 	)
-	for g := range wants {
-		byGen.Store(g, new(atomic.Int64))
-	}
 	errCh := make(chan error, clients*perClient)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			newest := 0
 			for i := 0; i < perClient; i++ {
-				status, body, err := postBrief(url, "<html><body>reload load</body></html>")
+				status, body, err := postBrief(url, loadPage(i))
 				if err != nil || status != http.StatusOK {
 					errCh <- fmt.Errorf("status %d err %v", status, err)
 					continue
 				}
-				matched := false
-				for g, want := range wants {
-					if bytes.Equal(body, want) {
-						n, _ := byGen.Load(g)
-						n.(*atomic.Int64).Add(1)
-						matched = true
-						break
-					}
-				}
-				if !matched {
+				switch g := genOf(body); {
+				case g < 0:
 					errCh <- fmt.Errorf("torn or unknown response body: %q", body)
+				case g < newest:
+					errCh <- fmt.Errorf("stale response: generation %s after %s", gens[g], gens[newest])
+				default:
+					newest = g
 				}
 				served.Add(1)
 			}
@@ -114,7 +121,7 @@ func runReloadEquivalence(t *testing.T, srv *Server, url string, swapGens []stri
 	// current generation, then swap to the next. waitCond bounds each wait.
 	prevServed := int64(0)
 	for _, g := range swapGens {
-		target := prevServed + clients // at least one response per swap window
+		target := prevServed + int64(clients) // at least one response per swap window
 		waitCond(t, "load to progress before swap", func() bool { return served.Load() >= target })
 		if _, err := srv.SwapPool(genPool(g, delay, srv.Pool().Size())); err != nil {
 			t.Fatalf("SwapPool(%s): %v", g, err)
@@ -131,54 +138,69 @@ func runReloadEquivalence(t *testing.T, srv *Server, url string, swapGens []stri
 	if want := int64(clients * perClient); total != want {
 		t.Fatalf("served %d of %d requests — dropped across reload", total, want)
 	}
-	// The last swapped generation must be live: a post-quiesce request
-	// briefs on it deterministically.
-	last := swapGens[len(swapGens)-1]
-	status, body, err := postBrief(url, "<html><body>post-swap</body></html>")
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("post-swap brief: status %d err %v", status, err)
+	// The last swapped generation must be live: after quiesce a fresh page
+	// and every load page (cached under earlier generations when the cache
+	// is on) brief on it deterministically.
+	last := wants[len(wants)-1]
+	probes := []string{"<html><body>post-swap</body></html>"}
+	for i := 0; i < loadPages; i++ {
+		probes = append(probes, loadPage(i))
 	}
-	if !bytes.Equal(body, wants[last]) {
-		t.Fatalf("post-swap response not on generation %s:\n got %q\nwant %q", last, body, wants[last])
+	for _, page := range probes {
+		status, body, err := postBrief(url, page)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("post-swap brief: status %d err %v", status, err)
+		}
+		if !bytes.Equal(body, last) {
+			t.Fatalf("post-swap response for %q not on generation %s:\n got %q\nwant %q",
+				page, gens[len(gens)-1], body, last)
+		}
 	}
 
-	if got, want := srv.Generation(), int64(1+len(swapGens)); got != want {
+	if got, want := srv.Generation(), int64(len(gens)); got != want {
 		t.Fatalf("generation = %d, want %d", got, want)
 	}
 	if got, want := srv.Reloads(), int64(len(swapGens)); got != want {
 		t.Fatalf("reloads = %d, want %d", got, want)
 	}
 	// Zero dropped requests, exactly: OK must account for every client
-	// success including the post-swap probe.
-	if got, want := srv.Metrics().OK.Load(), total+1; got != want {
-		t.Fatalf("metrics OK = %d, client successes = %d", got, want)
+	// success including the post-swap probes.
+	ms := srv.Metrics()
+	all := total + int64(len(probes))
+	if got := ms.OK.Load(); got != all {
+		t.Fatalf("metrics OK = %d, client successes = %d", got, all)
+	}
+	if srv.Cache() != nil {
+		hits, misses, coalesced := ms.CacheHits.Load(), ms.CacheMisses.Load(), ms.CacheCoalesced.Load()
+		if ms.CacheLookups.Load() != all || hits+misses+coalesced != all {
+			t.Fatalf("cache partition drifted across reload: lookups=%d hits=%d misses=%d coalesced=%d, want %d",
+				ms.CacheLookups.Load(), hits, misses, coalesced, all)
+		}
+		if hits == 0 || misses < int64(len(gens)) {
+			t.Fatalf("hits=%d misses=%d: want repeat pages to hit within a generation and every generation to miss afresh", hits, misses)
+		}
 	}
 }
 
-// TestHotReloadEquivalenceSerial swaps three model generations under
-// concurrent serial-path load and asserts no response is ever torn across
-// a generation or dropped.
-func TestHotReloadEquivalenceSerial(t *testing.T) {
-	srv := NewFromPool(genPool("g1", 200*time.Microsecond, 2), Config{QueueDepth: 64})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	runReloadEquivalence(t, srv, ts.URL, []string{"g2", "g3", "g4"}, 200*time.Microsecond)
-}
-
-// TestHotReloadEquivalenceBatched runs the same torn-read contract through
-// the micro-batch scheduler: a batch snapshots the pool once, so members
-// of one batch all brief on a single generation even when the swap lands
-// between collect and execute.
-func TestHotReloadEquivalenceBatched(t *testing.T) {
-	srv := NewFromPool(genPool("g1", 200*time.Microsecond, 2), Config{
-		QueueDepth:  64,
-		BatchWindow: 300 * time.Microsecond,
-		BatchMax:    4,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	runReloadEquivalence(t, srv, ts.URL, []string{"g2", "g3"}, 200*time.Microsecond)
-	srv.BeginShutdown()
+// TestHotReloadEquivalence swaps three model generations under load and
+// asserts no response is ever torn across a generation, stale or dropped —
+// for one client (every batch a batch of one) and for eight (batches
+// coalesce; each snapshots the pool once, so its members all brief on a
+// single generation even when the swap lands mid-formation), with the
+// briefing cache off and on.
+func TestHotReloadEquivalence(t *testing.T) {
+	for _, clients := range []int{1, 8} {
+		for _, cacheCap := range []int{0, 64} {
+			t.Run(fmt.Sprintf("clients=%d/cache=%d", clients, cacheCap), func(t *testing.T) {
+				const delay = 200 * time.Microsecond
+				srv := NewFromPool(genPool("g1", delay, 2), Config{QueueDepth: 64, BatchMax: 4, CacheCapacity: cacheCap})
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+				runReloadEquivalence(t, srv, ts.URL, clients, []string{"g2", "g3", "g4"}, delay)
+				srv.BeginShutdown()
+			})
+		}
+	}
 }
 
 // TestSwapPoolRejectsBadPools pins the two swap preconditions: capacity

@@ -4,8 +4,11 @@
 // with:
 //
 //   - a replica pool: N independent eval-mode model copies (see
-//     wb.CloneForServing) checked out per request, so briefings scale
+//     wb.CloneForServing) checked out per batch, so briefings scale
 //     across GOMAXPROCS instead of serialising on one lock;
+//   - one request path (batch.go): every briefing is a batch — of one when
+//     a replica is idle, of whatever queued while all were busy otherwise —
+//     and runs one forward pass per model tier;
 //   - admission control: a bounded wait queue that sheds load with
 //     429 + Retry-After instead of collapsing, per-request deadlines via
 //     context, and 413 for oversized bodies;
@@ -34,7 +37,7 @@ import (
 )
 
 // DefaultMaxBodyBytes bounds a briefing request body when Config leaves
-// MaxBodyBytes zero (same limit as the serial wb.Briefer path).
+// MaxBodyBytes zero.
 const DefaultMaxBodyBytes = 4 << 20
 
 // Config sizes a Server. The zero value is usable: GOMAXPROCS replicas, a
@@ -65,14 +68,8 @@ type Config struct {
 	ProbeSuccesses int
 	ProbeHTML      string
 
-	// BatchWindow enables cross-request micro-batching: an admitted request
-	// waits up to this long for batchmates before the fused forward runs,
-	// trading that bounded latency for B-row batched kernels. 0 disables
-	// batching — the exact per-request path. The window is deadline-aware: a
-	// batch fires early when any member's context deadline would otherwise
-	// expire waiting.
-	BatchWindow time.Duration
-	// BatchMax caps how many requests one micro-batch may coalesce (0 = 8).
+	// BatchMax caps how many queued requests one batch may coalesce when
+	// every replica is busy (0 = 8); it bounds workspace growth.
 	BatchMax int
 
 	// Cascade enables the float32 student fast path: every briefing first
@@ -160,9 +157,9 @@ type Server struct {
 	mux     *http.ServeMux
 
 	// pool is the live replica pool. Hot reload (reload.go) swaps it
-	// atomically; request paths snapshot the pointer once (at checkout /
-	// per batch) so one briefing never straddles two generations. Always
-	// non-nil after construction.
+	// atomically; the scheduler snapshots the pointer once per batch so one
+	// briefing never straddles two generations. Always non-nil after
+	// construction.
 	pool atomic.Pointer[Pool]
 
 	// Hot-reload state (reload.go): generation starts at 1 for the boot
@@ -177,10 +174,6 @@ type Server struct {
 	// checkout and coalesces concurrent cold-key misses (see cache.go).
 	cache *briefcache.Cache
 
-	// queueSlots bounds how many requests may wait for a replica; a
-	// request that cannot take a slot is shed with 429.
-	queueSlots chan struct{}
-
 	ready atomic.Bool
 
 	// shutdownCh is closed by BeginShutdown; re-admission probers exit on
@@ -188,13 +181,12 @@ type Server struct {
 	shutdownCh   chan struct{}
 	shutdownOnce sync.Once
 
-	// Micro-batch scheduler state, nil/unused unless cfg.BatchWindow > 0:
-	// admitted requests take a batchSlots token (held until their response,
-	// bounding outstanding requests at QueueDepth + pool size — the serial
-	// path's queued + in-flight ceiling) and enqueue on batchCh; the
-	// dispatcher goroutine groups them into batches and batchWG tracks the
-	// per-batch executors. batcherDone closes when the dispatcher has
-	// drained and exited.
+	// Batch scheduler state (batch.go): admitted requests take a batchSlots
+	// token (held until their response, bounding outstanding requests at
+	// QueueDepth + pool size; a request that cannot take one is shed with
+	// 429) and enqueue on batchCh; the dispatcher goroutine groups them into
+	// batches and batchWG tracks the per-batch executors. batcherDone closes
+	// when the dispatcher has drained and exited.
 	batchCh     chan *batchItem
 	batchSlots  chan struct{}
 	batchWG     sync.WaitGroup
@@ -221,10 +213,14 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:        cfg,
-		metrics:    &Metrics{},
-		queueSlots: make(chan struct{}, cfg.QueueDepth),
+		metrics:    newMetrics(),
 		shutdownCh: make(chan struct{}),
 		mux:        http.NewServeMux(),
+		// Channel capacity matches the slot count, so a request holding a
+		// slot can always enqueue without blocking.
+		batchCh:     make(chan *batchItem, cfg.QueueDepth+pool.Size()),
+		batchSlots:  make(chan struct{}, cfg.QueueDepth+pool.Size()),
+		batcherDone: make(chan struct{}),
 	}
 	s.pool.Store(pool)
 	s.generation.Store(1)
@@ -244,14 +240,7 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/admin/reload", s.handleReload)
-	if cfg.BatchWindow > 0 {
-		// Channel capacity matches the slot count, so a request holding a
-		// slot can always enqueue without blocking.
-		s.batchCh = make(chan *batchItem, cfg.QueueDepth+pool.Size())
-		s.batchSlots = make(chan struct{}, cfg.QueueDepth+pool.Size())
-		s.batcherDone = make(chan struct{})
-		go s.dispatchBatches()
-	}
+	go s.dispatchBatches()
 	return s
 }
 
@@ -280,8 +269,8 @@ func (s *Server) BeginShutdown() {
 	s.shutdownOnce.Do(func() { close(s.shutdownCh) })
 }
 
-// Drain begins shutdown and blocks until no request holds a replica or ctx
-// expires. It returns the number of requests still in flight (0 on a clean
+// Drain begins shutdown and blocks until no request holds a replica and the
+// batch dispatcher has exited, or ctx expires. It returns the number of requests still in flight (0 on a clean
 // drain). http.Server.Shutdown already waits for in-flight handlers, so
 // callers using it only need BeginShutdown; Drain serves embedders driving
 // the handler directly.
@@ -291,8 +280,12 @@ func (s *Server) Drain(ctx context.Context) int64 {
 	defer tick.Stop()
 	for {
 		n := s.metrics.InFlight.Load() + s.metrics.Queued.Load()
-		if n == 0 && s.batcherIdle() {
-			return 0
+		if n == 0 {
+			select {
+			case <-s.batcherDone:
+				return 0
+			default:
+			}
 		}
 		select {
 		case <-ctx.Done():
@@ -302,41 +295,19 @@ func (s *Server) Drain(ctx context.Context) int64 {
 	}
 }
 
-// batcherIdle reports whether the micro-batch dispatcher has fully drained
-// and exited (trivially true when batching is off).
-func (s *Server) batcherIdle() bool {
-	if s.batcherDone == nil {
-		return true
-	}
-	select {
-	case <-s.batcherDone:
-		return true
-	default:
-		return false
-	}
-}
-
 // Warm pre-grows every replica workspace to steady state before traffic
-// arrives — and, when batching is on, each batched workspace at BatchMax
-// width — so the first real request already runs the allocation-free path.
-// An empty html warms on the default synthetic page.
+// arrives (see Pool.Warm), so the first real request already runs the
+// allocation-free path. An empty html warms on the default synthetic page.
 func (s *Server) Warm(html string) error {
 	if html == "" {
 		html = WarmupHTML(0)
 	}
-	pool := s.pool.Load()
-	if err := pool.Warm(html); err != nil {
-		return err
-	}
-	if s.batchCh != nil {
-		return pool.WarmBatch(html, s.cfg.BatchMax)
-	}
-	return nil
+	return s.pool.Load().Warm(html)
 }
 
-// handleBrief is the serving hot path: admission, replica checkout, the
-// three pipeline stages with per-stage timing and deadline checks, and the
-// JSON response.
+// handleBrief is the serving hot path: request validation, the cache stage,
+// then admission to the batch scheduler (batch.go), which runs the three
+// pipeline stages and hands back the outcome for the JSON response.
 func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m := s.metrics
@@ -394,7 +365,7 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache stage: hits (and coalesced waiters) are fully served here —
-	// no admission, no batching, no replica. A winner gets a fill
+	// no admission, no scheduler, no replica. A winner gets a fill
 	// obligation that respondOutcome settles; the deferred abandon is the
 	// backstop for every other exit (shed, timeout, panic), turning the
 	// losers loose to retry instead of hanging.
@@ -408,72 +379,11 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		defer fill.abandon()
 	}
 
-	if s.batchCh != nil {
-		s.briefBatched(w, &lg, ctx, body, fill)
-		return
-	}
-
-	// Admission: take a replica if one is idle; otherwise wait in a
-	// bounded queue or shed with 429. The pool pointer is snapshotted once:
-	// checkout, retries and Put all target one generation, so a hot reload
-	// mid-request can never hand this briefing a mixed pool.
-	queueStart := time.Now()
-	pool := s.pool.Load()
-	rep, ok := pool.TryGet()
-	if !ok {
-		select {
-		case s.queueSlots <- struct{}{}:
-		default:
-			m.Overload.Add(1)
-			lg.Status = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			http.Error(w, "briefing queue is full, retry later", http.StatusTooManyRequests)
-			return
-		}
-		m.Queued.Add(1)
-		rep, err = pool.Get(ctx)
-		m.Queued.Add(-1)
-		<-s.queueSlots
-		if err != nil {
-			s.failCtx(w, &lg, err)
-			return
-		}
-	}
-	wait := time.Since(queueStart)
-	m.QueueWait.Observe(wait)
-	lg.QueueMS = roundMS(wait)
-
-	m.InFlight.Add(1)
-	defer m.InFlight.Add(-1)
-
-	// Run the three pipeline stages, retrying on a fresh replica when the
-	// current one panics or stalls — a faulted replica is ejected by
-	// runStage and never Put back, so it degrades capacity without
-	// poisoning this or any later request.
-	var o pipelineOutcome
-	for attempt := 0; ; attempt++ {
-		o = s.briefOn(ctx.Err, pool, rep, body)
-		if !o.faulted {
-			pool.Put(rep)
-			break
-		}
-		if attempt >= s.cfg.ReplicaRetries {
-			break
-		}
-		m.Retries.Add(1)
-		rep, err = pool.Get(ctx)
-		if err != nil {
-			s.failCtx(w, &lg, err)
-			return
-		}
-	}
-	s.respondOutcome(w, &lg, o, fill)
+	s.enqueue(w, &lg, ctx, body, fill)
 }
 
 // respondOutcome maps a pipeline outcome onto its HTTP response and outcome
-// counter — the shared tail of the per-request and batched paths, keeping
-// the requests_total partition identical in both modes. faulted here means
-// the retry budget is already spent. fill, when non-nil, is this request's
+// counter. faulted here means the retry budget is already spent. fill, when non-nil, is this request's
 // cache-fill obligation: terminal outcomes (success bytes, 422, 500) are
 // published to coalesced waiters, and successes are inserted into the
 // cache; context failures abandon via the caller's deferred backstop so
@@ -583,7 +493,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.metrics.snapshot(s.pool.Load(), s.batchCh != nil, s.cache, s.cfg.Cascade, s.cfg.ConfidenceThreshold,
+	enc.Encode(s.metrics.snapshot(s.pool.Load(), s.cache, s.cfg.Cascade, s.cfg.ConfidenceThreshold,
 		s.generation.Load(), s.reloads.Load()))
 }
 

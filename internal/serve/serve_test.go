@@ -69,19 +69,7 @@ func TestServeEndToEnd(t *testing.T) {
 	// Serial reference briefings, via the single-mutex path. The handler
 	// responds with Encoder.Encode framing, i.e. the JSON plus a trailing
 	// newline, so the expected wire bytes carry one too.
-	serial := wb.NewBriefer(m, v, beam, 0)
-	want := make([][]byte, len(pages))
-	for i, p := range pages {
-		b, err := serial.BriefHTML(p.HTML)
-		if err != nil {
-			t.Fatalf("serial brief %d: %v", i, err)
-		}
-		j, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = append(j, '\n')
-	}
+	want := serialWire(t, wb.NewBriefer(m, v, beam, 0), pageHTML(pages))
 
 	// Cold-vs-warm: a single-replica server answers the same page three
 	// times on one scratch workspace. The first response is computed on a
@@ -214,6 +202,13 @@ func TestServeHTTPErrors(t *testing.T) {
 		t.Fatalf("oversized status %d, want 413", status)
 	}
 
+	// A body exactly at the limit is still served.
+	atLimit := "<p>title : novel edition</p>"
+	atLimit += strings.Repeat(" ", 1<<10-len(atLimit))
+	if status, _, err := postBrief(ts.URL, atLimit); err != nil || status != http.StatusOK {
+		t.Fatalf("at-limit status %d err %v, want 200", status, err)
+	}
+
 	// 422: no visible text.
 	status, _, err = postBrief(ts.URL, "<script>only()</script>")
 	if err != nil {
@@ -228,8 +223,8 @@ func TestServeHTTPErrors(t *testing.T) {
 		t.Fatalf("error counters: method=%d large=%d unbriefable=%d",
 			ms.BadMethod.Load(), ms.TooLarge.Load(), ms.Unbriefable.Load())
 	}
-	if ms.Requests.Load() != 3 {
-		t.Fatalf("requests_total=%d, want 3", ms.Requests.Load())
+	if ms.Requests.Load() != 4 {
+		t.Fatalf("requests_total=%d, want 4", ms.Requests.Load())
 	}
 
 	// /metrics serves the same numbers as JSON.
@@ -242,7 +237,7 @@ func TestServeHTTPErrors(t *testing.T) {
 	if err := json.NewDecoder(mr.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.RequestsTotal != 3 || snap.Responses.TooLarge != 1 {
+	if snap.RequestsTotal != 4 || snap.Responses.TooLarge != 1 {
 		t.Fatalf("metrics snapshot %+v", snap)
 	}
 	if snap.Pool.Replicas != 1 || snap.Pool.Idle != 1 {
@@ -304,10 +299,11 @@ func TestAdmissionOverload429(t *testing.T) {
 	// One request occupies the replica...
 	go post()
 	<-stub.started
-	// ...two more fill the wait queue.
+	// ...two more fill the wait queue (Queued counts every admitted,
+	// unanswered request, the briefing one included).
 	go post()
 	go post()
-	waitCond(t, "queue to fill", func() bool { return srv.Metrics().Queued.Load() == 2 })
+	waitCond(t, "queue to fill", func() bool { return srv.Metrics().Queued.Load() == 3 })
 
 	// The next request must be rejected immediately with 429.
 	resp, err := http.Post(ts.URL+"/brief", "text/html", strings.NewReader("<p>x</p>"))

@@ -1,20 +1,18 @@
 package wb
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 
 	"webbrief/internal/textproc"
 )
 
 // Briefer wraps a trained model and vocabulary behind a concurrency-safe
-// briefing API — the operational form §I motivates ("the functionality of
-// WB may be added to web browsers"). Eval-mode forwards only read model
-// parameters, but a mutex still serialises calls so the type stays safe
-// even if a caller swaps in a model whose Forward keeps internal state.
+// briefing API: the serial, heap-tape reference the serving equivalence
+// suites compare internal/serve's wire bytes against (the HTTP surface
+// lives there). Eval-mode forwards only read model parameters, but a mutex
+// still serialises calls so the type stays safe even if a caller swaps in a
+// model whose Forward keeps internal state.
 type Briefer struct {
 	mu        sync.Mutex
 	model     Model
@@ -40,44 +38,4 @@ func (b *Briefer) BriefHTML(html string) (*Brief, error) {
 	defer b.mu.Unlock()
 	//wbcheck:ignore lockhold -- the mutex IS the briefing serialisation point: MakeBrief's only blocking op is the matmul kernels' bounded fork-join (tensor.parallelRows), which always completes; nothing reached from it takes this lock
 	return MakeBrief(b.model, inst, b.vocab, b.beamWidth), nil
-}
-
-// maxRequestBytes bounds a briefing request body. Bodies beyond the limit
-// are rejected with 413 rather than truncated: a briefing of half a page
-// would be silently wrong, which is worse than no briefing.
-const maxRequestBytes = 4 << 20
-
-// ServeHTTP implements http.Handler: POST a page's HTML as the request
-// body, receive the briefing as JSON. Mount it wherever a briefing
-// endpoint is needed:
-//
-//	http.Handle("/brief", briefer)
-func (b *Briefer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST the page HTML as the request body", http.StatusMethodNotAllowed)
-		return
-	}
-	// Read one byte past the limit so an over-limit body is detected
-	// instead of silently truncated to a briefable-but-wrong prefix.
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxRequestBytes {
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	brief, err := b.BriefHTML(string(body))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(brief); err != nil {
-		// Headers are already out; nothing more to do than drop the
-		// connection, which the server does for us.
-		return
-	}
 }

@@ -1,10 +1,6 @@
 package wb
 
 import (
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -35,74 +31,6 @@ func TestBrieferBriefHTML(t *testing.T) {
 	}
 	if _, err := b.BriefHTML("<script>only()</script>"); err == nil {
 		t.Fatal("text-free page must error")
-	}
-}
-
-func TestBrieferHTTP(t *testing.T) {
-	srv := httptest.NewServer(testBriefer(t))
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL, "text/html", strings.NewReader(testPageHTML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q", ct)
-	}
-	var brief Brief
-	if err := json.NewDecoder(resp.Body).Decode(&brief); err != nil {
-		t.Fatal(err)
-	}
-	if len(brief.Sections) == 0 {
-		t.Fatalf("empty briefing: %+v", brief)
-	}
-
-	// Wrong method.
-	get, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get.Body.Close()
-	if get.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET status %d", get.StatusCode)
-	}
-
-	// Oversized body: must get 413, not a briefing of a silently
-	// truncated page (regression: the handler used to cap the reader at
-	// the limit and brief whatever prefix survived).
-	huge := strings.Repeat("x", maxRequestBytes+1)
-	big, err := http.Post(srv.URL, "text/html", strings.NewReader(huge))
-	if err != nil {
-		t.Fatal(err)
-	}
-	big.Body.Close()
-	if big.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized-body status %d, want 413", big.StatusCode)
-	}
-
-	// A body exactly at the limit is still served.
-	page := testPageHTML + strings.Repeat(" ", maxRequestBytes-len(testPageHTML))
-	atLimit, err := http.Post(srv.URL, "text/html", strings.NewReader(page))
-	if err != nil {
-		t.Fatal(err)
-	}
-	atLimit.Body.Close()
-	if atLimit.StatusCode != http.StatusOK {
-		t.Fatalf("at-limit status %d, want 200", atLimit.StatusCode)
-	}
-
-	// Unbriefable body.
-	bad, err := http.Post(srv.URL, "text/html", strings.NewReader("<style>.x{}</style>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("empty-page status %d", bad.StatusCode)
 	}
 }
 

@@ -22,10 +22,10 @@ OUT=bench-out
 mkdir -p "$OUT"
 
 echo "== serving path (full HTTP: parse, admission, 3-stage briefing, JSON)"
-go test -bench 'ServeBrief$|ServeBriefSerialMutex|ServeBriefCascade' -benchtime "$BENCHTIME" -run '^$' -benchmem -cpu 1 . \
+go test -bench 'ServeBrief$|ServeBriefCascade' -benchtime "$BENCHTIME" -run '^$' -benchmem -cpu 1 . \
     | tee "$OUT/serve.txt"
 
-echo "== throughput vs concurrency (micro-batching off/on, clients 1/4/16)"
+echo "== throughput vs concurrency (one replica, clients 1/4/16: batch of one when idle, coalescing when saturated)"
 go test -bench 'ServeBriefConcurrency' -benchtime "$BENCHTIME" -run '^$' -benchmem -cpu 1,2,4 . \
     | tee "$OUT/concurrency.txt"
 

@@ -46,12 +46,9 @@ echo "== kernel equivalence (blocked kernels vs naive reference, exact equality)
 go test -run 'TestKernelEquivalence|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
     ./internal/tensor ./internal/nn ./internal/wb
 
-echo "== batched equivalence (fused B-row forward/beam vs per-request path, exact equality, ragged batches)"
-go test -race -run 'TestBiLSTMForwardBatchMatchesSerial|TestBeamSearchBatchMatchesScratch|TestBatchedWireEquivalence|TestBatchedDeadlineMidWindow' \
+echo "== batched equivalence (fused B-row forward/beam vs serial reference, exact equality, ragged batches, one forward per briefing)"
+go test -race -run 'TestBiLSTMForwardBatchMatchesSerial|TestBeamSearchBatchMatchesScratch|TestBatchedWireEquivalence|TestBatchedDeadlineWhileQueued|TestIdleReplicaTakesRequestAlone|TestOneForwardPerBriefing' \
     ./internal/nn ./internal/serve
-
-echo "== batched chaos gate (micro-batching on, one replica faulted, >=99% success)"
-go test -race -run 'TestChaosServeBatchedSoak' ./internal/serve
 
 echo "== cached chaos gate (cache on, one replica faulted, >=99% success, no garbage cached)"
 go test -race -run 'TestChaosServeCachedSoak' ./internal/serve
@@ -70,7 +67,7 @@ go test -run 'TestStudent|TestConvertJointWB' ./internal/wb
 echo "== float32 kernel bench smoke (Kernels32 benchmarks stay runnable)"
 go test -run '^$' -bench 'Kernels32' -benchtime 1x ./internal/tensor >/dev/null
 
-echo "== wbserve smoke (train tiny bundle, boot, curl /brief + /metrics, drain)"
+echo "== wbserve smoke (train tiny bundle, boot, four concurrent curls through the batch scheduler, /metrics, drain)"
 SMOKEDIR=$(mktemp -d)
 SERVE_PID=""
 B1_PID=""
@@ -86,41 +83,28 @@ for i in $(seq 1 50); do
     sleep 0.2
 done
 curl -sf http://127.0.0.1:18080/healthz | grep -q '"status":"ok"'
-printf '<html><body><h1>title : novel edition</h1><div>price : $ 9.99</div></body></html>' \
-    | curl -sf --data-binary @- http://127.0.0.1:18080/brief | grep -q '"Topic"'
-curl -sf http://127.0.0.1:18080/metrics | grep -q '"requests_total": 1'
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
-echo "   wbserve smoke ok"
-
-echo "== wbserve batched smoke (same bundle, -batch-window on, concurrent curls coalesce)"
-"$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.bin" -addr 127.0.0.1:18081 -replicas 2 -queue 8 \
-    -batch-window 5ms -batch-max 4 -quiet &
-SERVE_PID=$!
-for i in $(seq 1 50); do
-    curl -sf http://127.0.0.1:18081/healthz >/dev/null 2>&1 && break
-    sleep 0.2
-done
 PAGE='<html><body><h1>title : novel edition</h1><div>price : $ 9.99</div></body></html>'
 CURL_PIDS=""
 for i in 1 2 3 4; do
-    ( printf '%s' "$PAGE" | curl -sf --data-binary @- http://127.0.0.1:18081/brief | grep -q '"Topic"' ) &
+    ( printf '%s' "$PAGE" | curl -sf --data-binary @- http://127.0.0.1:18080/brief | grep -q '"Topic"' ) &
     CURL_PIDS="$CURL_PIDS $!"
 done
 for pid in $CURL_PIDS; do wait "$pid"; done
-curl -sf http://127.0.0.1:18081/metrics | python3 -c '
+curl -sf http://127.0.0.1:18080/metrics | python3 -c '
 import json,sys
 m = json.load(sys.stdin)
 assert m["requests_total"] == 4 == m["responses"]["ok"], m["responses"]
 b = m["batching"]
-assert b["enabled"] and b["batches_total"] >= 1, b
+assert b["enabled"] and 1 <= b["batches_total"] <= 4, b
 assert b["batch_size"]["sum"] == 4, b
 '
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
-echo "   wbserve batched smoke ok"
+echo "   wbserve smoke ok"
+
+echo "== bench module (separate go.mod importing this one: an API rename here must not break the benchmark)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "== wbserve cached smoke (wbsnap gob->snapshot, -cache on, repeat post hits without a replica)"
 go run ./cmd/wbsnap -in "$SMOKEDIR/model.bin" -out "$SMOKEDIR/model.snap"
@@ -177,7 +161,7 @@ wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 echo "   wbserve cascade smoke ok"
 
-echo "== wbgate fleet smoke (1 gateway + 2 backends: routed curls, rolling hot reload, one backend killed cold, /metrics reconciles)"
+echo "== wbgate fleet smoke (1 gateway + 2 backends: routed curls, slow-header drill, rolling hot reload, one backend killed cold, /metrics reconciles)"
 go build -o "$SMOKEDIR/wbgate" ./cmd/wbgate
 "$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.bin" -addr 127.0.0.1:18084 -replicas 2 -queue 8 -quiet &
 B1_PID=$!
@@ -197,6 +181,7 @@ PAGE='<html><body><h1>title : novel edition</h1><div>price : $ 9.99</div></body>
 for d in books-0.example books-1.example books-2.example books-3.example; do
     printf '%s' "$PAGE" | curl -sf --data-binary @- "http://127.0.0.1:18086/brief?src=https://$d/p" | grep -q '"Topic"'
 done
+python3 scripts/slowheader.py 18084 18086
 curl -sf -X POST http://127.0.0.1:18086/admin/reload | python3 -c '
 import json,sys
 r = json.load(sys.stdin)
