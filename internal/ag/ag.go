@@ -1,5 +1,5 @@
 // Package ag implements tape-based reverse-mode automatic differentiation
-// over tensor.Matrix values. It is the training engine underneath every
+// over tensor.MatrixOf values. It is the training engine underneath every
 // model in this repository: the Joint-WB teacher, the distilled students,
 // and all baselines.
 //
@@ -21,6 +21,14 @@
 // values and gradients from reusable arenas: after Reset the same memory
 // backs the next step's graph, so steady-state training does near-zero heap
 // allocation per step. Nothing recorded before a Reset may be used after it.
+//
+// The tape is generic over the element type: TapeOf[float64] (aliased Tape,
+// with Node and Param) is the training engine and the teacher's inference
+// tape; the distilled student runs the same ops on a no-gradient
+// TapeOf[float32] (NewInferTapeOf). Losses and their reductions accumulate
+// in float64 for both element types and transcendentals go through the
+// float64 library forms, so for float64 every op is bit-for-bit what it was
+// before the tape was generic.
 package ag
 
 import (
@@ -32,70 +40,95 @@ import (
 	"webbrief/internal/tensor"
 )
 
-// Node is one value in the computation graph.
-type Node struct {
-	Value *tensor.Matrix
-	Grad  *tensor.Matrix // allocated lazily on first gradient contribution
-	back  func()         // propagates n.Grad into parents; nil for leaves
-	t     *Tape          // owning tape, for arena-backed gradient buffers
-	gen   uint64         // tape generation at recording; wbdebug use-after-Reset check
+// NodeOf is one value in the computation graph.
+type NodeOf[T tensor.Float] struct {
+	Value *tensor.MatrixOf[T]
+	Grad  *tensor.MatrixOf[T] // allocated lazily on first gradient contribution
+	back  func()              // propagates n.Grad into parents; nil for leaves
+	t     *TapeOf[T]          // owning tape, for arena-backed gradient buffers
+	gen   uint64              // tape generation at recording; wbdebug use-after-Reset check
 }
 
 // Rows returns the row count of the node's value.
-func (n *Node) Rows() int { return n.Value.Rows }
+func (n *NodeOf[T]) Rows() int { return n.Value.Rows }
 
 // Cols returns the column count of the node's value.
-func (n *Node) Cols() int { return n.Value.Cols }
+func (n *NodeOf[T]) Cols() int { return n.Value.Cols }
 
-func (n *Node) grad() *tensor.Matrix {
+func (n *NodeOf[T]) grad() *tensor.MatrixOf[T] {
 	debugCheckNode(n, "gradient accumulation")
 	if n.Grad == nil {
 		if n.t != nil {
 			n.Grad = n.t.alloc(n.Value.Rows, n.Value.Cols)
 		} else {
-			n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
+			n.Grad = tensor.NewOf[T](n.Value.Rows, n.Value.Cols)
 		}
 	}
 	return n.Grad
 }
 
-// addGrad accumulates g into n's gradient buffer.
-func (n *Node) addGrad(g *tensor.Matrix) { n.grad().AddInPlace(g) }
+// CheckLive panics under `-tags wbdebug` when n was recorded before its
+// tape's last Reset — its memory may already back another forward's graph —
+// naming op as the offender; release builds compile it away. Gradient
+// accumulation and Backward check themselves; this is for code that keeps
+// nodes across calls on a no-gradient tape, where nothing else would notice
+// (wb.DecodeTopicBatch decoding from an earlier ExtractBriefBatch's outputs).
+func (n *NodeOf[T]) CheckLive(op string) { debugCheckNode(n, op) }
 
-// Param is a trainable parameter: a persistent value with a persistent
-// gradient accumulator shared across tapes.
-type Param struct {
+// addGrad accumulates g into n's gradient buffer.
+func (n *NodeOf[T]) addGrad(g *tensor.MatrixOf[T]) { n.grad().AddInPlace(g) }
+
+// ParamOf is a trainable parameter: a persistent value with a persistent
+// gradient accumulator shared across tapes. Inference-only parameters (the
+// float32 student's, see CastParam) carry a nil Grad.
+type ParamOf[T tensor.Float] struct {
 	Name  string
-	Value *tensor.Matrix
-	Grad  *tensor.Matrix
+	Value *tensor.MatrixOf[T]
+	Grad  *tensor.MatrixOf[T]
 }
+
+// Node, Param, Tape and GradSink are the float64 instantiations every
+// training-side package uses.
+type (
+	Node     = NodeOf[float64]
+	Param    = ParamOf[float64]
+	Tape     = TapeOf[float64]
+	GradSink = GradSinkOf[float64]
+)
 
 // NewParam creates a named parameter around v with a zeroed gradient.
 func NewParam(name string, v *tensor.Matrix) *Param {
 	return &Param{Name: name, Value: v, Grad: tensor.New(v.Rows, v.Cols)}
 }
 
+// CastParam returns an inference-only copy of p in element type D: the value
+// rounded to nearest, no gradient buffer. It is how a trained float64 model
+// becomes its float32 student.
+func CastParam[D, S tensor.Float](p *ParamOf[S]) *ParamOf[D] {
+	return &ParamOf[D]{Name: p.Name, Value: tensor.Cast[D](p.Value)}
+}
+
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+func (p *ParamOf[T]) ZeroGrad() { p.Grad.Zero() }
 
 // nodeBlock is how many Node structs each tape-owned block holds. Blocks are
 // never reallocated, so *Node pointers stay valid across appends.
 const nodeBlock = 256
 
-// Tape records operations for reverse-mode differentiation.
-type Tape struct {
-	nodes []*Node
+// TapeOf records operations for reverse-mode differentiation.
+type TapeOf[T tensor.Float] struct {
+	nodes []*NodeOf[T]
 
-	blocks [][]Node // node arena; reused across Reset
+	blocks [][]NodeOf[T] // node arena; reused across Reset
 	blk    int
 	blkOff int
-	arena  *tensor.Arena   // nil: plain heap allocation
-	sink   *GradSink       // nil: Use accumulates into Param.Grad
-	rng    *rand.Rand      // nil: Dropout uses the caller-provided rng
-	pack   *tensor.PackBuf // nil: MatMul uses the unpacked kernel
-	nograd bool            // inference tape: ops record no backward closures
-	gen    uint64          // bumped by Reset; wbdebug use-after-Reset check
-	pooled bool            // wbdebug double-PutTape check
+	arena  *tensor.ArenaOf[T]   // nil: plain heap allocation
+	sink   *GradSinkOf[T]       // nil: Use accumulates into Param.Grad
+	rng    *rand.Rand           // nil: Dropout uses the caller-provided rng
+	pack   *tensor.PackBufOf[T] // nil: MatMul uses the unpacked kernel
+	nograd bool                 // inference tape: ops record no backward closures
+	gen    uint64               // bumped by Reset; wbdebug use-after-Reset check
+	pooled bool                 // wbdebug double-PutTape check
 }
 
 // NewTape returns an empty heap-allocating tape. Values recorded on it may
@@ -112,22 +145,28 @@ func NewArenaTape() *Tape { return &Tape{arena: tensor.NewArena()} }
 // forward values identically but record no backward closures, so a warm
 // inference forward allocates nothing. Backward panics on such a tape.
 // Inference workspaces (wb.InferScratch) own one tape each.
-func NewInferTape() *Tape { return &Tape{arena: tensor.NewArena(), nograd: true} }
+func NewInferTape() *Tape { return NewInferTapeOf[float64]() }
+
+// NewInferTapeOf is NewInferTape for element type T; the float32 student's
+// workspaces run on NewInferTapeOf[float32].
+func NewInferTapeOf[T tensor.Float]() *TapeOf[T] {
+	return &TapeOf[T]{arena: tensor.NewArenaOf[T](), nograd: true}
+}
 
 // NoGrad reports whether this tape skips backward-closure recording.
-func (t *Tape) NoGrad() bool { return t.nograd }
+func (t *TapeOf[T]) NoGrad() bool { return t.nograd }
 
 // SetPack attaches a caller-owned pack buffer; while set, MatMul routes
 // through the panel-packed kernel (tensor.MatMulPackInto). The buffer must
 // not be shared with a concurrently running tape.
-func (t *Tape) SetPack(p *tensor.PackBuf) { t.pack = p }
+func (t *TapeOf[T]) SetPack(p *tensor.PackBufOf[T]) { t.pack = p }
 
 // AllocValue returns a zeroed rows×cols matrix from the tape's arena (heap
 // for plain tapes). It lets callers build constant inputs — mean-pooling
 // weights, zero states, ones columns — in tape-lifetime memory instead of
 // leaking per-call heap matrices. The matrix obeys tape lifetime: invalid
 // after Reset.
-func (t *Tape) AllocValue(rows, cols int) *tensor.Matrix { return t.alloc(rows, cols) }
+func (t *TapeOf[T]) AllocValue(rows, cols int) *tensor.MatrixOf[T] { return t.alloc(rows, cols) }
 
 // ViewValue returns a rows×cols matrix header whose backing storage IS data
 // (no copy). The header comes from the tape's arena on arena tapes, so
@@ -135,19 +174,19 @@ func (t *Tape) AllocValue(rows, cols int) *tensor.Matrix { return t.alloc(rows, 
 // hidden state inside a B-row step output — without heap headers and without
 // copying. The view aliases data for its whole lifetime and, like any
 // AllocValue result, is invalid after Reset.
-func (t *Tape) ViewValue(rows, cols int, data []float64) *tensor.Matrix {
+func (t *TapeOf[T]) ViewValue(rows, cols int, data []T) *tensor.MatrixOf[T] {
 	if t.arena != nil {
 		return t.arena.AllocShared(rows, cols, data)
 	}
 	if len(data) != rows*cols {
 		panic("ag: ViewValue data length does not match shape")
 	}
-	return &tensor.Matrix{Rows: rows, Cols: cols, Data: data}
+	return &tensor.MatrixOf[T]{Rows: rows, Cols: cols, Data: data}
 }
 
 // Reset clears the tape for reuse, rewinding the node and matrix arenas.
 // The attached sink and rng are kept; recorded nodes become invalid.
-func (t *Tape) Reset() {
+func (t *TapeOf[T]) Reset() {
 	t.nodes = t.nodes[:0]
 	t.blk, t.blkOff = 0, 0
 	if t.arena != nil {
@@ -159,22 +198,22 @@ func (t *Tape) Reset() {
 // SetSink redirects parameter-gradient accumulation on this tape into s
 // (nil restores direct accumulation into Param.Grad). Parallel training
 // attaches one sink per worker so Backward never touches shared state.
-func (t *Tape) SetSink(s *GradSink) { t.sink = s }
+func (t *TapeOf[T]) SetSink(s *GradSinkOf[T]) { t.sink = s }
 
 // SetRand overrides the rng used by Dropout on this tape (nil restores the
 // caller-provided rng). The training engine seeds this per example so that
 // dropout masks are a function of (seed, epoch, position) alone — identical
 // regardless of how examples are scheduled across workers.
-func (t *Tape) SetRand(rng *rand.Rand) { t.rng = rng }
+func (t *TapeOf[T]) SetRand(rng *rand.Rand) { t.rng = rng }
 
 // Len reports the number of recorded nodes, exported for tests and
 // capacity diagnostics.
-func (t *Tape) Len() int { return len(t.nodes) }
+func (t *TapeOf[T]) Len() int { return len(t.nodes) }
 
 // newNode allocates a fresh node from the tape's block arena and records it.
-func (t *Tape) newNode(v *tensor.Matrix) *Node {
+func (t *TapeOf[T]) newNode(v *tensor.MatrixOf[T]) *NodeOf[T] {
 	if t.blk == len(t.blocks) {
-		t.blocks = append(t.blocks, make([]Node, nodeBlock))
+		t.blocks = append(t.blocks, make([]NodeOf[T], nodeBlock))
 	}
 	blk := t.blocks[t.blk]
 	n := &blk[t.blkOff]
@@ -191,26 +230,26 @@ func (t *Tape) newNode(v *tensor.Matrix) *Node {
 
 // alloc returns a zeroed matrix from the tape's arena, or the heap for
 // plain tapes.
-func (t *Tape) alloc(rows, cols int) *tensor.Matrix {
+func (t *TapeOf[T]) alloc(rows, cols int) *tensor.MatrixOf[T] {
 	if t.arena != nil {
 		return t.arena.Alloc(rows, cols)
 	}
-	return tensor.New(rows, cols)
+	return tensor.NewOf[T](rows, cols)
 }
 
 // scalar returns a recorded 1×1 node holding v.
-func (t *Tape) scalar(v float64) *Node {
+func (t *TapeOf[T]) scalar(v float64) *NodeOf[T] {
 	m := t.alloc(1, 1)
-	m.Data[0] = v
+	m.Data[0] = T(v)
 	return t.newNode(m)
 }
 
 // floats returns a zeroed scratch slice from the tape's arena.
-func (t *Tape) floats(n int) []float64 {
+func (t *TapeOf[T]) floats(n int) []T {
 	if t.arena != nil {
 		return t.arena.AllocFloats(n)
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
 // tapePool recycles arena tapes for transient forwards (evaluation loops,
@@ -235,13 +274,13 @@ func PutTape(t *Tape) {
 }
 
 // Const enters a constant matrix into the graph. No gradient flows into it.
-func (t *Tape) Const(v *tensor.Matrix) *Node {
+func (t *TapeOf[T]) Const(v *tensor.MatrixOf[T]) *NodeOf[T] {
 	return t.newNode(v)
 }
 
 // Use enters parameter p into the graph; Backward accumulates into p.Grad,
 // or into the tape's sink when one is attached.
-func (t *Tape) Use(p *Param) *Node {
+func (t *TapeOf[T]) Use(p *ParamOf[T]) *NodeOf[T] {
 	n := t.newNode(p.Value)
 	if t.nograd {
 		return n
@@ -261,7 +300,7 @@ func (t *Tape) Use(p *Param) *Node {
 
 // Backward runs reverse-mode accumulation from loss, which must be a 1×1
 // node recorded on this tape.
-func (t *Tape) Backward(loss *Node) {
+func (t *TapeOf[T]) Backward(loss *NodeOf[T]) {
 	if t.nograd {
 		panic("ag: Backward on a no-gradient inference tape")
 	}
@@ -281,7 +320,7 @@ func (t *Tape) Backward(loss *Node) {
 // --- Arithmetic -----------------------------------------------------------
 
 // Add returns a + b (same shape).
-func (t *Tape) Add(a, b *Node) *Node {
+func (t *TapeOf[T]) Add(a, b *NodeOf[T]) *NodeOf[T] {
 	v := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.AddInto(v, a.Value, b.Value)
 	n := t.newNode(v)
@@ -296,7 +335,7 @@ func (t *Tape) Add(a, b *Node) *Node {
 }
 
 // Sub returns a - b.
-func (t *Tape) Sub(a, b *Node) *Node {
+func (t *TapeOf[T]) Sub(a, b *NodeOf[T]) *NodeOf[T] {
 	v := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.SubInto(v, a.Value, b.Value)
 	n := t.newNode(v)
@@ -311,7 +350,7 @@ func (t *Tape) Sub(a, b *Node) *Node {
 }
 
 // Mul returns the elementwise product a ⊙ b.
-func (t *Tape) Mul(a, b *Node) *Node {
+func (t *TapeOf[T]) Mul(a, b *NodeOf[T]) *NodeOf[T] {
 	v := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(v, a.Value, b.Value)
 	n := t.newNode(v)
@@ -330,7 +369,7 @@ func (t *Tape) Mul(a, b *Node) *Node {
 }
 
 // Scale returns s*a for a fixed scalar s.
-func (t *Tape) Scale(a *Node, s float64) *Node {
+func (t *TapeOf[T]) Scale(a *NodeOf[T], s T) *NodeOf[T] {
 	v := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ScaleInto(v, a.Value, s)
 	n := t.newNode(v)
@@ -342,7 +381,7 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 }
 
 // MatMul returns a·b.
-func (t *Tape) MatMul(a, b *Node) *Node {
+func (t *TapeOf[T]) MatMul(a, b *NodeOf[T]) *NodeOf[T] {
 	v := t.alloc(a.Value.Rows, b.Value.Cols)
 	if t.pack != nil {
 		tensor.MatMulPackInto(v, a.Value, b.Value, t.pack)
@@ -365,7 +404,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 }
 
 // MatMulTransB returns a·bᵀ.
-func (t *Tape) MatMulTransB(a, b *Node) *Node {
+func (t *TapeOf[T]) MatMulTransB(a, b *NodeOf[T]) *NodeOf[T] {
 	v := t.alloc(a.Value.Rows, b.Value.Rows)
 	tensor.MatMulTransBInto(v, a.Value, b.Value)
 	n := t.newNode(v)
@@ -383,7 +422,7 @@ func (t *Tape) MatMulTransB(a, b *Node) *Node {
 }
 
 // AddRowVector adds the 1×cols vector v to every row of a.
-func (t *Tape) AddRowVector(a, v *Node) *Node {
+func (t *TapeOf[T]) AddRowVector(a, v *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.AddRowVectorInto(val, a.Value, v.Value)
 	n := t.newNode(val)
@@ -406,7 +445,7 @@ func (t *Tape) AddRowVector(a, v *Node) *Node {
 // --- Nonlinearities -------------------------------------------------------
 
 // Tanh applies tanh elementwise.
-func (t *Tape) Tanh(a *Node) *Node {
+func (t *TapeOf[T]) Tanh(a *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.TanhInto(val, a.Value)
 	n := t.newNode(val)
@@ -423,7 +462,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 }
 
 // Sigmoid applies the logistic function elementwise.
-func (t *Tape) Sigmoid(a *Node) *Node {
+func (t *TapeOf[T]) Sigmoid(a *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.SigmoidInto(val, a.Value)
 	n := t.newNode(val)
@@ -440,7 +479,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 }
 
 // ReLU applies max(0,x) elementwise.
-func (t *Tape) ReLU(a *Node) *Node {
+func (t *TapeOf[T]) ReLU(a *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.ReLUInto(val, a.Value)
 	n := t.newNode(val)
@@ -459,7 +498,7 @@ func (t *Tape) ReLU(a *Node) *Node {
 }
 
 // SoftmaxRows applies row-wise softmax.
-func (t *Tape) SoftmaxRows(a *Node) *Node {
+func (t *TapeOf[T]) SoftmaxRows(a *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.SoftmaxRowsInto(val, a.Value)
 	n := t.newNode(val)
@@ -472,7 +511,7 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 			y := val.Row(i)
 			dy := n.Grad.Row(i)
 			// dx = y ⊙ (dy - (dy·y))
-			var dot float64
+			var dot T
 			for j, v := range y {
 				dot += dy[j] * v
 			}
@@ -486,7 +525,7 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 }
 
 // LogSoftmaxRows applies row-wise log-softmax.
-func (t *Tape) LogSoftmaxRows(a *Node) *Node {
+func (t *TapeOf[T]) LogSoftmaxRows(a *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(a.Value.Rows, a.Value.Cols)
 	tensor.LogSoftmaxRowsInto(val, a.Value)
 	n := t.newNode(val)
@@ -498,13 +537,13 @@ func (t *Tape) LogSoftmaxRows(a *Node) *Node {
 		for i := 0; i < val.Rows; i++ {
 			lp := val.Row(i)
 			dy := n.Grad.Row(i)
-			var sum float64
+			var sum T
 			for _, v := range dy {
 				sum += v
 			}
 			gr := g.Row(i)
 			for j, v := range lp {
-				gr[j] += dy[j] - math.Exp(v)*sum
+				gr[j] += dy[j] - T(math.Exp(float64(v)))*sum
 			}
 		}
 	}
@@ -514,8 +553,8 @@ func (t *Tape) LogSoftmaxRows(a *Node) *Node {
 // --- Shape ops --------------------------------------------------------------
 
 // ConcatCols joins nodes horizontally.
-func (t *Tape) ConcatCols(ns ...*Node) *Node {
-	vals := make([]*tensor.Matrix, len(ns))
+func (t *TapeOf[T]) ConcatCols(ns ...*NodeOf[T]) *NodeOf[T] {
+	vals := make([]*tensor.MatrixOf[T], len(ns))
 	cols := 0
 	for i, x := range ns {
 		vals[i] = x.Value
@@ -547,7 +586,7 @@ func (t *Tape) ConcatCols(ns ...*Node) *Node {
 // ConcatCols2 joins exactly two nodes horizontally. It computes the same
 // value as ConcatCols(a, b) but skips the variadic slice, which matters on
 // the inference fast path where Bi-LSTMs concatenate once per token.
-func (t *Tape) ConcatCols2(a, b *Node) *Node {
+func (t *TapeOf[T]) ConcatCols2(a, b *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(a.Value.Rows, a.Value.Cols+b.Value.Cols)
 	tensor.ConcatColsInto(val, a.Value, b.Value)
 	n := t.newNode(val)
@@ -571,8 +610,8 @@ func (t *Tape) ConcatCols2(a, b *Node) *Node {
 }
 
 // ConcatRows stacks nodes vertically.
-func (t *Tape) ConcatRows(ns ...*Node) *Node {
-	vals := make([]*tensor.Matrix, len(ns))
+func (t *TapeOf[T]) ConcatRows(ns ...*NodeOf[T]) *NodeOf[T] {
+	vals := make([]*tensor.MatrixOf[T], len(ns))
 	rows := 0
 	for i, x := range ns {
 		vals[i] = x.Value
@@ -603,7 +642,7 @@ func (t *Tape) ConcatRows(ns ...*Node) *Node {
 }
 
 // SliceRows takes rows [lo, hi) of a.
-func (t *Tape) SliceRows(a *Node, lo, hi int) *Node {
+func (t *TapeOf[T]) SliceRows(a *NodeOf[T], lo, hi int) *NodeOf[T] {
 	if lo < 0 || hi > a.Value.Rows || lo >= hi {
 		panic(fmt.Sprintf("ag: SliceRows [%d,%d) out of range for %d rows", lo, hi, a.Value.Rows))
 	}
@@ -627,7 +666,7 @@ func (t *Tape) SliceRows(a *Node, lo, hi int) *Node {
 }
 
 // GatherRows selects the given rows of a (rows may repeat).
-func (t *Tape) GatherRows(a *Node, rows []int) *Node {
+func (t *TapeOf[T]) GatherRows(a *NodeOf[T], rows []int) *NodeOf[T] {
 	val := t.alloc(len(rows), a.Value.Cols)
 	for i, r := range rows {
 		copy(val.Row(i), a.Value.Row(r))
@@ -650,7 +689,7 @@ func (t *Tape) GatherRows(a *Node, rows []int) *Node {
 }
 
 // Reshape reinterprets a as rows×cols (same element count, row-major order).
-func (t *Tape) Reshape(a *Node, rows, cols int) *Node {
+func (t *TapeOf[T]) Reshape(a *NodeOf[T], rows, cols int) *NodeOf[T] {
 	if rows*cols != a.Value.Rows*a.Value.Cols {
 		panic(fmt.Sprintf("ag: Reshape %dx%d -> %dx%d changes size", a.Value.Rows, a.Value.Cols, rows, cols))
 	}
@@ -668,7 +707,7 @@ func (t *Tape) Reshape(a *Node, rows, cols int) *Node {
 }
 
 // Transpose returns aᵀ.
-func (t *Tape) Transpose(a *Node) *Node {
+func (t *TapeOf[T]) Transpose(a *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(a.Value.Cols, a.Value.Rows)
 	tensor.TransposeInto(val, a.Value)
 	n := t.newNode(val)
@@ -692,7 +731,7 @@ func (t *Tape) Transpose(a *Node) *Node {
 
 // Lookup gathers embedding rows ids from table (a Param node): the standard
 // embedding-layer forward, with sparse scatter-add on backward.
-func (t *Tape) Lookup(table *Node, ids []int) *Node {
+func (t *TapeOf[T]) Lookup(table *NodeOf[T], ids []int) *NodeOf[T] {
 	return t.GatherRows(table, ids)
 }
 
@@ -700,7 +739,7 @@ func (t *Tape) Lookup(table *Node, ids []int) *Node {
 // 1/(1-p) (inverted dropout). With p<=0 it is the identity. A tape-level
 // rng set with SetRand takes precedence over the argument, which is how the
 // training engine makes masks deterministic per example.
-func (t *Tape) Dropout(a *Node, p float64, rng *rand.Rand) *Node {
+func (t *TapeOf[T]) Dropout(a *NodeOf[T], p float64, rng *rand.Rand) *NodeOf[T] {
 	if p <= 0 {
 		return a
 	}
@@ -708,7 +747,7 @@ func (t *Tape) Dropout(a *Node, p float64, rng *rand.Rand) *Node {
 		rng = t.rng
 	}
 	mask := t.alloc(a.Value.Rows, a.Value.Cols)
-	scale := 1 / (1 - p)
+	scale := T(1 / (1 - p))
 	for i := range mask.Data {
 		if rng.Float64() >= p {
 			mask.Data[i] = scale
@@ -732,8 +771,8 @@ func (t *Tape) Dropout(a *Node, p float64, rng *rand.Rand) *Node {
 // --- Reductions and losses ---------------------------------------------------
 
 // Sum reduces a to a 1×1 scalar.
-func (t *Tape) Sum(a *Node) *Node {
-	n := t.scalar(a.Value.Sum())
+func (t *TapeOf[T]) Sum(a *NodeOf[T]) *NodeOf[T] {
+	n := t.scalar(float64(a.Value.Sum()))
 	if t.nograd {
 		return n
 	}
@@ -748,15 +787,15 @@ func (t *Tape) Sum(a *Node) *Node {
 }
 
 // Mean reduces a to its scalar mean.
-func (t *Tape) Mean(a *Node) *Node {
+func (t *TapeOf[T]) Mean(a *NodeOf[T]) *NodeOf[T] {
 	inv := 1 / float64(a.Value.Rows*a.Value.Cols)
-	n := t.scalar(a.Value.Sum() * inv)
+	n := t.scalar(float64(a.Value.Sum()) * inv)
 	if t.nograd {
 		return n
 	}
 	n.back = func() {
 		g := a.grad()
-		d := n.Grad.Data[0] * inv
+		d := n.Grad.Data[0] * T(inv)
 		for i := range g.Data {
 			g.Data[i] += d
 		}
@@ -764,18 +803,27 @@ func (t *Tape) Mean(a *Node) *Node {
 	return n
 }
 
-// MeanRows averages over rows, returning a 1×cols node.
-func (t *Tape) MeanRows(a *Node) *Node {
+// MeanRows averages over rows, returning a 1×cols node. The per-column sums
+// accumulate in float64 whatever T is: document-length row counts make this
+// the float32 student's longest fixed-order reduction, and the widened
+// accumulator keeps it within the kernel tier's error bound.
+func (t *TapeOf[T]) MeanRows(a *NodeOf[T]) *NodeOf[T] {
 	val := t.alloc(1, a.Value.Cols)
-	for i := 0; i < a.Value.Rows; i++ {
-		row := a.Value.Row(i)
-		for j, v := range row {
-			val.Data[j] += v
+	rows, cols := a.Value.Rows, a.Value.Cols
+	inv := 1 / float64(rows)
+	// Eight columns at a time: each column still sums in ascending row
+	// order, but a row visit reads one contiguous run instead of one cell.
+	for j0 := 0; j0 < cols; j0 += 8 {
+		var s [8]float64
+		w := min(8, cols-j0)
+		for i := 0; i < rows; i++ {
+			for c, v := range a.Value.Data[i*cols+j0 : i*cols+j0+w] {
+				s[c] += float64(v)
+			}
 		}
-	}
-	inv := 1 / float64(a.Value.Rows)
-	for j := range val.Data {
-		val.Data[j] *= inv
+		for c := 0; c < w; c++ {
+			val.Data[j0+c] = T(s[c] * inv)
+		}
 	}
 	n := t.newNode(val)
 	if t.nograd {
@@ -786,7 +834,7 @@ func (t *Tape) MeanRows(a *Node) *Node {
 		for i := 0; i < g.Rows; i++ {
 			dst := g.Row(i)
 			for j := range dst {
-				dst[j] += n.Grad.Data[j] * inv
+				dst[j] += n.Grad.Data[j] * T(inv)
 			}
 		}
 	}
@@ -796,7 +844,7 @@ func (t *Tape) MeanRows(a *Node) *Node {
 // CrossEntropy computes the mean negative log-likelihood of targets under
 // row-wise softmax of logits. Rows of logits with target < 0 are ignored
 // (padding), matching the masked-loss convention used by every model here.
-func (t *Tape) CrossEntropy(logits *Node, targets []int) *Node {
+func (t *TapeOf[T]) CrossEntropy(logits *NodeOf[T], targets []int) *NodeOf[T] {
 	if len(targets) != logits.Value.Rows {
 		panic(fmt.Sprintf("ag: CrossEntropy %d targets for %d rows", len(targets), logits.Value.Rows))
 	}
@@ -808,7 +856,7 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) *Node {
 		if y < 0 {
 			continue
 		}
-		loss -= logp.Row(i)[y]
+		loss -= float64(logp.Row(i)[y])
 		count++
 	}
 	if count == 0 {
@@ -820,7 +868,7 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) *Node {
 		return n
 	}
 	n.back = func() {
-		d := n.Grad.Data[0] * inv
+		d := n.Grad.Data[0] * T(inv)
 		g := logits.grad()
 		for i, y := range targets {
 			if y < 0 {
@@ -829,7 +877,7 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) *Node {
 			lpRow := logp.Row(i)
 			gRow := g.Row(i)
 			for j := range gRow {
-				p := math.Exp(lpRow[j])
+				p := T(math.Exp(float64(lpRow[j])))
 				if j == y {
 					gRow[j] += d * (p - 1)
 				} else {
@@ -845,7 +893,7 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) *Node {
 // distribution (teacher, rows summing to 1) and q = softmax(logits) row-wise
 // (student). Gradient flows only into logits, the understanding-distillation
 // convention from the paper (Eq. L_UD).
-func (t *Tape) KLDiv(p *tensor.Matrix, logits *Node) *Node {
+func (t *TapeOf[T]) KLDiv(p *tensor.MatrixOf[T], logits *NodeOf[T]) *NodeOf[T] {
 	if !p.SameShape(logits.Value) {
 		panic(fmt.Sprintf("ag: KLDiv shape mismatch %dx%d vs %dx%d", p.Rows, p.Cols, logits.Value.Rows, logits.Value.Cols))
 	}
@@ -854,7 +902,7 @@ func (t *Tape) KLDiv(p *tensor.Matrix, logits *Node) *Node {
 	var loss float64
 	for i, pi := range p.Data {
 		if pi > 0 {
-			loss += pi * (math.Log(pi) - logq.Data[i])
+			loss += float64(pi) * (math.Log(float64(pi)) - float64(logq.Data[i]))
 		}
 	}
 	inv := 1 / float64(p.Rows)
@@ -863,18 +911,18 @@ func (t *Tape) KLDiv(p *tensor.Matrix, logits *Node) *Node {
 		return n
 	}
 	n.back = func() {
-		d := n.Grad.Data[0] * inv
+		d := n.Grad.Data[0] * T(inv)
 		g := logits.grad()
 		for i := 0; i < p.Rows; i++ {
 			pRow := p.Row(i)
 			lqRow := logq.Row(i)
 			gRow := g.Row(i)
-			var rowMass float64
+			var rowMass T
 			for _, v := range pRow {
 				rowMass += v
 			}
 			for j := range gRow {
-				q := math.Exp(lqRow[j])
+				q := T(math.Exp(float64(lqRow[j])))
 				gRow[j] += d * (rowMass*q - pRow[j])
 			}
 		}
@@ -884,13 +932,13 @@ func (t *Tape) KLDiv(p *tensor.Matrix, logits *Node) *Node {
 
 // L1Loss computes the mean absolute difference between a and a fixed target,
 // the identification-distillation loss from the paper (Eq. L_ID).
-func (t *Tape) L1Loss(a *Node, target *tensor.Matrix) *Node {
+func (t *TapeOf[T]) L1Loss(a *NodeOf[T], target *tensor.MatrixOf[T]) *NodeOf[T] {
 	if !target.SameShape(a.Value) {
 		panic(fmt.Sprintf("ag: L1Loss shape mismatch %dx%d vs %dx%d", a.Value.Rows, a.Value.Cols, target.Rows, target.Cols))
 	}
 	var loss float64
 	for i, v := range a.Value.Data {
-		loss += math.Abs(v - target.Data[i])
+		loss += math.Abs(float64(v - target.Data[i]))
 	}
 	inv := 1 / float64(len(a.Value.Data))
 	n := t.scalar(loss * inv)
@@ -898,7 +946,7 @@ func (t *Tape) L1Loss(a *Node, target *tensor.Matrix) *Node {
 		return n
 	}
 	n.back = func() {
-		d := n.Grad.Data[0] * inv
+		d := n.Grad.Data[0] * T(inv)
 		g := a.grad()
 		for i, v := range a.Value.Data {
 			switch {
@@ -913,13 +961,13 @@ func (t *Tape) L1Loss(a *Node, target *tensor.Matrix) *Node {
 }
 
 // MSELoss computes the mean squared difference between a and a fixed target.
-func (t *Tape) MSELoss(a *Node, target *tensor.Matrix) *Node {
+func (t *TapeOf[T]) MSELoss(a *NodeOf[T], target *tensor.MatrixOf[T]) *NodeOf[T] {
 	if !target.SameShape(a.Value) {
 		panic("ag: MSELoss shape mismatch")
 	}
 	var loss float64
 	for i, v := range a.Value.Data {
-		d := v - target.Data[i]
+		d := float64(v - target.Data[i])
 		loss += d * d
 	}
 	inv := 1 / float64(len(a.Value.Data))
@@ -928,7 +976,7 @@ func (t *Tape) MSELoss(a *Node, target *tensor.Matrix) *Node {
 		return n
 	}
 	n.back = func() {
-		d := n.Grad.Data[0] * inv * 2
+		d := n.Grad.Data[0] * T(inv) * 2
 		g := a.grad()
 		for i, v := range a.Value.Data {
 			g.Data[i] += d * (v - target.Data[i])
@@ -939,7 +987,7 @@ func (t *Tape) MSELoss(a *Node, target *tensor.Matrix) *Node {
 
 // BCELoss computes mean binary cross-entropy of sigmoid(logits) against
 // 0/1 labels; labels < 0 are ignored (padding).
-func (t *Tape) BCELoss(logits *Node, labels []int) *Node {
+func (t *TapeOf[T]) BCELoss(logits *NodeOf[T], labels []int) *NodeOf[T] {
 	if len(labels) != logits.Value.Rows*logits.Value.Cols {
 		panic(fmt.Sprintf("ag: BCELoss %d labels for %d entries", len(labels), len(logits.Value.Data)))
 	}
@@ -949,7 +997,7 @@ func (t *Tape) BCELoss(logits *Node, labels []int) *Node {
 		if y < 0 {
 			continue
 		}
-		x := logits.Value.Data[i]
+		x := float64(logits.Value.Data[i])
 		// Numerically stable: max(x,0) - x*y + log(1+exp(-|x|)).
 		loss += math.Max(x, 0) - x*float64(y) + math.Log1p(math.Exp(-math.Abs(x)))
 		count++
@@ -963,27 +1011,27 @@ func (t *Tape) BCELoss(logits *Node, labels []int) *Node {
 		return n
 	}
 	n.back = func() {
-		d := n.Grad.Data[0] * inv
+		d := n.Grad.Data[0] * T(inv)
 		g := logits.grad()
 		for i, y := range labels {
 			if y < 0 {
 				continue
 			}
-			s := 1 / (1 + math.Exp(-logits.Value.Data[i]))
-			g.Data[i] += d * (s - float64(y))
+			s := T(1 / (1 + math.Exp(-float64(logits.Value.Data[i]))))
+			g.Data[i] += d * (s - T(y))
 		}
 	}
 	return n
 }
 
 // AddScalars sums scalar nodes, used to combine weighted loss terms.
-func (t *Tape) AddScalars(ns ...*Node) *Node {
+func (t *TapeOf[T]) AddScalars(ns ...*NodeOf[T]) *NodeOf[T] {
 	var total float64
 	for _, x := range ns {
 		if x.Value.Rows != 1 || x.Value.Cols != 1 {
 			panic("ag: AddScalars needs 1x1 nodes")
 		}
-		total += x.Value.Data[0]
+		total += float64(x.Value.Data[0])
 	}
 	n := t.scalar(total)
 	if t.nograd {

@@ -2,16 +2,18 @@
 
 package ag
 
+import "webbrief/internal/tensor"
+
 // Release-build stubs for the wbdebug tape-lifecycle instrumentation. Every
 // hook inlines to nothing, so tapes pay for the checks only under
 // `go test -tags wbdebug` (see debug_on.go for what they catch).
 
-func debugStampNode(t *Tape, n *Node) {}
+func debugStampNode[T tensor.Float](t *TapeOf[T], n *NodeOf[T]) {}
 
-func debugCheckNode(n *Node, op string) {}
+func debugCheckNode[T tensor.Float](n *NodeOf[T], op string) {}
 
-func debugTapeReset(t *Tape) {}
+func debugTapeReset[T tensor.Float](t *TapeOf[T]) {}
 
-func debugTapeGot(t *Tape) {}
+func debugTapeGot[T tensor.Float](t *TapeOf[T]) {}
 
-func debugTapePut(t *Tape) {}
+func debugTapePut[T tensor.Float](t *TapeOf[T]) {}

@@ -2,7 +2,11 @@
 
 package ag
 
-import "fmt"
+import (
+	"fmt"
+
+	"webbrief/internal/tensor"
+)
 
 // wbdebug tape-lifecycle instrumentation. Two failure modes of the arena
 // regime are silent in release builds and loud here:
@@ -15,20 +19,20 @@ import "fmt"
 //     between two future holders — the worst kind of heisenbug. PutTape
 //     tracks pool residency and panics on the second return.
 
-func debugStampNode(t *Tape, n *Node) { n.gen = t.gen }
+func debugStampNode[T tensor.Float](t *TapeOf[T], n *NodeOf[T]) { n.gen = t.gen }
 
-func debugCheckNode(n *Node, op string) {
+func debugCheckNode[T tensor.Float](n *NodeOf[T], op string) {
 	if n.t != nil && n.gen != n.t.gen {
 		panic(fmt.Sprintf("ag: %s on node recorded before Tape.Reset (node gen %d, tape gen %d)",
 			op, n.gen, n.t.gen))
 	}
 }
 
-func debugTapeReset(t *Tape) { t.gen++ }
+func debugTapeReset[T tensor.Float](t *TapeOf[T]) { t.gen++ }
 
-func debugTapeGot(t *Tape) { t.pooled = false }
+func debugTapeGot[T tensor.Float](t *TapeOf[T]) { t.pooled = false }
 
-func debugTapePut(t *Tape) {
+func debugTapePut[T tensor.Float](t *TapeOf[T]) {
 	if t.pooled {
 		panic("ag: double PutTape — tape is already back in the pool")
 	}

@@ -23,12 +23,21 @@ func mustPanic(t *testing.T, substr string, f func()) {
 	f()
 }
 
+// Each lifecycle check runs for both element types: the generation stamps
+// and pool-residency flag live on the generic tape, so the float32 student
+// tier inherits them.
+
 // TestUseAfterResetPanics: running Backward on a node recorded before Reset
 // must trip the generation check instead of silently reading recycled arena
 // memory.
 func TestUseAfterResetPanics(t *testing.T) {
-	tp := NewArenaTape()
-	x := tp.Const(tensor.Full(2, 2, 1.5))
+	t.Run("f64", testUseAfterResetPanics[float64])
+	t.Run("f32", testUseAfterResetPanics[float32])
+}
+
+func testUseAfterResetPanics[T tensor.Float](t *testing.T) {
+	tp := &TapeOf[T]{arena: tensor.NewArenaOf[T]()}
+	x := tp.Const(tensor.NewOf[T](2, 2))
 	loss := tp.Mean(x)
 	tp.Reset()
 	mustPanic(t, "before Tape.Reset", func() { tp.Backward(loss) })
@@ -37,19 +46,47 @@ func TestUseAfterResetPanics(t *testing.T) {
 // TestStaleGradAccumulationPanics: a stale intermediate pulled into a fresh
 // graph is caught at its first gradient touch.
 func TestStaleGradAccumulationPanics(t *testing.T) {
-	tp := NewArenaTape()
-	x := tp.Const(tensor.Full(2, 2, 1.0))
-	y := tp.Tanh(x)
+	t.Run("f64", testStaleGradAccumulationPanics[float64])
+	t.Run("f32", testStaleGradAccumulationPanics[float32])
+}
+
+func testStaleGradAccumulationPanics[T tensor.Float](t *testing.T) {
+	tp := &TapeOf[T]{arena: tensor.NewArenaOf[T]()}
+	y := tp.Tanh(tp.Const(tensor.NewOf[T](2, 2)))
 	tp.Reset()
-	mustPanic(t, "before Tape.Reset", func() { y.addGrad(tensor.Full(2, 2, 1.0)) })
+	mustPanic(t, "before Tape.Reset", func() { y.addGrad(tensor.NewOf[T](2, 2)) })
+}
+
+// TestStaleNodeOnInferTapePanics: a no-gradient tape never accumulates
+// gradients, so code that keeps nodes across calls asks explicitly — the
+// student's decode stage does (wb.DecodeTopicBatch).
+func TestStaleNodeOnInferTapePanics(t *testing.T) {
+	t.Run("f64", testStaleNodeOnInferTapePanics[float64])
+	t.Run("f32", testStaleNodeOnInferTapePanics[float32])
+}
+
+func testStaleNodeOnInferTapePanics[T tensor.Float](t *testing.T) {
+	tp := NewInferTapeOf[T]()
+	y := tp.Tanh(tp.Const(tensor.NewOf[T](2, 2)))
+	y.CheckLive("still live") // must not fire before the Reset
+	tp.Reset()
+	mustPanic(t, "before Tape.Reset", func() { y.CheckLive("decode") })
 }
 
 // TestDoublePutTapePanics: the second PutTape of the same tape must panic
-// rather than alias one arena between two future pool holders.
+// rather than alias one arena between two future pool holders. The pool
+// itself only hands out float64 recording tapes; the residency flag behind
+// the check is generic, so the float32 case drives the hook directly.
 func TestDoublePutTapePanics(t *testing.T) {
 	tp := GetTape()
 	PutTape(tp)
 	mustPanic(t, "double PutTape", func() { PutTape(tp) })
+
+	tp32 := NewInferTapeOf[float32]()
+	debugTapePut(tp32)
+	mustPanic(t, "double PutTape", func() { debugTapePut(tp32) })
+	debugTapeGot(tp32)
+	debugTapePut(tp32) // checked out again: one Put is fine
 }
 
 // TestPoolRoundTripStillWorks: Get → use → Put → Get must stay clean; the

@@ -9,7 +9,7 @@ import (
 
 // inferForward runs a representative op mix (the briefing model's diet) on
 // tape t and returns the final scalar.
-func inferForward(t *Tape, w *Param, x *tensor.Matrix) float64 {
+func inferForward[T tensor.Float](t *TapeOf[T], w *ParamOf[T], x *tensor.MatrixOf[T]) T {
 	xn := t.Const(x)
 	h := t.Tanh(t.MatMul(xn, t.Use(w)))
 	h = t.ConcatCols2(h, t.Sigmoid(h))
@@ -34,15 +34,21 @@ func TestInferTapeMatchesGradTape(t *testing.T) {
 	}
 }
 
-// TestInferTapeAllocationFree is the kernel-level allocation gate: a warm
-// no-gradient tape must run forwards without touching the heap (no backward
-// closures, arena-backed values).
+// TestInferTapeAllocationFree is the kernel-level allocation gate, for both
+// element types: a warm no-gradient tape must run forwards without touching
+// the heap (no backward closures, arena-backed values, no boxing in the
+// kernel type switches).
 func TestInferTapeAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	w := NewParam("w", tensor.Randn(6, 6, 1, rng))
 	x := tensor.Randn(3, 6, 1, rng)
-	it := NewInferTape()
-	it.SetPack(&tensor.PackBuf{})
+	t.Run("f64", func(t *testing.T) { checkInferTapeAllocationFree(t, w, x) })
+	t.Run("f32", func(t *testing.T) { checkInferTapeAllocationFree(t, CastParam[float32](w), tensor.Cast[float32](x)) })
+}
+
+func checkInferTapeAllocationFree[T tensor.Float](t *testing.T, w *ParamOf[T], x *tensor.MatrixOf[T]) {
+	it := NewInferTapeOf[T]()
+	it.SetPack(&tensor.PackBufOf[T]{})
 	inferForward(it, w, x) // warm the arena and node blocks
 	allocs := testing.AllocsPerRun(20, func() {
 		it.Reset()

@@ -9,7 +9,7 @@ import (
 
 // SliceCols takes columns [lo, hi) of a. It is used to split fused LSTM gate
 // pre-activations and to separate attention heads.
-func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
+func (t *TapeOf[T]) SliceCols(a *NodeOf[T], lo, hi int) *NodeOf[T] {
 	if lo < 0 || hi > a.Value.Cols || lo >= hi {
 		panic(fmt.Sprintf("ag: SliceCols [%d,%d) out of range for %d cols", lo, hi, a.Value.Cols))
 	}
@@ -36,7 +36,7 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 
 // MulRowVector multiplies every row of a elementwise by the 1×cols vector v
 // (broadcast Hadamard product), the gain step of layer normalisation.
-func (t *Tape) MulRowVector(a, v *Node) *Node {
+func (t *TapeOf[T]) MulRowVector(a, v *NodeOf[T]) *NodeOf[T] {
 	if v.Value.Rows != 1 || v.Value.Cols != a.Value.Cols {
 		panic(fmt.Sprintf("ag: MulRowVector wants 1x%d, got %dx%d", a.Value.Cols, v.Value.Rows, v.Value.Cols))
 	}
@@ -72,24 +72,24 @@ func (t *Tape) MulRowVector(a, v *Node) *Node {
 // y_ij = (x_ij - μ_i) / sqrt(σ²_i + eps). It is the core of layer
 // normalisation; combine with MulRowVector and AddRowVector for the affine
 // gain and bias.
-func (t *Tape) RowNorm(a *Node, eps float64) *Node {
+func (t *TapeOf[T]) RowNorm(a *NodeOf[T], eps float64) *NodeOf[T] {
 	rows, cols := a.Value.Rows, a.Value.Cols
 	val := t.alloc(rows, cols)
 	invStd := t.floats(rows)
 	for i := 0; i < rows; i++ {
 		src := a.Value.Row(i)
-		var mean float64
+		var mean T
 		for _, x := range src {
 			mean += x
 		}
-		mean /= float64(cols)
-		var variance float64
+		mean /= T(cols)
+		var variance T
 		for _, x := range src {
 			d := x - mean
 			variance += d * d
 		}
-		variance /= float64(cols)
-		is := 1 / math.Sqrt(variance+eps)
+		variance /= T(cols)
+		is := T(1 / math.Sqrt(float64(variance)+eps))
 		invStd[i] = is
 		dst := val.Row(i)
 		for j, x := range src {
@@ -105,13 +105,13 @@ func (t *Tape) RowNorm(a *Node, eps float64) *Node {
 		for i := 0; i < rows; i++ {
 			y := val.Row(i)
 			dy := n.Grad.Row(i)
-			var meanDy, meanDyY float64
+			var meanDy, meanDyY T
 			for j, d := range dy {
 				meanDy += d
 				meanDyY += d * y[j]
 			}
-			meanDy /= float64(cols)
-			meanDyY /= float64(cols)
+			meanDy /= T(cols)
+			meanDyY /= T(cols)
 			is := invStd[i]
 			gr := g.Row(i)
 			for j, d := range dy {
@@ -125,14 +125,14 @@ func (t *Tape) RowNorm(a *Node, eps float64) *Node {
 // L1Between computes the mean absolute elementwise difference between two
 // nodes, with gradient flowing into both — the identification-distillation
 // loss L_ID where the teacher-side attention projection is itself trained.
-func (t *Tape) L1Between(a, b *Node) *Node {
+func (t *TapeOf[T]) L1Between(a, b *NodeOf[T]) *NodeOf[T] {
 	if !a.Value.SameShape(b.Value) {
 		panic(fmt.Sprintf("ag: L1Between shape mismatch %dx%d vs %dx%d",
 			a.Value.Rows, a.Value.Cols, b.Value.Rows, b.Value.Cols))
 	}
 	var loss float64
 	for i, v := range a.Value.Data {
-		loss += math.Abs(v - b.Value.Data[i])
+		loss += math.Abs(float64(v - b.Value.Data[i]))
 	}
 	inv := 1 / float64(len(a.Value.Data))
 	n := t.scalar(loss * inv)
@@ -140,7 +140,7 @@ func (t *Tape) L1Between(a, b *Node) *Node {
 		return n
 	}
 	n.back = func() {
-		d := n.Grad.Data[0] * inv
+		d := n.Grad.Data[0] * T(inv)
 		ga := a.grad()
 		gb := b.grad()
 		for i, v := range a.Value.Data {
@@ -160,7 +160,7 @@ func (t *Tape) L1Between(a, b *Node) *Node {
 // AddMasked adds mask (a fixed matrix, typically 0 / -inf-like values) to a.
 // It is used to block attention to padding positions; the mask receives no
 // gradient.
-func (t *Tape) AddMasked(a *Node, mask *tensor.Matrix) *Node {
+func (t *TapeOf[T]) AddMasked(a *NodeOf[T], mask *tensor.MatrixOf[T]) *NodeOf[T] {
 	if !mask.SameShape(a.Value) {
 		panic("ag: AddMasked shape mismatch")
 	}

@@ -2,7 +2,7 @@ package ag
 
 import "webbrief/internal/tensor"
 
-// GradSink is a private gradient accumulator for one training worker. When
+// GradSinkOf is a private gradient accumulator for one training worker. When
 // attached to a tape with SetSink, Backward adds parameter gradients into
 // the sink's per-parameter shard instead of the shared Param.Grad, so
 // several workers can run backward passes concurrently over the same model
@@ -13,22 +13,22 @@ import "webbrief/internal/tensor"
 //
 // Shard matrices are allocated once per parameter and reused across steps
 // (MergeInto zeroes them), so sinks add no steady-state allocation.
-type GradSink struct {
-	grads map[*Param]*tensor.Matrix
-	order []*Param // insertion order, so Reset never iterates the map
+type GradSinkOf[T tensor.Float] struct {
+	grads map[*ParamOf[T]]*tensor.MatrixOf[T]
+	order []*ParamOf[T] // insertion order, so Reset never iterates the map
 }
 
-// NewGradSink returns an empty sink.
+// NewGradSink returns an empty float64 sink.
 func NewGradSink() *GradSink {
 	return &GradSink{grads: make(map[*Param]*tensor.Matrix)}
 }
 
 // Grad returns the sink's gradient shard for p, allocating it (zeroed) on
 // first use.
-func (s *GradSink) Grad(p *Param) *tensor.Matrix {
+func (s *GradSinkOf[T]) Grad(p *ParamOf[T]) *tensor.MatrixOf[T] {
 	g, ok := s.grads[p]
 	if !ok {
-		g = tensor.New(p.Value.Rows, p.Value.Cols)
+		g = tensor.NewOf[T](p.Value.Rows, p.Value.Cols)
 		s.grads[p] = g
 		s.order = append(s.order, p)
 	}
@@ -38,7 +38,7 @@ func (s *GradSink) Grad(p *Param) *tensor.Matrix {
 // MergeInto adds the shards into each parameter's Grad and zeroes them for
 // the next batch. Iteration follows the caller's params order (not map
 // order), so merging several sinks in worker order is fully deterministic.
-func (s *GradSink) MergeInto(params []*Param) {
+func (s *GradSinkOf[T]) MergeInto(params []*ParamOf[T]) {
 	for _, p := range params {
 		if g, ok := s.grads[p]; ok {
 			p.Grad.AddInPlace(g)
@@ -51,7 +51,7 @@ func (s *GradSink) MergeInto(params []*Param) {
 // Shards are visited in insertion order: zeroing commutes, but keeping every
 // state traversal off map order is the convention wbcheck's detmap pass
 // enforces repo-wide.
-func (s *GradSink) Reset() {
+func (s *GradSinkOf[T]) Reset() {
 	for _, p := range s.order {
 		s.grads[p].Zero()
 	}

@@ -1,5 +1,6 @@
 // Package detmap flags `range` statements over maps that hold model state —
-// *ag.Param keys or values, or *tensor.Matrix shards keyed by parameters.
+// *ag.Param keys or values, or *tensor.Matrix shards keyed by parameters
+// (any instantiation of the generic ag.ParamOf / tensor.MatrixOf).
 // Go randomises map iteration order, so any such loop whose body has
 // side effects makes training output depend on scheduling, which breaks the
 // engine's bit-for-bit reproducibility guarantee. State iterated for
@@ -63,6 +64,6 @@ func isModelState(t types.Type) bool {
 		}
 		break
 	}
-	return analysis.IsNamed(t, "webbrief/internal/ag", "Param") ||
-		analysis.IsNamed(t, "webbrief/internal/tensor", "Matrix")
+	return analysis.IsNamed(t, "webbrief/internal/ag", "ParamOf") ||
+		analysis.IsNamed(t, "webbrief/internal/tensor", "MatrixOf")
 }

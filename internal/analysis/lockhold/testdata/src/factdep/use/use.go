@@ -28,3 +28,13 @@ func (s *S) GoodSizeLocked(xs []int) {
 	defer s.mu.Unlock()
 	s.n = dep.Size(xs)
 }
+
+// BadGenericLocked reaches imported blockers through an instantiated method,
+// an inferred generic call and an explicitly instantiated one.
+func (s *S) BadGenericLocked(q *dep.Queue[int]) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.n = q.Drain()           // want "held across calls Drain"
+	s.n = dep.DrainAll(q)     // want "held across calls DrainAll"
+	s.n = dep.DrainAll[int]() // want "held across calls DrainAll"
+}

@@ -8,7 +8,8 @@
 // done.
 //
 // The pass applies to packages named "tensor". An exported function or
-// method there with at least one *Matrix parameter must either call a
+// method there with at least one *MatrixOf[…] parameter (under any alias,
+// e.g. *Matrix) must either call a
 // shape-check helper (a function whose name contains "ShapeCheck" /
 // "shapeCheck") or contain an explicit panic. Predicates and validators —
 // functions returning bool or error — are exempt: reporting IS their job.
@@ -54,7 +55,7 @@ func run(pass *analysis.Pass) {
 }
 
 // hasMatrixParam reports whether any parameter (not the receiver) is a
-// pointer to a type named Matrix.
+// pointer to an instantiation of the generic type MatrixOf.
 func hasMatrixParam(pass *analysis.Pass, fn *ast.FuncDecl) bool {
 	for _, field := range fn.Type.Params.List {
 		tv, ok := pass.Info.Types[field.Type]
@@ -62,14 +63,14 @@ func hasMatrixParam(pass *analysis.Pass, fn *ast.FuncDecl) bool {
 			continue
 		}
 		t := tv.Type
-		if ell, ok := t.(*types.Slice); ok { // variadic ...*Matrix
+		if ell, ok := types.Unalias(t).(*types.Slice); ok { // variadic ...*Matrix
 			t = ell.Elem()
 		}
-		ptr, ok := t.(*types.Pointer)
+		ptr, ok := types.Unalias(t).(*types.Pointer)
 		if !ok {
 			continue
 		}
-		if named, ok := ptr.Elem().(*types.Named); ok && named.Obj().Name() == "Matrix" {
+		if named, ok := types.Unalias(ptr.Elem()).(*types.Named); ok && named.Obj().Name() == "MatrixOf" {
 			return true
 		}
 	}

@@ -5,11 +5,14 @@ package tensor
 
 import "fmt"
 
-// Matrix mirrors the real dense matrix type.
-type Matrix struct {
+// MatrixOf mirrors the real generic dense matrix type, Matrix its float64
+// alias.
+type MatrixOf[T float32 | float64] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
+
+type Matrix = MatrixOf[float64]
 
 func dstShapeCheck(dst *Matrix, rows, cols int, op string) {
 	if dst.Rows != rows || dst.Cols != cols {
@@ -36,7 +39,7 @@ func GoodInlinePanic(dst, a *Matrix) {
 }
 
 // GoodMethod checks shapes on a method receiver's argument.
-func (m *Matrix) GoodMethod(o *Matrix) {
+func (m *MatrixOf[T]) GoodMethod(o *MatrixOf[T]) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic("tensor: GoodMethod shape mismatch")
 	}
@@ -49,6 +52,13 @@ func (m *Matrix) GoodMethod(o *Matrix) {
 func BadInto(dst, a *Matrix) { // want "no shape-check-then-panic preamble"
 	for i, v := range a.Data {
 		dst.Data[i] = v * 2
+	}
+}
+
+// BadGeneric is a generic kernel with no validation.
+func BadGeneric[T float32 | float64](dst, a *MatrixOf[T]) { // want "no shape-check-then-panic preamble"
+	for i, v := range a.Data {
+		dst.Data[i] = v
 	}
 }
 

@@ -79,7 +79,7 @@ func TestBeamSearchBatchMatchesScratch(t *testing.T) {
 				mems[i] = tensor.Uniform(l, memDim, -1, 1, rng)
 				tp := ag.NewInferTape()
 				tp.SetPack(&tensor.PackBuf{})
-				want[i] = d.BeamSearchScratch(tp, tp.Const(mems[i]), bos, eos, width, maxLen,
+				want[i], _ = d.BeamSearchScratch(tp, tp.Const(mems[i]), bos, eos, width, maxLen,
 					NewBeamScratch(vocab, width, maxLen))
 			}
 			tp := ag.NewInferTape()
@@ -90,7 +90,7 @@ func TestBeamSearchBatchMatchesScratch(t *testing.T) {
 				nodes[i] = tp.Const(mems[i])
 				scratches[i] = NewBeamScratch(vocab, width, maxLen)
 			}
-			got := d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, scratches)
+			got, _ := d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, scratches)
 			for i := range got {
 				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Fatalf("width %d lens %v inst %d: batched %v, serial %v",
@@ -115,14 +115,69 @@ func TestBeamSearchBatchNilScratches(t *testing.T) {
 	tp := ag.NewInferTape()
 	tp.SetPack(&tensor.PackBuf{})
 	nodes := []*ag.Node{tp.Const(mems[0]), tp.Const(mems[1])}
-	first := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, nil)
+	first, _ := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, nil)
 	scratches := []*BeamScratch{NewBeamScratch(vocab, 3, 4), nil}
 	for round := 0; round < 3; round++ {
 		tp.Reset()
 		nodes = []*ag.Node{tp.Const(mems[0]), tp.Const(mems[1])}
-		again := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, scratches)
+		again, _ := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, scratches)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("round %d: reused scratches diverged: %v vs %v", round, again, first)
+		}
+	}
+}
+
+// TestLSTMHoistedProjectionBitwise pins the no-gradient hoist rule: a
+// no-grad tape computes x·Wx once per sequence as a packed seq-row product,
+// a recording tape computes it per timestep as 1-row products, and every
+// hidden state must still compare equal cell for cell — for LSTM.Forward,
+// BiLSTM.Forward and ragged BiLSTM.ForwardBatch, including inputs with exact
+// zeros (the packed kernel adds ±0 where the row-streaming one skips) and
+// sequences long enough to take the panel-packed path (≥ packMinRows rows).
+func TestLSTMHoistedProjectionBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const in, hidden = 9, 6
+	bi := NewBiLSTM("b", in, hidden, rng)
+	equal := func(what string, got, want *tensor.Matrix) {
+		t.Helper()
+		if !got.SameShape(want) {
+			t.Fatalf("%s: hoisted shape %dx%d, per-step %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for k, v := range got.Data {
+			if v != want.Data[k] {
+				t.Fatalf("%s: value %d diverges: hoisted %v, per-step %v", what, k, v, want.Data[k])
+			}
+		}
+	}
+	tapes := func() (hoisted, perStep *ag.Tape) {
+		hoisted = ag.NewInferTape()
+		hoisted.SetPack(&tensor.PackBuf{})
+		return hoisted, ag.NewTape()
+	}
+	for _, lens := range raggedLens {
+		inputs := make([]*tensor.Matrix, len(lens))
+		for i, l := range lens {
+			inputs[i] = tensor.Uniform(l, in, -1, 1, rng)
+			for k := range inputs[i].Data {
+				if rng.Intn(4) == 0 {
+					inputs[i].Data[k] = 0
+				}
+			}
+		}
+		for _, x := range inputs {
+			h, p := tapes()
+			equal("LSTM.Forward", bi.Fwd.Forward(h, h.Const(x)).Value, bi.Fwd.Forward(p, p.Const(x)).Value)
+			h, p = tapes()
+			equal("BiLSTM.Forward", bi.Forward(h, h.Const(x)).Value, bi.Forward(p, p.Const(x)).Value)
+		}
+		h, p := tapes()
+		hx, px := make([]*ag.Node, len(inputs)), make([]*ag.Node, len(inputs))
+		for i, x := range inputs {
+			hx[i], px[i] = h.Const(x), p.Const(x)
+		}
+		got, want := bi.ForwardBatch(h, hx), bi.ForwardBatch(p, px)
+		for i := range got {
+			equal("BiLSTM.ForwardBatch", got[i].Value, want[i].Value)
 		}
 	}
 }

@@ -25,44 +25,42 @@ import (
 // memories[q] is instance q's decoder memory; scratches[q] may be nil (a
 // throwaway scratch is used), as may the whole slice. The returned token
 // slices are copied out and caller-owned; results[q] is nil when instance q
-// decodes to nothing.
-func (d *AttnDecoder) BeamSearchBatch(t *ag.Tape, memories []*ag.Node, bos, eos, width, maxLen int, scratches []*BeamScratch) [][]int {
+// decodes to nothing. confs[q] is instance q's decode Confidence, derived
+// from its final frontier exactly as in the single-instance search.
+func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeOf[T], bos, eos, width, maxLen int, scratches []*BeamScratchOf[T]) ([][]int, []Confidence) {
 	nInst := len(memories)
 	results := make([][]int, nInst)
+	confs := make([]Confidence, nInst)
 	if nInst == 0 {
-		return results
+		return results, confs
 	}
 	type instSearch struct {
-		bs    *BeamScratch
-		beams []beam
-		next  []beam
+		bs    *BeamScratchOf[T]
+		beams []beam[T]
+		next  []beam[T]
 		pool  int
 		live  bool
 	}
 	insts := make([]instSearch, nInst)
 	for q := range insts {
-		var bs *BeamScratch
+		var bs *BeamScratchOf[T]
 		if q < len(scratches) {
 			bs = scratches[q]
 		}
 		if bs == nil {
-			bs = NewBeamScratch(0, width, maxLen)
+			bs = NewBeamScratchOf[T](0, width, maxLen)
 		}
 		insts[q] = instSearch{
 			bs:    bs,
-			beams: append(bs.cur[:0], beam{state: d.Cell.ZeroState(t)}),
+			beams: append(bs.cur[:0], beam[T]{state: d.Cell.ZeroState(t)}),
 			next:  bs.next[:0],
 			live:  true,
 		}
 	}
 	finalize := func(q int) {
 		ist := &insts[q]
-		best := ist.beams[0]
-		for _, b := range ist.beams[1:] {
-			if score(b) > score(best) {
-				best = b
-			}
-		}
+		best, conf := beamConfidence(ist.beams)
+		confs[q] = conf
 		toks := best.tokens
 		if len(toks) > 0 && best.done {
 			toks = toks[:len(toks)-1] // strip the trailing EOS
@@ -76,14 +74,14 @@ func (d *AttnDecoder) BeamSearchBatch(t *ag.Tape, memories []*ag.Node, bos, eos,
 	}
 	h := d.Cell.Hidden
 	var (
-		lo      = make([]int, nInst) // slab row range [lo, hi) per instance
-		hi      = make([]int, nInst)
-		rowOf = make([]int, 0, nInst)            // owning instance per slab row
-		prev  = make([]int, 0, nInst)            // previous token per slab row
-		hmats = make([]*tensor.Matrix, 0, nInst) // per-row H gather sources
-		cmats = make([]*tensor.Matrix, 0, nInst) // per-row C gather sources
+		lo    = make([]int, nInst) // slab row range [lo, hi) per instance
+		hi    = make([]int, nInst)
+		rowOf = make([]int, 0, nInst)                 // owning instance per slab row
+		prev  = make([]int, 0, nInst)                 // previous token per slab row
+		hmats = make([]*tensor.MatrixOf[T], 0, nInst) // per-row H gather sources
+		cmats = make([]*tensor.MatrixOf[T], 0, nInst) // per-row C gather sources
 		zeros []int
-		ctxs  = make([]*ag.Node, 0, nInst)
+		ctxs  = make([]*ag.NodeOf[T], 0, nInst)
 	)
 	for depth := 0; depth < maxLen; depth++ {
 		// Register one slab row per live beam, grouped per instance in
@@ -139,7 +137,7 @@ func (d *AttnDecoder) BeamSearchBatch(t *ag.Tape, memories []*ag.Node, bos, eos,
 			ctx = t.ConcatRows(ctxs...)
 		}
 		x := t.ConcatCols2(d.Emb.Forward(t, prev), ctx)
-		st := d.Cell.Step(t, x, State{H: hpN, C: cpN})
+		st := d.Cell.Step(t, x, StateOf[T]{H: hpN, C: cpN})
 		logits := d.Out.Forward(t, t.ConcatCols2(st.H, ctx))
 		logpAll := t.LogSoftmaxRows(logits)
 		// Per-instance frontier bookkeeping, exactly as BeamSearchScratch.
@@ -160,7 +158,7 @@ func (d *AttnDecoder) BeamSearchBatch(t *ag.Tape, memories []*ag.Node, bos, eos,
 					continue
 				}
 				logp := logpAll.Value.Row(row)
-				s := State{
+				s := StateOf[T]{
 					H: t.Const(t.ViewValue(1, h, st.H.Value.Row(row))),
 					C: t.Const(t.ViewValue(1, h, st.C.Value.Row(row))),
 				}
@@ -168,9 +166,9 @@ func (d *AttnDecoder) BeamSearchBatch(t *ag.Tape, memories []*ag.Node, bos, eos,
 				for _, j := range bs.topK(logp, width) {
 					toks := bs.claim(ist.pool, slot, b.tokens)
 					slot++
-					next = append(next, beam{
+					next = append(next, beam[T]{
 						tokens:  append(toks, j),
-						logProb: b.logProb + logp[j],
+						logProb: b.logProb + float64(logp[j]),
 						state:   s,
 						done:    j == eos,
 					})
@@ -201,5 +199,5 @@ func (d *AttnDecoder) BeamSearchBatch(t *ag.Tape, memories []*ag.Node, bos, eos,
 			finalize(q)
 		}
 	}
-	return results
+	return results, confs
 }

@@ -1,14 +1,14 @@
 package nn
 
 import (
+	"math"
 	"sort"
 
-	"webbrief/internal/tensor"
-
 	"webbrief/internal/ag"
+	"webbrief/internal/tensor"
 )
 
-// BeamScratch holds the reusable buffers for one beam search: the
+// BeamScratchOf holds the reusable buffers for one beam search: the
 // log-softmax row, the top-K index scratch, the two beam frontiers, and the
 // per-slot token backing arrays. A warm scratch makes BeamSearchScratch
 // allocation-free apart from the copied-out result.
@@ -19,27 +19,32 @@ import (
 // rewritten. Done hypotheses are re-copied into the write pool each depth to
 // keep that invariant. A scratch must not be shared between concurrent
 // searches — give each serving replica its own (see wb.InferScratch).
-type BeamScratch struct {
-	logp  tensor.Matrix // 1×vocab log-softmax scratch, header reused
-	idx   []int         // top-K selection scratch
-	cur   []beam        // frontier at the current depth
-	next  []beam        // candidate frontier being built
-	pools [2][][]int    // per-slot token backing arrays
+type BeamScratchOf[T tensor.Float] struct {
+	logp  tensor.MatrixOf[T] // 1×vocab log-softmax scratch, header reused
+	idx   []int              // top-K selection scratch
+	cur   []beam[T]          // frontier at the current depth
+	next  []beam[T]          // candidate frontier being built
+	pools [2][][]int         // per-slot token backing arrays
 }
 
 // NewBeamScratch returns a scratch presized for the given vocabulary size,
 // beam width and decode depth. All buffers still grow on demand, so a
 // zero-value-like NewBeamScratch(0, 0, 0) is valid and merely warms up lazily.
 func NewBeamScratch(vocab, width, maxLen int) *BeamScratch {
-	bs := &BeamScratch{}
+	return NewBeamScratchOf[float64](vocab, width, maxLen)
+}
+
+// NewBeamScratchOf is NewBeamScratch for element type T.
+func NewBeamScratchOf[T tensor.Float](vocab, width, maxLen int) *BeamScratchOf[T] {
+	bs := &BeamScratchOf[T]{}
 	if vocab > 0 {
-		bs.logp.Data = make([]float64, vocab)
+		bs.logp.Data = make([]T, vocab)
 		bs.idx = make([]int, 0, vocab)
 	}
 	if width > 0 {
 		slots := width*width + width
-		bs.cur = make([]beam, 0, slots)
-		bs.next = make([]beam, 0, slots)
+		bs.cur = make([]beam[T], 0, slots)
+		bs.next = make([]beam[T], 0, slots)
 		for p := range bs.pools {
 			bs.pools[p] = make([][]int, slots)
 			for s := range bs.pools[p] {
@@ -53,10 +58,10 @@ func NewBeamScratch(vocab, width, maxLen int) *BeamScratch {
 // logSoftmaxRow computes the log-softmax of the 1×vocab logits row into the
 // scratch buffer through the shared tensor kernel, so the values are
 // bitwise identical to Matrix.LogSoftmaxRows on the heap path.
-func (bs *BeamScratch) logSoftmaxRow(logits *tensor.Matrix) []float64 {
+func (bs *BeamScratchOf[T]) logSoftmaxRow(logits *tensor.MatrixOf[T]) []T {
 	n := logits.Cols
 	if cap(bs.logp.Data) < n {
-		bs.logp.Data = make([]float64, n)
+		bs.logp.Data = make([]T, n)
 	}
 	bs.logp.Rows, bs.logp.Cols, bs.logp.Data = 1, n, bs.logp.Data[:n]
 	tensor.LogSoftmaxRowsInto(&bs.logp, logits)
@@ -67,7 +72,7 @@ func (bs *BeamScratch) logSoftmaxRow(logits *tensor.Matrix) []float64 {
 // order, ties broken toward the lower index — exactly the order
 // sort.SliceStable over ascending indices produces — without sorting the
 // whole vocabulary. The returned slice aliases the scratch.
-func (bs *BeamScratch) topK(xs []float64, k int) []int {
+func (bs *BeamScratchOf[T]) topK(xs []T, k int) []int {
 	if k > len(xs) {
 		k = len(xs)
 	}
@@ -95,7 +100,7 @@ func (bs *BeamScratch) topK(xs []float64, k int) []int {
 
 // claim copies src into slot s of the given token pool and returns it with
 // room for one appended token.
-func (bs *BeamScratch) claim(pool, s int, src []int) []int {
+func (bs *BeamScratchOf[T]) claim(pool, s int, src []int) []int {
 	for s >= len(bs.pools[pool]) {
 		bs.pools[pool] = append(bs.pools[pool], nil)
 	}
@@ -109,17 +114,42 @@ func (bs *BeamScratch) claim(pool, s int, src []int) []int {
 	return buf
 }
 
+// beamConfidence picks the best hypothesis of a final frontier (first of
+// the highest length-normalised score) and derives the cascade confidence
+// from it: the margin to the second-best score, and the best hypothesis's
+// geometric-mean token probability. A lone hypothesis has no competitor, so
+// its margin is +Inf.
+func beamConfidence[T tensor.Float](beams []beam[T]) (best beam[T], conf Confidence) {
+	best = beams[0]
+	secondScore := math.Inf(-1)
+	for _, b := range beams[1:] {
+		s := score(b)
+		if s > score(best) {
+			secondScore = score(best)
+			best = b
+		} else if s > secondScore {
+			secondScore = s
+		}
+	}
+	conf = Confidence{Margin: score(best) - secondScore, Posterior: math.Exp(score(best))}
+	if len(beams) < 2 || math.IsNaN(conf.Margin) {
+		conf.Margin = math.Inf(1)
+	}
+	return best, conf
+}
+
 // BeamSearchScratch is BeamSearch decoding through a reusable scratch:
 // identical hypotheses, scores and tie-breaking (the candidate prune
-// reproduces sort.SliceStable ordering), but no per-candidate allocation.
+// reproduces sort.SliceStable ordering), but no per-candidate allocation,
+// and it additionally reports the decode Confidence for cascade routing.
 // A nil scratch falls back to a throwaway one. The returned tokens are
 // copied out and caller-owned.
-func (d *AttnDecoder) BeamSearchScratch(t *ag.Tape, memory *ag.Node, bos, eos, width, maxLen int, bs *BeamScratch) []int {
+func (d *AttnDecoderOf[T]) BeamSearchScratch(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, width, maxLen int, bs *BeamScratchOf[T]) ([]int, Confidence) {
 	if bs == nil {
-		bs = NewBeamScratch(0, width, maxLen)
+		bs = NewBeamScratchOf[T](0, width, maxLen)
 	}
 	pool := 0
-	beams := append(bs.cur[:0], beam{state: d.Cell.ZeroState(t)})
+	beams := append(bs.cur[:0], beam[T]{state: d.Cell.ZeroState(t)})
 	next := bs.next[:0]
 	for depth := 0; depth < maxLen; depth++ {
 		next = next[:0]
@@ -142,9 +172,9 @@ func (d *AttnDecoder) BeamSearchScratch(t *ag.Tape, memory *ag.Node, bos, eos, w
 			for _, j := range bs.topK(logp, width) {
 				toks := bs.claim(pool, slot, b.tokens)
 				slot++
-				next = append(next, beam{
+				next = append(next, beam[T]{
 					tokens:  append(toks, j),
-					logProb: b.logProb + logp[j],
+					logProb: b.logProb + float64(logp[j]),
 					state:   s,
 					done:    j == eos,
 				})
@@ -169,12 +199,7 @@ func (d *AttnDecoder) BeamSearchScratch(t *ag.Tape, memory *ag.Node, bos, eos, w
 			break
 		}
 	}
-	best := beams[0]
-	for _, b := range beams[1:] {
-		if score(b) > score(best) {
-			best = b
-		}
-	}
+	best, conf := beamConfidence(beams)
 	toks := best.tokens
 	if len(toks) > 0 && best.done {
 		toks = toks[:len(toks)-1] // strip the trailing EOS
@@ -182,7 +207,7 @@ func (d *AttnDecoder) BeamSearchScratch(t *ag.Tape, memory *ag.Node, bos, eos, w
 	// Persist grown frontiers, then hand back a caller-owned copy.
 	bs.cur, bs.next = beams[:0], next[:0]
 	if len(toks) == 0 {
-		return nil
+		return nil, conf
 	}
-	return append([]int(nil), toks...)
+	return append([]int(nil), toks...), conf
 }

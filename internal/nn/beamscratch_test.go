@@ -25,13 +25,13 @@ func TestBeamSearchScratchMatchesReference(t *testing.T) {
 		for _, width := range []int{1, 2, 3, 5} {
 			for _, maxLen := range []int{1, 2, 4, 6} {
 				want := d.BeamSearch(tp, mem, bos, eos, width, maxLen)
-				got := d.BeamSearchScratch(tp, mem, bos, eos, width, maxLen, bs)
+				got, _ := d.BeamSearchScratch(tp, mem, bos, eos, width, maxLen, bs)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("seed %d width %d maxLen %d: scratch %v, reference %v",
 						seed, width, maxLen, got, want)
 				}
 				// A nil scratch must also match.
-				if again := d.BeamSearchScratch(tp, mem, bos, eos, width, maxLen, nil); !reflect.DeepEqual(want, again) {
+				if again, _ := d.BeamSearchScratch(tp, mem, bos, eos, width, maxLen, nil); !reflect.DeepEqual(want, again) {
 					t.Fatalf("seed %d width %d maxLen %d: nil-scratch run diverges", seed, width, maxLen)
 				}
 			}

@@ -6,17 +6,23 @@ import (
 	"sort"
 
 	"webbrief/internal/ag"
+	"webbrief/internal/tensor"
 )
 
-// AttnDecoder is an LSTM decoder with bilinear attention over an encoder
+// AttnDecoderOf is an LSTM decoder with bilinear attention over an encoder
 // memory, the generator architecture of §III-C (LSTM decode over Bi-LSTM
 // encoded sentences) and of the [Bi-LSTM, LSTM] baselines. At inference it
 // supports greedy and beam-search decoding (§IV-A5 uses beam search).
-type AttnDecoder struct {
-	Emb  *Embedding // output-vocabulary embeddings
-	Cell *LSTM      // input width = Emb.Dim()
-	Att  *Bilinear  // hidden×memDim
-	Out  *Linear    // (hidden+memDim)×vocab
+//
+// Decode path scores (beam log-probabilities, lengths, margins) accumulate
+// in float64 whatever T is: the per-step log-softmax values are T-accurate,
+// but summing them along a hypothesis is a sequential reduction whose error
+// the cascade's confidence thresholds should not have to absorb.
+type AttnDecoderOf[T tensor.Float] struct {
+	Emb  *EmbeddingOf[T] // output-vocabulary embeddings
+	Cell *LSTMOf[T]      // input width = Emb.Dim()
+	Att  *BilinearOf[T]  // hidden×memDim
+	Out  *LinearOf[T]    // (hidden+memDim)×vocab
 }
 
 // NewAttnDecoder builds a decoder producing distributions over vocab tokens,
@@ -33,9 +39,19 @@ func NewAttnDecoder(name string, vocab, embDim, hidden, memDim int, rng *rand.Ra
 	}
 }
 
+// CastAttnDecoder returns an inference-only copy of d in element type D.
+func CastAttnDecoder[D, S tensor.Float](d *AttnDecoderOf[S]) *AttnDecoderOf[D] {
+	return &AttnDecoderOf[D]{
+		Emb:  CastEmbedding[D](d.Emb),
+		Cell: CastLSTM[D](d.Cell),
+		Att:  CastBilinear[D](d.Att),
+		Out:  CastLinear[D](d.Out),
+	}
+}
+
 // Params implements Layer.
-func (d *AttnDecoder) Params() []*ag.Param {
-	var ps []*ag.Param
+func (d *AttnDecoderOf[T]) Params() []*ag.ParamOf[T] {
+	var ps []*ag.ParamOf[T]
 	ps = append(ps, d.Emb.Params()...)
 	ps = append(ps, d.Cell.Params()...)
 	ps = append(ps, d.Att.Params()...)
@@ -46,7 +62,7 @@ func (d *AttnDecoder) Params() []*ag.Param {
 // step advances one decode step: attend over memory with the previous
 // hidden state, feed embedding+context into the cell, and project the new
 // state joined with the context to vocabulary logits.
-func (d *AttnDecoder) step(t *ag.Tape, prev int, s State, memory *ag.Node) (logits *ag.Node, next State) {
+func (d *AttnDecoderOf[T]) step(t *ag.TapeOf[T], prev int, s StateOf[T], memory *ag.NodeOf[T]) (logits *ag.NodeOf[T], next StateOf[T]) {
 	att := d.Att.Attention(t, s.H, memory) // 1×memRows
 	ctx := t.MatMul(att, memory)           // 1×memDim
 	x := t.ConcatCols2(d.Emb.Forward(t, []int{prev}), ctx)
@@ -58,7 +74,7 @@ func (d *AttnDecoder) step(t *ag.Tape, prev int, s State, memory *ag.Node) (logi
 // ForwardTeacherForcing decodes with teacher forcing: inputs[i] feeds step i
 // and the returned len(inputs)×vocab logits are scored against the shifted
 // targets by the caller. inputs normally starts with BOS.
-func (d *AttnDecoder) ForwardTeacherForcing(t *ag.Tape, memory *ag.Node, inputs []int) *ag.Node {
+func (d *AttnDecoderOf[T]) ForwardTeacherForcing(t *ag.TapeOf[T], memory *ag.NodeOf[T], inputs []int) *ag.NodeOf[T] {
 	logits, _ := d.ForwardStates(t, memory, inputs)
 	return logits
 }
@@ -67,10 +83,10 @@ func (d *AttnDecoder) ForwardTeacherForcing(t *ag.Tape, memory *ag.Node, inputs 
 // decoder hidden states (len(inputs)×hidden) — the topic token
 // representations Q of §III-C, from which the integrated topic
 // representation Q^b is built.
-func (d *AttnDecoder) ForwardStates(t *ag.Tape, memory *ag.Node, inputs []int) (logits, states *ag.Node) {
+func (d *AttnDecoderOf[T]) ForwardStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], inputs []int) (logits, states *ag.NodeOf[T]) {
 	s := d.Cell.ZeroState(t)
-	rows := make([]*ag.Node, len(inputs))
-	hs := make([]*ag.Node, len(inputs))
+	rows := make([]*ag.NodeOf[T], len(inputs))
+	hs := make([]*ag.NodeOf[T], len(inputs))
 	for i, tok := range inputs {
 		rows[i], s = d.step(t, tok, s, memory)
 		hs[i] = s.H
@@ -81,13 +97,13 @@ func (d *AttnDecoder) ForwardStates(t *ag.Tape, memory *ag.Node, inputs []int) (
 // GreedyWithStates greedily decodes up to maxLen tokens and returns both the
 // tokens (EOS excluded) and the decoder hidden states for the emitted steps.
 // Models use it at inference where no gold topic is available to force.
-func (d *AttnDecoder) GreedyWithStates(t *ag.Tape, memory *ag.Node, bos, eos, maxLen int) ([]int, *ag.Node) {
+func (d *AttnDecoderOf[T]) GreedyWithStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int) ([]int, *ag.NodeOf[T]) {
 	s := d.Cell.ZeroState(t)
 	prev := bos
 	var out []int
-	var hs []*ag.Node
+	var hs []*ag.NodeOf[T]
 	for i := 0; i < maxLen; i++ {
-		var logits *ag.Node
+		var logits *ag.NodeOf[T]
 		logits, s = d.step(t, prev, s, memory)
 		hs = append(hs, s.H)
 		tok := logits.Value.ArgmaxRow(0)
@@ -100,41 +116,116 @@ func (d *AttnDecoder) GreedyWithStates(t *ag.Tape, memory *ag.Node, bos, eos, ma
 	return out, t.ConcatRows(hs...)
 }
 
-// Greedy decodes up to maxLen tokens, stopping at eos. The returned slice
-// excludes BOS and EOS.
-func (d *AttnDecoder) Greedy(t *ag.Tape, memory *ag.Node, bos, eos, maxLen int) []int {
+// Confidence summarises how sure a decode was — the cascade routing signal.
+// Margin is the top-1/top-2 separation: for beam search the gap between the
+// best and second-best finished hypotheses' length-normalised log
+// probabilities, for greedy decoding the worst per-step gap between the
+// chosen token's log probability and the runner-up's. Posterior is the
+// geometric-mean per-token probability of the winning hypothesis,
+// exp(logProb/len). Both are +Inf/1 respectively when the decode had no
+// competition (single beam, empty output).
+type Confidence struct {
+	Margin    float64
+	Posterior float64
+}
+
+// Score folds both signals into one [0, 1] routing scalar:
+//
+//	score = min(Posterior, 1 - exp(-Margin))
+//
+// Either a weak posterior (the model thinks its own topic is unlikely) or a
+// thin margin (a near-tie with a different topic) pulls the score down, and
+// the serve-layer cascade escalates when it falls below the configured
+// threshold. An infinite margin leaves the posterior in charge; a zero
+// margin forces 0 regardless of posterior.
+func (c Confidence) Score() float64 {
+	s := 1 - math.Exp(-c.Margin)
+	if c.Posterior < s {
+		s = c.Posterior
+	}
+	if s < 0 {
+		return 0
+	}
+	if s > 1 {
+		return 1
+	}
+	return s
+}
+
+// sureConfidence is the no-competition value: nothing decoded or nothing to
+// compare against, so the cascade has no reason to escalate.
+func sureConfidence() Confidence { return Confidence{Margin: math.Inf(1), Posterior: 1} }
+
+// Greedy decodes up to maxLen tokens, stopping at eos, and reports decode
+// confidence: Margin is the worst per-step top-1/top-2 log-probability gap
+// and Posterior the geometric-mean probability of the chosen path
+// (EOS-emitting step included — a barely-chosen EOS is a real risk signal).
+// The returned slice excludes BOS and EOS.
+func (d *AttnDecoderOf[T]) Greedy(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int) ([]int, Confidence) {
 	s := d.Cell.ZeroState(t)
 	prev := bos
 	var out []int
+	var logpSum float64
+	conf := sureConfidence()
+	steps := 0
 	for i := 0; i < maxLen; i++ {
-		var logits *ag.Node
+		var logits *ag.NodeOf[T]
 		logits, s = d.step(t, prev, s, memory)
-		tok := logits.Value.ArgmaxRow(0)
+		logp := t.LogSoftmaxRows(logits).Value.Row(0)
+		tok, margin := top2Gap(logp)
+		steps++
+		logpSum += float64(logp[tok])
+		if margin < conf.Margin {
+			conf.Margin = margin
+		}
 		if tok == eos {
 			break
 		}
 		out = append(out, tok)
 		prev = tok
 	}
-	return out
+	if steps > 0 {
+		conf.Posterior = math.Exp(logpSum / float64(steps))
+	}
+	return out, conf
+}
+
+// top2Gap returns the argmax of row and the log-probability gap to the
+// runner-up (+Inf for a 1-wide row).
+func top2Gap[T tensor.Float](row []T) (int, float64) {
+	best := 0
+	for j, v := range row[1:] {
+		if v > row[best] {
+			best = j + 1
+		}
+	}
+	second := math.Inf(-1)
+	for j, v := range row {
+		if j != best && float64(v) > second {
+			second = float64(v)
+		}
+	}
+	return best, float64(row[best]) - second
 }
 
 // beam is one hypothesis during beam search.
-type beam struct {
+type beam[T tensor.Float] struct {
 	tokens  []int
 	logProb float64
-	state   State
+	state   StateOf[T]
 	done    bool
 }
 
 // BeamSearch decodes with the given beam width and maximum depth, returning
 // the highest-scoring completed hypothesis (length-normalised log
 // probability). The paper uses width 200 and depth 4; both are parameters
-// here so experiments can scale them to the corpus.
-func (d *AttnDecoder) BeamSearch(t *ag.Tape, memory *ag.Node, bos, eos, width, maxLen int) []int {
-	beams := []beam{{state: d.Cell.ZeroState(t)}}
+// here so experiments can scale them to the corpus. It builds every
+// candidate on the heap and is kept as the reference the equivalence tests
+// compare BeamSearchScratch and BeamSearchBatch against.
+func (d *AttnDecoderOf[T]) BeamSearch(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, width, maxLen int) []int {
+	beams := []beam[T]{{state: d.Cell.ZeroState(t)}}
 	for depth := 0; depth < maxLen; depth++ {
-		var next []beam
+		var next []beam[T]
 		for _, b := range beams {
 			if b.done {
 				next = append(next, b)
@@ -150,9 +241,9 @@ func (d *AttnDecoder) BeamSearch(t *ag.Tape, memory *ag.Node, bos, eos, width, m
 			// expanding more can never survive the global prune below.
 			idx := topK(logp, width)
 			for _, j := range idx {
-				nb := beam{
+				nb := beam[T]{
 					tokens:  append(append([]int(nil), b.tokens...), j),
-					logProb: b.logProb + logp[j],
+					logProb: b.logProb + float64(logp[j]),
 					state:   s,
 					done:    j == eos,
 				}
@@ -192,7 +283,7 @@ func (d *AttnDecoder) BeamSearch(t *ag.Tape, memory *ag.Node, bos, eos, width, m
 }
 
 // score is the length-normalised log probability of a beam.
-func score(b beam) float64 {
+func score[T tensor.Float](b beam[T]) float64 {
 	n := len(b.tokens)
 	if n == 0 {
 		return math.Inf(-1)
@@ -202,7 +293,7 @@ func score(b beam) float64 {
 
 // topK returns the indices of the k largest values in xs (k capped at
 // len(xs)), in descending value order.
-func topK(xs []float64, k int) []int {
+func topK[T tensor.Float](xs []T, k int) []int {
 	if k > len(xs) {
 		k = len(xs)
 	}

@@ -7,15 +7,15 @@ import (
 	"webbrief/internal/tensor"
 )
 
-// LSTM is a single-direction LSTM with fused gate weights, the recurrent
+// LSTMOf is a single-direction LSTM with fused gate weights, the recurrent
 // encoder used by the extractor E and the generator G in Joint-WB and by
 // every Bi-LSTM baseline.
 //
 // Gate layout in the fused matrices is [input | forget | cell | output].
-type LSTM struct {
-	Wx     *ag.Param // in×4h
-	Wh     *ag.Param // h×4h
-	B      *ag.Param // 1×4h
+type LSTMOf[T tensor.Float] struct {
+	Wx     *ag.ParamOf[T] // in×4h
+	Wh     *ag.ParamOf[T] // h×4h
+	B      *ag.ParamOf[T] // 1×4h
 	Hidden int
 }
 
@@ -36,57 +36,101 @@ func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
 	return l
 }
 
-// Params implements Layer.
-func (l *LSTM) Params() []*ag.Param { return []*ag.Param{l.Wx, l.Wh, l.B} }
+// CastLSTM returns an inference-only copy of l in element type D.
+func CastLSTM[D, S tensor.Float](l *LSTMOf[S]) *LSTMOf[D] {
+	return &LSTMOf[D]{
+		Wx:     ag.CastParam[D](l.Wx),
+		Wh:     ag.CastParam[D](l.Wh),
+		B:      ag.CastParam[D](l.B),
+		Hidden: l.Hidden,
+	}
+}
 
-// State is an LSTM hidden/cell pair, each 1×hidden.
-type State struct {
-	H, C *ag.Node
+// Params implements Layer.
+func (l *LSTMOf[T]) Params() []*ag.ParamOf[T] { return []*ag.ParamOf[T]{l.Wx, l.Wh, l.B} }
+
+// StateOf is an LSTM hidden/cell pair, each rows×hidden (1 row per
+// sequence; batched steps carry several).
+type StateOf[T tensor.Float] struct {
+	H, C *ag.NodeOf[T]
 }
 
 // ZeroState returns the all-zero initial state on tape t. The buffers come
 // from the tape's arena, so they obey tape lifetime and cost no heap
 // allocation on arena tapes.
-func (l *LSTM) ZeroState(t *ag.Tape) State {
-	return State{
+func (l *LSTMOf[T]) ZeroState(t *ag.TapeOf[T]) StateOf[T] {
+	return StateOf[T]{
 		H: t.Const(t.AllocValue(1, l.Hidden)),
 		C: t.Const(t.AllocValue(1, l.Hidden)),
 	}
 }
 
-// Step advances the LSTM one timestep with input x (1×in) and returns the
-// new state.
-func (l *LSTM) Step(t *ag.Tape, x *ag.Node, s State) State {
-	gates := t.AddRowVector(
-		t.Add(t.MatMul(x, t.Use(l.Wx)), t.MatMul(s.H, t.Use(l.Wh))),
-		t.Use(l.B),
-	)
+// Step advances the LSTM one timestep with input x (1×in, or one row per
+// sequence of a fused batch — every row advances independently) and returns
+// the new state.
+func (l *LSTMOf[T]) Step(t *ag.TapeOf[T], x *ag.NodeOf[T], s StateOf[T]) StateOf[T] {
+	return l.stepFrom(t, x, false, s)
+}
+
+// stepFrom is Step reading in, which is the input itself, or its projection
+// in·Wx when projected is set (rows of recurrenceInput's result).
+func (l *LSTMOf[T]) stepFrom(t *ag.TapeOf[T], in *ag.NodeOf[T], projected bool, s StateOf[T]) StateOf[T] {
+	if !projected {
+		in = t.MatMul(in, t.Use(l.Wx))
+	}
+	gates := t.AddRowVector(t.Add(in, t.MatMul(s.H, t.Use(l.Wh))), t.Use(l.B))
 	h := l.Hidden
 	i := t.Sigmoid(t.SliceCols(gates, 0, h))
 	f := t.Sigmoid(t.SliceCols(gates, h, 2*h))
 	g := t.Tanh(t.SliceCols(gates, 2*h, 3*h))
 	o := t.Sigmoid(t.SliceCols(gates, 3*h, 4*h))
 	c := t.Add(t.Mul(f, s.C), t.Mul(i, g))
-	return State{H: t.Mul(o, t.Tanh(c)), C: c}
+	return StateOf[T]{H: t.Mul(o, t.Tanh(c)), C: c}
+}
+
+// recurrenceInput returns what the time loop over sequence x should feed
+// stepFrom row by row. On a no-gradient tape that is the whole sequence's
+// input projection x·Wx, hoisted out of the recurrence: seq latency-bound
+// 1-row products become one packed seq-row matmul and only h·Wh stays inside
+// the loop; matmul rows are computed independently in ascending-k order, so
+// each hoisted row equals the per-step product exactly, for both element
+// types. On a recording tape it is x itself: one seq-row product would sum
+// Wx's gradient in a different order and move every trained bit.
+func (l *LSTMOf[T]) recurrenceInput(t *ag.TapeOf[T], x *ag.NodeOf[T]) (in *ag.NodeOf[T], projected bool) {
+	if !t.NoGrad() {
+		return x, false
+	}
+	return t.MatMul(x, t.Use(l.Wx)), true
+}
+
+// run advances the LSTM over the rows of x — last row first when reverse is
+// set — and returns the hidden state at every row position.
+func (l *LSTMOf[T]) run(t *ag.TapeOf[T], x *ag.NodeOf[T], reverse bool) []*ag.NodeOf[T] {
+	seq := x.Rows()
+	hs := make([]*ag.NodeOf[T], seq)
+	s := l.ZeroState(t)
+	in, projected := l.recurrenceInput(t, x)
+	for k := 0; k < seq; k++ {
+		i := k
+		if reverse {
+			i = seq - 1 - k
+		}
+		s = l.stepFrom(t, t.SliceRows(in, i, i+1), projected, s)
+		hs[i] = s.H
+	}
+	return hs
 }
 
 // Forward runs the LSTM over a seq×in input and returns the seq×hidden
 // matrix of hidden states.
-func (l *LSTM) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
-	seq := x.Rows()
-	s := l.ZeroState(t)
-	hs := make([]*ag.Node, seq)
-	for i := 0; i < seq; i++ {
-		s = l.Step(t, t.SliceRows(x, i, i+1), s)
-		hs[i] = s.H
-	}
-	return t.ConcatRows(hs...)
+func (l *LSTMOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
+	return t.ConcatRows(l.run(t, x, false)...)
 }
 
-// BiLSTM runs two LSTMs over the sequence in opposite directions and
+// BiLSTMOf runs two LSTMs over the sequence in opposite directions and
 // concatenates their hidden states, the encoder of §III-C.
-type BiLSTM struct {
-	Fwd, Bwd *LSTM
+type BiLSTMOf[T tensor.Float] struct {
+	Fwd, Bwd *LSTMOf[T]
 }
 
 // NewBiLSTM returns a Bi-LSTM whose output width is 2*hidden.
@@ -97,31 +141,25 @@ func NewBiLSTM(name string, in, hidden int, rng *rand.Rand) *BiLSTM {
 	}
 }
 
+// CastBiLSTM returns an inference-only copy of b in element type D.
+func CastBiLSTM[D, S tensor.Float](b *BiLSTMOf[S]) *BiLSTMOf[D] {
+	return &BiLSTMOf[D]{Fwd: CastLSTM[D](b.Fwd), Bwd: CastLSTM[D](b.Bwd)}
+}
+
 // Params implements Layer.
-func (b *BiLSTM) Params() []*ag.Param {
+func (b *BiLSTMOf[T]) Params() []*ag.ParamOf[T] {
 	return append(b.Fwd.Params(), b.Bwd.Params()...)
 }
 
 // OutDim returns the concatenated hidden width.
-func (b *BiLSTM) OutDim() int { return b.Fwd.Hidden + b.Bwd.Hidden }
+func (b *BiLSTMOf[T]) OutDim() int { return b.Fwd.Hidden + b.Bwd.Hidden }
 
 // Forward returns the seq×2h matrix of concatenated forward/backward states.
-func (b *BiLSTM) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
-	seq := x.Rows()
-	fwd := make([]*ag.Node, seq)
-	s := b.Fwd.ZeroState(t)
-	for i := 0; i < seq; i++ {
-		s = b.Fwd.Step(t, t.SliceRows(x, i, i+1), s)
-		fwd[i] = s.H
-	}
-	bwd := make([]*ag.Node, seq)
-	s = b.Bwd.ZeroState(t)
-	for i := seq - 1; i >= 0; i-- {
-		s = b.Bwd.Step(t, t.SliceRows(x, i, i+1), s)
-		bwd[i] = s.H
-	}
-	rows := make([]*ag.Node, seq)
-	for i := 0; i < seq; i++ {
+func (b *BiLSTMOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
+	fwd := b.Fwd.run(t, x, false)
+	bwd := b.Bwd.run(t, x, true)
+	rows := make([]*ag.NodeOf[T], len(fwd))
+	for i := range rows {
 		rows[i] = t.ConcatCols2(fwd[i], bwd[i])
 	}
 	return t.ConcatRows(rows...)

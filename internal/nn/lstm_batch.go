@@ -19,14 +19,14 @@ import (
 // pass reads row t, the backward pass row len-1-t), so no padding rows are
 // ever computed or written. Inference-only — intermediate states are not
 // recorded for backprop beyond what the underlying tape records itself.
-func (b *BiLSTM) ForwardBatch(t *ag.Tape, xs []*ag.Node) []*ag.Node {
-	outs := make([]*tensor.Matrix, len(xs))
+func (b *BiLSTMOf[T]) ForwardBatch(t *ag.TapeOf[T], xs []*ag.NodeOf[T]) []*ag.NodeOf[T] {
+	outs := make([]*tensor.MatrixOf[T], len(xs))
 	for i, x := range xs {
 		outs[i] = t.AllocValue(x.Rows(), b.Fwd.Hidden+b.Bwd.Hidden)
 	}
 	lstmLockstep(t, b.Fwd, xs, outs, 0, false)
 	lstmLockstep(t, b.Bwd, xs, outs, b.Fwd.Hidden, true)
-	nodes := make([]*ag.Node, len(xs))
+	nodes := make([]*ag.NodeOf[T], len(xs))
 	for i, m := range outs {
 		nodes[i] = t.Const(m)
 	}
@@ -36,31 +36,44 @@ func (b *BiLSTM) ForwardBatch(t *ag.Tape, xs []*ag.Node) []*ag.Node {
 // lstmLockstep advances l over all sequences at once, writing each hidden
 // state into columns [colOff, colOff+h) of the owning sequence's output
 // matrix. reverse selects the backward direction (input row len-1-t at step
-// t, as in BiLSTM.Forward's second loop).
-func lstmLockstep(t *ag.Tape, l *LSTM, xs []*ag.Node, outs []*tensor.Matrix, colOff int, reverse bool) {
+// t, as in BiLSTM.Forward's backward direction). On no-gradient tapes each
+// sequence's input projection is hoisted out of the time loop (see
+// LSTMOf.recurrenceInput): the per-step gather then reads projected 4h-wide
+// rows and the only matmul inside the recurrence is h·Wh.
+func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], xs []*ag.NodeOf[T], outs []*tensor.MatrixOf[T], colOff int, reverse bool) {
 	n := len(xs)
 	if n == 0 {
 		return
 	}
 	h := l.Hidden
-	in, maxLen := xs[0].Cols(), 0
+	maxLen := 0
 	for _, x := range xs {
 		if x.Rows() > maxLen {
 			maxLen = x.Rows()
 		}
 	}
+	// ins[i] is what each step gathers sequence i's row from: its inputs, or
+	// its hoisted projection.
+	ins := make([]*tensor.MatrixOf[T], n)
+	projected := false
+	for i, x := range xs {
+		var in *ag.NodeOf[T]
+		in, projected = l.recurrenceInput(t, x)
+		ins[i] = in.Value
+	}
+	in := ins[0].Cols
 	// Per-sequence running states, zero-initialised like ZeroState; each
 	// step gathers the active ones into a slab and scatters the results
 	// back, so a sequence's state never mixes with its neighbours'.
-	hs := make([]*tensor.Matrix, n)
-	cs := make([]*tensor.Matrix, n)
+	hs := make([]*tensor.MatrixOf[T], n)
+	cs := make([]*tensor.MatrixOf[T], n)
 	for i := range xs {
 		hs[i] = t.AllocValue(1, h)
 		cs[i] = t.AllocValue(1, h)
 	}
 	var (
 		active = make([]int, 0, n)
-		mats   = make([]*tensor.Matrix, 0, n)
+		mats   = make([]*tensor.MatrixOf[T], 0, n)
 		rows   = make([]int, 0, n)
 		zeros  = make([]int, n)
 	)
@@ -80,7 +93,7 @@ func lstmLockstep(t *ag.Tape, l *LSTM, xs []*ag.Node, outs []*tensor.Matrix, col
 			if reverse {
 				pos = xs[i].Rows() - 1 - step
 			}
-			mats = append(mats, xs[i].Value)
+			mats = append(mats, ins[i])
 			rows = append(rows, pos)
 		}
 		tensor.GatherRowsInto(x, mats, rows)
@@ -98,7 +111,7 @@ func lstmLockstep(t *ag.Tape, l *LSTM, xs []*ag.Node, outs []*tensor.Matrix, col
 		}
 		tensor.GatherRowsInto(cp, mats, zeros[:a])
 		// One fused a-row step for all active sequences.
-		st := l.Step(t, t.Const(x), State{H: t.Const(hp), C: t.Const(cp)})
+		st := l.stepFrom(t, t.Const(x), projected, StateOf[T]{H: t.Const(hp), C: t.Const(cp)})
 		// Scatter the new states back and the hidden rows into the outputs.
 		mats = mats[:0]
 		for _, i := range active {

@@ -4,6 +4,13 @@
 // signal-exchange mechanisms), an attention decoder with beam search (the
 // topic generator G), and a from-scratch transformer encoder that plays the
 // role of BERT_base / BERTSUM at CPU-trainable scale.
+//
+// The layers the Joint-WB model is built from (Linear, Embedding, Bilinear,
+// LSTM, BiLSTM, AttnDecoder and its beam searches) are generic over the
+// element type, like the ag tape they run on: the float64 names are the
+// instantiations training uses, and the float32 student is the same code
+// instantiated at float32 from parameters converted with the Cast*
+// functions. Constructors, LayerNorm and the transformer stay float64-only.
 package nn
 
 import (
@@ -15,15 +22,29 @@ import (
 	"webbrief/internal/tensor"
 )
 
-// Layer is anything exposing trainable parameters.
-type Layer interface {
-	Params() []*ag.Param
+// LayerOf is anything exposing trainable parameters.
+type LayerOf[T tensor.Float] interface {
+	Params() []*ag.ParamOf[T]
 }
+
+// The float64 instantiations: what every trainer, baseline and experiment
+// names.
+type (
+	Layer       = LayerOf[float64]
+	Linear      = LinearOf[float64]
+	Embedding   = EmbeddingOf[float64]
+	Bilinear    = BilinearOf[float64]
+	LSTM        = LSTMOf[float64]
+	BiLSTM      = BiLSTMOf[float64]
+	State       = StateOf[float64]
+	AttnDecoder = AttnDecoderOf[float64]
+	BeamScratch = BeamScratchOf[float64]
+)
 
 // CollectParams flattens the parameters of several layers, preserving order
 // so optimizer state is stable across runs.
-func CollectParams(layers ...Layer) []*ag.Param {
-	var out []*ag.Param
+func CollectParams[T tensor.Float](layers ...LayerOf[T]) []*ag.ParamOf[T] {
+	var out []*ag.ParamOf[T]
 	for _, l := range layers {
 		out = append(out, l.Params()...)
 	}
@@ -52,10 +73,10 @@ func CopyParams(dst, src Layer) {
 // the given fan-in and fan-out.
 func xavier(in, out int) float64 { return math.Sqrt(6.0 / float64(in+out)) }
 
-// Linear is a fully connected layer y = x·W + b.
-type Linear struct {
-	W *ag.Param // in×out
-	B *ag.Param // 1×out
+// LinearOf is a fully connected layer y = x·W + b.
+type LinearOf[T tensor.Float] struct {
+	W *ag.ParamOf[T] // in×out
+	B *ag.ParamOf[T] // 1×out
 }
 
 // NewLinear returns a Glorot-initialised linear layer.
@@ -67,20 +88,25 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	}
 }
 
+// CastLinear returns an inference-only copy of l in element type D.
+func CastLinear[D, S tensor.Float](l *LinearOf[S]) *LinearOf[D] {
+	return &LinearOf[D]{W: ag.CastParam[D](l.W), B: ag.CastParam[D](l.B)}
+}
+
 // Forward applies the affine map to x (rows are examples or timesteps).
-func (l *Linear) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
+func (l *LinearOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
 	return t.AddRowVector(t.MatMul(x, t.Use(l.W)), t.Use(l.B))
 }
 
 // Params implements Layer.
-func (l *Linear) Params() []*ag.Param { return []*ag.Param{l.W, l.B} }
+func (l *LinearOf[T]) Params() []*ag.ParamOf[T] { return []*ag.ParamOf[T]{l.W, l.B} }
 
 // OutDim returns the layer's output width.
-func (l *Linear) OutDim() int { return l.W.Value.Cols }
+func (l *LinearOf[T]) OutDim() int { return l.W.Value.Cols }
 
-// Embedding maps token ids to dense vectors via table lookup.
-type Embedding struct {
-	Table *ag.Param // vocab×dim
+// EmbeddingOf maps token ids to dense vectors via table lookup.
+type EmbeddingOf[T tensor.Float] struct {
+	Table *ag.ParamOf[T] // vocab×dim
 }
 
 // NewEmbedding returns an embedding table initialised from N(0, 0.1²).
@@ -94,8 +120,13 @@ func EmbeddingFromMatrix(name string, m *tensor.Matrix) *Embedding {
 	return &Embedding{Table: ag.NewParam(name+".E", m)}
 }
 
+// CastEmbedding returns an inference-only copy of e in element type D.
+func CastEmbedding[D, S tensor.Float](e *EmbeddingOf[S]) *EmbeddingOf[D] {
+	return &EmbeddingOf[D]{Table: ag.CastParam[D](e.Table)}
+}
+
 // Forward looks up the rows for ids, returning a len(ids)×dim node.
-func (e *Embedding) Forward(t *ag.Tape, ids []int) *ag.Node {
+func (e *EmbeddingOf[T]) Forward(t *ag.TapeOf[T], ids []int) *ag.NodeOf[T] {
 	for _, id := range ids {
 		if id < 0 || id >= e.Table.Value.Rows {
 			panic(fmt.Sprintf("nn: embedding id %d out of range [0,%d)", id, e.Table.Value.Rows))
@@ -105,13 +136,13 @@ func (e *Embedding) Forward(t *ag.Tape, ids []int) *ag.Node {
 }
 
 // Params implements Layer.
-func (e *Embedding) Params() []*ag.Param { return []*ag.Param{e.Table} }
+func (e *EmbeddingOf[T]) Params() []*ag.ParamOf[T] { return []*ag.ParamOf[T]{e.Table} }
 
 // Dim returns the embedding width.
-func (e *Embedding) Dim() int { return e.Table.Value.Cols }
+func (e *EmbeddingOf[T]) Dim() int { return e.Table.Value.Cols }
 
 // Vocab returns the number of rows in the table.
-func (e *Embedding) Vocab() int { return e.Table.Value.Rows }
+func (e *EmbeddingOf[T]) Vocab() int { return e.Table.Value.Rows }
 
 // LayerNorm standardises each row and applies a learned gain and bias.
 type LayerNorm struct {
@@ -138,11 +169,11 @@ func (ln *LayerNorm) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
 // Params implements Layer.
 func (ln *LayerNorm) Params() []*ag.Param { return []*ag.Param{ln.Gain, ln.Bias} }
 
-// Bilinear computes attention scores a·W·bᵀ, the form used throughout the
+// BilinearOf computes attention scores a·W·bᵀ, the form used throughout the
 // paper: A_T = softmax(H·W_AT·Rᵀ) for identification distillation and
 // A_E = softmax(C_E·W_AE·Q) for the dual-aware mechanisms.
-type Bilinear struct {
-	W *ag.Param // dimA×dimB
+type BilinearOf[T tensor.Float] struct {
+	W *ag.ParamOf[T] // dimA×dimB
 }
 
 // NewBilinear returns a Glorot-initialised bilinear form.
@@ -151,15 +182,20 @@ func NewBilinear(name string, dimA, dimB int, rng *rand.Rand) *Bilinear {
 	return &Bilinear{W: ag.NewParam(name+".W", tensor.Uniform(dimA, dimB, -bound, bound, rng))}
 }
 
+// CastBilinear returns an inference-only copy of bl in element type D.
+func CastBilinear[D, S tensor.Float](bl *BilinearOf[S]) *BilinearOf[D] {
+	return &BilinearOf[D]{W: ag.CastParam[D](bl.W)}
+}
+
 // Scores returns a·W·bᵀ with shape rowsA×rowsB.
-func (bl *Bilinear) Scores(t *ag.Tape, a, b *ag.Node) *ag.Node {
+func (bl *BilinearOf[T]) Scores(t *ag.TapeOf[T], a, b *ag.NodeOf[T]) *ag.NodeOf[T] {
 	return t.MatMulTransB(t.MatMul(a, t.Use(bl.W)), b)
 }
 
 // Attention returns row-softmaxed scores.
-func (bl *Bilinear) Attention(t *ag.Tape, a, b *ag.Node) *ag.Node {
+func (bl *BilinearOf[T]) Attention(t *ag.TapeOf[T], a, b *ag.NodeOf[T]) *ag.NodeOf[T] {
 	return t.SoftmaxRows(bl.Scores(t, a, b))
 }
 
 // Params implements Layer.
-func (bl *Bilinear) Params() []*ag.Param { return []*ag.Param{bl.W} }
+func (bl *BilinearOf[T]) Params() []*ag.ParamOf[T] { return []*ag.ParamOf[T]{bl.W} }

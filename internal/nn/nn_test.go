@@ -216,7 +216,7 @@ func TestAttnDecoderGreedyStopsAtEOS(t *testing.T) {
 	d := NewAttnDecoder("d", 8, 4, 6, 6, rng)
 	tp := ag.NewTape()
 	mem := tp.Const(tensor.Randn(3, 6, 1, rng))
-	out := d.Greedy(tp, mem, 0, 1, 10)
+	out, _ := d.Greedy(tp, mem, 0, 1, 10)
 	if len(out) > 10 {
 		t.Fatal("exceeded maxLen")
 	}
@@ -246,7 +246,7 @@ func TestDecoderLearnsFixedPhrase(t *testing.T) {
 		optim.Step()
 	}
 	tp := ag.NewTape()
-	greedy := d.Greedy(tp, tp.Const(memVal), bos, eos, 6)
+	greedy, _ := d.Greedy(tp, tp.Const(memVal), bos, eos, 6)
 	if !equalInts(greedy, target) {
 		t.Fatalf("greedy decode %v, want %v", greedy, target)
 	}

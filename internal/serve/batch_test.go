@@ -15,6 +15,7 @@ import (
 
 	"webbrief/internal/ag"
 	"webbrief/internal/fault"
+	"webbrief/internal/tensor"
 	"webbrief/internal/wb"
 )
 
@@ -240,47 +241,48 @@ func TestIdleReplicaTakesRequestAlone(t *testing.T) {
 	}
 }
 
-// countingModel counts Eval forwards through a wrapped teacher. It hides the
-// batched-forward capability, which a batch of one does not use.
-type countingModel struct {
-	wb.Model
+// countingModel counts Eval forwards through a wrapped model tier. It hides
+// the batched-forward capability, which a batch of one does not use.
+type countingModel[T tensor.Float] struct {
+	wb.ModelOf[T]
 	forwards atomic.Int64
 }
 
-func (c *countingModel) Forward(t *ag.Tape, inst *wb.Instance, mode wb.Mode) *wb.Output {
+func (c *countingModel[T]) Forward(t *ag.TapeOf[T], inst *wb.Instance, mode wb.Mode) *wb.OutputOf[T] {
 	c.forwards.Add(1)
-	return c.Model.Forward(t, inst, mode)
+	return c.ModelOf.Forward(t, inst, mode)
 }
 
 // TestOneForwardPerBriefing: through a real pool replica, one /brief costs
-// exactly one teacher forward when the teacher answers — alone or as the
-// cascade's escalation target — and none when the student does. The decode
-// stage beam-searches from the encode stage's outputs instead of running the
-// model again. (The float32 student is a concrete type with no counting
-// seam; it runs the same one-workspace EncodeBatch/DecodeBatch code.)
+// exactly one forward on each tier that takes part in it — the teacher alone,
+// the student alone, or the student then the teacher as its escalation
+// target — and none on a tier that does not. The decode stage beam-searches
+// from the encode stage's outputs instead of running the model again.
 func TestOneForwardPerBriefing(t *testing.T) {
 	m, v, pages := trainedModel(t)
 	const beam = 2
 	for _, tc := range []struct {
-		name      string
-		cascade   bool
-		threshold float64
-		want      int64 // teacher forwards per briefing
+		name                     string
+		cascade                  bool
+		threshold                float64
+		wantStudent, wantTeacher int64 // forwards per briefing
 	}{
-		{"teacher-only", false, 0, 1},
-		{"cascade-escalated", true, 2, 1},
-		{"cascade-student-only", true, -1, 0},
+		{"teacher-only", false, 0, 0, 1},
+		{"cascade-escalated", true, 2, 1, 1},
+		{"cascade-student-only", true, -1, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := New(m, v, Config{Replicas: 1, BeamWidth: beam, Cascade: tc.cascade, ConfidenceThreshold: tc.threshold})
 			if err != nil {
 				t.Fatal(err)
 			}
-			counter := &countingModel{}
+			teacher, student := &countingModel[float64]{}, &countingModel[float32]{}
 			if err := srv.Pool().WrapOne(func(r Replica) Replica {
 				mr := r.(*modelReplica)
-				counter.Model = mr.model
-				mr.model = counter
+				teacher.ModelOf, mr.model = mr.model, teacher
+				if mr.student != nil {
+					student.ModelOf, mr.student = mr.student, student
+				}
 				return mr
 			}); err != nil {
 				t.Fatal(err)
@@ -288,12 +290,14 @@ func TestOneForwardPerBriefing(t *testing.T) {
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			for i, p := range pages[:3] {
-				before := counter.forwards.Load()
+				beforeS, beforeT := student.forwards.Load(), teacher.forwards.Load()
 				if status, _, err := postBrief(ts.URL, p.HTML); err != nil || status != http.StatusOK {
 					t.Fatalf("page %d: status %d err %v", i, status, err)
 				}
-				if got := counter.forwards.Load() - before; got != tc.want {
-					t.Fatalf("page %d: %d teacher forwards for one briefing, want %d", i, got, tc.want)
+				gotS, gotT := student.forwards.Load()-beforeS, teacher.forwards.Load()-beforeT
+				if gotS != tc.wantStudent || gotT != tc.wantTeacher {
+					t.Fatalf("page %d: %d student / %d teacher forwards for one briefing, want %d / %d",
+						i, gotS, gotT, tc.wantStudent, tc.wantTeacher)
 				}
 			}
 			ms := srv.Metrics()

@@ -105,20 +105,21 @@ type cascadeReporter interface {
 // re-brief their pages on the float64 teacher under the same checkout. The
 // student weights are read-only at inference, so one *wb.JointWB32 is
 // shared by every replica; the float32 workspace is per-replica like the
-// float64 one.
+// float64 one. Both tiers run the same wb code, instantiated per element
+// type.
 type modelReplica struct {
 	model     wb.Model
 	vocab     *textproc.Vocab
 	beam      int
 	maxTokens int
-	scratch   *wb.BatchScratch
+	scratch   *wb.BatchScratchOf[float64]
 	outs      []*wb.Output // encode-stage outputs awaiting DecodeBatch
 
-	student   *wb.JointWB32 // float32 fast path, nil = teacher-only replica
-	threshold float64       // escalate when confidence score < threshold
-	sscratch  *wb.BatchScratch32
-	souts     []*wb.Output32    // student encode outputs awaiting DecodeBatch
-	decisions []cascadeDecision // per-briefing cascade report, reset at EncodeBatch
+	student   wb.ModelOf[float32] // float32 fast path, nil = teacher-only replica
+	threshold float64             // escalate when confidence score < threshold
+	sscratch  *wb.BatchScratchOf[float32]
+	souts     []*wb.OutputOf[float32] // student encode outputs awaiting DecodeBatch
+	decisions []cascadeDecision       // per-briefing cascade report, reset at EncodeBatch
 }
 
 // Parse implements Replica.
@@ -145,7 +146,8 @@ func (r *modelReplica) Decode(inst *wb.Instance, b *wb.Brief) {
 // — the cascade's escalation target, and what Warm uses to grow the teacher
 // workspace on a cascade replica.
 func (r *modelReplica) teacherBriefBatch(insts []*wb.Instance) []*wb.Brief {
-	return wb.MakeBriefBatch(r.model, insts, r.vocab, r.beam, r.scratch)
+	briefs, _ := wb.MakeBriefBatch(r.model, insts, r.vocab, r.beam, r.scratch)
+	return briefs
 }
 
 // EncodeBatch implements BatchReplica: one fused Eval forward for the whole
@@ -158,7 +160,7 @@ func (r *modelReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
 		return briefs
 	}
 	t0 := time.Now()
-	briefs, outs := wb.ExtractBriefBatch32(r.student, insts, r.vocab, r.sscratch)
+	briefs, outs := wb.ExtractBriefBatch(r.student, insts, r.vocab, r.sscratch)
 	r.souts = outs
 	dur := time.Since(t0)
 	r.decisions = r.decisions[:0]
@@ -182,7 +184,7 @@ func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) {
 		return
 	}
 	t0 := time.Now()
-	confs := wb.DecodeTopicBatch32(r.student, insts, r.souts, r.vocab, r.beam, r.sscratch, briefs)
+	confs := wb.DecodeTopicBatch(r.student, insts, r.souts, r.vocab, r.beam, r.sscratch, briefs)
 	r.souts = nil
 	sdur := time.Since(t0)
 	var escIdx []int
@@ -297,7 +299,7 @@ func NewCascadePool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int, th
 	for i, r := range reps {
 		r.student = student
 		r.threshold = threshold
-		r.sscratch = wb.NewBatchScratch32For(v, beam, 1)
+		r.sscratch = wb.NewBatchScratchOf[float32](v, beam, 1)
 		replicas[i] = r
 	}
 	return PoolOf(replicas...), nil
@@ -312,7 +314,7 @@ func newModelReplicas(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) 
 	replicas := make([]*modelReplica, n)
 	replicas[0] = &modelReplica{
 		model: m, vocab: v, beam: beam, maxTokens: maxTokens,
-		scratch: wb.NewBatchScratchFor(v, beam, 1),
+		scratch: wb.NewBatchScratchOf[float64](v, beam, 1),
 	}
 	if n > 1 {
 		clones, err := wb.CloneManyForServing(m, v, n-1)
@@ -322,7 +324,7 @@ func newModelReplicas(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) 
 		for i, c := range clones {
 			replicas[i+1] = &modelReplica{
 				model: c, vocab: v, beam: beam, maxTokens: maxTokens,
-				scratch: wb.NewBatchScratchFor(v, beam, 1),
+				scratch: wb.NewBatchScratchOf[float64](v, beam, 1),
 			}
 		}
 	}

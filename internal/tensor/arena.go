@@ -1,6 +1,6 @@
 package tensor
 
-// Arena is a bump allocator for matrices with identical lifetimes — the
+// ArenaOf is a bump allocator for matrices with identical lifetimes — the
 // intermediate values and gradients of one training step. Alloc hands out
 // zeroed matrices carved from large reusable slabs; Reset rewinds the arena
 // so the next step reuses the same memory. Steady-state training therefore
@@ -8,20 +8,24 @@ package tensor
 // every slab, later steps only pay a memset per allocation (which New would
 // pay anyway via make).
 //
-// An Arena is not safe for concurrent use; parallel training gives each
-// worker its own arena-backed tape.
-type Arena struct {
-	slabs [][]float64
+// An ArenaOf is not safe for concurrent use; parallel training gives each
+// worker its own arena-backed tape, and each serving replica its own.
+type ArenaOf[T Float] struct {
+	slabs [][]T
 	slab  int // index of the slab currently being filled
 	off   int // fill offset within slabs[slab]
 
-	mats   [][]Matrix
+	mats   [][]MatrixOf[T]
 	matBlk int
 	matOff int
 }
 
-// arenaSlabFloats is the default slab size (64k floats = 512 KiB). Requests
-// larger than a slab get a dedicated exactly-sized slab.
+// Arena is the float64 arena of the training engine.
+type Arena = ArenaOf[float64]
+
+// arenaSlabFloats is the default slab size (64k floats: 512 KiB of float64,
+// 256 KiB of float32). Requests larger than a slab get a dedicated
+// exactly-sized slab.
 const arenaSlabFloats = 1 << 16
 
 // arenaMatBlock is how many Matrix headers are allocated per header block.
@@ -29,12 +33,15 @@ const arenaSlabFloats = 1 << 16
 // arena's lifetime.
 const arenaMatBlock = 512
 
-// NewArena returns an empty arena. Slabs are allocated lazily on first use.
-func NewArena() *Arena { return &Arena{} }
+// NewArenaOf returns an empty arena. Slabs are allocated lazily on first use.
+func NewArenaOf[T Float]() *ArenaOf[T] { return &ArenaOf[T]{} }
+
+// NewArena is NewArenaOf[float64].
+func NewArena() *Arena { return NewArenaOf[float64]() }
 
 // AllocFloats returns a zeroed slice of n floats backed by the arena. The
 // slice is full-capacity-clipped so appends never bleed into neighbours.
-func (a *Arena) AllocFloats(n int) []float64 {
+func (a *ArenaOf[T]) AllocFloats(n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -44,7 +51,7 @@ func (a *Arena) AllocFloats(n int) []float64 {
 			if n > size {
 				size = n
 			}
-			a.slabs = append(a.slabs, make([]float64, size))
+			a.slabs = append(a.slabs, make([]T, size))
 		}
 		if s := a.slabs[a.slab]; a.off+n <= len(s) {
 			out := s[a.off : a.off+n : a.off+n]
@@ -61,7 +68,7 @@ func (a *Arena) AllocFloats(n int) []float64 {
 
 // Alloc returns a zeroed rows×cols matrix whose header and data both live in
 // the arena. It panics on non-positive dimensions, like New.
-func (a *Arena) Alloc(rows, cols int) *Matrix {
+func (a *ArenaOf[T]) Alloc(rows, cols int) *MatrixOf[T] {
 	m := a.allocHeader(rows, cols)
 	m.Data = a.AllocFloats(rows * cols)
 	return m
@@ -69,7 +76,7 @@ func (a *Arena) Alloc(rows, cols int) *Matrix {
 
 // AllocShared returns a rows×cols matrix header viewing data, without
 // copying. It is the arena analogue of FromSlice.
-func (a *Arena) AllocShared(rows, cols int, data []float64) *Matrix {
+func (a *ArenaOf[T]) AllocShared(rows, cols int, data []T) *MatrixOf[T] {
 	if len(data) != rows*cols {
 		panic("tensor: AllocShared data length does not match shape")
 	}
@@ -78,12 +85,12 @@ func (a *Arena) AllocShared(rows, cols int, data []float64) *Matrix {
 	return m
 }
 
-func (a *Arena) allocHeader(rows, cols int) *Matrix {
+func (a *ArenaOf[T]) allocHeader(rows, cols int) *MatrixOf[T] {
 	if rows <= 0 || cols <= 0 {
 		panic("tensor: Arena.Alloc invalid shape")
 	}
 	if a.matBlk == len(a.mats) {
-		a.mats = append(a.mats, make([]Matrix, arenaMatBlock))
+		a.mats = append(a.mats, make([]MatrixOf[T], arenaMatBlock))
 	}
 	blk := a.mats[a.matBlk]
 	m := &blk[a.matOff]
@@ -99,14 +106,14 @@ func (a *Arena) allocHeader(rows, cols int) *Matrix {
 // Reset rewinds the arena so all previously allocated matrices may be
 // reused. The caller must ensure nothing from before the Reset is still
 // referenced: old matrices will alias new ones.
-func (a *Arena) Reset() {
+func (a *ArenaOf[T]) Reset() {
 	a.slab, a.off = 0, 0
 	a.matBlk, a.matOff = 0, 0
 }
 
 // Footprint reports the total floats held across all slabs — the arena's
 // steady-state memory, exposed for capacity diagnostics and tests.
-func (a *Arena) Footprint() int {
+func (a *ArenaOf[T]) Footprint() int {
 	n := 0
 	for _, s := range a.slabs {
 		n += len(s)

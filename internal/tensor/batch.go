@@ -14,7 +14,7 @@ import "fmt"
 // assembling a dense len(srcs)×cols slab from one row of each source. All
 // sources must share dst's column count and srcRows[i] must be a valid row
 // of srcs[i]; shape violations panic before any row is written.
-func GatherRowsInto(dst *Matrix, srcs []*Matrix, srcRows []int) {
+func GatherRowsInto[T Float](dst *MatrixOf[T], srcs []*MatrixOf[T], srcRows []int) {
 	if len(srcs) != len(srcRows) {
 		panic(fmt.Sprintf("tensor: GatherRowsInto %d srcs, %d rows", len(srcs), len(srcRows)))
 	}
@@ -39,7 +39,7 @@ func GatherRowsInto(dst *Matrix, srcs []*Matrix, srcRows []int) {
 // per-sequence matrices. All destinations must share src's column count and
 // dstRows[i] must be a valid row of dsts[i]; shape violations panic before
 // any row is written.
-func ScatterRowsInto(dsts []*Matrix, dstRows []int, src *Matrix) {
+func ScatterRowsInto[T Float](dsts []*MatrixOf[T], dstRows []int, src *MatrixOf[T]) {
 	if len(dsts) != len(dstRows) {
 		panic(fmt.Sprintf("tensor: ScatterRowsInto %d dsts, %d rows", len(dsts), len(dstRows)))
 	}
@@ -66,7 +66,7 @@ func ScatterRowsInto(dsts []*Matrix, dstRows []int, src *Matrix) {
 // of each sequence's output matrix. The span must fit every destination's
 // width and dstRows[i] must be a valid row of dsts[i]; shape violations
 // panic before any row is written.
-func ScatterRowSpansInto(dsts []*Matrix, dstRows []int, colOff int, src *Matrix) {
+func ScatterRowSpansInto[T Float](dsts []*MatrixOf[T], dstRows []int, colOff int, src *MatrixOf[T]) {
 	if len(dsts) != len(dstRows) {
 		panic(fmt.Sprintf("tensor: ScatterRowSpansInto %d dsts, %d rows", len(dsts), len(dstRows)))
 	}

@@ -5,7 +5,4 @@ package tensor
 // debugFinite is a no-op in release builds; the empty body inlines away, so
 // the kernels in into.go pay nothing for their guard calls. Build with
 // `-tags wbdebug` to trap the first non-finite value a kernel produces.
-func debugFinite(op string, dst *Matrix) {}
-
-// debugFinite32 is the float32 twin; likewise a release-build no-op.
-func debugFinite32(op string, dst *Matrix32) {}
+func debugFinite[T Float](op string, dst *MatrixOf[T]) {}

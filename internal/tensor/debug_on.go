@@ -12,24 +12,12 @@ import (
 // into.go calls it on the way out, so under `-tags wbdebug` a numeric blowup
 // is caught at the op that created it — not epochs later as a NaN loss. The
 // distillation pipeline is the motivating consumer: a teacher that goes
-// non-finite silently poisons every student loss downstream.
-func debugFinite(op string, dst *Matrix) {
+// non-finite silently poisons every student loss downstream, and a teacher
+// whose activations stay finite in float64 can overflow float32's far
+// narrower range after conversion.
+func debugFinite[T Float](op string, dst *MatrixOf[T]) {
 	for i, v := range dst.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("tensor: %s produced non-finite %v at (%d,%d)", op, v, i/dst.Cols, i%dst.Cols))
-		}
-	}
-}
-
-// debugFinite32 is debugFinite for the float32 student-tier kernels. The
-// float32 range is far narrower than float64's, so overflow to Inf is the
-// likelier failure here: a teacher whose activations stay finite in float64
-// can blow up after conversion, and this guard names the first kernel that
-// produces the non-finite value.
-func debugFinite32(op string, dst *Matrix32) {
-	for i, v := range dst.Data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 			panic(fmt.Sprintf("tensor: %s produced non-finite %v at (%d,%d)", op, v, i/dst.Cols, i%dst.Cols))
 		}
 	}

@@ -37,6 +37,11 @@ func TestFiniteGuardTrapsNaN(t *testing.T) {
 func TestFiniteGuardTrapsInf(t *testing.T) {
 	a := Full(1, 2, math.MaxFloat64)
 	mustPanicFinite(t, "ScaleInto", func() { ScaleInto(New(1, 2), a, 2) })
+	// The one generic guard covers the float32 tier, whose far narrower
+	// range makes overflow the likelier failure: a value that is finite in
+	// float64 blows up after conversion.
+	a32 := Cast[float32](Full(1, 2, math.MaxFloat32))
+	mustPanicFinite(t, "ScaleInto", func() { ScaleInto(New32(1, 2), a32, 2) })
 }
 
 // TestFiniteGuardPassesCleanData: ordinary finite data must flow through

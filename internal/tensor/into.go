@@ -10,15 +10,22 @@ import (
 // tape draw every intermediate value from a reusable Arena. Kernels that
 // accumulate (+=) document that dst must be zeroed; Arena.Alloc and New both
 // guarantee that.
+//
+// Transcendentals (tanh, exp, log) evaluate through their float64 library
+// forms and round once on the way out, and the softmax exp-sums accumulate
+// in float64 for both element types: for float64 the conversions are no-ops
+// (the code is bit-for-bit the pre-generic float64 kernel), for float32 the
+// accumulation is the one place a softmax visibly loses precision over long
+// rows.
 
-func dstShapeCheck(dst *Matrix, rows, cols int, op string) {
+func dstShapeCheck[T Float](dst *MatrixOf[T], rows, cols int, op string) {
 	if dst.Rows != rows || dst.Cols != cols {
 		panic(fmt.Sprintf("tensor: %s dst shape %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, cols))
 	}
 }
 
 // AddInto sets dst = a + b.
-func AddInto(dst, a, b *Matrix) {
+func AddInto[T Float](dst, a, b *MatrixOf[T]) {
 	a.shapeCheck(b, "AddInto")
 	dstShapeCheck(dst, a.Rows, a.Cols, "AddInto")
 	for i, v := range a.Data {
@@ -28,7 +35,7 @@ func AddInto(dst, a, b *Matrix) {
 }
 
 // SubInto sets dst = a - b.
-func SubInto(dst, a, b *Matrix) {
+func SubInto[T Float](dst, a, b *MatrixOf[T]) {
 	a.shapeCheck(b, "SubInto")
 	dstShapeCheck(dst, a.Rows, a.Cols, "SubInto")
 	for i, v := range a.Data {
@@ -38,7 +45,7 @@ func SubInto(dst, a, b *Matrix) {
 }
 
 // MulInto sets dst = a ⊙ b.
-func MulInto(dst, a, b *Matrix) {
+func MulInto[T Float](dst, a, b *MatrixOf[T]) {
 	a.shapeCheck(b, "MulInto")
 	dstShapeCheck(dst, a.Rows, a.Cols, "MulInto")
 	for i, v := range a.Data {
@@ -48,7 +55,7 @@ func MulInto(dst, a, b *Matrix) {
 }
 
 // ScaleInto sets dst = s*a.
-func ScaleInto(dst, a *Matrix, s float64) {
+func ScaleInto[T Float](dst, a *MatrixOf[T], s T) {
 	dstShapeCheck(dst, a.Rows, a.Cols, "ScaleInto")
 	for i, v := range a.Data {
 		dst.Data[i] = s * v
@@ -57,7 +64,7 @@ func ScaleInto(dst, a *Matrix, s float64) {
 }
 
 // AddRowVectorInto sets dst = a with the 1×cols vector v added to each row.
-func AddRowVectorInto(dst, a, v *Matrix) {
+func AddRowVectorInto[T Float](dst, a, v *MatrixOf[T]) {
 	if v.Rows != 1 || v.Cols != a.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVectorInto wants 1x%d, got %dx%d", a.Cols, v.Rows, v.Cols))
 	}
@@ -73,63 +80,63 @@ func AddRowVectorInto(dst, a, v *Matrix) {
 }
 
 // MatMulInto accumulates dst += m·o. dst must be zeroed for a plain product.
-func MatMulInto(dst, m, o *Matrix) {
+func MatMulInto[T Float](dst, m, o *MatrixOf[T]) {
 	if m.Cols != o.Rows {
 		panic(fmt.Sprintf("tensor: MatMulInto inner dim mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	dstShapeCheck(dst, m.Rows, o.Cols, "MatMulInto")
-	matMulInto(dst, m, o)
+	matMulIntoPacked(dst, m, o, nil)
 	debugFinite("MatMulInto", dst)
 }
 
 // MatMulTransBInto sets dst = m·oᵀ (every cell written, no zeroing needed).
-func MatMulTransBInto(dst, m, o *Matrix) {
+func MatMulTransBInto[T Float](dst, m, o *MatrixOf[T]) {
 	if m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto dim mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	dstShapeCheck(dst, m.Rows, o.Rows, "MatMulTransBInto")
-	matMulTransBBlocked(dst, m, o)
+	matMulTransB(dst, m, o)
 	debugFinite("MatMulTransBInto", dst)
 }
 
 // MatMulTransAInto accumulates dst += mᵀ·o. dst must be zeroed for a plain
 // product.
-func MatMulTransAInto(dst, m, o *Matrix) {
+func MatMulTransAInto[T Float](dst, m, o *MatrixOf[T]) {
 	if m.Rows != o.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto dim mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	dstShapeCheck(dst, m.Cols, o.Cols, "MatMulTransAInto")
-	matMulTransARows(dst, m, o, 0, m.Rows)
+	matMulTransA(dst, m, o)
 	debugFinite("MatMulTransAInto", dst)
 }
 
 // TransposeInto sets dst = mᵀ.
-func TransposeInto(dst, m *Matrix) {
+func TransposeInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Cols, m.Rows, "TransposeInto")
 	transposeBlocked(dst, m)
 	debugFinite("TransposeInto", dst)
 }
 
 // TanhInto sets dst = tanh(m) elementwise.
-func TanhInto(dst, m *Matrix) {
+func TanhInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Rows, m.Cols, "TanhInto")
 	for i, v := range m.Data {
-		dst.Data[i] = math.Tanh(v)
+		dst.Data[i] = T(math.Tanh(float64(v)))
 	}
 	debugFinite("TanhInto", dst)
 }
 
 // SigmoidInto sets dst = σ(m) elementwise.
-func SigmoidInto(dst, m *Matrix) {
+func SigmoidInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Rows, m.Cols, "SigmoidInto")
 	for i, v := range m.Data {
-		dst.Data[i] = 1 / (1 + math.Exp(-v))
+		dst.Data[i] = T(1 / (1 + math.Exp(-float64(v))))
 	}
 	debugFinite("SigmoidInto", dst)
 }
 
 // ReLUInto sets dst = max(0, m) elementwise.
-func ReLUInto(dst, m *Matrix) {
+func ReLUInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Rows, m.Cols, "ReLUInto")
 	for i, v := range m.Data {
 		if v > 0 {
@@ -142,7 +149,7 @@ func ReLUInto(dst, m *Matrix) {
 }
 
 // SoftmaxRowsInto sets dst to the row-wise softmax of m.
-func SoftmaxRowsInto(dst, m *Matrix) {
+func SoftmaxRowsInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Rows, m.Cols, "SoftmaxRowsInto")
 	for i := 0; i < m.Rows; i++ {
 		softmaxInto(dst.Row(i), m.Row(i))
@@ -150,8 +157,29 @@ func SoftmaxRowsInto(dst, m *Matrix) {
 	debugFinite("SoftmaxRowsInto", dst)
 }
 
+// softmaxInto computes a numerically stable softmax of src into dst with the
+// max-subtraction trick.
+func softmaxInto[T Float](dst, src []T) {
+	mx := src[0]
+	for _, v := range src[1:] {
+		if v > mx {
+			mx = v
+		}
+	}
+	var sum float64
+	for j, v := range src {
+		e := math.Exp(float64(v - mx))
+		dst[j] = T(e)
+		sum += e
+	}
+	inv := T(1 / sum)
+	for j := range dst {
+		dst[j] *= inv
+	}
+}
+
 // LogSoftmaxRowsInto sets dst to the row-wise log-softmax of m.
-func LogSoftmaxRowsInto(dst, m *Matrix) {
+func LogSoftmaxRowsInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Rows, m.Cols, "LogSoftmaxRowsInto")
 	for i := 0; i < m.Rows; i++ {
 		src := m.Row(i)
@@ -164,18 +192,18 @@ func LogSoftmaxRowsInto(dst, m *Matrix) {
 		}
 		var sum float64
 		for _, v := range src {
-			sum += math.Exp(v - mx)
+			sum += math.Exp(float64(v - mx))
 		}
-		lse := mx + math.Log(sum)
+		lse := float64(mx) + math.Log(sum)
 		for j, v := range src {
-			out[j] = v - lse
+			out[j] = T(float64(v) - lse)
 		}
 	}
 	debugFinite("LogSoftmaxRowsInto", dst)
 }
 
 // ConcatRowsInto stacks ms vertically into dst.
-func ConcatRowsInto(dst *Matrix, ms ...*Matrix) {
+func ConcatRowsInto[T Float](dst *MatrixOf[T], ms ...*MatrixOf[T]) {
 	off := 0
 	for _, m := range ms {
 		if m.Cols != dst.Cols {
@@ -191,7 +219,7 @@ func ConcatRowsInto(dst *Matrix, ms ...*Matrix) {
 }
 
 // ConcatColsInto joins ms horizontally into dst.
-func ConcatColsInto(dst *Matrix, ms ...*Matrix) {
+func ConcatColsInto[T Float](dst *MatrixOf[T], ms ...*MatrixOf[T]) {
 	for i := 0; i < dst.Rows; i++ {
 		out := dst.Row(i)
 		off := 0

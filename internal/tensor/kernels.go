@@ -27,42 +27,51 @@ const packWidth = 4
 const packMinRows = 4
 
 // transposeTile is the square tile edge for the cache-blocked transpose.
-// 32×32 float64 tiles are 8 KiB per operand — both tiles fit in L1.
+// 32×32 float64 tiles are 8 KiB per operand (float32: 4 KiB) — both tiles
+// fit in L1.
 const transposeTile = 32
 
-// PackBuf is a caller-owned, reusable buffer for B-panel packing. The zero
+// PackBufOf is a caller-owned, reusable buffer for B-panel packing. The zero
 // value is ready to use; it grows to the largest packed operand it has seen
-// and is then allocation-free. A PackBuf must not be shared between
+// and is then allocation-free. A pack buffer must not be shared between
 // concurrent matmuls — give each worker or serving replica its own (see
 // wb.InferScratch).
-type PackBuf struct {
-	buf []float64
+type PackBufOf[T Float] struct {
+	buf []T
 }
 
+// PackBuf and PackBuf32 are the two instantiations.
+type (
+	PackBuf   = PackBufOf[float64]
+	PackBuf32 = PackBufOf[float32]
+)
+
 // ensure returns a buffer of at least n floats, growing the backing store
-// geometrically so steady-state calls never allocate.
-func (p *PackBuf) ensure(n int) []float64 {
+// so steady-state calls never allocate.
+func (p *PackBufOf[T]) ensure(n int) []T {
 	if cap(p.buf) < n {
-		p.buf = make([]float64, n)
+		p.buf = make([]T, n)
 	}
 	return p.buf[:n]
 }
 
 // Footprint reports the buffer's current capacity in floats, exposed for
 // capacity diagnostics and tests.
-func (p *PackBuf) Footprint() int { return cap(p.buf) }
+func (p *PackBufOf[T]) Footprint() int { return cap(p.buf) }
 
-// packPanels rearranges o (k×n, row-major) into packWidth-column panels:
-// panel jp holds columns [jp*4, jp*4+w) as w contiguous values per k row,
+// packPanels rearranges o (k×n, row-major) into width-column panels: panel
+// jp holds columns [jp*width, jp*width+w) as w contiguous values per k row,
 // panels laid out back to back. The trailing panel may be narrower than
-// packWidth; its values are packed at stride w so no padding is read back.
-func packPanels(dst []float64, o *Matrix) {
+// width; its values are packed at stride w so no padding is read back.
+// width is the element type's register-block width (packWidth for float64,
+// packWidth32 for float32).
+func packPanels[T Float](dst []T, o *MatrixOf[T], width int) {
 	k, n := o.Rows, o.Cols
 	pos := 0
-	for j0 := 0; j0 < n; j0 += packWidth {
+	for j0 := 0; j0 < n; j0 += width {
 		w := n - j0
-		if w > packWidth {
-			w = packWidth
+		if w > width {
+			w = width
 		}
 		for r := 0; r < k; r++ {
 			row := o.Data[r*n+j0 : r*n+j0+w]
@@ -78,7 +87,7 @@ func packPanels(dst []float64, o *Matrix) {
 // product through the caller-owned pack buffer when the shape profits from
 // panel packing. dst must be zeroed for a plain product. A nil pack falls
 // back to the unpacked blocked kernel.
-func MatMulPackInto(dst, m, o *Matrix, pack *PackBuf) {
+func MatMulPackInto[T Float](dst, m, o *MatrixOf[T], pack *PackBufOf[T]) {
 	if m.Cols != o.Rows {
 		panic("tensor: MatMulPackInto inner dim mismatch")
 	}
@@ -87,32 +96,89 @@ func MatMulPackInto(dst, m, o *Matrix, pack *PackBuf) {
 	debugFinite("MatMulPackInto", dst)
 }
 
+// MatMulPackInto32 is MatMulPackInto[float32]; like every exported kernel
+// it validates under its own name before delegating.
+func MatMulPackInto32(dst, m, o *Matrix32, pack *PackBuf32) {
+	dstShapeCheck(dst, m.Rows, o.Cols, "MatMulPackInto32")
+	MatMulPackInto(dst, m, o, pack)
+}
+
 // matMulIntoPacked is the shared dispatch for MatMulInto and
 // MatMulPackInto: panel-packed register kernel when the shape profits and a
 // pack buffer is available, unpacked row-streaming kernel otherwise, with
 // large products row-partitioned across goroutines either way.
-func matMulIntoPacked(r, m, o *Matrix, pack *PackBuf) {
-	usePack := pack != nil && m.Rows >= packMinRows && o.Rows > 0 && o.Cols > 0
-	var panels []float64
-	if usePack {
-		panels = pack.ensure(o.Rows * o.Cols)
-		packPanels(panels, o)
-	}
+func matMulIntoPacked[T Float](r, m, o *MatrixOf[T], pack *PackBufOf[T]) {
+	panels := packFor(m, o, pack)
 	if m.Rows*m.Cols*o.Cols >= parallelFlopThreshold && m.Rows > 1 {
-		parallelRows(m.Rows, func(lo, hi int) {
-			if usePack {
-				matMulPackedRows(r, m, o, panels, lo, hi)
-			} else {
-				matMulRows(r, m, o, lo, hi)
-			}
-		})
+		parallelRows(m.Rows, func(lo, hi int) { matMulRowRange(r, m, o, panels, lo, hi) })
 		return
 	}
-	if usePack {
-		matMulPackedRows(r, m, o, panels, 0, m.Rows)
-		return
+	matMulRowRange(r, m, o, panels, 0, m.Rows)
+}
+
+// packFor packs o's panels into pack when the shape profits and returns
+// pack; it returns nil when the unpacked kernel should run. The panels
+// cross the type switch in matMulRowRange inside their buffer because a
+// pointer converts to an interface without allocating and a slice does not.
+func packFor[T Float](m, o *MatrixOf[T], pack *PackBufOf[T]) *PackBufOf[T] {
+	if pack == nil || m.Rows < packMinRows || o.Rows == 0 || o.Cols == 0 {
+		return nil
 	}
-	matMulRows(r, m, o, 0, m.Rows)
+	width := packWidth
+	if _, ok := any(pack).(*PackBuf32); ok {
+		width = packWidth32
+	}
+	packPanels(pack.ensure(o.Rows*o.Cols), o, width)
+	return pack
+}
+
+// Besides packFor's panel width, the three functions below are the only
+// places the stack branches on the element type: one type switch per op,
+// selecting the float64 kernels in this file (bitwise contract, never fused)
+// or the float32 kernels in kernels32.go (k-term envelope, AVX2+FMA lanes
+// where the CPU has them).
+
+// matMulRowRange computes output rows [lo, hi) of r += m·o, reading o
+// through panels' packed copy when panels is non-nil.
+func matMulRowRange[T Float](r, m, o *MatrixOf[T], panels *PackBufOf[T], lo, hi int) {
+	switch r := any(r).(type) {
+	case *Matrix:
+		m, o := any(m).(*Matrix), any(o).(*Matrix)
+		if panels != nil {
+			matMulPackedRows(r, m, o, any(panels).(*PackBuf).buf[:o.Rows*o.Cols], lo, hi)
+		} else {
+			matMulRows(r, m, o, lo, hi)
+		}
+	case *Matrix32:
+		m, o := any(m).(*Matrix32), any(o).(*Matrix32)
+		if panels != nil {
+			matMulPackedRows32(r, m, o, any(panels).(*PackBuf32).buf[:o.Rows*o.Cols], lo, hi)
+		} else {
+			matMulRows32(r, m, o, lo, hi)
+		}
+	}
+}
+
+// matMulTransB sets dst = m·oᵀ.
+func matMulTransB[T Float](dst, m, o *MatrixOf[T]) {
+	switch dst := any(dst).(type) {
+	case *Matrix:
+		matMulTransBBlocked(dst, any(m).(*Matrix), any(o).(*Matrix))
+	case *Matrix32:
+		matMulTransBBlocked32(dst, any(m).(*Matrix32), any(o).(*Matrix32))
+	}
+}
+
+// matMulTransA accumulates dst += mᵀ·o.
+func matMulTransA[T Float](dst, m, o *MatrixOf[T]) {
+	switch dst := any(dst).(type) {
+	case *Matrix:
+		m := any(m).(*Matrix)
+		matMulTransARows(dst, m, any(o).(*Matrix), 0, m.Rows)
+	case *Matrix32:
+		m := any(m).(*Matrix32)
+		matMulTransARows32(dst, m, any(o).(*Matrix32), 0, m.Rows)
+	}
 }
 
 // matMulPackedRows computes output rows [lo, hi) of r += m·o reading o
@@ -316,7 +382,7 @@ func matMulTransARows(dst, m, o *Matrix, lo, hi int) {
 // reads and the column-strided writes stay within one L1-resident
 // transposeTile² block instead of sweeping a full matrix-height stride per
 // element.
-func transposeBlocked(dst, m *Matrix) {
+func transposeBlocked[T Float](dst, m *MatrixOf[T]) {
 	rows, cols := m.Rows, m.Cols
 	for i0 := 0; i0 < rows; i0 += transposeTile {
 		iMax := i0 + transposeTile

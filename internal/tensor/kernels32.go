@@ -1,9 +1,10 @@
 package tensor
 
-// Float32 twins of the cache-blocked, register-blocked kernels in
-// kernels.go, used by the distilled-student inference tier. The blocking
-// scheme carries over — B-panel packing, row partitioning, a==0 skips — but
-// the register block is twice as wide: packWidth32 = 8 float32 lanes occupy
+// Float32 matmul kernels, used by the distilled-student inference tier and
+// reached through the type switches in kernels.go. The blocking scheme of
+// the float64 kernels carries over — B-panel packing and row partitioning
+// are shared generic code in kernels.go, the a==0 skips are repeated here —
+// but the register block is twice as wide: packWidth32 = 8 float32 lanes occupy
 // the same 32 bytes as the float64 kernels' packWidth = 4 quad, so the
 // cache-line footprint per step is identical while the independent
 // accumulator chains double. That width is where the float32 tier's speedup
@@ -30,87 +31,6 @@ package tensor
 // packWidth32 is the register-block width of the float32 kernels: 8 lanes
 // = 32 bytes, the same per-step footprint as 4 float64 lanes.
 const packWidth32 = 8
-
-// PackBuf32 is the float32 analogue of PackBuf: a caller-owned, reusable
-// B-panel packing buffer. The zero value is ready to use; it grows to the
-// largest packed operand it has seen and is then allocation-free. Not safe
-// for concurrent use — give each serving replica its own.
-type PackBuf32 struct {
-	buf []float32
-}
-
-// ensure returns a buffer of at least n floats, growing the backing store
-// so steady-state calls never allocate.
-func (p *PackBuf32) ensure(n int) []float32 {
-	if cap(p.buf) < n {
-		p.buf = make([]float32, n)
-	}
-	return p.buf[:n]
-}
-
-// Footprint reports the buffer's current capacity in floats.
-func (p *PackBuf32) Footprint() int { return cap(p.buf) }
-
-// packPanels32 rearranges o (k×n, row-major) into packWidth32-column
-// panels, the float32 (8-wide) analogue of packPanels.
-func packPanels32(dst []float32, o *Matrix32) {
-	k, n := o.Rows, o.Cols
-	pos := 0
-	for j0 := 0; j0 < n; j0 += packWidth32 {
-		w := n - j0
-		if w > packWidth32 {
-			w = packWidth32
-		}
-		for r := 0; r < k; r++ {
-			row := o.Data[r*n+j0 : r*n+j0+w]
-			for c, v := range row {
-				dst[pos+c] = v
-			}
-			pos += w
-		}
-	}
-}
-
-// MatMulPackInto32 accumulates dst += m·o like MatMulInto32, routing the
-// product through the caller-owned pack buffer when the shape profits from
-// panel packing. dst must be zeroed for a plain product. A nil pack falls
-// back to the unpacked blocked kernel.
-func MatMulPackInto32(dst, m, o *Matrix32, pack *PackBuf32) {
-	if m.Cols != o.Rows {
-		panic("tensor: MatMulPackInto32 inner dim mismatch")
-	}
-	dstShapeCheck32(dst, m.Rows, o.Cols, "MatMulPackInto32")
-	matMulIntoPacked32(dst, m, o, pack)
-	debugFinite32("MatMulPackInto32", dst)
-}
-
-// matMulIntoPacked32 is the shared dispatch for MatMulInto32 and
-// MatMulPackInto32, mirroring matMulIntoPacked: packed register kernel when
-// profitable, row-streaming kernel otherwise, rows fanned out across
-// goroutines for large products.
-func matMulIntoPacked32(r, m, o *Matrix32, pack *PackBuf32) {
-	usePack := pack != nil && m.Rows >= packMinRows && o.Rows > 0 && o.Cols > 0
-	var panels []float32
-	if usePack {
-		panels = pack.ensure(o.Rows * o.Cols)
-		packPanels32(panels, o)
-	}
-	if m.Rows*m.Cols*o.Cols >= parallelFlopThreshold && m.Rows > 1 {
-		parallelRows(m.Rows, func(lo, hi int) {
-			if usePack {
-				matMulPackedRows32(r, m, o, panels, lo, hi)
-			} else {
-				matMulRows32(r, m, o, lo, hi)
-			}
-		})
-		return
-	}
-	if usePack {
-		matMulPackedRows32(r, m, o, panels, 0, m.Rows)
-		return
-	}
-	matMulRows32(r, m, o, 0, m.Rows)
-}
 
 // matMulPackedRows32 computes output rows [lo, hi) of r += m·o reading o
 // through its packed panels — the float32 (8-accumulator) twin of
@@ -338,31 +258,6 @@ func matMulTransARows32(dst, m, o *Matrix32, lo, hi int) {
 			}
 			for ; j < n; j++ {
 				rRow[j] += a * oRow[j]
-			}
-		}
-	}
-}
-
-// transposeBlocked32 sets dst = mᵀ tile by tile like transposeBlocked. The
-// tile edge is shared with the float64 kernel: 32×32 float32 tiles are 4 KiB
-// per operand, comfortably L1-resident.
-func transposeBlocked32(dst, m *Matrix32) {
-	rows, cols := m.Rows, m.Cols
-	for i0 := 0; i0 < rows; i0 += transposeTile {
-		iMax := i0 + transposeTile
-		if iMax > rows {
-			iMax = rows
-		}
-		for j0 := 0; j0 < cols; j0 += transposeTile {
-			jMax := j0 + transposeTile
-			if jMax > cols {
-				jMax = cols
-			}
-			for i := i0; i < iMax; i++ {
-				src := m.Data[i*cols+j0 : i*cols+jMax]
-				for jj, v := range src {
-					dst.Data[(j0+jj)*rows+i] = v
-				}
 			}
 		}
 	}

@@ -61,7 +61,7 @@ func randMat32(rows, cols int, zeroFrac float64, rng *rand.Rand) *Matrix32 {
 		}
 		data[i] = float32(rng.NormFloat64())
 	}
-	return FromSlice32(rows, cols, data)
+	return FromSlice(rows, cols, data)
 }
 
 // abs64 returns the elementwise absolute value of m widened to float64,
@@ -105,19 +105,19 @@ func TestKernelEquivalence32MatMul(t *testing.T) {
 			seed := randMat32(sh.r, sh.c, 0, rng)
 
 			want := FromSlice(sh.r, sh.c, make([]float64, sh.r*sh.c))
-			copy(want.Data, seed.ToMatrix().Data)
-			referenceMatMul(want, m.ToMatrix(), o.ToMatrix())
+			copy(want.Data, Cast[float64](seed).Data)
+			referenceMatMul(want, Cast[float64](m), Cast[float64](o))
 
 			envelope := FromSlice(sh.r, sh.c, make([]float64, sh.r*sh.c))
 			copy(envelope.Data, abs64(seed).Data)
 			referenceMatMul(envelope, abs64(m), abs64(o))
 
-			got := FromSlice32(sh.r, sh.c, append([]float32(nil), seed.Data...))
+			got := FromSlice(sh.r, sh.c, append([]float32(nil), seed.Data...))
 			matMulRows32(got, m, o, 0, m.Rows)
 			withinBound(t, "matMulRows32", got, want, envelope, sh.k)
 
-			packed := FromSlice32(sh.r, sh.c, append([]float32(nil), seed.Data...))
-			matMulIntoPacked32(packed, m, o, pack)
+			packed := FromSlice(sh.r, sh.c, append([]float32(nil), seed.Data...))
+			matMulIntoPacked(packed, m, o, pack)
 			withinBound(t, "matMulIntoPacked32", packed, want, envelope, sh.k)
 
 			// Packed and unpacked share one accumulation order, so those two
@@ -148,11 +148,11 @@ func TestKernelEquivalence32MatMulTransB(t *testing.T) {
 			o := randMat32(sh.c, sh.k, zeroFrac, rng)
 
 			want := FromSlice(sh.r, sh.c, make([]float64, sh.r*sh.c))
-			referenceMatMulTransB(want, m.ToMatrix(), o.ToMatrix())
+			referenceMatMulTransB(want, Cast[float64](m), Cast[float64](o))
 			envelope := FromSlice(sh.r, sh.c, make([]float64, sh.r*sh.c))
 			referenceMatMulTransB(envelope, abs64(m), abs64(o))
 
-			got := FromSlice32(sh.r, sh.c, make([]float32, sh.r*sh.c))
+			got := FromSlice(sh.r, sh.c, make([]float32, sh.r*sh.c))
 			matMulTransBBlocked32(got, m, o)
 			withinBound(t, "matMulTransBBlocked32", got, want, envelope, sh.k)
 		}
@@ -170,13 +170,13 @@ func TestKernelEquivalence32MatMulTransA(t *testing.T) {
 			seed := randMat32(sh.r, sh.c, 0, rng)
 
 			want := FromSlice(sh.r, sh.c, make([]float64, sh.r*sh.c))
-			copy(want.Data, seed.ToMatrix().Data)
-			referenceMatMulTransA(want, m.ToMatrix(), o.ToMatrix())
+			copy(want.Data, Cast[float64](seed).Data)
+			referenceMatMulTransA(want, Cast[float64](m), Cast[float64](o))
 			envelope := FromSlice(sh.r, sh.c, make([]float64, sh.r*sh.c))
 			copy(envelope.Data, abs64(seed).Data)
 			referenceMatMulTransA(envelope, abs64(m), abs64(o))
 
-			got := FromSlice32(sh.r, sh.c, append([]float32(nil), seed.Data...))
+			got := FromSlice(sh.r, sh.c, append([]float32(nil), seed.Data...))
 			matMulTransARows32(got, m, o, 0, m.Rows)
 			withinBound(t, "matMulTransARows32", got, want, envelope, sh.k)
 		}
@@ -191,8 +191,8 @@ func TestKernelEquivalence32Transpose(t *testing.T) {
 		{1, 1}, {1, 9}, {9, 1}, {3, 5}, {31, 33}, {32, 32}, {65, 40}, {100, 7}, {0, 5}, {5, 0},
 	} {
 		m := randMat32(sh.r, sh.c, 0, rng)
-		got := FromSlice32(sh.c, sh.r, make([]float32, sh.r*sh.c))
-		transposeBlocked32(got, m)
+		got := FromSlice(sh.c, sh.r, make([]float32, sh.r*sh.c))
+		transposeBlocked(got, m)
 		for i := 0; i < sh.r; i++ {
 			for j := 0; j < sh.c; j++ {
 				if got.At(j, i) != m.At(i, j) {
@@ -213,7 +213,7 @@ func TestElementwise32ULP(t *testing.T) {
 	m := randMat32(13, 17, 0.1, rng)
 	dst := New32(13, 17)
 
-	TanhInto32(dst, m)
+	TanhInto(dst, m)
 	for i, v := range m.Data {
 		want := float32(math.Tanh(float64(v)))
 		if d := ulpDiff32(dst.Data[i], want); d > 0 {
@@ -221,7 +221,7 @@ func TestElementwise32ULP(t *testing.T) {
 		}
 	}
 
-	SigmoidInto32(dst, m)
+	SigmoidInto(dst, m)
 	for i, v := range m.Data {
 		want := float32(1 / (1 + math.Exp(-float64(v))))
 		if d := ulpDiff32(dst.Data[i], want); d > 0 {
@@ -231,8 +231,8 @@ func TestElementwise32ULP(t *testing.T) {
 
 	// Softmax rows sum to 1 within a few ULP and match the float64 softmax
 	// of the widened row within the k-term bound.
-	SoftmaxRowsInto32(dst, m)
-	want64 := m.ToMatrix().SoftmaxRows()
+	SoftmaxRowsInto(dst, m)
+	want64 := Cast[float64](m).SoftmaxRows()
 	for i := 0; i < m.Rows; i++ {
 		var sum float64
 		for _, v := range dst.Row(i) {
@@ -289,7 +289,7 @@ func BenchmarkMatMulKernels32(b *testing.B) {
 	for _, sh := range matMulBenchShapes {
 		m64 := benchMat(sh.r, sh.k, 0, rng)
 		o64 := benchMat(sh.k, sh.c, 0, rng)
-		m32, o32 := ToMatrix32(m64), ToMatrix32(o64)
+		m32, o32 := Cast[float32](m64), Cast[float32](o64)
 		dst64 := New(sh.r, sh.c)
 		dst32 := New32(sh.r, sh.c)
 		pack64 := &PackBuf{}
@@ -304,7 +304,7 @@ func BenchmarkMatMulKernels32(b *testing.B) {
 		b.Run("f32packed/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst32.Zero()
-				matMulIntoPacked32(dst32, m32, o32, pack32)
+				matMulIntoPacked(dst32, m32, o32, pack32)
 			}
 		})
 	}
@@ -315,7 +315,7 @@ func BenchmarkMatMulTransBKernels32(b *testing.B) {
 	for _, sh := range matMulBenchShapes {
 		m64 := benchMat(sh.r, sh.k, 0, rng)
 		o64 := benchMat(sh.c, sh.k, 0, rng)
-		m32, o32 := ToMatrix32(m64), ToMatrix32(o64)
+		m32, o32 := Cast[float32](m64), Cast[float32](o64)
 		dst64 := New(sh.r, sh.c)
 		dst32 := New32(sh.r, sh.c)
 		name := fmt.Sprintf("%dx%dx%d", sh.r, sh.k, sh.c)

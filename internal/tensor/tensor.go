@@ -1,6 +1,20 @@
-// Package tensor provides dense two-dimensional float64 matrices and the
-// numeric kernels used by the autodiff and neural-network layers of the
+// Package tensor provides dense two-dimensional matrices and the numeric
+// kernels used by the autodiff and neural-network layers of the
 // webpage-briefing models. Matrices are row-major and sized at construction.
+//
+// The package is one implementation over the element types float64 (the
+// training and teacher tier) and float32 (the distilled-student serving
+// tier): MatrixOf, ArenaOf, PackBufOf and every destination-passing op are
+// generic over Float, and the float64 names (Matrix, Arena, PackBuf, New)
+// are plain instantiations, so float64-only callers never mention a type
+// argument. Element-type-specific code survives only where the contracts
+// differ: the matmul kernels (kernels.go promises bitwise identity with its
+// references and never fuses; kernels32.go promises a k-term error envelope
+// and may run AVX2+FMA lanes), reached through one type switch per op.
+// Transcendentals and the long reductions the float32 tier deliberately
+// widens are written once as T(math.F(float64(x))): a no-op conversion for
+// float64, and for float32 the library's runtime-FMA assembly, which a
+// float32-native Cody–Waite exp/tanh measurably lost to (3.4×/4.8×).
 //
 // The package is deliberately restricted to rank-2 tensors: every quantity
 // in the paper's models (token embeddings, hidden state sequences, attention
@@ -17,29 +31,61 @@ import (
 	"sync"
 )
 
-// Matrix is a dense, row-major float64 matrix.
-type Matrix struct {
+// Float is the element-type constraint of the numeric stack. It lists the
+// two types exactly (no ~): the kernel dispatch is a type switch over them.
+type Float interface{ float32 | float64 }
+
+// MatrixOf is a dense, row-major matrix of T.
+type MatrixOf[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// New returns a zero matrix with the given shape. It panics if either
+// Matrix is the float64 matrix every training-side package uses.
+type Matrix = MatrixOf[float64]
+
+// Matrix32 is the float32 matrix of the student serving tier. It halves the
+// bytes moved per matmul; the serving models are small enough to be
+// memory-bandwidth-bound, so that width is where the tier's speedup starts.
+type Matrix32 = MatrixOf[float32]
+
+// NewOf returns a zero matrix with the given shape. It panics if either
 // dimension is non-positive, since a degenerate matrix is always a caller
 // bug in this codebase.
-func New(rows, cols int) *Matrix {
+func NewOf[T Float](rows, cols int) *MatrixOf[T] {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &MatrixOf[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
+
+// New is NewOf[float64].
+func New(rows, cols int) *Matrix { return NewOf[float64](rows, cols) }
+
+// New32 is NewOf[float32].
+func New32(rows, cols int) *Matrix32 { return NewOf[float32](rows, cols) }
 
 // FromSlice wraps data in a matrix of the given shape. The slice is used
 // directly, not copied; len(data) must equal rows*cols.
-func FromSlice(rows, cols int, data []float64) *Matrix {
+func FromSlice[T Float](rows, cols int, data []T) *MatrixOf[T] {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %dx%d", len(data), rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
+	return &MatrixOf[T]{Rows: rows, Cols: cols, Data: data}
+}
+
+// Cast converts m to element type D, rounding each entry to nearest when
+// narrowing (widening is exact). Teacher parameters cross the float64 →
+// float32 boundary through it exactly once, at student construction.
+func Cast[D, S Float](m *MatrixOf[S]) *MatrixOf[D] {
+	if len(m.Data) != m.Rows*m.Cols {
+		panic(fmt.Sprintf("tensor: Cast data length %d does not match shape %dx%d", len(m.Data), m.Rows, m.Cols))
+	}
+	r := &MatrixOf[D]{Rows: m.Rows, Cols: m.Cols, Data: make([]D, len(m.Data))}
+	for i, v := range m.Data {
+		r.Data[i] = D(v)
+	}
+	return r
 }
 
 // FromRows builds a matrix from a slice of equal-length rows.
@@ -94,41 +140,41 @@ func Eye(n int) *Matrix {
 }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
+func (m *MatrixOf[T]) Clone() *MatrixOf[T] {
+	c := NewOf[T](m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *MatrixOf[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *MatrixOf[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view of row i (shares the underlying storage).
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *MatrixOf[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // SameShape reports whether m and o have identical dimensions.
-func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
+func (m *MatrixOf[T]) SameShape(o *MatrixOf[T]) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
 // Zero sets every entry of m to zero in place.
-func (m *Matrix) Zero() {
+func (m *MatrixOf[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
-func (m *Matrix) shapeCheck(o *Matrix, op string) {
+func (m *MatrixOf[T]) shapeCheck(o *MatrixOf[T], op string) {
 	if !m.SameShape(o) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
 
 // Add returns m + o.
-func (m *Matrix) Add(o *Matrix) *Matrix {
+func (m *MatrixOf[T]) Add(o *MatrixOf[T]) *MatrixOf[T] {
 	m.shapeCheck(o, "Add")
-	r := New(m.Rows, m.Cols)
+	r := NewOf[T](m.Rows, m.Cols)
 	for i := range m.Data {
 		r.Data[i] = m.Data[i] + o.Data[i]
 	}
@@ -136,7 +182,7 @@ func (m *Matrix) Add(o *Matrix) *Matrix {
 }
 
 // AddInPlace adds o into m and returns m.
-func (m *Matrix) AddInPlace(o *Matrix) *Matrix {
+func (m *MatrixOf[T]) AddInPlace(o *MatrixOf[T]) *MatrixOf[T] {
 	m.shapeCheck(o, "AddInPlace")
 	for i := range m.Data {
 		m.Data[i] += o.Data[i]
@@ -145,7 +191,7 @@ func (m *Matrix) AddInPlace(o *Matrix) *Matrix {
 }
 
 // AddScaledInPlace adds s*o into m and returns m.
-func (m *Matrix) AddScaledInPlace(o *Matrix, s float64) *Matrix {
+func (m *MatrixOf[T]) AddScaledInPlace(o *MatrixOf[T], s T) *MatrixOf[T] {
 	m.shapeCheck(o, "AddScaledInPlace")
 	for i := range m.Data {
 		m.Data[i] += s * o.Data[i]
@@ -154,9 +200,9 @@ func (m *Matrix) AddScaledInPlace(o *Matrix, s float64) *Matrix {
 }
 
 // Sub returns m - o.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
+func (m *MatrixOf[T]) Sub(o *MatrixOf[T]) *MatrixOf[T] {
 	m.shapeCheck(o, "Sub")
-	r := New(m.Rows, m.Cols)
+	r := NewOf[T](m.Rows, m.Cols)
 	for i := range m.Data {
 		r.Data[i] = m.Data[i] - o.Data[i]
 	}
@@ -164,9 +210,9 @@ func (m *Matrix) Sub(o *Matrix) *Matrix {
 }
 
 // Mul returns the elementwise (Hadamard) product m ⊙ o.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
+func (m *MatrixOf[T]) Mul(o *MatrixOf[T]) *MatrixOf[T] {
 	m.shapeCheck(o, "Mul")
-	r := New(m.Rows, m.Cols)
+	r := NewOf[T](m.Rows, m.Cols)
 	for i := range m.Data {
 		r.Data[i] = m.Data[i] * o.Data[i]
 	}
@@ -174,8 +220,8 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 }
 
 // Scale returns s*m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	r := New(m.Rows, m.Cols)
+func (m *MatrixOf[T]) Scale(s T) *MatrixOf[T] {
+	r := NewOf[T](m.Rows, m.Cols)
 	for i := range m.Data {
 		r.Data[i] = s * m.Data[i]
 	}
@@ -183,11 +229,11 @@ func (m *Matrix) Scale(s float64) *Matrix {
 }
 
 // AddRowVector returns m with the 1×Cols vector v added to every row.
-func (m *Matrix) AddRowVector(v *Matrix) *Matrix {
+func (m *MatrixOf[T]) AddRowVector(v *MatrixOf[T]) *MatrixOf[T] {
 	if v.Rows != 1 || v.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector wants 1x%d, got %dx%d", m.Cols, v.Rows, v.Cols))
 	}
-	r := New(m.Rows, m.Cols)
+	r := NewOf[T](m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		out := r.Row(i)
@@ -199,12 +245,12 @@ func (m *Matrix) AddRowVector(v *Matrix) *Matrix {
 }
 
 // MatMul returns the matrix product m·o. m is Rows×K, o is K×Cols.
-func (m *Matrix) MatMul(o *Matrix) *Matrix {
+func (m *MatrixOf[T]) MatMul(o *MatrixOf[T]) *MatrixOf[T] {
 	if m.Cols != o.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
-	r := New(m.Rows, o.Cols)
-	matMulInto(r, m, o)
+	r := NewOf[T](m.Rows, o.Cols)
+	matMulIntoPacked(r, m, o, nil)
 	return r
 }
 
@@ -212,15 +258,6 @@ func (m *Matrix) MatMul(o *Matrix) *Matrix {
 // MatMul fans rows out across goroutines. Below it the goroutine overhead
 // outweighs the work (typical matrices here are small).
 const parallelFlopThreshold = 1 << 18
-
-// matMulInto computes r = m·o using an ikj loop order that keeps the inner
-// loop streaming over contiguous rows of o — the standard cache-friendly
-// layout for row-major data (see kernels.go for the blocked loop bodies).
-// Large products are row-partitioned across goroutines; each output row is
-// owned by exactly one goroutine, so the result is deterministic.
-func matMulInto(r, m, o *Matrix) {
-	matMulIntoPacked(r, m, o, nil)
-}
 
 // parallelRows splits [0, n) into one chunk per worker and runs fn on each
 // chunk concurrently.
@@ -250,35 +287,35 @@ func parallelRows(n int, fn func(lo, hi int)) {
 }
 
 // MatMulTransB returns m·oᵀ without materialising the transpose.
-func (m *Matrix) MatMulTransB(o *Matrix) *Matrix {
+func (m *MatrixOf[T]) MatMulTransB(o *MatrixOf[T]) *MatrixOf[T] {
 	if m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB dim mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
-	r := New(m.Rows, o.Rows)
-	matMulTransBBlocked(r, m, o)
+	r := NewOf[T](m.Rows, o.Rows)
+	matMulTransB(r, m, o)
 	return r
 }
 
 // MatMulTransA returns mᵀ·o without materialising the transpose.
-func (m *Matrix) MatMulTransA(o *Matrix) *Matrix {
+func (m *MatrixOf[T]) MatMulTransA(o *MatrixOf[T]) *MatrixOf[T] {
 	if m.Rows != o.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA dim mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
-	r := New(m.Cols, o.Cols)
-	matMulTransARows(r, m, o, 0, m.Rows)
+	r := NewOf[T](m.Cols, o.Cols)
+	matMulTransA(r, m, o)
 	return r
 }
 
 // Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	r := New(m.Cols, m.Rows)
+func (m *MatrixOf[T]) Transpose() *MatrixOf[T] {
+	r := NewOf[T](m.Cols, m.Rows)
 	transposeBlocked(r, m)
 	return r
 }
 
 // Apply returns f applied elementwise to m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	r := New(m.Rows, m.Cols)
+func (m *MatrixOf[T]) Apply(f func(T) T) *MatrixOf[T] {
+	r := NewOf[T](m.Rows, m.Cols)
 	for i, v := range m.Data {
 		r.Data[i] = f(v)
 	}
@@ -286,79 +323,44 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 }
 
 // Tanh returns tanh applied elementwise.
-func (m *Matrix) Tanh() *Matrix { return m.Apply(math.Tanh) }
+func (m *MatrixOf[T]) Tanh() *MatrixOf[T] {
+	r := NewOf[T](m.Rows, m.Cols)
+	TanhInto(r, m)
+	return r
+}
 
 // Sigmoid returns the logistic function applied elementwise.
-func (m *Matrix) Sigmoid() *Matrix {
-	return m.Apply(func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
+func (m *MatrixOf[T]) Sigmoid() *MatrixOf[T] {
+	r := NewOf[T](m.Rows, m.Cols)
+	SigmoidInto(r, m)
+	return r
 }
 
 // ReLU returns max(0, x) applied elementwise.
-func (m *Matrix) ReLU() *Matrix {
-	return m.Apply(func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
+func (m *MatrixOf[T]) ReLU() *MatrixOf[T] {
+	r := NewOf[T](m.Rows, m.Cols)
+	ReLUInto(r, m)
+	return r
 }
 
 // SoftmaxRows returns row-wise softmax computed with the max-subtraction
 // trick for numerical stability.
-func (m *Matrix) SoftmaxRows() *Matrix {
-	r := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		softmaxInto(r.Row(i), m.Row(i))
-	}
+func (m *MatrixOf[T]) SoftmaxRows() *MatrixOf[T] {
+	r := NewOf[T](m.Rows, m.Cols)
+	SoftmaxRowsInto(r, m)
 	return r
 }
 
-func softmaxInto(dst, src []float64) {
-	mx := src[0]
-	for _, v := range src[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	var sum float64
-	for j, v := range src {
-		e := math.Exp(v - mx)
-		dst[j] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for j := range dst {
-		dst[j] *= inv
-	}
-}
-
 // LogSoftmaxRows returns row-wise log-softmax.
-func (m *Matrix) LogSoftmaxRows() *Matrix {
-	r := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		dst := r.Row(i)
-		mx := src[0]
-		for _, v := range src[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for _, v := range src {
-			sum += math.Exp(v - mx)
-		}
-		lse := mx + math.Log(sum)
-		for j, v := range src {
-			dst[j] = v - lse
-		}
-	}
+func (m *MatrixOf[T]) LogSoftmaxRows() *MatrixOf[T] {
+	r := NewOf[T](m.Rows, m.Cols)
+	LogSoftmaxRowsInto(r, m)
 	return r
 }
 
 // Sum returns the sum of all entries.
-func (m *Matrix) Sum() float64 {
-	var s float64
+func (m *MatrixOf[T]) Sum() T {
+	var s T
 	for _, v := range m.Data {
 		s += v
 	}
@@ -366,22 +368,22 @@ func (m *Matrix) Sum() float64 {
 }
 
 // Mean returns the mean of all entries.
-func (m *Matrix) Mean() float64 { return m.Sum() / float64(len(m.Data)) }
+func (m *MatrixOf[T]) Mean() T { return m.Sum() / T(len(m.Data)) }
 
 // Norm2 returns the Frobenius norm of m.
-func (m *Matrix) Norm2() float64 {
-	var s float64
+func (m *MatrixOf[T]) Norm2() T {
+	var s T
 	for _, v := range m.Data {
 		s += v * v
 	}
-	return math.Sqrt(s)
+	return T(math.Sqrt(float64(s)))
 }
 
 // MaxAbs returns the largest absolute entry.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
+func (m *MatrixOf[T]) MaxAbs() T {
+	var mx T
 	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
+		if a := T(math.Abs(float64(v))); a > mx {
 			mx = a
 		}
 	}
@@ -389,7 +391,7 @@ func (m *Matrix) MaxAbs() float64 {
 }
 
 // ArgmaxRow returns the column index of the largest entry in row i.
-func (m *Matrix) ArgmaxRow(i int) int {
+func (m *MatrixOf[T]) ArgmaxRow(i int) int {
 	row := m.Row(i)
 	best := 0
 	for j, v := range row[1:] {
@@ -401,11 +403,11 @@ func (m *Matrix) ArgmaxRow(i int) int {
 }
 
 // SliceRows returns a copy of rows [lo, hi).
-func (m *Matrix) SliceRows(lo, hi int) *Matrix {
+func (m *MatrixOf[T]) SliceRows(lo, hi int) *MatrixOf[T] {
 	if lo < 0 || hi > m.Rows || lo >= hi {
 		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) out of range for %d rows", lo, hi, m.Rows))
 	}
-	r := New(hi-lo, m.Cols)
+	r := NewOf[T](hi-lo, m.Cols)
 	copy(r.Data, m.Data[lo*m.Cols:hi*m.Cols])
 	return r
 }
@@ -415,20 +417,12 @@ func ConcatRows(ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
 		panic("tensor: ConcatRows of nothing")
 	}
-	cols := ms[0].Cols
 	rows := 0
 	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("tensor: ConcatRows col mismatch %d vs %d", m.Cols, cols))
-		}
 		rows += m.Rows
 	}
-	r := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(r.Data[off:], m.Data)
-		off += len(m.Data)
-	}
+	r := New(rows, ms[0].Cols)
+	ConcatRowsInto(r, ms...)
 	return r
 }
 
@@ -437,33 +431,22 @@ func ConcatCols(ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
 		panic("tensor: ConcatCols of nothing")
 	}
-	rows := ms[0].Rows
 	cols := 0
 	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", m.Rows, rows))
-		}
 		cols += m.Cols
 	}
-	r := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		dst := r.Row(i)
-		off := 0
-		for _, m := range ms {
-			copy(dst[off:], m.Row(i))
-			off += m.Cols
-		}
-	}
+	r := New(ms[0].Rows, cols)
+	ConcatColsInto(r, ms...)
 	return r
 }
 
 // Equal reports whether m and o have the same shape and entries within tol.
-func (m *Matrix) Equal(o *Matrix, tol float64) bool {
+func (m *MatrixOf[T]) Equal(o *MatrixOf[T], tol T) bool {
 	if !m.SameShape(o) {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(v-o.Data[i]) > tol {
+		if T(math.Abs(float64(v-o.Data[i]))) > tol {
 			return false
 		}
 	}
@@ -472,7 +455,7 @@ func (m *Matrix) Equal(o *Matrix, tol float64) bool {
 
 // String renders a small matrix for debugging; large matrices are
 // abbreviated to their shape.
-func (m *Matrix) String() string {
+func (m *MatrixOf[T]) String() string {
 	if m.Rows*m.Cols > 64 {
 		return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 	}

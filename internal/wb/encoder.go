@@ -8,26 +8,34 @@ import (
 	"webbrief/internal/tensor"
 )
 
-// DocEncoder produces the contextual embeddings every model is built on:
+// DocEncoderOf produces the contextual embeddings every model is built on:
 // token representations C (one row per token) and sentence representations
 // C⁰ (one row per sentence). The three implementations correspond to the
 // paper's embedding regimes (§IV-A6): GloVe (context-independent), MiniBERT
 // (context-dependent) and MiniBERTSUM (context-dependent with per-sentence
 // [CLS] collection and interval segments).
-type DocEncoder interface {
-	nn.Layer
+type DocEncoderOf[T tensor.Float] interface {
+	nn.LayerOf[T]
 	// EncodeDoc returns (token reps, sentence reps) for the instance.
-	EncodeDoc(t *ag.Tape, inst *Instance) (tok, sent *ag.Node)
+	EncodeDoc(t *ag.TapeOf[T], inst *Instance) (tok, sent *ag.NodeOf[T])
 	// Dim is the width of both representation matrices.
 	Dim() int
 }
 
-// GloVeEncoder wraps fixed-initialised (pre-trained) word vectors. Sentence
+// GloVeEncoderOf wraps fixed-initialised (pre-trained) word vectors. Sentence
 // representations are the mean of the sentence's token embeddings, since a
-// context-independent [CLS] vector carries no information.
-type GloVeEncoder struct {
-	Emb *nn.Embedding
+// context-independent [CLS] vector carries no information. It is the one
+// encoder regime with a float32 instantiation; the transformer encoders
+// below are float64-only.
+type GloVeEncoderOf[T tensor.Float] struct {
+	Emb *nn.EmbeddingOf[T]
 }
+
+// The float64 instantiations.
+type (
+	DocEncoder   = DocEncoderOf[float64]
+	GloVeEncoder = GloVeEncoderOf[float64]
+)
 
 // NewGloVeEncoder builds the encoder around a pre-trained vocab×dim matrix
 // (see embed.TrainGloVe). The matrix is fine-tuned during task training,
@@ -37,13 +45,13 @@ func NewGloVeEncoder(vectors *tensor.Matrix) *GloVeEncoder {
 }
 
 // Params implements nn.Layer.
-func (g *GloVeEncoder) Params() []*ag.Param { return g.Emb.Params() }
+func (g *GloVeEncoderOf[T]) Params() []*ag.ParamOf[T] { return g.Emb.Params() }
 
 // Dim implements DocEncoder.
-func (g *GloVeEncoder) Dim() int { return g.Emb.Dim() }
+func (g *GloVeEncoderOf[T]) Dim() int { return g.Emb.Dim() }
 
 // EncodeDoc implements DocEncoder.
-func (g *GloVeEncoder) EncodeDoc(t *ag.Tape, inst *Instance) (tok, sent *ag.Node) {
+func (g *GloVeEncoderOf[T]) EncodeDoc(t *ag.TapeOf[T], inst *Instance) (tok, sent *ag.NodeOf[T]) {
 	tok = g.Emb.Forward(t, inst.IDs)
 	sent = t.MatMul(t.Const(meanPoolMatrix(t, inst)), tok)
 	return tok, sent
@@ -51,8 +59,10 @@ func (g *GloVeEncoder) EncodeDoc(t *ag.Tape, inst *Instance) (tok, sent *ag.Node
 
 // meanPoolMatrix builds the m×l averaging matrix whose row j averages the
 // token positions of sentence j. Both the matrix and the count scratch come
-// from the tape arena, keeping the encoder forward allocation-free.
-func meanPoolMatrix(t *ag.Tape, inst *Instance) *tensor.Matrix {
+// from the tape arena, keeping the encoder forward allocation-free. Token
+// counts per sentence are small integers, exactly representable in either
+// element type.
+func meanPoolMatrix[T tensor.Float](t *ag.TapeOf[T], inst *Instance) *tensor.MatrixOf[T] {
 	m := t.AllocValue(inst.NumSents(), inst.NumTokens())
 	counts := t.AllocValue(1, inst.NumSents()).Data
 	for _, s := range inst.SentOf {

@@ -5,6 +5,7 @@ import (
 
 	"webbrief/internal/ag"
 	"webbrief/internal/nn"
+	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
 )
 
@@ -24,18 +25,25 @@ func DefaultConfig() Config {
 	return Config{Hidden: 24, Dropout: 0.2, BeamSize: 8, TopicLen: 4, Seed: 1}
 }
 
-// SectionPredictor is the informative section predictor P of §III-C. It
+// SectionPredictorOf is the informative section predictor P of §III-C. It
 // scores sentence j from its neighbours with the Markov dependency
 // mechanism: score_j = c⁰_{j-1}·W¹·c⁰_jᵀ + c⁰_j·W²·c⁰_{j+1}ᵀ, with zero
 // vectors past the document boundary. Setting NoMarkov replaces the
 // neighbour-dependent scoring with an independent per-sentence logistic
 // (score_j = c⁰_j·w) — the ablation of the Markov dependency design choice.
-type SectionPredictor struct {
-	W1       *nn.Bilinear
-	W2       *nn.Bilinear
-	Indep    *nn.Linear
+type SectionPredictorOf[T tensor.Float] struct {
+	W1       *nn.BilinearOf[T]
+	W2       *nn.BilinearOf[T]
+	Indep    *nn.LinearOf[T]
 	NoMarkov bool
 }
+
+// The float64 instantiations, and the float32 student's model type.
+type (
+	SectionPredictor = SectionPredictorOf[float64]
+	JointWB          = JointWBOf[float64]
+	JointWB32        = JointWBOf[float32]
+)
 
 // NewSectionPredictor builds P over dim-wide sentence representations.
 func NewSectionPredictor(name string, dim int, rng *rand.Rand) *SectionPredictor {
@@ -48,7 +56,7 @@ func NewSectionPredictor(name string, dim int, rng *rand.Rand) *SectionPredictor
 
 // Params implements nn.Layer. Only the active scoring path's parameters
 // are exposed, so the flag must be set before the optimizer is built.
-func (sp *SectionPredictor) Params() []*ag.Param {
+func (sp *SectionPredictorOf[T]) Params() []*ag.ParamOf[T] {
 	if sp.NoMarkov {
 		return sp.Indep.Params()
 	}
@@ -56,12 +64,12 @@ func (sp *SectionPredictor) Params() []*ag.Param {
 }
 
 // Forward returns the m×1 section logits for sentence representations sent.
-func (sp *SectionPredictor) Forward(t *ag.Tape, sent *ag.Node) *ag.Node {
+func (sp *SectionPredictorOf[T]) Forward(t *ag.TapeOf[T], sent *ag.NodeOf[T]) *ag.NodeOf[T] {
 	if sp.NoMarkov {
 		return sp.Indep.Forward(t, sent)
 	}
 	m, dim := sent.Rows(), sent.Cols()
-	var prev, next *ag.Node
+	var prev, next *ag.NodeOf[T]
 	if m == 1 {
 		prev = zeroRow(t, dim)
 		next = zeroRow(t, dim)
@@ -75,7 +83,7 @@ func (sp *SectionPredictor) Forward(t *ag.Tape, sent *ag.Node) *ag.Node {
 	return t.Add(s1, s2)
 }
 
-// JointWB is the full joint model of §III-C: the extractor E, generator G
+// JointWBOf is the full joint model of §III-C: the extractor E, generator G
 // and section predictor P over a shared document encoder, connected by the
 // signal enhancement and exchange mechanisms.
 //
@@ -92,26 +100,30 @@ func (sp *SectionPredictor) Forward(t *ag.Tape, sent *ag.Node) *ag.Node {
 //  6. Section-and-key-attributes dual-aware attention re-weights sentence
 //     positions toward the integrated attribute representation E^b and the
 //     section signal, giving Ĉ_G → the memory for the final topic decode.
-type JointWB struct {
+//
+// The float32 student (JointWB32, built by ConvertJointWB or loaded from a
+// student snapshot) is this type instantiated at float32: it holds no
+// gradient buffers and no dropout rng, and only ever runs Eval forwards.
+type JointWBOf[T tensor.Float] struct {
 	Cfg Config
-	Enc DocEncoder
+	Enc DocEncoderOf[T]
 
-	ExtLSTM *nn.BiLSTM // E's encoder over token reps
-	GenLSTM *nn.BiLSTM // G's encoder over sentence reps
-	Sec     *SectionPredictor
+	ExtLSTM *nn.BiLSTMOf[T] // E's encoder over token reps
+	GenLSTM *nn.BiLSTMOf[T] // G's encoder over sentence reps
+	Sec     *SectionPredictorOf[T]
 
-	Dec    *nn.AttnDecoder // shared decoder for both passes
-	MemPr1 *nn.Linear      // projects C_G to decoder memory space
-	MemPr2 *nn.Linear      // projects Ĉ_G to decoder memory space
+	Dec    *nn.AttnDecoderOf[T] // shared decoder for both passes
+	MemPr1 *nn.LinearOf[T]      // projects C_G to decoder memory space
+	MemPr2 *nn.LinearOf[T]      // projects Ĉ_G to decoder memory space
 
-	WCE  *nn.Linear   // section-dependent token reps C_E^b
-	WQ   *nn.Linear   // integrated topic representation Q^b
-	AttE *nn.Bilinear // A_E = softmax(C_E^b·W_AE·Q^bᵀ)
-	TagW *nn.Linear   // tag output over Ĉ_E
+	WCE  *nn.LinearOf[T]   // section-dependent token reps C_E^b
+	WQ   *nn.LinearOf[T]   // integrated topic representation Q^b
+	AttE *nn.BilinearOf[T] // A_E = softmax(C_E^b·W_AE·Q^bᵀ)
+	TagW *nn.LinearOf[T]   // tag output over Ĉ_E
 
-	WCG  *nn.Linear // section-dependent sentence reps C_G^b
-	WE   *nn.Linear // integrated attribute representation E^b
-	AttG *nn.Linear // A_G = softmax((C_G^b ⊙ E^b)·W_AG)
+	WCG  *nn.LinearOf[T] // section-dependent sentence reps C_G^b
+	WE   *nn.LinearOf[T] // integrated attribute representation E^b
+	AttG *nn.LinearOf[T] // A_G = softmax((C_G^b ⊙ E^b)·W_AG)
 
 	rng *rand.Rand
 }
@@ -144,16 +156,16 @@ func NewJointWB(name string, enc DocEncoder, vocab int, cfg Config) *JointWB {
 }
 
 // Name implements Model.
-func (m *JointWB) Name() string { return "Joint-WB" }
+func (m *JointWBOf[T]) Name() string { return "Joint-WB" }
 
 // Params implements nn.Layer.
-func (m *JointWB) Params() []*ag.Param {
+func (m *JointWBOf[T]) Params() []*ag.ParamOf[T] {
 	return nn.CollectParams(m.Enc, m.ExtLSTM, m.GenLSTM, m.Sec, m.Dec,
 		m.MemPr1, m.MemPr2, m.WCE, m.WQ, m.AttE, m.TagW, m.WCG, m.WE, m.AttG)
 }
 
 // Forward implements Model.
-func (m *JointWB) Forward(t *ag.Tape, inst *Instance, mode Mode) *Output {
+func (m *JointWBOf[T]) Forward(t *ag.TapeOf[T], inst *Instance, mode Mode) *OutputOf[T] {
 	tok, sent := m.Enc.EncodeDoc(t, inst)
 	if mode == Train && m.Cfg.Dropout > 0 {
 		tok = t.Dropout(tok, m.Cfg.Dropout, m.rng)
@@ -178,17 +190,17 @@ func (m *JointWB) Forward(t *ag.Tape, inst *Instance, mode Mode) *Output {
 // rows independently, so each returned Output holds values identical to a
 // lone Forward(t, inst, Eval) for that instance (up to the sign of zero,
 // which no downstream argmax/threshold/ordering can observe).
-func (m *JointWB) ForwardBatchEval(t *ag.Tape, insts []*Instance) []*Output {
-	toks := make([]*ag.Node, len(insts))
-	sents := make([]*ag.Node, len(insts))
-	secs := make([]*ag.Node, len(insts))
+func (m *JointWBOf[T]) ForwardBatchEval(t *ag.TapeOf[T], insts []*Instance) []*OutputOf[T] {
+	toks := make([]*ag.NodeOf[T], len(insts))
+	sents := make([]*ag.NodeOf[T], len(insts))
+	secs := make([]*ag.NodeOf[T], len(insts))
 	for i, inst := range insts {
 		toks[i], sents[i] = m.Enc.EncodeDoc(t, inst)
 		secs[i] = m.Sec.Forward(t, sents[i])
 	}
 	cEs := m.ExtLSTM.ForwardBatch(t, toks)
 	cGs := m.GenLSTM.ForwardBatch(t, sents)
-	outs := make([]*Output, len(insts))
+	outs := make([]*OutputOf[T], len(insts))
 	for i, inst := range insts {
 		outs[i] = m.forwardTail(t, inst, Eval, secs[i], cEs[i], cGs[i])
 	}
@@ -198,12 +210,12 @@ func (m *JointWB) ForwardBatchEval(t *ag.Tape, insts []*Instance) []*Output {
 // forwardTail is everything downstream of the base encoders: the first
 // decode pass, both dual-aware attentions and the output assembly. Shared
 // verbatim by the serial and batched forwards so they cannot drift.
-func (m *JointWB) forwardTail(t *ag.Tape, inst *Instance, mode Mode, secLogits, cE, cG *ag.Node) *Output {
+func (m *JointWBOf[T]) forwardTail(t *ag.TapeOf[T], inst *Instance, mode Mode, secLogits, cE, cG *ag.NodeOf[T]) *OutputOf[T] {
 	secProbs := t.Sigmoid(secLogits)
 
 	// First decoding pass over plain C_G: topic states Q and Q^b.
 	mem1 := m.MemPr1.Forward(t, cG)
-	var topicStates *ag.Node
+	var topicStates *ag.NodeOf[T]
 	if mode.TeacherForced() {
 		_, topicStates = m.Dec.ForwardStates(t, mem1, inst.TopicIn)
 	} else {
@@ -226,7 +238,7 @@ func (m *JointWB) forwardTail(t *ag.Tape, inst *Instance, mode Mode, secLogits, 
 	attrCtx := t.MatMul(aG, eb) // m×h
 	mem2 := m.MemPr2.Forward(t, t.ConcatCols(cG, attrCtx))
 
-	out := &Output{
+	out := &OutputOf[T]{
 		TokenH:      cE,
 		SentH:       cG,
 		TopicStates: topicStates,

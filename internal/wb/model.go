@@ -23,41 +23,50 @@ const (
 // TeacherForced reports whether the mode decodes with gold topic inputs.
 func (m Mode) TeacherForced() bool { return m == Train || m == Distill }
 
-// Output carries everything a forward pass produces. Heads a model does not
+// OutputOf carries everything a forward pass produces. Heads a model does not
 // implement are nil (e.g. a single-task extractor has no TopicLogits). The
 // hidden representations are exposed because the distillation losses of
 // §III-A/§III-B match them between teacher and student.
-type Output struct {
-	TokenH      *ag.Node // hidden token representations (H^T_c / C_E)
-	SentH       *ag.Node // hidden sentence representations (C_G)
-	TopicStates *ag.Node // decoder hidden topic representations (Q)
-	TagLogits   *ag.Node // l×3 BIO logits
-	SecLogits   *ag.Node // m×1 informative-section logits
-	TopicLogits *ag.Node // teacher-forced decode logits (len(TopicIn)×vocab)
-	Memory      *ag.Node // decoder attention memory for free decoding
-	Dec         *nn.AttnDecoder
+type OutputOf[T tensor.Float] struct {
+	TokenH      *ag.NodeOf[T] // hidden token representations (H^T_c / C_E)
+	SentH       *ag.NodeOf[T] // hidden sentence representations (C_G)
+	TopicStates *ag.NodeOf[T] // decoder hidden topic representations (Q)
+	TagLogits   *ag.NodeOf[T] // l×3 BIO logits
+	SecLogits   *ag.NodeOf[T] // m×1 informative-section logits
+	TopicLogits *ag.NodeOf[T] // teacher-forced decode logits (len(TopicIn)×vocab)
+	Memory      *ag.NodeOf[T] // decoder attention memory for free decoding
+	Dec         *nn.AttnDecoderOf[T]
 }
 
-// Model is the interface shared by Joint-WB and every baseline, and the
-// contract the distillation framework trains against.
-type Model interface {
-	nn.Layer
+// ModelOf is the interface shared by Joint-WB and every baseline, and the
+// contract the distillation framework trains against. The float32 student
+// is a ModelOf[float32]: the same shape one element type down, which only
+// ever sees Eval-mode forwards on no-gradient tapes.
+type ModelOf[T tensor.Float] interface {
+	nn.LayerOf[T]
 	Name() string
 	// Forward runs the model on one instance. In Train mode the decoder is
 	// teacher-forced with inst.TopicIn; in Eval mode generation-dependent
 	// signals use greedy decoding.
-	Forward(t *ag.Tape, inst *Instance, mode Mode) *Output
+	Forward(t *ag.TapeOf[T], inst *Instance, mode Mode) *OutputOf[T]
 }
 
-// BatchForwarder is implemented by models whose Eval-mode forward can run
+// BatchForwarderOf is implemented by models whose Eval-mode forward can run
 // over several instances at once with the recurrent encoders advanced in
-// lockstep (see JointWB.ForwardBatchEval). The serving layer batch-dispatches
-// through it when present; outs[i] must hold values identical to
-// Forward(t, insts[i], Eval).
-type BatchForwarder interface {
-	Model
-	ForwardBatchEval(t *ag.Tape, insts []*Instance) []*Output
+// lockstep (see JointWBOf.ForwardBatchEval). The serving layer
+// batch-dispatches through it when present; outs[i] must hold values
+// identical to Forward(t, insts[i], Eval).
+type BatchForwarderOf[T tensor.Float] interface {
+	ModelOf[T]
+	ForwardBatchEval(t *ag.TapeOf[T], insts []*Instance) []*OutputOf[T]
 }
+
+// The float64 instantiations: what every trainer, baseline and experiment
+// names.
+type (
+	Output = OutputOf[float64]
+	Model  = ModelOf[float64]
+)
 
 // Loss sums the supervised losses for whichever heads out provides: BIO
 // cross-entropy for extraction, sequence cross-entropy for topic generation,
@@ -82,7 +91,7 @@ func Loss(t *ag.Tape, out *Output, inst *Instance) *ag.Node {
 }
 
 // PredictTags returns the argmax BIO tag sequence from an output.
-func PredictTags(out *Output) []int {
+func PredictTags[T tensor.Float](out *OutputOf[T]) []int {
 	if out.TagLogits == nil {
 		return nil
 	}
@@ -94,7 +103,7 @@ func PredictTags(out *Output) []int {
 }
 
 // PredictSections thresholds the section logits at 0.5 probability.
-func PredictSections(out *Output) []int {
+func PredictSections[T tensor.Float](out *OutputOf[T]) []int {
 	if out.SecLogits == nil {
 		return nil
 	}
@@ -113,39 +122,40 @@ func PredictSections(out *Output) []int {
 func GenerateTopic(m Model, inst *Instance, beamWidth, maxLen int) []int {
 	s := GetScratch()
 	defer PutScratch(s)
-	return GenerateTopicWith(m, inst, beamWidth, maxLen, s)
+	ids, _ := GenerateTopicWith(m, inst, beamWidth, maxLen, s)
+	return ids
 }
 
 // sentProbsToTokens expands per-sentence probabilities (m×1) to per-token
 // rows (l×1) using the instance's sentence index, the Φ injection of
 // §III-C that broadcasts the section signal onto token positions.
-func sentProbsToTokens(t *ag.Tape, sentProbs *ag.Node, inst *Instance) *ag.Node {
+func sentProbsToTokens[T tensor.Float](t *ag.TapeOf[T], sentProbs *ag.NodeOf[T], inst *Instance) *ag.NodeOf[T] {
 	return t.GatherRows(sentProbs, inst.SentOf)
 }
 
 // softmaxOverRows applies a softmax across the ROWS of a column vector
 // (l×1), i.e. a distribution over positions. tensor softmax is row-wise
 // over columns, so transpose around it.
-func softmaxOverRows(t *ag.Tape, col *ag.Node) *ag.Node {
+func softmaxOverRows[T tensor.Float](t *ag.TapeOf[T], col *ag.NodeOf[T]) *ag.NodeOf[T] {
 	return t.Transpose(t.SoftmaxRows(t.Transpose(col)))
 }
 
 // zeroRow returns a constant 1×dim zero row used to pad Markov-dependency
 // neighbours at document boundaries. It draws from the tape arena so the
 // inference fast path stays allocation-free.
-func zeroRow(t *ag.Tape, dim int) *ag.Node {
+func zeroRow[T tensor.Float](t *ag.TapeOf[T], dim int) *ag.NodeOf[T] {
 	return t.Const(t.AllocValue(1, dim))
 }
 
 // rowSum reduces each row of a to a single column (l×1) by multiplying with
 // a ones vector.
-func rowSum(t *ag.Tape, a *ag.Node) *ag.Node {
+func rowSum[T tensor.Float](t *ag.TapeOf[T], a *ag.NodeOf[T]) *ag.NodeOf[T] {
 	return t.MatMul(a, t.Const(onesCol(t, a.Cols())))
 }
 
 // onesCol returns an n×1 all-ones matrix from the tape arena, used to
 // broadcast a 1×d row to n rows via matrix product.
-func onesCol(t *ag.Tape, n int) *tensor.Matrix {
+func onesCol[T tensor.Float](t *ag.TapeOf[T], n int) *tensor.MatrixOf[T] {
 	ones := t.AllocValue(n, 1)
 	for i := range ones.Data {
 		ones.Data[i] = 1

@@ -10,7 +10,7 @@ import (
 	"webbrief/internal/textproc"
 )
 
-// InferScratch is a per-call inference workspace: a no-gradient arena tape,
+// InferScratchOf is a per-call inference workspace: a no-gradient arena tape,
 // the matmul pack buffer it routes products through, and the beam-search
 // buffers. A warm scratch makes ExtractBriefWith/DecodeTopicWith
 // allocation-free apart from the assembled Brief itself.
@@ -21,33 +21,46 @@ import (
 // START of each forward (not the end), so returned Briefs — which hold only
 // strings and ints, never tensor memory — stay valid while the scratch is
 // reused. Nothing that aliases the tape arena may escape a With-call.
-type InferScratch struct {
-	Tape *ag.Tape
-	Pack *tensor.PackBuf
-	Beam *nn.BeamScratch
+type InferScratchOf[T tensor.Float] struct {
+	Tape *ag.TapeOf[T]
+	Pack *tensor.PackBufOf[T]
+	Beam *nn.BeamScratchOf[T]
 }
 
-// NewInferScratch returns an empty workspace whose buffers grow on first
-// use.
-func NewInferScratch() *InferScratch {
-	s := &InferScratch{
-		Tape: ag.NewInferTape(),
-		Pack: &tensor.PackBuf{},
-		Beam: nn.NewBeamScratch(0, 0, 0),
+// InferScratch is the teacher's workspace, InferScratch32 the student's.
+type (
+	InferScratch   = InferScratchOf[float64]
+	InferScratch32 = InferScratchOf[float32]
+)
+
+// NewInferScratchOf returns a workspace with the beam buffers presized for
+// decoding v-vocabulary topics at the given beam width, so the first request
+// is already warm. With a nil vocabulary or width ≤ 1 (greedy decoding) the
+// beam buffers grow on first use instead.
+func NewInferScratchOf[T tensor.Float](v *textproc.Vocab, beamWidth int) *InferScratchOf[T] {
+	s := &InferScratchOf[T]{
+		Tape: ag.NewInferTapeOf[T](),
+		Pack: &tensor.PackBufOf[T]{},
+		Beam: nn.NewBeamScratchOf[T](0, 0, 0),
+	}
+	if beamWidth > 1 && v != nil {
+		s.Beam = nn.NewBeamScratchOf[T](v.Size(), beamWidth, topicMaxLen)
 	}
 	s.Tape.SetPack(s.Pack)
 	return s
 }
 
-// NewInferScratchFor returns a workspace with the beam buffers presized for
-// decoding v-vocabulary topics at the given beam width, so the first request
-// is already warm. Width ≤ 1 (greedy decoding) still gets a usable scratch.
+// NewInferScratch returns an empty teacher workspace.
+func NewInferScratch() *InferScratch { return NewInferScratchOf[float64](nil, 0) }
+
+// NewInferScratchFor is NewInferScratchOf[float64].
 func NewInferScratchFor(v *textproc.Vocab, beamWidth int) *InferScratch {
-	s := NewInferScratch()
-	if beamWidth > 1 && v != nil {
-		s.Beam = nn.NewBeamScratch(v.Size(), beamWidth, topicMaxLen)
-	}
-	return s
+	return NewInferScratchOf[float64](v, beamWidth)
+}
+
+// NewInferScratch32For is NewInferScratchOf[float32].
+func NewInferScratch32For(v *textproc.Vocab, beamWidth int) *InferScratch32 {
+	return NewInferScratchOf[float32](v, beamWidth)
 }
 
 // scratchPool recycles workspaces for callers without a resident replica
@@ -63,7 +76,7 @@ func GetScratch() *InferScratch { return scratchPool.Get().(*InferScratch) }
 func PutScratch(s *InferScratch) { scratchPool.Put(s) }
 
 // ExtractBriefWith is ExtractBrief running on the caller's workspace.
-func ExtractBriefWith(m Model, inst *Instance, v *textproc.Vocab, s *InferScratch) *Brief {
+func ExtractBriefWith[T tensor.Float](m ModelOf[T], inst *Instance, v *textproc.Vocab, s *InferScratchOf[T]) *Brief {
 	s.Tape.Reset()
 	out := m.Forward(s.Tape, inst, Eval)
 	return extractiveBrief(out, inst, v)
@@ -72,7 +85,7 @@ func ExtractBriefWith(m Model, inst *Instance, v *textproc.Vocab, s *InferScratc
 // extractiveBrief assembles the extractive half of a briefing from a
 // forward-pass output: attribute spans from the BIO tags plus the section
 // flags. Shared by the per-request and batched extract paths.
-func extractiveBrief(out *Output, inst *Instance, v *textproc.Vocab) *Brief {
+func extractiveBrief[T tensor.Float](out *OutputOf[T], inst *Instance, v *textproc.Vocab) *Brief {
 	b := &Brief{}
 	if tags := PredictTags(out); tags != nil {
 		for _, sp := range eval.SpansFromBIO(tags) {
@@ -87,12 +100,14 @@ func extractiveBrief(out *Output, inst *Instance, v *textproc.Vocab) *Brief {
 	return b
 }
 
-// GenerateTopicWith is GenerateTopic running on the caller's workspace.
-func GenerateTopicWith(m Model, inst *Instance, beamWidth, maxLen int, s *InferScratch) []int {
+// GenerateTopicWith is GenerateTopic running on the caller's workspace: it
+// resets the tape, re-runs the full forward and decodes the topic, also
+// reporting the decode Confidence the cascade routes on.
+func GenerateTopicWith[T tensor.Float](m ModelOf[T], inst *Instance, beamWidth, maxLen int, s *InferScratchOf[T]) ([]int, nn.Confidence) {
 	s.Tape.Reset()
 	out := m.Forward(s.Tape, inst, Eval)
 	if out.Memory == nil || out.Dec == nil {
-		return nil
+		return nil, nn.Confidence{}
 	}
 	if beamWidth <= 1 {
 		return out.Dec.Greedy(s.Tape, out.Memory, textproc.BosID, textproc.EosID, maxLen)
@@ -100,17 +115,54 @@ func GenerateTopicWith(m Model, inst *Instance, beamWidth, maxLen int, s *InferS
 	return out.Dec.BeamSearchScratch(s.Tape, out.Memory, textproc.BosID, textproc.EosID, beamWidth, maxLen, s.Beam)
 }
 
+// decodeTopicWith is DecodeTopic running on the caller's workspace, plus
+// the decode confidence.
+func decodeTopicWith[T tensor.Float](m ModelOf[T], inst *Instance, v *textproc.Vocab, beamWidth int, s *InferScratchOf[T]) ([]string, nn.Confidence) {
+	ids, conf := GenerateTopicWith(m, inst, beamWidth, topicMaxLen, s)
+	if ids == nil {
+		return nil, conf
+	}
+	return v.Tokens(ids), conf
+}
+
+// makeBriefWith is MakeBrief running both stages on one workspace, plus the
+// decode confidence.
+func makeBriefWith[T tensor.Float](m ModelOf[T], inst *Instance, v *textproc.Vocab, beamWidth int, s *InferScratchOf[T]) (*Brief, nn.Confidence) {
+	b := ExtractBriefWith(m, inst, v, s)
+	topic, conf := decodeTopicWith(m, inst, v, beamWidth, s)
+	b.Topic = topic
+	return b, conf
+}
+
+// The entry points below fix the element type and the result shape for
+// callers outside the package: the teacher's drop the confidence nobody
+// routes on, the student's (…32) return it.
+
 // DecodeTopicWith is DecodeTopic running on the caller's workspace.
 func DecodeTopicWith(m Model, inst *Instance, v *textproc.Vocab, beamWidth int, s *InferScratch) []string {
-	if ids := GenerateTopicWith(m, inst, beamWidth, topicMaxLen, s); ids != nil {
-		return v.Tokens(ids)
-	}
-	return nil
+	topic, _ := decodeTopicWith(m, inst, v, beamWidth, s)
+	return topic
 }
 
 // MakeBriefWith is MakeBrief running both stages on one workspace.
 func MakeBriefWith(m Model, inst *Instance, v *textproc.Vocab, beamWidth int, s *InferScratch) *Brief {
-	b := ExtractBriefWith(m, inst, v, s)
-	b.Topic = DecodeTopicWith(m, inst, v, beamWidth, s)
+	b, _ := makeBriefWith(m, inst, v, beamWidth, s)
 	return b
+}
+
+// ExtractBriefWith32 is ExtractBriefWith on the student.
+func ExtractBriefWith32(m ModelOf[float32], inst *Instance, v *textproc.Vocab, s *InferScratch32) *Brief {
+	return ExtractBriefWith(m, inst, v, s)
+}
+
+// DecodeTopicWith32 is DecodeTopicWith on the student, with the decode
+// confidence.
+func DecodeTopicWith32(m ModelOf[float32], inst *Instance, v *textproc.Vocab, beamWidth int, s *InferScratch32) ([]string, nn.Confidence) {
+	return decodeTopicWith(m, inst, v, beamWidth, s)
+}
+
+// MakeBriefWith32 briefs one instance end to end on the student and reports
+// the decode confidence for cascade routing.
+func MakeBriefWith32(m ModelOf[float32], inst *Instance, v *textproc.Vocab, beamWidth int, s *InferScratch32) (*Brief, nn.Confidence) {
+	return makeBriefWith(m, inst, v, beamWidth, s)
 }

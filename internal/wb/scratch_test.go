@@ -6,6 +6,7 @@ import (
 
 	"webbrief/internal/ag"
 	"webbrief/internal/eval"
+	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
 )
 
@@ -32,7 +33,7 @@ func heapTapeBrief(m Model, inst *Instance, v *textproc.Vocab, beamWidth int) *B
 	if out2.Memory != nil && out2.Dec != nil {
 		var ids []int
 		if beamWidth <= 1 {
-			ids = out2.Dec.Greedy(t2, out2.Memory, textproc.BosID, textproc.EosID, topicMaxLen)
+			ids, _ = out2.Dec.Greedy(t2, out2.Memory, textproc.BosID, textproc.EosID, topicMaxLen)
 		} else {
 			ids = out2.Dec.BeamSearch(t2, out2.Memory, textproc.BosID, textproc.EosID, beamWidth, topicMaxLen)
 		}
@@ -71,23 +72,28 @@ func TestScratchBriefMatchesHeapTape(t *testing.T) {
 }
 
 // TestInferScratchAllocs is the allocation regression gate for the fast
-// path: a warmed workspace must brief with only the output-assembly
-// allocations (the Brief, its token strings, small slices) — orders of
-// magnitude under the ~17k-alloc heap-tape path this PR replaced.
+// path, for both element types: a warmed workspace must brief with only the
+// output-assembly allocations (the Brief, its token strings, small slices) —
+// orders of magnitude under the ~17k-alloc heap-tape path the scratch
+// replaced.
 func TestInferScratchAllocs(t *testing.T) {
 	insts, v := testData(t, 1, 2)
 	m := newTestJointWB(v, 313)
-	inst := insts[0]
+	t.Run("f64", func(t *testing.T) { checkScratchAllocs[float64](t, m, insts[0], v) })
+	t.Run("f32", func(t *testing.T) { checkScratchAllocs[float32](t, studentFromTeacher(t, m), insts[0], v) })
+}
+
+func checkScratchAllocs[T tensor.Float](t *testing.T, m ModelOf[T], inst *Instance, v *textproc.Vocab) {
 	const beam = 4
-	s := NewInferScratchFor(v, beam)
+	s := NewInferScratchOf[T](v, beam)
 	for i := 0; i < 2; i++ { // warm arena, pack and beam buffers
-		MakeBriefWith(m, inst, v, beam, s)
+		makeBriefWith(m, inst, v, beam, s)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		MakeBriefWith(m, inst, v, beam, s)
+		makeBriefWith(m, inst, v, beam, s)
 	})
 	if allocs > 300 {
-		t.Fatalf("warm MakeBriefWith allocates %.0f per run, want <= 300", allocs)
+		t.Fatalf("warm makeBriefWith allocates %.0f per run, want <= 300", allocs)
 	}
 }
 

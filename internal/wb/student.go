@@ -3,97 +3,17 @@ package wb
 import (
 	"fmt"
 
-	"webbrief/internal/ag"
 	"webbrief/internal/nn"
-	"webbrief/internal/tensor"
-	"webbrief/internal/textproc"
 )
 
-// SectionPredictor32 is the float32 serving form of SectionPredictor,
-// scoring sections with the same Markov dependency mechanism (or the
-// independent per-sentence logistic when NoMarkov is set).
-type SectionPredictor32 struct {
-	W1       *nn.Bilinear32
-	W2       *nn.Bilinear32
-	Indep    *nn.Linear32
-	NoMarkov bool
-}
-
-// newSectionPredictor32From converts a trained SectionPredictor to float32.
-// Only the active scoring path's parameters exist on the float64 side with
-// trained values, but both conversions are cheap and keep the struct total.
-func newSectionPredictor32From(sp *SectionPredictor) *SectionPredictor32 {
-	return &SectionPredictor32{
-		W1:       nn.NewBilinear32From(sp.W1),
-		W2:       nn.NewBilinear32From(sp.W2),
-		Indep:    nn.NewLinear32From(sp.Indep),
-		NoMarkov: sp.NoMarkov,
-	}
-}
-
-// Forward returns the m×1 section logits for sentence representations sent.
-func (sp *SectionPredictor32) Forward(t *ag.Tape32, sent *tensor.Matrix32) *tensor.Matrix32 {
-	if sp.NoMarkov {
-		return sp.Indep.Forward(t, sent)
-	}
-	m, dim := sent.Rows, sent.Cols
-	var prev, next *tensor.Matrix32
-	if m == 1 {
-		prev = t.AllocValue(1, dim)
-		next = t.AllocValue(1, dim)
-	} else {
-		prev = t.ConcatRows(t.AllocValue(1, dim), t.SliceRows(sent, 0, m-1))
-		next = t.ConcatRows(t.SliceRows(sent, 1, m), t.AllocValue(1, dim))
-	}
-	// Row-wise bilinear forms: sum over columns of (prev·W1) ⊙ cur etc.
-	s1 := rowSum32(t, t.Mul(t.MatMul(prev, sp.W1.W), sent))
-	s2 := rowSum32(t, t.Mul(t.MatMul(sent, sp.W2.W), next))
-	return t.Add(s1, s2)
-}
-
-// Output32 is what the student's forward pass hands the serving layer: the
-// extraction and section heads plus the memory for the topic decode. The
-// hidden representations the float64 Output exposes for distillation are
-// not carried — the student never trains.
-type Output32 struct {
-	TagLogits *tensor.Matrix32 // l×3 BIO logits
-	SecLogits *tensor.Matrix32 // m×1 informative-section logits
-	Memory    *tensor.Matrix32 // decoder attention memory for free decoding
-	Dec       *nn.AttnDecoder32
-}
-
-// JointWB32 is the float32 serving (student) form of JointWB over a GloVe
-// encoder: the same signal flow as JointWB.Forward in Eval mode — section
-// scoring, both Bi-LSTM encoders, the first decode pass and both dual-aware
-// attentions — executed entirely on the float32 kernel tier. It holds no
-// gradients, supports no training modes, and is built from a trained
-// float64 model by ConvertJointWB (or loaded from a student snapshot).
-type JointWB32 struct {
-	Cfg Config
-	Emb *nn.Embedding32 // GloVe word vectors (shared sentence mean-pool)
-
-	ExtLSTM *nn.BiLSTM32
-	GenLSTM *nn.BiLSTM32
-	Sec     *SectionPredictor32
-
-	Dec    *nn.AttnDecoder32
-	MemPr1 *nn.Linear32
-	MemPr2 *nn.Linear32
-
-	WCE  *nn.Linear32
-	WQ   *nn.Linear32
-	AttE *nn.Bilinear32
-	TagW *nn.Linear32
-
-	WCG  *nn.Linear32
-	WE   *nn.Linear32
-	AttG *nn.Linear32
-}
-
-// ConvertJointWB lowers a trained Joint-WB teacher to its float32 student.
-// Only the GloVe encoder regime is supported — the transformer encoders
-// have no float32 mirror — so callers must be ready to fall back to the
-// teacher when the conversion is refused.
+// ConvertJointWB lowers a trained Joint-WB teacher to its float32 student:
+// the same model type one element type down, every parameter rounded to
+// nearest float32 exactly once and carrying no gradient buffer. Only the
+// GloVe encoder regime is supported — the transformer encoders are
+// float64-only — so callers must be ready to fall back to the teacher when
+// the conversion is refused. Both section-predictor paths are converted
+// (only the active one holds trained values) so NoMarkov round-trips through
+// a student snapshot.
 func ConvertJointWB(m *JointWB) (*JointWB32, error) {
 	g, ok := m.Enc.(*GloVeEncoder)
 	if !ok {
@@ -101,154 +21,24 @@ func ConvertJointWB(m *JointWB) (*JointWB32, error) {
 	}
 	return &JointWB32{
 		Cfg:     m.Cfg,
-		Emb:     nn.NewEmbedding32From(g.Emb),
-		ExtLSTM: nn.NewBiLSTM32From(m.ExtLSTM),
-		GenLSTM: nn.NewBiLSTM32From(m.GenLSTM),
-		Sec:     newSectionPredictor32From(m.Sec),
-		Dec:     nn.NewAttnDecoder32From(m.Dec),
-		MemPr1:  nn.NewLinear32From(m.MemPr1),
-		MemPr2:  nn.NewLinear32From(m.MemPr2),
-		WCE:     nn.NewLinear32From(m.WCE),
-		WQ:      nn.NewLinear32From(m.WQ),
-		AttE:    nn.NewBilinear32From(m.AttE),
-		TagW:    nn.NewLinear32From(m.TagW),
-		WCG:     nn.NewLinear32From(m.WCG),
-		WE:      nn.NewLinear32From(m.WE),
-		AttG:    nn.NewLinear32From(m.AttG),
+		Enc:     &GloVeEncoderOf[float32]{Emb: nn.CastEmbedding[float32](g.Emb)},
+		ExtLSTM: nn.CastBiLSTM[float32](m.ExtLSTM),
+		GenLSTM: nn.CastBiLSTM[float32](m.GenLSTM),
+		Sec: &SectionPredictorOf[float32]{
+			W1:       nn.CastBilinear[float32](m.Sec.W1),
+			W2:       nn.CastBilinear[float32](m.Sec.W2),
+			Indep:    nn.CastLinear[float32](m.Sec.Indep),
+			NoMarkov: m.Sec.NoMarkov,
+		},
+		Dec:    nn.CastAttnDecoder[float32](m.Dec),
+		MemPr1: nn.CastLinear[float32](m.MemPr1),
+		MemPr2: nn.CastLinear[float32](m.MemPr2),
+		WCE:    nn.CastLinear[float32](m.WCE),
+		WQ:     nn.CastLinear[float32](m.WQ),
+		AttE:   nn.CastBilinear[float32](m.AttE),
+		TagW:   nn.CastLinear[float32](m.TagW),
+		WCG:    nn.CastLinear[float32](m.WCG),
+		WE:     nn.CastLinear[float32](m.WE),
+		AttG:   nn.CastLinear[float32](m.AttG),
 	}, nil
-}
-
-// Name mirrors Model.Name for logs and snapshots.
-func (m *JointWB32) Name() string { return "Joint-WB/f32" }
-
-// encodeDoc mirrors GloVeEncoder.EncodeDoc: token embeddings plus
-// mean-pooled sentence representations.
-func (m *JointWB32) encodeDoc(t *ag.Tape32, inst *Instance) (tok, sent *tensor.Matrix32) {
-	tok = m.Emb.Forward(t, inst.IDs)
-	sent = t.MatMul(meanPoolMatrix32(t, inst), tok)
-	return tok, sent
-}
-
-// Forward runs the student's Eval-mode forward on one instance, mirroring
-// JointWB.Forward with mode == Eval (no dropout, greedy first decode pass).
-func (m *JointWB32) Forward(t *ag.Tape32, inst *Instance) *Output32 {
-	tok, sent := m.encodeDoc(t, inst)
-	secLogits := m.Sec.Forward(t, sent)
-	cE := m.ExtLSTM.Forward(t, tok)  // l×2h
-	cG := m.GenLSTM.Forward(t, sent) // m×2h
-	return m.forwardTail(t, inst, secLogits, cE, cG)
-}
-
-// ForwardBatchEval runs the student forward for several instances on one
-// tape, fusing the two Bi-LSTM recurrences across the batch exactly like
-// JointWB.ForwardBatchEval.
-func (m *JointWB32) ForwardBatchEval(t *ag.Tape32, insts []*Instance) []*Output32 {
-	toks := make([]*tensor.Matrix32, len(insts))
-	sents := make([]*tensor.Matrix32, len(insts))
-	secs := make([]*tensor.Matrix32, len(insts))
-	for i, inst := range insts {
-		toks[i], sents[i] = m.encodeDoc(t, inst)
-		secs[i] = m.Sec.Forward(t, sents[i])
-	}
-	cEs := m.ExtLSTM.ForwardBatch(t, toks)
-	cGs := m.GenLSTM.ForwardBatch(t, sents)
-	outs := make([]*Output32, len(insts))
-	for i, inst := range insts {
-		outs[i] = m.forwardTail(t, inst, secs[i], cEs[i], cGs[i])
-	}
-	return outs
-}
-
-// forwardTail is everything downstream of the base encoders, mirroring
-// JointWB.forwardTail in Eval mode op for op.
-func (m *JointWB32) forwardTail(t *ag.Tape32, inst *Instance, secLogits, cE, cG *tensor.Matrix32) *Output32 {
-	secProbs := t.Sigmoid(secLogits)
-
-	// First decoding pass over plain C_G: topic states Q and Q^b.
-	mem1 := m.MemPr1.Forward(t, cG)
-	_, topicStates := m.Dec.GreedyWithStates(t, mem1, textproc.BosID, textproc.EosID, m.Cfg.TopicLen)
-	qb := t.Tanh(m.WQ.Forward(t, t.MeanRows(topicStates))) // 1×h
-
-	// Section-and-topic dual-aware token representations (Ĉ_E).
-	pTok := t.GatherRows(secProbs, inst.SentOf)             // l×1
-	cEb := t.Tanh(m.WCE.Forward(t, t.ConcatCols(cE, pTok))) // l×h
-	aE := softmaxOverRows32(t, m.AttE.Scores(t, cEb, qb))   // l×1
-	topicCtx := t.MatMul(aE, qb)                            // l×h
-	tagLogits := m.TagW.Forward(t, t.ConcatCols(cE, topicCtx))
-
-	// Section-and-key-attributes dual-aware sentence representations (Ĉ_G).
-	eb := t.Tanh(m.WE.Forward(t, t.MeanRows(cE))) // 1×h
-	cGb := t.Tanh(m.WCG.Forward(t, t.ConcatCols(cG, secProbs)))
-	ebRows := t.MatMul(onesCol32(t, cGb.Rows), eb) // m×h broadcast
-	aG := softmaxOverRows32(t, m.AttG.Forward(t, t.Mul(cGb, ebRows)))
-	attrCtx := t.MatMul(aG, eb) // m×h
-	mem2 := m.MemPr2.Forward(t, t.ConcatCols(cG, attrCtx))
-
-	return &Output32{
-		TagLogits: tagLogits,
-		SecLogits: secLogits,
-		Memory:    mem2,
-		Dec:       m.Dec,
-	}
-}
-
-// PredictTags32 returns the argmax BIO tag sequence from a student output.
-func PredictTags32(out *Output32) []int {
-	if out.TagLogits == nil {
-		return nil
-	}
-	tags := make([]int, out.TagLogits.Rows)
-	for i := range tags {
-		tags[i] = out.TagLogits.ArgmaxRow(i)
-	}
-	return tags
-}
-
-// PredictSections32 thresholds the section logits at 0.5 probability.
-func PredictSections32(out *Output32) []int {
-	if out.SecLogits == nil {
-		return nil
-	}
-	secs := make([]int, out.SecLogits.Rows)
-	for i := range secs {
-		if out.SecLogits.At(i, 0) >= 0 { // sigmoid(x) >= 0.5 ⟺ x >= 0
-			secs[i] = 1
-		}
-	}
-	return secs
-}
-
-// meanPoolMatrix32 mirrors meanPoolMatrix on the float32 tape. The count
-// scratch accumulates in the matrix's own float32 cells; token counts per
-// sentence are small integers, exactly representable.
-func meanPoolMatrix32(t *ag.Tape32, inst *Instance) *tensor.Matrix32 {
-	m := t.AllocValue(inst.NumSents(), inst.NumTokens())
-	counts := t.AllocValue(1, inst.NumSents()).Data
-	for _, s := range inst.SentOf {
-		counts[s]++
-	}
-	for i, s := range inst.SentOf {
-		m.Set(s, i, 1/counts[s])
-	}
-	return m
-}
-
-// softmaxOverRows32 applies a softmax across the ROWS of a column vector.
-func softmaxOverRows32(t *ag.Tape32, col *tensor.Matrix32) *tensor.Matrix32 {
-	return t.Transpose(t.SoftmaxRows(t.Transpose(col)))
-}
-
-// rowSum32 reduces each row of a to a single column by multiplying with a
-// ones vector.
-func rowSum32(t *ag.Tape32, a *tensor.Matrix32) *tensor.Matrix32 {
-	return t.MatMul(a, onesCol32(t, a.Cols))
-}
-
-// onesCol32 returns an n×1 all-ones matrix from the tape arena.
-func onesCol32(t *ag.Tape32, n int) *tensor.Matrix32 {
-	ones := t.AllocValue(n, 1)
-	for i := range ones.Data {
-		ones.Data[i] = 1
-	}
-	return ones
 }

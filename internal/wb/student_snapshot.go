@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"webbrief/internal/nn"
 	"webbrief/internal/snapshot"
 	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
@@ -24,44 +25,44 @@ type studentParam struct {
 	m    *tensor.Matrix32
 }
 
-// params32 enumerates every student weight in a fixed order shared by the
+// studentParams enumerates every student weight in a fixed order shared by the
 // encoder and decoder. Both section-predictor paths are serialised (the
 // conversion materialises both), so NoMarkov round-trips regardless of
 // which path is active.
-func (m *JointWB32) params32() []studentParam {
-	ps := []studentParam{{"glove.table", m.Emb.Table}}
-	appendLSTM := func(prefix string, wx, wh, bias *tensor.Matrix32) {
+func studentParams(m *JointWB32) []studentParam {
+	ps := []studentParam{{"glove.table", m.Enc.(*GloVeEncoderOf[float32]).Emb.Table.Value}}
+	appendLSTM := func(prefix string, l *nn.LSTMOf[float32]) {
 		ps = append(ps,
-			studentParam{prefix + ".wx", wx},
-			studentParam{prefix + ".wh", wh},
-			studentParam{prefix + ".b", bias},
+			studentParam{prefix + ".wx", l.Wx.Value},
+			studentParam{prefix + ".wh", l.Wh.Value},
+			studentParam{prefix + ".b", l.B.Value},
 		)
 	}
-	appendLSTM("ext.fwd", m.ExtLSTM.Fwd.Wx, m.ExtLSTM.Fwd.Wh, m.ExtLSTM.Fwd.B)
-	appendLSTM("ext.bwd", m.ExtLSTM.Bwd.Wx, m.ExtLSTM.Bwd.Wh, m.ExtLSTM.Bwd.B)
-	appendLSTM("gen.fwd", m.GenLSTM.Fwd.Wx, m.GenLSTM.Fwd.Wh, m.GenLSTM.Fwd.B)
-	appendLSTM("gen.bwd", m.GenLSTM.Bwd.Wx, m.GenLSTM.Bwd.Wh, m.GenLSTM.Bwd.B)
+	appendLSTM("ext.fwd", m.ExtLSTM.Fwd)
+	appendLSTM("ext.bwd", m.ExtLSTM.Bwd)
+	appendLSTM("gen.fwd", m.GenLSTM.Fwd)
+	appendLSTM("gen.bwd", m.GenLSTM.Bwd)
 	ps = append(ps,
-		studentParam{"sec.w1", m.Sec.W1.W},
-		studentParam{"sec.w2", m.Sec.W2.W},
-		studentParam{"sec.indep.w", m.Sec.Indep.W},
-		studentParam{"sec.indep.b", m.Sec.Indep.B},
-		studentParam{"dec.emb", m.Dec.Emb.Table},
+		studentParam{"sec.w1", m.Sec.W1.W.Value},
+		studentParam{"sec.w2", m.Sec.W2.W.Value},
+		studentParam{"sec.indep.w", m.Sec.Indep.W.Value},
+		studentParam{"sec.indep.b", m.Sec.Indep.B.Value},
+		studentParam{"dec.emb", m.Dec.Emb.Table.Value},
 	)
-	appendLSTM("dec.cell", m.Dec.Cell.Wx, m.Dec.Cell.Wh, m.Dec.Cell.B)
+	appendLSTM("dec.cell", m.Dec.Cell)
 	ps = append(ps,
-		studentParam{"dec.att", m.Dec.Att.W},
-		studentParam{"dec.out.w", m.Dec.Out.W},
-		studentParam{"dec.out.b", m.Dec.Out.B},
-		studentParam{"mem1.w", m.MemPr1.W}, studentParam{"mem1.b", m.MemPr1.B},
-		studentParam{"mem2.w", m.MemPr2.W}, studentParam{"mem2.b", m.MemPr2.B},
-		studentParam{"wce.w", m.WCE.W}, studentParam{"wce.b", m.WCE.B},
-		studentParam{"wq.w", m.WQ.W}, studentParam{"wq.b", m.WQ.B},
-		studentParam{"attE.w", m.AttE.W},
-		studentParam{"tag.w", m.TagW.W}, studentParam{"tag.b", m.TagW.B},
-		studentParam{"wcg.w", m.WCG.W}, studentParam{"wcg.b", m.WCG.B},
-		studentParam{"we.w", m.WE.W}, studentParam{"we.b", m.WE.B},
-		studentParam{"attG.w", m.AttG.W}, studentParam{"attG.b", m.AttG.B},
+		studentParam{"dec.att", m.Dec.Att.W.Value},
+		studentParam{"dec.out.w", m.Dec.Out.W.Value},
+		studentParam{"dec.out.b", m.Dec.Out.B.Value},
+		studentParam{"mem1.w", m.MemPr1.W.Value}, studentParam{"mem1.b", m.MemPr1.B.Value},
+		studentParam{"mem2.w", m.MemPr2.W.Value}, studentParam{"mem2.b", m.MemPr2.B.Value},
+		studentParam{"wce.w", m.WCE.W.Value}, studentParam{"wce.b", m.WCE.B.Value},
+		studentParam{"wq.w", m.WQ.W.Value}, studentParam{"wq.b", m.WQ.B.Value},
+		studentParam{"attE.w", m.AttE.W.Value},
+		studentParam{"tag.w", m.TagW.W.Value}, studentParam{"tag.b", m.TagW.B.Value},
+		studentParam{"wcg.w", m.WCG.W.Value}, studentParam{"wcg.b", m.WCG.B.Value},
+		studentParam{"we.w", m.WE.W.Value}, studentParam{"we.b", m.WE.B.Value},
+		studentParam{"attG.w", m.AttG.W.Value}, studentParam{"attG.b", m.AttG.B.Value},
 	)
 	return ps
 }
@@ -70,8 +71,11 @@ func (m *JointWB32) params32() []studentParam {
 // into a version-2 snapshot container with float32 parameter slabs — half
 // the bytes of the teacher bundle, and what wbserve's cascade tier loads.
 func EncodeStudentSnapshot(m *JointWB32, v *textproc.Vocab) ([]byte, error) {
+	if _, ok := m.Enc.(*GloVeEncoderOf[float32]); !ok {
+		return nil, fmt.Errorf("wb: EncodeStudentSnapshot supports GloVe-encoder students, got %T", m.Enc)
+	}
 	var meta snapshot.Buffer
-	meta.Uvarint(uint64(m.Emb.Dim()))
+	meta.Uvarint(uint64(m.Enc.Dim()))
 	meta.Uvarint(uint64(m.Cfg.Hidden))
 	meta.Uvarint(uint64(m.Cfg.TopicLen))
 	meta.Uvarint(uint64(m.Cfg.BeamSize))
@@ -87,7 +91,7 @@ func EncodeStudentSnapshot(m *JointWB32, v *textproc.Vocab) ([]byte, error) {
 	meta.Strings(tokens)
 
 	var params snapshot.Buffer
-	ps := m.params32()
+	ps := studentParams(m)
 	params.Uvarint(uint64(len(ps)))
 	for _, p := range ps {
 		params.String(p.name)
@@ -159,7 +163,7 @@ func DecodeStudentSnapshot(data []byte) (*JointWB32, *textproc.Vocab, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wb: student snapshot params: %w", err)
 	}
-	ps := m.params32()
+	ps := studentParams(m)
 	if count != uint64(len(ps)) {
 		return nil, nil, fmt.Errorf("wb: student parameter count mismatch: snapshot has %d, model has %d", count, len(ps))
 	}

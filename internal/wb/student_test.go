@@ -9,14 +9,23 @@ import (
 
 	"webbrief/internal/eval"
 	"webbrief/internal/nn"
+	"webbrief/internal/tensor"
+	"webbrief/internal/textproc"
 )
 
-// studentFromTeacher converts a trained teacher, failing the test on error.
+// studentFromTeacher converts a trained teacher, failing the test on error —
+// or if any student parameter came out with a gradient buffer: the student
+// never trains, and a Grad per weight would double its resident size.
 func studentFromTeacher(t testing.TB, m *JointWB) *JointWB32 {
 	t.Helper()
 	st, err := ConvertJointWB(m)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range st.Params() {
+		if p.Grad != nil {
+			t.Fatalf("student parameter %s carries a gradient buffer", p.Name)
+		}
 	}
 	return st
 }
@@ -43,19 +52,19 @@ func TestStudentSecLogitsMatchTeacher(t *testing.T) {
 	_ = v
 	st := studentFromTeacher(t, m)
 	s64 := NewInferScratch()
-	s32 := NewInferScratch32()
+	s32 := NewInferScratch32For(nil, 0)
 	const tol = 1e-3 // |err| ≤ tol·(1+|logit|); generous vs the ~1e-5 observed
 	for k, inst := range insts {
 		s64.Tape.Reset()
 		out := m.Forward(s64.Tape, inst, Eval)
 		s32.Tape.Reset()
-		out32 := st.Forward(s32.Tape, inst)
-		if out32.SecLogits.Rows != out.SecLogits.Rows() {
-			t.Fatalf("inst %d: section logit rows %d vs %d", k, out32.SecLogits.Rows, out.SecLogits.Rows())
+		out32 := st.Forward(s32.Tape, inst, Eval)
+		if out32.SecLogits.Rows() != out.SecLogits.Rows() {
+			t.Fatalf("inst %d: section logit rows %d vs %d", k, out32.SecLogits.Rows(), out.SecLogits.Rows())
 		}
-		for i := 0; i < out32.SecLogits.Rows; i++ {
+		for i := 0; i < out32.SecLogits.Rows(); i++ {
 			want := out.SecLogits.Value.At(i, 0)
-			got := float64(out32.SecLogits.At(i, 0))
+			got := float64(out32.SecLogits.Value.At(i, 0))
 			if math.Abs(got-want) > tol*(1+math.Abs(want)) {
 				t.Fatalf("inst %d sentence %d: student logit %g, teacher %g", k, i, got, want)
 			}
@@ -72,7 +81,7 @@ func TestStudentExtractionQuality(t *testing.T) {
 	_ = v
 	st := studentFromTeacher(t, m)
 	s64 := NewInferScratch()
-	s32 := NewInferScratch32()
+	s32 := NewInferScratch32For(nil, 0)
 	gold := make([][]eval.Span, len(insts))
 	pt := make([][]eval.Span, len(insts))
 	ps := make([][]eval.Span, len(insts))
@@ -81,7 +90,7 @@ func TestStudentExtractionQuality(t *testing.T) {
 		s64.Tape.Reset()
 		pt[i] = eval.SpansFromBIO(PredictTags(m.Forward(s64.Tape, inst, Eval)))
 		s32.Tape.Reset()
-		ps[i] = eval.SpansFromBIO(PredictTags32(st.Forward(s32.Tape, inst)))
+		ps[i] = eval.SpansFromBIO(PredictTags(st.Forward(s32.Tape, inst, Eval)))
 	}
 	teacher := eval.SpanPRF1(pt, gold)
 	student := eval.SpanPRF1(ps, gold)
@@ -105,8 +114,8 @@ func TestStudentBatchMatchesSerial(t *testing.T) {
 		for i, inst := range insts {
 			wantBriefs[i], wantConfs[i] = MakeBriefWith32(st, inst, v, width, serialScratch)
 		}
-		batchScratch := NewBatchScratch32For(v, width, len(insts))
-		gotBriefs, gotConfs := MakeBriefBatch32(st, insts, v, width, batchScratch)
+		batchScratch := NewBatchScratchOf[float32](v, width, len(insts))
+		gotBriefs, gotConfs := MakeBriefBatch(st, insts, v, width, batchScratch)
 		for i := range insts {
 			if !reflect.DeepEqual(gotBriefs[i], wantBriefs[i]) {
 				t.Fatalf("width %d inst %d: batched student brief diverges:\nbatch  %+v\nserial %+v",
@@ -161,7 +170,7 @@ func TestStudentSnapshotChain(t *testing.T) {
 	if v2.Size() != v.Size() {
 		t.Fatalf("student vocab size %d, want %d", v2.Size(), v.Size())
 	}
-	pa, pb := st.params32(), st2.params32()
+	pa, pb := studentParams(st), studentParams(st2)
 	if len(pa) != len(pb) {
 		t.Fatalf("student param count %d vs %d", len(pa), len(pb))
 	}
@@ -241,10 +250,12 @@ func FuzzDecodeStudentSnapshot(f *testing.F) {
 	})
 }
 
-// BenchmarkCascadeTiers measures the two cascade tiers head to head: the
-// same instance briefed end to end (encode + topic decode) on the warm
-// scratch fast path by the float64 teacher and by its float32 student. The
-// ratio is the cascade's payoff per student-answered briefing.
+// BenchmarkCascadeTiers measures the two cascade tiers head to head as one
+// dtype × scale grid over the generic entry points: the same instance
+// briefed end to end (encode + topic decode) on the warm scratch fast path
+// by the float64 teacher and by its float32 student — the same code, two
+// instantiations. The f64/f32 ratio is the cascade's payoff per
+// student-answered briefing.
 //
 // Two model scales bracket the cost regimes. toy-h16 is the unit-test
 // configuration — so small that library transcendentals and per-step tape
@@ -252,7 +263,7 @@ func FuzzDecodeStudentSnapshot(f *testing.F) {
 // has nothing to bite on. paper-h108 is the configuration the source paper
 // serves (GloVe d=50, Hidden=108), where the h² matmul work dominates and
 // the float32 kernels' halved traffic and doubled register block pay off;
-// that sub-benchmark is the cascade's headline number in BENCH_6.json.
+// that cell pair is the cascade's headline number in BENCH_6.json.
 func BenchmarkCascadeTiers(b *testing.B) {
 	insts, v := testData(b, 1, 2)
 	inst := insts[0]
@@ -269,24 +280,18 @@ func BenchmarkCascadeTiers(b *testing.B) {
 		cfg.Hidden = sc.hidden
 		cfg.Seed = 313
 		m := NewJointWB("jwb", enc, v.Size(), cfg)
-		b.Run(sc.name+"/teacher-f64", func(b *testing.B) {
-			s := NewInferScratchFor(v, beam)
-			MakeBriefWith(m, inst, v, beam, s)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MakeBriefWith(m, inst, v, beam, s)
-			}
-		})
-		b.Run(sc.name+"/student-f32", func(b *testing.B) {
-			sm := studentFromTeacher(b, m)
-			s := NewInferScratch32For(v, beam)
-			MakeBriefWith32(sm, inst, v, beam, s)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MakeBriefWith32(sm, inst, v, beam, s)
-			}
-		})
+		b.Run("dtype=f64/scale="+sc.name, func(b *testing.B) { benchTier[float64](b, m, inst, v, beam) })
+		b.Run("dtype=f32/scale="+sc.name, func(b *testing.B) { benchTier[float32](b, studentFromTeacher(b, m), inst, v, beam) })
+	}
+}
+
+// benchTier is one cell of the BenchmarkCascadeTiers grid.
+func benchTier[T tensor.Float](b *testing.B, m ModelOf[T], inst *Instance, v *textproc.Vocab, beam int) {
+	s := NewInferScratchOf[T](v, beam)
+	makeBriefWith(m, inst, v, beam, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		makeBriefWith(m, inst, v, beam, s)
 	}
 }

@@ -35,15 +35,18 @@ go test -race -run 'TestCache|TestFlight|TestSuffixMatcher' ./internal/briefcach
 echo "== chaos suite (seeded fault injection: crawler retries/breaker, serve ejection/drain races)"
 go test -race -run 'Chaos' ./internal/fault ./internal/crawler ./internal/serve
 
-echo "== wbdebug invariant layer"
-go test -tags wbdebug ./internal/ag ./internal/tensor
+echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
+go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
+
+echo "== one numeric stack (per-dtype code is the matmul kernels only: no other non-test *32*.go under tensor/ag/nn/wb)"
+if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 -name '*32*.go' ! -name '*_test.go' ! -name 'kernels32*' ! -name 'cpufeat_*' | grep .; then echo "float32 mirror file(s) listed above: make the generic code handle the case instead"; exit 1; fi
 
 echo "== allocation regression gates (warm fast path must stay allocation-free)"
 go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs' \
     ./internal/ag ./internal/tensor ./internal/wb
 
-echo "== kernel equivalence (blocked kernels vs naive reference, exact equality)"
-go test -run 'TestKernelEquivalence|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
+echo "== kernel equivalence (blocked kernels vs naive reference, hoisted vs per-step LSTM projection, exact equality)"
+go test -run 'TestKernelEquivalence|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
     ./internal/tensor ./internal/nn ./internal/wb
 
 echo "== batched equivalence (fused B-row forward/beam vs serial reference, exact equality, ragged batches, one forward per briefing)"
@@ -60,12 +63,13 @@ go test -race -run 'TestGatewayChaosSoak|TestGatewayFailoverAndBreaker|TestHotRe
 echo "== ring determinism gate (golden assignments, remapping bound, permutation stability)"
 go test -run 'TestRing' ./internal/gateway
 
-echo "== cascade equivalence (float32 student vs float64 teacher: wire bytes, tier partition, quality gate)"
+echo "== cascade equivalence (JointWB[float32] student vs JointWB[float64] teacher: wire bytes, tier partition, quality gate)"
 go test -race -run 'TestCascade' ./internal/serve
 go test -run 'TestStudent|TestConvertJointWB' ./internal/wb
 
-echo "== float32 kernel bench smoke (Kernels32 benchmarks stay runnable)"
+echo "== bench smoke (float32 kernel benchmarks and the dtype x scale CascadeTiers grid stay runnable)"
 go test -run '^$' -bench 'Kernels32' -benchtime 1x ./internal/tensor >/dev/null
+go test -run '^$' -bench 'CascadeTiers' -benchtime 1x ./internal/wb >/dev/null
 
 echo "== wbserve smoke (train tiny bundle, boot, four concurrent curls through the batch scheduler, /metrics, drain)"
 SMOKEDIR=$(mktemp -d)
