@@ -9,7 +9,8 @@ import (
 	"webbrief/internal/tensor"
 )
 
-// ragged test lengths: 1-token rows, a shared max, and odd middles.
+// ragged test lengths: 1-token rows, a shared max, odd middles, and one
+// sequence long enough (≥ 64 rows) for its products to be panel-packed.
 var raggedLens = [][]int{
 	{1},
 	{3, 3},
@@ -20,6 +21,7 @@ var raggedLens = [][]int{
 	{6, 3, 1, 7, 2, 5},
 	{4, 4, 4, 4, 4, 4, 4},
 	{7, 6, 5, 4, 3, 2, 1, 7},
+	{66, 3},
 }
 
 // TestBiLSTMForwardBatchMatchesSerial pins ForwardBatch to Forward across

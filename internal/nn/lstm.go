@@ -91,7 +91,7 @@ func (l *LSTMOf[T]) stepFrom(t *ag.TapeOf[T], in *ag.NodeOf[T], projected bool, 
 // recurrenceInput returns what the time loop over sequence x should feed
 // stepFrom row by row. On a no-gradient tape that is the whole sequence's
 // input projection x·Wx, hoisted out of the recurrence: seq latency-bound
-// 1-row products become one packed seq-row matmul and only h·Wh stays inside
+// 1-row products become one seq-row matmul and only h·Wh stays inside
 // the loop; matmul rows are computed independently in ascending-k order, so
 // each hoisted row equals the per-step product exactly, for both element
 // types. On a recording tape it is x itself: one seq-row product would sum

@@ -1,0 +1,17 @@
+//go:build amd64
+
+package tensor
+
+// useLaneKernels gates both assembly kernel families: the unfused AVX2
+// float64 lanes in kernels64avx_amd64.s and the AVX2+FMA float32 lanes in
+// kernels32fma_amd64.s. The binary targets baseline GOAMD64=v1, so the
+// capability is probed once at startup via CPUID/XGETBV rather than assumed;
+// on machines without AVX2+FMA or without OS-saved YMM state every matmul
+// runs its pure-Go body. It is a variable, never assigned outside tests, so
+// that the both-modes tests can run the pure-Go bodies on an AVX2 host.
+var useLaneKernels = x86HasAVX2FMA()
+
+// x86HasAVX2FMA reports whether the CPU supports AVX2 and FMA3 and the OS
+// saves YMM state across context switches (XCR0 bits 1–2). Implemented in
+// cpufeat_amd64.s.
+func x86HasAVX2FMA() bool

@@ -10,6 +10,21 @@ package tensor
 // contains exact zeros (the reference kernels skip a==0 terms, the blocked
 // ones add ±0), which compares equal under == and never changes a value.
 //
+// The float64 contract, precisely: each output cell receives its terms in
+// ascending k, with one rounding after the multiply and one after the add.
+// That forbids fusing (FMA drops the first rounding) and reassociating one
+// cell's sum; it does not forbid vectorising across cells. On amd64 with
+// AVX2, matMulRows and matMulPackedRows therefore run unfused lane bodies
+// (kernels64avx_amd64.s: lanes are output cells, VMULPD then VADDPD per k
+// term) that are bit-for-bit identical to the pure-Go bodies below for
+// finite operands, signed zeros and subnormals included — the Go compiler
+// emits the same unfused MULSD/ADDSD pair (on amd64 it never fuses). The
+// class of a non-finite cell (NaN, +Inf, -Inf) is inside the contract; NaN
+// payloads are outside it (which operand of a two-NaN add survives is the
+// compiler's choice). The pure-Go bodies are the only path on other
+// hardware and the reference TestKernels64LanesMatchPureGo compares the
+// lanes against.
+//
 // The register blocking is a quad of independent accumulators: four output
 // cells of one row advance together through the shared k loop, giving
 // 4-way instruction-level parallelism without reassociating any single
@@ -21,10 +36,14 @@ package tensor
 const packWidth = 4
 
 // packMinRows is the minimum left-hand row count for B-panel packing to
-// pay for itself. Packing costs one pass over o (read + write); with fewer
-// rows than this the kernel re-reads o so few times that the unpacked
-// row-streaming loop wins.
-const packMinRows = 4
+// pay for itself. Packing costs one pass over o (read + write, ≈33 µs for a
+// 108×432 float64 weight) and buys a contiguous panel stream worth ≈10 % per
+// row over the lane kernels' strided reads, so it breaks even near 64 rows
+// at the paper-scale shapes (BenchmarkMatMulKernelsGrid, float64 lanes,
+// 108×432: 4 rows 22 µs unpacked vs 59 µs packed, 32 rows 143 vs 198,
+// 64 rows 297 vs 294, 128 rows 781 vs 754). The former value, 4, made every
+// beam=4 decode step re-pack its weights at 2.7× the cost of not packing.
+const packMinRows = 64
 
 // transposeTile is the square tile edge for the cache-blocked transpose.
 // 32×32 float64 tiles are 8 KiB per operand (float32: 4 KiB) — both tiles
@@ -134,9 +153,9 @@ func packFor[T Float](m, o *MatrixOf[T], pack *PackBufOf[T]) *PackBufOf[T] {
 
 // Besides packFor's panel width, the three functions below are the only
 // places the stack branches on the element type: one type switch per op,
-// selecting the float64 kernels in this file (bitwise contract, never fused)
-// or the float32 kernels in kernels32.go (k-term envelope, AVX2+FMA lanes
-// where the CPU has them).
+// selecting the float64 kernels in this file (bitwise contract: unfused AVX2
+// lanes where the CPU has them, never fused) or the float32 kernels in
+// kernels32.go (k-term envelope: AVX2+FMA lanes behind the same gate).
 
 // matMulRowRange computes output rows [lo, hi) of r += m·o, reading o
 // through panels' packed copy when panels is non-nil.
@@ -184,9 +203,14 @@ func matMulTransA[T Float](dst, m, o *MatrixOf[T]) {
 // matMulPackedRows computes output rows [lo, hi) of r += m·o reading o
 // through its packed panels: per output row a quad of accumulators walks
 // one contiguous panel stream, accumulating each cell's sum in ascending k
-// exactly like the reference kernel.
+// exactly like the reference kernel. With lane kernels the same per-cell
+// sequence runs four panels at a time in matMulPackedRowsLanes.
 func matMulPackedRows(r, m, o *Matrix, panels []float64, lo, hi int) {
 	k, n := o.Rows, o.Cols
+	if useLaneKernels && k > 0 && n >= packWidth {
+		matMulPackedRowsLanes(r, m, o, panels, lo, hi)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		mRow := m.Row(i)
 		rRow := r.Row(i)
@@ -291,9 +315,14 @@ func referenceTranspose(dst, m *Matrix) {
 // axpy loop with a 4x-unrolled inner loop. The a==0 skip is kept — it is
 // essentially free on dense inputs (the branch is always taken, hence
 // perfectly predicted) and saves a full row pass per masked-out activation
-// during dropout training.
+// during dropout training. With lane kernels the same per-cell sequence,
+// skip included, runs column-block outer in matMulRowsLanes.
 func matMulRows(r, m, o *Matrix, lo, hi int) {
 	n := o.Cols
+	if useLaneKernels && o.Rows > 0 && n >= packWidth {
+		matMulRowsLanes(r, m, o, lo, hi)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		mRow := m.Row(i)
 		rRow := r.Row(i)

@@ -20,13 +20,14 @@ package tensor
 // with ε = 2⁻²⁴, and the tests assert a documented multiple of that bound.
 //
 // That envelope contract — rather than the float64 tier's bitwise one — is
-// what lets the matmul hot loops drop into AVX2+FMA assembly on capable
-// amd64 hardware (kernels32fma_amd64.s, gated by useFMA32): the lane
-// kernels keep each output cell in its own SIMD lane accumulating in
-// ascending k, and fusing the multiply-add only removes an intermediate
-// rounding, so results stay inside the k-term bound. The float64 kernels
-// can never take this path; vectorising or fusing them would break their
-// bitwise-identity promise.
+// what lets the matmul hot loops FUSE on capable amd64 hardware
+// (kernels32fma_amd64.s, gated by useLaneKernels): the lane kernels keep
+// each output cell in its own SIMD lane accumulating in ascending k, and
+// fusing the multiply-add only removes an intermediate rounding, so results
+// stay inside the k-term bound. The float64 kernels take the same lanes
+// behind the same gate (kernels64avx_amd64.s) but can never fuse: a
+// separate multiply and add per k term is what keeps them bitwise identical
+// to their pure-Go bodies.
 
 // packWidth32 is the register-block width of the float32 kernels: 8 lanes
 // = 32 bytes, the same per-step footprint as 4 float64 lanes.
@@ -39,7 +40,7 @@ const packWidth32 = 8
 // wider block.
 func matMulPackedRows32(r, m, o *Matrix32, panels []float32, lo, hi int) {
 	k, n := o.Rows, o.Cols
-	if useFMA32 && k > 0 && n >= packWidth32 {
+	if useLaneKernels && k > 0 && n >= packWidth32 {
 		matMulPackedRowsFMA32(r, m, o, panels, lo, hi)
 		return
 	}
@@ -93,7 +94,7 @@ func matMulPackedRows32(r, m, o *Matrix32, panels []float32, lo, hi int) {
 // output cell the accumulation order is still ascending k.
 func matMulRows32(r, m, o *Matrix32, lo, hi int) {
 	k, n := o.Rows, o.Cols
-	if useFMA32 && k > 0 && n >= packWidth32 {
+	if useLaneKernels && k > 0 && n >= packWidth32 {
 		matMulRowsFMA32(r, m, o, lo, hi)
 		return
 	}

@@ -96,6 +96,10 @@ func withinBound(t *testing.T, what string, got *Matrix32, want, envelope *Matri
 // the float64 reference on widened inputs, over the same shape grid as the
 // float64 equivalence tests (odd dims, 1-row, 1-col, empty operands).
 func TestKernelEquivalence32MatMul(t *testing.T) {
+	eachKernelMode(t, testKernelEquivalence32MatMul)
+}
+
+func testKernelEquivalence32MatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pack := &PackBuf32{}
 	for _, sh := range kernelShapes {
@@ -254,9 +258,9 @@ func TestElementwise32ULP(t *testing.T) {
 func TestPackBufReuse32(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pack := &PackBuf32{}
-	m := randMat32(16, 24, 0, rng)
+	m := randMat32(packMinRows, 24, 0, rng)
 	o := randMat32(24, 40, 0, rng)
-	dst := New32(16, 40)
+	dst := New32(packMinRows, 40)
 	MatMulPackInto32(dst, m, o, pack)
 	if pack.Footprint() < 24*40 {
 		t.Fatalf("pack footprint %d after first use, want >= %d", pack.Footprint(), 24*40)

@@ -2,17 +2,6 @@
 
 package tensor
 
-// useFMA32 gates the AVX2+FMA lane kernels in kernels32fma_amd64.s. The
-// binary targets baseline GOAMD64=v1, so the capability is probed once at
-// startup via CPUID/XGETBV rather than assumed; on machines without AVX2 or
-// without OS-saved YMM state the float32 kernels run their pure-Go bodies.
-var useFMA32 = x86HasAVX2FMA()
-
-// x86HasAVX2FMA reports whether the CPU supports AVX2 and FMA3 and the OS
-// saves YMM state across context switches (XCR0 bits 1–2). Implemented in
-// cpufeat_amd64.s.
-func x86HasAVX2FMA() bool
-
 // fmaBlock8 accumulates d[0:8] += Σ_{kk<k} a[kk] · b[kk·stride : kk·stride+8]
 // with one 8-lane fused multiply-add per kk. Each lane is one output cell,
 // accumulated in ascending k — the same per-cell op sequence as the pure-Go

@@ -124,3 +124,48 @@ func BenchmarkTransposeKernels(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMatMulKernelsGrid is the matmul kernel matrix at the paper-scale
+// bundle's shapes (hidden 108, embedding 50): dtype × weight shape × left-hand
+// rows × layout × impl. rows 1 is an LSTM step, 4 a beam=4 decode step, 70 a
+// page's hoisted input projection. layout=packed includes the packPanels pass,
+// as matMulIntoPacked pays it on every call — so rows=4 unpacked vs packed is
+// the packMinRows decision. impl=go is the pure-Go body, impl=lanes the
+// assembly behind useLaneKernels (skipped where the CPU has none).
+func BenchmarkMatMulKernelsGrid(b *testing.B) {
+	for _, w := range []struct{ k, c int }{{50, 432}, {108, 432}, {216, 108}} {
+		for _, rows := range []int{1, 4, 70} {
+			shape := fmt.Sprintf("shape=%dx%d/rows=%d", w.k, w.c, rows)
+			benchKernelGridCell[float64](b, "dtype=f64/"+shape, rows, w.k, w.c, packWidth)
+			benchKernelGridCell[float32](b, "dtype=f32/"+shape, rows, w.k, w.c, packWidth32)
+		}
+	}
+}
+
+func benchKernelGridCell[T Float](b *testing.B, name string, rows, k, c, width int) {
+	rng := rand.New(rand.NewSource(5))
+	m, o := Cast[T](benchMat(rows, k, 0, rng)), Cast[T](benchMat(k, c, 0, rng))
+	dst := NewOf[T](rows, c)
+	pack := &PackBufOf[T]{}
+	pack.ensure(k * c) // grown once, as a warm InferScratch's is
+	for _, layout := range []string{"unpacked", "packed"} {
+		var panels *PackBufOf[T]
+		if layout == "packed" {
+			panels = pack
+		}
+		for _, impl := range []string{"go", "lanes"} {
+			b.Run(name+"/layout="+layout+"/impl="+impl, func(b *testing.B) {
+				setLaneKernels(b, impl == "lanes")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst.Zero()
+					if panels != nil {
+						packPanels(panels.ensure(k*c), o, width)
+					}
+					matMulRowRange(dst, m, o, panels, 0, rows)
+				}
+			})
+		}
+	}
+}

@@ -38,15 +38,15 @@ go test -race -run 'Chaos' ./internal/fault ./internal/crawler ./internal/serve
 echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
 go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
 
-echo "== one numeric stack (per-dtype code is the matmul kernels only: no other non-test *32*.go under tensor/ag/nn/wb)"
-if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 -name '*32*.go' ! -name '*_test.go' ! -name 'kernels32*' ! -name 'cpufeat_*' | grep .; then echo "float32 mirror file(s) listed above: make the generic code handle the case instead"; exit 1; fi
+echo "== one numeric stack (per-dtype code is the matmul kernels only: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
+if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name '*32*.go' -o -name '*64*.go' \) ! -name '*_test.go' ! -name 'kernels32*' ! -name 'kernels64avx_*' ! -name 'cpufeat_*' | grep .; then echo "per-dtype file(s) listed above: make the generic code handle the case instead"; exit 1; fi
 
 echo "== allocation regression gates (warm fast path must stay allocation-free)"
 go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs' \
     ./internal/ag ./internal/tensor ./internal/wb
 
-echo "== kernel equivalence (blocked kernels vs naive reference, hoisted vs per-step LSTM projection, exact equality)"
-go test -run 'TestKernelEquivalence|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
+echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes vs pure Go on Float64bits, sentinel bands around the asm operands, hoisted vs per-step LSTM projection)"
+go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
     ./internal/tensor ./internal/nn ./internal/wb
 
 echo "== batched equivalence (fused B-row forward/beam vs serial reference, exact equality, ragged batches, one forward per briefing)"
@@ -67,8 +67,8 @@ echo "== cascade equivalence (JointWB[float32] student vs JointWB[float64] teach
 go test -race -run 'TestCascade' ./internal/serve
 go test -run 'TestStudent|TestConvertJointWB' ./internal/wb
 
-echo "== bench smoke (float32 kernel benchmarks and the dtype x scale CascadeTiers grid stay runnable)"
-go test -run '^$' -bench 'Kernels32' -benchtime 1x ./internal/tensor >/dev/null
+echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x layout x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
+go test -run '^$' -bench 'Kernels' -benchtime 1x ./internal/tensor >/dev/null
 go test -run '^$' -bench 'CascadeTiers' -benchtime 1x ./internal/wb >/dev/null
 
 echo "== wbserve smoke (train tiny bundle, boot, four concurrent curls through the batch scheduler, /metrics, drain)"
@@ -109,6 +109,12 @@ echo "   wbserve smoke ok"
 
 echo "== bench module (separate go.mod importing this one: an API rename here must not break the benchmark)"
 (cd bench && go vet ./... && go test ./...)
+
+echo "== training byte-identity (bench bundle retrained by this tree's wbtrain, then found cached: same sha256 both times)"
+for i in 1 2; do
+    BENCH_OUT=$(bash bench/run.sh --workload direct-miss-teacher --seconds 1 --trace 0)
+    grep -qx 'bundle sha256 7502e8455762540e80a9b3cf8f823aa3ce097f5973a4b6677e65b31a846e2ce2' <<<"$BENCH_OUT"
+done
 
 echo "== wbserve cached smoke (wbsnap gob->snapshot, -cache on, repeat post hits without a replica)"
 go run ./cmd/wbsnap -in "$SMOKEDIR/model.bin" -out "$SMOKEDIR/model.snap"
