@@ -26,9 +26,9 @@
 // with Node and Param) is the training engine and the teacher's inference
 // tape; the distilled student runs the same ops on a no-gradient
 // TapeOf[float32] (NewInferTapeOf). Losses and their reductions accumulate
-// in float64 for both element types and transcendentals go through the
-// float64 library forms, so for float64 every op is bit-for-bit what it was
-// before the tape was generic.
+// in float64 for both element types and float64 transcendentals are the
+// library's, so for float64 every op is bit-for-bit what it was before the
+// tape was generic; float32 σ and tanh are tensor's own (kernels32act.go).
 package ag
 
 import (

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -180,6 +181,55 @@ func TestLSTMHoistedProjectionBitwise(t *testing.T) {
 		got, want := bi.ForwardBatch(h, hx), bi.ForwardBatch(p, px)
 		for i := range got {
 			equal("BiLSTM.ForwardBatch", got[i].Value, want[i].Value)
+		}
+	}
+}
+
+// TestLSTMCellFusedMatchesOpChain pins the fused no-gradient step
+// (tensor.LSTMCellInto) to the recorded op chain it replaces: the same
+// multi-row Step sequence on an inference tape and on a recording tape must
+// leave bit-identical hidden and cell states — math.Float64bits for float64,
+// math.Float32bits for float32 — at every step, for hidden widths on both
+// sides of the 8-lane vector width and the serving width, with inputs wide
+// enough to drive gates into saturation. (The kernel mode is the host's;
+// tensor's TestLSTMCellIntoMatchesOps repeats the comparison at the kernel
+// level in both modes.)
+func TestLSTMCellFusedMatchesOpChain(t *testing.T) {
+	testLSTMCellFusedMatchesOpChain[float64](t, "float64")
+	testLSTMCellFusedMatchesOpChain[float32](t, "float32")
+}
+
+func testLSTMCellFusedMatchesOpChain[T tensor.Float](t *testing.T, dtype string) {
+	rng := rand.New(rand.NewSource(29))
+	const in, steps = 5, 4
+	for _, h := range []int{1, 7, 8, 9, 108} {
+		l := CastLSTM[T](NewLSTM("l", in, h, rng))
+		for _, rows := range []int{1, 4, 7} {
+			xs := make([]*tensor.MatrixOf[T], steps)
+			for k := range xs {
+				xs[k] = tensor.Cast[T](tensor.Uniform(rows, in, -8, 8, rng))
+			}
+			h0 := tensor.Cast[T](tensor.Uniform(rows, h, -1, 1, rng))
+			c0 := tensor.Cast[T](tensor.Uniform(rows, h, -3, 3, rng))
+			fused, chain := ag.NewInferTapeOf[T](), &ag.TapeOf[T]{}
+			fs := StateOf[T]{H: fused.Const(h0), C: fused.Const(c0)}
+			cs := StateOf[T]{H: chain.Const(h0), C: chain.Const(c0)}
+			for k, x := range xs {
+				fs, cs = l.Step(fused, fused.Const(x), fs), l.Step(chain, chain.Const(x), cs)
+				for _, pair := range []struct {
+					what      string
+					got, want *tensor.MatrixOf[T]
+				}{{"H", fs.H.Value, cs.H.Value}, {"C", fs.C.Value, cs.C.Value}} {
+					for j, g := range pair.got.Data {
+						// float32 → float64 is exact, so equal widened bits
+						// means equal float32 bits, signed zeros included.
+						if w := pair.want.Data[j]; math.Float64bits(float64(g)) != math.Float64bits(float64(w)) {
+							t.Fatalf("%s h=%d rows=%d step %d: %s[%d] fused %v, op chain %v",
+								dtype, h, rows, k, pair.what, j, g, w)
+						}
+					}
+				}
+			}
 		}
 	}
 }

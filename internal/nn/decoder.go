@@ -137,8 +137,14 @@ type Confidence struct {
 // thin margin (a near-tie with a different topic) pulls the score down, and
 // the serve-layer cascade escalates when it falls below the configured
 // threshold. An infinite margin leaves the posterior in charge; a zero
-// margin forces 0 regardless of posterior.
+// margin forces 0 regardless of posterior. A NaN in either field — a decode
+// whose logits went non-finite — scores 0, the least confident value: every
+// comparison against NaN is false, so a NaN score would pass any
+// `score < threshold` escalation test and be served.
 func (c Confidence) Score() float64 {
+	if math.IsNaN(c.Margin) || math.IsNaN(c.Posterior) {
+		return 0
+	}
 	s := 1 - math.Exp(-c.Margin)
 	if c.Posterior < s {
 		s = c.Posterior

@@ -73,13 +73,23 @@ func (l *LSTMOf[T]) Step(t *ag.TapeOf[T], x *ag.NodeOf[T], s StateOf[T]) StateOf
 }
 
 // stepFrom is Step reading in, which is the input itself, or its projection
-// in·Wx when projected is set (rows of recurrenceInput's result).
+// in·Wx when projected is set (rows of recurrenceInput's result). On a
+// no-gradient tape the gate arithmetic after the two matmuls is one fused
+// tensor.LSTMCellInto pass (bitwise the op chain below, for both element
+// types) instead of fifteen recorded ops; a recording tape keeps the chain,
+// whose nodes are what Backward walks.
 func (l *LSTMOf[T]) stepFrom(t *ag.TapeOf[T], in *ag.NodeOf[T], projected bool, s StateOf[T]) StateOf[T] {
 	if !projected {
 		in = t.MatMul(in, t.Use(l.Wx))
 	}
-	gates := t.AddRowVector(t.Add(in, t.MatMul(s.H, t.Use(l.Wh))), t.Use(l.B))
+	rec := t.MatMul(s.H, t.Use(l.Wh))
 	h := l.Hidden
+	if t.NoGrad() {
+		hNew, cNew := t.AllocValue(in.Rows(), h), t.AllocValue(in.Rows(), h)
+		tensor.LSTMCellInto(hNew, cNew, rec.Value, in.Value, l.B.Value, s.C.Value)
+		return StateOf[T]{H: t.Const(hNew), C: t.Const(cNew)}
+	}
+	gates := t.AddRowVector(t.Add(in, rec), t.Use(l.B))
 	i := t.Sigmoid(t.SliceCols(gates, 0, h))
 	f := t.Sigmoid(t.SliceCols(gates, h, 2*h))
 	g := t.Tanh(t.SliceCols(gates, 2*h, 3*h))

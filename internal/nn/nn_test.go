@@ -227,6 +227,32 @@ func TestAttnDecoderGreedyStopsAtEOS(t *testing.T) {
 	}
 }
 
+// TestConfidenceScore pins the routing scalar: min(Posterior, 1−e^−Margin)
+// clamped to [0, 1], and 0 — escalate — whenever a field is NaN, since a NaN
+// score would answer false to every `score < threshold` test.
+func TestConfidenceScore(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		c    Confidence
+		want float64
+	}{
+		{sureConfidence(), 1},
+		{Confidence{Margin: inf, Posterior: 0.25}, 0.25},
+		{Confidence{Margin: 0, Posterior: 1}, 0},
+		{Confidence{Margin: math.Ln2, Posterior: 0.9}, 0.5},
+		{Confidence{Margin: -1, Posterior: 1}, 0},
+		{Confidence{Margin: inf, Posterior: 1.5}, 1},
+		{Confidence{Margin: nan, Posterior: 1}, 0},
+		{Confidence{Margin: inf, Posterior: nan}, 0},
+		{Confidence{Margin: nan, Posterior: nan}, 0},
+		{Confidence{}, 0},
+	} {
+		if got := tc.c.Score(); got != tc.want {
+			t.Errorf("%+v.Score() = %v, want %v", tc.c, got, tc.want)
+		}
+	}
+}
+
 // Train a decoder to emit a fixed phrase, then check both greedy and beam
 // search recover it and that beam search never underperforms greedy.
 func TestDecoderLearnsFixedPhrase(t *testing.T) {

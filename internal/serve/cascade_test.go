@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"webbrief/internal/ag"
 	"webbrief/internal/corpus"
 	"webbrief/internal/nn"
 	"webbrief/internal/wb"
@@ -222,5 +224,59 @@ func TestCascadeRequiresGloVe(t *testing.T) {
 	bm := wb.NewJointWB("bert-serve", enc, v.Size(), wb.DefaultConfig())
 	if _, err := New(bm, v, Config{Cascade: true, Replicas: 1}); err == nil {
 		t.Fatal("cascade server built over a transformer-encoder model")
+	}
+}
+
+// nanStudent is a student whose decode goes non-finite: it forwards like the
+// real student (so the extractive half of its brief is sane) and then
+// poisons the decoder's attention memory, which turns every decode logit —
+// and with them both confidence fields — into NaN.
+type nanStudent struct{ wb.ModelOf[float32] }
+
+func (s nanStudent) Forward(t *ag.TapeOf[float32], inst *wb.Instance, mode wb.Mode) *wb.OutputOf[float32] {
+	out := s.ModelOf.Forward(t, inst, mode)
+	out.Memory.Value.Data[0] = float32(math.NaN())
+	return out
+}
+
+// TestCascadeEscalatesNaNConfidence: a NaN confidence is the least
+// confident answer there is, not a pass. NaN compares false against every
+// threshold, so a score that let it through would serve the student's
+// garbage topic; the briefing must escalate instead, counted under
+// teacher_total and byte-identical to the teacher-only path.
+func TestCascadeEscalatesNaNConfidence(t *testing.T) {
+	m, v, pages := trainedModel(t)
+	const beam, threshold = 2, 0.03
+	want := serialWire(t, wb.NewBriefer(m, v, beam, 0), pageHTML(pages))
+	student, err := wb.ConvertJointWB(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := newModelReplicas(m, v, 1, beam, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reps[0]
+	r.student, r.threshold = nanStudent{student}, threshold
+	r.sscratch = wb.NewBatchScratchOf[float32](v, beam, 1)
+	srv := NewFromPool(PoolOf(r), Config{BeamWidth: beam, Cascade: true, ConfidenceThreshold: threshold})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for i, p := range pages {
+		status, body, err := postBrief(ts.URL, p.HTML)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("page %d: status %d err %v", i, status, err)
+		}
+		if !bytes.Equal(body, want[i]) {
+			t.Fatalf("page %d: a NaN-confidence briefing was not the teacher's:\n got %s\nwant %s", i, body, want[i])
+		}
+	}
+	n := int64(len(pages))
+	if got := srv.Metrics().CascadeTeacher.Load(); got != n {
+		t.Fatalf("teacher_total = %d, want %d: NaN confidences must escalate", got, n)
+	}
+	if got := srv.Metrics().CascadeStudent.Load(); got != 0 {
+		t.Fatalf("student_total = %d: a NaN-confidence briefing was served by the student", got)
 	}
 }

@@ -2,11 +2,12 @@
 
 package tensor
 
-// useLaneKernels gates both assembly kernel families: the unfused AVX2
-// float64 lanes in kernels64avx_amd64.s and the AVX2+FMA float32 lanes in
-// kernels32fma_amd64.s. The binary targets baseline GOAMD64=v1, so the
+// useLaneKernels gates all three assembly kernel families: the unfused AVX2
+// float64 matmul lanes in kernels64avx_amd64.s, the AVX2+FMA float32 matmul
+// lanes in kernels32fma_amd64.s and the unfused AVX2 float32 σ/tanh lanes in
+// kernels32act_amd64.s. The binary targets baseline GOAMD64=v1, so the
 // capability is probed once at startup via CPUID/XGETBV rather than assumed;
-// on machines without AVX2+FMA or without OS-saved YMM state every matmul
+// on machines without AVX2+FMA or without OS-saved YMM state every kernel
 // runs its pure-Go body. It is a variable, never assigned outside tests, so
 // that the both-modes tests can run the pure-Go bodies on an AVX2 host.
 var useLaneKernels = x86HasAVX2FMA()

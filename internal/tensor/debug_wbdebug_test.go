@@ -55,3 +55,21 @@ func TestFiniteGuardPassesCleanData(t *testing.T) {
 		t.Fatalf("AddInto produced %v, want 0.25", dst.Data[0])
 	}
 }
+
+// TestFiniteGuardCoversLSTMCell: the fused cell guards each of its outputs.
+// A NaN output-gate pre-activation reaches only the hidden state (the cell
+// state never reads that gate); an infinite previous cell state reaches only
+// the cell state (o·tanh(±Inf) = ±o is finite).
+func TestFiniteGuardCoversLSTMCell(t *testing.T) {
+	const h = 3
+	run := func(poison func(in, c *Matrix32)) func() {
+		return func() {
+			in, c := New32(1, 4*h), New32(1, h)
+			poison(in, c)
+			LSTMCellInto(New32(1, h), New32(1, h), New32(1, 4*h), in, New32(1, 4*h), c)
+		}
+	}
+	mustPanicFinite(t, "LSTMCellInto", run(func(in, c *Matrix32) { in.Data[3*h] = float32(math.NaN()) }))
+	mustPanicFinite(t, "LSTMCellInto", run(func(in, c *Matrix32) { c.Data[1] = float32(math.Inf(1)) }))
+	run(func(in, c *Matrix32) {})()
+}

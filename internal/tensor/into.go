@@ -11,12 +11,13 @@ import (
 // accumulate (+=) document that dst must be zeroed; Arena.Alloc and New both
 // guarantee that.
 //
-// Transcendentals (tanh, exp, log) evaluate through their float64 library
-// forms and round once on the way out, and the softmax exp-sums accumulate
-// in float64 for both element types: for float64 the conversions are no-ops
-// (the code is bit-for-bit the pre-generic float64 kernel), for float32 the
-// accumulation is the one place a softmax visibly loses precision over long
-// rows.
+// The softmax and log-softmax exponentials evaluate through the float64
+// library forms and their sums accumulate in float64 for both element
+// types: for float64 the conversions are no-ops (the code is bit-for-bit the
+// pre-generic float64 kernel), for float32 the accumulation is the one place
+// a softmax visibly loses precision over long rows. σ and tanh differ by
+// element type (sigmoidSlice, tanhSlice): libm for float64, the repo's own
+// float32 functions of kernels32act.go for float32.
 
 func dstShapeCheck[T Float](dst *MatrixOf[T], rows, cols int, op string) {
 	if dst.Rows != rows || dst.Cols != cols {
@@ -120,19 +121,88 @@ func TransposeInto[T Float](dst, m *MatrixOf[T]) {
 // TanhInto sets dst = tanh(m) elementwise.
 func TanhInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Rows, m.Cols, "TanhInto")
-	for i, v := range m.Data {
-		dst.Data[i] = T(math.Tanh(float64(v)))
-	}
+	tanhSlice(dst.Data, m.Data)
 	debugFinite("TanhInto", dst)
 }
 
 // SigmoidInto sets dst = σ(m) elementwise.
 func SigmoidInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Rows, m.Cols, "SigmoidInto")
-	for i, v := range m.Data {
-		dst.Data[i] = T(1 / (1 + math.Exp(-float64(v))))
-	}
+	sigmoidSlice(dst.Data, m.Data)
 	debugFinite("SigmoidInto", dst)
+}
+
+// tanhSlice sets dst[i] = tanh(src[i]) over equal-length slices, which may
+// be the same slice: math.Tanh for float64, tanh32 (or its lanes) for
+// float32.
+func tanhSlice[T Float](dst, src []T) {
+	switch dst := any(dst).(type) {
+	case []float64:
+		for i, v := range any(src).([]float64) {
+			dst[i] = math.Tanh(v)
+		}
+	case []float32:
+		tanhSlice32(dst, any(src).([]float32))
+	}
+}
+
+// sigmoidSlice is tanhSlice for σ: 1/(1+math.Exp(−x)) for float64,
+// sigmoid32 (or its lanes) for float32.
+func sigmoidSlice[T Float](dst, src []T) {
+	switch dst := any(dst).(type) {
+	case []float64:
+		for i, v := range any(src).([]float64) {
+			dst[i] = 1 / (1 + math.Exp(-v))
+		}
+	case []float32:
+		sigmoidSlice32(dst, any(src).([]float32))
+	}
+}
+
+// LSTMCellInto advances an LSTM one step from its pre-activations, fused:
+// for each row it forms the gates (in + rec) + b, applies σ to the input,
+// forget and output gates and tanh to the cell gate, and writes the new cell
+// state cOut = f·c + i·g and hidden state hOut = o·tanh(cOut). rec holds the
+// recurrent product h·Wh on entry (rows×4h, gate layout [i | f | g | o]) and
+// the activated gates on return; in is the input projection x·Wx (rows×4h),
+// b the bias (1×4h), c the previous cell state (rows×h).
+//
+// Every element sees the operations of the unfused op chain (AddInto,
+// AddRowVectorInto, SigmoidInto/TanhInto on column slices, MulInto, AddInto,
+// TanhInto, MulInto) in the same order, each rounded once — the products of
+// the cell update are converted before they are added, so no architecture
+// fuses them — which makes the result bitwise identical to that chain for
+// both element types (nn's TestLSTMCellFusedMatchesOpChain). What the fusion
+// removes is the chain's intermediate matrices and its four column copies.
+func LSTMCellInto[T Float](hOut, cOut, rec, in, b, c *MatrixOf[T]) {
+	rows, h := c.Rows, c.Cols
+	dstShapeCheck(hOut, rows, h, "LSTMCellInto")
+	dstShapeCheck(cOut, rows, h, "LSTMCellInto")
+	dstShapeCheck(rec, rows, 4*h, "LSTMCellInto")
+	if in.Rows != rows || in.Cols != 4*h || b.Rows != 1 || b.Cols != 4*h {
+		panic(fmt.Sprintf("tensor: LSTMCellInto wants in %dx%d and b 1x%d, got %dx%d and %dx%d",
+			rows, 4*h, 4*h, in.Rows, in.Cols, b.Rows, b.Cols))
+	}
+	for r := 0; r < rows; r++ {
+		gates, inRow := rec.Row(r), in.Row(r)
+		for j, v := range gates {
+			gates[j] = (inRow[j] + v) + b.Data[j]
+		}
+		sigmoidSlice(gates[:2*h], gates[:2*h])
+		tanhSlice(gates[2*h:3*h], gates[2*h:3*h])
+		sigmoidSlice(gates[3*h:], gates[3*h:])
+		i, f, g, o := gates[:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:]
+		cRow, cNew, hNew := c.Row(r), cOut.Row(r), hOut.Row(r)
+		for j := range cNew {
+			cNew[j] = T(f[j]*cRow[j]) + T(i[j]*g[j])
+		}
+		tanhSlice(hNew, cNew)
+		for j, v := range hNew {
+			hNew[j] = o[j] * v
+		}
+	}
+	debugFinite("LSTMCellInto", hOut)
+	debugFinite("LSTMCellInto", cOut)
 }
 
 // ReLUInto sets dst = max(0, m) elementwise.

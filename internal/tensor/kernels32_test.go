@@ -207,34 +207,15 @@ func TestKernelEquivalence32Transpose(t *testing.T) {
 	}
 }
 
-// TestElementwise32ULP pins the elementwise float32 kernels to within 1 ULP
-// of the correctly rounded result (the float64 library function rounded
-// once to float32) — they evaluate through float64 so the only extra error
-// is the final rounding, which is exact, plus at most one ULP from the
-// float32 subtraction inside softmax's max shift.
-func TestElementwise32ULP(t *testing.T) {
+// TestSoftmaxRows32Envelope pins the float32 softmax, whose exponentials
+// still evaluate through float64: rows sum to 1 within a few ULP and match
+// the float64 softmax of the widened row within the k-term bound. (σ and
+// tanh have their own functions and their own tests, kernels32act_test.go.)
+func TestSoftmaxRows32Envelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m := randMat32(13, 17, 0.1, rng)
 	dst := New32(13, 17)
 
-	TanhInto(dst, m)
-	for i, v := range m.Data {
-		want := float32(math.Tanh(float64(v)))
-		if d := ulpDiff32(dst.Data[i], want); d > 0 {
-			t.Fatalf("TanhInto32 entry %d: %v, want %v (%d ULP)", i, dst.Data[i], want, d)
-		}
-	}
-
-	SigmoidInto(dst, m)
-	for i, v := range m.Data {
-		want := float32(1 / (1 + math.Exp(-float64(v))))
-		if d := ulpDiff32(dst.Data[i], want); d > 0 {
-			t.Fatalf("SigmoidInto32 entry %d: %v, want %v (%d ULP)", i, dst.Data[i], want, d)
-		}
-	}
-
-	// Softmax rows sum to 1 within a few ULP and match the float64 softmax
-	// of the widened row within the k-term bound.
 	SoftmaxRowsInto(dst, m)
 	want64 := Cast[float64](m).SoftmaxRows()
 	for i := 0; i < m.Rows; i++ {

@@ -139,6 +139,10 @@ func BenchmarkMatMulKernelsGrid(b *testing.B) {
 			benchKernelGridCell[float64](b, "dtype=f64/"+shape, rows, w.k, w.c, packWidth)
 			benchKernelGridCell[float32](b, "dtype=f32/"+shape, rows, w.k, w.c, packWidth32)
 		}
+		for _, rows := range []int{64, 96, 128} {
+			shape := fmt.Sprintf("shape=%dx%d/rows=%d", w.k, w.c, rows)
+			benchKernelGridCell[float32](b, "dtype=f32/"+shape, rows, w.k, w.c, packWidth32)
+		}
 	}
 }
 

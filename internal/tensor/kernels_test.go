@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -38,9 +41,9 @@ func randMat(rows, cols int, zeroFrac float64, rng *rand.Rand) *Matrix {
 	return FromSlice(rows, cols, data)
 }
 
-// setLaneKernels forces the matmuls onto their lane bodies (on) or their
-// pure-Go bodies (off) for the rest of the test or benchmark. Asking for
-// lanes the CPU does not have skips it.
+// setLaneKernels forces the matmuls and float32 activations onto their lane
+// bodies (on) or their pure-Go bodies (off) for the rest of the test or
+// benchmark. Asking for lanes the CPU does not have skips it.
 func setLaneKernels(t testing.TB, on bool) {
 	t.Helper()
 	if on && !laneKernelsAvailable {
@@ -55,7 +58,7 @@ func setLaneKernels(t testing.TB, on bool) {
 // test flips it.
 var laneKernelsAvailable = useLaneKernels
 
-// eachKernelMode runs fn once on the pure-Go matmul bodies and once on the
+// eachKernelMode runs fn once on the pure-Go kernel bodies and once on the
 // lane bodies. Without it the pure-Go bodies would never execute on an AVX2
 // host, where the gate is only ever read.
 func eachKernelMode(t *testing.T, fn func(t *testing.T)) {
@@ -382,6 +385,29 @@ func TestKernels64LanesStayInBounds(t *testing.T) {
 		for j, g := range run.operands {
 			if !g.intact() {
 				t.Fatalf("%v: sentinel band around operand %d overwritten", c, j)
+			}
+		}
+	}
+}
+
+// TestUnfusedAsmHasNoFMA reads the two assembly families whose contract is
+// "every multiply and every add rounds on its own" and fails on any fused
+// multiply-add mnemonic. The differential tests catch a fused step whose
+// dropped rounding reaches the result — every one in the float64 matmuls,
+// and all but the two lowest-order terms of exp32's polynomial, where it
+// shows in fewer than one result per 10⁷ inputs — and this catches the
+// rest by name. (kernels32fma_amd64.s fuses by contract and is not listed.)
+func TestUnfusedAsmHasNoFMA(t *testing.T) {
+	fused := regexp.MustCompile(`\bVFN?M(ADD|SUB)\w*`)
+	for _, file := range []string{"kernels64avx_amd64.s", "kernels32act_amd64.s"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if m := fused.FindString(code); m != "" {
+				t.Errorf("%s:%d: %s in a kernel that must not fuse", file, i+1, m)
 			}
 		}
 	}

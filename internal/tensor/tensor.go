@@ -10,11 +10,12 @@
 // argument. Element-type-specific code survives only where the contracts
 // differ: the matmul kernels (kernels.go promises bitwise identity with its
 // references and never fuses; kernels32.go promises a k-term error envelope
-// and may run AVX2+FMA lanes), reached through one type switch per op.
-// Transcendentals and the long reductions the float32 tier deliberately
-// widens are written once as T(math.F(float64(x))): a no-op conversion for
-// float64, and for float32 the library's runtime-FMA assembly, which a
-// float32-native Cody–Waite exp/tanh measurably lost to (3.4×/4.8×).
+// and may run AVX2+FMA lanes) and σ/tanh (libm for float64, bitwise as ever;
+// kernels32act.go's own float32 functions for float32, deterministic across
+// machines and within 2 ulp of libm), each reached through one type switch
+// per op. The softmax exponentials and the long reductions the float32 tier
+// deliberately widens are written once as T(math.F(float64(x))): a no-op
+// conversion for float64, one rounding on the way out for float32.
 //
 // The package is deliberately restricted to rank-2 tensors: every quantity
 // in the paper's models (token embeddings, hidden state sequences, attention

@@ -22,6 +22,9 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== cross-compile vet (arm64: the _other.go stubs of all three asm families must keep compiling)"
+GOARCH=arm64 go vet ./internal/tensor ./internal/nn
+
 echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 9 passes)"
 go run ./cmd/wbcheck ./...
 
@@ -38,15 +41,15 @@ go test -race -run 'Chaos' ./internal/fault ./internal/crawler ./internal/serve
 echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
 go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
 
-echo "== one numeric stack (per-dtype code is the matmul kernels only: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
+echo "== one numeric stack (per-dtype code is the matmul kernels and the float32 activation lanes: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
 if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name '*32*.go' -o -name '*64*.go' \) ! -name '*_test.go' ! -name 'kernels32*' ! -name 'kernels64avx_*' ! -name 'cpufeat_*' | grep .; then echo "per-dtype file(s) listed above: make the generic code handle the case instead"; exit 1; fi
 
 echo "== allocation regression gates (warm fast path must stay allocation-free)"
 go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs' \
     ./internal/ag ./internal/tensor ./internal/wb
 
-echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes vs pure Go on Float64bits, sentinel bands around the asm operands, hoisted vs per-step LSTM projection)"
-go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
+echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes vs pure Go on Float64bits, f32 σ/tanh lanes vs pure Go on Float32bits and vs libm within 2 ulp, sentinel bands around the asm operands, no FMA mnemonic in the unfused families, fused LSTM cell vs op chain, hoisted vs per-step LSTM projection)"
+go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestAct32|TestUnfusedAsmHasNoFMA|TestLSTMCellIntoMatchesOps|TestLSTMCellFusedMatchesOpChain|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
     ./internal/tensor ./internal/nn ./internal/wb
 
 echo "== batched equivalence (fused B-row forward/beam vs serial reference, exact equality, ragged batches, one forward per briefing)"
