@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"sort"
+	"slices"
 
 	"webbrief/internal/ag"
 	"webbrief/internal/tensor"
@@ -16,7 +16,7 @@ import (
 // own memory, but the R-row hidden-state projection through Att.W is shared.
 //
 // Per instance the decode is exactly BeamSearchScratch: the same frontier
-// ordering, the same topK tie-breaking, the same sort.SliceStable prune, the
+// ordering, the same topK tie-breaking, the same stable prune by score, the
 // same done-beam claiming and the same ping-pong token pools, driven by that
 // instance's own BeamScratch. Done beams contribute no slab row and finished
 // instances drop out of the batch entirely (per-row early exit), so the
@@ -174,9 +174,7 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 					})
 				}
 			}
-			sort.SliceStable(next, func(i, j int) bool {
-				return score(next[i]) > score(next[j])
-			})
+			slices.SortStableFunc(next, byScoreDesc[T])
 			if len(next) > width {
 				next = next[:width]
 			}

@@ -2,7 +2,7 @@ package nn
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"webbrief/internal/ag"
 	"webbrief/internal/tensor"
@@ -180,9 +180,7 @@ func (d *AttnDecoderOf[T]) BeamSearchScratch(t *ag.TapeOf[T], memory *ag.NodeOf[
 				})
 			}
 		}
-		sort.SliceStable(next, func(i, j int) bool {
-			return score(next[i]) > score(next[j])
-		})
+		slices.SortStableFunc(next, byScoreDesc[T])
 		if len(next) > width {
 			next = next[:width]
 		}

@@ -297,6 +297,20 @@ func score[T tensor.Float](b beam[T]) float64 {
 	return b.logProb / float64(n)
 }
 
+// byScoreDesc orders beams best score first. Under slices.SortStableFunc it
+// yields exactly the order of BeamSearch's sort.SliceStable prune (equal and
+// unordered scores keep their frontier order) without sort.SliceStable's
+// reflection-built swapper.
+func byScoreDesc[T tensor.Float](a, b beam[T]) int {
+	switch sa, sb := score(a), score(b); {
+	case sa > sb:
+		return -1
+	case sa < sb:
+		return 1
+	}
+	return 0
+}
+
 // topK returns the indices of the k largest values in xs (k capped at
 // len(xs)), in descending value order.
 func topK[T tensor.Float](xs []T, k int) []int {

@@ -184,25 +184,63 @@ func LSTMCellInto[T Float](hOut, cOut, rec, in, b, c *MatrixOf[T]) {
 			rows, 4*h, 4*h, in.Rows, in.Cols, b.Rows, b.Cols))
 	}
 	for r := 0; r < rows; r++ {
-		gates, inRow := rec.Row(r), in.Row(r)
-		for j, v := range gates {
-			gates[j] = (inRow[j] + v) + b.Data[j]
-		}
+		gates := rec.Row(r)
+		gateSumSlice(gates, in.Row(r), b.Data)
 		sigmoidSlice(gates[:2*h], gates[:2*h])
 		tanhSlice(gates[2*h:3*h], gates[2*h:3*h])
 		sigmoidSlice(gates[3*h:], gates[3*h:])
 		i, f, g, o := gates[:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:]
 		cRow, cNew, hNew := c.Row(r), cOut.Row(r), hOut.Row(r)
-		for j := range cNew {
-			cNew[j] = T(f[j]*cRow[j]) + T(i[j]*g[j])
-		}
+		cellUpdateSlice(cNew, f, cRow, i, g)
 		tanhSlice(hNew, cNew)
-		for j, v := range hNew {
-			hNew[j] = o[j] * v
-		}
+		mulSlice(hNew, o)
 	}
 	debugFinite("LSTMCellInto", hOut)
 	debugFinite("LSTMCellInto", cOut)
+}
+
+// gateSumSlice, cellUpdateSlice and mulSlice are LSTMCellInto's elementwise
+// loops over equal-length slices. The Go loops are the definition and the
+// float64 path; float32 runs them eight lanes at a time where the CPU has
+// the lanes, each operation still rounding on its own.
+
+// gateSumSlice sets gates[j] = (in[j] + gates[j]) + b[j].
+func gateSumSlice[T Float](gates, in, b []T) {
+	in, b = in[:len(gates)], b[:len(gates)]
+	if g, ok := any(gates).([]float32); ok && useLaneKernels && len(g) > 0 {
+		lstmGateSumLanes32(&g[0], &any(in).([]float32)[0], &any(b).([]float32)[0], len(g), &act32Tab)
+		return
+	}
+	for j, v := range gates {
+		gates[j] = (in[j] + v) + b[j]
+	}
+}
+
+// cellUpdateSlice sets cOut[j] = f[j]·c[j] + i[j]·g[j], each product rounded
+// before the add (the conversions keep any architecture from fusing them).
+func cellUpdateSlice[T Float](cOut, f, c, i, g []T) {
+	n := len(cOut)
+	f, c, i, g = f[:n], c[:n], i[:n], g[:n]
+	if d, ok := any(cOut).([]float32); ok && useLaneKernels && n > 0 {
+		lstmCellUpdateLanes32(&d[0], &any(f).([]float32)[0], &any(c).([]float32)[0],
+			&any(i).([]float32)[0], &any(g).([]float32)[0], n, &act32Tab)
+		return
+	}
+	for j := range cOut {
+		cOut[j] = T(f[j]*c[j]) + T(i[j]*g[j])
+	}
+}
+
+// mulSlice sets dst[j] = o[j]·dst[j].
+func mulSlice[T Float](dst, o []T) {
+	o = o[:len(dst)]
+	if d, ok := any(dst).([]float32); ok && useLaneKernels && len(d) > 0 {
+		mulLanes32(&d[0], &any(o).([]float32)[0], len(d), &act32Tab)
+		return
+	}
+	for j, v := range dst {
+		dst[j] = o[j] * v
+	}
 }
 
 // ReLUInto sets dst = max(0, m) elementwise.

@@ -7,43 +7,60 @@ package tensor
 // implementations below: blocking only changes WHICH cells are in flight
 // at once, never the order of floating-point additions into one cell.
 // The single permitted divergence is the sign of a zero when an input
-// contains exact zeros (the reference kernels skip a==0 terms, the blocked
-// ones add ±0), which compares equal under == and never changes a value.
+// contains exact zeros (the reference kernels skip a==0 terms, the packed
+// and transposed ones add ±0), which compares equal under == and never
+// changes a value.
 //
-// The float64 contract, precisely: each output cell receives its terms in
-// ascending k, with one rounding after the multiply and one after the add.
-// That forbids fusing (FMA drops the first rounding) and reassociating one
-// cell's sum; it does not forbid vectorising across cells. On amd64 with
-// AVX2, matMulRows and matMulPackedRows therefore run unfused lane bodies
-// (kernels64avx_amd64.s: lanes are output cells, VMULPD then VADDPD per k
-// term) that are bit-for-bit identical to the pure-Go bodies below for
-// finite operands, signed zeros and subnormals included — the Go compiler
-// emits the same unfused MULSD/ADDSD pair (on amd64 it never fuses). The
-// class of a non-finite cell (NaN, +Inf, -Inf) is inside the contract; NaN
-// payloads are outside it (which operand of a two-NaN add survives is the
-// compiler's choice). The pure-Go bodies are the only path on other
-// hardware and the reference TestKernels64LanesMatchPureGo compares the
-// lanes against.
+// The float64 contract, precisely: each output cell receives its a != 0
+// terms in ascending k, with one rounding after the multiply and one after
+// the add. That forbids fusing (FMA drops the first rounding) and
+// reassociating one cell's sum; it does not forbid vectorising across cells
+// or computing several rows at once. On amd64 with AVX2, matMulRows
+// therefore runs unfused lane bodies (kernels64avx_amd64.s: lanes are output
+// cells, VMULPD then VADDPD per k term) that are bit-for-bit identical to
+// its pure-Go body below for finite operands, signed zeros, subnormals and
+// the a == 0 skip included — the Go compiler emits the same unfused
+// MULSD/ADDSD pair (on amd64 it never fuses). The class of a non-finite cell
+// (NaN, +Inf, -Inf) is inside the contract; NaN payloads are outside it
+// (which operand of a two-NaN add survives is the compiler's choice). The
+// pure-Go bodies are the only path on other hardware and the reference
+// TestKernels64LanesMatchPureGo compares the lanes against.
 //
-// The register blocking is a quad of independent accumulators: four output
-// cells of one row advance together through the shared k loop, giving
-// 4-way instruction-level parallelism without reassociating any single
-// cell's sum. The cache blocking is B-panel packing: PackBuf rearranges the
-// right-hand matrix into contiguous 4-column panels so the inner loop reads
-// one linear stream instead of four strided ones.
+// The register blocking of the lane bodies is a tile, tileRows output rows
+// by two vectors of columns: eight accumulators advance together through one
+// k loop, every load of the right-hand matrix feeds all four rows, and an
+// M-row product streams that matrix M/4 times instead of M. Rows the tile
+// does not take — fewer than four, the M mod 4 left over, and for float64
+// any 4-row block of the left operand that holds a zero, which must be
+// skipped — run one-row blocks of four accumulators, and the columns short
+// of a vector run a masked vector, four rows in flight. None of this changes
+// a cell's own sequence, so a row's bits do not depend on how many rows it
+// was multiplied with (TestMatMulRowPartitionBitwise).
+//
+// Without lane kernels the register blocking is a quad of independent
+// accumulators — four output cells of one row advance together through the
+// shared k loop — and the cache blocking for tall products is B-panel
+// packing: PackBuf rearranges the right-hand matrix into contiguous 4-column
+// panels so the inner loop reads one linear stream instead of four strided
+// ones. The lane kernels read the matrix in place (packFor): the tile beats
+// its own packed form at every shape and row count measured.
 
 // packWidth is the register-block width: output cells advanced per quad.
 const packWidth = 4
 
 // packMinRows is the minimum left-hand row count for B-panel packing to
-// pay for itself. Packing costs one pass over o (read + write, ≈33 µs for a
-// 108×432 float64 weight) and buys a contiguous panel stream worth ≈10 % per
-// row over the lane kernels' strided reads, so it breaks even near 64 rows
-// at the paper-scale shapes (BenchmarkMatMulKernelsGrid, float64 lanes,
-// 108×432: 4 rows 22 µs unpacked vs 59 µs packed, 32 rows 143 vs 198,
-// 64 rows 297 vs 294, 128 rows 781 vs 754). The former value, 4, made every
-// beam=4 decode step re-pack its weights at 2.7× the cost of not packing.
+// pay for itself on the pure-Go kernels, the only ones that pack. Packing
+// costs one pass over o (read + write) that a beam-width decode step cannot
+// earn back (4 rows: 40 µs unpacked vs 70 packed on a 50×432 float64
+// weight). From 64 rows up the contiguous panel stream is worth 10–22 % to
+// the float32 bodies; the float64 ones break even at best
+// (BenchmarkMatMulKernelsGrid, impl=go; EXPERIMENTS.md, PR 17).
 const packMinRows = 64
+
+// tileRows is the height of the lane kernels' register tile: output rows
+// that advance together through one k loop, sharing each load of the
+// right-hand matrix. parallelRows cuts its chunks on multiples of it.
+const tileRows = 4
 
 // transposeTile is the square tile edge for the cache-blocked transpose.
 // 32×32 float64 tiles are 8 KiB per operand (float32: 4 KiB) — both tiles
@@ -136,11 +153,12 @@ func matMulIntoPacked[T Float](r, m, o *MatrixOf[T], pack *PackBufOf[T]) {
 }
 
 // packFor packs o's panels into pack when the shape profits and returns
-// pack; it returns nil when the unpacked kernel should run. The panels
+// pack; it returns nil when the unpacked kernel should run, which with lane
+// kernels is always (the register tile reads o in place). The panels
 // cross the type switch in matMulRowRange inside their buffer because a
 // pointer converts to an interface without allocating and a slice does not.
 func packFor[T Float](m, o *MatrixOf[T], pack *PackBufOf[T]) *PackBufOf[T] {
-	if pack == nil || m.Rows < packMinRows || o.Rows == 0 || o.Cols == 0 {
+	if useLaneKernels || pack == nil || m.Rows < packMinRows || o.Rows == 0 || o.Cols == 0 {
 		return nil
 	}
 	width := packWidth
@@ -203,14 +221,10 @@ func matMulTransA[T Float](dst, m, o *MatrixOf[T]) {
 // matMulPackedRows computes output rows [lo, hi) of r += m·o reading o
 // through its packed panels: per output row a quad of accumulators walks
 // one contiguous panel stream, accumulating each cell's sum in ascending k
-// exactly like the reference kernel. With lane kernels the same per-cell
-// sequence runs four panels at a time in matMulPackedRowsLanes.
+// exactly like the reference kernel. Pure Go only: the blocked path for
+// tall products on hosts without lane kernels.
 func matMulPackedRows(r, m, o *Matrix, panels []float64, lo, hi int) {
 	k, n := o.Rows, o.Cols
-	if useLaneKernels && k > 0 && n >= packWidth {
-		matMulPackedRowsLanes(r, m, o, panels, lo, hi)
-		return
-	}
 	for i := lo; i < hi; i++ {
 		mRow := m.Row(i)
 		rRow := r.Row(i)
@@ -316,10 +330,10 @@ func referenceTranspose(dst, m *Matrix) {
 // essentially free on dense inputs (the branch is always taken, hence
 // perfectly predicted) and saves a full row pass per masked-out activation
 // during dropout training. With lane kernels the same per-cell sequence,
-// skip included, runs column-block outer in matMulRowsLanes.
+// skip included, runs in matMulRowsLanes' register tiles.
 func matMulRows(r, m, o *Matrix, lo, hi int) {
 	n := o.Cols
-	if useLaneKernels && o.Rows > 0 && n >= packWidth {
+	if useLaneKernels && o.Rows > 0 && n > 0 && lo < hi {
 		matMulRowsLanes(r, m, o, lo, hi)
 		return
 	}

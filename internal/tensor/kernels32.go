@@ -2,14 +2,15 @@ package tensor
 
 // Float32 matmul kernels, used by the distilled-student inference tier and
 // reached through the type switches in kernels.go. The blocking scheme of
-// the float64 kernels carries over — B-panel packing and row partitioning
-// are shared generic code in kernels.go, the a==0 skips are repeated here —
-// but the register block is twice as wide: packWidth32 = 8 float32 lanes occupy
-// the same 32 bytes as the float64 kernels' packWidth = 4 quad, so the
-// cache-line footprint per step is identical while the independent
-// accumulator chains double. That width is where the float32 tier's speedup
-// comes from on scalar hardware: four FMA chains leave the multiplier ports
-// idle waiting on add latency, eight keep them fed.
+// the float64 kernels carries over — row partitioning, the register tile and
+// (without lane kernels) B-panel packing are shared with kernels.go, the
+// a==0 skips are repeated here — but the register block is twice as wide:
+// packWidth32 = 8 float32 lanes occupy the same 32 bytes as the float64
+// kernels' packWidth = 4 quad, so the cache-line footprint per step is
+// identical while the independent accumulator chains double. That width is
+// where the float32 tier's speedup comes from on scalar hardware: four
+// multiply-add chains leave the multiplier ports idle waiting on add
+// latency, eight keep them fed.
 //
 // Accuracy contract: unlike the float64 kernels, these do NOT promise
 // bitwise identity with a reference. They promise the same per-cell
@@ -28,6 +29,16 @@ package tensor
 // behind the same gate (kernels64avx_amd64.s) but can never fuse: a
 // separate multiply and add per k term is what keeps them bitwise identical
 // to their pure-Go bodies.
+//
+// Within a kernel mode the float32 results are nonetheless exact functions
+// of the operands, and the lane mode's are pinned cell by cell
+// (TestKernels32TilesMatchRowLanes): a cell of the first n&^7 columns is one
+// fused multiply-add per k term in ascending k with no skip — fmaBlock8's
+// sequence, whether the 4-row register tile or a one-row block computed it
+// — and a cell of the n mod 8 tail is the pure-Go loop's sequence, a != 0
+// terms only, multiply, round, add, round (the masked lanes of
+// kernels32tail_amd64.s, which therefore never fuse). So the student's bits
+// do not depend on how many rows a product has or how it was partitioned.
 
 // packWidth32 is the register-block width of the float32 kernels: 8 lanes
 // = 32 bytes, the same per-step footprint as 4 float64 lanes.
@@ -40,10 +51,6 @@ const packWidth32 = 8
 // wider block.
 func matMulPackedRows32(r, m, o *Matrix32, panels []float32, lo, hi int) {
 	k, n := o.Rows, o.Cols
-	if useLaneKernels && k > 0 && n >= packWidth32 {
-		matMulPackedRowsFMA32(r, m, o, panels, lo, hi)
-		return
-	}
 	for i := lo; i < hi; i++ {
 		mRow := m.Row(i)
 		rRow := r.Row(i)
@@ -94,7 +101,7 @@ func matMulPackedRows32(r, m, o *Matrix32, panels []float32, lo, hi int) {
 // output cell the accumulation order is still ascending k.
 func matMulRows32(r, m, o *Matrix32, lo, hi int) {
 	k, n := o.Rows, o.Cols
-	if useLaneKernels && k > 0 && n >= packWidth32 {
+	if useLaneKernels && k > 0 && n > 0 && lo < hi {
 		matMulRowsFMA32(r, m, o, lo, hi)
 		return
 	}
@@ -136,66 +143,42 @@ func matMulRows32(r, m, o *Matrix32, lo, hi int) {
 	}
 }
 
-// matMulRowsFMA32 is matMulRows32's AVX2+FMA body: 32- then 8-lane fused
-// multiply-add blocks over the full-width column region, with the scalar
-// tail loop (including its a==0 skip, numerically a no-op on finite
-// operands) unchanged. Lanes are output cells, so per-cell accumulation
-// stays ascending k and the packed twin below produces bitwise-identical
-// full-region cells.
+// matMulRowsFMA32 is matMulRows32's lane body. The full-lane columns (the
+// first n&^7) of every four rows go through the fmaTile4 register tile and
+// of the hi-lo mod 4 rows left over through the one-row fmaBlock32/fmaBlock8
+// blocks — per cell the same fused ascending-k sequence either way, so a
+// row's bits do not depend on how many rows it was multiplied with. The n
+// mod 8 tail columns of all rows go through mulAddTail32, which performs the
+// pure-Go tail loop's unfused, zero-skipping sequence per cell. The caller
+// guarantees k > 0, n > 0 and lo < hi.
 func matMulRowsFMA32(r, m, o *Matrix32, lo, hi int) {
 	k, n := o.Rows, o.Cols
 	nf := n &^ (packWidth32 - 1)
-	for i := lo; i < hi; i++ {
-		mRow := m.Row(i)
-		rRow := r.Row(i)
-		j := 0
-		for ; j+4*packWidth32 <= nf; j += 4 * packWidth32 {
-			fmaBlock32(&rRow[j], &mRow[0], &o.Data[j], k, n)
+	if nf > 0 {
+		b := o.Data[:(k-1)*n+nf]
+		i := lo
+		for ; i+tileRows <= hi; i += tileRows {
+			d := r.Data[i*n : (i+tileRows-1)*n+nf]
+			a := m.Data[i*k : (i+tileRows)*k]
+			fmaTile4(&d[0], &a[0], &b[0], k, n, nf)
 		}
-		for ; j < nf; j += packWidth32 {
-			fmaBlock8(&rRow[j], &mRow[0], &o.Data[j], k, n)
-		}
-		for ; j < n; j++ {
-			s := rRow[j]
-			for kk := 0; kk < k; kk++ {
-				if a := mRow[kk]; a != 0 {
-					s += a * o.Data[kk*n+j]
-				}
+		for ; i < hi; i++ {
+			mRow := m.Row(i)
+			rRow := r.Row(i)
+			j := 0
+			for ; j+4*packWidth32 <= nf; j += 4 * packWidth32 {
+				fmaBlock32(&rRow[j], &mRow[0], &o.Data[j], k, n)
 			}
-			rRow[j] = s
+			for ; j < nf; j += packWidth32 {
+				fmaBlock8(&rRow[j], &mRow[0], &o.Data[j], k, n)
+			}
 		}
 	}
-}
-
-// matMulPackedRowsFMA32 is matMulPackedRows32's AVX2+FMA body, streaming
-// packed panels four at a time (then singly) through the lane kernels. The
-// narrow trailing panel keeps the scalar loop. Full-region cells see the
-// exact op sequence of matMulRowsFMA32, preserving the packed/unpacked
-// bitwise agreement that TestKernelEquivalence32MatMul asserts.
-func matMulPackedRowsFMA32(r, m, o *Matrix32, panels []float32, lo, hi int) {
-	k, n := o.Rows, o.Cols
-	nf := n &^ (packWidth32 - 1)
-	for i := lo; i < hi; i++ {
-		mRow := m.Row(i)
-		rRow := r.Row(i)
-		j, pos := 0, 0
-		for ; j+4*packWidth32 <= nf; j += 4 * packWidth32 {
-			fmaPanels32(&rRow[j], &mRow[0], &panels[pos], k)
-			pos += 4 * packWidth32 * k
-		}
-		for ; j < nf; j += packWidth32 {
-			fmaBlock8(&rRow[j], &mRow[0], &panels[pos], k, packWidth32)
-			pos += packWidth32 * k
-		}
-		if w := n - nf; w > 0 {
-			for c := 0; c < w; c++ {
-				s := rRow[nf+c]
-				for kk, a := range mRow {
-					s += a * panels[pos+kk*w+c]
-				}
-				rRow[nf+c] = s
-			}
-		}
+	if w := n - nf; w > 0 {
+		d := r.Data[lo*n+nf : hi*n]
+		a := m.Data[lo*k : hi*k]
+		b := o.Data[nf : k*n]
+		mulAddTail32(&d[0], &a[0], &b[0], k, n, hi-lo, &act32Tab[actTailMask][8-w])
 	}
 }
 

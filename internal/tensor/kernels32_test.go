@@ -234,25 +234,75 @@ func TestSoftmaxRows32Envelope(t *testing.T) {
 	}
 }
 
-// TestPackBufReuse32 verifies the float32 pack buffer grows once and is
-// allocation-free afterwards, like TestPackBufReuse.
+// TestPackBufReuse32 is TestPackBufReuse for the float32 pack buffer.
 func TestPackBufReuse32(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	pack := &PackBuf32{}
-	m := randMat32(packMinRows, 24, 0, rng)
-	o := randMat32(24, 40, 0, rng)
-	dst := New32(packMinRows, 40)
-	MatMulPackInto32(dst, m, o, pack)
-	if pack.Footprint() < 24*40 {
-		t.Fatalf("pack footprint %d after first use, want >= %d", pack.Footprint(), 24*40)
+	eachKernelMode(t, testPackBufReuse[float32])
+}
+
+// rowLanesReference32 is the float32 matmul's per-cell definition in the
+// current kernel mode, one output row at a time. With lane kernels a cell of
+// the first n&^7 columns is fmaBlock8's sequence (ascending k, one fused
+// multiply-add per term, no skip), and a cell of the n mod 8 tail — or any
+// cell without lane kernels — is the pure-Go loop: the a != 0 terms in
+// ascending k, multiply, round, add, round.
+func rowLanesReference32(dst, m, o *Matrix32) {
+	k, n := o.Rows, o.Cols
+	nf := 0
+	if useLaneKernels && k > 0 {
+		nf = n &^ (packWidth32 - 1)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		dst.Zero()
-		MatMulPackInto32(dst, m, o, pack)
+	for i := 0; i < m.Rows; i++ {
+		mRow, rRow := m.Row(i), dst.Row(i)
+		for j := 0; j < nf; j += packWidth32 {
+			fmaBlock8(&rRow[j], &mRow[0], &o.Data[j], k, n)
+		}
+		for j := nf; j < n; j++ {
+			s := rRow[j]
+			for kk, a := range mRow {
+				if a != 0 {
+					s += a * o.Data[kk*n+j]
+				}
+			}
+			rRow[j] = s
+		}
+	}
+}
+
+// TestKernels32TilesMatchRowLanes is the float32 contract as a test: over
+// the register-tile grid matMulRows32 must produce, on math.Float32bits,
+// the cells of rowLanesReference32 — so neither the 4-row tile nor the
+// masked tail moves a bit of what the one-row blocks and the scalar tail
+// computed before them — with the same class where a cell is not finite,
+// and leave the sentinel bands around dst, m and o untouched.
+func TestKernels32TilesMatchRowLanes(t *testing.T) {
+	eachKernelMode(t, func(t *testing.T) {
+		cases := tileGridCases()
+		for _, sh := range servingShapes {
+			cases = append(cases, laneCase{sh.r, sh.k, sh.c, 0, "normal"}, laneCase{sh.r, sh.k, sh.c, 0.3, "tiny"})
+		}
+		for i, c := range cases {
+			m, o, dst0 := laneOperands[float32](c, int64(2000+i))
+			want := append([]float32(nil), dst0.Data...)
+			rowLanesReference32(FromSlice(c.r, c.c, want), m.MatrixOf, o.MatrixOf)
+			run := laneRun[float32]{operands: []guarded[float32]{m, o, dst0}}
+			run.entry("matMulRows32", dst0, func(dst *Matrix32) { matMulRows32(dst, m.MatrixOf, o.MatrixOf, 0, c.r) })
+			for j, w := range want {
+				g := run.outs[0][j]
+				if math.IsNaN(float64(w)) && math.IsNaN(float64(g)) {
+					continue
+				}
+				if math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("%v cell %d: matMulRows32 %x (%v), row by row %x (%v)",
+						c, j, math.Float32bits(g), g, math.Float32bits(w), w)
+				}
+			}
+			for j, g := range run.operands {
+				if !g.intact() {
+					t.Fatalf("%v: sentinel band around operand %d overwritten", c, j)
+				}
+			}
+		}
 	})
-	if allocs > 0 {
-		t.Fatalf("warm MatMulPackInto32 allocates %v per run, want 0", allocs)
-	}
 }
 
 // --- Kernels32 benchmarks ---------------------------------------------------

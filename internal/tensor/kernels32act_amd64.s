@@ -129,3 +129,97 @@ TEXT ·tanhLanes32(SB), NOSPLIT, $0-32
 	VMOVUPS ROW(const_actTanhClamp), Y15
 	VMOVUPS ROW(const_actTanhCut), Y11
 	LANES(TANH, tanhloop, tanhtail, tanhdone)
+
+// The three elementwise loops of LSTMCellInto, eight lanes at a time with
+// the masked tail. Each is the pure-Go loop's operations in the pure-Go
+// loop's order — every VADDPS and VMULPS rounds on its own, as the explicit
+// conversions in into.go make the Go code do. AX is the byte offset every
+// operand shares; R8 = tab. A body takes its load and store as parameters:
+// whole vectors, or the lanes of the tail mask in Y9.
+
+#define LDFULL(mem, reg) VMOVUPS mem, reg
+#define STFULL(reg, mem) VMOVUPS reg, mem
+#define LDMASK(mem, reg) VMASKMOVPS mem, Y9, reg
+#define STMASK(reg, mem) VMASKMOVPS reg, Y9, mem
+
+// CELLLOOP runs BODY over whole vectors at offset AX, then over the last
+// n mod 8 lanes; CX = n on entry.
+#define CELLLOOP(BODY, loop, tail, done) \
+	XORQ AX, AX             \
+	CMPQ CX, $8             \
+	JLT  tail               \
+loop:                       \
+	BODY(LDFULL, STFULL)    \
+	ADDQ $32, AX            \
+	SUBQ $8, CX             \
+	CMPQ CX, $8             \
+	JGE  loop               \
+tail:                       \
+	TESTQ CX, CX            \
+	JZ   done               \
+	MOVQ $8, BX             \
+	SUBQ CX, BX             \
+	VMOVDQU (const_actTailMask*32)(R8)(BX*4), Y9 \
+	BODY(LDMASK, STMASK)    \
+done:                       \
+	VZEROUPPER              \
+	RET
+
+#define GATESUM(LD, ST) \
+	LD((SI)(AX*1), Y0)      \
+	LD((DI)(AX*1), Y1)      \
+	LD((DX)(AX*1), Y2)      \
+	VADDPS Y1, Y0, Y0       \ // in + rec
+	VADDPS Y2, Y0, Y0       \ // + b
+	ST(Y0, (DI)(AX*1))
+
+// func lstmGateSumLanes32(gates, in, b *float32, n int, tab *[actRows][8]float32)
+//
+// gates[j] = (in[j] + gates[j]) + b[j] for j < n.
+TEXT ·lstmGateSumLanes32(SB), NOSPLIT, $0-40
+	MOVQ gates+0(FP), DI
+	MOVQ in+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ tab+32(FP), R8
+	CELLLOOP(GATESUM, gsloop, gstail, gsdone)
+
+#define CELLUPDATE(LD, ST) \
+	LD((SI)(AX*1), Y0)      \
+	LD((DX)(AX*1), Y1)      \
+	LD((R9)(AX*1), Y2)      \
+	LD((R10)(AX*1), Y3)     \
+	VMULPS Y1, Y0, Y0       \ // f*c
+	VMULPS Y3, Y2, Y2       \ // i*g
+	VADDPS Y2, Y0, Y0       \
+	ST(Y0, (DI)(AX*1))
+
+// func lstmCellUpdateLanes32(cOut, fg, c, ig, gg *float32, n int, tab *[actRows][8]float32)
+//
+// cOut[j] = fg[j]*c[j] + ig[j]*gg[j] for j < n, both products rounded before
+// the add.
+TEXT ·lstmCellUpdateLanes32(SB), NOSPLIT, $0-56
+	MOVQ cOut+0(FP), DI
+	MOVQ fg+8(FP), SI
+	MOVQ c+16(FP), DX
+	MOVQ ig+24(FP), R9
+	MOVQ gg+32(FP), R10
+	MOVQ n+40(FP), CX
+	MOVQ tab+48(FP), R8
+	CELLLOOP(CELLUPDATE, culoop, cutail, cudone)
+
+#define MULINTO(LD, ST) \
+	LD((SI)(AX*1), Y0)      \
+	LD((DI)(AX*1), Y1)      \
+	VMULPS Y1, Y0, Y0       \
+	ST(Y0, (DI)(AX*1))
+
+// func mulLanes32(dst, o *float32, n int, tab *[actRows][8]float32)
+//
+// dst[j] = o[j] * dst[j] for j < n.
+TEXT ·mulLanes32(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ o+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ tab+24(FP), R8
+	CELLLOOP(MULINTO, mulloop, multail, muldone)

@@ -175,36 +175,6 @@ func TestAct32Envelope(t *testing.T) {
 	})
 }
 
-// guarded32 is guarded for float32: Data between two sentinel bands of a
-// quiet-NaN pattern, capacity cut at its length.
-type guarded32 struct {
-	data []float32
-	back []float32
-}
-
-const guardBits32 = 0x7fc0dead
-
-func newGuarded32(n int) guarded32 {
-	back := make([]float32, n+2*guardPad)
-	for i := range back {
-		back[i] = math.Float32frombits(guardBits32)
-	}
-	data := back[guardPad : guardPad+n : guardPad+n]
-	clear(data)
-	return guarded32{data, back}
-}
-
-func (g guarded32) intact() bool {
-	for _, band := range [][]float32{g.back[:guardPad], g.back[len(g.back)-guardPad:]} {
-		for _, v := range band {
-			if math.Float32bits(v) != guardBits32 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestAct32LanesStayInBounds guards what the compiler cannot: the lanes take
 // bare pointers, so for every length 1…35 (and the serving widths) source
 // and destination sit between NaN sentinel bands. The bands must come back
@@ -219,21 +189,21 @@ func TestAct32LanesStayInBounds(t *testing.T) {
 	}
 	for _, f := range act32Fns {
 		for _, n := range lengths {
-			src, dst := newGuarded32(n), newGuarded32(n)
-			for i := range src.data {
-				src.data[i] = float32(i%13) - 6.25
+			src, dst := newGuarded[float32](1, n), newGuarded[float32](1, n)
+			for i := range src.Data {
+				src.Data[i] = float32(i%13) - 6.25
 			}
-			before := append([]float32(nil), src.data...)
-			f.slice(dst.data, src.data)
+			before := append([]float32(nil), src.Data...)
+			f.slice(dst.Data, src.Data)
 			if !src.intact() || !dst.intact() {
 				t.Fatalf("%s n=%d: sentinel band overwritten", f.name, n)
 			}
 			for i, x := range before {
-				if src.data[i] != x {
+				if src.Data[i] != x {
 					t.Fatalf("%s n=%d: source cell %d changed", f.name, n, i)
 				}
-				if want := f.scalar(x); math.Float32bits(dst.data[i]) != math.Float32bits(want) {
-					t.Fatalf("%s n=%d: cell %d = %v, want %v", f.name, n, i, dst.data[i], want)
+				if want := f.scalar(x); math.Float32bits(dst.Data[i]) != math.Float32bits(want) {
+					t.Fatalf("%s n=%d: cell %d = %v, want %v", f.name, n, i, dst.Data[i], want)
 				}
 			}
 		}
@@ -293,6 +263,42 @@ func testLSTMCellIntoMatchesOps[T Float](t *testing.T, dtype string) {
 					if w := pair.want.Data[j]; math.Float64bits(float64(v)) != math.Float64bits(float64(w)) {
 						t.Fatalf("%s h=%d rows=%d: %s[%d] fused %v, ops %v", dtype, h, rows, pair.what, j, v, w)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestLSTMCellLanesStayInBounds brackets every operand of the float32 cell
+// with sentinel bands, for every hidden width 1…35 and the serving width:
+// the three elementwise lane loops take bare pointers like the σ/tanh lanes
+// between them, and their masked tails must neither write past a row nor
+// let a band's NaN into a result.
+func TestLSTMCellLanesStayInBounds(t *testing.T) {
+	setLaneKernels(t, true)
+	rng := rand.New(rand.NewSource(59))
+	widths := []int{108}
+	for h := 1; h <= 35; h++ {
+		widths = append(widths, h)
+	}
+	for _, h := range widths {
+		const rows = 3
+		hOut, cOut := newGuarded[float32](rows, h), newGuarded[float32](rows, h)
+		rec, in := newGuarded[float32](rows, 4*h), newGuarded[float32](rows, 4*h)
+		b, c := newGuarded[float32](1, 4*h), newGuarded[float32](rows, h)
+		for _, g := range []guarded[float32]{rec, in, b, c} {
+			for i := range g.Data {
+				g.Data[i] = float32(rng.NormFloat64())
+			}
+		}
+		LSTMCellInto(hOut.MatrixOf, cOut.MatrixOf, rec.MatrixOf, in.MatrixOf, b.MatrixOf, c.MatrixOf)
+		for i, g := range []guarded[float32]{hOut, cOut, rec, in, b, c} {
+			if !g.intact() {
+				t.Fatalf("h=%d: sentinel band around operand %d overwritten", h, i)
+			}
+			for j, v := range g.Data {
+				if math.IsNaN(float64(v)) {
+					t.Fatalf("h=%d: operand %d cell %d is NaN", h, i, j)
 				}
 			}
 		}

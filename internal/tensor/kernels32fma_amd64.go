@@ -17,9 +17,19 @@ func fmaBlock8(d, a, b *float32, k, stride int)
 //go:noescape
 func fmaBlock32(d, a, b *float32, k, stride int)
 
-// fmaPanels32 is fmaBlock32 for panel-packed operands: the four 8-lane
-// blocks read four consecutive packed panels at p, p+8k, p+16k and p+24k
-// (each panel k rows of 8 contiguous floats). k must be > 0.
+// fmaTile4 is the register tile: d[r*n+c] += Σ_{kk<k} a[r*k+kk] · b[kk*n+c]
+// for the four rows r < 4 and the columns c < cols, cols a positive multiple
+// of 8, sixteen columns by four rows in flight. d and b have row stride n, a
+// row stride k. Each cell's op sequence is fmaBlock8's. k must be > 0.
 //
 //go:noescape
-func fmaPanels32(d, a, p *float32, k int)
+func fmaTile4(d, a, b *float32, k, n, cols int)
+
+// mulAddTail32 is the masked tail (kernels32tail_amd64.s): d[r*n+c] +=
+// Σ_{kk<k, a[r*k+kk]≠0} a[r*k+kk] · b[kk*n+c] for r < rows and the c < 8
+// lanes whose word at mask is set, one unfused multiply then add per term —
+// the pure-Go tail loop's sequence, four rows in flight. k and rows must be
+// > 0; mask points into act32Tab's tail-mask rows.
+//
+//go:noescape
+func mulAddTail32(d, a, b *float32, k, n, rows int, mask *float32)

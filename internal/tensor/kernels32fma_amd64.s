@@ -63,41 +63,112 @@ loop32:
 	VZEROUPPER
 	RET
 
-// func fmaPanels32(d, a, p *float32, k int)
+// TILE4_16 and TILE4_8 are one k step of the register tile below: the B
+// vectors of this k row (at R13) are loaded once and folded into all four
+// output rows, each row through its own broadcast of a. SI walks row 0 of
+// the 4×k block of a; rows 1-3 sit R9, 2·R9 and R10 = 3·R9 bytes further on.
+#define TILE4_16 \
+	VMOVUPS (R13), Y8              \
+	VMOVUPS 32(R13), Y9            \
+	VBROADCASTSS (SI), Y10         \
+	VFMADD231PS Y8, Y10, Y0        \
+	VFMADD231PS Y9, Y10, Y1        \
+	VBROADCASTSS (SI)(R9*1), Y11   \
+	VFMADD231PS Y8, Y11, Y2        \
+	VFMADD231PS Y9, Y11, Y3        \
+	VBROADCASTSS (SI)(R9*2), Y12   \
+	VFMADD231PS Y8, Y12, Y4        \
+	VFMADD231PS Y9, Y12, Y5        \
+	VBROADCASTSS (SI)(R10*1), Y13  \
+	VFMADD231PS Y8, Y13, Y6        \
+	VFMADD231PS Y9, Y13, Y7
+
+#define TILE4_8 \
+	VMOVUPS (R13), Y8              \
+	VBROADCASTSS (SI), Y10         \
+	VFMADD231PS Y8, Y10, Y0        \
+	VBROADCASTSS (SI)(R9*1), Y11   \
+	VFMADD231PS Y8, Y11, Y2        \
+	VBROADCASTSS (SI)(R9*2), Y12   \
+	VFMADD231PS Y8, Y12, Y4        \
+	VBROADCASTSS (SI)(R10*1), Y13  \
+	VFMADD231PS Y8, Y13, Y6
+
+// func fmaTile4(d, a, b *float32, k, n, cols int)
 //
-// fmaBlock32 over panel-packed storage: the four 8-lane blocks stream four
-// consecutive packed panels (p, p+8k, p+16k, p+24k), each advancing 32
-// bytes per k step.
-TEXT ·fmaPanels32(SB), NOSPLIT, $0-32
+// The register tile: four output rows by sixteen columns held in eight
+// accumulators across the whole k loop, so each B vector loaded feeds four
+// FMAs and b is streamed once per four rows of a instead of once per row.
+// d[r*n+c] += sum over kk of a[r*k+kk] * b[kk*n+c] for r < 4, c < cols;
+// cols is a multiple of 8, walked sixteen columns at a time with one
+// eight-column pass (four accumulators) for an odd block. Every lane is one
+// output cell folding its terms in ascending k with one fused multiply-add
+// per term, which is fmaBlock8's sequence exactly: tiling changes which
+// cells are in flight, not what any cell computes.
+TEXT ·fmaTile4(SB), NOSPLIT, $0-48
 	MOVQ d+0(FP), DI
 	MOVQ a+8(FP), SI
-	MOVQ p+16(FP), DX
-	MOVQ k+24(FP), CX
-	MOVQ CX, BX
-	SHLQ $5, BX
-	LEAQ (DX)(BX*1), R8
-	LEAQ (R8)(BX*1), R9
-	LEAQ (R9)(BX*1), R10
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), R8
+	MOVQ n+32(FP), BX
+	MOVQ cols+40(FP), R11
+	SHLQ $2, BX              // row stride of d and b in bytes
+	LEAQ (BX)(BX*2), R12
+	MOVQ R8, R9
+	SHLQ $2, R9              // row stride of a in bytes
+	LEAQ (R9)(R9*2), R10
+	CMPQ R11, $16
+	JLT  tile8
+tile16:
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
-	VMOVUPS 64(DI), Y2
-	VMOVUPS 96(DI), Y3
-looppanels:
-	VBROADCASTSS (SI), Y4
-	VFMADD231PS (DX), Y4, Y0
-	VFMADD231PS (R8), Y4, Y1
-	VFMADD231PS (R9), Y4, Y2
-	VFMADD231PS (R10), Y4, Y3
+	VMOVUPS (DI)(BX*1), Y2
+	VMOVUPS 32(DI)(BX*1), Y3
+	VMOVUPS (DI)(BX*2), Y4
+	VMOVUPS 32(DI)(BX*2), Y5
+	VMOVUPS (DI)(R12*1), Y6
+	VMOVUPS 32(DI)(R12*1), Y7
+	MOVQ DX, R13
+	MOVQ R8, CX
+loop16:
+	TILE4_16
 	ADDQ $4, SI
-	ADDQ $32, DX
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
+	ADDQ BX, R13
 	DECQ CX
-	JNZ  looppanels
+	JNZ  loop16
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y2, (DI)(BX*1)
+	VMOVUPS Y3, 32(DI)(BX*1)
+	VMOVUPS Y4, (DI)(BX*2)
+	VMOVUPS Y5, 32(DI)(BX*2)
+	VMOVUPS Y6, (DI)(R12*1)
+	VMOVUPS Y7, 32(DI)(R12*1)
+	SUBQ R9, SI              // back to a's first column
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $16, R11
+	CMPQ R11, $16
+	JGE  tile16
+tile8:
+	TESTQ R11, R11
+	JZ   tiledone
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(BX*1), Y2
+	VMOVUPS (DI)(BX*2), Y4
+	VMOVUPS (DI)(R12*1), Y6
+	MOVQ DX, R13
+	MOVQ R8, CX
+loop8x4:
+	TILE4_8
+	ADDQ $4, SI
+	ADDQ BX, R13
+	DECQ CX
+	JNZ  loop8x4
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y2, (DI)(BX*1)
+	VMOVUPS Y4, (DI)(BX*2)
+	VMOVUPS Y6, (DI)(R12*1)
+tiledone:
 	VZEROUPPER
 	RET

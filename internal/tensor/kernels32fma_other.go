@@ -8,4 +8,7 @@ package tensor
 
 func fmaBlock8(d, a, b *float32, k, stride int)  { panic("tensor: fmaBlock8 without FMA support") }
 func fmaBlock32(d, a, b *float32, k, stride int) { panic("tensor: fmaBlock32 without FMA support") }
-func fmaPanels32(d, a, p *float32, k int)        { panic("tensor: fmaPanels32 without FMA support") }
+func fmaTile4(d, a, b *float32, k, n, cols int)  { panic("tensor: fmaTile4 without FMA support") }
+func mulAddTail32(d, a, b *float32, k, n, rows int, mask *float32) {
+	panic("tensor: mulAddTail32 without AVX2 support")
+}

@@ -7,6 +7,3 @@ package tensor
 // to satisfy the references.
 
 func matMulRowsLanes(r, m, o *Matrix, lo, hi int) { panic("tensor: matMulRowsLanes without AVX2") }
-func matMulPackedRowsLanes(r, m, o *Matrix, panels []float64, lo, hi int) {
-	panic("tensor: matMulPackedRowsLanes without AVX2")
-}

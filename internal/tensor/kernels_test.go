@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -169,17 +171,27 @@ func TestKernelEquivalenceTranspose(t *testing.T) {
 	}
 }
 
-// TestPackBufReuse verifies a PackBuf grows once and is allocation-free
-// afterwards — the caller-owned-workspace contract InferScratch relies on.
+// TestPackBufReuse verifies the caller-owned-workspace contract InferScratch
+// relies on, in both kernel modes: a warm MatMulPackInto never allocates.
+// Without lane kernels the buffer has grown to the packed operand by then;
+// with them nothing is packed (the register tile reads the operand in
+// place) and the buffer stays empty.
 func TestPackBufReuse(t *testing.T) {
+	eachKernelMode(t, testPackBufReuse[float64])
+}
+
+func testPackBufReuse[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	pack := &PackBuf{}
-	m := randMat(packMinRows, 24, 0, rng)
-	o := randMat(24, 40, 0, rng)
-	dst := New(packMinRows, 40)
+	pack := &PackBufOf[T]{}
+	m := Cast[T](randMat(packMinRows, 24, 0, rng))
+	o := Cast[T](randMat(24, 40, 0, rng))
+	dst := NewOf[T](packMinRows, 40)
 	MatMulPackInto(dst, m, o, pack) // sizes the buffer
-	if pack.Footprint() < 24*40 {
-		t.Fatalf("pack footprint %d after first use, want >= %d", pack.Footprint(), 24*40)
+	if want := 24 * 40; !useLaneKernels && pack.Footprint() < want {
+		t.Fatalf("pack footprint %d after first use, want >= %d", pack.Footprint(), want)
+	}
+	if useLaneKernels && pack.Footprint() != 0 {
+		t.Fatalf("pack footprint %d with lane kernels, which do not pack", pack.Footprint())
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		dst.Zero()
@@ -190,46 +202,125 @@ func TestPackBufReuse(t *testing.T) {
 	}
 }
 
+// TestMatMulRowPartitionBitwise pins the row partition: a product cut into
+// parallelRows' chunks (whole register tiles, on two and on three workers)
+// is bit for bit the product computed in one piece, for both element types
+// in both kernel modes, over row counts on every side of the tile height.
+func TestMatMulRowPartitionBitwise(t *testing.T) {
+	eachKernelMode(t, func(t *testing.T) {
+		testMatMulRowPartitionBitwise[float64](t)
+		testMatMulRowPartitionBitwise[float32](t)
+	})
+}
+
+func testMatMulRowPartitionBitwise[T Float](t *testing.T) {
+	const k, n = 50, 29 // float32: a tile, a half tile, 5 tail columns; float64: 3 tiles, a half, 1 tail
+	rng := rand.New(rand.NewSource(53))
+	o := Cast[T](randMat(k, n, 0, rng))
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, workers := range []int{2, 3} {
+		runtime.GOMAXPROCS(workers)
+		for rows := 5; rows <= 130; rows++ {
+			m := Cast[T](randMat(rows, k, 0.01, rng))
+			whole, parts := NewOf[T](rows, n), NewOf[T](rows, n)
+			matMulRowRange(whole, m, o, nil, 0, rows)
+			covered := 0
+			var mu sync.Mutex
+			parallelRows(rows, func(lo, hi int) {
+				matMulRowRange(parts, m, o, nil, lo, hi)
+				mu.Lock()
+				defer mu.Unlock()
+				covered += hi - lo
+				if lo%tileRows != 0 {
+					t.Errorf("rows=%d workers=%d: chunk [%d, %d) starts inside a tile", rows, workers, lo, hi)
+				}
+			})
+			if covered != rows {
+				t.Fatalf("rows=%d workers=%d: chunks cover %d rows", rows, workers, covered)
+			}
+			for i, w := range whole.Data {
+				if bitsOf(parts.Data[i]) != bitsOf(w) {
+					t.Fatalf("rows=%d workers=%d cell %d: partitioned %v, whole %v", rows, workers, i, parts.Data[i], w)
+				}
+			}
+		}
+	}
+}
+
 // --- Lane kernels vs pure-Go bodies ------------------------------------------
 
 // servingShapes are the paper-scale bundle's matmuls (hidden 108, embedding
 // 50, four gates): an LSTM step, a beam=4 decode step, a page's hoisted
-// input projection, and an output layer whose width leaves a scalar tail.
+// input projection, an output layer whose width leaves a masked tail, a
+// page's tag projection (all tail), a short page's 108-wide product and a
+// beam=8 step onto the topic vocabulary.
 var servingShapes = []struct{ r, k, c int }{
 	{1, 108, 432}, {4, 216, 108}, {70, 50, 432}, {5, 108, 437},
+	{93, 324, 3}, {15, 324, 108}, {7, 216, 89},
 }
 
 // guardPad is the sentinel band, in floats, on each side of a guarded
-// operand; guardBits is its fill, a quiet NaN so that a stray read which
-// reaches an output poisons it and a stray write changes the pattern.
+// operand; guardBits and guardBits32 are its fill, a quiet NaN so that a
+// stray read which reaches an output poisons it and a stray write changes
+// the pattern.
 const (
-	guardPad  = 64
-	guardBits = 0x7ff8dead0badcafe
+	guardPad    = 64
+	guardBits   = 0x7ff8dead0badcafe
+	guardBits32 = 0x7fc0dead
 )
+
+// isFloat32 reports whether T is float32.
+func isFloat32[T Float]() bool {
+	var v T
+	_, ok := any(v).(float32)
+	return ok
+}
+
+// bitsOf returns v's IEEE-754 bit pattern.
+func bitsOf[T Float](v T) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(v))
+}
+
+// guardFill is the sentinel value for element type T.
+func guardFill[T Float]() T {
+	var v T
+	switch p := any(&v).(type) {
+	case *float32:
+		*p = math.Float32frombits(guardBits32)
+	case *float64:
+		*p = math.Float64frombits(guardBits)
+	}
+	return v
+}
 
 // guarded is a matrix whose Data sits between two sentinel bands, with its
 // capacity cut at its length so Go-side slicing cannot reach the rear band.
-type guarded struct {
-	*Matrix
-	back []float64
+type guarded[T Float] struct {
+	*MatrixOf[T]
+	back []T
 }
 
-func newGuarded(rows, cols int) guarded {
+func newGuarded[T Float](rows, cols int) guarded[T] {
 	n := rows * cols
-	back := make([]float64, n+2*guardPad)
+	back := make([]T, n+2*guardPad)
 	for i := range back {
-		back[i] = math.Float64frombits(guardBits)
+		back[i] = guardFill[T]()
 	}
 	data := back[guardPad : guardPad+n : guardPad+n]
 	clear(data)
-	return guarded{FromSlice(rows, cols, data), back}
+	return guarded[T]{FromSlice(rows, cols, data), back}
 }
 
 // intact reports whether both sentinel bands still hold the fill pattern.
-func (g guarded) intact() bool {
-	for _, band := range [][]float64{g.back[:guardPad], g.back[len(g.back)-guardPad:]} {
+func (g guarded[T]) intact() bool {
+	want := bitsOf(guardFill[T]())
+	for _, band := range [][]T{g.back[:guardPad], g.back[len(g.back)-guardPad:]} {
 		for _, v := range band {
-			if math.Float64bits(v) != guardBits {
+			if bitsOf(v) != want {
 				return false
 			}
 		}
@@ -237,34 +328,42 @@ func (g guarded) intact() bool {
 	return true
 }
 
-// lanes64Case is one cell of the differential grid: a shape, the share of
+// laneCase is one cell of the differential grid: a shape, the share of
 // exact zeros in the operands (half of them -0, which the a == 0 skip must
-// treat like +0), and what the values look like.
-type lanes64Case struct {
+// treat like +0; with any, the last row of the left operand is all zeros,
+// as most of a meanPoolMatrix is), and what the values look like.
+type laneCase struct {
 	r, k, c  int
 	zeroFrac float64
 	flavour  string // "normal", "tiny" (subnormal products), "nonfinite" (±Inf and NaN operands)
 }
 
-func (c lanes64Case) String() string {
+func (c laneCase) String() string {
 	return fmt.Sprintf("%dx%dx%d/zero=%v/%s", c.r, c.k, c.c, c.zeroFrac, c.flavour)
 }
 
-func (c lanes64Case) fill(data []float64, rng *rand.Rand) {
+// fillLane fills one operand of the case.
+func fillLane[T Float](c laneCase, data []T, rng *rand.Rand) {
+	tiny := 1e-160 // squared, a float64 subnormal
+	if isFloat32[T]() {
+		tiny = 1e-20 // squared, a float32 subnormal
+	}
+	negZero := math.Copysign(0, -1)
 	for i := range data {
 		switch u := rng.Float64(); {
 		case u < c.zeroFrac/2:
 			data[i] = 0
 		case u < c.zeroFrac:
-			data[i] = math.Copysign(0, -1)
+			data[i] = T(negZero)
 		default:
-			data[i] = rng.NormFloat64()
+			v := rng.NormFloat64()
 			if c.flavour == "tiny" {
-				data[i] *= 1e-160
+				v *= tiny
 			}
+			data[i] = T(v)
 		}
 		if c.flavour == "nonfinite" && rng.Intn(16) == 0 {
-			data[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+			data[i] = T([]float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)])
 		}
 	}
 }
@@ -272,100 +371,139 @@ func (c lanes64Case) fill(data []float64, rng *rand.Rand) {
 // seedDst fills a destination with the values an accumulate must not
 // disturb the low bits of: signed zeros, subnormals, the smallest normal,
 // and ordinary values.
-func seedDst(data []float64, rng *rand.Rand) {
+func seedDst[T Float](data []T, rng *rand.Rand) {
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 0x1p-1022}
+	if isFloat32[T]() {
+		specials = []float64{0, math.Copysign(0, -1), 0x1p-149, -0x1p-149, 1e-40, 0x1p-126}
+	}
 	for i := range data {
 		if rng.Intn(2) == 0 {
-			data[i] = specials[rng.Intn(len(specials))]
+			data[i] = T(specials[rng.Intn(len(specials))])
 		} else {
-			data[i] = rng.NormFloat64()
+			data[i] = T(rng.NormFloat64())
 		}
 	}
 }
 
-// lanes64Run holds one case's outputs, one per matmul entry point, and
-// every guarded operand those entry points were given.
-type lanes64Run struct {
-	names    []string
-	outs     [][]float64
-	operands []guarded
+// laneOperands builds the case's operands between sentinel bands from seed:
+// the left and right matrices and the destination's initial contents (the
+// kernels accumulate).
+func laneOperands[T Float](c laneCase, seed int64) (m, o, dst0 guarded[T]) {
+	rng := rand.New(rand.NewSource(seed))
+	m, o, dst0 = newGuarded[T](c.r, c.k), newGuarded[T](c.k, c.c), newGuarded[T](c.r, c.c)
+	fillLane(c, m.Data, rng)
+	fillLane(c, o.Data, rng)
+	if c.zeroFrac > 0 && c.r > 1 {
+		clear(m.Row(c.r - 1))
+	}
+	seedDst(dst0.Data, rng)
+	return m, o, dst0
 }
 
-// runLanes64Case builds the case's operands between sentinel bands from
-// seed and runs matMulRows, matMulPackedRows and MatMulPackInto over them in
-// whichever kernel mode is current.
-func runLanes64Case(c lanes64Case, seed int64) lanes64Run {
-	rng := rand.New(rand.NewSource(seed))
-	m, o, dst0 := newGuarded(c.r, c.k), newGuarded(c.k, c.c), newGuarded(c.r, c.c)
-	c.fill(m.Data, rng)
-	c.fill(o.Data, rng)
-	seedDst(dst0.Data, rng)
-	panels := newGuarded(c.k, c.c)
-	packPanels(panels.Data, o.Matrix, packWidth)
-	run := lanes64Run{operands: []guarded{m, o, dst0, panels}}
+// laneRun holds one case's outputs, one per matmul entry point, and every
+// guarded operand those entry points were given.
+type laneRun[T Float] struct {
+	names    []string
+	outs     [][]T
+	operands []guarded[T]
+}
 
-	entry := func(name string, fn func(dst *Matrix)) {
-		dst := newGuarded(c.r, c.c)
-		copy(dst.Data, dst0.Data)
-		fn(dst.Matrix)
-		run.names = append(run.names, name)
-		run.outs = append(run.outs, dst.Data)
-		run.operands = append(run.operands, dst)
-	}
-	entry("matMulRows", func(dst *Matrix) { matMulRows(dst, m.Matrix, o.Matrix, 0, c.r) })
-	entry("matMulPackedRows", func(dst *Matrix) { matMulPackedRows(dst, m.Matrix, o.Matrix, panels.Data, 0, c.r) })
+// entry runs fn over a guarded copy of dst0 and records the result.
+func (run *laneRun[T]) entry(name string, dst0 guarded[T], fn func(dst *MatrixOf[T])) {
+	dst := newGuarded[T](dst0.Rows, dst0.Cols)
+	copy(dst.Data, dst0.Data)
+	fn(dst.MatrixOf)
+	run.names = append(run.names, name)
+	run.outs = append(run.outs, dst.Data)
+	run.operands = append(run.operands, dst)
+}
+
+// runLanes64Case runs matMulRows and MatMulPackInto over the case's operands
+// in whichever kernel mode is current.
+func runLanes64Case(c laneCase, seed int64) laneRun[float64] {
+	m, o, dst0 := laneOperands[float64](c, seed)
+	run := laneRun[float64]{operands: []guarded[float64]{m, o, dst0}}
+	run.entry("matMulRows", dst0, func(dst *Matrix) { matMulRows(dst, m.MatrixOf, o.MatrixOf, 0, c.r) })
 	pack := &PackBuf{}
 	if c.r > 0 && c.k > 0 && c.c > 0 && c.flavour != "nonfinite" {
-		entry("MatMulPackInto", func(dst *Matrix) { MatMulPackInto(dst, m.Matrix, o.Matrix, pack) })
+		run.entry("MatMulPackInto", dst0, func(dst *Matrix) { MatMulPackInto(dst, m.MatrixOf, o.MatrixOf, pack) })
 	} else {
 		// New rejects empty shapes and -tags wbdebug rejects non-finite
 		// outputs, both at the exported wrapper: call what it wraps.
-		entry("matMulIntoPacked", func(dst *Matrix) { matMulIntoPacked(dst, m.Matrix, o.Matrix, pack) })
+		run.entry("matMulIntoPacked", dst0, func(dst *Matrix) { matMulIntoPacked(dst, m.MatrixOf, o.MatrixOf, pack) })
 	}
 	return run
 }
 
-// lanes64Cases is the differential grid: kernelShapes, the serving shapes,
-// and every output width 1…35 (each combination of 16-lane blocks, 4-lane
-// blocks and scalar tail), each with and without exact zeros, in every
-// flavour.
-func lanes64Cases() []lanes64Case {
-	shapes := append(append([]struct{ r, k, c int }{}, kernelShapes...), servingShapes...)
-	for w := 1; w <= 35; w++ {
-		shapes = append(shapes, struct{ r, k, c int }{3, 7, w}, struct{ r, k, c int }{5, 9, w})
-	}
-	var cases []lanes64Case
-	for _, sh := range shapes {
-		for _, zeroFrac := range []float64{0, 0.3} {
-			for _, flavour := range []string{"normal", "tiny", "nonfinite"} {
-				cases = append(cases, lanes64Case{sh.r, sh.k, sh.c, zeroFrac, flavour})
+// tileGridCases is the register-tile grid both dtypes share: every row count
+// around the tile height plus two page lengths, inner dimensions from 1 to
+// the tag projection's 324, and output widths on every side of both vector
+// widths and both tile widths (all tail, one vector, half a tile, a tile,
+// a tile and a tail, the serving widths). Each shape runs dense — every
+// 4-row block takes the tile — and with ≈ 2 % planted ±0 and an all-zero
+// row, where float64 blocks fall back to the skipping row kernel; a few
+// shapes also run with non-finite operands.
+func tileGridCases() []laneCase {
+	rows := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 64, 93}
+	var cases []laneCase
+	for _, r := range rows {
+		for _, k := range []int{1, 7, 50, 108, 217, 324} {
+			for _, n := range []int{1, 3, 4, 7, 8, 9, 12, 16, 17, 24, 89, 108, 432, 437} {
+				cases = append(cases, laneCase{r, k, n, 0, "normal"}, laneCase{r, k, n, 0.02, "normal"})
+				if k <= 50 && n <= 24 && r <= 13 {
+					cases = append(cases, laneCase{r, k, n, 0, "nonfinite"}, laneCase{r, k, n, 0.02, "nonfinite"})
+				}
 			}
 		}
 	}
 	return cases
 }
 
+// lanes64Cases is the differential grid: kernelShapes, the serving shapes,
+// and every output width 1…35 (each combination of 16-lane blocks, 4-lane
+// blocks and masked tail), each with and without exact zeros, in every
+// flavour; then the register-tile grid.
+func lanes64Cases() []laneCase {
+	shapes := append(append([]struct{ r, k, c int }{}, kernelShapes...), servingShapes...)
+	for w := 1; w <= 35; w++ {
+		shapes = append(shapes, struct{ r, k, c int }{3, 7, w}, struct{ r, k, c int }{5, 9, w})
+	}
+	var cases []laneCase
+	for _, sh := range shapes {
+		for _, zeroFrac := range []float64{0, 0.3} {
+			for _, flavour := range []string{"normal", "tiny", "nonfinite"} {
+				cases = append(cases, laneCase{sh.r, sh.k, sh.c, zeroFrac, flavour})
+			}
+		}
+	}
+	return append(cases, tileGridCases()...)
+}
+
 // TestKernels64LanesMatchPureGo is the float64 contract as a test: over the
-// whole grid the lane bodies and the pure-Go bodies must produce the same
-// bits in every cell — signed zeros, subnormals and the a == 0 skip
-// included — and the same class (NaN, +Inf, -Inf) where a cell is not
-// finite. NaN payloads are outside the contract and not compared.
+// whole grid every lane-mode entry point must produce the bits of the
+// pure-Go matMulRows in every cell — signed zeros, subnormals and the
+// a == 0 skip included, whether the cell came out of the register tile, a
+// one-row block or the masked tail — and the same class (NaN, +Inf, -Inf)
+// where a cell is not finite. NaN payloads are outside the contract and not
+// compared.
 func TestKernels64LanesMatchPureGo(t *testing.T) {
 	setLaneKernels(t, true) // skips without AVX2; restores the gate at the end
 	for i, c := range lanes64Cases() {
 		seed := int64(1000 + i)
+		m, o, dst0 := laneOperands[float64](c, seed)
+		want := append([]float64(nil), dst0.Data...)
 		useLaneKernels = false
-		want := runLanes64Case(c, seed)
+		matMulRows(FromSlice(c.r, c.c, want), m.MatrixOf, o.MatrixOf, 0, c.r)
 		useLaneKernels = true
 		got := runLanes64Case(c, seed)
-		for e, name := range want.names {
-			for j, w := range want.outs[e] {
+		for e, name := range got.names {
+			for j, w := range want {
 				g := got.outs[e][j]
 				if math.IsNaN(w) && math.IsNaN(g) {
 					continue
 				}
 				if math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("%v %s cell %d: lanes %x (%v), pure Go %x (%v)",
+					t.Fatalf("%v %s cell %d: lanes %x (%v), pure Go matMulRows %x (%v)",
 						c, name, j, math.Float64bits(g), g, math.Float64bits(w), w)
 				}
 			}
@@ -374,10 +512,11 @@ func TestKernels64LanesMatchPureGo(t *testing.T) {
 }
 
 // TestKernels64LanesStayInBounds guards what the compiler cannot: the lane
-// assembly takes bare pointers with no bounds checks, so every operand sits
-// between sentinel bands that must come back untouched. (The bands are NaN,
-// so a read past an operand that reached an output would also have failed
-// the differential test above.)
+// assembly — blocks, register tile, masked tail and zero scan — takes bare
+// pointers with no bounds checks, so every operand sits between sentinel
+// bands that must come back untouched. (The bands are NaN, so a read past
+// an operand that reached an output would also have failed the
+// differential test above.)
 func TestKernels64LanesStayInBounds(t *testing.T) {
 	setLaneKernels(t, true)
 	for i, c := range lanes64Cases() {
@@ -399,7 +538,7 @@ func TestKernels64LanesStayInBounds(t *testing.T) {
 // rest by name. (kernels32fma_amd64.s fuses by contract and is not listed.)
 func TestUnfusedAsmHasNoFMA(t *testing.T) {
 	fused := regexp.MustCompile(`\bVFN?M(ADD|SUB)\w*`)
-	for _, file := range []string{"kernels64avx_amd64.s", "kernels32act_amd64.s"} {
+	for _, file := range []string{"kernels64avx_amd64.s", "kernels32act_amd64.s", "kernels32tail_amd64.s"} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)

@@ -261,7 +261,8 @@ func (m *MatrixOf[T]) MatMul(o *MatrixOf[T]) *MatrixOf[T] {
 const parallelFlopThreshold = 1 << 18
 
 // parallelRows splits [0, n) into one chunk per worker and runs fn on each
-// chunk concurrently.
+// chunk concurrently. Chunks are whole register tiles (a multiple of tileRows
+// rows), so only the last one can end in a ragged tile.
 func parallelRows(n int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -273,6 +274,7 @@ func parallelRows(n int, fn func(lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
+	chunk = (chunk + tileRows - 1) / tileRows * tileRows
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {

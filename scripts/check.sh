@@ -28,7 +28,7 @@ GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 9 passes)"
 go run ./cmd/wbcheck ./...
 
-echo "== race-enabled tests (ag, nn, wb, serve, tensor, briefcache, snapshot: e2e + load soak + kernel equivalence)"
+echo "== race-enabled tests (ag, nn, wb, serve, tensor, briefcache, snapshot: e2e + load soak + kernel equivalence + TestMatMulRowPartitionBitwise, the tile-aligned row partition on 2 and 3 workers)"
 go test -race ./internal/ag ./internal/nn ./internal/wb ./internal/serve ./internal/tensor \
     ./internal/briefcache ./internal/snapshot
 
@@ -48,8 +48,8 @@ echo "== allocation regression gates (warm fast path must stay allocation-free)"
 go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs' \
     ./internal/ag ./internal/tensor ./internal/wb
 
-echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes vs pure Go on Float64bits, f32 σ/tanh lanes vs pure Go on Float32bits and vs libm within 2 ulp, sentinel bands around the asm operands, no FMA mnemonic in the unfused families, fused LSTM cell vs op chain, hoisted vs per-step LSTM projection)"
-go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestAct32|TestUnfusedAsmHasNoFMA|TestLSTMCellIntoMatchesOps|TestLSTMCellFusedMatchesOpChain|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
+echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes — register tile, row blocks, masked tail — vs pure Go on Float64bits, f32 tile and tail vs the one-row lane sequence on Float32bits, row-partitioned vs whole products, f32 σ/tanh lanes vs pure Go on Float32bits and vs libm within 2 ulp, sentinel bands around the asm operands, no FMA mnemonic in the unfused families, fused LSTM cell vs op chain, hoisted vs per-step LSTM projection)"
+go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestKernels32TilesMatchRowLanes|TestMatMulRowPartitionBitwise|TestAct32|TestUnfusedAsmHasNoFMA|TestLSTMCellIntoMatchesOps|TestLSTMCellLanesStayInBounds|TestLSTMCellFusedMatchesOpChain|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
     ./internal/tensor ./internal/nn ./internal/wb
 
 echo "== batched equivalence (fused B-row forward/beam vs serial reference, exact equality, ragged batches, one forward per briefing)"
