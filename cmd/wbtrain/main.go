@@ -4,12 +4,13 @@
 //
 // Usage:
 //
-//	wbtrain [-domains N] [-pages N] [-epochs N] [-hidden N] [-embdim N] [-seed N] [-workers N] -out model.bin
-//	wbtrain -format snapshot -out model.snap   # versioned binary snapshot instead of gob
+//	wbtrain [-domains N] [-pages N] [-epochs N] [-hidden N] [-embdim N] [-seed N] [-workers N] -out model.snap
+//	wbtrain -format gob -out model.bin   # the legacy gob encoding instead
 //
-// The snapshot format (internal/snapshot) is checksummed and cold-boots
-// faster than gob; every loader sniffs the format, so either encoding
-// works everywhere. Convert existing bundles with cmd/wbsnap.
+// The bundle is written in the snapshot format (internal/snapshot):
+// versioned, checksummed, and faster to cold-boot than gob. Every loader
+// sniffs the format, so a gob bundle still works everywhere; convert one
+// with cmd/wbsnap.
 package main
 
 import (
@@ -34,11 +35,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "parallel training workers (0 = GOMAXPROCS, 1 = sequential)")
 	out := flag.String("out", "model.bin", "output model bundle path")
-	format := flag.String("format", "gob", "bundle encoding: gob (legacy) or snapshot (versioned binary, faster cold boot)")
+	format := flag.String("format", "snapshot", "bundle encoding: snapshot (versioned, checksummed binary) or gob (legacy)")
 	export := flag.String("export", "", "also export the labelled dataset as JSONL to this path")
 	flag.Parse()
 	if *format != "gob" && *format != "snapshot" {
-		log.Fatalf("unknown -format %q (want gob or snapshot)", *format)
+		log.Fatalf("unknown -format %q (want snapshot or gob)", *format)
 	}
 
 	start := time.Now()

@@ -16,8 +16,12 @@ import (
 // types: for float64 the conversions are no-ops (the code is bit-for-bit the
 // pre-generic float64 kernel), for float32 the accumulation is the one place
 // a softmax visibly loses precision over long rows. σ and tanh differ by
-// element type (sigmoidSlice, tanhSlice): libm for float64, the repo's own
-// float32 functions of kernels32act.go for float32.
+// element type (sigmoidSlice, tanhSlice): for float64 they are DEFINED by
+// libm — 1/(1+math.Exp(−x)) and math.Tanh(x) — whose amd64 exp has an FMA
+// and a non-FMA path chosen at process start, so float64 bits are per libm
+// path; the AVX2 lanes of kernels64act.go reproduce the FMA path bit for
+// bit where a start-up probe confirms it and otherwise stand down. For
+// float32 they are the repo's own functions of kernels32act.go.
 
 func dstShapeCheck[T Float](dst *MatrixOf[T], rows, cols int, op string) {
 	if dst.Rows != rows || dst.Cols != cols {
@@ -133,27 +137,23 @@ func SigmoidInto[T Float](dst, m *MatrixOf[T]) {
 }
 
 // tanhSlice sets dst[i] = tanh(src[i]) over equal-length slices, which may
-// be the same slice: math.Tanh for float64, tanh32 (or its lanes) for
-// float32.
+// be the same slice: math.Tanh (or its bit-equal lanes) for float64, tanh32
+// (or its lanes) for float32.
 func tanhSlice[T Float](dst, src []T) {
 	switch dst := any(dst).(type) {
 	case []float64:
-		for i, v := range any(src).([]float64) {
-			dst[i] = math.Tanh(v)
-		}
+		tanhSlice64(dst, any(src).([]float64))
 	case []float32:
 		tanhSlice32(dst, any(src).([]float32))
 	}
 }
 
-// sigmoidSlice is tanhSlice for σ: 1/(1+math.Exp(−x)) for float64,
-// sigmoid32 (or its lanes) for float32.
+// sigmoidSlice is tanhSlice for σ: 1/(1+math.Exp(−x)) (or its bit-equal
+// lanes) for float64, sigmoid32 (or its lanes) for float32.
 func sigmoidSlice[T Float](dst, src []T) {
 	switch dst := any(dst).(type) {
 	case []float64:
-		for i, v := range any(src).([]float64) {
-			dst[i] = 1 / (1 + math.Exp(-v))
-		}
+		sigmoidSlice64(dst, any(src).([]float64))
 	case []float32:
 		sigmoidSlice32(dst, any(src).([]float32))
 	}
@@ -200,19 +200,31 @@ func LSTMCellInto[T Float](hOut, cOut, rec, in, b, c *MatrixOf[T]) {
 }
 
 // gateSumSlice, cellUpdateSlice and mulSlice are LSTMCellInto's elementwise
-// loops over equal-length slices. The Go loops are the definition and the
-// float64 path; float32 runs them eight lanes at a time where the CPU has
-// the lanes, each operation still rounding on its own.
+// loops over equal-length slices. The Go loops are the definition; where the
+// CPU has the lanes the same operations run eight float32s or four float64s
+// at a time, each still rounding on its own. The float32 lanes mask their
+// own tail; the float64 ones take whole vectors and leave the last n mod 4
+// elements, from index j on, to the Go loop.
 
 // gateSumSlice sets gates[j] = (in[j] + gates[j]) + b[j].
 func gateSumSlice[T Float](gates, in, b []T) {
-	in, b = in[:len(gates)], b[:len(gates)]
-	if g, ok := any(gates).([]float32); ok && useLaneKernels && len(g) > 0 {
-		lstmGateSumLanes32(&g[0], &any(in).([]float32)[0], &any(b).([]float32)[0], len(g), &act32Tab)
-		return
+	n := len(gates)
+	in, b = in[:n], b[:n]
+	j := 0
+	switch g := any(gates).(type) {
+	case []float32:
+		if useLaneKernels && n > 0 {
+			lstmGateSumLanes32(&g[0], &any(in).([]float32)[0], &any(b).([]float32)[0], n, &act32Tab)
+			return
+		}
+	case []float64:
+		if useLaneKernels && n >= 4 {
+			j = n &^ 3
+			lstmGateSumLanes64(&g[0], &any(in).([]float64)[0], &any(b).([]float64)[0], j)
+		}
 	}
-	for j, v := range gates {
-		gates[j] = (in[j] + v) + b[j]
+	for ; j < n; j++ {
+		gates[j] = (in[j] + gates[j]) + b[j]
 	}
 }
 
@@ -221,25 +233,45 @@ func gateSumSlice[T Float](gates, in, b []T) {
 func cellUpdateSlice[T Float](cOut, f, c, i, g []T) {
 	n := len(cOut)
 	f, c, i, g = f[:n], c[:n], i[:n], g[:n]
-	if d, ok := any(cOut).([]float32); ok && useLaneKernels && n > 0 {
-		lstmCellUpdateLanes32(&d[0], &any(f).([]float32)[0], &any(c).([]float32)[0],
-			&any(i).([]float32)[0], &any(g).([]float32)[0], n, &act32Tab)
-		return
+	j := 0
+	switch d := any(cOut).(type) {
+	case []float32:
+		if useLaneKernels && n > 0 {
+			lstmCellUpdateLanes32(&d[0], &any(f).([]float32)[0], &any(c).([]float32)[0],
+				&any(i).([]float32)[0], &any(g).([]float32)[0], n, &act32Tab)
+			return
+		}
+	case []float64:
+		if useLaneKernels && n >= 4 {
+			j = n &^ 3
+			lstmCellUpdateLanes64(&d[0], &any(f).([]float64)[0], &any(c).([]float64)[0],
+				&any(i).([]float64)[0], &any(g).([]float64)[0], j)
+		}
 	}
-	for j := range cOut {
+	for ; j < n; j++ {
 		cOut[j] = T(f[j]*c[j]) + T(i[j]*g[j])
 	}
 }
 
 // mulSlice sets dst[j] = o[j]·dst[j].
 func mulSlice[T Float](dst, o []T) {
-	o = o[:len(dst)]
-	if d, ok := any(dst).([]float32); ok && useLaneKernels && len(d) > 0 {
-		mulLanes32(&d[0], &any(o).([]float32)[0], len(d), &act32Tab)
-		return
+	n := len(dst)
+	o = o[:n]
+	j := 0
+	switch d := any(dst).(type) {
+	case []float32:
+		if useLaneKernels && n > 0 {
+			mulLanes32(&d[0], &any(o).([]float32)[0], n, &act32Tab)
+			return
+		}
+	case []float64:
+		if useLaneKernels && n >= 4 {
+			j = n &^ 3
+			mulLanes64(&d[0], &any(o).([]float64)[0], j)
+		}
 	}
-	for j, v := range dst {
-		dst[j] = o[j] * v
+	for ; j < n; j++ {
+		dst[j] = o[j] * dst[j]
 	}
 }
 

@@ -39,21 +39,22 @@ package tensor
 //
 // Without lane kernels the register blocking is a quad of independent
 // accumulators — four output cells of one row advance together through the
-// shared k loop — and the cache blocking for tall products is B-panel
-// packing: PackBuf rearranges the right-hand matrix into contiguous 4-column
-// panels so the inner loop reads one linear stream instead of four strided
-// ones. The lane kernels read the matrix in place (packFor): the tile beats
-// its own packed form at every shape and row count measured.
+// shared k loop — and, for float32 only, the cache blocking for tall
+// products is B-panel packing: PackBuf32 rearranges the right-hand matrix
+// into contiguous 8-column panels so the inner loop reads one linear stream
+// instead of eight strided ones (kernels32.go). The lane kernels read the
+// matrix in place, and so do the pure-Go float64 bodies (packFor): the tile
+// beats its own packed form, and the float64 quad its own, at every shape
+// and row count that matters.
 
 // packWidth is the register-block width: output cells advanced per quad.
 const packWidth = 4
 
 // packMinRows is the minimum left-hand row count for B-panel packing to
-// pay for itself on the pure-Go kernels, the only ones that pack. Packing
-// costs one pass over o (read + write) that a beam-width decode step cannot
-// earn back (4 rows: 40 µs unpacked vs 70 packed on a 50×432 float64
-// weight). From 64 rows up the contiguous panel stream is worth 10–22 % to
-// the float32 bodies; the float64 ones break even at best
+// pay for itself on the pure-Go float32 kernels, the only ones that pack.
+// Packing costs one pass over o (read + write) that a beam-width decode step
+// cannot earn back (4 rows: 40 µs unpacked vs 49 packed on a 50×432 weight);
+// from 64 rows up the contiguous panel stream is worth 10–22 %
 // (BenchmarkMatMulKernelsGrid, impl=go; EXPERIMENTS.md, PR 17).
 const packMinRows = 64
 
@@ -69,7 +70,8 @@ const transposeTile = 32
 
 // PackBufOf is a caller-owned, reusable buffer for B-panel packing. The zero
 // value is ready to use; it grows to the largest packed operand it has seen
-// and is then allocation-free. A pack buffer must not be shared between
+// and is then allocation-free (a PackBuf, the float64 one, never grows:
+// float64 products do not pack). A pack buffer must not be shared between
 // concurrent matmuls — give each worker or serving replica its own (see
 // wb.InferScratch).
 type PackBufOf[T Float] struct {
@@ -153,39 +155,38 @@ func matMulIntoPacked[T Float](r, m, o *MatrixOf[T], pack *PackBufOf[T]) {
 }
 
 // packFor packs o's panels into pack when the shape profits and returns
-// pack; it returns nil when the unpacked kernel should run, which with lane
-// kernels is always (the register tile reads o in place). The panels
-// cross the type switch in matMulRowRange inside their buffer because a
-// pointer converts to an interface without allocating and a slice does not.
+// pack; it returns nil when the unpacked kernel should run. With lane
+// kernels that is always (the register tile reads o in place), and for
+// float64 it is always too: PR 17's impl=go grid has the packed float64
+// quad 0–11 % slower than the unpacked one at 64, 93 and 128 rows on
+// [50×432], [108×432], [216×108], [217×108] and [216×89] (1 413 vs 1 529 µs
+// at 64 × [108×432]) and ahead only on the three-column [324×3], so what
+// packs is the pure-Go float32 body alone. The panels cross the type switch
+// in matMulRowRange inside their buffer because a pointer converts to an
+// interface without allocating and a slice does not.
 func packFor[T Float](m, o *MatrixOf[T], pack *PackBufOf[T]) *PackBufOf[T] {
 	if useLaneKernels || pack == nil || m.Rows < packMinRows || o.Rows == 0 || o.Cols == 0 {
 		return nil
 	}
-	width := packWidth
-	if _, ok := any(pack).(*PackBuf32); ok {
-		width = packWidth32
+	if _, ok := any(pack).(*PackBuf32); !ok {
+		return nil
 	}
-	packPanels(pack.ensure(o.Rows*o.Cols), o, width)
+	packPanels(pack.ensure(o.Rows*o.Cols), o, packWidth32)
 	return pack
 }
 
-// Besides packFor's panel width, the three functions below are the only
-// places the stack branches on the element type: one type switch per op,
+// Besides packFor's float32 test, the three functions below are the only
+// places the matmuls branch on the element type: one type switch per op,
 // selecting the float64 kernels in this file (bitwise contract: unfused AVX2
 // lanes where the CPU has them, never fused) or the float32 kernels in
 // kernels32.go (k-term envelope: AVX2+FMA lanes behind the same gate).
 
 // matMulRowRange computes output rows [lo, hi) of r += m·o, reading o
-// through panels' packed copy when panels is non-nil.
+// through panels' packed copy when panels is non-nil (float32 only).
 func matMulRowRange[T Float](r, m, o *MatrixOf[T], panels *PackBufOf[T], lo, hi int) {
 	switch r := any(r).(type) {
 	case *Matrix:
-		m, o := any(m).(*Matrix), any(o).(*Matrix)
-		if panels != nil {
-			matMulPackedRows(r, m, o, any(panels).(*PackBuf).buf[:o.Rows*o.Cols], lo, hi)
-		} else {
-			matMulRows(r, m, o, lo, hi)
-		}
+		matMulRows(r, any(m).(*Matrix), any(o).(*Matrix), lo, hi)
 	case *Matrix32:
 		m, o := any(m).(*Matrix32), any(o).(*Matrix32)
 		if panels != nil {
@@ -215,45 +216,6 @@ func matMulTransA[T Float](dst, m, o *MatrixOf[T]) {
 	case *Matrix32:
 		m := any(m).(*Matrix32)
 		matMulTransARows32(dst, m, any(o).(*Matrix32), 0, m.Rows)
-	}
-}
-
-// matMulPackedRows computes output rows [lo, hi) of r += m·o reading o
-// through its packed panels: per output row a quad of accumulators walks
-// one contiguous panel stream, accumulating each cell's sum in ascending k
-// exactly like the reference kernel. Pure Go only: the blocked path for
-// tall products on hosts without lane kernels.
-func matMulPackedRows(r, m, o *Matrix, panels []float64, lo, hi int) {
-	k, n := o.Rows, o.Cols
-	for i := lo; i < hi; i++ {
-		mRow := m.Row(i)
-		rRow := r.Row(i)
-		pos := 0
-		for j0 := 0; j0 < n; j0 += packWidth {
-			if n-j0 >= packWidth {
-				s0, s1, s2, s3 := rRow[j0], rRow[j0+1], rRow[j0+2], rRow[j0+3]
-				p := panels[pos : pos+4*k]
-				for kk, a := range mRow {
-					q := p[4*kk : 4*kk+4 : 4*kk+4]
-					s0 += a * q[0]
-					s1 += a * q[1]
-					s2 += a * q[2]
-					s3 += a * q[3]
-				}
-				rRow[j0], rRow[j0+1], rRow[j0+2], rRow[j0+3] = s0, s1, s2, s3
-				pos += 4 * k
-				continue
-			}
-			w := n - j0
-			for c := 0; c < w; c++ {
-				s := rRow[j0+c]
-				for kk, a := range mRow {
-					s += a * panels[pos+kk*w+c]
-				}
-				rRow[j0+c] = s
-			}
-			pos += w * k
-		}
 	}
 }
 

@@ -45,10 +45,11 @@ package tensor
 const packWidth32 = 8
 
 // matMulPackedRows32 computes output rows [lo, hi) of r += m·o reading o
-// through its packed panels — the float32 (8-accumulator) twin of
-// matMulPackedRows. Per output cell the accumulation order is still
-// ascending k, so the kernels32_test error envelope is unaffected by the
-// wider block.
+// through its packed panels: per output row eight accumulators walk one
+// contiguous panel stream. Pure Go only — the blocked path for tall products
+// on hosts without lane kernels. Per output cell the accumulation order is
+// still ascending k, so the kernels32_test error envelope is unaffected by
+// the block.
 func matMulPackedRows32(r, m, o *Matrix32, panels []float32, lo, hi int) {
 	k, n := o.Rows, o.Cols
 	for i := lo; i < hi; i++ {

@@ -4,10 +4,11 @@ import "math"
 
 // Float32 σ and tanh: the repo's own definitions, the one place besides the
 // matmul kernels where the float32 tier has code of its own. The float64
-// tier evaluates its transcendentals through libm (math.Exp, math.Tanh) and
-// is bitwise what it always was; the float32 tier used to pay for the same
-// correctly-rounded doubles per element and round them away, which cost the
-// student more than its matmuls. The float32 stack promises an error
+// tier's transcendentals are defined by libm (math.Exp, math.Tanh: bitwise
+// what they always were, per libm path — kernels64act.go, whose lanes
+// transcribe libm and define nothing); the float32 tier used to pay for the
+// same correctly-rounded doubles per element and round them away, which cost
+// the student more than its matmuls. The float32 stack promises an error
 // envelope, not bits against libm — but it does promise determinism, so the
 // functions below are written to have exactly one value per input on every
 // machine:

@@ -16,7 +16,7 @@ var act32Fns = []struct {
 	libm   func(float64) float64
 	maxULP int64
 }{
-	{"sigmoid", sigmoidSlice32, sigmoid32, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }, 2},
+	{"sigmoid", sigmoidSlice32, sigmoid32, sigmoid64, 2},
 	{"tanh", tanhSlice32, tanh32, math.Tanh, 2},
 }
 
@@ -211,18 +211,18 @@ func TestAct32LanesStayInBounds(t *testing.T) {
 }
 
 // TestLSTMCellIntoMatchesOps pins the fused cell to the destination-passing
-// ops it replaces, in both kernel modes and for both element types: the
+// ops it replaces, in both kernel modes and for both element types (f64 and f32 under each mode): the
 // gate sum, the four activations on column slices, the cell update and the
 // output product, bit for bit (compared widened to float64, which is exact
 // for float32), over widths around the vector width and the serving width.
 func TestLSTMCellIntoMatchesOps(t *testing.T) {
 	eachKernelMode(t, func(t *testing.T) {
-		testLSTMCellIntoMatchesOps[float64](t, "float64")
-		testLSTMCellIntoMatchesOps[float32](t, "float32")
+		t.Run("f64", testLSTMCellIntoMatchesOps[float64])
+		t.Run("f32", testLSTMCellIntoMatchesOps[float32])
 	})
 }
 
-func testLSTMCellIntoMatchesOps[T Float](t *testing.T, dtype string) {
+func testLSTMCellIntoMatchesOps[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	uniform := func(rows, cols int, span float64) *MatrixOf[T] {
 		return Cast[T](Uniform(rows, cols, -span, span, rng))
@@ -234,7 +234,7 @@ func testLSTMCellIntoMatchesOps[T Float](t *testing.T, dtype string) {
 		}
 		return out
 	}
-	for _, h := range []int{1, 7, 8, 9, 108} {
+	for _, h := range []int{1, 3, 4, 5, 7, 8, 9, 108} {
 		for _, rows := range []int{1, 4, 7} {
 			in, rec, b, c := uniform(rows, 4*h, 12), uniform(rows, 4*h, 4), uniform(1, 4*h, 1), uniform(rows, h, 3)
 
@@ -261,7 +261,7 @@ func testLSTMCellIntoMatchesOps[T Float](t *testing.T, dtype string) {
 			}{{"hOut", gotH, wantH}, {"cOut", gotC, wantC}} {
 				for j, v := range pair.got.Data {
 					if w := pair.want.Data[j]; math.Float64bits(float64(v)) != math.Float64bits(float64(w)) {
-						t.Fatalf("%s h=%d rows=%d: %s[%d] fused %v, ops %v", dtype, h, rows, pair.what, j, v, w)
+						t.Fatalf("h=%d rows=%d: %s[%d] fused %v, ops %v", h, rows, pair.what, j, v, w)
 					}
 				}
 			}
@@ -269,13 +269,19 @@ func testLSTMCellIntoMatchesOps[T Float](t *testing.T, dtype string) {
 	}
 }
 
-// TestLSTMCellLanesStayInBounds brackets every operand of the float32 cell
-// with sentinel bands, for every hidden width 1…35 and the serving width:
-// the three elementwise lane loops take bare pointers like the σ/tanh lanes
-// between them, and their masked tails must neither write past a row nor
-// let a band's NaN into a result.
+// TestLSTMCellLanesStayInBounds brackets every operand of the cell with
+// sentinel bands, for both element types, every hidden width 1…35 and the
+// serving width: the three elementwise lane loops take bare pointers like
+// the σ/tanh lanes between them, and their tails — masked for float32,
+// handed to the Go loop for float64 — must neither write past a row nor let
+// a band's NaN into a result.
 func TestLSTMCellLanesStayInBounds(t *testing.T) {
 	setLaneKernels(t, true)
+	testLSTMCellLanesStayInBounds[float32](t)
+	testLSTMCellLanesStayInBounds[float64](t)
+}
+
+func testLSTMCellLanesStayInBounds[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	widths := []int{108}
 	for h := 1; h <= 35; h++ {
@@ -283,16 +289,16 @@ func TestLSTMCellLanesStayInBounds(t *testing.T) {
 	}
 	for _, h := range widths {
 		const rows = 3
-		hOut, cOut := newGuarded[float32](rows, h), newGuarded[float32](rows, h)
-		rec, in := newGuarded[float32](rows, 4*h), newGuarded[float32](rows, 4*h)
-		b, c := newGuarded[float32](1, 4*h), newGuarded[float32](rows, h)
-		for _, g := range []guarded[float32]{rec, in, b, c} {
+		hOut, cOut := newGuarded[T](rows, h), newGuarded[T](rows, h)
+		rec, in := newGuarded[T](rows, 4*h), newGuarded[T](rows, 4*h)
+		b, c := newGuarded[T](1, 4*h), newGuarded[T](rows, h)
+		for _, g := range []guarded[T]{rec, in, b, c} {
 			for i := range g.Data {
-				g.Data[i] = float32(rng.NormFloat64())
+				g.Data[i] = T(rng.NormFloat64())
 			}
 		}
 		LSTMCellInto(hOut.MatrixOf, cOut.MatrixOf, rec.MatrixOf, in.MatrixOf, b.MatrixOf, c.MatrixOf)
-		for i, g := range []guarded[float32]{hOut, cOut, rec, in, b, c} {
+		for i, g := range []guarded[T]{hOut, cOut, rec, in, b, c} {
 			if !g.intact() {
 				t.Fatalf("h=%d: sentinel band around operand %d overwritten", h, i)
 			}

@@ -134,8 +134,8 @@ func BenchmarkTransposeKernels(b *testing.B) {
 // a ragged tile, 64-128 a page's hoisted input projection. impl=go is the
 // pure-Go body, impl=lanes the assembly behind useLaneKernels (skipped where
 // the CPU has none). layout=packed includes the packPanels pass, as
-// matMulIntoPacked pays it on every call, and exists for impl=go only: the
-// lane kernels read the operand in place.
+// matMulIntoPacked pays it on every call, and exists for float32 impl=go
+// only: the lane kernels and the float64 bodies read the operand in place.
 func BenchmarkMatMulKernelsGrid(b *testing.B) {
 	for _, w := range []struct{ k, c int }{{50, 432}, {108, 432}, {216, 108}, {217, 108}, {216, 89}, {324, 3}} {
 		for _, rows := range []int{1, 4, 7, 8, 15, 64, 93, 128} {
@@ -157,6 +157,9 @@ func benchKernelGridCell[T Float](b *testing.B, name string, rows, k, c, width i
 	}{{"unpacked", "go"}, {"unpacked", "lanes"}, {"packed", "go"}} {
 		var panels *PackBufOf[T]
 		if cell.layout == "packed" {
+			if !isFloat32[T]() {
+				continue
+			}
 			panels = pack
 		}
 		b.Run(name+"/layout="+cell.layout+"/impl="+cell.impl, func(b *testing.B) {

@@ -25,7 +25,7 @@ var kernelShapes = []struct{ r, k, c int }{
 	{3, 5, 7}, {7, 5, 3}, // odd everything
 	{4, 4, 4}, {8, 8, 8},
 	{33, 17, 29},                    // off-by-one around the quad width
-	{64, 64, 64},                    // crosses packMinRows and fills several panels
+	{64, 64, 64},                    // crosses packMinRows and fills several float32 panels
 	{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, // empty operands
 }
 
@@ -43,8 +43,9 @@ func randMat(rows, cols int, zeroFrac float64, rng *rand.Rand) *Matrix {
 	return FromSlice(rows, cols, data)
 }
 
-// setLaneKernels forces the matmuls and float32 activations onto their lane
-// bodies (on) or their pure-Go bodies (off) for the rest of the test or
+// setLaneKernels forces the matmuls, activations and LSTM-cell loops onto
+// their lane bodies (on; the float64 σ/tanh lanes only where the libm probe
+// confirmed them) or their pure-Go bodies (off) for the rest of the test or
 // benchmark. Asking for lanes the CPU does not have skips it.
 func setLaneKernels(t testing.TB, on bool) {
 	t.Helper()
@@ -83,8 +84,9 @@ func exactEqual(t *testing.T, what string, got, want *Matrix) {
 }
 
 // TestKernelEquivalenceMatMul checks every matmul entry point — the
-// unpacked blocked kernel, the panel-packed kernel, and the accumulate
-// semantics over a nonzero destination — against referenceMatMul.
+// blocked kernel, the pack-buffer entry points (which float64 routes to the
+// same kernel), and the accumulate semantics over a nonzero destination —
+// against referenceMatMul.
 func TestKernelEquivalenceMatMul(t *testing.T) {
 	eachKernelMode(t, testKernelEquivalenceMatMul)
 }
@@ -173,9 +175,9 @@ func TestKernelEquivalenceTranspose(t *testing.T) {
 
 // TestPackBufReuse verifies the caller-owned-workspace contract InferScratch
 // relies on, in both kernel modes: a warm MatMulPackInto never allocates.
-// Without lane kernels the buffer has grown to the packed operand by then;
-// with them nothing is packed (the register tile reads the operand in
-// place) and the buffer stays empty.
+// On the pure-Go float32 bodies the buffer has grown to the packed operand
+// by then; with lane kernels, and for float64 in either mode, nothing is
+// packed (the operand is read in place) and the buffer stays empty.
 func TestPackBufReuse(t *testing.T) {
 	eachKernelMode(t, testPackBufReuse[float64])
 }
@@ -187,11 +189,12 @@ func testPackBufReuse[T Float](t *testing.T) {
 	o := Cast[T](randMat(24, 40, 0, rng))
 	dst := NewOf[T](packMinRows, 40)
 	MatMulPackInto(dst, m, o, pack) // sizes the buffer
-	if want := 24 * 40; !useLaneKernels && pack.Footprint() < want {
+	packs := !useLaneKernels && isFloat32[T]()
+	if want := 24 * 40; packs && pack.Footprint() < want {
 		t.Fatalf("pack footprint %d after first use, want >= %d", pack.Footprint(), want)
 	}
-	if useLaneKernels && pack.Footprint() != 0 {
-		t.Fatalf("pack footprint %d with lane kernels, which do not pack", pack.Footprint())
+	if !packs && pack.Footprint() != 0 {
+		t.Fatalf("pack footprint %d on kernels that do not pack", pack.Footprint())
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		dst.Zero()
@@ -529,24 +532,53 @@ func TestKernels64LanesStayInBounds(t *testing.T) {
 	}
 }
 
-// TestUnfusedAsmHasNoFMA reads the two assembly families whose contract is
+// TestUnfusedAsmHasNoFMA reads the assembly families whose contract is
 // "every multiply and every add rounds on its own" and fails on any fused
 // multiply-add mnemonic. The differential tests catch a fused step whose
 // dropped rounding reaches the result — every one in the float64 matmuls,
 // and all but the two lowest-order terms of exp32's polynomial, where it
 // shows in fewer than one result per 10⁷ inputs — and this catches the
 // rest by name. (kernels32fma_amd64.s fuses by contract and is not listed.)
+//
+// kernels64act_amd64.s transcribes libm, which fuses in exactly one place:
+// its exp body must hold the two VFNMADD231PD and eight VFMADD213PD of
+// archExp's FMA path, by mnemonic and count, and the rest of the file — σ's
+// add and divide, tanh's rational, the cell loops — nothing fused at all.
 func TestUnfusedAsmHasNoFMA(t *testing.T) {
 	fused := regexp.MustCompile(`\bVFN?M(ADD|SUB)\w*`)
-	for _, file := range []string{"kernels64avx_amd64.s", "kernels32act_amd64.s", "kernels32tail_amd64.s"} {
+	define := regexp.MustCompile(`^#define\s+(\w+)`)
+	allowed := map[string]map[string]int{
+		"kernels64avx_amd64.s":  nil,
+		"kernels32act_amd64.s":  nil,
+		"kernels32tail_amd64.s": nil,
+		"kernels64act_amd64.s":  {"EXP64/VFNMADD231PD": 2, "EXP64/VFMADD213PD": 8},
+	}
+	for file, want := range allowed {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := map[string]int{}
+		macro, continued := "", false
 		for i, line := range strings.Split(string(src), "\n") {
+			if !continued {
+				macro = ""
+				if m := define.FindStringSubmatch(line); m != nil {
+					macro = m[1]
+				}
+			}
 			code, _, _ := strings.Cut(line, "//")
-			if m := fused.FindString(code); m != "" {
-				t.Errorf("%s:%d: %s in a kernel that must not fuse", file, i+1, m)
+			continued = strings.HasSuffix(strings.TrimSpace(code), "\\")
+			for _, m := range fused.FindAllString(code, -1) {
+				key := macro + "/" + m
+				if got[key]++; got[key] > want[key] {
+					t.Errorf("%s:%d: %s in a kernel that must not fuse here", file, i+1, m)
+				}
+			}
+		}
+		for key, n := range want {
+			if got[key] != n {
+				t.Errorf("%s: %d × %s, libm's exp has %d", file, got[key], key, n)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"webbrief/internal/ag"
 	"webbrief/internal/eval"
 	"webbrief/internal/nn"
 	"webbrief/internal/tensor"
@@ -294,4 +295,73 @@ func benchTier[T tensor.Float](b *testing.B, m ModelOf[T], inst *Instance, v *te
 	for i := 0; i < b.N; i++ {
 		makeBriefWith(m, inst, v, beam, s)
 	}
+}
+
+// TestAct64GatePreactivationsMatchLibm checks the float64 σ/tanh lanes on the
+// numbers they exist for. It replays the token encoder's forward LSTM of
+// BenchmarkCascadeTiers' paper-scale teacher over that benchmark's page with
+// the library expressions written out — so every gate pre-activation and
+// every cell state of the real recurrence passes through here — and requires
+// tensor.SigmoidInto and tensor.TanhInto (the lanes, where the host has them
+// and the probe confirmed them) to return the library's bits on each, and
+// the model's own no-grad forward, which goes through the fused
+// tensor.LSTMCellInto, to arrive at the same hidden states.
+func TestAct64GatePreactivationsMatchLibm(t *testing.T) {
+	insts, v := testData(t, 1, 2)
+	inst := insts[0]
+	cfg := DefaultConfig()
+	cfg.Hidden = 108
+	cfg.Seed = 313
+	m := NewJointWB("jwb", smallGloVeEncoder(v, 50, 313), v.Size(), cfg)
+	tp := ag.NewInferTape()
+	tok, _ := m.Enc.EncodeDoc(tp, inst)
+	want := m.ExtLSTM.Forward(tp, tok).Value
+
+	l, h := m.ExtLSTM.Fwd, cfg.Hidden
+	in := tensor.New(tok.Rows(), 4*h)
+	tensor.MatMulInto(in, tok.Value, l.Wx.Value)
+	hPrev, c := tensor.New(1, h), make([]float64, h)
+	pre, act, cTanh := tensor.New(1, 4*h), tensor.New(1, 4*h), tensor.New(1, h)
+	sameBits := func(what string, step int, got, want []float64) {
+		t.Helper()
+		for j, w := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(w) {
+				t.Fatalf("step %d %s[%d]: %x (%v), libm gives %x (%v)", step, what, j, math.Float64bits(got[j]), got[j], math.Float64bits(w), w)
+			}
+		}
+	}
+	checked := 0
+	for step := 0; step < tok.Rows(); step++ {
+		pre.Zero()
+		tensor.MatMulInto(pre, hPrev, l.Wh.Value)
+		libm := make([]float64, 4*h)
+		for j, rec := range pre.Data {
+			x := (in.Row(step)[j] + rec) + l.B.Value.Data[j]
+			pre.Data[j] = x
+			if j/h == 2 {
+				libm[j] = math.Tanh(x)
+			} else {
+				libm[j] = 1 / (1 + math.Exp(-x))
+			}
+		}
+		tensor.SigmoidInto(act, pre)
+		sameBits("σ(input, forget gate)", step, act.Data[:2*h], libm[:2*h])
+		sameBits("σ(output gate)", step, act.Data[3*h:], libm[3*h:])
+		tensor.TanhInto(act, pre)
+		sameBits("tanh(cell gate)", step, act.Data[2*h:3*h], libm[2*h:3*h])
+		hLibm := make([]float64, h)
+		for j := range c {
+			c[j] = float64(libm[h+j]*c[j]) + float64(libm[j]*libm[2*h+j])
+			hLibm[j] = libm[3*h+j] * math.Tanh(c[j])
+		}
+		tensor.TanhInto(cTanh, tensor.FromSlice(1, h, c))
+		for j := range hLibm {
+			cTanh.Data[j] *= libm[3*h+j]
+		}
+		sameBits("o·tanh(c)", step, cTanh.Data, hLibm)
+		sameBits("model hidden state", step, want.Row(step)[:h], hLibm)
+		copy(hPrev.Data, hLibm)
+		checked += 5 * h
+	}
+	t.Logf("%d tokens, %d activations bit-equal to libm", tok.Rows(), checked)
 }

@@ -22,7 +22,7 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
-echo "== cross-compile vet (arm64: the _other.go stubs of all three asm families must keep compiling)"
+echo "== cross-compile vet (arm64: the _other.go stubs of all four asm families must keep compiling)"
 GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 
 echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 9 passes)"
@@ -41,16 +41,19 @@ go test -race -run 'Chaos' ./internal/fault ./internal/crawler ./internal/serve
 echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
 go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
 
-echo "== one numeric stack (per-dtype code is the matmul kernels and the float32 activation lanes: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
-if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name '*32*.go' -o -name '*64*.go' \) ! -name '*_test.go' ! -name 'kernels32*' ! -name 'kernels64avx_*' ! -name 'cpufeat_*' | grep .; then echo "per-dtype file(s) listed above: make the generic code handle the case instead"; exit 1; fi
+echo "== one numeric stack (per-dtype code is the matmul kernels and the activation/LSTM-cell lanes: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
+if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name '*32*.go' -o -name '*64*.go' \) ! -name '*_test.go' ! -name 'kernels32*' ! -name 'kernels64*' ! -name 'cpufeat_*' | grep .; then echo "per-dtype file(s) listed above: make the generic code handle the case instead"; exit 1; fi
 
 echo "== allocation regression gates (warm fast path must stay allocation-free)"
 go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs' \
     ./internal/ag ./internal/tensor ./internal/wb
 
-echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes — register tile, row blocks, masked tail — vs pure Go on Float64bits, f32 tile and tail vs the one-row lane sequence on Float32bits, row-partitioned vs whole products, f32 σ/tanh lanes vs pure Go on Float32bits and vs libm within 2 ulp, sentinel bands around the asm operands, no FMA mnemonic in the unfused families, fused LSTM cell vs op chain, hoisted vs per-step LSTM projection)"
-go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestKernels32TilesMatchRowLanes|TestMatMulRowPartitionBitwise|TestAct32|TestUnfusedAsmHasNoFMA|TestLSTMCellIntoMatchesOps|TestLSTMCellLanesStayInBounds|TestLSTMCellFusedMatchesOpChain|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
+echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes — register tile, row blocks, masked tail — vs pure Go on Float64bits, f32 tile and tail vs the one-row lane sequence on Float32bits, row-partitioned vs whole products, f32 σ/tanh lanes vs pure Go on Float32bits and vs libm within 2 ulp, f64 σ/tanh lanes vs libm on Float64bits over 10^8 inputs and a real page's gate pre-activations, the libm probe from both sides, sentinel bands around the asm operands, no FMA mnemonic in the unfused families and exactly libm's ten in the f64 exp, fused LSTM cell vs op chain, hoisted vs per-step LSTM projection)"
+go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestKernels32TilesMatchRowLanes|TestMatMulRowPartitionBitwise|TestAct32|TestAct64|TestUnfusedAsmHasNoFMA|TestLSTMCellIntoMatchesOps|TestLSTMCellLanesStayInBounds|TestLSTMCellFusedMatchesOpChain|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
     ./internal/tensor ./internal/nn ./internal/wb
+
+echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone)"
+GODEBUG=cpu.fma=off go test -run 'TestAct64' ./internal/tensor
 
 echo "== batched equivalence (fused B-row forward/beam vs serial reference, exact equality, ragged batches, one forward per briefing)"
 go test -race -run 'TestBiLSTMForwardBatchMatchesSerial|TestBeamSearchBatchMatchesScratch|TestBatchedWireEquivalence|TestBatchedDeadlineWhileQueued|TestIdleReplicaTakesRequestAlone|TestOneForwardPerBriefing' \
@@ -70,8 +73,8 @@ echo "== cascade equivalence (JointWB[float32] student vs JointWB[float64] teach
 go test -race -run 'TestCascade' ./internal/serve
 go test -run 'TestStudent|TestConvertJointWB' ./internal/wb
 
-echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x layout x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
-go test -run '^$' -bench 'Kernels' -benchtime 1x ./internal/tensor >/dev/null
+echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x layout x impl grid and the f64 σ/tanh fn x n x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
+go test -run '^$' -bench 'Kernels|Act64' -benchtime 1x ./internal/tensor >/dev/null
 go test -run '^$' -bench 'CascadeTiers' -benchtime 1x ./internal/wb >/dev/null
 
 echo "== wbserve smoke (train tiny bundle, boot, four concurrent curls through the batch scheduler, /metrics, drain)"
@@ -81,7 +84,9 @@ B1_PID=""
 B2_PID=""
 GATE_PID=""
 trap 'for p in "$SERVE_PID" "$B1_PID" "$B2_PID" "$GATE_PID"; do [[ -n "$p" ]] && kill "$p" 2>/dev/null; done; rm -rf "$SMOKEDIR"' EXIT
-go run ./cmd/wbtrain -domains 2 -pages 4 -epochs 2 -out "$SMOKEDIR/model.bin" >/dev/null 2>&1
+# -format gob: the smokes below serve this bundle through the legacy reader
+# and convert it with wbsnap; wbtrain's default is the snapshot format.
+go run ./cmd/wbtrain -format gob -domains 2 -pages 4 -epochs 2 -out "$SMOKEDIR/model.bin" >/dev/null 2>&1
 go build -o "$SMOKEDIR/wbserve" ./cmd/wbserve
 "$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.bin" -addr 127.0.0.1:18080 -replicas 2 -queue 8 -quiet &
 SERVE_PID=$!
