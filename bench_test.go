@@ -221,7 +221,7 @@ func benchHTTPClients(b *testing.B, handler http.Handler, html string, clients i
 // clients=1 cell is the idle path (every briefing a batch of one, launched
 // at once); with more clients than replicas, req/sec should improve as
 // concurrency grows — what queues while the replica is busy coalesces into
-// B-row fused forwards. Results land in EXPERIMENTS.md via scripts/bench.sh.
+// B-row fused forwards.
 func BenchmarkServeBriefConcurrency(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -280,8 +280,7 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 // path through the full HTTP surface: one priming request fills the cache,
 // then every timed request is a raw-key hit — one SHA-256 and a shard-locked
 // probe instead of parse + encode + beam decode. Compare against the
-// replicas=1 cell of BenchmarkServeBrief for the hit-vs-miss latency gap;
-// results land in BENCH_5.json via scripts/bench.sh.
+// replicas=1 cell of BenchmarkServeBrief for the hit-vs-miss latency gap.
 func BenchmarkServeBriefCacheHit(b *testing.B) {
 	m, v, html := serveBenchModel(b)
 	srv, err := serve.New(m, v, serve.Config{

@@ -37,10 +37,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("open model: %v (train one with wbtrain)", err)
 	}
-	m, v, err := wb.LoadJointWB(f)
+	m, v, err := wb.LoadModelAuto(f)
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("load %s: %v", *modelPath, err)
 	}
 
 	html, err := os.ReadFile(flag.Arg(0))

@@ -47,9 +47,8 @@
 //
 //	wbserve -model model.bin -cache 4096 -cache-ttl 10m -cache-policy policy.conf
 //
-// The -model flag accepts the legacy gob bundle or the binary snapshot
-// format (wbtrain -format snapshot, or convert with wbsnap); the encoding
-// is sniffed from the file's magic bytes.
+// The -model flag takes the snapshot bundle wbtrain writes, the one model
+// file format; boot and reload read it through the same loader.
 //
 // The model hot-reloads with zero downtime: SIGHUP (or POST /admin/reload)
 // re-reads -model, builds and warms a shadow replica pool off-path, and
@@ -126,7 +125,7 @@ func main() {
 	m, v, err := wb.LoadModelAuto(f)
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("load %s: %v", *modelPath, err)
 	}
 
 	var policy *briefcache.Policy

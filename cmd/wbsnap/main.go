@@ -1,28 +1,15 @@
-// Command wbsnap converts model bundles between the legacy gob encoding
-// and the versioned binary snapshot format (internal/snapshot), and
-// inspects snapshot files. The snapshot format is what the serving tier
-// boots and clones from — checksummed sections of little-endian float64
-// slabs that decode measurably faster than gob — while gob remains
-// readable for migration.
+// Command wbsnap describes a model bundle: the container version and the
+// section table of the one model file format, the checksummed binary
+// snapshot (internal/snapshot) that wbtrain writes and wbrief and wbserve
+// boot from.
 //
 // Usage:
 //
-//	wbsnap -in model.bin -out model.snap     # gob (or snapshot) → snapshot
-//	wbsnap -in model.snap -out model.bin -gob  # snapshot (or gob) → gob
-//	wbsnap -in model.snap -out student.snap -student  # distill a float32 student
-//	wbsnap -info model.snap                  # describe a snapshot container
-//
-// The input format is sniffed from its magic bytes, so -in accepts either
-// encoding; wbserve does the same at boot via wb.LoadModelAuto.
-//
-// -student converts the float64 teacher's parameters to a float32 student
-// snapshot (jointwb32/* sections, half the parameter bytes) — the artifact
-// the cascade's fast tier can be distributed as. Only GloVe-encoder models
-// convert. -info distinguishes the two: each parameter section is labelled
-// with its element dtype and width.
+//	wbsnap -info model.bin
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -35,73 +22,25 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wbsnap: ")
-	in := flag.String("in", "", "input model bundle (gob or snapshot, sniffed)")
-	out := flag.String("out", "", "output path")
-	toGob := flag.Bool("gob", false, "write the legacy gob encoding instead of a snapshot")
-	student := flag.Bool("student", false, "write a float32 student snapshot converted from the float64 model")
-	info := flag.String("info", "", "describe a snapshot file (sections, sizes, version) and exit")
+	info := flag.String("info", "", "describe a model bundle (version, sections, sizes) and exit")
 	flag.Parse()
-
-	if *info != "" {
-		if err := describe(*info); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if *info == "" {
+		log.Fatal("usage: wbsnap -info model.bin")
 	}
-	if *in == "" || *out == "" {
-		log.Fatal("need -in and -out (or -info file.snap); see wbsnap -h")
-	}
-	if *toGob && *student {
-		log.Fatal("-gob and -student are mutually exclusive")
-	}
-
-	f, err := os.Open(*in)
-	if err != nil {
+	if err := describe(*info); err != nil {
 		log.Fatal(err)
 	}
-	m, v, err := wb.LoadModelAuto(f)
-	f.Close()
-	if err != nil {
-		log.Fatalf("load %s: %v", *in, err)
-	}
-
-	o, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer o.Close()
-	switch {
-	case *toGob:
-		err = wb.SaveJointWB(o, m, v)
-	case *student:
-		var sm *wb.JointWB32
-		if sm, err = wb.ConvertJointWB(m); err == nil {
-			err = wb.SaveStudentSnapshot(o, sm, v)
-		}
-	default:
-		err = wb.SaveSnapshot(o, m, v)
-	}
-	if err != nil {
-		log.Fatalf("write %s: %v", *out, err)
-	}
-	format := "snapshot"
-	switch {
-	case *toGob:
-		format = "gob"
-	case *student:
-		format = "float32 student snapshot"
-	}
-	log.Printf("%s (vocab %d, hidden %d) written as %s to %s", *in, v.Size(), m.Cfg.Hidden, format, *out)
 }
 
-// describe prints a snapshot container's version and section table.
+// describe prints a bundle's container version and section table, after
+// the loader every other binary uses has accepted the file.
 func describe(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if !snapshot.SniffMagic(data) {
-		return fmt.Errorf("%s is not a snapshot file (no %q magic); convert it first with -in/-out", path, snapshot.Magic)
+	if _, _, err := wb.LoadModelAuto(bytes.NewReader(data)); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	s, err := snapshot.Decode(data)
 	if err != nil {
@@ -115,16 +54,12 @@ func describe(path string) error {
 	return nil
 }
 
-// sectionDtype labels a section with its element encoding, keyed by the
-// naming convention: jointwb/* sections hold float64 slabs, jointwb32/*
-// hold float32, and meta sections are varint-framed headers.
+// sectionDtype labels a model section with its element encoding.
 func sectionDtype(name string) string {
 	switch name {
 	case "jointwb/params":
 		return "float64 (8B/elem)"
-	case "jointwb32/params":
-		return "float32 (4B/elem)"
-	case "jointwb/meta", "jointwb32/meta":
+	case "jointwb/meta":
 		return "varint meta"
 	}
 	return "opaque"

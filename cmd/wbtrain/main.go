@@ -4,13 +4,11 @@
 //
 // Usage:
 //
-//	wbtrain [-domains N] [-pages N] [-epochs N] [-hidden N] [-embdim N] [-seed N] [-workers N] -out model.snap
-//	wbtrain -format gob -out model.bin   # the legacy gob encoding instead
+//	wbtrain [-domains N] [-pages N] [-epochs N] [-hidden N] [-embdim N] [-seed N] [-workers N] -out model.bin
 //
-// The bundle is written in the snapshot format (internal/snapshot):
-// versioned, checksummed, and faster to cold-boot than gob. Every loader
-// sniffs the format, so a gob bundle still works everywhere; convert one
-// with cmd/wbsnap.
+// The bundle is written in the one model file format, the versioned,
+// checksummed snapshot (internal/snapshot); cmd/wbsnap -info describes one.
+// Training is deterministic: the same flags give the same bytes.
 package main
 
 import (
@@ -35,11 +33,13 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "parallel training workers (0 = GOMAXPROCS, 1 = sequential)")
 	out := flag.String("out", "model.bin", "output model bundle path")
-	format := flag.String("format", "snapshot", "bundle encoding: snapshot (versioned, checksummed binary) or gob (legacy)")
+	// Inert: kept only because bench/wbload/procs.go passes "-format
+	// snapshot" and bench/ changes only in a benchmark PR; delete it there.
+	format := flag.String("format", "snapshot", "accepts only \"snapshot\", the one model file format")
 	export := flag.String("export", "", "also export the labelled dataset as JSONL to this path")
 	flag.Parse()
-	if *format != "gob" && *format != "snapshot" {
-		log.Fatalf("unknown -format %q (want snapshot or gob)", *format)
+	if *format != "snapshot" {
+		log.Fatalf("-format %q: gob bundles were removed — the snapshot is the only model format, and training is deterministic: same flags, same weights", *format)
 	}
 
 	start := time.Now()
@@ -109,13 +109,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if *format == "snapshot" {
-		err = wb.SaveSnapshot(f, m, v)
-	} else {
-		err = wb.SaveJointWB(f, m, v)
-	}
-	if err != nil {
+	if err := wb.SaveSnapshot(f, m, v); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("model bundle written to %s as %s (total %v)", *out, *format, time.Since(start).Round(time.Second))
+	log.Printf("model bundle written to %s (total %v)", *out, time.Since(start).Round(time.Second))
 }

@@ -66,12 +66,12 @@ func TestEndToEndCrawlTrainSerializeBrief(t *testing.T) {
 		t.Fatalf("training fit too weak for the rest of the test: EM %.1f", em)
 	}
 
-	// 3. Serialize, reload.
+	// 3. Serialize as wbtrain does, reload as wbrief does.
 	var buf bytes.Buffer
-	if err := wb.SaveJointWB(&buf, model, v); err != nil {
+	if err := wb.SaveSnapshot(&buf, model, v); err != nil {
 		t.Fatal(err)
 	}
-	loaded, lv, err := wb.LoadJointWB(&buf)
+	loaded, lv, err := wb.LoadModelAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

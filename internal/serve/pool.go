@@ -91,7 +91,7 @@ type cascadeReporter interface {
 }
 
 // modelReplica adapts one Joint-WB model (the original or a
-// wb.CloneForServing copy) to the BatchReplica interface. The vocabulary is
+// wb.CloneManyForServing copy) to the BatchReplica interface. The vocabulary is
 // shared across all replicas: it is read-only after construction. Each
 // replica owns one inference workspace per tier — a replica serves one batch
 // at a time (Pool checkout is exclusive), so a workspace is never shared

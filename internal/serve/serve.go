@@ -4,7 +4,7 @@
 // with:
 //
 //   - a replica pool: N independent eval-mode model copies (see
-//     wb.CloneForServing) checked out per batch, so briefings scale
+//     wb.CloneManyForServing) checked out per batch, so briefings scale
 //     across GOMAXPROCS instead of serialising on one lock;
 //   - one request path (batch.go): every briefing is a batch — of one when
 //     a replica is idle, of whatever queued while all were busy otherwise —
@@ -196,7 +196,7 @@ type Server struct {
 }
 
 // New builds a Server around a trained GloVe-encoder Joint-WB bundle,
-// constructing cfg.Replicas pool replicas via wb.CloneForServing (cascade
+// constructing cfg.Replicas pool replicas via wb.CloneManyForServing (cascade
 // replicas via NewCascadePool when cfg.Cascade is set).
 func New(m *wb.JointWB, v *textproc.Vocab, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()

@@ -41,17 +41,6 @@ func (b *Buffer) Float64s(xs []float64) {
 	}
 }
 
-// Float32s appends a count-prefixed float32 slab: each value is the
-// little-endian IEEE 754 bit pattern, so round trips are bit-exact. Readers
-// older than container version 2 never see these slabs — writers that use
-// them emit version-2 containers.
-func (b *Buffer) Float32s(xs []float32) {
-	b.Uvarint(uint64(len(xs)))
-	for _, x := range xs {
-		b.b = binary.LittleEndian.AppendUint32(b.b, math.Float32bits(x))
-	}
-}
-
 // Reader decodes a payload written with Buffer. Every read validates the
 // remaining length first, so truncated or corrupted payloads produce
 // errors rather than panics, and allocation sizes are always bounded by
@@ -124,23 +113,6 @@ func (r *Reader) Float64s() ([]float64, error) {
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
 		r.off += 8
-	}
-	return out, nil
-}
-
-// Float32s reads a count-prefixed float32 slab.
-func (r *Reader) Float32s() ([]float32, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining())/4 {
-		return nil, fmt.Errorf("snapshot: float32 count %d exceeds %d remaining bytes", n, r.Remaining())
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.off:]))
-		r.off += 4
 	}
 	return out, nil
 }

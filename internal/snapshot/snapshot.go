@@ -1,9 +1,7 @@
 // Package snapshot implements the versioned, checksummed binary container
 // webbrief uses to persist trained models and to clone replicas at serve
-// time. It replaces encoding/gob for those paths: gob streams re-transmit
-// type metadata per stream and decode reflectively, while a snapshot is a
-// flat section table over little-endian slabs that can be written once and
-// decoded many times cheaply.
+// time: a flat section table over little-endian slabs that can be written
+// once and decoded many times cheaply. It is the only model file format.
 //
 // Layout (all integers little-endian):
 //
@@ -40,12 +38,12 @@ import (
 const Magic = "WBSNAP"
 
 // Version is the container format version this package writes. Version 2
-// added float32 payload slabs (Buffer.Float32s) for the distilled-student
-// snapshots; the container layout itself is unchanged.
+// has the same layout and payload codecs as version 1 (it once marked
+// float32 slabs, removed with their only writer); the number stays 2 so
+// the bytes of every bundle written since do not move.
 const Version = 2
 
-// MinVersion is the oldest container version Decode still accepts. Version
-// 1 files contain only float64 slabs and remain fully readable.
+// MinVersion is the oldest container version Decode still accepts.
 const MinVersion = 1
 
 const (
@@ -228,8 +226,8 @@ func (s *Snapshot) Names() []string {
 	return out
 }
 
-// SniffMagic reports whether data begins with the snapshot magic, for
-// format dispatch between snapshot and legacy gob bundles.
+// SniffMagic reports whether data begins with the snapshot magic, so a
+// loader can tell a file that is not a snapshot from a corrupted one.
 func SniffMagic(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }

@@ -138,8 +138,7 @@ func crc32Of(b []byte) uint32 {
 }
 
 // TestDecodeAcceptsOldVersions: every container version in
-// [MinVersion, Version] decodes; version 1 files written before the float32
-// slabs existed must keep loading forever.
+// [MinVersion, Version] decodes; version 1 files must keep loading forever.
 func TestDecodeAcceptsOldVersions(t *testing.T) {
 	b := NewBuilder()
 	b.Add("meta", []byte("old bundle"))
@@ -189,51 +188,6 @@ func TestGoldenSnapshotV1(t *testing.T) {
 	xs, err := NewReader(p).Float64s()
 	if err != nil || len(xs) != 5 || xs[3] != math.Pi {
 		t.Fatalf("v1 golden params = %v, %v", xs, err)
-	}
-}
-
-// TestFloat32sRoundTrip: the float32 slab codec round-trips bit-exactly,
-// including non-finite values, and rejects truncation and oversized counts
-// before allocating.
-func TestFloat32sRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		xs := make([]float32, rng.Intn(64))
-		for i := range xs {
-			switch rng.Intn(10) {
-			case 0:
-				xs[i] = float32(math.Inf(1))
-			case 1:
-				xs[i] = float32(math.NaN())
-			default:
-				xs[i] = float32(rng.NormFloat64())
-			}
-		}
-		var b Buffer
-		b.Float32s(xs)
-		r := NewReader(b.Bytes())
-		got, err := r.Float32s()
-		if err != nil || len(got) != len(xs) {
-			t.Fatalf("Float32s len = %d, %v; want %d", len(got), err, len(xs))
-		}
-		for i := range xs {
-			if math.Float32bits(got[i]) != math.Float32bits(xs[i]) {
-				t.Fatalf("Float32s[%d] = %x, want %x (not bit-exact)", i, got[i], xs[i])
-			}
-		}
-		if r.Remaining() != 0 {
-			t.Fatalf("%d bytes left over", r.Remaining())
-		}
-		for i := 0; i < len(b.Bytes()); i++ {
-			if vals, err := NewReader(b.Bytes()[:i]).Float32s(); err == nil && len(vals) == len(xs) && len(xs) > 0 {
-				t.Fatalf("truncation at %d read the full slab", i)
-			}
-		}
-	}
-	var huge Buffer
-	huge.Uvarint(1 << 50)
-	if _, err := NewReader(huge.Bytes()).Float32s(); err == nil {
-		t.Fatal("oversized float32 count accepted")
 	}
 }
 

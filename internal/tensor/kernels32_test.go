@@ -307,9 +307,8 @@ func TestKernels32TilesMatchRowLanes(t *testing.T) {
 
 // --- Kernels32 benchmarks ---------------------------------------------------
 //
-// scripts/bench.sh's f32-kernel section runs `-bench 'Kernels32'`; these
-// pair each float32 kernel with its float64 twin on the same shapes so the
-// bandwidth halving shows up as a direct ratio.
+// These pair each float32 kernel with its float64 twin on the same shapes
+// so the bandwidth halving shows up as a direct ratio.
 
 func benchMat32(rows, cols int, rng *rand.Rand) *Matrix32 {
 	m := New32(rows, cols)

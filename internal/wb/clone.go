@@ -6,35 +6,24 @@ import (
 	"webbrief/internal/textproc"
 )
 
-// CloneForServing deep-copies a trained GloVe-encoder Joint-WB model so the
-// clone and the original can run eval-mode forwards concurrently without
-// sharing any mutable state — the replica-construction primitive behind
-// serve.Pool. The copy goes through the snapshot codec round-trip, so it is
-// exactly the model a restart would load: float64 bit patterns are
-// preserved, making the clone's briefings byte-identical to the original's.
+// CloneManyForServing deep-copies a trained GloVe-encoder Joint-WB model n
+// times so the clones and the original can run eval-mode forwards
+// concurrently without sharing any mutable state — the replica-construction
+// primitive behind serve.Pool. The copies go through the snapshot codec
+// round-trip, so each is exactly the model a restart would load: float64
+// bit patterns are preserved, making a clone's briefings byte-identical to
+// the original's. The model is encoded once and decoded n times, not
+// encoded per clone.
 //
 // The embedding table — by far the largest parameter — is shared with the
 // original rather than copied: eval-mode forwards only ever read parameter
 // values (no dropout, no gradients), so concurrent replicas can safely
 // alias it. Everything else (LSTMs, decoder, attention heads) is private to
-// the clone.
+// each clone.
 //
 // Clones are for inference only. Training a clone — or the original while
 // clones are serving — writes the shared embedding and races; callers that
 // need to retrain must build a fresh model and a fresh pool.
-func CloneForServing(m *JointWB, v *textproc.Vocab) (*JointWB, error) {
-	clones, err := CloneManyForServing(m, v, 1)
-	if err != nil {
-		return nil, err
-	}
-	return clones[0], nil
-}
-
-// CloneManyForServing builds n serving clones with one encode: the model
-// is snapshotted once and decoded n times, instead of paying the encode
-// per clone. This is the pool cold-boot path — for an n-replica pool it
-// halves the serialisation work of n independent CloneForServing calls.
-// Every clone shares the original's embedding table (see CloneForServing).
 func CloneManyForServing(m *JointWB, v *textproc.Vocab, n int) ([]*JointWB, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("wb: clone count %d", n)

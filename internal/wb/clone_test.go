@@ -16,10 +16,11 @@ func TestCloneForServing(t *testing.T) {
 	tc.Epochs = 2
 	TrainModel(m, insts, tc)
 
-	c, err := CloneForServing(m, v)
+	clones, err := CloneManyForServing(m, v, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := clones[0]
 
 	// Identical briefings on every instance.
 	for i, inst := range insts {
@@ -64,14 +65,11 @@ func TestCloneForServingConcurrent(t *testing.T) {
 	insts, v := testData(t, 2, 2)
 	m := newTestJointWB(v, 7)
 
-	models := []*JointWB{m}
-	for i := 0; i < 3; i++ {
-		c, err := CloneForServing(m, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models = append(models, c)
+	clones, err := CloneManyForServing(m, v, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	models := append([]*JointWB{m}, clones...)
 
 	var wg sync.WaitGroup
 	briefs := make([]*Brief, len(models))

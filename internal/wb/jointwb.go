@@ -101,9 +101,9 @@ func (sp *SectionPredictorOf[T]) Forward(t *ag.TapeOf[T], sent *ag.NodeOf[T]) *a
 //     positions toward the integrated attribute representation E^b and the
 //     section signal, giving Ĉ_G → the memory for the final topic decode.
 //
-// The float32 student (JointWB32, built by ConvertJointWB or loaded from a
-// student snapshot) is this type instantiated at float32: it holds no
-// gradient buffers and no dropout rng, and only ever runs Eval forwards.
+// The float32 student (JointWB32, built by ConvertJointWB) is this type
+// instantiated at float32: it holds no gradient buffers and no dropout
+// rng, and only ever runs Eval forwards.
 type JointWBOf[T tensor.Float] struct {
 	Cfg Config
 	Enc DocEncoderOf[T]

@@ -1,7 +1,7 @@
 package wb
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
@@ -17,14 +17,19 @@ const (
 )
 
 // EncodeSnapshot serialises a GloVe-encoder Joint-WB model and its
-// vocabulary into the binary snapshot container — the successor to the gob
-// bundle written by SaveJointWB. Parameter values are stored as
-// little-endian float64 bit patterns, so a decoded model briefs
-// byte-identically to the original.
+// vocabulary into the binary snapshot container, the one model file
+// format. Parameter values are stored as little-endian float64 bit
+// patterns, so a decoded model briefs byte-identically to the original.
+// The meta section has no field for the NoMarkov ablation, so such a
+// model is refused here rather than written as bytes DecodeSnapshot
+// rejects with a shape mismatch.
 func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 	enc, ok := m.Enc.(*GloVeEncoder)
 	if !ok {
 		return nil, fmt.Errorf("wb: EncodeSnapshot supports GloVe-encoder models, got %T", m.Enc)
+	}
+	if m.Sec.NoMarkov {
+		return nil, errors.New("wb: EncodeSnapshot: the snapshot format does not record Sec.NoMarkov; an ablated model cannot be saved or cloned")
 	}
 	var meta snapshot.Buffer
 	meta.Uvarint(uint64(enc.Dim()))
@@ -158,26 +163,19 @@ func SaveSnapshot(w io.Writer, m *JointWB, v *textproc.Vocab) error {
 	return err
 }
 
-// LoadSnapshot reads a model snapshot written by SaveSnapshot.
-func LoadSnapshot(r io.Reader) (*JointWB, *textproc.Vocab, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wb: read snapshot: %w", err)
-	}
-	return DecodeSnapshot(data)
-}
-
-// LoadModelAuto loads a model from either format: it sniffs the snapshot
-// magic and falls back to the legacy gob bundle (SaveJointWB), giving
-// existing model files a migration path — load with this, re-save with
-// SaveSnapshot (or run cmd/wbsnap).
+// LoadModelAuto is the only model loader: wbrief, wbserve (boot and
+// reload), wbsnap -info and bench/wbload all read bundles through it.
+// There is one file format, the checksummed snapshot SaveSnapshot writes;
+// input without the snapshot magic gets the classified removal error.
+// The name is kept because bench/wbload calls it and bench/ changes only
+// in a benchmark PR.
 func LoadModelAuto(r io.Reader) (*JointWB, *textproc.Vocab, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wb: read model: %w", err)
 	}
-	if snapshot.SniffMagic(data) {
-		return DecodeSnapshot(data)
+	if !snapshot.SniffMagic(data) {
+		return nil, nil, errors.New("wb: not a snapshot bundle; gob bundles were removed — retrain with `wbtrain`, which is deterministic: same flags, same weights")
 	}
-	return LoadJointWB(bytes.NewReader(data))
+	return DecodeSnapshot(data)
 }

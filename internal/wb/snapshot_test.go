@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"webbrief/internal/snapshot"
@@ -82,71 +83,55 @@ func assertSameParams(t *testing.T, a, b *JointWB) {
 	}
 }
 
-// TestSnapshotGobEquivalence: the snapshot codec and the legacy gob bundle
-// reconstruct the same model from the same original — the migration
-// guarantee.
-func TestSnapshotGobEquivalence(t *testing.T) {
-	m, v, insts := trainedTestModel(t)
-
-	var gobBuf bytes.Buffer
-	if err := SaveJointWB(&gobBuf, m, v); err != nil {
+// TestLoadModelAuto: the one loader every binary boots through accepts the
+// snapshot format, current and version 1, and answers everything without
+// the snapshot magic — a gob bundle from an older wbtrain included — with
+// the classified removal error that names the way out.
+func TestLoadModelAuto(t *testing.T) {
+	m, v, _ := trainedTestModel(t)
+	var fresh bytes.Buffer
+	if err := SaveSnapshot(&fresh, m, v); err != nil {
 		t.Fatal(err)
 	}
-	fromGob, vGob, err := LoadJointWB(bytes.NewReader(gobBuf.Bytes()))
+	goldenV1, err := os.ReadFile(filepath.Join("testdata", "model-golden-v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeSnapshot(m, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSnap, vSnap, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vGob.Size() != vSnap.Size() {
-		t.Fatalf("vocab size %d vs %d", vGob.Size(), vSnap.Size())
-	}
-	assertSameParams(t, fromGob, fromSnap)
-	for _, inst := range insts[:1] {
-		a := GenerateTopic(fromGob, inst, 1, 4)
-		b := GenerateTopic(fromSnap, inst, 1, 4)
-		if len(a) != len(b) {
-			t.Fatalf("gob vs snapshot predictions differ: %v vs %v", a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("gob vs snapshot predictions differ: %v vs %v", a, b)
+	const removal = "gob bundles were removed — retrain with `wbtrain`"
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		wantErr string // "" = must load and equal m
+	}{
+		{"fresh v2 snapshot", fresh.Bytes(), ""},
+		{"golden v1 snapshot", goldenV1, ""},
+		{"empty input", nil, removal},
+		{"truncated snapshot", fresh.Bytes()[:fresh.Len()/2], "snapshot:"},
+		{"non-snapshot bytes", []byte("\x3a\xff\x81\x03\x01\x01\x0cbundleHeader"), removal},
+	} {
+		got, _, err := LoadModelAuto(bytes.NewReader(tc.data))
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
 			}
+			assertSameParams(t, m, got)
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 }
 
-// TestLoadModelAuto dispatches on the magic: both formats load through the
-// same entry point.
-func TestLoadModelAuto(t *testing.T) {
-	m, v, _ := trainedTestModel(t)
-
-	var gobBuf bytes.Buffer
-	if err := SaveJointWB(&gobBuf, m, v); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadModelAuto(bytes.NewReader(gobBuf.Bytes())); err != nil {
-		t.Fatalf("auto-load gob: %v", err)
-	}
-
-	var snapBuf bytes.Buffer
-	if err := SaveSnapshot(&snapBuf, m, v); err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := LoadModelAuto(bytes.NewReader(snapBuf.Bytes()))
-	if err != nil {
-		t.Fatalf("auto-load snapshot: %v", err)
-	}
-	assertSameParams(t, m, m2)
-
-	if _, _, err := LoadModelAuto(bytes.NewReader([]byte("neither format"))); err == nil {
-		t.Fatal("garbage must not auto-load")
+// TestEncodeSnapshotRefusesNoMarkov: the format has no field for the
+// NoMarkov ablation, so writing such a model must fail with an error that
+// names the flag, not succeed with bytes DecodeSnapshot then rejects.
+func TestEncodeSnapshotRefusesNoMarkov(t *testing.T) {
+	_, v := testData(t, 1, 1)
+	m := newTestJointWB(v, 7)
+	m.Sec.NoMarkov = true
+	if _, err := EncodeSnapshot(m, v); err == nil || !strings.Contains(err.Error(), "NoMarkov") {
+		t.Fatalf("EncodeSnapshot of a NoMarkov model: error %v, want one naming NoMarkov", err)
 	}
 }
 
@@ -256,64 +241,31 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// BenchmarkColdBoot compares decoding a model from the legacy gob bundle
-// against the binary snapshot — the wbserve startup and replica-clone
-// path. Snapshot must win (see BENCH_5.json).
+// BenchmarkColdBoot times decoding a model from snapshot bytes — the
+// wbserve startup and replica-clone path.
 func BenchmarkColdBoot(b *testing.B) {
-	insts, v := testData(b, 2, 2)
-	_ = insts
+	_, v := testData(b, 2, 2)
 	m := newTestJointWB(v, 42)
-
-	var gobBuf bytes.Buffer
-	if err := SaveJointWB(&gobBuf, m, v); err != nil {
-		b.Fatal(err)
-	}
 	snapData, err := EncodeSnapshot(m, v)
 	if err != nil {
 		b.Fatal(err)
 	}
-
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(gobBuf.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := LoadJointWB(bytes.NewReader(gobBuf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(snapData)))
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeSnapshot(snapData); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("snapshot", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(snapData)))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := DecodeSnapshot(snapData); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkCloneMany: pool boot with one shared encode vs n independent
-// clones.
+// BenchmarkCloneMany: pool boot, one encode and n decodes.
 func BenchmarkCloneMany(b *testing.B) {
-	insts, v := testData(b, 2, 2)
-	_ = insts
+	_, v := testData(b, 2, 2)
 	m := newTestJointWB(v, 42)
-	const n = 4
-	b.Run("clone-each", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				if _, err := CloneForServing(m, v); err != nil {
-					b.Fatal(err)
-				}
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := CloneManyForServing(m, v, 4); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("clone-many", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := CloneManyForServing(m, v, n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -11,9 +11,7 @@ import (
 // nearest float32 exactly once and carrying no gradient buffer. Only the
 // GloVe encoder regime is supported — the transformer encoders are
 // float64-only — so callers must be ready to fall back to the teacher when
-// the conversion is refused. Both section-predictor paths are converted
-// (only the active one holds trained values) so NoMarkov round-trips through
-// a student snapshot.
+// the conversion is refused.
 func ConvertJointWB(m *JointWB) (*JointWB32, error) {
 	g, ok := m.Enc.(*GloVeEncoder)
 	if !ok {

@@ -1,7 +1,6 @@
 package wb
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -130,127 +129,6 @@ func TestStudentBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStudentSnapshotChain walks the whole persistence lineage: legacy gob
-// bundle → float64 snapshot → live conversion → float32 student snapshot.
-// Every hop must preserve briefs, and the student snapshot must restore the
-// converted weights bit-exactly.
-func TestStudentSnapshotChain(t *testing.T) {
-	m, v, insts := trainedTestModel(t)
-
-	// Hop 1: gob bundle round trip (the legacy training artifact).
-	var gobBuf bytes.Buffer
-	if err := SaveJointWB(&gobBuf, m, v); err != nil {
-		t.Fatal(err)
-	}
-	fromGob, vGob, err := LoadJointWB(bytes.NewReader(gobBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Hop 2: float64 snapshot of the gob-loaded model.
-	snapData, err := EncodeSnapshot(fromGob, vGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	teacher, vSnap, err := DecodeSnapshot(snapData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameParams(t, m, teacher)
-
-	// Hop 3: float32 student snapshot of the converted teacher.
-	st := studentFromTeacher(t, teacher)
-	stData, err := EncodeStudentSnapshot(st, vSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, v2, err := DecodeStudentSnapshot(stData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Size() != v.Size() {
-		t.Fatalf("student vocab size %d, want %d", v2.Size(), v.Size())
-	}
-	pa, pb := studentParams(st), studentParams(st2)
-	if len(pa) != len(pb) {
-		t.Fatalf("student param count %d vs %d", len(pa), len(pb))
-	}
-	for i := range pa {
-		if pa[i].name != pb[i].name {
-			t.Fatalf("student param %d name %q vs %q", i, pa[i].name, pb[i].name)
-		}
-		va, vb := pa[i].m, pb[i].m
-		if va.Rows != vb.Rows || va.Cols != vb.Cols {
-			t.Fatalf("student param %s shape %dx%d vs %dx%d", pa[i].name, va.Rows, va.Cols, vb.Rows, vb.Cols)
-		}
-		for j := range va.Data {
-			if math.Float32bits(va.Data[j]) != math.Float32bits(vb.Data[j]) {
-				t.Fatalf("student param %s value %d not bit-exact", pa[i].name, j)
-			}
-		}
-	}
-
-	// The restored student briefs identically to the converted one.
-	sa, sb := NewInferScratch32For(v, 2), NewInferScratch32For(v2, 2)
-	for i, inst := range insts[:2] {
-		wantB, wantC := MakeBriefWith32(st, inst, v, 2, sa)
-		gotB, gotC := MakeBriefWith32(st2, inst, v2, 2, sb)
-		if !reflect.DeepEqual(gotB, wantB) || gotC != wantC {
-			t.Fatalf("inst %d: restored student diverges", i)
-		}
-	}
-}
-
-// TestDecodeStudentSnapshotRejectsCorruption: the student loader inherits
-// container corruption detection and adds its own name/shape validation.
-func TestDecodeStudentSnapshotRejectsCorruption(t *testing.T) {
-	m, v, _ := trainedTestModel(t)
-	st := studentFromTeacher(t, m)
-	data, err := EncodeStudentSnapshot(st, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 7, len(data) / 2, len(data) - 5} {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x10
-		if _, _, err := DecodeStudentSnapshot(mut); err == nil {
-			t.Fatalf("bit flip at %d accepted", i)
-		}
-	}
-	if _, _, err := DecodeStudentSnapshot(data[:len(data)/2]); err == nil {
-		t.Fatal("truncation accepted")
-	}
-	// A teacher snapshot is not a student snapshot.
-	teacherData, err := EncodeSnapshot(m, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecodeStudentSnapshot(teacherData); err == nil {
-		t.Fatal("teacher snapshot decoded as a student")
-	}
-}
-
-// FuzzDecodeStudentSnapshot: arbitrary bytes must fail closed, never panic.
-func FuzzDecodeStudentSnapshot(f *testing.F) {
-	insts, v := testData(f, 1, 1)
-	_ = insts
-	m := newTestJointWB(v, 7)
-	st, err := ConvertJointWB(m)
-	if err != nil {
-		f.Fatal(err)
-	}
-	data, err := EncodeStudentSnapshot(st, v)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Add([]byte("WBSNAP"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		DecodeStudentSnapshot(b)
-	})
-}
-
 // BenchmarkCascadeTiers measures the two cascade tiers head to head as one
 // dtype × scale grid over the generic entry points: the same instance
 // briefed end to end (encode + topic decode) on the warm scratch fast path
@@ -264,7 +142,7 @@ func FuzzDecodeStudentSnapshot(f *testing.F) {
 // has nothing to bite on. paper-h108 is the configuration the source paper
 // serves (GloVe d=50, Hidden=108), where the h² matmul work dominates and
 // the float32 kernels' halved traffic and doubled register block pay off;
-// that cell pair is the cascade's headline number in BENCH_6.json.
+// that cell pair is the cascade's headline number.
 func BenchmarkCascadeTiers(b *testing.B) {
 	insts, v := testData(b, 1, 2)
 	inst := insts[0]

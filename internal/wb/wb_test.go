@@ -461,3 +461,33 @@ func TestParallelEvaluationMatchesSerialAndIsRaceFree(t *testing.T) {
 		t.Fatalf("parallel evaluation not deterministic: %+v vs %+v", a, b)
 	}
 }
+
+func TestInstanceFromHTMLPipeline(t *testing.T) {
+	_, v := testData(t, 1, 1)
+	html := `<html><body><nav><div>home about contact help</div></nav>
+	<main><h1>book shopping here</h1><div>price : $ 42 . 13</div></main></body></html>`
+	inst := InstanceFromHTML(html, v, 0)
+	if inst.NumSents() != 3 {
+		t.Fatalf("sentences: %d", inst.NumSents())
+	}
+	if inst.NumTokens() != len(inst.Tags) || inst.NumTokens() != len(inst.SentOf) {
+		t.Fatal("parallel arrays")
+	}
+	// Known words resolve; unknown ones map to UNK without panicking.
+	inst2 := InstanceFromHTML("<p>zzzunknownzzz</p>", v, 0)
+	if inst2.NumSents() != 1 {
+		t.Fatal("single unknown sentence")
+	}
+}
+
+func TestInstanceFromSentencesTruncation(t *testing.T) {
+	_, v := testData(t, 1, 1)
+	sents := [][]string{{"home", "about"}, {"price", ":", "book"}}
+	inst := InstanceFromSentences(sents, v, 4)
+	if inst.NumTokens() != 4 {
+		t.Fatalf("truncated to %d", inst.NumTokens())
+	}
+	if len(inst.SentInfo) != inst.SentOf[3]+1 {
+		t.Fatal("sentence labels inconsistent after truncation")
+	}
+}

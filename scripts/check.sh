@@ -44,6 +44,9 @@ go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/w
 echo "== one numeric stack (per-dtype code is the matmul kernels and the activation/LSTM-cell lanes: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
 if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name '*32*.go' -o -name '*64*.go' \) ! -name '*_test.go' ! -name 'kernels32*' ! -name 'kernels64*' ! -name 'cpufeat_*' | grep .; then echo "per-dtype file(s) listed above: make the generic code handle the case instead"; exit 1; fi
 
+echo "== one model file format (encoding/gob is the lint-facts codec in internal/analysis/facts.go and nothing else)"
+if grep -rl '"encoding/gob"' --include='*.go' . | grep -v '^./internal/analysis/facts.go$'; then echo "encoding/gob imported by the file(s) listed above: model bundles are snapshots (internal/snapshot)"; exit 1; fi
+
 echo "== allocation regression gates (warm fast path must stay allocation-free)"
 go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs' \
     ./internal/ag ./internal/tensor ./internal/wb
@@ -77,16 +80,19 @@ echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x layout 
 go test -run '^$' -bench 'Kernels|Act64' -benchtime 1x ./internal/tensor >/dev/null
 go test -run '^$' -bench 'CascadeTiers' -benchtime 1x ./internal/wb >/dev/null
 
-echo "== wbserve smoke (train tiny bundle, boot, four concurrent curls through the batch scheduler, /metrics, drain)"
+echo "== quickstart smoke (README's own: wbtrain with its defaults writes a tiny bundle, wbrief briefs a literal page from it; every smoke below serves the same bundle)"
 SMOKEDIR=$(mktemp -d)
 SERVE_PID=""
 B1_PID=""
 B2_PID=""
 GATE_PID=""
 trap 'for p in "$SERVE_PID" "$B1_PID" "$B2_PID" "$GATE_PID"; do [[ -n "$p" ]] && kill "$p" 2>/dev/null; done; rm -rf "$SMOKEDIR"' EXIT
-# -format gob: the smokes below serve this bundle through the legacy reader
-# and convert it with wbsnap; wbtrain's default is the snapshot format.
-go run ./cmd/wbtrain -format gob -domains 2 -pages 4 -epochs 2 -out "$SMOKEDIR/model.bin" >/dev/null 2>&1
+go run ./cmd/wbtrain -domains 2 -pages 4 -epochs 2 -out "$SMOKEDIR/model.bin" >/dev/null 2>&1
+printf '%s' '<html><body><h1>title : novel edition</h1><div>price : $ 9.99</div></body></html>' >"$SMOKEDIR/page.html"
+go run ./cmd/wbrief -json -model "$SMOKEDIR/model.bin" "$SMOKEDIR/page.html" | grep -q '"Topic"'
+echo "   quickstart smoke ok"
+
+echo "== wbserve smoke (boot, four concurrent curls through the batch scheduler, /metrics, drain)"
 go build -o "$SMOKEDIR/wbserve" ./cmd/wbserve
 "$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.bin" -addr 127.0.0.1:18080 -replicas 2 -queue 8 -quiet &
 SERVE_PID=$!
@@ -124,10 +130,9 @@ for i in 1 2; do
     grep -qx 'bundle sha256 7502e8455762540e80a9b3cf8f823aa3ce097f5973a4b6677e65b31a846e2ce2' <<<"$BENCH_OUT"
 done
 
-echo "== wbserve cached smoke (wbsnap gob->snapshot, -cache on, repeat post hits without a replica)"
-go run ./cmd/wbsnap -in "$SMOKEDIR/model.bin" -out "$SMOKEDIR/model.snap"
-go run ./cmd/wbsnap -info "$SMOKEDIR/model.snap" | grep -q 'jointwb/params'
-"$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.snap" -addr 127.0.0.1:18082 -replicas 2 -queue 8 \
+echo "== wbserve cached smoke (wbsnap -info, -cache on, repeat post hits without a replica)"
+go run ./cmd/wbsnap -info "$SMOKEDIR/model.bin" | grep -q 'jointwb/params'
+"$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.bin" -addr 127.0.0.1:18082 -replicas 2 -queue 8 \
     -cache 256 -quiet &
 SERVE_PID=$!
 for i in $(seq 1 50); do
@@ -153,8 +158,6 @@ SERVE_PID=""
 echo "   wbserve cached smoke ok"
 
 echo "== wbserve cascade smoke (-cascade on, student tier serves, /metrics cascade block reconciles)"
-go run ./cmd/wbsnap -in "$SMOKEDIR/model.bin" -out "$SMOKEDIR/student.snap" -student
-go run ./cmd/wbsnap -info "$SMOKEDIR/student.snap" | grep -q 'jointwb32/params.*float32'
 "$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.bin" -addr 127.0.0.1:18083 -replicas 2 -queue 8 \
     -cascade -confidence-threshold 0.5 -quiet &
 SERVE_PID=$!
