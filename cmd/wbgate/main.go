@@ -12,18 +12,21 @@
 //	curl -s --data-binary @page.html 'http://localhost:8080/brief?src=https://example.com/page'
 //	curl -s http://localhost:8080/metrics
 //
-// Each backend gets a bounded connection pool, a circuit breaker
-// (-breaker-threshold consecutive failures eject it; /healthz probes on
-// -probe-interval readmit it after the cooldown), and failover: a request
-// whose home backend is ejected, saturated, or failing is retried on the
-// next candidates around the ring, so single-backend faults stay invisible
-// to clients.
+// Each backend gets a bounded set of keep-alive connections the gateway
+// owns itself (one synchronous exchange per relay attempt, no net/http
+// client: a connection is kept only if its reply was read to the end
+// uninterrupted, and a kept one the backend has since closed costs a redial
+// and a replay, not a failed attempt), a circuit breaker (-breaker-threshold
+// consecutive failures eject it; /healthz probes on -probe-interval readmit
+// it after the cooldown), and failover: a request whose home backend is
+// ejected, saturated, or failing is retried on the next candidates around
+// the ring, so single-backend faults stay invisible to clients.
 //
 // POST /admin/reload (or SIGHUP) drives a rolling zero-downtime hot model
 // reload across the fleet — each backend's /admin/reload in turn, one at a
 // time, so at most one backend is warming a shadow pool while the rest
-// serve. /metrics reports per-backend requests, errors, breaker state and
-// model generation; /healthz aggregates fleet health. SIGINT/SIGTERM drain
+// serve. /metrics reports per-backend requests, errors, breaker state,
+// model generation and connection reuse; /healthz aggregates fleet health. SIGINT/SIGTERM drain
 // gracefully.
 package main
 

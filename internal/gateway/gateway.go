@@ -1,8 +1,8 @@
 // Package gateway is the sharded front tier of the briefing service: an
 // HTTP proxy that consistent-hash routes briefing requests by page domain
-// across a fleet of wbserve backends, with per-backend bounded connection
-// pools, circuit breakers, health probing, and fleet-wide hot model
-// reload.
+// across a fleet of wbserve backends, with per-backend bounded keep-alive
+// connections it owns itself (upstream.go), circuit breakers, health
+// probing, and fleet-wide hot model reload.
 //
 // Routing keys on the same domain extraction the backends' cache policy
 // uses (briefcache.SrcDomain of the ?src= query parameter), so one
@@ -20,12 +20,10 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,6 +31,7 @@ import (
 	"time"
 
 	"webbrief/internal/briefcache"
+	"webbrief/internal/httpbody"
 )
 
 // DefaultMaxBodyBytes mirrors the serving tier's request body ceiling: the
@@ -55,11 +54,8 @@ type Config struct {
 	ProbeTimeout       time.Duration // per-probe deadline (0 = 2s)
 	Timeout            time.Duration // per-request deadline, all attempts included (0 = none)
 	ReloadTimeout      time.Duration // per-backend deadline driving /admin/reload (0 = 60s)
-	MaxBodyBytes       int64         // request body limit (0 = DefaultMaxBodyBytes)
+	MaxBodyBytes       int64         // request body limit, and the ceiling on a relayed reply (0 = DefaultMaxBodyBytes)
 	RetryAfter         time.Duration // Retry-After hint on 503s (0 = 1s)
-
-	// Client overrides the HTTP client used for relays and probes (tests).
-	Client *http.Client
 }
 
 // withDefaults resolves zero values.
@@ -100,7 +96,7 @@ func (c Config) withDefaults() Config {
 // backend is one wbserve process behind the gateway.
 type backend struct {
 	name  string        // canonical host:port — the ring member name
-	url   string        // http://host:port
+	up    *upstream     // its keep-alive connections and the exchange over them
 	slots chan struct{} // bounded connection pool: one token per in-flight relay
 	br    *breaker
 
@@ -118,7 +114,6 @@ type Gateway struct {
 	backends map[string]*backend
 	names    []string // sorted — the deterministic iteration order everywhere
 	mux      *http.ServeMux
-	client   *http.Client
 
 	ready        atomic.Bool
 	fleetGen     atomic.Int64 // min generation across backends after a fleet reload
@@ -139,7 +134,7 @@ func New(cfg Config) (*Gateway, error) {
 	names := make([]string, 0, len(cfg.Backends))
 	for _, raw := range cfg.Backends {
 		name := canonicalBackend(raw)
-		if name == "" {
+		if name == "" || !headSafe(name, false) {
 			return nil, fmt.Errorf("gateway: bad backend address %q", raw)
 		}
 		names = append(names, name)
@@ -155,22 +150,13 @@ func New(cfg Config) (*Gateway, error) {
 		backends:   make(map[string]*backend, ring.Size()),
 		names:      ring.Backends(),
 		mux:        http.NewServeMux(),
-		client:     cfg.Client,
 		shutdownCh: make(chan struct{}),
 		probeDone:  make(chan struct{}),
-	}
-	if g.client == nil {
-		g.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: cfg.MaxConnsPerBackend,
-			// Below wbserve's idle timeout, so the gateway retires a quiet
-			// connection before the backend closes it under a relay.
-			IdleConnTimeout: 90 * time.Second,
-		}}
 	}
 	for _, name := range g.names {
 		g.backends[name] = &backend{
 			name:  name,
-			url:   "http://" + name,
+			up:    &upstream{addr: name},
 			slots: make(chan struct{}, cfg.MaxConnsPerBackend),
 			br: &breaker{
 				threshold:      cfg.BreakerThreshold,
@@ -213,12 +199,16 @@ func (g *Gateway) Metrics() *Metrics { return g.metrics }
 // Ring exposes the routing ring (tests, operator tooling).
 func (g *Gateway) Ring() *Ring { return g.ring }
 
-// BeginShutdown flips /healthz and /brief to draining and stops the health
-// prober. In-flight relays finish normally.
+// BeginShutdown flips /healthz and /brief to draining, stops the health
+// prober and closes every idle upstream connection. In-flight relays finish
+// normally and close theirs.
 func (g *Gateway) BeginShutdown() {
 	if g.ready.CompareAndSwap(true, false) {
 		close(g.shutdownCh)
 		<-g.probeDone
+		for _, name := range g.names {
+			g.backends[name].up.close()
+		}
 	}
 }
 
@@ -252,22 +242,23 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST the page HTML as the request body", http.StatusMethodNotAllowed)
 		return
 	}
-	if r.ContentLength > g.cfg.MaxBodyBytes {
+	body, err := httpbody.Read(r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
+	if errors.Is(err, httpbody.ErrTooLarge) {
 		m.TooLarge.Add(1)
 		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBodyBytes),
 			http.StatusRequestEntityTooLarge)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
 	if err != nil {
 		m.BadRequest.Add(1)
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if int64(len(body)) > g.cfg.MaxBodyBytes {
-		m.TooLarge.Add(1)
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBodyBytes),
-			http.StatusRequestEntityTooLarge)
+	// The query and Content-Type are copied verbatim into the head of every
+	// relay (upstream.go): refuse here what could end a line there.
+	if !headSafe(r.URL.RawQuery, false) || !headSafe(r.Header.Get("Content-Type"), true) {
+		m.BadRequest.Add(1)
+		http.Error(w, "control character in query or Content-Type", http.StatusBadRequest)
 		return
 	}
 
@@ -370,47 +361,33 @@ func (g *Gateway) attemptOn(w http.ResponseWriter, ctx context.Context, b *backe
 	m.BackendRequests.Add(1)
 	b.requests.Add(1)
 
-	url := b.url + "/brief"
-	if q := r.URL.RawQuery; q != "" {
-		url += "?" + q
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		g.attemptFailed(b, true)
-		return false
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := g.client.Do(req)
+	// The reply is buffered whole, under the same ceiling as the request: a
+	// backend that answers with more than a page's worth is broken.
+	rep, err := b.up.exchange(ctx, request{
+		method: http.MethodPost, path: "/brief", query: r.URL.RawQuery,
+		contentType: r.Header.Get("Content-Type"), body: body, limit: g.cfg.MaxBodyBytes,
+	})
 	if err != nil {
 		// A failure after the client's own deadline or disconnect is the
 		// client's, not the backend's — count the attempt, spare the breaker.
 		g.attemptFailed(b, ctx.Err() == nil)
 		return false
 	}
-	defer resp.Body.Close()
-	if retryableStatus(resp.StatusCode) {
-		io.Copy(io.Discard, resp.Body)
+	if retryableStatus(rep.status) {
 		g.attemptFailed(b, true)
-		return false
-	}
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		g.attemptFailed(b, ctx.Err() == nil)
 		return false
 	}
 
 	g.attemptOK(b)
 	m.Proxied.Add(1)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
+	if ct := rep.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
+	if ra := rep.header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(out)
+	w.WriteHeader(rep.status)
+	w.Write(rep.body)
 	return true
 }
 
@@ -494,6 +471,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(g.snapshot())
 }
 
+// adminReplyLimit bounds a backend's /healthz or /admin/reload reply.
+const adminReplyLimit = 1 << 16
+
 // BackendReload is one backend's row in a fleet reload report: its new
 // model generation, or the error that kept it on its old one.
 type BackendReload struct {
@@ -571,26 +551,17 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) reloadBackend(ctx context.Context, b *backend) (int64, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.ReloadTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/admin/reload", nil)
+	rep, err := b.up.exchange(ctx, request{method: http.MethodPost, path: "/admin/reload", limit: adminReplyLimit})
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("backend %s: %w", b.name, err)
 	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("backend %s: reload status %d: %s", b.name, resp.StatusCode, strings.TrimSpace(string(raw)))
+	if rep.status != http.StatusOK {
+		return 0, fmt.Errorf("backend %s: reload status %d: %s", b.name, rep.status, strings.TrimSpace(string(rep.body)))
 	}
 	var out struct {
 		Generation int64 `json:"generation"`
 	}
-	if err := json.Unmarshal(raw, &out); err != nil {
+	if err := json.Unmarshal(rep.body, &out); err != nil {
 		return 0, fmt.Errorf("backend %s: reload response: %w", b.name, err)
 	}
 	return out.Generation, nil
@@ -612,7 +583,8 @@ func (g *Gateway) minGeneration() int64 {
 
 // probeLoop is the re-admission prober: every ProbeInterval it probes each
 // non-closed backend's /healthz (once past its breaker cooldown) and feeds
-// the result to the breaker. It exits on shutdown.
+// the result to the breaker. The same tick retires every backend's
+// long-idle upstream connections. It exits on shutdown.
 func (g *Gateway) probeLoop() {
 	defer close(g.probeDone)
 	ticker := time.NewTicker(g.cfg.ProbeInterval)
@@ -625,6 +597,7 @@ func (g *Gateway) probeLoop() {
 		}
 		for _, name := range g.names {
 			b := g.backends[name]
+			b.up.reap(time.Now())
 			if b.br.State() == BreakerClosed {
 				continue
 			}
@@ -648,17 +621,8 @@ func (g *Gateway) probeLoop() {
 func (g *Gateway) probeBackend(b *backend) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode == http.StatusOK
+	rep, err := b.up.exchange(ctx, request{method: http.MethodGet, path: "/healthz", limit: adminReplyLimit})
+	return err == nil && rep.status == http.StatusOK
 }
 
 // retryAfterSeconds renders a Retry-After header value, minimum 1s.

@@ -83,6 +83,15 @@ type backendSnapshot struct {
 	BreakerState string `json:"breaker_state"`
 	Generation   int64  `json:"generation"`
 	ActiveConns  int    `json:"active_conns"`
+
+	// Connection reuse (upstream.go). Every exchange sent to this backend —
+	// relay attempt, health probe or reload drive — either dialed or took an
+	// idle connection, and a stale replay dialed once more, so
+	// dials + reused = requests_total + stale replays + probes + reloads.
+	UpstreamDials        int64 `json:"upstream_dials_total"`
+	UpstreamReused       int64 `json:"upstream_reused_total"`
+	UpstreamStaleReplays int64 `json:"upstream_stale_replays_total"`
+	IdleConns            int   `json:"idle_conns"`
 }
 
 // metricsSnapshot is the JSON document the gateway serves at /metrics.
@@ -164,6 +173,11 @@ func (g *Gateway) snapshot() metricsSnapshot {
 			BreakerState: st.String(),
 			Generation:   b.generation.Load(),
 			ActiveConns:  len(b.slots),
+
+			UpstreamDials:        b.up.dials.Load(),
+			UpstreamReused:       b.up.reused.Load(),
+			UpstreamStaleReplays: b.up.staleReplays.Load(),
+			IdleConns:            b.up.idleConns(),
 		})
 	}
 	s.Ring.RoutableBackends = routable

@@ -1,7 +1,11 @@
 package gateway
 
 import (
+	"io"
+	"net/http"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -65,5 +69,84 @@ func checkOutcomePartition(t *testing.T, registry []string, registryName, snapsh
 		if !seen[name] {
 			t.Errorf("registered outcome %s is missing from the %s snapshot", name, snapshotField)
 		}
+	}
+}
+
+// TestUpstreamLedgerReconciles checks the connection-reuse counters'
+// identity per backend, exactly, over a run that takes every path to the
+// upstream: relays on fresh and reused connections, a rolling reload, a
+// backend killed (failed exchanges, failed redials, probes while ejected),
+// its stale connections replayed after it heals, and a readmission.
+// Every exchange sent to a backend — relay attempt, probe or reload —
+// either dialed or reused, and each stale replay dialed once more:
+//
+//	dials + reused = requests_total + stale_replays + probes + reloads
+func TestUpstreamLedgerReconciles(t *testing.T) {
+	g, ts, backends := newTestGateway(t, 2, nil)
+	names := g.Ring().Backends()
+	victim := backends[names[0]]
+	domains := domainsInterleaved(t, g.Ring(), 4)
+	m := g.Metrics()
+
+	round := func() {
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for j := 0; j < 10; j++ {
+					d := domains[(c*10+j)%len(domains)]
+					resp, err := http.Post(ts.URL+"/brief?src="+d, "text/html", strings.NewReader("<p>"+d+"</p>"))
+					if err != nil {
+						t.Errorf("post: %v", err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+
+	round()
+	reloads := int64(0)
+	if code, _ := driveFleetReload(t, ts.URL); code != http.StatusOK {
+		t.Fatalf("reload drive: %d", code)
+	}
+	reloads++
+
+	victim.down.Store(true)
+	round()
+	waitCond(t, "victim ejected and probed", func() bool { return m.Ejections.Load() == 1 && m.Probes.Load() >= 2 })
+	if code, _ := driveFleetReload(t, ts.URL); code != http.StatusOK {
+		t.Fatalf("reload drive with a dead backend: %d", code)
+	}
+	reloads++
+	victim.down.Store(false)
+	waitCond(t, "victim readmitted", func() bool { return m.Readmissions.Load() == 1 })
+	round()
+
+	// Stopping the prober freezes every counter; only the victim was ever
+	// ejected, so every probe went to it.
+	g.BeginShutdown()
+	snap := g.snapshot()
+	for _, b := range snap.Backends {
+		probes := int64(0)
+		if b.Name == victim.name {
+			probes = snap.ProbesTotal
+		}
+		got := b.UpstreamDials + b.UpstreamReused
+		want := b.Requests + b.UpstreamStaleReplays + probes + reloads
+		if got != want {
+			t.Errorf("%s: dials %d + reused %d = %d, want requests %d + stale replays %d + probes %d + reloads %d = %d",
+				b.Name, b.UpstreamDials, b.UpstreamReused, got, b.Requests, b.UpstreamStaleReplays, probes, reloads, want)
+		}
+		if b.UpstreamReused == 0 || b.IdleConns != 0 {
+			t.Errorf("%s: reused %d, idle %d after shutdown; want reuse and no idle connection", b.Name, b.UpstreamReused, b.IdleConns)
+		}
+	}
+	if snap.ProbesTotal == 0 || snap.Ring.EjectionsTotal != 1 {
+		t.Fatalf("run exercised %d probes, %d ejections; want some and 1", snap.ProbesTotal, snap.Ring.EjectionsTotal)
 	}
 }

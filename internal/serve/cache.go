@@ -88,33 +88,51 @@ func cacheDomain(r *http.Request) string {
 	return briefcache.SrcDomain(r.URL.Query().Get("src"))
 }
 
-// cacheServe runs the cache stage for one admitted POST. It returns
-// (nil, false) when the request bypasses the cache (denied domain, pages
-// with no visible text), (nil, true) when the response was fully served
-// from cache or a coalesced flight, and (fill, false) for a miss this
-// request must compute: the caller proceeds down the normal pipeline and
-// hands fill to respondOutcome, with fill.abandon deferred as backstop.
-func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.Context, r *http.Request, body []byte) (*cacheFill, bool) {
+// rawLookup is what level 1 of the cache stage learned about a request it
+// could not serve, for cacheServe to continue from.
+type rawLookup struct {
+	consult bool   // false: the request bypasses the cache (no cache, denied domain)
+	domain  string // ?src= policy key
+	// gen is read once: every key this request builds — lookups, flight,
+	// fill — lives in one generation's namespace.
+	gen    int64
+	rawKey briefcache.Key
+	start  time.Time // cache-hit latency runs from here
+}
+
+// cacheServeRaw is level 1 of the cache stage, keyed on the raw bytes:
+// allocation-free — no parse, one SHA-256 — and needing no context, so it
+// runs before the request's deadline exists. It reports whether it served
+// the response.
+func (s *Server) cacheServeRaw(w http.ResponseWriter, lg *accessEntry, r *http.Request, body []byte) (rawLookup, bool) {
 	c := s.cache
 	m := s.metrics
 	domain := cacheDomain(r)
 	if !c.Admit(domain) {
-		return nil, false
+		return rawLookup{}, false
 	}
-	start := time.Now()
-	// Read once: every key this request builds — lookups, flight, fill —
-	// lives in one generation's namespace.
-	gen := s.generation.Load()
-
-	// Level 1: raw bytes. Allocation-free — no parse, one SHA-256.
-	rawKey := genKey(gen, body)
-	if out, ok := c.LookupRaw(rawKey); ok {
+	lk := rawLookup{consult: true, domain: domain, gen: s.generation.Load(), start: time.Now()}
+	lk.rawKey = genKey(lk.gen, body)
+	if out, ok := c.LookupRaw(lk.rawKey); ok {
 		m.CacheLookups.Add(1)
 		m.CacheHits.Add(1)
 		s.writeCached(w, lg, out)
-		m.CacheHitLatency.Observe(time.Since(start))
-		return nil, true
+		m.CacheHitLatency.Observe(time.Since(lk.start))
+		return lk, true
 	}
+	return lk, false
+}
+
+// cacheServe runs the rest of the cache stage for a request level 1 missed.
+// It returns (nil, false) when the request bypasses the cache (pages with
+// no visible text), (nil, true) when the response was fully served from
+// cache or a coalesced flight, and (fill, false) for a miss this request
+// must compute: the caller proceeds down the normal pipeline and hands fill
+// to respondOutcome, with fill.abandon deferred as backstop.
+func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.Context, body []byte, lk rawLookup) (*cacheFill, bool) {
+	c := s.cache
+	m := s.metrics
+	domain, gen, rawKey, start := lk.domain, lk.gen, lk.rawKey, lk.start
 
 	// Level 2: rendered visible text. Pages that render to nothing bypass
 	// the cache — the pipeline's 422 stays authoritative for those.

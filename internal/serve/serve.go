@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"webbrief/internal/briefcache"
+	"webbrief/internal/httpbody"
 	"webbrief/internal/textproc"
 	"webbrief/internal/wb"
 )
@@ -333,23 +334,18 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Body, with a hard 413 instead of silent truncation.
-	if r.ContentLength > s.cfg.MaxBodyBytes {
-		m.TooLarge.Add(1)
-		lg.Status = http.StatusRequestEntityTooLarge
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
+	// Body, with a hard 413 instead of silent truncation: a declared length
+	// over the limit is refused unread, an undeclared one once it runs past.
+	body, err := httpbody.Read(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	tooLarge := errors.Is(err, httpbody.ErrTooLarge)
+	if err != nil && !tooLarge {
 		m.BadRequest.Add(1)
 		lg.Status = http.StatusBadRequest
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	lg.BytesIn = len(body)
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
+	if tooLarge {
 		m.TooLarge.Add(1)
 		lg.Status = http.StatusRequestEntityTooLarge
 		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
@@ -357,22 +353,34 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The request's deadline runs from here but is armed only once level 1
+	// of the cache stage has missed: a repeat post of known bytes is served
+	// without a timer it would never consult.
+	admitted := time.Now()
+	var lookup rawLookup
+	if s.cache != nil {
+		var hit bool
+		if lookup, hit = s.cacheServeRaw(w, &lg, r, body); hit {
+			return
+		}
+	}
+
 	ctx := r.Context()
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
+		ctx, cancel = context.WithDeadline(ctx, admitted.Add(s.cfg.Timeout))
 		defer cancel()
 	}
 
-	// Cache stage: hits (and coalesced waiters) are fully served here —
-	// no admission, no scheduler, no replica. A winner gets a fill
-	// obligation that respondOutcome settles; the deferred abandon is the
-	// backstop for every other exit (shed, timeout, panic), turning the
-	// losers loose to retry instead of hanging.
+	// Cache stage, level 2 and flights: content hits and coalesced waiters
+	// are fully served here — no admission, no scheduler, no replica. A
+	// winner gets a fill obligation that respondOutcome settles; the
+	// deferred abandon is the backstop for every other exit (shed, timeout,
+	// panic), turning the losers loose to retry instead of hanging.
 	var fill *cacheFill
-	if s.cache != nil {
+	if lookup.consult {
 		var handled bool
-		fill, handled = s.cacheServe(w, &lg, ctx, r, body)
+		fill, handled = s.cacheServe(w, &lg, ctx, body, lookup)
 		if handled {
 			return
 		}

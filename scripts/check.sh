@@ -47,9 +47,9 @@ if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name
 echo "== one model file format (encoding/gob is the lint-facts codec in internal/analysis/facts.go and nothing else)"
 if grep -rl '"encoding/gob"' --include='*.go' . | grep -v '^./internal/analysis/facts.go$'; then echo "encoding/gob imported by the file(s) listed above: model bundles are snapshots (internal/snapshot)"; exit 1; fi
 
-echo "== allocation regression gates (warm fast path must stay allocation-free)"
-go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs' \
-    ./internal/ag ./internal/tensor ./internal/wb
+echo "== allocation regression gates (warm fast path must stay allocation-free; one gateway relay and one raw-key cache hit stay at their pinned counts)"
+go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs|TestRelayAllocs|TestCacheHitAllocs|TestReadPresizes' \
+    ./internal/ag ./internal/tensor ./internal/wb ./internal/gateway ./internal/serve ./internal/httpbody
 
 echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes — register tile, row blocks, masked tail — vs pure Go on Float64bits, f32 tile and tail vs the one-row lane sequence on Float32bits, row-partitioned vs whole products, f32 σ/tanh lanes vs pure Go on Float32bits and vs libm within 2 ulp, f64 σ/tanh lanes vs libm on Float64bits over 10^8 inputs and a real page's gate pre-activations, the libm probe from both sides, sentinel bands around the asm operands, no FMA mnemonic in the unfused families and exactly libm's ten in the f64 exp, fused LSTM cell vs op chain, hoisted vs per-step LSTM projection)"
 go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestKernels32TilesMatchRowLanes|TestMatMulRowPartitionBitwise|TestAct32|TestAct64|TestUnfusedAsmHasNoFMA|TestLSTMCellIntoMatchesOps|TestLSTMCellLanesStayInBounds|TestLSTMCellFusedMatchesOpChain|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
@@ -68,6 +68,9 @@ go test -race -run 'TestChaosServeCachedSoak' ./internal/serve
 echo "== gateway chaos gate (backend killed cold mid-load, fleet hot reload mid-chaos, >=99% success, exact /metrics reconciliation)"
 go test -race -run 'TestGatewayChaosSoak|TestGatewayFailoverAndBreaker|TestHotReloadEquivalence|TestAdminReload' \
     ./internal/gateway ./internal/serve
+
+echo "== gateway upstream gate (hand-written request head vs net/http's parser over query x content-type x body, stale-connection replay, reply framing, timeout and disconnect drop the connection, shutdown and reaper close idle ones, over-limit replies, dials + reused ledger identity)"
+go test -race -run 'TestUpstream|TestGatewayBoundsRelayedReply|TestGatewayRefusesUnsafeHead' ./internal/gateway
 
 echo "== ring determinism gate (golden assignments, remapping bound, permutation stability)"
 go test -run 'TestRing' ./internal/gateway
@@ -236,6 +239,7 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz='FuzzDecode$' -fuzztime="$FUZZTIME" ./internal/snapshot
     go test -run='^$' -fuzz=FuzzReader -fuzztime="$FUZZTIME" ./internal/snapshot
     go test -run='^$' -fuzz=FuzzDecodeSnapshot -fuzztime="$FUZZTIME" ./internal/wb
+    go test -run='^$' -fuzz=FuzzUpstreamRequestHead -fuzztime="$FUZZTIME" ./internal/gateway
 fi
 
 echo "ALL CHECKS PASSED"
