@@ -1,8 +1,11 @@
 package gateway
 
 import (
+	"bytes"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -148,5 +151,27 @@ func TestUpstreamLedgerReconciles(t *testing.T) {
 	}
 	if snap.ProbesTotal == 0 || snap.Ring.EjectionsTotal != 1 {
 		t.Fatalf("run exercised %d probes, %d ejections; want some and 1", snap.ProbesTotal, snap.Ring.EjectionsTotal)
+	}
+}
+
+// TestGatewayMetricsZeroDocumentGolden pins the /metrics document of a fresh
+// gateway over two backends byte for byte: key names, nesting and order.
+// Scrapers (bench/wbload fails a run on a missing key) read these keys, so a
+// rename must show up here, in tier-1, first. No backend is dialed: a fresh
+// gateway probes only ejected backends.
+func TestGatewayMetricsZeroDocumentGolden(t *testing.T) {
+	g, err := New(Config{Backends: []string{"10.0.0.2:8080", "10.0.0.1:8080"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.BeginShutdown()
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	want, err := os.ReadFile("testdata/metrics_zero.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("/metrics zero document changed (update testdata/metrics_zero.golden.json and CHANGES.md if intended):\n%s", got)
 	}
 }
