@@ -266,7 +266,7 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 			}
 			benchHTTPPath(b, srv.Handler(), html)
 			if cascade {
-				if esc := srv.Metrics().CascadeTeacher.Load(); esc > 0 {
+				if esc := srv.Metrics().CascadeRequests.Count(serve.CascadeTeacher); esc > 0 {
 					b.Fatalf("%d requests escalated to the teacher; the cell measured a tier mix", esc)
 				}
 			}
@@ -300,7 +300,7 @@ func BenchmarkServeBriefCacheHit(b *testing.B) {
 		b.Fatalf("priming request failed: %d", rec.Code)
 	}
 	benchHTTPPath(b, srv.Handler(), html)
-	if hits := srv.Metrics().CacheHits.Load(); hits < int64(b.N) {
+	if hits := srv.Metrics().CacheLookups.Count(serve.CacheHits); hits < int64(b.N) {
 		b.Fatalf("cache hits %d < %d timed requests; the benchmark measured misses", hits, b.N)
 	}
 }

@@ -19,10 +19,11 @@
 //	            channels, network, or Wait (transitive, cross-package)
 //	poolbalance sync.Pool / Get-Put pair checkout without a Put on every
 //	            return path (defer it, hand it off, or Put before returning)
-//	metricpart  atomic outcome counters not registered in the requests_total
-//	            partition (requestOutcomeFields + Responses snapshot)
 //
-// The last four ride on a cross-package facts layer: the blockfacts
+// (The /metrics exact partitions need no pass: each is declared once with
+// internal/metrics, where a counter outside its partition does not build.)
+//
+// The last three ride on a cross-package facts layer: the blockfacts
 // summarizer runs first over every package in dependency order and exports
 // which functions can block and which are shutdown-aware, so lockhold and
 // goshutdown reason about transitive behaviour ("MakeBrief fork-joins on a
@@ -46,7 +47,6 @@ import (
 	"webbrief/internal/analysis/floateq"
 	"webbrief/internal/analysis/goshutdown"
 	"webbrief/internal/analysis/lockhold"
-	"webbrief/internal/analysis/metricpart"
 	"webbrief/internal/analysis/poolbalance"
 	"webbrief/internal/analysis/seedrand"
 	"webbrief/internal/analysis/shapedoc"
@@ -58,7 +58,6 @@ var passes = []*analysis.Analyzer{
 	floateq.Analyzer,
 	goshutdown.Analyzer,
 	lockhold.Analyzer,
-	metricpart.Analyzer,
 	poolbalance.Analyzer,
 	seedrand.Analyzer,
 	shapedoc.Analyzer,

@@ -253,16 +253,14 @@ func TestGatewayChaosSoak(t *testing.T) {
 	if snap.RequestsTotal != total {
 		t.Fatalf("requests_total = %d, clients sent %d — requests dropped or double-counted", snap.RequestsTotal, total)
 	}
-	outcomeSum := snap.Responses.Proxied + snap.Responses.BadMethod + snap.Responses.BadRequest +
-		snap.Responses.TooLarge + snap.Responses.NoBackend + snap.Responses.BackendFailure +
-		snap.Responses.Timeout + snap.Responses.Canceled + snap.Responses.Draining
+	outcomeSum := snap.Responses.Sum()
 	if outcomeSum != snap.RequestsTotal {
 		t.Fatalf("outcome sum %d != requests_total %d: %+v", outcomeSum, snap.RequestsTotal, snap.Responses)
 	}
-	if snap.Responses.Proxied != ok {
-		t.Fatalf("proxied = %d, clients observed %d successes", snap.Responses.Proxied, ok)
+	if snap.Responses.Get(Proxied) != ok {
+		t.Fatalf("proxied = %d, clients observed %d successes", snap.Responses.Get(Proxied), ok)
 	}
-	if got := snap.BackendOutcomes.BackendOK + snap.BackendOutcomes.BackendError; got != snap.BackendRequestsTotal {
+	if got := snap.BackendOutcomes.Sum(); got != snap.BackendRequestsTotal {
 		t.Fatalf("backend outcome sum %d != backend_requests_total %d", got, snap.BackendRequestsTotal)
 	}
 	var perBackendReqs, perBackendErrs int64
@@ -273,8 +271,8 @@ func TestGatewayChaosSoak(t *testing.T) {
 	if perBackendReqs != snap.BackendRequestsTotal {
 		t.Fatalf("per-backend requests sum %d != backend_requests_total %d", perBackendReqs, snap.BackendRequestsTotal)
 	}
-	if perBackendErrs != snap.BackendOutcomes.BackendError {
-		t.Fatalf("per-backend errors sum %d != backend_error_total %d", perBackendErrs, snap.BackendOutcomes.BackendError)
+	if perBackendErrs != snap.BackendOutcomes.Get(BackendError) {
+		t.Fatalf("per-backend errors sum %d != backend_error_total %d", perBackendErrs, snap.BackendOutcomes.Get(BackendError))
 	}
 	if briefs := victim.briefs.Load() + slowpoke.briefs.Load() + flaky.briefs.Load(); briefs != ok {
 		t.Fatalf("backends served %d briefs, clients observed %d successes", briefs, ok)

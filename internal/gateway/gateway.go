@@ -32,6 +32,7 @@ import (
 
 	"webbrief/internal/briefcache"
 	"webbrief/internal/httpbody"
+	"webbrief/internal/metrics"
 )
 
 // DefaultMaxBodyBytes mirrors the serving tier's request body ceiling: the
@@ -145,7 +146,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:        cfg,
-		metrics:    &Metrics{},
+		metrics:    newMetrics(),
 		ring:       ring,
 		backends:   make(map[string]*backend, ring.Size()),
 		names:      ring.Backends(),
@@ -228,37 +229,30 @@ func RouteKey(rawQuery string, src string, body []byte) string {
 // handleBrief is the proxy path: validate, pick the key's candidate
 // backends off the ring, and relay with failover.
 func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
-	m := g.metrics
-	m.Requests.Add(1)
+	g.metrics.Requests.Begin()
 
 	if !g.ready.Load() {
-		m.Draining.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(g.cfg.RetryAfter))
-		http.Error(w, "gateway is draining", http.StatusServiceUnavailable)
+		g.refuse(w, Draining, http.StatusServiceUnavailable, "gateway is draining")
 		return
 	}
 	if r.Method != http.MethodPost {
-		m.BadMethod.Add(1)
-		http.Error(w, "POST the page HTML as the request body", http.StatusMethodNotAllowed)
+		g.refuse(w, BadMethod, http.StatusMethodNotAllowed, "POST the page HTML as the request body")
 		return
 	}
 	body, err := httpbody.Read(r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
 	if errors.Is(err, httpbody.ErrTooLarge) {
-		m.TooLarge.Add(1)
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBodyBytes),
-			http.StatusRequestEntityTooLarge)
+		g.refuse(w, TooLarge, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBodyBytes))
 		return
 	}
 	if err != nil {
-		m.BadRequest.Add(1)
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+		g.refuse(w, BadRequest, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
 	// The query and Content-Type are copied verbatim into the head of every
 	// relay (upstream.go): refuse here what could end a line there.
 	if !headSafe(r.URL.RawQuery, false) || !headSafe(r.Header.Get("Content-Type"), true) {
-		m.BadRequest.Add(1)
-		http.Error(w, "control character in query or Content-Type", http.StatusBadRequest)
+		g.refuse(w, BadRequest, http.StatusBadRequest, "control character in query or Content-Type")
 		return
 	}
 
@@ -285,13 +279,12 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 // one rather than failing — bounded pools shed load by queueing at the
 // gateway, not by erroring.
 func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Request, body []byte, cands []string) {
-	m := g.metrics
 	var fallback *backend // first routable candidate, for the all-busy wait
 	attempts := 0
 	for _, name := range cands {
 		b := g.backends[name]
 		if !b.br.Allow(time.Now()) {
-			m.Rerouted.Add(1)
+			g.metrics.Rerouted.Add(1)
 			continue
 		}
 		if fallback == nil {
@@ -330,13 +323,22 @@ func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Requ
 		return
 	}
 	if attempts > 0 {
-		m.BackendFailure.Add(1)
-		http.Error(w, "all briefing backends failed", http.StatusBadGateway)
+		g.refuse(w, BackendFailure, http.StatusBadGateway, "all briefing backends failed")
 		return
 	}
-	m.NoBackend.Add(1)
-	w.Header().Set("Retry-After", retryAfterSeconds(g.cfg.RetryAfter))
-	http.Error(w, "no briefing backend available", http.StatusServiceUnavailable)
+	g.refuse(w, NoBackend, http.StatusServiceUnavailable, "no briefing backend available")
+}
+
+// refuse ends a request the gateway answers itself: its member of the
+// requests_total partition and its status in one call — a status cannot be
+// written without an outcome. The 503s (draining, no backend) tell the client
+// to come back and carry the configured Retry-After.
+func (g *Gateway) refuse(w http.ResponseWriter, o metrics.Outcome[requestsTotal], status int, msg string) {
+	g.metrics.Requests.End(o)
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds(g.cfg.RetryAfter))
+	}
+	http.Error(w, msg, status)
 }
 
 // retryableStatus reports whether a backend status should fail over to the
@@ -358,7 +360,7 @@ func retryableStatus(code int) bool {
 // one of its two outcomes.
 func (g *Gateway) attemptOn(w http.ResponseWriter, ctx context.Context, b *backend, r *http.Request, body []byte) bool {
 	m := g.metrics
-	m.BackendRequests.Add(1)
+	m.BackendRequests.Begin()
 	b.requests.Add(1)
 
 	// The reply is buffered whole, under the same ceiling as the request: a
@@ -379,7 +381,7 @@ func (g *Gateway) attemptOn(w http.ResponseWriter, ctx context.Context, b *backe
 	}
 
 	g.attemptOK(b)
-	m.Proxied.Add(1)
+	m.Requests.End(Proxied)
 	if ct := rep.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
@@ -394,10 +396,9 @@ func (g *Gateway) attemptOn(w http.ResponseWriter, ctx context.Context, b *backe
 // attemptOK settles one attempt as clean, driving the breaker (a success
 // may readmit a half-open backend).
 func (g *Gateway) attemptOK(b *backend) {
-	g.metrics.BackendOK.Add(1)
+	g.metrics.BackendRequests.End(BackendOK)
 	if b.br.Success() {
 		g.metrics.Readmissions.Add(1)
-		g.metrics.Rebalances.Add(1)
 	}
 }
 
@@ -405,11 +406,10 @@ func (g *Gateway) attemptOK(b *backend) {
 // failures caused by the client's own deadline or disconnect count the
 // attempt without penalising the backend.
 func (g *Gateway) attemptFailed(b *backend, blame bool) {
-	g.metrics.BackendError.Add(1)
+	g.metrics.BackendRequests.End(BackendError)
 	b.errors.Add(1)
 	if blame && b.br.Fail(time.Now()) {
 		g.metrics.Ejections.Add(1)
-		g.metrics.Rebalances.Add(1)
 	}
 }
 
@@ -417,11 +417,10 @@ func (g *Gateway) attemptFailed(b *backend, blame bool) {
 // deadline; a client that disconnected gets nothing (nginx's 499 case).
 func (g *Gateway) failCtx(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		g.metrics.Timeout.Add(1)
-		http.Error(w, "briefing deadline exceeded", http.StatusGatewayTimeout)
+		g.refuse(w, Timeout, http.StatusGatewayTimeout, "briefing deadline exceeded")
 		return
 	}
-	g.metrics.Canceled.Add(1)
+	g.metrics.Requests.End(Canceled)
 }
 
 // handleHealthz aggregates fleet health: 200 while the gateway is ready
@@ -608,7 +607,6 @@ func (g *Gateway) probeLoop() {
 			if g.probeBackend(b) {
 				if b.br.Success() {
 					g.metrics.Readmissions.Add(1)
-					g.metrics.Rebalances.Add(1)
 				}
 			} else {
 				b.br.Fail(time.Now())

@@ -259,8 +259,8 @@ func TestGatewayFailoverAndBreaker(t *testing.T) {
 	if m.Rerouted.Load() == 0 {
 		t.Fatal("open breaker never rerouted a candidate")
 	}
-	if m.BackendError.Load() < 2 {
-		t.Fatalf("backend errors = %d, want >= threshold", m.BackendError.Load())
+	if m.BackendRequests.Count(BackendError) < 2 {
+		t.Fatalf("backend errors = %d, want >= threshold", m.BackendRequests.Count(BackendError))
 	}
 
 	// Heal. The prober (cooldown 30ms, 2 clean probes at 5ms cadence)
@@ -274,7 +274,7 @@ func TestGatewayFailoverAndBreaker(t *testing.T) {
 	if e, r := m.Ejections.Load(), m.Readmissions.Load(); e != r {
 		t.Fatalf("after quiesce ejections (%d) != readmissions (%d)", e, r)
 	}
-	if got, want := m.Rebalances.Load(), m.Ejections.Load()+m.Readmissions.Load(); got != want {
+	if got, want := g.snapshot().Ring.RebalancesTotal, m.Ejections.Load()+m.Readmissions.Load(); got != want {
 		t.Fatalf("rebalances = %d, want ejections+readmissions = %d", got, want)
 	}
 }
@@ -491,17 +491,15 @@ func TestGatewayRefusals(t *testing.T) {
 	}
 
 	snap := g.snapshot()
-	sum := snap.Responses.Proxied + snap.Responses.BadMethod + snap.Responses.BadRequest +
-		snap.Responses.TooLarge + snap.Responses.NoBackend + snap.Responses.BackendFailure +
-		snap.Responses.Timeout + snap.Responses.Canceled + snap.Responses.Draining
+	sum := snap.Responses.Sum()
 	if sum != snap.RequestsTotal {
 		t.Fatalf("outcome sum %d != requests_total %d: %+v", sum, snap.RequestsTotal, snap.Responses)
 	}
-	if snap.Responses.BadMethod != 1 || snap.Responses.TooLarge != 1 ||
-		snap.Responses.NoBackend != 1 || snap.Responses.Draining != 1 || snap.Responses.Proxied != 1 {
+	if snap.Responses.Get(BadMethod) != 1 || snap.Responses.Get(TooLarge) != 1 ||
+		snap.Responses.Get(NoBackend) != 1 || snap.Responses.Get(Draining) != 1 || snap.Responses.Get(Proxied) != 1 {
 		t.Fatalf("unexpected outcome split: %+v", snap.Responses)
 	}
-	if got := snap.BackendOutcomes.BackendOK + snap.BackendOutcomes.BackendError; got != snap.BackendRequestsTotal {
+	if got := snap.BackendOutcomes.Sum(); got != snap.BackendRequestsTotal {
 		t.Fatalf("backend outcome sum %d != backend_requests_total %d", got, snap.BackendRequestsTotal)
 	}
 }

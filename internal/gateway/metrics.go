@@ -1,77 +1,72 @@
 package gateway
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// Metrics aggregates the gateway counters exported at /metrics. All fields
-// are atomics; the proxy path never takes a lock to record. The same
-// exact-partition discipline as the backend's /metrics applies (and the
-// same wbcheck metricpart pass plus runtime reflection test enforce it):
-// requests_total is partitioned by the client-facing outcome counters, and
-// backend_requests_total — the per-attempt total, which exceeds
-// requests_total whenever failover retries — by the per-attempt outcome
-// pair.
+	"webbrief/internal/metrics"
+)
+
+// The gateway's two exact partitions, each declared once, here: an Outcome
+// line is an outcome's counter, its JSON key and its position in the
+// document (internal/metrics). To add an outcome, add its line (and re-pin
+// testdata/metrics_zero.golden.json).
+type (
+	requestsTotal        struct{} // requests_total, partitioned by "responses"
+	backendRequestsTotal struct{} // backend_requests_total, by "outcomes"
+)
+
+var (
+	requestOutcomes = metrics.NewSchema[requestsTotal]()
+	backendOutcomes = metrics.NewSchema[backendRequestsTotal]()
+)
+
+// Every request that reaches the gateway's /brief ends in exactly one of
+// these client-facing outcomes.
+var (
+	Proxied        = requestOutcomes.Outcome("proxied")         // a backend response was relayed, whatever its status
+	BadMethod      = requestOutcomes.Outcome("bad_method")      // 405: non-POST, refused at the gateway
+	BadRequest     = requestOutcomes.Outcome("bad_request")     // 400: unreadable body
+	TooLarge       = requestOutcomes.Outcome("too_large")       // 413: body over the limit, refused before any backend
+	NoBackend      = requestOutcomes.Outcome("no_backend")      // 503: every candidate's breaker was open
+	BackendFailure = requestOutcomes.Outcome("backend_failure") // 502: attempts were made and all failed
+	Timeout        = requestOutcomes.Outcome("timeout")         // 504: deadline expired routing or relaying
+	Canceled       = requestOutcomes.Outcome("canceled")        // client disconnected before a response
+	Draining       = requestOutcomes.Outcome("draining")        // 503: received during gateway shutdown
+)
+
+// Every relay attempt either produced a relayable response or failed.
+var (
+	BackendOK    = backendOutcomes.Outcome("backend_ok_total")    // attempt produced a relayable response
+	BackendError = backendOutcomes.Outcome("backend_error_total") // attempt failed: conn error or retryable status
+)
+
+// Metrics aggregates the gateway counters exported at /metrics. Everything
+// is atomics; the proxy path never takes a lock to record.
 type Metrics struct {
 	// Requests counts every request that reached the gateway's /brief
-	// handler, whatever its outcome. The outcome counters below partition
-	// it: every request ends in exactly one.
-	Requests atomic.Int64
+	// handler (Begin) and the one outcome it ended in.
+	Requests *metrics.Partition[requestsTotal]
 
-	Proxied        atomic.Int64 // a backend response was relayed, whatever its status
-	BadMethod      atomic.Int64 // 405: non-POST, refused at the gateway
-	BadRequest     atomic.Int64 // 400: unreadable body
-	TooLarge       atomic.Int64 // 413: body over the limit, refused before any backend
-	NoBackend      atomic.Int64 // 503: every candidate's breaker was open
-	BackendFailure atomic.Int64 // 502: attempts were made and all failed
-	Timeout        atomic.Int64 // 504: deadline expired routing or relaying
-	Canceled       atomic.Int64 // client disconnected before a response
-	Draining       atomic.Int64 // 503: received during gateway shutdown
+	// BackendRequests counts every relay attempt on any backend. One client
+	// request makes 1..Attempts attempts, so this total exceeds
+	// requests_total whenever failover retries, and reconciles against the
+	// per-backend request counters (their sum is exactly its total).
+	BackendRequests *metrics.Partition[backendRequestsTotal]
 
-	// BackendRequests counts every relay attempt on any backend; the two
-	// counters below partition it. One client request makes 1..Attempts
-	// attempts, so this total reconciles against the per-backend request
-	// counters (their sum is exactly BackendRequests).
-	BackendRequests atomic.Int64
-	BackendOK       atomic.Int64 // attempt produced a relayable response
-	BackendError    atomic.Int64 // attempt failed: conn error or retryable status
-
-	// Routing and rebalance counters. Rerouted counts candidates skipped on
-	// an open breaker (the keys they owned served elsewhere); Ejections and
-	// Readmissions count breaker transitions out of and back into rotation,
-	// and Rebalances counts both — every change to the effective routing
-	// set. After a quiesce (all backends healthy, breakers closed),
+	// Routing counters. Rerouted counts candidates skipped on an open
+	// breaker (the keys they owned served elsewhere); Ejections and
+	// Readmissions count breaker transitions out of and back into rotation
+	// (rebalances_total is their sum — every change to the effective routing
+	// set). After a quiesce (all backends healthy, breakers closed),
 	// Ejections == Readmissions exactly.
 	Rerouted     atomic.Int64
 	Ejections    atomic.Int64
 	Readmissions atomic.Int64
-	Rebalances   atomic.Int64
 	Probes       atomic.Int64 // health probes sent to ejected backends
 }
 
-// requestOutcomeFields names the Metrics counters that partition
-// requests_total: every request reaching the gateway's /brief ends in
-// exactly one of them. The wbcheck metricpart pass enforces the contract
-// mechanically, as it does for the serving tier's partition; the
-// TestGatewayOutcomeFieldsReconcile reflection test re-checks it at run
-// time.
-var requestOutcomeFields = []string{
-	"Proxied",
-	"BadMethod",
-	"BadRequest",
-	"TooLarge",
-	"NoBackend",
-	"BackendFailure",
-	"Timeout",
-	"Canceled",
-	"Draining",
-}
-
-// backendOutcomeFields names the counters that partition
-// backend_requests_total: every relay attempt either produced a relayable
-// response or failed. Enforced by the same wbcheck metricpart pass and
-// reflection test.
-var backendOutcomeFields = []string{
-	"BackendOK",
-	"BackendError",
+func newMetrics() *Metrics {
+	return &Metrics{Requests: requestOutcomes.New(), BackendRequests: backendOutcomes.New()}
 }
 
 // backendSnapshot is one backend's block in the /metrics document. Blocks
@@ -97,24 +92,11 @@ type backendSnapshot struct {
 // metricsSnapshot is the JSON document the gateway serves at /metrics.
 // Struct (not map) so field order is stable across scrapes.
 type metricsSnapshot struct {
-	RequestsTotal int64 `json:"requests_total"`
-	Responses     struct {
-		Proxied        int64 `json:"proxied"`
-		BadMethod      int64 `json:"bad_method"`
-		BadRequest     int64 `json:"bad_request"`
-		TooLarge       int64 `json:"too_large"`
-		NoBackend      int64 `json:"no_backend"`
-		BackendFailure int64 `json:"backend_failure"`
-		Timeout        int64 `json:"timeout"`
-		Canceled       int64 `json:"canceled"`
-		Draining       int64 `json:"draining"`
-	} `json:"responses"`
-	BackendRequestsTotal int64 `json:"backend_requests_total"`
-	BackendOutcomes      struct {
-		BackendOK    int64 `json:"backend_ok_total"`
-		BackendError int64 `json:"backend_error_total"`
-	} `json:"outcomes"`
-	Ring struct {
+	RequestsTotal        int64                                `json:"requests_total"`
+	Responses            metrics.Counts[requestsTotal]        `json:"responses"`
+	BackendRequestsTotal int64                                `json:"backend_requests_total"`
+	BackendOutcomes      metrics.Counts[backendRequestsTotal] `json:"outcomes"`
+	Ring                 struct {
 		Backends          int   `json:"backends"`
 		VNodesPerBackend  int   `json:"vnodes_per_backend"`
 		RoutableBackends  int   `json:"routable_backends"`
@@ -136,25 +118,14 @@ type metricsSnapshot struct {
 func (g *Gateway) snapshot() metricsSnapshot {
 	m := g.metrics
 	var s metricsSnapshot
-	s.RequestsTotal = m.Requests.Load()
-	s.Responses.Proxied = m.Proxied.Load()
-	s.Responses.BadMethod = m.BadMethod.Load()
-	s.Responses.BadRequest = m.BadRequest.Load()
-	s.Responses.TooLarge = m.TooLarge.Load()
-	s.Responses.NoBackend = m.NoBackend.Load()
-	s.Responses.BackendFailure = m.BackendFailure.Load()
-	s.Responses.Timeout = m.Timeout.Load()
-	s.Responses.Canceled = m.Canceled.Load()
-	s.Responses.Draining = m.Draining.Load()
-	s.BackendRequestsTotal = m.BackendRequests.Load()
-	s.BackendOutcomes.BackendOK = m.BackendOK.Load()
-	s.BackendOutcomes.BackendError = m.BackendError.Load()
+	s.RequestsTotal, s.Responses = m.Requests.Snapshot()
+	s.BackendRequestsTotal, s.BackendOutcomes = m.BackendRequests.Snapshot()
 	s.Ring.Backends = g.ring.Size()
 	s.Ring.VNodesPerBackend = g.cfg.VNodes
 	s.Ring.ReroutedTotal = m.Rerouted.Load()
 	s.Ring.EjectionsTotal = m.Ejections.Load()
 	s.Ring.ReadmissionsTotal = m.Readmissions.Load()
-	s.Ring.RebalancesTotal = m.Rebalances.Load()
+	s.Ring.RebalancesTotal = s.Ring.EjectionsTotal + s.Ring.ReadmissionsTotal
 	s.ProbesTotal = m.Probes.Load()
 	s.Reload.FleetGeneration = g.fleetGen.Load()
 	s.Reload.FleetReloadsTotal = g.fleetReloads.Load()

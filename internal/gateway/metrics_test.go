@@ -6,74 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
-
-// TestGatewayOutcomeFieldsReconcile verifies at run time what the wbcheck
-// metricpart pass verifies statically: requestOutcomeFields names exactly
-// the atomic.Int64 outcome counters of the gateway's Metrics, and the
-// Responses snapshot carries one field per registered outcome — nothing
-// missing, nothing extra. A drift here means the gateway's /metrics sums
-// would stop reconciling with requests_total.
-func TestGatewayOutcomeFieldsReconcile(t *testing.T) {
-	checkOutcomePartition(t, requestOutcomeFields, "requestOutcomeFields", "Responses", reflect.TypeOf(metricsSnapshot{}))
-}
-
-// TestBackendOutcomeFieldsReconcile is the same three-way check for the
-// backend_requests_total per-attempt partition: backendOutcomeFields, the
-// Metrics counters, and the BackendOutcomes snapshot block must agree
-// exactly.
-func TestBackendOutcomeFieldsReconcile(t *testing.T) {
-	checkOutcomePartition(t, backendOutcomeFields, "backendOutcomeFields", "BackendOutcomes", reflect.TypeOf(metricsSnapshot{}))
-}
-
-// checkOutcomePartition verifies one partition registry: every registered
-// name is an atomic.Int64 Metrics field, and the named snapshot struct
-// carries exactly one field per registered outcome. (Same checker the
-// serving tier's partition tests run, over this package's types.)
-func checkOutcomePartition(t *testing.T, registry []string, registryName, snapshotField string, container reflect.Type) {
-	t.Helper()
-	atomicInt64 := reflect.TypeOf(atomic.Int64{})
-	metricsType := reflect.TypeOf(Metrics{})
-
-	registered := map[string]bool{}
-	for _, name := range registry {
-		if registered[name] {
-			t.Errorf("%s lists %s twice", registryName, name)
-		}
-		registered[name] = true
-		field, ok := metricsType.FieldByName(name)
-		if !ok {
-			t.Errorf("%s entry %s is not a Metrics field", registryName, name)
-			continue
-		}
-		if field.Type != atomicInt64 {
-			t.Errorf("Metrics.%s is %v, want atomic.Int64", name, field.Type)
-		}
-	}
-
-	outcomes, ok := container.FieldByName(snapshotField)
-	if !ok {
-		t.Fatalf("snapshot has no %s field", snapshotField)
-	}
-	seen := map[string]bool{}
-	for i := 0; i < outcomes.Type.NumField(); i++ {
-		name := outcomes.Type.Field(i).Name
-		seen[name] = true
-		if !registered[name] {
-			t.Errorf("%s snapshot field %s is not in %s", snapshotField, name, registryName)
-		}
-	}
-	for name := range registered {
-		if !seen[name] {
-			t.Errorf("registered outcome %s is missing from the %s snapshot", name, snapshotField)
-		}
-	}
-}
 
 // TestUpstreamLedgerReconciles checks the connection-reuse counters'
 // identity per backend, exactly, over a run that takes every path to the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -15,16 +16,16 @@ import (
 func TestRingGoldenAssignments(t *testing.T) {
 	r := NewRing([]string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8080"}, 64)
 	golden := []struct{ key, backend string }{
-		{"domain:example.com", "10.0.0.3:8080"},
-		{"domain:news.example.com", "10.0.0.2:8080"},
-		{"domain:wikipedia.org", "10.0.0.3:8080"},
-		{"domain:golang.org", "10.0.0.3:8080"},
+		{"domain:example.com", "10.0.0.2:8080"},
+		{"domain:news.example.com", "10.0.0.1:8080"},
+		{"domain:wikipedia.org", "10.0.0.1:8080"},
+		{"domain:golang.org", "10.0.0.2:8080"},
 		{"domain:arxiv.org", "10.0.0.1:8080"},
 		{"domain:github.com", "10.0.0.3:8080"},
-		{"domain:nytimes.com", "10.0.0.2:8080"},
-		{"domain:bbc.co.uk", "10.0.0.2:8080"},
+		{"domain:nytimes.com", "10.0.0.1:8080"},
+		{"domain:bbc.co.uk", "10.0.0.3:8080"},
 		{"body:1a2b3c4d5e6f7788", "10.0.0.2:8080"},
-		{"body:cafebabedeadbeef", "10.0.0.3:8080"},
+		{"body:cafebabedeadbeef", "10.0.0.2:8080"},
 	}
 	for _, g := range golden {
 		if got := r.Backend(g.key); got != g.backend {
@@ -156,4 +157,163 @@ func TestRingEmptyAndSingle(t *testing.T) {
 			t.Fatalf("single-backend ring sent %q to %q", k, got)
 		}
 	}
+}
+
+// The ring property grid: backends{2,3,5,16} × vnodes{16,64,256} × the three
+// ways a fleet's names differ. Names matter because they are what gets
+// hashed: one host with consecutive ports (a local fleet, bench/), one port
+// on consecutive hosts (a subnet), or nothing in common.
+var (
+	ringGridBackends = []int{2, 3, 5, 16}
+	ringGridVNodes   = []int{16, 64, 256}
+	ringGridNames    = []string{"ports-differ", "hosts-differ", "random"}
+)
+
+// ringGridFleet names count backends of one family, deterministically.
+func ringGridFleet(family string, count int) []string {
+	rng := rand.New(rand.NewSource(int64(count)))
+	fleet := make([]string, count)
+	for i := range fleet {
+		switch family {
+		case "ports-differ":
+			fleet[i] = fmt.Sprintf("127.0.0.1:%d", 18417+i)
+		case "hosts-differ":
+			fleet[i] = fmt.Sprintf("10.0.0.%d:8080", i+1)
+		default:
+			host := make([]byte, 8)
+			for j := range host {
+				host[j] = byte('a' + rng.Intn(26))
+			}
+			fleet[i] = fmt.Sprintf("%s.internal:%d", host, 1024+rng.Intn(60000))
+		}
+	}
+	return fleet
+}
+
+// ringGrid runs f as one sub-test per cell, named backends/vnodes/names.
+func ringGrid(t *testing.T, f func(t *testing.T, backends, vnodes int, family string)) {
+	for _, n := range ringGridBackends {
+		for _, vn := range ringGridVNodes {
+			for _, family := range ringGridNames {
+				t.Run(fmt.Sprintf("%d/%d/%s", n, vn, family), func(t *testing.T) { f(t, n, vn, family) })
+			}
+		}
+	}
+}
+
+// ringDomainKeys is n route keys shaped like real traffic: subdomains of a
+// few hundred sites, so neighbouring keys differ in a few middle bytes.
+func ringDomainKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("domain:s%d.dom%d.example", i/100, i%100)
+	}
+	return keys
+}
+
+// TestRingBalance is the reason the ring has virtual nodes at all: no
+// backend owns much more than its 1/N of the keys. The slack is absolute
+// (a share of the whole keyspace) and stated per vnode count as 1/√vnodes.
+// A backend's share is a sum of vnode arcs — Beta(v, (N−1)v), standard
+// deviation √((N−1)/(N²(Nv+1))) — so the widest case is a two-backend split,
+// σ ≈ 1/(2√(2v)), and 1/√v is 2.8 of those; larger fleets sit well inside.
+func TestRingBalance(t *testing.T) {
+	slack := map[int]float64{16: 0.25, 64: 0.125, 256: 0.0625}
+	keys := ringDomainKeys(20000)
+	ringGrid(t, func(t *testing.T, n, vnodes int, family string) {
+		r := NewRing(ringGridFleet(family, n), vnodes)
+		owned := map[string]int{}
+		for _, k := range keys {
+			owned[r.Backend(k)]++
+		}
+		bound := 1/float64(n) + slack[vnodes]
+		for _, b := range r.Backends() {
+			if share := float64(owned[b]) / float64(len(keys)); share > bound {
+				t.Errorf("%s owns %.1f%% of the keys, want ≤ 1/%d + %.3f = %.1f%%", b, 100*share, n, slack[vnodes], 100*bound)
+			}
+		}
+	})
+}
+
+// TestRingChurn drives a seeded join/leave/flap sequence through each cell
+// and checks, at every step, the two things a fleet operator relies on:
+// the assignment is a function of the current member set alone (however the
+// fleet got there, and in whatever order it is listed), and a membership
+// change moves keys only off the members that left or onto the members that
+// joined — every other key stays where its cache is warm.
+func TestRingChurn(t *testing.T) {
+	keys := ringDomainKeys(2000)
+	ringGrid(t, func(t *testing.T, n, vnodes int, family string) {
+		pool := ringGridFleet(family, n+3) // the fleet plus three spares to join
+		rng := rand.New(rand.NewSource(int64(n*1000 + vnodes)))
+		members := append([]string(nil), pool[:n]...) // in join order, not sorted
+		assign := func(r *Ring) []string {
+			out := make([]string, len(keys))
+			for i, k := range keys {
+				out[i] = r.Backend(k)
+			}
+			return out
+		}
+		before := assign(NewRing(members, vnodes))
+		seen := map[string][]string{} // member set → its assignment, first time seen
+		var flapped string            // a member that left last step and rejoins this one
+
+		for step := 0; step < 16; step++ {
+			in := map[string]bool{}
+			for _, m := range members {
+				in[m] = true
+			}
+			var joined, left string
+			switch op := rng.Intn(3); {
+			case flapped != "":
+				joined, flapped = flapped, ""
+			case op == 0 && len(members) < len(pool):
+				for _, b := range pool {
+					if !in[b] {
+						joined = b
+						break
+					}
+				}
+			case len(members) > 1:
+				left = members[rng.Intn(len(members))]
+				if op == 2 {
+					flapped = left
+				}
+			default:
+				continue
+			}
+			if joined != "" {
+				members = append(members, joined)
+			}
+			if left != "" {
+				kept := members[:0]
+				for _, m := range members {
+					if m != left {
+						kept = append(kept, m)
+					}
+				}
+				members = kept
+			}
+
+			after := assign(NewRing(members, vnodes))
+			for i, k := range keys {
+				if before[i] != after[i] && before[i] != left && after[i] != joined {
+					t.Fatalf("step %d (joined %q, left %q): key %q moved %s → %s, neither of which changed",
+						step, joined, left, k, before[i], after[i])
+				}
+			}
+
+			sorted := append([]string(nil), members...)
+			sort.Strings(sorted)
+			if fresh := assign(NewRing(sorted, vnodes)); !reflect.DeepEqual(after, fresh) {
+				t.Fatalf("step %d: a ring of %v assigns differently from the same set sorted", step, members)
+			}
+			set := fmt.Sprint(sorted)
+			if first, ok := seen[set]; ok && !reflect.DeepEqual(after, first) {
+				t.Fatalf("step %d: member set %s assigned differently the second time it occurred", step, set)
+			}
+			seen[set] = after
+			before = after
+		}
+	})
 }

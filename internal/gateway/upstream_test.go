@@ -263,9 +263,9 @@ func TestGatewayRefusesUnsafeHead(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, rec.Code)
 		}
 	}
-	if m := g.Metrics(); m.BadRequest.Load() != 4 || m.Requests.Load() != 4 || m.BackendRequests.Load() != 0 {
+	if m := g.Metrics(); m.Requests.Count(BadRequest) != 4 || m.Requests.Total() != 4 || m.BackendRequests.Total() != 0 {
 		t.Fatalf("bad_request=%d of %d requests, %d backend attempts; want 4 of 4 and none",
-			m.BadRequest.Load(), m.Requests.Load(), m.BackendRequests.Load())
+			m.Requests.Count(BadRequest), m.Requests.Total(), m.BackendRequests.Total())
 	}
 	for _, f := range backends {
 		if f.briefs.Load() != 0 {
@@ -389,9 +389,9 @@ func TestUpstreamStaleConnectionReplay(t *testing.T) {
 	if b.UpstreamStaleReplays != 1 || b.UpstreamReused != 1 || b.UpstreamDials != 2 {
 		t.Fatalf("ledger %+v, want 1 stale replay, 1 reuse, 2 dials", b)
 	}
-	if m.BackendError.Load() != 0 || b.Errors != 0 || m.BackendRequests.Load() != 2 || b.BreakerState != "closed" {
+	if m.BackendRequests.Count(BackendError) != 0 || b.Errors != 0 || m.BackendRequests.Total() != 2 || b.BreakerState != "closed" {
 		t.Fatalf("a stale connection was charged to the backend: errors=%d attempts=%d breaker=%s",
-			m.BackendError.Load(), m.BackendRequests.Load(), b.BreakerState)
+			m.BackendRequests.Count(BackendError), m.BackendRequests.Total(), b.BreakerState)
 	}
 }
 
@@ -424,8 +424,8 @@ func TestUpstreamReplyFraming(t *testing.T) {
 	if b := backendBlock(g); b.UpstreamReused != 1 || b.UpstreamDials != 2 || b.UpstreamStaleReplays != 0 {
 		t.Fatalf("the chunked reply's connection was not reused: %+v", b)
 	}
-	if m := g.Metrics(); m.BackendError.Load() != 0 || m.Proxied.Load() != 3 {
-		t.Fatalf("errors=%d proxied=%d, want 0 and 3", m.BackendError.Load(), m.Proxied.Load())
+	if m := g.Metrics(); m.BackendRequests.Count(BackendError) != 0 || m.Requests.Count(Proxied) != 3 {
+		t.Fatalf("errors=%d proxied=%d, want 0 and 3", m.BackendRequests.Count(BackendError), m.Requests.Count(Proxied))
 	}
 }
 
@@ -440,8 +440,8 @@ func TestUpstreamTimeoutDropsConnection(t *testing.T) {
 		t.Fatalf("slow backend: %d, want 504", status)
 	}
 	b, m := backendBlock(g), g.Metrics()
-	if m.Timeout.Load() != 1 || m.Ejections.Load() != 0 || b.BreakerState != "closed" {
-		t.Fatalf("timeout=%d ejections=%d breaker=%s, want 1, 0, closed", m.Timeout.Load(), m.Ejections.Load(), b.BreakerState)
+	if m.Requests.Count(Timeout) != 1 || m.Ejections.Load() != 0 || b.BreakerState != "closed" {
+		t.Fatalf("timeout=%d ejections=%d breaker=%s, want 1, 0, closed", m.Requests.Count(Timeout), m.Ejections.Load(), b.BreakerState)
 	}
 	if b.IdleConns != 0 {
 		t.Fatalf("kept the connection a deadline interrupted: %+v", b)
@@ -482,10 +482,10 @@ func TestUpstreamClientDisconnect(t *testing.T) {
 	}
 
 	m := g.Metrics()
-	waitCond(t, "the relay to be counted canceled", func() bool { return m.Canceled.Load() == 1 })
+	waitCond(t, "the relay to be counted canceled", func() bool { return m.Requests.Count(Canceled) == 1 })
 	b := backendBlock(g)
-	if m.Ejections.Load() != 0 || b.BreakerState != "closed" || m.Timeout.Load() != 0 {
-		t.Fatalf("client disconnect blamed the backend: ejections=%d breaker=%s timeout=%d", m.Ejections.Load(), b.BreakerState, m.Timeout.Load())
+	if m.Ejections.Load() != 0 || b.BreakerState != "closed" || m.Requests.Count(Timeout) != 0 {
+		t.Fatalf("client disconnect blamed the backend: ejections=%d breaker=%s timeout=%d", m.Ejections.Load(), b.BreakerState, m.Requests.Count(Timeout))
 	}
 	if b.IdleConns != 0 {
 		t.Fatalf("kept an interrupted connection: %+v", b)
@@ -610,9 +610,9 @@ func TestGatewayBoundsRelayedReply(t *testing.T) {
 				t.Fatalf("client got %d %q, want a 200 from the healthy backend", status, body)
 			}
 			m := g.Metrics()
-			if m.BackendError.Load() != 1 || m.BackendRequests.Load() != 2 || m.Ejections.Load() != 1 {
+			if m.BackendRequests.Count(BackendError) != 1 || m.BackendRequests.Total() != 2 || m.Ejections.Load() != 1 {
 				t.Fatalf("backend_error=%d attempts=%d ejections=%d, want 1, 2, 1",
-					m.BackendError.Load(), m.BackendRequests.Load(), m.Ejections.Load())
+					m.BackendRequests.Count(BackendError), m.BackendRequests.Total(), m.Ejections.Load())
 			}
 			for _, b := range g.snapshot().Backends {
 				if b.Name == brokenName && (b.Errors != 1 || b.IdleConns != 0) {

@@ -74,10 +74,7 @@ func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Con
 	select {
 	case s.batchSlots <- struct{}{}:
 	default:
-		m.Overload.Add(1)
-		lg.Status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		http.Error(w, "briefing queue is full, retry later", http.StatusTooManyRequests)
+		s.refuse(w, lg, Overload, http.StatusTooManyRequests, "briefing queue is full, retry later")
 		return
 	}
 	defer func() { <-s.batchSlots }()
@@ -87,10 +84,7 @@ func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Con
 	// ready=true here, BeginShutdown had not yet run, so the drain loop is
 	// guaranteed to observe this request in Queued and wait for it.
 	if !s.ready.Load() {
-		m.Draining.Add(1)
-		lg.Status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		http.Error(w, "server is draining", http.StatusServiceUnavailable)
+		s.refuse(w, lg, Draining, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	// Cannot block: channel capacity equals the slot count.

@@ -158,8 +158,8 @@ func TestBatchedWireEquivalence(t *testing.T) {
 				t.Fatal("batching.enabled=false")
 			}
 			const total = 8 + 5 + 3 + 1
-			if snap.RequestsTotal != total || snap.Responses.OK != total {
-				t.Fatalf("requests_total=%d ok=%d, want %d/%d", snap.RequestsTotal, snap.Responses.OK, total, total)
+			if snap.RequestsTotal != total || snap.Responses.Get(OK) != total {
+				t.Fatalf("requests_total=%d ok=%d, want %d/%d", snap.RequestsTotal, snap.Responses.Get(OK), total, total)
 			}
 			// 8 → 4+4, 5 → 4+1, 3 → 3, 1 → 1.
 			if snap.Batching.BatchesTotal != 6 || snap.Batching.BatchSize.Count != 6 {
@@ -364,7 +364,7 @@ func TestBatchedDeadlineWhileQueued(t *testing.T) {
 	// canceled/timed-out request, keeping the outcome partition exact), free
 	// the replica: the holder and the surviving request both brief.
 	ms := srv.Metrics()
-	waitCond(t, "server to observe the expired member", func() bool { return ms.Canceled.Load()+ms.Timeout.Load() == 1 })
+	waitCond(t, "server to observe the expired member", func() bool { return ms.Requests.Count(Canceled)+ms.Requests.Count(Timeout) == 1 })
 	close(rep.release)
 	if err := <-holdDone; err != nil {
 		t.Fatalf("holding request: %v", err)
@@ -373,19 +373,19 @@ func TestBatchedDeadlineWhileQueued(t *testing.T) {
 		t.Fatalf("batchmate of the expired request got %d, want 200", status)
 	}
 
-	if ms.OK.Load() != 2 {
-		t.Fatalf("ok=%d, want 2 (holder + surviving batchmate)", ms.OK.Load())
+	if ms.Requests.Count(OK) != 2 {
+		t.Fatalf("ok=%d, want 2 (holder + surviving batchmate)", ms.Requests.Count(OK))
 	}
-	if ms.ReplicaFailure.Load() != 0 || ms.Unbriefable.Load() != 0 {
+	if ms.Requests.Count(ReplicaFailure) != 0 || ms.Requests.Count(Unbriefable) != 0 {
 		t.Fatalf("failures=%d unbriefable=%d: the expired member poisoned its batch",
-			ms.ReplicaFailure.Load(), ms.Unbriefable.Load())
+			ms.Requests.Count(ReplicaFailure), ms.Requests.Count(Unbriefable))
 	}
-	if ms.Canceled.Load()+ms.Timeout.Load() != 1 {
+	if ms.Requests.Count(Canceled)+ms.Requests.Count(Timeout) != 1 {
 		t.Fatalf("canceled=%d timeout=%d, want exactly one for the expired member",
-			ms.Canceled.Load(), ms.Timeout.Load())
+			ms.Requests.Count(Canceled), ms.Requests.Count(Timeout))
 	}
-	if ms.Requests.Load() != ms.OK.Load()+ms.Canceled.Load()+ms.Timeout.Load() {
-		t.Fatalf("requests_total=%d does not partition into outcomes", ms.Requests.Load())
+	if ms.Requests.Total() != ms.Requests.Count(OK)+ms.Requests.Count(Canceled)+ms.Requests.Count(Timeout) {
+		t.Fatalf("requests_total=%d does not partition into outcomes", ms.Requests.Total())
 	}
 
 	// And the server still drains cleanly.
@@ -450,8 +450,8 @@ func TestBatchedOverloadAndDraining(t *testing.T) {
 		t.Fatalf("drain left %d requests", n)
 	}
 	ms := srv.Metrics()
-	if ms.Overload.Load() != 1 || ms.Draining.Load() != 1 || ms.OK.Load() != 2 {
+	if ms.Requests.Count(Overload) != 1 || ms.Requests.Count(Draining) != 1 || ms.Requests.Count(OK) != 2 {
 		t.Fatalf("overload=%d draining=%d ok=%d, want 1/1/2",
-			ms.Overload.Load(), ms.Draining.Load(), ms.OK.Load())
+			ms.Requests.Count(Overload), ms.Requests.Count(Draining), ms.Requests.Count(OK))
 	}
 }

@@ -114,9 +114,9 @@ func (s *Server) cacheServeRaw(w http.ResponseWriter, lg *accessEntry, r *http.R
 	lk := rawLookup{consult: true, domain: domain, gen: s.generation.Load(), start: time.Now()}
 	lk.rawKey = genKey(lk.gen, body)
 	if out, ok := c.LookupRaw(lk.rawKey); ok {
-		m.CacheLookups.Add(1)
-		m.CacheHits.Add(1)
-		s.writeCached(w, lg, out)
+		m.CacheLookups.Begin()
+		m.CacheLookups.End(CacheHits)
+		s.writeBrief(w, lg, out)
 		m.CacheHitLatency.Observe(time.Since(lk.start))
 		return lk, true
 	}
@@ -142,10 +142,10 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 	}
 	contentKey := genKey(gen, []byte(visible))
 	if out, ok := c.Lookup(contentKey); ok {
-		m.CacheLookups.Add(1)
-		m.CacheHits.Add(1)
+		m.CacheLookups.Begin()
+		m.CacheLookups.End(CacheHits)
 		c.Alias(rawKey, contentKey) // next identical post skips the parse
-		s.writeCached(w, lg, out)
+		s.writeBrief(w, lg, out)
 		m.CacheHitLatency.Observe(time.Since(start))
 		return nil, true
 	}
@@ -153,18 +153,18 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 	// Miss: win the flight and compute, or coalesce onto the winner. The
 	// partition counter is assigned at the first decision and never again,
 	// so retries after an abandoned flight don't double-count.
-	m.CacheLookups.Add(1)
+	m.CacheLookups.Begin()
 	counted := false
 	for {
 		f, winner := c.BeginFlight(contentKey)
 		if winner {
 			if !counted {
-				m.CacheMisses.Add(1)
+				m.CacheLookups.End(CacheMisses)
 			}
 			return &cacheFill{flight: f, content: contentKey, raw: rawKey, ttl: c.TTLFor(domain)}, false
 		}
 		if !counted {
-			m.CacheCoalesced.Add(1)
+			m.CacheLookups.End(CacheCoalesced)
 			counted = true
 		}
 		v, abandoned, err := f.Wait(ctx)
@@ -176,29 +176,18 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 			// The winner bailed without a result. Re-check the cache (it
 			// may have filled) and race for the next flight.
 			if out, ok := c.Lookup(contentKey); ok {
-				s.writeCached(w, lg, out)
+				s.writeBrief(w, lg, out)
 				return nil, true
 			}
 			continue
 		}
 		res := v.(flightResult)
 		if res.body != nil {
-			s.writeCached(w, lg, res.body)
+			s.writeBrief(w, lg, res.body)
 			return nil, true
 		}
 		// Terminal failure: replay the winner's outcome.
 		s.respondOutcome(w, lg, res.o, nil)
 		return nil, true
 	}
-}
-
-// writeCached serves cached response bytes: the same headers, status and
-// body the miss path wrote when it filled the entry.
-func (s *Server) writeCached(w http.ResponseWriter, lg *accessEntry, out []byte) {
-	m := s.metrics
-	m.OK.Add(1)
-	lg.Status = http.StatusOK
-	lg.BytesOut = len(out)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(out)
 }

@@ -92,17 +92,17 @@ func TestCacheHitMissByteIdentical(t *testing.T) {
 	// Exact cache partition: per page one miss and two hits, no coalescing.
 	n := int64(len(pages))
 	ms := srv.Metrics()
-	if ms.CacheLookups.Load() != 3*n || ms.CacheHits.Load() != 2*n ||
-		ms.CacheMisses.Load() != n || ms.CacheCoalesced.Load() != 0 {
+	if ms.CacheLookups.Total() != 3*n || ms.CacheLookups.Count(CacheHits) != 2*n ||
+		ms.CacheLookups.Count(CacheMisses) != n || ms.CacheLookups.Count(CacheCoalesced) != 0 {
 		t.Fatalf("cache counters lookups=%d hits=%d misses=%d coalesced=%d, want %d/%d/%d/0",
-			ms.CacheLookups.Load(), ms.CacheHits.Load(), ms.CacheMisses.Load(), ms.CacheCoalesced.Load(),
+			ms.CacheLookups.Total(), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced),
 			3*n, 2*n, n)
 	}
 	if got := ms.CacheHitLatency.count.Load(); got != 2*n {
 		t.Fatalf("hit latency histogram count=%d, want %d", got, 2*n)
 	}
-	if ms.OK.Load() != 3*n || ms.Requests.Load() != 3*n {
-		t.Fatalf("ok=%d requests=%d, want %d", ms.OK.Load(), ms.Requests.Load(), 3*n)
+	if ms.Requests.Count(OK) != 3*n || ms.Requests.Total() != 3*n {
+		t.Fatalf("ok=%d requests=%d, want %d", ms.Requests.Count(OK), ms.Requests.Total(), 3*n)
 	}
 
 	// /metrics serves the cache block with the same numbers, partitioned.
@@ -119,7 +119,7 @@ func TestCacheHitMissByteIdentical(t *testing.T) {
 	if !c.Enabled || c.CacheLookups != 3*n || c.Evictions != 0 {
 		t.Fatalf("cache snapshot %+v", c)
 	}
-	if c.CacheLookups != c.CacheOutcomes.CacheHits+c.CacheOutcomes.CacheMisses+c.CacheOutcomes.CacheCoalesced {
+	if c.CacheLookups != c.CacheOutcomes.Sum() {
 		t.Fatalf("cache_lookups_total=%d does not partition into outcomes %+v", c.CacheLookups, c.CacheOutcomes)
 	}
 	// Each page left a content entry plus raw aliases for both HTML forms.
@@ -182,7 +182,7 @@ func TestCacheThunderingHerd(t *testing.T) {
 	// as coalesced before we let the computation finish.
 	<-stub.started
 	ms := srv.Metrics()
-	waitCond(t, "herd to coalesce", func() bool { return ms.CacheCoalesced.Load() == herd-1 })
+	waitCond(t, "herd to coalesce", func() bool { return ms.CacheLookups.Count(CacheCoalesced) == herd-1 })
 	close(stub.release)
 
 	var first []byte
@@ -200,10 +200,10 @@ func TestCacheThunderingHerd(t *testing.T) {
 	if n := stub.encodes.Load(); n != 1 {
 		t.Fatalf("herd of %d drove %d Encodes, want exactly 1", herd, n)
 	}
-	if ms.CacheLookups.Load() != herd || ms.CacheMisses.Load() != 1 ||
-		ms.CacheHits.Load() != 0 || ms.CacheCoalesced.Load() != herd-1 {
+	if ms.CacheLookups.Total() != herd || ms.CacheLookups.Count(CacheMisses) != 1 ||
+		ms.CacheLookups.Count(CacheHits) != 0 || ms.CacheLookups.Count(CacheCoalesced) != herd-1 {
 		t.Fatalf("herd counters lookups=%d misses=%d hits=%d coalesced=%d, want %d/1/0/%d",
-			ms.CacheLookups.Load(), ms.CacheMisses.Load(), ms.CacheHits.Load(), ms.CacheCoalesced.Load(),
+			ms.CacheLookups.Total(), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheCoalesced),
 			herd, herd-1)
 	}
 
@@ -212,8 +212,8 @@ func TestCacheThunderingHerd(t *testing.T) {
 	if err != nil || status != http.StatusOK || !bytes.Equal(body, first) {
 		t.Fatalf("post-herd hit: status %d err %v", status, err)
 	}
-	if stub.encodes.Load() != 1 || ms.CacheHits.Load() != 1 {
-		t.Fatalf("post-herd hit drove encodes=%d hits=%d, want 1/1", stub.encodes.Load(), ms.CacheHits.Load())
+	if stub.encodes.Load() != 1 || ms.CacheLookups.Count(CacheHits) != 1 {
+		t.Fatalf("post-herd hit drove encodes=%d hits=%d, want 1/1", stub.encodes.Load(), ms.CacheLookups.Count(CacheHits))
 	}
 }
 
@@ -260,7 +260,7 @@ func TestCacheCoalescedFailureReplay(t *testing.T) {
 	}
 	<-stub.started
 	ms := srv.Metrics()
-	waitCond(t, "losers to coalesce", func() bool { return ms.CacheCoalesced.Load() == herd-1 })
+	waitCond(t, "losers to coalesce", func() bool { return ms.CacheLookups.Count(CacheCoalesced) == herd-1 })
 	close(stub.release)
 
 	for i := 0; i < herd; i++ {
@@ -268,12 +268,12 @@ func TestCacheCoalescedFailureReplay(t *testing.T) {
 			t.Fatalf("herd member %d got %d, want the winner's 500 replayed", i, status)
 		}
 	}
-	if ms.ReplicaFailure.Load() != herd || ms.Panics.Load() != 1 {
+	if ms.Requests.Count(ReplicaFailure) != herd || ms.Panics.Load() != 1 {
 		t.Fatalf("failures=%d panics=%d, want %d/1 (one panic, replayed to all)",
-			ms.ReplicaFailure.Load(), ms.Panics.Load(), herd)
+			ms.Requests.Count(ReplicaFailure), ms.Panics.Load(), herd)
 	}
-	if ms.CacheMisses.Load() != 1 || ms.CacheCoalesced.Load() != herd-1 {
-		t.Fatalf("misses=%d coalesced=%d, want 1/%d", ms.CacheMisses.Load(), ms.CacheCoalesced.Load(), herd-1)
+	if ms.CacheLookups.Count(CacheMisses) != 1 || ms.CacheLookups.Count(CacheCoalesced) != herd-1 {
+		t.Fatalf("misses=%d coalesced=%d, want 1/%d", ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced), herd-1)
 	}
 	// Failures are replayed to the herd but never stored: the cache is empty.
 	if n := srv.Cache().Len(); n != 0 {
@@ -316,26 +316,26 @@ func TestCachePolicyDenyAndSrcDomain(t *testing.T) {
 	// Denied domain, including the URL/case/port forms cacheDomain must
 	// normalise: both posts compute, the cache never consulted.
 	post2("<p>denied content</p>", "https://Sub.DENIED.example.com:8443/article?x=1")
-	if rep.briefs.Load() != 2 || ms.CacheLookups.Load() != 0 {
-		t.Fatalf("denied domain: briefs=%d lookups=%d, want 2/0", rep.briefs.Load(), ms.CacheLookups.Load())
+	if rep.briefs.Load() != 2 || ms.CacheLookups.Total() != 0 {
+		t.Fatalf("denied domain: briefs=%d lookups=%d, want 2/0", rep.briefs.Load(), ms.CacheLookups.Total())
 	}
 
 	// Admitted domain: second post is a hit, no second computation.
 	post2("<p>admitted content</p>", "news.ok.example.org")
-	if rep.briefs.Load() != 3 || ms.CacheHits.Load() != 1 || ms.CacheMisses.Load() != 1 {
+	if rep.briefs.Load() != 3 || ms.CacheLookups.Count(CacheHits) != 1 || ms.CacheLookups.Count(CacheMisses) != 1 {
 		t.Fatalf("admitted domain: briefs=%d hits=%d misses=%d, want 3/1/1",
-			rep.briefs.Load(), ms.CacheHits.Load(), ms.CacheMisses.Load())
+			rep.briefs.Load(), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses))
 	}
 
 	// Unattributed requests (no ?src=) are always admitted.
 	post2("<p>anonymous content</p>", "")
-	if rep.briefs.Load() != 4 || ms.CacheHits.Load() != 2 {
-		t.Fatalf("no src: briefs=%d hits=%d, want 4/2", rep.briefs.Load(), ms.CacheHits.Load())
+	if rep.briefs.Load() != 4 || ms.CacheLookups.Count(CacheHits) != 2 {
+		t.Fatalf("no src: briefs=%d hits=%d, want 4/2", rep.briefs.Load(), ms.CacheLookups.Count(CacheHits))
 	}
 
-	if ms.CacheLookups.Load() != ms.CacheHits.Load()+ms.CacheMisses.Load()+ms.CacheCoalesced.Load() {
+	if ms.CacheLookups.Total() != ms.CacheLookups.Count(CacheHits)+ms.CacheLookups.Count(CacheMisses)+ms.CacheLookups.Count(CacheCoalesced) {
 		t.Fatalf("cache partition drifted: lookups=%d hits=%d misses=%d coalesced=%d",
-			ms.CacheLookups.Load(), ms.CacheHits.Load(), ms.CacheMisses.Load(), ms.CacheCoalesced.Load())
+			ms.CacheLookups.Total(), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced))
 	}
 }
 
@@ -352,9 +352,9 @@ func TestCacheHitBypassesBatching(t *testing.T) {
 	if status, _, err := postBrief(ts.URL, "<p>batched page</p>"); err != nil || status != http.StatusOK {
 		t.Fatalf("miss through the batched path: status %d err %v", status, err)
 	}
-	if ms.BatchesTotal.Load() != 1 || rep.briefs.Load() != 1 || ms.CacheMisses.Load() != 1 {
+	if ms.BatchesTotal.Load() != 1 || rep.briefs.Load() != 1 || ms.CacheLookups.Count(CacheMisses) != 1 {
 		t.Fatalf("after miss: batches=%d briefs=%d misses=%d, want 1/1/1",
-			ms.BatchesTotal.Load(), rep.briefs.Load(), ms.CacheMisses.Load())
+			ms.BatchesTotal.Load(), rep.briefs.Load(), ms.CacheLookups.Count(CacheMisses))
 	}
 
 	if status, _, err := postBrief(ts.URL, "<p>batched page</p>"); err != nil || status != http.StatusOK {
@@ -364,8 +364,8 @@ func TestCacheHitBypassesBatching(t *testing.T) {
 		t.Fatalf("a cache hit formed a batch: batches=%d briefs=%d, want still 1/1",
 			ms.BatchesTotal.Load(), rep.briefs.Load())
 	}
-	if ms.CacheHits.Load() != 1 {
-		t.Fatalf("hits=%d, want 1", ms.CacheHits.Load())
+	if ms.CacheLookups.Count(CacheHits) != 1 {
+		t.Fatalf("hits=%d, want 1", ms.CacheLookups.Count(CacheHits))
 	}
 }
 
@@ -473,35 +473,35 @@ func TestChaosServeCachedSoak(t *testing.T) {
 	// Requests partition: warm posts + soak posts, every one 200 or 500.
 	ms := srv.Metrics()
 	allRequests := total + warmPages
-	if ms.Requests.Load() != allRequests {
-		t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Load(), allRequests)
+	if ms.Requests.Total() != allRequests {
+		t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Total(), allRequests)
 	}
-	if ms.OK.Load() != ok200.Load()+warmPages || ms.ReplicaFailure.Load() != fail500.Load() {
+	if ms.Requests.Count(OK) != ok200.Load()+warmPages || ms.Requests.Count(ReplicaFailure) != fail500.Load() {
 		t.Fatalf("server ok=%d/500=%d, clients saw %d/%d",
-			ms.OK.Load(), ms.ReplicaFailure.Load(), ok200.Load()+warmPages, fail500.Load())
+			ms.Requests.Count(OK), ms.Requests.Count(ReplicaFailure), ok200.Load()+warmPages, fail500.Load())
 	}
-	if ms.Requests.Load() != ms.OK.Load()+ms.ReplicaFailure.Load() {
+	if ms.Requests.Total() != ms.Requests.Count(OK)+ms.Requests.Count(ReplicaFailure) {
 		t.Fatalf("counters do not partition: total=%d ok=%d failure=%d",
-			ms.Requests.Load(), ms.OK.Load(), ms.ReplicaFailure.Load())
+			ms.Requests.Total(), ms.Requests.Count(OK), ms.Requests.Count(ReplicaFailure))
 	}
 
 	// Cache partition: every request consulted the cache; cached posts are
 	// all hits (they never touch a replica), warm and fresh posts are all
 	// misses, and unique fresh pages leave nothing to coalesce.
-	if ms.CacheLookups.Load() != allRequests {
+	if ms.CacheLookups.Total() != allRequests {
 		t.Fatalf("cache_lookups_total=%d, want %d (every request consults the cache)",
-			ms.CacheLookups.Load(), allRequests)
+			ms.CacheLookups.Total(), allRequests)
 	}
-	if ms.CacheLookups.Load() != ms.CacheHits.Load()+ms.CacheMisses.Load()+ms.CacheCoalesced.Load() {
+	if ms.CacheLookups.Total() != ms.CacheLookups.Count(CacheHits)+ms.CacheLookups.Count(CacheMisses)+ms.CacheLookups.Count(CacheCoalesced) {
 		t.Fatalf("cache partition drifted: lookups=%d hits=%d misses=%d coalesced=%d",
-			ms.CacheLookups.Load(), ms.CacheHits.Load(), ms.CacheMisses.Load(), ms.CacheCoalesced.Load())
+			ms.CacheLookups.Total(), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced))
 	}
-	if ms.CacheHits.Load() != cachedPosts.Load() || ms.CacheCoalesced.Load() != 0 {
+	if ms.CacheLookups.Count(CacheHits) != cachedPosts.Load() || ms.CacheLookups.Count(CacheCoalesced) != 0 {
 		t.Fatalf("hits=%d coalesced=%d, want %d/0 (cached pages hit, fresh pages are unique)",
-			ms.CacheHits.Load(), ms.CacheCoalesced.Load(), cachedPosts.Load())
+			ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheCoalesced), cachedPosts.Load())
 	}
-	if ms.CacheMisses.Load() != allRequests-cachedPosts.Load() {
-		t.Fatalf("misses=%d, want %d", ms.CacheMisses.Load(), allRequests-cachedPosts.Load())
+	if ms.CacheLookups.Count(CacheMisses) != allRequests-cachedPosts.Load() {
+		t.Fatalf("misses=%d, want %d", ms.CacheLookups.Count(CacheMisses), allRequests-cachedPosts.Load())
 	}
 	if srv.Cache().Evictions() != 0 {
 		t.Fatalf("soak evicted %d entries from an underfull cache", srv.Cache().Evictions())
@@ -509,9 +509,9 @@ func TestChaosServeCachedSoak(t *testing.T) {
 
 	// Fault events reconcile (each one retried or ended every unanswered
 	// member of its batch), and the schedule actually reached the pool.
-	if ms.Panics.Load()+ms.Stalls.Load() > ms.Retries.Load()+ms.ReplicaFailure.Load() {
+	if ms.Panics.Load()+ms.Stalls.Load() > ms.Retries.Load()+ms.Requests.Count(ReplicaFailure) {
 		t.Fatalf("fault events do not reconcile: panics=%d stalls=%d retries=%d failures=%d",
-			ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load())
+			ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure))
 	}
 	if ms.Panics.Load()+ms.Stalls.Load() == 0 {
 		t.Fatal("soak injected no faults; the chaos schedule is not reaching the replica")
@@ -560,12 +560,12 @@ func TestCacheHitAllocs(t *testing.T) {
 		}
 	}
 	post() // the miss that fills the cache
-	if hits := srv.Metrics().CacheHits.Load(); hits != 0 {
+	if hits := srv.Metrics().CacheLookups.Count(CacheHits); hits != 0 {
 		t.Fatalf("priming post counted %d hits", hits)
 	}
 	allocs := testing.AllocsPerRun(200, post)
 	t.Logf("one raw-key hit: %.1f allocs", allocs)
-	if got := srv.Metrics().CacheHits.Load(); got != 201 {
+	if got := srv.Metrics().CacheLookups.Count(CacheHits); got != 201 {
 		t.Fatalf("cache hits = %d, want 201: the gate measured something other than hits", got)
 	}
 	if allocs > 6 {

@@ -75,13 +75,13 @@ func TestCascadeNeverEscalates(t *testing.T) {
 	}
 	m := srv.Metrics()
 	n := int64(2 * len(pages))
-	if got := m.CascadeRequests.Load(); got != n {
+	if got := m.CascadeRequests.Total(); got != n {
 		t.Fatalf("cascade_requests_total = %d, want %d", got, n)
 	}
-	if got := m.CascadeStudent.Load(); got != n {
+	if got := m.CascadeRequests.Count(CascadeStudent); got != n {
 		t.Fatalf("student tier answered %d, want %d", got, n)
 	}
-	if got := m.CascadeTeacher.Load(); got != 0 {
+	if got := m.CascadeRequests.Count(CascadeTeacher); got != 0 {
 		t.Fatalf("teacher tier answered %d with escalation disabled", got)
 	}
 	if got := m.StudentLatency.count.Load(); got != n {
@@ -119,13 +119,13 @@ func TestCascadeAlwaysEscalates(t *testing.T) {
 	}
 	m := srv.Metrics()
 	n := int64(2 * len(pages))
-	if got := m.CascadeRequests.Load(); got != n {
+	if got := m.CascadeRequests.Total(); got != n {
 		t.Fatalf("cascade_requests_total = %d, want %d", got, n)
 	}
-	if got := m.CascadeTeacher.Load(); got != n {
+	if got := m.CascadeRequests.Count(CascadeTeacher); got != n {
 		t.Fatalf("teacher tier answered %d, want %d", got, n)
 	}
-	if got := m.CascadeStudent.Load(); got != 0 {
+	if got := m.CascadeRequests.Count(CascadeStudent); got != 0 {
 		t.Fatalf("student tier answered %d with forced escalation", got)
 	}
 	if got := m.TeacherLatency.count.Load(); got != n {
@@ -156,13 +156,13 @@ func TestCascadePartitionReconciles(t *testing.T) {
 	wg.Wait()
 
 	m := srv.Metrics()
-	total := m.CascadeRequests.Load()
-	student := m.CascadeStudent.Load()
-	teacher := m.CascadeTeacher.Load()
+	total := m.CascadeRequests.Total()
+	student := m.CascadeRequests.Count(CascadeStudent)
+	teacher := m.CascadeRequests.Count(CascadeTeacher)
 	if student+teacher != total {
 		t.Fatalf("cascade partition drifted: student %d + teacher %d != total %d", student, teacher, total)
 	}
-	if ok := m.OK.Load(); total != ok {
+	if ok := m.Requests.Count(OK); total != ok {
 		t.Fatalf("cascade_requests_total %d != ok responses %d", total, ok)
 	}
 
@@ -273,10 +273,10 @@ func TestCascadeEscalatesNaNConfidence(t *testing.T) {
 		}
 	}
 	n := int64(len(pages))
-	if got := srv.Metrics().CascadeTeacher.Load(); got != n {
+	if got := srv.Metrics().CascadeRequests.Count(CascadeTeacher); got != n {
 		t.Fatalf("teacher_total = %d, want %d: NaN confidences must escalate", got, n)
 	}
-	if got := srv.Metrics().CascadeStudent.Load(); got != 0 {
+	if got := srv.Metrics().CascadeRequests.Count(CascadeStudent); got != 0 {
 		t.Fatalf("student_total = %d: a NaN-confidence briefing was served by the student", got)
 	}
 }

@@ -95,9 +95,9 @@ func TestChaosPanicEjectRetryReadmit(t *testing.T) {
 	}
 
 	ms := srv.Metrics()
-	if ms.Panics.Load() != 1 || ms.Retries.Load() != 1 || ms.ReplicaFailure.Load() != 0 {
+	if ms.Panics.Load() != 1 || ms.Retries.Load() != 1 || ms.Requests.Count(ReplicaFailure) != 0 {
 		t.Fatalf("panics=%d retries=%d failures=%d, want 1/1/0",
-			ms.Panics.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load())
+			ms.Panics.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure))
 	}
 	if srv.Pool().Ejections() != 1 {
 		t.Fatalf("ejections=%d, want 1", srv.Pool().Ejections())
@@ -136,9 +136,9 @@ func TestChaosRetryBudgetExhausted500(t *testing.T) {
 		t.Fatalf("status %d, want 500 after exhausting replica retries", status)
 	}
 	ms := srv.Metrics()
-	if ms.Panics.Load() != 2 || ms.Retries.Load() != 1 || ms.ReplicaFailure.Load() != 1 {
+	if ms.Panics.Load() != 2 || ms.Retries.Load() != 1 || ms.Requests.Count(ReplicaFailure) != 1 {
 		t.Fatalf("panics=%d retries=%d failures=%d, want 2/1/1",
-			ms.Panics.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load())
+			ms.Panics.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure))
 	}
 	if srv.Pool().Healthy() != 0 {
 		t.Fatalf("healthy=%d, want 0 with both replicas ejected", srv.Pool().Healthy())
@@ -272,13 +272,13 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 	}
 
 	ms := srv.Metrics()
-	if ms.Panics.Load() != 2 || ms.ReplicaFailure.Load() != 2 || ms.Timeout.Load() != 1 || ms.Draining.Load() != 1 {
+	if ms.Panics.Load() != 2 || ms.Requests.Count(ReplicaFailure) != 2 || ms.Requests.Count(Timeout) != 1 || ms.Requests.Count(Draining) != 1 {
 		t.Fatalf("panics=%d failures=%d timeouts=%d draining=%d, want 2/2/1/1",
-			ms.Panics.Load(), ms.ReplicaFailure.Load(), ms.Timeout.Load(), ms.Draining.Load())
+			ms.Panics.Load(), ms.Requests.Count(ReplicaFailure), ms.Requests.Count(Timeout), ms.Requests.Count(Draining))
 	}
 	// Requests partition: 2×500 + 1×504 + 1×503.
-	if total := ms.Requests.Load(); total != 4 ||
-		total != ms.ReplicaFailure.Load()+ms.Timeout.Load()+ms.Draining.Load() {
+	if total := ms.Requests.Total(); total != 4 ||
+		total != ms.Requests.Count(ReplicaFailure)+ms.Requests.Count(Timeout)+ms.Requests.Count(Draining) {
 		t.Fatalf("requests_total=%d does not partition into outcomes", total)
 	}
 	// Probers exited on shutdown: the panicked replicas stay ejected.
@@ -396,34 +396,34 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 
 			// /metrics reconciles exactly with the client-observed outcomes.
 			ms := srv.Metrics()
-			if ms.Requests.Load() != total {
-				t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Load(), total)
+			if ms.Requests.Total() != total {
+				t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Total(), total)
 			}
-			if ms.OK.Load() != ok200.Load() || ms.ReplicaFailure.Load() != fail500.Load() {
+			if ms.Requests.Count(OK) != ok200.Load() || ms.Requests.Count(ReplicaFailure) != fail500.Load() {
 				t.Fatalf("server ok=%d/500=%d, clients saw %d/%d",
-					ms.OK.Load(), ms.ReplicaFailure.Load(), ok200.Load(), fail500.Load())
+					ms.Requests.Count(OK), ms.Requests.Count(ReplicaFailure), ok200.Load(), fail500.Load())
 			}
-			if ms.Requests.Load() != ms.OK.Load()+ms.ReplicaFailure.Load() {
+			if ms.Requests.Total() != ms.Requests.Count(OK)+ms.Requests.Count(ReplicaFailure) {
 				t.Fatalf("counters do not partition: total=%d ok=%d failure=%d",
-					ms.Requests.Load(), ms.OK.Load(), ms.ReplicaFailure.Load())
+					ms.Requests.Total(), ms.Requests.Count(OK), ms.Requests.Count(ReplicaFailure))
 			}
 			// Every recovered fault event retried or ended each unanswered
 			// member of its batch — exactly one request when batches are
 			// singletons.
-			events, settled := ms.Panics.Load()+ms.Stalls.Load(), ms.Retries.Load()+ms.ReplicaFailure.Load()
+			events, settled := ms.Panics.Load()+ms.Stalls.Load(), ms.Retries.Load()+ms.Requests.Count(ReplicaFailure)
 			if events == 0 {
 				t.Fatal("soak injected no faults; the chaos schedule is not reaching the replica")
 			}
 			if sc.clients == 1 {
 				if events != settled || ms.CoalescedRequests.Load() != 0 || ms.BatchesTotal.Load() != total {
 					t.Fatalf("one client: panics=%d stalls=%d retries=%d failures=%d coalesced=%d batches=%d, want events==retries+failures, no coalescing, %d batches",
-						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load(),
+						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure),
 						ms.CoalescedRequests.Load(), ms.BatchesTotal.Load(), total)
 				}
 			} else {
 				if settled < events {
 					t.Fatalf("fault events outnumber their settlements: panics=%d stalls=%d retries=%d failures=%d",
-						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.ReplicaFailure.Load())
+						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure))
 				}
 				if ms.CoalescedRequests.Load() == 0 {
 					t.Fatalf("batches=%d coalesced=0 with %d clients saturating 3 replicas", ms.BatchesTotal.Load(), sc.clients)

@@ -146,13 +146,13 @@ func (s *Server) observeCascade(rep Replica) {
 	}
 	m := s.metrics
 	for _, d := range cr.CascadeReport() {
-		m.CascadeRequests.Add(1)
+		m.CascadeRequests.Begin()
 		m.StudentLatency.Observe(d.student)
 		if d.escalated {
-			m.CascadeTeacher.Add(1)
+			m.CascadeRequests.End(CascadeTeacher)
 			m.TeacherLatency.Observe(d.teacher)
 		} else {
-			m.CascadeStudent.Add(1)
+			m.CascadeRequests.End(CascadeStudent)
 		}
 	}
 }

@@ -115,18 +115,18 @@ func TestServeLoadSoak(t *testing.T) {
 
 	// Server-side counters must reconcile exactly with the client view.
 	ms := srv.Metrics()
-	if ms.Requests.Load() != sent.Load() {
-		t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Load(), sent.Load())
+	if ms.Requests.Total() != sent.Load() {
+		t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Total(), sent.Load())
 	}
-	if ms.OK.Load() != succeeded.Load() {
-		t.Fatalf("ok=%d, clients saw %d", ms.OK.Load(), succeeded.Load())
+	if ms.Requests.Count(OK) != succeeded.Load() {
+		t.Fatalf("ok=%d, clients saw %d", ms.Requests.Count(OK), succeeded.Load())
 	}
-	if ms.Overload.Load() != shed.Load() {
-		t.Fatalf("overload=%d, clients saw %d 429s", ms.Overload.Load(), shed.Load())
+	if ms.Requests.Count(Overload) != shed.Load() {
+		t.Fatalf("overload=%d, clients saw %d 429s", ms.Requests.Count(Overload), shed.Load())
 	}
-	if ms.Requests.Load() != ms.OK.Load()+ms.Overload.Load() {
+	if ms.Requests.Total() != ms.Requests.Count(OK)+ms.Requests.Count(Overload) {
 		t.Fatalf("counters do not partition: total=%d ok=%d overload=%d",
-			ms.Requests.Load(), ms.OK.Load(), ms.Overload.Load())
+			ms.Requests.Total(), ms.Requests.Count(OK), ms.Requests.Count(Overload))
 	}
 
 	// Stage histograms saw exactly one observation per success, and the
@@ -134,8 +134,8 @@ func TestServeLoadSoak(t *testing.T) {
 	for name, h := range map[string]*histogram{
 		"parse": &ms.Parse, "encode": &ms.Encode, "decode": &ms.Decode,
 	} {
-		if h.count.Load() != ms.OK.Load() {
-			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), ms.OK.Load())
+		if h.count.Load() != ms.Requests.Count(OK) {
+			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), ms.Requests.Count(OK))
 		}
 	}
 	if ms.Queued.Load() != 0 || ms.InFlight.Load() != 0 {
@@ -152,8 +152,8 @@ func TestServeLoadSoak(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.RequestsTotal != sent.Load() || snap.Responses.Overload != shed.Load() {
+	if snap.RequestsTotal != sent.Load() || snap.Responses.Get(Overload) != shed.Load() {
 		t.Fatalf("endpoint snapshot total=%d overload=%d, want %d/%d",
-			snap.RequestsTotal, snap.Responses.Overload, sent.Load(), shed.Load())
+			snap.RequestsTotal, snap.Responses.Get(Overload), sent.Load(), shed.Load())
 	}
 }

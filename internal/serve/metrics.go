@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"webbrief/internal/briefcache"
+	"webbrief/internal/metrics"
 )
 
 // The fixed histogram bucket upper bounds, one set per scale. Fixed buckets
@@ -117,24 +118,58 @@ func (h *histogram) snapshotSize() sizeHistogramSnapshot {
 	return sizeHistogramSnapshot{h.bounds, h.loadCounts(), h.count.Load(), h.sum.Load()}
 }
 
-// Metrics aggregates the serving counters exported at /metrics. All fields
-// are atomics: the hot path never takes a lock to record. Build one with
-// newMetrics (the histograms carry their bucket bounds).
-type Metrics struct {
-	// Requests counts every request that reached the /brief handler,
-	// whatever its outcome. The outcome counters below partition it.
-	Requests atomic.Int64
+// The three exact partitions of the serving tier's /metrics, each declared
+// once, here: an Outcome line is an outcome's counter, its JSON key and its
+// position in the document (internal/metrics). To add an outcome, add its
+// line (and re-pin testdata/metrics_zero.golden.json).
+type (
+	requestsTotal        struct{} // requests_total, partitioned by "responses"
+	cacheLookupsTotal    struct{} // cache.cache_lookups_total, by cache.outcomes
+	cascadeRequestsTotal struct{} // cascade.cascade_requests_total, by cascade.tiers
+)
 
-	OK             atomic.Int64 // 200: briefing served
-	BadMethod      atomic.Int64 // 405: non-POST
-	BadRequest     atomic.Int64 // 400: unreadable body
-	TooLarge       atomic.Int64 // 413: body over the limit
-	Unbriefable    atomic.Int64 // 422: no visible text
-	Overload       atomic.Int64 // 429: admission queue full
-	Timeout        atomic.Int64 // 504: deadline expired in queue or pipeline
-	Canceled       atomic.Int64 // client disconnected before a response
-	Draining       atomic.Int64 // 503: received during shutdown
-	ReplicaFailure atomic.Int64 // 500: replica panicked/stalled and the retry budget ran out
+var (
+	requestOutcomes = metrics.NewSchema[requestsTotal]()
+	cacheOutcomes   = metrics.NewSchema[cacheLookupsTotal]()
+	cascadeOutcomes = metrics.NewSchema[cascadeRequestsTotal]()
+)
+
+// Every request that reaches the /brief handler ends in exactly one of these.
+var (
+	OK             = requestOutcomes.Outcome("ok")              // 200: briefing served
+	BadMethod      = requestOutcomes.Outcome("bad_method")      // 405: non-POST
+	BadRequest     = requestOutcomes.Outcome("bad_request")     // 400: unreadable body
+	TooLarge       = requestOutcomes.Outcome("too_large")       // 413: body over the limit
+	Unbriefable    = requestOutcomes.Outcome("unbriefable")     // 422: no visible text
+	Overload       = requestOutcomes.Outcome("overload")        // 429: admission queue full
+	Timeout        = requestOutcomes.Outcome("timeout")         // 504: deadline expired in queue or pipeline
+	Canceled       = requestOutcomes.Outcome("canceled")        // client disconnected before a response
+	Draining       = requestOutcomes.Outcome("draining")        // 503: received during shutdown
+	ReplicaFailure = requestOutcomes.Outcome("replica_failure") // 500: replica panicked/stalled and the retry budget ran out
+)
+
+// Every request that consults the cache is one of these, assigned once at
+// first decision.
+var (
+	CacheHits      = cacheOutcomes.Outcome("cache_hits_total")      // served from cache, no replica checkout
+	CacheMisses    = cacheOutcomes.Outcome("cache_misses_total")    // flight winners that computed the briefing
+	CacheCoalesced = cacheOutcomes.Outcome("cache_coalesced_total") // waiters served by a winner's flight
+)
+
+// Every briefing that runs the cascade is answered by exactly one tier,
+// decided once at decode time.
+var (
+	CascadeStudent = cascadeOutcomes.Outcome("student_total") // answered by the float32 student tier
+	CascadeTeacher = cascadeOutcomes.Outcome("teacher_total") // escalated to the float64 teacher tier
+)
+
+// Metrics aggregates the serving counters exported at /metrics. Everything
+// is atomics: the hot path never takes a lock to record. Build one with
+// newMetrics (the partitions and histograms carry their declarations).
+type Metrics struct {
+	// Requests counts every request that reached the /brief handler (Begin)
+	// and the one outcome it ended in (Server.settle).
+	Requests *metrics.Partition[requestsTotal]
 
 	InFlight atomic.Int64 // requests holding (or briefing on) a replica
 	Queued   atomic.Int64 // requests admitted and not yet answered: waiting for or briefing on a replica
@@ -163,36 +198,26 @@ type Metrics struct {
 	BatchSize         histogram    // requests per dispatched batch (batchSizeBuckets)
 	BatchWait         histogram    // enqueue → batch dispatch, per request (batchWaitBucketsNS)
 
-	// Cache counters, populated only when the briefing cache is enabled.
-	// CacheLookups counts every request that consulted the cache, and the
-	// three outcome counters partition it exactly (cacheOutcomeFields):
-	// each consulting request is a hit, a miss (flight winner) or a
-	// coalesced waiter, assigned once at first decision. Evictions live on
-	// the cache itself and are read at snapshot time.
-	CacheLookups    atomic.Int64 // cache_lookups_total
-	CacheHits       atomic.Int64 // served from cache, no replica checkout
-	CacheMisses     atomic.Int64 // flight winners that computed the briefing
-	CacheCoalesced  atomic.Int64 // waiters served by a winner's flight
-	CacheHitLatency histogram    // lookup start → hit response written (cacheHitBucketsNS)
+	// CacheLookups counts every request that consulted the cache, populated
+	// only when the briefing cache is enabled. Evictions live on the cache
+	// itself and are read at snapshot time.
+	CacheLookups    *metrics.Partition[cacheLookupsTotal]
+	CacheHitLatency histogram // lookup start → hit response written (cacheHitBucketsNS)
 
-	// Cascade counters, populated only when the pool runs the float32
-	// student cascade (NewCascadePool). CascadeRequests counts every
-	// briefing routed through the cascade, and the two tier counters
-	// partition it exactly (cascadeOutcomeFields): each briefing either
-	// stays on the student or escalates to the teacher, decided once at
-	// decode time. The tier histograms carry per-tier wall time: every
+	// CascadeRequests counts every briefing routed through the cascade,
+	// populated only when the pool runs the float32 student cascade
+	// (NewCascadePool). The tier histograms carry per-tier wall time: every
 	// briefing observes a student latency; only escalations observe a
 	// teacher latency on top.
-	CascadeRequests atomic.Int64 // cascade_requests_total
-	CascadeStudent  atomic.Int64 // answered by the float32 student tier
-	CascadeTeacher  atomic.Int64 // escalated to the float64 teacher tier
-	StudentLatency  histogram    // student encode+decode wall time, per briefing
-	TeacherLatency  histogram    // teacher re-brief wall time, per escalation
+	CascadeRequests *metrics.Partition[cascadeRequestsTotal]
+	StudentLatency  histogram // student encode+decode wall time, per briefing
+	TeacherLatency  histogram // teacher re-brief wall time, per escalation
 }
 
 // newMetrics returns zeroed counters with every histogram on its scale.
 func newMetrics() *Metrics {
 	return &Metrics{
+		Requests:        requestOutcomes.New(),
 		QueueWait:       newHistogram(latencyBucketsNS),
 		Parse:           newHistogram(latencyBucketsNS),
 		Encode:          newHistogram(latencyBucketsNS),
@@ -200,74 +225,25 @@ func newMetrics() *Metrics {
 		Total:           newHistogram(latencyBucketsNS),
 		BatchSize:       newHistogram(batchSizeBuckets),
 		BatchWait:       newHistogram(batchWaitBucketsNS),
+		CacheLookups:    cacheOutcomes.New(),
 		CacheHitLatency: newHistogram(cacheHitBucketsNS),
+		CascadeRequests: cascadeOutcomes.New(),
 		StudentLatency:  newHistogram(latencyBucketsNS),
 		TeacherLatency:  newHistogram(latencyBucketsNS),
 	}
 }
 
-// requestOutcomeFields names the Metrics counters that partition
-// requests_total: every request ends in exactly one of them. The wbcheck
-// metricpart pass enforces the contract mechanically — each entry must be
-// an atomic.Int64 field above, the Responses snapshot must mirror this
-// list exactly, and any new counter bumped where a response status is
-// recorded must be added here (and to the snapshot) or the partition
-// silently drifts. TestRequestOutcomeFieldsReconcile re-checks the same
-// three-way correspondence at run time with reflection.
-var requestOutcomeFields = []string{
-	"OK",
-	"BadMethod",
-	"BadRequest",
-	"TooLarge",
-	"Unbriefable",
-	"Overload",
-	"Timeout",
-	"Canceled",
-	"Draining",
-	"ReplicaFailure",
-}
-
-// cacheOutcomeFields names the counters that partition
-// cache_lookups_total: every request that consults the cache ends in
-// exactly one of them. Enforced by the same wbcheck metricpart pass and
-// runtime reflection test as requestOutcomeFields.
-var cacheOutcomeFields = []string{
-	"CacheHits",
-	"CacheMisses",
-	"CacheCoalesced",
-}
-
-// cascadeOutcomeFields names the counters that partition
-// cascade_requests_total: every briefing that runs the cascade is answered
-// by exactly one tier. Enforced by the same wbcheck metricpart pass and
-// runtime reflection test as requestOutcomeFields.
-var cascadeOutcomeFields = []string{
-	"CascadeStudent",
-	"CascadeTeacher",
-}
-
 // metricsSnapshot is the JSON document served at /metrics. Struct (not
 // map) so field order is stable across scrapes.
 type metricsSnapshot struct {
-	RequestsTotal int64 `json:"requests_total"`
-	Responses     struct {
-		OK             int64 `json:"ok"`
-		BadMethod      int64 `json:"bad_method"`
-		BadRequest     int64 `json:"bad_request"`
-		TooLarge       int64 `json:"too_large"`
-		Unbriefable    int64 `json:"unbriefable"`
-		Overload       int64 `json:"overload"`
-		Timeout        int64 `json:"timeout"`
-		Canceled       int64 `json:"canceled"`
-		Draining       int64 `json:"draining"`
-		ReplicaFailure int64 `json:"replica_failure"`
-	} `json:"responses"`
-	RetriesTotal int64 `json:"retries_total"`
-	PanicsTotal  int64 `json:"panics_total"`
-	StallsTotal  int64 `json:"stalls_total"`
-	InFlight     int64 `json:"in_flight"`
-	QueueDepth   int64 `json:"queue_depth"`
-	Pool         struct {
+	RequestsTotal int64                         `json:"requests_total"`
+	Responses     metrics.Counts[requestsTotal] `json:"responses"`
+	RetriesTotal  int64                         `json:"retries_total"`
+	PanicsTotal   int64                         `json:"panics_total"`
+	StallsTotal   int64                         `json:"stalls_total"`
+	InFlight      int64                         `json:"in_flight"`
+	QueueDepth    int64                         `json:"queue_depth"`
+	Pool          struct {
 		Replicas        int   `json:"replicas"`
 		Idle            int   `json:"idle"`
 		ReplicasHealthy int   `json:"replicas_healthy"`
@@ -294,27 +270,20 @@ type metricsSnapshot struct {
 		BatchWaitNS            nsHistogramSnapshot   `json:"batch_wait_ns"`
 	} `json:"batching"`
 	Cache struct {
-		Enabled       bool  `json:"enabled"`
-		CacheLookups  int64 `json:"cache_lookups_total"`
-		CacheOutcomes struct {
-			CacheHits      int64 `json:"cache_hits_total"`
-			CacheMisses    int64 `json:"cache_misses_total"`
-			CacheCoalesced int64 `json:"cache_coalesced_total"`
-		} `json:"outcomes"`
-		Evictions    int64               `json:"cache_evictions_total"`
-		Entries      int                 `json:"entries"`
-		HitLatencyNS nsHistogramSnapshot `json:"hit_latency_ns"`
+		Enabled       bool                              `json:"enabled"`
+		CacheLookups  int64                             `json:"cache_lookups_total"`
+		CacheOutcomes metrics.Counts[cacheLookupsTotal] `json:"outcomes"`
+		Evictions     int64                             `json:"cache_evictions_total"`
+		Entries       int                               `json:"entries"`
+		HitLatencyNS  nsHistogramSnapshot               `json:"hit_latency_ns"`
 	} `json:"cache"`
 	Cascade struct {
-		Enabled             bool    `json:"enabled"`
-		ConfidenceThreshold float64 `json:"confidence_threshold"`
-		CascadeRequests     int64   `json:"cascade_requests_total"`
-		CascadeTiers        struct {
-			CascadeStudent int64 `json:"student_total"`
-			CascadeTeacher int64 `json:"teacher_total"`
-		} `json:"tiers"`
-		EscalationRate float64 `json:"escalation_rate"`
-		LatencyMS      struct {
+		Enabled             bool                                 `json:"enabled"`
+		ConfidenceThreshold float64                              `json:"confidence_threshold"`
+		CascadeRequests     int64                                `json:"cascade_requests_total"`
+		CascadeTiers        metrics.Counts[cascadeRequestsTotal] `json:"tiers"`
+		EscalationRate      float64                              `json:"escalation_rate"`
+		LatencyMS           struct {
 			Student histogramSnapshot `json:"student"`
 			Teacher histogramSnapshot `json:"teacher"`
 		} `json:"latency_ms"`
@@ -332,17 +301,7 @@ type metricsSnapshot struct {
 // the hot-reload generation counter and lifetime reload count.
 func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, threshold float64, gen, reloads int64) metricsSnapshot {
 	var s metricsSnapshot
-	s.RequestsTotal = m.Requests.Load()
-	s.Responses.OK = m.OK.Load()
-	s.Responses.BadMethod = m.BadMethod.Load()
-	s.Responses.BadRequest = m.BadRequest.Load()
-	s.Responses.TooLarge = m.TooLarge.Load()
-	s.Responses.Unbriefable = m.Unbriefable.Load()
-	s.Responses.Overload = m.Overload.Load()
-	s.Responses.Timeout = m.Timeout.Load()
-	s.Responses.Canceled = m.Canceled.Load()
-	s.Responses.Draining = m.Draining.Load()
-	s.Responses.ReplicaFailure = m.ReplicaFailure.Load()
+	s.RequestsTotal, s.Responses = m.Requests.Snapshot()
 	s.RetriesTotal = m.Retries.Load()
 	s.PanicsTotal = m.Panics.Load()
 	s.StallsTotal = m.Stalls.Load()
@@ -368,10 +327,7 @@ func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, th
 	s.Batching.BatchSize = m.BatchSize.snapshotSize()
 	s.Batching.BatchWaitNS = m.BatchWait.snapshotNS()
 	s.Cache.Enabled = cache != nil
-	s.Cache.CacheLookups = m.CacheLookups.Load()
-	s.Cache.CacheOutcomes.CacheHits = m.CacheHits.Load()
-	s.Cache.CacheOutcomes.CacheMisses = m.CacheMisses.Load()
-	s.Cache.CacheOutcomes.CacheCoalesced = m.CacheCoalesced.Load()
+	s.Cache.CacheLookups, s.Cache.CacheOutcomes = m.CacheLookups.Snapshot()
 	if cache != nil {
 		s.Cache.Evictions = cache.Evictions()
 		s.Cache.Entries = cache.Len()
@@ -381,11 +337,9 @@ func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, th
 	if cascade {
 		s.Cascade.ConfidenceThreshold = threshold
 	}
-	s.Cascade.CascadeRequests = m.CascadeRequests.Load()
-	s.Cascade.CascadeTiers.CascadeStudent = m.CascadeStudent.Load()
-	s.Cascade.CascadeTiers.CascadeTeacher = m.CascadeTeacher.Load()
+	s.Cascade.CascadeRequests, s.Cascade.CascadeTiers = m.CascadeRequests.Snapshot()
 	if total := s.Cascade.CascadeRequests; total > 0 {
-		s.Cascade.EscalationRate = float64(s.Cascade.CascadeTiers.CascadeTeacher) / float64(total)
+		s.Cascade.EscalationRate = float64(s.Cascade.CascadeTiers.Get(CascadeTeacher)) / float64(total)
 	}
 	s.Cascade.LatencyMS.Student = m.StudentLatency.snapshotMS()
 	s.Cascade.LatencyMS.Teacher = m.TeacherLatency.snapshotMS()

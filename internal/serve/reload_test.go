@@ -167,14 +167,14 @@ func runReloadEquivalence(t *testing.T, srv *Server, url string, clients int, sw
 	// success including the post-swap probes.
 	ms := srv.Metrics()
 	all := total + int64(len(probes))
-	if got := ms.OK.Load(); got != all {
+	if got := ms.Requests.Count(OK); got != all {
 		t.Fatalf("metrics OK = %d, client successes = %d", got, all)
 	}
 	if srv.Cache() != nil {
-		hits, misses, coalesced := ms.CacheHits.Load(), ms.CacheMisses.Load(), ms.CacheCoalesced.Load()
-		if ms.CacheLookups.Load() != all || hits+misses+coalesced != all {
+		hits, misses, coalesced := ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced)
+		if ms.CacheLookups.Total() != all || hits+misses+coalesced != all {
 			t.Fatalf("cache partition drifted across reload: lookups=%d hits=%d misses=%d coalesced=%d, want %d",
-				ms.CacheLookups.Load(), hits, misses, coalesced, all)
+				ms.CacheLookups.Total(), hits, misses, coalesced, all)
 		}
 		if hits == 0 || misses < int64(len(gens)) {
 			t.Fatalf("hits=%d misses=%d: want repeat pages to hit within a generation and every generation to miss afresh", hits, misses)

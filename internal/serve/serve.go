@@ -33,6 +33,7 @@ import (
 
 	"webbrief/internal/briefcache"
 	"webbrief/internal/httpbody"
+	"webbrief/internal/metrics"
 	"webbrief/internal/textproc"
 	"webbrief/internal/wb"
 )
@@ -312,7 +313,7 @@ func (s *Server) Warm(html string) error {
 func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m := s.metrics
-	m.Requests.Add(1)
+	m.Requests.Begin()
 	lg := accessEntry{Method: r.Method, Path: r.URL.Path, Remote: r.RemoteAddr}
 	defer func() {
 		m.Total.Observe(time.Since(start))
@@ -321,16 +322,11 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	if !s.ready.Load() {
-		m.Draining.Add(1)
-		lg.Status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		http.Error(w, "server is draining", http.StatusServiceUnavailable)
+		s.refuse(w, &lg, Draining, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	if r.Method != http.MethodPost {
-		m.BadMethod.Add(1)
-		lg.Status = http.StatusMethodNotAllowed
-		http.Error(w, "POST the page HTML as the request body", http.StatusMethodNotAllowed)
+		s.refuse(w, &lg, BadMethod, http.StatusMethodNotAllowed, "POST the page HTML as the request body")
 		return
 	}
 
@@ -339,17 +335,13 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	body, err := httpbody.Read(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
 	tooLarge := errors.Is(err, httpbody.ErrTooLarge)
 	if err != nil && !tooLarge {
-		m.BadRequest.Add(1)
-		lg.Status = http.StatusBadRequest
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+		s.refuse(w, &lg, BadRequest, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
 	lg.BytesIn = len(body)
 	if tooLarge {
-		m.TooLarge.Add(1)
-		lg.Status = http.StatusRequestEntityTooLarge
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
-			http.StatusRequestEntityTooLarge)
+		s.refuse(w, &lg, TooLarge, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 		return
 	}
 
@@ -397,24 +389,19 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 // cache; context failures abandon via the caller's deferred backstop so
 // waiters retry rather than inherit this client's deadline.
 func (s *Server) respondOutcome(w http.ResponseWriter, lg *accessEntry, o pipelineOutcome, fill *cacheFill) {
-	m := s.metrics
 	if o.faulted {
 		if fill != nil {
 			fill.flight.Complete(flightResult{o: o})
 		}
-		m.ReplicaFailure.Add(1)
-		lg.Status = http.StatusInternalServerError
-		http.Error(w, "briefing replica failed and the retry budget is spent",
-			http.StatusInternalServerError)
+		s.refuse(w, lg, ReplicaFailure, http.StatusInternalServerError,
+			"briefing replica failed and the retry budget is spent")
 		return
 	}
 	if o.unbriefable != nil {
 		if fill != nil {
 			fill.flight.Complete(flightResult{o: o})
 		}
-		m.Unbriefable.Add(1)
-		lg.Status = http.StatusUnprocessableEntity
-		http.Error(w, o.unbriefable.Error(), http.StatusUnprocessableEntity)
+		s.refuse(w, lg, Unbriefable, http.StatusUnprocessableEntity, o.unbriefable.Error())
 		return
 	}
 	if o.ctxErr != nil {
@@ -425,9 +412,7 @@ func (s *Server) respondOutcome(w http.ResponseWriter, lg *accessEntry, o pipeli
 	eb := getEncodeBuf()
 	defer putEncodeBuf(eb)
 	if err := eb.enc.Encode(o.brief); err != nil {
-		m.BadRequest.Add(1)
-		lg.Status = http.StatusInternalServerError
-		http.Error(w, "encode briefing: "+err.Error(), http.StatusInternalServerError)
+		s.refuse(w, lg, BadRequest, http.StatusInternalServerError, "encode briefing: "+err.Error())
 		return
 	}
 	out := eb.buf.Bytes() // Encode appends the trailing '\n'
@@ -437,8 +422,14 @@ func (s *Server) respondOutcome(w http.ResponseWriter, lg *accessEntry, o pipeli
 		stable := s.cache.Insert(fill.content, fill.raw, out, fill.ttl)
 		fill.flight.Complete(flightResult{body: stable})
 	}
-	m.OK.Add(1)
-	lg.Status = http.StatusOK
+	s.writeBrief(w, lg, out)
+}
+
+// writeBrief serves a briefing's JSON bytes, fresh from the encoder or
+// cached: the miss path and every later hit write the same headers, status
+// and body.
+func (s *Server) writeBrief(w http.ResponseWriter, lg *accessEntry, out []byte) {
+	s.settle(lg, OK, http.StatusOK)
 	lg.BytesOut = len(out)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(out)
@@ -448,13 +439,29 @@ func (s *Server) respondOutcome(w http.ResponseWriter, lg *accessEntry, o pipeli
 // deadline, a logged-but-unsent cancel when the client is already gone.
 func (s *Server) failCtx(w http.ResponseWriter, lg *accessEntry, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		s.metrics.Timeout.Add(1)
-		lg.Status = http.StatusGatewayTimeout
-		http.Error(w, "briefing deadline exceeded", http.StatusGatewayTimeout)
+		s.refuse(w, lg, Timeout, http.StatusGatewayTimeout, "briefing deadline exceeded")
 		return
 	}
-	s.metrics.Canceled.Add(1)
-	lg.Status = 499 // nginx convention: client closed request
+	s.settle(lg, Canceled, 499) // nginx convention: client closed request
+}
+
+// settle records how a request ended: its member of the requests_total
+// partition and the status logged for it, in one call — a status cannot be
+// recorded without an outcome.
+func (s *Server) settle(lg *accessEntry, o metrics.Outcome[requestsTotal], status int) {
+	s.metrics.Requests.End(o)
+	lg.Status = status
+}
+
+// refuse settles a request that gets no briefing and writes its plain-text
+// error. The statuses that tell the client to come back (503 draining, 429
+// shed) carry the configured Retry-After.
+func (s *Server) refuse(w http.ResponseWriter, lg *accessEntry, o metrics.Outcome[requestsTotal], status int, msg string) {
+	s.settle(lg, o, status)
+	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+	}
+	http.Error(w, msg, status)
 }
 
 // handleHealthz reports pool readiness: 200 with pool stats while serving

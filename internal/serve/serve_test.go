@@ -142,17 +142,17 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Metrics reconcile with what the clients observed.
 	ms := srv.Metrics()
-	if got, want := ms.OK.Load(), int64(clients*len(pages)); got != want {
+	if got, want := ms.Requests.Count(OK), int64(clients*len(pages)); got != want {
 		t.Fatalf("metrics ok=%d, want %d", got, want)
 	}
-	if got := ms.Requests.Load(); got != ms.OK.Load() {
-		t.Fatalf("requests_total=%d != ok=%d with no failures", got, ms.OK.Load())
+	if got := ms.Requests.Total(); got != ms.Requests.Count(OK) {
+		t.Fatalf("requests_total=%d != ok=%d with no failures", got, ms.Requests.Count(OK))
 	}
 	for name, h := range map[string]*histogram{
 		"parse": &ms.Parse, "encode": &ms.Encode, "decode": &ms.Decode, "total": &ms.Total,
 	} {
-		if h.count.Load() != ms.OK.Load() {
-			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), ms.OK.Load())
+		if h.count.Load() != ms.Requests.Count(OK) {
+			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), ms.Requests.Count(OK))
 		}
 	}
 
@@ -219,12 +219,12 @@ func TestServeHTTPErrors(t *testing.T) {
 	}
 
 	ms := srv.Metrics()
-	if ms.BadMethod.Load() != 1 || ms.TooLarge.Load() != 1 || ms.Unbriefable.Load() != 1 {
+	if ms.Requests.Count(BadMethod) != 1 || ms.Requests.Count(TooLarge) != 1 || ms.Requests.Count(Unbriefable) != 1 {
 		t.Fatalf("error counters: method=%d large=%d unbriefable=%d",
-			ms.BadMethod.Load(), ms.TooLarge.Load(), ms.Unbriefable.Load())
+			ms.Requests.Count(BadMethod), ms.Requests.Count(TooLarge), ms.Requests.Count(Unbriefable))
 	}
-	if ms.Requests.Load() != 4 {
-		t.Fatalf("requests_total=%d, want 4", ms.Requests.Load())
+	if ms.Requests.Total() != 4 {
+		t.Fatalf("requests_total=%d, want 4", ms.Requests.Total())
 	}
 
 	// /metrics serves the same numbers as JSON.
@@ -237,7 +237,7 @@ func TestServeHTTPErrors(t *testing.T) {
 	if err := json.NewDecoder(mr.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.RequestsTotal != 4 || snap.Responses.TooLarge != 1 {
+	if snap.RequestsTotal != 4 || snap.Responses.Get(TooLarge) != 1 {
 		t.Fatalf("metrics snapshot %+v", snap)
 	}
 	if snap.Pool.Replicas != 1 || snap.Pool.Idle != 1 {
@@ -331,8 +331,8 @@ func TestAdmissionOverload429(t *testing.T) {
 		}
 	}
 	ms := srv.Metrics()
-	if ms.OK.Load() != 3 || ms.Overload.Load() != 1 || ms.Requests.Load() != 4 {
-		t.Fatalf("counters ok=%d overload=%d total=%d", ms.OK.Load(), ms.Overload.Load(), ms.Requests.Load())
+	if ms.Requests.Count(OK) != 3 || ms.Requests.Count(Overload) != 1 || ms.Requests.Total() != 4 {
+		t.Fatalf("counters ok=%d overload=%d total=%d", ms.Requests.Count(OK), ms.Requests.Count(Overload), ms.Requests.Total())
 	}
 }
 
@@ -372,8 +372,8 @@ func TestQueueDeadline504(t *testing.T) {
 	if s := <-first; s != http.StatusGatewayTimeout {
 		t.Fatalf("first request got %d, want 504 after its deadline", s)
 	}
-	if srv.Metrics().Timeout.Load() != 2 {
-		t.Fatalf("timeout counter %d, want 2", srv.Metrics().Timeout.Load())
+	if srv.Metrics().Requests.Count(Timeout) != 2 {
+		t.Fatalf("timeout counter %d, want 2", srv.Metrics().Requests.Count(Timeout))
 	}
 }
 

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Pre-merge gate for webbrief. Run from the repo root before every merge:
 #
-#     ./scripts/check.sh          # full gate (~2 min, dominated by fuzzing)
+#     ./scripts/check.sh          # full gate, fuzz smoke (20 s per target) included
 #     FUZZTIME=0 ./scripts/check.sh   # skip the fuzz smoke for quick loops
 #
-# Order is cheapest-first so failures surface fast: build, vet, the wbcheck
-# lint suite (determinism, numeric safety, and the cross-package
-# concurrency/resource-safety passes), the race-enabled unit tests for the
-# concurrency-bearing packages, then a short coverage-guided fuzz smoke over
-# every fuzz target (seeded from the crasher-shaped corpora under
-# testdata/fuzz/). wbdebug-tagged tests exercise the runtime invariant layer
-# (NaN/Inf kernel guards, tape lifecycle checks).
+# This script is the whole gate: CI (.github/workflows/ci.yml) runs it with
+# FUZZTIME=0 and nothing else. Order is cheapest-first so failures surface
+# fast: build, vet, the wbcheck lint suite, every package's tests, then the
+# stages that run tests in another mode (-race, -tags wbdebug,
+# GODEBUG=cpu.fma=off), the source guards, the binary smokes and a short
+# coverage-guided fuzz smoke over every fuzz target (seeded from the
+# crasher-shaped corpora under testdata/fuzz/). A stage that only re-runs, by
+# -run, tests a whole-package stage already runs in the same mode does not
+# belong here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,18 +27,16 @@ go vet ./...
 echo "== cross-compile vet (arm64: the _other.go stubs of all four asm families must keep compiling)"
 GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 
-echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 9 passes)"
+echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 8 passes)"
 go run ./cmd/wbcheck ./...
 
-echo "== race-enabled tests (ag, nn, wb, serve, tensor, briefcache, snapshot: e2e + load soak + kernel equivalence + TestMatMulRowPartitionBitwise, the tile-aligned row partition on 2 and 3 workers)"
+echo "== go test (every package: integration, cmd, lint fixtures, allocation gates at their pinned counts, kernel and cascade equivalence, ring goldens and balance, fuzz corpus replay)"
+go test ./...
+
+echo "== race-enabled tests (every concurrency-bearing package, whole: serving e2e + load and chaos soaks + cache herd, gateway chaos + upstream, crawler and fault injection, the partition kit, kernel row partition on 2 and 3 workers)"
 go test -race ./internal/ag ./internal/nn ./internal/wb ./internal/serve ./internal/tensor \
-    ./internal/briefcache ./internal/snapshot
-
-echo "== cache race gate (singleflight herd, coalesced-failure replay, sharded LRU churn, matcher equivalence)"
-go test -race -run 'TestCache|TestFlight|TestSuffixMatcher' ./internal/briefcache ./internal/serve
-
-echo "== chaos suite (seeded fault injection: crawler retries/breaker, serve ejection/drain races)"
-go test -race -run 'Chaos' ./internal/fault ./internal/crawler ./internal/serve
+    ./internal/briefcache ./internal/snapshot ./internal/metrics ./internal/gateway \
+    ./internal/fault ./internal/crawler
 
 echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
 go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
@@ -47,37 +47,8 @@ if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name
 echo "== one model file format (encoding/gob is the lint-facts codec in internal/analysis/facts.go and nothing else)"
 if grep -rl '"encoding/gob"' --include='*.go' . | grep -v '^./internal/analysis/facts.go$'; then echo "encoding/gob imported by the file(s) listed above: model bundles are snapshots (internal/snapshot)"; exit 1; fi
 
-echo "== allocation regression gates (warm fast path must stay allocation-free; one gateway relay and one raw-key cache hit stay at their pinned counts)"
-go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs|TestRelayAllocs|TestCacheHitAllocs|TestReadPresizes' \
-    ./internal/ag ./internal/tensor ./internal/wb ./internal/gateway ./internal/serve ./internal/httpbody
-
-echo "== kernel equivalence (blocked kernels vs naive reference in both kernel modes, f64 lanes — register tile, row blocks, masked tail — vs pure Go on Float64bits, f32 tile and tail vs the one-row lane sequence on Float32bits, row-partitioned vs whole products, f32 σ/tanh lanes vs pure Go on Float32bits and vs libm within 2 ulp, f64 σ/tanh lanes vs libm on Float64bits over 10^8 inputs and a real page's gate pre-activations, the libm probe from both sides, sentinel bands around the asm operands, no FMA mnemonic in the unfused families and exactly libm's ten in the f64 exp, fused LSTM cell vs op chain, hoisted vs per-step LSTM projection)"
-go test -run 'TestKernelEquivalence|TestKernels64Lanes|TestKernels32TilesMatchRowLanes|TestMatMulRowPartitionBitwise|TestAct32|TestAct64|TestUnfusedAsmHasNoFMA|TestLSTMCellIntoMatchesOps|TestLSTMCellLanesStayInBounds|TestLSTMCellFusedMatchesOpChain|TestLSTMHoistedProjectionBitwise|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
-    ./internal/tensor ./internal/nn ./internal/wb
-
 echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone)"
 GODEBUG=cpu.fma=off go test -run 'TestAct64' ./internal/tensor
-
-echo "== batched equivalence (fused B-row forward/beam vs serial reference, exact equality, ragged batches, one forward per briefing)"
-go test -race -run 'TestBiLSTMForwardBatchMatchesSerial|TestBeamSearchBatchMatchesScratch|TestBatchedWireEquivalence|TestBatchedDeadlineWhileQueued|TestIdleReplicaTakesRequestAlone|TestOneForwardPerBriefing' \
-    ./internal/nn ./internal/serve
-
-echo "== cached chaos gate (cache on, one replica faulted, >=99% success, no garbage cached)"
-go test -race -run 'TestChaosServeCachedSoak' ./internal/serve
-
-echo "== gateway chaos gate (backend killed cold mid-load, fleet hot reload mid-chaos, >=99% success, exact /metrics reconciliation)"
-go test -race -run 'TestGatewayChaosSoak|TestGatewayFailoverAndBreaker|TestHotReloadEquivalence|TestAdminReload' \
-    ./internal/gateway ./internal/serve
-
-echo "== gateway upstream gate (hand-written request head vs net/http's parser over query x content-type x body, stale-connection replay, reply framing, timeout and disconnect drop the connection, shutdown and reaper close idle ones, over-limit replies, dials + reused ledger identity)"
-go test -race -run 'TestUpstream|TestGatewayBoundsRelayedReply|TestGatewayRefusesUnsafeHead' ./internal/gateway
-
-echo "== ring determinism gate (golden assignments, remapping bound, permutation stability)"
-go test -run 'TestRing' ./internal/gateway
-
-echo "== cascade equivalence (JointWB[float32] student vs JointWB[float64] teacher: wire bytes, tier partition, quality gate)"
-go test -race -run 'TestCascade' ./internal/serve
-go test -run 'TestStudent|TestConvertJointWB' ./internal/wb
 
 echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x layout x impl grid and the f64 σ/tanh fn x n x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
 go test -run '^$' -bench 'Kernels|Act64' -benchtime 1x ./internal/tensor >/dev/null
