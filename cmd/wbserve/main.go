@@ -66,6 +66,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -160,6 +161,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("loaded %s: %s", *modelPath, foldNote(srv))
 	srv.SetReloadSource(func() (*wb.JointWB, *textproc.Vocab, error) {
 		f, err := os.Open(*modelPath)
 		if err != nil {
@@ -215,8 +217,8 @@ func main() {
 					log.Printf("reload: %v (old model keeps serving)", err)
 					continue
 				}
-				log.Printf("reloaded %s: generation %d live in %v",
-					*modelPath, gen, time.Since(start).Round(time.Millisecond))
+				log.Printf("reloaded %s: generation %d live in %v, %s",
+					*modelPath, gen, time.Since(start).Round(time.Millisecond), foldNote(srv))
 			}
 		}()
 	}
@@ -241,4 +243,15 @@ func main() {
 		log.Printf("shutdown: %v", err)
 	}
 	log.Printf("drained, bye")
+}
+
+// foldNote says what folding cost the live pool — the bytes all tiers'
+// tables hold and the time its serving models took to build — for the boot
+// and reload log lines.
+func foldNote(srv *serve.Server) string {
+	f := srv.Pool().Fold()
+	if f.Bytes == 0 {
+		return "serving unfolded (no fold tables for this model)"
+	}
+	return fmt.Sprintf("folded %d bytes of embedding×gate tables, serving models built in %v", f.Bytes, f.Built.Round(10*time.Microsecond))
 }

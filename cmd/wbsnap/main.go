@@ -1,5 +1,6 @@
-// Command wbsnap describes a model bundle: the container version and the
-// section table of the one model file format, the checksummed binary
+// Command wbsnap describes a model bundle: the container version, the
+// section table and the serving cost (model shape, fold-table bytes per tier)
+// of the one model file format, the checksummed binary
 // snapshot (internal/snapshot) that wbtrain writes and wbrief and wbserve
 // boot from.
 //
@@ -39,7 +40,8 @@ func describe(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := wb.LoadModelAuto(bytes.NewReader(data)); err != nil {
+	m, v, err := wb.LoadModelAuto(bytes.NewReader(data))
+	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	s, err := snapshot.Decode(data)
@@ -51,6 +53,12 @@ func describe(path string) error {
 		payload, _ := s.Section(name)
 		fmt.Printf("  %-24s %-18s %d bytes\n", name, sectionDtype(name), len(payload))
 	}
+	// What serving the bundle costs beyond its weights: the fold tables
+	// wbserve builds per tier at boot and at every reload.
+	h := m.Cfg.Hidden
+	fmt.Printf("  model: V=%d embDim=%d h=%d\n", v.Size(), m.Enc.Dim(), h)
+	fmt.Printf("  serving fold tables (3·V·4h elements per tier): teacher float64 %d bytes, student float32 (-cascade) %d bytes\n",
+		wb.FoldTableBytes(v.Size(), h, 8), wb.FoldTableBytes(v.Size(), h, 4))
 	return nil
 }
 

@@ -168,6 +168,14 @@ func (t *TapeOf[T]) SetPack(p *tensor.PackBufOf[T]) { t.pack = p }
 // after Reset.
 func (t *TapeOf[T]) AllocValue(rows, cols int) *tensor.MatrixOf[T] { return t.alloc(rows, cols) }
 
+// AllocValueUninit is AllocValue without the zeroing, for destinations every
+// cell of which the caller writes before anything reads it — gathered rows,
+// a fused cell's output states. Accumulators (tensor.MatMulInto) and zero
+// states need AllocValue; see tensor.ArenaOf.AllocUninit.
+func (t *TapeOf[T]) AllocValueUninit(rows, cols int) *tensor.MatrixOf[T] {
+	return t.allocUninit(rows, cols)
+}
+
 // ViewValue returns a rows×cols matrix header whose backing storage IS data
 // (no copy). The header comes from the tape's arena on arena tapes, so
 // batched kernels can expose row windows of a shared slab — e.g. one beam's
@@ -233,6 +241,17 @@ func (t *TapeOf[T]) newNode(v *tensor.MatrixOf[T]) *NodeOf[T] {
 func (t *TapeOf[T]) alloc(rows, cols int) *tensor.MatrixOf[T] {
 	if t.arena != nil {
 		return t.arena.Alloc(rows, cols)
+	}
+	return tensor.NewOf[T](rows, cols)
+}
+
+// allocUninit is alloc for a value every cell of which the caller writes
+// before anything reads it: on arena tapes the zeroing is skipped (and under
+// `-tags wbdebug` replaced by NaN poison), plain tapes still get make's zeros.
+// Gradient buffers and matmul accumulators need alloc.
+func (t *TapeOf[T]) allocUninit(rows, cols int) *tensor.MatrixOf[T] {
+	if t.arena != nil {
+		return t.arena.AllocUninit(rows, cols)
 	}
 	return tensor.NewOf[T](rows, cols)
 }
@@ -321,7 +340,7 @@ func (t *TapeOf[T]) Backward(loss *NodeOf[T]) {
 
 // Add returns a + b (same shape).
 func (t *TapeOf[T]) Add(a, b *NodeOf[T]) *NodeOf[T] {
-	v := t.alloc(a.Value.Rows, a.Value.Cols)
+	v := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.AddInto(v, a.Value, b.Value)
 	n := t.newNode(v)
 	if t.nograd {
@@ -336,7 +355,7 @@ func (t *TapeOf[T]) Add(a, b *NodeOf[T]) *NodeOf[T] {
 
 // Sub returns a - b.
 func (t *TapeOf[T]) Sub(a, b *NodeOf[T]) *NodeOf[T] {
-	v := t.alloc(a.Value.Rows, a.Value.Cols)
+	v := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.SubInto(v, a.Value, b.Value)
 	n := t.newNode(v)
 	if t.nograd {
@@ -351,7 +370,7 @@ func (t *TapeOf[T]) Sub(a, b *NodeOf[T]) *NodeOf[T] {
 
 // Mul returns the elementwise product a ⊙ b.
 func (t *TapeOf[T]) Mul(a, b *NodeOf[T]) *NodeOf[T] {
-	v := t.alloc(a.Value.Rows, a.Value.Cols)
+	v := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(v, a.Value, b.Value)
 	n := t.newNode(v)
 	if t.nograd {
@@ -370,7 +389,7 @@ func (t *TapeOf[T]) Mul(a, b *NodeOf[T]) *NodeOf[T] {
 
 // Scale returns s*a for a fixed scalar s.
 func (t *TapeOf[T]) Scale(a *NodeOf[T], s T) *NodeOf[T] {
-	v := t.alloc(a.Value.Rows, a.Value.Cols)
+	v := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.ScaleInto(v, a.Value, s)
 	n := t.newNode(v)
 	if t.nograd {
@@ -383,11 +402,7 @@ func (t *TapeOf[T]) Scale(a *NodeOf[T], s T) *NodeOf[T] {
 // MatMul returns a·b.
 func (t *TapeOf[T]) MatMul(a, b *NodeOf[T]) *NodeOf[T] {
 	v := t.alloc(a.Value.Rows, b.Value.Cols)
-	if t.pack != nil {
-		tensor.MatMulPackInto(v, a.Value, b.Value, t.pack)
-	} else {
-		tensor.MatMulInto(v, a.Value, b.Value)
-	}
+	t.matMulInto(v, a.Value, b.Value)
 	n := t.newNode(v)
 	if t.nograd {
 		return n
@@ -403,9 +418,33 @@ func (t *TapeOf[T]) MatMul(a, b *NodeOf[T]) *NodeOf[T] {
 	return n
 }
 
+// MatMulOnto accumulates a·b onto dst — each cell continues, in ascending k,
+// the sum dst already holds — through the kernel MatMul would use, and
+// enters dst as a constant. It is how a folded input projection finishes:
+// dst arrives holding the token-id half of [emb|ctx]·Wx (a table row) and
+// leaves holding the whole product, bit for bit the one-pass sequence.
+// No-gradient tapes only: nothing is recorded for dst's earlier contents.
+func (t *TapeOf[T]) MatMulOnto(dst *tensor.MatrixOf[T], a, b *NodeOf[T]) *NodeOf[T] {
+	if !t.nograd {
+		panic("ag: MatMulOnto on a recording tape")
+	}
+	t.matMulInto(dst, a.Value, b.Value)
+	return t.newNode(dst)
+}
+
+// matMulInto accumulates dst += a·b, through the attached pack buffer when
+// there is one.
+func (t *TapeOf[T]) matMulInto(dst, a, b *tensor.MatrixOf[T]) {
+	if t.pack != nil {
+		tensor.MatMulPackInto(dst, a, b, t.pack)
+	} else {
+		tensor.MatMulInto(dst, a, b)
+	}
+}
+
 // MatMulTransB returns a·bᵀ.
 func (t *TapeOf[T]) MatMulTransB(a, b *NodeOf[T]) *NodeOf[T] {
-	v := t.alloc(a.Value.Rows, b.Value.Rows)
+	v := t.allocUninit(a.Value.Rows, b.Value.Rows)
 	tensor.MatMulTransBInto(v, a.Value, b.Value)
 	n := t.newNode(v)
 	if t.nograd {
@@ -423,7 +462,7 @@ func (t *TapeOf[T]) MatMulTransB(a, b *NodeOf[T]) *NodeOf[T] {
 
 // AddRowVector adds the 1×cols vector v to every row of a.
 func (t *TapeOf[T]) AddRowVector(a, v *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
+	val := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.AddRowVectorInto(val, a.Value, v.Value)
 	n := t.newNode(val)
 	if t.nograd {
@@ -446,7 +485,7 @@ func (t *TapeOf[T]) AddRowVector(a, v *NodeOf[T]) *NodeOf[T] {
 
 // Tanh applies tanh elementwise.
 func (t *TapeOf[T]) Tanh(a *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
+	val := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.TanhInto(val, a.Value)
 	n := t.newNode(val)
 	if t.nograd {
@@ -463,7 +502,7 @@ func (t *TapeOf[T]) Tanh(a *NodeOf[T]) *NodeOf[T] {
 
 // Sigmoid applies the logistic function elementwise.
 func (t *TapeOf[T]) Sigmoid(a *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
+	val := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.SigmoidInto(val, a.Value)
 	n := t.newNode(val)
 	if t.nograd {
@@ -480,7 +519,7 @@ func (t *TapeOf[T]) Sigmoid(a *NodeOf[T]) *NodeOf[T] {
 
 // ReLU applies max(0,x) elementwise.
 func (t *TapeOf[T]) ReLU(a *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
+	val := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.ReLUInto(val, a.Value)
 	n := t.newNode(val)
 	if t.nograd {
@@ -499,7 +538,7 @@ func (t *TapeOf[T]) ReLU(a *NodeOf[T]) *NodeOf[T] {
 
 // SoftmaxRows applies row-wise softmax.
 func (t *TapeOf[T]) SoftmaxRows(a *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
+	val := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.SoftmaxRowsInto(val, a.Value)
 	n := t.newNode(val)
 	if t.nograd {
@@ -526,7 +565,7 @@ func (t *TapeOf[T]) SoftmaxRows(a *NodeOf[T]) *NodeOf[T] {
 
 // LogSoftmaxRows applies row-wise log-softmax.
 func (t *TapeOf[T]) LogSoftmaxRows(a *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
+	val := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.LogSoftmaxRowsInto(val, a.Value)
 	n := t.newNode(val)
 	if t.nograd {
@@ -560,7 +599,7 @@ func (t *TapeOf[T]) ConcatCols(ns ...*NodeOf[T]) *NodeOf[T] {
 		vals[i] = x.Value
 		cols += x.Value.Cols
 	}
-	val := t.alloc(ns[0].Value.Rows, cols)
+	val := t.allocUninit(ns[0].Value.Rows, cols)
 	tensor.ConcatColsInto(val, vals...)
 	n := t.newNode(val)
 	if t.nograd {
@@ -587,7 +626,7 @@ func (t *TapeOf[T]) ConcatCols(ns ...*NodeOf[T]) *NodeOf[T] {
 // value as ConcatCols(a, b) but skips the variadic slice, which matters on
 // the inference fast path where Bi-LSTMs concatenate once per token.
 func (t *TapeOf[T]) ConcatCols2(a, b *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(a.Value.Rows, a.Value.Cols+b.Value.Cols)
+	val := t.allocUninit(a.Value.Rows, a.Value.Cols+b.Value.Cols)
 	tensor.ConcatColsInto(val, a.Value, b.Value)
 	n := t.newNode(val)
 	if t.nograd {
@@ -617,7 +656,7 @@ func (t *TapeOf[T]) ConcatRows(ns ...*NodeOf[T]) *NodeOf[T] {
 		vals[i] = x.Value
 		rows += x.Value.Rows
 	}
-	val := t.alloc(rows, ns[0].Value.Cols)
+	val := t.allocUninit(rows, ns[0].Value.Cols)
 	tensor.ConcatRowsInto(val, vals...)
 	n := t.newNode(val)
 	if t.nograd {
@@ -646,7 +685,7 @@ func (t *TapeOf[T]) SliceRows(a *NodeOf[T], lo, hi int) *NodeOf[T] {
 	if lo < 0 || hi > a.Value.Rows || lo >= hi {
 		panic(fmt.Sprintf("ag: SliceRows [%d,%d) out of range for %d rows", lo, hi, a.Value.Rows))
 	}
-	val := t.alloc(hi-lo, a.Value.Cols)
+	val := t.allocUninit(hi-lo, a.Value.Cols)
 	copy(val.Data, a.Value.Data[lo*a.Value.Cols:hi*a.Value.Cols])
 	n := t.newNode(val)
 	if t.nograd {
@@ -667,7 +706,7 @@ func (t *TapeOf[T]) SliceRows(a *NodeOf[T], lo, hi int) *NodeOf[T] {
 
 // GatherRows selects the given rows of a (rows may repeat).
 func (t *TapeOf[T]) GatherRows(a *NodeOf[T], rows []int) *NodeOf[T] {
-	val := t.alloc(len(rows), a.Value.Cols)
+	val := t.allocUninit(len(rows), a.Value.Cols)
 	for i, r := range rows {
 		copy(val.Row(i), a.Value.Row(r))
 	}
@@ -708,7 +747,7 @@ func (t *TapeOf[T]) Reshape(a *NodeOf[T], rows, cols int) *NodeOf[T] {
 
 // Transpose returns aᵀ.
 func (t *TapeOf[T]) Transpose(a *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(a.Value.Cols, a.Value.Rows)
+	val := t.allocUninit(a.Value.Cols, a.Value.Rows)
 	tensor.TransposeInto(val, a.Value)
 	n := t.newNode(val)
 	if t.nograd {
@@ -753,7 +792,7 @@ func (t *TapeOf[T]) Dropout(a *NodeOf[T], p float64, rng *rand.Rand) *NodeOf[T] 
 			mask.Data[i] = scale
 		}
 	}
-	val := t.alloc(a.Value.Rows, a.Value.Cols)
+	val := t.allocUninit(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(val, a.Value, mask)
 	n := t.newNode(val)
 	if t.nograd {
@@ -808,7 +847,7 @@ func (t *TapeOf[T]) Mean(a *NodeOf[T]) *NodeOf[T] {
 // the float32 student's longest fixed-order reduction, and the widened
 // accumulator keeps it within the kernel tier's error bound.
 func (t *TapeOf[T]) MeanRows(a *NodeOf[T]) *NodeOf[T] {
-	val := t.alloc(1, a.Value.Cols)
+	val := t.allocUninit(1, a.Value.Cols)
 	rows, cols := a.Value.Rows, a.Value.Cols
 	inv := 1 / float64(rows)
 	// Eight columns at a time: each column still sums in ascending row
@@ -848,7 +887,7 @@ func (t *TapeOf[T]) CrossEntropy(logits *NodeOf[T], targets []int) *NodeOf[T] {
 	if len(targets) != logits.Value.Rows {
 		panic(fmt.Sprintf("ag: CrossEntropy %d targets for %d rows", len(targets), logits.Value.Rows))
 	}
-	logp := t.alloc(logits.Value.Rows, logits.Value.Cols)
+	logp := t.allocUninit(logits.Value.Rows, logits.Value.Cols)
 	tensor.LogSoftmaxRowsInto(logp, logits.Value)
 	var loss float64
 	count := 0
@@ -897,7 +936,7 @@ func (t *TapeOf[T]) KLDiv(p *tensor.MatrixOf[T], logits *NodeOf[T]) *NodeOf[T] {
 	if !p.SameShape(logits.Value) {
 		panic(fmt.Sprintf("ag: KLDiv shape mismatch %dx%d vs %dx%d", p.Rows, p.Cols, logits.Value.Rows, logits.Value.Cols))
 	}
-	logq := t.alloc(logits.Value.Rows, logits.Value.Cols)
+	logq := t.allocUninit(logits.Value.Rows, logits.Value.Cols)
 	tensor.LogSoftmaxRowsInto(logq, logits.Value)
 	var loss float64
 	for i, pi := range p.Data {

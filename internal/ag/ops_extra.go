@@ -13,7 +13,7 @@ func (t *TapeOf[T]) SliceCols(a *NodeOf[T], lo, hi int) *NodeOf[T] {
 	if lo < 0 || hi > a.Value.Cols || lo >= hi {
 		panic(fmt.Sprintf("ag: SliceCols [%d,%d) out of range for %d cols", lo, hi, a.Value.Cols))
 	}
-	val := t.alloc(a.Value.Rows, hi-lo)
+	val := t.allocUninit(a.Value.Rows, hi-lo)
 	for i := 0; i < a.Value.Rows; i++ {
 		copy(val.Row(i), a.Value.Row(i)[lo:hi])
 	}

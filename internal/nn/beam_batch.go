@@ -117,9 +117,9 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 		}
 		// Gather every live beam's state into R-row slabs and take one
 		// fused decoder step (attention, cell, output projection).
-		hp := t.AllocValue(r, h)
+		hp := t.AllocValueUninit(r, h)
 		tensor.GatherRowsInto(hp, hmats, zeros[:r])
-		cp := t.AllocValue(r, h)
+		cp := t.AllocValueUninit(r, h)
 		tensor.GatherRowsInto(cp, cmats, zeros[:r])
 		hpN, cpN := t.Const(hp), t.Const(cp)
 		hw := t.MatMul(hpN, t.Use(d.Att.W))
@@ -136,8 +136,7 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 		if len(ctxs) > 1 {
 			ctx = t.ConcatRows(ctxs...)
 		}
-		x := t.ConcatCols2(d.Emb.Forward(t, prev), ctx)
-		st := d.Cell.Step(t, x, StateOf[T]{H: hpN, C: cpN})
+		st := d.cellStep(t, prev, ctx, StateOf[T]{H: hpN, C: cpN})
 		logits := d.Out.Forward(t, t.ConcatCols2(st.H, ctx))
 		logpAll := t.LogSoftmaxRows(logits)
 		// Per-instance frontier bookkeeping, exactly as BeamSearchScratch.

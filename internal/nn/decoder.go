@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -23,6 +24,32 @@ type AttnDecoderOf[T tensor.Float] struct {
 	Cell *LSTMOf[T]      // input width = Emb.Dim()
 	Att  *BilinearOf[T]  // hidden×memDim
 	Out  *LinearOf[T]    // (hidden+memDim)×vocab
+
+	// fold, when set, replaces the embedding half of the cell's input
+	// projection on no-gradient tapes (WithInputTable).
+	fold *decoderFoldOf[T]
+}
+
+// decoderFoldOf is a decoder's folded cell input: [emb|ctx]·Wx split at the
+// constant boundary between the two.
+type decoderFoldOf[T tensor.Float] struct {
+	tab   *tensor.MatrixOf[T] // InputTable(Emb, Cell): vocab×4h
+	wxCtx *tensor.MatrixOf[T] // rows [Emb.Dim():] of Cell.Wx, viewed
+}
+
+// WithInputTable returns a decoder sharing every parameter with d whose
+// no-gradient steps gather row prev of tab — InputTable(d.Emb, d.Cell) — and
+// accumulate ctx·Wx[Emb.Dim():] onto it instead of multiplying the
+// concatenated [emb|ctx] through Wx: the same ascending-k sum per gate cell,
+// its first Emb.Dim() terms computed once per token instead of once per
+// step. Recording tapes run the returned decoder exactly like d.
+func (d *AttnDecoderOf[T]) WithInputTable(tab *tensor.MatrixOf[T]) *AttnDecoderOf[T] {
+	if tab.Rows != d.Emb.Vocab() || tab.Cols != 4*d.Cell.Hidden {
+		panic(fmt.Sprintf("nn: decoder input table is %dx%d, want %dx%d", tab.Rows, tab.Cols, d.Emb.Vocab(), 4*d.Cell.Hidden))
+	}
+	folded := *d
+	folded.fold = &decoderFoldOf[T]{tab: tab, wxCtx: wxRows(d.Cell, d.Emb.Dim(), d.Cell.Wx.Value.Rows)}
+	return &folded
 }
 
 // NewAttnDecoder builds a decoder producing distributions over vocab tokens,
@@ -65,10 +92,22 @@ func (d *AttnDecoderOf[T]) Params() []*ag.ParamOf[T] {
 func (d *AttnDecoderOf[T]) step(t *ag.TapeOf[T], prev int, s StateOf[T], memory *ag.NodeOf[T]) (logits *ag.NodeOf[T], next StateOf[T]) {
 	att := d.Att.Attention(t, s.H, memory) // 1×memRows
 	ctx := t.MatMul(att, memory)           // 1×memDim
-	x := t.ConcatCols2(d.Emb.Forward(t, []int{prev}), ctx)
-	next = d.Cell.Step(t, x, s)
+	next = d.cellStep(t, []int{prev}, ctx, s)
 	logits = d.Out.Forward(t, t.ConcatCols2(next.H, ctx))
 	return logits, next
+}
+
+// cellStep advances the cell one step for a slab of rows: prev[i] is row
+// i's previous token, ctx its attention context (input feeding). Unfolded,
+// or on a recording tape, the cell input is the concatenation [emb|ctx];
+// folded, its projection is assembled directly (WithInputTable).
+func (d *AttnDecoderOf[T]) cellStep(t *ag.TapeOf[T], prev []int, ctx *ag.NodeOf[T], s StateOf[T]) StateOf[T] {
+	if d.fold == nil || !t.NoGrad() {
+		return d.Cell.Step(t, t.ConcatCols2(d.Emb.Forward(t, prev), ctx), s)
+	}
+	checkIDs("embedding", prev, d.fold.tab.Rows)
+	in := t.GatherRows(t.Const(d.fold.tab), prev).Value
+	return d.Cell.stepFrom(t, t.MatMulOnto(in, ctx, t.Const(d.fold.wxCtx)), true, s)
 }
 
 // ForwardTeacherForcing decodes with teacher forcing: inputs[i] feeds step i

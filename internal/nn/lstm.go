@@ -85,7 +85,7 @@ func (l *LSTMOf[T]) stepFrom(t *ag.TapeOf[T], in *ag.NodeOf[T], projected bool, 
 	rec := t.MatMul(s.H, t.Use(l.Wh))
 	h := l.Hidden
 	if t.NoGrad() {
-		hNew, cNew := t.AllocValue(in.Rows(), h), t.AllocValue(in.Rows(), h)
+		hNew, cNew := t.AllocValueUninit(in.Rows(), h), t.AllocValueUninit(in.Rows(), h)
 		tensor.LSTMCellInto(hNew, cNew, rec.Value, in.Value, l.B.Value, s.C.Value)
 		return StateOf[T]{H: t.Const(hNew), C: t.Const(cNew)}
 	}
@@ -98,6 +98,75 @@ func (l *LSTMOf[T]) stepFrom(t *ag.TapeOf[T], in *ag.NodeOf[T], projected bool, 
 	return StateOf[T]{H: t.Mul(o, t.Tanh(c)), C: c}
 }
 
+// seqInputOf is where one sequence's recurrence reads its per-step inputs:
+// row i of m — or, when rows is set, row rows[i] (an input table indexed by
+// token id, see InputTable). The rows are already in·Wx, ready for
+// stepFrom(…, projected=true), unless src is set: then m is src's value, the
+// raw inputs of a recording tape, and each step is a recorded slice of src.
+type seqInputOf[T tensor.Float] struct {
+	m    *tensor.MatrixOf[T]
+	rows []int
+	src  *ag.NodeOf[T]
+}
+
+// projected reports whether the rows are input projections.
+func (in seqInputOf[T]) projected() bool { return in.src == nil }
+
+// len is the sequence length.
+func (in seqInputOf[T]) len() int {
+	if in.rows != nil {
+		return len(in.rows)
+	}
+	return in.m.Rows
+}
+
+// row is the row of m that step position i reads.
+func (in seqInputOf[T]) row(i int) int {
+	if in.rows != nil {
+		return in.rows[i]
+	}
+	return i
+}
+
+// InputTable returns Emb·Wx[:Emb.Dim()] — for every token id, the part of
+// l's input projection that depends on nothing but the id — as a vocab×4h
+// matrix built with the kernel the forward itself runs. When the embedding
+// spans l's whole input, row id IS the projection of that token
+// (tableInput); when l's input is [embedding | rest], row id is the first
+// Emb.Dim() terms of each gate sum and tensor.MatMulInto of rest over
+// Wx[Emb.Dim():] continues it (AttnDecoderOf.WithInputTable): every kernel
+// accumulates a cell in ascending k starting from what the destination
+// holds, so the sum split at a constant boundary is the one-pass sequence,
+// for both element types (tensor's TestMatMulSplitKBitwise).
+//
+// The table is a function of the two parameters' values at the time of the
+// call and does not follow them: it belongs to models nothing can train.
+func InputTable[T tensor.Float](emb *EmbeddingOf[T], l *LSTMOf[T]) *tensor.MatrixOf[T] {
+	tab := tensor.NewOf[T](emb.Vocab(), 4*l.Hidden)
+	tensor.MatMulInto(tab, emb.Table.Value, wxRows(l, 0, emb.Dim()))
+	return tab
+}
+
+// wxRows views rows [lo, hi) of l.Wx (rows of a row-major matrix are
+// contiguous, so the view shares storage).
+func wxRows[T tensor.Float](l *LSTMOf[T], lo, hi int) *tensor.MatrixOf[T] {
+	wx := l.Wx.Value
+	return tensor.FromSlice(hi-lo, wx.Cols, wx.Data[lo*wx.Cols:hi*wx.Cols])
+}
+
+// tableInput is the folded seqInputOf: the sequence's token ids index tab,
+// the LSTM's InputTable over the embedding the ids would have been looked up
+// in. No product is computed at all — the projection of every possible token
+// was paid once, when the table was built. Recording tapes never get here:
+// a gathered constant would cut Wx and the embedding out of the graph.
+func tableInput[T tensor.Float](t *ag.TapeOf[T], tab *tensor.MatrixOf[T], ids []int) seqInputOf[T] {
+	if !t.NoGrad() {
+		panic("nn: input table on a recording tape")
+	}
+	checkIDs("input table", ids, tab.Rows)
+	return seqInputOf[T]{m: tab, rows: ids}
+}
+
 // recurrenceInput returns what the time loop over sequence x should feed
 // stepFrom row by row. On a no-gradient tape that is the whole sequence's
 // input projection x·Wx, hoisted out of the recurrence: seq latency-bound
@@ -106,26 +175,33 @@ func (l *LSTMOf[T]) stepFrom(t *ag.TapeOf[T], in *ag.NodeOf[T], projected bool, 
 // each hoisted row equals the per-step product exactly, for both element
 // types. On a recording tape it is x itself: one seq-row product would sum
 // Wx's gradient in a different order and move every trained bit.
-func (l *LSTMOf[T]) recurrenceInput(t *ag.TapeOf[T], x *ag.NodeOf[T]) (in *ag.NodeOf[T], projected bool) {
+func (l *LSTMOf[T]) recurrenceInput(t *ag.TapeOf[T], x *ag.NodeOf[T]) seqInputOf[T] {
 	if !t.NoGrad() {
-		return x, false
+		return seqInputOf[T]{m: x.Value, src: x}
 	}
-	return t.MatMul(x, t.Use(l.Wx)), true
+	return seqInputOf[T]{m: t.MatMul(x, t.Use(l.Wx)).Value}
 }
 
-// run advances the LSTM over the rows of x — last row first when reverse is
-// set — and returns the hidden state at every row position.
-func (l *LSTMOf[T]) run(t *ag.TapeOf[T], x *ag.NodeOf[T], reverse bool) []*ag.NodeOf[T] {
-	seq := x.Rows()
+// run advances the LSTM over in — last position first when reverse is set —
+// and returns the hidden state at every position. A projected input is read
+// in place, one row view per step; an unprojected one (a recording tape) is
+// sliced out of its source node, which the gradient must flow back through.
+func (l *LSTMOf[T]) run(t *ag.TapeOf[T], in seqInputOf[T], reverse bool) []*ag.NodeOf[T] {
+	seq := in.len()
 	hs := make([]*ag.NodeOf[T], seq)
 	s := l.ZeroState(t)
-	in, projected := l.recurrenceInput(t, x)
 	for k := 0; k < seq; k++ {
 		i := k
 		if reverse {
 			i = seq - 1 - k
 		}
-		s = l.stepFrom(t, t.SliceRows(in, i, i+1), projected, s)
+		var step *ag.NodeOf[T]
+		if in.projected() {
+			step = t.Const(t.ViewValue(1, in.m.Cols, in.m.Row(in.row(i))))
+		} else {
+			step = t.SliceRows(in.src, i, i+1)
+		}
+		s = l.stepFrom(t, step, in.projected(), s)
 		hs[i] = s.H
 	}
 	return hs
@@ -134,7 +210,7 @@ func (l *LSTMOf[T]) run(t *ag.TapeOf[T], x *ag.NodeOf[T], reverse bool) []*ag.No
 // Forward runs the LSTM over a seq×in input and returns the seq×hidden
 // matrix of hidden states.
 func (l *LSTMOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
-	return t.ConcatRows(l.run(t, x, false)...)
+	return t.ConcatRows(l.run(t, l.recurrenceInput(t, x), false)...)
 }
 
 // BiLSTMOf runs two LSTMs over the sequence in opposite directions and
@@ -166,8 +242,22 @@ func (b *BiLSTMOf[T]) OutDim() int { return b.Fwd.Hidden + b.Bwd.Hidden }
 
 // Forward returns the seq×2h matrix of concatenated forward/backward states.
 func (b *BiLSTMOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
-	fwd := b.Fwd.run(t, x, false)
-	bwd := b.Bwd.run(t, x, true)
+	return b.forward(t, b.Fwd.recurrenceInput(t, x), b.Bwd.recurrenceInput(t, x))
+}
+
+// ForwardIDs is Forward over the embeddings of ids without looking them up:
+// fwdTab and bwdTab are the two directions' input tables (InputTable over
+// the embedding and b.Fwd / b.Bwd), so each step's input projection is a
+// table row instead of a product. Every value equals Forward's over the
+// looked-up embeddings (a table row IS that row's projection, computed by
+// the same kernel). No-gradient tapes only.
+func (b *BiLSTMOf[T]) ForwardIDs(t *ag.TapeOf[T], fwdTab, bwdTab *tensor.MatrixOf[T], ids []int) *ag.NodeOf[T] {
+	return b.forward(t, tableInput(t, fwdTab, ids), tableInput(t, bwdTab, ids))
+}
+
+func (b *BiLSTMOf[T]) forward(t *ag.TapeOf[T], fwdIn, bwdIn seqInputOf[T]) *ag.NodeOf[T] {
+	fwd := b.Fwd.run(t, fwdIn, false)
+	bwd := b.Bwd.run(t, bwdIn, true)
 	rows := make([]*ag.NodeOf[T], len(fwd))
 	for i := range rows {
 		rows[i] = t.ConcatCols2(fwd[i], bwd[i])

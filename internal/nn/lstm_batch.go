@@ -20,13 +20,33 @@ import (
 // ever computed or written. Inference-only — intermediate states are not
 // recorded for backprop beyond what the underlying tape records itself.
 func (b *BiLSTMOf[T]) ForwardBatch(t *ag.TapeOf[T], xs []*ag.NodeOf[T]) []*ag.NodeOf[T] {
-	outs := make([]*tensor.MatrixOf[T], len(xs))
+	fwd, bwd := make([]seqInputOf[T], len(xs)), make([]seqInputOf[T], len(xs))
 	for i, x := range xs {
-		outs[i] = t.AllocValue(x.Rows(), b.Fwd.Hidden+b.Bwd.Hidden)
+		fwd[i], bwd[i] = b.Fwd.recurrenceInput(t, x), b.Bwd.recurrenceInput(t, x)
 	}
-	lstmLockstep(t, b.Fwd, xs, outs, 0, false)
-	lstmLockstep(t, b.Bwd, xs, outs, b.Fwd.Hidden, true)
-	nodes := make([]*ag.NodeOf[T], len(xs))
+	return b.forwardBatch(t, fwd, bwd)
+}
+
+// ForwardBatchIDs is ForwardBatch over the embeddings of each sequence's
+// token ids, with both directions' input projections read from their input
+// tables — ForwardIDs' contract, in lockstep. No-gradient tapes only.
+func (b *BiLSTMOf[T]) ForwardBatchIDs(t *ag.TapeOf[T], fwdTab, bwdTab *tensor.MatrixOf[T], idss [][]int) []*ag.NodeOf[T] {
+	fwd, bwd := make([]seqInputOf[T], len(idss)), make([]seqInputOf[T], len(idss))
+	for i, ids := range idss {
+		fwd[i], bwd[i] = tableInput(t, fwdTab, ids), tableInput(t, bwdTab, ids)
+	}
+	return b.forwardBatch(t, fwd, bwd)
+}
+
+func (b *BiLSTMOf[T]) forwardBatch(t *ag.TapeOf[T], fwd, bwd []seqInputOf[T]) []*ag.NodeOf[T] {
+	// Every output cell is written by one of the two directions' scatters.
+	outs := make([]*tensor.MatrixOf[T], len(fwd))
+	for i, in := range fwd {
+		outs[i] = t.AllocValueUninit(in.len(), b.Fwd.Hidden+b.Bwd.Hidden)
+	}
+	lstmLockstep(t, b.Fwd, fwd, outs, 0, false)
+	lstmLockstep(t, b.Bwd, bwd, outs, b.Fwd.Hidden, true)
+	nodes := make([]*ag.NodeOf[T], len(outs))
 	for i, m := range outs {
 		nodes[i] = t.Const(m)
 	}
@@ -35,39 +55,28 @@ func (b *BiLSTMOf[T]) ForwardBatch(t *ag.TapeOf[T], xs []*ag.NodeOf[T]) []*ag.No
 
 // lstmLockstep advances l over all sequences at once, writing each hidden
 // state into columns [colOff, colOff+h) of the owning sequence's output
-// matrix. reverse selects the backward direction (input row len-1-t at step
-// t, as in BiLSTM.Forward's backward direction). On no-gradient tapes each
-// sequence's input projection is hoisted out of the time loop (see
-// LSTMOf.recurrenceInput): the per-step gather then reads projected 4h-wide
-// rows and the only matmul inside the recurrence is h·Wh.
-func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], xs []*ag.NodeOf[T], outs []*tensor.MatrixOf[T], colOff int, reverse bool) {
-	n := len(xs)
+// matrix. reverse selects the backward direction (input position len-1-t at
+// step t, as in BiLSTM.Forward's backward direction). ins[i] is what each
+// step gathers sequence i's row from: its inputs, its hoisted projection
+// (LSTMOf.recurrenceInput) or its rows of an input table (tableInput) — in
+// the last two cases the only matmul inside the recurrence is h·Wh.
+func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], ins []seqInputOf[T], outs []*tensor.MatrixOf[T], colOff int, reverse bool) {
+	n := len(ins)
 	if n == 0 {
 		return
 	}
 	h := l.Hidden
 	maxLen := 0
-	for _, x := range xs {
-		if x.Rows() > maxLen {
-			maxLen = x.Rows()
-		}
+	for _, in := range ins {
+		maxLen = max(maxLen, in.len())
 	}
-	// ins[i] is what each step gathers sequence i's row from: its inputs, or
-	// its hoisted projection.
-	ins := make([]*tensor.MatrixOf[T], n)
-	projected := false
-	for i, x := range xs {
-		var in *ag.NodeOf[T]
-		in, projected = l.recurrenceInput(t, x)
-		ins[i] = in.Value
-	}
-	in := ins[0].Cols
+	width, projected := ins[0].m.Cols, ins[0].projected()
 	// Per-sequence running states, zero-initialised like ZeroState; each
 	// step gathers the active ones into a slab and scatters the results
 	// back, so a sequence's state never mixes with its neighbours'.
 	hs := make([]*tensor.MatrixOf[T], n)
 	cs := make([]*tensor.MatrixOf[T], n)
-	for i := range xs {
+	for i := range ins {
 		hs[i] = t.AllocValue(1, h)
 		cs[i] = t.AllocValue(1, h)
 	}
@@ -79,27 +88,28 @@ func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], xs []*ag.NodeOf
 	)
 	for step := 0; step < maxLen; step++ {
 		active = active[:0]
-		for i, x := range xs {
-			if step < x.Rows() {
+		for i, in := range ins {
+			if step < in.len() {
 				active = append(active, i)
 			}
 		}
 		a := len(active)
-		// Gather this step's input row from every active sequence.
-		x := t.AllocValue(a, in)
+		// Gather this step's input row from every active sequence. The
+		// three slabs are gather destinations: every row is copied into.
+		x := t.AllocValueUninit(a, width)
 		mats, rows = mats[:0], rows[:0]
 		for _, i := range active {
 			pos := step
 			if reverse {
-				pos = xs[i].Rows() - 1 - step
+				pos = ins[i].len() - 1 - step
 			}
-			mats = append(mats, ins[i])
-			rows = append(rows, pos)
+			mats = append(mats, ins[i].m)
+			rows = append(rows, ins[i].row(pos))
 		}
 		tensor.GatherRowsInto(x, mats, rows)
 		// Gather the active running states into a-row slabs.
-		hp := t.AllocValue(a, h)
-		cp := t.AllocValue(a, h)
+		hp := t.AllocValueUninit(a, h)
+		cp := t.AllocValueUninit(a, h)
 		mats = mats[:0]
 		for _, i := range active {
 			mats = append(mats, hs[i])
@@ -127,7 +137,7 @@ func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], xs []*ag.NodeOf
 		for _, i := range active {
 			pos := step
 			if reverse {
-				pos = xs[i].Rows() - 1 - step
+				pos = ins[i].len() - 1 - step
 			}
 			mats = append(mats, outs[i])
 			rows = append(rows, pos)

@@ -127,12 +127,17 @@ func CastEmbedding[D, S tensor.Float](e *EmbeddingOf[S]) *EmbeddingOf[D] {
 
 // Forward looks up the rows for ids, returning a len(ids)×dim node.
 func (e *EmbeddingOf[T]) Forward(t *ag.TapeOf[T], ids []int) *ag.NodeOf[T] {
+	checkIDs("embedding", ids, e.Table.Value.Rows)
+	return t.Lookup(t.Use(e.Table), ids)
+}
+
+// checkIDs panics on an id outside a what of n rows.
+func checkIDs(what string, ids []int, n int) {
 	for _, id := range ids {
-		if id < 0 || id >= e.Table.Value.Rows {
-			panic(fmt.Sprintf("nn: embedding id %d out of range [0,%d)", id, e.Table.Value.Rows))
+		if id < 0 || id >= n {
+			panic(fmt.Sprintf("nn: %s id %d out of range [0,%d)", what, id, n))
 		}
 	}
-	return t.Lookup(t.Use(e.Table), ids)
 }
 
 // Params implements Layer.

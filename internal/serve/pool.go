@@ -90,9 +90,10 @@ type cascadeReporter interface {
 	CascadeReport() []cascadeDecision
 }
 
-// modelReplica adapts one Joint-WB model (the original or a
-// wb.CloneManyForServing copy) to the BatchReplica interface. The vocabulary is
-// shared across all replicas: it is read-only after construction. Each
+// modelReplica adapts one Joint-WB model (a wb.FoldForServing copy, or the
+// original when it cannot be folded) to the BatchReplica interface. The
+// vocabulary is shared across all replicas: it is read-only after
+// construction. Each
 // replica owns one inference workspace per tier — a replica serves one batch
 // at a time (Pool checkout is exclusive), so a workspace is never shared
 // between concurrent batches. Every briefing runs one Eval forward per tier:
@@ -103,7 +104,7 @@ type cascadeReporter interface {
 // confidence-gated cascade: encode and decode execute on the float32
 // student first, and decodes whose confidence score falls below threshold
 // re-brief their pages on the float64 teacher under the same checkout. The
-// student weights are read-only at inference, so one *wb.JointWB32 is
+// student weights are read-only at inference, so one folded student is
 // shared by every replica; the float32 workspace is per-replica like the
 // float64 one. Both tiers run the same wb code, instantiated per element
 // type.
@@ -253,6 +254,7 @@ func (s BreakerState) String() string {
 type Pool struct {
 	size int
 	idle chan Replica
+	fold FoldStats
 
 	mu           sync.Mutex
 	state        map[Replica]BreakerState
@@ -261,74 +263,101 @@ type Pool struct {
 	readmissions int64
 }
 
-// NewPool builds n replicas of m (0 → GOMAXPROCS): the original model plus
-// n-1 serving clones that share only the read-only embedding table. The
-// clones come from one wb.CloneManyForServing call, so the model is
-// snapshot-encoded once, not once per replica. beam and maxTokens configure
-// each replica exactly like wb.NewBriefer, so pooled briefings are
-// identical to the serial path's.
+// NewPool builds n replicas of m (0 → GOMAXPROCS): folded serving copies
+// (wb.FoldForServing) that share one embedding matrix and one set of fold
+// tables and nothing with m itself. The copies come from one snapshot
+// encoding, not one per replica. beam and maxTokens configure each replica
+// exactly like wb.NewBriefer, so pooled briefings are identical to the
+// serial path's.
 func NewPool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) (*Pool, error) {
+	start := time.Now()
 	reps, err := newModelReplicas(m, v, n, beam, maxTokens)
 	if err != nil {
 		return nil, err
 	}
-	replicas := make([]Replica, len(reps))
-	for i, r := range reps {
-		replicas[i] = r
-	}
-	return PoolOf(replicas...), nil
+	return poolOfModels(reps, time.Since(start)), nil
 }
 
 // NewCascadePool builds a pool whose replicas run the float32 student fast
 // path with confidence-gated escalation to the float64 teacher: the model
-// is converted once with wb.ConvertJointWB (GloVe-encoder models only) and
-// the read-only student weights are shared across all replicas, each of
+// is converted and folded once with wb.FoldStudent (GloVe-encoder models
+// only) and the read-only student is shared across all replicas, each of
 // which owns its own float32 workspace. threshold is the
 // escalation cutoff on the decode confidence score: ≤ 0 never escalates,
 // > 1 escalates every briefing.
 func NewCascadePool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int, threshold float64) (*Pool, error) {
+	start := time.Now()
 	reps, err := newModelReplicas(m, v, n, beam, maxTokens)
 	if err != nil {
 		return nil, err
 	}
-	student, err := wb.ConvertJointWB(m)
+	student, err := wb.FoldStudent(m)
 	if err != nil {
 		return nil, fmt.Errorf("serve: float32 student: %w", err)
 	}
-	replicas := make([]Replica, len(reps))
-	for i, r := range reps {
+	for _, r := range reps {
 		r.student = student
 		r.threshold = threshold
 		r.sscratch = wb.NewBatchScratchOf[float32](v, beam, 1)
-		replicas[i] = r
 	}
-	return PoolOf(replicas...), nil
+	return poolOfModels(reps, time.Since(start)), nil
 }
 
 // newModelReplicas builds the n teacher replicas NewPool and NewCascadePool
-// share: the original model plus n-1 serving clones.
+// share. A model with no snapshot form (a transformer encoder, an ablation)
+// has no fold tables either and serves as is — which only a pool of one can,
+// as before.
 func newModelReplicas(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) ([]*modelReplica, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	replicas := make([]*modelReplica, n)
-	replicas[0] = &modelReplica{
-		model: m, vocab: v, beam: beam, maxTokens: maxTokens,
-		scratch: wb.NewBatchScratchOf[float64](v, beam, 1),
-	}
-	if n > 1 {
-		clones, err := wb.CloneManyForServing(m, v, n-1)
-		if err != nil {
-			return nil, fmt.Errorf("serve: clone replicas: %w", err)
+	var models []wb.Model
+	folded, err := wb.FoldForServing(m, v, n)
+	switch {
+	case err == nil:
+		for _, f := range folded {
+			models = append(models, f)
 		}
-		for i, c := range clones {
-			replicas[i+1] = &modelReplica{
-				model: c, vocab: v, beam: beam, maxTokens: maxTokens,
-				scratch: wb.NewBatchScratchOf[float64](v, beam, 1),
-			}
+	case n == 1:
+		models = []wb.Model{m}
+	default:
+		return nil, fmt.Errorf("serve: clone replicas: %w", err)
+	}
+	replicas := make([]*modelReplica, n)
+	for i, model := range models {
+		replicas[i] = &modelReplica{
+			model: model, vocab: v, beam: beam, maxTokens: maxTokens,
+			scratch: wb.NewBatchScratchOf[float64](v, beam, 1),
 		}
 	}
 	return replicas, nil
+}
+
+// FoldStats is what folding cost a pool: the bytes all tiers' fold tables
+// occupy (each tier's are shared by every replica), and the wall time of
+// building the pool's models — the serving copies, the float32 conversion
+// and the tables. Bytes is zero for a pool that serves unfolded.
+type FoldStats struct {
+	Bytes int64
+	Built time.Duration
+}
+
+// poolOfModels is PoolOf over model replicas that took built to construct,
+// recording what the fold tables they share hold.
+func poolOfModels(reps []*modelReplica, built time.Duration) *Pool {
+	replicas := make([]Replica, len(reps))
+	for i, r := range reps {
+		replicas[i] = r
+	}
+	p := PoolOf(replicas...)
+	p.fold.Built = built
+	if f, ok := reps[0].model.(*wb.FoldedOf[float64]); ok {
+		p.fold.Bytes += f.Tables().Bytes()
+	}
+	if f, ok := reps[0].student.(*wb.FoldedOf[float32]); ok {
+		p.fold.Bytes += f.Tables().Bytes()
+	}
+	return p
 }
 
 // PoolOf wraps pre-built replicas — the seam for serving a non-GloVe model
@@ -511,6 +540,9 @@ func (p *Pool) Readmissions() int64 {
 	defer p.mu.Unlock()
 	return p.readmissions
 }
+
+// Fold reports what folding cost the pool.
+func (p *Pool) Fold() FoldStats { return p.fold }
 
 // Size is the number of replicas the pool was built with.
 func (p *Pool) Size() int { return p.size }

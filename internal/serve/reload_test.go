@@ -201,6 +201,137 @@ func TestHotReloadEquivalence(t *testing.T) {
 			})
 		}
 	}
+	// The same contract over real models whose weights differ between
+	// generations: every generation serves from fold tables built from its
+	// own weights, so a table that survived a reload would answer with bytes
+	// that are neither generation's unfolded reference.
+	for _, tier := range []string{"teacher", "student"} {
+		t.Run("real-model/"+tier, func(t *testing.T) { runRealReloadEquivalence(t, tier == "student") })
+	}
+}
+
+// unfoldedWire returns the wire bytes of every page as briefed WITHOUT fold
+// tables: by the serial wb.Briefer on the teacher, or — for a cascade that
+// never escalates — by the plain float32 conversion of m.
+func unfoldedWire(t *testing.T, m *wb.JointWB, v *textproc.Vocab, pages []string, beam int, student bool) [][]byte {
+	t.Helper()
+	if !student {
+		return serialWire(t, wb.NewBriefer(m, v, beam, 0), pages)
+	}
+	st, err := wb.ConvertJointWB(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := wb.NewInferScratch32For(v, beam)
+	want := make([][]byte, len(pages))
+	for i, html := range pages {
+		b, _ := wb.MakeBriefWith32(st, wb.InstanceFromHTML(html, v, 0), v, beam, scratch)
+		j, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = append(j, '\n')
+	}
+	return want
+}
+
+// runRealReloadEquivalence serves model generation 1 to four clients cycling
+// over the corpus pages, hot-reloads a differently seeded model mid-load, and
+// requires of every response that it be a 200 carrying exactly one
+// generation's unfolded reference bytes for its page, never the older
+// generation's after the newer's — and, once the reload has returned, the
+// newer's for every page.
+func runRealReloadEquivalence(t *testing.T, student bool) {
+	m1, v, pages := trainedModelSeed(t, 51)
+	m2, v2, _ := trainedModelSeed(t, 52)
+	const beam = 2
+	htmls := pageHTML(pages)
+	wants := [][][]byte{
+		unfoldedWire(t, m1, v, htmls, beam, student),
+		unfoldedWire(t, m2, v2, htmls, beam, student),
+	}
+	differ := 0
+	for i := range htmls {
+		if !bytes.Equal(wants[0][i], wants[1][i]) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("fixture too weak: both generations brief every page identically")
+	}
+	// Threshold -1 never escalates: every answer is the student tier's.
+	srv, err := New(m1, v, Config{Replicas: 2, BeamWidth: beam, QueueDepth: 64, BatchMax: 4, Cascade: student, ConfidenceThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Clients run until the reload has returned and then a little longer, so
+	// both generations answer under load whatever the reload takes.
+	const clients, afterReload = 4, 24
+	var (
+		wg           sync.WaitGroup
+		reloaded     atomic.Bool
+		served       atomic.Int64
+		only1, only2 atomic.Int64 // answers only one generation could have given
+	)
+	errCh := make(chan error, 1024)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			newest := 0
+			for i, tail := 0, 0; tail < afterReload && len(errCh) < cap(errCh)/2; i++ {
+				if reloaded.Load() {
+					tail++
+				}
+				page := (c + i) % len(htmls)
+				status, body, err := postBrief(ts.URL, htmls[page])
+				served.Add(1)
+				if err != nil || status != http.StatusOK {
+					errCh <- fmt.Errorf("status %d err %v", status, err)
+					continue
+				}
+				is1, is2 := bytes.Equal(body, wants[0][page]), bytes.Equal(body, wants[1][page])
+				switch {
+				case !is1 && !is2:
+					errCh <- fmt.Errorf("page %d: response is neither generation's unfolded reference: %s", page, body)
+				case is2 && !is1:
+					newest = 1
+					only2.Add(1)
+				case is1 && !is2:
+					only1.Add(1)
+					if newest == 1 {
+						errCh <- fmt.Errorf("page %d: generation 1 answer after a generation 2 answer", page)
+					}
+				}
+			}
+		}(c)
+	}
+	waitCond(t, "load to reach the first generation", func() bool { return served.Load() >= clients })
+	if gen, err := srv.Reload(m2, v2); err != nil || gen != 2 {
+		t.Fatalf("Reload: generation %d, err %v", gen, err)
+	}
+	reloaded.Store(true)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Errorf("client: %v", err)
+	}
+	if only1.Load() == 0 || only2.Load() == 0 {
+		t.Fatalf("load saw %d generation-1-only and %d generation-2-only answers, want both", only1.Load(), only2.Load())
+	}
+	for i, html := range htmls {
+		status, body, err := postBrief(ts.URL, html)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("post-reload page %d: status %d err %v", i, status, err)
+		}
+		if !bytes.Equal(body, wants[1][i]) {
+			t.Fatalf("post-reload page %d is not the new model's unfolded briefing:\n got %s\nwant %s", i, body, wants[1][i])
+		}
+	}
+	srv.BeginShutdown()
 }
 
 // TestSwapPoolRejectsBadPools pins the two swap preconditions: capacity

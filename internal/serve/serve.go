@@ -4,8 +4,9 @@
 // with:
 //
 //   - a replica pool: N independent eval-mode model copies (see
-//     wb.CloneManyForServing) checked out per batch, so briefings scale
-//     across GOMAXPROCS instead of serialising on one lock;
+//     wb.FoldForServing), each generation reading one shared set of fold
+//     tables, checked out per batch, so briefings scale across GOMAXPROCS
+//     instead of serialising on one lock;
 //   - one request path (batch.go): every briefing is a batch — of one when
 //     a replica is idle, of whatever queued while all were busy otherwise —
 //     and runs one forward pass per model tier;
@@ -198,7 +199,7 @@ type Server struct {
 }
 
 // New builds a Server around a trained GloVe-encoder Joint-WB bundle,
-// constructing cfg.Replicas pool replicas via wb.CloneManyForServing (cascade
+// constructing cfg.Replicas pool replicas via wb.FoldForServing (cascade
 // replicas via NewCascadePool when cfg.Cascade is set).
 func New(m *wb.JointWB, v *textproc.Vocab, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()

@@ -338,9 +338,10 @@ func TestAdmissionOverload429(t *testing.T) {
 
 // TestQueueDeadline504 parks a request in the wait queue past the
 // configured per-request deadline and asserts it gets 504. The request
-// holding the replica is also released after its deadline: the deadline is
-// checked between pipeline stages, so it too reports 504 rather than
-// returning a briefing the client has already given up on.
+// holding the replica gets its 504 at its own deadline too, from its
+// handler, while Encode still holds the replica; when the stage finally
+// returns, the post-decode deadline check discards the briefing the client
+// has already given up on instead of counting it served.
 func TestQueueDeadline504(t *testing.T) {
 	stub := newStubReplica()
 	srv := NewFromPool(PoolOf(stub), Config{QueueDepth: 2, Timeout: 25 * time.Millisecond})
@@ -366,14 +367,26 @@ func TestQueueDeadline504(t *testing.T) {
 		t.Fatalf("queued-past-deadline status %d, want 504", status)
 	}
 
-	// By now the first request's deadline has certainly expired too; the
-	// post-encode check turns its slow briefing into a 504.
-	stub.release <- struct{}{}
+	// Each deadline is its own timer, and nothing orders the first request's
+	// expiry before the second's answer: wait for the first's 504 before
+	// letting its Encode return, or the stage could finish inside that gap
+	// and be served.
 	if s := <-first; s != http.StatusGatewayTimeout {
 		t.Fatalf("first request got %d, want 504 after its deadline", s)
 	}
 	if srv.Metrics().Requests.Count(Timeout) != 2 {
 		t.Fatalf("timeout counter %d, want 2", srv.Metrics().Requests.Count(Timeout))
+	}
+	stub.release <- struct{}{}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rep, err := srv.Pool().Get(ctx) // blocks until the executor is done with the replica
+	if err != nil {
+		t.Fatalf("replica never returned to the pool: %v", err)
+	}
+	srv.Pool().Put(rep)
+	if ok := srv.Metrics().Requests.Count(OK); ok != 0 {
+		t.Fatalf("%d briefings counted served after both deadlines expired", ok)
 	}
 }
 

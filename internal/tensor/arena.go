@@ -6,7 +6,8 @@ package tensor
 // so the next step reuses the same memory. Steady-state training therefore
 // performs near-zero heap allocation per step: after the first step sizes
 // every slab, later steps only pay a memset per allocation (which New would
-// pay anyway via make).
+// pay anyway via make) — and not even that for AllocUninit, the allocation
+// for destinations whose every cell is written before it is read.
 //
 // An ArenaOf is not safe for concurrent use; parallel training gives each
 // worker its own arena-backed tape, and each serving replica its own.
@@ -42,6 +43,14 @@ func NewArena() *Arena { return NewArenaOf[float64]() }
 // AllocFloats returns a zeroed slice of n floats backed by the arena. The
 // slice is full-capacity-clipped so appends never bleed into neighbours.
 func (a *ArenaOf[T]) AllocFloats(n int) []T {
+	out := a.allocFloats(n)
+	clear(out)
+	return out
+}
+
+// allocFloats is AllocFloats without the zeroing: the slice holds whatever
+// the arena's previous generation left there.
+func (a *ArenaOf[T]) allocFloats(n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -56,9 +65,6 @@ func (a *ArenaOf[T]) AllocFloats(n int) []T {
 		if s := a.slabs[a.slab]; a.off+n <= len(s) {
 			out := s[a.off : a.off+n : a.off+n]
 			a.off += n
-			for i := range out {
-				out[i] = 0
-			}
 			return out
 		}
 		a.slab++
@@ -71,6 +77,19 @@ func (a *ArenaOf[T]) AllocFloats(n int) []T {
 func (a *ArenaOf[T]) Alloc(rows, cols int) *MatrixOf[T] {
 	m := a.allocHeader(rows, cols)
 	m.Data = a.AllocFloats(rows * cols)
+	return m
+}
+
+// AllocUninit is Alloc without the zeroing, for destinations every cell of
+// which is written before it is read (copies, elementwise outputs, the fused
+// LSTM cell's states): the matrix holds stale arena contents until then.
+// Accumulating kernels (MatMulInto, MatMulTransAInto) need Alloc. Under
+// `-tags wbdebug` the storage is poisoned with NaN, so a cell the caller
+// failed to write trips the kernels' finite guard.
+func (a *ArenaOf[T]) AllocUninit(rows, cols int) *MatrixOf[T] {
+	m := a.allocHeader(rows, cols)
+	m.Data = a.allocFloats(rows * cols)
+	debugPoison(m.Data)
 	return m
 }
 

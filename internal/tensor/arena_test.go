@@ -27,6 +27,29 @@ func TestArenaAllocZeroed(t *testing.T) {
 	}
 }
 
+// TestArenaAllocUninit: the uninitialised allocation bumps the same cursor
+// as Alloc (distinct, correctly shaped, clipped buffers) and, unlike it,
+// leaves the storage alone — which is the saving — while an Alloc that
+// follows over the same dirty slab is still zeroed.
+func TestArenaAllocUninit(t *testing.T) {
+	a := NewArena()
+	x := a.AllocUninit(2, 3)
+	y := a.AllocUninit(2, 3)
+	if x.Rows != 2 || x.Cols != 3 || len(x.Data) != 6 || cap(x.Data) != 6 {
+		t.Fatalf("bad shape: %dx%d len %d cap %d", x.Rows, x.Cols, len(x.Data), cap(x.Data))
+	}
+	for i := range x.Data {
+		x.Data[i], y.Data[i] = 1, 2
+	}
+	if x.Data[5] != 1 || y.Data[0] != 2 {
+		t.Fatal("uninitialised allocations alias each other")
+	}
+	a.Reset()
+	if z := a.Alloc(2, 3); z.Data[0] != 0 || z.Data[5] != 0 {
+		t.Fatalf("Alloc over storage an AllocUninit dirtied is not zeroed: %v", z.Data)
+	}
+}
+
 func TestArenaDistinctBuffers(t *testing.T) {
 	a := NewArena()
 	x := a.Alloc(2, 2)

@@ -22,3 +22,13 @@ func debugFinite[T Float](op string, dst *MatrixOf[T]) {
 		}
 	}
 }
+
+// debugPoison fills uninitialised storage (ArenaOf.AllocUninit) with NaN, so
+// a cell its owner never writes reaches debugFinite as a NaN instead of as
+// a plausible stale value.
+func debugPoison[T Float](data []T) {
+	nan := T(math.NaN())
+	for i := range data {
+		data[i] = nan
+	}
+}

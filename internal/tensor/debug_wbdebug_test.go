@@ -73,3 +73,20 @@ func TestFiniteGuardCoversLSTMCell(t *testing.T) {
 	mustPanicFinite(t, "LSTMCellInto", run(func(in, c *Matrix32) { c.Data[1] = float32(math.Inf(1)) }))
 	run(func(in, c *Matrix32) {})()
 }
+
+// TestUninitAllocIsPoisoned: under wbdebug, storage from AllocUninit is NaN
+// until written, so a kernel handed a destination it only partly fills is
+// caught by its own finite guard instead of serving last request's values.
+func TestUninitAllocIsPoisoned(t *testing.T) {
+	a := NewArena()
+	dst := a.AllocUninit(2, 2)
+	for i, v := range dst.Data {
+		if !math.IsNaN(v) {
+			t.Fatalf("uninitialised cell %d holds %v, want the NaN poison", i, v)
+		}
+	}
+	// A concat that covers only the first row leaves the second poisoned.
+	half := FromSlice(1, 2, dst.Data[:2])
+	ConcatRowsInto(half, Full(1, 2, 1))
+	mustPanicFinite(t, "AddInto", func() { AddInto(New(2, 2), dst, New(2, 2)) })
+}

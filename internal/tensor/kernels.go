@@ -4,8 +4,9 @@ package tensor
 // inference fast path. Every kernel here preserves the naive loops'
 // per-element accumulation order (contributions arrive in ascending k for
 // each output cell), so results are bitwise identical to the reference
-// implementations below: blocking only changes WHICH cells are in flight
-// at once, never the order of floating-point additions into one cell.
+// loops of kernels_reference_test.go: blocking only changes WHICH cells are
+// in flight at once, never the order of floating-point additions into one
+// cell.
 // The single permitted divergence is the sign of a zero when an input
 // contains exact zeros (the reference kernels skip a==0 terms, the packed
 // and transposed ones add ±0), which compares equal under == and never
@@ -216,72 +217,6 @@ func matMulTransA[T Float](dst, m, o *MatrixOf[T]) {
 	case *Matrix32:
 		m := any(m).(*Matrix32)
 		matMulTransARows32(dst, m, any(o).(*Matrix32), 0, m.Rows)
-	}
-}
-
-// --- Reference kernels ------------------------------------------------------
-//
-// The pre-blocking naive loops, kept verbatim as the ground truth the
-// property tests in kernels_test.go compare every blocked kernel against.
-// They are not used on any production path.
-
-// referenceMatMul accumulates dst += m·o with the original ikj loops.
-func referenceMatMul(dst, m, o *Matrix) {
-	for i := 0; i < m.Rows; i++ {
-		mRow := m.Row(i)
-		rRow := dst.Row(i)
-		for k, a := range mRow {
-			if a == 0 {
-				continue
-			}
-			oRow := o.Row(k)
-			for j, b := range oRow {
-				rRow[j] += a * b
-			}
-		}
-	}
-}
-
-// referenceMatMulTransB sets dst = m·oᵀ with the original dot-product loops.
-func referenceMatMulTransB(dst, m, o *Matrix) {
-	for i := 0; i < m.Rows; i++ {
-		mRow := m.Row(i)
-		rRow := dst.Row(i)
-		for j := 0; j < o.Rows; j++ {
-			oRow := o.Row(j)
-			var s float64
-			for k, a := range mRow {
-				s += a * oRow[k]
-			}
-			rRow[j] = s
-		}
-	}
-}
-
-// referenceMatMulTransA accumulates dst += mᵀ·o with the original
-// zero-skipping loops.
-func referenceMatMulTransA(dst, m, o *Matrix) {
-	for k := 0; k < m.Rows; k++ {
-		mRow := m.Row(k)
-		oRow := o.Row(k)
-		for i, a := range mRow {
-			if a == 0 {
-				continue
-			}
-			rRow := dst.Row(i)
-			for j, b := range oRow {
-				rRow[j] += a * b
-			}
-		}
-	}
-}
-
-// referenceTranspose sets dst = mᵀ with the original column-strided writes.
-func referenceTranspose(dst, m *Matrix) {
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			dst.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
 	}
 }
 

@@ -205,6 +205,62 @@ func testPackBufReuse[T Float](t *testing.T) {
 	}
 }
 
+// TestMatMulSplitKBitwise pins what folding an embedding into a gate matrix
+// rests on (nn.InputTable): every matmul kernel accumulates a cell in
+// ascending k starting from what the destination holds, so a product split
+// at a constant inner boundary — the first k₁ terms into a zeroed
+// destination, the remaining k₂ onto that — is bit for bit the one-pass
+// product of the concatenated operands; and a row of the first half (a row
+// of Emb·Wx) has the same bits whether it was computed alone or inside a
+// register tile with its neighbours. Over the register-tile grid widened by
+// k₂ ∈ {1, 6, 108} (so 1+6, 50+108, 108+108, … occur), dense and with
+// planted ±0 and an all-zero row, both element types, both kernel modes.
+func TestMatMulSplitKBitwise(t *testing.T) {
+	eachKernelMode(t, func(t *testing.T) {
+		testMatMulSplitKBitwise[float64](t)
+		testMatMulSplitKBitwise[float32](t)
+	})
+}
+
+func testMatMulSplitKBitwise[T Float](t *testing.T) {
+	for i, c := range tileGridCases() {
+		if c.flavour != "normal" {
+			continue // MatMulInto rejects non-finite outputs under -tags wbdebug
+		}
+		k1, k2 := c.k, []int{1, 6, 108}[i%3]
+		wide := laneCase{c.r, k1 + k2, c.c, c.zeroFrac, c.flavour}
+		m, o, _ := laneOperands[T](wide, int64(3000+i))
+		a, b := m.MatrixOf, o.MatrixOf
+		a1, a2 := NewOf[T](c.r, k1), NewOf[T](c.r, k2)
+		for r := 0; r < c.r; r++ {
+			copy(a1.Row(r), a.Row(r)[:k1])
+			copy(a2.Row(r), a.Row(r)[k1:])
+		}
+		b1 := FromSlice(k1, c.c, b.Data[:k1*c.c])
+		b2 := FromSlice(k2, c.c, b.Data[k1*c.c:])
+
+		onePass := NewOf[T](c.r, c.c)
+		MatMulInto(onePass, a, b)
+		split := NewOf[T](c.r, c.c)
+		MatMulInto(split, a1, b1)
+		for r := 0; r < c.r; r++ {
+			alone := NewOf[T](1, c.c)
+			MatMulInto(alone, FromSlice(1, k1, a1.Row(r)), b1)
+			for j, w := range alone.Data {
+				if g := split.Row(r)[j]; bitsOf(g) != bitsOf(w) {
+					t.Fatalf("%v+%d row %d col %d: %v among %d rows, %v alone", c, k2, r, j, g, c.r, w)
+				}
+			}
+		}
+		MatMulInto(split, a2, b2)
+		for j, w := range onePass.Data {
+			if g := split.Data[j]; bitsOf(g) != bitsOf(w) {
+				t.Fatalf("%v+%d cell %d: split at k=%d %v, one pass %v", c, k2, j, k1, g, w)
+			}
+		}
+	}
+}
+
 // TestMatMulRowPartitionBitwise pins the row partition: a product cut into
 // parallelRows' chunks (whole register tiles, on two and on three workers)
 // is bit for bit the product computed in one piece, for both element types

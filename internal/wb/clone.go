@@ -8,8 +8,8 @@ import (
 
 // CloneManyForServing deep-copies a trained GloVe-encoder Joint-WB model n
 // times so the clones and the original can run eval-mode forwards
-// concurrently without sharing any mutable state — the replica-construction
-// primitive behind serve.Pool. The copies go through the snapshot codec
+// concurrently without sharing any mutable state — the copying step of
+// FoldForServing, which serve.Pool builds its replicas with. The copies go through the snapshot codec
 // round-trip, so each is exactly the model a restart would load: float64
 // bit patterns are preserved, making a clone's briefings byte-identical to
 // the original's. The model is encoded once and decoded n times, not

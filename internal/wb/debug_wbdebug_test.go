@@ -37,3 +37,26 @@ func checkStaleDecodePanics[T tensor.Float](t *testing.T, m ModelOf[T], insts []
 	}()
 	DecodeTopicBatch(m, insts, outs, v, beam, s, briefs)
 }
+
+// TestStaleFoldTablePanics: FoldedOf's API cannot produce a table that
+// disagrees with its weights, so reach around it — write a weight the table
+// was built from — and the next folded forward must name the table.
+func TestStaleFoldTablePanics(t *testing.T) {
+	insts, v := testData(t, 1, 2)
+	folded, err := FoldForServing(newTestJointWB(v, 313), v, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := folded[0]
+	s := NewBatchScratchOf[float64](v, 2, 1)
+	MakeBriefBatch[float64](f, insts[:1], v, 2, s) // fresh: must not fire
+	for i := range f.m.Dec.Cell.Wx.Value.Data {
+		f.m.Dec.Cell.Wx.Value.Data[i] *= 2
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "stale fold table Dec") {
+			t.Fatalf("forward over a stale table: got %q, want a stale-table panic", msg)
+		}
+	}()
+	MakeBriefBatch[float64](f, insts[:1], v, 2, s)
+}

@@ -166,6 +166,12 @@ func (m *JointWBOf[T]) Params() []*ag.ParamOf[T] {
 
 // Forward implements Model.
 func (m *JointWBOf[T]) Forward(t *ag.TapeOf[T], inst *Instance, mode Mode) *OutputOf[T] {
+	return m.forward(t, inst, mode, nil)
+}
+
+// forward is Forward, with E's input projections read from fold's tables
+// when fold is set (FoldedOf, Eval on a no-gradient tape only).
+func (m *JointWBOf[T]) forward(t *ag.TapeOf[T], inst *Instance, mode Mode, fold *FoldTablesOf[T]) *OutputOf[T] {
 	tok, sent := m.Enc.EncodeDoc(t, inst)
 	if mode == Train && m.Cfg.Dropout > 0 {
 		tok = t.Dropout(tok, m.Cfg.Dropout, m.rng)
@@ -176,7 +182,12 @@ func (m *JointWBOf[T]) Forward(t *ag.TapeOf[T], inst *Instance, mode Mode) *Outp
 	secLogits := m.Sec.Forward(t, sent)
 
 	// E and G base encoders.
-	cE := m.ExtLSTM.Forward(t, tok)  // l×2h
+	var cE *ag.NodeOf[T] // l×2h
+	if fold != nil {
+		cE = m.ExtLSTM.ForwardIDs(t, fold.ExtFwd, fold.ExtBwd, inst.IDs)
+	} else {
+		cE = m.ExtLSTM.Forward(t, tok)
+	}
 	cG := m.GenLSTM.Forward(t, sent) // m×2h
 
 	return m.forwardTail(t, inst, mode, secLogits, cE, cG)
@@ -191,14 +202,26 @@ func (m *JointWBOf[T]) Forward(t *ag.TapeOf[T], inst *Instance, mode Mode) *Outp
 // lone Forward(t, inst, Eval) for that instance (up to the sign of zero,
 // which no downstream argmax/threshold/ordering can observe).
 func (m *JointWBOf[T]) ForwardBatchEval(t *ag.TapeOf[T], insts []*Instance) []*OutputOf[T] {
+	return m.forwardBatchEval(t, insts, nil)
+}
+
+// forwardBatchEval is ForwardBatchEval, folded like forward when fold is set.
+func (m *JointWBOf[T]) forwardBatchEval(t *ag.TapeOf[T], insts []*Instance, fold *FoldTablesOf[T]) []*OutputOf[T] {
 	toks := make([]*ag.NodeOf[T], len(insts))
 	sents := make([]*ag.NodeOf[T], len(insts))
 	secs := make([]*ag.NodeOf[T], len(insts))
+	idss := make([][]int, len(insts))
 	for i, inst := range insts {
 		toks[i], sents[i] = m.Enc.EncodeDoc(t, inst)
 		secs[i] = m.Sec.Forward(t, sents[i])
+		idss[i] = inst.IDs
 	}
-	cEs := m.ExtLSTM.ForwardBatch(t, toks)
+	var cEs []*ag.NodeOf[T]
+	if fold != nil {
+		cEs = m.ExtLSTM.ForwardBatchIDs(t, fold.ExtFwd, fold.ExtBwd, idss)
+	} else {
+		cEs = m.ExtLSTM.ForwardBatch(t, toks)
+	}
 	cGs := m.GenLSTM.ForwardBatch(t, sents)
 	outs := make([]*OutputOf[T], len(insts))
 	for i, inst := range insts {

@@ -47,8 +47,8 @@ if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name
 echo "== one model file format (encoding/gob is the lint-facts codec in internal/analysis/facts.go and nothing else)"
 if grep -rl '"encoding/gob"' --include='*.go' . | grep -v '^./internal/analysis/facts.go$'; then echo "encoding/gob imported by the file(s) listed above: model bundles are snapshots (internal/snapshot)"; exit 1; fi
 
-echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone)"
-GODEBUG=cpu.fma=off go test -run 'TestAct64' ./internal/tensor
+echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
+GODEBUG=cpu.fma=off go test -run 'TestAct64|TestMatMulSplitKBitwise' ./internal/tensor
 
 echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x layout x impl grid and the f64 σ/tanh fn x n x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
 go test -run '^$' -bench 'Kernels|Act64' -benchtime 1x ./internal/tensor >/dev/null
