@@ -283,13 +283,3 @@ func (r *Result) ContentURLs() []string {
 	sort.Strings(out)
 	return out
 }
-
-// FailedURLs returns the unreachable URLs sorted, for set comparison.
-func (r *Result) FailedURLs() []string {
-	out := make([]string, len(r.Failed))
-	for i, f := range r.Failed {
-		out[i] = f.URL
-	}
-	sort.Strings(out)
-	return out
-}

@@ -43,9 +43,3 @@ func (p *Pip) Train(insts []*wb.Instance, tc wb.TrainConfig) (topicLosses, attrL
 	attrLosses = p.AttrStage.Train(piped, tc)
 	return topicLosses, attrLosses
 }
-
-// EvalInstances returns eval-time instances for the attribute stage: topic
-// priors come from the topic student, never from gold labels.
-func (p *Pip) EvalInstances(insts []*wb.Instance) []*wb.Instance {
-	return WithPredictedTopics(insts, p.TopicStage.Student, p.BeamWidth, p.MaxLen)
-}

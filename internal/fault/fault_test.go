@@ -212,22 +212,33 @@ func TestFetcherFaultKinds(t *testing.T) {
 	}
 }
 
-// nopReplica is a minimal PipelineReplica for wrapper tests.
+// nopReplica is a minimal PipelineReplica for wrapper tests; it counts the
+// members it encoded and decoded.
 type nopReplica struct{ encodes, decodes int }
 
 func (r *nopReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *nopReplica) Encode(inst *wb.Instance) *wb.Brief      { r.encodes++; return &wb.Brief{} }
-func (r *nopReplica) Decode(inst *wb.Instance, b *wb.Brief)   { r.decodes++ }
+func (r *nopReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
+	r.encodes += len(insts)
+	return make([]*wb.Brief, len(insts))
+}
+func (r *nopReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision {
+	r.decodes += len(insts)
+	return make([]wb.TierDecision, len(insts))
+}
 
-// runRequest drives one Parse/Encode/Decode through rep, reporting a
-// recovered panic instead of crashing the test.
+// runRequest drives one request — a batch of one — through rep's
+// Parse/EncodeBatch/DecodeBatch, reporting a recovered panic instead of
+// crashing the test.
 func runRequest(rep PipelineReplica) (panicked any) {
 	defer func() { panicked = recover() }()
 	inst, err := rep.Parse("<p>x</p>")
 	if err != nil {
 		return fmt.Sprintf("parse: %v", err)
 	}
-	rep.Decode(inst, rep.Encode(inst))
+	insts := []*wb.Instance{inst}
+	if ds := rep.DecodeBatch(insts, rep.EncodeBatch(insts)); len(ds) != 1 {
+		return fmt.Sprintf("%d tier decisions passed through for a batch of one", len(ds))
+	}
 	return nil
 }
 
@@ -271,5 +282,22 @@ func TestReplicaFaultKinds(t *testing.T) {
 	}
 	if inner.encodes != 3 || inner.decodes != 3 {
 		t.Fatalf("clean requests reached inner %d/%d times, want 3/3", inner.encodes, inner.decodes)
+	}
+
+	// One draw per batch, whatever its size: a batch of four at rate 1
+	// advances the schedule by one and is late by one delay, and all four
+	// members reach the inner replica in one call each way.
+	inner = &nopReplica{}
+	rec = &sleepRecorder{}
+	sched := NewSchedule(Config{Seed: 1, Rate: 1, SlowWeight: 1, SlowDelay: 2 * time.Millisecond})
+	rep = NewReplica(inner, sched)
+	rep.Sleep = rec.Sleep
+	batch := make([]*wb.Instance, 4)
+	rep.DecodeBatch(batch, rep.EncodeBatch(batch))
+	if got := sched.Draws(); got != 1 || inner.encodes != 4 || inner.decodes != 4 {
+		t.Fatalf("batch of four: %d draws, inner saw %d/%d members, want 1 and 4/4", got, inner.encodes, inner.decodes)
+	}
+	if len(rec.slept) != 1 || rec.slept[0] < 2*time.Millisecond || rec.slept[0] >= 4*time.Millisecond {
+		t.Fatalf("batch of four slept %v, want one sleep in [2ms,4ms)", rec.slept)
 	}
 }

@@ -11,30 +11,35 @@ import (
 // import this package). serve.Replica and *Replica here are interchangeable.
 type PipelineReplica interface {
 	Parse(html string) (*wb.Instance, error)
-	Encode(inst *wb.Instance) *wb.Brief
-	Decode(inst *wb.Instance, b *wb.Brief)
+	EncodeBatch(insts []*wb.Instance) []*wb.Brief
+	DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision
 }
 
-// Replica wraps a serving replica with the faults a Schedule draws, one
-// draw per request (at Parse time, since Pool checkout is exclusive a
-// request's three stages never interleave with another's on the same
-// replica). The kinds map onto replica pathologies:
+// Replica wraps a serving replica with the faults a Schedule draws: one draw
+// per batch, taken at EncodeBatch. A batch is one fused forward on one
+// exclusively checked-out replica — the unit that faults — so the schedule's
+// rate is the share of batches that fault whatever their size, and a faulted
+// batch costs every member of it. The kinds map onto replica pathologies:
 //
-//	Error:   Encode panics — the "briefing engine hit a bug" failure the
-//	         serve layer must recover, eject and retry around;
-//	Timeout: Encode wedges for TimeoutHang before completing — the stall
-//	         the watchdog must detect and eject, with the replica coming
-//	         back probe-able once the wedge resolves;
-//	Slow:    Encode is late by the drawn delay but correct;
-//	Garbage: Decode panics after Encode succeeded — state corrupted
-//	         mid-pipeline.
+//	Error:   EncodeBatch panics before the inner replica runs — the
+//	         "briefing engine hit a bug" failure the serve layer must
+//	         recover, eject and retry around;
+//	Timeout: EncodeBatch wedges for TimeoutHang before completing — the
+//	         stall the watchdog must detect and eject, with the replica
+//	         coming back probe-able once the wedge resolves;
+//	Slow:    EncodeBatch is late by the drawn delay but correct;
+//	Garbage: DecodeBatch panics after EncodeBatch succeeded — state
+//	         corrupted mid-pipeline.
+//
+// Everything the inner replica returns — the briefs and the tier decisions
+// — passes through untouched.
 type Replica struct {
 	Inner PipelineReplica
 	Sched *Schedule
 	// Sleep is the blocking seam (nil = time.Sleep).
 	Sleep func(time.Duration)
 
-	pending Fault
+	pending Fault // the draw of the batch in flight
 }
 
 // NewReplica wraps inner with faults drawn from sched.
@@ -50,33 +55,31 @@ func (r *Replica) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// Parse draws this request's fault and parses cleanly — parse errors mean
-// "bad input" (422) to the serving layer, never "bad replica", so faults
-// fire in the model stages instead.
+// Parse parses cleanly — parse errors mean "bad input" (422) to the serving
+// layer, never "bad replica", so faults fire in the model stages instead.
 func (r *Replica) Parse(html string) (*wb.Instance, error) {
-	r.pending = r.Sched.Next()
 	return r.Inner.Parse(html)
 }
 
-// Encode applies Error (panic), Timeout (wedge) and Slow (delay) faults.
-func (r *Replica) Encode(inst *wb.Instance) *wb.Brief {
+// EncodeBatch draws the batch's fault and applies Error (panic), Timeout
+// (wedge) and Slow (delay).
+func (r *Replica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
+	r.pending = r.Sched.Next()
 	switch r.pending.Kind {
 	case Error:
-		panic("fault: injected replica panic in Encode")
+		panic("fault: injected replica panic in EncodeBatch")
 	case Timeout:
 		r.sleep(r.Sched.cfg.TimeoutHang)
 	case Slow:
 		r.sleep(r.pending.Delay)
 	}
-	return r.Inner.Encode(inst)
+	return r.Inner.EncodeBatch(insts)
 }
 
-// Decode applies the Garbage fault (panic after a clean Encode).
-func (r *Replica) Decode(inst *wb.Instance, b *wb.Brief) {
+// DecodeBatch applies the Garbage fault (panic after a clean EncodeBatch).
+func (r *Replica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision {
 	if r.pending.Kind == Garbage {
-		r.pending = Fault{}
-		panic("fault: injected replica panic in Decode")
+		panic("fault: injected replica panic in DecodeBatch")
 	}
-	r.pending = Fault{}
-	r.Inner.Decode(inst, b)
+	return r.Inner.DecodeBatch(insts, briefs)
 }

@@ -15,7 +15,7 @@ import (
 // replica is busy the dispatcher waits for the next one to free up and then
 // coalesces whatever queued meanwhile, up to BatchMax, into one batch that
 // briefs in fused B-row forward passes on that single checkout (see
-// BatchReplica), so saturation turns into wider matmuls instead of replica
+// Replica), so saturation turns into wider matmuls instead of replica
 // contention.
 //
 // Ownership is linear, so no item field needs a lock: the handler builds a
@@ -267,8 +267,7 @@ func (s *Server) executeBatch(pool *Pool, rep Replica, items []*batchItem) {
 }
 
 // runBatchOn briefs a batch on one replica: parse each member, then one
-// batched encode and one batched decode when the replica supports it, member
-// by member otherwise. Stage latencies are observed once per member — each
+// batched encode and one batched decode. Stage latencies are observed once per member — each
 // request did wait the whole stage — so stage sums are wall-clock waits, not
 // CPU time. A faulted stage observes nothing (its duration is the fault's,
 // not the pipeline's). Reports false when the replica faulted (it is already
@@ -322,33 +321,20 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	// No member drops between encode and decode: the encode stage retains
 	// per-instance state on the replica that the decode stage consumes.
 	// Deadlines are re-checked per member after decode instead.
-	briefs := make([]*wb.Brief, len(liveItems))
-	var encodeDur, decodeDur time.Duration
-	if br, ok := rep.(BatchReplica); ok {
-		t1 := time.Now()
-		if !s.runStage(pool, rep, func() { briefs = br.EncodeBatch(liveInsts) }) {
-			return false
-		}
-		t2 := time.Now()
-		if !s.runStage(pool, rep, func() { br.DecodeBatch(liveInsts, briefs) }) {
-			return false
-		}
-		encodeDur, decodeDur = t2.Sub(t1), time.Since(t2)
-	} else {
-		for i, inst := range liveInsts {
-			t1 := time.Now()
-			if !s.runStage(pool, rep, func() { briefs[i] = rep.Encode(inst) }) {
-				return false
-			}
-			t2 := time.Now()
-			if !s.runStage(pool, rep, func() { rep.Decode(inst, briefs[i]) }) {
-				return false
-			}
-			encodeDur += t2.Sub(t1)
-			decodeDur += time.Since(t2)
-		}
+	var briefs []*wb.Brief
+	var decisions []wb.TierDecision
+	t1 := time.Now()
+	if !s.runStage(pool, rep, func() { briefs = rep.EncodeBatch(liveInsts) }) {
+		return false
 	}
-	s.observeCascade(rep)
+	t2 := time.Now()
+	if !s.runStage(pool, rep, func() { decisions = rep.DecodeBatch(liveInsts, briefs) }) {
+		return false
+	}
+	encodeDur, decodeDur := t2.Sub(t1), time.Since(t2)
+	if s.cfg.Cascade {
+		s.observeCascade(decisions)
+	}
 	pool.Put(rep) // briefs hold only strings and ints, never workspace memory
 
 	for i, it := range liveItems {

@@ -100,10 +100,9 @@ func serialWire(t *testing.T, serial *wb.Briefer, pages []string) [][]byte {
 // a request lands in, the server answers with bytes identical to the serial
 // wb.Briefer path. Rounds of 8/5/3/1 requests queued behind a held replica
 // form full, partial and singleton batches over ragged real pages — exactly
-// ⌈n/BatchMax⌉ of them — so the fused B-row forward, the batch of one and
-// (under the fault wrapper, which hides the batched capability) the
-// member-by-member fallback over the real replica's one-element adapters
-// each produced the bytes.
+// ⌈n/BatchMax⌉ of them — so the fused B-row forward and the batch of one,
+// directly and through the fault wrapper (which speaks the same batched
+// contract and must pass every batch on whole), each produced the bytes.
 func TestBatchedWireEquivalence(t *testing.T) {
 	m, v, corpusPages := trainedModel(t)
 	const beam = 2
@@ -113,7 +112,7 @@ func TestBatchedWireEquivalence(t *testing.T) {
 	for _, wrapped := range []bool{false, true} {
 		name := "batched"
 		if wrapped {
-			name = "member-by-member"
+			name = "fault-wrapped"
 		}
 		t.Run(name, func(t *testing.T) {
 			srv, err := New(m, v, Config{Replicas: 1, BeamWidth: beam, BatchMax: 4})
@@ -206,7 +205,7 @@ func (r *blockingReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 // another sits idle.
 func TestIdleReplicaTakesRequestAlone(t *testing.T) {
 	a, b := newBlockingReplica(), newBlockingReplica()
-	srv := NewFromPool(PoolOf(a, b), Config{BatchMax: 8})
+	srv := NewFromPool(PoolOf(lift(a), lift(b)), Config{BatchMax: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -278,12 +277,15 @@ func TestOneForwardPerBriefing(t *testing.T) {
 			}
 			teacher, student := &countingModel[float64]{}, &countingModel[float32]{}
 			if err := srv.Pool().WrapOne(func(r Replica) Replica {
-				mr := r.(*modelReplica)
-				teacher.ModelOf, mr.model = mr.model, teacher
-				if mr.student != nil {
-					student.ModelOf, mr.student = mr.student, student
+				for _, tr := range r.(*modelReplica).tiers {
+					switch tr := tr.(type) {
+					case *tierOf[float64]:
+						teacher.ModelOf, tr.model = tr.model, teacher
+					case *tierOf[float32]:
+						student.ModelOf, tr.model = tr.model, student
+					}
 				}
-				return mr
+				return r
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +317,7 @@ func TestOneForwardPerBriefing(t *testing.T) {
 // must never poison the batch it would have joined.
 func TestBatchedDeadlineWhileQueued(t *testing.T) {
 	rep := newBlockingReplica()
-	srv := NewFromPool(PoolOf(rep), Config{QueueDepth: 8, BatchMax: 4})
+	srv := NewFromPool(PoolOf(lift(rep)), Config{QueueDepth: 8, BatchMax: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -401,7 +403,7 @@ func TestBatchedDeadlineWhileQueued(t *testing.T) {
 // queued when the drain begins is still dispatched and answered.
 func TestBatchedOverloadAndDraining(t *testing.T) {
 	rep := newBlockingReplica()
-	srv := NewFromPool(PoolOf(rep), Config{QueueDepth: 1, BatchMax: 1})
+	srv := NewFromPool(PoolOf(lift(rep)), Config{QueueDepth: 1, BatchMax: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

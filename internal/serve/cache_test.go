@@ -159,7 +159,7 @@ func (r *herdReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 // that still checks out no replica.
 func TestCacheThunderingHerd(t *testing.T) {
 	stub := newHerdReplica()
-	srv := NewFromPool(PoolOf(stub), Config{CacheCapacity: 64})
+	srv := NewFromPool(PoolOf(lift(stub)), Config{CacheCapacity: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -238,7 +238,7 @@ func (r *herdPanicReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 // cached, so the next request recomputes.
 func TestCacheCoalescedFailureReplay(t *testing.T) {
 	stub := &herdPanicReplica{started: make(chan struct{}, 8), release: make(chan struct{})}
-	srv := NewFromPool(PoolOf(stub), Config{
+	srv := NewFromPool(PoolOf(lift(stub)), Config{
 		CacheCapacity:  64,
 		ReplicaRetries: -1, // no retries: the winner's panic is terminal
 		ProbeInterval:  time.Hour,
@@ -292,7 +292,7 @@ func TestCachePolicyDenyAndSrcDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &okReplica{}
-	srv := NewFromPool(PoolOf(rep), Config{CacheCapacity: 64, CachePolicy: policy})
+	srv := NewFromPool(PoolOf(lift(rep)), Config{CacheCapacity: 64, CachePolicy: policy})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -344,7 +344,7 @@ func TestCachePolicyDenyAndSrcDomain(t *testing.T) {
 // touched.
 func TestCacheHitBypassesBatching(t *testing.T) {
 	rep := &okReplica{}
-	srv := NewFromPool(PoolOf(rep), Config{CacheCapacity: 64})
+	srv := NewFromPool(PoolOf(lift(rep)), Config{CacheCapacity: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -381,7 +381,7 @@ func TestChaosServeCachedSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cached chaos soak skipped in -short")
 	}
-	srv := NewFromPool(PoolOf(&okReplica{}, &okReplica{}, &okReplica{}), Config{
+	srv := NewFromPool(PoolOf(lift(&okReplica{}), lift(&okReplica{}), lift(&okReplica{})), Config{
 		CacheCapacity:  1024,
 		ReplicaRetries: 2,
 		StallTimeout:   15 * time.Millisecond,
@@ -544,7 +544,7 @@ func (w *hitWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p),
 // regrowth of the body and a context.WithTimeout whose timer a hit never
 // consults.
 func TestCacheHitAllocs(t *testing.T) {
-	srv := NewFromPool(PoolOf(&okReplica{}), Config{CacheCapacity: 64, Timeout: 30 * time.Second})
+	srv := NewFromPool(PoolOf(lift(&okReplica{})), Config{CacheCapacity: 64, Timeout: 30 * time.Second})
 	defer srv.BeginShutdown()
 
 	page := []byte(strings.Repeat("<p>briefing page text</p>\n", 34)[:850])

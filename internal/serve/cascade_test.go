@@ -252,14 +252,13 @@ func TestCascadeEscalatesNaNConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := newModelReplicas(m, v, 1, beam, 0)
+	cfg := Config{BeamWidth: beam, Cascade: true, ConfidenceThreshold: threshold}
+	pool, err := NewPool(m, v, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := reps[0]
-	r.student, r.threshold = nanStudent{student}, threshold
-	r.sscratch = wb.NewBatchScratchOf[float32](v, beam, 1)
-	srv := NewFromPool(PoolOf(r), Config{BeamWidth: beam, Cascade: true, ConfidenceThreshold: threshold})
+	pool.models[0].tiers[0].(*tierOf[float32]).model = nanStudent{student}
+	srv := NewFromPool(pool, cfg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

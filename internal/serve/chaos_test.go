@@ -81,7 +81,7 @@ func (r *wedgeOnceReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 func TestChaosPanicEjectRetryReadmit(t *testing.T) {
 	bad := &panicNReplica{panics: 1}
 	good := &okReplica{}
-	srv := NewFromPool(PoolOf(bad, good), Config{ReplicaRetries: 2, ProbeInterval: 2 * time.Millisecond})
+	srv := NewFromPool(PoolOf(lift(bad), lift(good)), Config{ReplicaRetries: 2, ProbeInterval: 2 * time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -124,7 +124,7 @@ func TestChaosPanicEjectRetryReadmit(t *testing.T) {
 func TestChaosRetryBudgetExhausted500(t *testing.T) {
 	a := &panicNReplica{panics: 1 << 30}
 	b := &panicNReplica{panics: 1 << 30}
-	srv := NewFromPool(PoolOf(a, b), Config{ReplicaRetries: 1, ProbeInterval: time.Hour})
+	srv := NewFromPool(PoolOf(lift(a), lift(b)), Config{ReplicaRetries: 1, ProbeInterval: time.Hour})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -162,7 +162,7 @@ func TestChaosRetryBudgetExhausted500(t *testing.T) {
 func TestChaosStallWatchdogEjects(t *testing.T) {
 	wedge := newWedgeOnceReplica()
 	good := &okReplica{}
-	srv := NewFromPool(PoolOf(wedge, good), Config{
+	srv := NewFromPool(PoolOf(lift(wedge), lift(good)), Config{
 		ReplicaRetries: 1,
 		StallTimeout:   10 * time.Millisecond,
 		ProbeInterval:  2 * time.Millisecond,
@@ -218,7 +218,7 @@ func (r *wedgePanicReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 // under -race this exercises the eject/drain/prober interleavings.
 func TestChaosShutdownDrainWithPanics(t *testing.T) {
 	a, b := newWedgePanicReplica(), newWedgePanicReplica()
-	srv := NewFromPool(PoolOf(a, b), Config{
+	srv := NewFromPool(PoolOf(lift(a), lift(b)), Config{
 		QueueDepth:     2,
 		Timeout:        300 * time.Millisecond,
 		ReplicaRetries: -1, // no retries: panic → 500 immediately
@@ -291,7 +291,7 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 // idle replica in a fault injector keeps pool accounting intact and the
 // wrapped replica keeps serving.
 func TestPoolWrapOne(t *testing.T) {
-	p := PoolOf(&okReplica{}, &okReplica{})
+	p := PoolOf(lift(&okReplica{}), lift(&okReplica{}))
 	sched := fault.NewSchedule(fault.Config{Seed: 1, Rate: 0})
 	if err := p.WrapOne(func(r Replica) Replica { return fault.NewReplica(r, sched) }); err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestPoolWrapOne(t *testing.T) {
 		}
 	}
 
-	drained := PoolOf(&okReplica{})
+	drained := PoolOf(lift(&okReplica{}))
 	drained.TryGet()
 	if err := drained.WrapOne(func(r Replica) Replica { return r }); err == nil {
 		t.Fatal("WrapOne on a pool with no idle replica should error")
@@ -351,8 +351,8 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 				SlowDelay:   time.Millisecond,
 				TimeoutHang: 40 * time.Millisecond, // wedge: resolves after the watchdog fires
 			})
-			faulted := fault.NewReplica(&okReplica{delay: sc.delay}, sched)
-			srv := NewFromPool(PoolOf(faulted, &okReplica{delay: sc.delay}, &okReplica{delay: sc.delay}), Config{
+			faulted := fault.NewReplica(lift(&okReplica{delay: sc.delay}), sched)
+			srv := NewFromPool(PoolOf(faulted, lift(&okReplica{delay: sc.delay}), lift(&okReplica{delay: sc.delay})), Config{
 				ReplicaRetries: 2,
 				StallTimeout:   15 * time.Millisecond,
 				ProbeInterval:  2 * time.Millisecond,
@@ -449,5 +449,65 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 				t.Fatalf("drain left %d requests", n)
 			}
 		})
+	}
+}
+
+// encodeSizes records the size of every EncodeBatch that reaches the replica
+// it wraps.
+type encodeSizes struct {
+	Replica
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (r *encodeSizes) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
+	r.mu.Lock()
+	r.sizes = append(r.sizes, len(insts))
+	r.mu.Unlock()
+	return r.Replica.EncodeBatch(insts)
+}
+
+// TestChaosWrappedCascadeReplicaBatchesAndCounts: what `wbserve -cascade
+// -chaos` builds — a cascade replica inside a fault.Replica — is a Replica
+// like any other. A batch that forms behind the busy pool reaches the inner
+// replica as ONE fused encode of the batch's size, not member by member, and
+// every OK briefing lands in cascade_requests_total with the tier split
+// exact, whichever way each page's confidence fell.
+func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
+	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 1, BatchMax: 4}, 0.5)
+	var inner *encodeSizes
+	quiet := fault.NewSchedule(fault.Config{Seed: 1, Rate: 0})
+	if err := srv.Pool().WrapOne(func(r Replica) Replica {
+		inner = &encodeSizes{Replica: r}
+		return fault.NewReplica(inner, quiet)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	postWhileHeld(t, srv, ts.URL, pageHTML(pages)[:n])
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if left := srv.Drain(ctx); left != 0 {
+		t.Fatalf("server did not quiesce: %d requests in flight", left)
+	}
+
+	if len(inner.sizes) != 1 || inner.sizes[0] != n {
+		t.Fatalf("inner replica saw encodes of sizes %v, want one fused encode of %d", inner.sizes, n)
+	}
+	if quiet.Draws() != 1 {
+		t.Fatalf("schedule drew %d faults for one batch, want 1", quiet.Draws())
+	}
+	m := srv.Metrics()
+	ok := m.Requests.Count(OK)
+	student, teacher := m.CascadeRequests.Count(CascadeStudent), m.CascadeRequests.Count(CascadeTeacher)
+	if ok != n || m.CascadeRequests.Total() != ok || student+teacher != ok {
+		t.Fatalf("cascade_requests_total=%d (student %d + teacher %d), responses.ok=%d, want all %d",
+			m.CascadeRequests.Total(), student, teacher, ok, n)
+	}
+	if got := m.StudentLatency.count.Load(); got != ok {
+		t.Fatalf("student latency histogram has %d observations, want %d", got, ok)
+	}
+	if got := m.TeacherLatency.count.Load(); got != teacher {
+		t.Fatalf("teacher latency histogram has %d observations, want %d", got, teacher)
 	}
 }

@@ -8,16 +8,18 @@ import (
 	"webbrief/internal/wb"
 )
 
-// TestPoolSharesFoldTables: a pool's fold tables are built once per tier and
-// read by every replica — the same pointer, not equal copies — its teacher
-// copies share nothing with the model the pool was built from, and a second
-// pool from the same model (what a hot reload builds) has tables of its own.
+// TestPoolSharesFoldTables: a pool generation's models and fold tables are
+// built once per tier and read by every replica — the same teacher pointer,
+// the same student pointer, the same tables, not equal copies — while each
+// replica's workspaces are its own; and a second pool from the same model
+// (what a hot reload builds) has models and tables of its own.
 func TestPoolSharesFoldTables(t *testing.T) {
 	m, v, _ := trainedModel(t)
-	tables := func(p *Pool) (*wb.FoldTablesOf[float64], *wb.FoldTablesOf[float32]) {
+	tiers := func(p *Pool) (*wb.FoldedOf[float64], *wb.FoldedOf[float32]) {
 		t.Helper()
-		var teacher *wb.FoldTablesOf[float64]
-		var student *wb.FoldTablesOf[float32]
+		var teacher *wb.FoldedOf[float64]
+		var student *wb.FoldedOf[float32]
+		scratches := map[any]bool{}
 		for i := 0; i < p.Size(); i++ {
 			r, ok := p.TryGet()
 			if !ok {
@@ -25,31 +27,44 @@ func TestPoolSharesFoldTables(t *testing.T) {
 			}
 			defer p.Put(r)
 			mr := r.(*modelReplica)
-			ft, fs := mr.model.(*wb.FoldedOf[float64]).Tables(), mr.student.(*wb.FoldedOf[float32]).Tables()
+			if len(mr.tiers) != 2 {
+				t.Fatalf("replica %d has %d tiers, want student then teacher", i, len(mr.tiers))
+			}
+			st, tt := mr.tiers[0].(*tierOf[float32]), mr.tiers[1].(*tierOf[float64])
+			fs, ft := st.model.(*wb.FoldedOf[float32]), tt.model.(*wb.FoldedOf[float64])
 			if i == 0 {
 				teacher, student = ft, fs
 			} else if ft != teacher || fs != student {
-				t.Fatalf("replica %d reads fold tables of its own", i)
+				t.Fatalf("replica %d reads models of its own", i)
 			}
+			if scratches[st.scratch] || scratches[tt.scratch] {
+				t.Fatalf("replica %d shares a workspace with another replica", i)
+			}
+			scratches[st.scratch], scratches[tt.scratch] = true, true
 		}
 		return teacher, student
 	}
-	p1, err := NewCascadePool(m, v, 3, 2, 0, 0.5)
+	cfg := Config{BeamWidth: 2, Cascade: true, ConfidenceThreshold: 0.5}
+	p1, err := NewPool(m, v, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	teacher, student := tables(p1)
-	if got, want := p1.Fold().Bytes, teacher.Bytes()+student.Bytes(); got != want || want == 0 {
+	teacher, student := tiers(p1)
+	if got, want := p1.Fold().Bytes, teacher.Tables().Bytes()+student.Tables().Bytes(); got != want || want == 0 {
 		t.Fatalf("Fold().Bytes = %d, the two tiers' tables hold %d", got, want)
 	}
 	if p1.Fold().Built <= 0 {
 		t.Fatalf("Fold().Built = %v, want the time the pool's models took", p1.Fold().Built)
 	}
-	p2, err := NewCascadePool(m, v, 3, 2, 0, 0.5)
+	p2, err := NewPool(m, v, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t2, s2 := tables(p2); t2 == teacher || s2 == student {
+	t2, s2 := tiers(p2)
+	if t2 == teacher || s2 == student {
+		t.Fatal("a second pool generation reuses the first's models")
+	}
+	if t2.Tables() == teacher.Tables() || s2.Tables() == student.Tables() {
 		t.Fatal("a second pool generation reuses the first's fold tables")
 	}
 }
@@ -61,7 +76,7 @@ func TestPoolServesUnfoldableModelAsIs(t *testing.T) {
 	tc := nn.TransformerConfig{Vocab: v.Size(), Dim: 12, Heads: 2, Layers: 1, FFDim: 24, MaxLen: 32, Segments: 2}
 	enc := wb.NewBERTEncoder("bert", tc, false, rand.New(rand.NewSource(4)))
 	bm := wb.NewJointWB("bert-serve", enc, v.Size(), wb.DefaultConfig())
-	p, err := NewPool(bm, v, 1, 2, 0)
+	p, err := NewPool(bm, v, 1, Config{BeamWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +84,10 @@ func TestPoolServesUnfoldableModelAsIs(t *testing.T) {
 		t.Fatalf("an unfoldable model reports fold tables: %+v", p.Fold())
 	}
 	r, _ := p.TryGet()
-	if r.(*modelReplica).model != wb.Model(bm) {
+	if r.(*modelReplica).tiers[0].(*tierOf[float64]).model != wb.Model(bm) {
 		t.Fatal("a pool of one over an unfoldable model must serve the model itself")
 	}
-	if _, err := NewPool(bm, v, 2, 2, 0); err == nil {
+	if _, err := NewPool(bm, v, 2, Config{BeamWidth: 2}); err == nil {
 		t.Fatal("two replicas of a model with no snapshot form were built")
 	}
 }

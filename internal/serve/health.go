@@ -131,26 +131,23 @@ func (s *Server) probeOnce(rep Replica) (ok bool) {
 	if err != nil {
 		return false
 	}
-	rep.Decode(inst, rep.Encode(inst))
+	insts := []*wb.Instance{inst}
+	rep.DecodeBatch(insts, rep.EncodeBatch(insts))
 	return true
 }
 
-// observeCascade folds the replica's per-briefing cascade decisions into
-// the tier counters and histograms. Replicas without the cascade capability
-// (teacher-only pools, fault wrappers) report nothing. Called only after a
-// clean decode stage: a faulted briefing never counts toward either tier.
-func (s *Server) observeCascade(rep Replica) {
-	cr, ok := rep.(cascadeReporter)
-	if !ok {
-		return
-	}
+// observeCascade folds a batch's tier decisions into the cascade counters
+// and histograms: the first tier is the student, any later one the teacher.
+// Called only on a cascade server and only after a clean decode stage: a
+// faulted briefing never counts toward either tier.
+func (s *Server) observeCascade(decisions []wb.TierDecision) {
 	m := s.metrics
-	for _, d := range cr.CascadeReport() {
+	for _, d := range decisions {
 		m.CascadeRequests.Begin()
-		m.StudentLatency.Observe(d.student)
-		if d.escalated {
+		m.StudentLatency.Observe(d.Spent[0])
+		if d.Tier > 0 {
 			m.CascadeRequests.End(CascadeTeacher)
-			m.TeacherLatency.Observe(d.teacher)
+			m.TeacherLatency.Observe(d.Spent[d.Tier])
 		} else {
 			m.CascadeRequests.End(CascadeStudent)
 		}

@@ -45,7 +45,7 @@ func TestServeLoadSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load soak skipped in -short")
 	}
-	srv := NewFromPool(PoolOf(&slowReplica{delay: 2 * time.Millisecond}),
+	srv := NewFromPool(PoolOf(lift(&slowReplica{delay: 2 * time.Millisecond})),
 		Config{QueueDepth: 2, RetryAfter: time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

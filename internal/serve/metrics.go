@@ -205,8 +205,8 @@ type Metrics struct {
 	CacheHitLatency histogram // lookup start → hit response written (cacheHitBucketsNS)
 
 	// CascadeRequests counts every briefing routed through the cascade,
-	// populated only when the pool runs the float32 student cascade
-	// (NewCascadePool). The tier histograms carry per-tier wall time: every
+	// populated only when the server runs the float32 student cascade
+	// (Config.Cascade). The tier histograms carry per-tier wall time: every
 	// briefing observes a student latency; only escalations observe a
 	// teacher latency on top.
 	CascadeRequests *metrics.Partition[cascadeRequestsTotal]

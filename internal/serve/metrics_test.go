@@ -13,7 +13,7 @@ import (
 // bounds. Scrapers (bench/wbload fails a run on a missing key) read these
 // keys, so a rename must show up here, in tier-1, first.
 func TestMetricsZeroDocumentGolden(t *testing.T) {
-	srv := NewFromPool(PoolOf(&okReplica{}), Config{})
+	srv := NewFromPool(PoolOf(lift(&okReplica{})), Config{})
 	defer srv.BeginShutdown()
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"webbrief/internal/nn"
+	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
 	"webbrief/internal/wb"
 )
@@ -38,89 +41,101 @@ func WarmupHTML(n int) string {
 	return b.String()
 }
 
-// Replica is one independently-forwardable briefing engine, checked out of
-// a Pool for the duration of a batch. The three methods are the stages of
-// the briefing pipeline, split so the serving layer can time each one and
-// check the request deadline between them:
+// Replica is one briefing engine, checked out of a Pool for the duration of a
+// batch — the one contract the serving layer, the fault-injection wrapper
+// (fault.Replica restates it structurally) and the test doubles all speak.
+// The three methods are the stages of the briefing pipeline, split so the
+// serving layer can time each one and check the request deadline between
+// them:
 //
-//	Parse:  raw HTML → model instance (DOM parse, visible text, encoding)
-//	Encode: eval forward pass → attributes + section flags
-//	Decode: beam-search topic generation
+//	Parse:       raw HTML → model instance (DOM parse, visible text, encoding)
+//	EncodeBatch: eval forward pass → attributes + section flags
+//	DecodeBatch: beam-search topic generation
 //
-// Decode may consume state its own Encode left on the replica (a real model
-// decodes from the forward Encode ran), so the two are called back to back
-// for one instance under the same exclusive checkout.
+// Encode and decode take a whole batch — of any size, one included — in fused
+// B-row forward passes. EncodeBatch retains per-instance state on the replica
+// that the matching DecodeBatch consumes (a real model decodes from the
+// forward EncodeBatch ran), so the two are called back to back with the same
+// instances, under the same exclusive checkout. DecodeBatch reports how each
+// member moved through the replica's tiers (nil from a replica that has
+// none to tell of: the test doubles).
 type Replica interface {
 	Parse(html string) (*wb.Instance, error)
-	Encode(inst *wb.Instance) *wb.Brief
-	Decode(inst *wb.Instance, b *wb.Brief)
-}
-
-// BatchReplica is the batched capability of a Replica: encode and decode a
-// whole batch — of any size, one included — in fused B-row forward passes.
-// EncodeBatch retains per-instance state on the replica that the matching
-// DecodeBatch call consumes, so the two must be called back to back with the
-// same instances, under the same exclusive checkout. The batch executor
-// drives every replica that implements it this way and briefs member by
-// member through Encode/Decode on the rest (test stubs, the fault-injection
-// wrapper).
-type BatchReplica interface {
-	Replica
 	EncodeBatch(insts []*wb.Instance) []*wb.Brief
-	DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief)
+	DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision
 }
 
-// cascadeDecision records how one briefing moved through the confidence
-// cascade on a replica: the student tier's wall time, whether the decode
-// escalated, and the teacher tier's wall time when it did.
-type cascadeDecision struct {
-	escalated bool
-	student   time.Duration
-	teacher   time.Duration
+// tierModel is one model of a pool generation: built once, read-only at
+// inference, and shared — every replica of the generation points at it.
+type tierModel struct {
+	foldBytes int64       // what its fold tables occupy, 0 when it serves unfolded
+	workspace func() tier // a fresh private workspace on the model
 }
 
-// cascadeReporter is the optional cascade observability capability of a
-// Replica: after a Decode or DecodeBatch completes, the server reads one
-// decision per briefing for the tier counters and per-tier histograms. The
-// report is only valid until the replica's next Encode, under the same
-// exclusive checkout — the same lifetime contract as BatchReplica's
-// retained encode state. Wrappers that do not forward it (e.g. the fault
-// injector) simply leave the cascade unreported, never miscounted.
-type cascadeReporter interface {
-	CascadeReport() []cascadeDecision
+// shareModel makes model a tierModel, float32 and float64 alike.
+func shareModel[T tensor.Float](model wb.ModelOf[T], foldBytes int64, v *textproc.Vocab, beam int) tierModel {
+	return tierModel{foldBytes: foldBytes, workspace: func() tier {
+		return &tierOf[T]{model: model, vocab: v, beam: beam, scratch: wb.NewBatchScratchOf[T](v, beam, 1)}
+	}}
 }
 
-// modelReplica adapts one Joint-WB model (a wb.FoldForServing copy, or the
-// original when it cannot be folded) to the BatchReplica interface. The
-// vocabulary is shared across all replicas: it is read-only after
-// construction. Each
-// replica owns one inference workspace per tier — a replica serves one batch
-// at a time (Pool checkout is exclusive), so a workspace is never shared
-// between concurrent batches. Every briefing runs one Eval forward per tier:
-// the encode stage's outputs stay live on the workspace tape and the decode
-// stage beam-searches from them.
-//
-// With a student attached (NewCascadePool), the replica runs the
-// confidence-gated cascade: encode and decode execute on the float32
-// student first, and decodes whose confidence score falls below threshold
-// re-brief their pages on the float64 teacher under the same checkout. The
-// student weights are read-only at inference, so one folded student is
-// shared by every replica; the float32 workspace is per-replica like the
-// float64 one. Both tiers run the same wb code, instantiated per element
-// type.
+// tier is one replica's workspace on one tierModel. The workspace, unlike the
+// model, is private: a replica serves one batch at a time (Pool checkout is
+// exclusive), so a workspace is never shared between concurrent batches.
+type tier interface {
+	// extract runs one fused Eval forward; its outputs stay live on the
+	// workspace tape for the decode that must follow.
+	extract(insts []*wb.Instance) []*wb.Brief
+	// decode beam-searches the topics from extract's outputs and returns each
+	// member's decode confidence.
+	decode(insts []*wb.Instance, briefs []*wb.Brief) []nn.Confidence
+	// brief is extract then decode: the whole pipeline on this tier.
+	brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Confidence)
+}
+
+// tierOf is tier at one element type, over the generic wb batch pipeline.
+type tierOf[T tensor.Float] struct {
+	model   wb.ModelOf[T]
+	vocab   *textproc.Vocab
+	beam    int
+	scratch *wb.BatchScratchOf[T]
+	outs    []*wb.OutputOf[T] // extract's outputs awaiting decode
+}
+
+func (t *tierOf[T]) extract(insts []*wb.Instance) []*wb.Brief {
+	briefs, outs := wb.ExtractBriefBatch(t.model, insts, t.vocab, t.scratch)
+	t.outs = outs
+	return briefs
+}
+
+func (t *tierOf[T]) decode(insts []*wb.Instance, briefs []*wb.Brief) []nn.Confidence {
+	confs := wb.DecodeTopicBatch(t.model, insts, t.outs, t.vocab, t.beam, t.scratch, briefs)
+	t.outs = nil
+	return confs
+}
+
+func (t *tierOf[T]) brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Confidence) {
+	return wb.MakeBriefBatch(t.model, insts, t.vocab, t.beam, t.scratch)
+}
+
+// modelReplica is the Replica over a pool generation's models: an ordered
+// list of tiers, fastest first, and nothing else of its own — the vocabulary
+// is read-only after construction and shared like the models. A batch encodes
+// and decodes on the first tier; the members whose confidence score falls
+// below threshold re-brief on the next tier under the same checkout, and so
+// on down the list. An escalation replaces the whole brief (extraction and
+// topic), so every answer a client sees came entirely from one tier. A
+// teacher-only replica is a list of one, the cascade (Config.Cascade) the
+// float32 student in front of the float64 teacher; every tier runs the same
+// wb code, instantiated per element type, and every briefing costs one Eval
+// forward per tier it reaches.
 type modelReplica struct {
-	model     wb.Model
 	vocab     *textproc.Vocab
-	beam      int
 	maxTokens int
-	scratch   *wb.BatchScratchOf[float64]
-	outs      []*wb.Output // encode-stage outputs awaiting DecodeBatch
+	tiers     []tier
+	threshold float64 // escalate when confidence score < threshold
 
-	student   wb.ModelOf[float32] // float32 fast path, nil = teacher-only replica
-	threshold float64             // escalate when confidence score < threshold
-	sscratch  *wb.BatchScratchOf[float32]
-	souts     []*wb.OutputOf[float32] // student encode outputs awaiting DecodeBatch
-	decisions []cascadeDecision       // per-briefing cascade report, reset at EncodeBatch
+	decisions []wb.TierDecision // the batch's report, begun at EncodeBatch
 }
 
 // Parse implements Replica.
@@ -132,90 +147,58 @@ func (r *modelReplica) Parse(html string) (*wb.Instance, error) {
 	return inst, nil
 }
 
-// Encode implements Replica as a batch of one (probes, Warm, and the inner
-// replica of a fault-injection wrapper).
-func (r *modelReplica) Encode(inst *wb.Instance) *wb.Brief {
-	return r.EncodeBatch([]*wb.Instance{inst})[0]
-}
-
-// Decode implements Replica as a batch of one; it must follow Encode(inst).
-func (r *modelReplica) Decode(inst *wb.Instance, b *wb.Brief) {
-	r.DecodeBatch([]*wb.Instance{inst}, []*wb.Brief{b})
-}
-
-// teacherBriefBatch runs the full float64 pipeline on the replica's teacher
-// — the cascade's escalation target, and what Warm uses to grow the teacher
-// workspace on a cascade replica.
-func (r *modelReplica) teacherBriefBatch(insts []*wb.Instance) []*wb.Brief {
-	briefs, _ := wb.MakeBriefBatch(r.model, insts, r.vocab, r.beam, r.scratch)
-	return briefs
-}
-
-// EncodeBatch implements BatchReplica: one fused Eval forward for the whole
-// batch (on the student when the cascade is on). The forward outputs stay
-// live on the workspace tape for the DecodeBatch call that must follow.
+// EncodeBatch implements Replica: one fused Eval forward for the whole batch
+// on the first tier.
 func (r *modelReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
-	if r.student == nil {
-		briefs, outs := wb.ExtractBriefBatch(r.model, insts, r.vocab, r.scratch)
-		r.outs = outs
-		return briefs
-	}
 	t0 := time.Now()
-	briefs, outs := wb.ExtractBriefBatch(r.student, insts, r.vocab, r.sscratch)
-	r.souts = outs
+	briefs := r.tiers[0].extract(insts)
 	dur := time.Since(t0)
-	r.decisions = r.decisions[:0]
-	for range insts {
+	n := len(r.tiers)
+	spent := make([]time.Duration, n*len(insts))
+	r.decisions = make([]wb.TierDecision, len(insts))
+	for i := range r.decisions {
 		// Every member waited the whole fused stage — the same per-request
 		// semantics as the serve layer's stage histograms.
-		r.decisions = append(r.decisions, cascadeDecision{student: dur})
+		r.decisions[i].Spent = spent[i*n : (i+1)*n]
+		r.decisions[i].Spent[0] = dur
 	}
 	return briefs
 }
 
-// DecodeBatch implements BatchReplica: one batched beam search over the
-// encode outputs EncodeBatch retained. On a cascade replica the
-// low-confidence subset then re-briefs on the teacher in one more batch: an
-// escalation replaces the whole brief (extraction and topic), so every
-// answer a client sees came entirely from one tier.
-func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) {
-	if r.student == nil {
-		wb.DecodeTopicBatch(r.model, insts, r.outs, r.vocab, r.beam, r.scratch, briefs)
-		r.outs = nil
-		return
-	}
+// DecodeBatch implements Replica: one batched beam search over the outputs
+// EncodeBatch retained, then one more batch per further tier for the
+// low-confidence subset.
+func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision {
 	t0 := time.Now()
-	confs := wb.DecodeTopicBatch(r.student, insts, r.souts, r.vocab, r.beam, r.sscratch, briefs)
-	r.souts = nil
-	sdur := time.Since(t0)
-	var escIdx []int
+	confs := r.tiers[0].decode(insts, briefs)
+	dur := time.Since(t0)
+	pending := make([]int, len(insts)) // members the current tier briefed
 	for i := range insts {
-		r.decisions[i].student += sdur
-		if confs[i].Score() < r.threshold {
-			escIdx = append(escIdx, i)
+		r.decisions[i].Spent[0] += dur
+		pending[i] = i
+	}
+	for k := 1; k < len(r.tiers); k++ {
+		esc := pending[:0] // filtered in place: confs[j] is pending[j]'s
+		var escInsts []*wb.Instance
+		for j, i := range pending {
+			if confs[j].Score() < r.threshold {
+				esc = append(esc, i)
+				escInsts = append(escInsts, insts[i])
+			}
 		}
-	}
-	if len(escIdx) == 0 {
-		return
-	}
-	escInsts := make([]*wb.Instance, len(escIdx))
-	for j, i := range escIdx {
-		escInsts[j] = insts[i]
-	}
-	t1 := time.Now()
-	tbriefs := r.teacherBriefBatch(escInsts)
-	tdur := time.Since(t1)
-	for j, i := range escIdx {
-		*briefs[i] = *tbriefs[j]
-		r.decisions[i].escalated = true
-		r.decisions[i].teacher = tdur
-	}
-}
-
-// CascadeReport implements cascadeReporter.
-func (r *modelReplica) CascadeReport() []cascadeDecision {
-	if r.student == nil {
-		return nil
+		if len(esc) == 0 {
+			break
+		}
+		t0 := time.Now()
+		var tbriefs []*wb.Brief
+		tbriefs, confs = r.tiers[k].brief(escInsts)
+		dur := time.Since(t0)
+		for j, i := range esc {
+			*briefs[i] = *tbriefs[j]
+			r.decisions[i].Tier = k
+			r.decisions[i].Spent[k] = dur
+		}
+		pending = esc
 	}
 	return r.decisions
 }
@@ -255,6 +238,9 @@ type Pool struct {
 	size int
 	idle chan Replica
 	fold FoldStats
+	// models are the replicas NewPool built (none for PoolOf), kept so Warm
+	// can reach the tiers only an escalation runs on.
+	models []*modelReplica
 
 	mu           sync.Mutex
 	state        map[Replica]BreakerState
@@ -263,101 +249,68 @@ type Pool struct {
 	readmissions int64
 }
 
-// NewPool builds n replicas of m (0 → GOMAXPROCS): folded serving copies
-// (wb.FoldForServing) that share one embedding matrix and one set of fold
-// tables and nothing with m itself. The copies come from one snapshot
-// encoding, not one per replica. beam and maxTokens configure each replica
-// exactly like wb.NewBriefer, so pooled briefings are identical to the
-// serial path's.
-func NewPool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) (*Pool, error) {
-	start := time.Now()
-	reps, err := newModelReplicas(m, v, n, beam, maxTokens)
-	if err != nil {
-		return nil, err
-	}
-	return poolOfModels(reps, time.Since(start)), nil
-}
-
-// NewCascadePool builds a pool whose replicas run the float32 student fast
-// path with confidence-gated escalation to the float64 teacher: the model
-// is converted and folded once with wb.FoldStudent (GloVe-encoder models
-// only) and the read-only student is shared across all replicas, each of
-// which owns its own float32 workspace. threshold is the
-// escalation cutoff on the decode confidence score: ≤ 0 never escalates,
-// > 1 escalates every briefing.
-func NewCascadePool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int, threshold float64) (*Pool, error) {
-	start := time.Now()
-	reps, err := newModelReplicas(m, v, n, beam, maxTokens)
-	if err != nil {
-		return nil, err
-	}
-	student, err := wb.FoldStudent(m)
-	if err != nil {
-		return nil, fmt.Errorf("serve: float32 student: %w", err)
-	}
-	for _, r := range reps {
-		r.student = student
-		r.threshold = threshold
-		r.sscratch = wb.NewBatchScratchOf[float32](v, beam, 1)
-	}
-	return poolOfModels(reps, time.Since(start)), nil
-}
-
-// newModelReplicas builds the n teacher replicas NewPool and NewCascadePool
-// share. A model with no snapshot form (a transformer encoder, an ablation)
-// has no fold tables either and serves as is — which only a pool of one can,
-// as before.
-func newModelReplicas(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) ([]*modelReplica, error) {
+// NewPool builds one pool generation from m: the models, once — the float64
+// teacher as one folded serving copy (wb.FoldForServing: one snapshot encode
+// and one decode whatever n is, sharing nothing with m itself) and, when
+// cfg.Cascade is set, the float32 student in front of it (wb.FoldStudent;
+// GloVe-encoder models only) — and n replicas (0 → GOMAXPROCS) that all read
+// those same models and fold tables through workspaces of their own. cfg's
+// BeamWidth and MaxTokens configure each replica exactly like wb.NewBriefer,
+// so pooled briefings are identical to the serial path's; its
+// ConfidenceThreshold is the escalation cutoff on the decode confidence
+// score: ≤ 0 never escalates, > 1 escalates every briefing.
+//
+// A model with no snapshot form (a transformer encoder, an ablation) has no
+// fold tables either and serves as is, unfolded — which only a pool of one
+// may: m stays the caller's to train.
+func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error) {
+	cfg = cfg.withDefaults()
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	var models []wb.Model
-	folded, err := wb.FoldForServing(m, v, n)
+	start := time.Now()
+	var tiers []tierModel // fastest first
+	teacher, err := wb.FoldForServing(m, v)
 	switch {
 	case err == nil:
-		for _, f := range folded {
-			models = append(models, f)
-		}
+		tiers = append(tiers, shareModel[float64](teacher, teacher.Tables().Bytes(), v, cfg.BeamWidth))
 	case n == 1:
-		models = []wb.Model{m}
+		tiers = append(tiers, shareModel[float64](m, 0, v, cfg.BeamWidth))
 	default:
 		return nil, fmt.Errorf("serve: clone replicas: %w", err)
 	}
-	replicas := make([]*modelReplica, n)
-	for i, model := range models {
-		replicas[i] = &modelReplica{
-			model: model, vocab: v, beam: beam, maxTokens: maxTokens,
-			scratch: wb.NewBatchScratchOf[float64](v, beam, 1),
+	if cfg.Cascade {
+		student, err := wb.FoldStudent(m)
+		if err != nil {
+			return nil, fmt.Errorf("serve: float32 student: %w", err)
 		}
+		tiers = slices.Insert(tiers, 0, shareModel[float32](student, student.Tables().Bytes(), v, cfg.BeamWidth))
 	}
-	return replicas, nil
+	models := make([]*modelReplica, n)
+	replicas := make([]Replica, n)
+	for i := range replicas {
+		r := &modelReplica{vocab: v, maxTokens: cfg.MaxTokens, threshold: cfg.ConfidenceThreshold}
+		for _, t := range tiers {
+			r.tiers = append(r.tiers, t.workspace())
+		}
+		models[i], replicas[i] = r, r
+	}
+	p := PoolOf(replicas...)
+	p.models = models
+	for _, t := range tiers {
+		p.fold.Bytes += t.foldBytes
+	}
+	p.fold.Built = time.Since(start)
+	return p, nil
 }
 
 // FoldStats is what folding cost a pool: the bytes all tiers' fold tables
 // occupy (each tier's are shared by every replica), and the wall time of
-// building the pool's models — the serving copies, the float32 conversion
-// and the tables. Bytes is zero for a pool that serves unfolded.
+// building the pool's models — the serving copy, the float32 conversion and
+// the tables. Bytes is zero for a pool that serves unfolded.
 type FoldStats struct {
 	Bytes int64
 	Built time.Duration
-}
-
-// poolOfModels is PoolOf over model replicas that took built to construct,
-// recording what the fold tables they share hold.
-func poolOfModels(reps []*modelReplica, built time.Duration) *Pool {
-	replicas := make([]Replica, len(reps))
-	for i, r := range reps {
-		replicas[i] = r
-	}
-	p := PoolOf(replicas...)
-	p.fold.Built = built
-	if f, ok := reps[0].model.(*wb.FoldedOf[float64]); ok {
-		p.fold.Bytes += f.Tables().Bytes()
-	}
-	if f, ok := reps[0].student.(*wb.FoldedOf[float32]); ok {
-		p.fold.Bytes += f.Tables().Bytes()
-	}
-	return p
 }
 
 // PoolOf wraps pre-built replicas — the seam for serving a non-GloVe model
@@ -396,6 +349,7 @@ func (p *Pool) Warm(html string) error {
 			p.Put(r)
 		}
 	}()
+	var insts []*wb.Instance
 	for i := 0; i < p.size; i++ {
 		r, ok := p.TryGet()
 		if !ok {
@@ -406,13 +360,16 @@ func (p *Pool) Warm(html string) error {
 		if err != nil {
 			return fmt.Errorf("serve: warmup page: %w", err)
 		}
-		r.Decode(inst, r.Encode(inst))
-		r.Decode(inst, r.Encode(inst))
-		if mr, ok := r.(*modelReplica); ok && mr.student != nil {
-			// The passes above grew the student tier; the escalation
-			// target must not hit a cold teacher workspace either.
-			mr.teacherBriefBatch([]*wb.Instance{inst})
-			mr.teacherBriefBatch([]*wb.Instance{inst})
+		insts = []*wb.Instance{inst}
+		r.DecodeBatch(insts, r.EncodeBatch(insts))
+		r.DecodeBatch(insts, r.EncodeBatch(insts))
+	}
+	// The passes above grew every replica's first tier; an escalation must not
+	// hit a cold workspace on a later one either.
+	for _, r := range p.models {
+		for _, t := range r.tiers[1:] {
+			t.brief(insts)
+			t.brief(insts)
 		}
 	}
 	return nil

@@ -50,21 +50,6 @@ func (s *Server) Generation() int64 { return s.generation.Load() }
 // Reloads is the lifetime count of completed hot reloads.
 func (s *Server) Reloads() int64 { return s.reloads.Load() }
 
-// buildPool constructs the replica pool New and Reload share: a cascade
-// pool when cfg.Cascade is set, a plain teacher pool otherwise. size
-// overrides cfg.Replicas when positive — Reload passes the live pool's
-// resolved size so a reload never changes capacity mid-flight.
-func buildPool(m *wb.JointWB, v *textproc.Vocab, cfg Config, size int) (*Pool, error) {
-	n := cfg.Replicas
-	if size > 0 {
-		n = size
-	}
-	if cfg.Cascade {
-		return NewCascadePool(m, v, n, cfg.BeamWidth, cfg.MaxTokens, cfg.ConfidenceThreshold)
-	}
-	return NewPool(m, v, n, cfg.BeamWidth, cfg.MaxTokens)
-}
-
 // Reload hot-swaps the serving model: it builds a shadow pool of the same
 // size as the live one from m/v, warms it off-path, and atomically swaps it
 // in. Briefings in flight finish on the old generation; new admissions brief
@@ -81,11 +66,12 @@ func (s *Server) Reload(m *wb.JointWB, v *textproc.Vocab) (int64, error) {
 	return s.swapPool(pool)
 }
 
-// shadowPool builds a pool of the live pool's size from m/v and grows its
-// workspaces to steady state off-path — the same warmup a cold boot runs, so
-// the first post-swap request already rides the allocation-free path.
+// shadowPool builds a pool of the live pool's size from m/v — a reload never
+// changes capacity mid-flight — and grows its workspaces to steady state
+// off-path: the same warmup a cold boot runs, so the first post-swap request
+// already rides the allocation-free path.
 func (s *Server) shadowPool(m *wb.JointWB, v *textproc.Vocab) (*Pool, error) {
-	pool, err := buildPool(m, v, s.cfg, s.pool.Load().Size())
+	pool, err := NewPool(m, v, s.pool.Load().Size(), s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reload: %w", err)
 	}

@@ -55,7 +55,7 @@ func genBytes(t *testing.T, gen string) []byte {
 func genPool(gen string, delay time.Duration, n int) *Pool {
 	reps := make([]Replica, n)
 	for i := range reps {
-		reps[i] = &genReplica{gen: gen, delay: delay}
+		reps[i] = lift(&genReplica{gen: gen, delay: delay})
 	}
 	return PoolOf(reps...)
 }

@@ -3,10 +3,11 @@
 // heavy-traffic north star. It replaces the single-mutex wb.Briefer path
 // with:
 //
-//   - a replica pool: N independent eval-mode model copies (see
-//     wb.FoldForServing), each generation reading one shared set of fold
-//     tables, checked out per batch, so briefings scale across GOMAXPROCS
-//     instead of serialising on one lock;
+//   - a replica pool: each generation is one folded eval-mode model per tier
+//     (see NewPool, wb.FoldForServing), read-only and shared, plus N replicas
+//     that are nothing but private workspaces on those models, checked out
+//     per batch, so briefings scale across GOMAXPROCS instead of serialising
+//     on one lock;
 //   - one request path (batch.go): every briefing is a batch — of one when
 //     a replica is idle, of whatever queued while all were busy otherwise —
 //     and runs one forward pass per model tier;
@@ -198,12 +199,11 @@ type Server struct {
 	logMu sync.Mutex // serialises access-log lines
 }
 
-// New builds a Server around a trained GloVe-encoder Joint-WB bundle,
-// constructing cfg.Replicas pool replicas via wb.FoldForServing (cascade
-// replicas via NewCascadePool when cfg.Cascade is set).
+// New builds a Server around a trained GloVe-encoder Joint-WB bundle, over
+// a NewPool of cfg.Replicas replicas.
 func New(m *wb.JointWB, v *textproc.Vocab, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	pool, err := buildPool(m, v, cfg, 0)
+	pool, err := NewPool(m, v, cfg.Replicas, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -283,7 +283,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // while every admitted request still completes.
 func TestAdmissionOverload429(t *testing.T) {
 	stub := newStubReplica()
-	srv := NewFromPool(PoolOf(stub), Config{QueueDepth: 2, RetryAfter: 7 * time.Second})
+	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: 2, RetryAfter: 7 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -344,7 +344,7 @@ func TestAdmissionOverload429(t *testing.T) {
 // has already given up on instead of counting it served.
 func TestQueueDeadline504(t *testing.T) {
 	stub := newStubReplica()
-	srv := NewFromPool(PoolOf(stub), Config{QueueDepth: 2, Timeout: 25 * time.Millisecond})
+	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: 2, Timeout: 25 * time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -395,7 +395,7 @@ func TestQueueDeadline504(t *testing.T) {
 // briefings finish, and Drain returns once the server is idle.
 func TestHealthzAndDrain(t *testing.T) {
 	stub := newStubReplica()
-	srv := NewFromPool(PoolOf(stub), Config{QueueDepth: 2})
+	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -455,7 +455,7 @@ func TestHealthzAndDrain(t *testing.T) {
 
 // TestPoolGetContext covers Pool.Get's context path directly.
 func TestPoolGetContext(t *testing.T) {
-	p := PoolOf(newStubReplica())
+	p := PoolOf(lift(newStubReplica()))
 	r, err := p.Get(context.Background())
 	if err != nil {
 		t.Fatal(err)

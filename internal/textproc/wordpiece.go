@@ -109,12 +109,6 @@ func better(a, b [2]string) bool {
 	return a[1] < b[1]
 }
 
-// WordPieceFromVocab wraps an existing subword vocabulary (used by tests and
-// model serialization).
-func WordPieceFromVocab(v *Vocab) *WordPiece {
-	return &WordPiece{vocab: v, maxChars: 100}
-}
-
 // Vocab returns the underlying subword vocabulary.
 func (wp *WordPiece) Vocab() *Vocab { return wp.vocab }
 

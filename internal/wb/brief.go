@@ -30,27 +30,6 @@ func MakeBrief(m Model, inst *Instance, v *textproc.Vocab, beamWidth int) *Brief
 	return MakeBriefWith(m, inst, v, beamWidth, s)
 }
 
-// ExtractBrief runs one eval-mode forward pass and assembles the extractive
-// half of the briefing: the key attribute spans and the informative-section
-// flags. The topic is left empty; DecodeTopic fills it. The split exists so
-// a serving layer can time (and deadline-check between) the encode and
-// decode stages separately.
-func ExtractBrief(m Model, inst *Instance, v *textproc.Vocab) *Brief {
-	s := GetScratch()
-	defer PutScratch(s)
-	return ExtractBriefWith(m, inst, v, s)
-}
-
-// DecodeTopic generates the briefing's topic phrase with beam search
-// (width ≤ 1 decodes greedily). It returns nil for models without a
-// generator head.
-func DecodeTopic(m Model, inst *Instance, v *textproc.Vocab, beamWidth int) []string {
-	if ids := GenerateTopic(m, inst, beamWidth, topicMaxLen); ids != nil {
-		return v.Tokens(ids)
-	}
-	return nil
-}
-
 // String renders the briefing as the indented hierarchy of Fig. 1.
 func (b *Brief) String() string {
 	var sb strings.Builder

@@ -1,6 +1,8 @@
 package wb
 
 import (
+	"time"
+
 	"webbrief/internal/ag"
 	"webbrief/internal/nn"
 	"webbrief/internal/tensor"
@@ -134,4 +136,14 @@ func MakeBriefBatch[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc
 	briefs, outs := ExtractBriefBatch(m, insts, v, s)
 	confs := DecodeTopicBatch(m, insts, outs, v, beamWidth, s, briefs)
 	return briefs, confs
+}
+
+// TierDecision is how one briefing moved through an ordered list of model
+// tiers, fastest first — what a serving replica reports per batch member.
+// Tier indexes the tier whose brief the client gets, and Spent[k] is the wall
+// time the briefing waited on tier k: the whole fused stage, as every member
+// of a batch does, and zero for a tier it never reached.
+type TierDecision struct {
+	Tier  int
+	Spent []time.Duration
 }

@@ -43,11 +43,10 @@ func checkStaleDecodePanics[T tensor.Float](t *testing.T, m ModelOf[T], insts []
 // was built from — and the next folded forward must name the table.
 func TestStaleFoldTablePanics(t *testing.T) {
 	insts, v := testData(t, 1, 2)
-	folded, err := FoldForServing(newTestJointWB(v, 313), v, 1)
+	f, err := FoldForServing(newTestJointWB(v, 313), v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := folded[0]
 	s := NewBatchScratchOf[float64](v, 2, 1)
 	MakeBriefBatch[float64](f, insts[:1], v, 2, s) // fresh: must not fire
 	for i := range f.m.Dec.Cell.Wx.Value.Data {

@@ -58,8 +58,8 @@ type FoldedOf[T tensor.Float] struct {
 	tables *FoldTablesOf[T]
 }
 
-// Tables returns the fold tables — shared, read-only, by every FoldedOf of
-// one FoldForServing call.
+// Tables returns the fold tables: read-only, like the model they were built
+// from.
 func (f *FoldedOf[T]) Tables() *FoldTablesOf[T] { return f.tables }
 
 // Name implements ModelOf.
@@ -108,27 +108,28 @@ func withTables[T tensor.Float](m *JointWBOf[T], tables *FoldTablesOf[T]) *Folde
 	return &FoldedOf[T]{m: m, tables: tables}
 }
 
-// FoldForServing returns n serving copies of a trained GloVe-encoder model,
-// folded: what serve.Pool builds its teacher replicas from. The copies come
-// from CloneManyForServing (so each is exactly the model a restart would
-// load) and, unlike its clones, share nothing with m — not even the
-// embedding matrix — while sharing one embedding copy and one set of tables
-// among themselves: the tables are built once, from the first copy.
-func FoldForServing(m *JointWB, v *textproc.Vocab, n int) ([]*FoldedOf[float64], error) {
-	clones, err := CloneManyForServing(m, v, n)
+// FoldForServing returns the one serving copy of a trained GloVe-encoder
+// model a pool generation needs, folded: the teacher tier serve.NewPool shares
+// among all its replicas. The copy goes through the snapshot codec round-trip
+// — one encode, one decode, whatever the replica count — so it is exactly the
+// model a restart would load: float64 bit patterns are preserved, making its
+// briefings byte-identical to m's. It shares no storage with m, not even the
+// embedding matrix, so training m afterwards cannot reach it.
+//
+// One copy serves every replica because nothing in an Eval forward on a
+// no-gradient tape writes to the model: no dropout, no gradients (ag.TapeOf.Use
+// returns before it touches a parameter's Grad), and all per-forward state
+// lives on the caller's BatchScratchOf.
+func FoldForServing(m *JointWB, v *textproc.Vocab) (*FoldedOf[float64], error) {
+	data, err := EncodeSnapshot(m, v)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wb: fold for serving: %w", err)
 	}
-	emb := clones[0].Enc.(*GloVeEncoder).Emb.Table.Value.Clone()
-	for _, c := range clones {
-		c.Enc.(*GloVeEncoder).Emb.Table.Value = emb
+	c, _, err := DecodeSnapshot(data)
+	if err != nil {
+		return nil, fmt.Errorf("wb: fold for serving: %w", err)
 	}
-	tables := buildTables(clones[0])
-	folded := make([]*FoldedOf[float64], n)
-	for i, c := range clones {
-		folded[i] = withTables(c, tables)
-	}
-	return folded, nil
+	return withTables(c, buildTables(c)), nil
 }
 
 // FoldStudent lowers a trained model to its float32 student

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"webbrief/internal/corpus"
@@ -69,7 +70,7 @@ func briefAll[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc.Vocab
 // re-derives a sampled row of each table.)
 func TestFoldIdentity(t *testing.T) {
 	m, v, insts := foldFixture(t)
-	folded, err := FoldForServing(m, v, 1)
+	folded, err := FoldForServing(m, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestFoldIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("teacher", func(t *testing.T) { checkFoldIdentity[float64](t, m, folded[0], insts, v) })
+	t.Run("teacher", func(t *testing.T) { checkFoldIdentity[float64](t, m, folded, insts, v) })
 	t.Run("student", func(t *testing.T) { checkFoldIdentity[float32](t, student, foldedStudent, insts, v) })
 }
 
@@ -117,11 +118,10 @@ func checkFoldIdentity[T tensor.Float](t *testing.T, plain, folded ModelOf[T], i
 func TestFoldedModelCannotBeTrained(t *testing.T) {
 	m, v, insts := foldFixture(t)
 	insts = insts[:24]
-	folded, err := FoldForServing(m, v, 2)
+	f, err := FoldForServing(m, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := folded[0]
 	if ps := f.Params(); len(ps) != 0 {
 		t.Fatalf("folded model exposes %d trainable parameters", len(ps))
 	}
@@ -145,7 +145,7 @@ func TestFoldedModelCannotBeTrained(t *testing.T) {
 	}
 	for name, got := range map[string][]briefing{
 		"one":    briefAll[float64](f, insts, v, beam, []int{1}),
-		"ragged": briefAll[float64](folded[1], insts, v, beam, []int{3, 5}),
+		"ragged": briefAll[float64](f, insts, v, beam, []int{3, 5}),
 	} {
 		if !reflect.DeepEqual(got, before) {
 			t.Fatalf("%s: a folded copy's briefings moved after training", name)
@@ -153,25 +153,17 @@ func TestFoldedModelCannotBeTrained(t *testing.T) {
 	}
 }
 
-// TestFoldTablesSharedAndSized: every copy of one FoldForServing call reads
-// the same three tables and the same embedding matrix, and Bytes is the
-// arithmetic wbsnap -info prints.
+// TestFoldTablesSharedAndSized: Bytes is the arithmetic wbsnap -info prints,
+// and a table is what its definition says. (That every replica of a pool
+// generation reads the SAME tables is serve's TestPoolSharesFoldTables.)
 func TestFoldTablesSharedAndSized(t *testing.T) {
 	_, v := testData(t, 2, 2)
 	m := newTestJointWB(v, 3)
-	folded, err := FoldForServing(m, v, 3)
+	folded, err := FoldForServing(m, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range folded[1:] {
-		if f.Tables() != folded[0].Tables() {
-			t.Fatalf("copy %d has its own fold tables", i+1)
-		}
-		if f.m.Enc.(*GloVeEncoder).Emb.Table.Value != folded[0].m.Enc.(*GloVeEncoder).Emb.Table.Value {
-			t.Fatalf("copy %d has its own embedding matrix", i+1)
-		}
-	}
-	tab := folded[0].Tables()
+	tab := folded.Tables()
 	if want := FoldTableBytes(v.Size(), m.Cfg.Hidden, 8); tab.Bytes() != want || want != int64(3*v.Size()*4*16*8) {
 		t.Fatalf("teacher tables: %d bytes, want %d", tab.Bytes(), want)
 	}
@@ -187,5 +179,121 @@ func TestFoldTablesSharedAndSized(t *testing.T) {
 	emb := m.Enc.(*GloVeEncoder).Emb
 	if got, want := tab.ExtFwd, nn.InputTable(emb, m.ExtLSTM.Fwd); !reflect.DeepEqual(got.Data, want.Data) {
 		t.Fatal("ExtFwd is not InputTable(Emb, ExtLSTM.Fwd)")
+	}
+}
+
+// TestFoldForServingPrivateCopy checks the two properties serve.Pool relies
+// on: the serving copy briefs byte-identically to the model it came from,
+// and every parameter of it — the embedding matrix included — is a private
+// copy with equal values. (TestFoldedModelCannotBeTrained shows what the
+// privacy buys.)
+func TestFoldForServingPrivateCopy(t *testing.T) {
+	insts, v := testData(t, 2, 4)
+	m := newTestJointWB(v, 51)
+	tc := DefaultTrainConfig()
+	tc.Epochs = 2
+	TrainModel(m, insts, tc)
+
+	f, err := FoldForServing(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, inst := range insts {
+		want := MakeBrief(m, inst, v, 2)
+		got := MakeBrief(f, inst, v, 2)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("instance %d: serving copy's brief diverges:\n orig %+v\n copy %+v", i, want, got)
+		}
+	}
+	op, cp := m.Params(), f.m.Params()
+	if len(op) != len(cp) {
+		t.Fatalf("param count: orig %d, copy %d", len(op), len(cp))
+	}
+	for i := range op {
+		if op[i].Value == cp[i].Value || &op[i].Value.Data[0] == &cp[i].Value.Data[0] {
+			t.Fatalf("param %d (%s): the serving copy shares storage with the source model", i, op[i].Name)
+		}
+		if !reflect.DeepEqual(op[i].Value.Data, cp[i].Value.Data) {
+			t.Fatalf("param %d (%s): copied values diverge", i, op[i].Name)
+		}
+	}
+}
+
+// TestFoldedModelSharedConcurrent is the race proof of what serve.Pool does
+// with a generation's models: ONE folded teacher and ONE folded student, read
+// at once by several goroutines that each own nothing but a BatchScratchOf.
+// Under -race (scripts/check.sh runs this package so) any write to the shared
+// weights, tables or decoder view fails the run; with or without it, every
+// brief and every confidence bit must equal the serial reference — the
+// heap-tape Briefer for the teacher's briefs, the unfolded model on a single
+// workspace for both tiers' briefs and confidences.
+func TestFoldedModelSharedConcurrent(t *testing.T) {
+	const workers, pages = 4, 8
+	ds, err := corpus.Generate(corpus.Config{Seed: 3, PagesPerDomain: pages / 2, SeenDomains: 2, UnseenDomains: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := corpus.BuildVocab(ds.Pages)
+	m := newTestJointWB(v, 7)
+	tc := DefaultTrainConfig()
+	tc.Epochs = 2
+	TrainModel(m, NewInstances(ds.Pages, v, 0), tc)
+	insts := make([]*Instance, len(ds.Pages))
+	for i, p := range ds.Pages {
+		insts[i] = InstanceFromHTML(p.HTML, v, 0)
+	}
+	if len(insts) < pages {
+		t.Fatalf("fixture has %d pages, want at least %d", len(insts), pages)
+	}
+
+	teacher, err := FoldForServing(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainStudent, err := ConvertJointWB(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	student, err := FoldStudent(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, beam := range []int{1, 4} {
+		serial := NewBriefer(m, v, beam, 0)
+		wantT := briefAll[float64](m, insts, v, beam, []int{1})
+		for i, p := range ds.Pages {
+			b, err := serial.BriefHTML(p.HTML)
+			if err != nil || !reflect.DeepEqual(b, wantT[i].brief) {
+				t.Fatalf("beam %d page %d: reference paths disagree: Briefer %+v (err %v), workspace %+v", beam, i, b, err, wantT[i].brief)
+			}
+		}
+		wantS := briefAll[float32](plainStudent, insts, v, beam, []int{1})
+
+		var wg sync.WaitGroup
+		gotT, gotS := make([][]briefing, workers), make([][]briefing, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Alternate batch shapes across workers so fused and
+				// per-instance forwards overlap on the shared models.
+				sizes := [][]int{{1}, {3, 2}}[w%2]
+				gotT[w] = briefAll[float64](teacher, insts, v, beam, sizes)
+				gotS[w] = briefAll[float32](student, insts, v, beam, sizes)
+			}(w)
+		}
+		wg.Wait()
+		for w := 0; w < workers; w++ {
+			for i := range insts {
+				if !reflect.DeepEqual(gotT[w][i], wantT[i]) {
+					t.Fatalf("beam %d worker %d page %d: shared teacher %+v conf %s, serial %+v conf %s",
+						beam, w, i, gotT[w][i].brief, gotT[w][i].conf, wantT[i].brief, wantT[i].conf)
+				}
+				if !reflect.DeepEqual(gotS[w][i], wantS[i]) {
+					t.Fatalf("beam %d worker %d page %d: shared student %+v conf %s, serial %+v conf %s",
+						beam, w, i, gotS[w][i].brief, gotS[w][i].conf, wantS[i].brief, wantS[i].conf)
+				}
+			}
+		}
 	}
 }

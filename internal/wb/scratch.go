@@ -75,7 +75,11 @@ func GetScratch() *InferScratch { return scratchPool.Get().(*InferScratch) }
 // retain the tape or any tensor drawn from it.
 func PutScratch(s *InferScratch) { scratchPool.Put(s) }
 
-// ExtractBriefWith is ExtractBrief running on the caller's workspace.
+// ExtractBriefWith runs one eval-mode forward pass on the caller's workspace
+// and assembles the extractive half of the briefing: the key attribute spans
+// and the informative-section flags. The topic is left empty; DecodeTopicWith
+// fills it. The split exists so a caller can time the encode and decode
+// stages separately.
 func ExtractBriefWith[T tensor.Float](m ModelOf[T], inst *Instance, v *textproc.Vocab, s *InferScratchOf[T]) *Brief {
 	s.Tape.Reset()
 	out := m.Forward(s.Tape, inst, Eval)
@@ -115,8 +119,9 @@ func GenerateTopicWith[T tensor.Float](m ModelOf[T], inst *Instance, beamWidth, 
 	return out.Dec.BeamSearchScratch(s.Tape, out.Memory, textproc.BosID, textproc.EosID, beamWidth, maxLen, s.Beam)
 }
 
-// decodeTopicWith is DecodeTopic running on the caller's workspace, plus
-// the decode confidence.
+// decodeTopicWith generates the briefing's topic phrase on the caller's
+// workspace with beam search (width ≤ 1 decodes greedily), plus the decode
+// confidence. The topic is nil for models without a generator head.
 func decodeTopicWith[T tensor.Float](m ModelOf[T], inst *Instance, v *textproc.Vocab, beamWidth int, s *InferScratchOf[T]) ([]string, nn.Confidence) {
 	ids, conf := GenerateTopicWith(m, inst, beamWidth, topicMaxLen, s)
 	if ids == nil {
@@ -138,7 +143,7 @@ func makeBriefWith[T tensor.Float](m ModelOf[T], inst *Instance, v *textproc.Voc
 // callers outside the package: the teacher's drop the confidence nobody
 // routes on, the student's (…32) return it.
 
-// DecodeTopicWith is DecodeTopic running on the caller's workspace.
+// DecodeTopicWith is decodeTopicWith on the teacher, without the confidence.
 func DecodeTopicWith(m Model, inst *Instance, v *textproc.Vocab, beamWidth int, s *InferScratch) []string {
 	topic, _ := decodeTopicWith(m, inst, v, beamWidth, s)
 	return topic

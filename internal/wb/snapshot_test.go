@@ -259,12 +259,13 @@ func BenchmarkColdBoot(b *testing.B) {
 	}
 }
 
-// BenchmarkCloneMany: pool boot, one encode and n decodes.
-func BenchmarkCloneMany(b *testing.B) {
+// BenchmarkFoldForServing: pool boot's model work — one encode, one decode
+// and the fold tables, whatever the replica count.
+func BenchmarkFoldForServing(b *testing.B) {
 	_, v := testData(b, 2, 2)
 	m := newTestJointWB(v, 42)
 	for i := 0; i < b.N; i++ {
-		if _, err := CloneManyForServing(m, v, 4); err != nil {
+		if _, err := FoldForServing(m, v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,6 +47,10 @@ if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name
 echo "== one model file format (encoding/gob is the lint-facts codec in internal/analysis/facts.go and nothing else)"
 if grep -rl '"encoding/gob"' --include='*.go' . | grep -v '^./internal/analysis/facts.go$'; then echo "encoding/gob imported by the file(s) listed above: model bundles are snapshots (internal/snapshot)"; exit 1; fi
 
+echo "== one replica contract (serve reaches a replica through serve.Replica alone: no type assertion on one in non-test internal/serve, and the per-replica clone loop, the second pool constructor and the two side interfaces stay deleted)"
+if grep -nE '\.\((BatchReplica|cascadeReporter|\*modelReplica)\)' $(ls internal/serve/*.go | grep -v '_test\.go$'); then echo "type assertion(s) on a Replica listed above: put the capability in the Replica contract instead"; exit 1; fi
+if grep -rnE 'CloneManyForServing|NewCascadePool|BatchReplica|cascadeReporter' --include='*.go' internal cmd; then echo "name(s) listed above were deleted in favour of wb.FoldForServing / serve.NewPool / serve.Replica: extend those instead"; exit 1; fi
+
 echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
 GODEBUG=cpu.fma=off go test -run 'TestAct64|TestMatMulSplitKBitwise' ./internal/tensor
 
