@@ -11,7 +11,6 @@
 //	detmap      range over maps of *ag.Param / model state (random order)
 //	seedrand    global math/rand source, literal seeds, time.Now in hot paths
 //	floateq     == / != between floating-point operands
-//	tapelife    ag.GetTape without deferred ag.PutTape; Reset on pooled tapes
 //	shapedoc    exported tensor kernels missing the shape-check preamble
 //	goshutdown  go statements not tied to a shutdown path (ctx/done select,
 //	            completion send, channel range, or WaitGroup.Done)
@@ -50,7 +49,6 @@ import (
 	"webbrief/internal/analysis/poolbalance"
 	"webbrief/internal/analysis/seedrand"
 	"webbrief/internal/analysis/shapedoc"
-	"webbrief/internal/analysis/tapelife"
 )
 
 var passes = []*analysis.Analyzer{
@@ -61,7 +59,6 @@ var passes = []*analysis.Analyzer{
 	poolbalance.Analyzer,
 	seedrand.Analyzer,
 	shapedoc.Analyzer,
-	tapelife.Analyzer,
 }
 
 // jsonDiagnostic is the -json wire shape, one object per line.

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"webbrief/internal/tensor"
 )
@@ -128,7 +127,6 @@ type TapeOf[T tensor.Float] struct {
 	pack   *tensor.PackBufOf[T] // nil: MatMul uses the unpacked kernel
 	nograd bool                 // inference tape: ops record no backward closures
 	gen    uint64               // bumped by Reset; wbdebug use-after-Reset check
-	pooled bool                 // wbdebug double-PutTape check
 }
 
 // NewTape returns an empty heap-allocating tape. Values recorded on it may
@@ -144,7 +142,7 @@ func NewArenaTape() *Tape { return &Tape{arena: tensor.NewArena()} }
 // NewInferTape returns an arena tape in no-gradient mode: ops compute
 // forward values identically but record no backward closures, so a warm
 // inference forward allocates nothing. Backward panics on such a tape.
-// Inference workspaces (wb.InferScratch) own one tape each.
+// Inference workspaces (wb.BatchScratchOf) own one tape each.
 func NewInferTape() *Tape { return NewInferTapeOf[float64]() }
 
 // NewInferTapeOf is NewInferTape for element type T; the float32 student's
@@ -269,27 +267,6 @@ func (t *TapeOf[T]) floats(n int) []T {
 		return t.arena.AllocFloats(n)
 	}
 	return make([]T, n)
-}
-
-// tapePool recycles arena tapes for transient forwards (evaluation loops,
-// single briefs) so they too run allocation-free in the steady state.
-var tapePool = sync.Pool{New: func() any { return NewArenaTape() }}
-
-// GetTape returns a reset arena tape from the shared pool. The caller must
-// not retain any node or matrix recorded on it past PutTape.
-func GetTape() *Tape {
-	t := tapePool.Get().(*Tape)
-	debugTapeGot(t)
-	t.Reset()
-	return t
-}
-
-// PutTape returns a pooled tape. Sink and rng attachments are dropped.
-func PutTape(t *Tape) {
-	debugTapePut(t)
-	t.sink = nil
-	t.rng = nil
-	tapePool.Put(t)
 }
 
 // Const enters a constant matrix into the graph. No gradient flows into it.

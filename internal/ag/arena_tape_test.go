@@ -190,25 +190,6 @@ func TestSetRandControlsDropout(t *testing.T) {
 	}
 }
 
-// TestTapePoolReuse exercises GetTape/PutTape: a pooled tape must behave
-// like a fresh one after being recycled.
-func TestTapePoolReuse(t *testing.T) {
-	w := randParam("w", 3, 3, 9)
-	ref := func() float64 {
-		tp := NewTape()
-		return tp.Sum(tp.Tanh(tp.Use(w))).Value.Data[0]
-	}
-	want := ref()
-	for i := 0; i < 5; i++ {
-		tp := GetTape()
-		got := tp.Sum(tp.Tanh(tp.Use(w))).Value.Data[0]
-		PutTape(tp)
-		if got != want {
-			t.Fatalf("pooled tape pass %d: %v != %v", i, got, want)
-		}
-	}
-}
-
 // BenchmarkBackwardMLPArena is the arena'd counterpart of BenchmarkBackwardMLP:
 // the identical graph on a reused tape with sharded grads — the allocs/op
 // delta is the point.

@@ -13,7 +13,3 @@ func debugStampNode[T tensor.Float](t *TapeOf[T], n *NodeOf[T]) {}
 func debugCheckNode[T tensor.Float](n *NodeOf[T], op string) {}
 
 func debugTapeReset[T tensor.Float](t *TapeOf[T]) {}
-
-func debugTapeGot[T tensor.Float](t *TapeOf[T]) {}
-
-func debugTapePut[T tensor.Float](t *TapeOf[T]) {}

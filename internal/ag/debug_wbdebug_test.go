@@ -72,30 +72,3 @@ func testStaleNodeOnInferTapePanics[T tensor.Float](t *testing.T) {
 	tp.Reset()
 	mustPanic(t, "before Tape.Reset", func() { y.CheckLive("decode") })
 }
-
-// TestDoublePutTapePanics: the second PutTape of the same tape must panic
-// rather than alias one arena between two future pool holders. The pool
-// itself only hands out float64 recording tapes; the residency flag behind
-// the check is generic, so the float32 case drives the hook directly.
-func TestDoublePutTapePanics(t *testing.T) {
-	tp := GetTape()
-	PutTape(tp)
-	mustPanic(t, "double PutTape", func() { PutTape(tp) })
-
-	tp32 := NewInferTapeOf[float32]()
-	debugTapePut(tp32)
-	mustPanic(t, "double PutTape", func() { debugTapePut(tp32) })
-	debugTapeGot(tp32)
-	debugTapePut(tp32) // checked out again: one Put is fine
-}
-
-// TestPoolRoundTripStillWorks: Get → use → Put → Get must stay clean; the
-// lifecycle instrumentation must not misfire on the sanctioned pattern.
-func TestPoolRoundTripStillWorks(t *testing.T) {
-	for i := 0; i < 3; i++ {
-		tp := GetTape()
-		x := tp.Const(tensor.Full(1, 1, 2.0))
-		tp.Backward(tp.Mean(x))
-		PutTape(tp)
-	}
-}

@@ -1,17 +1,13 @@
-// Package poolbalance defines a wbcheck pass generalizing tapelife beyond
-// tapes: any pooled checkout — a direct sync.Pool.Get, or a call to a
-// module-level Get*/get* function that has a matching Put*/put* sibling in
-// its package (GetScratch/PutScratch, getEncodeBuf/putEncodeBuf) — must be
-// returned on every path out of the acquiring function. Acceptable shapes,
-// in order of preference: a deferred Put (directly or inside a deferred
+// Package poolbalance defines the wbcheck pass for pooled resources: any
+// pooled checkout — a direct sync.Pool.Get, or a call to a module-level
+// Get*/get* function that has a matching Put*/put* sibling in its package
+// (getEncodeBuf/putEncodeBuf) — must be returned on every path out of the
+// acquiring function. Acceptable shapes, in order of preference: a deferred Put (directly or inside a deferred
 // func literal), handing the resource off by returning it to the caller
 // (the wrapper-constructor shape: `return pool.Get().(*T)`), or a plain Put
 // on every return path. Everything else leaks warm scratch out of the pool
 // and regrows it per request, which is precisely the allocation regression
 // the PR-4 fast path exists to prevent.
-//
-// ag.GetTape is excluded: tapelife owns tape lifecycle with stricter rules
-// (deferred Put required, Reset policing).
 package poolbalance
 
 import (
@@ -53,7 +49,7 @@ func run(pass *analysis.Pass) {
 type checkout struct {
 	call   *ast.CallExpr
 	pos    token.Pos
-	desc   string       // printable source of the resource, e.g. "GetScratch" or "bufPool.Get"
+	desc   string       // printable source of the resource, e.g. "getEncodeBuf" or "bufPool.Get"
 	putKey string       // key a put call must produce to balance this checkout
 	varObj types.Object // variable the result was assigned to, if a simple assignment
 }
@@ -262,8 +258,7 @@ func putKeyOf(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 
 // pairPut resolves the Put*/put* sibling of a module-level Get*/get*
 // function, or nil when the call is not a pooled checkout by convention.
-// The module restriction keeps os.Getenv and friends out; ag.GetTape is
-// tapelife's jurisdiction.
+// The module restriction keeps os.Getenv and friends out.
 func pairPut(fn *types.Func) *types.Func {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() != nil {
@@ -271,9 +266,6 @@ func pairPut(fn *types.Func) *types.Func {
 	}
 	pkg := fn.Pkg()
 	if pkg == nil || !inModule(pkg.Path()) {
-		return nil
-	}
-	if pkg.Path() == "webbrief/internal/ag" && fn.Name() == "GetTape" {
 		return nil
 	}
 	var putName string

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"webbrief/internal/ag"
@@ -25,27 +26,27 @@ var raggedLens = [][]int{
 	{66, 3},
 }
 
-// TestBiLSTMForwardBatchMatchesSerial pins ForwardBatch to Forward across
-// ragged batch shapes: every output value must compare equal (== admits the
+// TestBiLSTMForwardBatchMatchesSerial pins the lockstep ForwardBatch on a
+// no-gradient tape to the heap-tape Forward across ragged batch shapes, the
+// batch of one first: every output value must compare equal (== admits the
 // ±0 divergence the blocked kernels document, and nothing else).
 func TestBiLSTMForwardBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const in, hidden = 9, 6
 	bi := NewBiLSTM("b", in, hidden, rng)
 	for _, lens := range raggedLens {
-		// Serial references, one per sequence, each on a fresh pack-routed
-		// infer tape — the exact per-request configuration.
+		// Serial references, one per sequence, each on a fresh recording heap
+		// tape: the per-step Forward training runs.
 		inputs := make([]*tensor.Matrix, len(lens))
 		want := make([]*tensor.Matrix, len(lens))
 		for i, l := range lens {
 			inputs[i] = tensor.Uniform(l, in, -1, 1, rng)
-			tp := ag.NewInferTape()
-			tp.SetPack(&tensor.PackBuf{})
-			want[i] = bi.Forward(tp, tp.Const(inputs[i])).Value.Clone()
+			tp := ag.NewTape()
+			want[i] = bi.Forward(tp, tp.Const(inputs[i])).Value
 		}
-		// One batched pass over all of them on a shared tape.
-		tp := ag.NewInferTape()
-		tp.SetPack(&tensor.PackBuf{})
+		// One batched pass over all of them on a shared pack-routed infer
+		// tape — the serving configuration, a lone sequence included.
+		tp := inferTape()
 		xs := make([]*ag.Node, len(lens))
 		for i := range inputs {
 			xs[i] = tp.Const(inputs[i])
@@ -66,42 +67,88 @@ func TestBiLSTMForwardBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBeamSearchBatchMatchesScratch pins BeamSearchBatch to per-instance
-// BeamSearchScratch: identical token sequences for every instance across
-// batch sizes, widths and ragged memory lengths.
-func TestBeamSearchBatchMatchesScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const vocab, embDim, hidden, memDim = 17, 5, 6, 6
-	const bos, eos, maxLen = 1, 2, 5
-	d := NewAttnDecoder("d", vocab, embDim, hidden, memDim, rng)
-	for _, width := range []int{2, 3, 4} {
-		for _, lens := range raggedLens {
-			mems := make([]*tensor.Matrix, len(lens))
-			want := make([][]int, len(lens))
-			for i, l := range lens {
-				mems[i] = tensor.Uniform(l, memDim, -1, 1, rng)
-				tp := ag.NewInferTape()
-				tp.SetPack(&tensor.PackBuf{})
-				want[i], _ = d.BeamSearchScratch(tp, tp.Const(mems[i]), bos, eos, width, maxLen,
-					NewBeamScratch(vocab, width, maxLen))
-			}
-			tp := ag.NewInferTape()
-			tp.SetPack(&tensor.PackBuf{})
-			nodes := make([]*ag.Node, len(lens))
-			scratches := make([]*BeamScratch, len(lens))
-			for i := range mems {
-				nodes[i] = tp.Const(mems[i])
-				scratches[i] = NewBeamScratch(vocab, width, maxLen)
-			}
-			got, _ := d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, scratches)
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("width %d lens %v inst %d: batched %v, serial %v",
-						width, lens, i, got[i], want[i])
+// inferTape is the serving configuration: a no-gradient arena tape routing
+// its products through a pack buffer.
+func inferTape() *ag.Tape {
+	tp := ag.NewInferTape()
+	tp.SetPack(&tensor.PackBuf{})
+	return tp
+}
+
+// TestBeamSearchBatchMatchesReference pins BeamSearchBatch to the heap
+// BeamSearch on a recording tape, in two sweeps. Width × depth over six
+// decoders: a batch of one reproduces the reference exactly — same
+// hypotheses, same stable tie-breaking — on one cold scratch reused across
+// every call (the cross-request reuse pattern of a serving replica) and on a
+// nil one. Width × ragged batch shape: a member's tokens and confidence do
+// not depend on its batchmates — a batch of N equals N batches of one (those
+// on nil scratches), and both equal the reference. (Against the reference
+// the comparison is slices.Equal: a lone EOS decodes to nil here and to an
+// empty slice there.)
+func TestBeamSearchBatchMatchesReference(t *testing.T) {
+	one := func(d *AttnDecoder, mem *tensor.Matrix, bos, eos, width, maxLen int, scratches []*BeamScratchOf[float64]) ([]int, Confidence) {
+		tp := inferTape()
+		toks, confs := d.BeamSearchBatch(tp, []*ag.Node{tp.Const(mem)}, bos, eos, width, maxLen, scratches)
+		return toks[0], confs[0]
+	}
+	reference := func(d *AttnDecoder, mem *tensor.Matrix, bos, eos, width, maxLen int) []int {
+		tp := ag.NewTape()
+		return d.BeamSearch(tp, tp.Const(mem), bos, eos, width, maxLen)
+	}
+
+	t.Run("batch-of-one", func(t *testing.T) {
+		const bos, eos = 0, 1
+		cold := []*BeamScratchOf[float64]{NewBeamScratchOf[float64](0, 0, 0)} // everything grows on demand
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(40 + seed))
+			d := NewAttnDecoder("d", 6+int(seed), 5, 7, 9, rng)
+			mem := tensor.Randn(4, 9, 1, rng)
+			for _, width := range []int{1, 2, 3, 5} {
+				for _, maxLen := range []int{1, 2, 4, 6} {
+					want := reference(d, mem, bos, eos, width, maxLen)
+					if got, _ := one(d, mem, bos, eos, width, maxLen, cold); !slices.Equal(want, got) {
+						t.Fatalf("seed %d width %d maxLen %d: batch of one %v, reference %v", seed, width, maxLen, got, want)
+					}
+					if got, _ := one(d, mem, bos, eos, width, maxLen, nil); !slices.Equal(want, got) {
+						t.Fatalf("seed %d width %d maxLen %d: nil-scratch run %v, reference %v", seed, width, maxLen, got, want)
+					}
 				}
 			}
 		}
-	}
+	})
+
+	t.Run("batchmates", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		const vocab, embDim, hidden, memDim = 17, 5, 6, 6
+		const bos, eos, maxLen = 1, 2, 5
+		d := NewAttnDecoder("d", vocab, embDim, hidden, memDim, rng)
+		for _, width := range []int{2, 3, 4} {
+			for _, lens := range raggedLens {
+				mems := make([]*tensor.Matrix, len(lens))
+				for i, l := range lens {
+					mems[i] = tensor.Uniform(l, memDim, -1, 1, rng)
+				}
+				tp := inferTape()
+				nodes := make([]*ag.Node, len(lens))
+				scratches := make([]*BeamScratchOf[float64], len(lens))
+				for i := range mems {
+					nodes[i] = tp.Const(mems[i])
+					scratches[i] = NewBeamScratchOf[float64](vocab, width, maxLen)
+				}
+				got, gotConfs := d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, scratches)
+				for i := range got {
+					alone, aloneConf := one(d, mems[i], bos, eos, width, maxLen, nil)
+					if !reflect.DeepEqual(got[i], alone) || gotConfs[i] != aloneConf {
+						t.Fatalf("width %d lens %v inst %d: in the batch %v %+v, alone %v %+v",
+							width, lens, i, got[i], gotConfs[i], alone, aloneConf)
+					}
+					if want := reference(d, mems[i], bos, eos, width, maxLen); !slices.Equal(got[i], want) {
+						t.Fatalf("width %d lens %v inst %d: batched %v, reference %v", width, lens, i, got[i], want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestBeamSearchBatchNilScratches checks the convenience paths: a nil
@@ -115,11 +162,10 @@ func TestBeamSearchBatchNilScratches(t *testing.T) {
 		tensor.Uniform(3, memDim, -1, 1, rng),
 		tensor.Uniform(1, memDim, -1, 1, rng),
 	}
-	tp := ag.NewInferTape()
-	tp.SetPack(&tensor.PackBuf{})
+	tp := inferTape()
 	nodes := []*ag.Node{tp.Const(mems[0]), tp.Const(mems[1])}
 	first, _ := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, nil)
-	scratches := []*BeamScratch{NewBeamScratch(vocab, 3, 4), nil}
+	scratches := []*BeamScratchOf[float64]{NewBeamScratchOf[float64](vocab, 3, 4), nil}
 	for round := 0; round < 3; round++ {
 		tp.Reset()
 		nodes = []*ag.Node{tp.Const(mems[0]), tp.Const(mems[1])}
@@ -152,11 +198,7 @@ func TestLSTMHoistedProjectionBitwise(t *testing.T) {
 			}
 		}
 	}
-	tapes := func() (hoisted, perStep *ag.Tape) {
-		hoisted = ag.NewInferTape()
-		hoisted.SetPack(&tensor.PackBuf{})
-		return hoisted, ag.NewTape()
-	}
+	tapes := func() (hoisted, perStep *ag.Tape) { return inferTape(), ag.NewTape() }
 	for _, lens := range raggedLens {
 		inputs := make([]*tensor.Matrix, len(lens))
 		for i, l := range lens {

@@ -7,26 +7,30 @@ import (
 	"webbrief/internal/tensor"
 )
 
-// BeamSearchBatch runs BeamSearchScratch for several instances at once,
-// fusing each decode depth's per-beam 1-row steps — across every live beam
-// of every unfinished instance — into one R-row batched step. The cell and
-// output matmuls see R rows instead of 1, which is where the batching win
-// lives (one packed R×vocab projection per depth instead of R separate
-// ones). Attention stays per-instance because each instance attends over its
-// own memory, but the R-row hidden-state projection through Att.W is shared.
+// BeamSearchBatch beam-searches several instances at once — a lone decode is
+// a batch of one — fusing each decode depth's per-beam 1-row steps, across
+// every live beam of every unfinished instance, into one R-row batched step.
+// The cell and output matmuls see R rows instead of 1, which is where the
+// batching win lives (one packed R×vocab projection per depth instead of R
+// separate ones). Attention stays per-instance because each instance attends
+// over its own memory, but the R-row hidden-state projection through Att.W is
+// shared.
 //
-// Per instance the decode is exactly BeamSearchScratch: the same frontier
-// ordering, the same topK tie-breaking, the same stable prune by score, the
-// same done-beam claiming and the same ping-pong token pools, driven by that
-// instance's own BeamScratch. Done beams contribute no slab row and finished
-// instances drop out of the batch entirely (per-row early exit), so the
-// decoded tokens are identical to width-many independent searches.
+// Per instance the decode is exactly BeamSearch, without its per-candidate
+// allocation: the same frontier ordering, the same top-width expansion with
+// ties toward the lower token id, the same stable prune by length-normalised
+// score (the candidate prune reproduces sort.SliceStable ordering), with
+// tokens kept in the ping-pong pools of that instance's own BeamScratchOf.
+// Done beams contribute no slab row and finished instances drop out of the
+// batch entirely (per-row early exit), and every kernel in the step computes
+// output rows independently, so an instance's tokens and confidence do not
+// depend on its batchmates.
 //
 // memories[q] is instance q's decoder memory; scratches[q] may be nil (a
 // throwaway scratch is used), as may the whole slice. The returned token
 // slices are copied out and caller-owned; results[q] is nil when instance q
-// decodes to nothing. confs[q] is instance q's decode Confidence, derived
-// from its final frontier exactly as in the single-instance search.
+// decodes to nothing. confs[q] is instance q's decode Confidence for cascade
+// routing, derived from its final frontier (beamConfidence).
 func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeOf[T], bos, eos, width, maxLen int, scratches []*BeamScratchOf[T]) ([][]int, []Confidence) {
 	nInst := len(memories)
 	results := make([][]int, nInst)
@@ -139,7 +143,7 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 		st := d.cellStep(t, prev, ctx, StateOf[T]{H: hpN, C: cpN})
 		logits := d.Out.Forward(t, t.ConcatCols2(st.H, ctx))
 		logpAll := t.LogSoftmaxRows(logits)
-		// Per-instance frontier bookkeeping, exactly as BeamSearchScratch.
+		// Per-instance frontier bookkeeping, exactly as BeamSearch.
 		for q := range insts {
 			ist := &insts[q]
 			if !ist.live {

@@ -2,43 +2,34 @@ package nn
 
 import (
 	"math"
-	"slices"
 
-	"webbrief/internal/ag"
 	"webbrief/internal/tensor"
 )
 
-// BeamScratchOf holds the reusable buffers for one beam search: the
-// log-softmax row, the top-K index scratch, the two beam frontiers, and the
-// per-slot token backing arrays. A warm scratch makes BeamSearchScratch
-// allocation-free apart from the copied-out result.
+// BeamScratchOf holds the reusable buffers of one instance's search inside
+// BeamSearchBatch: the top-K index scratch, the two beam frontiers, and the
+// per-slot token backing arrays. A warm scratch makes that instance's
+// frontier bookkeeping allocation-free apart from the copied-out result.
 //
 // Token buffers live in two pools that ping-pong between decode depths:
 // candidates at depth d write pool d%2 and read the surviving beams' tokens
 // from pool (d+1)%2, so no live hypothesis ever aliases a slot being
 // rewritten. Done hypotheses are re-copied into the write pool each depth to
 // keep that invariant. A scratch must not be shared between concurrent
-// searches — give each serving replica its own (see wb.InferScratch).
+// searches — a wb.BatchScratchOf keeps one per batch slot.
 type BeamScratchOf[T tensor.Float] struct {
-	logp  tensor.MatrixOf[T] // 1×vocab log-softmax scratch, header reused
-	idx   []int              // top-K selection scratch
-	cur   []beam[T]          // frontier at the current depth
-	next  []beam[T]          // candidate frontier being built
-	pools [2][][]int         // per-slot token backing arrays
+	idx   []int      // top-K selection scratch
+	cur   []beam[T]  // frontier at the current depth
+	next  []beam[T]  // candidate frontier being built
+	pools [2][][]int // per-slot token backing arrays
 }
 
-// NewBeamScratch returns a scratch presized for the given vocabulary size,
-// beam width and decode depth. All buffers still grow on demand, so a
-// zero-value-like NewBeamScratch(0, 0, 0) is valid and merely warms up lazily.
-func NewBeamScratch(vocab, width, maxLen int) *BeamScratch {
-	return NewBeamScratchOf[float64](vocab, width, maxLen)
-}
-
-// NewBeamScratchOf is NewBeamScratch for element type T.
+// NewBeamScratchOf returns a scratch presized for the given vocabulary size,
+// beam width and decode depth. All buffers still grow on demand, so
+// NewBeamScratchOf[T](0, 0, 0) is valid and merely warms up lazily.
 func NewBeamScratchOf[T tensor.Float](vocab, width, maxLen int) *BeamScratchOf[T] {
 	bs := &BeamScratchOf[T]{}
 	if vocab > 0 {
-		bs.logp.Data = make([]T, vocab)
 		bs.idx = make([]int, 0, vocab)
 	}
 	if width > 0 {
@@ -53,19 +44,6 @@ func NewBeamScratchOf[T tensor.Float](vocab, width, maxLen int) *BeamScratchOf[T
 		}
 	}
 	return bs
-}
-
-// logSoftmaxRow computes the log-softmax of the 1×vocab logits row into the
-// scratch buffer through the shared tensor kernel, so the values are
-// bitwise identical to Matrix.LogSoftmaxRows on the heap path.
-func (bs *BeamScratchOf[T]) logSoftmaxRow(logits *tensor.MatrixOf[T]) []T {
-	n := logits.Cols
-	if cap(bs.logp.Data) < n {
-		bs.logp.Data = make([]T, n)
-	}
-	bs.logp.Rows, bs.logp.Cols, bs.logp.Data = 1, n, bs.logp.Data[:n]
-	tensor.LogSoftmaxRowsInto(&bs.logp, logits)
-	return bs.logp.Data
 }
 
 // topK selects the indices of the k largest values in xs in descending value
@@ -136,76 +114,4 @@ func beamConfidence[T tensor.Float](beams []beam[T]) (best beam[T], conf Confide
 		conf.Margin = math.Inf(1)
 	}
 	return best, conf
-}
-
-// BeamSearchScratch is BeamSearch decoding through a reusable scratch:
-// identical hypotheses, scores and tie-breaking (the candidate prune
-// reproduces sort.SliceStable ordering), but no per-candidate allocation,
-// and it additionally reports the decode Confidence for cascade routing.
-// A nil scratch falls back to a throwaway one. The returned tokens are
-// copied out and caller-owned.
-func (d *AttnDecoderOf[T]) BeamSearchScratch(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, width, maxLen int, bs *BeamScratchOf[T]) ([]int, Confidence) {
-	if bs == nil {
-		bs = NewBeamScratchOf[T](0, width, maxLen)
-	}
-	pool := 0
-	beams := append(bs.cur[:0], beam[T]{state: d.Cell.ZeroState(t)})
-	next := bs.next[:0]
-	for depth := 0; depth < maxLen; depth++ {
-		next = next[:0]
-		slot := 0
-		for _, b := range beams {
-			if b.done {
-				b.tokens = bs.claim(pool, slot, b.tokens)
-				slot++
-				next = append(next, b)
-				continue
-			}
-			prev := bos
-			if len(b.tokens) > 0 {
-				prev = b.tokens[len(b.tokens)-1]
-			}
-			logits, s := d.step(t, prev, b.state, memory)
-			logp := bs.logSoftmaxRow(logits.Value)
-			// Expand only the top `width` continuations of this beam;
-			// expanding more can never survive the global prune below.
-			for _, j := range bs.topK(logp, width) {
-				toks := bs.claim(pool, slot, b.tokens)
-				slot++
-				next = append(next, beam[T]{
-					tokens:  append(toks, j),
-					logProb: b.logProb + float64(logp[j]),
-					state:   s,
-					done:    j == eos,
-				})
-			}
-		}
-		slices.SortStableFunc(next, byScoreDesc[T])
-		if len(next) > width {
-			next = next[:width]
-		}
-		beams, next = next, beams
-		pool = 1 - pool
-		allDone := true
-		for _, b := range beams {
-			if !b.done {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-	}
-	best, conf := beamConfidence(beams)
-	toks := best.tokens
-	if len(toks) > 0 && best.done {
-		toks = toks[:len(toks)-1] // strip the trailing EOS
-	}
-	// Persist grown frontiers, then hand back a caller-owned copy.
-	bs.cur, bs.next = beams[:0], next[:0]
-	if len(toks) == 0 {
-		return nil, conf
-	}
-	return append([]int(nil), toks...), conf
 }

@@ -266,7 +266,7 @@ type beam[T tensor.Float] struct {
 // probability). The paper uses width 200 and depth 4; both are parameters
 // here so experiments can scale them to the corpus. It builds every
 // candidate on the heap and is kept as the reference the equivalence tests
-// compare BeamSearchScratch and BeamSearchBatch against.
+// compare BeamSearchBatch against.
 func (d *AttnDecoderOf[T]) BeamSearch(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, width, maxLen int) []int {
 	beams := []beam[T]{{state: d.Cell.ZeroState(t)}}
 	for depth := 0; depth < maxLen; depth++ {

@@ -182,10 +182,11 @@ func (l *LSTMOf[T]) recurrenceInput(t *ag.TapeOf[T], x *ag.NodeOf[T]) seqInputOf
 	return seqInputOf[T]{m: t.MatMul(x, t.Use(l.Wx)).Value}
 }
 
-// run advances the LSTM over in — last position first when reverse is set —
-// and returns the hidden state at every position. A projected input is read
-// in place, one row view per step; an unprojected one (a recording tape) is
-// sliced out of its source node, which the gradient must flow back through.
+// run advances the LSTM over in, recurrenceInput's result — last position
+// first when reverse is set — and returns the hidden state at every position.
+// A projected input is read in place, one row view per step; an unprojected
+// one (a recording tape) is sliced out of its source node, which the gradient
+// must flow back through. Table inputs never get here: they run in lockstep.
 func (l *LSTMOf[T]) run(t *ag.TapeOf[T], in seqInputOf[T], reverse bool) []*ag.NodeOf[T] {
 	seq := in.len()
 	hs := make([]*ag.NodeOf[T], seq)
@@ -197,7 +198,7 @@ func (l *LSTMOf[T]) run(t *ag.TapeOf[T], in seqInputOf[T], reverse bool) []*ag.N
 		}
 		var step *ag.NodeOf[T]
 		if in.projected() {
-			step = t.Const(t.ViewValue(1, in.m.Cols, in.m.Row(in.row(i))))
+			step = t.Const(t.ViewValue(1, in.m.Cols, in.m.Row(i)))
 		} else {
 			step = t.SliceRows(in.src, i, i+1)
 		}
@@ -242,22 +243,8 @@ func (b *BiLSTMOf[T]) OutDim() int { return b.Fwd.Hidden + b.Bwd.Hidden }
 
 // Forward returns the seq×2h matrix of concatenated forward/backward states.
 func (b *BiLSTMOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
-	return b.forward(t, b.Fwd.recurrenceInput(t, x), b.Bwd.recurrenceInput(t, x))
-}
-
-// ForwardIDs is Forward over the embeddings of ids without looking them up:
-// fwdTab and bwdTab are the two directions' input tables (InputTable over
-// the embedding and b.Fwd / b.Bwd), so each step's input projection is a
-// table row instead of a product. Every value equals Forward's over the
-// looked-up embeddings (a table row IS that row's projection, computed by
-// the same kernel). No-gradient tapes only.
-func (b *BiLSTMOf[T]) ForwardIDs(t *ag.TapeOf[T], fwdTab, bwdTab *tensor.MatrixOf[T], ids []int) *ag.NodeOf[T] {
-	return b.forward(t, tableInput(t, fwdTab, ids), tableInput(t, bwdTab, ids))
-}
-
-func (b *BiLSTMOf[T]) forward(t *ag.TapeOf[T], fwdIn, bwdIn seqInputOf[T]) *ag.NodeOf[T] {
-	fwd := b.Fwd.run(t, fwdIn, false)
-	bwd := b.Bwd.run(t, bwdIn, true)
+	fwd := b.Fwd.run(t, b.Fwd.recurrenceInput(t, x), false)
+	bwd := b.Bwd.run(t, b.Bwd.recurrenceInput(t, x), true)
 	rows := make([]*ag.NodeOf[T], len(fwd))
 	for i := range rows {
 		rows[i] = t.ConcatCols2(fwd[i], bwd[i])

@@ -28,8 +28,12 @@ func (b *BiLSTMOf[T]) ForwardBatch(t *ag.TapeOf[T], xs []*ag.NodeOf[T]) []*ag.No
 }
 
 // ForwardBatchIDs is ForwardBatch over the embeddings of each sequence's
-// token ids, with both directions' input projections read from their input
-// tables — ForwardIDs' contract, in lockstep. No-gradient tapes only.
+// token ids without looking them up: fwdTab and bwdTab are the two
+// directions' input tables (InputTable over the embedding and b.Fwd / b.Bwd),
+// so each step's input projection is a table row instead of a product. Every
+// value equals ForwardBatch's over the looked-up embeddings (a table row IS
+// that row's projection, computed by the same kernel). No-gradient tapes
+// only.
 func (b *BiLSTMOf[T]) ForwardBatchIDs(t *ag.TapeOf[T], fwdTab, bwdTab *tensor.MatrixOf[T], idss [][]int) []*ag.NodeOf[T] {
 	fwd, bwd := make([]seqInputOf[T], len(idss)), make([]seqInputOf[T], len(idss))
 	for i, ids := range idss {
@@ -59,7 +63,9 @@ func (b *BiLSTMOf[T]) forwardBatch(t *ag.TapeOf[T], fwd, bwd []seqInputOf[T]) []
 // step t, as in BiLSTM.Forward's backward direction). ins[i] is what each
 // step gathers sequence i's row from: its inputs, its hoisted projection
 // (LSTMOf.recurrenceInput) or its rows of an input table (tableInput) — in
-// the last two cases the only matmul inside the recurrence is h·Wh.
+// the last two cases the only matmul inside the recurrence is h·Wh. Inference
+// only: one input slab is reused by every step, so nothing recorded here can
+// be backpropagated through.
 func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], ins []seqInputOf[T], outs []*tensor.MatrixOf[T], colOff int, reverse bool) {
 	n := len(ins)
 	if n == 0 {
@@ -71,32 +77,51 @@ func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], ins []seqInputO
 		maxLen = max(maxLen, in.len())
 	}
 	width, projected := ins[0].m.Cols, ins[0].projected()
-	// Per-sequence running states, zero-initialised like ZeroState; each
-	// step gathers the active ones into a slab and scatters the results
-	// back, so a sequence's state never mixes with its neighbours'.
-	hs := make([]*tensor.MatrixOf[T], n)
-	cs := make([]*tensor.MatrixOf[T], n)
-	for i := range ins {
-		hs[i] = t.AllocValue(1, h)
-		cs[i] = t.AllocValue(1, h)
+	// The running states are slabs, one row per sequence still inside its
+	// length, in sequence order: zero like ZeroState before the first step,
+	// and from then on the previous step's own output. Sequences only ever
+	// drop out, so a slab is reused as it stands until one does and is then
+	// compacted to the survivors' rows — a sequence's state never mixes with
+	// its neighbours'.
+	active := make([]int, 0, n)
+	for i, in := range ins {
+		if in.len() > 0 {
+			active = append(active, i)
+		}
 	}
+	s := StateOf[T]{H: t.Const(t.AllocValue(len(active), h)), C: t.Const(t.AllocValue(len(active), h))}
+	// One input slab serves every step: a step's rows are consumed by that
+	// step's products and never read again.
+	xs := t.AllocValueUninit(len(active), width)
 	var (
-		active = make([]int, 0, n)
-		mats   = make([]*tensor.MatrixOf[T], 0, n)
-		rows   = make([]int, 0, n)
-		zeros  = make([]int, n)
+		mats = make([]*tensor.MatrixOf[T], 0, n)
+		rows = make([]int, 0, n)
 	)
+	survivors := func(slab *ag.NodeOf[T]) *ag.NodeOf[T] {
+		mats = mats[:0]
+		for range rows {
+			mats = append(mats, slab.Value)
+		}
+		kept := t.AllocValueUninit(len(rows), h)
+		tensor.GatherRowsInto(kept, mats, rows)
+		return t.Const(kept)
+	}
 	for step := 0; step < maxLen; step++ {
-		active = active[:0]
-		for i, in := range ins {
-			if step < in.len() {
-				active = append(active, i)
+		rows = rows[:0]
+		for j, i := range active {
+			if step < ins[i].len() {
+				active[len(rows)] = i
+				rows = append(rows, j)
 			}
 		}
+		if len(rows) < len(active) {
+			active = active[:len(rows)]
+			s = StateOf[T]{H: survivors(s.H), C: survivors(s.C)}
+		}
 		a := len(active)
-		// Gather this step's input row from every active sequence. The
-		// three slabs are gather destinations: every row is copied into.
-		x := t.AllocValueUninit(a, width)
+		// Gather this step's input row from every active sequence: every
+		// row of the slab's first a is copied into.
+		x := t.ViewValue(a, width, xs.Data[:a*width])
 		mats, rows = mats[:0], rows[:0]
 		for _, i := range active {
 			pos := step
@@ -107,32 +132,9 @@ func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], ins []seqInputO
 			rows = append(rows, ins[i].row(pos))
 		}
 		tensor.GatherRowsInto(x, mats, rows)
-		// Gather the active running states into a-row slabs.
-		hp := t.AllocValueUninit(a, h)
-		cp := t.AllocValueUninit(a, h)
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, hs[i])
-		}
-		tensor.GatherRowsInto(hp, mats, zeros[:a])
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, cs[i])
-		}
-		tensor.GatherRowsInto(cp, mats, zeros[:a])
 		// One fused a-row step for all active sequences.
-		st := l.stepFrom(t, t.Const(x), projected, StateOf[T]{H: t.Const(hp), C: t.Const(cp)})
-		// Scatter the new states back and the hidden rows into the outputs.
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, hs[i])
-		}
-		tensor.ScatterRowsInto(mats, zeros[:a], st.H.Value)
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, cs[i])
-		}
-		tensor.ScatterRowsInto(mats, zeros[:a], st.C.Value)
+		s = l.stepFrom(t, t.Const(x), projected, s)
+		// Scatter the hidden rows into the outputs.
 		mats, rows = mats[:0], rows[:0]
 		for _, i := range active {
 			pos := step
@@ -142,6 +144,6 @@ func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], ins []seqInputO
 			mats = append(mats, outs[i])
 			rows = append(rows, pos)
 		}
-		tensor.ScatterRowSpansInto(mats, rows, colOff, st.H.Value)
+		tensor.ScatterRowSpansInto(mats, rows, colOff, s.H.Value)
 	}
 }

@@ -38,7 +38,6 @@ type (
 	BiLSTM      = BiLSTMOf[float64]
 	State       = StateOf[float64]
 	AttnDecoder = AttnDecoderOf[float64]
-	BeamScratch = BeamScratchOf[float64]
 )
 
 // CollectParams flattens the parameters of several layers, preserving order

@@ -241,7 +241,8 @@ func TestIdleReplicaTakesRequestAlone(t *testing.T) {
 }
 
 // countingModel counts Eval forwards through a wrapped model tier. It hides
-// the batched-forward capability, which a batch of one does not use.
+// the batched-forward capability, so the tier runs one Forward per member —
+// which is what it counts.
 type countingModel[T tensor.Float] struct {
 	wb.ModelOf[T]
 	forwards atomic.Int64

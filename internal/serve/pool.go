@@ -88,7 +88,7 @@ type tier interface {
 	extract(insts []*wb.Instance) []*wb.Brief
 	// decode beam-searches the topics from extract's outputs and returns each
 	// member's decode confidence.
-	decode(insts []*wb.Instance, briefs []*wb.Brief) []nn.Confidence
+	decode(briefs []*wb.Brief) []nn.Confidence
 	// brief is extract then decode: the whole pipeline on this tier.
 	brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Confidence)
 }
@@ -108,8 +108,8 @@ func (t *tierOf[T]) extract(insts []*wb.Instance) []*wb.Brief {
 	return briefs
 }
 
-func (t *tierOf[T]) decode(insts []*wb.Instance, briefs []*wb.Brief) []nn.Confidence {
-	confs := wb.DecodeTopicBatch(t.model, insts, t.outs, t.vocab, t.beam, t.scratch, briefs)
+func (t *tierOf[T]) decode(briefs []*wb.Brief) []nn.Confidence {
+	confs := wb.DecodeTopicBatch(t.outs, t.vocab, t.beam, t.scratch, briefs)
 	t.outs = nil
 	return confs
 }
@@ -170,7 +170,7 @@ func (r *modelReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
 // low-confidence subset.
 func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision {
 	t0 := time.Now()
-	confs := r.tiers[0].decode(insts, briefs)
+	confs := r.tiers[0].decode(briefs)
 	dur := time.Since(t0)
 	pending := make([]int, len(insts)) // members the current tier briefed
 	for i := range insts {

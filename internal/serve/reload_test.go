@@ -222,11 +222,11 @@ func unfoldedWire(t *testing.T, m *wb.JointWB, v *textproc.Vocab, pages []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := wb.NewInferScratch32For(v, beam)
+	scratch := wb.NewBatchScratchOf[float32](v, beam, 1)
 	want := make([][]byte, len(pages))
 	for i, html := range pages {
-		b, _ := wb.MakeBriefWith32(st, wb.InstanceFromHTML(html, v, 0), v, beam, scratch)
-		j, err := json.Marshal(b)
+		b, _ := wb.MakeBriefBatch(st, []*wb.Instance{wb.InstanceFromHTML(html, v, 0)}, v, beam, scratch)
+		j, err := json.Marshal(b[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,7 @@ const transposeTile = 32
 // and is then allocation-free (a PackBuf, the float64 one, never grows:
 // float64 products do not pack). A pack buffer must not be shared between
 // concurrent matmuls — give each worker or serving replica its own (see
-// wb.InferScratch).
+// wb.BatchScratchOf).
 type PackBufOf[T Float] struct {
 	buf []T
 }

@@ -151,7 +151,7 @@ func benchKernelGridCell[T Float](b *testing.B, name string, rows, k, c, width i
 	m, o := Cast[T](benchMat(rows, k, 0, rng)), Cast[T](benchMat(k, c, 0, rng))
 	dst := NewOf[T](rows, c)
 	pack := &PackBufOf[T]{}
-	pack.ensure(k * c) // grown once, as a warm InferScratch's is
+	pack.ensure(k * c) // grown once, as a warm wb.BatchScratchOf's is
 	for _, cell := range []struct {
 		layout, impl string
 	}{{"unpacked", "go"}, {"unpacked", "lanes"}, {"packed", "go"}} {

@@ -173,7 +173,7 @@ func TestKernelEquivalenceTranspose(t *testing.T) {
 	}
 }
 
-// TestPackBufReuse verifies the caller-owned-workspace contract InferScratch
+// TestPackBufReuse verifies the caller-owned-workspace contract wb.BatchScratchOf
 // relies on, in both kernel modes: a warm MatMulPackInto never allocates.
 // On the pure-Go float32 bodies the buffer has grown to the packed operand
 // by then; with lane kernels, and for float64 in either mode, nothing is

@@ -21,13 +21,14 @@ type Brief struct {
 const topicMaxLen = 6
 
 // MakeBrief runs a trained model on an instance and assembles the
-// hierarchical briefing. Both stages share one pooled inference workspace;
-// resident callers (serving replicas) should hold their own scratch and call
-// MakeBriefWith instead.
+// hierarchical briefing: MakeBriefBatch of one on a borrowed workspace.
+// Resident callers (serving replicas) hold their own scratch and call the
+// batch functions directly.
 func MakeBrief(m Model, inst *Instance, v *textproc.Vocab, beamWidth int) *Brief {
-	s := GetScratch()
-	defer PutScratch(s)
-	return MakeBriefWith(m, inst, v, beamWidth, s)
+	s := scratchPool.Get().(*BatchScratchOf[float64])
+	defer scratchPool.Put(s)
+	briefs, _ := MakeBriefBatch(m, []*Instance{inst}, v, beamWidth, s)
+	return briefs[0]
 }
 
 // String renders the briefing as the indented hierarchy of Fig. 1.

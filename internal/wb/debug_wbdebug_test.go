@@ -28,14 +28,14 @@ func checkStaleDecodePanics[T tensor.Float](t *testing.T, m ModelOf[T], insts []
 	const beam = 2
 	s := NewBatchScratchOf[T](v, beam, len(insts))
 	briefs, outs := ExtractBriefBatch(m, insts, v, s)
-	DecodeTopicBatch(m, insts, outs, v, beam, s, briefs) // live: must not fire
-	s.Tape.Reset()                                       // what the next extract does first
+	DecodeTopicBatch(outs, v, beam, s, briefs) // live: must not fire
+	s.Tape.Reset()                             // what the next extract does first
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "before Tape.Reset") {
 			t.Fatalf("decoding from stale outputs: got %q, want a use-after-Reset panic", msg)
 		}
 	}()
-	DecodeTopicBatch(m, insts, outs, v, beam, s, briefs)
+	DecodeTopicBatch(outs, v, beam, s, briefs)
 }
 
 // TestStaleFoldTablePanics: FoldedOf's API cannot produce a table that

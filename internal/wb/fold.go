@@ -42,9 +42,10 @@ func FoldTableBytes(vocab, hidden, elemBytes int) int64 {
 }
 
 // FoldedOf is a Joint-WB model frozen for serving, together with its fold
-// tables. It is a ModelOf (and BatchForwarderOf) whose Eval forwards on
-// no-gradient tapes read the tables; any other forward — a recording tape,
-// a teacher-forced mode — is the plain model's, which never sees a table.
+// tables. It is a ModelOf and a BatchForwarderOf: ForwardBatchEval on a
+// no-gradient tape — the one inference path, a lone page being a batch of one
+// — reads the tables; Forward is the plain model's per-instance forward,
+// which never sees a table.
 //
 // A table that outlived the weights it was built from would be a silently
 // wrong model, so the type makes that state unreachable instead of checked:
@@ -54,7 +55,8 @@ func FoldTableBytes(vocab, hidden, elemBytes int) int64 {
 // every folded forward also re-derives one sampled row of each table from
 // the weights it is about to run with.
 type FoldedOf[T tensor.Float] struct {
-	m      *JointWBOf[T]
+	m      *JointWBOf[T] // the plain model: Forward
+	folded *JointWBOf[T] // m with the decoder's table view as Dec: ForwardBatchEval
 	tables *FoldTablesOf[T]
 }
 
@@ -70,11 +72,7 @@ func (f *FoldedOf[T]) Params() []*ag.ParamOf[T] { return nil }
 
 // Forward implements ModelOf.
 func (f *FoldedOf[T]) Forward(t *ag.TapeOf[T], inst *Instance, mode Mode) *OutputOf[T] {
-	if mode != Eval || !t.NoGrad() {
-		return f.m.Forward(t, inst, mode)
-	}
-	debugCheckFold(f, inst)
-	return f.m.forward(t, inst, Eval, f.tables)
+	return f.m.Forward(t, inst, mode)
 }
 
 // ForwardBatchEval implements BatchForwarderOf.
@@ -85,7 +83,7 @@ func (f *FoldedOf[T]) ForwardBatchEval(t *ag.TapeOf[T], insts []*Instance) []*Ou
 	for _, inst := range insts {
 		debugCheckFold(f, inst)
 	}
-	return f.m.forwardBatchEval(t, insts, f.tables)
+	return f.folded.forwardBatchEval(t, insts, f.tables)
 }
 
 // buildTables computes the fold tables of m, a GloVe-encoder model the
@@ -101,11 +99,13 @@ func buildTables[T tensor.Float](m *JointWBOf[T]) *FoldTablesOf[T] {
 }
 
 // withTables wraps an owned model around tables built from weights equal to
-// its own. The decoder view carrying the decoder table replaces m.Dec, so
-// every decode that starts from this model's outputs is folded too.
+// its own. The folded forward runs a shallow copy of m whose Dec is the
+// decoder view carrying the decoder table, so every decode that starts from
+// its outputs is folded too.
 func withTables[T tensor.Float](m *JointWBOf[T], tables *FoldTablesOf[T]) *FoldedOf[T] {
-	m.Dec = m.Dec.WithInputTable(tables.Dec)
-	return &FoldedOf[T]{m: m, tables: tables}
+	folded := *m
+	folded.Dec = m.Dec.WithInputTable(tables.Dec)
+	return &FoldedOf[T]{m: m, folded: &folded, tables: tables}
 }
 
 // FoldForServing returns the one serving copy of a trained GloVe-encoder

@@ -46,8 +46,8 @@ type briefing struct {
 }
 
 // briefAll briefs every instance through MakeBriefBatch in consecutive
-// batches whose sizes cycle through sizes: {1} is the batch-of-one path
-// (ModelOf.Forward), {1…8} walks ForwardBatchEval over ragged batches.
+// batches whose sizes cycle through sizes: {1} is the lone briefing, a batch
+// of one, {1…8} walks ForwardBatchEval over ragged batches.
 func briefAll[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc.Vocab, beam int, sizes []int) []briefing {
 	s := NewBatchScratchOf[T](v, beam, 8)
 	out := make([]briefing, 0, len(insts))
@@ -275,8 +275,8 @@ func TestFoldedModelSharedConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				// Alternate batch shapes across workers so fused and
-				// per-instance forwards overlap on the shared models.
+				// Alternate batch shapes across workers so batches of one
+				// and wider lockstep forwards overlap on the shared models.
 				sizes := [][]int{{1}, {3, 2}}[w%2]
 				gotT[w] = briefAll[float64](teacher, insts, v, beam, sizes)
 				gotS[w] = briefAll[float32](student, insts, v, beam, sizes)

@@ -164,14 +164,10 @@ func (m *JointWBOf[T]) Params() []*ag.ParamOf[T] {
 		m.MemPr1, m.MemPr2, m.WCE, m.WQ, m.AttE, m.TagW, m.WCG, m.WE, m.AttG)
 }
 
-// Forward implements Model.
+// Forward implements Model: the per-instance forward of training, teacher
+// forcing and the heap-tape reference. It never reads a fold table; no-gradient
+// inference goes through ForwardBatchEval, a lone page as a batch of one.
 func (m *JointWBOf[T]) Forward(t *ag.TapeOf[T], inst *Instance, mode Mode) *OutputOf[T] {
-	return m.forward(t, inst, mode, nil)
-}
-
-// forward is Forward, with E's input projections read from fold's tables
-// when fold is set (FoldedOf, Eval on a no-gradient tape only).
-func (m *JointWBOf[T]) forward(t *ag.TapeOf[T], inst *Instance, mode Mode, fold *FoldTablesOf[T]) *OutputOf[T] {
 	tok, sent := m.Enc.EncodeDoc(t, inst)
 	if mode == Train && m.Cfg.Dropout > 0 {
 		tok = t.Dropout(tok, m.Cfg.Dropout, m.rng)
@@ -182,12 +178,7 @@ func (m *JointWBOf[T]) forward(t *ag.TapeOf[T], inst *Instance, mode Mode, fold 
 	secLogits := m.Sec.Forward(t, sent)
 
 	// E and G base encoders.
-	var cE *ag.NodeOf[T] // l×2h
-	if fold != nil {
-		cE = m.ExtLSTM.ForwardIDs(t, fold.ExtFwd, fold.ExtBwd, inst.IDs)
-	} else {
-		cE = m.ExtLSTM.Forward(t, tok)
-	}
+	cE := m.ExtLSTM.Forward(t, tok)  // l×2h
 	cG := m.GenLSTM.Forward(t, sent) // m×2h
 
 	return m.forwardTail(t, inst, mode, secLogits, cE, cG)
@@ -205,7 +196,8 @@ func (m *JointWBOf[T]) ForwardBatchEval(t *ag.TapeOf[T], insts []*Instance) []*O
 	return m.forwardBatchEval(t, insts, nil)
 }
 
-// forwardBatchEval is ForwardBatchEval, folded like forward when fold is set.
+// forwardBatchEval is ForwardBatchEval, with E's input projections read from
+// fold's tables when fold is set (FoldedOf, on a no-gradient tape only).
 func (m *JointWBOf[T]) forwardBatchEval(t *ag.TapeOf[T], insts []*Instance, fold *FoldTablesOf[T]) []*OutputOf[T] {
 	toks := make([]*ag.NodeOf[T], len(insts))
 	sents := make([]*ag.NodeOf[T], len(insts))

@@ -53,8 +53,8 @@ type ModelOf[T tensor.Float] interface {
 
 // BatchForwarderOf is implemented by models whose Eval-mode forward can run
 // over several instances at once with the recurrent encoders advanced in
-// lockstep (see JointWBOf.ForwardBatchEval). The serving layer
-// batch-dispatches through it when present; outs[i] must hold values
+// lockstep (see JointWBOf.ForwardBatchEval). The batch functions forward
+// through it when present, a lone instance included; outs[i] must hold values
 // identical to Forward(t, insts[i], Eval).
 type BatchForwarderOf[T tensor.Float] interface {
 	ModelOf[T]
@@ -116,14 +116,15 @@ func PredictSections[T tensor.Float](out *OutputOf[T]) []int {
 	return secs
 }
 
-// GenerateTopic decodes a topic phrase from a model using beam search
-// (width ≤ 1 falls back to greedy). It returns nil if the model has no
-// generator head.
+// GenerateTopic decodes a topic phrase of at most maxLen tokens from a model
+// using beam search (width ≤ 1 falls back to greedy): one forward, a batch of
+// one on a borrowed workspace. It returns nil if the model has no generator
+// head.
 func GenerateTopic(m Model, inst *Instance, beamWidth, maxLen int) []int {
-	s := GetScratch()
-	defer PutScratch(s)
-	ids, _ := GenerateTopicWith(m, inst, beamWidth, maxLen, s)
-	return ids
+	s := scratchPool.Get().(*BatchScratchOf[float64])
+	defer scratchPool.Put(s)
+	ids, _ := decodeTopics(forwardEval(m, []*Instance{inst}, s), beamWidth, maxLen, s)
+	return ids[0]
 }
 
 // sentProbsToTokens expands per-sentence probabilities (m×1) to per-token

@@ -229,18 +229,15 @@ type NamedAttribute struct {
 // future-work output format of §V ("the attribute name for the key
 // attribute '$40.13' is 'Price'").
 func MakeNamedBrief(m Model, n *AttrNamer, inst *Instance, v *textproc.Vocab, beamWidth int) (*Brief, []NamedAttribute) {
-	t := ag.NewTape()
-	out := m.Forward(t, inst, Eval)
-	brief := MakeBrief(m, inst, v, beamWidth)
-	spans := eval.SpansFromBIO(PredictTags(out))
-	names := n.Predict(out.TokenH.Value, inst.IDs, spans)
+	s := scratchPool.Get().(*BatchScratchOf[float64])
+	defer scratchPool.Put(s)
+	briefs, outs := ExtractBriefBatch(m, []*Instance{inst}, v, s)
+	DecodeTopicBatch(outs, v, beamWidth, s, briefs)
+	spans := eval.SpansFromBIO(PredictTags(outs[0]))
+	names := n.Predict(outs[0].TokenH.Value, inst.IDs, spans)
 	var named []NamedAttribute
-	for i, sp := range spans {
-		var words []string
-		for j := sp.Start; j < sp.End; j++ {
-			words = append(words, v.Token(inst.IDs[j]))
-		}
+	for i, words := range briefs[0].Attributes { // one per span, in span order
 		named = append(named, NamedAttribute{Name: names[i], Tokens: words})
 	}
-	return brief, named
+	return briefs[0], named
 }

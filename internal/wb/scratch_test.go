@@ -5,49 +5,16 @@ import (
 	"testing"
 
 	"webbrief/internal/ag"
-	"webbrief/internal/eval"
 	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
 )
 
-// heapTapeBrief is the pre-scratch briefing path kept as the equivalence
-// reference: a fresh heap tape per stage, heap log-softmax and the
-// sort-everything BeamSearch. The fast path must reproduce it byte for byte.
-func heapTapeBrief(m Model, inst *Instance, v *textproc.Vocab, beamWidth int) *Brief {
-	b := &Brief{}
-	t := ag.NewTape()
-	out := m.Forward(t, inst, Eval)
-	if tags := PredictTags(out); tags != nil {
-		for _, sp := range eval.SpansFromBIO(tags) {
-			var words []string
-			for i := sp.Start; i < sp.End; i++ {
-				words = append(words, v.Token(inst.IDs[i]))
-			}
-			b.Attributes = append(b.Attributes, words)
-		}
-	}
-	b.Sections = PredictSections(out)
-
-	t2 := ag.NewTape()
-	out2 := m.Forward(t2, inst, Eval)
-	if out2.Memory != nil && out2.Dec != nil {
-		var ids []int
-		if beamWidth <= 1 {
-			ids, _ = out2.Dec.Greedy(t2, out2.Memory, textproc.BosID, textproc.EosID, topicMaxLen)
-		} else {
-			ids = out2.Dec.BeamSearch(t2, out2.Memory, textproc.BosID, textproc.EosID, beamWidth, topicMaxLen)
-		}
-		if ids != nil {
-			b.Topic = v.Tokens(ids)
-		}
-	}
-	return b
-}
-
-// TestScratchBriefMatchesHeapTape drives the allocation-free path — nograd
-// arena tape, pack-buffer matmuls, beam scratch — against the heap-tape
-// reference on trained models and asserts identical briefings, including
-// a reused scratch across instances and both beam and greedy decoding.
+// TestScratchBriefMatchesHeapTape drives the allocation-free path — a batch
+// of one on a nograd arena tape: lockstep recurrence, pack-buffer matmuls,
+// batched beam search on a beam scratch — against the heap-tape reference
+// (heapTapeBrief, what wb.Briefer runs) on trained models and asserts
+// identical briefings, including a reused scratch across instances and both
+// beam and greedy decoding.
 func TestScratchBriefMatchesHeapTape(t *testing.T) {
 	insts, v := testData(t, 2, 4)
 	m := newTestJointWB(v, 311)
@@ -56,14 +23,14 @@ func TestScratchBriefMatchesHeapTape(t *testing.T) {
 	TrainModel(m, insts, tc)
 
 	for _, beam := range []int{1, 4} {
-		s := NewInferScratchFor(v, beam)
+		s := NewBatchScratchOf[float64](v, beam, 1)
 		for i, inst := range insts {
 			want := heapTapeBrief(m, inst, v, beam)
-			got := MakeBriefWith(m, inst, v, beam, s)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("beam %d instance %d: fast path diverges:\n heap %+v\nfast %+v", beam, i, want, got)
+			got, _ := MakeBriefBatch(m, insts[i:i+1], v, beam, s)
+			if !reflect.DeepEqual(want, got[0]) {
+				t.Fatalf("beam %d instance %d: fast path diverges:\n heap %+v\nfast %+v", beam, i, want, got[0])
 			}
-			// The pooled wrappers must ride the same path.
+			// The pooled wrapper must ride the same path.
 			if pooled := MakeBrief(m, inst, v, beam); !reflect.DeepEqual(want, pooled) {
 				t.Fatalf("beam %d instance %d: pooled wrapper diverges", beam, i)
 			}
@@ -71,34 +38,83 @@ func TestScratchBriefMatchesHeapTape(t *testing.T) {
 	}
 }
 
+// forwardCounter counts forwards through a wrapped model. It hides the
+// batched-forward capability, so the batch functions fall back to one Forward
+// per instance — which is what it counts.
+type forwardCounter struct {
+	Model
+	forwards int
+}
+
+func (c *forwardCounter) Forward(t *ag.Tape, inst *Instance, mode Mode) *Output {
+	c.forwards++
+	return c.Model.Forward(t, inst, mode)
+}
+
+// TestOneForwardPerPage: a lone briefing is a batch of one, so MakeBrief and
+// GenerateTopic run the model exactly once per page — the topic decodes from
+// the forward the extraction already paid for — and GenerateTopic's caller
+// keeps its own decode length.
+func TestOneForwardPerPage(t *testing.T) {
+	insts, v := testData(t, 2, 2)
+	m := newTestJointWB(v, 311)
+	tc := DefaultTrainConfig()
+	tc.Epochs = 2
+	TrainModel(m, insts, tc)
+	c := &forwardCounter{Model: m}
+	for i, inst := range insts {
+		for _, beam := range []int{1, 4} {
+			c.forwards = 0
+			if got, want := MakeBrief(c, inst, v, beam), heapTapeBrief(m, inst, v, beam); !reflect.DeepEqual(got, want) {
+				t.Fatalf("instance %d beam %d: counted brief %+v, reference %+v", i, beam, got, want)
+			}
+			if c.forwards != 1 {
+				t.Fatalf("instance %d beam %d: MakeBrief ran %d forwards, want 1", i, beam, c.forwards)
+			}
+			for _, maxLen := range []int{1, 2, topicMaxLen} {
+				c.forwards = 0
+				ids := GenerateTopic(c, inst, beam, maxLen)
+				if c.forwards != 1 {
+					t.Fatalf("instance %d beam %d: GenerateTopic ran %d forwards, want 1", i, beam, c.forwards)
+				}
+				if len(ids) > maxLen {
+					t.Fatalf("instance %d beam %d: GenerateTopic(maxLen %d) decoded %d tokens", i, beam, maxLen, len(ids))
+				}
+			}
+		}
+	}
+}
+
 // TestInferScratchAllocs is the allocation regression gate for the fast
-// path, for both element types: a warmed workspace must brief with only the
-// output-assembly allocations (the Brief, its token strings, small slices) —
-// orders of magnitude under the ~17k-alloc heap-tape path the scratch
-// replaced.
+// path, for both element types: a warmed workspace must brief a batch of one
+// with only the output-assembly allocations (the Brief, its token strings,
+// small slices) — orders of magnitude under the ~17k-alloc heap-tape path the
+// scratch replaced.
 func TestInferScratchAllocs(t *testing.T) {
 	insts, v := testData(t, 1, 2)
 	m := newTestJointWB(v, 313)
-	t.Run("f64", func(t *testing.T) { checkScratchAllocs[float64](t, m, insts[0], v) })
-	t.Run("f32", func(t *testing.T) { checkScratchAllocs[float32](t, studentFromTeacher(t, m), insts[0], v) })
+	t.Run("f64", func(t *testing.T) { checkScratchAllocs[float64](t, m, insts[:1], v) })
+	t.Run("f32", func(t *testing.T) { checkScratchAllocs[float32](t, studentFromTeacher(t, m), insts[:1], v) })
 }
 
-func checkScratchAllocs[T tensor.Float](t *testing.T, m ModelOf[T], inst *Instance, v *textproc.Vocab) {
+func checkScratchAllocs[T tensor.Float](t *testing.T, m ModelOf[T], one []*Instance, v *textproc.Vocab) {
 	const beam = 4
-	s := NewInferScratchOf[T](v, beam)
+	s := NewBatchScratchOf[T](v, beam, 1)
 	for i := 0; i < 2; i++ { // warm arena, pack and beam buffers
-		makeBriefWith(m, inst, v, beam, s)
+		MakeBriefBatch(m, one, v, beam, s)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		makeBriefWith(m, inst, v, beam, s)
+		MakeBriefBatch(m, one, v, beam, s)
 	})
+	t.Logf("warm MakeBriefBatch of one: %.0f allocs", allocs)
 	if allocs > 300 {
-		t.Fatalf("warm makeBriefWith allocates %.0f per run, want <= 300", allocs)
+		t.Fatalf("warm MakeBriefBatch of one allocates %.0f per run, want <= 300", allocs)
 	}
 }
 
-// TestDevLossMatchesScratchPath pins the eval helpers rewired onto the
-// scratch pool to the values a gradient-capable tape computes.
+// TestDevLossMatchesScratchPath pins DevLoss — teacher-forced forwards on
+// pooled no-gradient workspaces — to the values a recording heap tape
+// computes.
 func TestDevLossMatchesScratchPath(t *testing.T) {
 	insts, v := testData(t, 2, 2)
 	m := newTestJointWB(v, 317)
@@ -120,12 +136,12 @@ func TestDevLossMatchesScratchPath(t *testing.T) {
 func BenchmarkMakeBriefScratch(b *testing.B) {
 	insts, v := testData(b, 1, 2)
 	m := newTestJointWB(v, 313)
-	inst := insts[0]
-	s := NewInferScratchFor(v, 4)
-	MakeBriefWith(m, inst, v, 4, s)
+	one := insts[:1]
+	s := NewBatchScratchOf[float64](v, 4, 1)
+	MakeBriefBatch(m, one, v, 4, s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MakeBriefWith(m, inst, v, 4, s)
+		MakeBriefBatch(m, one, v, 4, s)
 	}
 }

@@ -51,14 +51,12 @@ func TestStudentSecLogitsMatchTeacher(t *testing.T) {
 	m, v, insts := trainedTestModel(t)
 	_ = v
 	st := studentFromTeacher(t, m)
-	s64 := NewInferScratch()
-	s32 := NewInferScratch32For(nil, 0)
+	s64 := NewBatchScratchOf[float64](nil, 0, 0)
+	s32 := NewBatchScratchOf[float32](nil, 0, 0)
 	const tol = 1e-3 // |err| ≤ tol·(1+|logit|); generous vs the ~1e-5 observed
-	for k, inst := range insts {
-		s64.Tape.Reset()
-		out := m.Forward(s64.Tape, inst, Eval)
-		s32.Tape.Reset()
-		out32 := st.Forward(s32.Tape, inst, Eval)
+	for k := range insts {
+		out := forwardEval(m, insts[k:k+1], s64)[0]
+		out32 := forwardEval(st, insts[k:k+1], s32)[0]
 		if out32.SecLogits.Rows() != out.SecLogits.Rows() {
 			t.Fatalf("inst %d: section logit rows %d vs %d", k, out32.SecLogits.Rows(), out.SecLogits.Rows())
 		}
@@ -80,17 +78,15 @@ func TestStudentExtractionQuality(t *testing.T) {
 	m, v, insts := trainedTestModel(t)
 	_ = v
 	st := studentFromTeacher(t, m)
-	s64 := NewInferScratch()
-	s32 := NewInferScratch32For(nil, 0)
+	s64 := NewBatchScratchOf[float64](nil, 0, 0)
+	s32 := NewBatchScratchOf[float32](nil, 0, 0)
 	gold := make([][]eval.Span, len(insts))
 	pt := make([][]eval.Span, len(insts))
 	ps := make([][]eval.Span, len(insts))
 	for i, inst := range insts {
 		gold[i] = eval.SpansFromBIO(inst.Tags)
-		s64.Tape.Reset()
-		pt[i] = eval.SpansFromBIO(PredictTags(m.Forward(s64.Tape, inst, Eval)))
-		s32.Tape.Reset()
-		ps[i] = eval.SpansFromBIO(PredictTags(st.Forward(s32.Tape, inst, Eval)))
+		pt[i] = eval.SpansFromBIO(PredictTags(forwardEval(m, insts[i:i+1], s64)[0]))
+		ps[i] = eval.SpansFromBIO(PredictTags(forwardEval(st, insts[i:i+1], s32)[0]))
 	}
 	teacher := eval.SpanPRF1(pt, gold)
 	student := eval.SpanPRF1(ps, gold)
@@ -102,28 +98,25 @@ func TestStudentExtractionQuality(t *testing.T) {
 }
 
 // TestStudentBatchMatchesSerial: the batched student path must brief
-// identically to width-many serial student calls, and report the same
-// confidences — the same contract the float64 batch tier keeps.
+// identically to the heap-tape reference run page by page, and a member's
+// brief and confidence must not depend on its batchmates (a batch of N vs N
+// batches of one) — the same contract the float64 batch tier keeps.
 func TestStudentBatchMatchesSerial(t *testing.T) {
 	m, v, insts := trainedTestModel(t)
 	st := studentFromTeacher(t, m)
 	for _, width := range []int{1, 3} {
-		serialScratch := NewInferScratch32For(v, width)
-		wantBriefs := make([]*Brief, len(insts))
-		wantConfs := make([]nn.Confidence, len(insts))
-		for i, inst := range insts {
-			wantBriefs[i], wantConfs[i] = MakeBriefWith32(st, inst, v, width, serialScratch)
-		}
+		oneScratch := NewBatchScratchOf[float32](v, width, 1)
 		batchScratch := NewBatchScratchOf[float32](v, width, len(insts))
 		gotBriefs, gotConfs := MakeBriefBatch(st, insts, v, width, batchScratch)
-		for i := range insts {
-			if !reflect.DeepEqual(gotBriefs[i], wantBriefs[i]) {
+		for i, inst := range insts {
+			if want := heapTapeBrief(st, inst, v, width); !reflect.DeepEqual(gotBriefs[i], want) {
 				t.Fatalf("width %d inst %d: batched student brief diverges:\nbatch  %+v\nserial %+v",
-					width, i, gotBriefs[i], wantBriefs[i])
+					width, i, gotBriefs[i], want)
 			}
-			if gotConfs[i] != wantConfs[i] {
-				t.Fatalf("width %d inst %d: batched confidence %+v, serial %+v",
-					width, i, gotConfs[i], wantConfs[i])
+			alone, aloneConfs := MakeBriefBatch(st, insts[i:i+1], v, width, oneScratch)
+			if !reflect.DeepEqual(gotBriefs[i], alone[0]) || gotConfs[i] != aloneConfs[0] {
+				t.Fatalf("width %d inst %d: in the batch %+v %+v, alone %+v %+v",
+					width, i, gotBriefs[i], gotConfs[i], alone[0], aloneConfs[0])
 			}
 		}
 	}
@@ -166,12 +159,13 @@ func BenchmarkCascadeTiers(b *testing.B) {
 
 // benchTier is one cell of the BenchmarkCascadeTiers grid.
 func benchTier[T tensor.Float](b *testing.B, m ModelOf[T], inst *Instance, v *textproc.Vocab, beam int) {
-	s := NewInferScratchOf[T](v, beam)
-	makeBriefWith(m, inst, v, beam, s)
+	one := []*Instance{inst}
+	s := NewBatchScratchOf[T](v, beam, 1)
+	MakeBriefBatch(m, one, v, beam, s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		makeBriefWith(m, inst, v, beam, s)
+		MakeBriefBatch(m, one, v, beam, s)
 	}
 }
 

@@ -209,8 +209,8 @@ func DevLoss(m Model, insts []*Instance) float64 {
 	}
 	losses := make([]float64, len(insts))
 	parallelInstances(len(insts), func(i int) {
-		s := GetScratch()
-		defer PutScratch(s)
+		s := scratchPool.Get().(*BatchScratchOf[float64])
+		defer scratchPool.Put(s)
 		s.Tape.Reset()
 		out := m.Forward(s.Tape, insts[i], Distill) // teacher forcing, no dropout
 		losses[i] = Loss(s.Tape, out, insts[i]).Value.Data[0]
@@ -248,16 +248,23 @@ func TrainModelEarlyStop(m Model, train, dev []*Instance, tc TrainConfig, patien
 	return losses, len(losses)
 }
 
+// evalEach hands fn the Eval output of every instance, fanned out over the
+// CPUs: each forward is a batch of one on a borrowed workspace, and out dies
+// when fn returns. Each index must write only its own result slot.
+func evalEach(m Model, insts []*Instance, fn func(i int, out *Output)) {
+	parallelInstances(len(insts), func(i int) {
+		s := scratchPool.Get().(*BatchScratchOf[float64])
+		defer scratchPool.Put(s)
+		fn(i, forwardEval(m, insts[i:i+1], s)[0])
+	})
+}
+
 // EvaluateExtraction scores m's attribute extraction on insts with strict
 // span P/R/F1 (§IV-A4). Models without an extraction head score zero.
 func EvaluateExtraction(m Model, insts []*Instance) eval.PRF1 {
 	pred := make([][]eval.Span, len(insts))
 	gold := make([][]eval.Span, len(insts))
-	parallelInstances(len(insts), func(i int) {
-		s := GetScratch()
-		defer PutScratch(s)
-		s.Tape.Reset()
-		out := m.Forward(s.Tape, insts[i], Eval)
+	evalEach(m, insts, func(i int, out *Output) {
 		pred[i] = eval.SpansFromBIO(PredictTags(out))
 		gold[i] = eval.SpansFromBIO(insts[i].Tags)
 	})
@@ -268,17 +275,13 @@ func EvaluateExtraction(m Model, insts []*Instance) eval.PRF1 {
 // was fully correct (all spans exact) — the paired-outcome input for
 // McNemar's test.
 func ExtractionCorrect(m Model, insts []*Instance) []bool {
-	out := make([]bool, len(insts))
-	parallelInstances(len(insts), func(i int) {
-		s := GetScratch()
-		defer PutScratch(s)
-		s.Tape.Reset()
-		o := m.Forward(s.Tape, insts[i], Eval)
-		p := eval.SpansFromBIO(PredictTags(o))
+	correct := make([]bool, len(insts))
+	evalEach(m, insts, func(i int, out *Output) {
+		p := eval.SpansFromBIO(PredictTags(out))
 		g := eval.SpansFromBIO(insts[i].Tags)
-		out[i] = eval.SpansEqual(p, g)
+		correct[i] = eval.SpansEqual(p, g)
 	})
-	return out
+	return correct
 }
 
 // GeneratedTopics decodes the topic phrase for each instance and returns the
@@ -315,11 +318,7 @@ func TopicCorrect(m Model, insts []*Instance, v *textproc.Vocab, beamWidth, maxL
 // instance order, so the score matches the sequential computation exactly.
 func EvaluateSections(m Model, insts []*Instance) float64 {
 	preds := make([][]int, len(insts))
-	parallelInstances(len(insts), func(i int) {
-		s := GetScratch()
-		defer PutScratch(s)
-		s.Tape.Reset()
-		out := m.Forward(s.Tape, insts[i], Eval)
+	evalEach(m, insts, func(i int, out *Output) {
 		preds[i] = PredictSections(out)
 	})
 	var pred, gold []int

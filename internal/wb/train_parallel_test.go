@@ -3,9 +3,11 @@ package wb
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"webbrief/internal/ag"
+	"webbrief/internal/eval"
 	"webbrief/internal/opt"
 	"webbrief/internal/tensor"
 )
@@ -136,9 +138,10 @@ func TestEarlyStopRespectsBatchSize(t *testing.T) {
 	}
 }
 
-// TestParallelEvalLoopsMatchSequential covers the eval loops that moved onto
-// parallelInstances: DevLoss, EvaluateSections and ExtractionCorrect must
-// equal a hand-rolled sequential computation.
+// TestParallelEvalLoopsMatchSequential covers the eval loops that fan out
+// over parallelInstances on pooled workspaces — DevLoss teacher-forced,
+// EvaluateSections and ExtractionCorrect as batches of one: each must equal a
+// hand-rolled sequential computation over heap-tape forwards.
 func TestParallelEvalLoopsMatchSequential(t *testing.T) {
 	insts, v := testData(t, 2, 4)
 	m := newTestJointWB(v, 54)
@@ -155,11 +158,13 @@ func TestParallelEvalLoopsMatchSequential(t *testing.T) {
 	}
 
 	var pred, gold []int
-	for _, inst := range insts {
+	wantCorrect := make([]bool, len(insts))
+	for i, inst := range insts {
 		tp := ag.NewTape()
 		out := m.Forward(tp, inst, Eval)
 		pred = append(pred, PredictSections(out)...)
 		gold = append(gold, inst.SentInfo...)
+		wantCorrect[i] = eval.SpansEqual(eval.SpansFromBIO(PredictTags(out)), eval.SpansFromBIO(inst.Tags))
 	}
 	acc := 0
 	for i := range pred {
@@ -172,14 +177,9 @@ func TestParallelEvalLoopsMatchSequential(t *testing.T) {
 		t.Fatalf("EvaluateSections %v != sequential %v", got, want)
 	}
 
-	correct := ExtractionCorrect(m, insts)
-	if len(correct) != len(insts) {
-		t.Fatalf("ExtractionCorrect length %d != %d", len(correct), len(insts))
-	}
-	again := ExtractionCorrect(m, insts)
-	for i := range correct {
-		if correct[i] != again[i] {
-			t.Fatal("ExtractionCorrect not deterministic across parallel runs")
+	for run := 0; run < 2; run++ {
+		if got := ExtractionCorrect(m, insts); !reflect.DeepEqual(got, wantCorrect) {
+			t.Fatalf("ExtractionCorrect run %d: %v != sequential %v", run, got, wantCorrect)
 		}
 	}
 }

@@ -27,7 +27,7 @@ go vet ./...
 echo "== cross-compile vet (arm64: the _other.go stubs of all four asm families must keep compiling)"
 GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 
-echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 8 passes)"
+echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 7 passes)"
 go run ./cmd/wbcheck ./...
 
 echo "== go test (every package: integration, cmd, lint fixtures, allocation gates at their pinned counts, kernel and cascade equivalence, ring goldens and balance, fuzz corpus replay)"
@@ -50,6 +50,10 @@ if grep -rl '"encoding/gob"' --include='*.go' . | grep -v '^./internal/analysis/
 echo "== one replica contract (serve reaches a replica through serve.Replica alone: no type assertion on one in non-test internal/serve, and the per-replica clone loop, the second pool constructor and the two side interfaces stay deleted)"
 if grep -nE '\.\((BatchReplica|cascadeReporter|\*modelReplica)\)' $(ls internal/serve/*.go | grep -v '_test\.go$'); then echo "type assertion(s) on a Replica listed above: put the capability in the Replica contract instead"; exit 1; fi
 if grep -rnE 'CloneManyForServing|NewCascadePool|BatchReplica|cascadeReporter' --include='*.go' internal cmd; then echo "name(s) listed above were deleted in favour of wb.FoldForServing / serve.NewPool / serve.Replica: extend those instead"; exit 1; fi
+
+echo "== one inference entry point (a lone briefing is a batch of one over wb.BatchScratchOf: the single-instance family, its beam search and the tape pool stay deleted, and the eight names bench/wbload/replay.go still compiles against are called from nowhere else)"
+if grep -rnwE 'InferScratchOf|NewInferScratchOf|NewInferScratch|GetScratch|PutScratch|GenerateTopicWith|decodeTopicWith|makeBriefWith|MakeBriefWith|MakeBriefWith32|BeamSearchScratch|ForwardIDs|GetTape|PutTape|tapePool|debugTapeGot|debugTapePut|tapelife' --include='*.go' internal cmd examples; then echo "name(s) listed above were deleted in favour of wb.ExtractBriefBatch / DecodeTopicBatch / MakeBriefBatch and nn.BeamSearchBatch: extend those instead"; exit 1; fi
+if grep -rnwE 'InferScratch|InferScratch32|NewInferScratchFor|NewInferScratch32For|ExtractBriefWith|ExtractBriefWith32|DecodeTopicWith|DecodeTopicWith32' --include='*.go' --exclude='*_test.go' internal cmd examples ./*.go | grep -v '^internal/wb/scratch.go:'; then echo "adapter name(s) used above: internal/wb/scratch.go exists for bench/ alone (ROADMAP 6(e)/(f) deletes it), call the batch functions"; exit 1; fi
 
 echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
 GODEBUG=cpu.fma=off go test -run 'TestAct64|TestMatMulSplitKBitwise' ./internal/tensor
