@@ -6,6 +6,7 @@
 package webbrief_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -240,6 +241,22 @@ func BenchmarkServeBriefConcurrency(b *testing.B) {
 	}
 }
 
+// scrapedCounter reads one counter out of h's /metrics document by its JSON
+// path, as an operator would.
+func scrapedCounter(b *testing.B, h http.Handler, path ...string) int64 {
+	b.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var doc any
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		b.Fatal(err)
+	}
+	for _, key := range path {
+		doc = doc.(map[string]any)[key]
+	}
+	return int64(doc.(float64))
+}
+
 // BenchmarkServeBriefCascade compares the full-HTTP briefing path on the
 // float64 teacher pool against the cascade's float32 student tier. The
 // cascade cell pins ConfidenceThreshold to a tiny positive value (zero
@@ -266,7 +283,7 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 			}
 			benchHTTPPath(b, srv.Handler(), html)
 			if cascade {
-				if esc := srv.Metrics().CascadeRequests.Count(serve.CascadeTeacher); esc > 0 {
+				if esc := scrapedCounter(b, srv.Handler(), "cascade", "tiers", "teacher_total"); esc > 0 {
 					b.Fatalf("%d requests escalated to the teacher; the cell measured a tier mix", esc)
 				}
 			}
@@ -300,7 +317,7 @@ func BenchmarkServeBriefCacheHit(b *testing.B) {
 		b.Fatalf("priming request failed: %d", rec.Code)
 	}
 	benchHTTPPath(b, srv.Handler(), html)
-	if hits := srv.Metrics().CacheLookups.Count(serve.CacheHits); hits < int64(b.N) {
+	if hits := scrapedCounter(b, srv.Handler(), "cache", "outcomes", "cache_hits_total"); hits < int64(b.N) {
 		b.Fatalf("cache hits %d < %d timed requests; the benchmark measured misses", hits, b.N)
 	}
 }

@@ -18,6 +18,9 @@
 //	            channels, network, or Wait (transitive, cross-package)
 //	poolbalance sync.Pool / Get-Put pair checkout without a Put on every
 //	            return path (defer it, hand it off, or Put before returning)
+//	deadexport  declarations under internal/ that no non-test file of this
+//	            module or of bench/ refers to (oracles and paper components
+//	            carry an ignore that says which they are)
 //
 // (The /metrics exact partitions need no pass: each is declared once with
 // internal/metrics, where a counter outside its partition does not build.)
@@ -28,6 +31,10 @@
 // goshutdown reason about transitive behaviour ("MakeBrief fork-joins on a
 // WaitGroup three packages down") instead of single bodies. Packages are
 // analyzed in parallel; output is position-sorted and deterministic.
+//
+// deadexport needs every user loaded, so it loads the bench/ module as a
+// second root and runs only when the pattern is the whole tree (./...); a
+// sub-tree run skips it with a note on stderr.
 //
 // A violation can be suppressed — with justification in review — by a
 // `//wbcheck:ignore [pass...] [-- justification]` comment on the same
@@ -42,6 +49,7 @@ import (
 	"os"
 
 	"webbrief/internal/analysis"
+	"webbrief/internal/analysis/deadexport"
 	"webbrief/internal/analysis/detmap"
 	"webbrief/internal/analysis/floateq"
 	"webbrief/internal/analysis/goshutdown"
@@ -61,6 +69,10 @@ var passes = []*analysis.Analyzer{
 	shapedoc.Analyzer,
 }
 
+// secondRoot is the other module whose packages use internal/: deadexport
+// loads it beside ./... so a name only the benchmark calls stays live.
+const secondRoot = "bench"
+
 // jsonDiagnostic is the -json wire shape, one object per line.
 type jsonDiagnostic struct {
 	File string `json:"file"`
@@ -75,7 +87,8 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit diagnostics as JSON objects, one per line")
 	flag.Parse()
 	if *list {
-		for _, a := range passes {
+		dead, _ := deadexport.New(nil)
+		for _, a := range append(passes, dead) {
 			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
 		}
 		return
@@ -84,11 +97,22 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, err := analysis.Run(patterns, passes)
+	pkgs, err := analysis.Load(patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wbcheck:", err)
-		os.Exit(2)
+		fatal(err)
 	}
+	if len(patterns) == 1 && patterns[0] == "./..." {
+		users, err := analysis.LoadDir(secondRoot, patterns)
+		if err != nil {
+			fatal(err)
+		}
+		dead, exported := deadexport.New(append(users, pkgs...))
+		passes = append(passes, dead)
+		fmt.Fprintf(os.Stderr, "wbcheck: deadexport: %d exported declarations under internal/, users loaded from ./... and %s/./...\n", exported, secondRoot)
+	} else {
+		fmt.Fprintln(os.Stderr, "wbcheck: deadexport skipped: users outside the pattern are not loaded, run it on ./...")
+	}
+	diags := analysis.RunPackages(pkgs, passes)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		for _, d := range diags {
@@ -109,4 +133,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wbcheck: %d violation(s)\n", len(diags))
 		os.Exit(1)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "wbcheck:", err)
+	os.Exit(2)
 }

@@ -121,12 +121,11 @@ type TapeOf[T tensor.Float] struct {
 	blocks [][]NodeOf[T] // node arena; reused across Reset
 	blk    int
 	blkOff int
-	arena  *tensor.ArenaOf[T]   // nil: plain heap allocation
-	sink   *GradSinkOf[T]       // nil: Use accumulates into Param.Grad
-	rng    *rand.Rand           // nil: Dropout uses the caller-provided rng
-	pack   *tensor.PackBufOf[T] // nil: MatMul uses the unpacked kernel
-	nograd bool                 // inference tape: ops record no backward closures
-	gen    uint64               // bumped by Reset; wbdebug use-after-Reset check
+	arena  *tensor.ArenaOf[T] // nil: plain heap allocation
+	sink   *GradSinkOf[T]     // nil: Use accumulates into Param.Grad
+	rng    *rand.Rand         // nil: Dropout uses the caller-provided rng
+	nograd bool               // inference tape: ops record no backward closures
+	gen    uint64             // bumped by Reset; wbdebug use-after-Reset check
 }
 
 // NewTape returns an empty heap-allocating tape. Values recorded on it may
@@ -139,25 +138,16 @@ func NewTape() *Tape { return &Tape{} }
 // after it.
 func NewArenaTape() *Tape { return &Tape{arena: tensor.NewArena()} }
 
-// NewInferTape returns an arena tape in no-gradient mode: ops compute
+// NewInferTapeOf returns an arena tape in no-gradient mode: ops compute
 // forward values identically but record no backward closures, so a warm
 // inference forward allocates nothing. Backward panics on such a tape.
 // Inference workspaces (wb.BatchScratchOf) own one tape each.
-func NewInferTape() *Tape { return NewInferTapeOf[float64]() }
-
-// NewInferTapeOf is NewInferTape for element type T; the float32 student's
-// workspaces run on NewInferTapeOf[float32].
 func NewInferTapeOf[T tensor.Float]() *TapeOf[T] {
 	return &TapeOf[T]{arena: tensor.NewArenaOf[T](), nograd: true}
 }
 
 // NoGrad reports whether this tape skips backward-closure recording.
 func (t *TapeOf[T]) NoGrad() bool { return t.nograd }
-
-// SetPack attaches a caller-owned pack buffer; while set, MatMul routes
-// through the panel-packed kernel (tensor.MatMulPackInto). The buffer must
-// not be shared with a concurrently running tape.
-func (t *TapeOf[T]) SetPack(p *tensor.PackBufOf[T]) { t.pack = p }
 
 // AllocValue returns a zeroed rows×cols matrix from the tape's arena (heap
 // for plain tapes). It lets callers build constant inputs — mean-pooling
@@ -330,21 +320,6 @@ func (t *TapeOf[T]) Add(a, b *NodeOf[T]) *NodeOf[T] {
 	return n
 }
 
-// Sub returns a - b.
-func (t *TapeOf[T]) Sub(a, b *NodeOf[T]) *NodeOf[T] {
-	v := t.allocUninit(a.Value.Rows, a.Value.Cols)
-	tensor.SubInto(v, a.Value, b.Value)
-	n := t.newNode(v)
-	if t.nograd {
-		return n
-	}
-	n.back = func() {
-		a.addGrad(n.Grad)
-		b.grad().AddScaledInPlace(n.Grad, -1)
-	}
-	return n
-}
-
 // Mul returns the elementwise product a ⊙ b.
 func (t *TapeOf[T]) Mul(a, b *NodeOf[T]) *NodeOf[T] {
 	v := t.allocUninit(a.Value.Rows, a.Value.Cols)
@@ -379,7 +354,7 @@ func (t *TapeOf[T]) Scale(a *NodeOf[T], s T) *NodeOf[T] {
 // MatMul returns a·b.
 func (t *TapeOf[T]) MatMul(a, b *NodeOf[T]) *NodeOf[T] {
 	v := t.alloc(a.Value.Rows, b.Value.Cols)
-	t.matMulInto(v, a.Value, b.Value)
+	tensor.MatMulInto(v, a.Value, b.Value)
 	n := t.newNode(v)
 	if t.nograd {
 		return n
@@ -405,18 +380,8 @@ func (t *TapeOf[T]) MatMulOnto(dst *tensor.MatrixOf[T], a, b *NodeOf[T]) *NodeOf
 	if !t.nograd {
 		panic("ag: MatMulOnto on a recording tape")
 	}
-	t.matMulInto(dst, a.Value, b.Value)
+	tensor.MatMulInto(dst, a.Value, b.Value)
 	return t.newNode(dst)
-}
-
-// matMulInto accumulates dst += a·b, through the attached pack buffer when
-// there is one.
-func (t *TapeOf[T]) matMulInto(dst, a, b *tensor.MatrixOf[T]) {
-	if t.pack != nil {
-		tensor.MatMulPackInto(dst, a, b, t.pack)
-	} else {
-		tensor.MatMulInto(dst, a, b)
-	}
 }
 
 // MatMulTransB returns a·bᵀ.
@@ -704,24 +669,6 @@ func (t *TapeOf[T]) GatherRows(a *NodeOf[T], rows []int) *NodeOf[T] {
 	return n
 }
 
-// Reshape reinterprets a as rows×cols (same element count, row-major order).
-func (t *TapeOf[T]) Reshape(a *NodeOf[T], rows, cols int) *NodeOf[T] {
-	if rows*cols != a.Value.Rows*a.Value.Cols {
-		panic(fmt.Sprintf("ag: Reshape %dx%d -> %dx%d changes size", a.Value.Rows, a.Value.Cols, rows, cols))
-	}
-	n := t.newNode(tensor.FromSlice(rows, cols, a.Value.Data))
-	if t.nograd {
-		return n
-	}
-	n.back = func() {
-		g := a.grad()
-		for i, v := range n.Grad.Data {
-			g.Data[i] += v
-		}
-	}
-	return n
-}
-
 // Transpose returns aᵀ.
 func (t *TapeOf[T]) Transpose(a *NodeOf[T]) *NodeOf[T] {
 	val := t.allocUninit(a.Value.Cols, a.Value.Rows)
@@ -785,39 +732,6 @@ func (t *TapeOf[T]) Dropout(a *NodeOf[T], p float64, rng *rand.Rand) *NodeOf[T] 
 }
 
 // --- Reductions and losses ---------------------------------------------------
-
-// Sum reduces a to a 1×1 scalar.
-func (t *TapeOf[T]) Sum(a *NodeOf[T]) *NodeOf[T] {
-	n := t.scalar(float64(a.Value.Sum()))
-	if t.nograd {
-		return n
-	}
-	n.back = func() {
-		g := a.grad()
-		d := n.Grad.Data[0]
-		for i := range g.Data {
-			g.Data[i] += d
-		}
-	}
-	return n
-}
-
-// Mean reduces a to its scalar mean.
-func (t *TapeOf[T]) Mean(a *NodeOf[T]) *NodeOf[T] {
-	inv := 1 / float64(a.Value.Rows*a.Value.Cols)
-	n := t.scalar(float64(a.Value.Sum()) * inv)
-	if t.nograd {
-		return n
-	}
-	n.back = func() {
-		g := a.grad()
-		d := n.Grad.Data[0] * T(inv)
-		for i := range g.Data {
-			g.Data[i] += d
-		}
-	}
-	return n
-}
 
 // MeanRows averages over rows, returning a 1×cols node. The per-column sums
 // accumulate in float64 whatever T is: document-length row counts make this
@@ -941,61 +855,6 @@ func (t *TapeOf[T]) KLDiv(p *tensor.MatrixOf[T], logits *NodeOf[T]) *NodeOf[T] {
 				q := T(math.Exp(float64(lqRow[j])))
 				gRow[j] += d * (rowMass*q - pRow[j])
 			}
-		}
-	}
-	return n
-}
-
-// L1Loss computes the mean absolute difference between a and a fixed target,
-// the identification-distillation loss from the paper (Eq. L_ID).
-func (t *TapeOf[T]) L1Loss(a *NodeOf[T], target *tensor.MatrixOf[T]) *NodeOf[T] {
-	if !target.SameShape(a.Value) {
-		panic(fmt.Sprintf("ag: L1Loss shape mismatch %dx%d vs %dx%d", a.Value.Rows, a.Value.Cols, target.Rows, target.Cols))
-	}
-	var loss float64
-	for i, v := range a.Value.Data {
-		loss += math.Abs(float64(v - target.Data[i]))
-	}
-	inv := 1 / float64(len(a.Value.Data))
-	n := t.scalar(loss * inv)
-	if t.nograd {
-		return n
-	}
-	n.back = func() {
-		d := n.Grad.Data[0] * T(inv)
-		g := a.grad()
-		for i, v := range a.Value.Data {
-			switch {
-			case v > target.Data[i]:
-				g.Data[i] += d
-			case v < target.Data[i]:
-				g.Data[i] -= d
-			}
-		}
-	}
-	return n
-}
-
-// MSELoss computes the mean squared difference between a and a fixed target.
-func (t *TapeOf[T]) MSELoss(a *NodeOf[T], target *tensor.MatrixOf[T]) *NodeOf[T] {
-	if !target.SameShape(a.Value) {
-		panic("ag: MSELoss shape mismatch")
-	}
-	var loss float64
-	for i, v := range a.Value.Data {
-		d := float64(v - target.Data[i])
-		loss += d * d
-	}
-	inv := 1 / float64(len(a.Value.Data))
-	n := t.scalar(loss * inv)
-	if t.nograd {
-		return n
-	}
-	n.back = func() {
-		d := n.Grad.Data[0] * T(inv) * 2
-		g := a.grad()
-		for i, v := range a.Value.Data {
-			g.Data[i] += d * (v - target.Data[i])
 		}
 	}
 	return n

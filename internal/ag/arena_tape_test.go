@@ -11,7 +11,8 @@ import (
 // arena/sink tests below.
 func mlpLoss(tp *Tape, w1, w2 *Param, x *tensor.Matrix) *Node {
 	h := tp.Tanh(tp.MatMul(tp.Const(x), tp.Use(w1)))
-	return tp.MSELoss(tp.MatMul(h, tp.Use(w2)), tensor.New(x.Rows, w2.Value.Cols))
+	out := tp.MatMul(h, tp.Use(w2))
+	return sumAll(tp, tp.Mul(out, out))
 }
 
 // TestArenaTapeMatchesHeapTape runs the same graph on a fresh heap tape and
@@ -65,7 +66,7 @@ func TestArenaTapeResetClearsState(t *testing.T) {
 	ref := func(x *tensor.Matrix) []float64 {
 		w.ZeroGrad()
 		tp := NewTape()
-		tp.Backward(tp.Sum(tp.Sigmoid(tp.MatMul(tp.Const(x), tp.Use(w)))))
+		tp.Backward(sumAll(tp, tp.Sigmoid(tp.MatMul(tp.Const(x), tp.Use(w)))))
 		return append([]float64(nil), w.Grad.Data...)
 	}
 	want1, want2 := ref(x1), ref(x2)
@@ -78,7 +79,7 @@ func TestArenaTapeResetClearsState(t *testing.T) {
 		}
 		w.ZeroGrad()
 		arena.Reset()
-		arena.Backward(arena.Sum(arena.Sigmoid(arena.MatMul(arena.Const(x), arena.Use(w)))))
+		arena.Backward(sumAll(arena, arena.Sigmoid(arena.MatMul(arena.Const(x), arena.Use(w)))))
 		for i := range want {
 			if w.Grad.Data[i] != want[i] {
 				t.Fatalf("pass %d: grad[%d] = %v, want %v", pass, i, w.Grad.Data[i], want[i])
@@ -96,14 +97,14 @@ func TestGradSinkRedirectsAndMerges(t *testing.T) {
 
 	w.ZeroGrad()
 	tp := NewTape()
-	tp.Backward(tp.Sum(tp.Mul(tp.Use(w), tp.Use(w))))
+	tp.Backward(sumAll(tp, tp.Mul(tp.Use(w), tp.Use(w))))
 	want := append([]float64(nil), w.Grad.Data...)
 
 	w.ZeroGrad()
 	sink := NewGradSink()
 	st := NewArenaTape()
 	st.SetSink(sink)
-	st.Backward(st.Sum(st.Mul(st.Use(w), st.Use(w))))
+	st.Backward(sumAll(st, st.Mul(st.Use(w), st.Use(w))))
 	for i, g := range w.Grad.Data {
 		if g != 0 {
 			t.Fatalf("Param.Grad[%d] written despite sink: %v", i, g)
@@ -117,7 +118,7 @@ func TestGradSinkRedirectsAndMerges(t *testing.T) {
 	}
 	// The shard must be zeroed by the merge so the next batch starts clean.
 	st.Reset()
-	st.Backward(st.Sum(st.Use(w)))
+	st.Backward(sumAll(st, st.Use(w)))
 	sink.MergeInto(params)
 	for i := range want {
 		if got, wantAcc := w.Grad.Data[i], want[i]+1; got != wantAcc {

@@ -22,6 +22,8 @@ import (
 // all elements; the first few offenders are reported otherwise. The max(…,1)
 // floor makes the criterion absolute near zero, where relative error is
 // meaningless.
+//
+//wbcheck:ignore deadexport -- oracle: the finite-difference reference every TestGradCheck* in gradcheck_test.go compares Backward against
 func GradCheck(params []*Param, build func(t *Tape) *Node, eps, tol float64) error {
 	// Analytic pass.
 	for _, p := range params {

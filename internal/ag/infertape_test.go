@@ -15,7 +15,7 @@ func inferForward[T tensor.Float](t *TapeOf[T], w *ParamOf[T], x *tensor.MatrixO
 	h = t.ConcatCols2(h, t.Sigmoid(h))
 	h = t.SliceCols(h, 0, w.Value.Cols)
 	h = t.AddRowVector(h, t.MeanRows(h))
-	return t.Sum(t.SoftmaxRows(h)).Value.Data[0]
+	return sumAll(t, t.SoftmaxRows(h)).Value.Data[0]
 }
 
 // TestInferTapeMatchesGradTape checks nograd mode changes no forward value.
@@ -24,7 +24,7 @@ func TestInferTapeMatchesGradTape(t *testing.T) {
 	w := NewParam("w", tensor.Randn(6, 6, 1, rng))
 	x := tensor.Randn(3, 6, 1, rng)
 	want := inferForward(NewTape(), w, x)
-	it := NewInferTape()
+	it := NewInferTapeOf[float64]()
 	if got := inferForward(it, w, x); got != want {
 		t.Fatalf("infer tape forward = %v, grad tape = %v", got, want)
 	}
@@ -48,7 +48,6 @@ func TestInferTapeAllocationFree(t *testing.T) {
 
 func checkInferTapeAllocationFree[T tensor.Float](t *testing.T, w *ParamOf[T], x *tensor.MatrixOf[T]) {
 	it := NewInferTapeOf[T]()
-	it.SetPack(&tensor.PackBufOf[T]{})
 	inferForward(it, w, x) // warm the arena and node blocks
 	allocs := testing.AllocsPerRun(20, func() {
 		it.Reset()
@@ -61,8 +60,8 @@ func checkInferTapeAllocationFree[T tensor.Float](t *testing.T, w *ParamOf[T], x
 
 // TestInferTapeBackwardPanics pins the misuse guard.
 func TestInferTapeBackwardPanics(t *testing.T) {
-	it := NewInferTape()
-	n := it.Sum(it.Const(tensor.Full(2, 2, 1)))
+	it := NewInferTapeOf[float64]()
+	n := sumAll(it, it.Const(tensor.Full(2, 2, 1)))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Backward on an infer tape must panic")

@@ -14,7 +14,7 @@ func TestGradSliceCols(t *testing.T) {
 		n := tp.Use(a)
 		left := tp.SliceCols(n, 0, 3)
 		right := tp.SliceCols(n, 3, 6)
-		return tp.Sum(tp.Tanh(tp.Mul(left, right)))
+		return sumAll(tp, tp.Tanh(tp.Mul(left, right)))
 	})
 }
 
@@ -22,7 +22,7 @@ func TestGradMulRowVector(t *testing.T) {
 	a := randParam("a", 3, 4, 41)
 	g := randParam("gain", 1, 4, 42)
 	checkGrad(t, "mulrow", []*Param{a, g}, func(tp *Tape) *Node {
-		return tp.Sum(tp.Sigmoid(tp.MulRowVector(tp.Use(a), tp.Use(g))))
+		return sumAll(tp, tp.Sigmoid(tp.MulRowVector(tp.Use(a), tp.Use(g))))
 	})
 }
 
@@ -30,7 +30,7 @@ func TestGradRowNorm(t *testing.T) {
 	a := randParam("a", 3, 5, 43)
 	w := tensor.Randn(3, 5, 1, rand.New(rand.NewSource(44)))
 	checkGrad(t, "rownorm", []*Param{a}, func(tp *Tape) *Node {
-		return tp.Sum(tp.Mul(tp.RowNorm(tp.Use(a), 1e-5), tp.Const(w)))
+		return sumAll(tp, tp.Mul(tp.RowNorm(tp.Use(a), 1e-5), tp.Const(w)))
 	})
 }
 
@@ -59,7 +59,7 @@ func TestGradAddMasked(t *testing.T) {
 	a := randParam("a", 2, 3, 46)
 	mask := tensor.FromSlice(2, 3, []float64{0, -1e9, 0, 0, 0, -1e9})
 	checkGrad(t, "addmasked", []*Param{a}, func(tp *Tape) *Node {
-		return tp.Sum(tp.SoftmaxRows(tp.AddMasked(tp.Use(a), mask)))
+		return sumAll(tp, tp.SoftmaxRows(tp.AddMasked(tp.Use(a), mask)))
 	})
 }
 

@@ -46,13 +46,3 @@ func (s *GradSinkOf[T]) MergeInto(params []*ParamOf[T]) {
 		}
 	}
 }
-
-// Reset zeroes all shards without merging, discarding pending gradients.
-// Shards are visited in insertion order: zeroing commutes, but keeping every
-// state traversal off map order is the convention wbcheck's detmap pass
-// enforces repo-wide.
-func (s *GradSinkOf[T]) Reset() {
-	for _, p := range s.order {
-		s.grads[p].Zero()
-	}
-}

@@ -3,12 +3,12 @@
 // and go/types so the repository stays stdlib-only. It exists to machine-
 // enforce the engine's determinism, numeric-safety and concurrency
 // contracts: the conventions the data-parallel trainer and the serving tier
-// rely on (fixed-order gradient merges, seed-derived RNGs, tape and pool
-// lifecycle discipline, shape-checked kernels, goroutine shutdown wiring,
-// no lock held across blocking calls, an exact /metrics partition) are
-// promises that nothing in the type system expresses, so cmd/wbcheck runs
-// the passes in the sibling packages over the whole tree and fails the
-// build on any violation.
+// rely on (fixed-order gradient merges, seed-derived RNGs, pool lifecycle
+// discipline, shape-checked kernels, goroutine shutdown wiring, no lock
+// held across blocking calls, no declaration under internal/ that no binary
+// reaches) are promises that nothing in the type system expresses, so
+// cmd/wbcheck runs the passes in the sibling packages over the whole tree
+// and fails the build on any violation.
 //
 // Type information comes from `go list -export`, which compiles dependencies
 // and hands back export data the stdlib gc importer can read — no vendored
@@ -85,21 +85,11 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// Run type-checks the packages matching patterns and applies every analyzer
-// (plus its transitive Requires) to each, returning the surviving
-// diagnostics sorted by position. Violations annotated with a
-// `//wbcheck:ignore [pass...] [-- justification]` comment on the same line,
-// the line above, or the line above a multi-line statement that contains
-// the violation are suppressed.
-func Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	pkgs, err := Load(patterns)
-	if err != nil {
-		return nil, err
-	}
-	return RunPackages(pkgs, analyzers), nil
-}
-
-// RunPackages applies the analyzers to already-loaded packages; see Run.
+// RunPackages applies every analyzer (plus its transitive Requires) to each
+// loaded package and returns the surviving diagnostics sorted by position.
+// Violations annotated with a `//wbcheck:ignore [pass...] [-- justification]`
+// comment on the same line, the line above, or the line above a multi-line
+// statement that contains the violation are suppressed.
 //
 // Packages are analyzed concurrently, bounded by GOMAXPROCS, but a package
 // never starts before every target package it imports has finished — the

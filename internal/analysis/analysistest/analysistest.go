@@ -44,6 +44,13 @@ func RunAll(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
+	Check(t, pkgs, analyzers...)
+}
+
+// Check is RunAll over packages the caller loaded — for a pass built from
+// the loaded packages themselves (deadexport scans every root first).
+func Check(t *testing.T, pkgs []*analysis.Package, analyzers ...*analysis.Analyzer) {
+	t.Helper()
 	diags := analysis.RunPackages(pkgs, analyzers)
 	wants := collectWants(pkgs)
 

@@ -1,0 +1,8 @@
+package lib
+
+import "testing"
+
+func TestOnlyTested(t *testing.T) {
+	OnlyTested()
+	Oracle()
+}

@@ -40,17 +40,17 @@ func newFactStore() *factStore {
 // objectFactKey names obj's fact of fact's dynamic type, or ok=false for
 // objects facts cannot be attached to (no package, or an unsupported kind).
 func objectFactKey(obj types.Object, fact Fact) (string, bool) {
-	path, ok := objectPath(obj)
+	path, ok := ObjectPath(obj)
 	if !ok {
 		return "", false
 	}
 	return obj.Pkg().Path() + "::" + path + "::" + reflect.TypeOf(fact).String(), true
 }
 
-// objectPath is a package-relative path for obj that is identical whether
+// ObjectPath is a package-relative path for obj that is identical whether
 // obj came from type-checking the package's source or from importing its
 // export data: "Name" for package-level objects, "Recv.Name" for methods.
-func objectPath(obj types.Object) (string, bool) {
+func ObjectPath(obj types.Object) (string, bool) {
 	if obj == nil || obj.Pkg() == nil {
 		return "", false
 	}

@@ -45,8 +45,17 @@ type listPackage struct {
 // wbcheck enforces apply to shipped code, and tests deliberately break
 // several of them (literal seeds, exact float comparison).
 func Load(patterns []string) ([]*Package, error) {
+	return LoadDir("", patterns)
+}
+
+// LoadDir is Load with `go list` run in dir, which is how a second module
+// root (bench/, with its own go.mod) is loaded: patterns resolve against the
+// module that owns dir. Packages of two loads share no types.Object, so
+// anything that joins them keys objects by ObjectPath.
+func LoadDir(dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-json", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr

@@ -99,9 +99,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Policy returns the per-domain admission/TTL policy (possibly nil).
-func (c *Cache) Policy() *Policy { return c.policy }
-
 // Admit reports whether pages from domain may enter the cache.
 func (c *Cache) Admit(domain string) bool { return c.policy.Admit(domain) }
 

@@ -16,13 +16,6 @@ type Config struct {
 	UnseenDomains  int // next M domains are "unseen" (distillation target)
 }
 
-// DefaultConfig mirrors the paper's setting at reproduction scale: most
-// domains seen during teacher pre-training, a smaller set held out as
-// previously unseen, matching the 140-train / 20-new topic split of §IV-B.
-func DefaultConfig() Config {
-	return Config{Seed: 1, PagesPerDomain: 30, SeenDomains: 16, UnseenDomains: 8}
-}
-
 // Dataset is a generated corpus with its domain split.
 type Dataset struct {
 	Config  Config
@@ -165,24 +158,6 @@ func (p *Page) Encode(maxTokens int) *Encoded {
 		e.SentInfo = e.SentInfo[:lastSent+1]
 	}
 	return e
-}
-
-// GoldSpans returns the attribute value spans as [start, end) offsets into
-// the flattened token stream, the unit precision/recall/F1 are computed
-// over.
-func (e *Encoded) GoldSpans() [][2]int {
-	var spans [][2]int
-	for i := 0; i < len(e.Tags); i++ {
-		if e.Tags[i] == TagB {
-			j := i + 1
-			for j < len(e.Tags) && e.Tags[j] == TagI {
-				j++
-			}
-			spans = append(spans, [2]int{i, j})
-			i = j - 1
-		}
-	}
-	return spans
 }
 
 // WordCounts accumulates token frequencies over pages (topic tokens

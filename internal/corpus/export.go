@@ -8,8 +8,7 @@ import (
 )
 
 // ExportRecord is the JSONL form of one labelled page, the interchange
-// format for using the corpus outside this repository (or importing
-// externally labelled pages into it).
+// format for using the corpus outside this repository.
 type ExportRecord struct {
 	ID          string       `json:"id"`
 	Domain      string       `json:"domain"`
@@ -63,40 +62,4 @@ func ExportJSONL(w io.Writer, pages []*Page, includeHTML bool) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ImportJSONL reads pages written by ExportJSONL. Pages round-trip except
-// for HTML when it was exported without markup.
-func ImportJSONL(r io.Reader) ([]*Page, error) {
-	dec := json.NewDecoder(r)
-	var pages []*Page
-	for dec.More() {
-		var rec ExportRecord
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("corpus: import: %w", err)
-		}
-		p := &Page{
-			ID:     rec.ID,
-			Domain: rec.Domain,
-			Topic:  rec.Topic,
-			HTML:   rec.HTML,
-		}
-		attrBySentence := map[int]ExportAttr{}
-		for _, a := range rec.Attributes {
-			attrBySentence[a.Sentence] = a
-		}
-		for si, toks := range rec.Sentences {
-			s := Sentence{Tokens: toks}
-			if si < len(rec.Informative) {
-				s.Informative = rec.Informative[si]
-			}
-			if a, ok := attrBySentence[si]; ok {
-				s.Attr = &AttrInstance{Label: a.Label, Value: a.Value, Level: a.Level}
-				s.AttrStart, s.AttrEnd = a.Start, a.End
-			}
-			p.Sentences = append(p.Sentences, s)
-		}
-		pages = append(pages, p)
-	}
-	return pages, nil
 }

@@ -91,7 +91,7 @@ func TestChaosCrawlDeterministicPartialResults(t *testing.T) {
 		// for byte — same kept URLs, same HTML, same classifications.
 		if !reflect.DeepEqual(res1.Content, clean.Content) {
 			t.Fatalf("seed %d: faulted crawl corpus diverges from clean crawl\n faulted: %v\n clean:   %v\n failed:  %v",
-				seed, res1.ContentURLs(), clean.ContentURLs(), res1.Failed)
+				seed, res1.contentURLs(), clean.contentURLs(), res1.Failed)
 		}
 		if !reflect.DeepEqual(res1.Index, clean.Index) || !reflect.DeepEqual(res1.Media, clean.Media) {
 			t.Fatalf("seed %d: page classifications diverge under faults", seed)

@@ -273,9 +273,9 @@ func Crawl(f Fetcher, start string, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// ContentURLs returns the kept content URLs sorted, for set comparison in
-// tests and pipelines.
-func (r *Result) ContentURLs() []string {
+// contentURLs returns the kept content URLs sorted, for set comparison in
+// tests.
+func (r *Result) contentURLs() []string {
 	out := make([]string, len(r.Content))
 	for i, p := range r.Content {
 		out[i] = p.URL

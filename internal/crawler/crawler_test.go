@@ -127,8 +127,8 @@ func TestCrawlRecoversContentPages(t *testing.T) {
 		}
 		want := append([]string{}, site.ContentURLs...)
 		sort.Strings(want)
-		if !reflect.DeepEqual(res.ContentURLs(), want) {
-			t.Fatalf("%s: crawl kept %v\nwant %v\nindex=%v media=%v", name, res.ContentURLs(), want, res.Index, res.Media)
+		if !reflect.DeepEqual(res.contentURLs(), want) {
+			t.Fatalf("%s: crawl kept %v\nwant %v\nindex=%v media=%v", name, res.contentURLs(), want, res.Index, res.Media)
 		}
 		if len(res.Index) != len(site.IndexURLs)+1 { // +1: the homepage is an index page
 			t.Errorf("%s: classified %d index pages, site has %d (+1 homepage)", name, len(res.Index), len(site.IndexURLs))
@@ -177,7 +177,7 @@ func TestCrawlHandlesDeadLinks(t *testing.T) {
 		t.Fatalf("crawl spent %d retries on a permanent 404", res.Retries)
 	}
 	if len(res.Content) != 1 {
-		t.Fatalf("content: %v", res.ContentURLs())
+		t.Fatalf("content: %v", res.contentURLs())
 	}
 }
 

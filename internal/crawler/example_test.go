@@ -24,8 +24,12 @@ func ExampleCrawl() {
 	if err != nil {
 		panic(err)
 	}
+	var content []string
+	for _, p := range res.Content {
+		content = append(content, p.URL)
+	}
 	fmt.Printf("visited %d, content %v, index %v, media %v\n",
-		res.Visited, res.ContentURLs(), res.Index, res.Media)
+		res.Visited, content, res.Index, res.Media)
 	// Output:
 	// visited 3, content [/item.html], index [/index.html], media [/pics.html]
 }

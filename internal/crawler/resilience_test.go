@@ -78,7 +78,7 @@ func TestCrawlPartialFailureReasons(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partial crawl must not return an error: %v", err)
 	}
-	if got := res.ContentURLs(); len(got) != 2 { // index page is content-rich here
+	if got := res.contentURLs(); len(got) != 2 { // index page is content-rich here
 		t.Fatalf("crawl did not continue past the dead URL: content %v", got)
 	}
 	if len(res.Failed) != 1 {
@@ -111,7 +111,7 @@ func TestCrawlRetriesRecoverTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Failed) != 0 || len(res.Content) != 2 {
-		t.Fatalf("failed=%v content=%v, want the flaky page recovered", res.Failed, res.ContentURLs())
+		t.Fatalf("failed=%v content=%v, want the flaky page recovered", res.Failed, res.contentURLs())
 	}
 	if res.Retries != 2 || f.calls["/flaky.html"] != 3 {
 		t.Fatalf("retries=%d calls=%d, want 2 retries / 3 calls", res.Retries, f.calls["/flaky.html"])

@@ -25,21 +25,3 @@ func WithPredictedTopics(insts []*wb.Instance, topicModel wb.Model, beamWidth, m
 	}
 	return out
 }
-
-// Pip bundles the two stages of Pip-Distill.
-type Pip struct {
-	TopicStage *Distiller // Dual-Distill for topic generation
-	AttrStage  *Distiller // Dual-Distill for attribute extraction
-	BeamWidth  int
-	MaxLen     int
-}
-
-// Train runs the pipeline: distill the topic student, regenerate the
-// instances with its predictions, then distill the attribute student on the
-// topic-conditioned instances. It returns the two loss curves.
-func (p *Pip) Train(insts []*wb.Instance, tc wb.TrainConfig) (topicLosses, attrLosses []float64) {
-	topicLosses = p.TopicStage.Train(insts, tc)
-	piped := WithPredictedTopics(insts, p.TopicStage.Student, p.BeamWidth, p.MaxLen)
-	attrLosses = p.AttrStage.Train(piped, tc)
-	return topicLosses, attrLosses
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"webbrief/internal/nn"
+	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
 )
 
@@ -53,6 +54,18 @@ func buildSyntheticCorpus(rng *rand.Rand) [][]int {
 	return docs
 }
 
+// cosine is the cosine similarity of rows i and j of m.
+func cosine(m *tensor.Matrix, i, j int) float64 {
+	a, b := m.Row(i), m.Row(j)
+	var dot, na, nb float64
+	for k := range a {
+		dot += a[k] * b[k]
+		na += a[k] * a[k]
+		nb += b[k] * b[k]
+	}
+	return dot / math.Sqrt(na*nb)
+}
+
 func TestTrainGloVeSemanticStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	docs := buildSyntheticCorpus(rng)
@@ -62,8 +75,8 @@ func TestTrainGloVeSemanticStructure(t *testing.T) {
 		t.Fatalf("shape %dx%d", vecs.Rows, vecs.Cols)
 	}
 	// Words 0..4 co-occur; words 5..9 co-occur; cross-domain pairs never do.
-	within := (CosineSimilarity(vecs, 0, 1) + CosineSimilarity(vecs, 5, 6)) / 2
-	across := (CosineSimilarity(vecs, 0, 5) + CosineSimilarity(vecs, 1, 6)) / 2
+	within := (cosine(vecs, 0, 1) + cosine(vecs, 5, 6)) / 2
+	across := (cosine(vecs, 0, 5) + cosine(vecs, 1, 6)) / 2
 	if within <= across {
 		t.Fatalf("GloVe failed to separate domains: within=%v across=%v", within, across)
 	}
@@ -78,15 +91,6 @@ func TestTrainGloVeDeterministic(t *testing.T) {
 	b := TrainGloVe(docs, 10, cfg)
 	if !a.Equal(b, 0) {
 		t.Fatal("GloVe training not deterministic for a fixed seed")
-	}
-}
-
-func TestCosineSimilarityEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	docs := buildSyntheticCorpus(rng)
-	vecs := TrainGloVe(docs, 10, DefaultGloVeConfig(8))
-	if s := CosineSimilarity(vecs, 0, 0); math.Abs(s-1) > 1e-9 {
-		t.Fatalf("self-similarity: %v", s)
 	}
 }
 

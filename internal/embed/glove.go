@@ -136,21 +136,6 @@ func sortPairs(pairs []pair) {
 	})
 }
 
-// CosineSimilarity returns the cosine of the angle between rows i and j.
-func CosineSimilarity(m *tensor.Matrix, i, j int) float64 {
-	a, b := m.Row(i), m.Row(j)
-	var dot, na, nb float64
-	for k := range a {
-		dot += a[k] * b[k]
-		na += a[k] * a[k]
-		nb += b[k] * b[k]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
 // MLMConfig controls masked-language-model pre-training.
 type MLMConfig struct {
 	MaskProb float64 // fraction of positions masked (BERT uses 0.15)

@@ -69,7 +69,7 @@ func domainsInterleaved(t *testing.T, r *Ring, perOwner int) []string {
 			t.Fatalf("no %d domains per backend among 100000 candidates", perOwner)
 		}
 		d := fmt.Sprintf("site-%d.example", i)
-		owner := r.Backend("domain:" + d)
+		owner := r.owner("domain:" + d)
 		if len(owned[owner]) == perOwner {
 			continue
 		}
@@ -158,7 +158,7 @@ func TestGatewayChaosSoak(t *testing.T) {
 		}(c)
 	}
 
-	m := g.Metrics()
+	m := g.metrics
 
 	// Fault 1: kill a backend cold mid-load. Its conn-reset failures blame
 	// the breaker; failover keeps its keys' clients whole.
@@ -253,14 +253,14 @@ func TestGatewayChaosSoak(t *testing.T) {
 	if snap.RequestsTotal != total {
 		t.Fatalf("requests_total = %d, clients sent %d — requests dropped or double-counted", snap.RequestsTotal, total)
 	}
-	outcomeSum := snap.Responses.Sum()
+	outcomeSum := sumCounts(snap.Responses)
 	if outcomeSum != snap.RequestsTotal {
 		t.Fatalf("outcome sum %d != requests_total %d: %+v", outcomeSum, snap.RequestsTotal, snap.Responses)
 	}
 	if snap.Responses.Get(Proxied) != ok {
 		t.Fatalf("proxied = %d, clients observed %d successes", snap.Responses.Get(Proxied), ok)
 	}
-	if got := snap.BackendOutcomes.Sum(); got != snap.BackendRequestsTotal {
+	if got := sumCounts(snap.BackendOutcomes); got != snap.BackendRequestsTotal {
 		t.Fatalf("backend outcome sum %d != backend_requests_total %d", got, snap.BackendRequestsTotal)
 	}
 	var perBackendReqs, perBackendErrs int64

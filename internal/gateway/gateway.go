@@ -194,9 +194,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.Serv
 // Handler returns the gateway as an http.Handler.
 func (g *Gateway) Handler() http.Handler { return g }
 
-// Metrics exposes the counter set (tests, embedding servers).
-func (g *Gateway) Metrics() *Metrics { return g.metrics }
-
 // Ring exposes the routing ring (tests, operator tooling).
 func (g *Gateway) Ring() *Ring { return g.ring }
 

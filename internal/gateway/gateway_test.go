@@ -173,7 +173,7 @@ func domainOwnedBy(t *testing.T, r *Ring, backend string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		d := fmt.Sprintf("site-%d.example", i)
-		if r.Backend("domain:"+d) == backend {
+		if r.owner("domain:"+d) == backend {
 			return d
 		}
 	}
@@ -188,7 +188,7 @@ func TestGatewayRoutesByDomain(t *testing.T) {
 	g, ts, backends := newTestGateway(t, 3, nil)
 	for i := 0; i < 5; i++ {
 		domain := fmt.Sprintf("site-%d.example", i)
-		want := g.Ring().Backend("domain:" + domain)
+		want := g.Ring().owner("domain:" + domain)
 		for rep := 0; rep < 6; rep++ {
 			status, body := post(t, ts.URL, "src=https://"+domain+"/some/page", "<html><body>p</body></html>")
 			if status != http.StatusOK {
@@ -252,15 +252,15 @@ func TestGatewayFailoverAndBreaker(t *testing.T) {
 			t.Fatalf("request %d served by the failing backend", i)
 		}
 	}
-	m := g.Metrics()
+	m := g.metrics
 	if got := m.Ejections.Load(); got != 1 {
 		t.Fatalf("ejections = %d, want 1", got)
 	}
 	if m.Rerouted.Load() == 0 {
 		t.Fatal("open breaker never rerouted a candidate")
 	}
-	if m.BackendRequests.Count(BackendError) < 2 {
-		t.Fatalf("backend errors = %d, want >= threshold", m.BackendRequests.Count(BackendError))
+	if countOf(m.BackendRequests, BackendError) < 2 {
+		t.Fatalf("backend errors = %d, want >= threshold", countOf(m.BackendRequests, BackendError))
 	}
 
 	// Heal. The prober (cooldown 30ms, 2 clean probes at 5ms cadence)
@@ -491,7 +491,7 @@ func TestGatewayRefusals(t *testing.T) {
 	}
 
 	snap := g.snapshot()
-	sum := snap.Responses.Sum()
+	sum := sumCounts(snap.Responses)
 	if sum != snap.RequestsTotal {
 		t.Fatalf("outcome sum %d != requests_total %d: %+v", sum, snap.RequestsTotal, snap.Responses)
 	}
@@ -499,7 +499,7 @@ func TestGatewayRefusals(t *testing.T) {
 		snap.Responses.Get(NoBackend) != 1 || snap.Responses.Get(Draining) != 1 || snap.Responses.Get(Proxied) != 1 {
 		t.Fatalf("unexpected outcome split: %+v", snap.Responses)
 	}
-	if got := snap.BackendOutcomes.Sum(); got != snap.BackendRequestsTotal {
+	if got := sumCounts(snap.BackendOutcomes); got != snap.BackendRequestsTotal {
 		t.Fatalf("backend outcome sum %d != backend_requests_total %d", got, snap.BackendRequestsTotal)
 	}
 }

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +10,37 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"webbrief/internal/metrics"
 )
+
+// countOf, totalOf and sumCounts read a partition the way a scraper can — through
+// Snapshot and the JSON form of its outcomes — since internal/metrics exports
+// no per-counter accessor.
+func countOf[K any](p *metrics.Partition[K], o metrics.Outcome[K]) int64 {
+	_, outcomes := p.Snapshot()
+	return outcomes.Get(o)
+}
+
+func totalOf[K any](p *metrics.Partition[K]) int64 {
+	n, _ := p.Snapshot()
+	return n
+}
+
+// sumCounts adds up every outcome: what the partition's total must equal at
+// rest.
+func sumCounts[K any](c metrics.Counts[K]) int64 {
+	doc, _ := c.MarshalJSON()
+	var byKey map[string]int64
+	if err := json.Unmarshal(doc, &byKey); err != nil {
+		panic(err)
+	}
+	var sum int64
+	for _, n := range byKey {
+		sum += n
+	}
+	return sum
+}
 
 // TestUpstreamLedgerReconciles checks the connection-reuse counters'
 // identity per backend, exactly, over a run that takes every path to the
@@ -25,7 +56,7 @@ func TestUpstreamLedgerReconciles(t *testing.T) {
 	names := g.Ring().Backends()
 	victim := backends[names[0]]
 	domains := domainsInterleaved(t, g.Ring(), 4)
-	m := g.Metrics()
+	m := g.metrics
 
 	round := func() {
 		var wg sync.WaitGroup

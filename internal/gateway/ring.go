@@ -99,9 +99,9 @@ func (r *Ring) Backends() []string { return append([]string(nil), r.backends...)
 // Size is the number of distinct backends on the ring.
 func (r *Ring) Size() int { return len(r.backends) }
 
-// Backend returns the backend owning key: the first ring point at or after
+// owner returns the backend owning key: the first ring point at or after
 // the key's hash, wrapping at the top. Empty ring returns "".
-func (r *Ring) Backend(key string) string {
+func (r *Ring) owner(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}

@@ -28,7 +28,7 @@ func TestRingGoldenAssignments(t *testing.T) {
 		{"body:cafebabedeadbeef", "10.0.0.2:8080"},
 	}
 	for _, g := range golden {
-		if got := r.Backend(g.key); got != g.backend {
+		if got := r.owner(g.key); got != g.backend {
 			t.Errorf("Backend(%q) = %q, want pinned %q", g.key, got, g.backend)
 		}
 	}
@@ -59,7 +59,7 @@ func TestRingRemappingBound(t *testing.T) {
 	keys := ringKeys(3000)
 	moved := 0
 	for _, k := range keys {
-		before, after := full.Backend(k), reduced.Backend(k)
+		before, after := full.owner(k), reduced.owner(k)
 		if before == after {
 			continue
 		}
@@ -85,7 +85,7 @@ func TestRingPermutationStable(t *testing.T) {
 	keys := ringKeys(500)
 	want := make([]string, len(keys))
 	for i, k := range keys {
-		want[i] = ref.Backend(k)
+		want[i] = ref.owner(k)
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -100,7 +100,7 @@ func TestRingPermutationStable(t *testing.T) {
 			t.Fatalf("trial %d: member set diverged: %v", trial, r.Backends())
 		}
 		for i, k := range keys {
-			if got := r.Backend(k); got != want[i] {
+			if got := r.owner(k); got != want[i] {
 				t.Fatalf("trial %d: Backend(%q) = %q under permutation %v, want %q", trial, k, got, perm, want[i])
 			}
 		}
@@ -115,7 +115,7 @@ func TestRingCandidates(t *testing.T) {
 	r := NewRing(backends, 64)
 	owners := map[string]bool{}
 	for _, k := range ringKeys(1000) {
-		owner := r.Backend(k)
+		owner := r.owner(k)
 		owners[owner] = true
 		cands := r.Candidates(k, 0)
 		if len(cands) != len(backends) {
@@ -145,7 +145,7 @@ func TestRingCandidates(t *testing.T) {
 // TestRingEmptyAndSingle covers the degenerate rings.
 func TestRingEmptyAndSingle(t *testing.T) {
 	empty := NewRing(nil, 8)
-	if got := empty.Backend("domain:x"); got != "" {
+	if got := empty.owner("domain:x"); got != "" {
 		t.Fatalf("empty ring Backend = %q, want empty", got)
 	}
 	if cands := empty.Candidates("domain:x", 3); cands != nil {
@@ -153,7 +153,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	}
 	one := NewRing([]string{"only:1"}, 8)
 	for _, k := range ringKeys(50) {
-		if got := one.Backend(k); got != "only:1" {
+		if got := one.owner(k); got != "only:1" {
 			t.Fatalf("single-backend ring sent %q to %q", k, got)
 		}
 	}
@@ -224,7 +224,7 @@ func TestRingBalance(t *testing.T) {
 		r := NewRing(ringGridFleet(family, n), vnodes)
 		owned := map[string]int{}
 		for _, k := range keys {
-			owned[r.Backend(k)]++
+			owned[r.owner(k)]++
 		}
 		bound := 1/float64(n) + slack[vnodes]
 		for _, b := range r.Backends() {
@@ -250,7 +250,7 @@ func TestRingChurn(t *testing.T) {
 		assign := func(r *Ring) []string {
 			out := make([]string, len(keys))
 			for i, k := range keys {
-				out[i] = r.Backend(k)
+				out[i] = r.owner(k)
 			}
 			return out
 		}

@@ -263,9 +263,9 @@ func TestGatewayRefusesUnsafeHead(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, rec.Code)
 		}
 	}
-	if m := g.Metrics(); m.Requests.Count(BadRequest) != 4 || m.Requests.Total() != 4 || m.BackendRequests.Total() != 0 {
+	if m := g.metrics; countOf(m.Requests, BadRequest) != 4 || totalOf(m.Requests) != 4 || totalOf(m.BackendRequests) != 0 {
 		t.Fatalf("bad_request=%d of %d requests, %d backend attempts; want 4 of 4 and none",
-			m.Requests.Count(BadRequest), m.Requests.Total(), m.BackendRequests.Total())
+			countOf(m.Requests, BadRequest), totalOf(m.Requests), totalOf(m.BackendRequests))
 	}
 	for _, f := range backends {
 		if f.briefs.Load() != 0 {
@@ -385,13 +385,13 @@ func TestUpstreamStaleConnectionReplay(t *testing.T) {
 	if status != http.StatusOK || string(body) != "{\"brief\":2}\n" {
 		t.Fatalf("request over a stale connection: %d %q, want the second briefing", status, body)
 	}
-	b, m := backendBlock(g), g.Metrics()
+	b, m := backendBlock(g), g.metrics
 	if b.UpstreamStaleReplays != 1 || b.UpstreamReused != 1 || b.UpstreamDials != 2 {
 		t.Fatalf("ledger %+v, want 1 stale replay, 1 reuse, 2 dials", b)
 	}
-	if m.BackendRequests.Count(BackendError) != 0 || b.Errors != 0 || m.BackendRequests.Total() != 2 || b.BreakerState != "closed" {
+	if countOf(m.BackendRequests, BackendError) != 0 || b.Errors != 0 || totalOf(m.BackendRequests) != 2 || b.BreakerState != "closed" {
 		t.Fatalf("a stale connection was charged to the backend: errors=%d attempts=%d breaker=%s",
-			m.BackendRequests.Count(BackendError), m.BackendRequests.Total(), b.BreakerState)
+			countOf(m.BackendRequests, BackendError), totalOf(m.BackendRequests), b.BreakerState)
 	}
 }
 
@@ -424,8 +424,8 @@ func TestUpstreamReplyFraming(t *testing.T) {
 	if b := backendBlock(g); b.UpstreamReused != 1 || b.UpstreamDials != 2 || b.UpstreamStaleReplays != 0 {
 		t.Fatalf("the chunked reply's connection was not reused: %+v", b)
 	}
-	if m := g.Metrics(); m.BackendRequests.Count(BackendError) != 0 || m.Requests.Count(Proxied) != 3 {
-		t.Fatalf("errors=%d proxied=%d, want 0 and 3", m.BackendRequests.Count(BackendError), m.Requests.Count(Proxied))
+	if m := g.metrics; countOf(m.BackendRequests, BackendError) != 0 || countOf(m.Requests, Proxied) != 3 {
+		t.Fatalf("errors=%d proxied=%d, want 0 and 3", countOf(m.BackendRequests, BackendError), countOf(m.Requests, Proxied))
 	}
 }
 
@@ -439,9 +439,9 @@ func TestUpstreamTimeoutDropsConnection(t *testing.T) {
 	if status, _ := post(t, ts.URL, "mode=slow", "<p>x</p>"); status != http.StatusGatewayTimeout {
 		t.Fatalf("slow backend: %d, want 504", status)
 	}
-	b, m := backendBlock(g), g.Metrics()
-	if m.Requests.Count(Timeout) != 1 || m.Ejections.Load() != 0 || b.BreakerState != "closed" {
-		t.Fatalf("timeout=%d ejections=%d breaker=%s, want 1, 0, closed", m.Requests.Count(Timeout), m.Ejections.Load(), b.BreakerState)
+	b, m := backendBlock(g), g.metrics
+	if countOf(m.Requests, Timeout) != 1 || m.Ejections.Load() != 0 || b.BreakerState != "closed" {
+		t.Fatalf("timeout=%d ejections=%d breaker=%s, want 1, 0, closed", countOf(m.Requests, Timeout), m.Ejections.Load(), b.BreakerState)
 	}
 	if b.IdleConns != 0 {
 		t.Fatalf("kept the connection a deadline interrupted: %+v", b)
@@ -481,11 +481,11 @@ func TestUpstreamClientDisconnect(t *testing.T) {
 		t.Fatal("canceled request returned a response")
 	}
 
-	m := g.Metrics()
-	waitCond(t, "the relay to be counted canceled", func() bool { return m.Requests.Count(Canceled) == 1 })
+	m := g.metrics
+	waitCond(t, "the relay to be counted canceled", func() bool { return countOf(m.Requests, Canceled) == 1 })
 	b := backendBlock(g)
-	if m.Ejections.Load() != 0 || b.BreakerState != "closed" || m.Requests.Count(Timeout) != 0 {
-		t.Fatalf("client disconnect blamed the backend: ejections=%d breaker=%s timeout=%d", m.Ejections.Load(), b.BreakerState, m.Requests.Count(Timeout))
+	if m.Ejections.Load() != 0 || b.BreakerState != "closed" || countOf(m.Requests, Timeout) != 0 {
+		t.Fatalf("client disconnect blamed the backend: ejections=%d breaker=%s timeout=%d", m.Ejections.Load(), b.BreakerState, countOf(m.Requests, Timeout))
 	}
 	if b.IdleConns != 0 {
 		t.Fatalf("kept an interrupted connection: %+v", b)
@@ -609,10 +609,10 @@ func TestGatewayBoundsRelayedReply(t *testing.T) {
 			if status != http.StatusOK || servedBy(t, body) == brokenName {
 				t.Fatalf("client got %d %q, want a 200 from the healthy backend", status, body)
 			}
-			m := g.Metrics()
-			if m.BackendRequests.Count(BackendError) != 1 || m.BackendRequests.Total() != 2 || m.Ejections.Load() != 1 {
+			m := g.metrics
+			if countOf(m.BackendRequests, BackendError) != 1 || totalOf(m.BackendRequests) != 2 || m.Ejections.Load() != 1 {
 				t.Fatalf("backend_error=%d attempts=%d ejections=%d, want 1, 2, 1",
-					m.BackendRequests.Count(BackendError), m.BackendRequests.Total(), m.Ejections.Load())
+					countOf(m.BackendRequests, BackendError), totalOf(m.BackendRequests), m.Ejections.Load())
 			}
 			for _, b := range g.snapshot().Backends {
 				if b.Name == brokenName && (b.Errors != 1 || b.IdleConns != 0) {

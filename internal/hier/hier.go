@@ -184,6 +184,8 @@ type HierBrief struct {
 
 // MakeHierBrief combines a topic model (any wb.Model with a generator) and
 // a MultiLevel extractor into the three-level hierarchy.
+//
+//wbcheck:ignore deadexport -- paper component: DESIGN.md §3 Extensions, `internal/hier` (multi-level hierarchy, §III-C sketch); TestMakeHierBrief drives it
 func MakeHierBrief(topicModel wb.Model, m *MultiLevel, inst *Instance, v *textproc.Vocab, beamWidth int) *HierBrief {
 	hb := &HierBrief{}
 	if ids := wb.GenerateTopic(topicModel, inst.Base, beamWidth, 6); ids != nil {

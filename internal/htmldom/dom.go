@@ -35,20 +35,6 @@ func (n *Node) Attr(name string) (string, bool) {
 	return "", false
 }
 
-// HasClass reports whether the node's class attribute contains name.
-func (n *Node) HasClass(name string) bool {
-	cls, ok := n.Attr("class")
-	if !ok {
-		return false
-	}
-	for _, c := range strings.Fields(cls) {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
 // AppendChild attaches c as the last child of n.
 func (n *Node) AppendChild(c *Node) {
 	c.Parent = n

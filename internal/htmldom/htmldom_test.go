@@ -1,6 +1,7 @@
 package htmldom
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func TestTokenizerBasicSequence(t *testing.T) {
 	if toks[0].Type != StartTagToken || toks[0].Data != "div" {
 		t.Fatalf("start: %+v", toks[0])
 	}
-	if v, ok := toks[0].Attr("class"); !ok || v != "a" {
+	if !reflect.DeepEqual(toks[0].Attrs, []Attribute{{Name: "class", Value: "a"}}) {
 		t.Fatalf("attr: %+v", toks[0].Attrs)
 	}
 	if toks[1].Type != TextToken || toks[1].Data != "hi" {
@@ -39,13 +40,9 @@ func TestTokenizerBasicSequence(t *testing.T) {
 
 func TestTokenizerAttributeQuoting(t *testing.T) {
 	toks := collect(`<a href="x" title='y y' data-k=z disabled>`)
-	tok := toks[0]
-	for _, want := range []struct{ k, v string }{
-		{"href", "x"}, {"title", "y y"}, {"data-k", "z"}, {"disabled", ""},
-	} {
-		if v, ok := tok.Attr(want.k); !ok || v != want.v {
-			t.Errorf("attr %q = %q, %v", want.k, v, ok)
-		}
+	want := []Attribute{{"href", "x"}, {"title", "y y"}, {"data-k", "z"}, {"disabled", ""}}
+	if !reflect.DeepEqual(toks[0].Attrs, want) {
+		t.Errorf("attrs %+v, want %+v", toks[0].Attrs, want)
 	}
 }
 
@@ -54,7 +51,7 @@ func TestTokenizerUppercaseTagsLowered(t *testing.T) {
 	if toks[0].Data != "div" || toks[2].Data != "div" {
 		t.Fatalf("tags not lowercased: %+v", toks)
 	}
-	if _, ok := toks[0].Attr("id"); !ok {
+	if len(toks[0].Attrs) != 1 || toks[0].Attrs[0].Name != "id" {
 		t.Fatal("attr names not lowercased")
 	}
 }
@@ -270,14 +267,6 @@ func TestTitle(t *testing.T) {
 	}
 	if got := Title(Parse(`<p>no title</p>`)); got != "" {
 		t.Fatalf("missing title: %q", got)
-	}
-}
-
-func TestHasClass(t *testing.T) {
-	doc := Parse(`<div class="nav main-nav top">x</div>`)
-	div := doc.Find("div")
-	if !div.HasClass("main-nav") || div.HasClass("main") {
-		t.Fatal("HasClass")
 	}
 }
 

@@ -61,16 +61,6 @@ type Token struct {
 	Attrs []Attribute
 }
 
-// Attr returns the value of the named attribute and whether it is present.
-func (t *Token) Attr(name string) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
 // rawTextElements are elements whose content is consumed verbatim until the
 // matching close tag, per the HTML parsing spec.
 var rawTextElements = map[string]bool{

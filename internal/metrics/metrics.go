@@ -96,12 +96,6 @@ func (p *Partition[K]) Begin() { p.total.Add(1) }
 // End counts the outcome one begun event ended in.
 func (p *Partition[K]) End(o Outcome[K]) { p.outcomes[o.index].Add(1) }
 
-// Total is the number of events begun.
-func (p *Partition[K]) Total() int64 { return p.total.Load() }
-
-// Count is the number of events that ended in o.
-func (p *Partition[K]) Count(o Outcome[K]) int64 { return p.outcomes[o.index].Load() }
-
 // Snapshot reads the total, then every outcome in declaration order.
 func (p *Partition[K]) Snapshot() (total int64, outcomes Counts[K]) {
 	total = p.total.Load()
@@ -130,8 +124,8 @@ func (c Counts[K]) Get(o Outcome[K]) int64 {
 	return 0
 }
 
-// Sum adds up every outcome: what the partition's total must equal at rest.
-func (c Counts[K]) Sum() int64 {
+// sum adds up every outcome: what the partition's total must equal at rest.
+func (c Counts[K]) sum() int64 {
 	var sum int64
 	for _, n := range c.n {
 		sum += n

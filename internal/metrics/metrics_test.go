@@ -49,12 +49,12 @@ func TestPartitionConcurrentBumps(t *testing.T) {
 	wg.Wait()
 
 	total, counts := p.Snapshot()
-	if total != workers*perWorker || p.Total() != total || counts.Sum() != total {
-		t.Fatalf("total=%d Total()=%d Σ outcomes=%d, want all %d", total, p.Total(), counts.Sum(), workers*perWorker)
+	if total != workers*perWorker || counts.sum() != total {
+		t.Fatalf("total=%d Σ outcomes=%d, want both %d", total, counts.sum(), workers*perWorker)
 	}
 	for k, o := range members {
-		if p.Count(o) != want[k] || counts.Get(o) != want[k] {
-			t.Errorf("outcome %d: Count=%d snapshot=%d, want %d", k, p.Count(o), counts.Get(o), want[k])
+		if counts.Get(o) != want[k] {
+			t.Errorf("outcome %d: snapshot=%d, want %d", k, counts.Get(o), want[k])
 		}
 	}
 }
@@ -67,8 +67,8 @@ func TestTotalIsIndependent(t *testing.T) {
 	p.Begin()
 	p.Begin()
 	p.End(banana)
-	if total, counts := p.Snapshot(); total != 2 || counts.Sum() != 1 {
-		t.Fatalf("total=%d Σ outcomes=%d, want 2 and 1", total, counts.Sum())
+	if total, counts := p.Snapshot(); total != 2 || counts.sum() != 1 {
+		t.Fatalf("total=%d Σ outcomes=%d, want 2 and 1", total, counts.sum())
 	}
 }
 
@@ -106,7 +106,7 @@ func TestCountsDocument(t *testing.T) {
 	if err := json.Unmarshal(got, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Get(apple) != 1 || back.Get(banana) != 0 || back.Get(cherry) != 3 || back.Sum() != 4 {
+	if back.Get(apple) != 1 || back.Get(banana) != 0 || back.Get(cherry) != 3 || back.sum() != 4 {
 		t.Fatalf("round trip lost counts: %+v", back)
 	}
 	if err := json.Unmarshal([]byte(`[1,2]`), &back); err == nil {

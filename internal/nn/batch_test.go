@@ -67,13 +67,8 @@ func TestBiLSTMForwardBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// inferTape is the serving configuration: a no-gradient arena tape routing
-// its products through a pack buffer.
-func inferTape() *ag.Tape {
-	tp := ag.NewInferTape()
-	tp.SetPack(&tensor.PackBuf{})
-	return tp
-}
+// inferTape is the serving configuration: a no-gradient arena tape.
+func inferTape() *ag.Tape { return ag.NewInferTapeOf[float64]() }
 
 // TestBeamSearchBatchMatchesReference pins BeamSearchBatch to the heap
 // BeamSearch on a recording tape, in two sweeps. Width × depth over six
@@ -177,12 +172,11 @@ func TestBeamSearchBatchNilScratches(t *testing.T) {
 }
 
 // TestLSTMHoistedProjectionBitwise pins the no-gradient hoist rule: a
-// no-grad tape computes x·Wx once per sequence as a packed seq-row product,
-// a recording tape computes it per timestep as 1-row products, and every
+// no-grad tape computes x·Wx once per sequence as one seq-row product, a
+// recording tape computes it per timestep as 1-row products, and every
 // hidden state must still compare equal cell for cell — for LSTM.Forward,
 // BiLSTM.Forward and ragged BiLSTM.ForwardBatch, including inputs with exact
-// zeros (the packed kernel adds ±0 where the row-streaming one skips) and
-// sequences long enough to take the panel-packed path (≥ packMinRows rows).
+// zeros and sequences long enough to fill many register tiles.
 func TestLSTMHoistedProjectionBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const in, hidden = 9, 6

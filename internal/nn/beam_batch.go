@@ -11,7 +11,7 @@ import (
 // a batch of one — fusing each decode depth's per-beam 1-row steps, across
 // every live beam of every unfinished instance, into one R-row batched step.
 // The cell and output matmuls see R rows instead of 1, which is where the
-// batching win lives (one packed R×vocab projection per depth instead of R
+// batching win lives (one R×vocab projection per depth instead of R
 // separate ones). Attention stays per-instance because each instance attends
 // over its own memory, but the R-row hidden-state projection through Att.W is
 // shared.

@@ -44,12 +44,17 @@ func layerGradCheck(t *testing.T, name string, params []*ag.Param, build func(tp
 	}
 }
 
+// sumAll reduces a to the 1×1 sum of its entries, 1ᵀ·a·1.
+func sumAll(tp *ag.Tape, a *ag.Node) *ag.Node {
+	return tp.MatMul(tp.MatMul(tp.Const(tensor.Full(1, a.Value.Rows, 1)), a), tp.Const(tensor.Full(a.Value.Cols, 1, 1)))
+}
+
 func TestLSTMGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLSTM("l", 3, 4, rng)
 	x := tensor.Randn(5, 3, 0.8, rng)
 	layerGradCheck(t, "lstm", l.Params(), func(tp *ag.Tape) *ag.Node {
-		return tp.Mean(tp.Tanh(l.Forward(tp, tp.Const(x))))
+		return sumAll(tp, tp.Tanh(l.Forward(tp, tp.Const(x))))
 	})
 }
 
@@ -58,7 +63,7 @@ func TestBiLSTMGradCheck(t *testing.T) {
 	b := NewBiLSTM("b", 3, 3, rng)
 	x := tensor.Randn(4, 3, 0.8, rng)
 	layerGradCheck(t, "bilstm", b.Params(), func(tp *ag.Tape) *ag.Node {
-		return tp.Mean(b.Forward(tp, tp.Const(x)))
+		return sumAll(tp, b.Forward(tp, tp.Const(x)))
 	})
 }
 
@@ -68,7 +73,7 @@ func TestTransformerGradCheck(t *testing.T) {
 	tr := NewTransformer("bert", cfg, rng)
 	ids := []int{1, 5, 3}
 	layerGradCheck(t, "transformer", tr.Params(), func(tp *ag.Tape) *ag.Node {
-		return tp.Mean(tr.Encode(tp, ids, nil))
+		return sumAll(tp, tr.Encode(tp, ids, nil))
 	})
 }
 
@@ -90,6 +95,6 @@ func TestLayerNormGradCheck(t *testing.T) {
 	x := tensor.Randn(3, 6, 1.2, rng)
 	w := tensor.Randn(3, 6, 1, rng)
 	layerGradCheck(t, "layernorm", ln.Params(), func(tp *ag.Tape) *ag.Node {
-		return tp.Sum(tp.Mul(ln.Forward(tp, tp.Const(x)), tp.Const(w)))
+		return sumAll(tp, tp.Mul(ln.Forward(tp, tp.Const(x)), tp.Const(w)))
 	})
 }

@@ -238,9 +238,6 @@ func (b *BiLSTMOf[T]) Params() []*ag.ParamOf[T] {
 	return append(b.Fwd.Params(), b.Bwd.Params()...)
 }
 
-// OutDim returns the concatenated hidden width.
-func (b *BiLSTMOf[T]) OutDim() int { return b.Fwd.Hidden + b.Bwd.Hidden }
-
 // Forward returns the seq×2h matrix of concatenated forward/backward states.
 func (b *BiLSTMOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
 	fwd := b.Fwd.run(t, b.Fwd.recurrenceInput(t, x), false)

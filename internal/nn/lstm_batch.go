@@ -7,12 +7,13 @@ import (
 
 // ForwardBatch runs the Bi-LSTM over a ragged batch of sequences in
 // lockstep, fusing each timestep's per-sequence 1-row recurrences into one
-// B-row Step so the gate matmuls amortize panel packing and cache traffic
-// across the batch. It returns one seq_i×2h node per input, each bitwise
-// identical (up to the sign of zero, see tensor/kernels.go) to what Forward
-// would produce for that sequence alone: every kernel in the Step chain
-// computes output rows independently, and the gather/scatter helpers only
-// move rows between the per-sequence matrices and the dense slab.
+// B-row Step so the gate matmuls share each load of the weights across the
+// batch (the register tile, tensor/kernels.go). It returns one seq_i×2h node
+// per input, each bitwise identical (up to the sign of zero, see
+// tensor/kernels.go) to what Forward would produce for that sequence alone:
+// every kernel in the Step chain computes output rows independently, and the
+// gather/scatter helpers only move rows between the per-sequence matrices
+// and the dense slab.
 //
 // Sequences of different lengths are handled by active-set compaction: step
 // t gathers rows only from sequences still inside their length (the forward

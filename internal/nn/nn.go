@@ -36,7 +36,6 @@ type (
 	Bilinear    = BilinearOf[float64]
 	LSTM        = LSTMOf[float64]
 	BiLSTM      = BiLSTMOf[float64]
-	State       = StateOf[float64]
 	AttnDecoder = AttnDecoderOf[float64]
 )
 
@@ -99,9 +98,6 @@ func (l *LinearOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
 
 // Params implements Layer.
 func (l *LinearOf[T]) Params() []*ag.ParamOf[T] { return []*ag.ParamOf[T]{l.W, l.B} }
-
-// OutDim returns the layer's output width.
-func (l *LinearOf[T]) OutDim() int { return l.W.Value.Cols }
 
 // EmbeddingOf maps token ids to dense vectors via table lookup.
 type EmbeddingOf[T tensor.Float] struct {

@@ -18,9 +18,6 @@ func TestLinearShapesAndBias(t *testing.T) {
 	if out.Rows() != 5 || out.Cols() != 3 {
 		t.Fatalf("shape %dx%d", out.Rows(), out.Cols())
 	}
-	if l.OutDim() != 3 {
-		t.Fatal("OutDim")
-	}
 	// Zero input must produce the bias in every row.
 	l.B.Value.Data[0] = 7
 	tp2 := ag.NewTape()
@@ -129,9 +126,6 @@ func TestLSTMForgetBiasInit(t *testing.T) {
 func TestBiLSTMUsesBothDirections(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := NewBiLSTM("b", 3, 4, rng)
-	if b.OutDim() != 8 {
-		t.Fatal("OutDim")
-	}
 	tp := ag.NewTape()
 	// An impulse at the last timestep must influence the backward half of
 	// the FIRST output row (information flows right-to-left).
@@ -162,7 +156,7 @@ func TestLSTMGradientsFlowToAllParams(t *testing.T) {
 	l := NewLSTM("l", 2, 3, rng)
 	tp := ag.NewTape()
 	x := tp.Const(tensor.Randn(4, 2, 1, rng))
-	loss := tp.Sum(l.Forward(tp, x))
+	loss := sumAll(tp, l.Forward(tp, x))
 	tp.Backward(loss)
 	for _, p := range l.Params() {
 		if p.Grad.MaxAbs() == 0 {
@@ -370,7 +364,7 @@ func TestTransformerGradFlow(t *testing.T) {
 	tr := NewTransformer("bert", cfg, rng)
 	tp := ag.NewTape()
 	out := tr.Encode(tp, []int{1, 2, 3}, nil)
-	tp.Backward(tp.Sum(out))
+	tp.Backward(sumAll(tp, out))
 	for _, p := range tr.Params() {
 		// Segment embeddings for unused segment 1 legitimately get no grad.
 		if p.Name == "bert.seg.E" {

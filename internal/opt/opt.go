@@ -1,8 +1,7 @@
 // Package opt implements the optimizers and learning-rate schedules used to
 // train every model in this repository: Adam with β1=0.9, β2=0.999, linear
 // warmup, exponential decay, and global-norm gradient clipping — the exact
-// configuration reported in §IV-A5 of the paper — plus plain SGD for
-// comparison experiments.
+// configuration reported in §IV-A5 of the paper.
 package opt
 
 import (
@@ -140,56 +139,6 @@ func (a *Adam) Step() {
 // ZeroGrad implements Optimizer.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.Params {
-		p.ZeroGrad()
-	}
-}
-
-// StepCount returns how many updates have been applied.
-func (a *Adam) StepCount() int { return a.step }
-
-// SGD is plain stochastic gradient descent with optional momentum and
-// clipping, kept as a baseline optimizer for ablations.
-type SGD struct {
-	Params   []*ag.Param
-	LR       float64
-	Momentum float64
-	Clip     float64
-	Schedule Schedule
-
-	step int
-	vel  [][]float64
-}
-
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(params []*ag.Param, lr float64) *SGD {
-	s := &SGD{Params: params, LR: lr, Schedule: ConstantSchedule{}}
-	s.vel = make([][]float64, len(params))
-	for i, p := range params {
-		s.vel[i] = make([]float64, len(p.Value.Data))
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	if s.Clip > 0 {
-		ClipGradNorm(s.Params, s.Clip)
-	}
-	lr := s.LR * s.Schedule.Factor(s.step)
-	s.step++
-	for i, p := range s.Params {
-		vel := s.vel[i]
-		for j, g := range p.Grad.Data {
-			vel[j] = s.Momentum*vel[j] + g
-			p.Value.Data[j] -= lr * vel[j]
-		}
-	}
-	s.ZeroGrad()
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.Params {
 		p.ZeroGrad()
 	}
 }

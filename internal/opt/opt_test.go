@@ -9,16 +9,26 @@ import (
 	"webbrief/internal/tensor"
 )
 
+// sumAll reduces a to the 1×1 sum of its entries, 1ᵀ·a·1.
+func sumAll(tp *ag.Tape, a *ag.Node) *ag.Node {
+	return tp.MatMul(tp.MatMul(tp.Const(tensor.Full(1, a.Value.Rows, 1)), a), tp.Const(tensor.Full(a.Value.Cols, 1, 1)))
+}
+
+// quadratic is the mean of (x − target)² on tp.
+func quadratic(tp *ag.Tape, x *ag.Param, target *tensor.Matrix) *ag.Node {
+	d := tp.Add(tp.Use(x), tp.Scale(tp.Const(target), -1))
+	return tp.Scale(sumAll(tp, tp.Mul(d, d)), 1/float64(len(target.Data)))
+}
+
 // trainQuadratic minimises ||x - target||² and returns the final distance.
 func trainQuadratic(t *testing.T, optim Optimizer, x *ag.Param, target *tensor.Matrix, steps int) float64 {
 	t.Helper()
 	for i := 0; i < steps; i++ {
 		tp := ag.NewTape()
-		loss := tp.MSELoss(tp.Use(x), target)
-		tp.Backward(loss)
+		tp.Backward(quadratic(tp, x, target))
 		optim.Step()
 	}
-	return x.Value.Sub(target).Norm2()
+	return x.Value.Clone().AddScaledInPlace(target, -1).Norm2()
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
@@ -29,19 +39,8 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	if dist := trainQuadratic(t, a, x, target, 500); dist > 1e-3 {
 		t.Fatalf("Adam failed to converge, dist=%v", dist)
 	}
-	if a.StepCount() != 500 {
-		t.Fatalf("step count: %d", a.StepCount())
-	}
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := ag.NewParam("x", tensor.Randn(2, 2, 1, rng))
-	target := tensor.Randn(2, 2, 1, rng)
-	s := NewSGD([]*ag.Param{x}, 0.3)
-	s.Momentum = 0.5
-	if dist := trainQuadratic(t, s, x, target, 300); dist > 1e-3 {
-		t.Fatalf("SGD failed to converge, dist=%v", dist)
+	if a.step != 500 {
+		t.Fatalf("step count: %d", a.step)
 	}
 }
 
@@ -49,7 +48,7 @@ func TestStepZeroesGrads(t *testing.T) {
 	x := ag.NewParam("x", tensor.Full(2, 2, 1))
 	a := NewAdam([]*ag.Param{x}, 0.01)
 	tp := ag.NewTape()
-	tp.Backward(tp.Sum(tp.Use(x)))
+	tp.Backward(sumAll(tp, tp.Use(x)))
 	if GlobalGradNorm(a.Params) == 0 {
 		t.Fatal("expected nonzero grad before step")
 	}
@@ -131,7 +130,7 @@ func TestAdamDeterministic(t *testing.T) {
 		a := NewAdam([]*ag.Param{x}, 0.1)
 		for i := 0; i < 20; i++ {
 			tp := ag.NewTape()
-			tp.Backward(tp.MSELoss(tp.Use(x), target))
+			tp.Backward(quadratic(tp, x, target))
 			a.Step()
 		}
 		return append([]float64(nil), x.Value.Data...)

@@ -65,7 +65,7 @@ func postWhileHeld(t *testing.T, srv *Server, url string, pages []string) [][]by
 		}(i, html)
 	}
 	waitCond(t, "all requests to queue behind the held pool", func() bool {
-		return srv.Metrics().Queued.Load() == int64(n) && len(srv.batchCh) == n-1
+		return srv.metrics.Queued.Load() == int64(n) && len(srv.batchCh) == n-1
 	})
 	release()
 	wg.Wait()
@@ -223,7 +223,7 @@ func TestIdleReplicaTakesRequestAlone(t *testing.T) {
 	<-a.started
 	go post()
 	<-b.started
-	ms := srv.Metrics()
+	ms := srv.metrics
 	if got := ms.BatchesTotal.Load(); got != 2 {
 		t.Fatalf("batches_total=%d with two requests on two idle replicas, want 2", got)
 	}
@@ -303,7 +303,7 @@ func TestOneForwardPerBriefing(t *testing.T) {
 						i, gotS, gotT, tc.wantStudent, tc.wantTeacher)
 				}
 			}
-			ms := srv.Metrics()
+			ms := srv.metrics
 			if ms.BatchesTotal.Load() != 3 || ms.BatchSize.sum.Load() != 3 {
 				t.Fatalf("batches_total=%d batch_size.sum=%d, want 3/3 (an idle server answers each lone request as a batch of one)",
 					ms.BatchesTotal.Load(), ms.BatchSize.sum.Load())
@@ -366,8 +366,8 @@ func TestBatchedDeadlineWhileQueued(t *testing.T) {
 	// Once the server has seen the disconnect (the expired member ends as a
 	// canceled/timed-out request, keeping the outcome partition exact), free
 	// the replica: the holder and the surviving request both brief.
-	ms := srv.Metrics()
-	waitCond(t, "server to observe the expired member", func() bool { return ms.Requests.Count(Canceled)+ms.Requests.Count(Timeout) == 1 })
+	ms := srv.metrics
+	waitCond(t, "server to observe the expired member", func() bool { return countOf(ms.Requests, Canceled)+countOf(ms.Requests, Timeout) == 1 })
 	close(rep.release)
 	if err := <-holdDone; err != nil {
 		t.Fatalf("holding request: %v", err)
@@ -376,25 +376,25 @@ func TestBatchedDeadlineWhileQueued(t *testing.T) {
 		t.Fatalf("batchmate of the expired request got %d, want 200", status)
 	}
 
-	if ms.Requests.Count(OK) != 2 {
-		t.Fatalf("ok=%d, want 2 (holder + surviving batchmate)", ms.Requests.Count(OK))
+	if countOf(ms.Requests, OK) != 2 {
+		t.Fatalf("ok=%d, want 2 (holder + surviving batchmate)", countOf(ms.Requests, OK))
 	}
-	if ms.Requests.Count(ReplicaFailure) != 0 || ms.Requests.Count(Unbriefable) != 0 {
+	if countOf(ms.Requests, ReplicaFailure) != 0 || countOf(ms.Requests, Unbriefable) != 0 {
 		t.Fatalf("failures=%d unbriefable=%d: the expired member poisoned its batch",
-			ms.Requests.Count(ReplicaFailure), ms.Requests.Count(Unbriefable))
+			countOf(ms.Requests, ReplicaFailure), countOf(ms.Requests, Unbriefable))
 	}
-	if ms.Requests.Count(Canceled)+ms.Requests.Count(Timeout) != 1 {
+	if countOf(ms.Requests, Canceled)+countOf(ms.Requests, Timeout) != 1 {
 		t.Fatalf("canceled=%d timeout=%d, want exactly one for the expired member",
-			ms.Requests.Count(Canceled), ms.Requests.Count(Timeout))
+			countOf(ms.Requests, Canceled), countOf(ms.Requests, Timeout))
 	}
-	if ms.Requests.Total() != ms.Requests.Count(OK)+ms.Requests.Count(Canceled)+ms.Requests.Count(Timeout) {
-		t.Fatalf("requests_total=%d does not partition into outcomes", ms.Requests.Total())
+	if totalOf(ms.Requests) != countOf(ms.Requests, OK)+countOf(ms.Requests, Canceled)+countOf(ms.Requests, Timeout) {
+		t.Fatalf("requests_total=%d does not partition into outcomes", totalOf(ms.Requests))
 	}
 
 	// And the server still drains cleanly.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if n := srv.Drain(ctx); n != 0 {
+	if n := srv.drain(ctx); n != 0 {
 		t.Fatalf("drain left %d requests", n)
 	}
 }
@@ -427,7 +427,7 @@ func TestBatchedOverloadAndDraining(t *testing.T) {
 		}
 		second <- status
 	}()
-	waitCond(t, "second request to queue", func() bool { return srv.Metrics().Queued.Load() >= 2 })
+	waitCond(t, "second request to queue", func() bool { return srv.metrics.Queued.Load() >= 2 })
 
 	// Third request: queue full, shed.
 	status, _, err := postBrief(ts.URL, "<p>c</p>")
@@ -449,12 +449,12 @@ func TestBatchedOverloadAndDraining(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if n := srv.Drain(ctx); n != 0 {
+	if n := srv.drain(ctx); n != 0 {
 		t.Fatalf("drain left %d requests", n)
 	}
-	ms := srv.Metrics()
-	if ms.Requests.Count(Overload) != 1 || ms.Requests.Count(Draining) != 1 || ms.Requests.Count(OK) != 2 {
+	ms := srv.metrics
+	if countOf(ms.Requests, Overload) != 1 || countOf(ms.Requests, Draining) != 1 || countOf(ms.Requests, OK) != 2 {
 		t.Fatalf("overload=%d draining=%d ok=%d, want 1/1/2",
-			ms.Requests.Count(Overload), ms.Requests.Count(Draining), ms.Requests.Count(OK))
+			countOf(ms.Requests, Overload), countOf(ms.Requests, Draining), countOf(ms.Requests, OK))
 	}
 }

@@ -56,7 +56,7 @@ func TestCacheHitMissByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Cache() == nil {
+	if srv.cache == nil {
 		t.Fatal("CacheCapacity > 0 did not enable the cache")
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -91,18 +91,18 @@ func TestCacheHitMissByteIdentical(t *testing.T) {
 
 	// Exact cache partition: per page one miss and two hits, no coalescing.
 	n := int64(len(pages))
-	ms := srv.Metrics()
-	if ms.CacheLookups.Total() != 3*n || ms.CacheLookups.Count(CacheHits) != 2*n ||
-		ms.CacheLookups.Count(CacheMisses) != n || ms.CacheLookups.Count(CacheCoalesced) != 0 {
+	ms := srv.metrics
+	if totalOf(ms.CacheLookups) != 3*n || countOf(ms.CacheLookups, CacheHits) != 2*n ||
+		countOf(ms.CacheLookups, CacheMisses) != n || countOf(ms.CacheLookups, CacheCoalesced) != 0 {
 		t.Fatalf("cache counters lookups=%d hits=%d misses=%d coalesced=%d, want %d/%d/%d/0",
-			ms.CacheLookups.Total(), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced),
+			totalOf(ms.CacheLookups), countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheCoalesced),
 			3*n, 2*n, n)
 	}
 	if got := ms.CacheHitLatency.count.Load(); got != 2*n {
 		t.Fatalf("hit latency histogram count=%d, want %d", got, 2*n)
 	}
-	if ms.Requests.Count(OK) != 3*n || ms.Requests.Total() != 3*n {
-		t.Fatalf("ok=%d requests=%d, want %d", ms.Requests.Count(OK), ms.Requests.Total(), 3*n)
+	if countOf(ms.Requests, OK) != 3*n || totalOf(ms.Requests) != 3*n {
+		t.Fatalf("ok=%d requests=%d, want %d", countOf(ms.Requests, OK), totalOf(ms.Requests), 3*n)
 	}
 
 	// /metrics serves the cache block with the same numbers, partitioned.
@@ -119,7 +119,7 @@ func TestCacheHitMissByteIdentical(t *testing.T) {
 	if !c.Enabled || c.CacheLookups != 3*n || c.Evictions != 0 {
 		t.Fatalf("cache snapshot %+v", c)
 	}
-	if c.CacheLookups != c.CacheOutcomes.Sum() {
+	if c.CacheLookups != sumCounts(c.CacheOutcomes) {
 		t.Fatalf("cache_lookups_total=%d does not partition into outcomes %+v", c.CacheLookups, c.CacheOutcomes)
 	}
 	// Each page left a content entry plus raw aliases for both HTML forms.
@@ -181,8 +181,8 @@ func TestCacheThunderingHerd(t *testing.T) {
 	// The winner is wedged in Encode; every other member must be counted
 	// as coalesced before we let the computation finish.
 	<-stub.started
-	ms := srv.Metrics()
-	waitCond(t, "herd to coalesce", func() bool { return ms.CacheLookups.Count(CacheCoalesced) == herd-1 })
+	ms := srv.metrics
+	waitCond(t, "herd to coalesce", func() bool { return countOf(ms.CacheLookups, CacheCoalesced) == herd-1 })
 	close(stub.release)
 
 	var first []byte
@@ -200,10 +200,10 @@ func TestCacheThunderingHerd(t *testing.T) {
 	if n := stub.encodes.Load(); n != 1 {
 		t.Fatalf("herd of %d drove %d Encodes, want exactly 1", herd, n)
 	}
-	if ms.CacheLookups.Total() != herd || ms.CacheLookups.Count(CacheMisses) != 1 ||
-		ms.CacheLookups.Count(CacheHits) != 0 || ms.CacheLookups.Count(CacheCoalesced) != herd-1 {
+	if totalOf(ms.CacheLookups) != herd || countOf(ms.CacheLookups, CacheMisses) != 1 ||
+		countOf(ms.CacheLookups, CacheHits) != 0 || countOf(ms.CacheLookups, CacheCoalesced) != herd-1 {
 		t.Fatalf("herd counters lookups=%d misses=%d hits=%d coalesced=%d, want %d/1/0/%d",
-			ms.CacheLookups.Total(), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheCoalesced),
+			totalOf(ms.CacheLookups), countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheCoalesced),
 			herd, herd-1)
 	}
 
@@ -212,8 +212,8 @@ func TestCacheThunderingHerd(t *testing.T) {
 	if err != nil || status != http.StatusOK || !bytes.Equal(body, first) {
 		t.Fatalf("post-herd hit: status %d err %v", status, err)
 	}
-	if stub.encodes.Load() != 1 || ms.CacheLookups.Count(CacheHits) != 1 {
-		t.Fatalf("post-herd hit drove encodes=%d hits=%d, want 1/1", stub.encodes.Load(), ms.CacheLookups.Count(CacheHits))
+	if stub.encodes.Load() != 1 || countOf(ms.CacheLookups, CacheHits) != 1 {
+		t.Fatalf("post-herd hit drove encodes=%d hits=%d, want 1/1", stub.encodes.Load(), countOf(ms.CacheLookups, CacheHits))
 	}
 }
 
@@ -259,8 +259,8 @@ func TestCacheCoalescedFailureReplay(t *testing.T) {
 		}()
 	}
 	<-stub.started
-	ms := srv.Metrics()
-	waitCond(t, "losers to coalesce", func() bool { return ms.CacheLookups.Count(CacheCoalesced) == herd-1 })
+	ms := srv.metrics
+	waitCond(t, "losers to coalesce", func() bool { return countOf(ms.CacheLookups, CacheCoalesced) == herd-1 })
 	close(stub.release)
 
 	for i := 0; i < herd; i++ {
@@ -268,15 +268,15 @@ func TestCacheCoalescedFailureReplay(t *testing.T) {
 			t.Fatalf("herd member %d got %d, want the winner's 500 replayed", i, status)
 		}
 	}
-	if ms.Requests.Count(ReplicaFailure) != herd || ms.Panics.Load() != 1 {
+	if countOf(ms.Requests, ReplicaFailure) != herd || ms.Panics.Load() != 1 {
 		t.Fatalf("failures=%d panics=%d, want %d/1 (one panic, replayed to all)",
-			ms.Requests.Count(ReplicaFailure), ms.Panics.Load(), herd)
+			countOf(ms.Requests, ReplicaFailure), ms.Panics.Load(), herd)
 	}
-	if ms.CacheLookups.Count(CacheMisses) != 1 || ms.CacheLookups.Count(CacheCoalesced) != herd-1 {
-		t.Fatalf("misses=%d coalesced=%d, want 1/%d", ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced), herd-1)
+	if countOf(ms.CacheLookups, CacheMisses) != 1 || countOf(ms.CacheLookups, CacheCoalesced) != herd-1 {
+		t.Fatalf("misses=%d coalesced=%d, want 1/%d", countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheCoalesced), herd-1)
 	}
 	// Failures are replayed to the herd but never stored: the cache is empty.
-	if n := srv.Cache().Len(); n != 0 {
+	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("failed computation left %d cache entries", n)
 	}
 }
@@ -312,30 +312,30 @@ func TestCachePolicyDenyAndSrcDomain(t *testing.T) {
 		}
 	}
 
-	ms := srv.Metrics()
+	ms := srv.metrics
 	// Denied domain, including the URL/case/port forms cacheDomain must
 	// normalise: both posts compute, the cache never consulted.
 	post2("<p>denied content</p>", "https://Sub.DENIED.example.com:8443/article?x=1")
-	if rep.briefs.Load() != 2 || ms.CacheLookups.Total() != 0 {
-		t.Fatalf("denied domain: briefs=%d lookups=%d, want 2/0", rep.briefs.Load(), ms.CacheLookups.Total())
+	if rep.briefs.Load() != 2 || totalOf(ms.CacheLookups) != 0 {
+		t.Fatalf("denied domain: briefs=%d lookups=%d, want 2/0", rep.briefs.Load(), totalOf(ms.CacheLookups))
 	}
 
 	// Admitted domain: second post is a hit, no second computation.
 	post2("<p>admitted content</p>", "news.ok.example.org")
-	if rep.briefs.Load() != 3 || ms.CacheLookups.Count(CacheHits) != 1 || ms.CacheLookups.Count(CacheMisses) != 1 {
+	if rep.briefs.Load() != 3 || countOf(ms.CacheLookups, CacheHits) != 1 || countOf(ms.CacheLookups, CacheMisses) != 1 {
 		t.Fatalf("admitted domain: briefs=%d hits=%d misses=%d, want 3/1/1",
-			rep.briefs.Load(), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses))
+			rep.briefs.Load(), countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheMisses))
 	}
 
 	// Unattributed requests (no ?src=) are always admitted.
 	post2("<p>anonymous content</p>", "")
-	if rep.briefs.Load() != 4 || ms.CacheLookups.Count(CacheHits) != 2 {
-		t.Fatalf("no src: briefs=%d hits=%d, want 4/2", rep.briefs.Load(), ms.CacheLookups.Count(CacheHits))
+	if rep.briefs.Load() != 4 || countOf(ms.CacheLookups, CacheHits) != 2 {
+		t.Fatalf("no src: briefs=%d hits=%d, want 4/2", rep.briefs.Load(), countOf(ms.CacheLookups, CacheHits))
 	}
 
-	if ms.CacheLookups.Total() != ms.CacheLookups.Count(CacheHits)+ms.CacheLookups.Count(CacheMisses)+ms.CacheLookups.Count(CacheCoalesced) {
+	if totalOf(ms.CacheLookups) != countOf(ms.CacheLookups, CacheHits)+countOf(ms.CacheLookups, CacheMisses)+countOf(ms.CacheLookups, CacheCoalesced) {
 		t.Fatalf("cache partition drifted: lookups=%d hits=%d misses=%d coalesced=%d",
-			ms.CacheLookups.Total(), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced))
+			totalOf(ms.CacheLookups), countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheCoalesced))
 	}
 }
 
@@ -348,13 +348,13 @@ func TestCacheHitBypassesBatching(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ms := srv.Metrics()
+	ms := srv.metrics
 	if status, _, err := postBrief(ts.URL, "<p>batched page</p>"); err != nil || status != http.StatusOK {
 		t.Fatalf("miss through the batched path: status %d err %v", status, err)
 	}
-	if ms.BatchesTotal.Load() != 1 || rep.briefs.Load() != 1 || ms.CacheLookups.Count(CacheMisses) != 1 {
+	if ms.BatchesTotal.Load() != 1 || rep.briefs.Load() != 1 || countOf(ms.CacheLookups, CacheMisses) != 1 {
 		t.Fatalf("after miss: batches=%d briefs=%d misses=%d, want 1/1/1",
-			ms.BatchesTotal.Load(), rep.briefs.Load(), ms.CacheLookups.Count(CacheMisses))
+			ms.BatchesTotal.Load(), rep.briefs.Load(), countOf(ms.CacheLookups, CacheMisses))
 	}
 
 	if status, _, err := postBrief(ts.URL, "<p>batched page</p>"); err != nil || status != http.StatusOK {
@@ -364,8 +364,8 @@ func TestCacheHitBypassesBatching(t *testing.T) {
 		t.Fatalf("a cache hit formed a batch: batches=%d briefs=%d, want still 1/1",
 			ms.BatchesTotal.Load(), rep.briefs.Load())
 	}
-	if ms.CacheLookups.Count(CacheHits) != 1 {
-		t.Fatalf("hits=%d, want 1", ms.CacheLookups.Count(CacheHits))
+	if countOf(ms.CacheLookups, CacheHits) != 1 {
+		t.Fatalf("hits=%d, want 1", countOf(ms.CacheLookups, CacheHits))
 	}
 }
 
@@ -471,47 +471,47 @@ func TestChaosServeCachedSoak(t *testing.T) {
 	}
 
 	// Requests partition: warm posts + soak posts, every one 200 or 500.
-	ms := srv.Metrics()
+	ms := srv.metrics
 	allRequests := total + warmPages
-	if ms.Requests.Total() != allRequests {
-		t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Total(), allRequests)
+	if totalOf(ms.Requests) != allRequests {
+		t.Fatalf("requests_total=%d, clients sent %d", totalOf(ms.Requests), allRequests)
 	}
-	if ms.Requests.Count(OK) != ok200.Load()+warmPages || ms.Requests.Count(ReplicaFailure) != fail500.Load() {
+	if countOf(ms.Requests, OK) != ok200.Load()+warmPages || countOf(ms.Requests, ReplicaFailure) != fail500.Load() {
 		t.Fatalf("server ok=%d/500=%d, clients saw %d/%d",
-			ms.Requests.Count(OK), ms.Requests.Count(ReplicaFailure), ok200.Load()+warmPages, fail500.Load())
+			countOf(ms.Requests, OK), countOf(ms.Requests, ReplicaFailure), ok200.Load()+warmPages, fail500.Load())
 	}
-	if ms.Requests.Total() != ms.Requests.Count(OK)+ms.Requests.Count(ReplicaFailure) {
+	if totalOf(ms.Requests) != countOf(ms.Requests, OK)+countOf(ms.Requests, ReplicaFailure) {
 		t.Fatalf("counters do not partition: total=%d ok=%d failure=%d",
-			ms.Requests.Total(), ms.Requests.Count(OK), ms.Requests.Count(ReplicaFailure))
+			totalOf(ms.Requests), countOf(ms.Requests, OK), countOf(ms.Requests, ReplicaFailure))
 	}
 
 	// Cache partition: every request consulted the cache; cached posts are
 	// all hits (they never touch a replica), warm and fresh posts are all
 	// misses, and unique fresh pages leave nothing to coalesce.
-	if ms.CacheLookups.Total() != allRequests {
+	if totalOf(ms.CacheLookups) != allRequests {
 		t.Fatalf("cache_lookups_total=%d, want %d (every request consults the cache)",
-			ms.CacheLookups.Total(), allRequests)
+			totalOf(ms.CacheLookups), allRequests)
 	}
-	if ms.CacheLookups.Total() != ms.CacheLookups.Count(CacheHits)+ms.CacheLookups.Count(CacheMisses)+ms.CacheLookups.Count(CacheCoalesced) {
+	if totalOf(ms.CacheLookups) != countOf(ms.CacheLookups, CacheHits)+countOf(ms.CacheLookups, CacheMisses)+countOf(ms.CacheLookups, CacheCoalesced) {
 		t.Fatalf("cache partition drifted: lookups=%d hits=%d misses=%d coalesced=%d",
-			ms.CacheLookups.Total(), ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced))
+			totalOf(ms.CacheLookups), countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheCoalesced))
 	}
-	if ms.CacheLookups.Count(CacheHits) != cachedPosts.Load() || ms.CacheLookups.Count(CacheCoalesced) != 0 {
+	if countOf(ms.CacheLookups, CacheHits) != cachedPosts.Load() || countOf(ms.CacheLookups, CacheCoalesced) != 0 {
 		t.Fatalf("hits=%d coalesced=%d, want %d/0 (cached pages hit, fresh pages are unique)",
-			ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheCoalesced), cachedPosts.Load())
+			countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheCoalesced), cachedPosts.Load())
 	}
-	if ms.CacheLookups.Count(CacheMisses) != allRequests-cachedPosts.Load() {
-		t.Fatalf("misses=%d, want %d", ms.CacheLookups.Count(CacheMisses), allRequests-cachedPosts.Load())
+	if countOf(ms.CacheLookups, CacheMisses) != allRequests-cachedPosts.Load() {
+		t.Fatalf("misses=%d, want %d", countOf(ms.CacheLookups, CacheMisses), allRequests-cachedPosts.Load())
 	}
-	if srv.Cache().Evictions() != 0 {
-		t.Fatalf("soak evicted %d entries from an underfull cache", srv.Cache().Evictions())
+	if srv.cache.Evictions() != 0 {
+		t.Fatalf("soak evicted %d entries from an underfull cache", srv.cache.Evictions())
 	}
 
 	// Fault events reconcile (each one retried or ended every unanswered
 	// member of its batch), and the schedule actually reached the pool.
-	if ms.Panics.Load()+ms.Stalls.Load() > ms.Retries.Load()+ms.Requests.Count(ReplicaFailure) {
+	if ms.Panics.Load()+ms.Stalls.Load() > ms.Retries.Load()+countOf(ms.Requests, ReplicaFailure) {
 		t.Fatalf("fault events do not reconcile: panics=%d stalls=%d retries=%d failures=%d",
-			ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure))
+			ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), countOf(ms.Requests, ReplicaFailure))
 	}
 	if ms.Panics.Load()+ms.Stalls.Load() == 0 {
 		t.Fatal("soak injected no faults; the chaos schedule is not reaching the replica")
@@ -560,12 +560,12 @@ func TestCacheHitAllocs(t *testing.T) {
 		}
 	}
 	post() // the miss that fills the cache
-	if hits := srv.Metrics().CacheLookups.Count(CacheHits); hits != 0 {
+	if hits := countOf(srv.metrics.CacheLookups, CacheHits); hits != 0 {
 		t.Fatalf("priming post counted %d hits", hits)
 	}
 	allocs := testing.AllocsPerRun(200, post)
 	t.Logf("one raw-key hit: %.1f allocs", allocs)
-	if got := srv.Metrics().CacheLookups.Count(CacheHits); got != 201 {
+	if got := countOf(srv.metrics.CacheLookups, CacheHits); got != 201 {
 		t.Fatalf("cache hits = %d, want 201: the gate measured something other than hits", got)
 	}
 	if allocs > 6 {

@@ -73,15 +73,15 @@ func TestCascadeNeverEscalates(t *testing.T) {
 				i, body, solo[i])
 		}
 	}
-	m := srv.Metrics()
+	m := srv.metrics
 	n := int64(2 * len(pages))
-	if got := m.CascadeRequests.Total(); got != n {
+	if got := totalOf(m.CascadeRequests); got != n {
 		t.Fatalf("cascade_requests_total = %d, want %d", got, n)
 	}
-	if got := m.CascadeRequests.Count(CascadeStudent); got != n {
+	if got := countOf(m.CascadeRequests, CascadeStudent); got != n {
 		t.Fatalf("student tier answered %d, want %d", got, n)
 	}
-	if got := m.CascadeRequests.Count(CascadeTeacher); got != 0 {
+	if got := countOf(m.CascadeRequests, CascadeTeacher); got != 0 {
 		t.Fatalf("teacher tier answered %d with escalation disabled", got)
 	}
 	if got := m.StudentLatency.count.Load(); got != n {
@@ -117,15 +117,15 @@ func TestCascadeAlwaysEscalates(t *testing.T) {
 			t.Fatalf("page %d: batched escalated response diverges from teacher-only path", i)
 		}
 	}
-	m := srv.Metrics()
+	m := srv.metrics
 	n := int64(2 * len(pages))
-	if got := m.CascadeRequests.Total(); got != n {
+	if got := totalOf(m.CascadeRequests); got != n {
 		t.Fatalf("cascade_requests_total = %d, want %d", got, n)
 	}
-	if got := m.CascadeRequests.Count(CascadeTeacher); got != n {
+	if got := countOf(m.CascadeRequests, CascadeTeacher); got != n {
 		t.Fatalf("teacher tier answered %d, want %d", got, n)
 	}
-	if got := m.CascadeRequests.Count(CascadeStudent); got != 0 {
+	if got := countOf(m.CascadeRequests, CascadeStudent); got != 0 {
 		t.Fatalf("student tier answered %d with forced escalation", got)
 	}
 	if got := m.TeacherLatency.count.Load(); got != n {
@@ -155,14 +155,14 @@ func TestCascadePartitionReconciles(t *testing.T) {
 	}
 	wg.Wait()
 
-	m := srv.Metrics()
-	total := m.CascadeRequests.Total()
-	student := m.CascadeRequests.Count(CascadeStudent)
-	teacher := m.CascadeRequests.Count(CascadeTeacher)
+	m := srv.metrics
+	total := totalOf(m.CascadeRequests)
+	student := countOf(m.CascadeRequests, CascadeStudent)
+	teacher := countOf(m.CascadeRequests, CascadeTeacher)
 	if student+teacher != total {
 		t.Fatalf("cascade partition drifted: student %d + teacher %d != total %d", student, teacher, total)
 	}
-	if ok := m.Requests.Count(OK); total != ok {
+	if ok := countOf(m.Requests, OK); total != ok {
 		t.Fatalf("cascade_requests_total %d != ok responses %d", total, ok)
 	}
 
@@ -272,10 +272,10 @@ func TestCascadeEscalatesNaNConfidence(t *testing.T) {
 		}
 	}
 	n := int64(len(pages))
-	if got := srv.Metrics().CascadeRequests.Count(CascadeTeacher); got != n {
+	if got := countOf(srv.metrics.CascadeRequests, CascadeTeacher); got != n {
 		t.Fatalf("teacher_total = %d, want %d: NaN confidences must escalate", got, n)
 	}
-	if got := srv.Metrics().CascadeRequests.Count(CascadeStudent); got != 0 {
+	if got := countOf(srv.metrics.CascadeRequests, CascadeStudent); got != 0 {
 		t.Fatalf("student_total = %d: a NaN-confidence briefing was served by the student", got)
 	}
 }

@@ -94,10 +94,10 @@ func TestChaosPanicEjectRetryReadmit(t *testing.T) {
 		t.Fatal("empty briefing body")
 	}
 
-	ms := srv.Metrics()
-	if ms.Panics.Load() != 1 || ms.Retries.Load() != 1 || ms.Requests.Count(ReplicaFailure) != 0 {
+	ms := srv.metrics
+	if ms.Panics.Load() != 1 || ms.Retries.Load() != 1 || countOf(ms.Requests, ReplicaFailure) != 0 {
 		t.Fatalf("panics=%d retries=%d failures=%d, want 1/1/0",
-			ms.Panics.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure))
+			ms.Panics.Load(), ms.Retries.Load(), countOf(ms.Requests, ReplicaFailure))
 	}
 	if srv.Pool().Ejections() != 1 {
 		t.Fatalf("ejections=%d, want 1", srv.Pool().Ejections())
@@ -135,10 +135,10 @@ func TestChaosRetryBudgetExhausted500(t *testing.T) {
 	if status != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500 after exhausting replica retries", status)
 	}
-	ms := srv.Metrics()
-	if ms.Panics.Load() != 2 || ms.Retries.Load() != 1 || ms.Requests.Count(ReplicaFailure) != 1 {
+	ms := srv.metrics
+	if ms.Panics.Load() != 2 || ms.Retries.Load() != 1 || countOf(ms.Requests, ReplicaFailure) != 1 {
 		t.Fatalf("panics=%d retries=%d failures=%d, want 2/1/1",
-			ms.Panics.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure))
+			ms.Panics.Load(), ms.Retries.Load(), countOf(ms.Requests, ReplicaFailure))
 	}
 	if srv.Pool().Healthy() != 0 {
 		t.Fatalf("healthy=%d, want 0 with both replicas ejected", srv.Pool().Healthy())
@@ -174,7 +174,7 @@ func TestChaosStallWatchdogEjects(t *testing.T) {
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("request through a wedged replica: status %d err %v", status, err)
 	}
-	ms := srv.Metrics()
+	ms := srv.metrics
 	if ms.Stalls.Load() != 1 || ms.Retries.Load() != 1 {
 		t.Fatalf("stalls=%d retries=%d, want 1/1", ms.Stalls.Load(), ms.Retries.Load())
 	}
@@ -242,7 +242,7 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 	<-b.started
 	go post()
 	// Queued counts every admitted, unanswered request: two briefing, one waiting.
-	waitCond(t, "third request to queue", func() bool { return srv.Metrics().Queued.Load() == 3 })
+	waitCond(t, "third request to queue", func() bool { return srv.metrics.Queued.Load() == 3 })
 
 	// Shutdown begins with all of that in flight; then the replicas blow up.
 	srv.BeginShutdown()
@@ -250,7 +250,7 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		drained <- srv.Drain(ctx)
+		drained <- srv.drain(ctx)
 	}()
 	close(a.release)
 	close(b.release)
@@ -271,14 +271,14 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 		t.Fatalf("drain left %d requests in flight", n)
 	}
 
-	ms := srv.Metrics()
-	if ms.Panics.Load() != 2 || ms.Requests.Count(ReplicaFailure) != 2 || ms.Requests.Count(Timeout) != 1 || ms.Requests.Count(Draining) != 1 {
+	ms := srv.metrics
+	if ms.Panics.Load() != 2 || countOf(ms.Requests, ReplicaFailure) != 2 || countOf(ms.Requests, Timeout) != 1 || countOf(ms.Requests, Draining) != 1 {
 		t.Fatalf("panics=%d failures=%d timeouts=%d draining=%d, want 2/2/1/1",
-			ms.Panics.Load(), ms.Requests.Count(ReplicaFailure), ms.Requests.Count(Timeout), ms.Requests.Count(Draining))
+			ms.Panics.Load(), countOf(ms.Requests, ReplicaFailure), countOf(ms.Requests, Timeout), countOf(ms.Requests, Draining))
 	}
 	// Requests partition: 2×500 + 1×504 + 1×503.
-	if total := ms.Requests.Total(); total != 4 ||
-		total != ms.Requests.Count(ReplicaFailure)+ms.Requests.Count(Timeout)+ms.Requests.Count(Draining) {
+	if total := totalOf(ms.Requests); total != 4 ||
+		total != countOf(ms.Requests, ReplicaFailure)+countOf(ms.Requests, Timeout)+countOf(ms.Requests, Draining) {
 		t.Fatalf("requests_total=%d does not partition into outcomes", total)
 	}
 	// Probers exited on shutdown: the panicked replicas stay ejected.
@@ -395,35 +395,35 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 			}
 
 			// /metrics reconciles exactly with the client-observed outcomes.
-			ms := srv.Metrics()
-			if ms.Requests.Total() != total {
-				t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Total(), total)
+			ms := srv.metrics
+			if totalOf(ms.Requests) != total {
+				t.Fatalf("requests_total=%d, clients sent %d", totalOf(ms.Requests), total)
 			}
-			if ms.Requests.Count(OK) != ok200.Load() || ms.Requests.Count(ReplicaFailure) != fail500.Load() {
+			if countOf(ms.Requests, OK) != ok200.Load() || countOf(ms.Requests, ReplicaFailure) != fail500.Load() {
 				t.Fatalf("server ok=%d/500=%d, clients saw %d/%d",
-					ms.Requests.Count(OK), ms.Requests.Count(ReplicaFailure), ok200.Load(), fail500.Load())
+					countOf(ms.Requests, OK), countOf(ms.Requests, ReplicaFailure), ok200.Load(), fail500.Load())
 			}
-			if ms.Requests.Total() != ms.Requests.Count(OK)+ms.Requests.Count(ReplicaFailure) {
+			if totalOf(ms.Requests) != countOf(ms.Requests, OK)+countOf(ms.Requests, ReplicaFailure) {
 				t.Fatalf("counters do not partition: total=%d ok=%d failure=%d",
-					ms.Requests.Total(), ms.Requests.Count(OK), ms.Requests.Count(ReplicaFailure))
+					totalOf(ms.Requests), countOf(ms.Requests, OK), countOf(ms.Requests, ReplicaFailure))
 			}
 			// Every recovered fault event retried or ended each unanswered
 			// member of its batch — exactly one request when batches are
 			// singletons.
-			events, settled := ms.Panics.Load()+ms.Stalls.Load(), ms.Retries.Load()+ms.Requests.Count(ReplicaFailure)
+			events, settled := ms.Panics.Load()+ms.Stalls.Load(), ms.Retries.Load()+countOf(ms.Requests, ReplicaFailure)
 			if events == 0 {
 				t.Fatal("soak injected no faults; the chaos schedule is not reaching the replica")
 			}
 			if sc.clients == 1 {
 				if events != settled || ms.CoalescedRequests.Load() != 0 || ms.BatchesTotal.Load() != total {
 					t.Fatalf("one client: panics=%d stalls=%d retries=%d failures=%d coalesced=%d batches=%d, want events==retries+failures, no coalescing, %d batches",
-						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure),
+						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), countOf(ms.Requests, ReplicaFailure),
 						ms.CoalescedRequests.Load(), ms.BatchesTotal.Load(), total)
 				}
 			} else {
 				if settled < events {
 					t.Fatalf("fault events outnumber their settlements: panics=%d stalls=%d retries=%d failures=%d",
-						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), ms.Requests.Count(ReplicaFailure))
+						ms.Panics.Load(), ms.Stalls.Load(), ms.Retries.Load(), countOf(ms.Requests, ReplicaFailure))
 				}
 				if ms.CoalescedRequests.Load() == 0 {
 					t.Fatalf("batches=%d coalesced=0 with %d clients saturating 3 replicas", ms.BatchesTotal.Load(), sc.clients)
@@ -445,7 +445,7 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			if n := srv.Drain(ctx); n != 0 {
+			if n := srv.drain(ctx); n != 0 {
 				t.Fatalf("drain left %d requests", n)
 			}
 		})
@@ -487,7 +487,7 @@ func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
 	postWhileHeld(t, srv, ts.URL, pageHTML(pages)[:n])
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if left := srv.Drain(ctx); left != 0 {
+	if left := srv.drain(ctx); left != 0 {
 		t.Fatalf("server did not quiesce: %d requests in flight", left)
 	}
 
@@ -497,12 +497,12 @@ func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
 	if quiet.Draws() != 1 {
 		t.Fatalf("schedule drew %d faults for one batch, want 1", quiet.Draws())
 	}
-	m := srv.Metrics()
-	ok := m.Requests.Count(OK)
-	student, teacher := m.CascadeRequests.Count(CascadeStudent), m.CascadeRequests.Count(CascadeTeacher)
-	if ok != n || m.CascadeRequests.Total() != ok || student+teacher != ok {
+	m := srv.metrics
+	ok := countOf(m.Requests, OK)
+	student, teacher := countOf(m.CascadeRequests, CascadeStudent), countOf(m.CascadeRequests, CascadeTeacher)
+	if ok != n || totalOf(m.CascadeRequests) != ok || student+teacher != ok {
 		t.Fatalf("cascade_requests_total=%d (student %d + teacher %d), responses.ok=%d, want all %d",
-			m.CascadeRequests.Total(), student, teacher, ok, n)
+			totalOf(m.CascadeRequests), student, teacher, ok, n)
 	}
 	if got := m.StudentLatency.count.Load(); got != ok {
 		t.Fatalf("student latency histogram has %d observations, want %d", got, ok)

@@ -114,19 +114,19 @@ func TestServeLoadSoak(t *testing.T) {
 	}
 
 	// Server-side counters must reconcile exactly with the client view.
-	ms := srv.Metrics()
-	if ms.Requests.Total() != sent.Load() {
-		t.Fatalf("requests_total=%d, clients sent %d", ms.Requests.Total(), sent.Load())
+	ms := srv.metrics
+	if totalOf(ms.Requests) != sent.Load() {
+		t.Fatalf("requests_total=%d, clients sent %d", totalOf(ms.Requests), sent.Load())
 	}
-	if ms.Requests.Count(OK) != succeeded.Load() {
-		t.Fatalf("ok=%d, clients saw %d", ms.Requests.Count(OK), succeeded.Load())
+	if countOf(ms.Requests, OK) != succeeded.Load() {
+		t.Fatalf("ok=%d, clients saw %d", countOf(ms.Requests, OK), succeeded.Load())
 	}
-	if ms.Requests.Count(Overload) != shed.Load() {
-		t.Fatalf("overload=%d, clients saw %d 429s", ms.Requests.Count(Overload), shed.Load())
+	if countOf(ms.Requests, Overload) != shed.Load() {
+		t.Fatalf("overload=%d, clients saw %d 429s", countOf(ms.Requests, Overload), shed.Load())
 	}
-	if ms.Requests.Total() != ms.Requests.Count(OK)+ms.Requests.Count(Overload) {
+	if totalOf(ms.Requests) != countOf(ms.Requests, OK)+countOf(ms.Requests, Overload) {
 		t.Fatalf("counters do not partition: total=%d ok=%d overload=%d",
-			ms.Requests.Total(), ms.Requests.Count(OK), ms.Requests.Count(Overload))
+			totalOf(ms.Requests), countOf(ms.Requests, OK), countOf(ms.Requests, Overload))
 	}
 
 	// Stage histograms saw exactly one observation per success, and the
@@ -134,8 +134,8 @@ func TestServeLoadSoak(t *testing.T) {
 	for name, h := range map[string]*histogram{
 		"parse": &ms.Parse, "encode": &ms.Encode, "decode": &ms.Decode,
 	} {
-		if h.count.Load() != ms.Requests.Count(OK) {
-			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), ms.Requests.Count(OK))
+		if h.count.Load() != countOf(ms.Requests, OK) {
+			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), countOf(ms.Requests, OK))
 		}
 	}
 	if ms.Queued.Load() != 0 || ms.InFlight.Load() != 0 {

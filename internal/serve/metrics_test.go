@@ -2,11 +2,42 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"testing"
+
+	"webbrief/internal/metrics"
 )
+
+// countOf, totalOf and sumCounts read a partition the way a scraper can — through
+// Snapshot and the JSON form of its outcomes — since internal/metrics exports
+// no per-counter accessor.
+func countOf[K any](p *metrics.Partition[K], o metrics.Outcome[K]) int64 {
+	_, outcomes := p.Snapshot()
+	return outcomes.Get(o)
+}
+
+func totalOf[K any](p *metrics.Partition[K]) int64 {
+	n, _ := p.Snapshot()
+	return n
+}
+
+// sumCounts adds up every outcome: what the partition's total must equal at
+// rest.
+func sumCounts[K any](c metrics.Counts[K]) int64 {
+	doc, _ := c.MarshalJSON()
+	var byKey map[string]int64
+	if err := json.Unmarshal(doc, &byKey); err != nil {
+		panic(err)
+	}
+	var sum int64
+	for _, n := range byKey {
+		sum += n
+	}
+	return sum
+}
 
 // TestMetricsZeroDocumentGolden pins the /metrics document of a fresh
 // one-replica server byte for byte: key names, nesting, order and bucket

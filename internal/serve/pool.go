@@ -17,7 +17,7 @@ import (
 
 // WarmupHTML builds a synthetic page with roughly n visible tokens (0 = 512)
 // — a max-shape stand-in for Warm so every first-use buffer growth (arena
-// blocks, pack panels, beam pools) happens before real traffic.
+// blocks, beam pools) happens before real traffic.
 func WarmupHTML(n int) string {
 	if n <= 0 {
 		n = 512
@@ -277,7 +277,7 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error)
 	case n == 1:
 		tiers = append(tiers, shareModel[float64](m, 0, v, cfg.BeamWidth))
 	default:
-		return nil, fmt.Errorf("serve: clone replicas: %w", err)
+		return nil, fmt.Errorf("serve: fold teacher for %d replicas: %w", n, err)
 	}
 	if cfg.Cascade {
 		student, err := wb.FoldStudent(m)
@@ -330,10 +330,10 @@ func PoolOf(replicas ...Replica) *Pool {
 }
 
 // Warm briefs html twice on every replica, as a batch of one, so each
-// workspace grows its arena, pack and beam buffers to steady state before
+// workspace grows its arena and beam buffers to steady state before
 // real traffic arrives; the first request per replica then runs the same
 // allocation-free path as every later one. Two passes because first-use
-// growth (arena blocks, pack panels, beam pools) happens during the first
+// growth (arena blocks, beam pools) happens during the first
 // brief — the second proves the workspace has stopped growing for this page
 // shape. Warm with a max-shape page (see WarmupHTML) so one-time growth never
 // shows up in per-request numbers; wider batches grow the same grow-only

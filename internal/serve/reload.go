@@ -43,13 +43,6 @@ func (s *Server) SetReloadSource(fn ReloadSource) {
 	s.reloadMu.Unlock()
 }
 
-// Generation is the model generation currently serving: 1 for the boot
-// bundle, +1 per completed reload.
-func (s *Server) Generation() int64 { return s.generation.Load() }
-
-// Reloads is the lifetime count of completed hot reloads.
-func (s *Server) Reloads() int64 { return s.reloads.Load() }
-
 // Reload hot-swaps the serving model: it builds a shadow pool of the same
 // size as the live one from m/v, warms it off-path, and atomically swaps it
 // in. Briefings in flight finish on the old generation; new admissions brief
@@ -96,17 +89,12 @@ func (s *Server) ReloadFromSource() (int64, error) {
 	return s.Reload(m, v)
 }
 
-// SwapPool atomically swaps a pre-built (and, for real models, pre-warmed)
-// pool in — the test seam behind the hot-reload equivalence suite, and the
-// tail of Reload. The new pool must match the live pool's size: the
-// admission ceiling (batchSlots) was sized off it at construction and is not
-// resized mid-flight.
-func (s *Server) SwapPool(p *Pool) (int64, error) {
-	return s.swapPool(p)
-}
-
-// swapPool performs the atomic swap and generation bump, in that order (the
-// cache namespace depends on it, see the file comment).
+// swapPool atomically swaps a pre-built (and, for real models, pre-warmed)
+// pool in and bumps the generation, in that order (the cache namespace
+// depends on it, see the file comment) — the tail of Reload, and the seam
+// the hot-reload equivalence suite drives directly. The new pool must match
+// the live pool's size: the admission ceiling (batchSlots) was sized off it
+// at construction and is not resized mid-flight.
 func (s *Server) swapPool(p *Pool) (int64, error) {
 	if live := s.pool.Load(); p.Size() != live.Size() {
 		return 0, fmt.Errorf("serve: reload pool has %d replicas, live pool %d — reloads must keep capacity", p.Size(), live.Size())

@@ -123,7 +123,7 @@ func runReloadEquivalence(t *testing.T, srv *Server, url string, clients int, sw
 	for _, g := range swapGens {
 		target := prevServed + int64(clients) // at least one response per swap window
 		waitCond(t, "load to progress before swap", func() bool { return served.Load() >= target })
-		if _, err := srv.SwapPool(genPool(g, delay, srv.Pool().Size())); err != nil {
+		if _, err := srv.swapPool(genPool(g, delay, srv.Pool().Size())); err != nil {
 			t.Fatalf("SwapPool(%s): %v", g, err)
 		}
 		prevServed = served.Load()
@@ -157,24 +157,24 @@ func runReloadEquivalence(t *testing.T, srv *Server, url string, clients int, sw
 		}
 	}
 
-	if got, want := srv.Generation(), int64(len(gens)); got != want {
+	if got, want := srv.generation.Load(), int64(len(gens)); got != want {
 		t.Fatalf("generation = %d, want %d", got, want)
 	}
-	if got, want := srv.Reloads(), int64(len(swapGens)); got != want {
+	if got, want := srv.reloads.Load(), int64(len(swapGens)); got != want {
 		t.Fatalf("reloads = %d, want %d", got, want)
 	}
 	// Zero dropped requests, exactly: OK must account for every client
 	// success including the post-swap probes.
-	ms := srv.Metrics()
+	ms := srv.metrics
 	all := total + int64(len(probes))
-	if got := ms.Requests.Count(OK); got != all {
+	if got := countOf(ms.Requests, OK); got != all {
 		t.Fatalf("metrics OK = %d, client successes = %d", got, all)
 	}
-	if srv.Cache() != nil {
-		hits, misses, coalesced := ms.CacheLookups.Count(CacheHits), ms.CacheLookups.Count(CacheMisses), ms.CacheLookups.Count(CacheCoalesced)
-		if ms.CacheLookups.Total() != all || hits+misses+coalesced != all {
+	if srv.cache != nil {
+		hits, misses, coalesced := countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheCoalesced)
+		if totalOf(ms.CacheLookups) != all || hits+misses+coalesced != all {
 			t.Fatalf("cache partition drifted across reload: lookups=%d hits=%d misses=%d coalesced=%d, want %d",
-				ms.CacheLookups.Total(), hits, misses, coalesced, all)
+				totalOf(ms.CacheLookups), hits, misses, coalesced, all)
 		}
 		if hits == 0 || misses < int64(len(gens)) {
 			t.Fatalf("hits=%d misses=%d: want repeat pages to hit within a generation and every generation to miss afresh", hits, misses)
@@ -339,17 +339,17 @@ func runRealReloadEquivalence(t *testing.T, student bool) {
 // idle (nothing may already hold one of its replicas).
 func TestSwapPoolRejectsBadPools(t *testing.T) {
 	srv := NewFromPool(genPool("g1", 0, 2), Config{})
-	if _, err := srv.SwapPool(genPool("g2", 0, 3)); err == nil {
+	if _, err := srv.swapPool(genPool("g2", 0, 3)); err == nil {
 		t.Fatal("SwapPool accepted a pool of a different size")
 	}
 	busy := genPool("g2", 0, 2)
 	if _, ok := busy.TryGet(); !ok {
 		t.Fatal("TryGet on fresh pool failed")
 	}
-	if _, err := srv.SwapPool(busy); err == nil {
+	if _, err := srv.swapPool(busy); err == nil {
 		t.Fatal("SwapPool accepted a non-idle pool")
 	}
-	if got := srv.Generation(); got != 1 {
+	if got := srv.generation.Load(); got != 1 {
 		t.Fatalf("failed swaps must not bump generation: got %d", got)
 	}
 }
@@ -503,8 +503,8 @@ func TestAdminReloadEndpoint(t *testing.T) {
 	if code, _ := post(); code != http.StatusInternalServerError {
 		t.Fatal("failing source must 500")
 	}
-	if srv.Generation() != 1 {
-		t.Fatalf("failed reload bumped generation to %d", srv.Generation())
+	if srv.generation.Load() != 1 {
+		t.Fatalf("failed reload bumped generation to %d", srv.generation.Load())
 	}
 	// Live pool still serves after the failed reload.
 	if status, _, err := postBrief(ts.URL, pages[0].HTML); err != nil || status != http.StatusOK {

@@ -253,31 +253,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Handler returns the route mux (alias of the Server itself).
 func (s *Server) Handler() http.Handler { return s }
 
-// Metrics exposes the live counters, e.g. for tests or embedders.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Pool exposes the live replica pool (the current generation's).
 func (s *Server) Pool() *Pool { return s.pool.Load() }
-
-// Cache exposes the briefing cache (nil when caching is disabled).
-func (s *Server) Cache() *briefcache.Cache { return s.cache }
 
 // BeginShutdown flips the server into draining mode: /healthz reports 503
 // so load balancers stop routing here, and new /brief requests are refused
 // with 503, while requests already admitted run to completion.
 // Re-admission probers stop. Pair with http.Server.Shutdown (which waits
-// for in-flight handlers) or Drain.
+// for in-flight handlers).
 func (s *Server) BeginShutdown() {
 	s.ready.Store(false)
 	s.shutdownOnce.Do(func() { close(s.shutdownCh) })
 }
 
-// Drain begins shutdown and blocks until no request holds a replica and the
-// batch dispatcher has exited, or ctx expires. It returns the number of requests still in flight (0 on a clean
-// drain). http.Server.Shutdown already waits for in-flight handlers, so
-// callers using it only need BeginShutdown; Drain serves embedders driving
-// the handler directly.
-func (s *Server) Drain(ctx context.Context) int64 {
+// drain begins shutdown and blocks until no request holds a replica and the
+// batch dispatcher has exited, or ctx expires. It returns the number of
+// requests still in flight (0 on a clean drain). http.Server.Shutdown
+// already waits for in-flight handlers, so wbserve only needs
+// BeginShutdown; drain serves the tests that drive the handler directly.
+func (s *Server) drain(ctx context.Context) int64 {
 	s.BeginShutdown()
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()

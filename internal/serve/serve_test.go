@@ -141,18 +141,18 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Metrics reconcile with what the clients observed.
-	ms := srv.Metrics()
-	if got, want := ms.Requests.Count(OK), int64(clients*len(pages)); got != want {
+	ms := srv.metrics
+	if got, want := countOf(ms.Requests, OK), int64(clients*len(pages)); got != want {
 		t.Fatalf("metrics ok=%d, want %d", got, want)
 	}
-	if got := ms.Requests.Total(); got != ms.Requests.Count(OK) {
-		t.Fatalf("requests_total=%d != ok=%d with no failures", got, ms.Requests.Count(OK))
+	if got := totalOf(ms.Requests); got != countOf(ms.Requests, OK) {
+		t.Fatalf("requests_total=%d != ok=%d with no failures", got, countOf(ms.Requests, OK))
 	}
 	for name, h := range map[string]*histogram{
 		"parse": &ms.Parse, "encode": &ms.Encode, "decode": &ms.Decode, "total": &ms.Total,
 	} {
-		if h.count.Load() != ms.Requests.Count(OK) {
-			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), ms.Requests.Count(OK))
+		if h.count.Load() != countOf(ms.Requests, OK) {
+			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), countOf(ms.Requests, OK))
 		}
 	}
 
@@ -218,13 +218,13 @@ func TestServeHTTPErrors(t *testing.T) {
 		t.Fatalf("unbriefable status %d, want 422", status)
 	}
 
-	ms := srv.Metrics()
-	if ms.Requests.Count(BadMethod) != 1 || ms.Requests.Count(TooLarge) != 1 || ms.Requests.Count(Unbriefable) != 1 {
+	ms := srv.metrics
+	if countOf(ms.Requests, BadMethod) != 1 || countOf(ms.Requests, TooLarge) != 1 || countOf(ms.Requests, Unbriefable) != 1 {
 		t.Fatalf("error counters: method=%d large=%d unbriefable=%d",
-			ms.Requests.Count(BadMethod), ms.Requests.Count(TooLarge), ms.Requests.Count(Unbriefable))
+			countOf(ms.Requests, BadMethod), countOf(ms.Requests, TooLarge), countOf(ms.Requests, Unbriefable))
 	}
-	if ms.Requests.Total() != 4 {
-		t.Fatalf("requests_total=%d, want 4", ms.Requests.Total())
+	if totalOf(ms.Requests) != 4 {
+		t.Fatalf("requests_total=%d, want 4", totalOf(ms.Requests))
 	}
 
 	// /metrics serves the same numbers as JSON.
@@ -303,7 +303,7 @@ func TestAdmissionOverload429(t *testing.T) {
 	// unanswered request, the briefing one included).
 	go post()
 	go post()
-	waitCond(t, "queue to fill", func() bool { return srv.Metrics().Queued.Load() == 3 })
+	waitCond(t, "queue to fill", func() bool { return srv.metrics.Queued.Load() == 3 })
 
 	// The next request must be rejected immediately with 429.
 	resp, err := http.Post(ts.URL+"/brief", "text/html", strings.NewReader("<p>x</p>"))
@@ -330,9 +330,9 @@ func TestAdmissionOverload429(t *testing.T) {
 			t.Fatalf("admitted request got %d", status)
 		}
 	}
-	ms := srv.Metrics()
-	if ms.Requests.Count(OK) != 3 || ms.Requests.Count(Overload) != 1 || ms.Requests.Total() != 4 {
-		t.Fatalf("counters ok=%d overload=%d total=%d", ms.Requests.Count(OK), ms.Requests.Count(Overload), ms.Requests.Total())
+	ms := srv.metrics
+	if countOf(ms.Requests, OK) != 3 || countOf(ms.Requests, Overload) != 1 || totalOf(ms.Requests) != 4 {
+		t.Fatalf("counters ok=%d overload=%d total=%d", countOf(ms.Requests, OK), countOf(ms.Requests, Overload), totalOf(ms.Requests))
 	}
 }
 
@@ -374,8 +374,8 @@ func TestQueueDeadline504(t *testing.T) {
 	if s := <-first; s != http.StatusGatewayTimeout {
 		t.Fatalf("first request got %d, want 504 after its deadline", s)
 	}
-	if srv.Metrics().Requests.Count(Timeout) != 2 {
-		t.Fatalf("timeout counter %d, want 2", srv.Metrics().Requests.Count(Timeout))
+	if countOf(srv.metrics.Requests, Timeout) != 2 {
+		t.Fatalf("timeout counter %d, want 2", countOf(srv.metrics.Requests, Timeout))
 	}
 	stub.release <- struct{}{}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -385,7 +385,7 @@ func TestQueueDeadline504(t *testing.T) {
 		t.Fatalf("replica never returned to the pool: %v", err)
 	}
 	srv.Pool().Put(rep)
-	if ok := srv.Metrics().Requests.Count(OK); ok != 0 {
+	if ok := countOf(srv.metrics.Requests, OK); ok != 0 {
 		t.Fatalf("%d briefings counted served after both deadlines expired", ok)
 	}
 }
@@ -442,7 +442,7 @@ func TestHealthzAndDrain(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		drained <- srv.Drain(ctx)
+		drained <- srv.drain(ctx)
 	}()
 	stub.release <- struct{}{}
 	if s := <-inflight; s != http.StatusOK {

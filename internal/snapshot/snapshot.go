@@ -201,15 +201,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Read consumes r to EOF and decodes the container.
-func Read(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: read: %w", err)
-	}
-	return Decode(data)
-}
-
 // Version reports the container format version of a decoded snapshot.
 func (s *Snapshot) Version() uint16 { return s.version }
 

@@ -129,13 +129,3 @@ func (a *ArenaOf[T]) Reset() {
 	a.slab, a.off = 0, 0
 	a.matBlk, a.matOff = 0, 0
 }
-
-// Footprint reports the total floats held across all slabs — the arena's
-// steady-state memory, exposed for capacity diagnostics and tests.
-func (a *ArenaOf[T]) Footprint() int {
-	n := 0
-	for _, s := range a.slabs {
-		n += len(s)
-	}
-	return n
-}

@@ -65,15 +65,15 @@ func TestArenaResetReusesMemory(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Alloc(16, 16)
 	}
-	before := a.Footprint()
+	before := len(a.slabs)
 	for pass := 0; pass < 5; pass++ {
 		a.Reset()
 		for i := 0; i < 10; i++ {
 			a.Alloc(16, 16)
 		}
 	}
-	if got := a.Footprint(); got != before {
-		t.Fatalf("footprint grew across identical passes: %d -> %d", before, got)
+	if got := len(a.slabs); got != before {
+		t.Fatalf("slab count grew across identical passes: %d -> %d", before, got)
 	}
 }
 

@@ -34,38 +34,13 @@ func GatherRowsInto[T Float](dst *MatrixOf[T], srcs []*MatrixOf[T], srcRows []in
 	}
 }
 
-// ScatterRowsInto copies row i of src into row dstRows[i] of dsts[i] — the
-// inverse of GatherRowsInto, distributing slab rows back to their owning
-// per-sequence matrices. All destinations must share src's column count and
-// dstRows[i] must be a valid row of dsts[i]; shape violations panic before
-// any row is written.
-func ScatterRowsInto[T Float](dsts []*MatrixOf[T], dstRows []int, src *MatrixOf[T]) {
-	if len(dsts) != len(dstRows) {
-		panic(fmt.Sprintf("tensor: ScatterRowsInto %d dsts, %d rows", len(dsts), len(dstRows)))
-	}
-	if src.Rows != len(dsts) {
-		panic(fmt.Sprintf("tensor: ScatterRowsInto src has %d rows, want %d", src.Rows, len(dsts)))
-	}
-	for i, dst := range dsts {
-		if dst.Cols != src.Cols {
-			panic(fmt.Sprintf("tensor: ScatterRowsInto dst %d has %d cols, src has %d", i, dst.Cols, src.Cols))
-		}
-		if r := dstRows[i]; r < 0 || r >= dst.Rows {
-			panic(fmt.Sprintf("tensor: ScatterRowsInto row %d out of range for dst %d with %d rows", r, i, dst.Rows))
-		}
-	}
-	for i, dst := range dsts {
-		copy(dst.Row(dstRows[i]), src.Row(i))
-	}
-}
-
 // ScatterRowSpansInto copies row i of src into columns
-// [colOff, colOff+src.Cols) of row dstRows[i] of dsts[i]. It is
-// ScatterRowsInto for destinations wider than the slab — a Bi-LSTM writes
-// forward states into the left half and backward states into the right half
-// of each sequence's output matrix. The span must fit every destination's
-// width and dstRows[i] must be a valid row of dsts[i]; shape violations
-// panic before any row is written.
+// [colOff, colOff+src.Cols) of row dstRows[i] of dsts[i] — the inverse of
+// GatherRowsInto, for destinations at least as wide as the slab: a Bi-LSTM
+// writes forward states into the left half and backward states into the
+// right half of each sequence's output matrix. The span must fit every
+// destination's width and dstRows[i] must be a valid row of dsts[i]; shape
+// violations panic before any row is written.
 func ScatterRowSpansInto[T Float](dsts []*MatrixOf[T], dstRows []int, colOff int, src *MatrixOf[T]) {
 	if len(dsts) != len(dstRows) {
 		panic(fmt.Sprintf("tensor: ScatterRowSpansInto %d dsts, %d rows", len(dsts), len(dstRows)))

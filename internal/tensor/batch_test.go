@@ -10,7 +10,7 @@ func TestGatherScatterRows(t *testing.T) {
 	exactEqual(t, "GatherRowsInto", dst, FromSlice(2, 3, []float64{4, 5, 6, 13, 14, 15}))
 
 	oa, ob := New(2, 3), New(3, 3)
-	ScatterRowsInto([]*Matrix{oa, ob}, []int{0, 2}, dst)
+	ScatterRowSpansInto([]*Matrix{oa, ob}, []int{0, 2}, 0, dst)
 	if got := oa.Row(0); got[0] != 4 || got[1] != 5 || got[2] != 6 {
 		t.Fatalf("scatter row 0 got %v", got)
 	}
@@ -34,9 +34,9 @@ func TestGatherScatterShapePanics(t *testing.T) {
 		func() { GatherRowsInto(New(2, 3), []*Matrix{New(2, 3), New(2, 4)}, []int{0, 1}) },
 		func() { GatherRowsInto(New(2, 3), []*Matrix{New(2, 3), New(2, 3)}, []int{0, 2}) },
 		func() { GatherRowsInto(New(2, 3), []*Matrix{New(2, 3)}, []int{0, 1}) },
-		func() { ScatterRowsInto([]*Matrix{New(2, 3)}, []int{0}, New(2, 3)) },
-		func() { ScatterRowsInto([]*Matrix{New(2, 3), New(2, 4)}, []int{0, 0}, New(2, 3)) },
-		func() { ScatterRowsInto([]*Matrix{New(2, 3), New(2, 3)}, []int{0, 5}, New(2, 3)) },
+		func() { ScatterRowSpansInto([]*Matrix{New(2, 3)}, []int{0}, 0, New(2, 3)) },
+		func() { ScatterRowSpansInto([]*Matrix{New(2, 3), New(2, 3)}, []int{0}, 0, New(2, 3)) },
+		func() { ScatterRowSpansInto([]*Matrix{New(2, 3), New(2, 3)}, []int{0, 5}, 0, New(2, 3)) },
 		func() { ScatterRowSpansInto([]*Matrix{New(2, 4), New(2, 4)}, []int{0, 1}, 2, New(2, 3)) },
 		func() { ScatterRowSpansInto([]*Matrix{New(2, 4)}, []int{0}, -1, New(1, 3)) },
 		func() { ScatterRowSpansInto([]*Matrix{New(2, 4), New(2, 4)}, []int{0, 3}, 0, New(2, 3)) },

@@ -39,16 +39,6 @@ func AddInto[T Float](dst, a, b *MatrixOf[T]) {
 	debugFinite("AddInto", dst)
 }
 
-// SubInto sets dst = a - b.
-func SubInto[T Float](dst, a, b *MatrixOf[T]) {
-	a.shapeCheck(b, "SubInto")
-	dstShapeCheck(dst, a.Rows, a.Cols, "SubInto")
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
-	debugFinite("SubInto", dst)
-}
-
 // MulInto sets dst = a ⊙ b.
 func MulInto[T Float](dst, a, b *MatrixOf[T]) {
 	a.shapeCheck(b, "MulInto")
@@ -90,7 +80,7 @@ func MatMulInto[T Float](dst, m, o *MatrixOf[T]) {
 		panic(fmt.Sprintf("tensor: MatMulInto inner dim mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	dstShapeCheck(dst, m.Rows, o.Cols, "MatMulInto")
-	matMulIntoPacked(dst, m, o, nil)
+	matMulInto(dst, m, o)
 	debugFinite("MatMulInto", dst)
 }
 

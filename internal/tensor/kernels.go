@@ -8,9 +8,9 @@ package tensor
 // in flight at once, never the order of floating-point additions into one
 // cell.
 // The single permitted divergence is the sign of a zero when an input
-// contains exact zeros (the reference kernels skip a==0 terms, the packed
-// and transposed ones add ±0), which compares equal under == and never
-// changes a value.
+// contains exact zeros (the reference kernels skip a==0 terms, the
+// transposed ones add ±0), which compares equal under == and never changes
+// a value.
 //
 // The float64 contract, precisely: each output cell receives its a != 0
 // terms in ascending k, with one rounding after the multiply and one after
@@ -40,24 +40,11 @@ package tensor
 //
 // Without lane kernels the register blocking is a quad of independent
 // accumulators — four output cells of one row advance together through the
-// shared k loop — and, for float32 only, the cache blocking for tall
-// products is B-panel packing: PackBuf32 rearranges the right-hand matrix
-// into contiguous 8-column panels so the inner loop reads one linear stream
-// instead of eight strided ones (kernels32.go). The lane kernels read the
-// matrix in place, and so do the pure-Go float64 bodies (packFor): the tile
-// beats its own packed form, and the float64 quad its own, at every shape
-// and row count that matters.
+// shared k loop (eight for float32, kernels32.go). Every body, lanes or pure
+// Go, reads the right-hand matrix in place.
 
 // packWidth is the register-block width: output cells advanced per quad.
 const packWidth = 4
-
-// packMinRows is the minimum left-hand row count for B-panel packing to
-// pay for itself on the pure-Go float32 kernels, the only ones that pack.
-// Packing costs one pass over o (read + write) that a beam-width decode step
-// cannot earn back (4 rows: 40 µs unpacked vs 49 packed on a 50×432 weight);
-// from 64 rows up the contiguous panel stream is worth 10–22 %
-// (BenchmarkMatMulKernelsGrid, impl=go; EXPERIMENTS.md, PR 17).
-const packMinRows = 64
 
 // tileRows is the height of the lane kernels' register tile: output rows
 // that advance together through one k loop, sharing each load of the
@@ -69,132 +56,29 @@ const tileRows = 4
 // fit in L1.
 const transposeTile = 32
 
-// PackBufOf is a caller-owned, reusable buffer for B-panel packing. The zero
-// value is ready to use; it grows to the largest packed operand it has seen
-// and is then allocation-free (a PackBuf, the float64 one, never grows:
-// float64 products do not pack). A pack buffer must not be shared between
-// concurrent matmuls — give each worker or serving replica its own (see
-// wb.BatchScratchOf).
-type PackBufOf[T Float] struct {
-	buf []T
-}
-
-// PackBuf and PackBuf32 are the two instantiations.
-type (
-	PackBuf   = PackBufOf[float64]
-	PackBuf32 = PackBufOf[float32]
-)
-
-// ensure returns a buffer of at least n floats, growing the backing store
-// so steady-state calls never allocate.
-func (p *PackBufOf[T]) ensure(n int) []T {
-	if cap(p.buf) < n {
-		p.buf = make([]T, n)
-	}
-	return p.buf[:n]
-}
-
-// Footprint reports the buffer's current capacity in floats, exposed for
-// capacity diagnostics and tests.
-func (p *PackBufOf[T]) Footprint() int { return cap(p.buf) }
-
-// packPanels rearranges o (k×n, row-major) into width-column panels: panel
-// jp holds columns [jp*width, jp*width+w) as w contiguous values per k row,
-// panels laid out back to back. The trailing panel may be narrower than
-// width; its values are packed at stride w so no padding is read back.
-// width is the element type's register-block width (packWidth for float64,
-// packWidth32 for float32).
-func packPanels[T Float](dst []T, o *MatrixOf[T], width int) {
-	k, n := o.Rows, o.Cols
-	pos := 0
-	for j0 := 0; j0 < n; j0 += width {
-		w := n - j0
-		if w > width {
-			w = width
-		}
-		for r := 0; r < k; r++ {
-			row := o.Data[r*n+j0 : r*n+j0+w]
-			for c, v := range row {
-				dst[pos+c] = v
-			}
-			pos += w
-		}
-	}
-}
-
-// MatMulPackInto accumulates dst += m·o like MatMulInto, but routes the
-// product through the caller-owned pack buffer when the shape profits from
-// panel packing. dst must be zeroed for a plain product. A nil pack falls
-// back to the unpacked blocked kernel.
-func MatMulPackInto[T Float](dst, m, o *MatrixOf[T], pack *PackBufOf[T]) {
-	if m.Cols != o.Rows {
-		panic("tensor: MatMulPackInto inner dim mismatch")
-	}
-	dstShapeCheck(dst, m.Rows, o.Cols, "MatMulPackInto")
-	matMulIntoPacked(dst, m, o, pack)
-	debugFinite("MatMulPackInto", dst)
-}
-
-// MatMulPackInto32 is MatMulPackInto[float32]; like every exported kernel
-// it validates under its own name before delegating.
-func MatMulPackInto32(dst, m, o *Matrix32, pack *PackBuf32) {
-	dstShapeCheck(dst, m.Rows, o.Cols, "MatMulPackInto32")
-	MatMulPackInto(dst, m, o, pack)
-}
-
-// matMulIntoPacked is the shared dispatch for MatMulInto and
-// MatMulPackInto: panel-packed register kernel when the shape profits and a
-// pack buffer is available, unpacked row-streaming kernel otherwise, with
-// large products row-partitioned across goroutines either way.
-func matMulIntoPacked[T Float](r, m, o *MatrixOf[T], pack *PackBufOf[T]) {
-	panels := packFor(m, o, pack)
+// matMulInto is MatMulInto's body: r += m·o, with large products
+// row-partitioned across goroutines.
+func matMulInto[T Float](r, m, o *MatrixOf[T]) {
 	if m.Rows*m.Cols*o.Cols >= parallelFlopThreshold && m.Rows > 1 {
-		parallelRows(m.Rows, func(lo, hi int) { matMulRowRange(r, m, o, panels, lo, hi) })
+		parallelRows(m.Rows, func(lo, hi int) { matMulRowRange(r, m, o, lo, hi) })
 		return
 	}
-	matMulRowRange(r, m, o, panels, 0, m.Rows)
+	matMulRowRange(r, m, o, 0, m.Rows)
 }
 
-// packFor packs o's panels into pack when the shape profits and returns
-// pack; it returns nil when the unpacked kernel should run. With lane
-// kernels that is always (the register tile reads o in place), and for
-// float64 it is always too: PR 17's impl=go grid has the packed float64
-// quad 0–11 % slower than the unpacked one at 64, 93 and 128 rows on
-// [50×432], [108×432], [216×108], [217×108] and [216×89] (1 413 vs 1 529 µs
-// at 64 × [108×432]) and ahead only on the three-column [324×3], so what
-// packs is the pure-Go float32 body alone. The panels cross the type switch
-// in matMulRowRange inside their buffer because a pointer converts to an
-// interface without allocating and a slice does not.
-func packFor[T Float](m, o *MatrixOf[T], pack *PackBufOf[T]) *PackBufOf[T] {
-	if useLaneKernels || pack == nil || m.Rows < packMinRows || o.Rows == 0 || o.Cols == 0 {
-		return nil
-	}
-	if _, ok := any(pack).(*PackBuf32); !ok {
-		return nil
-	}
-	packPanels(pack.ensure(o.Rows*o.Cols), o, packWidth32)
-	return pack
-}
+// The three functions below are the only places the matmuls branch on the
+// element type: one type switch per op, selecting the float64 kernels in
+// this file (bitwise contract: unfused AVX2 lanes where the CPU has them,
+// never fused) or the float32 kernels in kernels32.go (k-term envelope:
+// AVX2+FMA lanes behind the same gate).
 
-// Besides packFor's float32 test, the three functions below are the only
-// places the matmuls branch on the element type: one type switch per op,
-// selecting the float64 kernels in this file (bitwise contract: unfused AVX2
-// lanes where the CPU has them, never fused) or the float32 kernels in
-// kernels32.go (k-term envelope: AVX2+FMA lanes behind the same gate).
-
-// matMulRowRange computes output rows [lo, hi) of r += m·o, reading o
-// through panels' packed copy when panels is non-nil (float32 only).
-func matMulRowRange[T Float](r, m, o *MatrixOf[T], panels *PackBufOf[T], lo, hi int) {
+// matMulRowRange computes output rows [lo, hi) of r += m·o.
+func matMulRowRange[T Float](r, m, o *MatrixOf[T], lo, hi int) {
 	switch r := any(r).(type) {
 	case *Matrix:
 		matMulRows(r, any(m).(*Matrix), any(o).(*Matrix), lo, hi)
 	case *Matrix32:
-		m, o := any(m).(*Matrix32), any(o).(*Matrix32)
-		if panels != nil {
-			matMulPackedRows32(r, m, o, any(panels).(*PackBuf32).buf[:o.Rows*o.Cols], lo, hi)
-		} else {
-			matMulRows32(r, m, o, lo, hi)
-		}
+		matMulRows32(r, any(m).(*Matrix32), any(o).(*Matrix32), lo, hi)
 	}
 }
 

@@ -2,9 +2,9 @@ package tensor
 
 // Float32 matmul kernels, used by the distilled-student inference tier and
 // reached through the type switches in kernels.go. The blocking scheme of
-// the float64 kernels carries over — row partitioning, the register tile and
-// (without lane kernels) B-panel packing are shared with kernels.go, the
-// a==0 skips are repeated here — but the register block is twice as wide:
+// the float64 kernels carries over — row partitioning and the register tile
+// are shared with kernels.go, the a==0 skips are repeated here — but the
+// register block is twice as wide:
 // packWidth32 = 8 float32 lanes occupy the same 32 bytes as the float64
 // kernels' packWidth = 4 quad, so the cache-line footprint per step is
 // identical while the independent accumulator chains double. That width is
@@ -43,53 +43,6 @@ package tensor
 // packWidth32 is the register-block width of the float32 kernels: 8 lanes
 // = 32 bytes, the same per-step footprint as 4 float64 lanes.
 const packWidth32 = 8
-
-// matMulPackedRows32 computes output rows [lo, hi) of r += m·o reading o
-// through its packed panels: per output row eight accumulators walk one
-// contiguous panel stream. Pure Go only — the blocked path for tall products
-// on hosts without lane kernels. Per output cell the accumulation order is
-// still ascending k, so the kernels32_test error envelope is unaffected by
-// the block.
-func matMulPackedRows32(r, m, o *Matrix32, panels []float32, lo, hi int) {
-	k, n := o.Rows, o.Cols
-	for i := lo; i < hi; i++ {
-		mRow := m.Row(i)
-		rRow := r.Row(i)
-		pos := 0
-		for j0 := 0; j0 < n; j0 += packWidth32 {
-			if n-j0 >= packWidth32 {
-				d := rRow[j0 : j0+8 : j0+8]
-				s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
-				s4, s5, s6, s7 := d[4], d[5], d[6], d[7]
-				p := panels[pos : pos+8*k]
-				for kk, a := range mRow {
-					q := p[8*kk : 8*kk+8 : 8*kk+8]
-					s0 += a * q[0]
-					s1 += a * q[1]
-					s2 += a * q[2]
-					s3 += a * q[3]
-					s4 += a * q[4]
-					s5 += a * q[5]
-					s6 += a * q[6]
-					s7 += a * q[7]
-				}
-				d[0], d[1], d[2], d[3] = s0, s1, s2, s3
-				d[4], d[5], d[6], d[7] = s4, s5, s6, s7
-				pos += 8 * k
-				continue
-			}
-			w := n - j0
-			for c := 0; c < w; c++ {
-				s := rRow[j0+c]
-				for kk, a := range mRow {
-					s += a * panels[pos+kk*w+c]
-				}
-				rRow[j0+c] = s
-			}
-			pos += w * k
-		}
-	}
-}
 
 // matMulRows32 computes output rows [lo, hi) of r += m·o. Unlike the
 // float64 matMulRows axpy (k outer, columns inner — every += goes through

@@ -121,14 +121,14 @@ func testKernelEquivalence32MatMul(t *testing.T) {
 			withinBound(t, "matMulRows32", got, want, envelope, sh.k)
 
 			packed := FromSlice(sh.r, sh.c, append([]float32(nil), seed.Data...))
-			matMulIntoPacked(packed, m, o, pack)
-			withinBound(t, "matMulIntoPacked32", packed, want, envelope, sh.k)
+			matMulInto(packed, m, o)
+			withinBound(t, "matMulInto32", packed, want, envelope, sh.k)
 
-			// Packed and unpacked share one accumulation order, so those two
-			// must agree exactly, not just within tolerance.
+			// The dispatch only partitions rows, so those two must agree
+			// exactly, not just within tolerance.
 			for i, v := range got.Data {
 				if packed.Data[i] != v {
-					t.Fatalf("packed/unpacked divergence at %d: %v vs %v", i, packed.Data[i], v)
+					t.Fatalf("dispatch/kernel divergence at %d: %v vs %v", i, packed.Data[i], v)
 				}
 			}
 
@@ -234,9 +234,11 @@ func TestSoftmaxRows32Envelope(t *testing.T) {
 	}
 }
 
-// TestPackBufReuse32 is TestPackBufReuse for the float32 pack buffer.
+// TestPackBufReuse32 is TestPackBufReuse for MatMulPackInto32.
 func TestPackBufReuse32(t *testing.T) {
-	eachKernelMode(t, testPackBufReuse[float32])
+	eachKernelMode(t, func(t *testing.T) {
+		testPackBufReuse(t, func(dst, m, o *Matrix32) { MatMulPackInto32(dst, m, o, &PackBuf32{}) })
+	})
 }
 
 // rowLanesReference32 is the float32 matmul's per-cell definition in the
@@ -326,19 +328,17 @@ func BenchmarkMatMulKernels32(b *testing.B) {
 		m32, o32 := Cast[float32](m64), Cast[float32](o64)
 		dst64 := New(sh.r, sh.c)
 		dst32 := New32(sh.r, sh.c)
-		pack64 := &PackBuf{}
-		pack32 := &PackBuf32{}
 		name := fmt.Sprintf("%dx%dx%d", sh.r, sh.k, sh.c)
-		b.Run("f64packed/"+name, func(b *testing.B) {
+		b.Run("f64/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst64.Zero()
-				matMulIntoPacked(dst64, m64, o64, pack64)
+				matMulInto(dst64, m64, o64)
 			}
 		})
-		b.Run("f32packed/"+name, func(b *testing.B) {
+		b.Run("f32/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst32.Zero()
-				matMulIntoPacked(dst32, m32, o32, pack32)
+				matMulInto(dst32, m32, o32)
 			}
 		})
 	}

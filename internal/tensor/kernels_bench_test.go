@@ -46,11 +46,10 @@ func BenchmarkMatMulKernels(b *testing.B) {
 				matMulRows(dst, m, o, 0, m.Rows)
 			}
 		})
-		pack := &PackBuf{}
-		b.Run("packed/"+name, func(b *testing.B) {
+		b.Run("dispatch/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst.Zero()
-				matMulIntoPacked(dst, m, o, pack)
+				matMulInto(dst, m, o)
 			}
 		})
 	}
@@ -127,51 +126,35 @@ func BenchmarkTransposeKernels(b *testing.B) {
 
 // BenchmarkMatMulKernelsGrid is the matmul kernel matrix at the paper-scale
 // bundle's shapes (hidden 108, embedding 50): dtype × weight shape × left-hand
-// rows × layout × impl. The weights are the LSTM input and recurrent
+// rows × impl. The weights are the LSTM input and recurrent
 // projections (·×432), the 108-wide products with an even and an odd inner
 // dimension, the topic vocabulary (216×89) and the tag projection (324×3, all
 // masked tail); rows 1 is an LSTM step, 4 and 8 a beam decode step, 7 and 15
 // a ragged tile, 64-128 a page's hoisted input projection. impl=go is the
 // pure-Go body, impl=lanes the assembly behind useLaneKernels (skipped where
-// the CPU has none). layout=packed includes the packPanels pass, as
-// matMulIntoPacked pays it on every call, and exists for float32 impl=go
-// only: the lane kernels and the float64 bodies read the operand in place.
+// the CPU has none).
 func BenchmarkMatMulKernelsGrid(b *testing.B) {
 	for _, w := range []struct{ k, c int }{{50, 432}, {108, 432}, {216, 108}, {217, 108}, {216, 89}, {324, 3}} {
 		for _, rows := range []int{1, 4, 7, 8, 15, 64, 93, 128} {
 			shape := fmt.Sprintf("shape=%dx%d/rows=%d", w.k, w.c, rows)
-			benchKernelGridCell[float64](b, "dtype=f64/"+shape, rows, w.k, w.c, packWidth)
-			benchKernelGridCell[float32](b, "dtype=f32/"+shape, rows, w.k, w.c, packWidth32)
+			benchKernelGridCell[float64](b, "dtype=f64/"+shape, rows, w.k, w.c)
+			benchKernelGridCell[float32](b, "dtype=f32/"+shape, rows, w.k, w.c)
 		}
 	}
 }
 
-func benchKernelGridCell[T Float](b *testing.B, name string, rows, k, c, width int) {
+func benchKernelGridCell[T Float](b *testing.B, name string, rows, k, c int) {
 	rng := rand.New(rand.NewSource(5))
 	m, o := Cast[T](benchMat(rows, k, 0, rng)), Cast[T](benchMat(k, c, 0, rng))
 	dst := NewOf[T](rows, c)
-	pack := &PackBufOf[T]{}
-	pack.ensure(k * c) // grown once, as a warm wb.BatchScratchOf's is
-	for _, cell := range []struct {
-		layout, impl string
-	}{{"unpacked", "go"}, {"unpacked", "lanes"}, {"packed", "go"}} {
-		var panels *PackBufOf[T]
-		if cell.layout == "packed" {
-			if !isFloat32[T]() {
-				continue
-			}
-			panels = pack
-		}
-		b.Run(name+"/layout="+cell.layout+"/impl="+cell.impl, func(b *testing.B) {
-			setLaneKernels(b, cell.impl == "lanes")
+	for _, impl := range []string{"go", "lanes"} {
+		b.Run(name+"/impl="+impl, func(b *testing.B) {
+			setLaneKernels(b, impl == "lanes")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dst.Zero()
-				if panels != nil {
-					packPanels(panels.ensure(k*c), o, width)
-				}
-				matMulRowRange(dst, m, o, panels, 0, rows)
+				matMulRowRange(dst, m, o, 0, rows)
 			}
 		})
 	}

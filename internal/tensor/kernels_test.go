@@ -25,7 +25,7 @@ var kernelShapes = []struct{ r, k, c int }{
 	{3, 5, 7}, {7, 5, 3}, // odd everything
 	{4, 4, 4}, {8, 8, 8},
 	{33, 17, 29},                    // off-by-one around the quad width
-	{64, 64, 64},                    // crosses packMinRows and fills several float32 panels
+	{64, 64, 64},                    // several register tiles in both dimensions
 	{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, // empty operands
 }
 
@@ -71,7 +71,7 @@ func eachKernelMode(t *testing.T, fn func(t *testing.T)) {
 
 // exactEqual requires identical shape and exactly equal entries (== treats
 // +0 and -0 as equal, the one sign difference the blocked kernels permit).
-func exactEqual(t *testing.T, what string, got, want *Matrix) {
+func exactEqual[T Float](t *testing.T, what string, got, want *MatrixOf[T]) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
@@ -84,9 +84,9 @@ func exactEqual(t *testing.T, what string, got, want *Matrix) {
 }
 
 // TestKernelEquivalenceMatMul checks every matmul entry point — the
-// blocked kernel, the pack-buffer entry points (which float64 routes to the
-// same kernel), and the accumulate semantics over a nonzero destination —
-// against referenceMatMul.
+// blocked kernel, the row-partitioning dispatch, the MatMulPackInto shim
+// bench/ still calls, and the accumulate semantics over a nonzero
+// destination — against referenceMatMul.
 func TestKernelEquivalenceMatMul(t *testing.T) {
 	eachKernelMode(t, testKernelEquivalenceMatMul)
 }
@@ -108,8 +108,8 @@ func testKernelEquivalenceMatMul(t *testing.T) {
 			exactEqual(t, "matMulRows", got, want)
 
 			packed := FromSlice(sh.r, sh.c, append([]float64(nil), seed.Data...))
-			matMulIntoPacked(packed, m, o, pack)
-			exactEqual(t, "matMulIntoPacked", packed, want)
+			matMulInto(packed, m, o)
+			exactEqual(t, "matMulInto", packed, want)
 
 			if sh.r > 0 && sh.k > 0 && sh.c > 0 {
 				viaAPI := New(sh.r, sh.c)
@@ -173,32 +173,26 @@ func TestKernelEquivalenceTranspose(t *testing.T) {
 	}
 }
 
-// TestPackBufReuse verifies the caller-owned-workspace contract wb.BatchScratchOf
-// relies on, in both kernel modes: a warm MatMulPackInto never allocates.
-// On the pure-Go float32 bodies the buffer has grown to the packed operand
-// by then; with lane kernels, and for float64 in either mode, nothing is
-// packed (the operand is read in place) and the buffer stays empty.
+// TestPackBufReuse pins what is left of the pack-buffer entry points, in both
+// kernel modes: MatMulPackInto is MatMulInto bit for bit, and a warm call
+// never allocates (bench/wbload times it as tensor.packed_*_ns).
 func TestPackBufReuse(t *testing.T) {
-	eachKernelMode(t, testPackBufReuse[float64])
+	eachKernelMode(t, func(t *testing.T) {
+		testPackBufReuse(t, func(dst, m, o *Matrix) { MatMulPackInto(dst, m, o, &PackBuf{}) })
+	})
 }
 
-func testPackBufReuse[T Float](t *testing.T) {
+func testPackBufReuse[T Float](t *testing.T, shim func(dst, m, o *MatrixOf[T])) {
 	rng := rand.New(rand.NewSource(19))
-	pack := &PackBufOf[T]{}
-	m := Cast[T](randMat(packMinRows, 24, 0, rng))
+	m := Cast[T](randMat(64, 24, 0, rng))
 	o := Cast[T](randMat(24, 40, 0, rng))
-	dst := NewOf[T](packMinRows, 40)
-	MatMulPackInto(dst, m, o, pack) // sizes the buffer
-	packs := !useLaneKernels && isFloat32[T]()
-	if want := 24 * 40; packs && pack.Footprint() < want {
-		t.Fatalf("pack footprint %d after first use, want >= %d", pack.Footprint(), want)
-	}
-	if !packs && pack.Footprint() != 0 {
-		t.Fatalf("pack footprint %d on kernels that do not pack", pack.Footprint())
-	}
+	dst, want := NewOf[T](64, 40), NewOf[T](64, 40)
+	shim(dst, m, o)
+	MatMulInto(want, m, o)
+	exactEqual(t, "MatMulPackInto", dst, want)
 	allocs := testing.AllocsPerRun(20, func() {
 		dst.Zero()
-		MatMulPackInto(dst, m, o, pack)
+		shim(dst, m, o)
 	})
 	if allocs > 0 {
 		t.Fatalf("warm MatMulPackInto allocates %v per run, want 0", allocs)
@@ -283,11 +277,11 @@ func testMatMulRowPartitionBitwise[T Float](t *testing.T) {
 		for rows := 5; rows <= 130; rows++ {
 			m := Cast[T](randMat(rows, k, 0.01, rng))
 			whole, parts := NewOf[T](rows, n), NewOf[T](rows, n)
-			matMulRowRange(whole, m, o, nil, 0, rows)
+			matMulRowRange(whole, m, o, 0, rows)
 			covered := 0
 			var mu sync.Mutex
 			parallelRows(rows, func(lo, hi int) {
-				matMulRowRange(parts, m, o, nil, lo, hi)
+				matMulRowRange(parts, m, o, lo, hi)
 				mu.Lock()
 				defer mu.Unlock()
 				covered += hi - lo
@@ -489,7 +483,7 @@ func runLanes64Case(c laneCase, seed int64) laneRun[float64] {
 	} else {
 		// New rejects empty shapes and -tags wbdebug rejects non-finite
 		// outputs, both at the exported wrapper: call what it wraps.
-		run.entry("matMulIntoPacked", dst0, func(dst *Matrix) { matMulIntoPacked(dst, m.MatrixOf, o.MatrixOf, pack) })
+		run.entry("matMulInto", dst0, func(dst *Matrix) { matMulInto(dst, m.MatrixOf, o.MatrixOf) })
 	}
 	return run
 }

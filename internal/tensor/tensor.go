@@ -4,10 +4,10 @@
 //
 // The package is one implementation over the element types float64 (the
 // training and teacher tier) and float32 (the distilled-student serving
-// tier): MatrixOf, ArenaOf, PackBufOf and every destination-passing op are
-// generic over Float, and the float64 names (Matrix, Arena, PackBuf, New)
-// are plain instantiations, so float64-only callers never mention a type
-// argument. Element-type-specific code survives only where the contracts
+// tier): MatrixOf, ArenaOf and every destination-passing op are generic
+// over Float, and the float64 names (Matrix, Arena, New) are plain
+// instantiations, so float64-only callers never mention a type argument.
+// Element-type-specific code survives only where the contracts
 // differ: the matmul kernels (kernels.go promises bitwise identity with its
 // references and never fuses; kernels32.go promises a k-term error envelope
 // and may run AVX2+FMA lanes) and σ/tanh (libm for float64, bitwise as ever;
@@ -89,21 +89,6 @@ func Cast[D, S Float](m *MatrixOf[S]) *MatrixOf[D] {
 	return r
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("tensor: FromRows requires at least one non-empty row")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("tensor: ragged row %d: got %d want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // Randn returns a matrix with entries drawn from N(0, std²) using rng.
 func Randn(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
@@ -127,15 +112,6 @@ func Full(rows, cols int, v float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = v
-	}
-	return m
-}
-
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
 	}
 	return m
 }
@@ -200,58 +176,12 @@ func (m *MatrixOf[T]) AddScaledInPlace(o *MatrixOf[T], s T) *MatrixOf[T] {
 	return m
 }
 
-// Sub returns m - o.
-func (m *MatrixOf[T]) Sub(o *MatrixOf[T]) *MatrixOf[T] {
-	m.shapeCheck(o, "Sub")
-	r := NewOf[T](m.Rows, m.Cols)
-	for i := range m.Data {
-		r.Data[i] = m.Data[i] - o.Data[i]
-	}
-	return r
-}
-
-// Mul returns the elementwise (Hadamard) product m ⊙ o.
-func (m *MatrixOf[T]) Mul(o *MatrixOf[T]) *MatrixOf[T] {
-	m.shapeCheck(o, "Mul")
-	r := NewOf[T](m.Rows, m.Cols)
-	for i := range m.Data {
-		r.Data[i] = m.Data[i] * o.Data[i]
-	}
-	return r
-}
-
 // Scale returns s*m.
 func (m *MatrixOf[T]) Scale(s T) *MatrixOf[T] {
 	r := NewOf[T](m.Rows, m.Cols)
 	for i := range m.Data {
 		r.Data[i] = s * m.Data[i]
 	}
-	return r
-}
-
-// AddRowVector returns m with the 1×Cols vector v added to every row.
-func (m *MatrixOf[T]) AddRowVector(v *MatrixOf[T]) *MatrixOf[T] {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector wants 1x%d, got %dx%d", m.Cols, v.Rows, v.Cols))
-	}
-	r := NewOf[T](m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		out := r.Row(i)
-		for j, x := range row {
-			out[j] = x + v.Data[j]
-		}
-	}
-	return r
-}
-
-// MatMul returns the matrix product m·o. m is Rows×K, o is K×Cols.
-func (m *MatrixOf[T]) MatMul(o *MatrixOf[T]) *MatrixOf[T] {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	r := NewOf[T](m.Rows, o.Cols)
-	matMulIntoPacked(r, m, o, nil)
 	return r
 }
 
@@ -289,63 +219,6 @@ func parallelRows(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// MatMulTransB returns m·oᵀ without materialising the transpose.
-func (m *MatrixOf[T]) MatMulTransB(o *MatrixOf[T]) *MatrixOf[T] {
-	if m.Cols != o.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransB dim mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	r := NewOf[T](m.Rows, o.Rows)
-	matMulTransB(r, m, o)
-	return r
-}
-
-// MatMulTransA returns mᵀ·o without materialising the transpose.
-func (m *MatrixOf[T]) MatMulTransA(o *MatrixOf[T]) *MatrixOf[T] {
-	if m.Rows != o.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransA dim mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	r := NewOf[T](m.Cols, o.Cols)
-	matMulTransA(r, m, o)
-	return r
-}
-
-// Transpose returns mᵀ.
-func (m *MatrixOf[T]) Transpose() *MatrixOf[T] {
-	r := NewOf[T](m.Cols, m.Rows)
-	transposeBlocked(r, m)
-	return r
-}
-
-// Apply returns f applied elementwise to m.
-func (m *MatrixOf[T]) Apply(f func(T) T) *MatrixOf[T] {
-	r := NewOf[T](m.Rows, m.Cols)
-	for i, v := range m.Data {
-		r.Data[i] = f(v)
-	}
-	return r
-}
-
-// Tanh returns tanh applied elementwise.
-func (m *MatrixOf[T]) Tanh() *MatrixOf[T] {
-	r := NewOf[T](m.Rows, m.Cols)
-	TanhInto(r, m)
-	return r
-}
-
-// Sigmoid returns the logistic function applied elementwise.
-func (m *MatrixOf[T]) Sigmoid() *MatrixOf[T] {
-	r := NewOf[T](m.Rows, m.Cols)
-	SigmoidInto(r, m)
-	return r
-}
-
-// ReLU returns max(0, x) applied elementwise.
-func (m *MatrixOf[T]) ReLU() *MatrixOf[T] {
-	r := NewOf[T](m.Rows, m.Cols)
-	ReLUInto(r, m)
-	return r
-}
-
 // SoftmaxRows returns row-wise softmax computed with the max-subtraction
 // trick for numerical stability.
 func (m *MatrixOf[T]) SoftmaxRows() *MatrixOf[T] {
@@ -361,19 +234,9 @@ func (m *MatrixOf[T]) LogSoftmaxRows() *MatrixOf[T] {
 	return r
 }
 
-// Sum returns the sum of all entries.
-func (m *MatrixOf[T]) Sum() T {
-	var s T
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the mean of all entries.
-func (m *MatrixOf[T]) Mean() T { return m.Sum() / T(len(m.Data)) }
-
 // Norm2 returns the Frobenius norm of m.
+//
+//wbcheck:ignore deadexport -- oracle: the distance opt's convergence tests (trainQuadratic) measure a trained parameter from its target by
 func (m *MatrixOf[T]) Norm2() T {
 	var s T
 	for _, v := range m.Data {
@@ -383,6 +246,8 @@ func (m *MatrixOf[T]) Norm2() T {
 }
 
 // MaxAbs returns the largest absolute entry.
+//
+//wbcheck:ignore deadexport -- oracle: the bound baselines, distill, hier, nn and wb tests assert gradients and outputs against
 func (m *MatrixOf[T]) MaxAbs() T {
 	var mx T
 	for _, v := range m.Data {
@@ -405,45 +270,9 @@ func (m *MatrixOf[T]) ArgmaxRow(i int) int {
 	return best
 }
 
-// SliceRows returns a copy of rows [lo, hi).
-func (m *MatrixOf[T]) SliceRows(lo, hi int) *MatrixOf[T] {
-	if lo < 0 || hi > m.Rows || lo >= hi {
-		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) out of range for %d rows", lo, hi, m.Rows))
-	}
-	r := NewOf[T](hi-lo, m.Cols)
-	copy(r.Data, m.Data[lo*m.Cols:hi*m.Cols])
-	return r
-}
-
-// ConcatRows stacks matrices vertically; all must share Cols.
-func ConcatRows(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		panic("tensor: ConcatRows of nothing")
-	}
-	rows := 0
-	for _, m := range ms {
-		rows += m.Rows
-	}
-	r := New(rows, ms[0].Cols)
-	ConcatRowsInto(r, ms...)
-	return r
-}
-
-// ConcatCols joins matrices horizontally; all must share Rows.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		panic("tensor: ConcatCols of nothing")
-	}
-	cols := 0
-	for _, m := range ms {
-		cols += m.Cols
-	}
-	r := New(ms[0].Rows, cols)
-	ConcatColsInto(r, ms...)
-	return r
-}
-
 // Equal reports whether m and o have the same shape and entries within tol.
+//
+//wbcheck:ignore deadexport -- oracle: the tolerance comparison the tensor, baselines, embed and wb equivalence and determinism tests are written in
 func (m *MatrixOf[T]) Equal(o *MatrixOf[T], tol T) bool {
 	if !m.SameShape(o) {
 		return false

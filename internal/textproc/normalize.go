@@ -115,6 +115,8 @@ func NormalizeDocument(lines []string) [][]string {
 // token sequence together with the index of each [CLS], the document
 // representation of §III-C (one [CLS] per sentence collects its latent
 // summarising features).
+//
+//wbcheck:ignore deadexport -- paper component: PAPER.md §2 WordPiece row, "per-sentence [CLS]" (§III-C document representation)
 func InsertCLS(sents [][]string) (flat []string, clsIdx []int) {
 	for _, s := range sents {
 		clsIdx = append(clsIdx, len(flat))
@@ -126,6 +128,8 @@ func InsertCLS(sents [][]string) (flat []string, clsIdx []int) {
 
 // SegmentIDs returns BERTSUM's alternating interval segment ids: tokens of
 // even-numbered sentences get segment 0, odd-numbered get segment 1.
+//
+//wbcheck:ignore deadexport -- paper component: PAPER.md §2 BERTSUM row, "per-sentence [CLS] + segment embeddings"
 func SegmentIDs(sents [][]string) []int {
 	var segs []int
 	for i, s := range sents {
@@ -135,13 +139,4 @@ func SegmentIDs(sents [][]string) []int {
 		}
 	}
 	return segs
-}
-
-// Truncate limits a flat token sequence to maxLen tokens, never splitting
-// below one token.
-func Truncate(toks []string, maxLen int) []string {
-	if maxLen > 0 && len(toks) > maxLen {
-		return toks[:maxLen]
-	}
-	return toks
 }

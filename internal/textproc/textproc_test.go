@@ -152,19 +152,6 @@ func TestSegmentIDsAlternate(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	toks := []string{"a", "b", "c"}
-	if got := Truncate(toks, 2); len(got) != 2 {
-		t.Fatal("truncate")
-	}
-	if got := Truncate(toks, 0); len(got) != 3 {
-		t.Fatal("0 means no limit")
-	}
-	if got := Truncate(toks, 10); len(got) != 3 {
-		t.Fatal("no-op truncate")
-	}
-}
-
 func buildTestWP() *WordPiece {
 	counts := map[string]int{
 		"book": 50, "books": 30, "booking": 20, "shop": 40, "shopping": 25,

@@ -25,6 +25,8 @@ const (
 )
 
 // Fixed ids of the special tokens.
+//
+//wbcheck:ignore deadexport -- format constants: the ids are the vocabulary's on-disk layout (snapshot bundles store token ids), so the block stays whole — deleting an unused one would renumber the rest
 const (
 	PadID = iota
 	UnkID

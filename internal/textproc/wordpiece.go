@@ -167,6 +167,8 @@ func (wp *WordPiece) Tokenize(words []string) (pieces []string, wordSpans [][2]i
 
 // Detokenize reassembles words from subword pieces by stripping continuation
 // prefixes; it is the inverse of TokenizeWord for in-vocabulary words.
+//
+//wbcheck:ignore deadexport -- paper component: PAPER.md §2 WordPiece row; the inverse FuzzWordPiece round-trips TokenizeWord through
 func Detokenize(pieces []string) string {
 	var b strings.Builder
 	for i, p := range pieces {

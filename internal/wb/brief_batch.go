@@ -11,10 +11,10 @@ import (
 	"webbrief/internal/textproc"
 )
 
-// BatchScratchOf is the inference workspace: one no-gradient arena tape and
-// the matmul pack buffer it routes products through, shared by every instance
-// of a batch, plus one beam scratch per batch slot so the batched beam search
-// keeps each instance's ping-pong token pools private. A lone briefing is a
+// BatchScratchOf is the inference workspace: one no-gradient arena tape
+// shared by every instance of a batch, plus one beam scratch per batch slot
+// so the batched beam search keeps each instance's ping-pong token pools
+// private. A lone briefing is a
 // batch of one. A warm scratch makes a briefing allocation-free apart from
 // the assembled Briefs themselves.
 //
@@ -28,7 +28,6 @@ import (
 // reset.
 type BatchScratchOf[T tensor.Float] struct {
 	Tape  *ag.TapeOf[T]
-	Pack  *tensor.PackBufOf[T]
 	beams []*nn.BeamScratchOf[T]
 
 	vocabSize int // beam scratch presizing, 0 = lazy
@@ -41,11 +40,7 @@ type BatchScratchOf[T tensor.Float] struct {
 // first batch is already warm. Any argument may be zero; the corresponding
 // buffers then grow lazily.
 func NewBatchScratchOf[T tensor.Float](v *textproc.Vocab, beamWidth, batchMax int) *BatchScratchOf[T] {
-	s := &BatchScratchOf[T]{
-		Tape: ag.NewInferTapeOf[T](),
-		Pack: &tensor.PackBufOf[T]{},
-	}
-	s.Tape.SetPack(s.Pack)
+	s := &BatchScratchOf[T]{Tape: ag.NewInferTapeOf[T]()}
 	if beamWidth > 1 && v != nil {
 		s.vocabSize, s.width, s.maxLen = v.Size(), beamWidth, topicMaxLen
 		s.beamScratches(batchMax)

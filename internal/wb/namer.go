@@ -228,6 +228,8 @@ type NamedAttribute struct {
 // MakeNamedBrief extends MakeBrief with predicted attribute names — the
 // future-work output format of §V ("the attribute name for the key
 // attribute '$40.13' is 'Price'").
+//
+//wbcheck:ignore deadexport -- paper component: DESIGN.md §3 Extensions, `wb.AttrNamer` (attribute-name prediction, §V future work)
 func MakeNamedBrief(m Model, n *AttrNamer, inst *Instance, v *textproc.Vocab, beamWidth int) (*Brief, []NamedAttribute) {
 	s := scratchPool.Get().(*BatchScratchOf[float64])
 	defer scratchPool.Put(s)

@@ -27,12 +27,16 @@ type Briefer struct {
 
 // NewBriefer wraps model+vocab. beamWidth ≤ 1 decodes greedily; maxTokens
 // > 0 truncates long documents before encoding.
+//
+//wbcheck:ignore deadexport -- oracle: the serial heap-tape reference the wire-equivalence suites of wb (server_test, fold_test) and serve (serve, batch, cascade, reload tests) compare against
 func NewBriefer(model Model, vocab *textproc.Vocab, beamWidth, maxTokens int) *Briefer {
 	return &Briefer{model: model, vocab: vocab, beamWidth: beamWidth, maxTokens: maxTokens}
 }
 
 // BriefHTML runs the full pipeline on raw markup and returns the
 // hierarchical briefing. It errors when the page has no visible text.
+//
+//wbcheck:ignore deadexport -- oracle: see NewBriefer
 func (b *Briefer) BriefHTML(html string) (*Brief, error) {
 	inst := InstanceFromHTML(html, b.vocab, b.maxTokens)
 	if inst.NumSents() == 0 {

@@ -185,7 +185,7 @@ func TestAct64GatePreactivationsMatchLibm(t *testing.T) {
 	cfg.Hidden = 108
 	cfg.Seed = 313
 	m := NewJointWB("jwb", smallGloVeEncoder(v, 50, 313), v.Size(), cfg)
-	tp := ag.NewInferTape()
+	tp := ag.NewInferTapeOf[float64]()
 	tok, _ := m.Enc.EncodeDoc(tp, inst)
 	want := m.ExtLSTM.Forward(tp, tok).Value
 

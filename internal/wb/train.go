@@ -228,6 +228,8 @@ func DevLoss(m Model, insts []*Instance) float64 {
 // early-stopping protocol (§IV-A5: "training is early stopped once
 // convergence is determined on the development dataset"). It returns the
 // per-epoch training losses and the number of epochs actually run.
+//
+//wbcheck:ignore deadexport -- paper component: DESIGN.md §3 Extensions, `wb.TrainModelEarlyStop` (the §IV-A5 dev-set early-stopping protocol)
 func TrainModelEarlyStop(m Model, train, dev []*Instance, tc TrainConfig, patience int) (losses []float64, epochs int) {
 	optim := newOptimizer(m, tc)
 	best := math.Inf(1)

@@ -8,7 +8,6 @@ import (
 
 	"webbrief/internal/ag"
 	"webbrief/internal/eval"
-	"webbrief/internal/opt"
 	"webbrief/internal/tensor"
 )
 
@@ -84,19 +83,29 @@ func TestParallelTrainingLearns(t *testing.T) {
 	}
 }
 
+// unitStep is plain gradient descent at learning rate 1 on one parameter.
+type unitStep struct{ p *ag.Param }
+
+func (u unitStep) Step() {
+	u.p.Value.AddScaledInPlace(u.p.Grad, -1)
+	u.p.ZeroGrad()
+}
+
+func (u unitStep) ZeroGrad() { u.p.ZeroGrad() }
+
 // TestPartialBatchScaling pins the fix for the trailing-batch bug: with
 // n=3 and BatchSize=2 the second step's single example must be scaled by
 // 1/1, not 1/BatchSize. A linear loss makes the expected SGD updates exact.
 func TestPartialBatchScaling(t *testing.T) {
 	p := ag.NewParam("w", tensor.FromSlice(1, 1, []float64{0}))
 	params := []*ag.Param{p}
-	sgd := opt.NewSGD(params, 1) // lr=1: parameter moves by exactly the gradient
+	sgd := unitStep{p} // parameter moves by exactly the gradient
 	coeff := []float64{1, 2, 4}
 
 	tc := TrainConfig{Epochs: 1, BatchSize: 2, Workers: 1, Seed: 7}
 	TrainEpochs(sgd, params, len(coeff), tc, func(t *ag.Tape, idx int) *ag.Node {
 		// loss = coeff[idx] * w  →  d(loss)/dw = coeff[idx]
-		return t.Scale(t.Sum(t.Use(p)), coeff[idx])
+		return t.Scale(t.Use(p), coeff[idx])
 	}, nil)
 
 	// Replicate the engine's shuffle to know the batch composition.

@@ -79,6 +79,8 @@ func projectTags(sent corpus.Sentence, wordSpans [][2]int, numPieces int) []int 
 }
 
 // NewInstancesWP encodes a batch of pages at the subword level.
+//
+//wbcheck:ignore deadexport -- paper component: DESIGN.md §3 Extensions, `wb.NewInstanceWP` (WordPiece-level modelling path)
 func NewInstancesWP(pages []*corpus.Page, wp *textproc.WordPiece, maxTokens int) []*Instance {
 	out := make([]*Instance, len(pages))
 	for i, p := range pages {
@@ -89,6 +91,8 @@ func NewInstancesWP(pages []*corpus.Page, wp *textproc.WordPiece, maxTokens int)
 
 // LearnCorpusWordPiece fits a WordPiece vocabulary on a page set, the
 // subword analogue of corpus.BuildVocab.
+//
+//wbcheck:ignore deadexport -- paper component: PAPER.md §2 WordPiece row, "vocab learned from the corpus"
 func LearnCorpusWordPiece(pages []*corpus.Page, maxSize int) *textproc.WordPiece {
 	return textproc.LearnWordPiece(corpus.WordCounts(pages), maxSize)
 }

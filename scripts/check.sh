@@ -27,7 +27,7 @@ go vet ./...
 echo "== cross-compile vet (arm64: the _other.go stubs of all four asm families must keep compiling)"
 GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 
-echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 7 passes)"
+echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints and deadexport with bench/ loaded as the second root, 8 passes)"
 go run ./cmd/wbcheck ./...
 
 echo "== go test (every package: integration, cmd, lint fixtures, allocation gates at their pinned counts, kernel and cascade equivalence, ring goldens and balance, fuzz corpus replay)"
@@ -55,10 +55,14 @@ echo "== one inference entry point (a lone briefing is a batch of one over wb.Ba
 if grep -rnwE 'InferScratchOf|NewInferScratchOf|NewInferScratch|GetScratch|PutScratch|GenerateTopicWith|decodeTopicWith|makeBriefWith|MakeBriefWith|MakeBriefWith32|BeamSearchScratch|ForwardIDs|GetTape|PutTape|tapePool|debugTapeGot|debugTapePut|tapelife' --include='*.go' internal cmd examples; then echo "name(s) listed above were deleted in favour of wb.ExtractBriefBatch / DecodeTopicBatch / MakeBriefBatch and nn.BeamSearchBatch: extend those instead"; exit 1; fi
 if grep -rnwE 'InferScratch|InferScratch32|NewInferScratchFor|NewInferScratch32For|ExtractBriefWith|ExtractBriefWith32|DecodeTopicWith|DecodeTopicWith32' --include='*.go' --exclude='*_test.go' internal cmd examples ./*.go | grep -v '^internal/wb/scratch.go:'; then echo "adapter name(s) used above: internal/wb/scratch.go exists for bench/ alone (ROADMAP 6(e)/(f) deletes it), call the batch functions"; exit 1; fi
 
+echo "== no B-panel packing (every matmul body reads the right-hand matrix in place: the packing kernels and the tape's pack buffer stay deleted, and the four names bench/wbload/replay.go still compiles against live in internal/tensor/packshim.go and are called from nowhere else)"
+if grep -rnE 'packFor|packPanels|matMulPackedRows32|packMinRows|SetPack' internal cmd examples; then echo "name(s) listed above were deleted with B-panel packing: tensor.MatMulInto is the one matmul entry point"; exit 1; fi
+if grep -rnwE 'PackBuf|PackBuf32|MatMulPackInto|MatMulPackInto32' --include='*.go' --exclude='*_test.go' internal cmd examples ./*.go | grep -v '^internal/tensor/packshim.go:'; then echo "shim name(s) used above: internal/tensor/packshim.go exists for bench/ alone (ROADMAP 6(f) deletes it), call tensor.MatMulInto"; exit 1; fi
+
 echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
 GODEBUG=cpu.fma=off go test -run 'TestAct64|TestMatMulSplitKBitwise' ./internal/tensor
 
-echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x layout x impl grid and the f64 σ/tanh fn x n x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
+echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x impl grid and the f64 σ/tanh fn x n x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
 go test -run '^$' -bench 'Kernels|Act64' -benchtime 1x ./internal/tensor >/dev/null
 go test -run '^$' -bench 'CascadeTiers' -benchtime 1x ./internal/wb >/dev/null
 
