@@ -11,7 +11,9 @@
 // behind them coalesces (up to -batch-max) into one fused batched forward
 // pass on the next replica to free up, so saturation widens matmuls instead
 // of lengthening the queue. There is nothing to switch on; /metrics reports
-// the batch sizes under "batching".
+// the batch sizes under "batching". A page is parsed once, before admission
+// (no visible text is a 422 that never takes a queue slot), and one longer
+// than 2048 tokens is briefed on its first 2048.
 //
 // Usage:
 //

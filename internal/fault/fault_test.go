@@ -216,7 +216,6 @@ func TestFetcherFaultKinds(t *testing.T) {
 // members it encoded and decoded.
 type nopReplica struct{ encodes, decodes int }
 
-func (r *nopReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *nopReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
 	r.encodes += len(insts)
 	return make([]*wb.Brief, len(insts))
@@ -227,15 +226,11 @@ func (r *nopReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.
 }
 
 // runRequest drives one request — a batch of one — through rep's
-// Parse/EncodeBatch/DecodeBatch, reporting a recovered panic instead of
-// crashing the test.
+// EncodeBatch/DecodeBatch, reporting a recovered panic instead of crashing
+// the test.
 func runRequest(rep PipelineReplica) (panicked any) {
 	defer func() { panicked = recover() }()
-	inst, err := rep.Parse("<p>x</p>")
-	if err != nil {
-		return fmt.Sprintf("parse: %v", err)
-	}
-	insts := []*wb.Instance{inst}
+	insts := []*wb.Instance{{}}
 	if ds := rep.DecodeBatch(insts, rep.EncodeBatch(insts)); len(ds) != 1 {
 		return fmt.Sprintf("%d tier decisions passed through for a batch of one", len(ds))
 	}

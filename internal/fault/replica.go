@@ -10,7 +10,6 @@ import (
 // so this package needs no import of internal/serve (whose chaos tests
 // import this package). serve.Replica and *Replica here are interchangeable.
 type PipelineReplica interface {
-	Parse(html string) (*wb.Instance, error)
 	EncodeBatch(insts []*wb.Instance) []*wb.Brief
 	DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision
 }
@@ -53,12 +52,6 @@ func (r *Replica) sleep(d time.Duration) {
 		return
 	}
 	time.Sleep(d)
-}
-
-// Parse parses cleanly — parse errors mean "bad input" (422) to the serving
-// layer, never "bad replica", so faults fire in the model stages instead.
-func (r *Replica) Parse(html string) (*wb.Instance, error) {
-	return r.Inner.Parse(html)
 }
 
 // EncodeBatch draws the batch's fault and applies Error (panic), Timeout

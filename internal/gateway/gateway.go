@@ -40,6 +40,12 @@ import (
 // backend that would refuse them anyway.
 const DefaultMaxBodyBytes = 4 << 20
 
+// probeTimeout is the deadline of one /healthz readmission probe.
+const probeTimeout = 2 * time.Second
+
+// retryAfter is the Retry-After hint, in seconds, on the gateway's own 503s.
+const retryAfter = "1"
+
 // Config configures a Gateway. Zero values get defaults from
 // withDefaults.
 type Config struct {
@@ -52,11 +58,9 @@ type Config struct {
 	BreakerCooldown    time.Duration // ejection → first readmission probe (0 = 500ms)
 	ProbeInterval      time.Duration // health probe cadence for ejected backends (0 = 100ms)
 	ProbeSuccesses     int           // consecutive clean probes to readmit (0 = 2)
-	ProbeTimeout       time.Duration // per-probe deadline (0 = 2s)
 	Timeout            time.Duration // per-request deadline, all attempts included (0 = none)
 	ReloadTimeout      time.Duration // per-backend deadline driving /admin/reload (0 = 60s)
 	MaxBodyBytes       int64         // request body limit, and the ceiling on a relayed reply (0 = DefaultMaxBodyBytes)
-	RetryAfter         time.Duration // Retry-After hint on 503s (0 = 1s)
 }
 
 // withDefaults resolves zero values.
@@ -79,17 +83,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeSuccesses <= 0 {
 		c.ProbeSuccesses = 2
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.ReloadTimeout <= 0 {
 		c.ReloadTimeout = 60 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -329,11 +327,11 @@ func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Requ
 // refuse ends a request the gateway answers itself: its member of the
 // requests_total partition and its status in one call — a status cannot be
 // written without an outcome. The 503s (draining, no backend) tell the client
-// to come back and carry the configured Retry-After.
+// to come back and carry a Retry-After.
 func (g *Gateway) refuse(w http.ResponseWriter, o metrics.Outcome[requestsTotal], status int, msg string) {
 	g.metrics.Requests.End(o)
 	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", retryAfterSeconds(g.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	http.Error(w, msg, status)
 }
@@ -614,17 +612,8 @@ func (g *Gateway) probeLoop() {
 
 // probeBackend GETs one backend's /healthz under the probe deadline.
 func (g *Gateway) probeBackend(b *backend) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	rep, err := b.up.exchange(ctx, request{method: http.MethodGet, path: "/healthz", limit: adminReplyLimit})
 	return err == nil && rep.status == http.StatusOK
-}
-
-// retryAfterSeconds renders a Retry-After header value, minimum 1s.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }

@@ -25,15 +25,20 @@ import (
 // channel, which orders the accesses.
 
 // batchItem is one admitted request waiting in (or running through) the
-// scheduler.
+// scheduler. What crosses the queue is the parsed page — its sentences, which
+// belong to no vocabulary — never token ids: those are assigned by the pool
+// generation whose replica runs the batch, so they cannot outlive the
+// vocabulary that made them across a hot reload.
 type batchItem struct {
 	ctx      context.Context
-	body     []byte
+	sents    [][]string
+	tokens   int // what the page costs a replica: its token count, capped at maxPageTokens
 	enqueued time.Time
 
 	// Executor-owned bookkeeping.
+	inst      *wb.Instance  // sents under the executing pool's vocabulary, built at the first checkout
 	queueWait time.Duration // enqueue → first replica checkout
-	waitSet   bool
+	instDur   time.Duration // first checkout → inst built
 	answered  bool
 
 	result chan batchResult // capacity 1; at most one send, guarded by answered
@@ -43,6 +48,7 @@ type batchItem struct {
 type batchResult struct {
 	o         pipelineOutcome
 	queueWait time.Duration
+	instDur   time.Duration
 }
 
 // deliver sends the outcome to the waiting handler, at most once. Only the
@@ -54,18 +60,21 @@ func (it *batchItem) deliver(o pipelineOutcome) {
 		return
 	}
 	it.answered = true
-	it.result <- batchResult{o: o, queueWait: it.queueWait}
+	it.result <- batchResult{o: o, queueWait: it.queueWait, instDur: it.instDur}
 }
 
-// enqueue is handleBrief's tail: admit the request, hand it to the
+// enqueue is handleBrief's tail: admit the parsed page, hand it to the
 // dispatcher and wait for its outcome or the context. fill is the request's
 // cache-fill obligation (nil when caching is off or the request bypassed the
 // cache); shed and expired exits leave it to the caller's deferred abandon.
-func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Context, body []byte, fill *cacheFill) {
+// It returns what assigning the page's token ids took — the tail of the
+// request's parse stage, zero when no replica was reached.
+func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Context, sents [][]string, tokens int, fill *cacheFill) time.Duration {
 	m := s.metrics
 	it := &batchItem{
 		ctx:      ctx,
-		body:     body,
+		sents:    sents,
+		tokens:   tokens,
 		enqueued: time.Now(),
 		result:   make(chan batchResult, 1),
 	}
@@ -75,7 +84,7 @@ func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Con
 	case s.batchSlots <- struct{}{}:
 	default:
 		s.refuse(w, lg, Overload, http.StatusTooManyRequests, "briefing queue is full, retry later")
-		return
+		return 0
 	}
 	defer func() { <-s.batchSlots }()
 	m.Queued.Add(1)
@@ -85,7 +94,7 @@ func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Con
 	// guaranteed to observe this request in Queued and wait for it.
 	if !s.ready.Load() {
 		s.refuse(w, lg, Draining, http.StatusServiceUnavailable, "server is draining")
-		return
+		return 0
 	}
 	// Cannot block: channel capacity equals the slot count.
 	s.batchCh <- it
@@ -94,10 +103,12 @@ func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Con
 		m.QueueWait.Observe(res.queueWait)
 		lg.QueueMS = roundMS(res.queueWait)
 		s.respondOutcome(w, lg, res.o, fill)
+		return res.instDur
 	case <-ctx.Done():
 		// The scheduler skips or ctxErr-delivers expired items; this
 		// request's slot in a batch cannot poison its batchmates.
 		s.failCtx(w, lg, ctx.Err())
+		return 0
 	}
 }
 
@@ -230,10 +241,16 @@ func (s *Server) executeBatch(pool *Pool, rep Replica, items []*batchItem) {
 				continue
 			}
 		}
-		now := time.Now()
+		// A member's first checkout ends its queue wait and assigns its token
+		// ids, under this pool's vocabulary; a retry reuses the instance, since
+		// retries stay on this pool. This is not a stage (runStage): it reads
+		// the shared vocabulary, nothing of rep's, so it cannot fault a replica.
+		checkout := time.Now()
 		for _, it := range live {
-			if !it.waitSet {
-				it.queueWait, it.waitSet = now.Sub(it.enqueued), true
+			if it.inst == nil {
+				it.queueWait = checkout.Sub(it.enqueued)
+				it.inst = pool.instance(it.sents)
+				it.instDur = time.Since(checkout) // its batchmates' ids included: it waited for them
 			}
 		}
 		m.InFlight.Add(int64(len(live)))
@@ -266,56 +283,18 @@ func (s *Server) executeBatch(pool *Pool, rep Replica, items []*batchItem) {
 	}
 }
 
-// runBatchOn briefs a batch on one replica: parse each member, then one
-// batched encode and one batched decode. Stage latencies are observed once per member — each
-// request did wait the whole stage — so stage sums are wall-clock waits, not
-// CPU time. A faulted stage observes nothing (its duration is the fault's,
-// not the pipeline's). Reports false when the replica faulted (it is already
-// ejected and must not be Put back); on true the replica is back in the pool.
+// runBatchOn briefs a batch on one replica: one batched encode and one
+// batched decode over the members' instances. Stage latencies are observed
+// once per member — each request did wait the whole stage — so stage sums are
+// wall-clock waits, not CPU time. A faulted stage observes nothing (its
+// duration is the fault's, not the pipeline's). Reports false when the replica
+// faulted (it is already ejected and must not be Put back); on true the
+// replica is back in the pool.
 func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	m := s.metrics
-
 	insts := make([]*wb.Instance, len(items))
-	perrs := make([]error, len(items))
-	t0 := time.Now()
-	if !s.runStage(pool, rep, func() {
-		for i, it := range items {
-			insts[i], perrs[i] = rep.Parse(string(it.body))
-		}
-	}) {
-		return false
-	}
-	parseDur := time.Since(t0)
-
-	// Settle every member's fate after parse: unparseable pages answer 422,
-	// members whose deadline expired meanwhile answer their ctx error, and
-	// the rest go on to the forward. The replica goes back to the pool before
-	// the last member is answered, so a client that has its response can
-	// count on the replica being idle again.
-	settled := make([]pipelineOutcome, len(items)) // zero: goes on to the forward
-	var liveItems []*batchItem
-	var liveInsts []*wb.Instance
 	for i, it := range items {
-		m.Parse.Observe(parseDur)
-		if perrs[i] != nil {
-			settled[i] = pipelineOutcome{unbriefable: perrs[i]}
-		} else if err := it.ctx.Err(); err != nil {
-			settled[i] = pipelineOutcome{ctxErr: err}
-		} else {
-			liveItems = append(liveItems, it)
-			liveInsts = append(liveInsts, insts[i])
-		}
-	}
-	if len(liveItems) == 0 {
-		pool.Put(rep)
-	}
-	for i, it := range items {
-		if settled[i] != (pipelineOutcome{}) {
-			it.deliver(settled[i])
-		}
-	}
-	if len(liveItems) == 0 {
-		return true
+		insts[i] = it.inst
 	}
 
 	// No member drops between encode and decode: the encode stage retains
@@ -324,20 +303,23 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	var briefs []*wb.Brief
 	var decisions []wb.TierDecision
 	t1 := time.Now()
-	if !s.runStage(pool, rep, func() { briefs = rep.EncodeBatch(liveInsts) }) {
+	if !s.runStage(pool, rep, func() { briefs = rep.EncodeBatch(insts) }) {
 		return false
 	}
 	t2 := time.Now()
-	if !s.runStage(pool, rep, func() { decisions = rep.DecodeBatch(liveInsts, briefs) }) {
+	if !s.runStage(pool, rep, func() { decisions = rep.DecodeBatch(insts, briefs) }) {
 		return false
 	}
 	encodeDur, decodeDur := t2.Sub(t1), time.Since(t2)
 	if s.cfg.Cascade {
 		s.observeCascade(decisions)
 	}
-	pool.Put(rep) // briefs hold only strings and ints, never workspace memory
+	// The replica goes back before any member is answered, so a client that
+	// has its response can count on the replica being idle again. Briefs hold
+	// only strings and ints, never workspace memory.
+	pool.Put(rep)
 
-	for i, it := range liveItems {
+	for i, it := range items {
 		m.Encode.Observe(encodeDur)
 		m.Decode.Observe(decodeDur)
 		if err := it.ctx.Err(); err != nil {

@@ -191,7 +191,6 @@ func newBlockingReplica() *blockingReplica {
 	return &blockingReplica{started: make(chan struct{}, 8), release: make(chan struct{})}
 }
 
-func (r *blockingReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *blockingReplica) Encode(inst *wb.Instance) *wb.Brief {
 	r.started <- struct{}{}
 	<-r.release

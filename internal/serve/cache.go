@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"net/http"
-	"strings"
 	"time"
 
 	"webbrief/internal/briefcache"
-	"webbrief/internal/htmldom"
 )
 
 // This file interposes the content-addressed briefing cache between
@@ -22,8 +20,8 @@ import (
 // request body as posted, the content key the SHA-256 of the page's
 // rendered visible text. Repeat posts of identical bytes hit the raw alias
 // without parsing; posts of different bytes that render to the same
-// visible text (markup churn, attribute noise) parse once, hit the content
-// entry, and leave an alias for next time.
+// visible text (markup churn, attribute noise) hit the content entry on the
+// handler's one parse, and leave an alias for next time.
 //
 // Both keys are namespaced by the model generation the request read at this
 // stage (genKey), so a hot reload starts from an empty namespace: a page
@@ -59,8 +57,8 @@ func (f *cacheFill) abandon() {
 }
 
 // flightResult is the value a winner publishes: the exact response bytes
-// on success, or the terminal failure outcome (422, replica failure) the
-// losers should replay.
+// on success, or the terminal failure outcome (replica failure) the losers
+// should replay.
 type flightResult struct {
 	body []byte
 	o    pipelineOutcome
@@ -123,23 +121,19 @@ func (s *Server) cacheServeRaw(w http.ResponseWriter, lg *accessEntry, r *http.R
 	return lk, false
 }
 
-// cacheServe runs the rest of the cache stage for a request level 1 missed.
-// It returns (nil, false) when the request bypasses the cache (pages with
-// no visible text), (nil, true) when the response was fully served from
-// cache or a coalesced flight, and (fill, false) for a miss this request
-// must compute: the caller proceeds down the normal pipeline and hands fill
-// to respondOutcome, with fill.abandon deferred as backstop.
-func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.Context, body []byte, lk rawLookup) (*cacheFill, bool) {
+// cacheServe runs the rest of the cache stage for a request level 1 missed,
+// keyed on the visible text handleBrief's parse rendered (unbriefable pages
+// were refused there and never get here). It returns (nil, true) when the
+// response was fully served from cache or a coalesced flight, and
+// (fill, false) for a miss this request must compute: the caller proceeds to
+// admission and hands fill to respondOutcome, with fill.abandon deferred as
+// backstop.
+func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.Context, visible string, lk rawLookup) (*cacheFill, bool) {
 	c := s.cache
 	m := s.metrics
 	domain, gen, rawKey, start := lk.domain, lk.gen, lk.rawKey, lk.start
 
-	// Level 2: rendered visible text. Pages that render to nothing bypass
-	// the cache — the pipeline's 422 stays authoritative for those.
-	visible := htmldom.VisibleText(htmldom.Parse(string(body)))
-	if strings.TrimSpace(visible) == "" {
-		return nil, false
-	}
+	// Level 2: rendered visible text.
 	contentKey := genKey(gen, []byte(visible))
 	if out, ok := c.Lookup(contentKey); ok {
 		m.CacheLookups.Begin()

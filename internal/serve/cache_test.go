@@ -143,7 +143,6 @@ func newHerdReplica() *herdReplica {
 	return &herdReplica{started: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
-func (r *herdReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *herdReplica) Encode(inst *wb.Instance) *wb.Brief {
 	r.encodes.Add(1)
 	r.started <- struct{}{}
@@ -224,7 +223,6 @@ type herdPanicReplica struct {
 	release chan struct{}
 }
 
-func (r *herdPanicReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *herdPanicReplica) Encode(inst *wb.Instance) *wb.Brief {
 	r.started <- struct{}{}
 	<-r.release

@@ -21,8 +21,7 @@ type okReplica struct {
 	delay  time.Duration
 }
 
-func (r *okReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *okReplica) Encode(inst *wb.Instance) *wb.Brief      { return &wb.Brief{Topic: []string{"ok"}} }
+func (r *okReplica) Encode(inst *wb.Instance) *wb.Brief { return &wb.Brief{Topic: []string{"ok"}} }
 func (r *okReplica) Decode(inst *wb.Instance, b *wb.Brief) {
 	if r.delay > 0 {
 		time.Sleep(r.delay)
@@ -37,7 +36,6 @@ type panicNReplica struct {
 	encodes int
 }
 
-func (r *panicNReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *panicNReplica) Encode(inst *wb.Instance) *wb.Brief {
 	r.mu.Lock()
 	r.encodes++
@@ -64,7 +62,6 @@ func newWedgeOnceReplica() *wedgeOnceReplica {
 	return &wedgeOnceReplica{started: make(chan struct{}, 1), release: make(chan struct{})}
 }
 
-func (r *wedgeOnceReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *wedgeOnceReplica) Encode(inst *wb.Instance) *wb.Brief {
 	r.once.Do(func() {
 		r.started <- struct{}{}
@@ -202,7 +199,6 @@ func newWedgePanicReplica() *wedgePanicReplica {
 	return &wedgePanicReplica{started: make(chan struct{}, 8), release: make(chan struct{})}
 }
 
-func (r *wedgePanicReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *wedgePanicReplica) Encode(inst *wb.Instance) *wb.Brief {
 	r.started <- struct{}{}
 	<-r.release

@@ -6,23 +6,22 @@ import (
 	"webbrief/internal/wb"
 )
 
-// DefaultProbeHTML is the page re-admission probes brief on an ejected
-// replica: small, but with enough visible text to run every stage of a
-// real model replica.
-const DefaultProbeHTML = `<html><head><title>probe</title></head><body>
+// probeHTML is the page re-admission probes brief on an ejected replica:
+// small, but with enough visible text to run both stages of a real model
+// replica.
+const probeHTML = `<html><head><title>probe</title></head><body>
 <h1>Re-admission probe</h1>
 <p>This synthetic page checks an ejected replica end to end.</p>
 </body></html>`
 
-// pipelineOutcome summarises one briefing attempt on one replica. Exactly
-// one field is meaningful: faulted (replica panicked or stalled, already
-// ejected), unbriefable (Parse rejected the page), ctxErr (deadline or
-// cancel between stages), or brief (success).
+// pipelineOutcome summarises how the scheduler answered one admitted request.
+// Exactly one field is meaningful: faulted (every replica it ran on panicked
+// or stalled, and the retry budget is spent), ctxErr (deadline or cancel by
+// the time its batch decoded), or brief (success).
 type pipelineOutcome struct {
-	brief       *wb.Brief
-	unbriefable error
-	ctxErr      error
-	faulted     bool
+	brief   *wb.Brief
+	ctxErr  error
+	faulted bool
 }
 
 // recoverPanic runs fn, converting a panic into a returned value.
@@ -98,6 +97,8 @@ func (s *Server) ejectAndProbe(pool *Pool, rep Replica) {
 // exits on shutdown; an ejected replica then simply stays out of rotation.
 func (s *Server) probeLoop(pool *Pool, rep Replica) {
 	pool.BeginProbe(rep)
+	_, sents := renderPage(probeHTML)
+	insts := []*wb.Instance{pool.instance(sents)}
 	ticker := time.NewTicker(s.cfg.ProbeInterval)
 	defer ticker.Stop()
 	consecutive := 0
@@ -107,7 +108,8 @@ func (s *Server) probeLoop(pool *Pool, rep Replica) {
 			return
 		case <-ticker.C:
 		}
-		if s.probeOnce(rep) {
+		// One probe: both model stages on the probe page's instance.
+		if recoverPanic(func() { rep.DecodeBatch(insts, rep.EncodeBatch(insts)) }) == nil {
 			consecutive++
 		} else {
 			consecutive = 0
@@ -117,23 +119,6 @@ func (s *Server) probeLoop(pool *Pool, rep Replica) {
 			return
 		}
 	}
-}
-
-// probeOnce runs the full three-stage pipeline on the probe page,
-// reporting false on a parse error or panic.
-func (s *Server) probeOnce(rep Replica) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	inst, err := rep.Parse(s.cfg.ProbeHTML)
-	if err != nil {
-		return false
-	}
-	insts := []*wb.Instance{inst}
-	rep.DecodeBatch(insts, rep.EncodeBatch(insts))
-	return true
 }
 
 // observeCascade folds a batch's tier decisions into the cascade counters

@@ -5,7 +5,6 @@ import "webbrief/internal/wb"
 // instanceReplica is what the stub replicas of this package's tests
 // implement: the pipeline stages for one instance at a time.
 type instanceReplica interface {
-	Parse(html string) (*wb.Instance, error)
 	Encode(inst *wb.Instance) *wb.Brief
 	Decode(inst *wb.Instance, b *wb.Brief)
 }

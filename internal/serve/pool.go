@@ -43,24 +43,24 @@ func WarmupHTML(n int) string {
 
 // Replica is one briefing engine, checked out of a Pool for the duration of a
 // batch — the one contract the serving layer, the fault-injection wrapper
-// (fault.Replica restates it structurally) and the test doubles all speak.
-// The three methods are the stages of the briefing pipeline, split so the
-// serving layer can time each one and check the request deadline between
-// them:
+// (fault.Replica restates it structurally) and the test doubles all speak. A
+// replica is only its models: the two methods are the model stages of the
+// briefing pipeline, split so the serving layer can time each one. What comes
+// before them — HTML → sentences → instance — is the handler's and the pool's
+// (renderPage, Pool.instance), since no replica has anything to say about it:
 //
-//	Parse:       raw HTML → model instance (DOM parse, visible text, encoding)
 //	EncodeBatch: eval forward pass → attributes + section flags
 //	DecodeBatch: beam-search topic generation
 //
-// Encode and decode take a whole batch — of any size, one included — in fused
-// B-row forward passes. EncodeBatch retains per-instance state on the replica
-// that the matching DecodeBatch consumes (a real model decodes from the
-// forward EncodeBatch ran), so the two are called back to back with the same
-// instances, under the same exclusive checkout. DecodeBatch reports how each
-// member moved through the replica's tiers (nil from a replica that has
-// none to tell of: the test doubles).
+// Both take a whole batch — of any size, one included — in fused B-row forward
+// passes. EncodeBatch retains per-instance state on the replica that the
+// matching DecodeBatch consumes (a real model decodes from the forward
+// EncodeBatch ran), so the two are called back to back with the same
+// instances, under the same exclusive checkout, and a request's deadline is
+// checked before the first and after the second, never between. DecodeBatch
+// reports how each member moved through the replica's tiers (nil from a
+// replica that has none to tell of: the test doubles).
 type Replica interface {
-	Parse(html string) (*wb.Instance, error)
 	EncodeBatch(insts []*wb.Instance) []*wb.Brief
 	DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision
 }
@@ -119,8 +119,7 @@ func (t *tierOf[T]) brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Confidence) {
 }
 
 // modelReplica is the Replica over a pool generation's models: an ordered
-// list of tiers, fastest first, and nothing else of its own — the vocabulary
-// is read-only after construction and shared like the models. A batch encodes
+// list of tiers, fastest first, and nothing else of its own. A batch encodes
 // and decodes on the first tier; the members whose confidence score falls
 // below threshold re-brief on the next tier under the same checkout, and so
 // on down the list. An escalation replaces the whole brief (extraction and
@@ -130,21 +129,10 @@ func (t *tierOf[T]) brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Confidence) {
 // wb code, instantiated per element type, and every briefing costs one Eval
 // forward per tier it reaches.
 type modelReplica struct {
-	vocab     *textproc.Vocab
-	maxTokens int
 	tiers     []tier
 	threshold float64 // escalate when confidence score < threshold
 
 	decisions []wb.TierDecision // the batch's report, begun at EncodeBatch
-}
-
-// Parse implements Replica.
-func (r *modelReplica) Parse(html string) (*wb.Instance, error) {
-	inst := wb.InstanceFromHTML(html, r.vocab, r.maxTokens)
-	if inst.NumSents() == 0 {
-		return nil, fmt.Errorf("serve: no visible text in page")
-	}
-	return inst, nil
 }
 
 // EncodeBatch implements Replica: one fused Eval forward for the whole batch
@@ -238,6 +226,9 @@ type Pool struct {
 	size int
 	idle chan Replica
 	fold FoldStats
+	// vocab is the generation's vocabulary (nil for PoolOf): the one that
+	// assigns the token ids of every page this pool's replicas brief.
+	vocab *textproc.Vocab
 	// models are the replicas NewPool built (none for PoolOf), kept so Warm
 	// can reach the tiers only an escalation runs on.
 	models []*modelReplica
@@ -254,9 +245,10 @@ type Pool struct {
 // and one decode whatever n is, sharing nothing with m itself) and, when
 // cfg.Cascade is set, the float32 student in front of it (wb.FoldStudent;
 // GloVe-encoder models only) — and n replicas (0 → GOMAXPROCS) that all read
-// those same models and fold tables through workspaces of their own. cfg's
-// BeamWidth and MaxTokens configure each replica exactly like wb.NewBriefer,
-// so pooled briefings are identical to the serial path's; its
+// those same models and fold tables through workspaces of their own. The pool
+// keeps v to build every instance its replicas run (Pool.instance). cfg's
+// BeamWidth configures each workspace exactly like wb.NewBriefer, so pooled
+// briefings are identical to the serial path's at maxPageTokens; its
 // ConfidenceThreshold is the escalation cutoff on the decode confidence
 // score: ≤ 0 never escalates, > 1 escalates every briefing.
 //
@@ -289,14 +281,14 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error)
 	models := make([]*modelReplica, n)
 	replicas := make([]Replica, n)
 	for i := range replicas {
-		r := &modelReplica{vocab: v, maxTokens: cfg.MaxTokens, threshold: cfg.ConfidenceThreshold}
+		r := &modelReplica{threshold: cfg.ConfidenceThreshold}
 		for _, t := range tiers {
 			r.tiers = append(r.tiers, t.workspace())
 		}
 		models[i], replicas[i] = r, r
 	}
 	p := PoolOf(replicas...)
-	p.models = models
+	p.vocab, p.models = v, models
 	for _, t := range tiers {
 		p.fold.Bytes += t.foldBytes
 	}
@@ -314,7 +306,9 @@ type FoldStats struct {
 }
 
 // PoolOf wraps pre-built replicas — the seam for serving a non-GloVe model
-// or, in tests, replicas with controlled latency or injected faults.
+// or, in tests, replicas with controlled latency or injected faults. It has no
+// vocabulary, so its replicas are handed a placeholder instance for every
+// page.
 func PoolOf(replicas ...Replica) *Pool {
 	p := &Pool{
 		size:    len(replicas),
@@ -327,6 +321,18 @@ func PoolOf(replicas ...Replica) *Pool {
 		p.idle <- r
 	}
 	return p
+}
+
+// instance turns a parsed page's sentences into the model instance this
+// generation's replicas run: token ids under the pool's own vocabulary, the
+// head of the page up to maxPageTokens. Building it here, per pool, is what
+// keeps a reload onto a bundle with a different vocabulary correct — an id
+// never meets an embedding table it was not assigned for.
+func (p *Pool) instance(sents [][]string) *wb.Instance {
+	if p.vocab == nil {
+		return &wb.Instance{}
+	}
+	return wb.InstanceFromSentences(sents, p.vocab, maxPageTokens)
 }
 
 // Warm briefs html twice on every replica, as a batch of one, so each
@@ -349,18 +355,17 @@ func (p *Pool) Warm(html string) error {
 			p.Put(r)
 		}
 	}()
-	var insts []*wb.Instance
+	_, sents := renderPage(html)
+	if len(sents) == 0 {
+		return fmt.Errorf("serve: warmup page: %s", noVisibleText)
+	}
+	insts := []*wb.Instance{p.instance(sents)}
 	for i := 0; i < p.size; i++ {
 		r, ok := p.TryGet()
 		if !ok {
 			return fmt.Errorf("serve: pool emptied during Warm")
 		}
 		checked = append(checked, r)
-		inst, err := r.Parse(html)
-		if err != nil {
-			return fmt.Errorf("serve: warmup page: %w", err)
-		}
-		insts = []*wb.Instance{inst}
 		r.DecodeBatch(insts, r.EncodeBatch(insts))
 		r.DecodeBatch(insts, r.EncodeBatch(insts))
 	}

@@ -30,7 +30,6 @@ type genReplica struct {
 	delay time.Duration
 }
 
-func (r *genReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 func (r *genReplica) Encode(inst *wb.Instance) *wb.Brief {
 	return &wb.Brief{Topic: []string{r.gen}}
 }
@@ -359,7 +358,14 @@ func TestSwapPoolRejectsBadPools(t *testing.T) {
 // corpus and vocabulary.
 func trainedModelSeed(t testing.TB, seed int64) (*wb.JointWB, *textproc.Vocab, []*corpus.Page) {
 	t.Helper()
-	ds, err := corpus.Generate(corpus.Config{Seed: 1, PagesPerDomain: 4, SeenDomains: 2, UnseenDomains: 0})
+	return trainedModelOn(t, corpus.Config{Seed: 1, PagesPerDomain: 4, SeenDomains: 2, UnseenDomains: 0}, seed)
+}
+
+// trainedModelOn is trainedModelSeed over a corpus of the caller's choosing,
+// and so a vocabulary of its own.
+func trainedModelOn(t testing.TB, cc corpus.Config, seed int64) (*wb.JointWB, *textproc.Vocab, []*corpus.Page) {
+	t.Helper()
+	ds, err := corpus.Generate(cc)
 	if err != nil {
 		t.Fatal(err)
 	}

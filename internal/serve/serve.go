@@ -29,11 +29,13 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"webbrief/internal/briefcache"
+	"webbrief/internal/htmldom"
 	"webbrief/internal/httpbody"
 	"webbrief/internal/metrics"
 	"webbrief/internal/textproc"
@@ -53,7 +55,6 @@ type Config struct {
 	Timeout      time.Duration // per-request deadline, queue wait included (0 = none)
 	MaxBodyBytes int64         // request body limit (0 = DefaultMaxBodyBytes)
 	BeamWidth    int           // topic beam width (0 = 8)
-	MaxTokens    int           // document truncation, as in wb.NewBriefer (0 = none)
 	RetryAfter   time.Duration // advisory Retry-After on 429 (0 = 1s)
 	AccessLog    io.Writer     // JSON-line access log (nil = disabled)
 
@@ -66,11 +67,9 @@ type Config struct {
 	StallTimeout time.Duration
 	// ProbeInterval is the re-admission probe cadence for ejected
 	// replicas (0 = 25ms); ProbeSuccesses consecutive clean probe
-	// briefings close the breaker (0 = 2); ProbeHTML is the probe page
-	// ("" = DefaultProbeHTML).
+	// briefings close the breaker (0 = 2).
 	ProbeInterval  time.Duration
 	ProbeSuccesses int
-	ProbeHTML      string
 
 	// BatchMax caps how many queued requests one batch may coalesce when
 	// every replica is busy (0 = 8); it bounds workspace growth.
@@ -102,10 +101,6 @@ type Config struct {
 	// CachePolicy is the per-domain admission/TTL policy, keyed by the
 	// optional ?src= query parameter (nil = admit everything).
 	CachePolicy *briefcache.Policy
-	// Cache overrides the constructed cache (tests, shared caches). When
-	// set, the CacheCapacity/CacheShards/CacheTTL/CachePolicy knobs are
-	// ignored.
-	Cache *briefcache.Cache
 }
 
 // withDefaults resolves zero values.
@@ -136,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeSuccesses == 0 {
 		c.ProbeSuccesses = 2
-	}
-	if c.ProbeHTML == "" {
-		c.ProbeHTML = DefaultProbeHTML
 	}
 	if c.BatchMax == 0 {
 		c.BatchMax = 8
@@ -227,10 +219,7 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 	}
 	s.pool.Store(pool)
 	s.generation.Store(1)
-	switch {
-	case cfg.Cache != nil:
-		s.cache = cfg.Cache
-	case cfg.CacheCapacity > 0:
+	if cfg.CacheCapacity > 0 {
 		s.cache = briefcache.New(briefcache.Config{
 			Capacity:   cfg.CacheCapacity,
 			Shards:     cfg.CacheShards,
@@ -302,9 +291,33 @@ func (s *Server) Warm(html string) error {
 	return s.pool.Load().Warm(html)
 }
 
-// handleBrief is the serving hot path: request validation, the cache stage,
-// then admission to the batch scheduler (batch.go), which runs the three
-// pipeline stages and hands back the outcome for the JSON response.
+// maxPageTokens is the most tokens of one page a replica runs: the paper's
+// document scale (PAPER.md: 2k-token docs). A longer page is briefed on its
+// head — encode is linear in tokens and a batch runs in lockstep, so without
+// a ceiling one legal MaxBodyBytes page holds a replica, and every batchmate,
+// for as long as all its tokens take.
+const maxPageTokens = 2048
+
+// noVisibleText is the 422 body of a page that renders to no sentence.
+const noVisibleText = "serve: no visible text in page"
+
+// renderPage is the vocabulary-independent first half of the pipeline
+// (PAPER.md §2): DOM parse → rendered visible text → normalised sentences,
+// the same sentences the serial wb.Briefer derives. It is the serving tier's
+// one parse: handleBrief runs it once per request, Warm and the re-admission
+// probe once per page. The visible text is what the cache's content key
+// hashes; the sentences carry no token ids — those belong to the pool
+// generation that briefs them (Pool.instance).
+func renderPage(html string) (visible string, sents [][]string) {
+	visible = htmldom.VisibleText(htmldom.Parse(html))
+	return visible, textproc.NormalizeDocument(strings.Split(visible, "\n"))
+}
+
+// handleBrief is the serving hot path, one order of work for cached and
+// uncached servers alike: request validation, the raw-key cache lookup, the
+// page's one parse (no sentences is the 422, answered here), the content-key
+// lookup and flight, then admission to the batch scheduler (batch.go), which
+// runs the model stages and hands back the outcome for the JSON response.
 func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m := s.metrics
@@ -342,7 +355,7 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 
 	// The request's deadline runs from here but is armed only once level 1
 	// of the cache stage has missed: a repeat post of known bytes is served
-	// without a timer it would never consult.
+	// without a timer it would never consult, and without a parse.
 	admitted := time.Now()
 	var lookup rawLookup
 	if s.cache != nil {
@@ -350,6 +363,23 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		if lookup, hit = s.cacheServeRaw(w, &lg, r, body); hit {
 			return
 		}
+	}
+
+	// The page's one parse. latency_ms.parse is HTML → instance, observed
+	// once per request that got this far: the time spent here plus, for a
+	// request that reaches a replica, its id assignment (enqueue reports it).
+	parseStart := time.Now()
+	visible, sents := renderPage(string(body))
+	parse := time.Since(parseStart)
+	defer func() { m.Parse.Observe(parse) }()
+	if len(sents) == 0 {
+		// Unbriefable: refused before it can win a flight, take an admission
+		// slot or occupy a replica.
+		s.refuse(w, &lg, Unbriefable, http.StatusUnprocessableEntity, noVisibleText)
+		return
+	}
+	for _, sent := range sents {
+		lg.Tokens += 1 + len(sent) // the sentence's [CLS] and its words
 	}
 
 	ctx := r.Context()
@@ -367,22 +397,22 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	var fill *cacheFill
 	if lookup.consult {
 		var handled bool
-		fill, handled = s.cacheServe(w, &lg, ctx, body, lookup)
+		fill, handled = s.cacheServe(w, &lg, ctx, visible, lookup)
 		if handled {
 			return
 		}
 		defer fill.abandon()
 	}
 
-	s.enqueue(w, &lg, ctx, body, fill)
+	parse += s.enqueue(w, &lg, ctx, sents, min(lg.Tokens, maxPageTokens), fill)
 }
 
 // respondOutcome maps a pipeline outcome onto its HTTP response and outcome
-// counter. faulted here means the retry budget is already spent. fill, when non-nil, is this request's
-// cache-fill obligation: terminal outcomes (success bytes, 422, 500) are
-// published to coalesced waiters, and successes are inserted into the
-// cache; context failures abandon via the caller's deferred backstop so
-// waiters retry rather than inherit this client's deadline.
+// counter. faulted here means the retry budget is already spent. fill, when
+// non-nil, is this request's cache-fill obligation: terminal outcomes
+// (success bytes, 500) are published to coalesced waiters, and successes are
+// inserted into the cache; context failures abandon via the caller's deferred
+// backstop so waiters retry rather than inherit this client's deadline.
 func (s *Server) respondOutcome(w http.ResponseWriter, lg *accessEntry, o pipelineOutcome, fill *cacheFill) {
 	if o.faulted {
 		if fill != nil {
@@ -390,13 +420,6 @@ func (s *Server) respondOutcome(w http.ResponseWriter, lg *accessEntry, o pipeli
 		}
 		s.refuse(w, lg, ReplicaFailure, http.StatusInternalServerError,
 			"briefing replica failed and the retry budget is spent")
-		return
-	}
-	if o.unbriefable != nil {
-		if fill != nil {
-			fill.flight.Complete(flightResult{o: o})
-		}
-		s.refuse(w, lg, Unbriefable, http.StatusUnprocessableEntity, o.unbriefable.Error())
 		return
 	}
 	if o.ctxErr != nil {
@@ -516,6 +539,7 @@ type accessEntry struct {
 	Remote   string  `json:"remote,omitempty"`
 	Status   int     `json:"status"`
 	BytesIn  int     `json:"bytes_in"`
+	Tokens   int     `json:"tokens"` // the page's tokens before truncation; 0 when answered unparsed
 	BytesOut int     `json:"bytes_out"`
 	QueueMS  float64 `json:"queue_ms"`
 	TotalMS  float64 `json:"total_ms"`

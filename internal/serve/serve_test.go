@@ -256,8 +256,6 @@ func newStubReplica() *stubReplica {
 	return &stubReplica{started: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
-func (r *stubReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-
 func (r *stubReplica) Encode(inst *wb.Instance) *wb.Brief {
 	r.started <- struct{}{}
 	<-r.release

@@ -47,9 +47,11 @@ if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name
 echo "== one model file format (encoding/gob is the lint-facts codec in internal/analysis/facts.go and nothing else)"
 if grep -rl '"encoding/gob"' --include='*.go' . | grep -v '^./internal/analysis/facts.go$'; then echo "encoding/gob imported by the file(s) listed above: model bundles are snapshots (internal/snapshot)"; exit 1; fi
 
-echo "== one replica contract (serve reaches a replica through serve.Replica alone: no type assertion on one in non-test internal/serve, and the per-replica clone loop, the second pool constructor and the two side interfaces stay deleted)"
+echo "== one replica contract (serve reaches a replica through serve.Replica alone, and a replica is only its models: no type assertion on one in non-test internal/serve, no Parse stage on any replica or double, one DOM parse per page, and the per-replica clone loop, the second pool constructor, the two side interfaces and the exported probe page stay deleted)"
 if grep -nE '\.\((BatchReplica|cascadeReporter|\*modelReplica)\)' $(ls internal/serve/*.go | grep -v '_test\.go$'); then echo "type assertion(s) on a Replica listed above: put the capability in the Replica contract instead"; exit 1; fi
-if grep -rnE 'CloneManyForServing|NewCascadePool|BatchReplica|cascadeReporter' --include='*.go' internal cmd; then echo "name(s) listed above were deleted in favour of wb.FoldForServing / serve.NewPool / serve.Replica: extend those instead"; exit 1; fi
+if grep -rnF 'Parse(html string)' internal/serve internal/fault; then echo "Parse method(s) listed above: the handler parses (serve.renderPage) and the pool assigns ids (Pool.instance), a replica runs EncodeBatch and DecodeBatch"; exit 1; fi
+if [[ $(grep -nF 'htmldom.Parse' $(ls internal/serve/*.go | grep -v '_test\.go$') | wc -l) -ne 1 ]]; then grep -nF 'htmldom.Parse' internal/serve/*.go; echo "non-test internal/serve must name htmldom.Parse on exactly one line (renderPage): a page is parsed once"; exit 1; fi
+if grep -rnE 'CloneManyForServing|NewCascadePool|BatchReplica|cascadeReporter|DefaultProbeHTML' --include='*.go' internal cmd; then echo "name(s) listed above were deleted in favour of wb.FoldForServing / serve.NewPool / serve.Replica: extend those instead"; exit 1; fi
 
 echo "== one inference entry point (a lone briefing is a batch of one over wb.BatchScratchOf: the single-instance family, its beam search and the tape pool stay deleted, and the eight names bench/wbload/replay.go still compiles against are called from nowhere else)"
 if grep -rnwE 'InferScratchOf|NewInferScratchOf|NewInferScratch|GetScratch|PutScratch|GenerateTopicWith|decodeTopicWith|makeBriefWith|MakeBriefWith|MakeBriefWith32|BeamSearchScratch|ForwardIDs|GetTape|PutTape|tapePool|debugTapeGot|debugTapePut|tapelife' --include='*.go' internal cmd examples; then echo "name(s) listed above were deleted in favour of wb.ExtractBriefBatch / DecodeTopicBatch / MakeBriefBatch and nn.BeamSearchBatch: extend those instead"; exit 1; fi
