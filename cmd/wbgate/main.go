@@ -16,11 +16,13 @@
 // owns itself (one synchronous exchange per relay attempt, no net/http
 // client: a connection is kept only if its reply was read to the end
 // uninterrupted, and a kept one the backend has since closed costs a redial
-// and a replay, not a failed attempt), a circuit breaker (-breaker-threshold
-// consecutive failures eject it; /healthz probes on -probe-interval readmit
-// it after the cooldown), and failover: a request whose home backend is
-// ejected, saturated, or failing is retried on the next candidates around
-// the ring, so single-backend faults stay invisible to clients.
+// and a replay, not a failed attempt), a circuit breaker — internal/breaker,
+// the same machine wbserve runs per replica (-breaker-threshold consecutive
+// failures eject it; once -breaker-cooldown has passed, /healthz probes on
+// -probe-interval readmit it after two clean in a row) — and failover: a
+// request whose home backend is ejected, saturated, or failing is retried on
+// the next candidates around the ring, so single-backend faults stay
+// invisible to clients.
 //
 // POST /admin/reload (or SIGHUP) drives a rolling zero-downtime hot model
 // reload across the fleet — each backend's /admin/reload in turn, one at a
@@ -65,7 +67,6 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that eject a backend from rotation")
 	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "ejection to first readmission probe")
 	probeEvery := flag.Duration("probe-interval", 100*time.Millisecond, "health probe cadence for ejected backends")
-	probeOK := flag.Int("probe-successes", 2, "consecutive clean probes required to readmit a backend")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline, failover attempts included (0 = none)")
 	maxBody := flag.Int64("maxbody", gateway.DefaultMaxBodyBytes, "request body limit in bytes (over-limit bodies get 413)")
 	reloadTimeout := flag.Duration("reload-timeout", 60*time.Second, "per-backend deadline when driving a fleet reload")
@@ -91,7 +92,6 @@ func main() {
 		BreakerThreshold:   *breakerThreshold,
 		BreakerCooldown:    *breakerCooldown,
 		ProbeInterval:      *probeEvery,
-		ProbeSuccesses:     *probeOK,
 		Timeout:            *timeout,
 		ReloadTimeout:      *reloadTimeout,
 		MaxBodyBytes:       *maxBody,

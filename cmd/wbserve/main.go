@@ -27,8 +27,9 @@
 //
 // The server self-heals: a replica that panics or wedges past -stall is
 // ejected from rotation (the request retries on another replica, up to
-// -replica-retries), probed on -probe-interval, and readmitted after
-// consecutive clean probes. The -chaos flag wraps one pool replica in
+// -replica-retries), probed on -probe-interval, and readmitted after two
+// consecutive clean probes — internal/breaker, the same machine wbgate runs
+// per backend, with no cooldown. The -chaos flag wraps one pool replica in
 // internal/fault's deterministic fault injector — a built-in resilience
 // drill you can watch through /metrics:
 //
@@ -108,7 +109,6 @@ func main() {
 	replicaRetries := flag.Int("replica-retries", 1, "re-runs of a request whose replica panicked or stalled before 500 (-1 = none)")
 	stall := flag.Duration("stall", 0, "per-stage watchdog: a stage exceeding this wedges and ejects its replica (0 = disabled)")
 	probeEvery := flag.Duration("probe-interval", 25*time.Millisecond, "re-admission probe cadence for ejected replicas")
-	probeOK := flag.Int("probe-successes", 2, "consecutive clean probes required to readmit an ejected replica")
 	chaos := flag.Float64("chaos", 0, "fault rate in [0,1] injected into ONE pool replica (0 = off) — a resilience drill")
 	chaosSeed := flag.Int64("chaosseed", 1, "seed for the -chaos fault schedule")
 	batchMax := flag.Int("batch-max", 8, "max queued requests coalesced into one batched forward when every replica is busy")
@@ -147,7 +147,6 @@ func main() {
 		ReplicaRetries:      *replicaRetries,
 		StallTimeout:        *stall,
 		ProbeInterval:       *probeEvery,
-		ProbeSuccesses:      *probeOK,
 		BatchMax:            *batchMax,
 		Cascade:             *cascade,
 		ConfidenceThreshold: *confThreshold,

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"time"
 	"unicode/utf8"
+
+	"webbrief/internal/breaker"
 )
 
 // ContextFetcher is the deadline-aware fetch contract. Fetchers that
@@ -115,55 +117,6 @@ func (b *tokenBucket) wait(now func() time.Time, sleep func(time.Duration)) {
 	b.tokens--
 }
 
-// Breaker states, exported for tests and metrics.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// hostBreaker is a per-host circuit breaker. It counts consecutive
-// *exhausted* fetches (a URL that failed all its retry attempts), not
-// individual attempt errors — a 30%-fault host with working retries never
-// trips it, a dead host trips it after Threshold URLs and fails the rest
-// fast until a cooldown probe succeeds.
-type hostBreaker struct {
-	threshold   int
-	cooldown    time.Duration
-	state       int
-	consecutive int
-	openedAt    time.Time
-}
-
-// allow reports whether a fetch may proceed. An open breaker lets one
-// probe fetch through (half-open) once the cooldown has passed.
-func (b *hostBreaker) allow(now time.Time) bool {
-	if b.state != breakerOpen {
-		return true
-	}
-	if now.Sub(b.openedAt) >= b.cooldown {
-		b.state = breakerHalfOpen
-		return true
-	}
-	return false
-}
-
-// success closes the breaker and resets the consecutive-failure count.
-func (b *hostBreaker) success() {
-	b.state = breakerClosed
-	b.consecutive = 0
-}
-
-// fail records an exhausted fetch; a half-open probe failure or Threshold
-// consecutive failures (re)open the breaker.
-func (b *hostBreaker) fail(now time.Time) {
-	b.consecutive++
-	if b.state == breakerHalfOpen || b.consecutive >= b.threshold {
-		b.state = breakerOpen
-		b.openedAt = now
-	}
-}
-
 // crawlState is the per-Crawl resilience machinery.
 type crawlState struct {
 	cfg   Config
@@ -174,7 +127,7 @@ type crawlState struct {
 	sleep func(time.Duration)
 
 	buckets  map[string]*tokenBucket
-	breakers map[string]*hostBreaker
+	breakers map[string]*breaker.Breaker
 	retries  int // extra attempts spent across the whole crawl
 }
 
@@ -186,7 +139,7 @@ func newCrawlState(f Fetcher, cfg Config) *crawlState {
 		now:      cfg.Now,
 		sleep:    cfg.Sleep,
 		buckets:  map[string]*tokenBucket{},
-		breakers: map[string]*hostBreaker{},
+		breakers: map[string]*breaker.Breaker{},
 	}
 	if cf, ok := f.(ContextFetcher); ok {
 		s.cf = cf
@@ -201,7 +154,11 @@ func newCrawlState(f Fetcher, cfg Config) *crawlState {
 }
 
 // breaker returns host's circuit breaker, or nil when breaking is disabled.
-func (s *crawlState) breaker(host string) *hostBreaker {
+// It counts consecutive *exhausted* fetches (a URL that failed all its retry
+// attempts), not individual attempt errors — a 30%-fault host with working
+// retries never trips it, a dead host trips it after BreakerThreshold URLs
+// and fails the rest fast until one cooldown probe fetch succeeds.
+func (s *crawlState) breaker(host string) *breaker.Breaker {
 	if s.cfg.BreakerThreshold <= 0 {
 		return nil
 	}
@@ -211,7 +168,7 @@ func (s *crawlState) breaker(host string) *hostBreaker {
 		if cooldown <= 0 {
 			cooldown = 500 * time.Millisecond
 		}
-		b = &hostBreaker{threshold: s.cfg.BreakerThreshold, cooldown: cooldown}
+		b = breaker.New(s.cfg.BreakerThreshold, cooldown, 1)
 		s.breakers[host] = b
 	}
 	return b
@@ -275,11 +232,8 @@ func (s *crawlState) doFetch(url string) (string, error) {
 func (s *crawlState) fetchOne(url string) (string, *Failure) {
 	host := hostOf(url)
 	br := s.breaker(host)
-	if br != nil && !br.allow(s.now()) {
-		return "", &Failure{
-			URL:    url,
-			Reason: fmt.Sprintf("circuit breaker open for host %q (%d consecutive failures)", host, br.consecutive),
-		}
+	if br != nil && !br.Allow(s.now()) {
+		return "", &Failure{URL: url, Reason: fmt.Sprintf("circuit breaker open for host %q", host)}
 	}
 	var lastErr error
 	attempts := 0
@@ -295,7 +249,7 @@ func (s *crawlState) fetchOne(url string) (string, *Failure) {
 			err = validateBody(html)
 			if err == nil {
 				if br != nil {
-					br.success()
+					br.Success()
 				}
 				return html, nil
 			}
@@ -306,7 +260,7 @@ func (s *crawlState) fetchOne(url string) (string, *Failure) {
 		}
 	}
 	if br != nil {
-		br.fail(s.now())
+		br.Fail(s.now())
 	}
 	return "", &Failure{URL: url, Reason: lastErr.Error(), Attempts: attempts}
 }

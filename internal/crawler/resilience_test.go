@@ -224,42 +224,6 @@ func TestCrawlBreakerFailsFast(t *testing.T) {
 	}
 }
 
-// TestBreakerCooldownProbe exercises the half-open transition directly:
-// open → (cooldown) → one probe allowed → success closes, failure reopens.
-func TestBreakerCooldownProbe(t *testing.T) {
-	b := &hostBreaker{threshold: 2, cooldown: time.Second}
-	t0 := time.Unix(0, 0)
-	if !b.allow(t0) {
-		t.Fatal("closed breaker must allow")
-	}
-	b.fail(t0)
-	b.fail(t0)
-	if b.state != breakerOpen {
-		t.Fatalf("state %d after %d failures, want open", b.state, b.threshold)
-	}
-	if b.allow(t0.Add(500 * time.Millisecond)) {
-		t.Fatal("open breaker allowed a fetch inside the cooldown")
-	}
-	if !b.allow(t0.Add(time.Second)) {
-		t.Fatal("open breaker must allow one probe after the cooldown")
-	}
-	if b.state != breakerHalfOpen {
-		t.Fatalf("state %d after cooldown, want half-open", b.state)
-	}
-	// Probe failure reopens immediately (no threshold accumulation).
-	b.fail(t0.Add(time.Second))
-	if b.state != breakerOpen {
-		t.Fatal("failed probe must reopen the breaker")
-	}
-	if !b.allow(t0.Add(2 * time.Second)) {
-		t.Fatal("second probe must be allowed after another cooldown")
-	}
-	b.success()
-	if b.state != breakerClosed || b.consecutive != 0 {
-		t.Fatalf("successful probe must close and reset, got state=%d consecutive=%d", b.state, b.consecutive)
-	}
-}
-
 // deadlineFetcher asserts every fetch carries the configured deadline and
 // times the first attempt out.
 type deadlineFetcher struct {

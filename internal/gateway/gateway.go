@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webbrief/internal/breaker"
 	"webbrief/internal/briefcache"
 	"webbrief/internal/httpbody"
 	"webbrief/internal/metrics"
@@ -57,7 +58,6 @@ type Config struct {
 	BreakerThreshold   int           // consecutive failures that eject a backend (0 = 3)
 	BreakerCooldown    time.Duration // ejection → first readmission probe (0 = 500ms)
 	ProbeInterval      time.Duration // health probe cadence for ejected backends (0 = 100ms)
-	ProbeSuccesses     int           // consecutive clean probes to readmit (0 = 2)
 	Timeout            time.Duration // per-request deadline, all attempts included (0 = none)
 	ReloadTimeout      time.Duration // per-backend deadline driving /admin/reload (0 = 60s)
 	MaxBodyBytes       int64         // request body limit, and the ceiling on a relayed reply (0 = DefaultMaxBodyBytes)
@@ -80,9 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 100 * time.Millisecond
 	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 2
-	}
 	if c.ReloadTimeout <= 0 {
 		c.ReloadTimeout = 60 * time.Second
 	}
@@ -97,7 +94,7 @@ type backend struct {
 	name  string        // canonical host:port — the ring member name
 	up    *upstream     // its keep-alive connections and the exchange over them
 	slots chan struct{} // bounded connection pool: one token per in-flight relay
-	br    *breaker
+	br    *breaker.Breaker
 
 	requests   atomic.Int64 // relay attempts sent to this backend
 	errors     atomic.Int64 // attempts that failed
@@ -157,11 +154,7 @@ func New(cfg Config) (*Gateway, error) {
 			name:  name,
 			up:    &upstream{addr: name},
 			slots: make(chan struct{}, cfg.MaxConnsPerBackend),
-			br: &breaker{
-				threshold:      cfg.BreakerThreshold,
-				cooldown:       cfg.BreakerCooldown,
-				probeSuccesses: cfg.ProbeSuccesses,
-			},
+			br:    breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown, breaker.ReadmitProbes),
 		}
 	}
 	g.ready.Store(true)
@@ -435,7 +428,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := health{Status: "ok", Backends: len(g.names)}
 	for _, name := range g.names {
 		st := g.backends[name].br.State()
-		if st != BreakerOpen {
+		if st != breaker.Open {
 			h.Routable++
 		}
 		h.Fleet = append(h.Fleet, backendHealth{Name: name, Breaker: st.String()})
@@ -592,7 +585,7 @@ func (g *Gateway) probeLoop() {
 		for _, name := range g.names {
 			b := g.backends[name]
 			b.up.reap(time.Now())
-			if b.br.State() == BreakerClosed {
+			if b.br.State() == breaker.Closed {
 				continue
 			}
 			if !b.br.Allow(time.Now()) {

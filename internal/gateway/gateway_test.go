@@ -110,7 +110,6 @@ func newTestGateway(t *testing.T, n int, mutate func(*Config)) (*Gateway, *httpt
 		BreakerThreshold: 2,
 		BreakerCooldown:  30 * time.Millisecond,
 		ProbeInterval:    5 * time.Millisecond,
-		ProbeSuccesses:   2,
 		Timeout:          5 * time.Second,
 	}
 	if mutate != nil {

@@ -3,6 +3,7 @@ package gateway
 import (
 	"sync/atomic"
 
+	"webbrief/internal/breaker"
 	"webbrief/internal/metrics"
 )
 
@@ -134,7 +135,7 @@ func (g *Gateway) snapshot() metricsSnapshot {
 	for _, name := range g.names {
 		b := g.backends[name]
 		st := b.br.State()
-		if st != BreakerOpen {
+		if st != breaker.Open {
 			routable++
 		}
 		s.Backends = append(s.Backends, backendSnapshot{

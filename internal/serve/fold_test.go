@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"webbrief/internal/nn"
@@ -69,8 +73,42 @@ func TestPoolSharesFoldTables(t *testing.T) {
 	}
 }
 
+// TestPoolFoldsAblation: the fold is a parameter copy, not a snapshot round
+// trip, so the NoMarkov ablation — which the snapshot format cannot record —
+// folds like any GloVe-encoder model, on more than one replica, and serves the
+// bytes of its own serial path.
+func TestPoolFoldsAblation(t *testing.T) {
+	m, v, pages := trainedModel(t)
+	m.Sec.NoMarkov = true
+	const beam = 2
+	srv, err := New(m, v, Config{Replicas: 2, BeamWidth: beam})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Pool().Fold().Bytes == 0 {
+		t.Fatal("a NoMarkov pool serves unfolded")
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	serial := wb.NewBriefer(m, v, beam, 0)
+	for i, p := range pages[:3] {
+		status, body, err := postBrief(ts.URL, p.HTML)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("page %d: status %d err %v", i, status, err)
+		}
+		b, err := serial.BriefHTML(p.HTML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(b)
+		if !bytes.Equal(body, append(want, '\n')) {
+			t.Fatalf("page %d: served %s, serial path %s", i, body, want)
+		}
+	}
+}
+
 // TestPoolServesUnfoldableModelAsIs: a transformer-encoder model has no
-// snapshot form and no fold tables; a pool of one still serves it, unfolded.
+// fold tables; a pool of one still serves it, unfolded.
 func TestPoolServesUnfoldableModelAsIs(t *testing.T) {
 	_, v, _ := trainedModel(t)
 	tc := nn.TransformerConfig{Vocab: v.Size(), Dim: 12, Heads: 2, Layers: 1, FFDim: 24, MaxLen: 32, Segments: 2}
@@ -88,6 +126,6 @@ func TestPoolServesUnfoldableModelAsIs(t *testing.T) {
 		t.Fatal("a pool of one over an unfoldable model must serve the model itself")
 	}
 	if _, err := NewPool(bm, v, 2, Config{BeamWidth: 2}); err == nil {
-		t.Fatal("two replicas of a model with no snapshot form were built")
+		t.Fatal("two replicas of a model with no fold tables were built")
 	}
 }

@@ -68,7 +68,7 @@ func (s *Server) runStage(pool *Pool, rep Replica, fn func()) bool {
 		return true
 	case <-timer.C:
 		s.metrics.Stalls.Add(1)
-		pool.Eject(rep)
+		pool.Fail(rep)
 		// The wedged goroutine still owns the replica's scratch state;
 		// only once it resolves may probing (and re-admission) begin. If
 		// it never resolves, the replica is lost capacity — degraded, but
@@ -86,36 +86,34 @@ func (s *Server) runStage(pool *Pool, rep Replica, fn func()) bool {
 // ejectAndProbe takes rep out of rotation and starts its re-admission
 // prober.
 func (s *Server) ejectAndProbe(pool *Pool, rep Replica) {
-	pool.Eject(rep)
+	pool.Fail(rep)
 	go s.probeLoop(pool, rep)
 }
 
-// probeLoop periodically briefs the probe page on an ejected replica and
-// readmits it after ProbeSuccesses consecutive clean runs — into the pool
-// it was ejected from, which after a hot reload may be a retired
-// generation (the readmission is then harmless and the loop exits). It
-// exits on shutdown; an ejected replica then simply stays out of rotation.
+// probeLoop periodically briefs the probe page on an ejected replica, which
+// it holds exclusively, and feeds each result to the replica's breaker: a
+// failed probe re-opens it, and breaker.ReadmitProbes consecutive clean runs
+// readmit it — into the pool it was ejected from, which after a hot reload
+// may be a retired generation (the readmission is then harmless and the loop
+// exits). It exits on shutdown; an ejected replica then simply stays out of
+// rotation.
 func (s *Server) probeLoop(pool *Pool, rep Replica) {
-	pool.BeginProbe(rep)
+	br := pool.breaker(rep)
 	_, sents := renderPage(probeHTML)
 	insts := []*wb.Instance{pool.instance(sents)}
 	ticker := time.NewTicker(s.cfg.ProbeInterval)
 	defer ticker.Stop()
-	consecutive := 0
 	for {
 		select {
 		case <-s.shutdownCh:
 			return
 		case <-ticker.C:
 		}
+		br.Allow(time.Now()) // no cooldown: always admits, half-opening an open breaker
 		// One probe: both model stages on the probe page's instance.
-		if recoverPanic(func() { rep.DecodeBatch(insts, rep.EncodeBatch(insts)) }) == nil {
-			consecutive++
-		} else {
-			consecutive = 0
-		}
-		if consecutive >= s.cfg.ProbeSuccesses {
-			pool.Readmit(rep)
+		if recoverPanic(func() { rep.DecodeBatch(insts, rep.EncodeBatch(insts)) }) != nil {
+			pool.Fail(rep)
+		} else if pool.Success(rep) {
 			return
 		}
 	}

@@ -45,7 +45,7 @@ func TestServeLoadSoak(t *testing.T) {
 		t.Skip("load soak skipped in -short")
 	}
 	srv := NewFromPool(PoolOf(lift(&slowReplica{delay: 2 * time.Millisecond})),
-		Config{QueueDepth: 2, RetryAfter: time.Second})
+		Config{QueueDepth: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -309,13 +309,11 @@ func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, th
 	s.QueueDepth = m.Queued.Load()
 	s.Pool.Replicas = pool.Size()
 	s.Pool.Idle = pool.Idle()
-	s.Pool.ReplicasHealthy = pool.Healthy()
 	s.Pool.Ejections = pool.Ejections()
 	s.Pool.Readmissions = pool.Readmissions()
-	closed, open, half := pool.BreakerStates()
-	s.Pool.BreakerState.Closed = closed
-	s.Pool.BreakerState.Open = open
-	s.Pool.BreakerState.HalfOpen = half
+	bs := &s.Pool.BreakerState
+	bs.Closed, bs.Open, bs.HalfOpen = pool.BreakerStates()
+	s.Pool.ReplicasHealthy = bs.Closed
 	s.LatencyMS.QueueWait = m.QueueWait.snapshotMS()
 	s.LatencyMS.Parse = m.Parse.snapshotMS()
 	s.LatencyMS.Encode = m.Encode.snapshotMS()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"webbrief/internal/breaker"
 	"webbrief/internal/nn"
 	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
@@ -191,37 +192,16 @@ func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []w
 	return r.decisions
 }
 
-// BreakerState is the health state of one replica, circuit-breaker style.
-type BreakerState int
-
-// The replica breaker states.
-const (
-	BreakerClosed   BreakerState = iota // healthy, in rotation
-	BreakerOpen                         // ejected after a panic or stall, out of rotation
-	BreakerHalfOpen                     // out of rotation, re-admission probes running
-)
-
-// String names the state.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	default:
-		return "half_open"
-	}
-}
-
 // Pool holds a fixed set of interchangeable eval-mode replicas. A request
 // checks one out with Get, briefs on it exclusively, and returns it with
 // Put — so up to Size batches proceed concurrently with no shared mutex,
 // unlike wb.Briefer which serialises every forward pass behind one lock.
 //
-// The pool also tracks per-replica health: a replica that panics or wedges
-// is Ejected (breaker open) instead of Put back, shrinking capacity but
-// never poisoning later requests; re-admission probing (serve.Server)
-// moves it through half-open back to closed once it briefs cleanly again.
+// The pool also tracks per-replica health, one breaker.Breaker each with
+// threshold 1 and no cooldown: a replica that panics or wedges Fails (breaker
+// open) instead of being Put back, shrinking capacity but never poisoning
+// later requests; re-admission probing (serve.Server) moves it through
+// half-open back to closed, and into rotation, once it briefs cleanly again.
 type Pool struct {
 	size int
 	idle chan Replica
@@ -234,27 +214,26 @@ type Pool struct {
 	models []*modelReplica
 
 	mu           sync.Mutex
-	state        map[Replica]BreakerState
-	healthy      int
+	breakers     map[Replica]*breaker.Breaker
 	ejections    int64
 	readmissions int64
 }
 
 // NewPool builds one pool generation from m: the models, once — the float64
-// teacher as one folded serving copy (wb.FoldForServing: one snapshot encode
-// and one decode whatever n is, sharing nothing with m itself) and, when
-// cfg.Cascade is set, the float32 student in front of it (wb.FoldStudent;
-// GloVe-encoder models only) — and n replicas (0 → GOMAXPROCS) that all read
-// those same models and fold tables through workspaces of their own. The pool
-// keeps v to build every instance its replicas run (Pool.instance). cfg's
-// BeamWidth configures each workspace exactly like wb.NewBriefer, so pooled
-// briefings are identical to the serial path's at maxPageTokens; its
-// ConfidenceThreshold is the escalation cutoff on the decode confidence
-// score: ≤ 0 never escalates, > 1 escalates every briefing.
+// teacher as one folded serving copy (wb.FoldForServing: one parameter copy
+// whatever n is, sharing nothing with m itself) and, when cfg.Cascade is set,
+// the float32 student in front of it, folded the same way — and n replicas
+// (0 → GOMAXPROCS) that all read those same models and fold tables through
+// workspaces of their own. The pool keeps v to build every instance its
+// replicas run (Pool.instance). cfg's BeamWidth configures each workspace
+// exactly like wb.NewBriefer, so pooled briefings are identical to the serial
+// path's at maxPageTokens; its ConfidenceThreshold is the escalation cutoff on
+// the decode confidence score: ≤ 0 never escalates, > 1 escalates every
+// briefing.
 //
-// A model with no snapshot form (a transformer encoder, an ablation) has no
-// fold tables either and serves as is, unfolded — which only a pool of one
-// may: m stays the caller's to train.
+// A model with a transformer encoder has no fold tables and no float32 form,
+// and serves as is, unfolded — which only a pool of one may: m stays the
+// caller's to train.
 func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if n <= 0 {
@@ -262,7 +241,7 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error)
 	}
 	start := time.Now()
 	var tiers []tierModel // fastest first
-	teacher, err := wb.FoldForServing(m, v)
+	teacher, err := wb.FoldForServing[float64](m)
 	switch {
 	case err == nil:
 		tiers = append(tiers, shareModel[float64](teacher, teacher.Tables().Bytes(), v, cfg.BeamWidth))
@@ -272,7 +251,7 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error)
 		return nil, fmt.Errorf("serve: fold teacher for %d replicas: %w", n, err)
 	}
 	if cfg.Cascade {
-		student, err := wb.FoldStudent(m)
+		student, err := wb.FoldForServing[float32](m)
 		if err != nil {
 			return nil, fmt.Errorf("serve: float32 student: %w", err)
 		}
@@ -311,13 +290,12 @@ type FoldStats struct {
 // page.
 func PoolOf(replicas ...Replica) *Pool {
 	p := &Pool{
-		size:    len(replicas),
-		idle:    make(chan Replica, len(replicas)),
-		state:   make(map[Replica]BreakerState, len(replicas)),
-		healthy: len(replicas),
+		size:     len(replicas),
+		idle:     make(chan Replica, len(replicas)),
+		breakers: make(map[Replica]*breaker.Breaker, len(replicas)),
 	}
 	for _, r := range replicas {
-		p.state[r] = BreakerClosed
+		p.breakers[r] = breaker.New(1, 0, breaker.ReadmitProbes)
 		p.idle <- r
 	}
 	return p
@@ -382,8 +360,8 @@ func (p *Pool) Warm(html string) error {
 
 // WrapOne replaces one idle replica with wrap(replica) — the seam
 // cmd/wbserve's -chaos flag uses to fault-inject a live pool member for
-// resilience drills. The wrapped replica inherits a closed breaker; health
-// accounting is unchanged.
+// resilience drills. The wrapped replica inherits the replica's (closed)
+// breaker; health accounting is unchanged.
 func (p *Pool) WrapOne(wrap func(Replica) Replica) error {
 	r, ok := p.TryGet()
 	if !ok {
@@ -391,8 +369,9 @@ func (p *Pool) WrapOne(wrap func(Replica) Replica) error {
 	}
 	w := wrap(r)
 	p.mu.Lock()
-	delete(p.state, r)
-	p.state[w] = BreakerClosed
+	b := p.breakers[r]
+	delete(p.breakers, r)
+	p.breakers[w] = b
 	p.mu.Unlock()
 	p.idle <- w
 	return nil
@@ -426,61 +405,58 @@ func (p *Pool) TryGet() (Replica, bool) {
 // Put returns a replica to the pool.
 func (p *Pool) Put(r Replica) { p.idle <- r }
 
-// Eject takes a checked-out replica out of rotation (breaker open) instead
-// of Putting it back: capacity shrinks by one, but the suspect replica can
-// never serve another request until Readmit. Ejecting an already-open
-// replica is a no-op (the stall watchdog and a late panic can race).
-func (p *Pool) Eject(r Replica) {
+// Fail records a fault on a checked-out replica instead of Putting it back.
+// On a closed breaker that is an ejection: capacity shrinks by one, and the
+// suspect replica serves no other request until a Success readmits it. On a
+// half-open one (a failed probe) it re-opens without counting an ejection;
+// on an open one (the stall watchdog and a late panic can race) it is a
+// no-op.
+func (p *Pool) Fail(r Replica) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.state[r] != BreakerClosed {
-		return
-	}
-	p.state[r] = BreakerOpen
-	p.healthy--
-	p.ejections++
-}
-
-// BeginProbe marks an ejected replica half-open while re-admission probes
-// run against it.
-func (p *Pool) BeginProbe(r Replica) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.state[r] == BreakerOpen {
-		p.state[r] = BreakerHalfOpen
+	if p.breakers[r].Fail(time.Now()) {
+		p.ejections++
 	}
 }
 
-// Readmit closes an ejected replica's breaker and returns it to rotation.
-func (p *Pool) Readmit(r Replica) {
+// Success records a clean probe on an ejected replica. It reports true when
+// that closed the replica's breaker — a readmission, which returns the
+// replica to rotation.
+func (p *Pool) Success(r Replica) (readmitted bool) {
 	p.mu.Lock()
-	if p.state[r] == BreakerClosed {
-		p.mu.Unlock()
-		return
+	readmitted = p.breakers[r].Success()
+	if readmitted {
+		p.readmissions++
 	}
-	p.state[r] = BreakerClosed
-	p.healthy++
-	p.readmissions++
 	p.mu.Unlock()
-	p.idle <- r
+	if readmitted {
+		p.idle <- r
+	}
+	return readmitted
+}
+
+// breaker returns r's breaker.
+func (p *Pool) breaker(r Replica) *breaker.Breaker {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.breakers[r]
 }
 
 // Healthy is the number of replicas whose breaker is closed.
 func (p *Pool) Healthy() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.healthy
+	closed, _, _ := p.BreakerStates()
+	return closed
 }
 
 // BreakerStates counts replicas per breaker state, for /metrics.
 func (p *Pool) BreakerStates() (closed, open, halfOpen int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, s := range p.state {
-		switch s {
-		case BreakerClosed:
+	for _, b := range p.breakers {
+		switch b.State() {
+		case breaker.Closed:
 			closed++
-		case BreakerOpen:
+		case breaker.Open:
 			open++
 		default:
 			halfOpen++

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,16 +45,18 @@ import (
 // MaxBodyBytes zero.
 const DefaultMaxBodyBytes = 4 << 20
 
+// retryAfter is the Retry-After hint, in seconds, on 429 and draining 503s.
+const retryAfter = "1"
+
 // Config sizes a Server. The zero value is usable: GOMAXPROCS replicas, a
 // 64-deep admission queue, no deadline, the default body limit, beam 8,
-// one replica retry, probing every 25ms with 2 successes to readmit.
+// one replica retry, probing every 25ms.
 type Config struct {
 	Replicas     int           // model replicas (0 = GOMAXPROCS)
 	QueueDepth   int           // requests allowed to wait for a replica before 429 (<0 = none wait)
 	Timeout      time.Duration // per-request deadline, queue wait included (0 = none)
 	MaxBodyBytes int64         // request body limit (0 = DefaultMaxBodyBytes)
 	BeamWidth    int           // topic beam width (0 = 8)
-	RetryAfter   time.Duration // advisory Retry-After on 429 (0 = 1s)
 	AccessLog    io.Writer     // JSON-line access log (nil = disabled)
 
 	// ReplicaRetries is how many times a request whose replica panicked or
@@ -66,10 +67,9 @@ type Config struct {
 	// the slowest healthy stage.
 	StallTimeout time.Duration
 	// ProbeInterval is the re-admission probe cadence for ejected
-	// replicas (0 = 25ms); ProbeSuccesses consecutive clean probe
-	// briefings close the breaker (0 = 2).
-	ProbeInterval  time.Duration
-	ProbeSuccesses int
+	// replicas (0 = 25ms); breaker.ReadmitProbes consecutive clean probe
+	// briefings close the breaker.
+	ProbeInterval time.Duration
 
 	// BatchMax caps how many queued requests one batch may coalesce when
 	// every replica is busy (0 = 8); it bounds workspace growth.
@@ -117,9 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.BeamWidth == 0 {
 		c.BeamWidth = 8
 	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.ReplicaRetries == 0 {
 		c.ReplicaRetries = 1
 	}
@@ -128,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 25 * time.Millisecond
-	}
-	if c.ProbeSuccesses == 0 {
-		c.ProbeSuccesses = 2
 	}
 	if c.BatchMax == 0 {
 		c.BatchMax = 8
@@ -473,11 +467,11 @@ func (s *Server) settle(lg *accessEntry, o metrics.Outcome[requestsTotal], statu
 
 // refuse settles a request that gets no briefing and writes its plain-text
 // error. The statuses that tell the client to come back (503 draining, 429
-// shed) carry the configured Retry-After.
+// shed) carry Retry-After.
 func (s *Server) refuse(w http.ResponseWriter, lg *accessEntry, o metrics.Outcome[requestsTotal], status int, msg string) {
 	s.settle(lg, o, status)
 	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	http.Error(w, msg, status)
 }
@@ -565,14 +559,4 @@ func (s *Server) logAccess(lg *accessEntry) {
 // resolution, keeping log lines compact.
 func roundMS(d time.Duration) float64 {
 	return float64(d.Microseconds()) / 1e3
-}
-
-// retryAfterSeconds renders a Retry-After header value (whole seconds,
-// minimum 1).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }

@@ -281,7 +281,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // while every admitted request still completes.
 func TestAdmissionOverload429(t *testing.T) {
 	stub := newStubReplica()
-	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: 2, RetryAfter: 7 * time.Second})
+	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -312,8 +312,8 @@ func TestAdmissionOverload429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After %q, want \"7\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != retryAfter {
+		t.Fatalf("Retry-After %q, want %q", ra, retryAfter)
 	}
 
 	// Releasing the stub lets all three admitted requests finish.

@@ -43,7 +43,7 @@ func checkStaleDecodePanics[T tensor.Float](t *testing.T, m ModelOf[T], insts []
 // was built from — and the next folded forward must name the table.
 func TestStaleFoldTablePanics(t *testing.T) {
 	insts, v := testData(t, 1, 2)
-	f, err := FoldForServing(newTestJointWB(v, 313), v)
+	f, err := FoldForServing[float64](newTestJointWB(v, 313))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"webbrief/internal/ag"
 	"webbrief/internal/nn"
 	"webbrief/internal/tensor"
-	"webbrief/internal/textproc"
 )
 
 // FoldTablesOf holds the products of a GloVe-encoder Joint-WB forward that
@@ -51,7 +50,7 @@ func FoldTableBytes(vocab, hidden, elemBytes int) int64 {
 // wrong model, so the type makes that state unreachable instead of checked:
 // the model inside is a private copy nothing else holds, Params returns
 // nothing (an optimizer built over a FoldedOf has nothing to step), and the
-// only constructors build model and tables together. Under `-tags wbdebug`
+// only constructor, FoldForServing, builds model and tables together. Under `-tags wbdebug`
 // every folded forward also re-derives one sampled row of each table from
 // the weights it is about to run with.
 type FoldedOf[T tensor.Float] struct {
@@ -86,60 +85,33 @@ func (f *FoldedOf[T]) ForwardBatchEval(t *ag.TapeOf[T], insts []*Instance) []*Ou
 	return f.folded.forwardBatchEval(t, insts, f.tables)
 }
 
-// buildTables computes the fold tables of m, a GloVe-encoder model the
-// caller owns outright: no parameter of it may be reachable by anything that
-// could write to it.
-func buildTables[T tensor.Float](m *JointWBOf[T]) *FoldTablesOf[T] {
-	emb := m.Enc.(*GloVeEncoderOf[T]).Emb
-	return &FoldTablesOf[T]{
-		ExtFwd: nn.InputTable(emb, m.ExtLSTM.Fwd),
-		ExtBwd: nn.InputTable(emb, m.ExtLSTM.Bwd),
-		Dec:    nn.InputTable(m.Dec.Emb, m.Dec.Cell),
-	}
-}
-
-// withTables wraps an owned model around tables built from weights equal to
-// its own. The folded forward runs a shallow copy of m whose Dec is the
-// decoder view carrying the decoder table, so every decode that starts from
-// its outputs is folded too.
-func withTables[T tensor.Float](m *JointWBOf[T], tables *FoldTablesOf[T]) *FoldedOf[T] {
-	folded := *m
-	folded.Dec = m.Dec.WithInputTable(tables.Dec)
-	return &FoldedOf[T]{m: m, folded: &folded, tables: tables}
-}
-
 // FoldForServing returns the one serving copy of a trained GloVe-encoder
-// model a pool generation needs, folded: the teacher tier serve.NewPool shares
-// among all its replicas. The copy goes through the snapshot codec round-trip
-// — one encode, one decode, whatever the replica count — so it is exactly the
-// model a restart would load: float64 bit patterns are preserved, making its
-// briefings byte-identical to m's. It shares no storage with m, not even the
-// embedding matrix, so training m afterwards cannot reach it.
+// model at element type T, folded: a tier serve.NewPool shares among all its
+// replicas — the float64 teacher, or the float32 student. The copy is a
+// parameter-by-parameter cast (convertJointWB), one whatever the replica
+// count; at float64 it preserves every bit pattern, so its briefings are
+// byte-identical to m's. It shares no storage with m, not even the embedding
+// matrix, so training m afterwards cannot reach it, and the tables are built
+// from the copy's own weights.
 //
 // One copy serves every replica because nothing in an Eval forward on a
 // no-gradient tape writes to the model: no dropout, no gradients (ag.TapeOf.Use
 // returns before it touches a parameter's Grad), and all per-forward state
-// lives on the caller's BatchScratchOf.
-func FoldForServing(m *JointWB, v *textproc.Vocab) (*FoldedOf[float64], error) {
-	data, err := EncodeSnapshot(m, v)
+// lives on the caller's BatchScratchOf. The folded forward runs a shallow copy
+// of the model whose Dec is the decoder view carrying the decoder table, so
+// every decode that starts from its outputs is folded too.
+func FoldForServing[T tensor.Float](m *JointWB) (*FoldedOf[T], error) {
+	c, err := convertJointWB[T](m)
 	if err != nil {
 		return nil, fmt.Errorf("wb: fold for serving: %w", err)
 	}
-	c, _, err := DecodeSnapshot(data)
-	if err != nil {
-		return nil, fmt.Errorf("wb: fold for serving: %w", err)
+	emb := c.Enc.(*GloVeEncoderOf[T]).Emb
+	tables := &FoldTablesOf[T]{
+		ExtFwd: nn.InputTable(emb, c.ExtLSTM.Fwd),
+		ExtBwd: nn.InputTable(emb, c.ExtLSTM.Bwd),
+		Dec:    nn.InputTable(c.Dec.Emb, c.Dec.Cell),
 	}
-	return withTables(c, buildTables(c)), nil
-}
-
-// FoldStudent lowers a trained model to its float32 student
-// (ConvertJointWB, whose result shares no storage with m) and folds it. The
-// student's weights are read-only at inference, so one FoldedOf serves
-// every replica.
-func FoldStudent(m *JointWB) (*FoldedOf[float32], error) {
-	s, err := ConvertJointWB(m)
-	if err != nil {
-		return nil, fmt.Errorf("wb: fold student: %w", err)
-	}
-	return withTables(s, buildTables(s)), nil
+	folded := *c
+	folded.Dec = c.Dec.WithInputTable(tables.Dec)
+	return &FoldedOf[T]{m: c, folded: &folded, tables: tables}, nil
 }

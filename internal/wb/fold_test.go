@@ -70,7 +70,7 @@ func briefAll[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc.Vocab
 // re-derives a sampled row of each table.)
 func TestFoldIdentity(t *testing.T) {
 	m, v, insts := foldFixture(t)
-	folded, err := FoldForServing(m, v)
+	folded, err := FoldForServing[float64](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFoldIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foldedStudent, err := FoldStudent(m)
+	foldedStudent, err := FoldForServing[float32](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func checkFoldIdentity[T tensor.Float](t *testing.T, plain, folded ModelOf[T], i
 func TestFoldedModelCannotBeTrained(t *testing.T) {
 	m, v, insts := foldFixture(t)
 	insts = insts[:24]
-	f, err := FoldForServing(m, v)
+	f, err := FoldForServing[float64](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFoldedModelCannotBeTrained(t *testing.T) {
 func TestFoldTablesSharedAndSized(t *testing.T) {
 	_, v := testData(t, 2, 2)
 	m := newTestJointWB(v, 3)
-	folded, err := FoldForServing(m, v)
+	folded, err := FoldForServing[float64](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFoldTablesSharedAndSized(t *testing.T) {
 	if want := FoldTableBytes(v.Size(), m.Cfg.Hidden, 8); tab.Bytes() != want || want != int64(3*v.Size()*4*16*8) {
 		t.Fatalf("teacher tables: %d bytes, want %d", tab.Bytes(), want)
 	}
-	s, err := FoldStudent(m)
+	s, err := FoldForServing[float32](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestFoldForServingPrivateCopy(t *testing.T) {
 	tc.Epochs = 2
 	TrainModel(m, insts, tc)
 
-	f, err := FoldForServing(m, v)
+	f, err := FoldForServing[float64](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +215,18 @@ func TestFoldForServingPrivateCopy(t *testing.T) {
 		}
 		if !reflect.DeepEqual(op[i].Value.Data, cp[i].Value.Data) {
 			t.Fatalf("param %d (%s): copied values diverge", i, op[i].Name)
+		}
+	}
+}
+
+// BenchmarkFoldForServing: pool boot's model work per tier — one parameter
+// copy and the fold tables, whatever the replica count.
+func BenchmarkFoldForServing(b *testing.B) {
+	_, v := testData(b, 2, 2)
+	m := newTestJointWB(v, 42)
+	for i := 0; i < b.N; i++ {
+		if _, err := FoldForServing[float64](m); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -246,7 +258,7 @@ func TestFoldedModelSharedConcurrent(t *testing.T) {
 		t.Fatalf("fixture has %d pages, want at least %d", len(insts), pages)
 	}
 
-	teacher, err := FoldForServing(m, v)
+	teacher, err := FoldForServing[float64](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +266,7 @@ func TestFoldedModelSharedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	student, err := FoldStudent(m)
+	student, err := FoldForServing[float32](m)
 	if err != nil {
 		t.Fatal(err)
 	}

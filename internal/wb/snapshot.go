@@ -29,7 +29,7 @@ func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 		return nil, fmt.Errorf("wb: EncodeSnapshot supports GloVe-encoder models, got %T", m.Enc)
 	}
 	if m.Sec.NoMarkov {
-		return nil, errors.New("wb: EncodeSnapshot: the snapshot format does not record Sec.NoMarkov; an ablated model cannot be saved or cloned")
+		return nil, errors.New("wb: EncodeSnapshot: the snapshot format does not record Sec.NoMarkov; an ablated model cannot be saved")
 	}
 	var meta snapshot.Buffer
 	meta.Uvarint(uint64(enc.Dim()))

@@ -258,15 +258,3 @@ func BenchmarkColdBoot(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFoldForServing: pool boot's model work — one encode, one decode
-// and the fold tables, whatever the replica count.
-func BenchmarkFoldForServing(b *testing.B) {
-	_, v := testData(b, 2, 2)
-	m := newTestJointWB(v, 42)
-	for i := 0; i < b.N; i++ {
-		if _, err := FoldForServing(m, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -33,10 +33,10 @@ go run ./cmd/wbcheck ./...
 echo "== go test (every package: integration, cmd, lint fixtures, allocation gates at their pinned counts, kernel and cascade equivalence, ring goldens and balance, fuzz corpus replay)"
 go test ./...
 
-echo "== race-enabled tests (every concurrency-bearing package, whole: serving e2e + load and chaos soaks + cache herd, gateway chaos + upstream, crawler and fault injection, the partition kit, kernel row partition on 2 and 3 workers)"
+echo "== race-enabled tests (every concurrency-bearing package, whole: serving e2e + load and chaos soaks + cache herd, gateway chaos + upstream, crawler and fault injection, the partition kit, the shared breaker, kernel row partition on 2 and 3 workers)"
 go test -race ./internal/ag ./internal/nn ./internal/wb ./internal/serve ./internal/tensor \
     ./internal/briefcache ./internal/snapshot ./internal/metrics ./internal/gateway \
-    ./internal/fault ./internal/crawler
+    ./internal/fault ./internal/crawler ./internal/breaker
 
 echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
 go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
@@ -51,7 +51,11 @@ echo "== one replica contract (serve reaches a replica through serve.Replica alo
 if grep -nE '\.\((BatchReplica|cascadeReporter|\*modelReplica)\)' $(ls internal/serve/*.go | grep -v '_test\.go$'); then echo "type assertion(s) on a Replica listed above: put the capability in the Replica contract instead"; exit 1; fi
 if grep -rnF 'Parse(html string)' internal/serve internal/fault; then echo "Parse method(s) listed above: the handler parses (serve.renderPage) and the pool assigns ids (Pool.instance), a replica runs EncodeBatch and DecodeBatch"; exit 1; fi
 if [[ $(grep -nF 'htmldom.Parse' $(ls internal/serve/*.go | grep -v '_test\.go$') | wc -l) -ne 1 ]]; then grep -nF 'htmldom.Parse' internal/serve/*.go; echo "non-test internal/serve must name htmldom.Parse on exactly one line (renderPage): a page is parsed once"; exit 1; fi
-if grep -rnE 'CloneManyForServing|NewCascadePool|BatchReplica|cascadeReporter|DefaultProbeHTML' --include='*.go' internal cmd; then echo "name(s) listed above were deleted in favour of wb.FoldForServing / serve.NewPool / serve.Replica: extend those instead"; exit 1; fi
+if grep -rnE 'CloneManyForServing|NewCascadePool|BatchReplica|cascadeReporter|DefaultProbeHTML|FoldStudent' --include='*.go' internal cmd; then echo "name(s) listed above were deleted in favour of wb.FoldForServing / serve.NewPool / serve.Replica: extend those instead"; exit 1; fi
+
+echo "== one breaker (serve replicas, gateway backends and crawl hosts run internal/breaker's closed/open/half-open machine: no state enum or breaker type of their own, and the knobs nothing set stay deleted)"
+if grep -rnE 'type BreakerState|hostBreaker|breakerOpen|breakerHalfOpen' --include='*.go' internal cmd examples | grep -v '^internal/breaker/'; then echo "breaker machinery listed above outside internal/breaker: call breaker.New instead"; exit 1; fi
+if grep -rnwE 'ProbeSuccesses|probe-successes' --include='*.go' internal cmd examples || grep -nw 'RetryAfter' internal/serve/*.go; then echo "knob(s) listed above were deleted: the readmission count is breaker.ReadmitProbes, serve's Retry-After the constant retryAfter"; exit 1; fi
 
 echo "== one inference entry point (a lone briefing is a batch of one over wb.BatchScratchOf: the single-instance family, its beam search and the tape pool stay deleted, and the eight names bench/wbload/replay.go still compiles against are called from nowhere else)"
 if grep -rnwE 'InferScratchOf|NewInferScratchOf|NewInferScratch|GetScratch|PutScratch|GenerateTopicWith|decodeTopicWith|makeBriefWith|MakeBriefWith|MakeBriefWith32|BeamSearchScratch|ForwardIDs|GetTape|PutTape|tapePool|debugTapeGot|debugTapePut|tapelife' --include='*.go' internal cmd examples; then echo "name(s) listed above were deleted in favour of wb.ExtractBriefBatch / DecodeTopicBatch / MakeBriefBatch and nn.BeamSearchBatch: extend those instead"; exit 1; fi
@@ -225,6 +229,7 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz=FuzzReader -fuzztime="$FUZZTIME" ./internal/snapshot
     go test -run='^$' -fuzz=FuzzDecodeSnapshot -fuzztime="$FUZZTIME" ./internal/wb
     go test -run='^$' -fuzz=FuzzUpstreamRequestHead -fuzztime="$FUZZTIME" ./internal/gateway
+    go test -run='^$' -fuzz=FuzzParsePolicy -fuzztime="$FUZZTIME" ./internal/briefcache
 fi
 
 echo "ALL CHECKS PASSED"
