@@ -295,7 +295,7 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 
 // BenchmarkServeBriefCacheHit measures the content-addressed cache's hit
 // path through the full HTTP surface: one priming request fills the cache,
-// then every timed request is a raw-key hit — one SHA-256 and a shard-locked
+// then every timed request is a raw-key hit — one SHA-256 and a locked map
 // probe instead of parse + encode + beam decode. Compare against the
 // replicas=1 cell of BenchmarkServeBrief for the hit-vs-miss latency gap.
 func BenchmarkServeBriefCacheHit(b *testing.B) {

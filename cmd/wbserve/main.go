@@ -45,8 +45,9 @@
 // With -cache set, repeat briefings of the same page content are served
 // from a content-addressed cache in microseconds — no replica checkout, no
 // scheduler — and concurrent cold misses of one page coalesce into a single
-// computation. A -cache-policy file controls per-domain admission and TTL,
-// keyed by the optional ?src= query parameter:
+// computation. -cache N holds N briefings, each with one raw-bytes alias,
+// and evicts by SIEVE. A -cache-policy file controls per-domain admission
+// and TTL, keyed by the optional ?src= query parameter:
 //
 //	wbserve -model model.bin -cache 4096 -cache-ttl 10m -cache-policy policy.conf
 //
@@ -114,8 +115,7 @@ func main() {
 	batchMax := flag.Int("batch-max", 8, "max queued requests coalesced into one batched forward when every replica is busy")
 	cascade := flag.Bool("cascade", false, "float32 student fast path: brief on a float32 model copy and escalate low-confidence decodes to the float64 teacher")
 	confThreshold := flag.Float64("confidence-threshold", 0.5, "cascade escalation cutoff in [0,1]: student decodes whose confidence score falls below it re-run on the teacher")
-	cacheCap := flag.Int("cache", 0, "content-addressed briefing cache capacity in entries (0 = off)")
-	cacheShards := flag.Int("cache-shards", 0, "cache shard count (0 = default)")
+	cacheCap := flag.Int("cache", 0, "content-addressed briefing cache capacity in briefings, each with one raw-bytes alias; SIEVE evicts past it (0 = off)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "default cache entry lifetime (0 = entries never expire)")
 	cachePolicyPath := flag.String("cache-policy", "", "per-domain admission/TTL policy file (deny/ttl/default lines; keyed by ?src=)")
 	reloadSignal := flag.Bool("reload-signal", true, "hot-reload the -model bundle on SIGHUP (zero downtime; POST /admin/reload always works)")
@@ -151,7 +151,6 @@ func main() {
 		Cascade:             *cascade,
 		ConfidenceThreshold: *confThreshold,
 		CacheCapacity:       *cacheCap,
-		CacheShards:         *cacheShards,
 		CacheTTL:            *cacheTTL,
 		CachePolicy:         policy,
 	}

@@ -2,9 +2,7 @@ package briefcache
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,15 +14,12 @@ type Key = [sha256.Size]byte
 // KeyOf hashes bytes into a Key. It allocates nothing.
 func KeyOf(b []byte) Key { return sha256.Sum256(b) }
 
-// Config sizes a Cache. The zero value is usable: 4096 entries over 16
-// shards, no expiry, admit-everything policy.
+// Config sizes a Cache. The zero value is usable: 4096 briefings, no expiry,
+// admit-everything policy.
 type Config struct {
-	// Capacity bounds the total entry count (content entries and raw
-	// aliases both count) across all shards (0 = 4096).
+	// Capacity bounds the number of briefings held (0 = 4096). A briefing's
+	// raw alias lives inside its entry and does not count.
 	Capacity int
-	// Shards is the shard count, rounded up to a power of two (0 = 16).
-	// More shards mean less lock contention on the lookup path.
-	Shards int
 	// DefaultTTL is the freshness lifetime for entries whose domain the
 	// policy gives no explicit TTL (0 = entries never expire).
 	DefaultTTL time.Duration
@@ -32,36 +27,41 @@ type Config struct {
 	Policy *Policy
 }
 
-// Cache is the sharded content-addressed briefing cache. All methods are
-// safe for concurrent use; Lookup and LookupRaw are allocation-free.
+// Cache is the content-addressed briefing cache: one entry per briefing,
+// found by its content key or by its one raw alias, evicted by SIEVE (Zhang
+// et al., NSDI '24). Entries sit in insertion order; a hit only sets the
+// entry's visited bit, and on a full insert the hand sweeps from the oldest
+// entry towards the newest, clearing visited bits until it reaches an
+// unvisited entry, which it evicts. The hand stays where it stopped for the
+// next eviction. All methods are safe for concurrent use; Lookup and
+// LookupRaw are allocation-free.
 type Cache struct {
-	shards    []shard
-	mask      uint64
-	perShard  int
-	ttl       time.Duration
-	policy    *Policy
-	evictions atomic.Int64
+	mu sync.Mutex
+	// keys maps both content keys and raw aliases to their entry. A key is
+	// its entry's content key or its alias, never both, so e.content == k
+	// tells which.
+	keys           map[Key]*entry
+	newest, oldest *entry
+	hand           *entry // next eviction candidate; nil = start at oldest
+	n              int    // briefings held
+	capacity       int
+	evictions      int64
+	flights        map[Key]*Flight
+
+	ttl    time.Duration
+	policy *Policy
 }
 
-// entry is one cached briefing (body != nil) or one raw-bytes alias
-// pointing at a content entry (body == nil). Entries of both kinds share
-// the shard's LRU list and count against its capacity.
+// entry is one cached briefing and its raw alias.
 type entry struct {
-	key        Key
-	body       []byte
-	target     Key   // alias: the content key this raw key resolves to
-	expires    int64 // unix nanos; 0 = never
-	prev, next *entry
-}
-
-// shard is one lock domain: a key-indexed map over an intrusive LRU list
-// (head.next = most recent, head.prev = least recent) plus the in-flight
-// computations for keys that hash here.
-type shard struct {
-	mu      sync.Mutex
-	entries map[Key]*entry
-	head    entry // sentinel
-	flights map[Key]*Flight
+	content Key
+	// raw is the latest raw-bytes alias recorded for this briefing;
+	// raw == content means none (Alias never records raw == content).
+	raw          Key
+	body         []byte
+	expires      int64 // unix nanos; 0 = never
+	visited      bool  // hit since the hand last passed
+	newer, older *entry
 }
 
 // New builds a cache from cfg.
@@ -69,34 +69,13 @@ func New(cfg Config) *Cache {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4096
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	if n > cfg.Capacity {
-		// Never hand a shard zero capacity.
-		for n > 1 && n > cfg.Capacity {
-			n >>= 1
-		}
-	}
-	c := &Cache{
-		shards:   make([]shard, n),
-		mask:     uint64(n - 1),
-		perShard: (cfg.Capacity + n - 1) / n,
+	return &Cache{
+		keys:     make(map[Key]*entry),
+		capacity: cfg.Capacity,
+		flights:  make(map[Key]*Flight),
 		ttl:      cfg.DefaultTTL,
 		policy:   cfg.Policy,
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.entries = make(map[Key]*entry, c.perShard)
-		sh.flights = make(map[Key]*Flight)
-		sh.head.next = &sh.head
-		sh.head.prev = &sh.head
-	}
-	return c
 }
 
 // Admit reports whether pages from domain may enter the cache.
@@ -112,10 +91,6 @@ func (c *Cache) TTLFor(domain string) time.Duration {
 	return c.ttl
 }
 
-func (c *Cache) shardOf(k Key) *shard {
-	return &c.shards[binary.LittleEndian.Uint64(k[:8])&c.mask]
-}
-
 // expiry converts a TTL into an entry deadline.
 func expiry(ttl time.Duration) int64 {
 	if ttl <= 0 {
@@ -124,158 +99,177 @@ func expiry(ttl time.Duration) int64 {
 	return time.Now().Add(ttl).UnixNano()
 }
 
-// fresh reports whether an entry is still live at now.
-func fresh(e *entry, now int64) bool { return e.expires == 0 || now < e.expires }
+// live returns the entry k names if it is fresh at now, removing it if it
+// has expired. Caller holds c.mu.
+func (c *Cache) live(k Key, now int64) *entry {
+	e := c.keys[k]
+	if e != nil && e.expires != 0 && now >= e.expires {
+		c.remove(e)
+		return nil
+	}
+	return e
+}
 
-// moveFront bumps e to the MRU position of its shard's list. Caller holds
-// the shard lock.
-func (sh *shard) moveFront(e *entry) {
-	if sh.head.next == e {
+// remove unlinks e and deletes both its keys. Caller holds c.mu.
+func (c *Cache) remove(e *entry) {
+	if c.hand == e {
+		c.hand = e.newer
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		c.newest = e.older
+	}
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		c.oldest = e.newer
+	}
+	e.newer, e.older = nil, nil
+	c.unalias(e)
+	delete(c.keys, e.content)
+	c.n--
+}
+
+// evict runs the SIEVE hand: from where it last stopped towards the newest
+// entry, wrapping to the oldest, it clears visited bits and evicts the first
+// entry it finds unvisited. Caller holds c.mu and c.n > 0.
+func (c *Cache) evict() {
+	e := c.hand
+	if e == nil {
+		e = c.oldest
+	}
+	for e.visited {
+		e.visited = false
+		if e = e.newer; e == nil {
+			e = c.oldest
+		}
+	}
+	c.hand = e.newer
+	c.remove(e)
+	c.evictions++
+}
+
+// unalias drops e's raw alias, if it has one. Caller holds c.mu.
+func (c *Cache) unalias(e *entry) {
+	if e.raw != e.content {
+		delete(c.keys, e.raw)
+		e.raw = e.content
+	}
+}
+
+// alias makes raw e's one alias, taking it over from any other briefing
+// that held it. A raw key that is another briefing's content key is not
+// recorded: the briefing's own key wins. Caller holds c.mu.
+func (c *Cache) alias(e *entry, raw Key) {
+	if raw == e.content || raw == e.raw {
 		return
 	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.next = sh.head.next
-	e.prev = &sh.head
-	sh.head.next.prev = e
-	sh.head.next = e
-}
-
-// remove unlinks e and drops it from the map. Caller holds the shard lock.
-func (sh *shard) remove(e *entry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
-	delete(sh.entries, e.key)
-}
-
-// insert adds e at the MRU position, evicting from the LRU tail past
-// capacity. Caller holds the shard lock; returns evictions performed.
-func (sh *shard) insert(e *entry, capacity int) int {
-	if old, ok := sh.entries[e.key]; ok {
-		sh.remove(old)
+	if o := c.keys[raw]; o != nil {
+		if o.content == raw {
+			return
+		}
+		c.unalias(o)
 	}
-	sh.entries[e.key] = e
-	e.next = sh.head.next
-	e.prev = &sh.head
-	sh.head.next.prev = e
-	sh.head.next = e
-	evicted := 0
-	for len(sh.entries) > capacity {
-		sh.remove(sh.head.prev)
-		evicted++
-	}
-	return evicted
+	c.unalias(e)
+	e.raw = raw
+	c.keys[raw] = e
 }
 
-// Lookup returns the cached briefing for a content key, bumping it to MRU.
-// The returned slice is shared and must not be mutated. Allocation-free.
+// Lookup returns the cached briefing for a content key and marks it
+// visited. The returned slice is shared and must not be mutated.
+// Allocation-free.
 func (c *Cache) Lookup(content Key) ([]byte, bool) {
 	now := time.Now().UnixNano()
-	sh := c.shardOf(content)
-	sh.mu.Lock()
-	e, ok := sh.entries[content]
-	if !ok || e.body == nil {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	e := c.live(content, now)
+	if e == nil || e.content != content {
+		c.mu.Unlock()
 		return nil, false
 	}
-	if !fresh(e, now) {
-		sh.remove(e)
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.moveFront(e)
+	e.visited = true
 	body := e.body
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return body, true
 }
 
 // LookupRaw resolves a raw-bytes key through its alias to the cached
-// briefing, bumping both to MRU. Allocation-free — this is the repeat-hit
-// path that skips the DOM parse entirely.
+// briefing and marks it visited. It matches raw keys only. Allocation-free
+// — this is the repeat-hit path that skips the DOM parse entirely.
 func (c *Cache) LookupRaw(raw Key) ([]byte, bool) {
 	now := time.Now().UnixNano()
-	sh := c.shardOf(raw)
-	sh.mu.Lock()
-	e, ok := sh.entries[raw]
-	if !ok || e.body != nil {
-		// A content entry under this key would mean a SHA-256 collision
-		// between raw bytes and visible text; treat as a miss.
-		sh.mu.Unlock()
+	c.mu.Lock()
+	e := c.live(raw, now)
+	if e == nil || e.content == raw {
+		c.mu.Unlock()
 		return nil, false
 	}
-	if !fresh(e, now) {
-		sh.remove(e)
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.moveFront(e)
-	target := e.target
-	sh.mu.Unlock()
-	return c.Lookup(target)
+	e.visited = true
+	body := e.body
+	c.mu.Unlock()
+	return body, true
 }
 
-// Insert stores a briefing under its content key and records the raw-bytes
-// alias, copying body (callers typically hand a pooled buffer). ttl <= 0
-// means the entry never expires. The stored copy is returned so callers
-// can hand the same stable bytes to coalesced waiters.
+// Insert stores a briefing under its content key and makes raw its alias,
+// copying body (callers typically hand a pooled buffer). ttl <= 0 means the
+// entry never expires. A briefing already held under content is refreshed in
+// place; a new one past capacity evicts one briefing first. The stored copy
+// is returned so callers can hand the same stable bytes to coalesced waiters.
 func (c *Cache) Insert(content, raw Key, body []byte, ttl time.Duration) []byte {
 	stable := make([]byte, len(body))
 	copy(stable, body)
 	exp := expiry(ttl)
 
-	sh := c.shardOf(content)
-	sh.mu.Lock()
-	ev := sh.insert(&entry{key: content, body: stable, expires: exp}, c.perShard)
-	sh.mu.Unlock()
-	if ev > 0 {
-		c.evictions.Add(int64(ev))
+	c.mu.Lock()
+	e := c.keys[content]
+	if e != nil && e.content != content {
+		c.unalias(e) // content was another briefing's alias
+		e = nil
 	}
-	c.Alias(raw, content)
+	if e == nil {
+		if c.n >= c.capacity {
+			c.evict()
+		}
+		e = &entry{content: content, raw: content, older: c.newest}
+		if c.newest != nil {
+			c.newest.newer = e
+		} else {
+			c.oldest = e
+		}
+		c.newest = e
+		c.keys[content] = e
+		c.n++
+	}
+	e.body, e.expires = stable, exp
+	c.alias(e, raw)
+	c.mu.Unlock()
 	return stable
 }
 
-// Alias records raw → content so future byte-identical requests take the
-// parse-free hit path. The alias inherits the content entry's expiry; an
-// alias to a missing or expired entry is not recorded.
+// Alias makes raw the alias of the briefing held under content, so future
+// byte-identical requests take the parse-free hit path; the briefing's
+// previous alias is dropped. An alias to a missing or expired briefing, or
+// with raw == content, is not recorded.
 func (c *Cache) Alias(raw, content Key) {
-	if raw == content {
-		return
-	}
 	now := time.Now().UnixNano()
-	csh := c.shardOf(content)
-	csh.mu.Lock()
-	e, ok := csh.entries[content]
-	var exp int64
-	if ok && e.body != nil && fresh(e, now) {
-		exp = e.expires
-	} else {
-		ok = false
+	c.mu.Lock()
+	if e := c.live(content, now); e != nil && e.content == content {
+		c.alias(e, raw)
 	}
-	csh.mu.Unlock()
-	if !ok {
-		return
-	}
-	sh := c.shardOf(raw)
-	sh.mu.Lock()
-	ev := sh.insert(&entry{key: raw, target: content, expires: exp}, c.perShard)
-	sh.mu.Unlock()
-	if ev > 0 {
-		c.evictions.Add(int64(ev))
-	}
+	c.mu.Unlock()
 }
 
-// Len is the live entry count (content entries + aliases), for /metrics.
+// Len is the number of briefings held, for /metrics.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
 }
 
-// Evictions is the lifetime count of capacity evictions, for /metrics.
-func (c *Cache) Evictions() int64 { return c.evictions.Load() }
+// Evictions is the lifetime count of briefings evicted for capacity, for
+// /metrics.
+func (c *Cache) Evictions() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evictions
+}

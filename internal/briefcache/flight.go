@@ -3,6 +3,7 @@ package briefcache
 import (
 	"context"
 	"sync/atomic"
+	"time"
 )
 
 // Flight coalesces concurrent computations of one cold content key: the
@@ -27,19 +28,33 @@ type Flight struct {
 	abandoned bool
 }
 
+// landed is the flight BeginFlight hands a caller whose key's briefing is
+// already cached — its lookup missed just before the last flight for the key
+// landed. It is settled as abandoned, which tells the caller to retry the
+// lookup, and so it never computes the briefing a second time.
+var landed = func() *Flight {
+	f := &Flight{done: make(chan struct{}), abandoned: true}
+	f.settled.Store(true)
+	close(f.done)
+	return f
+}()
+
 // BeginFlight joins the in-flight computation for a content key, creating
-// it if none exists. The second result is true for the winner (the caller
-// that must compute and settle) and false for losers (who should Wait).
+// it if none exists and the key's briefing is not cached. The second result
+// is true for the winner (the caller that must compute and settle) and false
+// for losers (who should Wait).
 func (c *Cache) BeginFlight(key Key) (*Flight, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	if f, ok := sh.flights[key]; ok {
-		sh.mu.Unlock()
+	now := time.Now().UnixNano()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.flights[key]; ok {
 		return f, false
 	}
+	if e := c.live(key, now); e != nil && e.content == key {
+		return landed, false
+	}
 	f := &Flight{c: c, key: key, done: make(chan struct{})}
-	sh.flights[key] = f
-	sh.mu.Unlock()
+	c.flights[key] = f
 	return f, true
 }
 
@@ -48,10 +63,9 @@ func (f *Flight) settle(val any, abandoned bool) {
 	if !f.settled.CompareAndSwap(false, true) {
 		return
 	}
-	sh := f.c.shardOf(f.key)
-	sh.mu.Lock()
-	delete(sh.flights, f.key)
-	sh.mu.Unlock()
+	f.c.mu.Lock()
+	delete(f.c.flights, f.key)
+	f.c.mu.Unlock()
 	f.val = val
 	f.abandoned = abandoned
 	close(f.done)

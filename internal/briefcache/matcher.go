@@ -9,15 +9,16 @@
 //   - content key: SHA-256 of the page's rendered visible text, so two
 //     HTML bodies that differ only in markup (attribute order, whitespace,
 //     tracking params in URLs) share one cached briefing;
-//   - raw alias: SHA-256 of the raw request bytes, recorded alongside each
-//     content entry so a byte-identical re-request skips the DOM parse
-//     entirely — the microsecond repeat-hit path.
+//   - raw alias: SHA-256 of the raw request bytes, recorded inside the
+//     briefing's entry (one per briefing, the latest wins) so a
+//     byte-identical re-request skips the DOM parse entirely — the
+//     microsecond repeat-hit path.
 //
-// Storage is a sharded LRU (per-shard mutex + intrusive list) with
-// per-entry TTLs; admission and TTL are decided per page domain by a
-// Policy over a domain-suffix Matcher. Concurrent misses on one cold
-// content key coalesce through a Flight so a thundering herd computes the
-// briefing exactly once.
+// Storage is one map and one insertion-ordered list under one mutex, with
+// per-entry TTLs and SIEVE eviction (see Cache); admission and TTL are
+// decided per page domain by a Policy over a domain-suffix Matcher.
+// Concurrent misses on one cold content key coalesce through a Flight so a
+// thundering herd computes the briefing exactly once.
 package briefcache
 
 import (

@@ -2,6 +2,7 @@ package briefcache
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -40,13 +41,20 @@ func BenchmarkSuffixMatcher(b *testing.B) {
 }
 
 // BenchmarkCacheLookup measures the allocation-free hit paths at steady
-// state: the content-key lookup and the parse-free raw-alias resolution.
+// state: the content-key lookup and the parse-free raw-alias resolution,
+// then raw-alias hits from GOMAXPROCS goroutines spread over 1 024 held
+// briefings — the contention on the cache's one mutex (run it at -cpu 1,2).
 func BenchmarkCacheLookup(b *testing.B) {
 	c := New(Config{Capacity: 1 << 12})
 	body := []byte(`{"Topic":["cached","briefing"]}` + "\n")
 	content := KeyOf([]byte("visible text of the page"))
 	raw := KeyOf([]byte("<html>raw bytes of the page</html>"))
 	c.Insert(content, raw, body, 0)
+	raws := make([]Key, 1<<10)
+	for i := range raws {
+		raws[i] = KeyOf([]byte(fmt.Sprint("<html>page ", i, "</html>")))
+		c.Insert(KeyOf([]byte(fmt.Sprint("page ", i))), raws[i], body, 0)
+	}
 
 	b.Run("content", func(b *testing.B) {
 		b.ReportAllocs()
@@ -63,5 +71,19 @@ func BenchmarkCacheLookup(b *testing.B) {
 				b.Fatal("miss")
 			}
 		}
+	})
+	b.Run("raw-alias-parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		var goroutines atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(goroutines.Add(1)) * 257 // each goroutine starts elsewhere
+			for pb.Next() {
+				if _, ok := c.LookupRaw(raws[i%len(raws)]); !ok {
+					b.Error("miss")
+					return
+				}
+				i++
+			}
+		})
 	})
 }

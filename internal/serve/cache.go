@@ -26,7 +26,8 @@ import (
 // Both keys are namespaced by the model generation the request read at this
 // stage (genKey), so a hot reload starts from an empty namespace: a page
 // cached under the old model is recomputed on the new one instead of
-// replaying stale bytes, and old-generation entries age out of the LRU.
+// replaying stale bytes, and old-generation entries, never hit again, are
+// evicted as the cache's SIEVE hand reaches them.
 //
 // Cache counters follow the same exact-partition discipline as
 // requests_total: every request that consults the cache is counted in
@@ -34,7 +35,17 @@ import (
 // cache_misses_total (flight winners) or cache_coalesced_total (flight
 // losers), assigned at first decision — a loser that retries after an
 // abandoned flight stays a coalesced request no matter how it is
-// eventually served.
+// eventually served. Its access-log line carries the same decision in
+// "cache", with hits split by level.
+
+// The access log's "cache" values: the cache_lookups_total partition, with
+// hits split into raw and content.
+const (
+	cacheRawHit     = "raw_hit"
+	cacheContentHit = "content_hit"
+	cacheMiss       = "miss"
+	cacheCoalesced  = "coalesced"
+)
 
 // cacheFill carries a miss-path request's fill obligation: the flight it
 // won plus the keys and TTL its eventual response should be stored under.
@@ -114,6 +125,7 @@ func (s *Server) cacheServeRaw(w http.ResponseWriter, lg *accessEntry, r *http.R
 	if out, ok := c.LookupRaw(lk.rawKey); ok {
 		m.CacheLookups.Begin()
 		m.CacheLookups.End(CacheHits)
+		lg.Cache = cacheRawHit
 		s.writeBrief(w, lg, out)
 		m.CacheHitLatency.Observe(time.Since(lk.start))
 		return lk, true
@@ -138,6 +150,7 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 	if out, ok := c.Lookup(contentKey); ok {
 		m.CacheLookups.Begin()
 		m.CacheLookups.End(CacheHits)
+		lg.Cache = cacheContentHit
 		c.Alias(rawKey, contentKey) // next identical post skips the parse
 		s.writeBrief(w, lg, out)
 		m.CacheHitLatency.Observe(time.Since(start))
@@ -154,11 +167,13 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 		if winner {
 			if !counted {
 				m.CacheLookups.End(CacheMisses)
+				lg.Cache = cacheMiss
 			}
 			return &cacheFill{flight: f, content: contentKey, raw: rawKey, ttl: c.TTLFor(domain)}, false
 		}
 		if !counted {
 			m.CacheLookups.End(CacheCoalesced)
+			lg.Cache = cacheCoalesced
 			counted = true
 		}
 		v, abandoned, err := f.Wait(ctx)

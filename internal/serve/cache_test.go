@@ -122,9 +122,10 @@ func TestCacheHitMissByteIdentical(t *testing.T) {
 	if c.CacheLookups != sumCounts(c.CacheOutcomes) {
 		t.Fatalf("cache_lookups_total=%d does not partition into outcomes %+v", c.CacheLookups, c.CacheOutcomes)
 	}
-	// Each page left a content entry plus raw aliases for both HTML forms.
-	if c.Entries != int(3*n) {
-		t.Fatalf("cache entries=%d, want %d (content + two aliases per page)", c.Entries, 3*n)
+	// Each page left one entry: its briefing, aliased by the variant's raw
+	// bytes, which took the alias over from the first form's.
+	if c.Entries != int(n) {
+		t.Fatalf("cache entries=%d, want %d (one per page)", c.Entries, n)
 	}
 	if c.HitLatencyNS.Count != 2*n {
 		t.Fatalf("hit_latency_ns count=%d, want %d", c.HitLatencyNS.Count, 2*n)
@@ -334,6 +335,67 @@ func TestCachePolicyDenyAndSrcDomain(t *testing.T) {
 	if totalOf(ms.CacheLookups) != countOf(ms.CacheLookups, CacheHits)+countOf(ms.CacheLookups, CacheMisses)+countOf(ms.CacheLookups, CacheCoalesced) {
 		t.Fatalf("cache partition drifted: lookups=%d hits=%d misses=%d coalesced=%d",
 			totalOf(ms.CacheLookups), countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheCoalesced))
+	}
+}
+
+// TestCacheAccessLogOutcome: each access-log line names its request's cache
+// outcome — a raw hit and a content hit apart, the miss that computed — and a
+// request from a denied domain, which never consults the cache, has no
+// "cache" field. Counted per value, the lines are the cache_lookups_total
+// partition.
+func TestCacheAccessLogOutcome(t *testing.T) {
+	policy, err := briefcache.ParsePolicy(strings.NewReader("deny denied.example.com\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accessLog bytes.Buffer
+	srv := NewFromPool(PoolOf(lift(&okReplica{})), Config{CacheCapacity: 64, CachePolicy: policy, AccessLog: &accessLog})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const page = "<p>logged page</p>"
+	for _, p := range []struct{ html, src string }{
+		{page, ""},                      // miss
+		{page, ""},                      // raw hit
+		{"<!-- variant -->" + page, ""}, // content hit
+		{"<p>denied page</p>", "denied.example.com"}, // not a lookup
+	} {
+		status, _, err := postBriefSrc(ts.URL, p.html, p.src)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("post %q: status %d err %v", p.html, status, err)
+		}
+	}
+	ts.Close() // every handler has returned, so every line is written
+
+	counts := map[string]int64{}
+	lines := bytes.Split(bytes.TrimSpace(accessLog.Bytes()), []byte("\n"))
+	for _, line := range lines {
+		var entry accessEntry
+		if err := json.Unmarshal(line, &entry); err != nil {
+			t.Fatalf("access log line %q: %v", line, err)
+		}
+		if entry.Cache == "" && bytes.Contains(line, []byte(`"cache"`)) {
+			t.Fatalf("line %s: an empty outcome must be omitted", line)
+		}
+		counts[entry.Cache]++
+	}
+	want := map[string]int64{cacheRawHit: 1, cacheContentHit: 1, cacheMiss: 1, "": 1}
+	if len(lines) != 4 || len(counts) != len(want) {
+		t.Fatalf("%d lines with outcomes %v, want 4 lines with %v", len(lines), counts, want)
+	}
+	for v, n := range want {
+		if counts[v] != n {
+			t.Fatalf("outcomes %v, want %v", counts, want)
+		}
+	}
+	ms := srv.metrics
+	if counts[cacheRawHit]+counts[cacheContentHit] != countOf(ms.CacheLookups, CacheHits) ||
+		counts[cacheMiss] != countOf(ms.CacheLookups, CacheMisses) ||
+		counts[cacheCoalesced] != countOf(ms.CacheLookups, CacheCoalesced) ||
+		int64(len(lines))-counts[""] != totalOf(ms.CacheLookups) {
+		t.Fatalf("log outcomes %v do not partition cache_lookups_total=%d (hits %d misses %d coalesced %d)",
+			counts, totalOf(ms.CacheLookups), countOf(ms.CacheLookups, CacheHits),
+			countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheCoalesced))
 	}
 }
 

@@ -28,7 +28,7 @@ var (
 		20_000_000, 50_000_000, 100_000_000,
 	}
 	// cacheHitBucketsNS: cache-hit latencies, 1µs–10ms. A hit is one or two
-	// SHA-256s plus a shard-locked map probe, an order of magnitude below
+	// SHA-256s plus a locked map probe, an order of magnitude below
 	// even the batch-wait scale.
 	cacheHitBucketsNS = []int64{
 		1_000, 2_000, 5_000, 10_000,

@@ -88,13 +88,12 @@ type Config struct {
 	// values above 1 escalate every briefing.
 	ConfidenceThreshold float64
 
-	// CacheCapacity enables the content-addressed briefing cache: hits are
-	// served without a replica checkout and concurrent misses on one cold
-	// key coalesce into a single computation (see internal/briefcache).
+	// CacheCapacity enables the content-addressed briefing cache and bounds
+	// the briefings it holds (a briefing's raw alias does not count): hits
+	// are served without a replica checkout and concurrent misses on one
+	// cold key coalesce into a single computation (see internal/briefcache).
 	// 0 disables caching — every request runs the pipeline.
 	CacheCapacity int
-	// CacheShards is the cache shard count (0 = briefcache's default).
-	CacheShards int
 	// CacheTTL is the default entry lifetime when no policy class matches
 	// (0 = entries never expire).
 	CacheTTL time.Duration
@@ -216,7 +215,6 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 	if cfg.CacheCapacity > 0 {
 		s.cache = briefcache.New(briefcache.Config{
 			Capacity:   cfg.CacheCapacity,
-			Shards:     cfg.CacheShards,
 			DefaultTTL: cfg.CacheTTL,
 			Policy:     cfg.CachePolicy,
 		})
@@ -533,7 +531,8 @@ type accessEntry struct {
 	Remote   string  `json:"remote,omitempty"`
 	Status   int     `json:"status"`
 	BytesIn  int     `json:"bytes_in"`
-	Tokens   int     `json:"tokens"` // the page's tokens before truncation; 0 when answered unparsed
+	Tokens   int     `json:"tokens"`          // the page's tokens before truncation; 0 when answered unparsed
+	Cache    string  `json:"cache,omitempty"` // cache outcome (cacheRawHit …); empty when the cache was not consulted
 	BytesOut int     `json:"bytes_out"`
 	QueueMS  float64 `json:"queue_ms"`
 	TotalMS  float64 `json:"total_ms"`

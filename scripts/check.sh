@@ -33,7 +33,7 @@ go run ./cmd/wbcheck ./...
 echo "== go test (every package: integration, cmd, lint fixtures, allocation gates at their pinned counts, kernel and cascade equivalence, ring goldens and balance, fuzz corpus replay)"
 go test ./...
 
-echo "== race-enabled tests (every concurrency-bearing package, whole: serving e2e + load and chaos soaks + cache herd, gateway chaos + upstream, crawler and fault injection, the partition kit, the shared breaker, kernel row partition on 2 and 3 workers)"
+echo "== race-enabled tests (every concurrency-bearing package, whole: serving e2e + load and chaos soaks + cache herd and churn, gateway chaos + upstream, crawler and fault injection, the partition kit, the shared breaker, kernel row partition on 2 and 3 workers)"
 go test -race ./internal/ag ./internal/nn ./internal/wb ./internal/serve ./internal/tensor \
     ./internal/briefcache ./internal/snapshot ./internal/metrics ./internal/gateway \
     ./internal/fault ./internal/crawler ./internal/breaker
@@ -56,6 +56,9 @@ if grep -rnE 'CloneManyForServing|NewCascadePool|BatchReplica|cascadeReporter|De
 echo "== one breaker (serve replicas, gateway backends and crawl hosts run internal/breaker's closed/open/half-open machine: no state enum or breaker type of their own, and the knobs nothing set stay deleted)"
 if grep -rnE 'type BreakerState|hostBreaker|breakerOpen|breakerHalfOpen' --include='*.go' internal cmd examples | grep -v '^internal/breaker/'; then echo "breaker machinery listed above outside internal/breaker: call breaker.New instead"; exit 1; fi
 if grep -rnwE 'ProbeSuccesses|probe-successes' --include='*.go' internal cmd examples || grep -nw 'RetryAfter' internal/serve/*.go; then echo "knob(s) listed above were deleted: the readmission count is breaker.ReadmitProbes, serve's Retry-After the constant retryAfter"; exit 1; fi
+
+echo "== one cache entry per briefing (internal/briefcache is one mutex, one map holding content keys and raw aliases, one insertion-ordered list swept by a SIEVE hand: the shard count, its knobs and the LRU list surgery stay deleted)"
+if grep -rnwE 'cache-shards|CacheShards|shardOf|moveFront' --include='*.go' internal cmd examples; then echo "name(s) listed above were deleted with the sharded LRU cache: a briefing and its raw alias are one entry of briefcache.Cache"; exit 1; fi
 
 echo "== one inference entry point (a lone briefing is a batch of one over wb.BatchScratchOf: the single-instance family, its beam search and the tape pool stay deleted, and the eight names bench/wbload/replay.go still compiles against are called from nowhere else)"
 if grep -rnwE 'InferScratchOf|NewInferScratchOf|NewInferScratch|GetScratch|PutScratch|GenerateTopicWith|decodeTopicWith|makeBriefWith|MakeBriefWith|MakeBriefWith32|BeamSearchScratch|ForwardIDs|GetTape|PutTape|tapePool|debugTapeGot|debugTapePut|tapelife' --include='*.go' internal cmd examples; then echo "name(s) listed above were deleted in favour of wb.ExtractBriefBatch / DecodeTopicBatch / MakeBriefBatch and nn.BeamSearchBatch: extend those instead"; exit 1; fi
@@ -230,6 +233,7 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz=FuzzDecodeSnapshot -fuzztime="$FUZZTIME" ./internal/wb
     go test -run='^$' -fuzz=FuzzUpstreamRequestHead -fuzztime="$FUZZTIME" ./internal/gateway
     go test -run='^$' -fuzz=FuzzParsePolicy -fuzztime="$FUZZTIME" ./internal/briefcache
+    go test -run='^$' -fuzz=FuzzCacheOps -fuzztime="$FUZZTIME" ./internal/briefcache
 fi
 
 echo "ALL CHECKS PASSED"
