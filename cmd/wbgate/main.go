@@ -30,6 +30,13 @@
 // serve. /metrics reports per-backend requests, errors, breaker state,
 // model generation and connection reuse; /healthz aggregates fleet health. SIGINT/SIGTERM drain
 // gracefully.
+//
+// Every /brief response carries X-Request-Id: the client's, if it sent 1–64
+// bytes with no space or control byte, else one minted here (a random
+// per-process prefix and a counter, 16 hex digits). Every relay attempt to a
+// backend carries it too, so the backends' access logs join on it. The
+// inbound HTTP/1.1 server is internal/httpwire, the same one wbserve runs,
+// with the same limits (64 KiB heads, 5 s to finish one, 2 min idle).
 package main
 
 import (
@@ -37,7 +44,7 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,11 +52,13 @@ import (
 	"time"
 
 	"webbrief/internal/gateway"
+	"webbrief/internal/httpwire"
 )
 
 // Connection limits for clients that never finish (or never start) a
 // request: without them a slow-header client pins a connection outside every
 // counted outcome. Bodies are bounded by -maxbody and -timeout.
+// httpwire.Server applies them as net/http's server did.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -100,8 +109,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	httpSrv := &httpwire.Server{
 		Handler:           g.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
@@ -134,8 +146,8 @@ func main() {
 	}
 
 	errc := make(chan error, 1)
-	//wbcheck:ignore goshutdown -- accept loop lives for the whole process; ListenAndServe returns when Shutdown below closes the listener, and the buffered errc send never leaks it
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	//wbcheck:ignore goshutdown -- accept loop lives for the whole process; Serve returns when Shutdown below closes the listener, and the buffered errc send never leaks it
+	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Printf("routing briefings on %s across %d backends: %v (POST HTML to /brief; /healthz, /metrics, /admin/reload)",
 		*addr, g.Ring().Size(), g.Ring().Backends())
 

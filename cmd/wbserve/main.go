@@ -25,6 +25,14 @@
 // gracefully: /healthz flips to 503, in-flight briefings finish, then the
 // listener closes.
 //
+// The HTTP/1.1 server is internal/httpwire, the same one wbgate runs: a
+// head over 64 KiB is a 431, a client that has not finished its head 5 s
+// after its first byte is disconnected, an idle keep-alive connection is
+// closed after 2 min, and a client that hangs up while its briefing waits
+// in the queue is counted canceled. A raw-key cache hit never starts the
+// disconnect watch. The access log records the request's X-Request-Id as
+// "id" when it carries one (wbgate sends one on every attempt).
+//
 // The server self-heals: a replica that panics or wedges past -stall is
 // ejected from rotation (the request retries on another replica, up to
 // -replica-retries), probed on -probe-interval, and readmitted after two
@@ -72,7 +80,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -80,6 +88,7 @@ import (
 
 	"webbrief/internal/briefcache"
 	"webbrief/internal/fault"
+	"webbrief/internal/httpwire"
 	"webbrief/internal/serve"
 	"webbrief/internal/textproc"
 	"webbrief/internal/wb"
@@ -88,6 +97,7 @@ import (
 // Connection limits for clients that never finish (or never start) a
 // request: without them a slow-header client pins a connection outside every
 // counted /brief outcome. Bodies are bounded by -maxbody and -timeout.
+// httpwire.Server applies them as net/http's server did.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -195,8 +205,11 @@ func main() {
 		log.Printf("chaos drill armed: one replica faulted at rate %.2f, seed %d", *chaos, *chaosSeed)
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	httpSrv := &httpwire.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
@@ -224,8 +237,8 @@ func main() {
 	}
 
 	errc := make(chan error, 1)
-	//wbcheck:ignore goshutdown -- accept loop lives for the whole process; ListenAndServe returns when Shutdown below closes the listener, and the buffered errc send never leaks it
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	//wbcheck:ignore goshutdown -- accept loop lives for the whole process; Serve returns when Shutdown below closes the listener, and the buffered errc send never leaks it
+	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Printf("serving briefings on %s: %d replicas, queue %d, timeout %v (POST HTML to /brief; /healthz, /metrics)",
 		*addr, srv.Pool().Size(), *queue, *timeout)
 

@@ -30,12 +30,15 @@ import (
 
 // stdInterfaceMethods are the methods of the standard-library interfaces
 // this tree implements without naming them: error (and errors.Is/Unwrap),
-// fmt.Stringer, http.Handler, json.Marshaler/Unmarshaler, io.WriterTo and
+// fmt.Stringer, http.Handler and http.ResponseWriter, io.Reader and
+// io.Closer, context.Context, json.Marshaler/Unmarshaler, io.WriterTo and
 // sort.Interface.
 var stdInterfaceMethods = []string{
 	"Error", "Unwrap", "Is",
 	"String",
-	"ServeHTTP",
+	"ServeHTTP", "Header", "Write", "WriteHeader",
+	"Read", "Close",
+	"Deadline", "Done", "Err", "Value",
 	"MarshalJSON", "UnmarshalJSON",
 	"WriteTo",
 	"Len", "Less", "Swap",

@@ -87,9 +87,9 @@ func (b ByN) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
 // SortWidgets is what keeps ByN live.
 func SortWidgets(ws []Widget) { sort.Sort(ByN(ws)) }
 
-// Read is not in the standard-library set and no loaded interface declares
-// it: implementing io.Reader alone does not make a method live.
-func (c Code) Read(p []byte) (int, error) { return 0, nil } // want "method Read has no non-test use"
+// Seek is not in the standard-library set and no loaded interface declares
+// it: implementing io.Seeker alone does not make a method live.
+func (c Code) Seek(offset int64, whence int) (int64, error) { return 0, nil } // want "method Seek has no non-test use"
 
 // Box is generic: cmd/app's use of Box[int] and of its Get is a use of the
 // generic declarations.

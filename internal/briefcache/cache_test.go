@@ -238,7 +238,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 // TestCacheTTLFor: policy class TTL, then policy default, then cache
 // default.
 func TestCacheTTLFor(t *testing.T) {
-	p := NewPolicy(
+	p := newPolicy(
 		[]string{"deny.example.com"},
 		[]TTLRule{{TTL: time.Second, Domains: []string{"fast.example.com"}}},
 		time.Minute,

@@ -1,10 +1,35 @@
 package briefcache
 
-import "strings"
+import (
+	"net/url"
+	"strings"
+)
+
+// SrcParam is the ?src= parameter of a raw query string, read exactly as
+// url.ParseQuery(rawQuery).Get("src") reads it — the first well-formed src
+// pair, unescaped — without building the map: both tiers read it on every
+// attributed request, a cache hit included.
+func SrcParam(rawQuery string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue // ParseQuery skips empty and semicolon pairs
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != "src" {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
 
 // SrcDomain extracts the page's source domain from a ?src=-style value: a
 // bare domain or a full URL. The scheme, path, query, fragment and port are
-// stripped and the remainder is normalised with NormalizeDomain. The empty
+// stripped and the remainder is normalised with normalizeDomain. The empty
 // string stays empty (an unattributed request).
 //
 // This is the shared extraction behind the cache's admission/TTL policy key
@@ -25,5 +50,5 @@ func SrcDomain(src string) string {
 	if i := strings.LastIndexByte(src, ':'); i >= 0 && !strings.Contains(src[i:], "]") {
 		src = src[:i] // host:port (a colon inside [v6] brackets is not a port)
 	}
-	return NormalizeDomain(src)
+	return normalizeDomain(src)
 }

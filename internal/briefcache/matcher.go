@@ -29,19 +29,19 @@ import (
 // Matcher reports whether a domain is covered by a set of domain suffixes.
 // A rule "example.com" covers "example.com" itself and every subdomain
 // ("a.example.com", "b.a.example.com"); it never covers "notexample.com".
-// Inputs are expected in NormalizeDomain form.
+// Inputs are expected in normalizeDomain form.
 type Matcher interface {
 	Match(domain string) bool
 	// Len is the number of rules the matcher was built from.
 	Len() int
 }
 
-// NormalizeDomain canonicalises a domain for matching: surrounding
+// normalizeDomain canonicalises a domain for matching: surrounding
 // whitespace and the root-label trailing dot are stripped, and the name is
 // case-folded. Unicode labels are folded too — the synthetic corpus and
 // tests use raw IDN labels rather than punycode, and ToLower is the right
 // fold for both.
-func NormalizeDomain(d string) string {
+func normalizeDomain(d string) string {
 	d = strings.TrimSpace(d)
 	d = strings.TrimSuffix(d, ".")
 	// Fast path: already lower-case ASCII (the common case) — avoid the
@@ -60,7 +60,7 @@ func NormalizeDomain(d string) string {
 	return strings.ToLower(d)
 }
 
-// Size thresholds for NewSuffixMatcher's variant selection, justified by
+// Size thresholds for newSuffixMatcher's variant selection, justified by
 // BenchmarkSuffixMatcher: linear scan wins while the whole rule set fits in
 // a cache line or two (no per-label candidate loop, no hashing), binary
 // search wins in the mid range (log n string compares beat per-candidate
@@ -71,15 +71,15 @@ const (
 	binaryMaxRules = 64
 )
 
-// NewSuffixMatcher builds the matcher variant suited to the rule set size:
+// newSuffixMatcher builds the matcher variant suited to the rule set size:
 // a linear scan for tiny sets, sorted binary search for mid-size sets, a
 // hash map for large ones. Rules are normalised and deduplicated; empty
 // rules are dropped.
-func NewSuffixMatcher(rules []string) Matcher {
+func newSuffixMatcher(rules []string) Matcher {
 	norm := make([]string, 0, len(rules))
 	seen := make(map[string]bool, len(rules))
 	for _, r := range rules {
-		r = NormalizeDomain(r)
+		r = normalizeDomain(r)
 		if r == "" || seen[r] {
 			continue
 		}

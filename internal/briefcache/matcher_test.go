@@ -24,7 +24,7 @@ var matcherRules = []string{
 }
 
 // matcherCases is the shared truth table. Queries are fed through
-// NormalizeDomain exactly as the policy layer does.
+// normalizeDomain exactly as the policy layer does.
 var matcherCases = []struct {
 	domain string
 	want   bool
@@ -86,13 +86,13 @@ var matcherCases = []struct {
 }
 
 // buildVariants constructs all three matcher implementations over one rule
-// set, bypassing NewSuffixMatcher's size selection so each variant is
+// set, bypassing newSuffixMatcher's size selection so each variant is
 // exercised at every size.
 func buildVariants(rules []string) map[string]Matcher {
 	norm := make([]string, 0, len(rules))
 	seen := map[string]bool{}
 	for _, r := range rules {
-		r = NormalizeDomain(r)
+		r = normalizeDomain(r)
 		if r == "" || seen[r] {
 			continue
 		}
@@ -117,7 +117,7 @@ func TestSuffixMatcherVariantsAgree(t *testing.T) {
 	for name, m := range buildVariants(matcherRules) {
 		t.Run(name, func(t *testing.T) {
 			for _, tc := range matcherCases {
-				if got := m.Match(NormalizeDomain(tc.domain)); got != tc.want {
+				if got := m.Match(normalizeDomain(tc.domain)); got != tc.want {
 					t.Errorf("%s.Match(%q) = %v, want %v", name, tc.domain, got, tc.want)
 				}
 			}
@@ -148,7 +148,7 @@ func TestSuffixMatcherRandomEquivalence(t *testing.T) {
 		}
 		variants := buildVariants(rules)
 		for q := 0; q < 100; q++ {
-			d := NormalizeDomain(randomDomain(4))
+			d := normalizeDomain(randomDomain(4))
 			got := map[string]bool{}
 			for name, m := range variants {
 				got[name] = m.Match(d)
@@ -183,17 +183,17 @@ func TestNewSuffixMatcherSelectsBySize(t *testing.T) {
 		{500, "briefcache.mapMatcher"},
 	}
 	for _, tc := range cases {
-		m := NewSuffixMatcher(mkRules(tc.n))
+		m := newSuffixMatcher(mkRules(tc.n))
 		if got := fmt.Sprintf("%T", m); got != tc.want {
-			t.Errorf("NewSuffixMatcher(%d rules) = %s, want %s", tc.n, got, tc.want)
+			t.Errorf("newSuffixMatcher(%d rules) = %s, want %s", tc.n, got, tc.want)
 		}
 		if m.Len() != tc.n {
-			t.Errorf("NewSuffixMatcher(%d rules).Len() = %d", tc.n, m.Len())
+			t.Errorf("newSuffixMatcher(%d rules).Len() = %d", tc.n, m.Len())
 		}
 	}
 
 	// Dedup and normalisation happen before selection.
-	m := NewSuffixMatcher([]string{"A.com", "a.com", "a.com.", " a.com ", ""})
+	m := newSuffixMatcher([]string{"A.com", "a.com", "a.com.", " a.com ", ""})
 	if m.Len() != 1 {
 		t.Errorf("dedup: Len() = %d, want 1", m.Len())
 	}
@@ -214,8 +214,8 @@ func TestNormalizeDomain(t *testing.T) {
 		{"", ""},
 	}
 	for _, tc := range cases {
-		if got := NormalizeDomain(tc.in); got != tc.want {
-			t.Errorf("NormalizeDomain(%q) = %q, want %q", tc.in, got, tc.want)
+		if got := normalizeDomain(tc.in); got != tc.want {
+			t.Errorf("normalizeDomain(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
@@ -225,10 +225,10 @@ func TestNormalizeDomain(t *testing.T) {
 func TestNormalizeDomainFastPathAllocs(t *testing.T) {
 	d := "news.example.com"
 	if n := testing.AllocsPerRun(100, func() {
-		if NormalizeDomain(d) != d {
+		if normalizeDomain(d) != d {
 			t.Fatal("normalization changed a canonical domain")
 		}
 	}); n != 0 {
-		t.Errorf("NormalizeDomain fast path allocates %.1f/op, want 0", n)
+		t.Errorf("normalizeDomain fast path allocates %.1f/op, want 0", n)
 	}
 }

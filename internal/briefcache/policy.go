@@ -32,23 +32,23 @@ type ttlClass struct {
 	ttl time.Duration
 }
 
-// NewPolicy compiles a policy from explicit rule sets: denied domains, TTL
+// newPolicy compiles a policy from explicit rule sets: denied domains, TTL
 // classes in priority order, and the default TTL.
-func NewPolicy(deny []string, classes []TTLRule, defaultTTL time.Duration) *Policy {
+func newPolicy(deny []string, classes []TTLRule, defaultTTL time.Duration) *Policy {
 	p := &Policy{DefaultTTL: defaultTTL}
 	if len(deny) > 0 {
-		p.deny = NewSuffixMatcher(deny)
+		p.deny = newSuffixMatcher(deny)
 	}
 	for _, c := range classes {
 		if len(c.Domains) == 0 {
 			continue
 		}
-		p.classes = append(p.classes, ttlClass{m: NewSuffixMatcher(c.Domains), ttl: c.TTL})
+		p.classes = append(p.classes, ttlClass{m: newSuffixMatcher(c.Domains), ttl: c.TTL})
 	}
 	return p
 }
 
-// TTLRule is one TTL class for NewPolicy: these domains (and their
+// TTLRule is one TTL class for newPolicy: these domains (and their
 // subdomains) cache for TTL.
 type TTLRule struct {
 	TTL     time.Duration
@@ -62,7 +62,7 @@ func (p *Policy) Admit(domain string) bool {
 	if p == nil || p.deny == nil || domain == "" {
 		return true
 	}
-	return !p.deny.Match(NormalizeDomain(domain))
+	return !p.deny.Match(normalizeDomain(domain))
 }
 
 // TTL returns the freshness lifetime for pages from domain; 0 means "use
@@ -72,7 +72,7 @@ func (p *Policy) TTL(domain string) time.Duration {
 		return 0
 	}
 	if domain != "" {
-		d := NormalizeDomain(domain)
+		d := normalizeDomain(domain)
 		for _, c := range p.classes {
 			if c.m.Match(d) {
 				return c.ttl
@@ -142,7 +142,7 @@ func ParsePolicy(r io.Reader) (*Policy, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("briefcache: read policy: %w", err)
 	}
-	return NewPolicy(deny, classes, defaultTTL), nil
+	return newPolicy(deny, classes, defaultTTL), nil
 }
 
 // LoadPolicy reads a policy file from disk.

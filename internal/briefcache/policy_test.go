@@ -2,6 +2,7 @@ package briefcache
 
 import (
 	"fmt"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -124,4 +125,21 @@ func TestNilPolicy(t *testing.T) {
 	if p.TTL("anything.example.com") != 0 {
 		t.Error("nil policy must defer TTL")
 	}
+}
+
+// FuzzSrcParam: SrcParam reads ?src= exactly as url.ParseQuery does, so
+// gateway routing and backend cache keying see the same value.
+func FuzzSrcParam(f *testing.F) {
+	for _, q := range []string{
+		"", "src=books.example", "x=1&src=https%3A%2F%2Fa.example%2Fp&src=second",
+		"s%72c=escaped-key", "src=%zz&src=ok", "src=a;b&src=c", "src=a+b", "&&src=&", "src", "=src",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		vals, _ := url.ParseQuery(q)
+		if got, want := SrcParam(q), vals.Get("src"); got != want {
+			t.Fatalf("SrcParam(%q) = %q, url.ParseQuery says %q", q, got, want)
+		}
+	})
 }

@@ -55,7 +55,7 @@ func TestDomainByName(t *testing.T) {
 
 func TestGeneratePageStructure(t *testing.T) {
 	d := DomainByName("books")
-	p := GeneratePage(d, 7, rand.New(rand.NewSource(1)))
+	p := generatePage(d, 7, rand.New(rand.NewSource(1)))
 	if p.ID != "books-0007" || p.Domain != "books" {
 		t.Fatalf("page identity: %+v", p)
 	}
@@ -91,8 +91,8 @@ func TestGeneratePageStructure(t *testing.T) {
 
 func TestGeneratePageDeterministic(t *testing.T) {
 	d := DomainByName("jobs")
-	a := GeneratePage(d, 0, rand.New(rand.NewSource(42)))
-	b := GeneratePage(d, 0, rand.New(rand.NewSource(42)))
+	a := generatePage(d, 0, rand.New(rand.NewSource(42)))
+	b := generatePage(d, 0, rand.New(rand.NewSource(42)))
 	if a.HTML != b.HTML {
 		t.Fatal("page generation not deterministic")
 	}
@@ -103,7 +103,7 @@ func TestGeneratePageDeterministic(t *testing.T) {
 
 func TestAttrSpanPointsAtValue(t *testing.T) {
 	d := DomainByName("hotels")
-	p := GeneratePage(d, 0, rand.New(rand.NewSource(3)))
+	p := generatePage(d, 0, rand.New(rand.NewSource(3)))
 	for _, s := range p.Sentences {
 		if s.Attr == nil {
 			continue
@@ -123,7 +123,7 @@ func TestHTMLRoundTripAlignsWithLabels(t *testing.T) {
 	for _, d := range Domains() {
 		d := d
 		for i := 0; i < 3; i++ {
-			p := GeneratePage(&d, i, rng)
+			p := generatePage(&d, i, rng)
 			got := ReparseFromHTML(p.HTML)
 			if len(got) != len(p.Sentences) {
 				t.Fatalf("%s: reparse produced %d sentences, labels have %d\nHTML:\n%s",
@@ -197,7 +197,7 @@ func TestSplitProportions(t *testing.T) {
 
 func TestEncodeBIOTags(t *testing.T) {
 	d := DomainByName("cars")
-	p := GeneratePage(d, 0, rand.New(rand.NewSource(9)))
+	p := generatePage(d, 0, rand.New(rand.NewSource(9)))
 	e := p.Encode(0)
 	if len(e.Words) != len(e.Tags) || len(e.Words) != len(e.SentOf) || len(e.Words) != len(e.Segments) {
 		t.Fatal("parallel arrays out of sync")
@@ -257,7 +257,7 @@ func goldSpans(e *Encoded) [][2]int {
 
 func TestEncodeGoldSpansMatchAttributes(t *testing.T) {
 	d := DomainByName("movies")
-	p := GeneratePage(d, 0, rand.New(rand.NewSource(10)))
+	p := generatePage(d, 0, rand.New(rand.NewSource(10)))
 	e := p.Encode(0)
 	spans := goldSpans(e)
 	if len(spans) != 4 {
@@ -274,7 +274,7 @@ func TestEncodeGoldSpansMatchAttributes(t *testing.T) {
 
 func TestEncodeTruncation(t *testing.T) {
 	d := DomainByName("music")
-	p := GeneratePage(d, 0, rand.New(rand.NewSource(11)))
+	p := generatePage(d, 0, rand.New(rand.NewSource(11)))
 	full := p.Encode(0)
 	small := p.Encode(10)
 	if len(small.Words) != 10 {
@@ -377,7 +377,7 @@ func TestStyledPagesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, name := range []string{"pets", "events", "garden", "finance", "insurance", "restaurants", "art", "software"} {
 		d := DomainByName(name)
-		p := GeneratePage(d, 0, rng)
+		p := generatePage(d, 0, rng)
 		got := ReparseFromHTML(p.HTML)
 		if len(got) != len(p.Sentences) {
 			t.Fatalf("%s: %d sentences reparsed, want %d", name, len(got), len(p.Sentences))
@@ -392,8 +392,8 @@ func TestStyledPagesRoundTrip(t *testing.T) {
 
 func TestConcatPagesProportions(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	a := GeneratePage(DomainByName("books"), 0, rng)
-	b := GeneratePage(DomainByName("jobs"), 0, rng)
+	a := generatePage(DomainByName("books"), 0, rng)
+	b := generatePage(DomainByName("jobs"), 0, rng)
 	for _, prop := range []float64{0.5, 0.7, 0.3} {
 		c := ConcatPages(a, b, prop)
 		if c.Domain != "books" {
@@ -415,7 +415,7 @@ func TestBoilerplateSharedAcrossDomains(t *testing.T) {
 	// The same boilerplate pool must serve every domain — that is what
 	// makes section prediction non-trivial.
 	rng := rand.New(rand.NewSource(13))
-	pb := GeneratePage(DomainByName("books"), 0, rng)
+	pb := generatePage(DomainByName("books"), 0, rng)
 	boilB := map[string]bool{}
 	for _, s := range pb.Sentences {
 		if !s.Informative {
@@ -424,7 +424,7 @@ func TestBoilerplateSharedAcrossDomains(t *testing.T) {
 	}
 	found := false
 	for i := 0; i < 10 && !found; i++ {
-		pj := GeneratePage(DomainByName("jobs"), i, rng)
+		pj := generatePage(DomainByName("jobs"), i, rng)
 		for _, s := range pj.Sentences {
 			if !s.Informative && boilB[strings.Join(s.Tokens, " ")] {
 				found = true
@@ -441,12 +441,12 @@ func BenchmarkGeneratePage(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GeneratePage(d, i, rng)
+		generatePage(d, i, rng)
 	}
 }
 
 func BenchmarkEncode(b *testing.B) {
-	p := GeneratePage(DomainByName("books"), 0, rand.New(rand.NewSource(1)))
+	p := generatePage(DomainByName("books"), 0, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Encode(0)

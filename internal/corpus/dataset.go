@@ -45,7 +45,7 @@ func Generate(cfg Config) (*Dataset, error) {
 			ds.Unseen = append(ds.Unseen, d.Name)
 		}
 		for j := 0; j < cfg.PagesPerDomain; j++ {
-			ds.Pages = append(ds.Pages, GeneratePage(d, j, rng))
+			ds.Pages = append(ds.Pages, generatePage(d, j, rng))
 		}
 	}
 	return ds, nil

@@ -178,10 +178,10 @@ func assemblePage(d *Domain, id int, nav, main, aside, footer []Sentence, rng *r
 	return p
 }
 
-// GeneratePage builds one labelled page for domain d. The id only feeds the
+// generatePage builds one labelled page for domain d. The id only feeds the
 // page identifier; all randomness comes from rng, so generation is
 // deterministic for a fixed seed.
-func GeneratePage(d *Domain, id int, rng *rand.Rand) *Page {
+func generatePage(d *Domain, id int, rng *rand.Rand) *Page {
 	nav, main, aside, footer := buildParts(d, rng)
 	return assemblePage(d, id, nav, main, aside, footer, rng)
 }

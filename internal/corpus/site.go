@@ -42,7 +42,7 @@ func GenerateSite(d *Domain, numContent int, rng *rand.Rand) *Site {
 	for i := 0; i < numContent; i++ {
 		url := fmt.Sprintf("/%s/item%03d.html", d.Name, i)
 		s.ContentURLs = append(s.ContentURLs, url)
-		s.ContentPages[url] = GeneratePage(d, i, rng)
+		s.ContentPages[url] = generatePage(d, i, rng)
 	}
 
 	// Index pages: mostly links, little text (the crawler must skip them).

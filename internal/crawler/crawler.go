@@ -167,10 +167,10 @@ func Classify(doc *htmldom.Node, cfg Config) PageKind {
 	return KindContent
 }
 
-// ExtractLinks returns the same-site link targets of a page in document
+// extractLinks returns the same-site link targets of a page in document
 // order, de-duplicated. Only site-absolute paths and relative paths are
 // followed; external schemes, anchors and javascript links are ignored.
-func ExtractLinks(doc *htmldom.Node, baseURL string) []string {
+func extractLinks(doc *htmldom.Node, baseURL string) []string {
 	var out []string
 	seen := map[string]bool{}
 	for _, a := range doc.FindAll("a") {
@@ -263,7 +263,7 @@ func Crawl(f Fetcher, start string, cfg Config) (*Result, error) {
 		case KindMedia:
 			res.Media = append(res.Media, url)
 		}
-		for _, link := range ExtractLinks(doc, url) {
+		for _, link := range extractLinks(doc, url) {
 			if !visited[link] {
 				visited[link] = true
 				queue = append(queue, link)

@@ -58,7 +58,7 @@ func TestExtractLinks(t *testing.T) {
 		<a href="javascript:void(0)">js</a>
 		<a href="/x.html">dup</a>
 		<a>no href</a>`)
-	got := ExtractLinks(doc, "/books/page.html")
+	got := extractLinks(doc, "/books/page.html")
 	want := []string{"/x.html", "/books/rel.html"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("links: %v want %v", got, want)
@@ -80,7 +80,7 @@ func TestExtractLinksFragmentsAndSchemes(t *testing.T) {
 		<a href="JavaScript:alert(1)">js mixed case</a>
 		<a href="java&#10;script:alert(1)">js newline</a>
 		<a href="other.html">real</a>`)
-	got := ExtractLinks(doc, "/books/page.html")
+	got := extractLinks(doc, "/books/page.html")
 	want := []string{"/books/page.html", "/abs.html", "/books/other.html"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("links: %v want %v", got, want)

@@ -37,9 +37,9 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// IsPermanent reports whether err (or anything it wraps) was marked with
+// isPermanent reports whether err (or anything it wraps) was marked with
 // Permanent.
-func IsPermanent(err error) bool {
+func isPermanent(err error) bool {
 	var pe *permanentError
 	return errors.As(err, &pe)
 }
@@ -255,7 +255,7 @@ func (s *crawlState) fetchOne(url string) (string, *Failure) {
 			}
 		}
 		lastErr = err
-		if IsPermanent(err) {
+		if isPermanent(err) {
 			break
 		}
 	}

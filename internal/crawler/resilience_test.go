@@ -296,10 +296,10 @@ func TestPermanentWrapping(t *testing.T) {
 	}
 	base := errors.New("gone")
 	p := Permanent(base)
-	if !IsPermanent(p) || !IsPermanent(fmt.Errorf("outer: %w", p)) {
+	if !isPermanent(p) || !isPermanent(fmt.Errorf("outer: %w", p)) {
 		t.Fatal("permanence lost through wrapping")
 	}
-	if IsPermanent(base) || IsPermanent(errors.New("x")) {
+	if isPermanent(base) || isPermanent(errors.New("x")) {
 		t.Fatal("plain errors must not be permanent")
 	}
 	if !errors.Is(p, base) {

@@ -89,9 +89,9 @@ type TopicKnowledge struct {
 	Embeds *tensor.Matrix // r×dT
 }
 
-// BuildTopicKnowledge extracts topic embeddings from the teacher's document
+// buildTopicKnowledge extracts topic embeddings from the teacher's document
 // encoder for the r seen topic phrases (token-id form).
-func BuildTopicKnowledge(enc wb.DocEncoder, topics [][]int) *TopicKnowledge {
+func buildTopicKnowledge(enc wb.DocEncoder, topics [][]int) *TopicKnowledge {
 	table := encoderEmbedding(enc)
 	dim := table.Cols
 	embeds := tensor.New(len(topics), dim)
@@ -173,7 +173,7 @@ func New(teacher, student wb.Model, task Task, teacherEnc wb.DocEncoder, topics 
 		Student: student,
 		Task:    task,
 		Cfg:     cfg,
-		Topics:  BuildTopicKnowledge(teacherEnc, topics),
+		Topics:  buildTopicKnowledge(teacherEnc, topics),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
@@ -319,7 +319,7 @@ func (d *Distiller) Train(insts []*wb.Instance, tc wb.TrainConfig) []float64 {
 	}, nil)
 }
 
-// TopicIDs converts topic phrases to token-id form for BuildTopicKnowledge.
+// TopicIDs converts topic phrases to token-id form for buildTopicKnowledge.
 func TopicIDs(topics [][]string, v *textproc.Vocab) [][]int {
 	out := make([][]int, len(topics))
 	for i, tp := range topics {

@@ -44,7 +44,7 @@ func seenTopicIDs(ds *corpus.Dataset, v *textproc.Vocab) [][]int {
 func TestBuildTopicKnowledge(t *testing.T) {
 	ds, v, _, _, _ := buildWorld(t, 3, 1, 1)
 	enc := gloveEnc(v, 12, 1)
-	tk := BuildTopicKnowledge(enc, seenTopicIDs(ds, v))
+	tk := buildTopicKnowledge(enc, seenTopicIDs(ds, v))
 	if tk.Embeds.Rows != 3 || tk.Embeds.Cols != 12 {
 		t.Fatalf("topic knowledge shape %dx%d", tk.Embeds.Rows, tk.Embeds.Cols)
 	}

@@ -12,7 +12,7 @@ import (
 
 func TestCountCooccurrences(t *testing.T) {
 	docs := [][]int{{0, 1, 2}}
-	x := CountCooccurrences(docs, 2)
+	x := countCooccurrences(docs, 2)
 	// (0,1) at distance 1 → weight 1, symmetric.
 	if x[[2]int{0, 1}] != 1 || x[[2]int{1, 0}] != 1 {
 		t.Fatalf("adjacent: %v", x)
@@ -22,7 +22,7 @@ func TestCountCooccurrences(t *testing.T) {
 		t.Fatalf("distance-2: %v", x)
 	}
 	// Window limit.
-	x2 := CountCooccurrences([][]int{{0, 1, 2, 3}}, 1)
+	x2 := countCooccurrences([][]int{{0, 1, 2, 3}}, 1)
 	if _, ok := x2[[2]int{0, 2}]; ok {
 		t.Fatal("window not respected")
 	}
@@ -30,7 +30,7 @@ func TestCountCooccurrences(t *testing.T) {
 
 func TestCountCooccurrencesAccumulates(t *testing.T) {
 	docs := [][]int{{0, 1}, {0, 1}, {0, 1}}
-	x := CountCooccurrences(docs, 2)
+	x := countCooccurrences(docs, 2)
 	if x[[2]int{0, 1}] != 3 {
 		t.Fatalf("accumulation: %v", x[[2]int{0, 1}])
 	}

@@ -37,9 +37,9 @@ func DefaultGloVeConfig(dim int) GloVeConfig {
 // cooc is a sparse co-occurrence accumulator.
 type cooc map[[2]int]float64
 
-// CountCooccurrences accumulates distance-weighted co-occurrence counts over
+// countCooccurrences accumulates distance-weighted co-occurrence counts over
 // token-id documents, the GloVe statistic X_ij.
-func CountCooccurrences(docs [][]int, window int) map[[2]int]float64 {
+func countCooccurrences(docs [][]int, window int) map[[2]int]float64 {
 	x := make(cooc)
 	for _, doc := range docs {
 		for i, wi := range doc {
@@ -63,7 +63,7 @@ func CountCooccurrences(docs [][]int, window int) map[[2]int]float64 {
 // output.
 func TrainGloVe(docs [][]int, vocabSize int, cfg GloVeConfig) *tensor.Matrix {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	x := CountCooccurrences(docs, cfg.Window)
+	x := countCooccurrences(docs, cfg.Window)
 	pairs := make([]pair, 0, len(x))
 	for ij, v := range x {
 		pairs = append(pairs, pair{ij[0], ij[1], v})

@@ -20,8 +20,8 @@ type Annotator struct {
 	rng   *rand.Rand
 }
 
-// NewAnnotator creates a rater with its own deterministic noise stream.
-func NewAnnotator(noise float64, seed int64) *Annotator {
+// newAnnotator creates a rater with its own deterministic noise stream.
+func newAnnotator(noise float64, seed int64) *Annotator {
 	return &Annotator{Noise: noise, rng: rand.New(rand.NewSource(seed))}
 }
 
@@ -31,7 +31,7 @@ func (a *Annotator) Score(gen, gold []string) int {
 	switch {
 	case ExactMatch(gen, gold):
 		score = 2
-	case RelaxedMatch(gen, gold):
+	case relaxedMatch(gen, gold):
 		score = 1
 	}
 	if a.rng.Float64() < a.Noise {
@@ -59,7 +59,7 @@ type Panel struct {
 func NewPanel(n int, noise float64, base int64) *Panel {
 	p := &Panel{}
 	for i := 0; i < n; i++ {
-		p.Raters = append(p.Raters, NewAnnotator(noise, base+int64(i)))
+		p.Raters = append(p.Raters, newAnnotator(noise, base+int64(i)))
 	}
 	return p
 }
@@ -90,5 +90,5 @@ func (p *Panel) Rate(gen, gold [][]string) (ratings [][]int, mean float64) {
 // Agreement returns the panel's mean pairwise Cohen's κ on the given
 // ratings.
 func (p *Panel) Agreement(ratings [][]int) float64 {
-	return MeanPairwiseKappa(ratings)
+	return meanPairwiseKappa(ratings)
 }

@@ -105,10 +105,10 @@ func TestExactAndRelaxedMatch(t *testing.T) {
 	if ExactMatch([]string{"book", "shopping"}, gold) {
 		t.Fatal("length mismatch should fail EM")
 	}
-	if !RelaxedMatch([]string{"a", "shopping", "site"}, gold) {
+	if !relaxedMatch([]string{"a", "shopping", "site"}, gold) {
 		t.Fatal("one shared token should pass RM")
 	}
-	if RelaxedMatch([]string{"job", "site"}, gold) {
+	if relaxedMatch([]string{"job", "site"}, gold) {
 		t.Fatal("no overlap should fail RM")
 	}
 }
@@ -119,7 +119,7 @@ func TestEMImpliesRM(t *testing.T) {
 		if !ExactMatch(gen, gen) {
 			return false
 		}
-		return RelaxedMatch(gen, gen) || len(gen) == 0
+		return relaxedMatch(gen, gen) || len(gen) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -149,12 +149,12 @@ func TestAccuracy(t *testing.T) {
 
 func TestCohenKappaPerfectAndChance(t *testing.T) {
 	a := []int{0, 1, 2, 0, 1, 2}
-	if k := CohenKappa(a, a); math.Abs(k-1) > 1e-9 {
+	if k := cohenKappa(a, a); math.Abs(k-1) > 1e-9 {
 		t.Fatalf("perfect κ: %v", k)
 	}
 	// Complete disagreement with balanced marginals gives κ < 0.
 	b := []int{1, 2, 0, 1, 2, 0}
-	if k := CohenKappa(a, b); k >= 0 {
+	if k := cohenKappa(a, b); k >= 0 {
 		t.Fatalf("disagreement κ should be negative: %v", k)
 	}
 }
@@ -177,7 +177,7 @@ func TestCohenKappaKnownValue(t *testing.T) {
 			a[i], b[i] = 0, 1
 		}
 	}
-	k := CohenKappa(a, b)
+	k := cohenKappa(a, b)
 	if math.Abs(k-0.375) > 1e-9 {
 		t.Fatalf("κ = %v, want 0.375", k)
 	}
@@ -185,10 +185,10 @@ func TestCohenKappaKnownValue(t *testing.T) {
 
 func TestMeanPairwiseKappa(t *testing.T) {
 	r := [][]int{{1, 2, 0}, {1, 2, 0}, {1, 2, 0}}
-	if k := MeanPairwiseKappa(r); math.Abs(k-1) > 1e-9 {
+	if k := meanPairwiseKappa(r); math.Abs(k-1) > 1e-9 {
 		t.Fatalf("identical raters: %v", k)
 	}
-	if k := MeanPairwiseKappa([][]int{{1, 2}}); k != 1 {
+	if k := meanPairwiseKappa([][]int{{1, 2}}); k != 1 {
 		t.Fatal("single rater defined as 1")
 	}
 }
@@ -225,7 +225,7 @@ func TestMcNemar(t *testing.T) {
 }
 
 func TestAnnotatorOracleScores(t *testing.T) {
-	a := NewAnnotator(0, 1) // noiseless
+	a := newAnnotator(0, 1) // noiseless
 	gold := []string{"book", "shopping", "website"}
 	if a.Score(gold, gold) != 2 {
 		t.Fatal("exact should score 2")
@@ -239,7 +239,7 @@ func TestAnnotatorOracleScores(t *testing.T) {
 }
 
 func TestAnnotatorNoiseStaysInRange(t *testing.T) {
-	a := NewAnnotator(1.0, 2) // always flips
+	a := newAnnotator(1.0, 2) // always flips
 	gold := []string{"x"}
 	for i := 0; i < 50; i++ {
 		s := a.Score(gold, gold)

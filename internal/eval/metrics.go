@@ -119,9 +119,9 @@ func ExactMatch(gen, gold []string) bool {
 	return true
 }
 
-// RelaxedMatch reports whether the generated sequence contains at least one
+// relaxedMatch reports whether the generated sequence contains at least one
 // gold token (§IV-A4 RM).
-func RelaxedMatch(gen, gold []string) bool {
+func relaxedMatch(gen, gold []string) bool {
 	goldSet := make(map[string]bool, len(gold))
 	for _, g := range gold {
 		goldSet[g] = true
@@ -148,7 +148,7 @@ func TopicScores(gen, gold [][]string) (em, rm float64) {
 		if ExactMatch(gen[i], gold[i]) {
 			nEM++
 		}
-		if RelaxedMatch(gen[i], gold[i]) {
+		if relaxedMatch(gen[i], gold[i]) {
 			nRM++
 		}
 	}
@@ -173,10 +173,10 @@ func Accuracy(pred, gold []int) float64 {
 	return 100 * float64(correct) / float64(len(pred))
 }
 
-// CohenKappa computes inter-annotator agreement between two raters who
+// cohenKappa computes inter-annotator agreement between two raters who
 // assigned categorical labels to the same items (§IV-A2 uses κ to validate
 // dataset quality; §IV-E for human evaluation).
-func CohenKappa(a, b []int) float64 {
+func cohenKappa(a, b []int) float64 {
 	if len(a) != len(b) {
 		panic("eval: kappa length mismatch")
 	}
@@ -210,9 +210,9 @@ func CohenKappa(a, b []int) float64 {
 	return (po - pe) / (1 - pe)
 }
 
-// MeanPairwiseKappa averages Cohen's κ over all rater pairs, the multi-rater
+// meanPairwiseKappa averages Cohen's κ over all rater pairs, the multi-rater
 // summary the paper reports ("κ > 0.93 for all aspects").
-func MeanPairwiseKappa(ratings [][]int) float64 {
+func meanPairwiseKappa(ratings [][]int) float64 {
 	if len(ratings) < 2 {
 		return 1
 	}
@@ -220,7 +220,7 @@ func MeanPairwiseKappa(ratings [][]int) float64 {
 	var pairs int
 	for i := 0; i < len(ratings); i++ {
 		for j := i + 1; j < len(ratings); j++ {
-			sum += CohenKappa(ratings[i], ratings[j])
+			sum += cohenKappa(ratings[i], ratings[j])
 			pairs++
 		}
 	}

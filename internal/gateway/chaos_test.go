@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -319,4 +320,41 @@ func TestGatewayChaosSoak(t *testing.T) {
 			t.Fatalf("backend %s generation = %d, want %d", b.Name, b.Generation, want)
 		}
 	}
+}
+
+// TestGatewayChaosRawClients drives the gateway, served on httpwire as
+// cmd/wbgate serves it, with a page trickled at 1 byte per 5 ms, a 70 KiB
+// header and a client gone mid-body. The trickled page is relayed, the 431
+// never reaches the handler and counts nothing, the hang-up is a counted
+// bad_request that reaches no backend, requests_total stays an exact
+// partition, and the goroutine count returns to its baseline.
+func TestGatewayChaosRawClients(t *testing.T) {
+	g, ts, backends := newTestGateway(t, 1, nil)
+	page := "<p>raw client page</p>"
+	if status, _ := post(t, ts.URL, "", page); status != http.StatusOK {
+		t.Fatalf("warm-up relay: %d", status)
+	}
+	base := runtime.NumGoroutine()
+
+	if status, body := rawRequest(t, ts.URL, rawPostHead(len(page), ""), page, 5*time.Millisecond); status != http.StatusOK {
+		t.Fatalf("trickled page: %d %q", status, body)
+	}
+	if status, body := rawRequest(t, ts.URL, rawPostHead(len(page), "X-Pad: "+strings.Repeat("p", 70<<10)+"\r\n"), page, 0); status != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("70 KiB header: %d %q, want 431", status, body)
+	}
+	hangUpMidBody(t, ts.URL, 1000)
+	m := g.metrics
+	waitCond(t, "the mid-body hang-up to be counted", func() bool { return countOf(m.Requests, BadRequest) == 1 })
+
+	total, outcomes := m.Requests.Snapshot()
+	if total != 3 || sumCounts(outcomes) != total || countOf(m.Requests, Proxied) != 2 {
+		t.Fatalf("requests_total=%d, outcomes sum %d (proxied %d), want 3 = 2 proxied + 1 bad_request",
+			total, sumCounts(outcomes), countOf(m.Requests, Proxied))
+	}
+	for _, f := range backends {
+		if f.briefs.Load() != 2 {
+			t.Fatalf("backend briefed %d pages, want the 2 relayed", f.briefs.Load())
+		}
+	}
+	waitCond(t, "goroutines back to the baseline", func() bool { return runtime.NumGoroutine() <= base })
 }

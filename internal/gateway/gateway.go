@@ -21,6 +21,8 @@ package gateway
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,7 +34,7 @@ import (
 
 	"webbrief/internal/breaker"
 	"webbrief/internal/briefcache"
-	"webbrief/internal/httpbody"
+	"webbrief/internal/httpwire"
 	"webbrief/internal/metrics"
 )
 
@@ -46,6 +48,14 @@ const probeTimeout = 2 * time.Second
 
 // retryAfter is the Retry-After hint, in seconds, on the gateway's own 503s.
 const retryAfter = "1"
+
+// requestIDHeader carries a briefing's request ID: honoured when a client
+// sends a usable one, minted otherwise, written into every relay attempt's
+// head and echoed on the response.
+const requestIDHeader = "X-Request-Id"
+
+// maxRequestIDBytes is the longest inbound request ID the gateway honours.
+const maxRequestIDBytes = 64
 
 // Config configures a Gateway. Zero values get defaults from
 // withDefaults.
@@ -118,6 +128,9 @@ type Gateway struct {
 
 	shutdownCh chan struct{}
 	probeDone  chan struct{}
+
+	idPrefix uint64        // this process's random high half of every minted request ID
+	idSeq    atomic.Uint64 // the low half: one per minted ID
 }
 
 // New builds a Gateway over the configured backend fleet and starts its
@@ -157,6 +170,9 @@ func New(cfg Config) (*Gateway, error) {
 			br:    breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown, breaker.ReadmitProbes),
 		}
 	}
+	var prefix [4]byte
+	rand.Read(prefix[:])
+	g.idPrefix = uint64(binary.BigEndian.Uint32(prefix[:])) << 32
 	g.ready.Store(true)
 	g.mux.HandleFunc("/brief", g.handleBrief)
 	g.mux.HandleFunc("/healthz", g.handleHealthz)
@@ -214,10 +230,30 @@ func RouteKey(rawQuery string, src string, body []byte) string {
 	return "body:" + strconv.FormatUint(hashKey(string(body)), 16)
 }
 
+// requestID is the briefing's request ID: the client's X-Request-Id when it
+// is 1–maxRequestIDBytes bytes that headSafe accepts, else a minted one —
+// the process prefix and a counter, 16 hex digits.
+func (g *Gateway) requestID(r *http.Request) string {
+	if id := r.Header.Get(requestIDHeader); id != "" && len(id) <= maxRequestIDBytes && headSafe(id, false) {
+		return id
+	}
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	v := g.idPrefix | g.idSeq.Add(1)&(1<<32-1)
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&15]
+		v >>= 4
+	}
+	return string(b[:])
+}
+
 // handleBrief is the proxy path: validate, pick the key's candidate
-// backends off the ring, and relay with failover.
+// backends off the ring, and relay with failover. Every response, the
+// gateway's own refusals included, carries the request ID.
 func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 	g.metrics.Requests.Begin()
+	id := g.requestID(r)
+	w.Header().Set(requestIDHeader, id)
 
 	if !g.ready.Load() {
 		g.refuse(w, Draining, http.StatusServiceUnavailable, "gateway is draining")
@@ -227,8 +263,8 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 		g.refuse(w, BadMethod, http.StatusMethodNotAllowed, "POST the page HTML as the request body")
 		return
 	}
-	body, err := httpbody.Read(r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
-	if errors.Is(err, httpbody.ErrTooLarge) {
+	body, err := httpwire.Read(r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
+	if errors.Is(err, httpwire.ErrTooLarge) {
 		g.refuse(w, TooLarge, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBodyBytes))
 		return
@@ -251,12 +287,8 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var src string
-	if r.URL.RawQuery != "" {
-		src = r.URL.Query().Get("src")
-	}
-	key := RouteKey(r.URL.RawQuery, src, body)
-	g.proxy(w, ctx, r, body, g.ring.Candidates(key, g.cfg.Attempts))
+	key := RouteKey(r.URL.RawQuery, briefcache.SrcParam(r.URL.RawQuery), body)
+	g.proxy(w, ctx, r, id, body, g.ring.Candidates(key, g.cfg.Attempts))
 }
 
 // proxy relays one validated request across the key's candidate backends
@@ -266,7 +298,7 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 // at capacity, the request waits (under its deadline) for the preferred
 // one rather than failing — bounded pools shed load by queueing at the
 // gateway, not by erroring.
-func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Request, body []byte, cands []string) {
+func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Request, id string, body []byte, cands []string) {
 	var fallback *backend // first routable candidate, for the all-busy wait
 	attempts := 0
 	for _, name := range cands {
@@ -284,7 +316,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Requ
 			continue // at its connection cap; spill to the next candidate
 		}
 		attempts++
-		relayed := g.attemptOn(w, ctx, b, r, body)
+		relayed := g.attemptOn(w, ctx, b, r, id, body)
 		<-b.slots
 		if relayed {
 			return
@@ -297,7 +329,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Requ
 		select {
 		case fallback.slots <- struct{}{}:
 			attempts++
-			relayed := g.attemptOn(w, ctx, fallback, r, body)
+			relayed := g.attemptOn(w, ctx, fallback, r, id, body)
 			<-fallback.slots
 			if relayed {
 				return
@@ -346,7 +378,7 @@ func retryableStatus(code int) bool {
 // written (true ends the request; false means a retryable failure and the
 // caller moves on). Every call bumps backend_requests_total and exactly
 // one of its two outcomes.
-func (g *Gateway) attemptOn(w http.ResponseWriter, ctx context.Context, b *backend, r *http.Request, body []byte) bool {
+func (g *Gateway) attemptOn(w http.ResponseWriter, ctx context.Context, b *backend, r *http.Request, id string, body []byte) bool {
 	m := g.metrics
 	m.BackendRequests.Begin()
 	b.requests.Add(1)
@@ -355,7 +387,7 @@ func (g *Gateway) attemptOn(w http.ResponseWriter, ctx context.Context, b *backe
 	// backend that answers with more than a page's worth is broken.
 	rep, err := b.up.exchange(ctx, request{
 		method: http.MethodPost, path: "/brief", query: r.URL.RawQuery,
-		contentType: r.Header.Get("Content-Type"), body: body, limit: g.cfg.MaxBodyBytes,
+		contentType: r.Header.Get("Content-Type"), id: id, body: body, limit: g.cfg.MaxBodyBytes,
 	})
 	if err != nil {
 		// A failure after the client's own deadline or disconnect is the

@@ -96,7 +96,7 @@ func (f *fakeBackend) handleReload(w http.ResponseWriter, _ *http.Request) {
 // newTestGateway boots n fake backends and a gateway over them with
 // chaos-friendly timings, returning the gateway, its HTTP server, and the
 // backends keyed by ring name.
-func newTestGateway(t *testing.T, n int, mutate func(*Config)) (*Gateway, *httptest.Server, map[string]*fakeBackend) {
+func newTestGateway(t *testing.T, n int, mutate func(*Config)) (*Gateway, *wireFront, map[string]*fakeBackend) {
 	t.Helper()
 	byName := make(map[string]*fakeBackend, n)
 	addrs := make([]string, 0, n)
@@ -120,9 +120,7 @@ func newTestGateway(t *testing.T, n int, mutate func(*Config)) (*Gateway, *httpt
 		t.Fatal(err)
 	}
 	t.Cleanup(g.BeginShutdown)
-	ts := httptest.NewServer(g.Handler())
-	t.Cleanup(ts.Close)
-	return g, ts, byName
+	return g, newWireFront(t, g.Handler()), byName
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {

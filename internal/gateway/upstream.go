@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"webbrief/internal/httpbody"
+	"webbrief/internal/httpwire"
 )
 
 // idleConnTimeout retires a quiet upstream connection. Below wbserve's idle
@@ -57,10 +57,11 @@ type upstreamConn struct {
 	idleSince time.Time
 }
 
-// request is one exchange's outbound half. query and contentType are copied
-// into the head verbatim: the caller vouches they passed headSafe.
+// request is one exchange's outbound half. query, contentType and id are
+// copied into the head verbatim: the caller vouches they passed headSafe.
 type request struct {
 	method, path, query, contentType string
+	id                               string // the briefing's request ID; empty on probes and reloads
 	body                             []byte
 	limit                            int64 // most reply bytes the caller will buffer
 }
@@ -78,7 +79,7 @@ type reply struct {
 var errNoReply = errors.New("connection failed before any reply")
 
 // exchange sends one request and buffers the reply, which may be at most
-// req.limit bytes (a longer one fails with httpbody.ErrTooLarge). ctx bounds it:
+// req.limit bytes (a longer one fails with httpwire.ErrTooLarge). ctx bounds it:
 // its deadline becomes the connection's, and cancellation interrupts the I/O
 // in progress. If a reused connection turns out to be dead before any reply
 // byte arrived, the request is replayed once on a fresh one, as net/http's
@@ -155,7 +156,7 @@ func (uc *upstreamConn) roundTrip(host string, req request) (rep reply, keep boo
 	if resp.StatusCode < 200 {
 		return reply{}, false, fmt.Errorf("unexpected interim response %d", resp.StatusCode)
 	}
-	out, err := httpbody.Read(resp.Body, resp.ContentLength, req.limit)
+	out, err := httpwire.Read(resp.Body, resp.ContentLength, req.limit)
 	if err != nil {
 		return reply{}, false, err
 	}
@@ -176,6 +177,10 @@ func appendRequestHead(dst []byte, host string, req request) []byte {
 	if req.contentType != "" {
 		dst = append(dst, "\r\nContent-Type: "...)
 		dst = append(dst, req.contentType...)
+	}
+	if req.id != "" {
+		dst = append(dst, "\r\n"+requestIDHeader+": "...)
+		dst = append(dst, req.id...)
 	}
 	dst = append(dst, "\r\nContent-Length: "...)
 	dst = strconv.AppendInt(dst, int64(len(req.body)), 10)

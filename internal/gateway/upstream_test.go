@@ -86,7 +86,8 @@ func (wb *wireBackend) serve(c net.Conn) {
 // net/http's server parsed out of the client's request, the bytes the
 // upstream writes must parse — with the same parser — back to the same
 // method, request-target, Host, Content-Type, Content-Length and body, and
-// the head must hold exactly the lines the upstream meant to write.
+// the head must hold exactly the lines the upstream meant to write — one of
+// them the request ID the client got back.
 func TestUpstreamRequestHeadMatchesInbound(t *testing.T) {
 	queries := []struct{ name, q string }{
 		{"none", ""},
@@ -116,8 +117,7 @@ func TestUpstreamRequestHeadMatchesInbound(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.BeginShutdown)
-	ts := httptest.NewServer(g.Handler())
-	t.Cleanup(ts.Close)
+	ts := newWireFront(t, g.Handler())
 
 	for _, q := range queries {
 		for _, ct := range contentTypes {
@@ -143,6 +143,7 @@ func TestUpstreamRequestHeadMatchesInbound(t *testing.T) {
 					if resp.StatusCode != http.StatusOK {
 						t.Fatalf("status %d", resp.StatusCode)
 					}
+					id := resp.Header.Get(requestIDHeader)
 
 					got := <-wb.seen
 					if got.req.Method != http.MethodPost || got.req.RequestURI != target {
@@ -160,7 +161,10 @@ func TestUpstreamRequestHeadMatchesInbound(t *testing.T) {
 					if !bytes.Equal(got.body, b.body) {
 						t.Errorf("body differs: %d bytes relayed, %d posted", len(got.body), len(b.body))
 					}
-					wantHeaders := 1 // Content-Length; Host is not in the map
+					if v := got.req.Header.Get(requestIDHeader); v != id || len(id) != 16 {
+						t.Errorf("relayed X-Request-Id %q, want the minted %q the client got back", v, id)
+					}
+					wantHeaders := 2 // Content-Length and X-Request-Id; Host is not in the map
 					if ct.ct != "" {
 						wantHeaders++
 					}
@@ -339,7 +343,7 @@ func newLifecycleBackend(t *testing.T) *lifecycleBackend {
 // newLifecycleGateway is a gateway over one lifecycleBackend with the
 // prober parked and a breaker any blamed failure would trip, so "backend
 // not blamed" is simply "no ejection".
-func newLifecycleGateway(t *testing.T, mutate func(*Config)) (*Gateway, *httptest.Server, *lifecycleBackend) {
+func newLifecycleGateway(t *testing.T, mutate func(*Config)) (*Gateway, *wireFront, *lifecycleBackend) {
 	t.Helper()
 	lb := newLifecycleBackend(t)
 	cfg := Config{
@@ -357,9 +361,7 @@ func newLifecycleGateway(t *testing.T, mutate func(*Config)) (*Gateway, *httptes
 		t.Fatal(err)
 	}
 	t.Cleanup(g.BeginShutdown)
-	ts := httptest.NewServer(g.Handler())
-	t.Cleanup(ts.Close)
-	return g, ts, lb
+	return g, newWireFront(t, g.Handler()), lb
 }
 
 // backendBlock is the single backend's /metrics block.

@@ -110,7 +110,7 @@ func Parse(src string) *Node {
 	stack := []*Node{doc}
 	top := func() *Node { return stack[len(stack)-1] }
 
-	z := NewTokenizer(src)
+	z := newTokenizer(src)
 	for {
 		tok, ok := z.Next()
 		if !ok {

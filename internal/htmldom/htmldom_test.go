@@ -8,7 +8,7 @@ import (
 )
 
 func collect(src string) []Token {
-	z := NewTokenizer(src)
+	z := newTokenizer(src)
 	var toks []Token
 	for {
 		tok, ok := z.Next()

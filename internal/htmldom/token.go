@@ -76,8 +76,8 @@ type Tokenizer struct {
 	pendingRawEnd string
 }
 
-// NewTokenizer returns a tokenizer over src.
-func NewTokenizer(src string) *Tokenizer {
+// newTokenizer returns a tokenizer over src.
+func newTokenizer(src string) *Tokenizer {
 	return &Tokenizer{src: src}
 }
 

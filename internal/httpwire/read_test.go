@@ -1,4 +1,4 @@
-package httpbody
+package httpwire
 
 import (
 	"bytes"

@@ -88,8 +88,8 @@ func NewAdam(params []*ag.Param, lr float64) *Adam {
 	return a
 }
 
-// GlobalGradNorm returns the L2 norm of all gradients concatenated.
-func GlobalGradNorm(params []*ag.Param) float64 {
+// globalGradNorm returns the L2 norm of all gradients concatenated.
+func globalGradNorm(params []*ag.Param) float64 {
 	var s float64
 	for _, p := range params {
 		for _, g := range p.Grad.Data {
@@ -99,10 +99,10 @@ func GlobalGradNorm(params []*ag.Param) float64 {
 	return math.Sqrt(s)
 }
 
-// ClipGradNorm rescales gradients in place so the global norm is at most
+// clipGradNorm rescales gradients in place so the global norm is at most
 // maxNorm; it returns the pre-clip norm.
-func ClipGradNorm(params []*ag.Param, maxNorm float64) float64 {
-	norm := GlobalGradNorm(params)
+func clipGradNorm(params []*ag.Param, maxNorm float64) float64 {
+	norm := globalGradNorm(params)
 	if maxNorm > 0 && norm > maxNorm {
 		scale := maxNorm / (norm + 1e-12)
 		for _, p := range params {
@@ -117,7 +117,7 @@ func ClipGradNorm(params []*ag.Param, maxNorm float64) float64 {
 // Step implements Optimizer.
 func (a *Adam) Step() {
 	if a.Clip > 0 {
-		ClipGradNorm(a.Params, a.Clip)
+		clipGradNorm(a.Params, a.Clip)
 	}
 	a.step++
 	lr := a.LR * a.Schedule.Factor(a.step-1)

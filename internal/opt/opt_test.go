@@ -49,11 +49,11 @@ func TestStepZeroesGrads(t *testing.T) {
 	a := NewAdam([]*ag.Param{x}, 0.01)
 	tp := ag.NewTape()
 	tp.Backward(sumAll(tp, tp.Use(x)))
-	if GlobalGradNorm(a.Params) == 0 {
+	if globalGradNorm(a.Params) == 0 {
 		t.Fatal("expected nonzero grad before step")
 	}
 	a.Step()
-	if GlobalGradNorm(a.Params) != 0 {
+	if globalGradNorm(a.Params) != 0 {
 		t.Fatal("Step must zero gradients")
 	}
 }
@@ -61,11 +61,11 @@ func TestStepZeroesGrads(t *testing.T) {
 func TestClipGradNorm(t *testing.T) {
 	x := ag.NewParam("x", tensor.New(1, 4))
 	copy(x.Grad.Data, []float64{3, 4, 0, 0}) // norm 5
-	pre := ClipGradNorm([]*ag.Param{x}, 1)
+	pre := clipGradNorm([]*ag.Param{x}, 1)
 	if math.Abs(pre-5) > 1e-12 {
 		t.Fatalf("pre-clip norm: %v", pre)
 	}
-	if got := GlobalGradNorm([]*ag.Param{x}); math.Abs(got-1) > 1e-9 {
+	if got := globalGradNorm([]*ag.Param{x}); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("post-clip norm: %v", got)
 	}
 	// Direction preserved.
@@ -77,7 +77,7 @@ func TestClipGradNorm(t *testing.T) {
 func TestClipNoopWhenUnderLimit(t *testing.T) {
 	x := ag.NewParam("x", tensor.New(1, 2))
 	copy(x.Grad.Data, []float64{0.1, 0.1})
-	ClipGradNorm([]*ag.Param{x}, 10)
+	clipGradNorm([]*ag.Param{x}, 10)
 	if x.Grad.Data[0] != 0.1 {
 		t.Fatal("clip should not rescale small gradients")
 	}

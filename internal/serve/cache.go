@@ -94,7 +94,7 @@ func cacheDomain(r *http.Request) string {
 	if r.URL.RawQuery == "" {
 		return ""
 	}
-	return briefcache.SrcDomain(r.URL.Query().Get("src"))
+	return briefcache.SrcDomain(briefcache.SrcParam(r.URL.RawQuery))
 }
 
 // rawLookup is what level 1 of the cache stage learned about a request it

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,8 +82,7 @@ func TestChaosPanicEjectRetryReadmit(t *testing.T) {
 	bad := &panicNReplica{panics: 1}
 	good := &okReplica{}
 	srv := NewFromPool(PoolOf(lift(bad), lift(good)), Config{ReplicaRetries: 2, ProbeInterval: 2 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := newWireFront(t, srv.Handler())
 
 	// PoolOf's idle channel is FIFO: the first request draws bad.
 	status, body, err := postBrief(ts.URL, "<p>x</p>")
@@ -122,8 +124,7 @@ func TestChaosRetryBudgetExhausted500(t *testing.T) {
 	a := &panicNReplica{panics: 1 << 30}
 	b := &panicNReplica{panics: 1 << 30}
 	srv := NewFromPool(PoolOf(lift(a), lift(b)), Config{ReplicaRetries: 1, ProbeInterval: time.Hour})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := newWireFront(t, srv.Handler())
 
 	status, _, err := postBrief(ts.URL, "<p>x</p>")
 	if err != nil {
@@ -164,8 +165,7 @@ func TestChaosStallWatchdogEjects(t *testing.T) {
 		StallTimeout:   10 * time.Millisecond,
 		ProbeInterval:  2 * time.Millisecond,
 	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := newWireFront(t, srv.Handler())
 
 	status, _, err := postBrief(ts.URL, "<p>x</p>")
 	if err != nil || status != http.StatusOK {
@@ -220,8 +220,7 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 		ReplicaRetries: -1, // no retries: panic → 500 immediately
 		ProbeInterval:  time.Hour,
 	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := newWireFront(t, srv.Handler())
 
 	results := make(chan int, 3)
 	post := func() {
@@ -300,8 +299,7 @@ func TestPoolWrapOne(t *testing.T) {
 		t.Fatalf("breaker states %d/%d/%d after WrapOne, want 2/0/0", closed, open, half)
 	}
 	srv := NewFromPool(p, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := newWireFront(t, srv.Handler())
 	for i := 0; i < 3; i++ { // both pool members serve, including the wrapped one
 		if status, _, err := postBrief(ts.URL, "<p>x</p>"); err != nil || status != http.StatusOK {
 			t.Fatalf("request %d through wrapped pool: status %d err %v", i, status, err)
@@ -354,8 +352,7 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 				ProbeInterval:  2 * time.Millisecond,
 				BatchMax:       4,
 			})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
+			ts := newWireFront(t, srv.Handler())
 
 			var ok200, fail500, other atomic.Int64
 			var wg sync.WaitGroup
@@ -506,4 +503,63 @@ func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
 	if got := m.TeacherLatency.count.Load(); got != teacher {
 		t.Fatalf("teacher latency histogram has %d observations, want %d", got, teacher)
 	}
+}
+
+// TestChaosRawClients drives wbserve's handler, served on httpwire as the
+// binary serves it, with the clients a hostile or merely unlucky peer can
+// be: one gone while its miss waits in the queue, one gone mid-body, a 70 KiB
+// header, and a page trickled at 1 byte per 5 ms. Each ends in a counted,
+// classified outcome (the 431 never reaches the handler and counts
+// nothing), requests_total stays an exact partition, the queued hang-up is
+// canceled without ejecting the replica, and the goroutine count returns
+// to its baseline.
+func TestChaosRawClients(t *testing.T) {
+	wedge := newWedgeOnceReplica()
+	srv := NewFromPool(PoolOf(lift(wedge)), Config{ProbeInterval: time.Hour})
+	ts := newWireFront(t, srv.Handler())
+	base := runtime.NumGoroutine()
+	page := "<p>raw client page</p>"
+
+	// The first request holds the only replica; the second queues behind it,
+	// and its client hangs up there.
+	first := make(chan int, 1)
+	go func() {
+		status, _ := rawRequest(t, ts.URL, rawPostHead(len(page), ""), page, 0)
+		first <- status
+	}()
+	<-wedge.started
+	queued, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(queued, rawPostHead(len(page), "")+page)
+	waitCond(t, "the second request to queue", func() bool { return srv.metrics.Queued.Load() == 2 })
+	queued.Close()
+	waitCond(t, "the queued hang-up to be counted", func() bool { return countOf(srv.metrics.Requests, Canceled) == 1 })
+	close(wedge.release)
+	if status := <-first; status != http.StatusOK {
+		t.Fatalf("request holding the replica: %d", status)
+	}
+
+	hangUpMidBody(t, ts.URL, 1000)
+	waitCond(t, "the mid-body hang-up to be counted", func() bool { return countOf(srv.metrics.Requests, BadRequest) == 1 })
+
+	if status, body := rawRequest(t, ts.URL, rawPostHead(len(page), "X-Pad: "+strings.Repeat("p", 70<<10)+"\r\n"), page, 0); status != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("70 KiB header: %d %q, want 431", status, body)
+	}
+	if status, body := rawRequest(t, ts.URL, rawPostHead(len(page), ""), page, 5*time.Millisecond); status != http.StatusOK {
+		t.Fatalf("trickled page: %d %q", status, body)
+	}
+
+	m := srv.metrics
+	total, outcomes := m.Requests.Snapshot()
+	if total != 4 || sumCounts(outcomes) != total || countOf(m.Requests, OK) != 2 ||
+		countOf(m.Requests, Canceled) != 1 || countOf(m.Requests, BadRequest) != 1 {
+		t.Fatalf("requests_total=%d, outcomes sum %d (ok %d, canceled %d, bad_request %d), want 4 = 2 + 1 + 1",
+			total, sumCounts(outcomes), countOf(m.Requests, OK), countOf(m.Requests, Canceled), countOf(m.Requests, BadRequest))
+	}
+	if srv.Pool().Ejections() != 0 || srv.Pool().Healthy() != 1 {
+		t.Fatalf("a client hang-up ejected the replica: ejections=%d healthy=%d", srv.Pool().Ejections(), srv.Pool().Healthy())
+	}
+	waitCond(t, "goroutines back to the baseline", func() bool { return runtime.NumGoroutine() <= base })
 }

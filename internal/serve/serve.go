@@ -35,7 +35,7 @@ import (
 
 	"webbrief/internal/briefcache"
 	"webbrief/internal/htmldom"
-	"webbrief/internal/httpbody"
+	"webbrief/internal/httpwire"
 	"webbrief/internal/metrics"
 	"webbrief/internal/textproc"
 	"webbrief/internal/wb"
@@ -44,6 +44,10 @@ import (
 // DefaultMaxBodyBytes bounds a briefing request body when Config leaves
 // MaxBodyBytes zero.
 const DefaultMaxBodyBytes = 4 << 20
+
+// requestIDHeader names the request ID a client or wbgate may send; the
+// access log records it.
+const requestIDHeader = "X-Request-Id"
 
 // retryAfter is the Retry-After hint, in seconds, on 429 and draining 503s.
 const retryAfter = "1"
@@ -314,7 +318,7 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m := s.metrics
 	m.Requests.Begin()
-	lg := accessEntry{Method: r.Method, Path: r.URL.Path, Remote: r.RemoteAddr}
+	lg := accessEntry{ID: r.Header.Get(requestIDHeader), Method: r.Method, Path: r.URL.Path, Remote: r.RemoteAddr}
 	defer func() {
 		m.Total.Observe(time.Since(start))
 		lg.TotalMS = roundMS(time.Since(start))
@@ -332,8 +336,8 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 
 	// Body, with a hard 413 instead of silent truncation: a declared length
 	// over the limit is refused unread, an undeclared one once it runs past.
-	body, err := httpbody.Read(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
-	tooLarge := errors.Is(err, httpbody.ErrTooLarge)
+	body, err := httpwire.Read(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	tooLarge := errors.Is(err, httpwire.ErrTooLarge)
 	if err != nil && !tooLarge {
 		s.refuse(w, &lg, BadRequest, http.StatusBadRequest, "read body: "+err.Error())
 		return
@@ -526,6 +530,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // JSON field order, stable across lines.
 type accessEntry struct {
 	Time     string  `json:"time"`
+	ID       string  `json:"id,omitempty"` // the request's X-Request-Id (wbgate sends one on every attempt); omitted when absent
 	Method   string  `json:"method"`
 	Path     string  `json:"path"`
 	Remote   string  `json:"remote,omitempty"`

@@ -33,10 +33,10 @@ go run ./cmd/wbcheck ./...
 echo "== go test (every package: integration, cmd, lint fixtures, allocation gates at their pinned counts, kernel and cascade equivalence, ring goldens and balance, fuzz corpus replay)"
 go test ./...
 
-echo "== race-enabled tests (every concurrency-bearing package, whole: serving e2e + load and chaos soaks + cache herd and churn, gateway chaos + upstream, crawler and fault injection, the partition kit, the shared breaker, kernel row partition on 2 and 3 workers)"
+echo "== race-enabled tests (every concurrency-bearing package, whole: serving e2e + load and chaos soaks + cache herd and churn, gateway chaos + upstream, the inbound server's wire table and disconnect watch, crawler and fault injection, the partition kit, the shared breaker, kernel row partition on 2 and 3 workers)"
 go test -race ./internal/ag ./internal/nn ./internal/wb ./internal/serve ./internal/tensor \
     ./internal/briefcache ./internal/snapshot ./internal/metrics ./internal/gateway \
-    ./internal/fault ./internal/crawler ./internal/breaker
+    ./internal/fault ./internal/crawler ./internal/breaker ./internal/httpwire
 
 echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
 go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
@@ -67,6 +67,10 @@ if grep -rnwE 'InferScratch|InferScratch32|NewInferScratchFor|NewInferScratch32F
 echo "== no B-panel packing (every matmul body reads the right-hand matrix in place: the packing kernels and the tape's pack buffer stay deleted, and the four names bench/wbload/replay.go still compiles against live in internal/tensor/packshim.go and are called from nowhere else)"
 if grep -rnE 'packFor|packPanels|matMulPackedRows32|packMinRows|SetPack' internal cmd examples; then echo "name(s) listed above were deleted with B-panel packing: tensor.MatMulInto is the one matmul entry point"; exit 1; fi
 if grep -rnwE 'PackBuf|PackBuf32|MatMulPackInto|MatMulPackInto32' --include='*.go' --exclude='*_test.go' internal cmd examples ./*.go | grep -v '^internal/tensor/packshim.go:'; then echo "shim name(s) used above: internal/tensor/packshim.go exists for bench/ alone (ROADMAP 6(f) deletes it), call tensor.MatMulInto"; exit 1; fi
+
+echo "== one inbound server (wbserve and wbgate serve on internal/httpwire: net/http's server is built only in tests, and internal/httpbody, which httpwire absorbed, stays deleted)"
+if grep -rn 'http\.Server{' --include='*.go' --exclude='*_test.go' internal cmd examples ./*.go; then echo "net/http server(s) listed above: serve the handler on httpwire.Server instead"; exit 1; fi
+if [[ -e internal/httpbody ]] || grep -rn 'internal/httpbody' --include='*.go' internal cmd examples bench ./*.go; then echo "internal/httpbody was folded into internal/httpwire (httpwire.Read): use that"; exit 1; fi
 
 echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
 GODEBUG=cpu.fma=off go test -run 'TestAct64|TestMatMulSplitKBitwise' ./internal/tensor
@@ -232,6 +236,8 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz=FuzzReader -fuzztime="$FUZZTIME" ./internal/snapshot
     go test -run='^$' -fuzz=FuzzDecodeSnapshot -fuzztime="$FUZZTIME" ./internal/wb
     go test -run='^$' -fuzz=FuzzUpstreamRequestHead -fuzztime="$FUZZTIME" ./internal/gateway
+    go test -run='^$' -fuzz=FuzzRequestHead -fuzztime="$FUZZTIME" ./internal/httpwire
+    go test -run='^$' -fuzz=FuzzSrcParam -fuzztime="$FUZZTIME" ./internal/briefcache
     go test -run='^$' -fuzz=FuzzParsePolicy -fuzztime="$FUZZTIME" ./internal/briefcache
     go test -run='^$' -fuzz=FuzzCacheOps -fuzztime="$FUZZTIME" ./internal/briefcache
 fi
