@@ -109,6 +109,7 @@ func BenchmarkBrief(b *testing.B) {
 	enc := wb.NewGloVeEncoder(tensor.Randn(v.Size(), 16, 0.1, rand.New(rand.NewSource(1))))
 	cfg := wb.DefaultConfig()
 	cfg.Hidden = 16
+	cfg.BeamSize = 4
 	m := wb.NewJointWB("bench", enc, v.Size(), cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -118,7 +119,8 @@ func BenchmarkBrief(b *testing.B) {
 }
 
 // serveBenchModel builds the small Joint-WB + page used by the serving
-// benchmarks (untrained weights; serving cost is weight-independent).
+// benchmarks (untrained weights; serving cost is weight-independent), at
+// beam width 4.
 func serveBenchModel(b *testing.B) (*wb.JointWB, *textproc.Vocab, string) {
 	b.Helper()
 	ds, err := corpus.Generate(corpus.Config{Seed: 1, PagesPerDomain: 2, SeenDomains: 2, UnseenDomains: 0})
@@ -129,6 +131,7 @@ func serveBenchModel(b *testing.B) (*wb.JointWB, *textproc.Vocab, string) {
 	enc := wb.NewGloVeEncoder(tensor.Randn(v.Size(), 16, 0.1, rand.New(rand.NewSource(1))))
 	cfg := wb.DefaultConfig()
 	cfg.Hidden = 16
+	cfg.BeamSize = 4
 	m := wb.NewJointWB("bench", enc, v.Size(), cfg)
 	return m, v, ds.Pages[0].HTML
 }
@@ -166,7 +169,7 @@ func BenchmarkServeBrief(b *testing.B) {
 		return func(b *testing.B) {
 			m, v, html := serveBenchModel(b)
 			srv, err := serve.New(m, v, serve.Config{
-				Replicas: replicas, QueueDepth: 1 << 16, BeamWidth: 4,
+				Replicas: replicas, QueueDepth: 1 << 16,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -178,7 +181,7 @@ func BenchmarkServeBrief(b *testing.B) {
 			if err := srv.Pool().Warm(html); err != nil {
 				b.Fatal(err)
 			}
-			benchHTTPPath(b, srv.Handler(), html)
+			benchHTTPPath(b, srv, html)
 		}
 	}
 	b.Run("replicas=1", bench(1))
@@ -228,7 +231,7 @@ func BenchmarkServeBriefConcurrency(b *testing.B) {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			m, v, html := serveBenchModel(b)
 			srv, err := serve.New(m, v, serve.Config{
-				Replicas: 1, QueueDepth: 1 << 16, BeamWidth: 4, BatchMax: 8,
+				Replicas: 1, QueueDepth: 1 << 16, BatchMax: 8,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -236,7 +239,7 @@ func BenchmarkServeBriefConcurrency(b *testing.B) {
 			if err := srv.Warm(html); err != nil {
 				b.Fatal(err)
 			}
-			benchHTTPClients(b, srv.Handler(), html, clients)
+			benchHTTPClients(b, srv, html, clients)
 		})
 	}
 }
@@ -269,7 +272,7 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 	bench := func(cascade bool) func(*testing.B) {
 		return func(b *testing.B) {
 			m, v, html := serveBenchModel(b)
-			cfg := serve.Config{Replicas: 1, QueueDepth: 1 << 16, BeamWidth: 4}
+			cfg := serve.Config{Replicas: 1, QueueDepth: 1 << 16}
 			if cascade {
 				cfg.Cascade = true
 				cfg.ConfidenceThreshold = 1e-12
@@ -281,9 +284,9 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 			if err := srv.Pool().Warm(html); err != nil {
 				b.Fatal(err)
 			}
-			benchHTTPPath(b, srv.Handler(), html)
+			benchHTTPPath(b, srv, html)
 			if cascade {
-				if esc := scrapedCounter(b, srv.Handler(), "cascade", "tiers", "teacher_total"); esc > 0 {
+				if esc := scrapedCounter(b, srv, "cascade", "tiers", "teacher_total"); esc > 0 {
 					b.Fatalf("%d requests escalated to the teacher; the cell measured a tier mix", esc)
 				}
 			}
@@ -301,7 +304,7 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 func BenchmarkServeBriefCacheHit(b *testing.B) {
 	m, v, html := serveBenchModel(b)
 	srv, err := serve.New(m, v, serve.Config{
-		Replicas: 1, QueueDepth: 1 << 16, BeamWidth: 4, CacheCapacity: 1 << 10,
+		Replicas: 1, QueueDepth: 1 << 16, CacheCapacity: 1 << 10,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -312,12 +315,12 @@ func BenchmarkServeBriefCacheHit(b *testing.B) {
 	// Prime: the one miss computes and fills the cache.
 	req := httptest.NewRequest(http.MethodPost, "/brief", strings.NewReader(html))
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
+	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		b.Fatalf("priming request failed: %d", rec.Code)
 	}
-	benchHTTPPath(b, srv.Handler(), html)
-	if hits := scrapedCounter(b, srv.Handler(), "cache", "outcomes", "cache_hits_total"); hits < int64(b.N) {
+	benchHTTPPath(b, srv, html)
+	if hits := scrapedCounter(b, srv, "cache", "outcomes", "cache_hits_total"); hits < int64(b.N) {
 		b.Fatalf("cache hits %d < %d timed requests; the benchmark measured misses", hits, b.N)
 	}
 }
@@ -334,6 +337,7 @@ func BenchmarkTeacherEpoch(b *testing.B) {
 	enc := wb.NewGloVeEncoder(tensor.Randn(v.Size(), 16, 0.1, rand.New(rand.NewSource(1))))
 	cfg := wb.DefaultConfig()
 	cfg.Hidden = 16
+	cfg.BeamSize = 4
 	m := wb.NewJointWB("bench", enc, v.Size(), cfg)
 	tc := wb.DefaultTrainConfig()
 	tc.Epochs = 1
@@ -356,6 +360,7 @@ func teacherEpochBench(b *testing.B, batchSize, workers int) {
 	enc := wb.NewGloVeEncoder(tensor.Randn(v.Size(), 16, 0.1, rand.New(rand.NewSource(1))))
 	cfg := wb.DefaultConfig()
 	cfg.Hidden = 16
+	cfg.BeamSize = 4
 	m := wb.NewJointWB("bench", enc, v.Size(), cfg)
 	tc := wb.DefaultTrainConfig()
 	tc.Epochs = 1

@@ -26,43 +26,33 @@
 //
 // POST /admin/reload (or SIGHUP) drives a rolling zero-downtime hot model
 // reload across the fleet — each backend's /admin/reload in turn, one at a
-// time, so at most one backend is warming a shadow pool while the rest
-// serve. /metrics reports per-backend requests, errors, breaker state,
-// model generation and connection reuse; /healthz aggregates fleet health. SIGINT/SIGTERM drain
-// gracefully.
+// time and each within 60 s, so at most one backend is warming a shadow pool
+// while the rest serve. A request tries its candidates around the ring until
+// one answers, up to the whole fleet; the ring gives each backend
+// gateway.DefaultVNodes virtual nodes. /metrics reports per-backend requests, errors, breaker state,
+// model generation and connection reuse; /healthz aggregates fleet health.
+// SIGINT/SIGTERM drain gracefully, for at most -drain; a fleet reload under
+// way does not hold the drain up.
 //
 // Every /brief response carries X-Request-Id: the client's, if it sent 1–64
 // bytes with no space or control byte, else one minted here (a random
 // per-process prefix and a counter, 16 hex digits). Every relay attempt to a
 // backend carries it too, so the backends' access logs join on it. The
 // inbound HTTP/1.1 server is internal/httpwire, the same one wbserve runs,
-// with the same limits (64 KiB heads, 5 s to finish one, 2 min idle).
+// with the same fixed limits (64 KiB heads, 5 s to finish one, 2 min idle);
+// httpwire.Run is the serving end of both mains.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
+	"fmt"
 	"log"
-	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"webbrief/internal/gateway"
 	"webbrief/internal/httpwire"
-)
-
-// Connection limits for clients that never finish (or never start) a
-// request: without them a slow-header client pins a connection outside every
-// counted outcome. Bodies are bounded by -maxbody and -timeout.
-// httpwire.Server applies them as net/http's server did.
-const (
-	readHeaderTimeout = 5 * time.Second
-	idleTimeout       = 2 * time.Minute
-	maxHeaderBytes    = 64 << 10
 )
 
 func main() {
@@ -70,17 +60,13 @@ func main() {
 	log.SetPrefix("wbgate: ")
 	backendsFlag := flag.String("backends", "", "comma-separated wbserve backends, host:port each (required)")
 	addr := flag.String("addr", ":8080", "listen address")
-	vnodes := flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per backend on the hash ring")
 	maxConns := flag.Int("max-conns", 32, "max concurrent relays per backend (overflow waits at the gateway)")
-	attempts := flag.Int("attempts", 0, "max distinct backends tried per request (0 = the whole fleet)")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that eject a backend from rotation")
 	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "ejection to first readmission probe")
 	probeEvery := flag.Duration("probe-interval", 100*time.Millisecond, "health probe cadence for ejected backends")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline, failover attempts included (0 = none)")
-	maxBody := flag.Int64("maxbody", gateway.DefaultMaxBodyBytes, "request body limit in bytes (over-limit bodies get 413)")
-	reloadTimeout := flag.Duration("reload-timeout", 60*time.Second, "per-backend deadline when driving a fleet reload")
+	maxBody := flag.Int64("maxbody", httpwire.DefaultMaxBodyBytes, "request body limit in bytes (over-limit bodies get 413)")
 	drainWait := flag.Duration("drain", 30*time.Second, "max time to drain in-flight relays on shutdown")
-	reloadSignal := flag.Bool("reload-signal", true, "drive a rolling fleet model reload on SIGHUP (POST /admin/reload always works)")
 	flag.Parse()
 
 	var backends []string
@@ -95,74 +81,35 @@ func main() {
 
 	g, err := gateway.New(gateway.Config{
 		Backends:           backends,
-		VNodes:             *vnodes,
 		MaxConnsPerBackend: *maxConns,
-		Attempts:           *attempts,
 		BreakerThreshold:   *breakerThreshold,
 		BreakerCooldown:    *breakerCooldown,
 		ProbeInterval:      *probeEvery,
 		Timeout:            *timeout,
-		ReloadTimeout:      *reloadTimeout,
 		MaxBodyBytes:       *maxBody,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	httpSrv := &httpwire.Server{
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-		MaxHeaderBytes:    maxHeaderBytes,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *reloadSignal {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		//wbcheck:ignore goshutdown -- reload listener lives for the whole process; it exits with it
-		go func() {
-			for range hup {
-				start := time.Now()
-				rep, err := g.FleetReload(context.Background())
-				if err != nil {
-					log.Printf("fleet reload: %v", err)
-					continue
-				}
-				for _, b := range rep.Backends {
-					if b.Error != "" {
-						log.Printf("reload %s: %s (old model keeps serving there)", b.Backend, b.Error)
-					}
-				}
-				log.Printf("fleet reload drove in %v: %d/%d backends reloaded, fleet generation %d",
-					time.Since(start).Round(time.Millisecond), rep.Reloaded, g.Ring().Size(), rep.FleetGeneration)
+	reload := func() {
+		start := time.Now()
+		rep, err := g.FleetReload(context.Background())
+		if err != nil {
+			log.Printf("fleet reload: %v", err)
+			return
+		}
+		for _, b := range rep.Backends {
+			if b.Error != "" {
+				log.Printf("reload %s: %s (old model keeps serving there)", b.Backend, b.Error)
 			}
-		}()
+		}
+		log.Printf("fleet reload drove in %v: %d/%d backends reloaded, fleet generation %d",
+			time.Since(start).Round(time.Millisecond), rep.Reloaded, g.Ring().Size(), rep.FleetGeneration)
 	}
-
-	errc := make(chan error, 1)
-	//wbcheck:ignore goshutdown -- accept loop lives for the whole process; Serve returns when Shutdown below closes the listener, and the buffered errc send never leaks it
-	go func() { errc <- httpSrv.Serve(ln) }()
-	log.Printf("routing briefings on %s across %d backends: %v (POST HTML to /brief; /healthz, /metrics, /admin/reload)",
+	banner := fmt.Sprintf("routing briefings on %s across %d backends: %v (POST HTML to /brief; /healthz, /metrics, /admin/reload)",
 		*addr, g.Ring().Size(), g.Ring().Backends())
-
-	select {
-	case err := <-errc:
+	if err := httpwire.Run(*addr, banner, g, reload, *drainWait); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
 	}
-
-	log.Printf("draining (max %v)...", *drainWait)
-	g.BeginShutdown() // /healthz now 503; new briefings refused
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("shutdown: %v", err)
-	}
-	log.Printf("drained, bye")
 }

@@ -7,7 +7,9 @@
 //	wbrief -model model.bin page.html
 //	wbrief -model model.bin -text page.html   # also dump the rendered visible text
 //
-// Train a model bundle first with cmd/wbtrain.
+// Train a model bundle first with cmd/wbtrain. The topic decodes at the beam
+// width the bundle records, as wbserve's does, so the two brief a page to the
+// same bytes.
 package main
 
 import (
@@ -27,7 +29,6 @@ func main() {
 	modelPath := flag.String("model", "model.bin", "model bundle from wbtrain")
 	showText := flag.Bool("text", false, "also print the extracted visible text")
 	asJSON := flag.Bool("json", false, "emit the briefing as JSON instead of the tree rendering")
-	beam := flag.Int("beam", 8, "beam width for topic decoding")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("usage: wbrief -model model.bin page.html")
@@ -61,7 +62,7 @@ func main() {
 	if inst.NumSents() == 0 {
 		log.Fatal("no visible text found in page")
 	}
-	brief := wb.MakeBrief(m, inst, v, *beam)
+	brief := wb.MakeBrief(m, inst, v, m.Cfg.BeamSize)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -21,11 +21,15 @@
 //	curl -s --data-binary @page.html http://localhost:8080/brief
 //	curl -s http://localhost:8080/metrics
 //
-// Train a model bundle first with cmd/wbtrain. SIGINT/SIGTERM drain
-// gracefully: /healthz flips to 503, in-flight briefings finish, then the
-// listener closes.
+// Train a model bundle first with cmd/wbtrain. Topics decode at the beam
+// width the bundle records (the model's BeamSize). Before listening, every
+// replica briefs a synthetic page, so scratch workspaces are grown ahead of
+// real traffic. SIGINT/SIGTERM drain gracefully, for at most -drain:
+// /healthz flips to 503, in-flight briefings finish, then the listener
+// closes.
 //
-// The HTTP/1.1 server is internal/httpwire, the same one wbgate runs: a
+// The HTTP/1.1 server is internal/httpwire, the same one wbgate runs, and
+// httpwire.Run is the serving end of both mains. Its limits are fixed: a
 // head over 64 KiB is a 431, a client that has not finished its head 5 s
 // after its first byte is disconnected, an idle keep-alive connection is
 // closed after 2 min, and a client that hangs up while its briefing waits
@@ -66,24 +70,19 @@
 // re-reads -model, builds and warms a shadow replica pool off-path, and
 // atomically swaps it in — in-flight briefings finish on the old
 // generation, new admissions brief on the new one, and the briefing cache
-// starts a fresh namespace so no page replays the old model's answer. The
-// serving generation is visible in /metrics under "reload". Disable the signal handler with
-// -reload-signal=false (the admin endpoint still works):
+// starts a fresh namespace so no page replays the old model's answer. A
+// bundle of another beam width serves at its own width from the swap on. The
+// serving generation is visible in /metrics under "reload":
 //
 //	wbtrain ... -o model.bin        # write a new bundle in place
 //	kill -HUP $(pidof wbserve)      # swap it in without dropping a request
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"webbrief/internal/briefcache"
@@ -94,28 +93,16 @@ import (
 	"webbrief/internal/wb"
 )
 
-// Connection limits for clients that never finish (or never start) a
-// request: without them a slow-header client pins a connection outside every
-// counted /brief outcome. Bodies are bounded by -maxbody and -timeout.
-// httpwire.Server applies them as net/http's server did.
-const (
-	readHeaderTimeout = 5 * time.Second
-	idleTimeout       = 2 * time.Minute
-	maxHeaderBytes    = 64 << 10
-)
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wbserve: ")
 	modelPath := flag.String("model", "model.bin", "model bundle from wbtrain")
 	addr := flag.String("addr", ":8080", "listen address")
-	beam := flag.Int("beam", 8, "beam width for topic decoding")
 	replicas := flag.Int("replicas", 0, "model replicas serving concurrently (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "requests allowed to wait for a replica before 429 (-1 = none)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline, queue wait included (0 = none)")
-	maxBody := flag.Int64("maxbody", serve.DefaultMaxBodyBytes, "request body limit in bytes (over-limit bodies get 413)")
+	maxBody := flag.Int64("maxbody", httpwire.DefaultMaxBodyBytes, "request body limit in bytes (over-limit bodies get 413)")
 	drainWait := flag.Duration("drain", 30*time.Second, "max time to drain in-flight briefings on shutdown")
-	warm := flag.Bool("warm", true, "brief a synthetic page on every replica before listening, so scratch workspaces are grown ahead of real traffic")
 	quiet := flag.Bool("quiet", false, "disable the JSON access log on stderr")
 	replicaRetries := flag.Int("replica-retries", 1, "re-runs of a request whose replica panicked or stalled before 500 (-1 = none)")
 	stall := flag.Duration("stall", 0, "per-stage watchdog: a stage exceeding this wedges and ejects its replica (0 = disabled)")
@@ -128,7 +115,6 @@ func main() {
 	cacheCap := flag.Int("cache", 0, "content-addressed briefing cache capacity in briefings, each with one raw-bytes alias; SIEVE evicts past it (0 = off)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "default cache entry lifetime (0 = entries never expire)")
 	cachePolicyPath := flag.String("cache-policy", "", "per-domain admission/TTL policy file (deny/ttl/default lines; keyed by ?src=)")
-	reloadSignal := flag.Bool("reload-signal", true, "hot-reload the -model bundle on SIGHUP (zero downtime; POST /admin/reload always works)")
 	flag.Parse()
 
 	f, err := os.Open(*modelPath)
@@ -153,7 +139,6 @@ func main() {
 		QueueDepth:          *queue,
 		Timeout:             *timeout,
 		MaxBodyBytes:        *maxBody,
-		BeamWidth:           *beam,
 		ReplicaRetries:      *replicaRetries,
 		StallTimeout:        *stall,
 		ProbeInterval:       *probeEvery,
@@ -181,14 +166,12 @@ func main() {
 		return wb.LoadModelAuto(f)
 	})
 
-	if *warm {
-		start := time.Now()
-		if err := srv.Warm(""); err != nil {
-			log.Fatalf("warmup: %v", err)
-		}
-		log.Printf("warmed %d replica scratch workspaces in %v",
-			srv.Pool().Size(), time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	if err := srv.Warm(""); err != nil {
+		log.Fatalf("warmup: %v", err)
 	}
+	log.Printf("warmed %d replica scratch workspaces in %v",
+		srv.Pool().Size(), time.Since(start).Round(time.Millisecond))
 
 	// Chaos drill: after warmup, one replica starts drawing faults from a
 	// seeded schedule. Ejections, retries and readmissions show on /metrics.
@@ -205,57 +188,21 @@ func main() {
 		log.Printf("chaos drill armed: one replica faulted at rate %.2f, seed %d", *chaos, *chaosSeed)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
+	reload := func() {
+		start := time.Now()
+		gen, err := srv.ReloadFromSource()
+		if err != nil {
+			log.Printf("reload: %v (old model keeps serving)", err)
+			return
+		}
+		log.Printf("reloaded %s: generation %d live in %v, %s",
+			*modelPath, gen, time.Since(start).Round(time.Millisecond), foldNote(srv))
 	}
-	httpSrv := &httpwire.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-		MaxHeaderBytes:    maxHeaderBytes,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *reloadSignal {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		//wbcheck:ignore goshutdown -- reload listener lives for the whole process; it exits with it
-		go func() {
-			for range hup {
-				start := time.Now()
-				gen, err := srv.ReloadFromSource()
-				if err != nil {
-					log.Printf("reload: %v (old model keeps serving)", err)
-					continue
-				}
-				log.Printf("reloaded %s: generation %d live in %v, %s",
-					*modelPath, gen, time.Since(start).Round(time.Millisecond), foldNote(srv))
-			}
-		}()
-	}
-
-	errc := make(chan error, 1)
-	//wbcheck:ignore goshutdown -- accept loop lives for the whole process; Serve returns when Shutdown below closes the listener, and the buffered errc send never leaks it
-	go func() { errc <- httpSrv.Serve(ln) }()
-	log.Printf("serving briefings on %s: %d replicas, queue %d, timeout %v (POST HTML to /brief; /healthz, /metrics)",
+	banner := fmt.Sprintf("serving briefings on %s: %d replicas, queue %d, timeout %v (POST HTML to /brief; /healthz, /metrics)",
 		*addr, srv.Pool().Size(), *queue, *timeout)
-
-	select {
-	case err := <-errc:
+	if err := httpwire.Run(*addr, banner, srv, reload, *drainWait); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
 	}
-
-	log.Printf("draining (max %v)...", *drainWait)
-	srv.BeginShutdown() // /healthz now 503; new briefings refused
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("shutdown: %v", err)
-	}
-	log.Printf("drained, bye")
 }
 
 // foldNote says what folding cost the live pool — the bytes all tiers'

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// BenchmarkSuffixMatcher measures every variant at rule-set sizes spanning
-// the selection thresholds, on a hit (last label probe) and a miss. The
-// numbers justify linearMaxRules/binaryMaxRules: linear wins while the set
-// is tiny, binary search wins mid-range, the map amortises best at scale.
+// BenchmarkSuffixMatcher measures the matcher against its linear-scan oracle
+// over rule-set sizes, on a hit (last label probe) and a miss: the map's
+// probes cost one per query label whatever the size, the scan grows with it.
 func BenchmarkSuffixMatcher(b *testing.B) {
 	sizes := []int{4, 8, 16, 64, 256, 1024}
 	for _, size := range sizes {

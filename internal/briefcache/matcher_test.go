@@ -3,11 +3,11 @@ package briefcache
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"strings"
 	"testing"
 )
 
-// matcherRules is the shared rule set every variant is built from. It
+// matcherRules is the shared rule set the matcher and its oracle are built from. It
 // mixes plain registrable domains, deep subdomains, a bare TLD, a
 // single-label intranet name, a unicode (IDN) domain and rules that need
 // normalisation (case, trailing dot, whitespace).
@@ -85,34 +85,40 @@ var matcherCases = []struct {
 	{"com", false}, // "com" is not a rule; example.com does not imply it
 }
 
-// buildVariants constructs all three matcher implementations over one rule
-// set, bypassing newSuffixMatcher's size selection so each variant is
-// exercised at every size.
-func buildVariants(rules []string) map[string]Matcher {
-	norm := make([]string, 0, len(rules))
-	seen := map[string]bool{}
+// linearMatcher is the oracle: it scans every rule per query and tests the
+// definition of suffix coverage directly — the rule itself, or the rule
+// behind a dot — with no probing to get wrong.
+type linearMatcher []string
+
+func newLinearMatcher(rules []string) linearMatcher {
+	var m linearMatcher
 	for _, r := range rules {
-		r = normalizeDomain(r)
-		if r == "" || seen[r] {
-			continue
+		if r = normalizeDomain(r); r != "" {
+			m = append(m, r)
 		}
-		seen[r] = true
-		norm = append(norm, r)
 	}
-	sort.Strings(norm)
-	mm := make(mapMatcher, len(norm))
-	for _, r := range norm {
-		mm[r] = true
+	return m
+}
+
+func (m linearMatcher) Match(d string) bool {
+	for _, r := range m {
+		if d == r || strings.HasSuffix(d, "."+r) {
+			return true
+		}
 	}
-	return map[string]Matcher{
-		"linear": newLinearMatcher(norm),
-		"binary": binarySearchMatcher(norm),
-		"map":    mm,
+	return false
+}
+
+// buildVariants builds the matcher and its oracle over one rule set.
+func buildVariants(rules []string) map[string]interface{ Match(string) bool } {
+	return map[string]interface{ Match(string) bool }{
+		"linear": newLinearMatcher(rules),
+		"map":    newSuffixMatcher(rules),
 	}
 }
 
-// TestSuffixMatcherVariantsAgree runs the shared truth table through all
-// three variants: same rules, same queries, same verdicts.
+// TestSuffixMatcherVariantsAgree runs the shared truth table through the
+// matcher and its oracle: same rules, same queries, same verdicts.
 func TestSuffixMatcherVariantsAgree(t *testing.T) {
 	for name, m := range buildVariants(matcherRules) {
 		t.Run(name, func(t *testing.T) {
@@ -125,8 +131,8 @@ func TestSuffixMatcherVariantsAgree(t *testing.T) {
 	}
 }
 
-// TestSuffixMatcherRandomEquivalence cross-checks the variants on seeded
-// random rule sets and queries: whatever one says, all say.
+// TestSuffixMatcherRandomEquivalence cross-checks the matcher against the
+// oracle on seeded random rule sets and queries.
 func TestSuffixMatcherRandomEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	labels := []string{"a", "bb", "ccc", "example", "news", "shop", "x", "bücher", "dev"}
@@ -146,56 +152,38 @@ func TestSuffixMatcherRandomEquivalence(t *testing.T) {
 		for i := range rules {
 			rules[i] = randomDomain(3)
 		}
-		variants := buildVariants(rules)
+		oracle, m := newLinearMatcher(rules), newSuffixMatcher(rules)
 		for q := 0; q < 100; q++ {
 			d := normalizeDomain(randomDomain(4))
-			got := map[string]bool{}
-			for name, m := range variants {
-				got[name] = m.Match(d)
-			}
-			if got["linear"] != got["binary"] || got["binary"] != got["map"] {
-				t.Fatalf("trial %d: variants disagree on %q over %v: %v", trial, d, rules, got)
+			if want, got := oracle.Match(d), m.Match(d); got != want {
+				t.Fatalf("trial %d: Match(%q) over %v = %v, the oracle says %v", trial, d, rules, got, want)
 			}
 		}
 	}
 }
 
-// TestNewSuffixMatcherSelectsBySize pins the size-based variant selection
-// the benchmarks justify: linear for tiny sets, binary search mid-range,
-// map beyond.
-func TestNewSuffixMatcherSelectsBySize(t *testing.T) {
-	mkRules := func(n int) []string {
+// TestNewSuffixMatcherRules: every rule is held once, normalised, at every
+// size, and empty rules are dropped.
+func TestNewSuffixMatcherRules(t *testing.T) {
+	for _, n := range []int{1, 8, 9, 64, 65, 500} {
 		rules := make([]string, n)
 		for i := range rules {
 			rules[i] = fmt.Sprintf("site%03d.example.com", i)
 		}
-		return rules
-	}
-	cases := []struct {
-		n    int
-		want string
-	}{
-		{1, "*briefcache.linearMatcher"},
-		{linearMaxRules, "*briefcache.linearMatcher"},
-		{linearMaxRules + 1, "briefcache.binarySearchMatcher"},
-		{binaryMaxRules, "briefcache.binarySearchMatcher"},
-		{binaryMaxRules + 1, "briefcache.mapMatcher"},
-		{500, "briefcache.mapMatcher"},
-	}
-	for _, tc := range cases {
-		m := newSuffixMatcher(mkRules(tc.n))
-		if got := fmt.Sprintf("%T", m); got != tc.want {
-			t.Errorf("newSuffixMatcher(%d rules) = %s, want %s", tc.n, got, tc.want)
+		m := newSuffixMatcher(rules)
+		if len(m) != n {
+			t.Errorf("newSuffixMatcher(%d rules) holds %d", n, len(m))
 		}
-		if m.Len() != tc.n {
-			t.Errorf("newSuffixMatcher(%d rules).Len() = %d", tc.n, m.Len())
+		for _, r := range rules {
+			if !m.Match("cdn." + r) {
+				t.Errorf("newSuffixMatcher(%d rules) misses a subdomain of %s", n, r)
+			}
 		}
 	}
 
-	// Dedup and normalisation happen before selection.
 	m := newSuffixMatcher([]string{"A.com", "a.com", "a.com.", " a.com ", ""})
-	if m.Len() != 1 {
-		t.Errorf("dedup: Len() = %d, want 1", m.Len())
+	if len(m) != 1 {
+		t.Errorf("dedup: %d rules, want 1", len(m))
 	}
 	if !m.Match("sub.a.com") {
 		t.Error("deduped matcher should still match")

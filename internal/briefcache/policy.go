@@ -13,13 +13,13 @@ import (
 // and how long it stays fresh. It is compiled from ordered rule lines:
 // deny rules win over everything, then TTL classes match in declaration
 // order (first match wins), then the default TTL applies. Domains are
-// matched with suffix semantics (see Matcher), so one rule covers a site
+// matched with suffix semantics (see suffixMatcher), so one rule covers a site
 // and all its subdomains.
 //
 // The zero-value / nil Policy admits every domain at the cache's default
 // TTL.
 type Policy struct {
-	deny    Matcher
+	deny    suffixMatcher
 	classes []ttlClass
 	// DefaultTTL overrides the cache-level default for domains no TTL
 	// class covers (0 = defer to the cache's default).
@@ -28,7 +28,7 @@ type Policy struct {
 
 // ttlClass is one "ttl <duration> <domains...>" rule group.
 type ttlClass struct {
-	m   Matcher
+	m   suffixMatcher
 	ttl time.Duration
 }
 

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webbrief/internal/httpwire/httpwiretest"
 )
 
 // fleetReloadResult is the gateway's /admin/reload response shape.
@@ -336,13 +338,13 @@ func TestGatewayChaosRawClients(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 
-	if status, body := rawRequest(t, ts.URL, rawPostHead(len(page), ""), page, 5*time.Millisecond); status != http.StatusOK {
+	if status, body := httpwiretest.RawRequest(t, ts.URL, httpwiretest.RawPostHead(len(page), ""), page, 5*time.Millisecond); status != http.StatusOK {
 		t.Fatalf("trickled page: %d %q", status, body)
 	}
-	if status, body := rawRequest(t, ts.URL, rawPostHead(len(page), "X-Pad: "+strings.Repeat("p", 70<<10)+"\r\n"), page, 0); status != http.StatusRequestHeaderFieldsTooLarge {
+	if status, body := httpwiretest.RawRequest(t, ts.URL, httpwiretest.RawPostHead(len(page), "X-Pad: "+strings.Repeat("p", 70<<10)+"\r\n"), page, 0); status != http.StatusRequestHeaderFieldsTooLarge {
 		t.Fatalf("70 KiB header: %d %q, want 431", status, body)
 	}
-	hangUpMidBody(t, ts.URL, 1000)
+	httpwiretest.HangUpMidBody(t, ts.URL, 1000)
 	m := g.metrics
 	waitCond(t, "the mid-body hang-up to be counted", func() bool { return countOf(m.Requests, BadRequest) == 1 })
 

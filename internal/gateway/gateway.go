@@ -38,21 +38,16 @@ import (
 	"webbrief/internal/metrics"
 )
 
-// DefaultMaxBodyBytes mirrors the serving tier's request body ceiling: the
-// gateway refuses oversized pages itself rather than shipping them to a
-// backend that would refuse them anyway.
-const DefaultMaxBodyBytes = 4 << 20
-
 // probeTimeout is the deadline of one /healthz readmission probe.
 const probeTimeout = 2 * time.Second
 
 // retryAfter is the Retry-After hint, in seconds, on the gateway's own 503s.
 const retryAfter = "1"
 
-// requestIDHeader carries a briefing's request ID: honoured when a client
-// sends a usable one, minted otherwise, written into every relay attempt's
-// head and echoed on the response.
-const requestIDHeader = "X-Request-Id"
+// reloadTimeout is the per-backend deadline of one /admin/reload while the
+// gateway drives a fleet reload: a backend builds and warms a whole shadow
+// pool inside it.
+const reloadTimeout = 60 * time.Second
 
 // maxRequestIDBytes is the longest inbound request ID the gateway honours.
 const maxRequestIDBytes = 64
@@ -62,22 +57,16 @@ const maxRequestIDBytes = 64
 type Config struct {
 	Backends []string // backend addresses, "host:port" or "http://host:port"
 
-	VNodes             int           // virtual nodes per backend on the ring (0 = DefaultVNodes)
 	MaxConnsPerBackend int           // concurrent relays per backend (0 = 32)
-	Attempts           int           // max distinct backends tried per request (0 = all)
 	BreakerThreshold   int           // consecutive failures that eject a backend (0 = 3)
 	BreakerCooldown    time.Duration // ejection → first readmission probe (0 = 500ms)
 	ProbeInterval      time.Duration // health probe cadence for ejected backends (0 = 100ms)
 	Timeout            time.Duration // per-request deadline, all attempts included (0 = none)
-	ReloadTimeout      time.Duration // per-backend deadline driving /admin/reload (0 = 60s)
-	MaxBodyBytes       int64         // request body limit, and the ceiling on a relayed reply (0 = DefaultMaxBodyBytes)
+	MaxBodyBytes       int64         // request body limit, and the ceiling on a relayed reply (0 = httpwire.DefaultMaxBodyBytes)
 }
 
 // withDefaults resolves zero values.
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.MaxConnsPerBackend <= 0 {
 		c.MaxConnsPerBackend = 32
 	}
@@ -90,11 +79,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 100 * time.Millisecond
 	}
-	if c.ReloadTimeout <= 0 {
-		c.ReloadTimeout = 60 * time.Second
-	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
+		c.MaxBodyBytes = httpwire.DefaultMaxBodyBytes
 	}
 	return c
 }
@@ -148,7 +134,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		names = append(names, name)
 	}
-	ring := NewRing(names, cfg.VNodes)
+	ring := NewRing(names, DefaultVNodes)
 	if ring.Size() == 0 {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
@@ -198,9 +184,6 @@ func canonicalBackend(raw string) string {
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
 
-// Handler returns the gateway as an http.Handler.
-func (g *Gateway) Handler() http.Handler { return g }
-
 // Ring exposes the routing ring (tests, operator tooling).
 func (g *Gateway) Ring() *Ring { return g.ring }
 
@@ -234,7 +217,7 @@ func RouteKey(rawQuery string, src string, body []byte) string {
 // is 1–maxRequestIDBytes bytes that headSafe accepts, else a minted one —
 // the process prefix and a counter, 16 hex digits.
 func (g *Gateway) requestID(r *http.Request) string {
-	if id := r.Header.Get(requestIDHeader); id != "" && len(id) <= maxRequestIDBytes && headSafe(id, false) {
+	if id := r.Header.Get(httpwire.RequestIDHeader); id != "" && len(id) <= maxRequestIDBytes && headSafe(id, false) {
 		return id
 	}
 	const digits = "0123456789abcdef"
@@ -253,7 +236,7 @@ func (g *Gateway) requestID(r *http.Request) string {
 func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 	g.metrics.Requests.Begin()
 	id := g.requestID(r)
-	w.Header().Set(requestIDHeader, id)
+	w.Header().Set(httpwire.RequestIDHeader, id)
 
 	if !g.ready.Load() {
 		g.refuse(w, Draining, http.StatusServiceUnavailable, "gateway is draining")
@@ -288,7 +271,7 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := RouteKey(r.URL.RawQuery, briefcache.SrcParam(r.URL.RawQuery), body)
-	g.proxy(w, ctx, r, id, body, g.ring.Candidates(key, g.cfg.Attempts))
+	g.proxy(w, ctx, r, id, body, g.ring.Candidates(key, g.ring.Size()))
 }
 
 // proxy relays one validated request across the key's candidate backends
@@ -568,7 +551,7 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 // reloadBackend POSTs one backend's /admin/reload and decodes the new
 // generation.
 func (g *Gateway) reloadBackend(ctx context.Context, b *backend) (int64, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ReloadTimeout)
+	ctx, cancel := context.WithTimeout(ctx, reloadTimeout)
 	defer cancel()
 	rep, err := b.up.exchange(ctx, request{method: http.MethodPost, path: "/admin/reload", limit: adminReplyLimit})
 	if err != nil {

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webbrief/internal/httpwire/httpwiretest"
 )
 
 // fakeBackend is a scriptable stand-in for one wbserve process: it serves
@@ -96,7 +98,7 @@ func (f *fakeBackend) handleReload(w http.ResponseWriter, _ *http.Request) {
 // newTestGateway boots n fake backends and a gateway over them with
 // chaos-friendly timings, returning the gateway, its HTTP server, and the
 // backends keyed by ring name.
-func newTestGateway(t *testing.T, n int, mutate func(*Config)) (*Gateway, *wireFront, map[string]*fakeBackend) {
+func newTestGateway(t *testing.T, n int, mutate func(*Config)) (*Gateway, *httpwiretest.Front, map[string]*fakeBackend) {
 	t.Helper()
 	byName := make(map[string]*fakeBackend, n)
 	addrs := make([]string, 0, n)
@@ -120,7 +122,7 @@ func newTestGateway(t *testing.T, n int, mutate func(*Config)) (*Gateway, *wireF
 		t.Fatal(err)
 	}
 	t.Cleanup(g.BeginShutdown)
-	return g, newWireFront(t, g.Handler()), byName
+	return g, httpwiretest.NewFront(t, g), byName
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -307,7 +309,7 @@ func TestGatewayBoundedConnPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.BeginShutdown)
-	ts := httptest.NewServer(g.Handler())
+	ts := httptest.NewServer(g)
 	t.Cleanup(ts.Close)
 
 	var wg sync.WaitGroup

@@ -49,9 +49,10 @@ type Metrics struct {
 	Requests *metrics.Partition[requestsTotal]
 
 	// BackendRequests counts every relay attempt on any backend. One client
-	// request makes 1..Attempts attempts, so this total exceeds
-	// requests_total whenever failover retries, and reconciles against the
-	// per-backend request counters (their sum is exactly its total).
+	// request makes one attempt per candidate tried, up to the whole fleet,
+	// so this total exceeds requests_total whenever failover retries, and
+	// reconciles against the per-backend request counters (their sum is
+	// exactly its total).
 	BackendRequests *metrics.Partition[backendRequestsTotal]
 
 	// Routing counters. Rerouted counts candidates skipped on an open
@@ -122,7 +123,7 @@ func (g *Gateway) snapshot() metricsSnapshot {
 	s.RequestsTotal, s.Responses = m.Requests.Snapshot()
 	s.BackendRequestsTotal, s.BackendOutcomes = m.BackendRequests.Snapshot()
 	s.Ring.Backends = g.ring.Size()
-	s.Ring.VNodesPerBackend = g.cfg.VNodes
+	s.Ring.VNodesPerBackend = DefaultVNodes
 	s.Ring.ReroutedTotal = m.Rerouted.Load()
 	s.Ring.EjectionsTotal = m.Ejections.Load()
 	s.Ring.ReadmissionsTotal = m.Readmissions.Load()

@@ -133,7 +133,7 @@ func TestGatewayMetricsZeroDocumentGolden(t *testing.T) {
 	}
 	defer g.BeginShutdown()
 	rec := httptest.NewRecorder()
-	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	want, err := os.ReadFile("testdata/metrics_zero.golden.json")
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"webbrief/internal/httpwire"
+	"webbrief/internal/httpwire/httpwiretest"
 	"webbrief/internal/serve"
 	"webbrief/internal/wb"
 )
@@ -69,7 +71,7 @@ func TestRequestIDFollowsFailover(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		log := &syncBuffer{}
 		srv := serve.NewFromPool(serve.PoolOf(stubReplica{}), serve.Config{AccessLog: log, ProbeInterval: time.Hour})
-		front := newWireFront(t, srv.Handler())
+		front := httpwiretest.NewFront(t, srv)
 		name := strings.TrimPrefix(front.URL, "http://")
 		logs[name], servers[name] = log, srv
 		names = append(names, name)
@@ -79,7 +81,7 @@ func TestRequestIDFollowsFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.BeginShutdown)
-	ts := newWireFront(t, g.Handler())
+	ts := httpwiretest.NewFront(t, g)
 
 	home := g.Ring().Backends()[0]
 	servers[home].BeginShutdown() // draining: every /brief is a 503
@@ -89,7 +91,7 @@ func TestRequestIDFollowsFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	id := resp.Header.Get(requestIDHeader)
+	id := resp.Header.Get(httpwire.RequestIDHeader)
 	if resp.StatusCode != http.StatusOK || len(id) != 16 {
 		t.Fatalf("client got %d with request ID %q, want a 200 and a minted 16-digit ID", resp.StatusCode, id)
 	}
@@ -123,14 +125,14 @@ func TestRequestIDHonouredOrMinted(t *testing.T) {
 	} {
 		req, _ := http.NewRequest(tc.method, ts.URL+"/brief", strings.NewReader("<p>x</p>"))
 		if tc.inbound != "" {
-			req.Header.Set(requestIDHeader, tc.inbound)
+			req.Header.Set(httpwire.RequestIDHeader, tc.inbound)
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		got := resp.Header.Get(requestIDHeader)
+		got := resp.Header.Get(httpwire.RequestIDHeader)
 		if tc.honoured && got != tc.inbound || !tc.honoured && (got == tc.inbound || len(got) != 16) {
 			t.Errorf("%s: inbound %q came back as %q (honoured=%v)", tc.name, tc.inbound, got, tc.honoured)
 		}

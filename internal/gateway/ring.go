@@ -6,8 +6,7 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per backend when Config leaves
-// it zero. 64 points per backend hold every backend's share of the keyspace
+// DefaultVNodes is the gateway's virtual-node count per backend. 64 points per backend hold every backend's share of the keyspace
 // within 1/√64 = 12.5 points of the even 1/N (TestRingBalance, fleets of 2
 // to 16; the widest case, a two-backend split, has a standard deviation of
 // 4.4 points) while the ring stays tiny (a few KB).

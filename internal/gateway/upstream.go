@@ -179,7 +179,7 @@ func appendRequestHead(dst []byte, host string, req request) []byte {
 		dst = append(dst, req.contentType...)
 	}
 	if req.id != "" {
-		dst = append(dst, "\r\n"+requestIDHeader+": "...)
+		dst = append(dst, "\r\n"+httpwire.RequestIDHeader+": "...)
 		dst = append(dst, req.id...)
 	}
 	dst = append(dst, "\r\nContent-Length: "...)

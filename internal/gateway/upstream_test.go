@@ -15,6 +15,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webbrief/internal/httpwire"
+	"webbrief/internal/httpwire/httpwiretest"
 )
 
 // wireRequest is one request as a wireBackend saw it: the raw bytes off the
@@ -117,7 +120,7 @@ func TestUpstreamRequestHeadMatchesInbound(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.BeginShutdown)
-	ts := newWireFront(t, g.Handler())
+	ts := httpwiretest.NewFront(t, g)
 
 	for _, q := range queries {
 		for _, ct := range contentTypes {
@@ -143,7 +146,7 @@ func TestUpstreamRequestHeadMatchesInbound(t *testing.T) {
 					if resp.StatusCode != http.StatusOK {
 						t.Fatalf("status %d", resp.StatusCode)
 					}
-					id := resp.Header.Get(requestIDHeader)
+					id := resp.Header.Get(httpwire.RequestIDHeader)
 
 					got := <-wb.seen
 					if got.req.Method != http.MethodPost || got.req.RequestURI != target {
@@ -161,7 +164,7 @@ func TestUpstreamRequestHeadMatchesInbound(t *testing.T) {
 					if !bytes.Equal(got.body, b.body) {
 						t.Errorf("body differs: %d bytes relayed, %d posted", len(got.body), len(b.body))
 					}
-					if v := got.req.Header.Get(requestIDHeader); v != id || len(id) != 16 {
+					if v := got.req.Header.Get(httpwire.RequestIDHeader); v != id || len(id) != 16 {
 						t.Errorf("relayed X-Request-Id %q, want the minted %q the client got back", v, id)
 					}
 					wantHeaders := 2 // Content-Length and X-Request-Id; Host is not in the map
@@ -343,7 +346,7 @@ func newLifecycleBackend(t *testing.T) *lifecycleBackend {
 // newLifecycleGateway is a gateway over one lifecycleBackend with the
 // prober parked and a breaker any blamed failure would trip, so "backend
 // not blamed" is simply "no ejection".
-func newLifecycleGateway(t *testing.T, mutate func(*Config)) (*Gateway, *wireFront, *lifecycleBackend) {
+func newLifecycleGateway(t *testing.T, mutate func(*Config)) (*Gateway, *httpwiretest.Front, *lifecycleBackend) {
 	t.Helper()
 	lb := newLifecycleBackend(t)
 	cfg := Config{
@@ -361,7 +364,7 @@ func newLifecycleGateway(t *testing.T, mutate func(*Config)) (*Gateway, *wireFro
 		t.Fatal(err)
 	}
 	t.Cleanup(g.BeginShutdown)
-	return g, newWireFront(t, g.Handler()), lb
+	return g, httpwiretest.NewFront(t, g), lb
 }
 
 // backendBlock is the single backend's /metrics block.

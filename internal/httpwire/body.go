@@ -138,7 +138,7 @@ func (b *body) readTrailer() error {
 		b.c.br.Discard(2)
 		return nil
 	}
-	b.c.cr.remain = int64(b.c.srv.maxHeaderBytes())
+	b.c.cr.remain = maxHeaderBytes
 	_, err := b.c.tp.ReadMIMEHeader()
 	b.c.cr.remain = noLimit
 	if err == io.EOF {

@@ -41,7 +41,7 @@ func headBuffered(br *bufio.Reader) bool {
 }
 
 // readRequest reads the connection's next request head and frames its body.
-// The head may pull at most MaxHeaderBytes plus one buffer into the reader
+// The head may pull at most maxHeaderBytes plus one buffer into the reader
 // (next arms the limit); past that the head is refused.
 func (c *conn) readRequest() (*http.Request, error) {
 	var req http.Request

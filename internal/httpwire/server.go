@@ -14,7 +14,7 @@
 //     other transfer coding is a 501, and Transfer-Encoding beside
 //     Content-Length a 400; Expect: 100-continue is answered on the first
 //     body read;
-//   - a head over MaxHeaderBytes is a 431; an HTTP/1.1 request needs exactly
+//   - a head over 64 KiB is a 431; an HTTP/1.1 request needs exactly
 //     one Host; header names must be tokens and values free of control
 //     bytes; the request-target must pass url.ParseRequestURI — otherwise a
 //     400;
@@ -49,9 +49,24 @@ import (
 	"time"
 )
 
-// defaultMaxHeaderBytes bounds a request head when Server leaves
-// MaxHeaderBytes zero: net/http's default.
-const defaultMaxHeaderBytes = 1 << 20
+// The connection limits both tiers serve with. They bound clients that never
+// finish, or never start, a request: without them a slow-header client pins a
+// connection outside every counted outcome. Bodies are bounded by each tier's
+// -maxbody and -timeout.
+const (
+	readHeaderTimeout = 5 * time.Second // a request's first byte to the end of its head
+	idleTimeout       = 2 * time.Minute // how long a kept-alive connection waits for its next request
+	maxHeaderBytes    = 64 << 10        // head size limit, a 431 past it
+)
+
+// DefaultMaxBodyBytes is both tiers' default request body ceiling: wbgate
+// refuses an oversized page itself rather than ship it to a backend that
+// would refuse it anyway.
+const DefaultMaxBodyBytes = 4 << 20
+
+// RequestIDHeader carries a briefing's request ID: wbgate honours or mints
+// one and sends it on every attempt, and wbserve logs it.
+const RequestIDHeader = "X-Request-Id"
 
 // maxPostHandlerReadBytes is how much of a body its handler left unread the
 // server discards to keep the connection; past it, the connection closes.
@@ -61,13 +76,10 @@ const maxPostHandlerReadBytes = 256 << 10
 // reply, so the client reads the reply instead of a reset.
 const lingerTimeout = 500 * time.Millisecond
 
-// Server serves one http.Handler over HTTP/1.1 connections. Set its fields
-// before Serve; the zero timeouts mean none.
+// Server serves one http.Handler over HTTP/1.1 connections. Set Handler
+// before Serve.
 type Server struct {
-	Handler           http.Handler
-	ReadHeaderTimeout time.Duration // a request's first byte to the end of its head
-	IdleTimeout       time.Duration // how long a kept-alive connection waits for its next request
-	MaxHeaderBytes    int           // head size limit, a 431 past it (0 = 1 MiB, net/http's default)
+	Handler http.Handler
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -157,13 +169,6 @@ func (s *Server) closeIdle() bool {
 	return len(s.conns) == 0
 }
 
-func (s *Server) maxHeaderBytes() int {
-	if s.MaxHeaderBytes > 0 {
-		return s.MaxHeaderBytes
-	}
-	return defaultMaxHeaderBytes
-}
-
 // conn is one client connection and everything its requests reuse.
 type conn struct {
 	srv    *Server
@@ -218,24 +223,22 @@ func (c *conn) serve() {
 // client gone, shutdown). A head already buffered whole — the common case,
 // and every pipelined one — needs neither deadline.
 func (c *conn) next() bool {
-	c.cr.remain = int64(c.srv.maxHeaderBytes()) + 4<<10
+	c.cr.remain = maxHeaderBytes + 4<<10
 	deadline := false
 	if c.br.Buffered() == 0 {
 		c.idle.Store(true)
 		if c.srv.closing.Load() {
 			return false
 		}
-		if d := c.srv.IdleTimeout; d > 0 {
-			c.rwc.SetReadDeadline(time.Now().Add(d))
-			deadline = true
-		}
+		c.rwc.SetReadDeadline(time.Now().Add(idleTimeout))
+		deadline = true
 		if _, err := c.br.Peek(1); err != nil {
 			return false
 		}
 		c.idle.Store(false)
 	}
-	if d := c.srv.ReadHeaderTimeout; d > 0 && !headBuffered(c.br) {
-		c.rwc.SetReadDeadline(time.Now().Add(d))
+	if !headBuffered(c.br) {
+		c.rwc.SetReadDeadline(time.Now().Add(readHeaderTimeout))
 		deadline = true
 	}
 	c.deadline = deadline

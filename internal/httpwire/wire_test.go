@@ -10,22 +10,15 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// The binaries' connection limits (cmd/wbserve, cmd/wbgate): every server
-// below runs with them.
-const (
-	testHeaderTimeout = 5 * time.Second
-	testIdleTimeout   = 2 * time.Minute
-	testMaxHeader     = 64 << 10
-)
-
 // impl is one HTTP/1.1 server the wire table runs against: net/http's, the
-// reference, and httpwire's.
+// reference, with httpwire's connection limits, and httpwire's.
 type impl struct {
 	name  string
 	start func(t testing.TB, h http.Handler) string // serves h on loopback, returns host:port
@@ -33,13 +26,12 @@ type impl struct {
 
 var impls = []impl{
 	{"net/http", func(t testing.TB, h http.Handler) string {
-		srv := &http.Server{Handler: h, ReadHeaderTimeout: testHeaderTimeout, IdleTimeout: testIdleTimeout,
-			MaxHeaderBytes: testMaxHeader, ErrorLog: log.New(io.Discard, "", 0)}
+		srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+			MaxHeaderBytes: maxHeaderBytes, ErrorLog: log.New(io.Discard, "", 0)}
 		return serveOn(t, srv.Serve, srv.Shutdown)
 	}},
 	{"httpwire", func(t testing.TB, h http.Handler) string {
-		srv := &Server{Handler: h, ReadHeaderTimeout: testHeaderTimeout, IdleTimeout: testIdleTimeout,
-			MaxHeaderBytes: testMaxHeader}
+		srv := &Server{Handler: h}
 		return serveOn(t, srv.Serve, srv.Shutdown)
 	}},
 }
@@ -66,7 +58,8 @@ func serveOn(t testing.TB, serve func(net.Listener) error, shutdown func(context
 }
 
 // disconnectProbe is what a disconnect row's handler reports: that it
-// started, and the request context's error when it finished.
+// started, and the request context's error when it finished (the
+// hang-up row's /big handler reports only the latter).
 type disconnectProbe struct {
 	entered chan struct{}
 	release chan struct{} // closed by the row once the client is gone (hit only)
@@ -114,6 +107,12 @@ func wireHandler(probes map[string]*disconnectProbe) http.Handler {
 		}
 		p.err <- r.Context().Err()
 	})
+	mux.HandleFunc("/big", func(w http.ResponseWriter, r *http.Request) {
+		p := probes[r.URL.RawQuery]
+		w.Header().Set("Content-Type", "text/plain")
+		w.Write(bigReply)
+		p.err <- r.Context().Err()
+	})
 	mux.HandleFunc("/hit", func(w http.ResponseWriter, r *http.Request) {
 		p := probes[r.URL.RawQuery]
 		io.Copy(io.Discard, r.Body)
@@ -153,7 +152,14 @@ type wireRow struct {
 	// disconnect: the client hangs up once the handler has started, and the
 	// row checks the context error the handler saw (per server).
 	disconnect *disconnectRow
+	// hangUpMidResponse: the client reads the status line of a reply larger
+	// than the socket buffers and hangs up (runHangUp).
+	hangUpMidResponse bool
 }
+
+// bigReply is /big's body: more than loopback's socket buffers hold, so the
+// server is still writing when the client hangs up.
+var bigReply = []byte(strings.Repeat("b", 8<<20))
 
 type disconnectRow struct {
 	path   string            // /wait or /hit
@@ -260,6 +266,7 @@ var wireRows = []wireRow{
 	// Disconnects.
 	{name: "disconnect cancels a handler waiting on Done", disconnect: &disconnectRow{path: "/wait", wantFn: canceled}},
 	{name: "disconnect a hit handler never observes", disconnect: &disconnectRow{path: "/hit", wantFn: notCanceled, refFn: canceled}},
+	{name: "client hangs up mid-response", hangUpMidResponse: true},
 }
 
 // TestWireBehaviour drives every row through net/http's server and through
@@ -272,7 +279,7 @@ func TestWireBehaviour(t *testing.T) {
 		t.Run(im.name, func(t *testing.T) {
 			probes := map[string]*disconnectProbe{}
 			for _, row := range wireRows {
-				if row.disconnect != nil {
+				if row.disconnect != nil || row.hangUpMidResponse {
 					probes[queryOf(row.name)] = &disconnectProbe{
 						entered: make(chan struct{}, 1), release: make(chan struct{}), err: make(chan error, 1),
 					}
@@ -281,6 +288,11 @@ func TestWireBehaviour(t *testing.T) {
 			addr := im.start(t, wireHandler(probes))
 			for _, row := range wireRows {
 				t.Run(row.name, func(t *testing.T) {
+					if row.hangUpMidResponse {
+						// Not parallel: it counts goroutines, which other rows start.
+						runHangUp(t, addr, probes[queryOf(row.name)])
+						return
+					}
 					t.Parallel()
 					if row.disconnect != nil {
 						runDisconnect(t, im.name, addr, row, probes[queryOf(row.name)])
@@ -377,6 +389,39 @@ func runDisconnect(t *testing.T, implName, addr string, row wireRow, p *disconne
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("handler never finished")
+	}
+}
+
+// runHangUp: the client asks for /big, reads the status line and hangs up.
+// The handler returns, the server closes the connection and serves the next
+// one, and the goroutine count returns to what it was before the request.
+func runHangUp(t *testing.T, addr string, p *disconnectProbe) {
+	baseline := runtime.NumGoroutine()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.WriteString(c, get("/big?"+queryOf("client hangs up mid-response"))); err != nil {
+		t.Fatal(err)
+	}
+	line, err := bufio.NewReader(c).ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, "HTTP/1.1 200 ") {
+		t.Fatalf("status line %q, %v", line, err)
+	}
+	c.Close()
+	select {
+	case <-p.err:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never returned")
+	}
+	runRow(t, addr, wireRow{raw: get("/echo")}, openWith(ok200("")))
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the hang-up: the server kept the connection", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

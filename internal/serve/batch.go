@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"webbrief/internal/wb"
@@ -19,10 +20,11 @@ import (
 // contention.
 //
 // Ownership is linear, so no item field needs a lock: the handler builds a
-// batchItem and only ever touches ctx and result afterwards; the dispatcher
-// owns it between the batchCh send and launch; exactly one executor
-// goroutine owns it from launch until deliver. Each handoff is through a
-// channel, which orders the accesses.
+// batchItem and only ever touches ctx, result and waiting afterwards; the
+// dispatcher owns it between the batchCh send and launch; exactly one
+// executor goroutine owns it from launch until deliver. Each handoff is
+// through a channel, which orders the accesses. The one shared field,
+// waiting, is atomic: handler and executor may both try to clear it.
 
 // batchItem is one admitted request waiting in (or running through) the
 // scheduler. What crosses the queue is the parsed page — its sentences, which
@@ -34,6 +36,9 @@ type batchItem struct {
 	sents    [][]string
 	tokens   int // what the page costs a replica: its token count, capped at maxPageTokens
 	enqueued time.Time
+	// waiting is set while the item counts in queue_waiting; whichever of its
+	// handler and its executor clears it takes it off (leaveQueue).
+	waiting atomic.Bool
 
 	// Executor-owned bookkeeping.
 	inst      *wb.Instance  // sents under the executing pool's vocabulary, built at the first checkout
@@ -63,6 +68,15 @@ func (it *batchItem) deliver(o pipelineOutcome) {
 	it.result <- batchResult{o: o, queueWait: it.queueWait, instDur: it.instDur}
 }
 
+// leaveQueue takes the item off queue_waiting exactly once: at its first
+// replica checkout, or when its handler exits without one (draining,
+// deadline, disconnect).
+func (it *batchItem) leaveQueue(m *Metrics) {
+	if it.waiting.CompareAndSwap(true, false) {
+		m.Waiting.Add(-1)
+	}
+}
+
 // enqueue is handleBrief's tail: admit the parsed page, hand it to the
 // dispatcher and wait for its outcome or the context. fill is the request's
 // cache-fill obligation (nil when caching is off or the request bypassed the
@@ -89,6 +103,9 @@ func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Con
 	defer func() { <-s.batchSlots }()
 	m.Queued.Add(1)
 	defer m.Queued.Add(-1)
+	it.waiting.Store(true)
+	m.Waiting.Add(1)
+	defer it.leaveQueue(m)
 	// Re-check readiness after the Queued increment: if this handler saw
 	// ready=true here, BeginShutdown had not yet run, so the drain loop is
 	// guaranteed to observe this request in Queued and wait for it.
@@ -248,17 +265,17 @@ func (s *Server) executeBatch(pool *Pool, rep Replica, items []*batchItem) {
 		checkout := time.Now()
 		for _, it := range live {
 			if it.inst == nil {
+				it.leaveQueue(m)
 				it.queueWait = checkout.Sub(it.enqueued)
 				it.inst = pool.instance(it.sents)
 				it.instDur = time.Since(checkout) // its batchmates' ids included: it waited for them
 			}
 		}
 		m.InFlight.Add(int64(len(live)))
-		ok := s.runBatchOn(pool, rep, live)
-		m.InFlight.Add(-int64(len(live)))
-		if ok {
+		if s.runBatchOn(pool, rep, live) {
 			return
 		}
+		m.InFlight.Add(-int64(len(live)))
 		// The replica faulted mid-batch and is already ejected (runStage);
 		// members answered before the fault keep their responses.
 		rep = nil
@@ -288,8 +305,9 @@ func (s *Server) executeBatch(pool *Pool, rep Replica, items []*batchItem) {
 // once per member — each request did wait the whole stage — so stage sums are
 // wall-clock waits, not CPU time. A faulted stage observes nothing (its
 // duration is the fault's, not the pipeline's). Reports false when the replica
-// faulted (it is already ejected and must not be Put back); on true the
-// replica is back in the pool.
+// faulted (it is already ejected and must not be Put back, and the members
+// still count in in_flight); on true the replica is back in the pool and the
+// members are out of in_flight.
 func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	m := s.metrics
 	insts := make([]*wb.Instance, len(items))
@@ -314,10 +332,12 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	if s.cfg.Cascade {
 		s.observeCascade(decisions)
 	}
-	// The replica goes back before any member is answered, so a client that
-	// has its response can count on the replica being idle again. Briefs hold
-	// only strings and ints, never workspace memory.
+	// The replica goes back, and the members leave in_flight, before any
+	// member is answered, so a client that has its response can count on the
+	// replica being idle again and on in_flight no longer counting it. Briefs
+	// hold only strings and ints, never workspace memory.
 	pool.Put(rep)
+	m.InFlight.Add(-int64(len(items)))
 
 	for i, it := range items {
 		m.Encode.Observe(encodeDur)

@@ -106,6 +106,7 @@ func serialWire(t *testing.T, serial *wb.Briefer, pages []string) [][]byte {
 func TestBatchedWireEquivalence(t *testing.T) {
 	m, v, corpusPages := trainedModel(t)
 	const beam = 2
+	m.Cfg.BeamSize = beam
 	pages := pageHTML(corpusPages)
 	want := serialWire(t, wb.NewBriefer(m, v, beam, 0), pages)
 
@@ -115,7 +116,7 @@ func TestBatchedWireEquivalence(t *testing.T) {
 			name = "fault-wrapped"
 		}
 		t.Run(name, func(t *testing.T) {
-			srv, err := New(m, v, Config{Replicas: 1, BeamWidth: beam, BatchMax: 4})
+			srv, err := New(m, v, Config{Replicas: 1, BatchMax: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func TestBatchedWireEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ts := httptest.NewServer(srv.Handler())
+			ts := httptest.NewServer(srv)
 			defer ts.Close()
 
 			for round, size := range []int{8, 5, 3, 1} {
@@ -205,7 +206,7 @@ func (r *blockingReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 func TestIdleReplicaTakesRequestAlone(t *testing.T) {
 	a, b := newBlockingReplica(), newBlockingReplica()
 	srv := NewFromPool(PoolOf(lift(a), lift(b)), Config{BatchMax: 8})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	statuses := make(chan int, 2)
@@ -239,6 +240,83 @@ func TestIdleReplicaTakesRequestAlone(t *testing.T) {
 	}
 }
 
+// TestQueueGauges splits the queue. With the only replica held and n
+// requests queued behind it, queue_depth counts every admitted request,
+// in_flight the one on the replica, and queue_waiting the n not yet checked
+// out. A waiting request whose client gives up leaves queue_waiting without
+// a checkout; the others leave it at theirs. Each leaves it exactly once, so
+// after the drain all three gauges read 0.
+func TestQueueGauges(t *testing.T) {
+	const n = 3
+	rep := newBlockingReplica()
+	srv := NewFromPool(PoolOf(lift(rep)), Config{QueueDepth: 8, BatchMax: 8})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	release := sync.OnceFunc(func() { close(rep.release) })
+	defer release() // before ts.Close, so a failing test does not wait on held handlers
+	// depth, waiting, in flight — as a scraper reads them.
+	gauges := func() [3]int64 {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var doc struct {
+			QueueDepth   int64 `json:"queue_depth"`
+			QueueWaiting int64 `json:"queue_waiting"`
+			InFlight     int64 `json:"in_flight"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Errorf("/metrics: %v", err)
+		}
+		return [3]int64{doc.QueueDepth, doc.QueueWaiting, doc.InFlight}
+	}
+	statuses := make(chan int, n+1)
+	post := func() {
+		status, _, err := postBrief(ts.URL, "<p>x</p>")
+		if err != nil {
+			status = -1
+		}
+		statuses <- status
+	}
+	go post()
+	<-rep.started // the first request holds the replica
+	for range n {
+		go post()
+	}
+	waitCond(t, "n requests waiting behind the held replica", func() bool { return gauges() == [3]int64{n + 1, n, 1} })
+
+	// One more waits, then hangs up.
+	hangUp, cancel := context.WithCancel(context.Background())
+	gone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(hangUp, http.MethodPost, ts.URL+"/brief", strings.NewReader("<p>gone</p>"))
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		gone <- err
+	}()
+	waitCond(t, "one more request to wait", func() bool { return gauges() == [3]int64{n + 2, n + 1, 1} })
+	cancel()
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("hung-up request: %v, want its cancellation", err)
+	}
+	waitCond(t, "the hung-up request to leave the queue", func() bool { return gauges() == [3]int64{n + 1, n, 1} })
+
+	release()
+	for range n + 1 {
+		if s := <-statuses; s != http.StatusOK {
+			t.Fatalf("request got %d", s)
+		}
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
+	if left := srv.drain(ctx); left != 0 {
+		t.Fatalf("drain left %d requests", left)
+	}
+	if g := gauges(); g != [3]int64{} {
+		t.Fatalf("after the drain: queue_depth, queue_waiting, in_flight = %v, want all 0", g)
+	}
+}
+
 // countingModel counts Eval forwards through a wrapped model tier. It hides
 // the batched-forward capability, so the tier runs one Forward per member —
 // which is what it counts.
@@ -259,7 +337,7 @@ func (c *countingModel[T]) Forward(t *ag.TapeOf[T], inst *wb.Instance, mode wb.M
 // from the encode stage's outputs instead of running the model again.
 func TestOneForwardPerBriefing(t *testing.T) {
 	m, v, pages := trainedModel(t)
-	const beam = 2
+	m.Cfg.BeamSize = 2
 	for _, tc := range []struct {
 		name                     string
 		cascade                  bool
@@ -271,7 +349,7 @@ func TestOneForwardPerBriefing(t *testing.T) {
 		{"cascade-student-only", true, -1, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := New(m, v, Config{Replicas: 1, BeamWidth: beam, Cascade: tc.cascade, ConfidenceThreshold: tc.threshold})
+			srv, err := New(m, v, Config{Replicas: 1, Cascade: tc.cascade, ConfidenceThreshold: tc.threshold})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,7 +367,7 @@ func TestOneForwardPerBriefing(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(srv.Handler())
+			ts := httptest.NewServer(srv)
 			defer ts.Close()
 			for i, p := range pages[:3] {
 				beforeS, beforeT := student.forwards.Load(), teacher.forwards.Load()
@@ -318,7 +396,7 @@ func TestOneForwardPerBriefing(t *testing.T) {
 func TestBatchedDeadlineWhileQueued(t *testing.T) {
 	rep := newBlockingReplica()
 	srv := NewFromPool(PoolOf(lift(rep)), Config{QueueDepth: 8, BatchMax: 4})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// Occupy the only replica: this lone request launches at once.
@@ -404,7 +482,7 @@ func TestBatchedDeadlineWhileQueued(t *testing.T) {
 func TestBatchedOverloadAndDraining(t *testing.T) {
 	rep := newBlockingReplica()
 	srv := NewFromPool(PoolOf(lift(rep)), Config{QueueDepth: 1, BatchMax: 1})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// First request: batch of one, checks out the replica, parks in Encode.

@@ -42,24 +42,24 @@ func postBriefSrc(tsURL, html, src string) (int, []byte, error) {
 // text is a content hit — and every hit serves the exact miss-path bytes.
 func TestCacheHitMissByteIdentical(t *testing.T) {
 	m, v, pages := trainedModel(t)
-	const beam = 2
+	m.Cfg.BeamSize = 2
 
 	// Uncached reference server: the miss path must be byte-identical to it.
-	plain, err := New(m, v, Config{Replicas: 1, BeamWidth: beam})
+	plain, err := New(m, v, Config{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsPlain := httptest.NewServer(plain.Handler())
+	tsPlain := httptest.NewServer(plain)
 	defer tsPlain.Close()
 
-	srv, err := New(m, v, Config{Replicas: 1, BeamWidth: beam, CacheCapacity: 256})
+	srv, err := New(m, v, Config{Replicas: 1, CacheCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srv.cache == nil {
 		t.Fatal("CacheCapacity > 0 did not enable the cache")
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	for i, p := range pages {
@@ -160,7 +160,7 @@ func (r *herdReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 func TestCacheThunderingHerd(t *testing.T) {
 	stub := newHerdReplica()
 	srv := NewFromPool(PoolOf(lift(stub)), Config{CacheCapacity: 64})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	const herd = 8
@@ -242,7 +242,7 @@ func TestCacheCoalescedFailureReplay(t *testing.T) {
 		ReplicaRetries: -1, // no retries: the winner's panic is terminal
 		ProbeInterval:  time.Hour,
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	const herd = 3
@@ -292,7 +292,7 @@ func TestCachePolicyDenyAndSrcDomain(t *testing.T) {
 	}
 	rep := &okReplica{}
 	srv := NewFromPool(PoolOf(lift(rep)), Config{CacheCapacity: 64, CachePolicy: policy})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	post2 := func(html, src string) {
@@ -350,7 +350,7 @@ func TestCacheAccessLogOutcome(t *testing.T) {
 	}
 	var accessLog bytes.Buffer
 	srv := NewFromPool(PoolOf(lift(&okReplica{})), Config{CacheCapacity: 64, CachePolicy: policy, AccessLog: &accessLog})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	const page = "<p>logged page</p>"
@@ -405,7 +405,7 @@ func TestCacheAccessLogOutcome(t *testing.T) {
 func TestCacheHitBypassesBatching(t *testing.T) {
 	rep := &okReplica{}
 	srv := NewFromPool(PoolOf(lift(rep)), Config{CacheCapacity: 64})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	ms := srv.metrics
@@ -447,7 +447,7 @@ func TestChaosServeCachedSoak(t *testing.T) {
 		StallTimeout:   15 * time.Millisecond,
 		ProbeInterval:  2 * time.Millisecond,
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// Warm phase, on the all-healthy pool: cache the reference pages and

@@ -21,7 +21,7 @@ func cascadeServer(t *testing.T, cfg Config, threshold float64) (*Server, *httpt
 	t.Helper()
 	m, v, pages := trainedModel(t)
 	const beam = 2
-	cfg.BeamWidth = beam
+	m.Cfg.BeamSize = beam
 	cfg.Cascade = true
 	cfg.ConfidenceThreshold = threshold
 
@@ -35,7 +35,7 @@ func cascadeServer(t *testing.T, cfg Config, threshold float64) (*Server, *httpt
 	if err := srv.Warm(""); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, pages, want
 }
@@ -247,19 +247,20 @@ func (s nanStudent) Forward(t *ag.TapeOf[float32], inst *wb.Instance, mode wb.Mo
 func TestCascadeEscalatesNaNConfidence(t *testing.T) {
 	m, v, pages := trainedModel(t)
 	const beam, threshold = 2, 0.03
+	m.Cfg.BeamSize = beam
 	want := serialWire(t, wb.NewBriefer(m, v, beam, 0), pageHTML(pages))
 	student, err := wb.ConvertJointWB(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{BeamWidth: beam, Cascade: true, ConfidenceThreshold: threshold}
+	cfg := Config{Cascade: true, ConfidenceThreshold: threshold}
 	pool, err := NewPool(m, v, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.models[0].tiers[0].(*tierOf[float32]).model = nanStudent{student}
 	srv := NewFromPool(pool, cfg)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	for i, p := range pages {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"webbrief/internal/fault"
+	"webbrief/internal/httpwire/httpwiretest"
 	"webbrief/internal/wb"
 )
 
@@ -82,7 +83,7 @@ func TestChaosPanicEjectRetryReadmit(t *testing.T) {
 	bad := &panicNReplica{panics: 1}
 	good := &okReplica{}
 	srv := NewFromPool(PoolOf(lift(bad), lift(good)), Config{ReplicaRetries: 2, ProbeInterval: 2 * time.Millisecond})
-	ts := newWireFront(t, srv.Handler())
+	ts := httpwiretest.NewFront(t, srv)
 
 	// PoolOf's idle channel is FIFO: the first request draws bad.
 	status, body, err := postBrief(ts.URL, "<p>x</p>")
@@ -124,7 +125,7 @@ func TestChaosRetryBudgetExhausted500(t *testing.T) {
 	a := &panicNReplica{panics: 1 << 30}
 	b := &panicNReplica{panics: 1 << 30}
 	srv := NewFromPool(PoolOf(lift(a), lift(b)), Config{ReplicaRetries: 1, ProbeInterval: time.Hour})
-	ts := newWireFront(t, srv.Handler())
+	ts := httpwiretest.NewFront(t, srv)
 
 	status, _, err := postBrief(ts.URL, "<p>x</p>")
 	if err != nil {
@@ -165,7 +166,7 @@ func TestChaosStallWatchdogEjects(t *testing.T) {
 		StallTimeout:   10 * time.Millisecond,
 		ProbeInterval:  2 * time.Millisecond,
 	})
-	ts := newWireFront(t, srv.Handler())
+	ts := httpwiretest.NewFront(t, srv)
 
 	status, _, err := postBrief(ts.URL, "<p>x</p>")
 	if err != nil || status != http.StatusOK {
@@ -220,7 +221,7 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 		ReplicaRetries: -1, // no retries: panic → 500 immediately
 		ProbeInterval:  time.Hour,
 	})
-	ts := newWireFront(t, srv.Handler())
+	ts := httpwiretest.NewFront(t, srv)
 
 	results := make(chan int, 3)
 	post := func() {
@@ -299,7 +300,7 @@ func TestPoolWrapOne(t *testing.T) {
 		t.Fatalf("breaker states %d/%d/%d after WrapOne, want 2/0/0", closed, open, half)
 	}
 	srv := NewFromPool(p, Config{})
-	ts := newWireFront(t, srv.Handler())
+	ts := httpwiretest.NewFront(t, srv)
 	for i := 0; i < 3; i++ { // both pool members serve, including the wrapped one
 		if status, _, err := postBrief(ts.URL, "<p>x</p>"); err != nil || status != http.StatusOK {
 			t.Fatalf("request %d through wrapped pool: status %d err %v", i, status, err)
@@ -352,7 +353,7 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 				ProbeInterval:  2 * time.Millisecond,
 				BatchMax:       4,
 			})
-			ts := newWireFront(t, srv.Handler())
+			ts := httpwiretest.NewFront(t, srv)
 
 			var ok200, fail500, other atomic.Int64
 			var wg sync.WaitGroup
@@ -516,7 +517,7 @@ func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
 func TestChaosRawClients(t *testing.T) {
 	wedge := newWedgeOnceReplica()
 	srv := NewFromPool(PoolOf(lift(wedge)), Config{ProbeInterval: time.Hour})
-	ts := newWireFront(t, srv.Handler())
+	ts := httpwiretest.NewFront(t, srv)
 	base := runtime.NumGoroutine()
 	page := "<p>raw client page</p>"
 
@@ -524,7 +525,7 @@ func TestChaosRawClients(t *testing.T) {
 	// and its client hangs up there.
 	first := make(chan int, 1)
 	go func() {
-		status, _ := rawRequest(t, ts.URL, rawPostHead(len(page), ""), page, 0)
+		status, _ := httpwiretest.RawRequest(t, ts.URL, httpwiretest.RawPostHead(len(page), ""), page, 0)
 		first <- status
 	}()
 	<-wedge.started
@@ -532,7 +533,7 @@ func TestChaosRawClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.WriteString(queued, rawPostHead(len(page), "")+page)
+	io.WriteString(queued, httpwiretest.RawPostHead(len(page), "")+page)
 	waitCond(t, "the second request to queue", func() bool { return srv.metrics.Queued.Load() == 2 })
 	queued.Close()
 	waitCond(t, "the queued hang-up to be counted", func() bool { return countOf(srv.metrics.Requests, Canceled) == 1 })
@@ -541,13 +542,13 @@ func TestChaosRawClients(t *testing.T) {
 		t.Fatalf("request holding the replica: %d", status)
 	}
 
-	hangUpMidBody(t, ts.URL, 1000)
+	httpwiretest.HangUpMidBody(t, ts.URL, 1000)
 	waitCond(t, "the mid-body hang-up to be counted", func() bool { return countOf(srv.metrics.Requests, BadRequest) == 1 })
 
-	if status, body := rawRequest(t, ts.URL, rawPostHead(len(page), "X-Pad: "+strings.Repeat("p", 70<<10)+"\r\n"), page, 0); status != http.StatusRequestHeaderFieldsTooLarge {
+	if status, body := httpwiretest.RawRequest(t, ts.URL, httpwiretest.RawPostHead(len(page), "X-Pad: "+strings.Repeat("p", 70<<10)+"\r\n"), page, 0); status != http.StatusRequestHeaderFieldsTooLarge {
 		t.Fatalf("70 KiB header: %d %q, want 431", status, body)
 	}
-	if status, body := rawRequest(t, ts.URL, rawPostHead(len(page), ""), page, 5*time.Millisecond); status != http.StatusOK {
+	if status, body := httpwiretest.RawRequest(t, ts.URL, httpwiretest.RawPostHead(len(page), ""), page, 5*time.Millisecond); status != http.StatusOK {
 		t.Fatalf("trickled page: %d %q", status, body)
 	}
 

@@ -19,6 +19,7 @@ import (
 // (what a hot reload builds) has models and tables of its own.
 func TestPoolSharesFoldTables(t *testing.T) {
 	m, v, _ := trainedModel(t)
+	m.Cfg.BeamSize = 2
 	tiers := func(p *Pool) (*wb.FoldedOf[float64], *wb.FoldedOf[float32]) {
 		t.Helper()
 		var teacher *wb.FoldedOf[float64]
@@ -48,7 +49,7 @@ func TestPoolSharesFoldTables(t *testing.T) {
 		}
 		return teacher, student
 	}
-	cfg := Config{BeamWidth: 2, Cascade: true, ConfidenceThreshold: 0.5}
+	cfg := Config{Cascade: true, ConfidenceThreshold: 0.5}
 	p1, err := NewPool(m, v, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,14 +82,15 @@ func TestPoolFoldsAblation(t *testing.T) {
 	m, v, pages := trainedModel(t)
 	m.Sec.NoMarkov = true
 	const beam = 2
-	srv, err := New(m, v, Config{Replicas: 2, BeamWidth: beam})
+	m.Cfg.BeamSize = beam
+	srv, err := New(m, v, Config{Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srv.Pool().Fold().Bytes == 0 {
 		t.Fatal("a NoMarkov pool serves unfolded")
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	serial := wb.NewBriefer(m, v, beam, 0)
 	for i, p := range pages[:3] {
@@ -113,8 +115,10 @@ func TestPoolServesUnfoldableModelAsIs(t *testing.T) {
 	_, v, _ := trainedModel(t)
 	tc := nn.TransformerConfig{Vocab: v.Size(), Dim: 12, Heads: 2, Layers: 1, FFDim: 24, MaxLen: 32, Segments: 2}
 	enc := wb.NewBERTEncoder("bert", tc, false, rand.New(rand.NewSource(4)))
-	bm := wb.NewJointWB("bert-serve", enc, v.Size(), wb.DefaultConfig())
-	p, err := NewPool(bm, v, 1, Config{BeamWidth: 2})
+	cfg := wb.DefaultConfig()
+	cfg.BeamSize = 2
+	bm := wb.NewJointWB("bert-serve", enc, v.Size(), cfg)
+	p, err := NewPool(bm, v, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestPoolServesUnfoldableModelAsIs(t *testing.T) {
 	if r.(*modelReplica).tiers[0].(*tierOf[float64]).model != wb.Model(bm) {
 		t.Fatal("a pool of one over an unfoldable model must serve the model itself")
 	}
-	if _, err := NewPool(bm, v, 2, Config{BeamWidth: 2}); err == nil {
+	if _, err := NewPool(bm, v, 2, Config{}); err == nil {
 		t.Fatal("two replicas of a model with no fold tables were built")
 	}
 }

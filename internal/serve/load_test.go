@@ -46,7 +46,7 @@ func TestServeLoadSoak(t *testing.T) {
 	}
 	srv := NewFromPool(PoolOf(lift(&slowReplica{delay: 2 * time.Millisecond})),
 		Config{QueueDepth: 2})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	const (

@@ -173,6 +173,7 @@ type Metrics struct {
 
 	InFlight atomic.Int64 // requests holding (or briefing on) a replica
 	Queued   atomic.Int64 // requests admitted and not yet answered: waiting for or briefing on a replica
+	Waiting  atomic.Int64 // requests admitted and not yet checked out onto a replica (batchItem.leaveQueue)
 
 	// Resilience counters: every recovered replica panic and detected
 	// stall ejects the offending replica; each such event then either
@@ -243,6 +244,7 @@ type metricsSnapshot struct {
 	StallsTotal   int64                         `json:"stalls_total"`
 	InFlight      int64                         `json:"in_flight"`
 	QueueDepth    int64                         `json:"queue_depth"`
+	QueueWaiting  int64                         `json:"queue_waiting"`
 	Pool          struct {
 		Replicas        int   `json:"replicas"`
 		Idle            int   `json:"idle"`
@@ -307,6 +309,7 @@ func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, th
 	s.StallsTotal = m.Stalls.Load()
 	s.InFlight = m.InFlight.Load()
 	s.QueueDepth = m.Queued.Load()
+	s.QueueWaiting = m.Waiting.Load()
 	s.Pool.Replicas = pool.Size()
 	s.Pool.Idle = pool.Idle()
 	s.Pool.Ejections = pool.Ejections()

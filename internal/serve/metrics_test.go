@@ -47,7 +47,7 @@ func TestMetricsZeroDocumentGolden(t *testing.T) {
 	srv := NewFromPool(PoolOf(lift(&okReplica{})), Config{})
 	defer srv.BeginShutdown()
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	want, err := os.ReadFile("testdata/metrics_zero.golden.json")
 	if err != nil {
 		t.Fatal(err)

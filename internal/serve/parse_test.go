@@ -45,13 +45,14 @@ func TestReloadOntoDifferentVocabulary(t *testing.T) {
 		t.Fatalf("fixture too weak: both vocabularies have %d entries", v1.Size())
 	}
 	const beam = 2
+	m1.Cfg.BeamSize, m2.Cfg.BeamSize = beam, beam
 	htmls := append(pageHTML(pages1)[:4], pageHTML(pages2)...)
 	wants := [][][]byte{
 		serialWire(t, wb.NewBriefer(m1, v1, beam, 0), htmls),
 		serialWire(t, wb.NewBriefer(m2, v2, beam, 0), htmls),
 	}
 
-	srv, err := New(m1, v1, Config{Replicas: 1, BeamWidth: beam, QueueDepth: 64, BatchMax: 4})
+	srv, err := New(m1, v1, Config{Replicas: 1, QueueDepth: 64, BatchMax: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestReloadOntoDifferentVocabulary(t *testing.T) {
 	if err := srv.Pool().WrapOne(func(r Replica) Replica { gate.Replica = r; return gate }); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	type answer struct {
@@ -119,7 +120,7 @@ func TestReloadOntoDifferentVocabulary(t *testing.T) {
 func TestUnbriefableNeverQueues(t *testing.T) {
 	stub := newStubReplica()
 	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: -1, CacheCapacity: 64})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// Runs before ts.Close, which waits for the held request: a failed
@@ -164,6 +165,7 @@ func TestUnbriefableNeverQueues(t *testing.T) {
 func TestLongPageBriefsItsHead(t *testing.T) {
 	m, v, pages := trainedModel(t)
 	const beam = 2
+	m.Cfg.BeamSize = beam
 	long := strings.Repeat(strings.Join(pageHTML(pages), "\n"), 7)
 	tokens := wb.InstanceFromHTML(long, v, 0).NumTokens()
 	if tokens < 2*2048 {
@@ -175,11 +177,11 @@ func TestLongPageBriefsItsHead(t *testing.T) {
 	}
 
 	var accessLog bytes.Buffer
-	srv, err := New(m, v, Config{Replicas: 1, BeamWidth: beam, MaxBodyBytes: 1 << 20, AccessLog: &accessLog})
+	srv, err := New(m, v, Config{Replicas: 1, MaxBodyBytes: 1 << 20, AccessLog: &accessLog})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	status, body, err := postBrief(ts.URL, long)
 	if err != nil || status != http.StatusOK {
@@ -206,7 +208,7 @@ func TestLongPageBriefsItsHead(t *testing.T) {
 func TestOneParsePerRequest(t *testing.T) {
 	stub := newHerdReplica()
 	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: -1, CacheCapacity: 64})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	ms := srv.metrics
 	parses := func() int64 { return ms.Parse.count.Load() }

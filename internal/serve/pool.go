@@ -225,10 +225,11 @@ type Pool struct {
 // the float32 student in front of it, folded the same way — and n replicas
 // (0 → GOMAXPROCS) that all read those same models and fold tables through
 // workspaces of their own. The pool keeps v to build every instance its
-// replicas run (Pool.instance). cfg's BeamWidth configures each workspace
-// exactly like wb.NewBriefer, so pooled briefings are identical to the serial
-// path's at maxPageTokens; its ConfidenceThreshold is the escalation cutoff on
-// the decode confidence score: ≤ 0 never escalates, > 1 escalates every
+// replicas run (Pool.instance). Each workspace decodes at the model's own
+// beam width, m.Cfg.BeamSize (at least 1), exactly like wb.NewBriefer at that
+// width, so pooled briefings are identical to the serial path's at
+// maxPageTokens. cfg's ConfidenceThreshold is the escalation cutoff on the
+// decode confidence score: ≤ 0 never escalates, > 1 escalates every
 // briefing.
 //
 // A model with a transformer encoder has no fold tables and no float32 form,
@@ -239,14 +240,18 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error)
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	beam := m.Cfg.BeamSize
+	if beam < 1 {
+		return nil, fmt.Errorf("serve: model beam size %d, want at least 1", beam)
+	}
 	start := time.Now()
 	var tiers []tierModel // fastest first
 	teacher, err := wb.FoldForServing[float64](m)
 	switch {
 	case err == nil:
-		tiers = append(tiers, shareModel[float64](teacher, teacher.Tables().Bytes(), v, cfg.BeamWidth))
+		tiers = append(tiers, shareModel[float64](teacher, teacher.Tables().Bytes(), v, beam))
 	case n == 1:
-		tiers = append(tiers, shareModel[float64](m, 0, v, cfg.BeamWidth))
+		tiers = append(tiers, shareModel[float64](m, 0, v, beam))
 	default:
 		return nil, fmt.Errorf("serve: fold teacher for %d replicas: %w", n, err)
 	}
@@ -255,7 +260,7 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error)
 		if err != nil {
 			return nil, fmt.Errorf("serve: float32 student: %w", err)
 		}
-		tiers = slices.Insert(tiers, 0, shareModel[float32](student, student.Tables().Bytes(), v, cfg.BeamWidth))
+		tiers = slices.Insert(tiers, 0, shareModel[float32](student, student.Tables().Bytes(), v, beam))
 	}
 	models := make([]*modelReplica, n)
 	replicas := make([]Replica, n)

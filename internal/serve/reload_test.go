@@ -193,7 +193,7 @@ func TestHotReloadEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("clients=%d/cache=%d", clients, cacheCap), func(t *testing.T) {
 				const delay = 200 * time.Microsecond
 				srv := NewFromPool(genPool("g1", delay, 2), Config{QueueDepth: 64, BatchMax: 4, CacheCapacity: cacheCap})
-				ts := httptest.NewServer(srv.Handler())
+				ts := httptest.NewServer(srv)
 				defer ts.Close()
 				runReloadEquivalence(t, srv, ts.URL, clients, []string{"g2", "g3", "g4"}, delay)
 				srv.BeginShutdown()
@@ -244,6 +244,7 @@ func runRealReloadEquivalence(t *testing.T, student bool) {
 	m1, v, pages := trainedModelSeed(t, 51)
 	m2, v2, _ := trainedModelSeed(t, 52)
 	const beam = 2
+	m1.Cfg.BeamSize, m2.Cfg.BeamSize = beam, beam
 	htmls := pageHTML(pages)
 	wants := [][][]byte{
 		unfoldedWire(t, m1, v, htmls, beam, student),
@@ -259,11 +260,11 @@ func runRealReloadEquivalence(t *testing.T, student bool) {
 		t.Fatal("fixture too weak: both generations brief every page identically")
 	}
 	// Threshold -1 never escalates: every answer is the student tier's.
-	srv, err := New(m1, v, Config{Replicas: 2, BeamWidth: beam, QueueDepth: 64, BatchMax: 4, Cascade: student, ConfidenceThreshold: -1})
+	srv, err := New(m1, v, Config{Replicas: 2, QueueDepth: 64, BatchMax: 4, Cascade: student, ConfidenceThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// Clients run until the reload has returned and then a little longer, so
@@ -390,12 +391,13 @@ func TestReloadRealModel(t *testing.T) {
 	m1, v1, pages := trainedModelSeed(t, 51)
 	m2, v2, _ := trainedModelSeed(t, 52)
 	const beam = 2
+	m1.Cfg.BeamSize, m2.Cfg.BeamSize = beam, beam
 
-	srv, err := New(m1, v1, Config{Replicas: 2, BeamWidth: beam})
+	srv, err := New(m1, v1, Config{Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	wireBrief := func(m *wb.JointWB, v *textproc.Vocab, html string) []byte {
@@ -465,11 +467,12 @@ func TestReloadRealModel(t *testing.T) {
 // 500 (live pool untouched) when the source fails.
 func TestAdminReloadEndpoint(t *testing.T) {
 	m, v, pages := trainedModelSeed(t, 51)
-	srv, err := New(m, v, Config{Replicas: 1, BeamWidth: 2})
+	m.Cfg.BeamSize = 2
+	srv, err := New(m, v, Config{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	get, err := http.Get(ts.URL + "/admin/reload")
@@ -531,5 +534,81 @@ func TestAdminReloadEndpoint(t *testing.T) {
 	}
 	if out.Generation != 2 || out.Replicas != 1 {
 		t.Fatalf("reload response = %+v, want generation 2 / replicas 1", out)
+	}
+}
+
+// TestBeamWidthFromBundle: the beam width is the bundle's own. A server
+// booted on a bundle saved at BeamSize 4 answers with exactly the bytes of
+// the serial path at width 4; a hot reload from a BeamSize 8 bundle onto it
+// switches widths with the swap; and a model whose width is below 1 builds no
+// pool, at boot or on reload, where the old generation keeps serving.
+func TestBeamWidthFromBundle(t *testing.T) {
+	m, v, pages := trainedModelSeed(t, 52) // widths 4 and 8 brief some of its pages differently
+	htmls := pageHTML(pages)
+	bundle := func(beam int) (*wb.JointWB, *textproc.Vocab, [][]byte) {
+		m.Cfg.BeamSize = beam
+		data, err := wb.EncodeSnapshot(m, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm, bv, err := wb.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bm, bv, serialWire(t, wb.NewBriefer(bm, bv, beam, maxPageTokens), htmls)
+	}
+	m4, v4, want4 := bundle(4)
+	m8, v8, want8 := bundle(8)
+	differ := 0
+	for i := range htmls {
+		if !bytes.Equal(want4[i], want8[i]) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("fixture too weak: widths 4 and 8 brief every page identically")
+	}
+	serves := func(ts *httptest.Server, want [][]byte, what string) {
+		t.Helper()
+		for i, html := range htmls {
+			status, body, err := postBrief(ts.URL, html)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("%s, page %d: status %d err %v", what, i, status, err)
+			}
+			if !bytes.Equal(body, want[i]) {
+				t.Fatalf("%s, page %d: served %s, serial path %s", what, i, body, want[i])
+			}
+		}
+	}
+
+	at4, err := New(m4, v4, Config{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer at4.BeginShutdown()
+	ts4 := httptest.NewServer(at4)
+	defer ts4.Close()
+	serves(ts4, want4, "booted at width 4")
+
+	srv, err := New(m8, v8, Config{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.BeginShutdown()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	serves(ts, want8, "booted at width 8")
+	if _, err := srv.Reload(m4, v4); err != nil {
+		t.Fatal(err)
+	}
+	serves(ts, want4, "reloaded onto width 4")
+
+	m4.Cfg.BeamSize = 0
+	if _, err := srv.Reload(m4, v4); err == nil || !strings.Contains(err.Error(), "beam size") {
+		t.Fatalf("reload onto beam size 0: error %v, want one naming the beam size", err)
+	}
+	serves(ts, want4, "after a refused reload")
+	if _, err := New(m4, v4, Config{Replicas: 1}); err == nil {
+		t.Fatal("a server was built over a model of beam size 0")
 	}
 }

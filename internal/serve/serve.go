@@ -41,26 +41,18 @@ import (
 	"webbrief/internal/wb"
 )
 
-// DefaultMaxBodyBytes bounds a briefing request body when Config leaves
-// MaxBodyBytes zero.
-const DefaultMaxBodyBytes = 4 << 20
-
-// requestIDHeader names the request ID a client or wbgate may send; the
-// access log records it.
-const requestIDHeader = "X-Request-Id"
-
 // retryAfter is the Retry-After hint, in seconds, on 429 and draining 503s.
 const retryAfter = "1"
 
 // Config sizes a Server. The zero value is usable: GOMAXPROCS replicas, a
-// 64-deep admission queue, no deadline, the default body limit, beam 8,
-// one replica retry, probing every 25ms.
+// 64-deep admission queue, no deadline, the default body limit, one replica
+// retry, probing every 25ms. The beam width is the model's own
+// (wb.Config.BeamSize, recorded in its bundle).
 type Config struct {
 	Replicas     int           // model replicas (0 = GOMAXPROCS)
 	QueueDepth   int           // requests allowed to wait for a replica before 429 (<0 = none wait)
 	Timeout      time.Duration // per-request deadline, queue wait included (0 = none)
-	MaxBodyBytes int64         // request body limit (0 = DefaultMaxBodyBytes)
-	BeamWidth    int           // topic beam width (0 = 8)
+	MaxBodyBytes int64         // request body limit (0 = httpwire.DefaultMaxBodyBytes)
 	AccessLog    io.Writer     // JSON-line access log (nil = disabled)
 
 	// ReplicaRetries is how many times a request whose replica panicked or
@@ -115,10 +107,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 0
 	}
 	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if c.BeamWidth == 0 {
-		c.BeamWidth = 8
+		c.MaxBodyBytes = httpwire.DefaultMaxBodyBytes
 	}
 	if c.ReplicaRetries == 0 {
 		c.ReplicaRetries = 1
@@ -235,17 +224,14 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Handler returns the route mux (alias of the Server itself).
-func (s *Server) Handler() http.Handler { return s }
-
 // Pool exposes the live replica pool (the current generation's).
 func (s *Server) Pool() *Pool { return s.pool.Load() }
 
 // BeginShutdown flips the server into draining mode: /healthz reports 503
 // so load balancers stop routing here, and new /brief requests are refused
 // with 503, while requests already admitted run to completion.
-// Re-admission probers stop. Pair with http.Server.Shutdown (which waits
-// for in-flight handlers).
+// Re-admission probers stop. Pair with httpwire's drain (which waits for
+// in-flight handlers).
 func (s *Server) BeginShutdown() {
 	s.ready.Store(false)
 	s.shutdownOnce.Do(func() { close(s.shutdownCh) })
@@ -253,9 +239,9 @@ func (s *Server) BeginShutdown() {
 
 // drain begins shutdown and blocks until no request holds a replica and the
 // batch dispatcher has exited, or ctx expires. It returns the number of
-// requests still in flight (0 on a clean drain). http.Server.Shutdown
-// already waits for in-flight handlers, so wbserve only needs
-// BeginShutdown; drain serves the tests that drive the handler directly.
+// requests still in flight (0 on a clean drain). httpwire's drain already
+// waits for in-flight handlers, so wbserve only needs BeginShutdown; drain
+// serves the tests that drive the handler directly.
 func (s *Server) drain(ctx context.Context) int64 {
 	s.BeginShutdown()
 	tick := time.NewTicker(2 * time.Millisecond)
@@ -318,7 +304,7 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m := s.metrics
 	m.Requests.Begin()
-	lg := accessEntry{ID: r.Header.Get(requestIDHeader), Method: r.Method, Path: r.URL.Path, Remote: r.RemoteAddr}
+	lg := accessEntry{ID: r.Header.Get(httpwire.RequestIDHeader), Method: r.Method, Path: r.URL.Path, Remote: r.RemoteAddr}
 	defer func() {
 		m.Total.Observe(time.Since(start))
 		lg.TotalMS = roundMS(time.Since(start))

@@ -65,6 +65,7 @@ func postBrief(url, html string) (int, []byte, error) {
 func TestServeEndToEnd(t *testing.T) {
 	m, v, pages := trainedModel(t)
 	const beam = 2
+	m.Cfg.BeamSize = beam
 
 	// Serial reference briefings, via the single-mutex path. The handler
 	// responds with Encoder.Encode framing, i.e. the JSON plus a trailing
@@ -76,11 +77,11 @@ func TestServeEndToEnd(t *testing.T) {
 	// cold scratch, the rest on warm reused buffers; all must be identical
 	// bytes, or scratch state is leaking between requests.
 	func() {
-		one, err := New(m, v, Config{Replicas: 1, BeamWidth: beam})
+		one, err := New(m, v, Config{Replicas: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(one.Handler())
+		ts := httptest.NewServer(one)
 		defer ts.Close()
 		for i, p := range pages {
 			for rep := 0; rep < 3; rep++ {
@@ -97,14 +98,14 @@ func TestServeEndToEnd(t *testing.T) {
 	}()
 
 	var accessLog bytes.Buffer
-	srv, err := New(m, v, Config{Replicas: 3, QueueDepth: 64, BeamWidth: beam, AccessLog: &accessLog})
+	srv, err := New(m, v, Config{Replicas: 3, QueueDepth: 64, AccessLog: &accessLog})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Boot-time warmup (what wbserve -warm does) must not perturb outputs:
+	// Boot-time warmup (what wbserve runs before listening) must not perturb outputs:
 	// every post-warmup briefing below still has to match the serial bytes.
 	if err := srv.Pool().Warm(pages[0].HTML); err != nil {
 		t.Fatalf("warmup: %v", err)
@@ -175,11 +176,12 @@ func TestServeEndToEnd(t *testing.T) {
 // each.
 func TestServeHTTPErrors(t *testing.T) {
 	m, v, _ := trainedModel(t)
-	srv, err := New(m, v, Config{Replicas: 1, BeamWidth: 2, MaxBodyBytes: 1 << 10})
+	m.Cfg.BeamSize = 2
+	srv, err := New(m, v, Config{Replicas: 1, MaxBodyBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// 405: wrong method.
@@ -282,7 +284,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 func TestAdmissionOverload429(t *testing.T) {
 	stub := newStubReplica()
 	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: 2})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	results := make(chan int, 3)
@@ -343,7 +345,7 @@ func TestAdmissionOverload429(t *testing.T) {
 func TestQueueDeadline504(t *testing.T) {
 	stub := newStubReplica()
 	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: 2, Timeout: 25 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	first := make(chan int, 1)
@@ -394,7 +396,7 @@ func TestQueueDeadline504(t *testing.T) {
 func TestHealthzAndDrain(t *testing.T) {
 	stub := newStubReplica()
 	srv := NewFromPool(PoolOf(lift(stub)), Config{QueueDepth: 2})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	getHealth := func() (int, map[string]any) {

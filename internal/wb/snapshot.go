@@ -16,13 +16,19 @@ const (
 	snapParamsSection = "jointwb/params"
 )
 
+// maxSnapshotBeam is the widest beam a bundle may record. The beam width is
+// part of the model — every binary decodes at it — and a bundle is outside
+// input, so its width is checked like any shape: at least 1, and at most
+// this, which leaves room above the paper's 200.
+const maxSnapshotBeam = 1024
+
 // EncodeSnapshot serialises a GloVe-encoder Joint-WB model and its
 // vocabulary into the binary snapshot container, the one model file
 // format. Parameter values are stored as little-endian float64 bit
 // patterns, so a decoded model briefs byte-identically to the original.
 // The meta section has no field for the NoMarkov ablation, so such a
 // model is refused here rather than written as bytes DecodeSnapshot
-// rejects with a shape mismatch.
+// rejects with a shape mismatch; so is a beam size DecodeSnapshot refuses.
 func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 	enc, ok := m.Enc.(*GloVeEncoder)
 	if !ok {
@@ -30,6 +36,9 @@ func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 	}
 	if m.Sec.NoMarkov {
 		return nil, errors.New("wb: EncodeSnapshot: the snapshot format does not record Sec.NoMarkov; an ablated model cannot be saved")
+	}
+	if b := m.Cfg.BeamSize; b < 1 || b > maxSnapshotBeam {
+		return nil, fmt.Errorf("wb: EncodeSnapshot: beam size %d, want 1..%d", b, maxSnapshotBeam)
 	}
 	var meta snapshot.Buffer
 	meta.Uvarint(uint64(enc.Dim()))
@@ -90,6 +99,9 @@ func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 	beamSize, err := meta.Uvarint()
 	if err != nil {
 		return nil, nil, fmt.Errorf("wb: snapshot meta: %w", err)
+	}
+	if beamSize < 1 || beamSize > maxSnapshotBeam {
+		return nil, nil, fmt.Errorf("wb: snapshot beam size %d, want 1..%d", beamSize, maxSnapshotBeam)
 	}
 	tokens, err := meta.Strings()
 	if err != nil {

@@ -135,6 +135,77 @@ func TestEncodeSnapshotRefusesNoMarkov(t *testing.T) {
 	}
 }
 
+// TestSnapshotBeamSize: the beam width is part of the bundle, and every
+// binary decodes at it. A bundle is outside input, so decoding refuses a
+// width of 0 or one past maxSnapshotBeam, and encoding refuses to write one.
+func TestSnapshotBeamSize(t *testing.T) {
+	_, v := testData(t, 1, 1)
+	m := newTestJointWB(v, 7)
+	for _, beam := range []int{1, 4, maxSnapshotBeam} {
+		m.Cfg.BeamSize = beam
+		data, err := EncodeSnapshot(m, v)
+		if err != nil {
+			t.Fatalf("beam %d: %v", beam, err)
+		}
+		m2, _, err := DecodeSnapshot(data)
+		if err != nil || m2.Cfg.BeamSize != beam {
+			t.Fatalf("beam %d: decoded %v, err %v", beam, m2.Cfg.BeamSize, err)
+		}
+	}
+	m.Cfg.BeamSize = 8
+	good, err := EncodeSnapshot(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, beam := range []int{0, maxSnapshotBeam + 1} {
+		m.Cfg.BeamSize = beam
+		if _, err := EncodeSnapshot(m, v); err == nil || !strings.Contains(err.Error(), "beam size") {
+			t.Fatalf("EncodeSnapshot at beam %d: error %v, want one naming the beam size", beam, err)
+		}
+		if _, _, err := DecodeSnapshot(withBeam(t, good, uint64(beam))); err == nil || !strings.Contains(err.Error(), "beam size") {
+			t.Fatalf("DecodeSnapshot at beam %d: error %v, want one naming the beam size", beam, err)
+		}
+	}
+}
+
+// withBeam rewrites the beam width an encoded bundle records, and nothing
+// else.
+func withBeam(t testing.TB, data []byte, beam uint64) []byte {
+	t.Helper()
+	s, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, _ := s.Section(snapMetaSection)
+	params, _ := s.Section(snapParamsSection)
+	r := snapshot.NewReader(meta)
+	var out snapshot.Buffer
+	for range 3 { // embedding width, hidden size, topic length
+		x, err := r.Uvarint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Uvarint(x)
+	}
+	if _, err := r.Uvarint(); err != nil {
+		t.Fatal(err)
+	}
+	out.Uvarint(beam)
+	tokens, err := r.Strings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Strings(tokens)
+	b := snapshot.NewBuilder()
+	if err := b.Add(snapMetaSection, out.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(snapParamsSection, params); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // TestDecodeSnapshotRejectsCorruption: wb-level decoding inherits the
 // container's corruption detection and adds its own shape validation.
 func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
@@ -236,6 +307,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add([]byte("WBSNAP"))
+	f.Add(withBeam(f, data, 0))
+	f.Add(withBeam(f, data, maxSnapshotBeam+1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		DecodeSnapshot(b)
 	})

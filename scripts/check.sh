@@ -44,33 +44,27 @@ go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/w
 echo "== one numeric stack (per-dtype code is the matmul kernels and the activation/LSTM-cell lanes: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
 if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name '*32*.go' -o -name '*64*.go' \) ! -name '*_test.go' ! -name 'kernels32*' ! -name 'kernels64*' ! -name 'cpufeat_*' | grep .; then echo "per-dtype file(s) listed above: make the generic code handle the case instead"; exit 1; fi
 
-echo "== one model file format (encoding/gob is the lint-facts codec in internal/analysis/facts.go and nothing else)"
-if grep -rl '"encoding/gob"' --include='*.go' . | grep -v '^./internal/analysis/facts.go$'; then echo "encoding/gob imported by the file(s) listed above: model bundles are snapshots (internal/snapshot)"; exit 1; fi
-
-echo "== one replica contract (serve reaches a replica through serve.Replica alone, and a replica is only its models: no type assertion on one in non-test internal/serve, no Parse stage on any replica or double, one DOM parse per page, and the per-replica clone loop, the second pool constructor, the two side interfaces and the exported probe page stay deleted)"
-if grep -nE '\.\((BatchReplica|cascadeReporter|\*modelReplica)\)' $(ls internal/serve/*.go | grep -v '_test\.go$'); then echo "type assertion(s) on a Replica listed above: put the capability in the Replica contract instead"; exit 1; fi
-if grep -rnF 'Parse(html string)' internal/serve internal/fault; then echo "Parse method(s) listed above: the handler parses (serve.renderPage) and the pool assigns ids (Pool.instance), a replica runs EncodeBatch and DecodeBatch"; exit 1; fi
+echo "== one DOM parse per page (non-test internal/serve names htmldom.Parse on exactly one line: serve.renderPage)"
 if [[ $(grep -nF 'htmldom.Parse' $(ls internal/serve/*.go | grep -v '_test\.go$') | wc -l) -ne 1 ]]; then grep -nF 'htmldom.Parse' internal/serve/*.go; echo "non-test internal/serve must name htmldom.Parse on exactly one line (renderPage): a page is parsed once"; exit 1; fi
-if grep -rnE 'CloneManyForServing|NewCascadePool|BatchReplica|cascadeReporter|DefaultProbeHTML|FoldStudent' --include='*.go' internal cmd; then echo "name(s) listed above were deleted in favour of wb.FoldForServing / serve.NewPool / serve.Replica: extend those instead"; exit 1; fi
 
-echo "== one breaker (serve replicas, gateway backends and crawl hosts run internal/breaker's closed/open/half-open machine: no state enum or breaker type of their own, and the knobs nothing set stay deleted)"
-if grep -rnE 'type BreakerState|hostBreaker|breakerOpen|breakerHalfOpen' --include='*.go' internal cmd examples | grep -v '^internal/breaker/'; then echo "breaker machinery listed above outside internal/breaker: call breaker.New instead"; exit 1; fi
-if grep -rnwE 'ProbeSuccesses|probe-successes' --include='*.go' internal cmd examples || grep -nw 'RetryAfter' internal/serve/*.go; then echo "knob(s) listed above were deleted: the readmission count is breaker.ReadmitProbes, serve's Retry-After the constant retryAfter"; exit 1; fi
-
-echo "== one cache entry per briefing (internal/briefcache is one mutex, one map holding content keys and raw aliases, one insertion-ordered list swept by a SIEVE hand: the shard count, its knobs and the LRU list surgery stay deleted)"
-if grep -rnwE 'cache-shards|CacheShards|shardOf|moveFront' --include='*.go' internal cmd examples; then echo "name(s) listed above were deleted with the sharded LRU cache: a briefing and its raw alias are one entry of briefcache.Cache"; exit 1; fi
-
-echo "== one inference entry point (a lone briefing is a batch of one over wb.BatchScratchOf: the single-instance family, its beam search and the tape pool stay deleted, and the eight names bench/wbload/replay.go still compiles against are called from nowhere else)"
-if grep -rnwE 'InferScratchOf|NewInferScratchOf|NewInferScratch|GetScratch|PutScratch|GenerateTopicWith|decodeTopicWith|makeBriefWith|MakeBriefWith|MakeBriefWith32|BeamSearchScratch|ForwardIDs|GetTape|PutTape|tapePool|debugTapeGot|debugTapePut|tapelife' --include='*.go' internal cmd examples; then echo "name(s) listed above were deleted in favour of wb.ExtractBriefBatch / DecodeTopicBatch / MakeBriefBatch and nn.BeamSearchBatch: extend those instead"; exit 1; fi
-if grep -rnwE 'InferScratch|InferScratch32|NewInferScratchFor|NewInferScratch32For|ExtractBriefWith|ExtractBriefWith32|DecodeTopicWith|DecodeTopicWith32' --include='*.go' --exclude='*_test.go' internal cmd examples ./*.go | grep -v '^internal/wb/scratch.go:'; then echo "adapter name(s) used above: internal/wb/scratch.go exists for bench/ alone (ROADMAP 6(e)/(f) deletes it), call the batch functions"; exit 1; fi
-
-echo "== no B-panel packing (every matmul body reads the right-hand matrix in place: the packing kernels and the tape's pack buffer stay deleted, and the four names bench/wbload/replay.go still compiles against live in internal/tensor/packshim.go and are called from nowhere else)"
-if grep -rnE 'packFor|packPanels|matMulPackedRows32|packMinRows|SetPack' internal cmd examples; then echo "name(s) listed above were deleted with B-panel packing: tensor.MatMulInto is the one matmul entry point"; exit 1; fi
-if grep -rnwE 'PackBuf|PackBuf32|MatMulPackInto|MatMulPackInto32' --include='*.go' --exclude='*_test.go' internal cmd examples ./*.go | grep -v '^internal/tensor/packshim.go:'; then echo "shim name(s) used above: internal/tensor/packshim.go exists for bench/ alone (ROADMAP 6(f) deletes it), call tensor.MatMulInto"; exit 1; fi
-
-echo "== one inbound server (wbserve and wbgate serve on internal/httpwire: net/http's server is built only in tests, and internal/httpbody, which httpwire absorbed, stays deleted)"
-if grep -rn 'http\.Server{' --include='*.go' --exclude='*_test.go' internal cmd examples ./*.go; then echo "net/http server(s) listed above: serve the handler on httpwire.Server instead"; exit 1; fi
-if [[ -e internal/httpbody ]] || grep -rn 'internal/httpbody' --include='*.go' internal cmd examples bench ./*.go; then echo "internal/httpbody was folded into internal/httpwire (httpwire.Read): use that"; exit 1; fi
+echo "== names that stay deleted (scripts/stay-deleted.txt: one row per name a \"one X\" change removed — the change, where it may not appear, the one file allowed to keep it, its pattern — checked against file contents and paths)"
+STAY_DELETED_FAILED=0
+while read -r change scope allowed pattern; do
+    [[ -z "$change" || "$change" == \#* ]] && continue
+    files=(--include='*.go')
+    case "$scope" in
+        *:src) files+=(--exclude='*_test.go'); scope=${scope%:src} ;;
+        *:any) files=(); scope=${scope%:any} ;;
+    esac
+    paths=(${scope//,/ }) # unquoted on purpose: split at the commas, expand ./*.go
+    hits=$({ grep -rnE "${files[@]}" -- "$pattern" "${paths[@]}"; find "${paths[@]}" | grep -E -- "$pattern"; } 2>/dev/null | grep -vE "^${allowed%/}[:/]" || true)
+    if [[ -n "$hits" ]]; then
+        echo "$hits"
+        echo "   /$pattern/ was deleted by $change: scripts/stay-deleted.txt says what replaced it"
+        STAY_DELETED_FAILED=1
+    fi
+done <scripts/stay-deleted.txt
+[[ $STAY_DELETED_FAILED == 0 ]]
 
 echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
 GODEBUG=cpu.fma=off go test -run 'TestAct64|TestMatMulSplitKBitwise' ./internal/tensor
