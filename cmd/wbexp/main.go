@@ -24,7 +24,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wbexp: ")
-	scale := flag.String("scale", "smoke", "experiment scale: full (reported numbers, ~30–60 min) or smoke (seconds)")
+	scale := flag.String("scale", "smoke", "experiment scale: full (reported numbers, ~7 min on one x86 core) or smoke (seconds)")
 	table := flag.String("table", "all", "experiment id: "+strings.Join(experiments.AllIDs(), ", ")+", or all")
 	seed := flag.Int64("seed", 1, "master random seed")
 	out := flag.String("o", "", "also write the tables to this file")

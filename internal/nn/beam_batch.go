@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"slices"
-
 	"webbrief/internal/ag"
 	"webbrief/internal/tensor"
 )
@@ -19,7 +17,7 @@ import (
 // Per instance the decode is exactly BeamSearch, without its per-candidate
 // allocation: the same frontier ordering, the same top-width expansion with
 // ties toward the lower token id, the same stable prune by length-normalised
-// score (the candidate prune reproduces sort.SliceStable ordering), with
+// score (a selection that keeps what sort.SliceStable's order would), with
 // tokens kept in the ping-pong pools of that instance's own BeamScratchOf.
 // Done beams contribute no slab row and finished instances drop out of the
 // batch entirely (per-row early exit), and every kernel in the step computes
@@ -177,10 +175,7 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 					})
 				}
 			}
-			slices.SortStableFunc(next, byScoreDesc[T])
-			if len(next) > width {
-				next = next[:width]
-			}
+			next = bs.prune(next, width)
 			ist.beams, ist.next = next, ist.beams
 			ist.pool = 1 - ist.pool
 			allDone := true

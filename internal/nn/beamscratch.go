@@ -2,14 +2,16 @@ package nn
 
 import (
 	"math"
+	"slices"
 
 	"webbrief/internal/tensor"
 )
 
 // BeamScratchOf holds the reusable buffers of one instance's search inside
-// BeamSearchBatch: the top-K index scratch, the two beam frontiers, and the
-// per-slot token backing arrays. A warm scratch makes that instance's
-// frontier bookkeeping allocation-free apart from the copied-out result.
+// BeamSearchBatch: the top-K index scratch, the two beam frontiers, the
+// per-slot token backing arrays and the prune's selection scratch. A warm
+// scratch makes that instance's frontier bookkeeping allocation-free apart
+// from the copied-out result.
 //
 // Token buffers live in two pools that ping-pong between decode depths:
 // candidates at depth d write pool d%2 and read the surviving beams' tokens
@@ -18,10 +20,13 @@ import (
 // keep that invariant. A scratch must not be shared between concurrent
 // searches — a wb.BatchScratchOf keeps one per batch slot.
 type BeamScratchOf[T tensor.Float] struct {
-	idx   []int      // top-K selection scratch
-	cur   []beam[T]  // frontier at the current depth
-	next  []beam[T]  // candidate frontier being built
-	pools [2][][]int // per-slot token backing arrays
+	idx    []int      // top-K selection scratch
+	cur    []beam[T]  // frontier at the current depth
+	next   []beam[T]  // candidate frontier being built
+	pools  [2][][]int // per-slot token backing arrays
+	scores []float64  // prune: each candidate's score
+	kept   []int      // prune: the kept candidates' indices
+	picked []beam[T]  // prune: the kept candidates in rank order
 }
 
 // NewBeamScratchOf returns a scratch presized for the given vocabulary size,
@@ -36,6 +41,9 @@ func NewBeamScratchOf[T tensor.Float](vocab, width, maxLen int) *BeamScratchOf[T
 		slots := width*width + width
 		bs.cur = make([]beam[T], 0, slots)
 		bs.next = make([]beam[T], 0, slots)
+		bs.scores = make([]float64, 0, slots)
+		bs.kept = make([]int, 0, width)
+		bs.picked = make([]beam[T], 0, width)
 		for p := range bs.pools {
 			bs.pools[p] = make([][]int, slots)
 			for s := range bs.pools[p] {
@@ -74,6 +82,87 @@ func (bs *BeamScratchOf[T]) topK(xs []T, k int) []int {
 	}
 	bs.idx = idx[:0]
 	return idx
+}
+
+// prune keeps the width best candidates of next, best score first and,
+// among equal scores, in frontier order — exactly the beams, in exactly the
+// order, that slices.SortStableFunc(next, byScoreDesc) followed by
+// next[:width] keeps — and returns them in next's backing array. It selects
+// instead of sorting: a heap of the width best so far, rooted at the worst
+// of them, takes each candidate in one comparison unless it ranks ahead of
+// that root, so the prune costs O(n log width) for n candidates, not a sort
+// of all n. Ranks compare precomputed scores, ties by index, which is a
+// total order only without NaN: a NaN score (byScoreDesc calls it equal to
+// everything) falls back to the stable sort itself.
+func (bs *BeamScratchOf[T]) prune(next []beam[T], width int) []beam[T] {
+	scores := bs.scores[:0]
+	for _, b := range next {
+		s := score(b)
+		if math.IsNaN(s) {
+			slices.SortStableFunc(next, byScoreDesc[T])
+			return next[:min(width, len(next))]
+		}
+		scores = append(scores, s)
+	}
+	bs.scores = scores
+	// ahead reports whether candidate i ranks ahead of candidate j:
+	// byScoreDesc, with equal scores in frontier order.
+	ahead := func(i, j int) bool {
+		switch si, sj := scores[i], scores[j]; {
+		case si > sj:
+			return true
+		case si < sj:
+			return false
+		}
+		return i < j
+	}
+	kept := bs.kept[:0]
+	for i := range next {
+		if len(kept) < width {
+			// Sift up: the root stays the worst kept candidate.
+			kept = append(kept, i)
+			for c := len(kept) - 1; c > 0; {
+				p := (c - 1) / 2
+				if !ahead(kept[p], kept[c]) {
+					break
+				}
+				kept[p], kept[c] = kept[c], kept[p]
+				c = p
+			}
+			continue
+		}
+		if !ahead(i, kept[0]) {
+			continue
+		}
+		kept[0] = i
+		for p := 0; ; { // sift down
+			c := 2*p + 1
+			if c >= len(kept) {
+				break
+			}
+			if c+1 < len(kept) && ahead(kept[c], kept[c+1]) {
+				c++
+			}
+			if !ahead(kept[p], kept[c]) {
+				break
+			}
+			kept[p], kept[c] = kept[c], kept[p]
+			p = c
+		}
+	}
+	slices.SortFunc(kept, func(i, j int) int {
+		if ahead(i, j) {
+			return -1
+		}
+		return 1 // distinct indices never tie
+	})
+	picked := bs.picked[:0]
+	for _, i := range kept {
+		picked = append(picked, next[i])
+	}
+	n := copy(next, picked)
+	bs.kept, bs.picked = kept[:0], picked[:0]
+	return next[:n]
 }
 
 // claim copies src into slot s of the given token pool and returns it with

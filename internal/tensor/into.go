@@ -12,16 +12,19 @@ import (
 // guarantee that.
 //
 // The softmax and log-softmax exponentials evaluate through the float64
-// library forms and their sums accumulate in float64 for both element
-// types: for float64 the conversions are no-ops (the code is bit-for-bit the
-// pre-generic float64 kernel), for float32 the accumulation is the one place
-// a softmax visibly loses precision over long rows. σ and tanh differ by
-// element type (sigmoidSlice, tanhSlice): for float64 they are DEFINED by
-// libm — 1/(1+math.Exp(−x)) and math.Tanh(x) — whose amd64 exp has an FMA
-// and a non-FMA path chosen at process start, so float64 bits are per libm
-// path; the AVX2 lanes of kernels64act.go reproduce the FMA path bit for
-// bit where a start-up probe confirms it and otherwise stand down. For
-// float32 they are the repo's own functions of kernels32act.go.
+// library form math.Exp and their sums accumulate in float64, in index
+// order, for both element types: for float64 the conversions are no-ops
+// (the code is bit-for-bit the pre-generic float64 kernel), for float32 the
+// accumulation is the one place a softmax visibly loses precision over long
+// rows. The exponentials run four at a time on the probed lanes of
+// kernels64act.go (expSlice64), which are math.Exp's bits or stand down.
+// σ and tanh differ by element type (sigmoidSlice, tanhSlice): for float64
+// they are DEFINED by libm — 1/(1+math.Exp(−x)) and math.Tanh(x) — whose
+// amd64 exp has an FMA and a non-FMA path chosen at process start, so
+// float64 bits are per libm path; the AVX2 lanes of kernels64act.go
+// reproduce the FMA path bit for bit where a start-up probe confirms it and
+// otherwise stand down. For float32 they are the repo's own functions of
+// kernels32act.go.
 
 func dstShapeCheck[T Float](dst *MatrixOf[T], rows, cols int, op string) {
 	if dst.Rows != rows || dst.Cols != cols {
@@ -290,46 +293,70 @@ func SoftmaxRowsInto[T Float](dst, m *MatrixOf[T]) {
 // softmaxInto computes a numerically stable softmax of src into dst with the
 // max-subtraction trick.
 func softmaxInto[T Float](dst, src []T) {
-	mx := src[0]
-	for _, v := range src[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	var sum float64
-	for j, v := range src {
-		e := math.Exp(float64(v - mx))
-		dst[j] = T(e)
-		sum += e
-	}
+	sum := expShifted(dst, src, rowMax(src))
 	inv := T(1 / sum)
 	for j := range dst {
 		dst[j] *= inv
 	}
 }
 
+// rowMax returns the largest element of a non-empty row.
+func rowMax[T Float](src []T) T {
+	mx := src[0]
+	for _, v := range src[1:] {
+		if v > mx {
+			mx = v
+		}
+	}
+	return mx
+}
+
+// expChunk is how many exponentials expShifted stages at once, in a stack
+// buffer: a row of any width stays allocation-free.
+const expChunk = 128
+
+// expShifted computes e_j = math.Exp(float64(src[j] − mx)) for every j —
+// through expSlice64, so four at a time on the probed lanes, bit for bit the
+// library's value — stores T(e_j) in dst[j] unless dst is nil, and returns
+// the e_j summed in float64 in index order.
+func expShifted[T Float](dst, src []T, mx T) float64 {
+	var buf [expChunk]float64
+	var sum float64
+	for lo := 0; lo < len(src); lo += expChunk {
+		es := buf[:min(expChunk, len(src)-lo)]
+		for j := range es {
+			es[j] = float64(src[lo+j] - mx)
+		}
+		expSlice64(es, es)
+		if dst != nil {
+			for j, e := range es {
+				dst[lo+j] = T(e)
+			}
+		}
+		for _, e := range es {
+			sum += e
+		}
+	}
+	return sum
+}
+
 // LogSoftmaxRowsInto sets dst to the row-wise log-softmax of m.
 func LogSoftmaxRowsInto[T Float](dst, m *MatrixOf[T]) {
 	dstShapeCheck(dst, m.Rows, m.Cols, "LogSoftmaxRowsInto")
 	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		out := dst.Row(i)
-		mx := src[0]
-		for _, v := range src[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for _, v := range src {
-			sum += math.Exp(float64(v - mx))
-		}
-		lse := float64(mx) + math.Log(sum)
-		for j, v := range src {
-			out[j] = T(float64(v) - lse)
-		}
+		logSoftmaxInto(dst.Row(i), m.Row(i))
 	}
 	debugFinite("LogSoftmaxRowsInto", dst)
+}
+
+// logSoftmaxInto computes the log-softmax of src into dst, src minus its
+// log-sum-exp.
+func logSoftmaxInto[T Float](dst, src []T) {
+	mx := rowMax(src)
+	lse := float64(mx) + math.Log(expShifted(nil, src, mx))
+	for j, v := range src {
+		dst[j] = T(float64(v) - lse)
+	}
 }
 
 // ConcatRowsInto stacks ms vertically into dst.

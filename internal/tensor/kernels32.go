@@ -99,8 +99,8 @@ func matMulRows32(r, m, o *Matrix32, lo, hi int) {
 
 // matMulRowsFMA32 is matMulRows32's lane body. The full-lane columns (the
 // first n&^7) of every four rows go through the fmaTile4 register tile and
-// of the hi-lo mod 4 rows left over through the one-row fmaBlock32/fmaBlock8
-// blocks — per cell the same fused ascending-k sequence either way, so a
+// of the hi-lo mod 4 rows left over through the one-row blocks, 32, then 16,
+// then 8 columns wide (fmaBlock32, fmaBlock16, fmaBlock8) — per cell the same fused ascending-k sequence either way, so a
 // row's bits do not depend on how many rows it was multiplied with. The n
 // mod 8 tail columns of all rows go through mulAddTail32, which performs the
 // pure-Go tail loop's unfused, zero-skipping sequence per cell. The caller
@@ -123,7 +123,11 @@ func matMulRowsFMA32(r, m, o *Matrix32, lo, hi int) {
 			for ; j+4*packWidth32 <= nf; j += 4 * packWidth32 {
 				fmaBlock32(&rRow[j], &mRow[0], &o.Data[j], k, n)
 			}
-			for ; j < nf; j += packWidth32 {
+			if j+2*packWidth32 <= nf {
+				fmaBlock16(&rRow[j], &mRow[0], &o.Data[j], k, n)
+				j += 2 * packWidth32
+			}
+			if j < nf {
 				fmaBlock8(&rRow[j], &mRow[0], &o.Data[j], k, n)
 			}
 		}

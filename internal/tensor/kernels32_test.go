@@ -275,7 +275,10 @@ func rowLanesReference32(dst, m, o *Matrix32) {
 // the cells of rowLanesReference32 — so neither the 4-row tile nor the
 // masked tail moves a bit of what the one-row blocks and the scalar tail
 // computed before them — with the same class where a cell is not finite,
-// and leave the sentinel bands around dst, m and o untouched.
+// and leave the sentinel bands around dst, m and o untouched. The rows a
+// tile leaves over take the one-row blocks, and the grid's widths reach each
+// of them: fmaBlock32 from 32 columns up, fmaBlock16 at 16, 17, 24, 89 and
+// 432, fmaBlock8 at 8, 9, 12, 24, 89 and 108.
 func TestKernels32TilesMatchRowLanes(t *testing.T) {
 	eachKernelMode(t, func(t *testing.T) {
 		cases := tileGridCases()

@@ -10,6 +10,12 @@ package tensor
 //go:noescape
 func fmaBlock8(d, a, b *float32, k, stride int)
 
+// fmaBlock16 is fmaBlock8 over two adjacent 8-lane column blocks
+// (d[0:16]): two independent FMA chains. k must be > 0.
+//
+//go:noescape
+func fmaBlock16(d, a, b *float32, k, stride int)
+
 // fmaBlock32 is fmaBlock8 over four adjacent 8-lane column blocks
 // (d[0:32]), giving the out-of-order core four independent FMA chains to
 // overlap against the ~4-cycle FMA latency. k must be > 0.

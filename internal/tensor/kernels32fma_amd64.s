@@ -30,6 +30,32 @@ loop8:
 	VZEROUPPER
 	RET
 
+// func fmaBlock16(d, a, b *float32, k, stride int)
+//
+// Two adjacent 8-lane blocks (16 columns) per pass: two independent FMA
+// chains for the 16 columns a row's 32-column blocks leave over.
+TEXT ·fmaBlock16(SB), NOSPLIT, $0-40
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ stride+32(FP), BX
+	SHLQ $2, BX
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+loop16x1:
+	VBROADCASTSS (SI), Y4
+	VFMADD231PS (DX), Y4, Y0
+	VFMADD231PS 32(DX), Y4, Y1
+	ADDQ $4, SI
+	ADDQ BX, DX
+	DECQ CX
+	JNZ  loop16x1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET
+
 // func fmaBlock32(d, a, b *float32, k, stride int)
 //
 // Four adjacent 8-lane blocks (32 columns) per pass: four independent FMA

@@ -2,9 +2,10 @@ package tensor
 
 import "math"
 
-// Float64 σ and tanh lanes: a four-wide transcription of libm, not a
+// Float64 exp, σ and tanh lanes: a four-wide transcription of libm, not a
 // definition of their own. The float64 tier's activations are DEFINED by the
-// library expressions 1/(1+math.Exp(−x)) and math.Tanh(x) — every golden,
+// library expressions 1/(1+math.Exp(−x)) and math.Tanh(x), and every
+// softmax's exponentials (both element types) by math.Exp — every golden,
 // snapshot and bundle hash in the repo is those bits — so the AVX2 lanes in
 // kernels64act_amd64.s perform, per lane, exactly the operations the library
 // performs on this machine, in the library's order:
@@ -122,7 +123,7 @@ var act64Tab = func() (tab [act64Rows][4]float64) {
 // is math.Tanh.
 func sigmoid64(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// act64ProbeInputs is the fixed vector act64Probe runs through both lane
+// act64ProbeInputs is the fixed vector act64Probe runs through the three lane
 // kernels, each group there for a reason TestAct64ProbeDiscriminates checks:
 // twelve inputs on which archExp's fused and unfused paths give a different
 // σ, eight on which they give a different tanh above 0.625, eight below
@@ -146,21 +147,25 @@ var act64ProbeInputs = [...]float64{
 // vector when the package was initialised; false without lane kernels.
 var act64ProbeOK = useLaneKernels && act64Probe()
 
-// act64Lanes reports whether the float64 σ/tanh lanes may run: the CPU has
-// the lanes (or a test has switched them on) and the probe confirmed them.
+// act64Lanes reports whether the float64 exp/σ/tanh lanes may run: the CPU
+// has the lanes (or a test has switched them on) and the probe confirmed
+// them.
 func act64Lanes() bool { return useLaneKernels && act64ProbeOK }
 
-// act64Probe runs the probe vector through both lane kernels and reports
-// whether every element came out math.Float64bits-equal to the library.
+// act64Probe runs the probe vector through the three lane kernels and
+// reports whether every element came out math.Float64bits-equal to the
+// library.
 func act64Probe() bool {
 	in := act64ProbeInputs
-	var sig, tanh [len(in)]float64
+	var ex, sig, tanh [len(in)]float64
 	const n = len(in) &^ 3
-	if sigmoidLanes64(&sig[0], &in[0], n, &act64Tab) != n || tanhLanes64(&tanh[0], &in[0], n, &act64Tab) != n {
+	if expLanes64(&ex[0], &in[0], n, &act64Tab) != n || sigmoidLanes64(&sig[0], &in[0], n, &act64Tab) != n ||
+		tanhLanes64(&tanh[0], &in[0], n, &act64Tab) != n {
 		return false
 	}
 	for i, x := range in[:n] {
-		if math.Float64bits(sig[i]) != math.Float64bits(sigmoid64(x)) ||
+		if math.Float64bits(ex[i]) != math.Float64bits(math.Exp(x)) ||
+			math.Float64bits(sig[i]) != math.Float64bits(sigmoid64(x)) ||
 			math.Float64bits(tanh[i]) != math.Float64bits(math.Tanh(x)) {
 			return false
 		}
@@ -208,5 +213,24 @@ func tanhSlice64(dst, src []float64) {
 	}
 	for ; i < len(src); i++ {
 		dst[i] = math.Tanh(src[i])
+	}
+}
+
+// expSlice64 is sigmoidSlice64 for math.Exp.
+func expSlice64(dst, src []float64) {
+	dst = dst[:len(src)]
+	whole := 0
+	if act64Lanes() {
+		whole = len(src) &^ 3
+	}
+	i := 0
+	for i < whole {
+		i += expLanes64(&dst[i], &src[i], whole-i, &act64Tab)
+		for end := min(i+4, whole); i < end; i++ {
+			dst[i] = math.Exp(src[i])
+		}
+	}
+	for ; i < len(src); i++ {
+		dst[i] = math.Exp(src[i])
 	}
 }

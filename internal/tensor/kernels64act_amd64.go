@@ -12,6 +12,12 @@ package tensor
 //go:noescape
 func sigmoidLanes64(dst, src *float64, n int, tab *[act64Rows][4]float64) int
 
+// expLanes64 is sigmoidLanes64 for math.Exp itself: archExp's FMA path, the
+// EXP64 body σ and tanh run, with nothing around it.
+//
+//go:noescape
+func expLanes64(dst, src *float64, n int, tab *[act64Rows][4]float64) int
+
 // tanhLanes64 is sigmoidLanes64 for math.Tanh. A vector whose lanes all lie
 // on one side of 0.625 runs that branch of math.tanh alone; a mixed one runs
 // both and keeps, per lane, the one its |x| selects.

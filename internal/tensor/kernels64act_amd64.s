@@ -1,8 +1,8 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// AVX2 lanes for the float64 σ and tanh (kernels64act.go) and for the three
-// float64 loops of LSTMCellInto. The σ/tanh lanes are a transcription of
+// AVX2 lanes for the float64 exp, σ and tanh (kernels64act.go) and for the
+// three float64 loops of LSTMCellInto. The exp/σ/tanh lanes are a transcription of
 // libm, four at a time: every arithmetic instruction below stands for the
 // scalar instruction Go's math package executes at the same point, and none
 // may be added, dropped, fused, unfused or reordered — the library's bits
@@ -151,6 +151,22 @@ sigloop:
 	CMPQ BX, CX
 	JLT  sigloop
 sigdone:
+	MOVQ BX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func expLanes64(dst, src *float64, n int, tab *[act64Rows][4]float64) int
+TEXT ·expLanes64(SB), NOSPLIT, $0-40
+	PROLOGUE64
+exploop:
+	LOAD64(expdone)
+	VMOVAPD Y0, Y1
+	EXP64
+	VMOVUPD Y2, (DI)(BX*8)
+	ADDQ $4, BX
+	CMPQ BX, CX
+	JLT  exploop
+expdone:
 	MOVQ BX, ret+32(FP)
 	VZEROUPPER
 	RET

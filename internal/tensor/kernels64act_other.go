@@ -2,13 +2,17 @@
 
 package tensor
 
-// Non-amd64 targets evaluate the float64 σ/tanh through the library alone
+// Non-amd64 targets evaluate the float64 exp/σ/tanh through the library alone
 // and run the pure-Go cell loops; the lanes are never dispatched
 // (useLaneKernels is false) and these stubs exist only to satisfy the
 // references.
 
 func sigmoidLanes64(dst, src *float64, n int, tab *[act64Rows][4]float64) int {
 	panic("tensor: sigmoidLanes64 without AVX2 support")
+}
+
+func expLanes64(dst, src *float64, n int, tab *[act64Rows][4]float64) int {
+	panic("tensor: expLanes64 without AVX2 support")
 }
 
 func tanhLanes64(dst, src *float64, n int, tab *[act64Rows][4]float64) int {

@@ -10,15 +10,17 @@ import (
 	"testing"
 )
 
-// act64Fns pairs each float64 activation with its slice entry point (lanes
-// or the library, whichever act64Lanes selects), the library expression that
-// defines it and its lane kernel.
+// act64Fns pairs each float64 lane function — the softmax exponential and
+// the two activations — with its slice entry point (lanes or the library,
+// whichever act64Lanes selects), the library expression that defines it and
+// its lane kernel.
 var act64Fns = []struct {
 	name  string
 	slice func(dst, src []float64)
 	libm  func(float64) float64
 	lanes func(dst, src *float64, n int, tab *[act64Rows][4]float64) int
 }{
+	{"exp", expSlice64, math.Exp, expLanes64},
 	{"sigmoid", sigmoidSlice64, sigmoid64, sigmoidLanes64},
 	{"tanh", tanhSlice64, math.Tanh, tanhLanes64},
 }
@@ -95,7 +97,8 @@ func libmPath() (fusedExp, fusedRational, ok bool) {
 		for _, fusedRational := range []bool{false, true} {
 			match := true
 			for _, x := range act64ProbeInputs {
-				if math.Float64bits(sigmoid64(x)) != math.Float64bits(sigmoidGo(x, fusedExp)) ||
+				if math.Float64bits(math.Exp(x)) != math.Float64bits(archExpGo(x, fusedExp)) ||
+					math.Float64bits(sigmoid64(x)) != math.Float64bits(sigmoidGo(x, fusedExp)) ||
 					math.Float64bits(math.Tanh(x)) != math.Float64bits(tanhGo(x, fusedExp, fusedRational)) {
 					match = false
 					break
@@ -128,18 +131,22 @@ func trustAct64Lanes(t testing.TB) {
 
 // TestAct64ProbeDiscriminates proves the probe vector can tell libm's paths
 // apart: the fused and unfused archExp transcriptions disagree on a probe
-// element through σ and through tanh's exponential branch, and the fused and
-// unfused rational disagree on one below 0.625 — so a process whose libm is
-// on another path than the lanes' cannot pass the probe. It also pins the
+// element by themselves, through σ and through tanh's exponential branch,
+// and the fused and unfused rational disagree on one below 0.625 — so a
+// process whose libm is on another path than the lanes' cannot pass the
+// probe. It also pins the
 // vector's shape: a whole number of vectors, every element inside the guard.
 func TestAct64ProbeDiscriminates(t *testing.T) {
 	if len(act64ProbeInputs)%4 != 0 {
 		t.Fatalf("probe vector has %d elements, want a multiple of 4", len(act64ProbeInputs))
 	}
-	var sig, tanhBig, tanhSmall int
+	var exp, sig, tanhBig, tanhSmall int
 	for _, x := range act64ProbeInputs {
 		if !(math.Abs(x) <= act64Guard) {
 			t.Fatalf("probe input %v is outside the lanes' range", x)
+		}
+		if math.Float64bits(archExpGo(x, true)) != math.Float64bits(archExpGo(x, false)) {
+			exp++
 		}
 		if math.Float64bits(sigmoidGo(x, true)) != math.Float64bits(sigmoidGo(x, false)) {
 			sig++
@@ -151,9 +158,9 @@ func TestAct64ProbeDiscriminates(t *testing.T) {
 			tanhSmall++
 		}
 	}
-	t.Logf("probe elements that tell the paths apart: σ %d, tanh via exp %d, tanh via a fused rational %d", sig, tanhBig, tanhSmall)
-	if sig == 0 || tanhBig == 0 || tanhSmall == 0 {
-		t.Fatalf("the probe vector cannot tell libm's paths apart (σ %d, tanh/exp %d, tanh/rational %d differing elements)", sig, tanhBig, tanhSmall)
+	t.Logf("probe elements that tell the paths apart: exp %d, σ %d, tanh via exp %d, tanh via a fused rational %d", exp, sig, tanhBig, tanhSmall)
+	if exp == 0 || sig == 0 || tanhBig == 0 || tanhSmall == 0 {
+		t.Fatalf("the probe vector cannot tell libm's paths apart (exp %d, σ %d, tanh/exp %d, tanh/rational %d differing elements)", exp, sig, tanhBig, tanhSmall)
 	}
 }
 
@@ -177,7 +184,7 @@ func TestAct64ProbeFollowsLibm(t *testing.T) {
 	}
 	if fusedExp && !fusedRational {
 		if !act64ProbeOK {
-			t.Fatal("libm is on the transcribed path but the probe is off: the float64 σ/tanh lanes are dead code on this host")
+			t.Fatal("libm is on the transcribed path but the probe is off: the float64 exp/σ/tanh lanes are dead code on this host")
 		}
 		return
 	}
@@ -286,7 +293,7 @@ func act64DrawCount() int {
 }
 
 // TestAct64LanesMatchLibm is the float64 activation contract as a test, in
-// both kernel modes: σ and tanh through the slice entry points are
+// both kernel modes: exp, σ and tanh through the slice entry points are
 // math.Float64bits-equal to the library expressions on every input — the
 // structured sweep of every exponent, the boundary inputs, the random draws
 // — and a NaN gives a NaN (class only). In lane mode the count of differing
@@ -443,7 +450,142 @@ func TestAct64LanesReportRange(t *testing.T) {
 	}
 }
 
-// BenchmarkAct64 times σ and tanh over the teacher's slice widths — a cell
+// --- Softmax -----------------------------------------------------------------------
+
+// softmaxLibm and logSoftmaxLibm are the softmax rows as the library defines
+// them: math.Exp of each element shifted by the row's max (rowMax, as the
+// kernels find it), one at a time, summed in float64 in index order.
+func softmaxLibm[T Float](dst, src []T) {
+	mx := rowMax(src)
+	var sum float64
+	for j, v := range src {
+		e := math.Exp(float64(v - mx))
+		dst[j] = T(e)
+		sum += e
+	}
+	inv := T(1 / sum)
+	for j := range dst {
+		dst[j] *= inv
+	}
+}
+
+func logSoftmaxLibm[T Float](dst, src []T) {
+	mx := rowMax(src)
+	var sum float64
+	for _, v := range src {
+		sum += math.Exp(float64(v - mx))
+	}
+	lse := float64(mx) + math.Log(sum)
+	for j, v := range src {
+		dst[j] = T(float64(v) - lse)
+	}
+}
+
+// softmaxCases are the row shapes the softmax lane tests draw: every width
+// 1…67 (each count of whole vectors with each tail), the decode's attention
+// and vocabulary widths, both sides of expChunk, and a row several chunks
+// wide, each in five flavours — ordinary logits, logits so spread that most
+// shifted ones fall past the lanes' guard and underflow, masked −Inf
+// entries, a row of ties, and a NaN.
+func softmaxCases[T Float](fn func(name string, src []T)) {
+	rng := rand.New(rand.NewSource(59))
+	widths := []int{96, 279, 283, expChunk - 1, expChunk, expChunk + 1, 3*expChunk + 5, 1000}
+	for n := 1; n <= 67; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range widths {
+		for _, flavour := range []string{"normal", "spread", "masked", "tied", "nan"} {
+			src := make([]T, n)
+			for j := range src {
+				switch flavour {
+				case "normal":
+					src[j] = T(rng.NormFloat64() * 3)
+				case "spread":
+					src[j] = T((rng.Float64()*2 - 1) * 1000)
+				case "masked":
+					src[j] = T(rng.NormFloat64())
+					if rng.Intn(3) == 0 {
+						src[j] = T(math.Inf(-1))
+					}
+				case "tied":
+					src[j] = 2.5
+				case "nan":
+					src[j] = T(rng.NormFloat64())
+				}
+			}
+			switch flavour {
+			case "masked":
+				src[rng.Intn(n)] = 0 // at least one finite logit
+			case "nan":
+				src[rng.Intn(n)] = T(math.NaN())
+			}
+			fn(fmt.Sprintf("n=%d/%s", n, flavour), src)
+		}
+	}
+}
+
+// TestSoftmaxLanesMatchLibm holds both softmax rows to the library, in both
+// element types and both kernel modes: softmaxInto and logSoftmaxInto, whose
+// exponentials run through the exp lanes four at a time and chunk by chunk,
+// give math.Float64bits/Float32bits-equal results to the one-at-a-time
+// math.Exp loop on every row softmaxCases draws (NaN by class only). The
+// float32 tier's exponentials are math.Exp's too, so its bits are held to
+// the same loop.
+func TestSoftmaxLanesMatchLibm(t *testing.T) {
+	eachKernelMode(t, func(t *testing.T) {
+		trustAct64Lanes(t)
+		testSoftmaxLanes[float64](t)
+		testSoftmaxLanes[float32](t)
+	})
+}
+
+func testSoftmaxLanes[T Float](t *testing.T) {
+	bits := func(v T) uint64 {
+		if f, ok := any(v).(float32); ok {
+			return uint64(math.Float32bits(f))
+		}
+		return math.Float64bits(float64(v))
+	}
+	for _, fn := range []struct {
+		name       string
+		lanes, lib func(dst, src []T)
+	}{
+		{"softmax", softmaxInto[T], softmaxLibm[T]},
+		{"logsoftmax", logSoftmaxInto[T], logSoftmaxLibm[T]},
+	} {
+		softmaxCases(func(name string, src []T) {
+			got, want := make([]T, len(src)), make([]T, len(src))
+			fn.lanes(got, src)
+			fn.lib(want, src)
+			for j := range want {
+				if math.IsNaN(float64(want[j])) && math.IsNaN(float64(got[j])) {
+					continue
+				}
+				if bits(got[j]) != bits(want[j]) {
+					t.Fatalf("%T %s %s cell %d: %v, libm loop %v", got[0], fn.name, name, j, got[j], want[j])
+				}
+			}
+		})
+	}
+}
+
+// TestSoftmaxLanesAllocationFree: the exponentials are staged in a stack
+// buffer, so a row of any width costs no allocation.
+func TestSoftmaxLanesAllocationFree(t *testing.T) {
+	trustAct64Lanes(t)
+	src, dst := make([]float32, 3*expChunk+5), make([]float32, 3*expChunk+5)
+	src64, dst64 := make([]float64, 1000), make([]float64, 1000)
+	if n := testing.AllocsPerRun(20, func() {
+		softmaxInto(dst, src)
+		logSoftmaxInto(dst, src)
+		softmaxInto(dst64, src64)
+		logSoftmaxInto(dst64, src64)
+	}); n != 0 {
+		t.Fatalf("softmax rows allocate %v times per run, want 0", n)
+	}
+}
+
+// BenchmarkAct64 times exp, σ and tanh over the teacher's slice widths — a cell
 // gate (108), a page's tag rows (324), one LSTM step's pre-activations (432)
 // and a 93-token page's worth (10 044) — impl=go being the scalar library
 // loop and impl=lanes the AVX2 transcription.

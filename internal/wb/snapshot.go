@@ -22,13 +22,19 @@ const (
 // this, which leaves room above the paper's 200.
 const maxSnapshotBeam = 1024
 
+// maxSnapshotTopicLen is the longest topic a bundle may record, checked the
+// same way: at least 1 (a decode of no steps has no state to brief from),
+// and at most this, far above the paper's depth of 4.
+const maxSnapshotTopicLen = 64
+
 // EncodeSnapshot serialises a GloVe-encoder Joint-WB model and its
 // vocabulary into the binary snapshot container, the one model file
 // format. Parameter values are stored as little-endian float64 bit
 // patterns, so a decoded model briefs byte-identically to the original.
 // The meta section has no field for the NoMarkov ablation, so such a
 // model is refused here rather than written as bytes DecodeSnapshot
-// rejects with a shape mismatch; so is a beam size DecodeSnapshot refuses.
+// rejects with a shape mismatch; so are a beam size and a topic length
+// DecodeSnapshot refuses.
 func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 	enc, ok := m.Enc.(*GloVeEncoder)
 	if !ok {
@@ -39,6 +45,9 @@ func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 	}
 	if b := m.Cfg.BeamSize; b < 1 || b > maxSnapshotBeam {
 		return nil, fmt.Errorf("wb: EncodeSnapshot: beam size %d, want 1..%d", b, maxSnapshotBeam)
+	}
+	if l := m.Cfg.TopicLen; l < 1 || l > maxSnapshotTopicLen {
+		return nil, fmt.Errorf("wb: EncodeSnapshot: topic length %d, want 1..%d", l, maxSnapshotTopicLen)
 	}
 	var meta snapshot.Buffer
 	meta.Uvarint(uint64(enc.Dim()))
@@ -95,6 +104,9 @@ func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 	topicLen, err := meta.Uvarint()
 	if err != nil {
 		return nil, nil, fmt.Errorf("wb: snapshot meta: %w", err)
+	}
+	if topicLen < 1 || topicLen > maxSnapshotTopicLen {
+		return nil, nil, fmt.Errorf("wb: snapshot topic length %d, want 1..%d", topicLen, maxSnapshotTopicLen)
 	}
 	beamSize, err := meta.Uvarint()
 	if err != nil {

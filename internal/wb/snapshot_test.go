@@ -162,15 +162,63 @@ func TestSnapshotBeamSize(t *testing.T) {
 		if _, err := EncodeSnapshot(m, v); err == nil || !strings.Contains(err.Error(), "beam size") {
 			t.Fatalf("EncodeSnapshot at beam %d: error %v, want one naming the beam size", beam, err)
 		}
-		if _, _, err := DecodeSnapshot(withBeam(t, good, uint64(beam))); err == nil || !strings.Contains(err.Error(), "beam size") {
+		if _, _, err := DecodeSnapshot(withMeta(t, good, metaBeam, uint64(beam))); err == nil || !strings.Contains(err.Error(), "beam size") {
 			t.Fatalf("DecodeSnapshot at beam %d: error %v, want one naming the beam size", beam, err)
 		}
 	}
 }
 
-// withBeam rewrites the beam width an encoded bundle records, and nothing
-// else.
-func withBeam(t testing.TB, data []byte, beam uint64) []byte {
+// TestSnapshotTopicLen: the topic length is part of the bundle too, and a
+// briefing decodes that many steps at most. Decoding refuses a length of 0
+// (every briefing on such a model would panic in its first decode step),
+// one past maxSnapshotTopicLen and one past int range, and encoding refuses
+// to write the first two.
+func TestSnapshotTopicLen(t *testing.T) {
+	_, v := testData(t, 1, 1)
+	m := newTestJointWB(v, 7)
+	for _, l := range []int{1, 4, maxSnapshotTopicLen} {
+		m.Cfg.TopicLen = l
+		data, err := EncodeSnapshot(m, v)
+		if err != nil {
+			t.Fatalf("topic length %d: %v", l, err)
+		}
+		m2, _, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("topic length %d: %v", l, err)
+		}
+		if m2.Cfg.TopicLen != l {
+			t.Fatalf("topic length %d: decoded %d", l, m2.Cfg.TopicLen)
+		}
+	}
+	m.Cfg.TopicLen = 4
+	good, err := EncodeSnapshot(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []uint64{0, maxSnapshotTopicLen + 1, math.MaxInt + 1} {
+		if l <= math.MaxInt {
+			m.Cfg.TopicLen = int(l)
+			if _, err := EncodeSnapshot(m, v); err == nil || !strings.Contains(err.Error(), "topic length") {
+				t.Fatalf("EncodeSnapshot at topic length %d: error %v, want one naming the topic length", l, err)
+			}
+		}
+		if _, _, err := DecodeSnapshot(withMeta(t, good, metaTopicLen, l)); err == nil || !strings.Contains(err.Error(), "topic length") {
+			t.Fatalf("DecodeSnapshot at topic length %d: error %v, want one naming the topic length", l, err)
+		}
+	}
+}
+
+// The meta section's leading numbers — embedding width, hidden size, topic
+// length, beam width — as withMeta indexes them.
+const (
+	metaTopicLen = 2
+	metaBeam     = 3
+	metaNumbers  = 4
+)
+
+// withMeta rewrites one of the numbers an encoded bundle's meta records,
+// and nothing else.
+func withMeta(t testing.TB, data []byte, field int, x uint64) []byte {
 	t.Helper()
 	s, err := snapshot.Decode(data)
 	if err != nil {
@@ -180,17 +228,16 @@ func withBeam(t testing.TB, data []byte, beam uint64) []byte {
 	params, _ := s.Section(snapParamsSection)
 	r := snapshot.NewReader(meta)
 	var out snapshot.Buffer
-	for range 3 { // embedding width, hidden size, topic length
-		x, err := r.Uvarint()
+	for i := range metaNumbers {
+		v, err := r.Uvarint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		out.Uvarint(x)
+		if i == field {
+			v = x
+		}
+		out.Uvarint(v)
 	}
-	if _, err := r.Uvarint(); err != nil {
-		t.Fatal(err)
-	}
-	out.Uvarint(beam)
 	tokens, err := r.Strings()
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +354,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add([]byte("WBSNAP"))
-	f.Add(withBeam(f, data, 0))
-	f.Add(withBeam(f, data, maxSnapshotBeam+1))
+	f.Add(withMeta(f, data, metaBeam, 0))
+	f.Add(withMeta(f, data, metaBeam, maxSnapshotBeam+1))
+	f.Add(withMeta(f, data, metaTopicLen, 0))
+	f.Add(withMeta(f, data, metaTopicLen, math.MaxInt+1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		DecodeSnapshot(b)
 	})

@@ -66,11 +66,12 @@ while read -r change scope allowed pattern; do
 done <scripts/stay-deleted.txt
 [[ $STAY_DELETED_FAILED == 0 ]]
 
-echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 σ/tanh lanes off, and the differential test must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
-GODEBUG=cpu.fma=off go test -run 'TestAct64|TestMatMulSplitKBitwise' ./internal/tensor
+echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 exp/σ/tanh lanes off, and the differential tests — the lanes and both softmax rows — must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
+GODEBUG=cpu.fma=off go test -run 'TestAct64|TestSoftmaxLanes|TestMatMulSplitKBitwise' ./internal/tensor
 
-echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x impl grid and the f64 σ/tanh fn x n x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
+echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x impl grid and the f64 exp/σ/tanh fn x n x impl grid, the beam prune's width x candidates x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
 go test -run '^$' -bench 'Kernels|Act64' -benchtime 1x ./internal/tensor >/dev/null
+go test -run '^$' -bench 'BeamPrune' -benchtime 1x ./internal/nn >/dev/null
 go test -run '^$' -bench 'CascadeTiers' -benchtime 1x ./internal/wb >/dev/null
 
 echo "== quickstart smoke (README's own: wbtrain with its defaults writes a tiny bundle, wbrief briefs a literal page from it; every smoke below serves the same bundle)"
@@ -232,6 +233,7 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz=FuzzUpstreamRequestHead -fuzztime="$FUZZTIME" ./internal/gateway
     go test -run='^$' -fuzz=FuzzRequestHead -fuzztime="$FUZZTIME" ./internal/httpwire
     go test -run='^$' -fuzz=FuzzSrcParam -fuzztime="$FUZZTIME" ./internal/briefcache
+    go test -run='^$' -fuzz=FuzzRouteDomain -fuzztime="$FUZZTIME" ./internal/serve
     go test -run='^$' -fuzz=FuzzParsePolicy -fuzztime="$FUZZTIME" ./internal/briefcache
     go test -run='^$' -fuzz=FuzzCacheOps -fuzztime="$FUZZTIME" ./internal/briefcache
 fi
