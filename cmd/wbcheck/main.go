@@ -12,12 +12,8 @@
 //	seedrand    global math/rand source, literal seeds, time.Now in hot paths
 //	floateq     == / != between floating-point operands
 //	shapedoc    exported tensor kernels missing the shape-check preamble
-//	goshutdown  go statements not tied to a shutdown path (ctx/done select,
-//	            completion send, channel range, or WaitGroup.Done)
 //	lockhold    sync.Mutex/RWMutex held across a call that can block on
 //	            channels, network, or Wait (transitive, cross-package)
-//	poolbalance sync.Pool / Get-Put pair checkout without a Put on every
-//	            return path (defer it, hand it off, or Put before returning)
 //	deadexport  declarations under internal/ that no non-test file of this
 //	            module or of bench/ refers to (oracles and paper components
 //	            carry an ignore that says which they are)
@@ -25,12 +21,13 @@
 // (The /metrics exact partitions need no pass: each is declared once with
 // internal/metrics, where a counter outside its partition does not build.)
 //
-// The last three ride on a cross-package facts layer: the blockfacts
-// summarizer runs first over every package in dependency order and exports
-// which functions can block and which are shutdown-aware, so lockhold and
-// goshutdown reason about transitive behaviour ("MakeBrief fork-joins on a
-// WaitGroup three packages down") instead of single bodies. Packages are
-// analyzed in parallel; output is position-sorted and deterministic.
+// lockhold rides on a cross-package facts layer: the blockfacts summarizer
+// runs first over every package in dependency order and exports which
+// functions can block, so lockhold reasons about transitive behaviour
+// ("MakeBrief fork-joins on a WaitGroup three packages down") instead of
+// single bodies. Packages are analyzed in parallel; output is position-sorted
+// and deterministic. Goroutine exits and pool returns have no pass: the
+// drain, goroutine-baseline and allocation-gate tests guard them.
 //
 // deadexport needs every user loaded, so it loads the bench/ module as a
 // second root and runs only when the pattern is the whole tree (./...); a
@@ -52,9 +49,7 @@ import (
 	"webbrief/internal/analysis/deadexport"
 	"webbrief/internal/analysis/detmap"
 	"webbrief/internal/analysis/floateq"
-	"webbrief/internal/analysis/goshutdown"
 	"webbrief/internal/analysis/lockhold"
-	"webbrief/internal/analysis/poolbalance"
 	"webbrief/internal/analysis/seedrand"
 	"webbrief/internal/analysis/shapedoc"
 )
@@ -62,9 +57,7 @@ import (
 var passes = []*analysis.Analyzer{
 	detmap.Analyzer,
 	floateq.Analyzer,
-	goshutdown.Analyzer,
 	lockhold.Analyzer,
-	poolbalance.Analyzer,
 	seedrand.Analyzer,
 	shapedoc.Analyzer,
 }

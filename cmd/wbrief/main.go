@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("open model: %v (train one with wbtrain)", err)
 	}
-	m, v, err := wb.LoadModelAuto(f)
+	m, v, err := wb.LoadModel(f)
 	f.Close()
 	if err != nil {
 		log.Fatalf("load %s: %v", *modelPath, err)

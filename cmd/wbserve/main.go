@@ -121,7 +121,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("open model: %v (train one with wbtrain)", err)
 	}
-	m, v, err := wb.LoadModelAuto(f)
+	m, v, err := wb.LoadModel(f)
 	f.Close()
 	if err != nil {
 		log.Fatalf("load %s: %v", *modelPath, err)
@@ -163,7 +163,7 @@ func main() {
 			return nil, nil, err
 		}
 		defer f.Close()
-		return wb.LoadModelAuto(f)
+		return wb.LoadModel(f)
 	})
 
 	start := time.Now()

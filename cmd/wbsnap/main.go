@@ -40,7 +40,7 @@ func describe(path string) error {
 	if err != nil {
 		return err
 	}
-	m, v, err := wb.LoadModelAuto(bytes.NewReader(data))
+	m, v, err := wb.LoadModel(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}

@@ -17,9 +17,10 @@
 // AST/type passes for determinism and numeric safety, plus a cross-package
 // facts layer (serialized per-package summaries read by dependents, in the
 // spirit of go/analysis facts) whose blockfacts call-graph summary of
-// blocking and shutdown behaviour powers the concurrency passes
-// (goshutdown, lockhold, poolbalance). The /metrics partitions need no pass:
-// each is declared once with internal/metrics and is exact by construction.
+// blocking behaviour powers the lockhold concurrency pass. Goroutine exits
+// and pool returns need no pass: drain, goroutine-baseline and allocation-gate
+// tests guard them. The /metrics partitions need no pass either: each is
+// declared once with internal/metrics and is exact by construction.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and the
 // paper-to-module mapping, and EXPERIMENTS.md for reproduced-vs-paper

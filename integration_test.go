@@ -71,7 +71,7 @@ func TestEndToEndCrawlTrainSerializeBrief(t *testing.T) {
 	if err := wb.SaveSnapshot(&buf, model, v); err != nil {
 		t.Fatal(err)
 	}
-	loaded, lv, err := wb.LoadModelAuto(&buf)
+	loaded, lv, err := wb.LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,9 @@
 // and go/types so the repository stays stdlib-only. It exists to machine-
 // enforce the engine's determinism, numeric-safety and concurrency
 // contracts: the conventions the data-parallel trainer and the serving tier
-// rely on (fixed-order gradient merges, seed-derived RNGs, pool lifecycle
-// discipline, shape-checked kernels, goroutine shutdown wiring, no lock
-// held across blocking calls, no declaration under internal/ that no binary
-// reaches) are promises that nothing in the type system expresses, so
+// rely on (fixed-order gradient merges, seed-derived RNGs, shape-checked
+// kernels, no lock held across blocking calls, no declaration under
+// internal/ that no binary reaches) are promises that nothing in the type system expresses, so
 // cmd/wbcheck runs the passes in the sibling packages over the whole tree
 // and fails the build on any violation.
 //
@@ -19,7 +18,7 @@
 // visible to dependents; see facts.go) and dependency-ordered scheduling —
 // RunPackages analyzes packages in parallel but never starts a package
 // before the targets it imports have finished, so bottom-up summaries such
-// as blockfacts' blocking/shutdown call-graph facts are always complete
+// as blockfacts' blocking call-graph facts are always complete
 // when a dependent package reads them.
 package analysis
 

@@ -1,16 +1,12 @@
-// Package blockfacts computes the call-graph summaries the concurrency
-// passes consume. It reports nothing itself: for every function declared in
-// the package it decides, bottom-up, whether the function can block
-// (channel operations, select without default, network/process waits,
-// sync.WaitGroup/Cond Wait — transitively through calls) and whether it is
-// tied to a shutdown path (selects or receives on a done-ish channel or
-// ctx.Done(), signals completion on one, ranges over a channel, or defers
-// WaitGroup.Done — again transitively), then exports the answers as
-// analysis facts. Because the driver analyzes packages in dependency order,
-// a summary exported by internal/tensor is visible when internal/ag is
-// analyzed, and so on up the import graph: that is how "MakeBrief can block
-// on a WaitGroup three packages down" becomes a checkable statement in
-// lockhold and goshutdown.
+// Package blockfacts computes the call-graph summary lockhold consumes. It
+// reports nothing itself: for every function declared in the package it
+// decides, bottom-up, whether the function can block (channel operations,
+// select without default, network/process waits, sync.WaitGroup/Cond Wait —
+// transitively through calls), then exports the answer as an analysis fact.
+// Because the driver analyzes packages in dependency order, a summary
+// exported by internal/tensor is visible when internal/ag is analyzed, and so
+// on up the import graph: that is how "MakeBrief can block on a WaitGroup
+// three packages down" becomes a checkable statement in lockhold.
 //
 // The summaries are deliberately conservative in both directions: indirect
 // calls through function values and interface methods are assumed
@@ -35,27 +31,12 @@ type Blocks struct{ Reason string }
 // AFact marks Blocks as an analysis fact.
 func (*Blocks) AFact() {}
 
-// ShutdownAware is the fact exported for a function containing a shutdown
-// tie: a receive/select on a done-ish channel or ctx.Done(), a completion
-// send on one, a range over a channel, or a deferred WaitGroup.Done. Via
-// says which.
-type ShutdownAware struct{ Via string }
-
-// AFact marks ShutdownAware as an analysis fact.
-func (*ShutdownAware) AFact() {}
-
 // Analyzer computes and exports the summaries. It reports no diagnostics;
 // passes list it in Requires to read its facts.
 var Analyzer = &analysis.Analyzer{
 	Name: "blockfacts",
-	Doc:  "bottom-up blocking/shutdown call-graph summaries exported as facts (reports nothing itself)",
+	Doc:  "bottom-up blocking call-graph summaries exported as facts (reports nothing itself)",
 	Run:  run,
-}
-
-// summary is the in-progress answer for one function; empty string = no.
-type summary struct {
-	block    string
-	shutdown string
 }
 
 func run(pass *analysis.Pass) {
@@ -80,16 +61,16 @@ func run(pass *analysis.Pass) {
 		}
 	}
 
-	// Fixed point over intra-package calls: a function is blocking or
-	// shutdown-aware if its body says so directly, via an imported fact, or
-	// via the current summary of a same-package callee. Both properties
-	// only ever flip off->on, so this terminates.
-	local := map[*types.Func]summary{}
-	look := func(fn *types.Func) summary {
+	// Fixed point over intra-package calls: a function is blocking if its
+	// body says so directly, via an imported fact, or via the current
+	// summary of a same-package callee. The summary is a reason, "" for
+	// "cannot block"; blocking only ever flips off->on, so this terminates.
+	local := map[*types.Func]string{}
+	look := func(fn *types.Func) string {
 		if s, ok := local[fn]; ok {
 			return s
 		}
-		return factSummary(pass, fn)
+		return factReason(pass, fn)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -103,53 +84,28 @@ func run(pass *analysis.Pass) {
 	}
 
 	for _, d := range decls {
-		s := local[d.fn]
-		if s.block != "" {
-			pass.ExportObjectFact(d.fn, &Blocks{Reason: s.block})
-		}
-		if s.shutdown != "" {
-			pass.ExportObjectFact(d.fn, &ShutdownAware{Via: s.shutdown})
+		if reason := local[d.fn]; reason != "" {
+			pass.ExportObjectFact(d.fn, &Blocks{Reason: reason})
 		}
 	}
 }
 
-// factSummary reads previously exported facts for fn — either from a
-// dependency package or from an earlier iteration over this one.
-func factSummary(pass *analysis.Pass, fn *types.Func) summary {
-	var s summary
+// factReason reads a previously exported Blocks fact for fn — either from a
+// dependency package or from an earlier iteration over this one — and
+// returns its reason, "" when there is none.
+func factReason(pass *analysis.Pass, fn *types.Func) string {
 	var b Blocks
-	if pass.ImportObjectFact(fn, &b) {
-		s.block = b.Reason
-	}
-	var sd ShutdownAware
-	if pass.ImportObjectFact(fn, &sd) {
-		s.shutdown = sd.Via
-	}
-	return s
+	pass.ImportObjectFact(fn, &b)
+	return b.Reason
 }
 
 // CallBlocks reports whether call can block, with a reason: either the
 // callee is a known-blocking stdlib primitive or it carries a Blocks fact.
 // Indirect calls resolve to no *types.Func and return false.
 func CallBlocks(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	return callBlocks(pass, call, func(fn *types.Func) summary {
-		return factSummary(pass, fn)
+	return callBlocks(pass, call, func(fn *types.Func) string {
+		return factReason(pass, fn)
 	})
-}
-
-// FuncShutdown reports whether fn carries a ShutdownAware fact.
-func FuncShutdown(pass *analysis.Pass, fn *types.Func) (string, bool) {
-	s := factSummary(pass, fn)
-	return s.shutdown, s.shutdown != ""
-}
-
-// BodyShutdown reports whether a function body — typically a go'd FuncLit,
-// which has no *types.Func to carry a fact — contains a shutdown tie.
-func BodyShutdown(pass *analysis.Pass, body *ast.BlockStmt) (string, bool) {
-	s := scanBody(pass, body, func(fn *types.Func) summary {
-		return factSummary(pass, fn)
-	})
-	return s.shutdown, s.shutdown != ""
 }
 
 // stdBlockers seeds the blocking relation: {package, receiver (or "" for
@@ -188,7 +144,7 @@ var stdBlockers = map[[3]string]string{
 	{"os/exec", "Cmd", "CombinedOutput"}:        "exec.Cmd.CombinedOutput",
 }
 
-func callBlocks(pass *analysis.Pass, call *ast.CallExpr, look func(*types.Func) summary) (string, bool) {
+func callBlocks(pass *analysis.Pass, call *ast.CallExpr, look func(*types.Func) string) (string, bool) {
 	fn := pass.CalleeFunc(call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
@@ -197,8 +153,8 @@ func callBlocks(pass *analysis.Pass, call *ast.CallExpr, look func(*types.Func) 
 	if reason, ok := stdBlockers[key]; ok {
 		return reason, true
 	}
-	if s := look(fn); s.block != "" {
-		return "calls " + fn.Name() + " (" + rootCause(s.block) + ")", true
+	if reason := look(fn); reason != "" {
+		return "calls " + fn.Name() + " (" + rootCause(reason) + ")", true
 	}
 	return "", false
 }
@@ -235,12 +191,13 @@ func recvTypeName(fn *types.Func) string {
 }
 
 // scanBody walks one function body (never descending into FuncLits or go
-// statements — their bodies run on other goroutines) and summarizes it.
-func scanBody(pass *analysis.Pass, body *ast.BlockStmt, look func(*types.Func) summary) summary {
-	var s summary
-	note := func(dst *string, v string) {
-		if *dst == "" {
-			*dst = v
+// statements — their bodies run on other goroutines) and returns the first
+// reason it can block, "" if none.
+func scanBody(pass *analysis.Pass, body *ast.BlockStmt, look func(*types.Func) string) string {
+	var reason string
+	note := func(v string) {
+		if reason == "" {
+			reason = v
 		}
 	}
 	var inspect func(n ast.Node) bool
@@ -250,6 +207,8 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, look func(*types.Func) s
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
 		case *ast.SelectStmt:
+			// The select blocks unless it has a default; with a default
+			// present its channel ops cannot, so only the bodies are walked.
 			hasDefault := false
 			for _, c := range x.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
@@ -257,128 +216,35 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, look func(*types.Func) s
 				}
 			}
 			if !hasDefault {
-				note(&s.block, "select")
+				note("select")
 			}
 			for _, c := range x.Body.List {
-				cc, ok := c.(*ast.CommClause)
-				if !ok {
-					continue
-				}
-				// Comm clauses only contribute shutdown ties here — with a
-				// default present the channel ops themselves don't block.
-				if cc.Comm != nil {
-					if via, ok := commShutdown(pass, cc.Comm); ok {
-						note(&s.shutdown, via)
+				if cc, ok := c.(*ast.CommClause); ok {
+					for _, st := range cc.Body {
+						rec(st)
 					}
-				}
-				for _, st := range cc.Body {
-					rec(st)
 				}
 			}
 			return false
 		case *ast.SendStmt:
-			note(&s.block, "channel send")
-			if name, ok := doneish(x.Chan); ok {
-				note(&s.shutdown, "signals completion on "+name)
-			}
-			return true
+			note("channel send")
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				note(&s.block, "channel receive")
-				if name, ok := doneish(x.X); ok {
-					note(&s.shutdown, "receives from "+name)
-				}
+				note("channel receive")
 			}
-			return true
 		case *ast.RangeStmt:
 			if isChanExpr(pass, x.X) {
-				note(&s.block, "range over channel")
-				note(&s.shutdown, "ranges over a channel (exits when it closes)")
+				note("range over channel")
 			}
-			return true
-		case *ast.DeferStmt:
-			if isWaitGroupDone(pass, x.Call) {
-				note(&s.shutdown, "defers WaitGroup.Done")
-			}
-			return true
 		case *ast.CallExpr:
-			if reason, ok := callBlocks(pass, x, look); ok {
-				note(&s.block, reason)
+			if r, ok := callBlocks(pass, x, look); ok {
+				note(r)
 			}
-			if fn := pass.CalleeFunc(x); fn != nil {
-				if sd := look(fn); sd.shutdown != "" {
-					note(&s.shutdown, "calls "+fn.Name()+" ("+rootCause(sd.shutdown)+")")
-				}
-			}
-			return true
 		}
 		return true
 	}
 	ast.Inspect(body, inspect)
-	return s
-}
-
-// commShutdown inspects one select comm clause for a done-ish receive or
-// completion send.
-func commShutdown(pass *analysis.Pass, comm ast.Stmt) (string, bool) {
-	switch c := comm.(type) {
-	case *ast.SendStmt:
-		if name, ok := doneish(c.Chan); ok {
-			return "signals completion on " + name, true
-		}
-	case *ast.ExprStmt:
-		if u, ok := ast.Unparen(c.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			if name, ok := doneish(u.X); ok {
-				return "receives from " + name, true
-			}
-		}
-	case *ast.AssignStmt:
-		for _, rhs := range c.Rhs {
-			if u, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				if name, ok := doneish(u.X); ok {
-					return "receives from " + name, true
-				}
-			}
-		}
-	}
-	return "", false
-}
-
-// doneish decides whether a channel expression names a shutdown signal:
-// ctx.Done()-style calls, or an identifier/field whose name suggests
-// done/stop/quit/shutdown/close/exit/cancel.
-func doneish(expr ast.Expr) (string, bool) {
-	switch x := ast.Unparen(expr).(type) {
-	case *ast.CallExpr:
-		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && doneishName(sel.Sel.Name) {
-			return sel.Sel.Name + "()", true
-		}
-		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && doneishName(id.Name) {
-			return id.Name + "()", true
-		}
-	case *ast.Ident:
-		if doneishName(x.Name) {
-			return x.Name, true
-		}
-	case *ast.SelectorExpr:
-		if doneishName(x.Sel.Name) {
-			return x.Sel.Name, true
-		}
-	}
-	return "", false
-}
-
-// "clos" also catches closed/closing/closeCh spellings.
-var doneishWords = []string{"done", "stop", "quit", "shutdown", "clos", "exit", "cancel"}
-
-func doneishName(name string) bool {
-	lower := strings.ToLower(name)
-	for _, w := range doneishWords {
-		if strings.Contains(lower, w) {
-			return true
-		}
-	}
-	return false
+	return reason
 }
 
 // isChanExpr reports whether expr has channel type.
@@ -389,11 +255,4 @@ func isChanExpr(pass *analysis.Pass, expr ast.Expr) bool {
 	}
 	_, isChan := tv.Type.Underlying().(*types.Chan)
 	return isChan
-}
-
-// isWaitGroupDone matches wg.Done() on a sync.WaitGroup.
-func isWaitGroupDone(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := pass.CalleeFunc(call)
-	return fn != nil && fn.Name() == "Done" && fn.Pkg() != nil &&
-		fn.Pkg().Path() == "sync" && recvTypeName(fn) == "WaitGroup"
 }

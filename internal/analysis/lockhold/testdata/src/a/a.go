@@ -2,7 +2,10 @@
 // blocking operations.
 package a
 
-import "sync"
+import (
+	"net"
+	"sync"
+)
 
 type Q struct {
 	mu    sync.Mutex
@@ -39,6 +42,19 @@ func (q *Q) BadReadLocked() {
 	q.rw.RLock()
 	q.ch <- 1 // want "q.rw held across channel send"
 	q.rw.RUnlock()
+}
+
+// BadDialLocked opens a connection with the mutex held: an idle-connection
+// stack that dials its miss under the stack's lock, so one slow dial stalls
+// every caller of the stack. No test catches this shape at its live site
+// (the gateway's upstream.acquire dialing under u.mu); this pass does.
+func (q *Q) BadDialLocked(addr string, idle []net.Conn) (net.Conn, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if n := len(idle); n > 0 {
+		return idle[n-1], nil
+	}
+	return net.Dial("tcp", addr) // want "q.mu held across net.Dial"
 }
 
 func (q *Q) flush() {

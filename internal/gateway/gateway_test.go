@@ -121,8 +121,26 @@ func newTestGateway(t *testing.T, n int, mutate func(*Config)) (*Gateway, *httpw
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(g.BeginShutdown)
+	t.Cleanup(func() { beginShutdown(t, g) })
 	return g, httpwiretest.NewFront(t, g), byName
+}
+
+// beginShutdown runs g.BeginShutdown and fails tb unless it returns within
+// five seconds. BeginShutdown waits for the health prober to exit, so a
+// prober that ignores shutdown fails the test here instead of hanging the
+// package until the go test timeout.
+func beginShutdown(tb testing.TB, g *Gateway) {
+	tb.Helper()
+	done := make(chan struct{})
+	go func() {
+		g.BeginShutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		tb.Fatal("BeginShutdown did not return within 5s: the health prober ignores shutdown")
+	}
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -308,7 +326,7 @@ func TestGatewayBoundedConnPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(g.BeginShutdown)
+	t.Cleanup(func() { beginShutdown(t, g) })
 	ts := httptest.NewServer(g)
 	t.Cleanup(ts.Close)
 
@@ -376,7 +394,7 @@ func TestGatewayHealthzAggregation(t *testing.T) {
 	if code, status := getHealth(); code != http.StatusServiceUnavailable || status != "unhealthy" {
 		t.Fatalf("all ejected: %d %s, want 503 unhealthy", code, status)
 	}
-	g.BeginShutdown()
+	beginShutdown(t, g)
 	if code, status := getHealth(); code != http.StatusServiceUnavailable || status != "draining" {
 		t.Fatalf("draining: %d %s, want 503 draining", code, status)
 	}
@@ -484,7 +502,7 @@ func TestGatewayRefusals(t *testing.T) {
 		t.Fatalf("all-ejected = %d (Retry-After %q), want 503 with hint", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 
-	g.BeginShutdown()
+	beginShutdown(t, g)
 	if status, _ := post(t, ts.URL, "", "<html>x</html>"); status != http.StatusServiceUnavailable {
 		t.Fatalf("draining = %d, want 503", status)
 	}

@@ -99,7 +99,7 @@ func TestUpstreamLedgerReconciles(t *testing.T) {
 
 	// Stopping the prober freezes every counter; only the victim was ever
 	// ejected, so every probe went to it.
-	g.BeginShutdown()
+	beginShutdown(t, g)
 	snap := g.snapshot()
 	for _, b := range snap.Backends {
 		probes := int64(0)
@@ -131,7 +131,7 @@ func TestGatewayMetricsZeroDocumentGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.BeginShutdown()
+	defer beginShutdown(t, g)
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	want, err := os.ReadFile("testdata/metrics_zero.golden.json")

@@ -44,7 +44,7 @@ func newRelayFixture(tb testing.TB) *relayFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(g.BeginShutdown)
+	tb.Cleanup(func() { beginShutdown(tb, g) })
 
 	f := &relayFixture{g: g, page: []byte(strings.Repeat("<p>briefing page text</p>\n", 34)[:850])}
 	f.body = bytes.NewReader(f.page)

@@ -80,7 +80,7 @@ func TestRequestIDFollowsFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(g.BeginShutdown)
+	t.Cleanup(func() { beginShutdown(t, g) })
 	ts := httpwiretest.NewFront(t, g)
 
 	home := g.Ring().Backends()[0]

@@ -190,8 +190,9 @@ func appendRequestHead(dst []byte, host string, req request) []byte {
 // headSafe reports whether s can be copied into a request head without
 // ending a line or a token early: no control byte, and no space unless
 // spaces is set (header values may hold them, a request target may not).
-// net/http's server already refuses such bytes in a request line or header
-// value, so this only ever fails for a handler driven in-process.
+// The inbound server's parseHead (internal/httpwire) already refuses such
+// bytes, net/url in the request target and net/textproto in a header value,
+// so this only ever fails for a handler driven in-process.
 func headSafe(s string, spaces bool) bool {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {

@@ -43,7 +43,12 @@ func newWireBackend(t *testing.T) *wireBackend {
 		t.Fatal(err)
 	}
 	wb := &wireBackend{ln: ln, seen: make(chan wireRequest, 1)}
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		conns  []net.Conn
+		closed bool
+	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -52,6 +57,14 @@ func newWireBackend(t *testing.T) *wireBackend {
 			if err != nil {
 				return
 			}
+			mu.Lock()
+			if closed {
+				mu.Unlock()
+				c.Close()
+				return
+			}
+			conns = append(conns, c)
+			mu.Unlock()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -60,7 +73,18 @@ func newWireBackend(t *testing.T) *wireBackend {
 			}()
 		}
 	}()
-	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	// The backend closes its side of every connection itself, so a gateway
+	// that keeps its upstream connections open cannot hang the cleanup.
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		closed = true
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
 	return wb
 }
 
@@ -119,7 +143,7 @@ func TestUpstreamRequestHeadMatchesInbound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(g.BeginShutdown)
+	t.Cleanup(func() { beginShutdown(t, g) })
 	ts := httpwiretest.NewFront(t, g)
 
 	for _, q := range queries {
@@ -363,7 +387,7 @@ func newLifecycleGateway(t *testing.T, mutate func(*Config)) (*Gateway, *httpwir
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(g.BeginShutdown)
+	t.Cleanup(func() { beginShutdown(t, g) })
 	return g, httpwiretest.NewFront(t, g), lb
 }
 
@@ -561,7 +585,7 @@ func TestUpstreamShutdownAndReap(t *testing.T) {
 		t.Fatalf("idle connections = %d before shutdown, want 1", n)
 	}
 
-	g.BeginShutdown()
+	beginShutdown(t, g)
 	if n := backendBlock(g).IdleConns; n != 0 {
 		t.Fatalf("idle_conns = %d after BeginShutdown, want 0", n)
 	}

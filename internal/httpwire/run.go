@@ -39,7 +39,8 @@ func Run(addr, banner string, t Tier, reload func(), drain time.Duration) error 
 
 // run is Run past the listen, with the signals as channels.
 func run(ln net.Listener, t Tier, reload func(), drain time.Duration, stop, hup <-chan os.Signal) error {
-	//wbcheck:ignore goshutdown -- reload listener lives for the whole process: hup is never closed, and a reload under way when the drain ends is cut off by the process exit
+	// The reload listener lives for the whole process: hup is never closed,
+	// and a reload under way when the drain ends is cut off by the exit.
 	go func() {
 		for range hup {
 			reload()
@@ -48,7 +49,8 @@ func run(ln net.Listener, t Tier, reload func(), drain time.Duration, stop, hup 
 
 	srv := &Server{Handler: t}
 	errc := make(chan error, 1)
-	//wbcheck:ignore goshutdown -- accept loop lives until the Shutdown below closes the listener; the buffered errc send never leaks it
+	// The accept loop lives until the Shutdown below closes the listener; the
+	// buffered errc send never leaks it.
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:

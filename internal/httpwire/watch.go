@@ -143,7 +143,8 @@ func (cr *connReader) startLocked() {
 		return
 	}
 	cr.readDone = make(chan struct{})
-	//wbcheck:ignore goshutdown -- the background read ends when the client sends or hangs up, or when its request ends (endRequest)
+	// The background read ends when the client sends or hangs up, or when
+	// its request ends (endRequest).
 	go cr.backgroundRead(cr.cancel, cr.readDone)
 }
 

@@ -107,6 +107,14 @@ func wireHandler(probes map[string]*disconnectProbe) http.Handler {
 		}
 		p.err <- r.Context().Err()
 	})
+	mux.HandleFunc("/watched", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-r.Context().Done(): // arms the disconnect watch
+		default:
+		}
+		io.WriteString(w, "watched")
+	})
 	mux.HandleFunc("/big", func(w http.ResponseWriter, r *http.Request) {
 		p := probes[r.URL.RawQuery]
 		w.Header().Set("Content-Type", "text/plain")
@@ -266,6 +274,9 @@ var wireRows = []wireRow{
 	// Disconnects.
 	{name: "disconnect cancels a handler waiting on Done", disconnect: &disconnectRow{path: "/wait", wantFn: canceled}},
 	{name: "disconnect a hit handler never observes", disconnect: &disconnectRow{path: "/hit", wantFn: notCanceled, refFn: canceled}},
+	// The watch's read must end with the request: the client waits for the
+	// reply, so it sends nothing that would end the read.
+	{name: "a handler that armed the watch answers at once", raw: post("/watched", "<p>page</p>"), want: openWith(ok200("watched"))},
 	{name: "client hangs up mid-response", hangUpMidResponse: true},
 }
 

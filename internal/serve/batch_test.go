@@ -309,8 +309,8 @@ func TestQueueGauges(t *testing.T) {
 	}
 	ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
 	defer stop()
-	if left := srv.drain(ctx); left != 0 {
-		t.Fatalf("drain left %d requests", left)
+	if err := srv.drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 	if g := gauges(); g != [3]int64{} {
 		t.Fatalf("after the drain: queue_depth, queue_waiting, in_flight = %v, want all 0", g)
@@ -471,8 +471,8 @@ func TestBatchedDeadlineWhileQueued(t *testing.T) {
 	// And the server still drains cleanly.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if n := srv.drain(ctx); n != 0 {
-		t.Fatalf("drain left %d requests", n)
+	if err := srv.drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -526,8 +526,8 @@ func TestBatchedOverloadAndDraining(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if n := srv.drain(ctx); n != 0 {
-		t.Fatalf("drain left %d requests", n)
+	if err := srv.drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 	ms := srv.metrics
 	if countOf(ms.Requests, Overload) != 1 || countOf(ms.Requests, Draining) != 1 || countOf(ms.Requests, OK) != 2 {

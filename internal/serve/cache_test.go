@@ -598,11 +598,9 @@ func (w *hitWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p),
 // TestCacheHitAllocs pins the raw-key hit handler — body read, one SHA-256,
 // the level-1 lookup, the cached bytes written — on an 850-byte page
 // attributed with ?src= and with a deadline configured, as the fleet runs
-// wbserve. Measured 6 allocations: the body buffer, the access-log entry,
-// the Content-Type header value and three for parsing the query. The parent
-// measured 12 in the same fixture, the difference being io.ReadAll's
-// regrowth of the body and a context.WithTimeout whose timer a hit never
-// consults.
+// wbserve. Measured 3 allocations: the body buffer, the access-log entry
+// and the Content-Type header value. The limit stays at 6, the count when
+// the gate landed (three more went to parsing the query then).
 func TestCacheHitAllocs(t *testing.T) {
 	srv := NewFromPool(PoolOf(lift(&okReplica{})), Config{CacheCapacity: 64, Timeout: 30 * time.Second})
 	defer srv.BeginShutdown()

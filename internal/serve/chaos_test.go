@@ -207,13 +207,34 @@ func (r *wedgePanicReplica) Encode(inst *wb.Instance) *wb.Brief {
 }
 func (r *wedgePanicReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 
+// checkGoroutinesExit records the goroutine count and registers a cleanup
+// that fails t unless the count falls back to it within five seconds. Call it
+// before anything else the test cleans up: cleanups run last in, first out,
+// so the check runs after the front has closed.
+func checkGoroutinesExit(t *testing.T) {
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines outlived the test:\n%s", runtime.NumGoroutine()-base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
 // TestChaosShutdownDrainWithPanics is the shutdown-race chaos test: two
 // requests are in flight and one is queued when shutdown begins; both
 // in-flight replicas then panic. The drain must still converge — panicking
 // requests end in clean 500s, the queued request times out with 504, new
-// requests are refused with 503, and Drain reports zero in flight. Run
-// under -race this exercises the eject/drain/prober interleavings.
+// requests are refused with 503, and drain reports a clean drain. Every
+// goroutine the server started — the dispatcher, the executors and the
+// re-admission probers of both ejected replicas — must then exit. Run under
+// -race this exercises the eject/drain/prober interleavings.
 func TestChaosShutdownDrainWithPanics(t *testing.T) {
+	checkGoroutinesExit(t)
 	a, b := newWedgePanicReplica(), newWedgePanicReplica()
 	srv := NewFromPool(PoolOf(lift(a), lift(b)), Config{
 		QueueDepth:     2,
@@ -242,7 +263,7 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 
 	// Shutdown begins with all of that in flight; then the replicas blow up.
 	srv.BeginShutdown()
-	drained := make(chan int64, 1)
+	drained := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -263,8 +284,8 @@ func TestChaosShutdownDrainWithPanics(t *testing.T) {
 	if got[http.StatusInternalServerError] != 2 || got[http.StatusGatewayTimeout] != 1 {
 		t.Fatalf("outcomes %v, want two 500s (panics) and one 504 (queued past deadline)", got)
 	}
-	if n := <-drained; n != 0 {
-		t.Fatalf("drain left %d requests in flight", n)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
 	}
 
 	ms := srv.metrics
@@ -439,8 +460,8 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			if n := srv.drain(ctx); n != 0 {
-				t.Fatalf("drain left %d requests", n)
+			if err := srv.drain(ctx); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -481,8 +502,8 @@ func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
 	postWhileHeld(t, srv, ts.URL, pageHTML(pages)[:n])
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if left := srv.drain(ctx); left != 0 {
-		t.Fatalf("server did not quiesce: %d requests in flight", left)
+	if err := srv.drain(ctx); err != nil {
+		t.Fatalf("server did not quiesce: %v", err)
 	}
 
 	if len(inner.sizes) != 1 || inner.sizes[0] != n {

@@ -238,26 +238,30 @@ func (s *Server) BeginShutdown() {
 }
 
 // drain begins shutdown and blocks until no request holds a replica and the
-// batch dispatcher has exited, or ctx expires. It returns the number of
-// requests still in flight (0 on a clean drain). httpwire's drain already
+// batch dispatcher has exited, or ctx expires. It returns nil on a clean
+// drain, and otherwise an error counting the requests still in flight and
+// saying whether the dispatcher is still running: a drain that times out
+// with nothing in flight is still a failed drain. httpwire's drain already
 // waits for in-flight handlers, so wbserve only needs BeginShutdown; drain
 // serves the tests that drive the handler directly.
-func (s *Server) drain(ctx context.Context) int64 {
+func (s *Server) drain(ctx context.Context) error {
 	s.BeginShutdown()
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		n := s.metrics.InFlight.Load() + s.metrics.Queued.Load()
-		if n == 0 {
-			select {
-			case <-s.batcherDone:
-				return 0
-			default:
-			}
+		exited := false
+		select {
+		case <-s.batcherDone:
+			exited = true
+		default:
+		}
+		if n == 0 && exited {
+			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return n
+			return fmt.Errorf("serve: drain: %d requests in flight, dispatcher exited=%t: %w", n, exited, ctx.Err())
 		case <-tick.C:
 		}
 	}

@@ -437,8 +437,9 @@ func TestHealthzAndDrain(t *testing.T) {
 		t.Fatalf("post-shutdown brief status %d (err %v), want 503", status, err)
 	}
 
-	// Drain blocks until the in-flight briefing completes, then reports 0.
-	drained := make(chan int64, 1)
+	// Drain blocks until the in-flight briefing completes, then reports a
+	// clean drain.
+	drained := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -448,8 +449,8 @@ func TestHealthzAndDrain(t *testing.T) {
 	if s := <-inflight; s != http.StatusOK {
 		t.Fatalf("in-flight request got %d during drain", s)
 	}
-	if n := <-drained; n != 0 {
-		t.Fatalf("drain left %d in flight", n)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wb
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -109,6 +110,43 @@ func checkScratchAllocs[T tensor.Float](t *testing.T, m ModelOf[T], one []*Insta
 	t.Logf("warm MakeBriefBatch of one: %.0f allocs", allocs)
 	if allocs > 300 {
 		t.Fatalf("warm MakeBriefBatch of one allocates %.0f per run, want <= 300", allocs)
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestScratchPoolReturnedAllocs gates every borrower of scratchPool with the
+// workspace going back to the pool, on one instance. Measured: MakeBrief 124,
+// MakeNamedBrief 169, GenerateTopic 76, DevLoss 42, EvaluateExtraction 62
+// (evalEach's borrow). A borrower that drops its scratchPool.Put builds and
+// grows a new BatchScratchOf on every call, 30 to 104 allocations more here,
+// and fails: each limit sits halfway between the two counts.
+func TestScratchPoolReturnedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts at random")
+	}
+	insts, v := testData(t, 1, 2)
+	one := insts[:1]
+	m := newTestJointWB(v, 319)
+	namer := NewAttrNamer("namer", AttributeLabels(), 32, v.Size(), rand.New(rand.NewSource(24)))
+	for _, tc := range []struct {
+		name  string
+		limit float64
+		run   func()
+	}{
+		{"MakeBrief", 176, func() { MakeBrief(m, one[0], v, 4) }},
+		{"MakeNamedBrief", 221, func() { MakeNamedBrief(m, namer, one[0], v, 4) }},
+		{"GenerateTopic", 128, func() { GenerateTopic(m, one[0], 4, topicMaxLen) }},
+		{"DevLoss", 60, func() { DevLoss(m, one) }},
+		{"EvaluateExtraction", 77, func() { EvaluateExtraction(m, one) }},
+	} {
+		tc.run() // grow the pooled workspace
+		allocs := testing.AllocsPerRun(20, tc.run)
+		t.Logf("%s: %.0f allocs", tc.name, allocs)
+		if allocs > tc.limit {
+			t.Errorf("%s allocates %.0f per call, want <= %.0f: is its scratch going back to the pool?", tc.name, allocs, tc.limit)
+		}
 	}
 }
 

@@ -33,8 +33,8 @@ const maxSnapshotTopicLen = 64
 // patterns, so a decoded model briefs byte-identically to the original.
 // The meta section has no field for the NoMarkov ablation, so such a
 // model is refused here rather than written as bytes DecodeSnapshot
-// rejects with a shape mismatch; so are a beam size and a topic length
-// DecodeSnapshot refuses.
+// rejects with a shape mismatch; so are a beam size, a topic length and
+// widths DecodeSnapshot refuses.
 func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 	enc, ok := m.Enc.(*GloVeEncoder)
 	if !ok {
@@ -68,6 +68,9 @@ func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 		params.Uvarint(uint64(p.Value.Rows))
 		params.Uvarint(uint64(p.Value.Cols))
 		params.Float64s(p.Value.Data)
+	}
+	if err := checkWidths(uint64(v.Size()), uint64(enc.Dim()), uint64(m.Cfg.Hidden), len(params.Bytes())); err != nil {
+		return nil, fmt.Errorf("wb: EncodeSnapshot: %w", err)
 	}
 
 	b := snapshot.NewBuilder()
@@ -126,15 +129,18 @@ func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 	if v.Size() != len(tokens) {
 		return nil, nil, fmt.Errorf("wb: snapshot vocabulary has duplicates")
 	}
+	paramsPayload, ok := s.Section(snapParamsSection)
+	if !ok {
+		return nil, nil, fmt.Errorf("wb: snapshot has no %q section", snapParamsSection)
+	}
+	if err := checkWidths(uint64(v.Size()), embDim, hidden, len(paramsPayload)); err != nil {
+		return nil, nil, fmt.Errorf("wb: snapshot: %w", err)
+	}
 
 	enc := NewGloVeEncoder(tensor.New(v.Size(), int(embDim)))
 	cfg := Config{Hidden: int(hidden), TopicLen: int(topicLen), BeamSize: int(beamSize), Seed: 1}
 	m := NewJointWB("Joint-WB", enc, v.Size(), cfg)
 
-	paramsPayload, ok := s.Section(snapParamsSection)
-	if !ok {
-		return nil, nil, fmt.Errorf("wb: snapshot has no %q section", snapParamsSection)
-	}
 	r := snapshot.NewReader(paramsPayload)
 	count, err := r.Uvarint()
 	if err != nil {
@@ -177,6 +183,27 @@ func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 	return m, v, nil
 }
 
+// checkWidths refuses an embedding width or hidden size that no params
+// section of n bytes can hold: 0, or one whose embedding table
+// (vocab×embDim), LSTM input weights (embDim×4h) or recurrent weights
+// (h×4h) would need more than n/8 float64s. DecodeSnapshot runs it before
+// NewJointWB allocates, so a corrupt width errors rather than panicking or
+// exhausting memory; EncodeSnapshot runs it so it never writes widths that
+// decoding refuses.
+func checkWidths(vocab, embDim, hidden uint64, n int) error {
+	if embDim == 0 || hidden == 0 {
+		return fmt.Errorf("embedding width %d, hidden size %d: want both >= 1", embDim, hidden)
+	}
+	floats := uint64(n) / 8
+	// Past the first two comparisons both widths are at most 2^61, so 4*hidden
+	// cannot overflow.
+	if embDim > floats || hidden > floats ||
+		vocab > floats/embDim || embDim > floats/(4*hidden) || hidden > floats/(4*hidden) {
+		return fmt.Errorf("embedding width %d, hidden size %d: weights larger than the %d-byte params section", embDim, hidden, n)
+	}
+	return nil
+}
+
 // SaveSnapshot writes a model snapshot to w.
 func SaveSnapshot(w io.Writer, m *JointWB, v *textproc.Vocab) error {
 	data, err := EncodeSnapshot(m, v)
@@ -187,13 +214,15 @@ func SaveSnapshot(w io.Writer, m *JointWB, v *textproc.Vocab) error {
 	return err
 }
 
-// LoadModelAuto is the only model loader: wbrief, wbserve (boot and
-// reload), wbsnap -info and bench/wbload all read bundles through it.
-// There is one file format, the checksummed snapshot SaveSnapshot writes;
-// input without the snapshot magic gets the classified removal error.
-// The name is kept because bench/wbload calls it and bench/ changes only
-// in a benchmark PR.
-func LoadModelAuto(r io.Reader) (*JointWB, *textproc.Vocab, error) {
+// LoadModelAuto is bench/wbload's name for LoadModel, kept until a benchmark
+// change renames that call.
+func LoadModelAuto(r io.Reader) (*JointWB, *textproc.Vocab, error) { return LoadModel(r) }
+
+// LoadModel is the only model loader: wbrief, wbserve (boot and reload),
+// wbsnap -info and bench/wbload all read bundles through it. There is one
+// file format, the checksummed snapshot SaveSnapshot writes; input without
+// the snapshot magic gets the classified removal error.
+func LoadModel(r io.Reader) (*JointWB, *textproc.Vocab, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wb: read model: %w", err)

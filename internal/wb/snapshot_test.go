@@ -83,11 +83,11 @@ func assertSameParams(t *testing.T, a, b *JointWB) {
 	}
 }
 
-// TestLoadModelAuto: the one loader every binary boots through accepts the
+// TestLoadModel: the one loader every binary boots through accepts the
 // snapshot format, current and version 1, and answers everything without
 // the snapshot magic — a gob bundle from an older wbtrain included — with
 // the classified removal error that names the way out.
-func TestLoadModelAuto(t *testing.T) {
+func TestLoadModel(t *testing.T) {
 	m, v, _ := trainedTestModel(t)
 	var fresh bytes.Buffer
 	if err := SaveSnapshot(&fresh, m, v); err != nil {
@@ -109,7 +109,7 @@ func TestLoadModelAuto(t *testing.T) {
 		{"truncated snapshot", fresh.Bytes()[:fresh.Len()/2], "snapshot:"},
 		{"non-snapshot bytes", []byte("\x3a\xff\x81\x03\x01\x01\x0cbundleHeader"), removal},
 	} {
-		got, _, err := LoadModelAuto(bytes.NewReader(tc.data))
+		got, _, err := LoadModel(bytes.NewReader(tc.data))
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -208,9 +208,46 @@ func TestSnapshotTopicLen(t *testing.T) {
 	}
 }
 
+// TestSnapshotWidths: decoding refuses an embedding width or hidden size of
+// 0, or one whose weights could not fit in the params section, before it
+// allocates the model, so none of these panics or exhausts memory. Before
+// the check, widths of 0 panicked in tensor.New, an embedding width of 2^62
+// in makeslice, and a hidden size of 2^31 ended the process out of memory.
+// Encoding refuses the hidden sizes too; no encoder holds such an embedding.
+func TestSnapshotWidths(t *testing.T) {
+	_, v := testData(t, 1, 1)
+	m := newTestJointWB(v, 7)
+	good, err := EncodeSnapshot(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field int
+		x     uint64
+	}{
+		{metaEmbDim, 0},
+		{metaEmbDim, 1 << 62},
+		{metaHidden, 0},
+		{metaHidden, 1 << 31},
+	} {
+		if _, _, err := DecodeSnapshot(withMeta(t, good, tc.field, tc.x)); err == nil || !strings.Contains(err.Error(), "hidden size") {
+			t.Errorf("DecodeSnapshot with meta field %d = %d: error %v, want one naming the widths", tc.field, tc.x, err)
+		}
+		if tc.field == metaHidden {
+			m2 := *m
+			m2.Cfg.Hidden = int(tc.x)
+			if _, err := EncodeSnapshot(&m2, v); err == nil || !strings.Contains(err.Error(), "hidden size") {
+				t.Errorf("EncodeSnapshot at hidden size %d: error %v, want one naming the widths", tc.x, err)
+			}
+		}
+	}
+}
+
 // The meta section's leading numbers — embedding width, hidden size, topic
 // length, beam width — as withMeta indexes them.
 const (
+	metaEmbDim   = 0
+	metaHidden   = 1
 	metaTopicLen = 2
 	metaBeam     = 3
 	metaNumbers  = 4
@@ -358,6 +395,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(withMeta(f, data, metaBeam, maxSnapshotBeam+1))
 	f.Add(withMeta(f, data, metaTopicLen, 0))
 	f.Add(withMeta(f, data, metaTopicLen, math.MaxInt+1))
+	f.Add(withMeta(f, data, metaEmbDim, 0))
+	f.Add(withMeta(f, data, metaEmbDim, 1<<62))
+	f.Add(withMeta(f, data, metaHidden, 0))
+	f.Add(withMeta(f, data, metaHidden, 1<<31))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		DecodeSnapshot(b)
 	})

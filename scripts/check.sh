@@ -27,7 +27,7 @@ go vet ./...
 echo "== cross-compile vet (arm64: the _other.go stubs of all four asm families must keep compiling)"
 GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 
-echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints and deadexport with bench/ loaded as the second root, 8 passes)"
+echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints and deadexport with bench/ loaded as the second root, 6 passes)"
 go run ./cmd/wbcheck ./...
 
 echo "== go test (every package: integration, cmd, lint fixtures, allocation gates at their pinned counts, kernel and cascade equivalence, ring goldens and balance, fuzz corpus replay)"
