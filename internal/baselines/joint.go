@@ -179,7 +179,7 @@ func (m *Joint) Forward(t *ag.Tape, inst *wb.Instance, mode wb.Mode) *wb.Output 
 	if mode.TeacherForced() {
 		_, topicStates = m.Dec.ForwardStates(t, mem, inst.TopicIn)
 	} else {
-		_, topicStates = m.Dec.GreedyWithStates(t, mem, textproc.BosID, textproc.EosID, m.TopicLen)
+		topicStates = m.Dec.GreedyStates(t, mem, textproc.BosID, textproc.EosID, m.TopicLen)
 	}
 
 	out := &wb.Output{TokenH: cE, SentH: cG, TopicStates: topicStates, Dec: m.Dec}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -77,9 +78,10 @@ func inferTape() *ag.Tape { return ag.NewInferTapeOf[float64]() }
 // every call (the cross-request reuse pattern of a serving replica) and on a
 // nil one. Width × ragged batch shape: a member's tokens and confidence do
 // not depend on its batchmates — a batch of N equals N batches of one (those
-// on nil scratches), and both equal the reference. (Against the reference
-// the comparison is slices.Equal: a lone EOS decodes to nil here and to an
-// empty slice there.)
+// on nil scratches), and both equal the reference. Shared parents: the
+// folded decoder's batch, in both kernel modes (testBeamSearchBatchSharedParents).
+// (Against the reference the comparison is slices.Equal: a lone EOS decodes
+// to nil here and to an empty slice there.)
 func TestBeamSearchBatchMatchesReference(t *testing.T) {
 	one := func(d *AttnDecoder, mem *tensor.Matrix, bos, eos, width, maxLen int, scratches []*BeamScratchOf[float64]) ([]int, Confidence) {
 		tp := inferTape()
@@ -144,6 +146,104 @@ func TestBeamSearchBatchMatchesReference(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("shared-parents", func(t *testing.T) { eachKernelMode(t, testBeamSearchBatchSharedParents) })
+}
+
+// testBeamSearchBatchSharedParents pins the shared-parent step — a folded
+// decoder on a no-gradient tape attends and projects H·Cell.Wh once per
+// parent state and copies the rows to its children: three instances in one
+// batch decode to the heap BeamSearch's tokens, and to the tokens and
+// confidence bits of each instance alone and of the unfolded decoder's
+// batch, which computes every row itself. The fixture must put siblings at
+// depth 1 (every row, the BOS beam's children) and at a later depth, where
+// they interleave with other parents' children.
+func testBeamSearchBatchSharedParents(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const vocab, embDim, hidden, memDim = 19, 5, 7, 6
+	const bos, eos, maxLen = 1, 2, 5
+	d := NewAttnDecoder("d", vocab, embDim, hidden, memDim, rng)
+	folded := d.WithInputTable(InputTable(d.Emb, d.Cell))
+	mems := []*tensor.Matrix{
+		tensor.Uniform(4, memDim, -1, 1, rng),
+		tensor.Uniform(1, memDim, -1, 1, rng),
+		tensor.Uniform(6, memDim, -1, 1, rng),
+	}
+	batch := func(d *AttnDecoder, mems []*tensor.Matrix, width int) ([][]int, []Confidence) {
+		tp := inferTape()
+		nodes := make([]*ag.Node, len(mems))
+		for i, m := range mems {
+			nodes[i] = tp.Const(m)
+		}
+		return d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, nil)
+	}
+	later := false
+	for _, width := range []int{2, 3, 5} {
+		got, gotConfs := batch(folded, mems, width)
+		plain, plainConfs := batch(d, mems, width)
+		for i, mem := range mems {
+			tp := ag.NewTape()
+			if want := d.BeamSearch(tp, tp.Const(mem), bos, eos, width, maxLen); !slices.Equal(got[i], want) {
+				t.Fatalf("width %d inst %d: shared parents %v, reference %v", width, i, got[i], want)
+			}
+			alone, aloneConfs := batch(folded, mems[i:i+1], width)
+			for _, w := range []struct {
+				what string
+				toks []int
+				conf Confidence
+			}{{"alone", alone[0], aloneConfs[0]}, {"unfolded", plain[i], plainConfs[i]}} {
+				if !reflect.DeepEqual(got[i], w.toks) || !sameConfBits(gotConfs[i], w.conf) {
+					t.Fatalf("width %d inst %d: shared parents %v %+v, %s %v %+v", width, i, got[i], gotConfs[i], w.what, w.toks, w.conf)
+				}
+			}
+			later = later || siblingsPastDepth1(d, mem, bos, eos, width, maxLen)
+		}
+	}
+	if !later {
+		t.Fatal("fixture too weak: no search has siblings past depth 1")
+	}
+}
+
+// sameConfBits compares two confidences bit for bit.
+func sameConfBits(a, b Confidence) bool {
+	return math.Float64bits(a.Margin) == math.Float64bits(b.Margin) &&
+		math.Float64bits(a.Posterior) == math.Float64bits(b.Posterior)
+}
+
+// siblingsPastDepth1 replays BeamSearch's frontier and reports whether two
+// live beams share a parent at some depth past the first expansion — beams
+// are siblings when their tokens agree but for the last.
+func siblingsPastDepth1(d *AttnDecoder, mem *tensor.Matrix, bos, eos, width, maxLen int) bool {
+	tp := ag.NewTape()
+	memN := tp.Const(mem)
+	beams := []beam[float64]{{state: d.Cell.ZeroState(tp)}}
+	for depth := 0; depth < maxLen; depth++ {
+		parents := map[string]int{}
+		var next []beam[float64]
+		for _, b := range beams {
+			if b.done {
+				next = append(next, b)
+				continue
+			}
+			prev := bos
+			if n := len(b.tokens); n > 0 {
+				prev = b.tokens[n-1]
+				parent := fmt.Sprint(b.tokens[:n-1])
+				if parents[parent]++; depth >= 2 && parents[parent] > 1 {
+					return true
+				}
+			}
+			logits, s := d.step(tp, prev, b.state, memN)
+			logp := logits.Value.LogSoftmaxRows().Row(0)
+			for _, j := range topK(logp, width) {
+				toks := append(slices.Clone(b.tokens), j)
+				next = append(next, beam[float64]{tokens: toks, logProb: b.logProb + logp[j], state: s, done: j == eos})
+			}
+		}
+		slices.SortStableFunc(next, byScoreDesc[float64])
+		beams = next[:min(width, len(next))]
+	}
+	return false
 }
 
 // TestBeamSearchBatchNilScratches checks the convenience paths: a nil

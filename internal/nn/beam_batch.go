@@ -11,8 +11,11 @@ import (
 // The cell and output matmuls see R rows instead of 1, which is where the
 // batching win lives (one R×vocab projection per depth instead of R
 // separate ones). Attention stays per-instance because each instance attends
-// over its own memory, but the R-row hidden-state projection through Att.W is
-// shared.
+// over its own memory, but the hidden-state projection through Att.W is one
+// product over every instance's rows. A folded decoder on a no-gradient tape
+// — how serving decodes — attends and projects H·Cell.Wh once per parent
+// state rather than once per row: at depth 1 every row of an instance is a
+// child of its BOS beam.
 //
 // Per instance the decode is exactly BeamSearch, without its per-candidate
 // allocation: the same frontier ordering, the same top-width expansion with
@@ -75,26 +78,34 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 		ist.live = false
 	}
 	h := d.Cell.Hidden
+	// Shared, what depends only on a row's parent state — H·Att.W, the
+	// attention context and H·Cell.Wh — is computed once per parent and
+	// copied to every child row. Every kernel computes rows independently,
+	// so a copied row is the row each child would have computed.
+	shared := d.fold != nil && t.NoGrad()
 	var (
-		lo    = make([]int, nInst) // slab row range [lo, hi) per instance
-		hi    = make([]int, nInst)
-		rowOf = make([]int, 0, nInst)                 // owning instance per slab row
+		lo    = make([]int, nInst) // first slab row per instance
+		ulo   = make([]int, nInst) // parent row range [ulo, uhi) per instance
+		uhi   = make([]int, nInst)
 		prev  = make([]int, 0, nInst)                 // previous token per slab row
-		hmats = make([]*tensor.MatrixOf[T], 0, nInst) // per-row H gather sources
+		par   = make([]int, 0, nInst)                 // parent row per slab row
+		hmats = make([]*tensor.MatrixOf[T], 0, nInst) // per-parent H gather sources
 		cmats = make([]*tensor.MatrixOf[T], 0, nInst) // per-row C gather sources
 		zeros []int
 		ctxs  = make([]*ag.NodeOf[T], 0, nInst)
 	)
 	for depth := 0; depth < maxLen; depth++ {
 		// Register one slab row per live beam, grouped per instance in
-		// frontier order so instance attention blocks stay contiguous.
-		rowOf, prev, hmats, cmats = rowOf[:0], prev[:0], hmats[:0], cmats[:0]
+		// frontier order so instance attention blocks stay contiguous, and
+		// one parent row per distinct parent state among them (per row
+		// unless shared).
+		prev, par, hmats, cmats = prev[:0], par[:0], hmats[:0], cmats[:0]
 		for q := range insts {
 			ist := &insts[q]
 			if !ist.live {
 				continue
 			}
-			lo[q] = len(rowOf)
+			lo[q], ulo[q] = len(prev), len(hmats)
 			for _, b := range ist.beams {
 				if b.done {
 					continue
@@ -103,34 +114,43 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 				if len(b.tokens) > 0 {
 					p = b.tokens[len(b.tokens)-1]
 				}
-				rowOf = append(rowOf, q)
+				// At most width parents per instance: a scan finds siblings.
+				u := ulo[q]
+				for shared && u < len(hmats) && hmats[u] != b.state.H.Value {
+					u++
+				}
+				if !shared || u == len(hmats) {
+					u = len(hmats)
+					hmats = append(hmats, b.state.H.Value)
+				}
 				prev = append(prev, p)
-				hmats = append(hmats, b.state.H.Value)
+				par = append(par, u)
 				cmats = append(cmats, b.state.C.Value)
 			}
-			hi[q] = len(rowOf)
+			uhi[q] = len(hmats)
 		}
-		r := len(rowOf)
+		r, nu := len(prev), len(hmats)
 		if r == 0 {
 			break
 		}
 		for len(zeros) < r {
 			zeros = append(zeros, 0)
 		}
-		// Gather every live beam's state into R-row slabs and take one
-		// fused decoder step (attention, cell, output projection).
-		hp := t.AllocValueUninit(r, h)
-		tensor.GatherRowsInto(hp, hmats, zeros[:r])
+		// Gather the parent states and every row's cell state into slabs,
+		// attend once per parent, and take one fused decoder step (cell,
+		// output projection) over all rows.
+		hp := t.AllocValueUninit(nu, h)
+		tensor.GatherRowsInto(hp, hmats, zeros[:nu])
 		cp := t.AllocValueUninit(r, h)
 		tensor.GatherRowsInto(cp, cmats, zeros[:r])
 		hpN, cpN := t.Const(hp), t.Const(cp)
 		hw := t.MatMul(hpN, t.Use(d.Att.W))
 		ctxs = ctxs[:0]
 		for q := range insts {
-			if !insts[q].live || hi[q] == lo[q] {
+			if !insts[q].live || uhi[q] == ulo[q] {
 				continue
 			}
-			sc := t.MatMulTransB(t.SliceRows(hw, lo[q], hi[q]), memories[q])
+			sc := t.MatMulTransB(t.SliceRows(hw, ulo[q], uhi[q]), memories[q])
 			att := t.SoftmaxRows(sc)
 			ctxs = append(ctxs, t.MatMul(att, memories[q]))
 		}
@@ -138,8 +158,17 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 		if len(ctxs) > 1 {
 			ctx = t.ConcatRows(ctxs...)
 		}
-		st := d.cellStep(t, prev, ctx, StateOf[T]{H: hpN, C: cpN})
-		logits := d.Out.Forward(t, t.ConcatCols2(st.H, ctx))
+		var st StateOf[T]
+		if shared {
+			rec := t.MatMul(hpN, t.Use(d.Cell.Wh))
+			if nu < r {
+				ctx, rec = t.GatherRows(ctx, par), t.GatherRows(rec, par)
+			}
+			st = d.Cell.fusedCell(t, d.foldedInput(t, prev, ctx).Value, rec.Value, cp)
+		} else {
+			st = d.cellStep(t, prev, ctx, StateOf[T]{H: hpN, C: cpN})
+		}
+		logits := d.Out.ForwardCat(t, st.H, ctx)
 		logpAll := t.LogSoftmaxRows(logits)
 		// Per-instance frontier bookkeeping, exactly as BeamSearch.
 		for q := range insts {

@@ -90,11 +90,16 @@ func (d *AttnDecoderOf[T]) Params() []*ag.ParamOf[T] {
 // hidden state, feed embedding+context into the cell, and project the new
 // state joined with the context to vocabulary logits.
 func (d *AttnDecoderOf[T]) step(t *ag.TapeOf[T], prev int, s StateOf[T], memory *ag.NodeOf[T]) (logits *ag.NodeOf[T], next StateOf[T]) {
+	next, ctx := d.advance(t, prev, s, memory)
+	return d.Out.ForwardCat(t, next.H, ctx), next
+}
+
+// advance is step without the vocabulary projection: the new state and the
+// attention context it was fed.
+func (d *AttnDecoderOf[T]) advance(t *ag.TapeOf[T], prev int, s StateOf[T], memory *ag.NodeOf[T]) (next StateOf[T], ctx *ag.NodeOf[T]) {
 	att := d.Att.Attention(t, s.H, memory) // 1×memRows
-	ctx := t.MatMul(att, memory)           // 1×memDim
-	next = d.cellStep(t, []int{prev}, ctx, s)
-	logits = d.Out.Forward(t, t.ConcatCols2(next.H, ctx))
-	return logits, next
+	ctx = t.MatMul(att, memory)            // 1×memDim
+	return d.cellStep(t, []int{prev}, ctx, s), ctx
 }
 
 // cellStep advances the cell one step for a slab of rows: prev[i] is row
@@ -105,9 +110,16 @@ func (d *AttnDecoderOf[T]) cellStep(t *ag.TapeOf[T], prev []int, ctx *ag.NodeOf[
 	if d.fold == nil || !t.NoGrad() {
 		return d.Cell.Step(t, t.ConcatCols2(d.Emb.Forward(t, prev), ctx), s)
 	}
+	return d.Cell.stepFrom(t, d.foldedInput(t, prev, ctx), true, s)
+}
+
+// foldedInput is a folded decoder's cell input projection [emb|ctx]·Wx for
+// a slab of rows: each row's table row, with ctx·Wx[Emb.Dim():] accumulated
+// onto it. No-gradient tapes only.
+func (d *AttnDecoderOf[T]) foldedInput(t *ag.TapeOf[T], prev []int, ctx *ag.NodeOf[T]) *ag.NodeOf[T] {
 	checkIDs("embedding", prev, d.fold.tab.Rows)
 	in := t.GatherRows(t.Const(d.fold.tab), prev).Value
-	return d.Cell.stepFrom(t, t.MatMulOnto(in, ctx, t.Const(d.fold.wxCtx)), true, s)
+	return t.MatMulOnto(in, ctx, t.Const(d.fold.wxCtx))
 }
 
 // ForwardTeacherForcing decodes with teacher forcing: inputs[i] feeds step i
@@ -133,26 +145,29 @@ func (d *AttnDecoderOf[T]) ForwardStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], 
 	return t.ConcatRows(rows...), t.ConcatRows(hs...)
 }
 
-// GreedyWithStates greedily decodes up to maxLen tokens and returns both the
-// tokens (EOS excluded) and the decoder hidden states for the emitted steps.
-// Models use it at inference where no gold topic is available to force.
-func (d *AttnDecoderOf[T]) GreedyWithStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int) ([]int, *ag.NodeOf[T]) {
+// GreedyStates greedily decodes up to maxLen steps, stopping after the step
+// that emits eos, and returns the decoder hidden states of those steps —
+// the first decoding pass of §III-C, whose tokens no caller reads. The last
+// step's token decides nothing, so that step runs attention and the cell
+// but no vocabulary projection.
+func (d *AttnDecoderOf[T]) GreedyStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int) *ag.NodeOf[T] {
 	s := d.Cell.ZeroState(t)
 	prev := bos
-	var out []int
 	var hs []*ag.NodeOf[T]
 	for i := 0; i < maxLen; i++ {
-		var logits *ag.NodeOf[T]
-		logits, s = d.step(t, prev, s, memory)
+		var ctx *ag.NodeOf[T]
+		s, ctx = d.advance(t, prev, s, memory)
 		hs = append(hs, s.H)
-		tok := logits.Value.ArgmaxRow(0)
+		if i == maxLen-1 {
+			break
+		}
+		tok := d.Out.ForwardCat(t, s.H, ctx).Value.ArgmaxRow(0)
 		if tok == eos {
 			break
 		}
-		out = append(out, tok)
 		prev = tok
 	}
-	return out, t.ConcatRows(hs...)
+	return t.ConcatRows(hs...)
 }
 
 // Confidence summarises how sure a decode was — the cascade routing signal.

@@ -83,12 +83,10 @@ func (l *LSTMOf[T]) stepFrom(t *ag.TapeOf[T], in *ag.NodeOf[T], projected bool, 
 		in = t.MatMul(in, t.Use(l.Wx))
 	}
 	rec := t.MatMul(s.H, t.Use(l.Wh))
-	h := l.Hidden
 	if t.NoGrad() {
-		hNew, cNew := t.AllocValueUninit(in.Rows(), h), t.AllocValueUninit(in.Rows(), h)
-		tensor.LSTMCellInto(hNew, cNew, rec.Value, in.Value, l.B.Value, s.C.Value)
-		return StateOf[T]{H: t.Const(hNew), C: t.Const(cNew)}
+		return l.fusedCell(t, in.Value, rec.Value, s.C.Value)
 	}
+	h := l.Hidden
 	gates := t.AddRowVector(t.Add(in, rec), t.Use(l.B))
 	i := t.Sigmoid(t.SliceCols(gates, 0, h))
 	f := t.Sigmoid(t.SliceCols(gates, h, 2*h))
@@ -96,6 +94,15 @@ func (l *LSTMOf[T]) stepFrom(t *ag.TapeOf[T], in *ag.NodeOf[T], projected bool, 
 	o := t.Sigmoid(t.SliceCols(gates, 3*h, 4*h))
 	c := t.Add(t.Mul(f, s.C), t.Mul(i, g))
 	return StateOf[T]{H: t.Mul(o, t.Tanh(c)), C: c}
+}
+
+// fusedCell is a no-gradient step's gate arithmetic, one
+// tensor.LSTMCellInto pass: the new state of each row from its input
+// projection in, its recurrent projection rec = h·Wh and its cell state c.
+func (l *LSTMOf[T]) fusedCell(t *ag.TapeOf[T], in, rec, c *tensor.MatrixOf[T]) StateOf[T] {
+	hNew, cNew := t.AllocValueUninit(in.Rows, l.Hidden), t.AllocValueUninit(in.Rows, l.Hidden)
+	tensor.LSTMCellInto(hNew, cNew, rec, in, l.B.Value, c)
+	return StateOf[T]{H: t.Const(hNew), C: t.Const(cNew)}
 }
 
 // seqInputOf is where one sequence's recurrence reads its per-step inputs:

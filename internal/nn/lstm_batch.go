@@ -62,7 +62,7 @@ func (b *BiLSTMOf[T]) forwardBatch(t *ag.TapeOf[T], fwd, bwd []seqInputOf[T]) []
 // state into columns [colOff, colOff+h) of the owning sequence's output
 // matrix. reverse selects the backward direction (input position len-1-t at
 // step t, as in BiLSTM.Forward's backward direction). ins[i] is what each
-// step gathers sequence i's row from: its inputs, its hoisted projection
+// step reads sequence i's row from: its inputs, its hoisted projection
 // (LSTMOf.recurrenceInput) or its rows of an input table (tableInput) — in
 // the last two cases the only matmul inside the recurrence is h·Wh. Inference
 // only: one input slab is reused by every step, so nothing recorded here can
@@ -91,9 +91,12 @@ func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], ins []seqInputO
 		}
 	}
 	s := StateOf[T]{H: t.Const(t.AllocValue(len(active), h)), C: t.Const(t.AllocValue(len(active), h))}
-	// One input slab serves every step: a step's rows are consumed by that
-	// step's products and never read again.
-	xs := t.AllocValueUninit(len(active), width)
+	// One input slab serves every step with several active sequences: a
+	// step's rows are consumed by that step's products and never read again.
+	var xs *tensor.MatrixOf[T]
+	if len(active) > 1 {
+		xs = t.AllocValueUninit(len(active), width)
+	}
 	var (
 		mats = make([]*tensor.MatrixOf[T], 0, n)
 		rows = make([]int, 0, n)
@@ -120,9 +123,9 @@ func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], ins []seqInputO
 			s = StateOf[T]{H: survivors(s.H), C: survivors(s.C)}
 		}
 		a := len(active)
-		// Gather this step's input row from every active sequence: every
-		// row of the slab's first a is copied into.
-		x := t.ViewValue(a, width, xs.Data[:a*width])
+		// This step's input row of every active sequence: a lone
+		// sequence's row is read where it lies, several are gathered into
+		// the slab's first a rows, every one of which is copied into.
 		mats, rows = mats[:0], rows[:0]
 		for _, i := range active {
 			pos := step
@@ -132,7 +135,13 @@ func lstmLockstep[T tensor.Float](t *ag.TapeOf[T], l *LSTMOf[T], ins []seqInputO
 			mats = append(mats, ins[i].m)
 			rows = append(rows, ins[i].row(pos))
 		}
-		tensor.GatherRowsInto(x, mats, rows)
+		var x *tensor.MatrixOf[T]
+		if a == 1 {
+			x = t.ViewValue(1, width, mats[0].Row(rows[0]))
+		} else {
+			x = t.ViewValue(a, width, xs.Data[:a*width])
+			tensor.GatherRowsInto(x, mats, rows)
+		}
 		// One fused a-row step for all active sequences.
 		s = l.stepFrom(t, t.Const(x), projected, s)
 		// Scatter the hidden rows into the outputs.

@@ -96,6 +96,26 @@ func (l *LinearOf[T]) Forward(t *ag.TapeOf[T], x *ag.NodeOf[T]) *ag.NodeOf[T] {
 	return t.AddRowVector(t.MatMul(x, t.Use(l.W)), t.Use(l.B))
 }
 
+// ForwardCat is Forward over the column concatenation [a | b] without
+// building it. On a no-gradient tape W is split at row a.Cols() — two views
+// from the tape's arena — and every cell's ascending-k sum runs over a's
+// terms and then continues over b's (MatMulOnto), so the product is bit for
+// bit the one-pass product over [a | b]; then the bias is added. A recording
+// tape concatenates, so training records exactly what Forward records.
+func (l *LinearOf[T]) ForwardCat(t *ag.TapeOf[T], a, b *ag.NodeOf[T]) *ag.NodeOf[T] {
+	if !t.NoGrad() {
+		return l.Forward(t, t.ConcatCols2(a, b))
+	}
+	w := l.W.Value
+	k := a.Cols()
+	if k+b.Cols() != w.Rows {
+		panic(fmt.Sprintf("nn: ForwardCat over %d+%d columns, weights have %d rows", k, b.Cols(), w.Rows))
+	}
+	y := t.MatMul(a, t.Const(t.ViewValue(k, w.Cols, w.Data[:k*w.Cols])))
+	y = t.MatMulOnto(y.Value, b, t.Const(t.ViewValue(w.Rows-k, w.Cols, w.Data[k*w.Cols:])))
+	return t.AddRowVector(y, t.Use(l.B))
+}
+
 // Params implements Layer.
 func (l *LinearOf[T]) Params() []*ag.ParamOf[T] { return []*ag.ParamOf[T]{l.W, l.B} }
 

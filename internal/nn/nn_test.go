@@ -221,6 +221,64 @@ func TestAttnDecoderGreedyStopsAtEOS(t *testing.T) {
 	}
 }
 
+// TestGreedyStatesMatchesStepLoop pins the states-only first decoding pass
+// to the greedy loop it replaces — step, keep the state, stop after the step
+// whose argmax is eos — over decoders and lengths, with an eos that never
+// comes (so every step runs and the last one's skipped projection is
+// exercised) and with one the decode emits at its second step, on a
+// recording tape and on a no-gradient tape, plain and folded: the same
+// number of states, bit for bit.
+func TestGreedyStatesMatchesStepLoop(t *testing.T) {
+	const bos = 0
+	stepLoop := func(d *AttnDecoder, mem *tensor.Matrix, eos, maxLen int) (*tensor.Matrix, []int) {
+		tp := ag.NewTape()
+		s, prev := d.Cell.ZeroState(tp), bos
+		var hs []*ag.Node
+		var toks []int
+		for i := 0; i < maxLen; i++ {
+			var logits *ag.Node
+			logits, s = d.step(tp, prev, s, tp.Const(mem))
+			hs = append(hs, s.H)
+			prev = logits.Value.ArgmaxRow(0)
+			toks = append(toks, prev)
+			if prev == eos {
+				break
+			}
+		}
+		return tp.ConcatRows(hs...).Value, toks
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(90 + seed))
+		d := NewAttnDecoder("d", 9, 4, 6, 5, rng)
+		folded := d.WithInputTable(InputTable(d.Emb, d.Cell))
+		mem := tensor.Randn(3, 5, 1, rng)
+		_, toks := stepLoop(d, mem, -1, 2)
+		for _, eos := range []int{-1, toks[1]} { // never emitted; emitted by step 2 at the latest
+			for _, maxLen := range []int{1, 2, 4, 6} {
+				want, _ := stepLoop(d, mem, eos, maxLen)
+				if eos >= 0 && maxLen > 1 && want.Rows > 2 || eos < 0 && want.Rows != maxLen {
+					t.Fatalf("seed %d eos %d maxLen %d: fixture decode ran %d steps", seed, eos, maxLen, want.Rows)
+				}
+				for _, c := range []struct {
+					what string
+					d    *AttnDecoder
+					tp   *ag.Tape
+				}{{"recording", d, ag.NewTape()}, {"no-gradient", d, inferTape()}, {"folded", folded, inferTape()}} {
+					got := c.d.GreedyStates(c.tp, c.tp.Const(mem), bos, eos, maxLen).Value
+					if !got.SameShape(want) {
+						t.Fatalf("seed %d eos %d maxLen %d %s: %d states, step loop %d", seed, eos, maxLen, c.what, got.Rows, want.Rows)
+					}
+					for i, w := range want.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+							t.Fatalf("seed %d eos %d maxLen %d %s: state value %d is %v, step loop %v", seed, eos, maxLen, c.what, i, got.Data[i], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestConfidenceScore pins the routing scalar: min(Posterior, 1−e^−Margin)
 // clamped to [0, 1], and 0 — escalate — whenever a field is NaN, since a NaN
 // score would answer false to every `score < threshold` test.
@@ -436,5 +494,74 @@ func BenchmarkTransformerEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := ag.NewTape()
 		tr.Encode(tp, ids, nil)
+	}
+}
+
+// TestForwardCatMatchesConcat pins the concatenation-free linear: over both
+// element types and both kernel modes, at the widths serving joins (a 216 or
+// 108 wide, b the 1-wide section signal Φ(p), a 108-wide context or a
+// 216-wide encoding) and row counts on every side of the register tile, with
+// inputs holding all-zero rows, signed zeros, ±Inf and NaN, ForwardCat on a
+// no-gradient tape is bit for bit Forward over ConcatCols2(a, b) — and on a
+// recording tape, where it concatenates, too.
+func TestForwardCatMatchesConcat(t *testing.T) {
+	eachKernelMode(t, func(t *testing.T) {
+		testForwardCatMatchesConcat[float64](t)
+		testForwardCatMatchesConcat[float32](t)
+	})
+}
+
+func testForwardCatMatchesConcat[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	flavours := []string{"normal", "zero rows", "signed zeros"}
+	if nonFiniteProducts {
+		flavours = append(flavours, "inf", "nan")
+	}
+	// operand fills a rows×cols input of the given flavour.
+	operand := func(rows, cols int, flavour string) *tensor.MatrixOf[T] {
+		m := tensor.Cast[T](tensor.Uniform(rows, cols, -2, 2, rng))
+		for i := range m.Data {
+			switch {
+			case flavour == "zero rows" && (i/cols)%3 == 1,
+				flavour == "signed zeros" && rng.Intn(3) == 0:
+				m.Data[i] = T(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+			case flavour == "inf" && rng.Intn(40) == 0:
+				m.Data[i] = T(math.Inf(rng.Intn(2)*2 - 1))
+			case flavour == "nan" && rng.Intn(40) == 0:
+				m.Data[i] = T(math.NaN())
+			}
+		}
+		return m
+	}
+	bits := func(v T) uint64 { return math.Float64bits(float64(v)) } // exact for float32
+	for _, aw := range []int{216, 108} {
+		for _, bw := range []int{1, 108, 216} {
+			for _, out := range []int{3, 29} {
+				l := CastLinear[T](NewLinear("l", aw+bw, out, rng))
+				l.B.Value = tensor.Cast[T](tensor.Uniform(1, out, -1, 1, rng))
+				for _, rows := range []int{1, 4, 7, 68} {
+					for _, fl := range flavours {
+						a, b := operand(rows, aw, fl), operand(rows, bw, fl)
+						ref := ag.NewInferTapeOf[T]()
+						want := l.Forward(ref, ref.ConcatCols2(ref.Const(a), ref.Const(b))).Value
+						for _, tp := range []*ag.TapeOf[T]{ag.NewInferTapeOf[T](), {}} {
+							got := l.ForwardCat(tp, tp.Const(a), tp.Const(b)).Value
+							tape := "recording"
+							if tp.NoGrad() {
+								tape = "no-gradient"
+							}
+							if !got.SameShape(want) {
+								t.Fatalf("%dx(%d+%d)→%d %s, %s tape: shape %dx%d", rows, aw, bw, out, fl, tape, got.Rows, got.Cols)
+							}
+							for i, w := range want.Data {
+								if g := got.Data[i]; bits(g) != bits(w) {
+									t.Fatalf("%dx(%d+%d)→%d %s, %s tape: cell %d is %v, concatenated %v", rows, aw, bw, out, fl, tape, i, g, w)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

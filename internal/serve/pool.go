@@ -228,9 +228,10 @@ type Pool struct {
 // replicas run (Pool.instance). Each workspace decodes at the model's own
 // beam width, m.Cfg.BeamSize (at least 1), exactly like wb.NewBriefer at that
 // width, so pooled briefings are identical to the serial path's at
-// maxPageTokens. cfg's ConfidenceThreshold is the escalation cutoff on the
-// decode confidence score: ≤ 0 never escalates, > 1 escalates every
-// briefing.
+// maxPageTokens. A model whose topic length is below 1 has no first decoding
+// pass to run and is refused. cfg's ConfidenceThreshold is the escalation
+// cutoff on the decode confidence score: ≤ 0 never escalates, > 1 escalates
+// every briefing.
 //
 // A model with a transformer encoder has no fold tables and no float32 form,
 // and serves as is, unfolded — which only a pool of one may: m stays the
@@ -243,6 +244,9 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error)
 	beam := m.Cfg.BeamSize
 	if beam < 1 {
 		return nil, fmt.Errorf("serve: model beam size %d, want at least 1", beam)
+	}
+	if l := m.Cfg.TopicLen; l < 1 {
+		return nil, fmt.Errorf("serve: model topic length %d, want at least 1", l)
 	}
 	start := time.Now()
 	var tiers []tierModel // fastest first

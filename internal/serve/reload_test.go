@@ -612,3 +612,39 @@ func TestBeamWidthFromBundle(t *testing.T) {
 		t.Fatal("a server was built over a model of beam size 0")
 	}
 }
+
+// TestPoolRefusesTopicLenBelowOne: a model whose topic length is below 1 has
+// no first decoding pass to run, so NewPool refuses it with an error naming
+// the topic length — at boot, instead of a panic in the warm-up briefing,
+// and on a hot reload of an in-process model, which leaves the running
+// generation serving. (DecodeSnapshot refuses such a bundle already.)
+func TestPoolRefusesTopicLenBelowOne(t *testing.T) {
+	m, v, pages := trainedModel(t)
+	srv, err := New(m, v, Config{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.BeginShutdown()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	html := pages[0].HTML
+	status, want, err := postBrief(ts.URL, html)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("status %d err %v", status, err)
+	}
+
+	for _, topicLen := range []int{0, -1} {
+		bad, v2, _ := trainedModel(t)
+		bad.Cfg.TopicLen = topicLen
+		if _, err := New(bad, v2, Config{Replicas: 1}); err == nil || !strings.Contains(err.Error(), "topic length") {
+			t.Fatalf("topic length %d: New error %v, want one naming the topic length", topicLen, err)
+		}
+		if _, err := srv.Reload(bad, v2); err == nil || !strings.Contains(err.Error(), "topic length") {
+			t.Fatalf("topic length %d: Reload error %v, want one naming the topic length", topicLen, err)
+		}
+		status, got, err := postBrief(ts.URL, html)
+		if err != nil || status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("topic length %d: after a refused reload, status %d err %v body %s, want %s", topicLen, status, err, got, want)
+		}
+	}
+}

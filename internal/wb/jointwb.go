@@ -234,24 +234,24 @@ func (m *JointWBOf[T]) forwardTail(t *ag.TapeOf[T], inst *Instance, mode Mode, s
 	if mode.TeacherForced() {
 		_, topicStates = m.Dec.ForwardStates(t, mem1, inst.TopicIn)
 	} else {
-		_, topicStates = m.Dec.GreedyWithStates(t, mem1, textproc.BosID, textproc.EosID, m.Cfg.TopicLen)
+		topicStates = m.Dec.GreedyStates(t, mem1, textproc.BosID, textproc.EosID, m.Cfg.TopicLen)
 	}
 	qb := t.Tanh(m.WQ.Forward(t, t.MeanRows(topicStates))) // 1×h
 
 	// Section-and-topic dual-aware token representations (Ĉ_E).
-	pTok := sentProbsToTokens(t, secProbs, inst)            // l×1
-	cEb := t.Tanh(m.WCE.Forward(t, t.ConcatCols(cE, pTok))) // l×h
-	aE := softmaxOverRows(t, m.AttE.Scores(t, cEb, qb))     // l×1
-	topicCtx := t.MatMul(aE, qb)                            // l×h
-	tagLogits := m.TagW.Forward(t, t.ConcatCols(cE, topicCtx))
+	pTok := sentProbsToTokens(t, secProbs, inst)        // l×1
+	cEb := t.Tanh(m.WCE.ForwardCat(t, cE, pTok))        // l×h
+	aE := softmaxOverRows(t, m.AttE.Scores(t, cEb, qb)) // l×1
+	topicCtx := t.MatMul(aE, qb)                        // l×h
+	tagLogits := m.TagW.ForwardCat(t, cE, topicCtx)
 
 	// Section-and-key-attributes dual-aware sentence representations (Ĉ_G).
 	eb := t.Tanh(m.WE.Forward(t, t.MeanRows(cE))) // 1×h
-	cGb := t.Tanh(m.WCG.Forward(t, t.ConcatCols(cG, secProbs)))
+	cGb := t.Tanh(m.WCG.ForwardCat(t, cG, secProbs))
 	ebRows := t.MatMul(t.Const(onesCol(t, cGb.Rows())), eb) // m×h broadcast
 	aG := softmaxOverRows(t, m.AttG.Forward(t, t.Mul(cGb, ebRows)))
 	attrCtx := t.MatMul(aG, eb) // m×h
-	mem2 := m.MemPr2.Forward(t, t.ConcatCols(cG, attrCtx))
+	mem2 := m.MemPr2.ForwardCat(t, cG, attrCtx)
 
 	out := &OutputOf[T]{
 		TokenH:      cE,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"webbrief/internal/snapshot"
 	"webbrief/internal/tensor"
@@ -223,7 +224,7 @@ func LoadModelAuto(r io.Reader) (*JointWB, *textproc.Vocab, error) { return Load
 // file format, the checksummed snapshot SaveSnapshot writes; input without
 // the snapshot magic gets the classified removal error.
 func LoadModel(r io.Reader) (*JointWB, *textproc.Vocab, error) {
-	data, err := io.ReadAll(r)
+	data, err := readBundle(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wb: read model: %w", err)
 	}
@@ -231,4 +232,33 @@ func LoadModel(r io.Reader) (*JointWB, *textproc.Vocab, error) {
 		return nil, nil, errors.New("wb: not a snapshot bundle; gob bundles were removed — retrain with `wbtrain`, which is deterministic: same flags, same weights")
 	}
 	return DecodeSnapshot(data)
+}
+
+// readBundle reads r to EOF. A reader that reports its size — an *os.File
+// over a regular file — is read into one buffer allocated at that size (one
+// byte more, for the read that meets EOF); io.ReadAll's doubling would
+// allocate and copy the bundle several times over. Any other reader is read
+// as io.ReadAll reads it.
+func readBundle(r io.Reader) ([]byte, error) {
+	f, ok := r.(interface{ Stat() (fs.FileInfo, error) })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, 0, fi.Size()+1)
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		switch {
+		case err == io.EOF:
+			return data, nil
+		case err != nil:
+			return nil, err
+		case len(data) == cap(data): // the file grew since Stat
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }

@@ -3,9 +3,12 @@ package wb
 import (
 	"bytes"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -375,6 +378,62 @@ func TestGoldenModelSnapshotV1(t *testing.T) {
 		if i >= len(got) || got[i] != want[i] {
 			t.Fatalf("v1 golden model predicts %v, want %v", got, want)
 		}
+	}
+}
+
+// TestLoadModelFromFile: a bundle loads identically from an *os.File and
+// from a plain io.Reader, and the file is read into one buffer of its own
+// size — a load from the file allocates at most that many bytes beyond
+// decoding the same bytes in memory. (io.ReadAll's doubling allocates about
+// twice the bundle again.)
+func TestLoadModelFromFile(t *testing.T) {
+	path := filepath.Join("testdata", "model-golden.snap")
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile := func() (*JointWB, *textproc.Vocab) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		m, v, err := LoadModel(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, v
+	}
+	mf, vf := fromFile()
+	mr, vr, err := LoadModel(struct{ io.Reader }{bytes.NewReader(disk)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameParams(t, mf, mr)
+	if mf.Cfg != mr.Cfg || !reflect.DeepEqual(vf, vr) {
+		t.Fatalf("file load %+v, reader load %+v: config or vocabulary differ", mf.Cfg, mr.Cfg)
+	}
+
+	// allocated is the fewest bytes fn allocated over a few runs.
+	allocated := func(fn func()) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	decode := allocated(func() {
+		if _, _, err := DecodeSnapshot(disk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	load := allocated(func() { fromFile() })
+	if limit := decode + uint64(len(disk)) + 8<<10; load > limit {
+		t.Fatalf("loading the %d-byte bundle from its file allocates %d bytes, decoding it %d: want at most %d", len(disk), load, decode, limit)
 	}
 }
 

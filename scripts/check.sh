@@ -66,8 +66,9 @@ while read -r change scope allowed pattern; do
 done <scripts/stay-deleted.txt
 [[ $STAY_DELETED_FAILED == 0 ]]
 
-echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 exp/σ/tanh lanes off, and the differential tests — the lanes and both softmax rows — must still pass with libm alone; the split-k identity the fold tables rest on must hold with the FMA lanes stood down too)"
+echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 exp/σ/tanh lanes off, and the differential tests — the lanes and both softmax rows — must still pass with libm alone; the split-k identity the fold tables and the concatenation-free linears rest on, the shared-parent beam rows and the serving golden's other-libm digests must hold with the FMA lanes stood down too)"
 GODEBUG=cpu.fma=off go test -run 'TestAct64|TestSoftmaxLanes|TestMatMulSplitKBitwise' ./internal/tensor
+GODEBUG=cpu.fma=off go test -run 'TestForwardCatMatchesConcat|TestBeamSearchBatchMatchesReference|TestServingGolden' ./internal/nn ./internal/wb
 
 echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x impl grid and the f64 exp/σ/tanh fn x n x impl grid, the beam prune's width x candidates x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
 go test -run '^$' -bench 'Kernels|Act64' -benchtime 1x ./internal/tensor >/dev/null
