@@ -33,10 +33,11 @@ package tensor
 // M-row product streams that matrix M/4 times instead of M. Rows the tile
 // does not take — fewer than four, the M mod 4 left over, and for float64
 // any 4-row block of the left operand that holds a zero, which must be
-// skipped — run one-row blocks of four accumulators, and the columns short
-// of a vector run a masked vector, four rows in flight. None of this changes
-// a cell's own sequence, so a row's bits do not depend on how many rows it
-// was multiplied with (TestMatMulRowPartitionBitwise).
+// skipped — run one-row blocks (float64: 48, 16 and 4 columns wide, with
+// twelve, four and one accumulators), and the columns short of a vector run
+// a masked vector, four rows in flight. None of this changes a cell's own
+// sequence, so a row's bits do not depend on how many rows it was
+// multiplied with (TestMatMulRowPartitionBitwise).
 //
 // Without lane kernels the register blocking is a quad of independent
 // accumulators — four output cells of one row advance together through the
@@ -57,9 +58,11 @@ const tileRows = 4
 const transposeTile = 32
 
 // matMulInto is MatMulInto's body: r += m·o, with large products
-// row-partitioned across goroutines.
+// row-partitioned across goroutines. The fan-out closure escapes to the
+// heap, so it is built only when there are two workers to hand it to: at
+// GOMAXPROCS 1 a large product allocates nothing.
 func matMulInto[T Float](r, m, o *MatrixOf[T]) {
-	if m.Rows*m.Cols*o.Cols >= parallelFlopThreshold && m.Rows > 1 {
+	if m.Rows*m.Cols*o.Cols >= parallelFlopThreshold && rowWorkers(m.Rows) > 1 {
 		parallelRows(m.Rows, func(lo, hi int) { matMulRowRange(r, m, o, lo, hi) })
 		return
 	}

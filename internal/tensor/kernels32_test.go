@@ -277,8 +277,8 @@ func rowLanesReference32(dst, m, o *Matrix32) {
 // computed before them — with the same class where a cell is not finite,
 // and leave the sentinel bands around dst, m and o untouched. The rows a
 // tile leaves over take the one-row blocks, and the grid's widths reach each
-// of them: fmaBlock32 from 32 columns up, fmaBlock16 at 16, 17, 24, 89 and
-// 432, fmaBlock8 at 8, 9, 12, 24, 89 and 108.
+// of them: fmaBlock32 from 32 columns up, fmaBlock16 at 16, 17, 24, 48, 89,
+// 144, 279 and 432, fmaBlock8 at 8, 9, 12, 24, 89 and 108.
 func TestKernels32TilesMatchRowLanes(t *testing.T) {
 	eachKernelMode(t, func(t *testing.T) {
 		cases := tileGridCases()

@@ -14,6 +14,12 @@ package tensor
 //go:noescape
 func mulAddBlock16(d, a, b *float64, k, stride int)
 
+// mulAddBlock48 is mulAddBlock16 over twelve 4-lane blocks (d[0:48]),
+// twelve add chains in flight. k must be > 0.
+//
+//go:noescape
+func mulAddBlock48(d, a, b *float64, k, stride int)
+
 // mulAddBlock4 is mulAddBlock16 over one 4-lane block (d[0:4]). k must be > 0.
 //
 //go:noescape
@@ -48,7 +54,7 @@ func hasZero64(a *float64, n int) bool
 // whose 4×k block of m holds no zero go through the mulAddTile4 register
 // tile; blocks with a zero (meanPoolMatrix is mostly zeros, dropout masks a
 // fifth of an activation) and the hi-lo mod 4 rows left over go through the
-// one-row mulAddBlock16/mulAddBlock4, which skip a == 0 terms. The n mod 4
+// one-row blocks (matMulRowBlocks), which skip a == 0 terms. The n mod 4
 // tail columns of all rows go through mulAddTail, which skips too. Every
 // cell still receives its a != 0 terms in ascending k, each multiplied,
 // rounded, added and rounded, so it is bitwise identical to matMulRows
@@ -80,13 +86,19 @@ func matMulRowsLanes(r, m, o *Matrix, lo, hi int) {
 }
 
 // matMulRowBlocks runs the one-row zero-skipping blocks over the full-lane
-// columns of rows [lo, hi): 16 columns at a time, then 4.
+// columns of rows [lo, hi): 48 columns at a time, then 16, then 4, so an
+// LSTM step's 432 gate columns are 9·48 and a 108-wide product 2·48 + 3·4.
 func matMulRowBlocks(r, m, o *Matrix, lo, hi int) {
 	k, n := o.Rows, o.Cols
 	for i := lo; i < hi; i++ {
 		a := m.Row(i)[:k]
 		rRow := r.Row(i)
 		j := 0
+		for ; j+48 <= n; j += 48 {
+			d := rRow[j : j+48 : j+48]
+			b := o.Data[j : (k-1)*n+j+48]
+			mulAddBlock48(&d[0], &a[0], &b[0], k, n)
+		}
 		for ; j+16 <= n; j += 16 {
 			d := rRow[j : j+16 : j+16]
 			b := o.Data[j : (k-1)*n+j+16]

@@ -16,6 +16,82 @@
 // not even the sign of a zero differs. The tile has no skip and is only
 // given 4×k blocks of a that hasZero64 found free of zeros.
 
+// func mulAddBlock48(d, a, b *float64, k, stride int)
+//
+// mulAddBlock16 over d[0:48]: twelve accumulators (Y0-Y11), one broadcast
+// of a[kk] (Y12) and three product temporaries (Y13-Y15), all sixteen YMM
+// registers. Twelve independent add chains keep the adder busy where four
+// leave it waiting on its own latency, so a weight matrix too large for L1
+// streams at the L2 rate. Per cell the sequence is mulAddBlock16's, skip
+// included.
+TEXT ·mulAddBlock48(SB), NOSPLIT, $0-40
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ stride+32(FP), BX
+	SHLQ $3, BX
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	VMOVUPD 256(DI), Y8
+	VMOVUPD 288(DI), Y9
+	VMOVUPD 320(DI), Y10
+	VMOVUPD 352(DI), Y11
+loop48:
+	MOVQ (SI), AX
+	SHLQ $1, AX
+	JZ   skip48
+	VBROADCASTSD (SI), Y12
+	VMULPD (DX), Y12, Y13
+	VMULPD 32(DX), Y12, Y14
+	VMULPD 64(DX), Y12, Y15
+	VADDPD Y13, Y0, Y0
+	VADDPD Y14, Y1, Y1
+	VADDPD Y15, Y2, Y2
+	VMULPD 96(DX), Y12, Y13
+	VMULPD 128(DX), Y12, Y14
+	VMULPD 160(DX), Y12, Y15
+	VADDPD Y13, Y3, Y3
+	VADDPD Y14, Y4, Y4
+	VADDPD Y15, Y5, Y5
+	VMULPD 192(DX), Y12, Y13
+	VMULPD 224(DX), Y12, Y14
+	VMULPD 256(DX), Y12, Y15
+	VADDPD Y13, Y6, Y6
+	VADDPD Y14, Y7, Y7
+	VADDPD Y15, Y8, Y8
+	VMULPD 288(DX), Y12, Y13
+	VMULPD 320(DX), Y12, Y14
+	VMULPD 352(DX), Y12, Y15
+	VADDPD Y13, Y9, Y9
+	VADDPD Y14, Y10, Y10
+	VADDPD Y15, Y11, Y11
+skip48:
+	ADDQ $8, SI
+	ADDQ BX, DX
+	DECQ CX
+	JNZ  loop48
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VMOVUPD Y8, 256(DI)
+	VMOVUPD Y9, 288(DI)
+	VMOVUPD Y10, 320(DI)
+	VMOVUPD Y11, 352(DI)
+	VZEROUPPER
+	RET
+
 // func mulAddBlock16(d, a, b *float64, k, stride int)
 //
 // d[0:16] += sum over kk with a[kk] != 0 of a[kk] * b[kk*stride : kk*stride+16].

@@ -6,4 +6,6 @@ package tensor
 // are never dispatched (useLaneKernels is false) and these stubs exist only
 // to satisfy the references.
 
-func matMulRowsLanes(r, m, o *Matrix, lo, hi int) { panic("tensor: matMulRowsLanes without AVX2") }
+func matMulRowsLanes(r, m, o *Matrix, lo, hi int)   { panic("tensor: matMulRowsLanes without AVX2") }
+func mulAddBlock16(d, a, b *float64, k, stride int) { panic("tensor: mulAddBlock16 without AVX2") }
+func mulAddBlock4(d, a, b *float64, k, stride int)  { panic("tensor: mulAddBlock4 without AVX2") }

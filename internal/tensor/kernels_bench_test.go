@@ -3,7 +3,9 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
 // Standalone kernel benchmarks: each blocked kernel against the reference
@@ -155,6 +157,75 @@ func benchKernelGridCell[T Float](b *testing.B, name string, rows, k, c int) {
 			for i := 0; i < b.N; i++ {
 				dst.Zero()
 				matMulRowRange(dst, m, o, 0, rows)
+			}
+		})
+	}
+}
+
+// rowBlocks16 is the float64 one-row dispatch without mulAddBlock48: each row
+// of r += m·o 16 columns at a time, then 4. It covers only the full-lane
+// columns; BenchmarkOneRowBlocks' widths are multiples of 4.
+func rowBlocks16(r, m, o *Matrix) {
+	k, n := o.Rows, o.Cols
+	for i := 0; i < m.Rows; i++ {
+		a, rRow := m.Row(i), r.Row(i)
+		j := 0
+		for ; j+16 <= n; j += 16 {
+			mulAddBlock16(&rRow[j], &a[0], &o.Data[j], k, n)
+		}
+		for ; j+packWidth <= n; j += packWidth {
+			mulAddBlock4(&rRow[j], &a[0], &o.Data[j], k, n)
+		}
+	}
+}
+
+// BenchmarkOneRowBlocks is the float64 one-row product's A/B: the 16-wide
+// dispatch (rowBlocks16) against the production one (matMulRows, which walks
+// 48, then 16, then 4 columns), alternated round by round in one process so
+// both sides see the same clock, cache and neighbours. Separate runs of the
+// same kernel on a shared host differ by more than the two kernels do. The
+// shapes are an LSTM step's recurrent product (108×432), a decoder cell's
+// (216×432), an L1-resident block (108×48) and an input projection (50×432).
+// Each side reports the median and quartiles of its rounds in picoseconds
+// per output cell and multiply-add; give it rounds with -benchtime, e.g.
+//
+//	go test -run '^$' -bench OneRowBlocks -benchtime 60x -cpu 1 ./internal/tensor
+func BenchmarkOneRowBlocks(b *testing.B) {
+	setLaneKernels(b, true)
+	for _, sh := range []struct{ k, n int }{{108, 432}, {216, 432}, {108, 48}, {50, 432}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.k, sh.n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(6))
+			m, o := benchMat(1, sh.k, 0, rng), benchMat(sh.k, sh.n, 0, rng)
+			dst := New(1, sh.n)
+			sides := []struct {
+				name string
+				run  func()
+			}{
+				{"w16", func() { rowBlocks16(dst, m, o) }},
+				{"prod", func() { matMulRows(dst, m, o, 0, 1) }},
+			}
+			cells := sh.k * sh.n
+			reps := 1 + (1<<20)/cells // ≈ 100 µs a round
+			ps := make([][]float64, len(sides))
+			for i := 0; i < b.N; i++ {
+				for s := range sides {
+					s = (s + i) % len(sides) // alternate which side goes first
+					start := time.Now()
+					for r := 0; r < reps; r++ {
+						sides[s].run()
+					}
+					ps[s] = append(ps[s], 1e3*float64(time.Since(start).Nanoseconds())/float64(reps*cells))
+				}
+			}
+			for s, side := range sides {
+				q := slices.Clone(ps[s])
+				slices.Sort(q)
+				for _, p := range []struct {
+					name string
+					at   float64
+				}{{"p25", 0.25}, {"p50", 0.5}, {"p75", 0.75}} {
+					b.ReportMetric(q[int(p.at*float64(len(q)-1))], side.name+"-"+p.name+"-ps/cell")
+				}
 			}
 		})
 	}

@@ -492,16 +492,29 @@ func runLanes64Case(c laneCase, seed int64) laneRun[float64] {
 // around the tile height plus two page lengths, inner dimensions from 1 to
 // the tag projection's 324, and output widths on every side of both vector
 // widths and both tile widths (all tail, one vector, half a tile, a tile,
-// a tile and a tail, the serving widths). Each shape runs dense — every
-// 4-row block takes the tile — and with ≈ 2 % planted ±0 and an all-zero
-// row, where float64 blocks fall back to the skipping row kernel; a few
-// shapes also run with non-finite operands.
+// a tile and a tail, the serving widths), and at the row counts around the
+// tile height one, two, three and five float64 one-row 48-blocks (at the
+// page lengths the serving widths reach those blocks already, and the
+// extra widths would add a quarter to the package's -race run). Each shape
+// runs dense — every 4-row block takes the tile — and with ≈ 2 % planted ±0
+// and an all-zero row, where float64 blocks fall back to the skipping row
+// kernel; a few shapes also run with non-finite operands.
+//
+// The float64 rows the tile leaves over, and its blocks that hold a zero,
+// take the one-row blocks, and the widths reach each of them:
+// mulAddBlock48 at 48, 89, 96, 108, 144, 279, 432 and 437; mulAddBlock16 at
+// 16, 17, 24, 89 and 279; mulAddBlock4 at 4, 7, 8, 9, 12, 24, 89, 108, 279
+// and 437; the masked tail at every width that is not a multiple of 4.
 func tileGridCases() []laneCase {
 	rows := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 64, 93}
 	var cases []laneCase
 	for _, r := range rows {
+		widths := []int{1, 3, 4, 7, 8, 9, 12, 16, 17, 24, 89, 108, 432, 437}
+		if r <= 13 {
+			widths = append(widths, 48, 96, 144, 279)
+		}
 		for _, k := range []int{1, 7, 50, 108, 217, 324} {
-			for _, n := range []int{1, 3, 4, 7, 8, 9, 12, 16, 17, 24, 89, 108, 432, 437} {
+			for _, n := range widths {
 				cases = append(cases, laneCase{r, k, n, 0, "normal"}, laneCase{r, k, n, 0.02, "normal"})
 				if k <= 50 && n <= 24 && r <= 13 {
 					cases = append(cases, laneCase{r, k, n, 0, "nonfinite"}, laneCase{r, k, n, 0.02, "nonfinite"})
@@ -513,12 +526,16 @@ func tileGridCases() []laneCase {
 }
 
 // lanes64Cases is the differential grid: kernelShapes, the serving shapes,
-// and every output width 1…35 (each combination of 16-lane blocks, 4-lane
-// blocks and masked tail), each with and without exact zeros, in every
-// flavour; then the register-tile grid.
+// and every output width 1…96, each with and without exact zeros, in every
+// flavour; then the register-tile grid. A row of width w runs
+// ⌊w/48⌋ mulAddBlock48s, then ⌊(w mod 48)/16⌋ mulAddBlock16s, then
+// ⌊(w mod 16)/4⌋ mulAddBlock4s, then the masked tail over w mod 4 columns,
+// so the sweep reaches every combination of zero, one or two 48-blocks with
+// zero to two 16-blocks, zero to three 4-blocks and a tail of zero to three
+// columns that fits in 96.
 func lanes64Cases() []laneCase {
 	shapes := append(append([]struct{ r, k, c int }{}, kernelShapes...), servingShapes...)
-	for w := 1; w <= 35; w++ {
+	for w := 1; w <= 96; w++ {
 		shapes = append(shapes, struct{ r, k, c int }{3, 7, w}, struct{ r, k, c int }{5, 9, w})
 	}
 	var cases []laneCase

@@ -190,14 +190,17 @@ func (m *MatrixOf[T]) Scale(s T) *MatrixOf[T] {
 // outweighs the work (typical matrices here are small).
 const parallelFlopThreshold = 1 << 18
 
+// rowWorkers is the number of goroutines parallelRows splits n rows across:
+// one per GOMAXPROCS, at most one per row.
+func rowWorkers(n int) int {
+	return min(runtime.GOMAXPROCS(0), n)
+}
+
 // parallelRows splits [0, n) into one chunk per worker and runs fn on each
 // chunk concurrently. Chunks are whole register tiles (a multiple of tileRows
 // rows), so only the last one can end in a ragged tile.
 func parallelRows(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := rowWorkers(n)
 	if workers <= 1 {
 		fn(0, n)
 		return

@@ -86,7 +86,12 @@ func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 
 // DecodeSnapshot reconstructs a model from EncodeSnapshot output. All
 // lengths and shapes are validated against the model the metadata
-// describes, so corrupted input errors rather than panicking.
+// describes, so corrupted input errors rather than panicking. The meta
+// section records no Config.Dropout or Config.Seed: both are training-only
+// (dropout runs only in Train mode, and the seed only draws the initial
+// parameters, which the params section replaces), so the decoded model
+// briefs exactly as the encoded one did, and trains, if trained further,
+// with dropout 0 and seed 1.
 func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 	s, err := snapshot.Decode(data)
 	if err != nil {

@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"webbrief/internal/nn"
 	"webbrief/internal/snapshot"
+	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
 )
 
@@ -135,6 +137,63 @@ func TestEncodeSnapshotRefusesNoMarkov(t *testing.T) {
 	m.Sec.NoMarkov = true
 	if _, err := EncodeSnapshot(m, v); err == nil || !strings.Contains(err.Error(), "NoMarkov") {
 		t.Fatalf("EncodeSnapshot of a NoMarkov model: error %v, want one naming NoMarkov", err)
+	}
+}
+
+// TestSnapshotTrainingOnlyOptions: the meta section records neither
+// Config.Dropout nor Config.Seed, because neither reaches an Eval forward:
+// dropout runs only in Train mode, and the seed only draws the initial
+// parameters, which the params section replaces. A model with the encoded
+// parameters briefs bit for bit as the decoded one (dropout 0, seed 1)
+// does, at every dropout rate and seed, on both tiers: folded and served in
+// batches, and on the per-instance heap-tape Forward that wb.Briefer runs.
+func TestSnapshotTrainingOnlyOptions(t *testing.T) {
+	m, v, insts := trainedTestModel(t)
+	data, err := EncodeSnapshot(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, _, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Cfg.Dropout != 0 || decoded.Cfg.Seed != 1 {
+		t.Fatalf("decoded model has dropout %v, seed %d; DecodeSnapshot documents 0 and 1", decoded.Cfg.Dropout, decoded.Cfg.Seed)
+	}
+	digests := func(m *JointWB) [4]string {
+		teacher, err := FoldForServing[float64](m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		student, err := FoldForServing[float32](m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		beam, tiers, unscored := m.Cfg.BeamSize, make([]int, len(insts)), make([]nn.Confidence, len(insts))
+		tb, tc := briefBatches[float64](teacher, insts, v, beam, 1)
+		sb, sc := briefBatches[float32](student, insts, v, beam, 1)
+		var th, sh []*Brief
+		for _, inst := range insts {
+			th = append(th, heapTapeBrief[float64](teacher, inst, v, beam))
+			sh = append(sh, heapTapeBrief[float32](student, inst, v, beam))
+		}
+		return [4]string{briefDigest(tb, tiers, tc), briefDigest(sb, tiers, sc),
+			briefDigest(th, tiers, unscored), briefDigest(sh, tiers, unscored)}
+	}
+	want := digests(decoded)
+	for _, dropout := range []float64{0, 0.2, 0.5} {
+		for _, seed := range []int64{1, 7} {
+			cfg := decoded.Cfg
+			cfg.Dropout, cfg.Seed = dropout, seed
+			enc := NewGloVeEncoder(tensor.New(v.Size(), m.Enc.Dim()))
+			variant := NewJointWB("Joint-WB", enc, v.Size(), cfg)
+			for i, p := range variant.Params() {
+				copy(p.Value.Data, decoded.Params()[i].Value.Data)
+			}
+			if got := digests(variant); got != want {
+				t.Errorf("dropout %v seed %d: briefs %v, decoded model's %v", dropout, seed, got, want)
+			}
+		}
 	}
 }
 

@@ -70,8 +70,8 @@ echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA bod
 GODEBUG=cpu.fma=off go test -run 'TestAct64|TestSoftmaxLanes|TestMatMulSplitKBitwise' ./internal/tensor
 GODEBUG=cpu.fma=off go test -run 'TestForwardCatMatchesConcat|TestBeamSearchBatchMatchesReference|TestServingGolden' ./internal/nn ./internal/wb
 
-echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x impl grid and the f64 exp/σ/tanh fn x n x impl grid, the beam prune's width x candidates x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
-go test -run '^$' -bench 'Kernels|Act64' -benchtime 1x ./internal/tensor >/dev/null
+echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x impl grid, the one-row blocks' in-process A/B and the f64 exp/σ/tanh fn x n x impl grid, the beam prune's width x candidates x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
+go test -run '^$' -bench 'Kernels|OneRowBlocks|Act64' -benchtime 1x ./internal/tensor >/dev/null
 go test -run '^$' -bench 'BeamPrune' -benchtime 1x ./internal/nn >/dev/null
 go test -run '^$' -bench 'CascadeTiers' -benchtime 1x ./internal/wb >/dev/null
 
