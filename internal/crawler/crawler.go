@@ -112,11 +112,11 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MaxPages: 2000, MinTextTokens: 30, MaxLinkRatio: 0.2,
-		FetchTimeout: 10 * time.Second,
-		Retries:      3,
-		BackoffBase:  10 * time.Millisecond,
-		BackoffMax:   2 * time.Second,
-		Seed:         1,
+		FetchTimeout:     10 * time.Second,
+		Retries:          3,
+		BackoffBase:      10 * time.Millisecond,
+		BackoffMax:       2 * time.Second,
+		Seed:             1,
 		BreakerThreshold: 5,
 		BreakerCooldown:  500 * time.Millisecond,
 	}

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/smoke-tables.golden.txt")
 
 // smokeSetup builds one shared smoke-scale setup for all tests in this
 // package (building it is the expensive part).
@@ -97,12 +102,21 @@ func TestAllIDsRunnable(t *testing.T) {
 
 // TestAllTablesSmoke runs every experiment at smoke scale and checks the
 // structural properties of each table. This is the integration test for the
-// whole reproduction stack (corpus → models → distillation → metrics).
+// whole reproduction stack (corpus → models → distillation → metrics). It
+// runs them as `wbexp -scale smoke` does — on a setup of its own, in AllIDs
+// order, since each model's seed is drawn from the setup in turn — and pins
+// the rendered tables, byte for byte, to testdata/smoke-tables.golden.txt:
+// a change to training, the corpus, evaluation or numerics that moves any
+// cell fails here. -update rewrites the file, for a change meant to move
+// cells.
 func TestAllTablesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline test")
 	}
-	s := getSmoke(t)
+	s, err := NewSetup(DefaultOptions(ScaleSmoke))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	t4, rows4 := s.Table4()
 	if len(rows4) != 4 || rows4[0].Method != "No Distill" || rows4[3].Method != "Dual-Distill" {
@@ -184,6 +198,31 @@ func TestAllTablesSmoke(t *testing.T) {
 		}
 	}
 	checkRendered(t, ts, "Dual-Distill")
+
+	var got bytes.Buffer
+	for _, tab := range []*Table{t4, t5, t6, t7, t8, t9, t10, tq, ts} {
+		got.WriteString(tab.String() + "\n")
+	}
+	for _, id := range AllIDs()[9:] { // names, hier and ablation: TestExtensionsSmoke checks their structure
+		tab, err := s.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(tab.String() + "\n")
+	}
+	const golden = "testdata/smoke-tables.golden.txt"
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("smoke tables moved from %s (rerun with -update if the change is meant to move them):\n%s", golden, got.Bytes())
+	}
 }
 
 func checkRendered(t *testing.T, tab *Table, mustContain string) {

@@ -1,8 +1,10 @@
 // Package metrics is the counter kit behind both /metrics documents
-// (internal/serve, internal/gateway). Its one type family is the exact
-// partition: a total and an ordered set of named outcome counters of which
-// every counted event ends in exactly one, so the outcomes sum to the total
-// once nothing is in flight.
+// (internal/serve, internal/gateway). It declares two kinds of exact
+// partition. A partition of counts (this file) is a total and an ordered set
+// of named outcome counters of which every counted event ends in exactly one,
+// so the outcomes sum to the total once nothing is in flight. A partition of
+// time (latency.go) is a total latency histogram and one histogram per named
+// stage, fed by one clock per request, so the stage sums equal the total's.
 //
 // A partition is declared once, at package level:
 //
@@ -26,7 +28,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 )
 
@@ -53,24 +54,30 @@ type Outcome[K any] struct {
 // after a Partition was built from the schema (that partition would have no
 // counter for it).
 func (s *Schema[K]) Outcome(key string) Outcome[K] {
-	if s.sealed.Load() {
-		panic(fmt.Sprintf("metrics: outcome %q declared after the partition was instantiated", key))
+	s.keys = declare("outcome", s.keys, key, s.sealed.Load())
+	return Outcome[K]{index: len(s.keys) - 1, key: key}
+}
+
+// declare appends a member's key to its declaration's keys, or panics on a
+// key a document cannot carry (see Schema.Outcome and Stages.Stage).
+func declare(kind string, keys []string, key string, sealed bool) []string {
+	if sealed {
+		panic(fmt.Sprintf("metrics: %s %q declared after the partition was instantiated", kind, key))
 	}
 	if key == "" {
-		panic("metrics: outcome with an empty key")
+		panic(fmt.Sprintf("metrics: %s with an empty key", kind))
 	}
 	for _, c := range []byte(key) {
 		if !(c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '_') {
-			panic(fmt.Sprintf("metrics: outcome key %q is not lower_snake ASCII", key))
+			panic(fmt.Sprintf("metrics: %s key %q is not lower_snake ASCII", kind, key))
 		}
 	}
-	for _, k := range s.keys {
+	for _, k := range keys {
 		if k == key {
-			panic(fmt.Sprintf("metrics: outcome key %q declared twice", key))
+			panic(fmt.Sprintf("metrics: %s key %q declared twice", kind, key))
 		}
 	}
-	s.keys = append(s.keys, key)
-	return Outcome[K]{index: len(s.keys) - 1, key: key}
+	return append(keys, key)
 }
 
 // Partition is one live instance of a schema: the total and one counter per
@@ -135,17 +142,11 @@ func (c Counts[K]) sum() int64 {
 
 // MarshalJSON renders the outcomes as one object, keys in declaration order.
 func (c Counts[K]) MarshalJSON() ([]byte, error) {
-	b := []byte{'{'}
-	for i, k := range c.keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '"')
-		b = append(b, k...)
-		b = append(b, '"', ':')
-		b = strconv.AppendInt(b, c.n[i], 10)
+	vals := make([]any, len(c.n))
+	for i, n := range c.n {
+		vals[i] = n
 	}
-	return append(b, '}'), nil
+	return object(c.keys, vals...)
 }
 
 // UnmarshalJSON reads an object of integer counters, keeping its key order.

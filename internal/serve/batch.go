@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webbrief/internal/metrics"
 	"webbrief/internal/wb"
 )
 
@@ -40,20 +41,24 @@ type batchItem struct {
 	// handler and its executor clears it takes it off (leaveQueue).
 	waiting atomic.Bool
 
-	// Executor-owned bookkeeping.
-	inst      *wb.Instance  // sents under the executing pool's vocabulary, built at the first checkout
-	queueWait time.Duration // enqueue → first replica checkout
-	instDur   time.Duration // first checkout → inst built
-	answered  bool
+	// Executor-owned bookkeeping. rec starts with a copy of the handler's
+	// clock, which the executor marks (checkout, ids, encode, decode).
+	inst     *wb.Instance // sents under the executing pool's vocabulary, built at the first checkout
+	rec      batchResult
+	answered bool
 
 	result chan batchResult // capacity 1; at most one send, guarded by answered
 }
 
-// batchResult carries the request's pipeline outcome back to its handler.
+// batchResult carries the request's pipeline outcome back to its handler,
+// with the executor's record of it: by value, so a handler that left on its
+// context shares no memory with a late executor.
 type batchResult struct {
-	o         pipelineOutcome
-	queueWait time.Duration
-	instDur   time.Duration
+	o     pipelineOutcome
+	clock metrics.Clock[serveStages]
+	batch int    // the size of the batch that briefed it
+	gen   int64  // the generation of the pool that briefed it
+	tier  string // the cascade tier that briefed it
 }
 
 // deliver sends the outcome to the waiting handler, at most once. Only the
@@ -65,7 +70,8 @@ func (it *batchItem) deliver(o pipelineOutcome) {
 		return
 	}
 	it.answered = true
-	it.result <- batchResult{o: o, queueWait: it.queueWait, instDur: it.instDur}
+	it.rec.o = o
+	it.result <- it.rec
 }
 
 // leaveQueue takes the item off queue_waiting exactly once: at its first
@@ -81,15 +87,14 @@ func (it *batchItem) leaveQueue(m *Metrics) {
 // dispatcher and wait for its outcome or the context. fill is the request's
 // cache-fill obligation (nil when caching is off or the request bypassed the
 // cache); shed and expired exits leave it to the caller's deferred abandon.
-// It returns what assigning the page's token ids took — the tail of the
-// request's parse stage, zero when no replica was reached.
-func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Context, sents [][]string, tokens int, fill *cacheFill) time.Duration {
+func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Context, sents [][]string, tokens int, fill *cacheFill) {
 	m := s.metrics
 	it := &batchItem{
 		ctx:      ctx,
 		sents:    sents,
 		tokens:   tokens,
 		enqueued: time.Now(),
+		rec:      batchResult{clock: lg.clock},
 		result:   make(chan batchResult, 1),
 	}
 	// Admission: take a slot or shed. Slots are held until the response, so
@@ -98,7 +103,7 @@ func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Con
 	case s.batchSlots <- struct{}{}:
 	default:
 		s.refuse(w, lg, Overload, http.StatusTooManyRequests, "briefing queue is full, retry later")
-		return 0
+		return
 	}
 	defer func() { <-s.batchSlots }()
 	m.Queued.Add(1)
@@ -111,21 +116,20 @@ func (s *Server) enqueue(w http.ResponseWriter, lg *accessEntry, ctx context.Con
 	// guaranteed to observe this request in Queued and wait for it.
 	if !s.ready.Load() {
 		s.refuse(w, lg, Draining, http.StatusServiceUnavailable, "server is draining")
-		return 0
+		return
 	}
 	// Cannot block: channel capacity equals the slot count.
 	s.batchCh <- it
 	select {
 	case res := <-it.result:
-		m.QueueWait.Observe(res.queueWait)
-		lg.QueueMS = roundMS(res.queueWait)
+		lg.clock, lg.Batch, lg.Gen, lg.Tier = res.clock, res.batch, res.gen, res.tier
 		s.respondOutcome(w, lg, res.o, fill)
-		return res.instDur
 	case <-ctx.Done():
 		// The scheduler skips or ctxErr-delivers expired items; this
-		// request's slot in a batch cannot poison its batchmates.
+		// request's slot in a batch cannot poison its batchmates. What it
+		// waited is queue_wait, wherever its batch had got to.
+		lg.clock.Mark(stageQueue)
 		s.failCtx(w, lg, ctx.Err())
-		return 0
 	}
 }
 
@@ -196,13 +200,13 @@ func (s *Server) formAndLaunch(first *batchItem) {
 func (s *Server) launch(pool *Pool, rep Replica, batch []*batchItem) {
 	m := s.metrics
 	m.BatchesTotal.Add(1)
-	m.BatchSize.observe(int64(len(batch)))
+	m.BatchSize.Observe(int64(len(batch)))
 	if len(batch) > 1 {
 		m.CoalescedRequests.Add(int64(len(batch)))
 	}
 	now := time.Now()
 	for _, it := range batch {
-		m.BatchWait.Observe(now.Sub(it.enqueued))
+		m.BatchWait.Observe(int64(now.Sub(it.enqueued)))
 	}
 	s.batchWG.Add(1)
 	go s.executeBatch(pool, rep, batch)
@@ -258,17 +262,24 @@ func (s *Server) executeBatch(pool *Pool, rep Replica, items []*batchItem) {
 				continue
 			}
 		}
-		// A member's first checkout ends its queue wait and assigns its token
-		// ids, under this pool's vocabulary; a retry reuses the instance, since
-		// retries stay on this pool. This is not a stage (runStage): it reads
-		// the shared vocabulary, nothing of rep's, so it cannot fault a replica.
+		// A checkout ends a queue_wait lap: a retry's holds the faulted
+		// attempt. The first checkout also assigns every member's token ids,
+		// under this pool's vocabulary, the second lap of its parse; a retry
+		// reuses the instances, since retries stay on this pool. This is not a
+		// stage (runStage): it reads the shared vocabulary, nothing of rep's,
+		// so it cannot fault a replica.
 		checkout := time.Now()
 		for _, it := range live {
+			it.rec.clock.MarkAt(stageQueue, checkout)
 			if it.inst == nil {
 				it.leaveQueue(m)
-				it.queueWait = checkout.Sub(it.enqueued)
 				it.inst = pool.instance(it.sents)
-				it.instDur = time.Since(checkout) // its batchmates' ids included: it waited for them
+			}
+		}
+		if attempt == 0 {
+			ids := time.Now()
+			for _, it := range live {
+				it.rec.clock.MarkAt(stageParse, ids) // its batchmates' ids included: it waited for them
 			}
 		}
 		m.InFlight.Add(int64(len(live)))
@@ -301,13 +312,13 @@ func (s *Server) executeBatch(pool *Pool, rep Replica, items []*batchItem) {
 }
 
 // runBatchOn briefs a batch on one replica: one batched encode and one
-// batched decode over the members' instances. Stage latencies are observed
-// once per member — each request did wait the whole stage — so stage sums are
-// wall-clock waits, not CPU time. A faulted stage observes nothing (its
-// duration is the fault's, not the pipeline's). Reports false when the replica
-// faulted (it is already ejected and must not be Put back, and the members
-// still count in in_flight); on true the replica is back in the pool and the
-// members are out of in_flight.
+// batched decode over the members' instances. A clean batch marks both
+// stages on every member's clock at the same two readings — each request did
+// wait the whole stage — so stage sums are wall-clock waits, not CPU time. A
+// faulted attempt marks nothing: its time goes to the retry's queue_wait lap.
+// Reports false when the replica faulted (it is already ejected and must not
+// be Put back, and the members still count in in_flight); on true the replica
+// is back in the pool and the members are out of in_flight.
 func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	m := s.metrics
 	insts := make([]*wb.Instance, len(items))
@@ -320,17 +331,21 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	// Deadlines are re-checked per member after decode instead.
 	var briefs []*wb.Brief
 	var decisions []wb.TierDecision
-	t1 := time.Now()
 	if !s.runStage(pool, rep, func() { briefs = rep.EncodeBatch(insts) }) {
 		return false
 	}
-	t2 := time.Now()
+	encoded := time.Now()
 	if !s.runStage(pool, rep, func() { decisions = rep.DecodeBatch(insts, briefs) }) {
 		return false
 	}
-	encodeDur, decodeDur := t2.Sub(t1), time.Since(t2)
+	decoded := time.Now()
+	for _, it := range items {
+		it.rec.clock.MarkAt(stageEncode, encoded)
+		it.rec.clock.MarkAt(stageDecode, decoded)
+		it.rec.batch, it.rec.gen = len(items), pool.gen.Load()
+	}
 	if s.cfg.Cascade {
-		s.observeCascade(decisions)
+		s.observeCascade(items, decisions)
 	}
 	// The replica goes back, and the members leave in_flight, before any
 	// member is answered, so a client that has its response can count on the
@@ -340,8 +355,6 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	m.InFlight.Add(-int64(len(items)))
 
 	for i, it := range items {
-		m.Encode.Observe(encodeDur)
-		m.Decode.Observe(decodeDur)
 		if err := it.ctx.Err(); err != nil {
 			it.deliver(pipelineOutcome{ctxErr: err})
 			continue

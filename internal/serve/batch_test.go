@@ -234,9 +234,9 @@ func TestIdleReplicaTakesRequestAlone(t *testing.T) {
 			t.Fatalf("request got %d", s)
 		}
 	}
-	if ms.BatchSize.sum.Load() != 2 || ms.CoalescedRequests.Load() != 0 {
+	if ms.BatchSize.Snapshot().Sum != 2 || ms.CoalescedRequests.Load() != 0 {
 		t.Fatalf("batch_size.sum=%d coalesced=%d, want 2/0 (two batches of one)",
-			ms.BatchSize.sum.Load(), ms.CoalescedRequests.Load())
+			ms.BatchSize.Snapshot().Sum, ms.CoalescedRequests.Load())
 	}
 }
 
@@ -381,9 +381,9 @@ func TestOneForwardPerBriefing(t *testing.T) {
 				}
 			}
 			ms := srv.metrics
-			if ms.BatchesTotal.Load() != 3 || ms.BatchSize.sum.Load() != 3 {
+			if ms.BatchesTotal.Load() != 3 || ms.BatchSize.Snapshot().Sum != 3 {
 				t.Fatalf("batches_total=%d batch_size.sum=%d, want 3/3 (an idle server answers each lone request as a batch of one)",
-					ms.BatchesTotal.Load(), ms.BatchSize.sum.Load())
+					ms.BatchesTotal.Load(), ms.BatchSize.Snapshot().Sum)
 			}
 		})
 	}

@@ -106,7 +106,6 @@ type rawLookup struct {
 	// fill — lives in one generation's namespace.
 	gen    int64
 	rawKey briefcache.Key
-	start  time.Time // cache-hit latency runs from here
 }
 
 // cacheServeRaw is level 1 of the cache stage, keyed on the raw bytes:
@@ -120,17 +119,17 @@ func (s *Server) cacheServeRaw(w http.ResponseWriter, lg *accessEntry, r *http.R
 	if !c.Admit(domain) {
 		return rawLookup{}, false
 	}
-	lk := rawLookup{consult: true, domain: domain, gen: s.generation.Load(), start: time.Now()}
+	lk := rawLookup{consult: true, domain: domain, gen: s.generation.Load()}
 	lk.rawKey = genKey(lk.gen, body)
-	if out, ok := c.LookupRaw(lk.rawKey); ok {
+	out, ok := c.LookupRaw(lk.rawKey)
+	lg.clock.Mark(stageCache)
+	if ok {
 		m.CacheLookups.Begin()
 		m.CacheLookups.End(CacheHits)
 		lg.Cache = cacheRawHit
 		s.writeBrief(w, lg, out)
-		m.CacheHitLatency.Observe(time.Since(lk.start))
-		return lk, true
 	}
-	return lk, false
+	return lk, ok
 }
 
 // cacheServe runs the rest of the cache stage for a request level 1 missed,
@@ -143,17 +142,20 @@ func (s *Server) cacheServeRaw(w http.ResponseWriter, lg *accessEntry, r *http.R
 func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.Context, visible string, lk rawLookup) (*cacheFill, bool) {
 	c := s.cache
 	m := s.metrics
-	domain, gen, rawKey, start := lk.domain, lk.gen, lk.rawKey, lk.start
+	domain, gen, rawKey := lk.domain, lk.gen, lk.rawKey
 
-	// Level 2: rendered visible text.
+	// Level 2: rendered visible text. What this stage does before it answers
+	// or hands on is the cache stage's second lap (a coalesced wait's laps
+	// add to it); writing the answer is the reply's.
 	contentKey := genKey(gen, []byte(visible))
-	if out, ok := c.Lookup(contentKey); ok {
+	out, ok := c.Lookup(contentKey)
+	lg.clock.Mark(stageCache)
+	if ok {
 		m.CacheLookups.Begin()
 		m.CacheLookups.End(CacheHits)
 		lg.Cache = cacheContentHit
 		c.Alias(rawKey, contentKey) // next identical post skips the parse
 		s.writeBrief(w, lg, out)
-		m.CacheHitLatency.Observe(time.Since(start))
 		return nil, true
 	}
 
@@ -169,6 +171,7 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 				m.CacheLookups.End(CacheMisses)
 				lg.Cache = cacheMiss
 			}
+			lg.clock.Mark(stageCache)
 			return &cacheFill{flight: f, content: contentKey, raw: rawKey, ttl: c.TTLFor(domain)}, false
 		}
 		if !counted {
@@ -177,6 +180,7 @@ func (s *Server) cacheServe(w http.ResponseWriter, lg *accessEntry, ctx context.
 			counted = true
 		}
 		v, abandoned, err := f.Wait(ctx)
+		lg.clock.Mark(stageCache)
 		if err != nil {
 			s.failCtx(w, lg, err)
 			return nil, true

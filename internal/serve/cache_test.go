@@ -98,7 +98,7 @@ func TestCacheHitMissByteIdentical(t *testing.T) {
 			totalOf(ms.CacheLookups), countOf(ms.CacheLookups, CacheHits), countOf(ms.CacheLookups, CacheMisses), countOf(ms.CacheLookups, CacheCoalesced),
 			3*n, 2*n, n)
 	}
-	if got := ms.CacheHitLatency.count.Load(); got != 2*n {
+	if got := ms.CacheHitLatency.Snapshot().Count; got != 2*n {
 		t.Fatalf("hit latency histogram count=%d, want %d", got, 2*n)
 	}
 	if countOf(ms.Requests, OK) != 3*n || totalOf(ms.Requests) != 3*n {
@@ -563,6 +563,7 @@ func TestChaosServeCachedSoak(t *testing.T) {
 	if countOf(ms.CacheLookups, CacheMisses) != allRequests-cachedPosts.Load() {
 		t.Fatalf("misses=%d, want %d", countOf(ms.CacheLookups, CacheMisses), allRequests-cachedPosts.Load())
 	}
+	checkPartitionAtRest(t, ms)
 	if srv.cache.Evictions() != 0 {
 		t.Fatalf("soak evicted %d entries from an underfull cache", srv.cache.Evictions())
 	}

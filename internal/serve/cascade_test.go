@@ -84,10 +84,10 @@ func TestCascadeNeverEscalates(t *testing.T) {
 	if got := countOf(m.CascadeRequests, CascadeTeacher); got != 0 {
 		t.Fatalf("teacher tier answered %d with escalation disabled", got)
 	}
-	if got := m.StudentLatency.count.Load(); got != n {
+	if got := m.StudentLatency.Snapshot().Count; got != n {
 		t.Fatalf("student latency histogram has %d observations, want %d", got, n)
 	}
-	if got := m.TeacherLatency.count.Load(); got != 0 {
+	if got := m.TeacherLatency.Snapshot().Count; got != 0 {
 		t.Fatalf("teacher latency histogram has %d observations, want 0", got)
 	}
 	if got := m.CoalescedRequests.Load(); got != int64(len(pages)) {
@@ -128,7 +128,7 @@ func TestCascadeAlwaysEscalates(t *testing.T) {
 	if got := countOf(m.CascadeRequests, CascadeStudent); got != 0 {
 		t.Fatalf("student tier answered %d with forced escalation", got)
 	}
-	if got := m.TeacherLatency.count.Load(); got != n {
+	if got := m.TeacherLatency.Snapshot().Count; got != n {
 		t.Fatalf("teacher latency histogram has %d observations, want %d", got, n)
 	}
 	if got := m.CoalescedRequests.Load(); got != int64(len(pages)) {

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -444,8 +447,8 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 					t.Fatalf("batches=%d coalesced=0 with %d clients saturating 3 replicas", ms.BatchesTotal.Load(), sc.clients)
 				}
 			}
-			if ms.BatchSize.sum.Load() != total {
-				t.Fatalf("batch_size.sum=%d, want %d (every request dispatched in exactly one batch)", ms.BatchSize.sum.Load(), total)
+			if ms.BatchSize.Snapshot().Sum != total {
+				t.Fatalf("batch_size.sum=%d, want %d (every request dispatched in exactly one batch)", ms.BatchSize.Snapshot().Sum, total)
 			}
 
 			// Quiesce: the prober returns the faulted replica to rotation, so
@@ -458,6 +461,7 @@ func TestChaosServeSoakFaultedReplica(t *testing.T) {
 			if ms.InFlight.Load() != 0 || ms.Queued.Load() != 0 {
 				t.Fatalf("residual in_flight=%d queued=%d", ms.InFlight.Load(), ms.Queued.Load())
 			}
+			checkPartitionAtRest(t, ms)
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			if err := srv.drain(ctx); err != nil {
@@ -487,9 +491,13 @@ func (r *encodeSizes) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
 // like any other. A batch that forms behind the busy pool reaches the inner
 // replica as ONE fused encode of the batch's size, not member by member, and
 // every OK briefing lands in cascade_requests_total with the tier split
-// exact, whichever way each page's confidence fell.
+// exact, whichever way each page's confidence fell. The access log reads the
+// same record: its lines split by tier as cascade.tiers does, and each line's
+// stages add up to its total.
 func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
-	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 1, BatchMax: 4}, 0.5)
+	var accessLog bytes.Buffer
+	const batchMax = 4
+	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 1, BatchMax: batchMax, AccessLog: &accessLog}, 0.5)
 	var inner *encodeSizes
 	quiet := fault.NewSchedule(fault.Config{Seed: 1, Rate: 0})
 	if err := srv.Pool().WrapOne(func(r Replica) Replica {
@@ -519,11 +527,41 @@ func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
 		t.Fatalf("cascade_requests_total=%d (student %d + teacher %d), responses.ok=%d, want all %d",
 			totalOf(m.CascadeRequests), student, teacher, ok, n)
 	}
-	if got := m.StudentLatency.count.Load(); got != ok {
+	if got := m.StudentLatency.Snapshot().Count; got != ok {
 		t.Fatalf("student latency histogram has %d observations, want %d", got, ok)
 	}
-	if got := m.TeacherLatency.count.Load(); got != teacher {
+	if got := m.TeacherLatency.Snapshot().Count; got != teacher {
 		t.Fatalf("teacher latency histogram has %d observations, want %d", got, teacher)
+	}
+
+	lines := bytes.Split(bytes.TrimSpace(accessLog.Bytes()), []byte("\n"))
+	tiers := map[string]int64{}
+	for _, line := range lines {
+		var e struct {
+			Tier     string             `json:"tier"`
+			Batch    int                `json:"batch"`
+			Gen      int64              `json:"gen"`
+			StagesMS map[string]float64 `json:"stages_ms"`
+			TotalMS  float64            `json:"total_ms"`
+		}
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("access line %s: %v", line, err)
+		}
+		tiers[e.Tier]++
+		if e.Batch < 1 || e.Batch > batchMax || e.Gen != 1 {
+			t.Errorf("access line %s: batch %d outside [1, %d] or generation %d, not 1", line, e.Batch, batchMax, e.Gen)
+		}
+		// Each stage and the total are truncated to the microsecond.
+		var sum float64
+		for _, ms := range e.StagesMS {
+			sum += ms
+		}
+		if math.Abs(sum-e.TotalMS) > 0.001*float64(len(e.StagesMS))+1e-9 {
+			t.Errorf("access line %s: stages sum to %.3f ms, total_ms %.3f", line, sum, e.TotalMS)
+		}
+	}
+	if int64(len(lines)) != ok || tiers["student"] != student || tiers["teacher"] != teacher {
+		t.Fatalf("access log: %d lines split by tier %v, want %d lines, student %d, teacher %d", len(lines), tiers, ok, student, teacher)
 	}
 }
 

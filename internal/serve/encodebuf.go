@@ -12,8 +12,9 @@ import (
 // same trailing newline the old Marshal-then-append path produced, so the
 // bytes on the wire are unchanged.
 type encodeBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf    bytes.Buffer
+	enc    *json.Encoder
+	stages []byte // an access line's stages_ms object
 }
 
 var encodeBufPool = sync.Pool{New: func() any {

@@ -120,17 +120,21 @@ func (s *Server) probeLoop(pool *Pool, rep Replica) {
 }
 
 // observeCascade folds a batch's tier decisions into the cascade counters
-// and histograms: the first tier is the student, any later one the teacher.
-// Called only on a cascade server and only after a clean decode stage: a
-// faulted briefing never counts toward either tier.
-func (s *Server) observeCascade(decisions []wb.TierDecision) {
+// and histograms, and names each member's tier: the first tier is the
+// student, any later one the teacher. A member's student time comes from the
+// marks on its clock, encode + decode less the batch's escalation. Called
+// only on a cascade server and only after a clean decode stage: a faulted
+// briefing never counts toward either tier.
+func (s *Server) observeCascade(items []*batchItem, decisions []wb.TierDecision) {
 	m := s.metrics
-	for _, d := range decisions {
+	for i, d := range decisions {
+		it := items[i]
 		m.CascadeRequests.Begin()
-		m.StudentLatency.Observe(d.Spent[0])
-		if d.Tier > 0 {
+		m.StudentLatency.Observe(int64(it.rec.clock.Lap(stageEncode) + it.rec.clock.Lap(stageDecode) - d.Escalation))
+		if it.rec.tier = "student"; d.Tier > 0 {
+			it.rec.tier = "teacher"
 			m.CascadeRequests.End(CascadeTeacher)
-			m.TeacherLatency.Observe(d.Spent[d.Tier])
+			m.TeacherLatency.Observe(int64(d.Escalation))
 		} else {
 			m.CascadeRequests.End(CascadeStudent)
 		}

@@ -134,15 +134,16 @@ func TestServeLoadSoak(t *testing.T) {
 	// residual depth once the storm is over: an executor answers its batch
 	// before it gives back the batch's in_flight count, so the last client can
 	// finish first, and the check waits for the executor.
-	for name, h := range map[string]*histogram{"encode": &ms.Encode, "decode": &ms.Decode} {
-		if h.count.Load() != countOf(ms.Requests, OK) {
-			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), countOf(ms.Requests, OK))
+	for _, name := range []string{"encode", "decode"} {
+		if n := stageOf(ms, name).Count; n != countOf(ms.Requests, OK) {
+			t.Fatalf("%s histogram count=%d, want %d", name, n, countOf(ms.Requests, OK))
 		}
 	}
-	if got := ms.Parse.count.Load(); got != totalOf(ms.Requests) {
+	if got := stageOf(ms, "parse").Count; got != totalOf(ms.Requests) {
 		t.Fatalf("parse histogram count=%d, want %d (one per request)", got, totalOf(ms.Requests))
 	}
 	waitCond(t, "no residual queued or in-flight request", func() bool { return ms.Queued.Load() == 0 && ms.InFlight.Load() == 0 })
+	checkPartitionAtRest(t, ms)
 
 	// The /metrics endpoint agrees with the in-process counters.
 	resp, err := http.Get(ts.URL + "/metrics")

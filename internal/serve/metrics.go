@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync/atomic"
-	"time"
 
 	"webbrief/internal/briefcache"
 	"webbrief/internal/metrics"
@@ -12,8 +11,8 @@ import (
 // keep observation lock-free (a few atomic adds) and make /metrics output
 // directly comparable across runs.
 var (
-	// latencyBucketsNS: request and stage latencies, 0.5ms–1s (rendered in
-	// milliseconds).
+	// latencyBucketsNS: request and model-stage latencies, 0.5ms–1s
+	// (rendered in milliseconds).
 	latencyBucketsNS = []int64{
 		500_000, 1_000_000, 2_000_000, 5_000_000,
 		10_000_000, 20_000_000, 50_000_000, 100_000_000,
@@ -27,10 +26,10 @@ var (
 		1_000_000, 2_000_000, 5_000_000, 10_000_000,
 		20_000_000, 50_000_000, 100_000_000,
 	}
-	// cacheHitBucketsNS: cache-hit latencies, 1µs–10ms. A hit is one or two
-	// SHA-256s plus a locked map probe, an order of magnitude below
-	// even the batch-wait scale.
-	cacheHitBucketsNS = []int64{
+	// fastBucketsNS: cache hits and the handler's own stages, 1µs–10ms. A
+	// hit is one or two SHA-256s plus a locked map probe, an order of
+	// magnitude below even the batch-wait scale.
+	fastBucketsNS = []int64{
 		1_000, 2_000, 5_000, 10_000,
 		20_000, 50_000, 100_000, 200_000,
 		500_000, 1_000_000, 10_000_000,
@@ -39,84 +38,26 @@ var (
 	batchSizeBuckets = []int64{1, 2, 3, 4, 6, 8, 12, 16}
 )
 
-// histogram is a fixed-bucket histogram over int64 values (nanoseconds for
-// the duration histograms, a count for the size histogram), safe for
-// concurrent observation. counts has one slot per bound plus a trailing
-// overflow slot for values above the last bound.
-type histogram struct {
-	bounds []int64
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
-}
+// serveStages tags latency_ms: a request's time from handler entry to its
+// reply written, partitioned by the stages of its path (DESIGN §3). Each
+// request carries one metrics.Clock in its accessEntry; the batchItem takes
+// it to the executor and the batchResult brings it back by value, and finish
+// observes it once. The stages are listed in document order; a request
+// passes them as read, cache, parse, cache, queue_wait, parse, encode,
+// decode, reply.
+type serveStages struct{}
 
-func newHistogram(bounds []int64) histogram {
-	return histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-}
+var stages = metrics.NewStages[serveStages](metrics.Millis, latencyBucketsNS)
 
-func (h *histogram) observe(v int64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// Observe records one duration.
-func (h *histogram) Observe(d time.Duration) { h.observe(d.Nanoseconds()) }
-
-func (h *histogram) loadCounts() []int64 {
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
-
-// The three /metrics renderings of a histogram. Counts always has one extra
-// trailing slot: observations above the last bucket bound.
-
-// histogramSnapshot renders a duration histogram in milliseconds.
-type histogramSnapshot struct {
-	BucketsMS []float64 `json:"buckets_ms"`
-	Counts    []int64   `json:"counts"`
-	Count     int64     `json:"count"`
-	SumMS     float64   `json:"sum_ms"`
-}
-
-func (h *histogram) snapshotMS() histogramSnapshot {
-	ms := make([]float64, len(h.bounds))
-	for i, b := range h.bounds {
-		ms[i] = float64(b) / 1e6
-	}
-	return histogramSnapshot{ms, h.loadCounts(), h.count.Load(), float64(h.sum.Load()) / 1e6}
-}
-
-// nsHistogramSnapshot renders a duration histogram in nanoseconds.
-type nsHistogramSnapshot struct {
-	BucketsNS []int64 `json:"buckets_ns"`
-	Counts    []int64 `json:"counts"`
-	Count     int64   `json:"count"`
-	SumNS     int64   `json:"sum_ns"`
-}
-
-func (h *histogram) snapshotNS() nsHistogramSnapshot {
-	return nsHistogramSnapshot{h.bounds, h.loadCounts(), h.count.Load(), h.sum.Load()}
-}
-
-// sizeHistogramSnapshot renders a histogram over small integer sizes.
-type sizeHistogramSnapshot struct {
-	Buckets []int64 `json:"buckets"`
-	Counts  []int64 `json:"counts"`
-	Count   int64   `json:"count"`
-	Sum     int64   `json:"sum"`
-}
-
-func (h *histogram) snapshotSize() sizeHistogramSnapshot {
-	return sizeHistogramSnapshot{h.bounds, h.loadCounts(), h.count.Load(), h.sum.Load()}
-}
+var (
+	stageRead   = stages.Stage("read", fastBucketsNS)          // handler entry → body read
+	stageCache  = stages.Stage("cache", fastBucketsNS)         // both cache levels' lookups and a coalesced request's flight wait
+	stageQueue  = stages.Stage("queue_wait", latencyBucketsNS) // admission → the checkout that answered; also a faulted attempt, and the wait of a request that leaves first
+	stageParse  = stages.Stage("parse", latencyBucketsNS)      // HTML → sentences in the handler, then the batch's token ids at its first checkout
+	stageEncode = stages.Stage("encode", latencyBucketsNS)     // eval forward → attributes + sections
+	stageDecode = stages.Stage("decode", latencyBucketsNS)     // beam-search topic generation, escalations included
+	stageReply  = stages.Stage("reply", fastBucketsNS)         // the outcome → its response written
+)
 
 // The three exact partitions of the serving tier's /metrics, each declared
 // once, here: an Outcome line is an outcome's counter, its JSON key and its
@@ -183,27 +124,24 @@ type Metrics struct {
 	Stalls  atomic.Int64 // replica stage stalls caught by the watchdog
 	Retries atomic.Int64 // requests re-run on another replica (retries_total)
 
-	QueueWait histogram // time from admission to replica checkout
-	Parse     histogram // HTML → instance
-	Encode    histogram // eval forward → attributes + sections
-	Decode    histogram // beam-search topic generation
-	Total     histogram // handler entry → response written
+	// Latency is latency_ms: every request's clock, observed once (finish).
+	Latency *metrics.Latency[serveStages]
 
 	// Batching counters: every request that reaches a replica does so in a
 	// batch (of one when a replica was idle). They partition batches, not
 	// requests: the requests_total outcome partition above stays exact
 	// because every batched request still ends in exactly one per-request
 	// outcome.
-	BatchesTotal      atomic.Int64 // batches dispatched (batches_total)
-	CoalescedRequests atomic.Int64 // requests served in batches of size ≥ 2
-	BatchSize         histogram    // requests per dispatched batch (batchSizeBuckets)
-	BatchWait         histogram    // enqueue → batch dispatch, per request (batchWaitBucketsNS)
+	BatchesTotal      atomic.Int64       // batches dispatched (batches_total)
+	CoalescedRequests atomic.Int64       // requests served in batches of size ≥ 2
+	BatchSize         *metrics.Histogram // requests per dispatched batch
+	BatchWait         *metrics.Histogram // enqueue → batch dispatch, per request: it overlaps queue_wait, so it stands outside the partition
 
 	// CacheLookups counts every request that consulted the cache, populated
 	// only when the briefing cache is enabled. Evictions live on the cache
 	// itself and are read at snapshot time.
 	CacheLookups    *metrics.Partition[cacheLookupsTotal]
-	CacheHitLatency histogram // lookup start → hit response written (cacheHitBucketsNS)
+	CacheHitLatency *metrics.Histogram // body read → hit response written
 
 	// CascadeRequests counts every briefing routed through the cascade,
 	// populated only when the server runs the float32 student cascade
@@ -211,26 +149,22 @@ type Metrics struct {
 	// briefing observes a student latency; only escalations observe a
 	// teacher latency on top.
 	CascadeRequests *metrics.Partition[cascadeRequestsTotal]
-	StudentLatency  histogram // student encode+decode wall time, per briefing
-	TeacherLatency  histogram // teacher re-brief wall time, per escalation
+	StudentLatency  *metrics.Histogram // encode + decode less escalation, per briefing
+	TeacherLatency  *metrics.Histogram // teacher re-brief wall time, per escalation
 }
 
 // newMetrics returns zeroed counters with every histogram on its scale.
 func newMetrics() *Metrics {
 	return &Metrics{
 		Requests:        requestOutcomes.New(),
-		QueueWait:       newHistogram(latencyBucketsNS),
-		Parse:           newHistogram(latencyBucketsNS),
-		Encode:          newHistogram(latencyBucketsNS),
-		Decode:          newHistogram(latencyBucketsNS),
-		Total:           newHistogram(latencyBucketsNS),
-		BatchSize:       newHistogram(batchSizeBuckets),
-		BatchWait:       newHistogram(batchWaitBucketsNS),
+		Latency:         stages.New(),
+		BatchSize:       metrics.NewHistogram(metrics.Plain, batchSizeBuckets),
+		BatchWait:       metrics.NewHistogram(metrics.Nanos, batchWaitBucketsNS),
 		CacheLookups:    cacheOutcomes.New(),
-		CacheHitLatency: newHistogram(cacheHitBucketsNS),
+		CacheHitLatency: metrics.NewHistogram(metrics.Nanos, fastBucketsNS),
 		CascadeRequests: cascadeOutcomes.New(),
-		StudentLatency:  newHistogram(latencyBucketsNS),
-		TeacherLatency:  newHistogram(latencyBucketsNS),
+		StudentLatency:  metrics.NewHistogram(metrics.Millis, latencyBucketsNS),
+		TeacherLatency:  metrics.NewHistogram(metrics.Millis, latencyBucketsNS),
 	}
 }
 
@@ -257,19 +191,13 @@ type metricsSnapshot struct {
 			HalfOpen int `json:"half_open"`
 		} `json:"breaker_state"`
 	} `json:"pool"`
-	LatencyMS struct {
-		QueueWait histogramSnapshot `json:"queue_wait"`
-		Parse     histogramSnapshot `json:"parse"`
-		Encode    histogramSnapshot `json:"encode"`
-		Decode    histogramSnapshot `json:"decode"`
-		Total     histogramSnapshot `json:"total"`
-	} `json:"latency_ms"`
-	Batching struct {
-		Enabled                bool                  `json:"enabled"`
-		BatchesTotal           int64                 `json:"batches_total"`
-		CoalescedRequestsTotal int64                 `json:"coalesced_requests_total"`
-		BatchSize              sizeHistogramSnapshot `json:"batch_size"`
-		BatchWaitNS            nsHistogramSnapshot   `json:"batch_wait_ns"`
+	LatencyMS *metrics.Latency[serveStages] `json:"latency_ms"`
+	Batching  struct {
+		Enabled                bool                      `json:"enabled"`
+		BatchesTotal           int64                     `json:"batches_total"`
+		CoalescedRequestsTotal int64                     `json:"coalesced_requests_total"`
+		BatchSize              metrics.HistogramSnapshot `json:"batch_size"`
+		BatchWaitNS            metrics.HistogramSnapshot `json:"batch_wait_ns"`
 	} `json:"batching"`
 	Cache struct {
 		Enabled       bool                              `json:"enabled"`
@@ -277,7 +205,7 @@ type metricsSnapshot struct {
 		CacheOutcomes metrics.Counts[cacheLookupsTotal] `json:"outcomes"`
 		Evictions     int64                             `json:"cache_evictions_total"`
 		Entries       int                               `json:"entries"`
-		HitLatencyNS  nsHistogramSnapshot               `json:"hit_latency_ns"`
+		HitLatencyNS  metrics.HistogramSnapshot         `json:"hit_latency_ns"`
 	} `json:"cache"`
 	Cascade struct {
 		Enabled             bool                                 `json:"enabled"`
@@ -286,8 +214,8 @@ type metricsSnapshot struct {
 		CascadeTiers        metrics.Counts[cascadeRequestsTotal] `json:"tiers"`
 		EscalationRate      float64                              `json:"escalation_rate"`
 		LatencyMS           struct {
-			Student histogramSnapshot `json:"student"`
-			Teacher histogramSnapshot `json:"teacher"`
+			Student metrics.HistogramSnapshot `json:"student"`
+			Teacher metrics.HistogramSnapshot `json:"teacher"`
 		} `json:"latency_ms"`
 	} `json:"cascade"`
 	Reload struct {
@@ -317,23 +245,19 @@ func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, th
 	bs := &s.Pool.BreakerState
 	bs.Closed, bs.Open, bs.HalfOpen = pool.BreakerStates()
 	s.Pool.ReplicasHealthy = bs.Closed
-	s.LatencyMS.QueueWait = m.QueueWait.snapshotMS()
-	s.LatencyMS.Parse = m.Parse.snapshotMS()
-	s.LatencyMS.Encode = m.Encode.snapshotMS()
-	s.LatencyMS.Decode = m.Decode.snapshotMS()
-	s.LatencyMS.Total = m.Total.snapshotMS()
+	s.LatencyMS = m.Latency
 	s.Batching.Enabled = true // kept for scrapers: the scheduler is the only path
 	s.Batching.BatchesTotal = m.BatchesTotal.Load()
 	s.Batching.CoalescedRequestsTotal = m.CoalescedRequests.Load()
-	s.Batching.BatchSize = m.BatchSize.snapshotSize()
-	s.Batching.BatchWaitNS = m.BatchWait.snapshotNS()
+	s.Batching.BatchSize = m.BatchSize.Snapshot()
+	s.Batching.BatchWaitNS = m.BatchWait.Snapshot()
 	s.Cache.Enabled = cache != nil
 	s.Cache.CacheLookups, s.Cache.CacheOutcomes = m.CacheLookups.Snapshot()
 	if cache != nil {
 		s.Cache.Evictions = cache.Evictions()
 		s.Cache.Entries = cache.Len()
 	}
-	s.Cache.HitLatencyNS = m.CacheHitLatency.snapshotNS()
+	s.Cache.HitLatencyNS = m.CacheHitLatency.Snapshot()
 	s.Cascade.Enabled = cascade
 	if cascade {
 		s.Cascade.ConfidenceThreshold = threshold
@@ -342,8 +266,8 @@ func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, th
 	if total := s.Cascade.CascadeRequests; total > 0 {
 		s.Cascade.EscalationRate = float64(s.Cascade.CascadeTiers.Get(CascadeTeacher)) / float64(total)
 	}
-	s.Cascade.LatencyMS.Student = m.StudentLatency.snapshotMS()
-	s.Cascade.LatencyMS.Teacher = m.TeacherLatency.snapshotMS()
+	s.Cascade.LatencyMS.Student = m.StudentLatency.Snapshot()
+	s.Cascade.LatencyMS.Teacher = m.TeacherLatency.Snapshot()
 	s.Reload.Generation = gen
 	s.Reload.ReloadsTotal = reloads
 	return s

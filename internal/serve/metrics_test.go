@@ -39,6 +39,39 @@ func sumCounts[K any](c metrics.Counts[K]) int64 {
 	return sum
 }
 
+// stageOf is one latency_ms stage ("total" included) of m, by its key.
+func stageOf(m *Metrics, key string) metrics.HistogramSnapshot {
+	l := m.Latency
+	for i, k := range l.Keys {
+		if k == key {
+			return l.Stages[i].Snapshot()
+		}
+	}
+	if key != "total" {
+		panic("no latency stage " + key)
+	}
+	return l.Total.Snapshot()
+}
+
+// checkPartitionAtRest: once every request's clock is observed (the total
+// is the last histogram a clock feeds, after the reply is written), latency_ms
+// is an exact partition of time, read in nanoseconds from the live
+// histograms rather than the rounded document: the stage sums add up to the
+// total's sum.
+func checkPartitionAtRest(t *testing.T, m *Metrics) {
+	t.Helper()
+	waitCond(t, "latency_ms.total.count to reach requests_total", func() bool {
+		return stageOf(m, "total").Count == totalOf(m.Requests)
+	})
+	var staged int64
+	for _, h := range m.Latency.Stages {
+		staged += h.Snapshot().Sum
+	}
+	if total := m.Latency.Total.Snapshot().Sum; staged != total || total <= 0 {
+		t.Fatalf("latency_ms stages sum to %d ns, total to %d ns: not a partition of a positive time", staged, total)
+	}
+}
+
 // TestMetricsZeroDocumentGolden pins the /metrics document of a fresh
 // one-replica server byte for byte: key names, nesting, order and bucket
 // bounds. Scrapers (bench/wbload fails a run on a missing key) read these

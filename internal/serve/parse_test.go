@@ -211,7 +211,7 @@ func TestOneParsePerRequest(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	ms := srv.metrics
-	parses := func() int64 { return ms.Parse.count.Load() }
+	parses := func() int64 { return stageOf(ms, "parse").Count }
 
 	// A herd of three on one cold page: a winner and two coalesced waiters.
 	const page = "<p>parsed once per request</p>"

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"webbrief/internal/breaker"
@@ -132,40 +133,29 @@ func (t *tierOf[T]) brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Confidence) {
 type modelReplica struct {
 	tiers     []tier
 	threshold float64 // escalate when confidence score < threshold
-
-	decisions []wb.TierDecision // the batch's report, begun at EncodeBatch
 }
 
 // EncodeBatch implements Replica: one fused Eval forward for the whole batch
 // on the first tier.
 func (r *modelReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
-	t0 := time.Now()
-	briefs := r.tiers[0].extract(insts)
-	dur := time.Since(t0)
-	n := len(r.tiers)
-	spent := make([]time.Duration, n*len(insts))
-	r.decisions = make([]wb.TierDecision, len(insts))
-	for i := range r.decisions {
-		// Every member waited the whole fused stage — the same per-request
-		// semantics as the serve layer's stage histograms.
-		r.decisions[i].Spent = spent[i*n : (i+1)*n]
-		r.decisions[i].Spent[0] = dur
-	}
-	return briefs
+	return r.tiers[0].extract(insts)
 }
 
 // DecodeBatch implements Replica: one batched beam search over the outputs
 // EncodeBatch retained, then one more batch per further tier for the
-// low-confidence subset.
+// low-confidence subset. Every member waited the escalations, so each
+// decision carries their whole time.
 func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision {
-	t0 := time.Now()
 	confs := r.tiers[0].decode(briefs)
-	dur := time.Since(t0)
+	decisions := make([]wb.TierDecision, len(insts))
+	if len(r.tiers) == 1 {
+		return decisions
+	}
 	pending := make([]int, len(insts)) // members the current tier briefed
-	for i := range insts {
-		r.decisions[i].Spent[0] += dur
+	for i := range pending {
 		pending[i] = i
 	}
+	var escalation time.Duration
 	for k := 1; k < len(r.tiers); k++ {
 		esc := pending[:0] // filtered in place: confs[j] is pending[j]'s
 		var escInsts []*wb.Instance
@@ -181,15 +171,17 @@ func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []w
 		t0 := time.Now()
 		var tbriefs []*wb.Brief
 		tbriefs, confs = r.tiers[k].brief(escInsts)
-		dur := time.Since(t0)
+		escalation += time.Since(t0)
 		for j, i := range esc {
 			*briefs[i] = *tbriefs[j]
-			r.decisions[i].Tier = k
-			r.decisions[i].Spent[k] = dur
+			decisions[i].Tier = k
 		}
 		pending = esc
 	}
-	return r.decisions
+	for i := range decisions {
+		decisions[i].Escalation = escalation
+	}
+	return decisions
 }
 
 // Pool holds a fixed set of interchangeable eval-mode replicas. A request
@@ -212,6 +204,9 @@ type Pool struct {
 	// models are the replicas NewPool built (none for PoolOf), kept so Warm
 	// can reach the tiers only an escalation runs on.
 	models []*modelReplica
+	// gen is the generation the server serves this pool as: 1 for the boot
+	// pool, stamped by swapPool on a reload's.
+	gen atomic.Int64
 
 	mu           sync.Mutex
 	breakers     map[Replica]*breaker.Breaker

@@ -102,6 +102,7 @@ func (s *Server) swapPool(p *Pool) (int64, error) {
 	if p.Idle() != p.Size() {
 		return 0, fmt.Errorf("serve: reload pool not fully idle (%d of %d)", p.Idle(), p.Size())
 	}
+	p.gen.Store(s.generation.Load() + 1)
 	s.pool.Store(p)
 	gen := s.generation.Add(1)
 	s.reloads.Add(1)

@@ -203,6 +203,7 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 		batchSlots:  make(chan struct{}, cfg.QueueDepth+pool.Size()),
 		batcherDone: make(chan struct{}),
 	}
+	pool.gen.Store(1)
 	s.pool.Store(pool)
 	s.generation.Store(1)
 	if cfg.CacheCapacity > 0 {
@@ -305,15 +306,10 @@ func renderPage(html string) (visible string, sents [][]string) {
 // lookup and flight, then admission to the batch scheduler (batch.go), which
 // runs the model stages and hands back the outcome for the JSON response.
 func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	m := s.metrics
-	m.Requests.Begin()
-	lg := accessEntry{ID: r.Header.Get(httpwire.RequestIDHeader), Method: r.Method, Path: r.URL.Path, Remote: r.RemoteAddr}
-	defer func() {
-		m.Total.Observe(time.Since(start))
-		lg.TotalMS = roundMS(time.Since(start))
-		s.logAccess(&lg)
-	}()
+	s.metrics.Requests.Begin()
+	lg := accessEntry{ID: r.Header.Get(httpwire.RequestIDHeader), Method: r.Method, Path: r.URL.Path, Remote: r.RemoteAddr,
+		clock: stages.Start()}
+	defer s.finish(&lg)
 
 	if !s.ready.Load() {
 		s.refuse(w, &lg, Draining, http.StatusServiceUnavailable, "server is draining")
@@ -327,6 +323,7 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	// Body, with a hard 413 instead of silent truncation: a declared length
 	// over the limit is refused unread, an undeclared one once it runs past.
 	body, err := httpwire.Read(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	lg.clock.Mark(stageRead)
 	tooLarge := errors.Is(err, httpwire.ErrTooLarge)
 	if err != nil && !tooLarge {
 		s.refuse(w, &lg, BadRequest, http.StatusBadRequest, "read body: "+err.Error())
@@ -351,13 +348,10 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The page's one parse. latency_ms.parse is HTML → instance, observed
-	// once per request that got this far: the time spent here plus, for a
-	// request that reaches a replica, its id assignment (enqueue reports it).
-	parseStart := time.Now()
+	// The page's one parse: the first lap of latency_ms.parse, whose second
+	// is the token ids its replica's pool assigns.
 	visible, sents := renderPage(string(body))
-	parse := time.Since(parseStart)
-	defer func() { m.Parse.Observe(parse) }()
+	lg.clock.Mark(stageParse)
 	if len(sents) == 0 {
 		// Unbriefable: refused before it can win a flight, take an admission
 		// slot or occupy a replica.
@@ -390,7 +384,7 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		defer fill.abandon()
 	}
 
-	parse += s.enqueue(w, &lg, ctx, sents, min(lg.Tokens, maxPageTokens), fill)
+	s.enqueue(w, &lg, ctx, sents, min(lg.Tokens, maxPageTokens), fill)
 }
 
 // respondOutcome maps a pipeline outcome onto its HTTP response and outcome
@@ -447,6 +441,21 @@ func (s *Server) failCtx(w http.ResponseWriter, lg *accessEntry, err error) {
 		return
 	}
 	s.settle(lg, Canceled, 499) // nginx convention: client closed request
+}
+
+// finish closes a request's clock at its reply and records it once: every
+// stage it reached and its total into latency_ms, the same laps into its
+// access-log line, and, for a cache hit, everything after the body read into
+// cache.hit_latency_ns.
+func (s *Server) finish(lg *accessEntry) {
+	c := &lg.clock
+	c.Mark(stageReply)
+	m := s.metrics
+	m.Latency.Observe(c)
+	if lg.Cache == cacheRawHit || lg.Cache == cacheContentHit {
+		m.CacheHitLatency.Observe(int64(c.Total() - c.Lap(stageRead)))
+	}
+	s.logAccess(lg)
 }
 
 // settle records how a request ended: its member of the requests_total
@@ -519,18 +528,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // accessEntry is one structured access-log line. Struct field order is the
 // JSON field order, stable across lines.
 type accessEntry struct {
-	Time     string  `json:"time"`
-	ID       string  `json:"id,omitempty"` // the request's X-Request-Id (wbgate sends one on every attempt); omitted when absent
-	Method   string  `json:"method"`
-	Path     string  `json:"path"`
-	Remote   string  `json:"remote,omitempty"`
-	Status   int     `json:"status"`
-	BytesIn  int     `json:"bytes_in"`
-	Tokens   int     `json:"tokens"`          // the page's tokens before truncation; 0 when answered unparsed
-	Cache    string  `json:"cache,omitempty"` // cache outcome (cacheRawHit …); empty when the cache was not consulted
-	BytesOut int     `json:"bytes_out"`
-	QueueMS  float64 `json:"queue_ms"`
-	TotalMS  float64 `json:"total_ms"`
+	Time     string          `json:"time"`
+	ID       string          `json:"id,omitempty"` // the request's X-Request-Id (wbgate sends one on every attempt); omitted when absent
+	Method   string          `json:"method"`
+	Path     string          `json:"path"`
+	Remote   string          `json:"remote,omitempty"`
+	Status   int             `json:"status"`
+	BytesIn  int             `json:"bytes_in"`
+	Tokens   int             `json:"tokens"`          // the page's tokens before truncation; 0 when answered unparsed
+	Cache    string          `json:"cache,omitempty"` // cache outcome (cacheRawHit …); empty when the cache was not consulted
+	BytesOut int             `json:"bytes_out"`
+	Tier     string          `json:"tier,omitempty"`  // the cascade tier that briefed it (cascade_requests_total's split); empty off the cascade
+	Batch    int             `json:"batch,omitempty"` // the size of the batch that briefed it
+	Gen      int64           `json:"gen,omitempty"`   // the generation of the pool that briefed it
+	StagesMS json.RawMessage `json:"stages_ms"`       // the reached latency_ms stages and their laps, rendered from clock
+	TotalMS  float64         `json:"total_ms"`
+
+	clock metrics.Clock[serveStages] // the request's one clock (serveStages)
 }
 
 // logAccess emits one JSON line, if access logging is configured.
@@ -541,7 +555,11 @@ func (s *Server) logAccess(lg *accessEntry) {
 	lg.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	eb := getEncodeBuf()
 	defer putEncodeBuf(eb)
-	if err := eb.enc.Encode(lg); err != nil {
+	eb.stages = lg.clock.AppendMS(eb.stages[:0])
+	lg.StagesMS, lg.TotalMS = eb.stages, roundMS(lg.clock.Total())
+	err := eb.enc.Encode(lg)
+	lg.StagesMS = nil // eb.stages goes back to the pool
+	if err != nil {
 		return
 	}
 	s.logMu.Lock()

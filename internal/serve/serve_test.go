@@ -149,11 +149,9 @@ func TestServeEndToEnd(t *testing.T) {
 	if got := totalOf(ms.Requests); got != countOf(ms.Requests, OK) {
 		t.Fatalf("requests_total=%d != ok=%d with no failures", got, countOf(ms.Requests, OK))
 	}
-	for name, h := range map[string]*histogram{
-		"parse": &ms.Parse, "encode": &ms.Encode, "decode": &ms.Decode, "total": &ms.Total,
-	} {
-		if h.count.Load() != countOf(ms.Requests, OK) {
-			t.Fatalf("%s histogram count=%d, want %d", name, h.count.Load(), countOf(ms.Requests, OK))
+	for _, name := range []string{"parse", "encode", "decode", "total"} {
+		if n := stageOf(ms, name).Count; n != countOf(ms.Requests, OK) {
+			t.Fatalf("%s histogram count=%d, want %d", name, n, countOf(ms.Requests, OK))
 		}
 	}
 

@@ -110,33 +110,3 @@ func NormalizeDocument(lines []string) [][]string {
 	}
 	return sents
 }
-
-// InsertCLS prepends the [CLS] token to every sentence and returns the flat
-// token sequence together with the index of each [CLS], the document
-// representation of §III-C (one [CLS] per sentence collects its latent
-// summarising features).
-//
-//wbcheck:ignore deadexport -- paper component: PAPER.md §2 WordPiece row, "per-sentence [CLS]" (§III-C document representation)
-func InsertCLS(sents [][]string) (flat []string, clsIdx []int) {
-	for _, s := range sents {
-		clsIdx = append(clsIdx, len(flat))
-		flat = append(flat, ClsToken)
-		flat = append(flat, s...)
-	}
-	return flat, clsIdx
-}
-
-// SegmentIDs returns BERTSUM's alternating interval segment ids: tokens of
-// even-numbered sentences get segment 0, odd-numbered get segment 1.
-//
-//wbcheck:ignore deadexport -- paper component: PAPER.md §2 BERTSUM row, "per-sentence [CLS] + segment embeddings"
-func SegmentIDs(sents [][]string) []int {
-	var segs []int
-	for i, s := range sents {
-		seg := i % 2
-		for n := len(s) + 1; n > 0; n-- { // +1 for the [CLS] slot
-			segs = append(segs, seg)
-		}
-	}
-	return segs
-}

@@ -129,29 +129,6 @@ func TestNormalizeDocument(t *testing.T) {
 	}
 }
 
-func TestInsertCLS(t *testing.T) {
-	flat, idx := InsertCLS([][]string{{"a", "b"}, {"c"}})
-	want := []string{ClsToken, "a", "b", ClsToken, "c"}
-	if !reflect.DeepEqual(flat, want) {
-		t.Fatalf("flat: %v", flat)
-	}
-	if !reflect.DeepEqual(idx, []int{0, 3}) {
-		t.Fatalf("cls indices: %v", idx)
-	}
-}
-
-func TestSegmentIDsAlternate(t *testing.T) {
-	segs := SegmentIDs([][]string{{"a", "b"}, {"c"}, {"d"}})
-	want := []int{0, 0, 0, 1, 1, 0, 0} // each sentence contributes len+1 slots
-	if !reflect.DeepEqual(segs, want) {
-		t.Fatalf("segments: %v", segs)
-	}
-	flat, _ := InsertCLS([][]string{{"a", "b"}, {"c"}, {"d"}})
-	if len(flat) != len(segs) {
-		t.Fatal("segment length must match CLS-inserted sequence")
-	}
-}
-
 func buildTestWP() *WordPiece {
 	counts := map[string]int{
 		"book": 50, "books": 30, "booking": 20, "shop": 40, "shopping": 25,

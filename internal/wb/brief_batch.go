@@ -172,10 +172,11 @@ func MakeBriefBatch[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc
 
 // TierDecision is how one briefing moved through an ordered list of model
 // tiers, fastest first — what a serving replica reports per batch member.
-// Tier indexes the tier whose brief the client gets, and Spent[k] is the wall
-// time the briefing waited on tier k: the whole fused stage, as every member
-// of a batch does, and zero for a tier it never reached.
+// Tier indexes the tier whose brief the client gets. Escalation is the wall
+// time its batch spent re-briefing members on the tiers after the first:
+// every member waited it, escalated or not, so a member's time on the first
+// tier is its encode and decode less this.
 type TierDecision struct {
-	Tier  int
-	Spent []time.Duration
+	Tier       int
+	Escalation time.Duration
 }

@@ -24,6 +24,10 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== gofmt (every tracked Go file is formatted)"
+UNFORMATTED=$(gofmt -l $(git ls-files '*.go'))
+if [[ -n "$UNFORMATTED" ]]; then echo "$UNFORMATTED"; echo "gofmt -w the file(s) listed above"; exit 1; fi
+
 echo "== cross-compile vet (arm64: the _other.go stubs of all four asm families must keep compiling)"
 GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 
