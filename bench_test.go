@@ -119,8 +119,9 @@ func BenchmarkBrief(b *testing.B) {
 }
 
 // serveBenchModel builds the small Joint-WB + page used by the serving
-// benchmarks (untrained weights; serving cost is weight-independent), at
-// beam width 4.
+// benchmarks, at beam width 4. Serving cost is weight-independent, but the
+// weights are trained for a few epochs on the model's four pages: untrained,
+// every decision is a near-tie and the cascade escalates every page.
 func serveBenchModel(b *testing.B) (*wb.JointWB, *textproc.Vocab, string) {
 	b.Helper()
 	ds, err := corpus.Generate(corpus.Config{Seed: 1, PagesPerDomain: 2, SeenDomains: 2, UnseenDomains: 0})
@@ -133,6 +134,9 @@ func serveBenchModel(b *testing.B) (*wb.JointWB, *textproc.Vocab, string) {
 	cfg.Hidden = 16
 	cfg.BeamSize = 4
 	m := wb.NewJointWB("bench", enc, v.Size(), cfg)
+	tc := wb.DefaultTrainConfig()
+	tc.Epochs = 8
+	wb.TrainModel(m, wb.NewInstances(ds.Pages, v, 0), tc)
 	return m, v, ds.Pages[0].HTML
 }
 
@@ -261,22 +265,19 @@ func scrapedCounter(b *testing.B, h http.Handler, path ...string) int64 {
 }
 
 // BenchmarkServeBriefCascade compares the full-HTTP briefing path on the
-// float64 teacher pool against the cascade's float32 student tier. The
-// cascade cell pins ConfidenceThreshold to a tiny positive value (zero
-// would be defaulted to 0.5 by serve.New) so every request is answered by
-// the student and the cell measures the pure student fast path — the
+// float64 teacher pool against the cascade's float32 student tier — the
 // serving-tier counterpart of internal/wb's BenchmarkCascadeTiers, with
-// parse, admission and JSON encoding included. Escalation-mix behaviour is
-// covered by the check.sh cascade smoke and EXPERIMENTS.md, not here.
+// parse, admission and JSON encoding included. The cascade escalates only a
+// page with a decision inside the student's rounding bounds, and the
+// benchmark page has none, so every request is answered by the student and
+// the cell measures the pure student fast path; the cell fails if that ever
+// stops holding. Escalation-mix behaviour is covered by the check.sh cascade
+// smoke and EXPERIMENTS.md, not here.
 func BenchmarkServeBriefCascade(b *testing.B) {
 	bench := func(cascade bool) func(*testing.B) {
 		return func(b *testing.B) {
 			m, v, html := serveBenchModel(b)
-			cfg := serve.Config{Replicas: 1, QueueDepth: 1 << 16}
-			if cascade {
-				cfg.Cascade = true
-				cfg.ConfidenceThreshold = 1e-12
-			}
+			cfg := serve.Config{Replicas: 1, QueueDepth: 1 << 16, Cascade: cascade}
 			srv, err := serve.New(m, v, cfg)
 			if err != nil {
 				b.Fatal(err)

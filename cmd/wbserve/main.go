@@ -48,11 +48,17 @@
 //	wbserve -model model.bin -chaos 0.3 -chaosseed 7 -stall 500ms
 //
 // With -cascade set, every briefing first runs on a float32 student copy of
-// the model; only decodes whose confidence score falls below
-// -confidence-threshold re-run on the full float64 teacher. /metrics gains
-// a cascade block with per-tier counters and latency histograms:
+// the model, and only a briefing with a decision — a tag, a section flag, a
+// first-pass token, a beam cut or the final ranking — whose float32 gap is
+// within the student's measured rounding bound re-runs on the full float64
+// teacher, so the wire carries the teacher's bytes whenever the guard passes.
+// /metrics gains a cascade block with per-tier counters and latency
+// histograms:
 //
-//	wbserve -model model.bin -cascade -confidence-threshold 0.5
+//	wbserve -model model.bin -cascade
+//
+// -confidence-threshold is still parsed and reported as
+// cascade.confidence_threshold, but routes nothing.
 //
 // With -cache set, repeat briefings of the same page content are served
 // from a content-addressed cache in microseconds — no replica checkout, no
@@ -110,8 +116,8 @@ func main() {
 	chaos := flag.Float64("chaos", 0, "fault rate in [0,1] injected into ONE pool replica (0 = off) — a resilience drill")
 	chaosSeed := flag.Int64("chaosseed", 1, "seed for the -chaos fault schedule")
 	batchMax := flag.Int("batch-max", 8, "max queued requests coalesced into one batched forward when every replica is busy")
-	cascade := flag.Bool("cascade", false, "float32 student fast path: brief on a float32 model copy and escalate low-confidence decodes to the float64 teacher")
-	confThreshold := flag.Float64("confidence-threshold", 0.5, "cascade escalation cutoff in [0,1]: student decodes whose confidence score falls below it re-run on the teacher")
+	cascade := flag.Bool("cascade", false, "float32 student fast path: brief on a float32 model copy and escalate to the float64 teacher every briefing with a decision float32 rounding could have flipped")
+	confThreshold := flag.Float64("confidence-threshold", 0.5, "ignored: routes nothing, only reported as cascade.confidence_threshold (the cascade escalates on decision gaps)")
 	cacheCap := flag.Int("cache", 0, "content-addressed briefing cache capacity in briefings, each with one raw-bytes alias; SIEVE evicts past it (0 = off)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "default cache entry lifetime (0 = entries never expire)")
 	cachePolicyPath := flag.String("cache-policy", "", "per-domain admission/TTL policy file (deny/ttl/default lines; keyed by ?src=)")

@@ -179,7 +179,7 @@ func (m *SingleGenerator) Forward(t *ag.Tape, inst *wb.Instance, mode wb.Mode) *
 		out.TopicLogits, states = m.Dec.ForwardStates(t, mem, inst.TopicIn)
 		out.TopicStates = states
 	} else {
-		out.TopicStates = m.Dec.GreedyStates(t, mem, textproc.BosID, textproc.EosID, m.TopicLen)
+		out.TopicStates = m.Dec.GreedyStates(t, mem, textproc.BosID, textproc.EosID, m.TopicLen, nil)
 	}
 	return out
 }

@@ -85,7 +85,7 @@ func inferTape() *ag.Tape { return ag.NewInferTapeOf[float64]() }
 func TestBeamSearchBatchMatchesReference(t *testing.T) {
 	one := func(d *AttnDecoder, mem *tensor.Matrix, bos, eos, width, maxLen int, scratches []*BeamScratchOf[float64]) ([]int, Confidence) {
 		tp := inferTape()
-		toks, confs := d.BeamSearchBatch(tp, []*ag.Node{tp.Const(mem)}, bos, eos, width, maxLen, scratches)
+		toks, confs := d.BeamSearchBatch(tp, []*ag.Node{tp.Const(mem)}, bos, eos, width, maxLen, scratches, nil)
 		return toks[0], confs[0]
 	}
 	reference := func(d *AttnDecoder, mem *tensor.Matrix, bos, eos, width, maxLen int) []int {
@@ -132,7 +132,7 @@ func TestBeamSearchBatchMatchesReference(t *testing.T) {
 					nodes[i] = tp.Const(mems[i])
 					scratches[i] = NewBeamScratchOf[float64](vocab, width, maxLen)
 				}
-				got, gotConfs := d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, scratches)
+				got, gotConfs := d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, scratches, nil)
 				for i := range got {
 					alone, aloneConf := one(d, mems[i], bos, eos, width, maxLen, nil)
 					if !reflect.DeepEqual(got[i], alone) || gotConfs[i] != aloneConf {
@@ -175,7 +175,7 @@ func testBeamSearchBatchSharedParents(t *testing.T) {
 		for i, m := range mems {
 			nodes[i] = tp.Const(m)
 		}
-		return d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, nil)
+		return d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, nil, nil)
 	}
 	later := false
 	for _, width := range []int{2, 3, 5} {
@@ -259,12 +259,12 @@ func TestBeamSearchBatchNilScratches(t *testing.T) {
 	}
 	tp := inferTape()
 	nodes := []*ag.Node{tp.Const(mems[0]), tp.Const(mems[1])}
-	first, _ := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, nil)
+	first, _ := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, nil, nil)
 	scratches := []*BeamScratchOf[float64]{NewBeamScratchOf[float64](vocab, 3, 4), nil}
 	for round := 0; round < 3; round++ {
 		tp.Reset()
 		nodes = []*ag.Node{tp.Const(mems[0]), tp.Const(mems[1])}
-		again, _ := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, scratches)
+		again, _ := d.BeamSearchBatch(tp, nodes, 1, 2, 3, 4, scratches, nil)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("round %d: reused scratches diverged: %v vs %v", round, again, first)
 		}

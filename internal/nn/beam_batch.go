@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"webbrief/internal/ag"
 	"webbrief/internal/tensor"
 )
@@ -30,9 +32,13 @@ import (
 // memories[q] is instance q's decoder memory; scratches[q] may be nil (a
 // throwaway scratch is used), as may the whole slice. The returned token
 // slices are copied out and caller-owned; results[q] is nil when instance q
-// decodes to nothing. confs[q] is instance q's decode Confidence for cascade
-// routing, derived from its final frontier (beamConfidence).
-func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeOf[T], bos, eos, width, maxLen int, scratches []*BeamScratchOf[T]) ([][]int, []Confidence) {
+// decodes to nothing. confs[q] is instance q's decode Confidence, derived
+// from its final frontier (beamConfidence). Unless gaps is nil, instance q's
+// decisions are noted in gaps[q]: at each depth its keep boundary (GapKeep;
+// per-row top-width children then the prune keep exactly the width best of
+// all (beam, token) pairs, so one boundary covers both cuts), and at the end
+// its final ranking (GapFinal).
+func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeOf[T], bos, eos, width, maxLen int, scratches []*BeamScratchOf[T], gaps []Gaps) ([][]int, []Confidence) {
 	nInst := len(memories)
 	results := make([][]int, nInst)
 	confs := make([]Confidence, nInst)
@@ -41,6 +47,7 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 	}
 	type instSearch struct {
 		bs    *BeamScratchOf[T]
+		gaps  *Gaps // nil: not reported
 		beams []beam[T]
 		next  []beam[T]
 		pool  int
@@ -57,6 +64,7 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 		}
 		insts[q] = instSearch{
 			bs:    bs,
+			gaps:  gapsAt(gaps, q),
 			beams: append(bs.cur[:0], beam[T]{state: d.Cell.ZeroState(t)}),
 			next:  bs.next[:0],
 			live:  true,
@@ -64,8 +72,9 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 	}
 	finalize := func(q int) {
 		ist := &insts[q]
-		best, conf := beamConfidence(ist.beams)
+		best, conf, final := beamConfidence(ist.beams)
 		confs[q] = conf
+		ist.gaps.Note(GapFinal, final)
 		toks := best.tokens
 		if len(toks) > 0 && best.done {
 			toks = toks[:len(toks)-1] // strip the trailing EOS
@@ -180,6 +189,7 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 			next := ist.next[:0]
 			slot := 0
 			row := lo[q]
+			leftOut := math.Inf(-1) // best score of a child no row expanded
 			for _, b := range ist.beams {
 				if b.done {
 					b.tokens = bs.claim(ist.pool, slot, b.tokens)
@@ -193,7 +203,9 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 					C: t.Const(t.ViewValue(1, h, st.C.Value.Row(row))),
 				}
 				row++
-				for _, j := range bs.topK(logp, width) {
+				idx, out := bs.topK(logp, width)
+				leftOut = max(leftOut, (b.logProb+out)/float64(len(b.tokens)+1))
+				for _, j := range idx {
 					toks := bs.claim(ist.pool, slot, b.tokens)
 					slot++
 					next = append(next, beam[T]{
@@ -204,7 +216,8 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 					})
 				}
 			}
-			next = bs.prune(next, width)
+			next, keep := bs.prune(next, width, leftOut)
+			ist.gaps.Note(GapKeep, keep)
 			ist.beams, ist.next = next, ist.beams
 			ist.pool = 1 - ist.pool
 			allDone := true
@@ -225,4 +238,12 @@ func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeO
 		}
 	}
 	return results, confs
+}
+
+// gapsAt is &gaps[q], or nil for a nil gaps.
+func gapsAt(gaps []Gaps, q int) *Gaps {
+	if gaps == nil {
+		return nil
+	}
+	return &gaps[q]
 }

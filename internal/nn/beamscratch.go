@@ -57,17 +57,22 @@ func NewBeamScratchOf[T tensor.Float](vocab, width, maxLen int) *BeamScratchOf[T
 // topK selects the indices of the k largest values in xs in descending value
 // order, ties broken toward the lower index — exactly the order
 // sort.SliceStable over ascending indices produces — without sorting the
-// whole vocabulary. The returned slice aliases the scratch.
-func (bs *BeamScratchOf[T]) topK(xs []T, k int) []int {
+// whole vocabulary. The returned slice aliases the scratch. It also returns
+// the largest value left out, the (k+1)-th: -Inf when nothing is, NaN when a
+// NaN is.
+func (bs *BeamScratchOf[T]) topK(xs []T, k int) ([]int, float64) {
 	if k > len(xs) {
 		k = len(xs)
 	}
+	out := math.Inf(-1)
 	idx := bs.idx[:0]
 	for i, v := range xs {
 		if len(idx) == k {
 			if !(v > xs[idx[k-1]]) { // ties keep the earlier index
+				out = max(out, float64(v))
 				continue
 			}
+			out = max(out, float64(xs[idx[k-1]]))
 			idx = idx[:k-1]
 		}
 		// Insert before the first kept index with a strictly smaller value;
@@ -81,7 +86,7 @@ func (bs *BeamScratchOf[T]) topK(xs []T, k int) []int {
 		idx[p] = i
 	}
 	bs.idx = idx[:0]
-	return idx
+	return idx, out
 }
 
 // prune keeps the width best candidates of next, best score first and,
@@ -94,13 +99,18 @@ func (bs *BeamScratchOf[T]) topK(xs []T, k int) []int {
 // of all n. Ranks compare precomputed scores, ties by index, which is a
 // total order only without NaN: a NaN score (byScoreDesc calls it equal to
 // everything) falls back to the stable sort itself.
-func (bs *BeamScratchOf[T]) prune(next []beam[T], width int) []beam[T] {
+//
+// It also returns the keep boundary: the worst kept score less the best score
+// left out, the candidates it drops and leftOut (the best score the caller
+// never made a candidate) both. +Inf when nothing is left out, NaN after a
+// NaN score.
+func (bs *BeamScratchOf[T]) prune(next []beam[T], width int, leftOut float64) ([]beam[T], float64) {
 	scores := bs.scores[:0]
 	for _, b := range next {
 		s := score(b)
 		if math.IsNaN(s) {
 			slices.SortStableFunc(next, byScoreDesc[T])
-			return next[:min(width, len(next))]
+			return next[:min(width, len(next))], math.NaN()
 		}
 		scores = append(scores, s)
 	}
@@ -132,8 +142,10 @@ func (bs *BeamScratchOf[T]) prune(next []beam[T], width int) []beam[T] {
 			continue
 		}
 		if !ahead(i, kept[0]) {
+			leftOut = max(leftOut, scores[i])
 			continue
 		}
+		leftOut = max(leftOut, scores[kept[0]])
 		kept[0] = i
 		for p := 0; ; { // sift down
 			c := 2*p + 1
@@ -156,13 +168,17 @@ func (bs *BeamScratchOf[T]) prune(next []beam[T], width int) []beam[T] {
 		}
 		return 1 // distinct indices never tie
 	})
+	keep := math.Inf(1)
+	if len(kept) > 0 {
+		keep = scores[kept[len(kept)-1]] - leftOut
+	}
 	picked := bs.picked[:0]
 	for _, i := range kept {
 		picked = append(picked, next[i])
 	}
 	n := copy(next, picked)
 	bs.kept, bs.picked = kept[:0], picked[:0]
-	return next[:n]
+	return next[:n], keep
 }
 
 // claim copies src into slot s of the given token pool and returns it with
@@ -182,11 +198,12 @@ func (bs *BeamScratchOf[T]) claim(pool, s int, src []int) []int {
 }
 
 // beamConfidence picks the best hypothesis of a final frontier (first of
-// the highest length-normalised score) and derives the cascade confidence
+// the highest length-normalised score) and derives the decode confidence
 // from it: the margin to the second-best score, and the best hypothesis's
 // geometric-mean token probability. A lone hypothesis has no competitor, so
-// its margin is +Inf.
-func beamConfidence[T tensor.Float](beams []beam[T]) (best beam[T], conf Confidence) {
+// its margin is +Inf. final is the same margin as a GapFinal gap: +Inf for a
+// lone hypothesis too, but NaN where the margin is.
+func beamConfidence[T tensor.Float](beams []beam[T]) (best beam[T], conf Confidence, final float64) {
 	best = beams[0]
 	secondScore := math.Inf(-1)
 	for _, b := range beams[1:] {
@@ -198,9 +215,13 @@ func beamConfidence[T tensor.Float](beams []beam[T]) (best beam[T], conf Confide
 			secondScore = s
 		}
 	}
-	conf = Confidence{Margin: score(best) - secondScore, Posterior: math.Exp(score(best))}
-	if len(beams) < 2 || math.IsNaN(conf.Margin) {
+	final = score(best) - secondScore
+	if len(beams) < 2 {
+		final = math.Inf(1)
+	}
+	conf = Confidence{Margin: final, Posterior: math.Exp(score(best))}
+	if math.IsNaN(conf.Margin) {
 		conf.Margin = math.Inf(1)
 	}
-	return best, conf
+	return best, conf, final
 }

@@ -10,7 +10,8 @@ import (
 
 // TestBeamScratchTopKMatchesSortStable property-checks the insertion-based
 // top-K selection against the sort.SliceStable implementation it replaces,
-// on inputs dense with ties.
+// on inputs dense with ties, and its left-out value against the (k+1)-th
+// entry of the full sort.
 func TestBeamScratchTopKMatchesSortStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	bs := NewBeamScratchOf[float64](0, 0, 0)
@@ -22,7 +23,14 @@ func TestBeamScratchTopKMatchesSortStable(t *testing.T) {
 		}
 		k := 1 + rng.Intn(n+2)
 		want := topK(xs, k)
-		got := bs.topK(xs, k)
+		got, out := bs.topK(xs, k)
+		wantOut := math.Inf(-1)
+		if all := topK(xs, n); k < n {
+			wantOut = xs[all[k]]
+		}
+		if out != wantOut {
+			t.Fatalf("trial %d (n=%d k=%d): best left out %v, want %v", trial, n, k, out, wantOut)
+		}
 		if len(want) != len(got) {
 			t.Fatalf("trial %d: len %d vs %d", trial, len(got), len(want))
 		}
@@ -53,11 +61,27 @@ func sortPrune(next []beam[float64], width int) []beam[float64] {
 }
 
 // checkPrune runs the selection and the sort over copies of one frontier and
-// requires the same beams in the same order.
-func checkPrune(t *testing.T, bs *BeamScratchOf[float64], name string, next []beam[float64], width int) {
+// requires the same beams in the same order, and the keep boundary the
+// sorted frontier gives: its last kept score less the best of leftOut and
+// every dropped score (+Inf with nothing dropped, NaN after a NaN).
+func checkPrune(t *testing.T, bs *BeamScratchOf[float64], name string, next []beam[float64], width int, leftOut float64) {
 	t.Helper()
-	want := sortPrune(slices.Clone(next), width)
-	got := bs.prune(slices.Clone(next), width)
+	sorted := slices.Clone(next)
+	want := sortPrune(sorted, width)
+	got, keep := bs.prune(slices.Clone(next), width, leftOut)
+	wantKeep := math.Inf(1)
+	if len(want) > 0 {
+		for _, b := range sorted[len(want):] {
+			leftOut = max(leftOut, score(b))
+		}
+		wantKeep = score(want[len(want)-1]) - leftOut
+	}
+	if slices.ContainsFunc(next, func(b beam[float64]) bool { return math.IsNaN(score(b)) }) {
+		wantKeep = math.NaN()
+	}
+	if math.Float64bits(keep) != math.Float64bits(wantKeep) && !(math.IsNaN(keep) && math.IsNaN(wantKeep)) {
+		t.Fatalf("%s (n=%d width=%d left out %v): keep boundary %v, want %v", name, len(next), width, leftOut, keep, wantKeep)
+	}
 	same := func(a, b beam[float64]) bool {
 		return slices.Equal(a.tokens, b.tokens) && a.done == b.done &&
 			math.Float64bits(a.logProb) == math.Float64bits(b.logProb)
@@ -123,7 +147,8 @@ func TestBeamPruneMatchesSortStable(t *testing.T) {
 	bs := NewBeamScratchOf[float64](0, 0, 0)
 	for _, c := range cases {
 		for _, width := range []int{1, 2, 3, 5, 6, 8, 200, 1024} {
-			checkPrune(t, bs, c.name, c.next, width)
+			checkPrune(t, bs, c.name, c.next, width, math.Inf(-1))
+			checkPrune(t, bs, c.name, c.next, width, -0.75)
 		}
 	}
 }
@@ -152,7 +177,7 @@ func TestBeamPruneProperty(t *testing.T) {
 			next[i] = pruneBeam(i+1, rng.Intn(4), lp, rng.Intn(4) == 0)
 		}
 		for _, width := range []int{1 + rng.Intn(n+2), 1, 8, 200, 1024} {
-			checkPrune(t, bs, fmt.Sprintf("trial %d", trial), next, width)
+			checkPrune(t, bs, fmt.Sprintf("trial %d", trial), next, width, -float64(rng.Intn(12))/2)
 		}
 	}
 
@@ -163,7 +188,7 @@ func TestBeamPruneProperty(t *testing.T) {
 	work := make([]beam[float64], len(next))
 	if allocs := testing.AllocsPerRun(50, func() {
 		copy(work, next)
-		bs.prune(work, 8)
+		bs.prune(work, 8, math.Inf(-1))
 	}); allocs != 0 {
 		t.Fatalf("a warm prune allocates %v times, want 0", allocs)
 	}
@@ -189,7 +214,7 @@ func BenchmarkBeamPrune(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(work, next)
 					if impl == "select" {
-						bs.prune(work, g.width)
+						bs.prune(work, g.width, math.Inf(-1))
 					} else {
 						sortPrune(work, g.width)
 					}

@@ -149,8 +149,9 @@ func (d *AttnDecoderOf[T]) ForwardStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], 
 // that emits eos, and returns the decoder hidden states of those steps —
 // the first decoding pass of §III-C, whose tokens no caller reads. The last
 // step's token decides nothing, so that step runs attention and the cell
-// but no vocabulary projection.
-func (d *AttnDecoderOf[T]) GreedyStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int) *ag.NodeOf[T] {
+// but no vocabulary projection. Every other step's argmax gap is noted in g
+// as GapGreedy (g may be nil).
+func (d *AttnDecoderOf[T]) GreedyStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int, g *Gaps) *ag.NodeOf[T] {
 	s := d.Cell.ZeroState(t)
 	prev := bos
 	var hs []*ag.NodeOf[T]
@@ -161,7 +162,8 @@ func (d *AttnDecoderOf[T]) GreedyStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], b
 		if i == maxLen-1 {
 			break
 		}
-		tok := d.Out.ForwardCat(t, s.H, ctx).Value.ArgmaxRow(0)
+		tok, gap := ArgmaxGap(d.Out.ForwardCat(t, s.H, ctx).Value.Row(0))
+		g.Note(GapGreedy, gap)
 		if tok == eos {
 			break
 		}
@@ -220,8 +222,9 @@ func sureConfidence() Confidence { return Confidence{Margin: math.Inf(1), Poster
 // confidence: Margin is the worst per-step top-1/top-2 log-probability gap
 // and Posterior the geometric-mean probability of the chosen path
 // (EOS-emitting step included — a barely-chosen EOS is a real risk signal).
-// The returned slice excludes BOS and EOS.
-func (d *AttnDecoderOf[T]) Greedy(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int) ([]int, Confidence) {
+// Each step's gap is also noted in g as GapFinal (g may be nil). The
+// returned slice excludes BOS and EOS.
+func (d *AttnDecoderOf[T]) Greedy(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int, g *Gaps) ([]int, Confidence) {
 	s := d.Cell.ZeroState(t)
 	prev := bos
 	var out []int
@@ -232,7 +235,8 @@ func (d *AttnDecoderOf[T]) Greedy(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eo
 		var logits *ag.NodeOf[T]
 		logits, s = d.step(t, prev, s, memory)
 		logp := t.LogSoftmaxRows(logits).Value.Row(0)
-		tok, margin := top2Gap(logp)
+		tok, margin := ArgmaxGap(logp)
+		g.Note(GapFinal, margin)
 		steps++
 		logpSum += float64(logp[tok])
 		if margin < conf.Margin {
@@ -248,24 +252,6 @@ func (d *AttnDecoderOf[T]) Greedy(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eo
 		conf.Posterior = math.Exp(logpSum / float64(steps))
 	}
 	return out, conf
-}
-
-// top2Gap returns the argmax of row and the log-probability gap to the
-// runner-up (+Inf for a 1-wide row).
-func top2Gap[T tensor.Float](row []T) (int, float64) {
-	best := 0
-	for j, v := range row[1:] {
-		if v > row[best] {
-			best = j + 1
-		}
-	}
-	second := math.Inf(-1)
-	for j, v := range row {
-		if j != best && float64(v) > second {
-			second = float64(v)
-		}
-	}
-	return best, float64(row[best]) - second
 }
 
 // beam is one hypothesis during beam search.

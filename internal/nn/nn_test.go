@@ -210,7 +210,7 @@ func TestAttnDecoderGreedyStopsAtEOS(t *testing.T) {
 	d := NewAttnDecoder("d", 8, 4, 6, 6, rng)
 	tp := ag.NewTape()
 	mem := tp.Const(tensor.Randn(3, 6, 1, rng))
-	out, _ := d.Greedy(tp, mem, 0, 1, 10)
+	out, _ := d.Greedy(tp, mem, 0, 1, 10, nil)
 	if len(out) > 10 {
 		t.Fatal("exceeded maxLen")
 	}
@@ -264,7 +264,7 @@ func TestGreedyStatesMatchesStepLoop(t *testing.T) {
 					d    *AttnDecoder
 					tp   *ag.Tape
 				}{{"recording", d, ag.NewTape()}, {"no-gradient", d, inferTape()}, {"folded", folded, inferTape()}} {
-					got := c.d.GreedyStates(c.tp, c.tp.Const(mem), bos, eos, maxLen).Value
+					got := c.d.GreedyStates(c.tp, c.tp.Const(mem), bos, eos, maxLen, nil).Value
 					if !got.SameShape(want) {
 						t.Fatalf("seed %d eos %d maxLen %d %s: %d states, step loop %d", seed, eos, maxLen, c.what, got.Rows, want.Rows)
 					}
@@ -324,7 +324,7 @@ func TestDecoderLearnsFixedPhrase(t *testing.T) {
 		optim.Step()
 	}
 	tp := ag.NewTape()
-	greedy, _ := d.Greedy(tp, tp.Const(memVal), bos, eos, 6)
+	greedy, _ := d.Greedy(tp, tp.Const(memVal), bos, eos, 6, nil)
 	if !equalInts(greedy, target) {
 		t.Fatalf("greedy decode %v, want %v", greedy, target)
 	}

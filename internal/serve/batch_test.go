@@ -15,6 +15,7 @@ import (
 
 	"webbrief/internal/ag"
 	"webbrief/internal/fault"
+	"webbrief/internal/nn"
 	"webbrief/internal/tensor"
 	"webbrief/internal/wb"
 )
@@ -341,15 +342,16 @@ func TestOneForwardPerBriefing(t *testing.T) {
 	for _, tc := range []struct {
 		name                     string
 		cascade                  bool
-		threshold                float64
+		bounds                   nn.Gaps
 		wantStudent, wantTeacher int64 // forwards per briefing
 	}{
-		{"teacher-only", false, 0, 0, 1},
-		{"cascade-escalated", true, 2, 1, 1},
-		{"cascade-student-only", true, -1, 1, 0},
+		{"teacher-only", false, escalateNone, 0, 1},
+		{"cascade-escalated", true, escalateAll, 1, 1},
+		{"cascade-student-only", true, escalateNone, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := New(m, v, Config{Replicas: 1, Cascade: tc.cascade, ConfidenceThreshold: tc.threshold})
+			withBounds(t, tc.bounds)
+			srv, err := New(m, v, Config{Replicas: 1, Cascade: tc.cascade})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,14 +16,37 @@ import (
 	"webbrief/internal/wb"
 )
 
-// cascadeServer boots a cascade server over the shared tiny trained model.
-func cascadeServer(t *testing.T, cfg Config, threshold float64) (*Server, *httptest.Server, []*corpus.Page, [][]byte) {
+// Escalation bounds for withBounds: every decision within them, or none.
+var (
+	escalateAll  = uniformBounds(math.Inf(1))
+	escalateNone = uniformBounds(math.Inf(-1))
+)
+
+func uniformBounds(b float64) nn.Gaps {
+	var g nn.Gaps
+	for k := range g {
+		g[k] = b
+	}
+	return g
+}
+
+// withBounds makes every pool built until t ends escalate on b instead of the
+// student's bounds (escalationBounds).
+func withBounds(t *testing.T, b nn.Gaps) {
+	prev := escalationBounds
+	escalationBounds = b
+	t.Cleanup(func() { escalationBounds = prev })
+}
+
+// cascadeServer boots a cascade server over the shared tiny trained model,
+// escalating on bounds.
+func cascadeServer(t *testing.T, cfg Config, bounds nn.Gaps) (*Server, *httptest.Server, []*corpus.Page, [][]byte) {
 	t.Helper()
 	m, v, pages := trainedModel(t)
 	const beam = 2
 	m.Cfg.BeamSize = beam
 	cfg.Cascade = true
-	cfg.ConfidenceThreshold = threshold
+	withBounds(t, bounds)
 
 	// Teacher-only reference bytes via the serial path, Encoder framing.
 	want := serialWire(t, wb.NewBriefer(m, v, beam, 0), pageHTML(pages))
@@ -49,13 +72,13 @@ func pageHTML(pages []*corpus.Page) []string {
 	return out
 }
 
-// TestCascadeNeverEscalates: with a negative threshold the confidence gate
-// never trips, so every briefing is answered by the float32 student and the
+// TestCascadeNeverEscalates: with every bound at -Inf no finite gap is
+// within it, so every briefing is answered by the float32 student and the
 // cascade partition reads all-student — for one client briefing page by
 // page (batches of one) and for many clients whose requests coalesce into
 // fused student forwards and batched beam decodes.
 func TestCascadeNeverEscalates(t *testing.T) {
-	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 1, BatchMax: 4}, -1)
+	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 1, BatchMax: 4}, escalateNone)
 	var solo [][]byte
 	for i, p := range pages {
 		status, body, err := postBrief(ts.URL, p.HTML)
@@ -95,13 +118,14 @@ func TestCascadeNeverEscalates(t *testing.T) {
 	}
 }
 
-// TestCascadeAlwaysEscalates: a threshold above 1 escalates every briefing,
-// so the wire bytes must be identical to the teacher-only serial path — the
-// proof that an escalation replaces the whole brief, not just the topic.
-// One client exercises the batch-of-one escalation, many clients the
-// batched student forward plus the batched teacher escalation.
+// TestCascadeAlwaysEscalates: bounds of +Inf hold every gap within them and
+// escalate every briefing, so the wire bytes must be identical to the
+// teacher-only serial path — the proof that an escalation replaces the whole
+// brief, not just the topic. One client exercises the batch-of-one
+// escalation, many clients the batched student forward plus the batched
+// teacher escalation.
 func TestCascadeAlwaysEscalates(t *testing.T) {
-	srv, ts, pages, want := cascadeServer(t, Config{Replicas: 1, BatchMax: 4}, 2)
+	srv, ts, pages, want := cascadeServer(t, Config{Replicas: 1, BatchMax: 4}, escalateAll)
 	for i, p := range pages {
 		status, body, err := postBrief(ts.URL, p.HTML)
 		if err != nil || status != http.StatusOK {
@@ -136,12 +160,13 @@ func TestCascadeAlwaysEscalates(t *testing.T) {
 	}
 }
 
-// TestCascadePartitionReconciles drives a mixed workload at a live
-// threshold and checks the /metrics invariants the registry promises:
+// TestCascadePartitionReconciles drives a mixed workload on the student's
+// own bounds and checks the /metrics invariants the registry promises:
 // student + teacher == cascade_requests_total == OK responses, and the
-// JSON snapshot mirrors the counters.
+// JSON snapshot mirrors the counters. The confidence threshold routes
+// nothing but is still reported, at its default of 0.5.
 func TestCascadePartitionReconciles(t *testing.T) {
-	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 2}, 0.5)
+	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 2}, wb.StudentBounds())
 	const rounds = 3
 	var wg sync.WaitGroup
 	for r := 0; r < rounds; r++ {
@@ -230,7 +255,7 @@ func TestCascadeRequiresGloVe(t *testing.T) {
 // nanStudent is a student whose decode goes non-finite: it forwards like the
 // real student (so the extractive half of its brief is sane) and then
 // poisons the decoder's attention memory, which turns every decode logit —
-// and with them both confidence fields — into NaN.
+// and with them the beam's keep and final gaps — into NaN.
 type nanStudent struct{ wb.ModelOf[float32] }
 
 func (s nanStudent) Forward(t *ag.TapeOf[float32], inst *wb.Instance, mode wb.Mode) *wb.OutputOf[float32] {
@@ -239,21 +264,23 @@ func (s nanStudent) Forward(t *ag.TapeOf[float32], inst *wb.Instance, mode wb.Mo
 	return out
 }
 
-// TestCascadeEscalatesNaNConfidence: a NaN confidence is the least
-// confident answer there is, not a pass. NaN compares false against every
-// threshold, so a score that let it through would serve the student's
-// garbage topic; the briefing must escalate instead, counted under
-// teacher_total and byte-identical to the teacher-only path.
+// TestCascadeEscalatesNaNConfidence: a NaN gap is the least certain decision
+// there is, not a pass. NaN compares false against every bound, so a rule
+// written gap <= bound would serve the student's garbage topic; the guard's
+// !(gap > bound) escalates it instead, counted under teacher_total and
+// byte-identical to the teacher-only path — even with bounds of -Inf, under
+// which no finite gap escalates.
 func TestCascadeEscalatesNaNConfidence(t *testing.T) {
 	m, v, pages := trainedModel(t)
-	const beam, threshold = 2, 0.03
+	const beam = 2
 	m.Cfg.BeamSize = beam
 	want := serialWire(t, wb.NewBriefer(m, v, beam, 0), pageHTML(pages))
 	student, err := wb.ConvertJointWB(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Cascade: true, ConfidenceThreshold: threshold}
+	withBounds(t, escalateNone)
+	cfg := Config{Cascade: true}
 	pool, err := NewPool(m, v, 1, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -491,13 +491,13 @@ func (r *encodeSizes) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
 // like any other. A batch that forms behind the busy pool reaches the inner
 // replica as ONE fused encode of the batch's size, not member by member, and
 // every OK briefing lands in cascade_requests_total with the tier split
-// exact, whichever way each page's confidence fell. The access log reads the
+// exact, whichever way each page's gaps fell. The access log reads the
 // same record: its lines split by tier as cascade.tiers does, and each line's
 // stages add up to its total.
 func TestChaosWrappedCascadeReplicaBatchesAndCounts(t *testing.T) {
 	var accessLog bytes.Buffer
 	const batchMax = 4
-	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 1, BatchMax: batchMax, AccessLog: &accessLog}, 0.5)
+	srv, ts, pages, _ := cascadeServer(t, Config{Replicas: 1, BatchMax: batchMax, AccessLog: &accessLog}, wb.StudentBounds())
 	var inner *encodeSizes
 	quiet := fault.NewSchedule(fault.Config{Seed: 1, Rate: 0})
 	if err := srv.Pool().WrapOne(func(r Replica) Replica {

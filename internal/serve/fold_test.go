@@ -49,7 +49,7 @@ func TestPoolSharesFoldTables(t *testing.T) {
 		}
 		return teacher, student
 	}
-	cfg := Config{Cascade: true, ConfidenceThreshold: 0.5}
+	cfg := Config{Cascade: true}
 	p1, err := NewPool(m, v, 3, cfg)
 	if err != nil {
 		t.Fatal(err)

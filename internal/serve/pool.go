@@ -89,10 +89,10 @@ type tier interface {
 	// workspace tape for the decode that must follow.
 	extract(insts []*wb.Instance) []*wb.Brief
 	// decode beam-searches the topics from extract's outputs and returns each
-	// member's decode confidence.
-	decode(briefs []*wb.Brief) []nn.Confidence
+	// member's decision gaps, valid until the tier's next decode.
+	decode(briefs []*wb.Brief) []nn.Gaps
 	// brief is extract then decode: the whole pipeline on this tier.
-	brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Confidence)
+	brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Gaps)
 }
 
 // tierOf is tier at one element type, over the generic wb batch pipeline.
@@ -102,6 +102,7 @@ type tierOf[T tensor.Float] struct {
 	beam    int
 	scratch *wb.BatchScratchOf[T]
 	outs    []*wb.OutputOf[T] // extract's outputs awaiting decode
+	gaps    []nn.Gaps         // decode's result, reused
 }
 
 func (t *tierOf[T]) extract(insts []*wb.Instance) []*wb.Brief {
@@ -110,29 +111,42 @@ func (t *tierOf[T]) extract(insts []*wb.Instance) []*wb.Brief {
 	return briefs
 }
 
-func (t *tierOf[T]) decode(briefs []*wb.Brief) []nn.Confidence {
-	confs := wb.DecodeTopicBatch(t.outs, t.vocab, t.beam, t.scratch, briefs)
+func (t *tierOf[T]) decode(briefs []*wb.Brief) []nn.Gaps {
+	wb.DecodeTopicBatch(t.outs, t.vocab, t.beam, t.scratch, briefs)
+	t.gaps = t.gaps[:0]
+	for _, out := range t.outs {
+		t.gaps = append(t.gaps, out.Gaps)
+	}
 	t.outs = nil
-	return confs
+	return t.gaps
 }
 
-func (t *tierOf[T]) brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Confidence) {
-	return wb.MakeBriefBatch(t.model, insts, t.vocab, t.beam, t.scratch)
+func (t *tierOf[T]) brief(insts []*wb.Instance) ([]*wb.Brief, []nn.Gaps) {
+	briefs := t.extract(insts)
+	return briefs, t.decode(briefs)
 }
+
+// escalationBounds are the decision-gap bounds every replica NewPool builds
+// escalates on: the float32 student's (wb.StudentBounds). In-package tests
+// swap them, all +Inf to escalate every briefing and all -Inf to escalate
+// none.
+var escalationBounds = wb.StudentBounds()
 
 // modelReplica is the Replica over a pool generation's models: an ordered
 // list of tiers, fastest first, and nothing else of its own. A batch encodes
-// and decodes on the first tier; the members whose confidence score falls
-// below threshold re-brief on the next tier under the same checkout, and so
-// on down the list. An escalation replaces the whole brief (extraction and
-// topic), so every answer a client sees came entirely from one tier. A
-// teacher-only replica is a list of one, the cascade (Config.Cascade) the
-// float32 student in front of the float64 teacher; every tier runs the same
+// and decodes on the first tier; the members with a decision whose gap is not
+// above its kind's bound (nn.Gaps.Within) — a choice the tier's rounding
+// could have flipped — re-brief on the next tier under the same checkout,
+// and so on down the list. An escalation replaces the whole brief
+// (extraction and topic), so every answer a client sees came entirely from
+// one tier. A teacher-only replica is a list of one, the cascade
+// (Config.Cascade) the float32 student in front of the float64 teacher, which
+// then serves the teacher's brief for every page; every tier runs the same
 // wb code, instantiated per element type, and every briefing costs one Eval
 // forward per tier it reaches.
 type modelReplica struct {
-	tiers     []tier
-	threshold float64 // escalate when confidence score < threshold
+	tiers  []tier
+	bounds nn.Gaps // escalate a member whose gaps are Within these
 }
 
 // EncodeBatch implements Replica: one fused Eval forward for the whole batch
@@ -142,11 +156,11 @@ func (r *modelReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
 }
 
 // DecodeBatch implements Replica: one batched beam search over the outputs
-// EncodeBatch retained, then one more batch per further tier for the
-// low-confidence subset. Every member waited the escalations, so each
-// decision carries their whole time.
+// EncodeBatch retained, then one more batch per further tier for the members
+// with a decision inside its bound. Every member waited the escalations, so
+// each decision carries their whole time.
 func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision {
-	confs := r.tiers[0].decode(briefs)
+	gaps := r.tiers[0].decode(briefs)
 	decisions := make([]wb.TierDecision, len(insts))
 	if len(r.tiers) == 1 {
 		return decisions
@@ -157,10 +171,10 @@ func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []w
 	}
 	var escalation time.Duration
 	for k := 1; k < len(r.tiers); k++ {
-		esc := pending[:0] // filtered in place: confs[j] is pending[j]'s
+		esc := pending[:0] // filtered in place: gaps[j] is pending[j]'s
 		var escInsts []*wb.Instance
 		for j, i := range pending {
-			if confs[j].Score() < r.threshold {
+			if gaps[j].Within(r.bounds) {
 				esc = append(esc, i)
 				escInsts = append(escInsts, insts[i])
 			}
@@ -170,7 +184,7 @@ func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []w
 		}
 		t0 := time.Now()
 		var tbriefs []*wb.Brief
-		tbriefs, confs = r.tiers[k].brief(escInsts)
+		tbriefs, gaps = r.tiers[k].brief(escInsts)
 		escalation += time.Since(t0)
 		for j, i := range esc {
 			*briefs[i] = *tbriefs[j]
@@ -224,9 +238,8 @@ type Pool struct {
 // beam width, m.Cfg.BeamSize (at least 1), exactly like wb.NewBriefer at that
 // width, so pooled briefings are identical to the serial path's at
 // maxPageTokens. A model whose topic length is below 1 has no first decoding
-// pass to run and is refused. cfg's ConfidenceThreshold is the escalation
-// cutoff on the decode confidence score: ≤ 0 never escalates, > 1 escalates
-// every briefing.
+// pass to run and is refused. The student escalates on escalationBounds; cfg's
+// ConfidenceThreshold routes nothing.
 //
 // A model with a transformer encoder has no fold tables and no float32 form,
 // and serves as is, unfolded — which only a pool of one may: m stays the
@@ -264,7 +277,7 @@ func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error)
 	models := make([]*modelReplica, n)
 	replicas := make([]Replica, n)
 	for i := range replicas {
-		r := &modelReplica{threshold: cfg.ConfidenceThreshold}
+		r := &modelReplica{bounds: escalationBounds}
 		for _, t := range tiers {
 			r.tiers = append(r.tiers, t.workspace())
 		}

@@ -259,8 +259,10 @@ func runRealReloadEquivalence(t *testing.T, student bool) {
 	if differ == 0 {
 		t.Fatal("fixture too weak: both generations brief every page identically")
 	}
-	// Threshold -1 never escalates: every answer is the student tier's.
-	srv, err := New(m1, v, Config{Replicas: 2, QueueDepth: 64, BatchMax: 4, Cascade: student, ConfidenceThreshold: -1})
+	// Bounds of -Inf never escalate, in the boot pool and the reloaded one:
+	// every answer is the student tier's.
+	withBounds(t, escalateNone)
+	srv, err := New(m1, v, Config{Replicas: 2, QueueDepth: 64, BatchMax: 4, Cascade: student})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,16 +72,18 @@ type Config struct {
 	BatchMax int
 
 	// Cascade enables the float32 student fast path: every briefing first
-	// runs on a float32 conversion of the model (wb.ConvertJointWB; GloVe
-	// encoders only), and only decodes whose confidence score falls below
-	// ConfidenceThreshold re-run on the full float64 teacher under the same
-	// replica checkout. /metrics gains per-tier counters and latency
-	// histograms.
+	// runs on a float32 conversion of the model (wb.FoldForServing[float32];
+	// GloVe encoders only), and only a briefing with a decision whose float32
+	// gap is within the student's bound (wb.StudentBounds) re-runs on the
+	// full float64 teacher under the same replica checkout. Every other
+	// briefing took each decision with room to spare for float32's rounding,
+	// so the wire carries the teacher's bytes for it too. /metrics gains
+	// per-tier counters and latency histograms.
 	Cascade bool
-	// ConfidenceThreshold is the cascade escalation cutoff in [0,1] on the
-	// student's decode confidence score (0 = 0.5 when Cascade is set). The
-	// score is never negative, so a negative threshold never escalates;
-	// values above 1 escalate every briefing.
+	// ConfidenceThreshold routes nothing: the cascade escalates on decision
+	// gaps. It is kept, defaulted (0 = 0.5 when Cascade is set) and reported
+	// as cascade.confidence_threshold only for scrapers and callers that
+	// still set it.
 	ConfidenceThreshold float64
 
 	// CacheCapacity enables the content-addressed briefing cache and bounds
@@ -467,14 +469,15 @@ func (s *Server) settle(lg *accessEntry, o metrics.Outcome[requestsTotal], statu
 }
 
 // refuse settles a request that gets no briefing and writes its plain-text
-// error. The statuses that tell the client to come back (503 draining, 429
-// shed) carry Retry-After.
+// error, whose length the access log records. The statuses that tell the
+// client to come back (503 draining, 429 shed) carry Retry-After.
 func (s *Server) refuse(w http.ResponseWriter, lg *accessEntry, o metrics.Outcome[requestsTotal], status int, msg string) {
 	s.settle(lg, o, status)
 	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", retryAfter)
 	}
 	http.Error(w, msg, status)
+	lg.BytesOut = len(msg) + 1 // http.Error writes msg and a newline
 }
 
 // handleHealthz reports pool readiness: 200 with pool stats while serving

@@ -245,6 +245,53 @@ func TestServeHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestRefusedRequestsLogBodyLength: a refused request's access-log line
+// counts the error body it was sent in bytes_out, like a briefed one counts
+// its brief: a GET /brief (405) and a body over the limit (413).
+func TestRefusedRequestsLogBodyLength(t *testing.T) {
+	var accessLog bytes.Buffer
+	srv := NewFromPool(PoolOf(lift(&okReplica{})), Config{MaxBodyBytes: 64, AccessLog: &accessLog})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var bodies []int
+	for _, req := range []struct {
+		method, body string
+		status       int
+	}{
+		{http.MethodGet, "", http.StatusMethodNotAllowed},
+		{http.MethodPost, strings.Repeat("x", 65), http.StatusRequestEntityTooLarge},
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+"/brief", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != req.status || len(body) == 0 {
+			t.Fatalf("%s: status %d body %q err %v, want %d with a body", req.method, resp.StatusCode, body, err, req.status)
+		}
+		bodies = append(bodies, len(body))
+	}
+	lines := bytes.Split(bytes.TrimSpace(accessLog.Bytes()), []byte("\n"))
+	if len(lines) != len(bodies) {
+		t.Fatalf("access log has %d lines, want %d", len(lines), len(bodies))
+	}
+	for i, line := range lines {
+		var entry accessEntry
+		if err := json.Unmarshal(line, &entry); err != nil {
+			t.Fatal(err)
+		}
+		if entry.BytesOut != bodies[i] {
+			t.Errorf("line %d (status %d): bytes_out %d, the client read %d", i, entry.Status, entry.BytesOut, bodies[i])
+		}
+	}
+}
+
 // stubReplica is a Replica whose Encode blocks until released — the seam
 // for deterministic overload, timeout and drain tests.
 type stubReplica struct {

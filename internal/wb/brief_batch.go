@@ -29,6 +29,7 @@ import (
 type BatchScratchOf[T tensor.Float] struct {
 	Tape  *ag.TapeOf[T]
 	beams []*nn.BeamScratchOf[T]
+	gaps  []nn.Gaps // the batched beam's per-member decision gaps
 
 	vocabSize int // beam scratch presizing, 0 = lazy
 	width     int
@@ -79,9 +80,10 @@ func forwardEval[T tensor.Float](m ModelOf[T], insts []*Instance, s *BatchScratc
 
 // ExtractBriefBatch runs one Eval forward for every instance on the shared
 // tape and assembles the extractive half of each briefing: the key attribute
-// spans and the informative-section flags. The topics are left empty;
-// DecodeTopicBatch fills them from the returned Outputs, which die at the
-// scratch's next reset. The split exists so a caller can time the encode and
+// spans and the informative-section flags, their decisions noted in each
+// Output's Gaps beside the forward's first decoding pass. The topics are
+// left empty; DecodeTopicBatch fills them from the returned Outputs, which
+// die at the scratch's next reset. The split exists so a caller can time the encode and
 // decode stages separately.
 func ExtractBriefBatch[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc.Vocab, s *BatchScratchOf[T]) ([]*Brief, []*OutputOf[T]) {
 	outs := forwardEval(m, insts, s)
@@ -112,10 +114,10 @@ func extractiveBrief[T tensor.Float](out *OutputOf[T], inst *Instance, v *textpr
 
 // decodeTopics decodes a topic of at most maxLen tokens from each of outs
 // (the Outputs of a forward still live on s.Tape) and returns the token ids
-// with each decode's confidence. Beam widths > 1 run one batched beam search
-// across every instance with a generator head; width ≤ 1 decodes each
-// greedily. Instances without a generator head get nil ids and a zero
-// confidence.
+// with each decode's confidence, noting its decisions in outs[i].Gaps. Beam
+// widths > 1 run one batched beam search across every instance with a
+// generator head; width ≤ 1 decodes each greedily. Instances without a
+// generator head get nil ids and a zero confidence.
 func decodeTopics[T tensor.Float](outs []*OutputOf[T], beamWidth, maxLen int, s *BatchScratchOf[T]) ([][]int, []nn.Confidence) {
 	ids := make([][]int, len(outs))
 	confs := make([]nn.Confidence, len(outs))
@@ -134,14 +136,19 @@ func decodeTopics[T tensor.Float](outs []*OutputOf[T], beamWidth, maxLen int, s 
 	}
 	if beamWidth <= 1 {
 		for _, i := range idx {
-			ids[i], confs[i] = outs[i].Dec.Greedy(s.Tape, outs[i].Memory, textproc.BosID, textproc.EosID, maxLen)
+			ids[i], confs[i] = outs[i].Dec.Greedy(s.Tape, outs[i].Memory, textproc.BosID, textproc.EosID, maxLen, &outs[i].Gaps)
 		}
 		return ids, confs
 	}
+	s.gaps = s.gaps[:0]
+	for range idx {
+		s.gaps = append(s.gaps, nn.NoGaps())
+	}
 	tokIDs, beamConfs := outs[idx[0]].Dec.BeamSearchBatch(s.Tape, mems, textproc.BosID, textproc.EosID,
-		beamWidth, maxLen, s.beamScratches(len(idx)))
+		beamWidth, maxLen, s.beamScratches(len(idx)), s.gaps)
 	for k, i := range idx {
 		ids[i], confs[i] = tokIDs[k], beamConfs[k]
+		outs[i].Gaps.Merge(s.gaps[k])
 	}
 	return ids, confs
 }
@@ -149,8 +156,9 @@ func decodeTopics[T tensor.Float](outs []*OutputOf[T], beamWidth, maxLen int, s 
 // DecodeTopicBatch fills briefs[i].Topic with the topic phrase, at most
 // topicMaxLen tokens, decoded from outs[i] (the Outputs ExtractBriefBatch
 // returned, still live on s.Tape) and returns each instance's decode
-// confidence — what the cascade routes on. Instances without a generator
-// head keep a nil topic and a zero confidence.
+// confidence. Afterwards outs[i].Gaps holds every decision of instance i's
+// brief — what the cascade routes on. Instances without a generator head
+// keep a nil topic and a zero confidence.
 func DecodeTopicBatch[T tensor.Float](outs []*OutputOf[T], v *textproc.Vocab, beamWidth int, s *BatchScratchOf[T], briefs []*Brief) []nn.Confidence {
 	ids, confs := decodeTopics(outs, beamWidth, topicMaxLen, s)
 	for i, topic := range ids {
@@ -169,6 +177,29 @@ func MakeBriefBatch[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc
 	confs := DecodeTopicBatch(outs, v, beamWidth, s, briefs)
 	return briefs, confs
 }
+
+// studentBounds are the float32 student's decision-gap bounds. The student
+// is the teacher's own parameters cast to float32, so its brief differs from
+// the float64 teacher's only where a rounding error flips a decision: a
+// member whose every gap is above its kind's bound here briefs identically on
+// both tiers, and the cascade escalates only the rest (nn.Gaps.Within). Each
+// bound is 8 × the largest |float32 gap − float64 gap| of its kind measured
+// with TestTierAgreement's bench-bundle rows: the bench bundle (sha256
+// 7502e845…), bench/wbload's page universe for seeds 1–3 with and without a
+// visitor sentence (12 000 pages), folded tiers as batches of one, both
+// kernel modes, both libm paths (which gave the same maxima): tag 1.76e-4,
+// section 6.13e-6, first pass 8.9e-5, keep boundary 5.64e-6, final ranking
+// 1.89e-6.
+var studentBounds = nn.Gaps{
+	nn.GapTag:     1.41e-3,
+	nn.GapSection: 4.91e-5,
+	nn.GapGreedy:  7.12e-4,
+	nn.GapKeep:    4.52e-5,
+	nn.GapFinal:   1.52e-5,
+}
+
+// StudentBounds returns the float32 student's decision-gap bounds.
+func StudentBounds() nn.Gaps { return studentBounds }
 
 // TierDecision is how one briefing moved through an ordered list of model
 // tiers, fastest first — what a serving replica reports per batch member.

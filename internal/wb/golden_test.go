@@ -42,11 +42,6 @@ func kernelModes(t *testing.T) map[string]func() {
 	return modes
 }
 
-// goldenThreshold is the cascade cutoff the golden applies to the student's
-// confidence score. The golden model is barely trained, so its scores all
-// sit under 0.003; this cutoff splits the golden pages between both tiers.
-const goldenThreshold = 3e-4
-
 // goldenPages is the fixed page set the serving golden briefs: pages of the
 // two domains the golden model was trained on and of two it never saw, all
 // from a corpus seed it was not trained on, then eight corpus.ConcatPages
@@ -64,31 +59,57 @@ func goldenPages(t *testing.T, v *textproc.Vocab) []*Instance {
 }
 
 // briefDigest hashes what a client and the cascade see of a batch of
-// briefings: every brief's JSON, the tier that answered it and the bits of
-// the confidence that decided the tier.
-func briefDigest(briefs []*Brief, tiers []int, confs []nn.Confidence) string {
+// briefings: every brief's JSON, the tier that answered it, the bits of its
+// decode confidence and, when gaps is not nil, the bits of the decision gaps
+// that decided the tier.
+func briefDigest(briefs []*Brief, tiers []int, confs []nn.Confidence, gaps []nn.Gaps) string {
 	h := sha256.New()
 	for i, b := range briefs {
 		js, err := json.Marshal(b)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Fprintf(h, "%s|%d|%x|%x\n", js, tiers[i], math.Float64bits(confs[i].Margin), math.Float64bits(confs[i].Posterior))
+		fmt.Fprintf(h, "%s|%d|%x|%x", js, tiers[i], math.Float64bits(confs[i].Margin), math.Float64bits(confs[i].Posterior))
+		if gaps != nil {
+			for _, g := range gaps[i] {
+				fmt.Fprintf(h, "|%x", math.Float64bits(g))
+			}
+		}
+		fmt.Fprintln(h)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// briefBatches briefs insts through MakeBriefBatch in consecutive batches of
-// size on one workspace, at beam width beam.
-func briefBatches[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc.Vocab, beam, size int) ([]*Brief, []nn.Confidence) {
+// briefsOnly hashes the briefs' JSON alone: what a client sees.
+func briefsOnly(briefs []*Brief) string {
+	h := sha256.New()
+	for _, b := range briefs {
+		js, err := json.Marshal(b)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(h, "%s\n", js)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// briefBatches briefs insts through ExtractBriefBatch and DecodeTopicBatch
+// in consecutive batches of size on one workspace, at beam width beam, and
+// returns each brief with its confidence and decision gaps.
+func briefBatches[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc.Vocab, beam, size int) ([]*Brief, []nn.Confidence, []nn.Gaps) {
 	s := NewBatchScratchOf[T](v, beam, size)
 	var briefs []*Brief
 	var confs []nn.Confidence
+	var gaps []nn.Gaps
 	for lo := 0; lo < len(insts); lo += size {
-		b, c := MakeBriefBatch(m, insts[lo:min(lo+size, len(insts))], v, beam, s)
+		b, outs := ExtractBriefBatch(m, insts[lo:min(lo+size, len(insts))], v, s)
+		c := DecodeTopicBatch(outs, v, beam, s, b)
 		briefs, confs = append(briefs, b...), append(confs, c...)
+		for _, out := range outs {
+			gaps = append(gaps, out.Gaps)
+		}
 	}
-	return briefs, confs
+	return briefs, confs, gaps
 }
 
 // libmMode names the path math.Exp takes: "fma" for libm's FMA body, "nofma"
@@ -104,7 +125,11 @@ func libmMode() string {
 // TestServingGolden pins the serving path's bits: the committed golden model,
 // folded for serving at float64 (the teacher) and float32 (the cascade's
 // student), briefs a fixed page set as batches of 1 and of 8, and the digest
-// of every brief, tier and confidence bit must match testdata's. Both digests
+// of every brief, tier and confidence bit — and for the cascade, every gap
+// bit — must match testdata's. The cascade escalates a page whose student
+// gaps are within studentBounds, as a serving replica does; the golden model
+// is barely trained, so that splits the pages between both tiers, and the
+// cascade's briefs must be the teacher's, byte for byte. Both digests
 // are per libm path, because σ, tanh and the softmax exponentials are
 // math.Exp's bits (README, "Determinism contract"); the float32 digest is
 // also per kernel mode, because its lanes fuse each multiply-add and its
@@ -133,21 +158,24 @@ func TestServingGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, size := range []int{1, 8} {
-			tb, tc := briefBatches[float64](teacher, insts, v, beam, size)
-			got[fmt.Sprintf("teacher libm=%s batch=%d", libmMode(), size)] = briefDigest(tb, make([]int, len(tb)), tc)
+			tb, tc, _ := briefBatches[float64](teacher, insts, v, beam, size)
+			got[fmt.Sprintf("teacher libm=%s batch=%d", libmMode(), size)] = briefDigest(tb, make([]int, len(tb)), tc, nil)
 
-			sb, sc := briefBatches[float32](student, insts, v, beam, size)
+			sb, sc, sg := briefBatches[float32](student, insts, v, beam, size)
 			tiers := make([]int, len(sb))
 			final := slices.Clone(sb)
-			for i, c := range sc {
-				if c.Score() < goldenThreshold {
+			for i, g := range sg {
+				if g.Within(studentBounds) {
 					tiers[i], final[i] = 1, tb[i]
 				}
 			}
 			if !slices.Contains(tiers, 0) || !slices.Contains(tiers, 1) {
-				t.Fatalf("%s: tiers %v: the golden threshold must split the pages between both tiers", mode, tiers)
+				t.Fatalf("%s: tiers %v: the student's bounds must split the golden pages between both tiers", mode, tiers)
 			}
-			got[fmt.Sprintf("cascade kernels=%s libm=%s batch=%d", mode, libmMode(), size)] = briefDigest(final, tiers, sc)
+			if c, w := briefsOnly(final), briefsOnly(tb); c != w {
+				t.Fatalf("%s batch %d: cascade briefs digest %s, teacher briefs %s", mode, size, c, w)
+			}
+			got[fmt.Sprintf("cascade kernels=%s libm=%s batch=%d", mode, libmMode(), size)] = briefDigest(final, tiers, sc, sg)
 		}
 	}
 

@@ -231,10 +231,11 @@ func (m *JointWBOf[T]) forwardTail(t *ag.TapeOf[T], inst *Instance, mode Mode, s
 	// First decoding pass over plain C_G: topic states Q and Q^b.
 	mem1 := m.MemPr1.Forward(t, cG)
 	var topicStates *ag.NodeOf[T]
+	gaps := nn.NoGaps()
 	if mode.TeacherForced() {
 		_, topicStates = m.Dec.ForwardStates(t, mem1, inst.TopicIn)
 	} else {
-		topicStates = m.Dec.GreedyStates(t, mem1, textproc.BosID, textproc.EosID, m.Cfg.TopicLen)
+		topicStates = m.Dec.GreedyStates(t, mem1, textproc.BosID, textproc.EosID, m.Cfg.TopicLen, &gaps)
 	}
 	qb := t.Tanh(m.WQ.Forward(t, t.MeanRows(topicStates))) // 1×h
 
@@ -261,6 +262,7 @@ func (m *JointWBOf[T]) forwardTail(t *ag.TapeOf[T], inst *Instance, mode Mode, s
 		SecLogits:   secLogits,
 		Memory:      mem2,
 		Dec:         m.Dec,
+		Gaps:        gaps,
 	}
 	if mode.TeacherForced() {
 		out.TopicLogits = m.Dec.ForwardTeacherForcing(t, mem2, inst.TopicIn)

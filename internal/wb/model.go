@@ -1,6 +1,8 @@
 package wb
 
 import (
+	"math"
+
 	"webbrief/internal/ag"
 	"webbrief/internal/nn"
 	"webbrief/internal/tensor"
@@ -36,6 +38,13 @@ type OutputOf[T tensor.Float] struct {
 	TopicLogits *ag.NodeOf[T] // teacher-forced decode logits (len(TopicIn)×vocab)
 	Memory      *ag.NodeOf[T] // decoder attention memory for free decoding
 	Dec         *nn.AttnDecoderOf[T]
+
+	// Gaps is the thinnest gap of each kind of decision taken from this
+	// output so far: the first decoding pass's by the forward, the tags' and
+	// sections' by PredictTags and PredictSections, the topic's by
+	// DecodeTopicBatch. Joint-WB's forward starts it at nn.NoGaps; an output
+	// that leaves it zero reads as all ties.
+	Gaps nn.Gaps
 }
 
 // ModelOf is the interface shared by Joint-WB and every baseline, and the
@@ -90,28 +99,34 @@ func Loss(t *ag.Tape, out *Output, inst *Instance) *ag.Node {
 	return t.AddScalars(terms...)
 }
 
-// PredictTags returns the argmax BIO tag sequence from an output.
+// PredictTags returns the argmax BIO tag sequence from an output, noting
+// each token's top-1 − top-2 tag logit gap in out.Gaps.
 func PredictTags[T tensor.Float](out *OutputOf[T]) []int {
 	if out.TagLogits == nil {
 		return nil
 	}
 	tags := make([]int, out.TagLogits.Rows())
 	for i := range tags {
-		tags[i] = out.TagLogits.Value.ArgmaxRow(i)
+		tag, gap := nn.ArgmaxGap(out.TagLogits.Value.Row(i))
+		tags[i] = tag
+		out.Gaps.Note(nn.GapTag, gap)
 	}
 	return tags
 }
 
-// PredictSections thresholds the section logits at 0.5 probability.
+// PredictSections thresholds the section logits at 0.5 probability, noting
+// each sentence's |logit|, its distance from the threshold, in out.Gaps.
 func PredictSections[T tensor.Float](out *OutputOf[T]) []int {
 	if out.SecLogits == nil {
 		return nil
 	}
 	secs := make([]int, out.SecLogits.Rows())
 	for i := range secs {
-		if out.SecLogits.Value.At(i, 0) >= 0 { // sigmoid(x) >= 0.5 ⟺ x >= 0
+		x := out.SecLogits.Value.At(i, 0)
+		if x >= 0 { // sigmoid(x) >= 0.5 ⟺ x >= 0
 			secs[i] = 1
 		}
+		out.Gaps.Note(nn.GapSection, math.Abs(float64(x)))
 	}
 	return secs
 }

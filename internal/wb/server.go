@@ -61,7 +61,7 @@ func heapTapeBrief[T tensor.Float](m ModelOf[T], inst *Instance, v *textproc.Voc
 	}
 	var ids []int
 	if beamWidth <= 1 {
-		ids, _ = out.Dec.Greedy(t, out.Memory, textproc.BosID, textproc.EosID, topicMaxLen)
+		ids, _ = out.Dec.Greedy(t, out.Memory, textproc.BosID, textproc.EosID, topicMaxLen, nil)
 	} else {
 		ids = out.Dec.BeamSearch(t, out.Memory, textproc.BosID, textproc.EosID, beamWidth, topicMaxLen)
 	}

@@ -170,15 +170,15 @@ func TestSnapshotTrainingOnlyOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 		beam, tiers, unscored := m.Cfg.BeamSize, make([]int, len(insts)), make([]nn.Confidence, len(insts))
-		tb, tc := briefBatches[float64](teacher, insts, v, beam, 1)
-		sb, sc := briefBatches[float32](student, insts, v, beam, 1)
+		tb, tc, tg := briefBatches[float64](teacher, insts, v, beam, 1)
+		sb, sc, sg := briefBatches[float32](student, insts, v, beam, 1)
 		var th, sh []*Brief
 		for _, inst := range insts {
 			th = append(th, heapTapeBrief[float64](teacher, inst, v, beam))
 			sh = append(sh, heapTapeBrief[float32](student, inst, v, beam))
 		}
-		return [4]string{briefDigest(tb, tiers, tc), briefDigest(sb, tiers, sc),
-			briefDigest(th, tiers, unscored), briefDigest(sh, tiers, unscored)}
+		return [4]string{briefDigest(tb, tiers, tc, tg), briefDigest(sb, tiers, sc, sg),
+			briefDigest(th, tiers, unscored, nil), briefDigest(sh, tiers, unscored, nil)}
 	}
 	want := digests(decoded)
 	for _, dropout := range []float64{0, 0.2, 0.5} {

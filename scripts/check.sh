@@ -129,6 +129,9 @@ for i in 1 2; do
     grep -qx 'bundle sha256 7502e8455762540e80a9b3cf8f823aa3ce097f5973a4b6677e65b31a846e2ce2' <<<"$BENCH_OUT"
 done
 
+echo "== tier agreement on the bench bundle (the bundle the stage above left in .bench_build/bin, folded at float32 and float64, over bench/wbload's seed-1 page universe with and without a visitor sentence, both kernel modes: every decision's float32 and float64 gaps within half the student's bound, and every page the cascade's guard lets through briefed identically by both tiers; prints each kind's max |Δgap| and the escalation rate)"
+go test -v -run 'TestTierAgreement/bench-bundle/seed=1$' ./internal/wb | grep -v '^=== RUN'
+
 echo "== wbserve cached smoke (wbsnap -info, -cache on, repeat post hits without a replica)"
 go run ./cmd/wbsnap -info "$SMOKEDIR/model.bin" | grep -q 'jointwb/params'
 "$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.bin" -addr 127.0.0.1:18082 -replicas 2 -queue 8 \
@@ -156,9 +159,9 @@ wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 echo "   wbserve cached smoke ok"
 
-echo "== wbserve cascade smoke (-cascade on, student tier serves, /metrics cascade block reconciles)"
+echo "== wbserve cascade smoke (-cascade on, the guard routes, /metrics cascade block reconciles and still reports the inert threshold at its default)"
 "$SMOKEDIR/wbserve" -model "$SMOKEDIR/model.bin" -addr 127.0.0.1:18083 -replicas 2 -queue 8 \
-    -cascade -confidence-threshold 0.5 -quiet &
+    -cascade -quiet &
 SERVE_PID=$!
 for i in $(seq 1 50); do
     curl -sf http://127.0.0.1:18083/healthz >/dev/null 2>&1 && break
