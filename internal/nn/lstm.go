@@ -25,8 +25,8 @@ func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
 	bx := xavier(in, 4*hidden)
 	bh := xavier(hidden, 4*hidden)
 	l := &LSTM{
-		Wx:     ag.NewParam(name+".Wx", tensor.Uniform(in, 4*hidden, -bx, bx, rng)),
-		Wh:     ag.NewParam(name+".Wh", tensor.Uniform(hidden, 4*hidden, -bh, bh, rng)),
+		Wx:     ag.NewParam(name+".Wx", uniform(in, 4*hidden, bx, rng)),
+		Wh:     ag.NewParam(name+".Wh", uniform(hidden, 4*hidden, bh, rng)),
 		B:      ag.NewParam(name+".B", tensor.New(1, 4*hidden)),
 		Hidden: hidden,
 	}

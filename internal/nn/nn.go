@@ -71,6 +71,17 @@ func CopyParams(dst, src Layer) {
 // the given fan-in and fan-out.
 func xavier(in, out int) float64 { return math.Sqrt(6.0 / float64(in+out)) }
 
+// uniform draws a rows×cols matrix uniformly from [-bound, bound). Every
+// constructor here takes a nil rng to mean "draw nothing": the weights are
+// allocated zeroed at their shapes (constant biases are still set), for a
+// caller that overwrites every value (wb.DecodeSnapshot).
+func uniform(rows, cols int, bound float64, rng *rand.Rand) *tensor.Matrix {
+	if rng == nil {
+		return tensor.New(rows, cols)
+	}
+	return tensor.Uniform(rows, cols, -bound, bound, rng)
+}
+
 // LinearOf is a fully connected layer y = x·W + b.
 type LinearOf[T tensor.Float] struct {
 	W *ag.ParamOf[T] // in×out
@@ -81,7 +92,7 @@ type LinearOf[T tensor.Float] struct {
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	bound := xavier(in, out)
 	return &Linear{
-		W: ag.NewParam(name+".W", tensor.Uniform(in, out, -bound, bound, rng)),
+		W: ag.NewParam(name+".W", uniform(in, out, bound, rng)),
 		B: ag.NewParam(name+".B", tensor.New(1, out)),
 	}
 }
@@ -124,9 +135,13 @@ type EmbeddingOf[T tensor.Float] struct {
 	Table *ag.ParamOf[T] // vocab×dim
 }
 
-// NewEmbedding returns an embedding table initialised from N(0, 0.1²).
+// NewEmbedding returns an embedding table initialised from N(0, 0.1²)
+// (zeroed for a nil rng, see uniform).
 func NewEmbedding(name string, vocab, dim int, rng *rand.Rand) *Embedding {
-	return &Embedding{Table: ag.NewParam(name+".E", tensor.Randn(vocab, dim, 0.1, rng))}
+	if rng == nil {
+		return EmbeddingFromMatrix(name, tensor.New(vocab, dim))
+	}
+	return EmbeddingFromMatrix(name, tensor.Randn(vocab, dim, 0.1, rng))
 }
 
 // EmbeddingFromMatrix wraps a pre-trained matrix (e.g. GloVe vectors) as an
@@ -199,7 +214,7 @@ type BilinearOf[T tensor.Float] struct {
 // NewBilinear returns a Glorot-initialised bilinear form.
 func NewBilinear(name string, dimA, dimB int, rng *rand.Rand) *Bilinear {
 	bound := xavier(dimA, dimB)
-	return &Bilinear{W: ag.NewParam(name+".W", tensor.Uniform(dimA, dimB, -bound, bound, rng))}
+	return &Bilinear{W: ag.NewParam(name+".W", uniform(dimA, dimB, bound, rng))}
 }
 
 // CastBilinear returns an inference-only copy of bl in element type D.

@@ -17,12 +17,12 @@ import (
 	"webbrief/internal/wb"
 )
 
-// WarmupHTML builds a synthetic page with roughly n visible tokens (0 = 512)
-// — a max-shape stand-in for Warm so every first-use buffer growth (arena
-// blocks, beam pools) happens before real traffic.
+// WarmupHTML builds a synthetic page with roughly n visible tokens (0 = 64,
+// about the length of the pages the benchmark serves): the page Warm briefs,
+// once per tier, before a pool takes traffic.
 func WarmupHTML(n int) string {
 	if n <= 0 {
-		n = 512
+		n = 64
 	}
 	words := []string{
 		"alpha", "baseline", "briefing", "capacity", "decode", "encode",
@@ -330,15 +330,15 @@ func (p *Pool) instance(sents [][]string) *wb.Instance {
 	return wb.InstanceFromSentences(sents, p.vocab, maxPageTokens)
 }
 
-// Warm briefs html twice on every replica, as a batch of one, so each
-// workspace grows its arena and beam buffers to steady state before
-// real traffic arrives; the first request per replica then runs the same
-// allocation-free path as every later one. Two passes because first-use
-// growth (arena blocks, beam pools) happens during the first
-// brief — the second proves the workspace has stopped growing for this page
-// shape. Warm with a max-shape page (see WarmupHTML) so one-time growth never
-// shows up in per-request numbers; wider batches grow the same grow-only
-// buffers the first time they occur. Call it before serving starts: it
+// Warm briefs html once on every tier of every replica, as a batch of one:
+// the first tier through the replica, each later tier (a cascade's teacher)
+// directly, as an escalation reaches it. So no tier meets its first request
+// cold, and each workspace has grown its arena blocks and beam pools to what
+// the page needs; the next brief of a page that size allocates exactly as
+// often as every later one (TestWarmSteadyState). A longer page or a wider
+// batch grows the same grow-only buffers once, the first time it occurs, and
+// is steady from then on — a one-time cost that Warm does not pay ahead for
+// shapes the traffic may never bring. Call it before serving starts: it
 // requires a fully idle pool and checks all replicas out while it runs.
 func (p *Pool) Warm(html string) error {
 	if p.Idle() != p.size {
@@ -362,13 +362,9 @@ func (p *Pool) Warm(html string) error {
 		}
 		checked = append(checked, r)
 		r.DecodeBatch(insts, r.EncodeBatch(insts))
-		r.DecodeBatch(insts, r.EncodeBatch(insts))
 	}
-	// The passes above grew every replica's first tier; an escalation must not
-	// hit a cold workspace on a later one either.
 	for _, r := range p.models {
 		for _, t := range r.tiers[1:] {
-			t.brief(insts)
 			t.brief(insts)
 		}
 	}

@@ -11,9 +11,11 @@ import (
 
 // This file is the zero-downtime hot model reload path: build a complete
 // shadow pool from a freshly loaded bundle, warm it off-path exactly like a
-// cold boot (Pool.Warm grows every workspace to steady state), then
-// atomically swap it in under the live handler. No request is ever dropped
-// or torn across the swap:
+// cold boot (Pool.Warm briefs the small warm page once on every tier of every
+// replica), then atomically swap it in under the live handler. The warm pass
+// is the whole of a reload's model work beyond the load and the fold, and it
+// runs beside live traffic, so it is kept to one small page per tier. No
+// request is ever dropped or torn across the swap:
 //
 //   - the scheduler snapshots the pool pointer once per batch, so every
 //     retry and every stage of one briefing runs on replicas of a single
@@ -60,9 +62,10 @@ func (s *Server) Reload(m *wb.JointWB, v *textproc.Vocab) (int64, error) {
 }
 
 // shadowPool builds a pool of the live pool's size from m/v — a reload never
-// changes capacity mid-flight — and grows its workspaces to steady state
-// off-path: the same warmup a cold boot runs, so the first post-swap request
-// already rides the allocation-free path.
+// changes capacity mid-flight — and warms it off-path with the warmup a cold
+// boot runs (Pool.Warm on WarmupHTML(0)): every tier of every replica has
+// briefed one page before the swap, so no post-swap request meets a cold
+// tier, and one the warm page's size grows nothing.
 func (s *Server) shadowPool(m *wb.JointWB, v *textproc.Vocab) (*Pool, error) {
 	pool, err := NewPool(m, v, s.pool.Load().Size(), s.cfg)
 	if err != nil {

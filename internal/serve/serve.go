@@ -270,9 +270,9 @@ func (s *Server) drain(ctx context.Context) error {
 	}
 }
 
-// Warm pre-grows every replica workspace to steady state before traffic
-// arrives (see Pool.Warm), so the first real request already runs the
-// allocation-free path. An empty html warms on the default synthetic page.
+// Warm briefs html once on every tier of every replica before traffic
+// arrives (see Pool.Warm), so no request meets a cold tier. An empty html
+// warms on the default synthetic page, WarmupHTML(0).
 func (s *Server) Warm(html string) error {
 	if html == "" {
 		html = WarmupHTML(0)

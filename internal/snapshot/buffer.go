@@ -100,19 +100,26 @@ func (r *Reader) Strings() ([]string, error) {
 	return out, nil
 }
 
-// Float64s reads a count-prefixed float64 slab.
-func (r *Reader) Float64s() ([]float64, error) {
+// Float64sInto reads a count-prefixed float64 slab straight into dst, which
+// must hold exactly the slab's count: a destination shorter or longer than
+// the slab, or a slab the payload is too short to hold, is an error, and dst
+// is left untouched. The caller owns the storage, so decoding allocates
+// nothing whatever the count says.
+func (r *Reader) Float64sInto(dst []float64) error {
 	n, err := r.Uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > uint64(r.Remaining())/8 {
-		return nil, fmt.Errorf("snapshot: float64 count %d exceeds %d remaining bytes", n, r.Remaining())
+		return fmt.Errorf("snapshot: float64 count %d exceeds %d remaining bytes", n, r.Remaining())
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-		r.off += 8
+	if n != uint64(len(dst)) {
+		return fmt.Errorf("snapshot: float64 slab has %d values, destination holds %d", n, len(dst))
 	}
-	return out, nil
+	src := r.b[r.off : r.off+8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	r.off += len(src)
+	return nil
 }

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -45,7 +46,9 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzReader: the primitive decoders must survive arbitrary payloads in
-// any read order without panicking.
+// any read order without panicking. The slab decoder reads into a
+// destination of order>>2 values (0..63): it must either fill exactly that
+// many from exactly 8 bytes each, or refuse and consume no slab byte.
 func FuzzReader(f *testing.F) {
 	var b Buffer
 	b.Uvarint(7)
@@ -53,6 +56,8 @@ func FuzzReader(f *testing.F) {
 	b.Strings([]string{"a", "b"})
 	b.Float64s([]float64{1.5})
 	f.Add(b.Bytes(), uint8(0))
+	f.Add(b.Bytes(), uint8(1<<2|1)) // the slab read into 1 value
+	f.Add(b.Bytes(), uint8(2<<2|1)) // ... into 2: a length mismatch
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, uint8(3))
 	f.Add([]byte{}, uint8(1))
 
@@ -67,7 +72,15 @@ func FuzzReader(f *testing.F) {
 			case 2:
 				r.Strings()
 			default:
-				r.Float64s()
+				dst := make([]float64, order>>2)
+				before := r.Remaining()
+				if err := r.Float64sInto(dst); err == nil {
+					if slab := before - r.Remaining(); slab < 8*len(dst) || slab > 8*len(dst)+binary.MaxVarintLen64 {
+						t.Fatalf("%d values decoded from %d bytes", len(dst), slab)
+					}
+				} else if r.Remaining() < before-binary.MaxVarintLen64 {
+					t.Fatalf("refused slab consumed %d bytes", before-r.Remaining())
+				}
 			}
 		}
 	})

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -185,8 +186,8 @@ func TestGoldenSnapshotV1(t *testing.T) {
 		t.Fatalf("v1 golden meta = %q", meta)
 	}
 	p, _ := s.Section("params")
-	xs, err := NewReader(p).Float64s()
-	if err != nil || len(xs) != 5 || xs[3] != math.Pi {
+	xs := make([]float64, 5)
+	if err := NewReader(p).Float64sInto(xs); err != nil || xs[3] != math.Pi {
 		t.Fatalf("v1 golden params = %v, %v", xs, err)
 	}
 }
@@ -232,13 +233,13 @@ func TestBufferReaderRoundTrip(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(gss, ss) && len(ss) > 0 {
 			t.Fatalf("Strings = %v, %v; want %v", gss, err, ss)
 		}
-		gxs, err := r.Float64s()
-		if err != nil || len(gxs) != len(xs) {
-			t.Fatalf("Float64s len = %d, %v", len(gxs), err)
+		gxs := make([]float64, len(xs))
+		if err := r.Float64sInto(gxs); err != nil {
+			t.Fatalf("Float64sInto(%d values): %v", len(gxs), err)
 		}
 		for i := range xs {
 			if math.Float64bits(gxs[i]) != math.Float64bits(xs[i]) {
-				t.Fatalf("Float64s[%d] = %x, want %x (not bit-exact)", i, gxs[i], xs[i])
+				t.Fatalf("Float64sInto[%d] = %x, want %x (not bit-exact)", i, gxs[i], xs[i])
 			}
 		}
 		if r.Remaining() != 0 {
@@ -268,19 +269,67 @@ func TestReaderRejectsTruncation(t *testing.T) {
 		if _, err = r.Strings(); err != nil {
 			continue
 		}
-		if _, err = r.Float64s(); err == nil {
+		if err = r.Float64sInto(make([]float64, 3)); err == nil {
 			t.Fatalf("truncation at %d read cleanly", i)
 		}
 	}
 
-	// A count far beyond the payload must error before allocating.
+	// A count far beyond the payload must error, whatever the destination.
 	var huge Buffer
 	huge.Uvarint(1 << 50)
-	if _, err := NewReader(huge.Bytes()).Float64s(); err == nil {
+	if err := NewReader(huge.Bytes()).Float64sInto(nil); err == nil {
 		t.Fatal("oversized float64 count accepted")
 	}
 	if _, err := NewReader(huge.Bytes()).Strings(); err == nil {
 		t.Fatal("oversized string count accepted")
+	}
+}
+
+// TestFloat64sIntoRefusesMismatch: a slab decodes only into a destination of
+// exactly its count. A shorter or longer destination, and a slab cut short
+// at any byte, are errors that leave the destination as it was.
+func TestFloat64sIntoRefusesMismatch(t *testing.T) {
+	var b Buffer
+	b.Float64s([]float64{1.5, -2.25, math.Pi})
+	full := b.Bytes()
+	const canary = 42.0
+	fill := func(n int) []float64 {
+		dst := make([]float64, n)
+		for i := range dst {
+			dst[i] = canary
+		}
+		return dst
+	}
+	untouched := func(dst []float64) bool {
+		for _, x := range dst {
+			if x != canary {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{0, 2, 4, 64} {
+		dst := fill(n)
+		if err := NewReader(full).Float64sInto(dst); err == nil || !strings.Contains(err.Error(), "destination holds") {
+			t.Fatalf("3-value slab into %d values: error %v, want a length mismatch", n, err)
+		}
+		if !untouched(dst) {
+			t.Fatalf("3-value slab into %d values: destination written on error: %v", n, dst)
+		}
+	}
+	for i := 1; i < len(full); i++ {
+		dst := fill(3)
+		if err := NewReader(full[:i]).Float64sInto(dst); err == nil {
+			t.Fatalf("slab cut to %d of %d bytes read cleanly", i, len(full))
+		}
+		if !untouched(dst) {
+			t.Fatalf("slab cut to %d bytes: destination written on error: %v", i, dst)
+		}
+	}
+	dst := fill(3)
+	r := NewReader(full)
+	if err := r.Float64sInto(dst); err != nil || dst[0] != 1.5 || dst[1] != -2.25 || dst[2] != math.Pi || r.Remaining() != 0 {
+		t.Fatalf("whole slab: %v, %v, %d bytes left", dst, err, r.Remaining())
 	}
 }
 
@@ -322,8 +371,8 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Fatalf("golden meta = %q", meta)
 	}
 	p, _ := s.Section("params")
-	xs, err := NewReader(p).Float64s()
-	if err != nil || len(xs) != 5 || xs[3] != math.Pi {
+	xs := make([]float64, 5)
+	if err := NewReader(p).Float64sInto(xs); err != nil || xs[3] != math.Pi {
 		t.Fatalf("golden params = %v, %v", xs, err)
 	}
 }

@@ -128,9 +128,19 @@ type JointWBOf[T tensor.Float] struct {
 	rng *rand.Rand
 }
 
-// NewJointWB assembles the joint model over enc with vocabulary size vocab.
+// NewJointWB assembles the joint model over enc with vocabulary size vocab,
+// its parameters drawn from cfg.Seed's stream, which then drives dropout.
 func NewJointWB(name string, enc DocEncoder, vocab int, cfg Config) *JointWB {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	m := newJointWB(name, enc, vocab, cfg, rng)
+	m.rng = rng
+	return m
+}
+
+// newJointWB assembles the layers, drawing their initial values from rng; a
+// nil rng draws nothing and leaves every weight zeroed at its shape (the
+// nn constructors' convention), and sets no dropout stream.
+func newJointWB(name string, enc DocEncoder, vocab int, cfg Config, rng *rand.Rand) *JointWB {
 	h := cfg.Hidden
 	d := enc.Dim()
 	bi := 2 * h
@@ -150,7 +160,6 @@ func NewJointWB(name string, enc DocEncoder, vocab int, cfg Config) *JointWB {
 		WCG:     nn.NewLinear(name+".wcg", bi+1, h, rng),
 		WE:      nn.NewLinear(name+".we", bi, h, rng),
 		AttG:    nn.NewLinear(name+".attG", h, 1, rng),
-		rng:     rng,
 	}
 	return m
 }

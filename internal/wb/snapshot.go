@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/rand"
 
+	"webbrief/internal/nn"
 	"webbrief/internal/snapshot"
 	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
@@ -86,12 +88,14 @@ func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 
 // DecodeSnapshot reconstructs a model from EncodeSnapshot output. All
 // lengths and shapes are validated against the model the metadata
-// describes, so corrupted input errors rather than panicking. The meta
+// describes, so corrupted input errors rather than panicking. The model is
+// allocated at the described shapes without drawing initial values, and
+// each slab decodes straight into its parameter's storage. The meta
 // section records no Config.Dropout or Config.Seed: both are training-only
 // (dropout runs only in Train mode, and the seed only draws the initial
 // parameters, which the params section replaces), so the decoded model
 // briefs exactly as the encoded one did, and trains, if trained further,
-// with dropout 0 and seed 1.
+// with dropout 0 and seed 1 (its dropout stream is seed 1's from the start).
 func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 	s, err := snapshot.Decode(data)
 	if err != nil {
@@ -143,9 +147,10 @@ func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 		return nil, nil, fmt.Errorf("wb: snapshot: %w", err)
 	}
 
-	enc := NewGloVeEncoder(tensor.New(v.Size(), int(embDim)))
+	enc := &GloVeEncoder{Emb: nn.EmbeddingFromMatrix("glove", tensor.New(v.Size(), int(embDim)))}
 	cfg := Config{Hidden: int(hidden), TopicLen: int(topicLen), BeamSize: int(beamSize), Seed: 1}
-	m := NewJointWB("Joint-WB", enc, v.Size(), cfg)
+	m := newJointWB("Joint-WB", enc, v.Size(), cfg, nil)
+	m.rng = rand.New(rand.NewSource(cfg.Seed))
 
 	r := snapshot.NewReader(paramsPayload)
 	count, err := r.Uvarint()
@@ -173,15 +178,9 @@ func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 			return nil, nil, fmt.Errorf("wb: shape mismatch at %d (%s): snapshot %dx%d, model %dx%d",
 				i, p.Name, rows, cols, p.Value.Rows, p.Value.Cols)
 		}
-		data, err := r.Float64s()
-		if err != nil {
+		if err := r.Float64sInto(p.Value.Data); err != nil {
 			return nil, nil, fmt.Errorf("wb: snapshot param %d (%s): %w", i, name, err)
 		}
-		if len(data) != p.Value.Rows*p.Value.Cols {
-			return nil, nil, fmt.Errorf("wb: param %d (%s) has %d values, shape needs %d",
-				i, name, len(data), p.Value.Rows*p.Value.Cols)
-		}
-		copy(p.Value.Data, data)
 	}
 	if r.Remaining() != 0 {
 		return nil, nil, fmt.Errorf("wb: snapshot params section has %d trailing bytes", r.Remaining())

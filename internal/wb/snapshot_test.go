@@ -33,7 +33,11 @@ func trainedTestModel(t testing.TB) (*JointWB, *textproc.Vocab, []*Instance) {
 }
 
 // TestSnapshotRoundTrip: a snapshotted model decodes to identical
-// parameters (bit-exact) and identical predictions.
+// parameters (bit-exact) and identical predictions. The decoder draws no
+// initial values and decodes each slab into its parameter's storage, so a
+// slab that missed its parameter leaves zeros that fail the bit comparison;
+// every decoded parameter also carries a gradient buffer of its shape, so the
+// model trains further as the encoded one did.
 func TestSnapshotRoundTrip(t *testing.T) {
 	m, v, insts := trainedTestModel(t)
 	data, err := EncodeSnapshot(m, v)
@@ -53,6 +57,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	assertSameParams(t, m, m2)
+	for _, p := range m2.Params() {
+		if g := p.Grad; g == nil || g.Rows != p.Value.Rows || g.Cols != p.Value.Cols {
+			t.Fatalf("decoded param %s has no %dx%d gradient buffer", p.Name, p.Value.Rows, p.Value.Cols)
+		}
+	}
 	for _, inst := range insts[:2] {
 		got := GenerateTopic(m2, inst, 1, 4)
 		want := GenerateTopic(m, inst, 1, 4)
@@ -124,6 +133,35 @@ func TestLoadModel(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Fatalf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestDrawlessModelShapes: the model DecodeSnapshot allocates (newJointWB
+// with no rng) has NewJointWB's parameters, in order, by name and shape, and
+// every weight zero — nothing was drawn for the params section to overwrite
+// (biases are constants, not draws: the LSTMs' forget gates start at 1).
+func TestDrawlessModelShapes(t *testing.T) {
+	_, v := testData(t, 1, 1)
+	drawn := newTestJointWB(v, 7)
+	bare := newJointWB("jwb", smallGloVeEncoder(v, 16, 7), v.Size(), drawn.Cfg, nil)
+	pd, pb := drawn.Params(), bare.Params()
+	if len(pd) != len(pb) {
+		t.Fatalf("%d parameters without drawing, %d drawn", len(pb), len(pd))
+	}
+	for i, p := range pb[1:] { // [0] is the encoder table, built by the caller
+		q := pd[i+1]
+		if p.Name != q.Name || p.Value.Rows != q.Value.Rows || p.Value.Cols != q.Value.Cols {
+			t.Fatalf("param %d: %s %dx%d without drawing, %s %dx%d drawn",
+				i+1, p.Name, p.Value.Rows, p.Value.Cols, q.Name, q.Value.Rows, q.Value.Cols)
+		}
+		if strings.HasSuffix(p.Name, ".B") {
+			continue
+		}
+		for _, x := range p.Value.Data {
+			if x != 0 {
+				t.Fatalf("param %s holds %v: a model built with no rng drew values", p.Name, x)
+			}
 		}
 	}
 }
