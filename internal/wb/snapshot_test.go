@@ -390,13 +390,73 @@ func withMeta(t testing.TB, data []byte, field int, x uint64) []byte {
 	return b.Bytes()
 }
 
+// withParams replaces an encoded bundle's params section with params, in a
+// well-formed container: the checksums hold, so only the model decoder can
+// refuse it.
+func withParams(t testing.TB, data, params []byte) []byte {
+	t.Helper()
+	s, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, _ := s.Section(snapMetaSection)
+	b := snapshot.NewBuilder()
+	if err := b.Add(snapMetaSection, meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(snapParamsSection, params); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// slabParams is m's params section as EncodeSnapshot writes it, except that
+// the first parameter's slab holds delta values more than its shape (fewer,
+// for a negative delta) while its rows and columns stay the shape's.
+func slabParams(m *JointWB, delta int) []byte {
+	var b snapshot.Buffer
+	ps := m.Params()
+	b.Uvarint(uint64(len(ps)))
+	for i, p := range ps {
+		b.String(p.Name)
+		b.Uvarint(uint64(p.Value.Rows))
+		b.Uvarint(uint64(p.Value.Cols))
+		vals := p.Value.Data
+		if i == 0 {
+			vals = append(vals[:len(vals):len(vals)], make([]float64, max(delta, 0))...)
+			vals = vals[:len(vals)+min(delta, 0)]
+		}
+		b.Float64s(vals)
+	}
+	return b.Bytes()
+}
+
 // TestDecodeSnapshotRejectsCorruption: wb-level decoding inherits the
-// container's corruption detection and adds its own shape validation.
+// container's corruption detection and adds its own shape validation: a
+// slab one value short of its parameter's shape or one value long, and a
+// params section that ends inside a slab, are refused inside a well-formed
+// container.
 func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	m, v, _ := trainedTestModel(t)
 	data, err := EncodeSnapshot(m, v)
 	if err != nil {
 		t.Fatal(err)
+	}
+	exact := slabParams(m, 0)
+	for _, tc := range []struct {
+		name, wantErr string
+		params        []byte
+	}{
+		{"slab one value short", "destination holds", slabParams(m, -1)},
+		{"slab one value long", "destination holds", slabParams(m, 1)},
+		{"params cut inside the last slab", "exceeds", exact[:len(exact)-4]},
+	} {
+		if _, _, err := DecodeSnapshot(withParams(t, data, tc.params)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+	if !bytes.Equal(withParams(t, data, exact), data) {
+		t.Fatal("slabParams(m, 0) is not the params section EncodeSnapshot writes")
 	}
 	for _, i := range []int{0, 7, len(data) / 2, len(data) - 5} {
 		mut := append([]byte(nil), data...)
@@ -535,7 +595,9 @@ func TestLoadModelFromFile(t *testing.T) {
 }
 
 // FuzzDecodeSnapshot: the wb-level decoder must never panic on arbitrary
-// bytes — corrupt models fail closed at startup.
+// bytes — corrupt models fail closed at startup. The seeds include slabs
+// one value short and one long of their parameter, and a params section cut
+// inside a slab, so the slab decoder's refusals are in the corpus.
 func FuzzDecodeSnapshot(f *testing.F) {
 	insts, v := testData(f, 1, 1)
 	_ = insts
@@ -555,6 +617,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(withMeta(f, data, metaEmbDim, 1<<62))
 	f.Add(withMeta(f, data, metaHidden, 0))
 	f.Add(withMeta(f, data, metaHidden, 1<<31))
+	f.Add(withParams(f, data, slabParams(m, -1)))
+	f.Add(withParams(f, data, slabParams(m, 1)))
+	exact := slabParams(m, 0)
+	f.Add(withParams(f, data, exact[:len(exact)-4]))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		DecodeSnapshot(b)
 	})

@@ -79,6 +79,9 @@ go test -run '^$' -bench 'Kernels|OneRowBlocks|Act64' -benchtime 1x ./internal/t
 go test -run '^$' -bench 'BeamPrune' -benchtime 1x ./internal/nn >/dev/null
 go test -run '^$' -bench 'CascadeTiers' -benchtime 1x ./internal/wb >/dev/null
 
+echo "== root bench smoke (the ingestion, Briefer and in-process serving benchmarks run once each, so their own assertions hold — BenchmarkServeBriefCascade fails if its page escalates; the Table*, TeacherEpoch* and other experiment-table benchmarks are left out: they train models)"
+go test -run '^$' -bench '^Benchmark(HTMLToInstance|Brief|ServeBrief.*)$' -benchtime 1x . >/dev/null
+
 echo "== quickstart smoke (README's own: wbtrain with its defaults writes a tiny bundle, wbrief briefs a literal page from it; every smoke below serves the same bundle)"
 SMOKEDIR=$(mktemp -d)
 SERVE_PID=""
