@@ -131,35 +131,39 @@ type JointWBOf[T tensor.Float] struct {
 // NewJointWB assembles the joint model over enc with vocabulary size vocab,
 // its parameters drawn from cfg.Seed's stream, which then drives dropout.
 func NewJointWB(name string, enc DocEncoder, vocab int, cfg Config) *JointWB {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := newJointWB(name, enc, vocab, cfg, rng)
-	m.rng = rng
-	return m
+	return newJointWB(name, enc, vocab, cfg, true)
 }
 
-// newJointWB assembles the layers, drawing their initial values from rng; a
-// nil rng draws nothing and leaves every weight zeroed at its shape (the
-// nn constructors' convention), and sets no dropout stream.
-func newJointWB(name string, enc DocEncoder, vocab int, cfg Config, rng *rand.Rand) *JointWB {
+// newJointWB is NewJointWB, or with draw unset the same model with nothing
+// drawn: every weight zeroed at its shape (the nn constructors' nil rng), for
+// a caller that overwrites every value (DecodeSnapshot). Either way dropout
+// runs on cfg.Seed's stream.
+func newJointWB(name string, enc DocEncoder, vocab int, cfg Config, draw bool) *JointWB {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	draws := rng
+	if !draw {
+		draws = nil
+	}
 	h := cfg.Hidden
 	d := enc.Dim()
 	bi := 2 * h
 	m := &JointWB{
 		Cfg:     cfg,
 		Enc:     enc,
-		ExtLSTM: nn.NewBiLSTM(name+".ext", d, h, rng),
-		GenLSTM: nn.NewBiLSTM(name+".gen", d, h, rng),
-		Sec:     NewSectionPredictor(name+".sec", d, rng),
-		Dec:     nn.NewAttnDecoder(name+".dec", vocab, h, h, h, rng),
-		MemPr1:  nn.NewLinear(name+".mem1", bi, h, rng),
-		MemPr2:  nn.NewLinear(name+".mem2", bi+h, h, rng),
-		WCE:     nn.NewLinear(name+".wce", bi+1, h, rng),
-		WQ:      nn.NewLinear(name+".wq", h, h, rng),
-		AttE:    nn.NewBilinear(name+".attE", h, h, rng),
-		TagW:    nn.NewLinear(name+".tag", bi+h, 3, rng),
-		WCG:     nn.NewLinear(name+".wcg", bi+1, h, rng),
-		WE:      nn.NewLinear(name+".we", bi, h, rng),
-		AttG:    nn.NewLinear(name+".attG", h, 1, rng),
+		ExtLSTM: nn.NewBiLSTM(name+".ext", d, h, draws),
+		GenLSTM: nn.NewBiLSTM(name+".gen", d, h, draws),
+		Sec:     NewSectionPredictor(name+".sec", d, draws),
+		Dec:     nn.NewAttnDecoder(name+".dec", vocab, h, h, h, draws),
+		MemPr1:  nn.NewLinear(name+".mem1", bi, h, draws),
+		MemPr2:  nn.NewLinear(name+".mem2", bi+h, h, draws),
+		WCE:     nn.NewLinear(name+".wce", bi+1, h, draws),
+		WQ:      nn.NewLinear(name+".wq", h, h, draws),
+		AttE:    nn.NewBilinear(name+".attE", h, h, draws),
+		TagW:    nn.NewLinear(name+".tag", bi+h, 3, draws),
+		WCG:     nn.NewLinear(name+".wcg", bi+1, h, draws),
+		WE:      nn.NewLinear(name+".we", bi, h, draws),
+		AttG:    nn.NewLinear(name+".attG", h, 1, draws),
+		rng:     rng,
 	}
 	return m
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math/rand"
 
 	"webbrief/internal/nn"
 	"webbrief/internal/snapshot"
@@ -149,8 +148,7 @@ func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 
 	enc := &GloVeEncoder{Emb: nn.EmbeddingFromMatrix("glove", tensor.New(v.Size(), int(embDim)))}
 	cfg := Config{Hidden: int(hidden), TopicLen: int(topicLen), BeamSize: int(beamSize), Seed: 1}
-	m := newJointWB("Joint-WB", enc, v.Size(), cfg, nil)
-	m.rng = rand.New(rand.NewSource(cfg.Seed))
+	m := newJointWB("Joint-WB", enc, v.Size(), cfg, false)
 
 	r := snapshot.NewReader(paramsPayload)
 	count, err := r.Uvarint()

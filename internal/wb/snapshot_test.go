@@ -138,13 +138,13 @@ func TestLoadModel(t *testing.T) {
 }
 
 // TestDrawlessModelShapes: the model DecodeSnapshot allocates (newJointWB
-// with no rng) has NewJointWB's parameters, in order, by name and shape, and
+// with draw unset) has NewJointWB's parameters, in order, by name and shape, and
 // every weight zero — nothing was drawn for the params section to overwrite
 // (biases are constants, not draws: the LSTMs' forget gates start at 1).
 func TestDrawlessModelShapes(t *testing.T) {
 	_, v := testData(t, 1, 1)
 	drawn := newTestJointWB(v, 7)
-	bare := newJointWB("jwb", smallGloVeEncoder(v, 16, 7), v.Size(), drawn.Cfg, nil)
+	bare := newJointWB("jwb", smallGloVeEncoder(v, 16, 7), v.Size(), drawn.Cfg, false)
 	pd, pb := drawn.Params(), bare.Params()
 	if len(pd) != len(pb) {
 		t.Fatalf("%d parameters without drawing, %d drawn", len(pb), len(pd))
