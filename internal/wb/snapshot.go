@@ -8,7 +8,6 @@ import (
 
 	"webbrief/internal/nn"
 	"webbrief/internal/snapshot"
-	"webbrief/internal/tensor"
 	"webbrief/internal/textproc"
 )
 
@@ -146,7 +145,7 @@ func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 		return nil, nil, fmt.Errorf("wb: snapshot: %w", err)
 	}
 
-	enc := &GloVeEncoder{Emb: nn.EmbeddingFromMatrix("glove", tensor.New(v.Size(), int(embDim)))}
+	enc := &GloVeEncoder{Emb: nn.NewEmbedding("glove", v.Size(), int(embDim), nil)}
 	cfg := Config{Hidden: int(hidden), TopicLen: int(topicLen), BeamSize: int(beamSize), Seed: 1}
 	m := newJointWB("Joint-WB", enc, v.Size(), cfg, false)
 
