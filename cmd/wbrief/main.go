@@ -8,8 +8,9 @@
 //	wbrief -model model.bin -text page.html   # also dump the rendered visible text
 //
 // Train a model bundle first with cmd/wbtrain. The topic decodes at the beam
-// width the bundle records, as wbserve's does, so the two brief a page to the
-// same bytes.
+// width the bundle records, and a page longer than wb.MaxPageTokens tokens is
+// briefed on its head, as wbserve does, so the two brief a page to the same
+// bytes.
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 		fmt.Printf("Page title: %s\n\n", title)
 	}
 
-	inst := wb.InstanceFromHTML(string(html), v, 0)
+	inst := wb.InstanceFromHTML(string(html), v, wb.MaxPageTokens)
 	if inst.NumSents() == 0 {
 		log.Fatal("no visible text found in page")
 	}

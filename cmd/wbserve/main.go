@@ -13,7 +13,8 @@
 // of lengthening the queue. There is nothing to switch on; /metrics reports
 // the batch sizes under "batching". A page is parsed once, before admission
 // (no visible text is a 422 that never takes a queue slot), and one longer
-// than 2048 tokens is briefed on its first 2048.
+// than wb.MaxPageTokens (2048) tokens is briefed on its head, as wbrief
+// briefs it.
 //
 // Usage:
 //

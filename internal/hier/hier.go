@@ -174,41 +174,6 @@ func (m *MultiLevel) Evaluate(insts []*Instance) (level1, level2 eval.PRF1) {
 	return eval.SpanPRF1(p1, g1), eval.SpanPRF1(p2, g2)
 }
 
-// HierBrief is a three-level briefing: topic, high-level category, detailed
-// attributes — the full hierarchy of §I's Figure 1 description.
-type HierBrief struct {
-	Topic      []string
-	Category   []string
-	Attributes [][]string
-}
-
-// MakeHierBrief combines a topic model (any wb.Model with a generator) and
-// a MultiLevel extractor into the three-level hierarchy.
-//
-//wbcheck:ignore deadexport -- paper component: DESIGN.md §3 Extensions, `internal/hier` (multi-level hierarchy, §III-C sketch); TestMakeHierBrief drives it
-func MakeHierBrief(topicModel wb.Model, m *MultiLevel, inst *Instance, v *textproc.Vocab, beamWidth int) *HierBrief {
-	hb := &HierBrief{}
-	if ids := wb.GenerateTopic(topicModel, inst.Base, beamWidth, 6); ids != nil {
-		hb.Topic = v.Tokens(ids)
-	}
-	t := ag.NewTape()
-	l1, l2 := m.Forward(t, inst, false)
-	words := func(sp eval.Span) []string {
-		var out []string
-		for i := sp.Start; i < sp.End; i++ {
-			out = append(out, v.Token(inst.Base.IDs[i]))
-		}
-		return out
-	}
-	if spans := eval.SpansFromBIO(predictTags(l1)); len(spans) > 0 {
-		hb.Category = words(spans[0])
-	}
-	for _, sp := range eval.SpansFromBIO(predictTags(l2)) {
-		hb.Attributes = append(hb.Attributes, words(sp))
-	}
-	return hb
-}
-
 // GenerateHierPages builds a hierarchical dataset: pages from the first
 // nDomains domains, pagesPer each, via corpus.GeneratePageHier.
 func GenerateHierPages(nDomains, pagesPer int, seed int64) []*corpus.Page {

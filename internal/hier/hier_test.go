@@ -131,22 +131,6 @@ func TestMultiLevelLearnsBothLevels(t *testing.T) {
 	}
 }
 
-func TestMakeHierBrief(t *testing.T) {
-	insts, pgs, v := hierData(t, 2, 2)
-	topicModel := wb.NewJointWB("jwb", enc(v, 8), v.Size(), wb.Config{Hidden: 8, TopicLen: 4, Seed: 8})
-	m := NewMultiLevel("ml", enc(v, 9), 8, true, 9)
-	hb := MakeHierBrief(topicModel, m, insts[0], v, 2)
-	if hb == nil {
-		t.Fatal("nil brief")
-	}
-	_ = pgs
-	// Topic must decode to something; category/attributes may be empty for
-	// an untrained extractor but must not panic.
-	if hb.Topic == nil {
-		t.Fatal("no topic decoded")
-	}
-}
-
 func TestGenerateHierPagesDeterministic(t *testing.T) {
 	a := GenerateHierPages(2, 2, 42)
 	b := GenerateHierPages(2, 2, 42)

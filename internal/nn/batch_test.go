@@ -119,7 +119,7 @@ func TestBeamSearchBatchMatchesReference(t *testing.T) {
 		const vocab, embDim, hidden, memDim = 17, 5, 6, 6
 		const bos, eos, maxLen = 1, 2, 5
 		d := NewAttnDecoder("d", vocab, embDim, hidden, memDim, rng)
-		for _, width := range []int{2, 3, 4} {
+		for _, width := range []int{1, 2, 3, 4} {
 			for _, lens := range raggedLens {
 				mems := make([]*tensor.Matrix, len(lens))
 				for i, l := range lens {
@@ -178,7 +178,7 @@ func testBeamSearchBatchSharedParents(t *testing.T) {
 		return d.BeamSearchBatch(tp, nodes, bos, eos, width, maxLen, nil, nil)
 	}
 	later := false
-	for _, width := range []int{2, 3, 5} {
+	for _, width := range []int{1, 2, 3, 5} {
 		got, gotConfs := batch(folded, mems, width)
 		plain, plainConfs := batch(d, mems, width)
 		for i, mem := range mems {

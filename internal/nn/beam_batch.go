@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"webbrief/internal/ag"
@@ -37,8 +38,12 @@ import (
 // decisions are noted in gaps[q]: at each depth its keep boundary (GapKeep;
 // per-row top-width children then the prune keep exactly the width best of
 // all (beam, token) pairs, so one boundary covers both cuts), and at the end
-// its final ranking (GapFinal).
+// its final ranking (GapFinal). Width 1 is greedy decoding; a width below 1
+// is a caller's bug and panics.
 func (d *AttnDecoderOf[T]) BeamSearchBatch(t *ag.TapeOf[T], memories []*ag.NodeOf[T], bos, eos, width, maxLen int, scratches []*BeamScratchOf[T], gaps []Gaps) ([][]int, []Confidence) {
+	if width < 1 {
+		panic(fmt.Sprintf("nn: beam width %d, want at least 1", width))
+	}
 	nInst := len(memories)
 	results := make([][]int, nInst)
 	confs := make([]Confidence, nInst)

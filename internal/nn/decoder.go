@@ -13,7 +13,7 @@ import (
 // AttnDecoderOf is an LSTM decoder with bilinear attention over an encoder
 // memory, the generator architecture of §III-C (LSTM decode over Bi-LSTM
 // encoded sentences) and of the [Bi-LSTM, LSTM] baselines. At inference it
-// supports greedy and beam-search decoding (§IV-A5 uses beam search).
+// decodes topics by beam search (§IV-A5) at every width, width 1 included.
 //
 // Decode path scores (beam log-probabilities, lengths, margins) accumulate
 // in float64 whatever T is: the per-step log-softmax values are T-accurate,
@@ -172,14 +172,12 @@ func (d *AttnDecoderOf[T]) GreedyStates(t *ag.TapeOf[T], memory *ag.NodeOf[T], b
 	return t.ConcatRows(hs...)
 }
 
-// Confidence summarises how sure a decode was — the cascade routing signal.
-// Margin is the top-1/top-2 separation: for beam search the gap between the
-// best and second-best finished hypotheses' length-normalised log
-// probabilities, for greedy decoding the worst per-step gap between the
-// chosen token's log probability and the runner-up's. Posterior is the
-// geometric-mean per-token probability of the winning hypothesis,
-// exp(logProb/len). Both are +Inf/1 respectively when the decode had no
-// competition (single beam, empty output).
+// Confidence summarises how sure a topic decode was. Margin is the gap
+// between the best and second-best final hypotheses' length-normalised log
+// probabilities: +Inf when the final frontier holds one hypothesis (always
+// at width 1) or the gap is NaN. Posterior is the geometric-mean per-token
+// probability of the winning hypothesis, exp(logProb/len). Serving routes on
+// decision gaps (Gaps), not on Confidence.
 type Confidence struct {
 	Margin    float64
 	Posterior float64
@@ -191,12 +189,12 @@ type Confidence struct {
 //
 // Either a weak posterior (the model thinks its own topic is unlikely) or a
 // thin margin (a near-tie with a different topic) pulls the score down, and
-// the serve-layer cascade escalates when it falls below the configured
-// threshold. An infinite margin leaves the posterior in charge; a zero
-// margin forces 0 regardless of posterior. A NaN in either field — a decode
-// whose logits went non-finite — scores 0, the least confident value: every
-// comparison against NaN is false, so a NaN score would pass any
-// `score < threshold` escalation test and be served.
+// a cascade routing on it escalates when it falls below its threshold. An
+// infinite margin leaves the posterior in charge; a zero margin forces 0
+// regardless of posterior. A NaN in either field — a decode whose logits
+// went non-finite — scores 0, the least confident value: every comparison
+// against NaN is false, so a NaN score would pass any `score < threshold`
+// escalation test and be served.
 func (c Confidence) Score() float64 {
 	if math.IsNaN(c.Margin) || math.IsNaN(c.Posterior) {
 		return 0
@@ -212,46 +210,6 @@ func (c Confidence) Score() float64 {
 		return 1
 	}
 	return s
-}
-
-// sureConfidence is the no-competition value: nothing decoded or nothing to
-// compare against, so the cascade has no reason to escalate.
-func sureConfidence() Confidence { return Confidence{Margin: math.Inf(1), Posterior: 1} }
-
-// Greedy decodes up to maxLen tokens, stopping at eos, and reports decode
-// confidence: Margin is the worst per-step top-1/top-2 log-probability gap
-// and Posterior the geometric-mean probability of the chosen path
-// (EOS-emitting step included — a barely-chosen EOS is a real risk signal).
-// Each step's gap is also noted in g as GapFinal (g may be nil). The
-// returned slice excludes BOS and EOS.
-func (d *AttnDecoderOf[T]) Greedy(t *ag.TapeOf[T], memory *ag.NodeOf[T], bos, eos, maxLen int, g *Gaps) ([]int, Confidence) {
-	s := d.Cell.ZeroState(t)
-	prev := bos
-	var out []int
-	var logpSum float64
-	conf := sureConfidence()
-	steps := 0
-	for i := 0; i < maxLen; i++ {
-		var logits *ag.NodeOf[T]
-		logits, s = d.step(t, prev, s, memory)
-		logp := t.LogSoftmaxRows(logits).Value.Row(0)
-		tok, margin := ArgmaxGap(logp)
-		g.Note(GapFinal, margin)
-		steps++
-		logpSum += float64(logp[tok])
-		if margin < conf.Margin {
-			conf.Margin = margin
-		}
-		if tok == eos {
-			break
-		}
-		out = append(out, tok)
-		prev = tok
-	}
-	if steps > 0 {
-		conf.Posterior = math.Exp(logpSum / float64(steps))
-	}
-	return out, conf
 }
 
 // beam is one hypothesis during beam search.

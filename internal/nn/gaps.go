@@ -17,7 +17,7 @@ const (
 	GapSection                // informative-section flag, per sentence: |logit|
 	GapGreedy                 // first decoding pass argmax, per step but the last: top-1 − top-2 logit
 	GapKeep                   // beam keep boundary, per depth: worst kept − best left-out score
-	GapFinal                  // final ranking: best − second finished score (greedy: each step's log-prob top-1 − top-2)
+	GapFinal                  // final ranking: best − second final score (+Inf for a lone hypothesis)
 	numGapKinds
 )
 

@@ -202,7 +202,7 @@ func TestBeamSearchBatchGaps(t *testing.T) {
 		vocab := 5 + int(seed)
 		d := NewAttnDecoder("d", vocab, 5, 7, 9, rng)
 		mems := []*tensor.Matrix{tensor.Randn(4, 9, 1, rng), tensor.Randn(2, 9, 1, rng), tensor.Randn(6, 9, 1, rng)}
-		for _, width := range []int{2, 3, 5, vocab + 1} {
+		for _, width := range []int{1, 2, 3, 5, vocab + 1} {
 			for _, maxLen := range []int{1, 3, 5} {
 				var alone []Gaps
 				for q, mem := range mems {
@@ -244,25 +244,5 @@ func TestBeamSearchBatchGaps(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestGreedyFinalGaps: the width-1 decode notes each step's log-probability
-// gap as a final-ranking decision, the minimum of which is its Confidence
-// margin.
-func TestGreedyFinalGaps(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	d := NewAttnDecoder("d", 8, 4, 6, 6, rng)
-	tp := ag.NewTape()
-	mem := tp.Const(tensor.Randn(3, 6, 1, rng))
-	g := NoGaps()
-	var conf Confidence
-	var toks []int
-	got := traceKinds(func() { toks, conf = d.Greedy(tp, mem, 0, 1, 5, &g) })
-	if steps := len(got[GapFinal]); steps != len(toks) && steps != len(toks)+1 || len(got) != 1 {
-		t.Fatalf("traced %v for %d tokens", got, len(toks))
-	}
-	if g[GapFinal] != conf.Margin || g[GapKeep] != inf() {
-		t.Fatalf("gaps %v, confidence margin %v", g, conf.Margin)
 	}
 }

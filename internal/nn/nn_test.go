@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"webbrief/internal/ag"
@@ -205,20 +207,36 @@ func TestAttnDecoderTeacherForcingShapes(t *testing.T) {
 	}
 }
 
+// TestAttnDecoderGreedyStopsAtEOS: a width-1 beam search — greedy decoding —
+// stays within maxLen and never returns the EOS it stops at.
 func TestAttnDecoderGreedyStopsAtEOS(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := NewAttnDecoder("d", 8, 4, 6, 6, rng)
-	tp := ag.NewTape()
+	tp := inferTape()
 	mem := tp.Const(tensor.Randn(3, 6, 1, rng))
-	out, _ := d.Greedy(tp, mem, 0, 1, 10, nil)
-	if len(out) > 10 {
+	outs, _ := d.BeamSearchBatch(tp, []*ag.Node{mem}, 0, 1, 1, 10, nil, nil)
+	if len(outs[0]) > 10 {
 		t.Fatal("exceeded maxLen")
 	}
-	for _, tok := range out {
+	for _, tok := range outs[0] {
 		if tok == 1 {
 			t.Fatal("EOS leaked into output")
 		}
 	}
+}
+
+// TestBeamSearchBatchRefusesWidthZero: a width below 1 has no hypothesis to
+// keep; the search names the bad width instead of failing inside the prune.
+func TestBeamSearchBatchRefusesWidthZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	d := NewAttnDecoder("d", 8, 4, 6, 6, rng)
+	tp := inferTape()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "beam width 0") {
+			t.Fatalf("recovered %v, want the beam width named", r)
+		}
+	}()
+	d.BeamSearchBatch(tp, []*ag.Node{tp.Const(tensor.Randn(3, 6, 1, rng))}, 0, 1, 0, 10, nil, nil)
 }
 
 // TestGreedyStatesMatchesStepLoop pins the states-only first decoding pass
@@ -288,7 +306,7 @@ func TestConfidenceScore(t *testing.T) {
 		c    Confidence
 		want float64
 	}{
-		{sureConfidence(), 1},
+		{Confidence{Margin: inf, Posterior: 1}, 1},
 		{Confidence{Margin: inf, Posterior: 0.25}, 0.25},
 		{Confidence{Margin: 0, Posterior: 1}, 0},
 		{Confidence{Margin: math.Ln2, Posterior: 0.9}, 0.5},
@@ -305,8 +323,8 @@ func TestConfidenceScore(t *testing.T) {
 	}
 }
 
-// Train a decoder to emit a fixed phrase, then check both greedy and beam
-// search recover it and that beam search never underperforms greedy.
+// Train a decoder to emit a fixed phrase, then check that beam search
+// recovers it at width 1 (greedy decoding) and at width 4.
 func TestDecoderLearnsFixedPhrase(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const bos, eos = 0, 1
@@ -324,13 +342,10 @@ func TestDecoderLearnsFixedPhrase(t *testing.T) {
 		optim.Step()
 	}
 	tp := ag.NewTape()
-	greedy, _ := d.Greedy(tp, tp.Const(memVal), bos, eos, 6, nil)
-	if !equalInts(greedy, target) {
-		t.Fatalf("greedy decode %v, want %v", greedy, target)
-	}
-	beamOut := d.BeamSearch(tp, tp.Const(memVal), bos, eos, 4, 6)
-	if !equalInts(beamOut, target) {
-		t.Fatalf("beam decode %v, want %v", beamOut, target)
+	for _, width := range []int{1, 4} {
+		if got := d.BeamSearch(tp, tp.Const(memVal), bos, eos, width, 6); !equalInts(got, target) {
+			t.Fatalf("width %d beam decode %v, want %v", width, got, target)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ import (
 type batchItem struct {
 	ctx      context.Context
 	sents    [][]string
-	tokens   int // what the page costs a replica: its token count, capped at maxPageTokens
+	tokens   int // what the page costs a replica: its token count, capped at wb.MaxPageTokens
 	enqueued time.Time
 	// waiting is set while the item counts in queue_waiting; whichever of its
 	// handler and its executor clears it takes it off (leaveQueue).

@@ -56,7 +56,7 @@ var (
 	stageParse  = stages.Stage("parse", latencyBucketsNS)      // HTML → sentences in the handler, then the batch's token ids at its first checkout
 	stageEncode = stages.Stage("encode", latencyBucketsNS)     // eval forward → attributes + sections
 	stageDecode = stages.Stage("decode", latencyBucketsNS)     // beam-search topic generation, escalations included
-	stageReply  = stages.Stage("reply", fastBucketsNS)         // the outcome → its response written
+	stageReply  = stages.Stage("reply", fastBucketsNS)         // the outcome → its response buffered (httpwire sends it after the handler)
 )
 
 // The three exact partitions of the serving tier's /metrics, each declared
@@ -141,7 +141,7 @@ type Metrics struct {
 	// only when the briefing cache is enabled. Evictions live on the cache
 	// itself and are read at snapshot time.
 	CacheLookups    *metrics.Partition[cacheLookupsTotal]
-	CacheHitLatency *metrics.Histogram // body read → hit response written
+	CacheHitLatency *metrics.Histogram // body read → hit response buffered
 
 	// CascadeRequests counts every briefing routed through the cascade,
 	// populated only when the server runs the float32 student cascade

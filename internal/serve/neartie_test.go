@@ -144,19 +144,24 @@ func forceSectionTie(t *testing.T, m *wb.JointWB, inst *wb.Instance, v *textproc
 
 // forceGreedyTie lowers the decoder's output bias of the token the first
 // decoding pass picks at its thinnest step by that step's gap: the token
-// ties with the runner-up.
+// ties with the runner-up. The pass's tokens come from a step loop of its
+// own — attend, step the cell, take the argmax of the output logits.
 func forceGreedyTie(t *testing.T, m *wb.JointWB, inst *wb.Instance, v *textproc.Vocab) {
 	s := wb.NewBatchScratchOf[float64](v, m.Cfg.BeamSize, 1)
 	_, outs := wb.ExtractBriefBatch[float64](m, []*wb.Instance{inst}, v, s)
-	mem1 := m.MemPr1.Forward(s.Tape, outs[0].SentH)
-	toks, _ := m.Dec.Greedy(s.Tape, mem1, textproc.BosID, textproc.EosID, m.Cfg.TopicLen, nil)
+	tp, d := s.Tape, m.Dec
+	mem1 := m.MemPr1.Forward(tp, outs[0].SentH)
+	st, prev := d.Cell.ZeroState(tp), textproc.BosID
+	var toks []int // the first pass's argmax per step, EOS included
+	for i := 0; i < m.Cfg.TopicLen && prev != textproc.EosID; i++ {
+		ctx := tp.MatMul(d.Att.Attention(tp, st.H, mem1), mem1)
+		st = d.Cell.Step(tp, tp.ConcatCols2(d.Emb.Forward(tp, []int{prev}), ctx), st)
+		prev, _ = nn.ArgmaxGap(d.Out.ForwardCat(tp, st.H, ctx).Value.Row(0))
+		toks = append(toks, prev)
+	}
 	_, _, all := briefOn[float64](m, inst, v, m.Cfg.BeamSize)
 	k := argmin(all[nn.GapGreedy])
-	pick := textproc.EosID
-	if k < len(toks) {
-		pick = toks[k]
-	}
-	m.Dec.Out.B.Value.Data[pick] -= all[nn.GapGreedy][k]
+	m.Dec.Out.B.Value.Data[toks[k]] -= all[nn.GapGreedy][k]
 }
 
 // forceFinalTie raises the decoder's output bias of one token until the
@@ -214,7 +219,7 @@ func TestCascadeEscalatesForcedNearTies(t *testing.T) {
 	var html string
 	var inst *wb.Instance
 	for _, p := range f.pages {
-		in := wb.InstanceFromHTML(p.HTML, f.v, maxPageTokens)
+		in := wb.InstanceFromHTML(p.HTML, f.v, wb.MaxPageTokens)
 		if !studentGaps(t, m0, in, f.v).Within(bounds) {
 			html, inst = p.HTML, in
 			break

@@ -159,8 +159,9 @@ func TestUnbriefableNeverQueues(t *testing.T) {
 	}
 }
 
-// TestLongPageBriefsItsHead: a page past maxPageTokens is briefed on its
-// first 2048 tokens — the bytes wb.Briefer serves at that truncation — and
+// TestLongPageBriefsItsHead: a page past wb.MaxPageTokens is briefed on its
+// head — the bytes wb.Briefer serves at that truncation, and the brief
+// wbrief prints (an instance at wb.MaxPageTokens through wb.MakeBrief) — and
 // its access-log line carries the count before truncation.
 func TestLongPageBriefsItsHead(t *testing.T) {
 	m, v, pages := trainedModel(t)
@@ -168,12 +169,19 @@ func TestLongPageBriefsItsHead(t *testing.T) {
 	m.Cfg.BeamSize = beam
 	long := strings.Repeat(strings.Join(pageHTML(pages), "\n"), 7)
 	tokens := wb.InstanceFromHTML(long, v, 0).NumTokens()
-	if tokens < 2*2048 {
+	if tokens < 2*wb.MaxPageTokens {
 		t.Fatalf("fixture too short: %d tokens", tokens)
 	}
-	want := serialWire(t, wb.NewBriefer(m, v, beam, 2048), []string{long})[0]
+	want := serialWire(t, wb.NewBriefer(m, v, beam, wb.MaxPageTokens), []string{long})[0]
 	if bytes.Equal(want, serialWire(t, wb.NewBriefer(m, v, beam, 0), []string{long})[0]) {
 		t.Fatal("fixture too weak: the head and the whole page brief identically")
+	}
+	js, err := json.Marshal(wb.MakeBrief(m, wb.InstanceFromHTML(long, v, wb.MaxPageTokens), v, m.Cfg.BeamSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cli := append(js, '\n'); !bytes.Equal(cli, want) {
+		t.Fatalf("wbrief's brief of the long page %s, the wire's %s", cli, want)
 	}
 
 	var accessLog bytes.Buffer
@@ -188,7 +196,7 @@ func TestLongPageBriefsItsHead(t *testing.T) {
 		t.Fatalf("long page: status %d err %v", status, err)
 	}
 	if !bytes.Equal(body, want) {
-		t.Fatalf("long page diverges from the serial path at 2048 tokens:\n got %s\nwant %s", body, want)
+		t.Fatalf("long page diverges from the serial path at %d tokens:\n got %s\nwant %s", wb.MaxPageTokens, body, want)
 	}
 	ts.Close() // the handler has returned, so its log line is written
 	var entry accessEntry

@@ -237,9 +237,9 @@ type Pool struct {
 // replicas run (Pool.instance). Each workspace decodes at the model's own
 // beam width, m.Cfg.BeamSize (at least 1), exactly like wb.NewBriefer at that
 // width, so pooled briefings are identical to the serial path's at
-// maxPageTokens. A model whose topic length is below 1 has no first decoding
-// pass to run and is refused. The student escalates on escalationBounds; cfg's
-// ConfidenceThreshold routes nothing.
+// wb.MaxPageTokens. A model whose topic length is below 1 has no first
+// decoding pass to run and is refused. The student escalates on
+// escalationBounds; cfg's ConfidenceThreshold routes nothing.
 //
 // A model with a transformer encoder has no fold tables and no float32 form,
 // and serves as is, unfolded — which only a pool of one may: m stays the
@@ -320,14 +320,14 @@ func PoolOf(replicas ...Replica) *Pool {
 
 // instance turns a parsed page's sentences into the model instance this
 // generation's replicas run: token ids under the pool's own vocabulary, the
-// head of the page up to maxPageTokens. Building it here, per pool, is what
-// keeps a reload onto a bundle with a different vocabulary correct — an id
-// never meets an embedding table it was not assigned for.
+// head of the page up to wb.MaxPageTokens. Building it here, per pool, is
+// what keeps a reload onto a bundle with a different vocabulary correct — an
+// id never meets an embedding table it was not assigned for.
 func (p *Pool) instance(sents [][]string) *wb.Instance {
 	if p.vocab == nil {
 		return &wb.Instance{}
 	}
-	return wb.InstanceFromSentences(sents, p.vocab, maxPageTokens)
+	return wb.InstanceFromSentences(sents, p.vocab, wb.MaxPageTokens)
 }
 
 // Warm briefs html once on every tier of every replica, as a batch of one:

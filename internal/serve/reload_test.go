@@ -557,7 +557,7 @@ func TestBeamWidthFromBundle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bm, bv, serialWire(t, wb.NewBriefer(bm, bv, beam, maxPageTokens), htmls)
+		return bm, bv, serialWire(t, wb.NewBriefer(bm, bv, beam, wb.MaxPageTokens), htmls)
 	}
 	m4, v4, want4 := bundle(4)
 	m8, v8, want8 := bundle(8)

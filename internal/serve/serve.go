@@ -280,13 +280,6 @@ func (s *Server) Warm(html string) error {
 	return s.pool.Load().Warm(html)
 }
 
-// maxPageTokens is the most tokens of one page a replica runs: the paper's
-// document scale (PAPER.md: 2k-token docs). A longer page is briefed on its
-// head — encode is linear in tokens and a batch runs in lockstep, so without
-// a ceiling one legal MaxBodyBytes page holds a replica, and every batchmate,
-// for as long as all its tokens take.
-const maxPageTokens = 2048
-
 // noVisibleText is the 422 body of a page that renders to no sentence.
 const noVisibleText = "serve: no visible text in page"
 
@@ -386,7 +379,7 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		defer fill.abandon()
 	}
 
-	s.enqueue(w, &lg, ctx, sents, min(lg.Tokens, maxPageTokens), fill)
+	s.enqueue(w, &lg, ctx, sents, min(lg.Tokens, wb.MaxPageTokens), fill)
 }
 
 // respondOutcome maps a pipeline outcome onto its HTTP response and outcome

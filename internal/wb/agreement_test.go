@@ -160,7 +160,7 @@ func TestTierAgreement(t *testing.T) {
 								if visitor {
 									html = withVisitor(p, seed, i)
 								}
-								insts[i] = InstanceFromHTML(html, v, servedTokens)
+								insts[i] = InstanceFromHTML(html, v, MaxPageTokens)
 							}
 							tierAgreement(t, teacher, student, insts, v, m.Cfg.BeamSize, studentBounds).check(t, studentBounds)
 						})
@@ -203,9 +203,6 @@ func foldBoth(t *testing.T, m *JointWB) (*FoldedOf[float64], *FoldedOf[float32])
 // benchBundleSHA is the bundle bench/run.sh trains (scripts/check.sh's
 // training byte-identity stage pins the same digest).
 const benchBundleSHA = "7502e8455762540e80a9b3cf8f823aa3ce097f5973a4b6677e65b31a846e2ce2"
-
-// servedTokens is wbserve's page cap (serve.maxPageTokens).
-const servedTokens = 2048
 
 // benchBundle loads the bench bundle from .bench_build/bin. It skips unless
 // -run names the bench-bundle rows, and fails when they are named but no

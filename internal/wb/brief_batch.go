@@ -42,7 +42,7 @@ type BatchScratchOf[T tensor.Float] struct {
 // buffers then grow lazily.
 func NewBatchScratchOf[T tensor.Float](v *textproc.Vocab, beamWidth, batchMax int) *BatchScratchOf[T] {
 	s := &BatchScratchOf[T]{Tape: ag.NewInferTapeOf[T]()}
-	if beamWidth > 1 && v != nil {
+	if beamWidth > 0 && v != nil {
 		s.vocabSize, s.width, s.maxLen = v.Size(), beamWidth, topicMaxLen
 		s.beamScratches(batchMax)
 	}
@@ -114,10 +114,10 @@ func extractiveBrief[T tensor.Float](out *OutputOf[T], inst *Instance, v *textpr
 
 // decodeTopics decodes a topic of at most maxLen tokens from each of outs
 // (the Outputs of a forward still live on s.Tape) and returns the token ids
-// with each decode's confidence, noting its decisions in outs[i].Gaps. Beam
-// widths > 1 run one batched beam search across every instance with a
-// generator head; width ≤ 1 decodes each greedily. Instances without a
-// generator head get nil ids and a zero confidence.
+// with each decode's confidence, noting its decisions in outs[i].Gaps: one
+// batched beam search across every instance with a generator head, at any
+// width. Instances without a generator head get nil ids and a zero
+// confidence.
 func decodeTopics[T tensor.Float](outs []*OutputOf[T], beamWidth, maxLen int, s *BatchScratchOf[T]) ([][]int, []nn.Confidence) {
 	ids := make([][]int, len(outs))
 	confs := make([]nn.Confidence, len(outs))
@@ -132,12 +132,6 @@ func decodeTopics[T tensor.Float](outs []*OutputOf[T], beamWidth, maxLen int, s 
 		}
 	}
 	if len(idx) == 0 {
-		return ids, confs
-	}
-	if beamWidth <= 1 {
-		for _, i := range idx {
-			ids[i], confs[i] = outs[i].Dec.Greedy(s.Tape, outs[i].Memory, textproc.BosID, textproc.EosID, maxLen, &outs[i].Gaps)
-		}
 		return ids, confs
 	}
 	s.gaps = s.gaps[:0]

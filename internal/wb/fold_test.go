@@ -65,8 +65,8 @@ func briefAll[T tensor.Float](m ModelOf[T], insts []*Instance, v *textproc.Vocab
 // TestFoldIdentity is the model-level gate on the fold: over 500 generated
 // pages, a model serving from its fold tables produces the briefs and the
 // confidence BITS of the same model without them — for the float64 teacher
-// and the float32 student, alone and in ragged batches, greedy and at two
-// beam widths. (Under -tags wbdebug every folded forward here also
+// and the float32 student, alone and in ragged batches, at beam widths 1, 4
+// and 8. (Under -tags wbdebug every folded forward here also
 // re-derives a sampled row of each table.)
 func TestFoldIdentity(t *testing.T) {
 	m, v, insts := foldFixture(t)

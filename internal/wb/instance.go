@@ -97,6 +97,14 @@ func InstanceFromSentences(sents [][]string, v *textproc.Vocab, maxTokens int) *
 	return inst
 }
 
+// MaxPageTokens is the most tokens of one page a served brief reads: the
+// paper's document scale (PAPER.md: 2k-token docs). A longer page is briefed
+// on its head — encode is linear in tokens and a serving batch runs in
+// lockstep, so without a ceiling one legal request body holds a replica, and
+// every batchmate, for as long as all its tokens take. wbserve and wbrief
+// both truncate at it, so they brief a long page alike.
+const MaxPageTokens = 2048
+
 // InstanceFromHTML renders raw HTML through the full pipeline (DOM parse →
 // visible lines → normalisation) and builds an unlabelled inference
 // instance.

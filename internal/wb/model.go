@@ -132,9 +132,8 @@ func PredictSections[T tensor.Float](out *OutputOf[T]) []int {
 }
 
 // GenerateTopic decodes a topic phrase of at most maxLen tokens from a model
-// using beam search (width ≤ 1 falls back to greedy): one forward, a batch of
-// one on a borrowed workspace. It returns nil if the model has no generator
-// head.
+// by beam search at beamWidth (at least 1): one forward, a batch of one on a
+// borrowed workspace. It returns nil if the model has no generator head.
 func GenerateTopic(m Model, inst *Instance, beamWidth, maxLen int) []int {
 	s := scratchPool.Get().(*BatchScratchOf[float64])
 	defer scratchPool.Put(s)

@@ -10,7 +10,6 @@ import (
 	"webbrief/internal/nn"
 	"webbrief/internal/opt"
 	"webbrief/internal/tensor"
-	"webbrief/internal/textproc"
 )
 
 // AttrNamer predicts the attribute NAME for an extracted value span — e.g.
@@ -217,29 +216,4 @@ func EvaluateNamer(n *AttrNamer, m Model, insts []*Instance) float64 {
 		return 0
 	}
 	return 100 * float64(correct) / float64(total)
-}
-
-// NamedAttribute is an extracted value with its predicted name.
-type NamedAttribute struct {
-	Name   string
-	Tokens []string
-}
-
-// MakeNamedBrief extends MakeBrief with predicted attribute names — the
-// future-work output format of §V ("the attribute name for the key
-// attribute '$40.13' is 'Price'").
-//
-//wbcheck:ignore deadexport -- paper component: DESIGN.md §3 Extensions, `wb.AttrNamer` (attribute-name prediction, §V future work)
-func MakeNamedBrief(m Model, n *AttrNamer, inst *Instance, v *textproc.Vocab, beamWidth int) (*Brief, []NamedAttribute) {
-	s := scratchPool.Get().(*BatchScratchOf[float64])
-	defer scratchPool.Put(s)
-	briefs, outs := ExtractBriefBatch(m, []*Instance{inst}, v, s)
-	DecodeTopicBatch(outs, v, beamWidth, s, briefs)
-	spans := eval.SpansFromBIO(PredictTags(outs[0]))
-	names := n.Predict(outs[0].TokenH.Value, inst.IDs, spans)
-	var named []NamedAttribute
-	for i, words := range briefs[0].Attributes { // one per span, in span order
-		named = append(named, NamedAttribute{Name: names[i], Tokens: words})
-	}
-	return briefs[0], named
 }

@@ -91,24 +91,6 @@ func TestNamerLearnsLabels(t *testing.T) {
 	}
 }
 
-func TestMakeNamedBrief(t *testing.T) {
-	insts, v := testData(t, 2, 2)
-	m := newTestJointWB(v, 23)
-	namer := NewAttrNamer("namer", AttributeLabels(), 32, v.Size(), rand.New(rand.NewSource(24)))
-	brief, named := MakeNamedBrief(m, namer, insts[0], v, 2)
-	if brief == nil {
-		t.Fatal("nil brief")
-	}
-	for _, na := range named {
-		if na.Name == "" || len(na.Tokens) == 0 {
-			t.Fatalf("malformed named attribute: %+v", na)
-		}
-		if namer.LabelID(na.Name) < 0 {
-			t.Fatalf("predicted name %q outside inventory", na.Name)
-		}
-	}
-}
-
 func TestNamerSkipsUnlabelledInstances(t *testing.T) {
 	// Instances built from raw HTML have no Page and must be skipped
 	// silently during namer training.

@@ -1,7 +1,6 @@
 package wb
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -15,8 +14,8 @@ import (
 // of one on a nograd arena tape: lockstep recurrence, pack-buffer matmuls,
 // batched beam search on a beam scratch — against the heap-tape reference
 // (heapTapeBrief, what wb.Briefer runs) on trained models and asserts
-// identical briefings, including a reused scratch across instances and both
-// beam and greedy decoding.
+// identical briefings, including a reused scratch across instances, at beam
+// widths 1 and 4.
 func TestScratchBriefMatchesHeapTape(t *testing.T) {
 	insts, v := testData(t, 2, 4)
 	m := newTestJointWB(v, 311)
@@ -143,8 +142,7 @@ var raceEnabled bool
 
 // TestScratchPoolReturnedAllocs gates every borrower of scratchPool with the
 // workspace going back to the pool, on one instance. Measured: MakeBrief 124,
-// MakeNamedBrief 169, GenerateTopic 76, DevLoss 42, EvaluateExtraction 62
-// (evalEach's borrow). A borrower that drops its scratchPool.Put builds and
+// GenerateTopic 76, DevLoss 42, EvaluateExtraction 62 (evalEach's borrow). A borrower that drops its scratchPool.Put builds and
 // grows a new BatchScratchOf on every call, 30 to 104 allocations more here,
 // and fails: each limit sits halfway between the two counts.
 func TestScratchPoolReturnedAllocs(t *testing.T) {
@@ -154,14 +152,12 @@ func TestScratchPoolReturnedAllocs(t *testing.T) {
 	insts, v := testData(t, 1, 2)
 	one := insts[:1]
 	m := newTestJointWB(v, 319)
-	namer := NewAttrNamer("namer", AttributeLabels(), 32, v.Size(), rand.New(rand.NewSource(24)))
 	for _, tc := range []struct {
 		name  string
 		limit float64
 		run   func()
 	}{
 		{"MakeBrief", 176, func() { MakeBrief(m, one[0], v, 4) }},
-		{"MakeNamedBrief", 221, func() { MakeNamedBrief(m, namer, one[0], v, 4) }},
 		{"GenerateTopic", 128, func() { GenerateTopic(m, one[0], 4, topicMaxLen) }},
 		{"DevLoss", 60, func() { DevLoss(m, one) }},
 		{"EvaluateExtraction", 77, func() { EvaluateExtraction(m, one) }},

@@ -25,8 +25,8 @@ type Briefer struct {
 	maxTokens int
 }
 
-// NewBriefer wraps model+vocab. beamWidth ≤ 1 decodes greedily; maxTokens
-// > 0 truncates long documents before encoding.
+// NewBriefer wraps model+vocab, decoding topics at beamWidth (at least 1);
+// maxTokens > 0 truncates long documents before encoding.
 //
 //wbcheck:ignore deadexport -- oracle: the serial heap-tape reference the wire-equivalence suites of wb (server_test, fold_test) and serve (serve, batch, cascade, reload tests) compare against
 func NewBriefer(model Model, vocab *textproc.Vocab, beamWidth, maxTokens int) *Briefer {
@@ -59,12 +59,7 @@ func heapTapeBrief[T tensor.Float](m ModelOf[T], inst *Instance, v *textproc.Voc
 	if out.Memory == nil || out.Dec == nil {
 		return b
 	}
-	var ids []int
-	if beamWidth <= 1 {
-		ids, _ = out.Dec.Greedy(t, out.Memory, textproc.BosID, textproc.EosID, topicMaxLen, nil)
-	} else {
-		ids = out.Dec.BeamSearch(t, out.Memory, textproc.BosID, textproc.EosID, beamWidth, topicMaxLen)
-	}
+	ids := out.Dec.BeamSearch(t, out.Memory, textproc.BosID, textproc.EosID, beamWidth, topicMaxLen)
 	if len(ids) > 0 { // BeamSearch returns an empty, non-nil slice for a lone EOS
 		b.Topic = v.Tokens(ids)
 	}

@@ -18,8 +18,20 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME=${FUZZTIME:-20s}
 
+SMOKEDIR=$(mktemp -d)
+SERVE_PID=""
+B1_PID=""
+B2_PID=""
+GATE_PID=""
+trap 'for p in "$SERVE_PID" "$B1_PID" "$B2_PID" "$GATE_PID"; do [[ -n "$p" ]] && kill "$p" 2>/dev/null; done; rm -rf "$SMOKEDIR"' EXIT
+
 echo "== go build"
 go build ./...
+go build -o "$SMOKEDIR/slowtests" ./scripts/slowtests
+
+# gotest is go test through scripts/slowtests: each package's result line,
+# every failing test's whole output, then the stage's 20 slowest tests.
+gotest() { go test -json "$@" | "$SMOKEDIR/slowtests"; }
 
 echo "== go vet"
 go vet ./...
@@ -35,15 +47,15 @@ echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lin
 go run ./cmd/wbcheck ./...
 
 echo "== go test (every package: integration, cmd, lint fixtures, allocation gates at their pinned counts, kernel and cascade equivalence, ring goldens and balance, fuzz corpus replay)"
-go test ./...
+gotest ./...
 
 echo "== race-enabled tests (every concurrency-bearing package, whole: serving e2e + load and chaos soaks + cache herd and churn, gateway chaos + upstream, the inbound server's wire table and disconnect watch, crawler and fault injection, the partition kit, the shared breaker, kernel row partition on 2 and 3 workers)"
-go test -race ./internal/ag ./internal/nn ./internal/wb ./internal/serve ./internal/tensor \
+gotest -race ./internal/ag ./internal/nn ./internal/wb ./internal/serve ./internal/tensor \
     ./internal/briefcache ./internal/snapshot ./internal/metrics ./internal/gateway \
     ./internal/fault ./internal/crawler ./internal/breaker ./internal/httpwire
 
 echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
-go test -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
+gotest -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
 
 echo "== one numeric stack (per-dtype code is the matmul kernels and the activation/LSTM-cell lanes: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
 if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name '*32*.go' -o -name '*64*.go' \) ! -name '*_test.go' ! -name 'kernels32*' ! -name 'kernels64*' ! -name 'cpufeat_*' | grep .; then echo "per-dtype file(s) listed above: make the generic code handle the case instead"; exit 1; fi
@@ -70,9 +82,15 @@ while read -r change scope allowed pattern; do
 done <scripts/stay-deleted.txt
 [[ $STAY_DELETED_FAILED == 0 ]]
 
+echo "== paper components (at most 4 deadexport ignores keep a paper component that no binary reaches: WordPiece's three until ROADMAP item 20 decides, TrainModelEarlyStop until item 23)"
+PAPER_IGNORES=$(grep -rn --include='*.go' -F '//wbcheck:ignore deadexport -- paper component' . || true)
+PAPER_COUNT=$(awk NF <<<"$PAPER_IGNORES" | wc -l)
+echo "   $PAPER_COUNT paper-component ignores"
+if (( PAPER_COUNT > 4 )); then echo "$PAPER_IGNORES"; echo "$PAPER_COUNT paper-component ignores, at most 4: route the component through a binary or delete it"; exit 1; fi
+
 echo "== libm's other path (GODEBUG=cpu.fma=off puts math.Exp on its non-FMA body: the probe must turn the f64 exp/σ/tanh lanes off, and the differential tests — the lanes and both softmax rows — must still pass with libm alone; the split-k identity the fold tables and the concatenation-free linears rest on, the shared-parent beam rows and the serving golden's other-libm digests must hold with the FMA lanes stood down too)"
-GODEBUG=cpu.fma=off go test -run 'TestAct64|TestSoftmaxLanes|TestMatMulSplitKBitwise' ./internal/tensor
-GODEBUG=cpu.fma=off go test -run 'TestForwardCatMatchesConcat|TestBeamSearchBatchMatchesReference|TestServingGolden' ./internal/nn ./internal/wb
+GODEBUG=cpu.fma=off gotest -run 'TestAct64|TestSoftmaxLanes|TestMatMulSplitKBitwise' ./internal/tensor
+GODEBUG=cpu.fma=off gotest -run 'TestForwardCatMatchesConcat|TestBeamSearchBatchMatchesReference|TestServingGolden' ./internal/nn ./internal/wb
 
 echo "== bench smoke (kernel benchmarks incl. the dtype x shape x rows x impl grid, the one-row blocks' in-process A/B and the f64 exp/σ/tanh fn x n x impl grid, the beam prune's width x candidates x impl grid, and the dtype x scale CascadeTiers grid, stay runnable)"
 go test -run '^$' -bench 'Kernels|OneRowBlocks|Act64' -benchtime 1x ./internal/tensor >/dev/null
@@ -83,12 +101,6 @@ echo "== root bench smoke (the ingestion, Briefer and in-process serving benchma
 go test -run '^$' -bench '^Benchmark(HTMLToInstance|Brief|ServeBrief.*)$' -benchtime 1x . >/dev/null
 
 echo "== quickstart smoke (README's own: wbtrain with its defaults writes a tiny bundle, wbrief briefs a literal page from it; every smoke below serves the same bundle)"
-SMOKEDIR=$(mktemp -d)
-SERVE_PID=""
-B1_PID=""
-B2_PID=""
-GATE_PID=""
-trap 'for p in "$SERVE_PID" "$B1_PID" "$B2_PID" "$GATE_PID"; do [[ -n "$p" ]] && kill "$p" 2>/dev/null; done; rm -rf "$SMOKEDIR"' EXIT
 go run ./cmd/wbtrain -domains 2 -pages 4 -epochs 2 -out "$SMOKEDIR/model.bin" >/dev/null 2>&1
 printf '%s' '<html><body><h1>title : novel edition</h1><div>price : $ 9.99</div></body></html>' >"$SMOKEDIR/page.html"
 go run ./cmd/wbrief -json -model "$SMOKEDIR/model.bin" "$SMOKEDIR/page.html" | grep -q '"Topic"'
@@ -124,7 +136,7 @@ SERVE_PID=""
 echo "   wbserve smoke ok"
 
 echo "== bench module (separate go.mod importing this one: an API rename here must not break the benchmark)"
-(cd bench && go vet ./... && go test ./...)
+(cd bench && go vet ./... && gotest ./...)
 
 echo "== training byte-identity (bench bundle retrained by this tree's wbtrain, then found cached: same sha256 both times)"
 for i in 1 2; do
