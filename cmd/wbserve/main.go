@@ -71,7 +71,8 @@
 //	wbserve -model model.bin -cache 4096 -cache-ttl 10m -cache-policy policy.conf
 //
 // The -model flag takes the snapshot bundle wbtrain writes, the one model
-// file format; boot and reload read it through the same loader.
+// file format; boot and reload read it through the same serving load
+// (wb.LoadServing), which decodes it straight into the folded teacher.
 //
 // The model hot-reloads with zero downtime: SIGHUP (or POST /admin/reload)
 // re-reads -model, builds and warms a shadow replica pool off-path, and
@@ -124,15 +125,20 @@ func main() {
 	cachePolicyPath := flag.String("cache-policy", "", "per-domain admission/TTL policy file (deny/ttl/default lines; keyed by ?src=)")
 	flag.Parse()
 
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		log.Fatalf("open model: %v (train one with wbtrain)", err)
+	load := func() (*wb.FoldedOf[float64], *textproc.Vocab, error) {
+		f, err := os.Open(*modelPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		return wb.LoadServing(f)
 	}
-	m, v, err := wb.LoadModel(f)
-	f.Close()
+	start := time.Now()
+	teacher, v, err := load()
 	if err != nil {
 		log.Fatalf("load %s: %v", *modelPath, err)
 	}
+	loaded := time.Since(start)
 
 	var policy *briefcache.Policy
 	if *cachePolicyPath != "" {
@@ -159,21 +165,15 @@ func main() {
 	if !*quiet {
 		cfg.AccessLog = os.Stderr
 	}
-	srv, err := serve.New(m, v, cfg)
+	pool, err := serve.NewPool(teacher, v, cfg.Replicas, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("loaded %s: %s", *modelPath, foldNote(srv))
-	srv.SetReloadSource(func() (*wb.JointWB, *textproc.Vocab, error) {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		return wb.LoadModel(f)
-	})
+	srv := serve.NewFromPool(pool, cfg)
+	log.Printf("loaded %s in %v: %s", *modelPath, loaded.Round(10*time.Microsecond), foldNote(srv))
+	srv.SetReloadSource(load)
 
-	start := time.Now()
+	start = time.Now()
 	if err := srv.Warm(""); err != nil {
 		log.Fatalf("warmup: %v", err)
 	}
@@ -213,12 +213,9 @@ func main() {
 }
 
 // foldNote says what folding cost the live pool — the bytes all tiers'
-// tables hold and the time its serving models took to build — for the boot
-// and reload log lines.
+// tables hold and the time its pool took to build over the loaded teacher —
+// for the boot and reload log lines.
 func foldNote(srv *serve.Server) string {
 	f := srv.Pool().Fold()
-	if f.Bytes == 0 {
-		return "serving unfolded (no fold tables for this model)"
-	}
-	return fmt.Sprintf("folded %d bytes of embedding×gate tables, serving models built in %v", f.Bytes, f.Built.Round(10*time.Microsecond))
+	return fmt.Sprintf("folded %d bytes of embedding×gate tables, pool built in %v", f.Bytes, f.Built.Round(10*time.Microsecond))
 }

@@ -25,9 +25,9 @@ func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
 	bx := xavier(in, 4*hidden)
 	bh := xavier(hidden, 4*hidden)
 	l := &LSTM{
-		Wx:     ag.NewParam(name+".Wx", uniform(in, 4*hidden, bx, rng)),
-		Wh:     ag.NewParam(name+".Wh", uniform(hidden, 4*hidden, bh, rng)),
-		B:      ag.NewParam(name+".B", tensor.New(1, 4*hidden)),
+		Wx:     param(name+".Wx", uniform(in, 4*hidden, bx, rng), rng),
+		Wh:     param(name+".Wh", uniform(hidden, 4*hidden, bh, rng), rng),
+		B:      param(name+".B", tensor.New(1, 4*hidden), rng),
 		Hidden: hidden,
 	}
 	for j := hidden; j < 2*hidden; j++ {

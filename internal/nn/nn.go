@@ -73,13 +73,23 @@ func xavier(in, out int) float64 { return math.Sqrt(6.0 / float64(in+out)) }
 
 // uniform draws a rows×cols matrix uniformly from [-bound, bound). Every
 // constructor here takes a nil rng to mean "draw nothing": the weights are
-// allocated zeroed at their shapes (constant biases are still set), for a
-// caller that overwrites every value (wb.DecodeSnapshot).
+// allocated zeroed at their shapes (constant biases are still set) and carry
+// no gradient buffer (see param), for a caller that overwrites every value
+// and never trains the result (wb.DecodeSnapshot).
 func uniform(rows, cols int, bound float64, rng *rand.Rand) *tensor.Matrix {
 	if rng == nil {
 		return tensor.New(rows, cols)
 	}
 	return tensor.Uniform(rows, cols, -bound, bound, rng)
+}
+
+// param wraps v as a trainable parameter, or, for a nil rng, as a value
+// with no gradient buffer.
+func param(name string, v *tensor.Matrix, rng *rand.Rand) *ag.Param {
+	if rng == nil {
+		return &ag.Param{Name: name, Value: v}
+	}
+	return ag.NewParam(name, v)
 }
 
 // LinearOf is a fully connected layer y = x·W + b.
@@ -92,8 +102,8 @@ type LinearOf[T tensor.Float] struct {
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	bound := xavier(in, out)
 	return &Linear{
-		W: ag.NewParam(name+".W", uniform(in, out, bound, rng)),
-		B: ag.NewParam(name+".B", tensor.New(1, out)),
+		W: param(name+".W", uniform(in, out, bound, rng), rng),
+		B: param(name+".B", tensor.New(1, out), rng),
 	}
 }
 
@@ -136,10 +146,10 @@ type EmbeddingOf[T tensor.Float] struct {
 }
 
 // NewEmbedding returns an embedding table initialised from N(0, 0.1²)
-// (zeroed for a nil rng, see uniform).
+// (zeroed and gradient-free for a nil rng, see uniform).
 func NewEmbedding(name string, vocab, dim int, rng *rand.Rand) *Embedding {
 	if rng == nil {
-		return EmbeddingFromMatrix(name, tensor.New(vocab, dim))
+		return &Embedding{Table: param(name+".E", tensor.New(vocab, dim), nil)}
 	}
 	return EmbeddingFromMatrix(name, tensor.Randn(vocab, dim, 0.1, rng))
 }
@@ -214,7 +224,7 @@ type BilinearOf[T tensor.Float] struct {
 // NewBilinear returns a Glorot-initialised bilinear form.
 func NewBilinear(name string, dimA, dimB int, rng *rand.Rand) *Bilinear {
 	bound := xavier(dimA, dimB)
-	return &Bilinear{W: ag.NewParam(name+".W", uniform(dimA, dimB, bound, rng))}
+	return &Bilinear{W: param(name+".W", uniform(dimA, dimB, bound, rng), rng)}
 }
 
 // CastBilinear returns an inference-only copy of bl in element type D.

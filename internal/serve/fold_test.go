@@ -3,20 +3,18 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
-	"webbrief/internal/nn"
 	"webbrief/internal/wb"
 )
 
-// TestPoolSharesFoldTables: a pool generation's models and fold tables are
-// built once per tier and read by every replica — the same teacher pointer,
-// the same student pointer, the same tables, not equal copies — while each
-// replica's workspaces are its own; and a second pool from the same model
-// (what a hot reload builds) has models and tables of its own.
+// TestPoolSharesFoldTables: a pool generation serves the teacher it was
+// handed, not a copy of it, builds its student once, and every replica reads
+// those two models — the same pointers, the same tables, not equal copies —
+// while each replica's workspaces are its own; and a second pool over a
+// second teacher (what a hot reload loads) has models and tables of its own.
 func TestPoolSharesFoldTables(t *testing.T) {
 	m, v, _ := trainedModel(t)
 	m.Cfg.BeamSize = 2
@@ -50,18 +48,22 @@ func TestPoolSharesFoldTables(t *testing.T) {
 		return teacher, student
 	}
 	cfg := Config{Cascade: true}
-	p1, err := NewPool(m, v, 3, cfg)
+	handed := folded(t, m)
+	p1, err := NewPool(handed, v, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	teacher, student := tiers(p1)
+	if teacher != handed {
+		t.Fatal("the pool serves a copy of the teacher it was handed")
+	}
 	if got, want := p1.Fold().Bytes, teacher.Tables().Bytes()+student.Tables().Bytes(); got != want || want == 0 {
 		t.Fatalf("Fold().Bytes = %d, the two tiers' tables hold %d", got, want)
 	}
 	if p1.Fold().Built <= 0 {
 		t.Fatalf("Fold().Built = %v, want the time the pool's models took", p1.Fold().Built)
 	}
-	p2, err := NewPool(m, v, 3, cfg)
+	p2, err := NewPool(folded(t, m), v, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +89,6 @@ func TestPoolFoldsAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Pool().Fold().Bytes == 0 {
-		t.Fatal("a NoMarkov pool serves unfolded")
-	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	serial := wb.NewBriefer(m, v, beam, 0)
@@ -106,30 +105,5 @@ func TestPoolFoldsAblation(t *testing.T) {
 		if !bytes.Equal(body, append(want, '\n')) {
 			t.Fatalf("page %d: served %s, serial path %s", i, body, want)
 		}
-	}
-}
-
-// TestPoolServesUnfoldableModelAsIs: a transformer-encoder model has no
-// fold tables; a pool of one still serves it, unfolded.
-func TestPoolServesUnfoldableModelAsIs(t *testing.T) {
-	_, v, _ := trainedModel(t)
-	tc := nn.TransformerConfig{Vocab: v.Size(), Dim: 12, Heads: 2, Layers: 1, FFDim: 24, MaxLen: 32, Segments: 2}
-	enc := wb.NewBERTEncoder("bert", tc, false, rand.New(rand.NewSource(4)))
-	cfg := wb.DefaultConfig()
-	cfg.BeamSize = 2
-	bm := wb.NewJointWB("bert-serve", enc, v.Size(), cfg)
-	p, err := NewPool(bm, v, 1, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Fold().Bytes != 0 {
-		t.Fatalf("an unfoldable model reports fold tables: %+v", p.Fold())
-	}
-	r, _ := p.TryGet()
-	if r.(*modelReplica).tiers[0].(*tierOf[float64]).model != wb.Model(bm) {
-		t.Fatal("a pool of one over an unfoldable model must serve the model itself")
-	}
-	if _, err := NewPool(bm, v, 2, Config{}); err == nil {
-		t.Fatal("two replicas of a model with no fold tables were built")
 	}
 }

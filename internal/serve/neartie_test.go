@@ -232,7 +232,7 @@ func TestCascadeEscalatesForcedNearTies(t *testing.T) {
 	serveOne := func(t *testing.T, m *wb.JointWB) (student, teacher int64) {
 		t.Helper()
 		cfg := Config{Cascade: true}
-		pool, err := NewPool(m, f.v, 1, cfg)
+		pool, err := NewPool(folded(t, m), f.v, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func TestReloadOntoDifferentVocabulary(t *testing.T) {
 	waitCond(t, "the rest to queue behind the gated replica", func() bool {
 		return srv.metrics.Queued.Load() == int64(len(htmls)) && len(srv.batchCh) == len(htmls)-2
 	})
-	if gen, err := srv.Reload(m2, v2); err != nil || gen != 2 {
+	if gen, err := srv.Reload(folded(t, m2), v2); err != nil || gen != 2 {
 		t.Fatalf("Reload: generation %d, err %v", gen, err)
 	}
 	close(gate.release)

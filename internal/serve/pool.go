@@ -67,23 +67,18 @@ type Replica interface {
 	DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) []wb.TierDecision
 }
 
-// tierModel is one model of a pool generation: built once, read-only at
-// inference, and shared — every replica of the generation points at it.
-type tierModel struct {
-	foldBytes int64       // what its fold tables occupy, 0 when it serves unfolded
-	workspace func() tier // a fresh private workspace on the model
-}
-
-// shareModel makes model a tierModel, float32 and float64 alike.
-func shareModel[T tensor.Float](model wb.ModelOf[T], foldBytes int64, v *textproc.Vocab, beam int) tierModel {
-	return tierModel{foldBytes: foldBytes, workspace: func() tier {
+// workspace makes fresh private workspaces on one model of a pool generation,
+// which every replica of the generation shares, read-only, at either dtype.
+func workspace[T tensor.Float](model *wb.FoldedOf[T], v *textproc.Vocab, beam int) func() tier {
+	return func() tier {
 		return &tierOf[T]{model: model, vocab: v, beam: beam, scratch: wb.NewBatchScratchOf[T](v, beam, 1)}
-	}}
+	}
 }
 
-// tier is one replica's workspace on one tierModel. The workspace, unlike the
-// model, is private: a replica serves one batch at a time (Pool checkout is
-// exclusive), so a workspace is never shared between concurrent batches.
+// tier is one replica's workspace on one model of its generation. The
+// workspace, unlike the model, is private: a replica serves one batch at a
+// time (Pool checkout is exclusive), so a workspace is never shared between
+// concurrent batches.
 type tier interface {
 	// extract runs one fused Eval forward; its outputs stay live on the
 	// workspace tape for the decode that must follow.
@@ -228,83 +223,66 @@ type Pool struct {
 	readmissions int64
 }
 
-// NewPool builds one pool generation from m: the models, once — the float64
-// teacher as one folded serving copy (wb.FoldForServing: one parameter copy
-// whatever n is, sharing nothing with m itself) and, when cfg.Cascade is set,
-// the float32 student in front of it, folded the same way — and n replicas
-// (0 → GOMAXPROCS) that all read those same models and fold tables through
-// workspaces of their own. The pool keeps v to build every instance its
-// replicas run (Pool.instance). Each workspace decodes at the model's own
-// beam width, m.Cfg.BeamSize (at least 1), exactly like wb.NewBriefer at that
-// width, so pooled briefings are identical to the serial path's at
-// wb.MaxPageTokens. A model whose topic length is below 1 has no first
+// NewPool builds one pool generation over teacher, a folded float64 model
+// the pool takes for its own (wb.LoadServing's, or a wb.FoldForServing copy):
+// with cfg.Cascade, the float32 student cast from its weights (wb.StudentOf)
+// in front of it, and n replicas (0 → GOMAXPROCS) that all read those same
+// models and tables through workspaces of their own. The pool keeps v to
+// build every instance its replicas run (Pool.instance). Each workspace
+// decodes at the model's own beam width (at least 1), exactly like
+// wb.NewBriefer at that width, so pooled briefings are identical to the
+// serial path's at wb.MaxPageTokens. A topic length below 1 leaves no first
 // decoding pass to run and is refused. The student escalates on
 // escalationBounds; cfg's ConfidenceThreshold routes nothing.
-//
-// A model with a transformer encoder has no fold tables and no float32 form,
-// and serves as is, unfolded — which only a pool of one may: m stays the
-// caller's to train.
-func NewPool(m *wb.JointWB, v *textproc.Vocab, n int, cfg Config) (*Pool, error) {
+func NewPool(teacher *wb.FoldedOf[float64], v *textproc.Vocab, n int, cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	beam := m.Cfg.BeamSize
+	beam := teacher.Cfg().BeamSize
 	if beam < 1 {
 		return nil, fmt.Errorf("serve: model beam size %d, want at least 1", beam)
 	}
-	if l := m.Cfg.TopicLen; l < 1 {
+	if l := teacher.Cfg().TopicLen; l < 1 {
 		return nil, fmt.Errorf("serve: model topic length %d, want at least 1", l)
 	}
 	start := time.Now()
-	var tiers []tierModel // fastest first
-	teacher, err := wb.FoldForServing[float64](m)
-	switch {
-	case err == nil:
-		tiers = append(tiers, shareModel[float64](teacher, teacher.Tables().Bytes(), v, beam))
-	case n == 1:
-		tiers = append(tiers, shareModel[float64](m, 0, v, beam))
-	default:
-		return nil, fmt.Errorf("serve: fold teacher for %d replicas: %w", n, err)
-	}
+	tiers := []func() tier{workspace(teacher, v, beam)} // fastest first
+	fold := FoldStats{Bytes: teacher.Tables().Bytes()}
 	if cfg.Cascade {
-		student, err := wb.FoldForServing[float32](m)
+		student, err := wb.StudentOf(teacher)
 		if err != nil {
 			return nil, fmt.Errorf("serve: float32 student: %w", err)
 		}
-		tiers = slices.Insert(tiers, 0, shareModel[float32](student, student.Tables().Bytes(), v, beam))
+		tiers = slices.Insert(tiers, 0, workspace(student, v, beam))
+		fold.Bytes += student.Tables().Bytes()
 	}
 	models := make([]*modelReplica, n)
 	replicas := make([]Replica, n)
 	for i := range replicas {
 		r := &modelReplica{bounds: escalationBounds}
 		for _, t := range tiers {
-			r.tiers = append(r.tiers, t.workspace())
+			r.tiers = append(r.tiers, t())
 		}
 		models[i], replicas[i] = r, r
 	}
 	p := PoolOf(replicas...)
-	p.vocab, p.models = v, models
-	for _, t := range tiers {
-		p.fold.Bytes += t.foldBytes
-	}
+	p.vocab, p.models, p.fold = v, models, fold
 	p.fold.Built = time.Since(start)
 	return p, nil
 }
 
 // FoldStats is what folding cost a pool: the bytes all tiers' fold tables
-// occupy (each tier's are shared by every replica), and the wall time of
-// building the pool's models — the serving copy, the float32 conversion and
-// the tables. Bytes is zero for a pool that serves unfolded.
+// occupy (shared by every replica), and the wall time NewPool took beyond the
+// teacher it was handed (with -cascade, the student's cast and tables).
 type FoldStats struct {
 	Bytes int64
 	Built time.Duration
 }
 
-// PoolOf wraps pre-built replicas — the seam for serving a non-GloVe model
-// or, in tests, replicas with controlled latency or injected faults. It has no
-// vocabulary, so its replicas are handed a placeholder instance for every
-// page.
+// PoolOf wraps pre-built replicas — in tests, replicas with controlled
+// latency or injected faults. It has no vocabulary, so its replicas are
+// handed a placeholder instance for every page.
 func PoolOf(replicas ...Replica) *Pool {
 	p := &Pool{
 		size:     len(replicas),

@@ -33,9 +33,9 @@ import (
 // g or newer, and an answer computed by an old model can never be cached
 // under a newer generation's keys.
 
-// ReloadSource loads a fresh model bundle for Reload — typically a re-read
-// of the -model file (cmd/wbserve), or a test's in-memory bundle.
-type ReloadSource func() (*wb.JointWB, *textproc.Vocab, error)
+// ReloadSource loads a fresh folded model for Reload: wb.LoadServing
+// re-reading the -model file (cmd/wbserve), or a test's in-memory bundle.
+type ReloadSource func() (*wb.FoldedOf[float64], *textproc.Vocab, error)
 
 // SetReloadSource registers the loader behind ReloadFromSource and the
 // /admin/reload endpoint. Without one, reload requests are refused.
@@ -45,29 +45,29 @@ func (s *Server) SetReloadSource(fn ReloadSource) {
 	s.reloadMu.Unlock()
 }
 
-// Reload hot-swaps the serving model: it builds a shadow pool of the same
-// size as the live one from m/v, warms it off-path, and atomically swaps it
-// in. Briefings in flight finish on the old generation; new admissions brief
-// on the new one. It returns the new generation number. Concurrent reloads
-// serialise on an internal mutex.
-func (s *Server) Reload(m *wb.JointWB, v *textproc.Vocab) (int64, error) {
+// Reload hot-swaps the serving model: it builds a shadow pool of the live
+// one's size over teacher/v (NewPool, which takes teacher for its own), warms
+// it off-path, and atomically swaps it in. Briefings in flight finish on the
+// old generation; new admissions brief on the new one. It returns the new
+// generation number. Concurrent reloads serialise on an internal mutex.
+func (s *Server) Reload(teacher *wb.FoldedOf[float64], v *textproc.Vocab) (int64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	//wbcheck:ignore lockhold -- holding reloadMu across build+warm is the point: reloads serialise on it, and no request-path code ever takes it (the hot path reads s.pool atomically)
-	pool, err := s.shadowPool(m, v)
+	pool, err := s.shadowPool(teacher, v)
 	if err != nil {
 		return 0, err
 	}
 	return s.swapPool(pool)
 }
 
-// shadowPool builds a pool of the live pool's size from m/v — a reload never
+// shadowPool builds a pool of the live pool's size over teacher/v — a reload never
 // changes capacity mid-flight — and warms it off-path with the warmup a cold
 // boot runs (Pool.Warm on WarmupHTML(0)): every tier of every replica has
 // briefed one page before the swap, so no post-swap request meets a cold
 // tier, and one the warm page's size grows nothing.
-func (s *Server) shadowPool(m *wb.JointWB, v *textproc.Vocab) (*Pool, error) {
-	pool, err := NewPool(m, v, s.pool.Load().Size(), s.cfg)
+func (s *Server) shadowPool(teacher *wb.FoldedOf[float64], v *textproc.Vocab) (*Pool, error) {
+	pool, err := NewPool(teacher, v, s.pool.Load().Size(), s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reload: %w", err)
 	}
@@ -85,11 +85,11 @@ func (s *Server) ReloadFromSource() (int64, error) {
 	if src == nil {
 		return 0, fmt.Errorf("serve: no reload source configured")
 	}
-	m, v, err := src()
+	teacher, v, err := src()
 	if err != nil {
 		return 0, fmt.Errorf("serve: reload source: %w", err)
 	}
-	return s.Reload(m, v)
+	return s.Reload(teacher, v)
 }
 
 // swapPool atomically swaps a pre-built (and, for real models, pre-warmed)

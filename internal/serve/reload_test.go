@@ -312,7 +312,7 @@ func runRealReloadEquivalence(t *testing.T, student bool) {
 		}(c)
 	}
 	waitCond(t, "load to reach the first generation", func() bool { return served.Load() >= clients })
-	if gen, err := srv.Reload(m2, v2); err != nil || gen != 2 {
+	if gen, err := srv.Reload(folded(t, m2), v2); err != nil || gen != 2 {
 		t.Fatalf("Reload: generation %d, err %v", gen, err)
 	}
 	reloaded.Store(true)
@@ -424,7 +424,7 @@ func TestReloadRealModel(t *testing.T) {
 		t.Fatal("pre-reload response diverges from old model's serial path")
 	}
 
-	gen, err := srv.Reload(m2, v2)
+	gen, err := srv.Reload(folded(t, m2), v2)
 	if err != nil {
 		t.Fatalf("Reload: %v", err)
 	}
@@ -508,7 +508,7 @@ func TestAdminReloadEndpoint(t *testing.T) {
 		t.Fatalf("reload with no source = %d, want 409", code)
 	}
 
-	srv.SetReloadSource(func() (*wb.JointWB, *textproc.Vocab, error) {
+	srv.SetReloadSource(func() (*wb.FoldedOf[float64], *textproc.Vocab, error) {
 		return nil, nil, fmt.Errorf("bundle read failed")
 	})
 	if code, _ := post(); code != http.StatusInternalServerError {
@@ -522,7 +522,10 @@ func TestAdminReloadEndpoint(t *testing.T) {
 		t.Fatalf("brief after failed reload: status %d err %v", status, err)
 	}
 
-	srv.SetReloadSource(func() (*wb.JointWB, *textproc.Vocab, error) { return m, v, nil })
+	srv.SetReloadSource(func() (*wb.FoldedOf[float64], *textproc.Vocab, error) {
+		f, err := wb.FoldForServing[float64](m)
+		return f, v, err
+	})
 	code, body := post()
 	if code != http.StatusOK {
 		t.Fatalf("reload = %d body %q, want 200", code, body)
@@ -541,13 +544,16 @@ func TestAdminReloadEndpoint(t *testing.T) {
 
 // TestBeamWidthFromBundle: the beam width is the bundle's own. A server
 // booted on a bundle saved at BeamSize 4 answers with exactly the bytes of
-// the serial path at width 4; a hot reload from a BeamSize 8 bundle onto it
-// switches widths with the swap; and a model whose width is below 1 builds no
-// pool, at boot or on reload, where the old generation keeps serving.
+// the serial path at width 4; one booted through the serving load wbserve
+// runs (wb.LoadServing, NewPool, NewFromPool) on a BeamSize 8 bundle answers
+// with width 8's, and a hot reload through a ReloadSource that serving-loads
+// the BeamSize 4 bundle switches widths with the swap; and a model whose
+// width is below 1 builds no pool, at boot or on reload, where the old
+// generation keeps serving.
 func TestBeamWidthFromBundle(t *testing.T) {
 	m, v, pages := trainedModelSeed(t, 52) // widths 4 and 8 brief some of its pages differently
 	htmls := pageHTML(pages)
-	bundle := func(beam int) (*wb.JointWB, *textproc.Vocab, [][]byte) {
+	bundle := func(beam int) ([]byte, *wb.JointWB, *textproc.Vocab, [][]byte) {
 		m.Cfg.BeamSize = beam
 		data, err := wb.EncodeSnapshot(m, v)
 		if err != nil {
@@ -557,10 +563,15 @@ func TestBeamWidthFromBundle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bm, bv, serialWire(t, wb.NewBriefer(bm, bv, beam, wb.MaxPageTokens), htmls)
+		return data, bm, bv, serialWire(t, wb.NewBriefer(bm, bv, beam, wb.MaxPageTokens), htmls)
 	}
-	m4, v4, want4 := bundle(4)
-	m8, v8, want8 := bundle(8)
+	data4, m4, v4, want4 := bundle(4)
+	data8, _, _, want8 := bundle(8)
+	serving := func(data []byte) ReloadSource {
+		return func() (*wb.FoldedOf[float64], *textproc.Vocab, error) {
+			return wb.LoadServing(bytes.NewReader(data))
+		}
+	}
 	differ := 0
 	for i := range htmls {
 		if !bytes.Equal(want4[i], want8[i]) {
@@ -592,21 +603,27 @@ func TestBeamWidthFromBundle(t *testing.T) {
 	defer ts4.Close()
 	serves(ts4, want4, "booted at width 4")
 
-	srv, err := New(m8, v8, Config{Replicas: 1})
+	teacher8, v8, err := serving(data8)()
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool, err := NewPool(teacher8, v8, 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewFromPool(pool, Config{})
 	defer srv.BeginShutdown()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	serves(ts, want8, "booted at width 8")
-	if _, err := srv.Reload(m4, v4); err != nil {
+	serves(ts, want8, "booted through the serving load at width 8")
+	srv.SetReloadSource(serving(data4))
+	if _, err := srv.ReloadFromSource(); err != nil {
 		t.Fatal(err)
 	}
-	serves(ts, want4, "reloaded onto width 4")
+	serves(ts, want4, "reloaded through the serving load onto width 4")
 
 	m4.Cfg.BeamSize = 0
-	if _, err := srv.Reload(m4, v4); err == nil || !strings.Contains(err.Error(), "beam size") {
+	if _, err := srv.Reload(folded(t, m4), v4); err == nil || !strings.Contains(err.Error(), "beam size") {
 		t.Fatalf("reload onto beam size 0: error %v, want one naming the beam size", err)
 	}
 	serves(ts, want4, "after a refused reload")
@@ -641,7 +658,7 @@ func TestPoolRefusesTopicLenBelowOne(t *testing.T) {
 		if _, err := New(bad, v2, Config{Replicas: 1}); err == nil || !strings.Contains(err.Error(), "topic length") {
 			t.Fatalf("topic length %d: New error %v, want one naming the topic length", topicLen, err)
 		}
-		if _, err := srv.Reload(bad, v2); err == nil || !strings.Contains(err.Error(), "topic length") {
+		if _, err := srv.Reload(folded(t, bad), v2); err == nil || !strings.Contains(err.Error(), "topic length") {
 			t.Fatalf("topic length %d: Reload error %v, want one naming the topic length", topicLen, err)
 		}
 		status, got, err := postBrief(ts.URL, html)

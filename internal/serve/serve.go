@@ -4,7 +4,7 @@
 // with:
 //
 //   - a replica pool: each generation is one folded eval-mode model per tier
-//     (see NewPool, wb.FoldForServing), read-only and shared, plus N replicas
+//     (see NewPool, wb.LoadServing), read-only and shared, plus N replicas
 //     that are nothing but private workspaces on those models, checked out
 //     per batch, so briefings scale across GOMAXPROCS instead of serialising
 //     on one lock;
@@ -72,8 +72,7 @@ type Config struct {
 	BatchMax int
 
 	// Cascade enables the float32 student fast path: every briefing first
-	// runs on a float32 conversion of the model (wb.FoldForServing[float32];
-	// GloVe encoders only), and only a briefing with a decision whose float32
+	// runs on a float32 conversion of the teacher (wb.StudentOf), and only a briefing with a decision whose float32
 	// gap is within the student's bound (wb.StudentBounds) re-runs on the
 	// full float64 teacher under the same replica checkout. Every other
 	// briefing took each decision with room to spare for float32's rounding,
@@ -179,19 +178,26 @@ type Server struct {
 	logMu sync.Mutex // serialises access-log lines
 }
 
-// New builds a Server around a trained GloVe-encoder Joint-WB bundle, over
-// a NewPool of cfg.Replicas replicas.
+// New builds a Server around a trained GloVe-encoder Joint-WB that the
+// caller keeps, over a NewPool of cfg.Replicas replicas: the pool serves a
+// folded copy of m (wb.FoldForServing), so m stays the caller's to train. A
+// binary that serves a bundle keeps no model and boots from wb.LoadServing
+// through NewPool and NewFromPool instead.
 func New(m *wb.JointWB, v *textproc.Vocab, cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	pool, err := NewPool(m, v, cfg.Replicas, cfg)
+	teacher, err := wb.FoldForServing[float64](m)
+	if err != nil {
+		return nil, err
+	}
+	pool, err := NewPool(teacher, v, cfg.Replicas, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return NewFromPool(pool, cfg), nil
 }
 
-// NewFromPool builds a Server over pre-built replicas (custom models,
-// tests). cfg.Replicas is ignored; the pool's size rules.
+// NewFromPool builds a Server over a built pool: NewPool's over a served
+// bundle (cmd/wbserve), or PoolOf's. cfg.Replicas is ignored; the pool's
+// size rules.
 func NewFromPool(pool *Pool, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{

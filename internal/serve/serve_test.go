@@ -40,6 +40,17 @@ func trainedModel(t testing.TB) (*wb.JointWB, *textproc.Vocab, []*corpus.Page) {
 	return m, v, ds.Pages
 }
 
+// folded is m folded for serving at float64, as New folds it: the teacher
+// NewPool and Reload take.
+func folded(t testing.TB, m *wb.JointWB) *wb.FoldedOf[float64] {
+	t.Helper()
+	f, err := wb.FoldForServing[float64](m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // postBrief POSTs html to the server and returns status, body. It returns
 // errors rather than failing the test so it is safe from spawned client
 // goroutines (t.Fatal must only run on the test goroutine).

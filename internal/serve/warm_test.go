@@ -28,7 +28,7 @@ func mallocs(fn func()) uint64 {
 func TestWarmSteadyState(t *testing.T) {
 	m, v, _ := trainedModel(t)
 	withBounds(t, escalateNone) // the replica's pass stays on the student
-	pool, err := NewPool(m, v, 1, Config{Cascade: true})
+	pool, err := NewPool(folded(t, m), v, 1, Config{Cascade: true})
 	if err != nil {
 		t.Fatal(err)
 	}

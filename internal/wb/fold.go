@@ -48,23 +48,24 @@ func FoldTableBytes(vocab, hidden, elemBytes int) int64 {
 //
 // A table that outlived the weights it was built from would be a silently
 // wrong model, so the type makes that state unreachable instead of checked:
-// the model inside is a private copy nothing else holds, Params returns
-// nothing (an optimizer built over a FoldedOf has nothing to step), and the
-// only constructor, FoldForServing, builds model and tables together. Under `-tags wbdebug`
-// every folded forward also re-derives one sampled row of each table from
-// the weights it is about to run with.
+// the model inside is one nothing else holds (a copy, a cast or a bundle
+// decoded for it alone), Params returns nothing, and every constructor builds
+// model and tables together. Under `-tags wbdebug` every folded forward also
+// re-derives one sampled row of each table from the weights it runs with.
 type FoldedOf[T tensor.Float] struct {
 	m      *JointWBOf[T] // the plain model: Forward
 	folded *JointWBOf[T] // m with the decoder's table view as Dec: ForwardBatchEval
 	tables *FoldTablesOf[T]
 }
 
-// Tables returns the fold tables: read-only, like the model they were built
-// from.
+// Tables returns the fold tables, read-only like the model.
 func (f *FoldedOf[T]) Tables() *FoldTablesOf[T] { return f.tables }
 
 // Name implements ModelOf.
 func (f *FoldedOf[T]) Name() string { return f.m.Name() }
+
+// Cfg is the model's configuration: its beam width and topic length.
+func (f *FoldedOf[T]) Cfg() Config { return f.m.Cfg }
 
 // Params implements nn.LayerOf: a folded model has no trainable parameters.
 func (f *FoldedOf[T]) Params() []*ag.ParamOf[T] { return nil }
@@ -85,26 +86,32 @@ func (f *FoldedOf[T]) ForwardBatchEval(t *ag.TapeOf[T], insts []*Instance) []*Ou
 	return f.folded.forwardBatchEval(t, insts, f.tables)
 }
 
-// FoldForServing returns the one serving copy of a trained GloVe-encoder
-// model at element type T, folded: a tier serve.NewPool shares among all its
-// replicas — the float64 teacher, or the float32 student. The copy is a
-// parameter-by-parameter cast (convertJointWB), one whatever the replica
-// count; at float64 it preserves every bit pattern, so its briefings are
-// byte-identical to m's. It shares no storage with m, not even the embedding
-// matrix, so training m afterwards cannot reach it, and the tables are built
-// from the copy's own weights.
+// FoldForServing returns a folded serving copy of a trained GloVe-encoder
+// model at element type T, for a caller that keeps m (a served bundle has no
+// keeper: LoadServing): a parameter-by-parameter cast, at float64 bit for
+// bit, sharing no storage with m, so training m cannot reach it.
 //
-// One copy serves every replica because nothing in an Eval forward on a
-// no-gradient tape writes to the model: no dropout, no gradients (ag.TapeOf.Use
-// returns before it touches a parameter's Grad), and all per-forward state
-// lives on the caller's BatchScratchOf. The folded forward runs a shallow copy
-// of the model whose Dec is the decoder view carrying the decoder table, so
-// every decode that starts from its outputs is folded too.
+// One folded model serves every replica of a pool (serve.NewPool) because
+// nothing in an Eval forward on a no-gradient tape writes to the model, and
+// all per-forward state lives on the caller's BatchScratchOf. The folded
+// forward runs a shallow copy of the model whose Dec is the decoder view
+// carrying the decoder table, so every decode from its outputs is folded too.
 func FoldForServing[T tensor.Float](m *JointWB) (*FoldedOf[T], error) {
 	c, err := convertJointWB[T](m)
 	if err != nil {
 		return nil, fmt.Errorf("wb: fold for serving: %w", err)
 	}
+	return foldOver(c), nil
+}
+
+// StudentOf is a folded teacher's float32 student, folded: the teacher's own
+// weights, each rounded to nearest once.
+func StudentOf(teacher *FoldedOf[float64]) (*FoldedOf[float32], error) {
+	return FoldForServing[float32](teacher.m)
+}
+
+// foldOver folds c, a GloVe-encoder model nothing else holds, over itself.
+func foldOver[T tensor.Float](c *JointWBOf[T]) *FoldedOf[T] {
 	emb := c.Enc.(*GloVeEncoderOf[T]).Emb
 	tables := &FoldTablesOf[T]{
 		ExtFwd: nn.InputTable(emb, c.ExtLSTM.Fwd),
@@ -113,5 +120,5 @@ func FoldForServing[T tensor.Float](m *JointWB) (*FoldedOf[T], error) {
 	}
 	folded := *c
 	folded.Dec = c.Dec.WithInputTable(tables.Dec)
-	return &FoldedOf[T]{m: c, folded: &folded, tables: tables}, nil
+	return &FoldedOf[T]{m: c, folded: &folded, tables: tables}
 }

@@ -135,14 +135,13 @@ func NewJointWB(name string, enc DocEncoder, vocab int, cfg Config) *JointWB {
 }
 
 // newJointWB is NewJointWB, or with draw unset the same model with nothing
-// drawn: every weight zeroed at its shape (the nn constructors' nil rng), for
-// a caller that overwrites every value (DecodeSnapshot). Either way dropout
-// runs on cfg.Seed's stream.
+// drawn and no rng: every weight zeroed at its shape and no gradient buffer
+// (the nn constructors' nil rng), for a caller that overwrites every value
+// and never trains the result (DecodeSnapshot).
 func newJointWB(name string, enc DocEncoder, vocab int, cfg Config, draw bool) *JointWB {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	draws := rng
-	if !draw {
-		draws = nil
+	var rng *rand.Rand
+	if draw {
+		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	h := cfg.Hidden
 	d := enc.Dim()
@@ -150,19 +149,19 @@ func newJointWB(name string, enc DocEncoder, vocab int, cfg Config, draw bool) *
 	m := &JointWB{
 		Cfg:     cfg,
 		Enc:     enc,
-		ExtLSTM: nn.NewBiLSTM(name+".ext", d, h, draws),
-		GenLSTM: nn.NewBiLSTM(name+".gen", d, h, draws),
-		Sec:     NewSectionPredictor(name+".sec", d, draws),
-		Dec:     nn.NewAttnDecoder(name+".dec", vocab, h, h, h, draws),
-		MemPr1:  nn.NewLinear(name+".mem1", bi, h, draws),
-		MemPr2:  nn.NewLinear(name+".mem2", bi+h, h, draws),
-		WCE:     nn.NewLinear(name+".wce", bi+1, h, draws),
-		WQ:      nn.NewLinear(name+".wq", h, h, draws),
-		AttE:    nn.NewBilinear(name+".attE", h, h, draws),
-		TagW:    nn.NewLinear(name+".tag", bi+h, 3, draws),
-		WCG:     nn.NewLinear(name+".wcg", bi+1, h, draws),
-		WE:      nn.NewLinear(name+".we", bi, h, draws),
-		AttG:    nn.NewLinear(name+".attG", h, 1, draws),
+		ExtLSTM: nn.NewBiLSTM(name+".ext", d, h, rng),
+		GenLSTM: nn.NewBiLSTM(name+".gen", d, h, rng),
+		Sec:     NewSectionPredictor(name+".sec", d, rng),
+		Dec:     nn.NewAttnDecoder(name+".dec", vocab, h, h, h, rng),
+		MemPr1:  nn.NewLinear(name+".mem1", bi, h, rng),
+		MemPr2:  nn.NewLinear(name+".mem2", bi+h, h, rng),
+		WCE:     nn.NewLinear(name+".wce", bi+1, h, rng),
+		WQ:      nn.NewLinear(name+".wq", h, h, rng),
+		AttE:    nn.NewBilinear(name+".attE", h, h, rng),
+		TagW:    nn.NewLinear(name+".tag", bi+h, 3, rng),
+		WCG:     nn.NewLinear(name+".wcg", bi+1, h, rng),
+		WE:      nn.NewLinear(name+".we", bi, h, rng),
+		AttG:    nn.NewLinear(name+".attG", h, 1, rng),
 		rng:     rng,
 	}
 	return m

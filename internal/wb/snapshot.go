@@ -86,14 +86,13 @@ func EncodeSnapshot(m *JointWB, v *textproc.Vocab) ([]byte, error) {
 
 // DecodeSnapshot reconstructs a model from EncodeSnapshot output. All
 // lengths and shapes are validated against the model the metadata
-// describes, so corrupted input errors rather than panicking. The model is
-// allocated at the described shapes without drawing initial values, and
-// each slab decodes straight into its parameter's storage. The meta
-// section records no Config.Dropout or Config.Seed: both are training-only
-// (dropout runs only in Train mode, and the seed only draws the initial
-// parameters, which the params section replaces), so the decoded model
-// briefs exactly as the encoded one did, and trains, if trained further,
-// with dropout 0 and seed 1 (its dropout stream is seed 1's from the start).
+// describes, so corrupted input errors rather than panicking. The result is
+// an inference model: allocated at the described shapes with no initial
+// draws and no gradient buffers, each slab decoded straight into its
+// parameter's storage. The meta section records no Config.Dropout or
+// Config.Seed, both training-only (the seed only draws the initial
+// parameters), so the model, at dropout 0 and seed 1, briefs exactly as the
+// encoded one did.
 func DecodeSnapshot(data []byte) (*JointWB, *textproc.Vocab, error) {
 	s, err := snapshot.Decode(data)
 	if err != nil {
@@ -220,10 +219,10 @@ func SaveSnapshot(w io.Writer, m *JointWB, v *textproc.Vocab) error {
 // change renames that call.
 func LoadModelAuto(r io.Reader) (*JointWB, *textproc.Vocab, error) { return LoadModel(r) }
 
-// LoadModel is the only model loader: wbrief, wbserve (boot and reload),
-// wbsnap -info and bench/wbload all read bundles through it. There is one
-// file format, the checksummed snapshot SaveSnapshot writes; input without
-// the snapshot magic gets the classified removal error.
+// LoadModel is the model loader: wbrief, wbsnap -info and bench/wbload read
+// bundles through it, and wbserve through LoadServing, which wraps it. There
+// is one file format, the checksummed snapshot SaveSnapshot writes; input
+// without the snapshot magic gets the classified removal error.
 func LoadModel(r io.Reader) (*JointWB, *textproc.Vocab, error) {
 	data, err := readBundle(r)
 	if err != nil {
@@ -233,6 +232,16 @@ func LoadModel(r io.Reader) (*JointWB, *textproc.Vocab, error) {
 		return nil, nil, errors.New("wb: not a snapshot bundle; gob bundles were removed — retrain with `wbtrain`, which is deterministic: same flags, same weights")
 	}
 	return DecodeSnapshot(data)
+}
+
+// LoadServing is wbserve's load, boot and reload: LoadModel, folded over the
+// decoded model itself, which never leaves this function — no copy.
+func LoadServing(r io.Reader) (*FoldedOf[float64], *textproc.Vocab, error) {
+	m, v, err := LoadModel(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return foldOver(m), v, nil
 }
 
 // readBundle reads r to EOF. A reader that reports its size — an *os.File

@@ -36,8 +36,8 @@ func trainedTestModel(t testing.TB) (*JointWB, *textproc.Vocab, []*Instance) {
 // parameters (bit-exact) and identical predictions. The decoder draws no
 // initial values and decodes each slab into its parameter's storage, so a
 // slab that missed its parameter leaves zeros that fail the bit comparison;
-// every decoded parameter also carries a gradient buffer of its shape, so the
-// model trains further as the encoded one did.
+// and no decoded parameter, the encoder table included, carries a gradient
+// buffer: a decoded model is an inference model.
 func TestSnapshotRoundTrip(t *testing.T) {
 	m, v, insts := trainedTestModel(t)
 	data, err := EncodeSnapshot(m, v)
@@ -58,8 +58,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	assertSameParams(t, m, m2)
 	for _, p := range m2.Params() {
-		if g := p.Grad; g == nil || g.Rows != p.Value.Rows || g.Cols != p.Value.Cols {
-			t.Fatalf("decoded param %s has no %dx%d gradient buffer", p.Name, p.Value.Rows, p.Value.Cols)
+		if p.Grad != nil {
+			t.Fatalf("decoded param %s carries a %dx%d gradient buffer", p.Name, p.Grad.Rows, p.Grad.Cols)
 		}
 	}
 	for _, inst := range insts[:2] {
@@ -138,9 +138,10 @@ func TestLoadModel(t *testing.T) {
 }
 
 // TestDrawlessModelShapes: the model DecodeSnapshot allocates (newJointWB
-// with draw unset) has NewJointWB's parameters, in order, by name and shape, and
+// with draw unset) has NewJointWB's parameters, in order, by name and shape,
 // every weight zero — nothing was drawn for the params section to overwrite
-// (biases are constants, not draws: the LSTMs' forget gates start at 1).
+// (biases are constants, not draws: the LSTMs' forget gates start at 1) —
+// and no gradient buffer: nothing trains a decoded model.
 func TestDrawlessModelShapes(t *testing.T) {
 	_, v := testData(t, 1, 1)
 	drawn := newTestJointWB(v, 7)
@@ -154,6 +155,9 @@ func TestDrawlessModelShapes(t *testing.T) {
 		if p.Name != q.Name || p.Value.Rows != q.Value.Rows || p.Value.Cols != q.Value.Cols {
 			t.Fatalf("param %d: %s %dx%d without drawing, %s %dx%d drawn",
 				i+1, p.Name, p.Value.Rows, p.Value.Cols, q.Name, q.Value.Rows, q.Value.Cols)
+		}
+		if p.Grad != nil {
+			t.Fatalf("param %s: a model built with no rng carries a gradient buffer", p.Name)
 		}
 		if strings.HasSuffix(p.Name, ".B") {
 			continue
@@ -642,4 +646,74 @@ func BenchmarkColdBoot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestServingLoadMemory pins what a -cascade serving load of the golden
+// model costs, read with runtime.MemStats after two GCs: LoadServing's
+// teacher from the bundle's file, as wbserve loads it, and StudentOf's
+// student. Decoding allocates the weights once and no gradient buffer. The
+// whole load allocates the bundle's bytes, both tiers' weights (8 and 4 bytes
+// a value) and their fold tables — no copy of the decoded model — and keeps
+// all of it but the bundle's bytes live. Each bound allows a quarter of the
+// float64 weights again as slack, for the vocabulary, the model's structs and
+// the decode's bookkeeping; a gradient buffer or a copy of the teacher is
+// four times that.
+func TestServingLoadMemory(t *testing.T) {
+	path := filepath.Join("testdata", "model-golden.snap")
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	settled := func() runtime.MemStats {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms
+	}
+
+	before := settled()
+	m, _, err := DecodeSnapshot(disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded runtime.MemStats
+	runtime.ReadMemStats(&decoded)
+	var values uint64
+	for _, p := range m.Params() {
+		values += uint64(len(p.Value.Data))
+	}
+	weights, slack := 8*values, 2*values
+	if got := decoded.TotalAlloc - before.TotalAlloc; got < weights || got > weights+slack {
+		t.Fatalf("decoding %d weights allocates %d bytes: want the %d-byte weights once, at most %d in all", values, got, weights, weights+slack)
+	}
+	m = nil
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	before = settled()
+	teacher, v, err := LoadServing(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	student, err := StudentOf(teacher)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := settled()
+	held := weights + weights/2 + uint64(teacher.Tables().Bytes()+student.Tables().Bytes())
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(disk))+held+slack; got > limit {
+		t.Fatalf("a -cascade serving load allocates %d bytes: want at most %d (%d-byte bundle, %d bytes of both tiers' weights and tables, %d slack)", got, limit, len(disk), held, slack)
+	}
+	if got, limit := after.HeapAlloc-before.HeapAlloc, held+slack; got > limit {
+		t.Fatalf("a -cascade serving load holds %d bytes live: want at most %d (%d bytes of both tiers' weights and tables, %d slack)", got, limit, held, slack)
+	}
+	runtime.KeepAlive(disk) // held throughout, so its bytes are in neither delta
+	runtime.KeepAlive(teacher)
+	runtime.KeepAlive(student)
+	runtime.KeepAlive(v)
 }

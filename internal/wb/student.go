@@ -10,9 +10,8 @@ import (
 // ConvertJointWB lowers a trained Joint-WB teacher to its float32 student:
 // the same model type one element type down, every parameter rounded to
 // nearest float32 exactly once and carrying no gradient buffer. Only the
-// GloVe encoder regime is supported — the transformer encoders are
-// float64-only — so callers must be ready to fall back to the teacher when
-// the conversion is refused.
+// GloVe encoder regime is supported: the transformer encoders are
+// float64-only.
 func ConvertJointWB(m *JointWB) (*JointWB32, error) { return convertJointWB[float32](m) }
 
 // convertJointWB copies m into element type D, parameter by parameter: at

@@ -54,8 +54,8 @@ gotest -race ./internal/ag ./internal/nn ./internal/wb ./internal/serve ./intern
     ./internal/briefcache ./internal/snapshot ./internal/metrics ./internal/gateway \
     ./internal/fault ./internal/crawler ./internal/breaker ./internal/httpwire
 
-echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types)"
-gotest -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
+echo "== wbdebug invariant layer (finite guards + tape lifecycle, both element types; in serve, a fold-table row re-derived from the shared, uncopied weights on every pooled, cascaded and reloaded forward)"
+gotest -tags wbdebug ./internal/ag ./internal/tensor ./internal/nn ./internal/wb ./internal/serve
 
 echo "== one numeric stack (per-dtype code is the matmul kernels and the activation/LSTM-cell lanes: no other non-test *32*.go or *64*.go under tensor/ag/nn/wb)"
 if find internal/tensor internal/ag internal/nn internal/wb -maxdepth 1 \( -name '*32*.go' -o -name '*64*.go' \) ! -name '*_test.go' ! -name 'kernels32*' ! -name 'kernels64*' ! -name 'cpufeat_*' | grep .; then echo "per-dtype file(s) listed above: make the generic code handle the case instead"; exit 1; fi
