@@ -4,13 +4,14 @@
 // methods, every baseline the paper evaluates, and a benchmark harness that
 // regenerates every table of the paper's evaluation section.
 //
-// The public surface is the three commands (cmd/wbrief, cmd/wbtrain,
-// cmd/wbexp) and the runnable examples under examples/. The implementation
-// lives in internal/: tensor math and autodiff (tensor, ag), neural layers
-// (nn), optimizers (opt), an HTML renderer (htmldom), text preprocessing and
-// WordPiece (textproc), embeddings (embed), the synthetic labelled corpus
-// (corpus), the core models (wb), distillation (distill), baselines
-// (baselines), metrics (eval) and the experiment drivers (experiments).
+// The public surface is the commands under cmd/ (wbtrain, wbrief, wbsnap,
+// wbexp, wbcrawl, wbserve, wbgate, wbcheck) and the runnable examples under
+// examples/. The implementation lives in internal/: tensor math and autodiff
+// (tensor, ag), neural layers (nn), optimizers (opt), an HTML renderer
+// (htmldom), text preprocessing and WordPiece (textproc), embeddings (embed),
+// the synthetic labelled corpus (corpus), the core models (wb), distillation
+// (distill), baselines (baselines), metrics (eval), the experiment drivers
+// (experiments) and the serving tier (serve, gateway and what they run on).
 //
 // The repository's contracts are machine-enforced by cmd/wbcheck, a
 // stdlib-only static-analysis suite built on internal/analysis: per-package
@@ -22,7 +23,7 @@
 // tests guard them. The /metrics partitions need no pass either: each is
 // declared once with internal/metrics and is exact by construction.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and the
-// paper-to-module mapping, and EXPERIMENTS.md for reproduced-vs-paper
-// results.
+// See README.md for building, running and serving, DESIGN.md for the
+// paper-to-module inventory, and EXPERIMENTS.md for the paper's tables beside
+// their reproduction and one summary row per performance change.
 package webbrief

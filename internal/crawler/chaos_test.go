@@ -11,10 +11,9 @@ import (
 	"webbrief/internal/fault"
 )
 
-// chaosConfig is the crawl profile the chaos suite and EXPERIMENTS.md both
-// use: production-shaped resilience, virtual clock, retry budget deep
-// enough that a 30% per-attempt fault rate almost never exhausts it
-// (0.3⁷ ≈ 0.02% per URL).
+// chaosConfig is the chaos suite's crawl profile: production-shaped
+// resilience, virtual clock, retry budget deep enough that a 30% per-attempt
+// fault rate almost never exhausts it (0.3⁷ ≈ 0.02% per URL).
 func chaosConfig(clk *fakeClock) Config {
 	cfg := DefaultConfig()
 	cfg.Retries = 6

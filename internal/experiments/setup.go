@@ -31,8 +31,8 @@ const (
 	// ScaleSmoke is sized so every table finishes in seconds; the numbers
 	// are noisy but every code path runs.
 	ScaleSmoke Scale = iota
-	// ScaleFull reproduces EXPERIMENTS.md: all 24 domains, the scaled
-	// model sizes, and enough epochs to converge.
+	// ScaleFull is the run EXPERIMENTS.md's tables quote (results_full.txt):
+	// all 24 domains, the scaled model sizes, and enough epochs to converge.
 	ScaleFull
 )
 

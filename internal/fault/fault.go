@@ -95,8 +95,8 @@ type Config struct {
 	GarbageMax int
 }
 
-// DefaultConfig is the 30%-fault chaos profile used across the tests and
-// EXPERIMENTS.md: all four kinds equally likely, 2–4ms slow responses,
+// DefaultConfig is the 30%-fault chaos profile used across the tests and by
+// `wbcrawl -faults`: all four kinds equally likely, 2–4ms slow responses,
 // 250ms hangs.
 func DefaultConfig(seed int64) Config {
 	return Config{

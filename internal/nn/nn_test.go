@@ -300,6 +300,8 @@ func TestGreedyStatesMatchesStepLoop(t *testing.T) {
 // TestConfidenceScore pins the routing scalar: min(Posterior, 1−e^−Margin)
 // clamped to [0, 1], and 0 — escalate — whenever a field is NaN, since a NaN
 // score would answer false to every `score < threshold` test.
+// Dropping Score's NaN check fails it (and, while the cascade routed on the
+// score, failed serve's TestCascadeEscalatesNaNConfidence too).
 func TestConfidenceScore(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {

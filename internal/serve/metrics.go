@@ -44,7 +44,7 @@ var (
 // it to the executor and the batchResult brings it back by value, and finish
 // observes it once. The stages are listed in document order; a request
 // passes them as read, cache, parse, cache, queue_wait, parse, encode,
-// decode, reply.
+// decode, reply, log.
 type serveStages struct{}
 
 var stages = metrics.NewStages[serveStages](metrics.Millis, latencyBucketsNS)
@@ -57,6 +57,7 @@ var (
 	stageEncode = stages.Stage("encode", latencyBucketsNS)     // eval forward → attributes + sections
 	stageDecode = stages.Stage("decode", latencyBucketsNS)     // beam-search topic generation, escalations included
 	stageReply  = stages.Stage("reply", fastBucketsNS)         // the outcome → its response buffered (httpwire sends it after the handler)
+	stageLog    = stages.Stage("log", fastBucketsNS)           // the access-log line encoded and written; only with an access log, and absent from its own line
 )
 
 // The three exact partitions of the serving tier's /metrics, each declared

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"webbrief/internal/metrics"
 )
@@ -87,5 +89,61 @@ func TestMetricsZeroDocumentGolden(t *testing.T) {
 	}
 	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 		t.Fatalf("/metrics zero document changed (update testdata/metrics_zero.golden.json and CHANGES.md if intended):\n%s", got)
+	}
+}
+
+// slowLog is an access log whose every write takes delay, as a full pipe or
+// a slow disk would.
+type slowLog struct {
+	delay time.Duration
+	bytes.Buffer
+}
+
+func (l *slowLog) Write(p []byte) (int, error) {
+	time.Sleep(l.delay)
+	return l.Buffer.Write(p)
+}
+
+// TestAccessLogWriteIsTimed: a slow access-log writer's delay shows in
+// latency_ms.log and in the total, and not in the line it writes (a line
+// cannot carry its own write); without an access log no request reaches the
+// log stage.
+func TestAccessLogWriteIsTimed(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	for _, logged := range []bool{false, true} {
+		accessLog := &slowLog{delay: delay}
+		cfg := Config{}
+		if logged {
+			cfg.AccessLog = accessLog
+		}
+		srv := NewFromPool(PoolOf(lift(&okReplica{})), cfg)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/brief", strings.NewReader("<p>logged page</p>")))
+		srv.BeginShutdown()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("logged=%v: status %d", logged, rec.Code)
+		}
+		checkPartitionAtRest(t, srv.metrics)
+		logStage, total := stageOf(srv.metrics, "log"), stageOf(srv.metrics, "total")
+		if !logged {
+			if logStage.Count != 0 || accessLog.Len() != 0 {
+				t.Fatalf("no access log: log stage count %d, %d bytes logged, want 0 and 0", logStage.Count, accessLog.Len())
+			}
+			continue
+		}
+		if logStage.Count != 1 || logStage.Sum < int64(delay) || total.Sum < logStage.Sum {
+			t.Fatalf("log stage count %d sum %v, total %v: want one log lap of at least %v inside the total",
+				logStage.Count, time.Duration(logStage.Sum), time.Duration(total.Sum), delay)
+		}
+		var line struct {
+			StagesMS map[string]float64 `json:"stages_ms"`
+			TotalMS  float64            `json:"total_ms"`
+		}
+		if err := json.Unmarshal(accessLog.Bytes(), &line); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := line.StagesMS["log"]; ok || line.TotalMS >= float64(delay)/1e6 {
+			t.Fatalf("access line %s carries its own write", accessLog.Bytes())
+		}
 	}
 }

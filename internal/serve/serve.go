@@ -444,19 +444,23 @@ func (s *Server) failCtx(w http.ResponseWriter, lg *accessEntry, err error) {
 	s.settle(lg, Canceled, 499) // nginx convention: client closed request
 }
 
-// finish closes a request's clock at its reply and records it once: every
-// stage it reached and its total into latency_ms, the same laps into its
-// access-log line, and, for a cache hit, everything after the body read into
-// cache.hit_latency_ns.
+// finish closes a request's clock at its reply and records it once: for a
+// cache hit, everything after the body read into cache.hit_latency_ns; the
+// laps so far into its access-log line, whose writing is then the log stage;
+// and every stage it reached and its total into latency_ms. Without an
+// access log there is no log stage and no clock read past the reply.
 func (s *Server) finish(lg *accessEntry) {
 	c := &lg.clock
 	c.Mark(stageReply)
 	m := s.metrics
-	m.Latency.Observe(c)
 	if lg.Cache == cacheRawHit || lg.Cache == cacheContentHit {
 		m.CacheHitLatency.Observe(int64(c.Total() - c.Lap(stageRead)))
 	}
-	s.logAccess(lg)
+	if s.cfg.AccessLog != nil {
+		s.logAccess(lg)
+		c.Mark(stageLog)
+	}
+	m.Latency.Observe(c)
 }
 
 // settle records how a request ended: its member of the requests_total
@@ -549,11 +553,8 @@ type accessEntry struct {
 	clock metrics.Clock[serveStages] // the request's one clock (serveStages)
 }
 
-// logAccess emits one JSON line, if access logging is configured.
+// logAccess writes lg as one JSON line to the access log, which must be set.
 func (s *Server) logAccess(lg *accessEntry) {
-	if s.cfg.AccessLog == nil {
-		return
-	}
 	lg.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	eb := getEncodeBuf()
 	defer putEncodeBuf(eb)

@@ -60,6 +60,7 @@ func TestFiniteGuardPassesCleanData(t *testing.T) {
 // A NaN output-gate pre-activation reaches only the hidden state (the cell
 // state never reads that gate); an infinite previous cell state reaches only
 // the cell state (o·tanh(±Inf) = ±o is finite).
+// Dropping either debugFinite call of LSTMCellInto fails it.
 func TestFiniteGuardCoversLSTMCell(t *testing.T) {
 	const h = 3
 	run := func(poison func(in, c *Matrix32)) func() {

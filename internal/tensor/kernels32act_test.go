@@ -87,6 +87,22 @@ func isNaN32(x float32) bool { return x != x }
 // inputs, every boundary input, and every slice length 1…35 (each
 // split between full vectors and the masked tail), in place and out of
 // place — and both return a NaN for a NaN.
+//
+// Mutations of the float32 activation lanes seen to fail when they were
+// written (each applied, the named tests run, reverted):
+//   - VFMADD213PS for exp32's ·r+E2, ·r+E1, ·r+E0 or p·r²+r step, or for any
+//     step of tanh's polynomial or its p·z·a+a; VFNMADD231PS for r−n·ln2Lo;
+//     VFMADD132PS for y·log₂e+magic: this test.
+//   - VFMADD213PS for E5·r+E4 or ·r+E3: not this test (the dropped rounding
+//     reached no result bit in 73 M inputs) but TestUnfusedAsmHasNoFMA, which
+//     also refuses a fused y−n·ln2Hi, a change of no bit (n·ln2Hi is exact).
+//   - the full-vector store one lane late, or the tail mask one element
+//     short: this test, TestAct32LanesStayInBounds, TestAct32Envelope and
+//     TestLSTMCellIntoMatchesOps; the tail mask one element long:
+//     TestAct32LanesStayInBounds and TestLSTMCellIntoMatchesOps.
+//   - tanh's range blend operands swapped: this test, TestAct32Envelope and
+//     TestAct32LanesStayInBounds; σ's VMAXPS operands swapped, so a NaN no
+//     longer propagates: this test and TestAct32Envelope.
 func TestAct32LanesMatchPureGo(t *testing.T) {
 	setLaneKernels(t, true)
 	for _, f := range act32Fns {
@@ -215,6 +231,21 @@ func TestAct32LanesStayInBounds(t *testing.T) {
 // gate sum, the four activations on column slices, the cell update and the
 // output product, bit for bit (compared widened to float64, which is exact
 // for float32), over widths around the vector width and the serving width.
+//
+// Mutations of the fused cell seen to fail when it was written and laned
+// (each applied, the named tests run, reverted), all of them caught by this
+// test in lane mode:
+//   - the i and f gate offsets swapped, or σ applied to the cell gate: also
+//     nn's TestLSTMCellFusedMatchesOpChain.
+//   - the float32 cell update's i·g fused into its add (VFMADD231PS): also
+//     TestUnfusedAsmHasNoFMA; the float64 one: also TestUnfusedAsmHasNoFMA,
+//     wb's TestAct64GatePreactivationsMatchLibm and
+//     TestLSTMCellFusedMatchesOpChain.
+//   - the cell loops' float32 tail mask one lane long or short (long: also
+//     TestLSTMCellLanesStayInBounds), or the gate sum adding rec twice.
+//   - the float64 gate sum adding rec twice, or its Go-loop tail starting a
+//     vector early or a lane late: also TestLSTMCellFusedMatchesOpChain (and
+//     TestAct64GatePreactivationsMatchLibm for the first two).
 func TestLSTMCellIntoMatchesOps(t *testing.T) {
 	eachKernelMode(t, func(t *testing.T) {
 		t.Run("f64", testLSTMCellIntoMatchesOps[float64])

@@ -300,6 +300,35 @@ func act64DrawCount() int {
 // inputs it reports must be zero; in go mode, and where the probe has stood
 // the lanes down, the entry points are the library and the test pins that
 // they still are.
+//
+// Mutations of the float64 activation lanes seen to fail when they were
+// written (each applied, -short runs of the named tests, reverted); "the
+// three" are this test's lanes mode, TestAct64LanesStayInBounds/lanes and
+// TestAct64ProbeFollowsLibm:
+//   - the ·x+½ Horner step unfused: this test and TestUnfusedAsmHasNoFMA
+//     (7 fused where libm has 8); the final y·(y+2)+1 unfused: also
+//     TestAct64ProbeFollowsLibm.
+//   - a Horner step c₇…c₃ unfused, or the first VFNMADD231PD (k·ln2U):
+//     TestUnfusedAsmHasNoFMA only, the values being equivalent (a low-order
+//     step's dropped rounding is 2⁻⁵³ of a term ≤ 2⁻⁹ of the sum; k·ln2U is
+//     exact), which is why the count is pinned by mnemonic.
+//   - P₁ or Q₂ of tanh's rational, or c₃ of exp, one ulp off: this test (and
+//     TestAct64ProbeFollowsLibm for Q₂); c₈ one ulp off changes no value.
+//   - the 0.625 branch mask ≥ made >, the x == 0 fix dropped, or the
+//     saturation blend dropped: this test and TestAct64ProbeFollowsLibm (the
+//     saturation mask > made ≥ changes no value: 1 − 2/(e⁸⁸+1) is 1).
+//   - the exponential branch's sign restore dropped, the mixed-vector blend
+//     inverted, the all-large shortcut sent to the rational, the scale bias
+//     1022, VCVTTPD2DQ for VCVTPD2DQ, or σ's VDIVPD operands swapped: the
+//     three.
+//   - the range guard dropped: this test, TestAct64LanesStayInBounds/lanes
+//     and TestAct64LanesReportRange; a declined vector stored before leaving:
+//     the last two; the guard at 710: TestAct64ProbeFollowsLibm (exp(−710)
+//     takes archExp's denormal exit).
+//   - the probe forced true under GODEBUG=cpu.fma=off: this test,
+//     TestAct64ProbeFollowsLibm, TestLSTMCellIntoMatchesOps/lanes/f64, wb's
+//     TestAct64GatePreactivationsMatchLibm and nn's
+//     TestLSTMCellFusedMatchesOpChain.
 func TestAct64LanesMatchLibm(t *testing.T) {
 	eachKernelMode(t, func(t *testing.T) {
 		trustAct64Lanes(t)

@@ -556,6 +556,24 @@ func lanes64Cases() []laneCase {
 // one-row block or the masked tail — and the same class (NaN, +Inf, -Inf)
 // where a cell is not finite. NaN payloads are outside the contract and not
 // compared.
+//
+// Mutations of the register tiles and masked tails seen to fail when they
+// were written (each applied, the named tests run, reverted):
+//   - VFMADD231PD for one VMULPD+VADDPD pair of the float64 tile (row 3,
+//     second vector), of its half tile or of its tail: this test,
+//     TestKernelEquivalenceMatMul/lanes and TestUnfusedAsmHasNoFMA;
+//     VFMADD231PS for the float32 tail's VMULPS+VADDPS:
+//     TestKernels32TilesMatchRowLanes/lanes and TestUnfusedAsmHasNoFMA.
+//   - row 2 of a broadcast from row 1, or B advanced by a's stride in the k
+//     loop, in either tile or either tail: this test or
+//     TestKernels32TilesMatchRowLanes, with TestKernelEquivalence*MatMul/lanes
+//     (and TestMatMulRowPartitionBitwise for the stride).
+//   - the tail mask one lane long (the Go side): both differential tests,
+//     TestKernelEquivalence*MatMul/lanes and TestMatMulRowPartitionBitwise;
+//     one lane short (the mask loaded a word late): all but the last.
+//   - the zero pre-scan dropped (hasZero64 ignored or false): this test
+//     alone, on 0·Inf = NaN where pure Go skips and, without the non-finite
+//     flavour, on the sign of a zero (4x4x4/zero=0.3/tiny, cell 12).
 func TestKernels64LanesMatchPureGo(t *testing.T) {
 	setLaneKernels(t, true) // skips without AVX2; restores the gate at the end
 	for i, c := range lanes64Cases() {
