@@ -195,104 +195,6 @@ func TestSplitProportions(t *testing.T) {
 	}
 }
 
-func TestEncodeBIOTags(t *testing.T) {
-	d := DomainByName("cars")
-	p := generatePage(d, 0, rand.New(rand.NewSource(9)))
-	e := p.Encode(0)
-	if len(e.Words) != len(e.Tags) || len(e.Words) != len(e.SentOf) || len(e.Words) != len(e.Segments) {
-		t.Fatal("parallel arrays out of sync")
-	}
-	if len(e.ClsIdx) != len(p.Sentences) || len(e.SentInfo) != len(p.Sentences) {
-		t.Fatal("per-sentence arrays out of sync")
-	}
-	// Every [CLS] position must hold the CLS token and TagO.
-	for si, c := range e.ClsIdx {
-		if e.Words[c] != textproc.ClsToken {
-			t.Fatalf("ClsIdx[%d]=%d is %q", si, c, e.Words[c])
-		}
-		if e.Tags[c] != TagO {
-			t.Fatal("CLS tagged inside a span")
-		}
-		if e.SentOf[c] != si {
-			t.Fatal("SentOf wrong at CLS")
-		}
-	}
-	// Exactly 4 B tags (4 attributes), I tags only follow B or I.
-	bCount := 0
-	for i, tag := range e.Tags {
-		if tag == TagB {
-			bCount++
-		}
-		if tag == TagI && (i == 0 || e.Tags[i-1] == TagO) {
-			t.Fatal("orphan I tag")
-		}
-	}
-	if bCount != 4 {
-		t.Fatalf("B tags: %d", bCount)
-	}
-	// Segment ids must alternate with the sentence parity.
-	for i, seg := range e.Segments {
-		if seg != e.SentOf[i]%2 {
-			t.Fatal("segment parity wrong")
-		}
-	}
-}
-
-// goldSpans reads the attribute value spans off e's BIO tags as [start, end)
-// offsets into the flattened token stream.
-func goldSpans(e *Encoded) [][2]int {
-	var spans [][2]int
-	for i := 0; i < len(e.Tags); i++ {
-		if e.Tags[i] == TagB {
-			j := i + 1
-			for j < len(e.Tags) && e.Tags[j] == TagI {
-				j++
-			}
-			spans = append(spans, [2]int{i, j})
-			i = j - 1
-		}
-	}
-	return spans
-}
-
-func TestEncodeGoldSpansMatchAttributes(t *testing.T) {
-	d := DomainByName("movies")
-	p := generatePage(d, 0, rand.New(rand.NewSource(10)))
-	e := p.Encode(0)
-	spans := goldSpans(e)
-	if len(spans) != 4 {
-		t.Fatalf("gold spans: %d", len(spans))
-	}
-	attrs := p.Attributes()
-	for i, sp := range spans {
-		got := e.Words[sp[0]:sp[1]]
-		if !reflect.DeepEqual(got, attrs[i].Value) {
-			t.Fatalf("span %d extracts %v want %v", i, got, attrs[i].Value)
-		}
-	}
-}
-
-func TestEncodeTruncation(t *testing.T) {
-	d := DomainByName("music")
-	p := generatePage(d, 0, rand.New(rand.NewSource(11)))
-	full := p.Encode(0)
-	small := p.Encode(10)
-	if len(small.Words) != 10 {
-		t.Fatalf("truncated length %d", len(small.Words))
-	}
-	if len(small.SentInfo) > len(full.SentInfo) {
-		t.Fatal("truncation grew sentence labels")
-	}
-	for _, c := range small.ClsIdx {
-		if c >= 10 {
-			t.Fatal("ClsIdx beyond truncation")
-		}
-	}
-	if len(small.SentInfo) != small.SentOf[len(small.SentOf)-1]+1 {
-		t.Fatal("SentInfo length mismatch after truncation")
-	}
-}
-
 func TestWordCountsAndVocab(t *testing.T) {
 	cfg := Config{Seed: 1, PagesPerDomain: 2, SeenDomains: 2, UnseenDomains: 0}
 	ds, _ := Generate(cfg)
@@ -442,14 +344,6 @@ func BenchmarkGeneratePage(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		generatePage(d, i, rng)
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	p := generatePage(DomainByName("books"), 0, rand.New(rand.NewSource(1)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Encode(0)
 	}
 }
 

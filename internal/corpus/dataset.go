@@ -92,74 +92,6 @@ const (
 	NumTags = 3
 )
 
-// Encoded is a page flattened into the model input representation of
-// §III-C: one token stream with a [CLS] token opening each sentence,
-// parallel BIO attribute tags, per-token sentence indices, and per-sentence
-// informative labels.
-type Encoded struct {
-	Page     *Page
-	Words    []string // flat tokens including [CLS] markers
-	SentOf   []int    // sentence index of each token
-	ClsIdx   []int    // position of each sentence's [CLS]
-	Tags     []int    // BIO per token ([CLS] positions are TagO)
-	Levels   []int    // hierarchy level of the token's attribute (see AttrInstance.Level); 0 where Tags is TagO
-	SentInfo []int    // 1 if sentence is informative
-	Segments []int    // BERTSUM alternating interval segment ids
-}
-
-// Encode flattens the page. maxTokens>0 truncates the stream (the paper
-// zero-pads/truncates documents to a fixed length; truncation is the part
-// that affects labels).
-func (p *Page) Encode(maxTokens int) *Encoded {
-	e := &Encoded{Page: p}
-	for si, s := range p.Sentences {
-		e.ClsIdx = append(e.ClsIdx, len(e.Words))
-		e.Words = append(e.Words, textproc.ClsToken)
-		e.Tags = append(e.Tags, TagO)
-		e.Levels = append(e.Levels, 0)
-		e.SentOf = append(e.SentOf, si)
-		e.Segments = append(e.Segments, si%2)
-		for ti, tok := range s.Tokens {
-			e.Words = append(e.Words, tok)
-			e.SentOf = append(e.SentOf, si)
-			e.Segments = append(e.Segments, si%2)
-			tag, level := TagO, 0
-			if s.Attr != nil && ti >= s.AttrStart && ti < s.AttrEnd {
-				level = s.Attr.Level
-				if ti == s.AttrStart {
-					tag = TagB
-				} else {
-					tag = TagI
-				}
-			}
-			e.Tags = append(e.Tags, tag)
-			e.Levels = append(e.Levels, level)
-		}
-		info := 0
-		if s.Informative {
-			info = 1
-		}
-		e.SentInfo = append(e.SentInfo, info)
-	}
-	if maxTokens > 0 && len(e.Words) > maxTokens {
-		e.Words = e.Words[:maxTokens]
-		e.Tags = e.Tags[:maxTokens]
-		e.Levels = e.Levels[:maxTokens]
-		e.SentOf = e.SentOf[:maxTokens]
-		e.Segments = e.Segments[:maxTokens]
-		lastSent := e.SentOf[len(e.SentOf)-1]
-		var cls []int
-		for _, c := range e.ClsIdx {
-			if c < maxTokens {
-				cls = append(cls, c)
-			}
-		}
-		e.ClsIdx = cls
-		e.SentInfo = e.SentInfo[:lastSent+1]
-	}
-	return e
-}
-
 // WordCounts accumulates token frequencies over pages (topic tokens
 // included), the input to vocabulary building.
 func WordCounts(pages []*Page) map[string]int {

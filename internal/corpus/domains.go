@@ -10,7 +10,8 @@
 // sentences with attribute annotations, is generated, then serialised to
 // HTML. The generator guarantees (and tests assert) that rendering the HTML
 // and re-normalising it reproduces the structure's token stream, so labels
-// align with model inputs by construction.
+// align with model inputs by construction. The corpus produces pages;
+// wb.NewInstance turns them into model input.
 package corpus
 
 // AttrKind selects how an attribute's value is synthesised.

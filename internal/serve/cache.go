@@ -119,7 +119,7 @@ func (s *Server) cacheServeRaw(w http.ResponseWriter, lg *accessEntry, r *http.R
 	if !c.Admit(domain) {
 		return rawLookup{}, false
 	}
-	lk := rawLookup{consult: true, domain: domain, gen: s.generation.Load()}
+	lk := rawLookup{consult: true, domain: domain, gen: s.pool.Load().gen.Load()}
 	lk.rawKey = genKey(lk.gen, body)
 	out, ok := c.LookupRaw(lk.rawKey)
 	lg.clock.Mark(stageCache)

@@ -194,7 +194,6 @@ type metricsSnapshot struct {
 	} `json:"pool"`
 	LatencyMS *metrics.Latency[serveStages] `json:"latency_ms"`
 	Batching  struct {
-		Enabled                bool                      `json:"enabled"`
 		BatchesTotal           int64                     `json:"batches_total"`
 		CoalescedRequestsTotal int64                     `json:"coalesced_requests_total"`
 		BatchSize              metrics.HistogramSnapshot `json:"batch_size"`
@@ -228,9 +227,9 @@ type metricsSnapshot struct {
 // snapshot collects a point-in-time view of every counter. cache is the
 // briefing cache (nil when disabled), read for eviction and
 // occupancy figures; cascade and threshold describe the student fast path
-// (threshold is only meaningful when cascade is set); gen and reloads are
-// the hot-reload generation counter and lifetime reload count.
-func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, threshold float64, gen, reloads int64) metricsSnapshot {
+// (threshold is only meaningful when cascade is set). pool is the live pool:
+// its generation is 1 plus the reloads completed.
+func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, threshold float64) metricsSnapshot {
 	var s metricsSnapshot
 	s.RequestsTotal, s.Responses = m.Requests.Snapshot()
 	s.RetriesTotal = m.Retries.Load()
@@ -247,7 +246,6 @@ func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, th
 	bs.Closed, bs.Open, bs.HalfOpen = pool.BreakerStates()
 	s.Pool.ReplicasHealthy = bs.Closed
 	s.LatencyMS = m.Latency
-	s.Batching.Enabled = true // kept for scrapers: the scheduler is the only path
 	s.Batching.BatchesTotal = m.BatchesTotal.Load()
 	s.Batching.CoalescedRequestsTotal = m.CoalescedRequests.Load()
 	s.Batching.BatchSize = m.BatchSize.Snapshot()
@@ -269,7 +267,7 @@ func (m *Metrics) snapshot(pool *Pool, cache *briefcache.Cache, cascade bool, th
 	}
 	s.Cascade.LatencyMS.Student = m.StudentLatency.Snapshot()
 	s.Cascade.LatencyMS.Teacher = m.TeacherLatency.Snapshot()
-	s.Reload.Generation = gen
-	s.Reload.ReloadsTotal = reloads
+	s.Reload.Generation = pool.gen.Load()
+	s.Reload.ReloadsTotal = s.Reload.Generation - 1
 	return s
 }

@@ -213,8 +213,9 @@ type Pool struct {
 	// models are the replicas NewPool built (none for PoolOf), kept so Warm
 	// can reach the tiers only an escalation runs on.
 	models []*modelReplica
-	// gen is the generation the server serves this pool as: 1 for the boot
-	// pool, stamped by swapPool on a reload's.
+	// gen is the generation the server serves this pool as, and the server's
+	// one generation number (cache namespace, /metrics): 1 for the boot pool,
+	// stamped by swapPool on a reload's.
 	gen atomic.Int64
 
 	mu           sync.Mutex

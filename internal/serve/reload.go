@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -25,13 +26,14 @@ import (
 //     references the retired pool and it is garbage collected;
 //   - batches formed after the swap check out of the new pool.
 //
-// The generation counter (1 at boot, +1 per completed reload) is exported
-// at /metrics and in the reload response, so fleet drivers (cmd/wbgate) can
-// observe which model generation each backend serves. It also namespaces
-// the briefing cache (cache.go): swapPool stores the pool before it bumps
-// the generation, so a request that read generation g briefs on generation
-// g or newer, and an answer computed by an old model can never be cached
-// under a newer generation's keys.
+// The generation is the live pool's gen (1 at boot, +1 per completed
+// reload). It is exported at /metrics and in the reload response, so fleet
+// drivers (cmd/wbgate) can observe which model generation each backend
+// serves. It also namespaces the briefing cache (cache.go): swapPool stamps
+// a pool's generation before the pool goes live, so a request that read
+// generation g off the live pool briefs on that pool or a newer one, and an
+// answer computed by an old model can never be cached under a newer
+// generation's keys.
 
 // ReloadSource loads a fresh folded model for Reload: wb.LoadServing
 // re-reading the -model file (cmd/wbserve), or a test's in-memory bundle.
@@ -77,13 +79,18 @@ func (s *Server) shadowPool(teacher *wb.FoldedOf[float64], v *textproc.Vocab) (*
 	return pool, nil
 }
 
+// errNoReloadSource is ReloadFromSource's error when no ReloadSource is
+// registered: nothing to reload from, a configuration state rather than a
+// failed load.
+var errNoReloadSource = errors.New("serve: no reload source configured")
+
 // ReloadFromSource reloads via the registered ReloadSource.
 func (s *Server) ReloadFromSource() (int64, error) {
 	s.reloadMu.Lock()
 	src := s.reloadSource
 	s.reloadMu.Unlock()
 	if src == nil {
-		return 0, fmt.Errorf("serve: no reload source configured")
+		return 0, errNoReloadSource
 	}
 	teacher, v, err := src()
 	if err != nil {
@@ -92,23 +99,22 @@ func (s *Server) ReloadFromSource() (int64, error) {
 	return s.Reload(teacher, v)
 }
 
-// swapPool atomically swaps a pre-built (and, for real models, pre-warmed)
-// pool in and bumps the generation, in that order (the cache namespace
-// depends on it, see the file comment) — the tail of Reload, and the seam
-// the hot-reload equivalence suite drives directly. The new pool must match
-// the live pool's size: the admission ceiling (batchSlots) was sized off it
-// at construction and is not resized mid-flight.
+// swapPool stamps a pre-built (and, for real models, pre-warmed) pool with
+// the next generation and atomically swaps it in — the tail of Reload, and
+// the seam the hot-reload equivalence suite drives directly. The new pool
+// must match the live pool's size: the admission ceiling (batchSlots) was
+// sized off it at construction and is not resized mid-flight.
 func (s *Server) swapPool(p *Pool) (int64, error) {
-	if live := s.pool.Load(); p.Size() != live.Size() {
+	live := s.pool.Load()
+	if p.Size() != live.Size() {
 		return 0, fmt.Errorf("serve: reload pool has %d replicas, live pool %d — reloads must keep capacity", p.Size(), live.Size())
 	}
 	if p.Idle() != p.Size() {
 		return 0, fmt.Errorf("serve: reload pool not fully idle (%d of %d)", p.Idle(), p.Size())
 	}
-	p.gen.Store(s.generation.Load() + 1)
+	gen := live.gen.Load() + 1
+	p.gen.Store(gen)
 	s.pool.Store(p)
-	gen := s.generation.Add(1)
-	s.reloads.Add(1)
 	// The old pool is retired implicitly: in-flight requests that snapshot
 	// it finish and Put their replicas back, after which nothing references
 	// it. Probe loops for old-pool ejections readmit into the retired pool
@@ -130,7 +136,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	gen, err := s.ReloadFromSource()
 	if err != nil {
 		code := http.StatusInternalServerError
-		if s.reloadSourceUnset(err) {
+		if errors.Is(err, errNoReloadSource) {
 			code = http.StatusConflict
 		}
 		http.Error(w, err.Error(), code)
@@ -141,12 +147,4 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		Generation int64 `json:"generation"`
 		Replicas   int   `json:"replicas"`
 	}{gen, s.pool.Load().Size()})
-}
-
-// reloadSourceUnset distinguishes "nothing to reload from" (a configuration
-// state, 409) from a failed load (500).
-func (s *Server) reloadSourceUnset(err error) bool {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	return s.reloadSource == nil && err != nil
 }

@@ -156,10 +156,10 @@ func runReloadEquivalence(t *testing.T, srv *Server, url string, clients int, sw
 		}
 	}
 
-	if got, want := srv.generation.Load(), int64(len(gens)); got != want {
+	if got, want := srv.Pool().gen.Load(), int64(len(gens)); got != want {
 		t.Fatalf("generation = %d, want %d", got, want)
 	}
-	if got, want := srv.reloads.Load(), int64(len(swapGens)); got != want {
+	if got, want := srv.metrics.snapshot(srv.Pool(), srv.cache, false, 0).Reload.ReloadsTotal, int64(len(swapGens)); got != want {
 		t.Fatalf("reloads = %d, want %d", got, want)
 	}
 	// Zero dropped requests, exactly: OK must account for every client
@@ -351,7 +351,7 @@ func TestSwapPoolRejectsBadPools(t *testing.T) {
 	if _, err := srv.swapPool(busy); err == nil {
 		t.Fatal("SwapPool accepted a non-idle pool")
 	}
-	if got := srv.generation.Load(); got != 1 {
+	if got := srv.Pool().gen.Load(); got != 1 {
 		t.Fatalf("failed swaps must not bump generation: got %d", got)
 	}
 }
@@ -514,8 +514,8 @@ func TestAdminReloadEndpoint(t *testing.T) {
 	if code, _ := post(); code != http.StatusInternalServerError {
 		t.Fatal("failing source must 500")
 	}
-	if srv.generation.Load() != 1 {
-		t.Fatalf("failed reload bumped generation to %d", srv.generation.Load())
+	if got := srv.Pool().gen.Load(); got != 1 {
+		t.Fatalf("failed reload bumped generation to %d", got)
 	}
 	// Live pool still serves after the failed reload.
 	if status, _, err := postBrief(ts.URL, pages[0].HTML); err != nil || status != http.StatusOK {

@@ -145,11 +145,9 @@ type Server struct {
 	// construction.
 	pool atomic.Pointer[Pool]
 
-	// Hot-reload state (reload.go): generation starts at 1 for the boot
-	// model and bumps per completed reload; reloadSource is the registered
-	// bundle loader behind /admin/reload and ReloadFromSource.
-	generation   atomic.Int64
-	reloads      atomic.Int64
+	// Hot-reload state (reload.go): reloadSource is the registered bundle
+	// loader behind /admin/reload and ReloadFromSource. The live pool's gen
+	// is the model generation.
 	reloadMu     sync.Mutex
 	reloadSource ReloadSource
 
@@ -213,7 +211,6 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 	}
 	pool.gen.Store(1)
 	s.pool.Store(pool)
-	s.generation.Store(1)
 	if cfg.CacheCapacity > 0 {
 		s.cache = briefcache.New(briefcache.Config{
 			Capacity:   cfg.CacheCapacity,
@@ -359,9 +356,7 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, &lg, Unbriefable, http.StatusUnprocessableEntity, noVisibleText)
 		return
 	}
-	for _, sent := range sents {
-		lg.Tokens += 1 + len(sent) // the sentence's [CLS] and its words
-	}
+	lg.Tokens = wb.PageTokens(sents)
 
 	ctx := r.Context()
 	if s.cfg.Timeout > 0 {
@@ -527,8 +522,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.metrics.snapshot(s.pool.Load(), s.cache, s.cfg.Cascade, s.cfg.ConfidenceThreshold,
-		s.generation.Load(), s.reloads.Load()))
+	enc.Encode(s.metrics.snapshot(s.pool.Load(), s.cache, s.cfg.Cascade, s.cfg.ConfidenceThreshold))
 }
 
 // accessEntry is one structured access-log line. Struct field order is the

@@ -26,22 +26,51 @@ type Instance struct {
 	Topic    []string
 }
 
-// NewInstance encodes a page against a vocabulary. maxTokens>0 truncates
-// long documents (the paper splits 2048-token pages into 512-token
-// sub-documents; truncation is the label-visible part of that step).
+// NewInstance encodes a labelled page against a vocabulary: the layout
+// InstanceFromSentences gives the page's sentences, with the page's labels
+// written onto the positions it kept. maxTokens>0 truncates long documents
+// (the paper splits 2048-token pages into 512-token sub-documents;
+// truncation is the label-visible part of that step).
 func NewInstance(p *corpus.Page, v *textproc.Vocab, maxTokens int) *Instance {
-	e := p.Encode(maxTokens)
-	inst := &Instance{
-		Page:     p,
-		IDs:      v.IDs(e.Words),
-		Segments: e.Segments,
-		ClsIdx:   e.ClsIdx,
-		SentOf:   e.SentOf,
-		Tags:     e.Tags,
-		SentInfo: e.SentInfo,
-		Topic:    p.Topic,
+	sents := make([][]string, len(p.Sentences))
+	tags := make([][]int, len(p.Sentences))
+	for si := range p.Sentences {
+		sents[si], tags[si] = p.Sentences[si].Tokens, wordTags(&p.Sentences[si])
 	}
-	topicIDs := v.IDs(p.Topic)
+	return labelled(p, sents, tags, p.Topic, v, maxTokens)
+}
+
+// wordTags is a sentence's BIO tags, one per word: B on the first word of its
+// attribute value, I on the rest.
+func wordTags(s *corpus.Sentence) []int {
+	tags := make([]int, len(s.Tokens))
+	if s.Attr == nil {
+		return tags
+	}
+	for ti := s.AttrStart; ti < min(s.AttrEnd, len(tags)); ti++ {
+		tags[ti] = corpus.TagI
+		if ti == s.AttrStart {
+			tags[ti] = corpus.TagB
+		}
+	}
+	return tags
+}
+
+// labelled lays p's sentences out through InstanceFromSentences — sents[si]
+// is sentence si's tokens, words or their pieces — and writes p's labels onto
+// the positions the layout kept: the head of each kept sentence's BIO tags
+// (tags[si], one per token of sents[si]), its informative flag, and the
+// topic, whose tokens are topic.
+func labelled(p *corpus.Page, sents [][]string, tags [][]int, topic []string, v *textproc.Vocab, maxTokens int) *Instance {
+	inst := InstanceFromSentences(sents, v, maxTokens)
+	inst.Page, inst.Topic = p, p.Topic
+	for si, cls := range inst.ClsIdx {
+		copy(inst.Tags[cls+1:min(cls+1+len(tags[si]), len(inst.Tags))], tags[si])
+		if p.Sentences[si].Informative {
+			inst.SentInfo[si] = 1
+		}
+	}
+	topicIDs := v.IDs(topic)
 	inst.TopicIn = append([]int{textproc.BosID}, topicIDs...)
 	inst.TopicOut = append(append([]int{}, topicIDs...), textproc.EosID)
 	return inst
@@ -56,44 +85,52 @@ func NewInstances(pages []*corpus.Page, v *textproc.Vocab, maxTokens int) []*Ins
 	return out
 }
 
-// InstanceFromSentences builds an UNLABELLED inference instance from
-// pre-normalised sentences — the path external pages take through
-// cmd/wbrief. Supervision fields hold placeholder values and must not be
-// used for training or scoring.
+// PageTokens is the length of sents' layout before any cut: each sentence's
+// [CLS] and its words.
+func PageTokens(sents [][]string) int {
+	n := 0
+	for _, sent := range sents {
+		n += 1 + len(sent)
+	}
+	return n
+}
+
+// InstanceFromSentences lays pre-normalised sentences out as the model reads
+// a page (§III-C), and is the only code that does: a [CLS] opens each
+// sentence, BERTSUM segment ids alternate by sentence, and maxTokens>0 keeps
+// the stream's head. Every page takes this path — external pages through
+// InstanceFromHTML and serving, labelled pages through NewInstance (and
+// NewInstanceWP at the subword level). On its own it builds an UNLABELLED
+// inference instance: supervision fields hold placeholder values and must
+// not be used for training or scoring.
 func InstanceFromSentences(sents [][]string, v *textproc.Vocab, maxTokens int) *Instance {
+	n := PageTokens(sents)
+	if maxTokens > 0 {
+		n = min(n, maxTokens)
+	}
 	inst := &Instance{
+		IDs:      make([]int, 0, n),
+		Segments: make([]int, 0, n),
+		SentOf:   make([]int, 0, n),
+		Tags:     make([]int, n), // all corpus.TagO
 		TopicIn:  []int{textproc.BosID},
 		TopicOut: []int{textproc.EosID},
 	}
 	for si, sent := range sents {
+		if len(inst.IDs) == n {
+			break
+		}
 		inst.ClsIdx = append(inst.ClsIdx, len(inst.IDs))
 		inst.IDs = append(inst.IDs, textproc.ClsID)
-		inst.Tags = append(inst.Tags, corpus.TagO)
 		inst.SentOf = append(inst.SentOf, si)
 		inst.Segments = append(inst.Segments, si%2)
-		for _, tok := range sent {
+		for _, tok := range sent[:min(len(sent), n-len(inst.IDs))] {
 			inst.IDs = append(inst.IDs, v.ID(tok))
-			inst.Tags = append(inst.Tags, corpus.TagO)
 			inst.SentOf = append(inst.SentOf, si)
 			inst.Segments = append(inst.Segments, si%2)
 		}
-		inst.SentInfo = append(inst.SentInfo, 0)
 	}
-	if maxTokens > 0 && len(inst.IDs) > maxTokens {
-		inst.IDs = inst.IDs[:maxTokens]
-		inst.Tags = inst.Tags[:maxTokens]
-		inst.SentOf = inst.SentOf[:maxTokens]
-		inst.Segments = inst.Segments[:maxTokens]
-		last := inst.SentOf[len(inst.SentOf)-1]
-		var cls []int
-		for _, c := range inst.ClsIdx {
-			if c < maxTokens {
-				cls = append(cls, c)
-			}
-		}
-		inst.ClsIdx = cls
-		inst.SentInfo = inst.SentInfo[:last+1]
-	}
+	inst.SentInfo = make([]int, len(inst.ClsIdx))
 	return inst
 }
 

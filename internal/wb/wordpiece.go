@@ -12,50 +12,15 @@ import (
 // vocabulary is the WordPiece subword vocabulary, so models built for
 // word-level instances run unchanged on subword ones.
 func NewInstanceWP(p *corpus.Page, wp *textproc.WordPiece, maxTokens int) *Instance {
-	v := wp.Vocab()
-	inst := &Instance{Page: p, Topic: p.Topic}
+	sents := make([][]string, len(p.Sentences))
+	tags := make([][]int, len(p.Sentences))
 	for si, sent := range p.Sentences {
-		inst.ClsIdx = append(inst.ClsIdx, len(inst.IDs))
-		inst.IDs = append(inst.IDs, textproc.ClsID)
-		inst.Tags = append(inst.Tags, corpus.TagO)
-		inst.SentOf = append(inst.SentOf, si)
-		inst.Segments = append(inst.Segments, si%2)
 		pieces, wordSpans := wp.Tokenize(sent.Tokens)
-		pieceTags := projectTags(sent, wordSpans, len(pieces))
-		for pi, piece := range pieces {
-			inst.IDs = append(inst.IDs, v.ID(piece))
-			inst.Tags = append(inst.Tags, pieceTags[pi])
-			inst.SentOf = append(inst.SentOf, si)
-			inst.Segments = append(inst.Segments, si%2)
-		}
-		info := 0
-		if sent.Informative {
-			info = 1
-		}
-		inst.SentInfo = append(inst.SentInfo, info)
+		sents[si], tags[si] = pieces, projectTags(sent, wordSpans, len(pieces))
 	}
 	// Topic targets in subword space.
 	topicPieces, _ := wp.Tokenize(p.Topic)
-	topicIDs := v.IDs(topicPieces)
-	inst.TopicIn = append([]int{textproc.BosID}, topicIDs...)
-	inst.TopicOut = append(append([]int{}, topicIDs...), textproc.EosID)
-
-	if maxTokens > 0 && len(inst.IDs) > maxTokens {
-		inst.IDs = inst.IDs[:maxTokens]
-		inst.Tags = inst.Tags[:maxTokens]
-		inst.SentOf = inst.SentOf[:maxTokens]
-		inst.Segments = inst.Segments[:maxTokens]
-		last := inst.SentOf[len(inst.SentOf)-1]
-		var cls []int
-		for _, c := range inst.ClsIdx {
-			if c < maxTokens {
-				cls = append(cls, c)
-			}
-		}
-		inst.ClsIdx = cls
-		inst.SentInfo = inst.SentInfo[:last+1]
-	}
-	return inst
+	return labelled(p, sents, tags, topicPieces, wp.Vocab(), maxTokens)
 }
 
 // projectTags maps a sentence's word-level attribute span to piece-level

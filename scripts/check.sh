@@ -133,7 +133,7 @@ import json,sys
 m = json.load(sys.stdin)
 assert m["requests_total"] == 4 == m["responses"]["ok"], m["responses"]
 b = m["batching"]
-assert b["enabled"] and 1 <= b["batches_total"] <= 4, b
+assert 1 <= b["batches_total"] <= 4, b
 assert b["batch_size"]["sum"] == 4, b
 '
 kill -TERM "$SERVE_PID"
