@@ -203,14 +203,26 @@ func (g *Gateway) BeginShutdown() {
 // RouteKey computes the consistent-hash key for one request: the page's
 // source domain when the client attributes it (?src=, same extraction as
 // the backend cache's policy key), else a hash of the posted body — repeat
-// posts of one page still land on one backend's cache.
+// posts of one page still land on one backend's cache. The gateway routes
+// on routeHash, the key's ring hash computed without building the key.
 func RouteKey(rawQuery string, src string, body []byte) string {
 	if rawQuery != "" {
 		if d := briefcache.SrcDomain(src); d != "" {
 			return "domain:" + d
 		}
 	}
-	return "body:" + strconv.FormatUint(hashKey(string(body)), 16)
+	return "body:" + strconv.FormatUint(hashKey(body), 16)
+}
+
+// routeHash is hashKey(RouteKey(rawQuery, src, body)), hashed in place.
+func routeHash(rawQuery string, src string, body []byte) uint64 {
+	if rawQuery != "" {
+		if d := briefcache.SrcDomain(src); d != "" {
+			return fmix64(fnv1a(fnv1a(fnvOffset, "domain:"), d))
+		}
+	}
+	var hex [16]byte
+	return fmix64(fnv1a(fnv1a(fnvOffset, "body:"), strconv.AppendUint(hex[:0], hashKey(body), 16)))
 }
 
 // requestID is the briefing's request ID: the client's X-Request-Id when it
@@ -263,15 +275,20 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
+	var deadline time.Time
 	if g.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.cfg.Timeout)
-		defer cancel()
+		deadline = time.Now().Add(g.cfg.Timeout)
 	}
+	var buf [8]string // a fleet of up to 8 routes without allocating
+	cands := g.ring.candidates(buf[:0], routeHash(r.URL.RawQuery, briefcache.SrcParam(r.URL.RawQuery), body), 0)
+	g.proxy(w, r, deadline, id, body, cands)
+}
 
-	key := RouteKey(r.URL.RawQuery, briefcache.SrcParam(r.URL.RawQuery), body)
-	g.proxy(w, ctx, r, id, body, g.ring.Candidates(key, g.ring.Size()))
+// expired reports whether deadline (zero for none) has passed. Timeouts are
+// told from cancellations by the clock: the deadline travels as a value, not
+// as a context.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
 // proxy relays one validated request across the key's candidate backends
@@ -280,8 +297,9 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 // a retryable failure moves to the next candidate. If every candidate was
 // at capacity, the request waits (under its deadline) for the preferred
 // one rather than failing — bounded pools shed load by queueing at the
-// gateway, not by erroring.
-func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Request, id string, body []byte, cands []string) {
+// gateway, not by erroring. deadline (zero for none) bounds every attempt
+// and the wait; the client hanging up (r's context) ends them too.
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, deadline time.Time, id string, body []byte, cands []string) {
 	var fallback *backend // first routable candidate, for the all-busy wait
 	attempts := 0
 	for _, name := range cands {
@@ -299,30 +317,43 @@ func (g *Gateway) proxy(w http.ResponseWriter, ctx context.Context, r *http.Requ
 			continue // at its connection cap; spill to the next candidate
 		}
 		attempts++
-		relayed := g.attemptOn(w, ctx, b, r, id, body)
+		relayed := g.attemptOn(w, r, deadline, b, id, body)
 		<-b.slots
 		if relayed {
 			return
 		}
-		if ctx.Err() != nil {
+		if expired(deadline) || r.Context().Err() != nil {
 			break
 		}
 	}
-	if attempts == 0 && fallback != nil && ctx.Err() == nil {
+	if attempts == 0 && fallback != nil && !expired(deadline) && r.Context().Err() == nil {
+		var timeout <-chan time.Time // the all-busy wait is the one timer a relay may start
+		if !deadline.IsZero() {
+			t := time.NewTimer(time.Until(deadline))
+			defer t.Stop()
+			timeout = t.C
+		}
 		select {
 		case fallback.slots <- struct{}{}:
 			attempts++
-			relayed := g.attemptOn(w, ctx, fallback, r, id, body)
+			relayed := g.attemptOn(w, r, deadline, fallback, id, body)
 			<-fallback.slots
 			if relayed {
 				return
 			}
-		case <-ctx.Done():
+		case <-timeout:
+		case <-r.Context().Done():
 		}
 	}
 
-	if err := ctx.Err(); err != nil {
-		g.failCtx(w, err)
+	// A deadline that passed is a timeout whether or not the client has also
+	// gone; a client that disconnected gets nothing (nginx's 499 case).
+	if expired(deadline) {
+		g.refuse(w, Timeout, http.StatusGatewayTimeout, "briefing deadline exceeded")
+		return
+	}
+	if r.Context().Err() != nil {
+		g.metrics.Requests.End(Canceled)
 		return
 	}
 	if attempts > 0 {
@@ -361,38 +392,38 @@ func retryableStatus(code int) bool {
 // written (true ends the request; false means a retryable failure and the
 // caller moves on). Every call bumps backend_requests_total and exactly
 // one of its two outcomes.
-func (g *Gateway) attemptOn(w http.ResponseWriter, ctx context.Context, b *backend, r *http.Request, id string, body []byte) bool {
+func (g *Gateway) attemptOn(w http.ResponseWriter, r *http.Request, deadline time.Time, b *backend, id string, body []byte) bool {
 	m := g.metrics
 	m.BackendRequests.Begin()
 	b.requests.Add(1)
 
 	// The reply is buffered whole, under the same ceiling as the request: a
 	// backend that answers with more than a page's worth is broken.
-	rep, err := b.up.exchange(ctx, request{
+	rep, err := b.up.exchange(r.Context(), deadline, request{
 		method: http.MethodPost, path: "/brief", query: r.URL.RawQuery,
 		contentType: r.Header.Get("Content-Type"), id: id, body: body, limit: g.cfg.MaxBodyBytes,
 	})
 	if err != nil {
 		// A failure after the client's own deadline or disconnect is the
 		// client's, not the backend's — count the attempt, spare the breaker.
-		g.attemptFailed(b, ctx.Err() == nil)
+		g.attemptFailed(b, !expired(deadline) && r.Context().Err() == nil)
 		return false
 	}
-	if retryableStatus(rep.status) {
+	if retryableStatus(rep.Status) {
 		g.attemptFailed(b, true)
 		return false
 	}
 
 	g.attemptOK(b)
 	m.Requests.End(Proxied)
-	if ct := rep.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	if rep.ContentType != "" {
+		w.Header().Set("Content-Type", rep.ContentType)
 	}
-	if ra := rep.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+	if rep.RetryAfter != "" {
+		w.Header().Set("Retry-After", rep.RetryAfter)
 	}
-	w.WriteHeader(rep.status)
-	w.Write(rep.body)
+	w.WriteHeader(rep.Status)
+	w.Write(rep.Body)
 	return true
 }
 
@@ -414,16 +445,6 @@ func (g *Gateway) attemptFailed(b *backend, blame bool) {
 	if blame && b.br.Fail(time.Now()) {
 		g.metrics.Ejections.Add(1)
 	}
-}
-
-// failCtx maps a context error to its response: 504 for an expired
-// deadline; a client that disconnected gets nothing (nginx's 499 case).
-func (g *Gateway) failCtx(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		g.refuse(w, Timeout, http.StatusGatewayTimeout, "briefing deadline exceeded")
-		return
-	}
-	g.metrics.Requests.End(Canceled)
 }
 
 // handleHealthz aggregates fleet health: 200 while the gateway is ready
@@ -553,17 +574,18 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) reloadBackend(ctx context.Context, b *backend) (int64, error) {
 	ctx, cancel := context.WithTimeout(ctx, reloadTimeout)
 	defer cancel()
-	rep, err := b.up.exchange(ctx, request{method: http.MethodPost, path: "/admin/reload", limit: adminReplyLimit})
+	deadline, _ := ctx.Deadline()
+	rep, err := b.up.exchange(ctx, deadline, request{method: http.MethodPost, path: "/admin/reload", limit: adminReplyLimit})
 	if err != nil {
 		return 0, fmt.Errorf("backend %s: %w", b.name, err)
 	}
-	if rep.status != http.StatusOK {
-		return 0, fmt.Errorf("backend %s: reload status %d: %s", b.name, rep.status, strings.TrimSpace(string(rep.body)))
+	if rep.Status != http.StatusOK {
+		return 0, fmt.Errorf("backend %s: reload status %d: %s", b.name, rep.Status, strings.TrimSpace(string(rep.Body)))
 	}
 	var out struct {
 		Generation int64 `json:"generation"`
 	}
-	if err := json.Unmarshal(rep.body, &out); err != nil {
+	if err := json.Unmarshal(rep.Body, &out); err != nil {
 		return 0, fmt.Errorf("backend %s: reload response: %w", b.name, err)
 	}
 	return out.Generation, nil
@@ -622,6 +644,7 @@ func (g *Gateway) probeLoop() {
 func (g *Gateway) probeBackend(b *backend) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
-	rep, err := b.up.exchange(ctx, request{method: http.MethodGet, path: "/healthz", limit: adminReplyLimit})
-	return err == nil && rep.status == http.StatusOK
+	deadline, _ := ctx.Deadline()
+	rep, err := b.up.exchange(ctx, deadline, request{method: http.MethodGet, path: "/healthz", limit: adminReplyLimit})
+	return err == nil && rep.Status == http.StatusOK
 }

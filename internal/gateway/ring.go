@@ -1,7 +1,7 @@
 package gateway
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -20,10 +20,23 @@ const DefaultVNodes = 64
 // "host:port#i" labels — the only ones that differ between a backend's
 // vnodes, or between two ports on one host — barely reach the high bits the
 // ring orders by, and raw FNV points cluster (two backends split 7 % / 93 %).
-func hashKey(s string) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(s))
-	h := f.Sum64()
+func hashKey[T string | []byte](s T) uint64 { return fmix64(fnv1a(fnvOffset, s)) }
+
+// fnvOffset is FNV-1a 64's initial state.
+const fnvOffset = 14695981039346656037
+
+// fnv1a folds s into the FNV-1a 64 state h: folding a key's parts in turn
+// hashes their concatenation without building it.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// fmix64 is MurmurHash3's 64-bit finaliser.
+func fmix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -104,7 +117,7 @@ func (r *Ring) owner(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	return r.points[r.search(key)].backend
+	return r.points[r.search(hashKey(key))].backend
 }
 
 // Candidates returns up to n distinct backends for key, in ring order
@@ -115,24 +128,27 @@ func (r *Ring) Candidates(key string, n int) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
+	return r.candidates(make([]string, 0, len(r.backends)), hashKey(key), n)
+}
+
+// candidates appends Candidates for the key hash h to dst. A backend is
+// told apart from those already found by scanning them: a fleet is a few
+// backends, and no map is built per request.
+func (r *Ring) candidates(dst []string, h uint64, n int) []string {
 	if n <= 0 || n > len(r.backends) {
 		n = len(r.backends)
 	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i, start := 0, r.search(key); i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.backend] {
-			seen[p.backend] = true
-			out = append(out, p.backend)
+	found := len(dst)
+	for i, start := 0, r.search(h); i < len(r.points) && len(dst)-found < n; i++ {
+		if b := r.points[(start+i)%len(r.points)].backend; !slices.Contains(dst[found:], b) {
+			dst = append(dst, b)
 		}
 	}
-	return out
+	return dst
 }
 
-// search returns the index of the first point at or after key's hash.
-func (r *Ring) search(key string) int {
-	h := hashKey(key)
+// search returns the index of the first point at or after the hash h.
+func (r *Ring) search(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0

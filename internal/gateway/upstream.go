@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"sync"
@@ -24,8 +23,9 @@ const idleConnTimeout = 90 * time.Second
 // upstream is the gateway's side of one backend's connections: a stack of
 // idle keep-alive connections and the one exchange function every relay,
 // health probe and reload drive goes through. It owns the connections and
-// the request head; the response grammar (Content-Length, chunked,
-// Connection: close) stays net/http's, via http.ReadResponse.
+// the request head; httpwire.ReadReply reads the reply, framed as net/http
+// frames it (Content-Length, chunked, Connection: close), and keeps only the
+// two fields a relay forwards.
 //
 // An exchange runs synchronously on its caller's goroutine — no per-
 // connection reader or writer goroutine, no channel hand-off. In-flight
@@ -66,40 +66,45 @@ type request struct {
 	limit                            int64 // most reply bytes the caller will buffer
 }
 
-// reply is a backend's buffered answer to one exchange.
-type reply struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
 // errNoReply marks an exchange that failed before the first byte of a
 // reply: on a reused connection that is the signature of a keep-alive
 // connection the backend closed while it sat idle.
 var errNoReply = errors.New("connection failed before any reply")
 
+// replyGrace is how long an exchange waits for the first reply byte before it
+// starts watching ctx. A cache hit's whole hop takes about 0.17 ms, so a hit
+// answers well inside it and never pays for the watch (on a relay, asking the
+// request's context for Done starts httpwire's background read). It is also
+// the longest a client's hang-up goes unnoticed by an exchange.
+const replyGrace = time.Millisecond
+
+// aLongTimeAgo is a deadline that fails a blocked read or write at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
 // exchange sends one request and buffers the reply, which may be at most
-// req.limit bytes (a longer one fails with httpwire.ErrTooLarge). ctx bounds it:
-// its deadline becomes the connection's, and cancellation interrupts the I/O
-// in progress. If a reused connection turns out to be dead before any reply
-// byte arrived, the request is replayed once on a fresh one, as net/http's
-// own transport replays a replayable request; briefings are pure, so a
-// backend that did see the first copy loses nothing but time.
-func (u *upstream) exchange(ctx context.Context, req request) (reply, error) {
+// req.limit bytes (a longer one fails with httpwire.ErrTooLarge). deadline
+// (zero for none) bounds it, dial included, and fails it with
+// context.DeadlineExceeded. ctx's cancellation interrupts a dial, and a wait
+// for the reply once that has lasted replyGrace, and fails it with ctx's
+// error. If a reused connection turns out to be dead before any reply byte
+// arrived, the request is replayed once on a fresh one, as net/http's own
+// transport replays a replayable request; briefings are pure, so a backend
+// that did see the first copy loses nothing but time.
+func (u *upstream) exchange(ctx context.Context, deadline time.Time, req request) (httpwire.Reply, error) {
 	uc, reused := u.acquire()
 	if uc == nil {
 		var err error
-		if uc, err = u.dial(ctx); err != nil {
-			return reply{}, err
+		if uc, err = u.dial(ctx, deadline); err != nil {
+			return httpwire.Reply{}, err
 		}
 	}
-	rep, err := u.exchangeOn(ctx, uc, req)
-	if reused && errors.Is(err, errNoReply) && ctx.Err() == nil {
+	rep, err := u.exchangeOn(ctx, deadline, uc, req)
+	if reused && errors.Is(err, errNoReply) {
 		u.staleReplays.Add(1)
-		if uc, err = u.dial(ctx); err != nil {
-			return reply{}, err
+		if uc, err = u.dial(ctx, deadline); err != nil {
+			return httpwire.Reply{}, err
 		}
-		rep, err = u.exchangeOn(ctx, uc, req)
+		rep, err = u.exchangeOn(ctx, deadline, uc, req)
 	}
 	return rep, err
 }
@@ -108,33 +113,36 @@ func (u *upstream) exchange(ctx context.Context, req request) (reply, error) {
 // the idle stack only if the reply was read to its end with nothing left
 // over, the backend did not ask to close, and ctx never interrupted it;
 // closed otherwise.
-func (u *upstream) exchangeOn(ctx context.Context, uc *upstreamConn, req request) (reply, error) {
-	deadline, _ := ctx.Deadline() // zero clears a previous exchange's
-	uc.c.SetDeadline(deadline)
-	// Cancellation has no channel to select on here: it expires the
-	// connection's deadline instead, failing the blocked read or write.
-	stop := context.AfterFunc(ctx, func() { uc.c.SetDeadline(time.Unix(1, 0)) })
-
-	rep, keep, err := uc.roundTrip(u.addr, req)
-	if !stop() || err != nil || !keep {
+func (u *upstream) exchangeOn(ctx context.Context, deadline time.Time, uc *upstreamConn, req request) (httpwire.Reply, error) {
+	uc.c.SetDeadline(deadline) // zero clears a previous exchange's
+	var rep httpwire.Reply
+	err := uc.send(u.addr, req)
+	var stop func() bool
+	if err == nil {
+		stop, err = uc.awaitReply(ctx, deadline)
+	}
+	if err == nil {
+		rep, err = httpwire.ReadReply(uc.br, req.limit)
+	}
+	canceled := stop != nil && !stop()
+	if err != nil || canceled || rep.Close || uc.br.Buffered() != 0 {
 		uc.c.Close()
 	} else {
 		u.release(uc)
 	}
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		// Every deadline on this connection is ctx's own (its deadline or its
-		// cancellation), so ctx is done or a timer tick from it: let it name
-		// the failure, and callers tell a timeout from a disconnect by ctx.Err.
-		<-ctx.Done()
-		return reply{}, ctx.Err()
+	switch {
+	case !errors.Is(err, os.ErrDeadlineExceeded):
+		return rep, err
+	case canceled:
+		return httpwire.Reply{}, ctx.Err()
 	}
-	return rep, err
+	return httpwire.Reply{}, context.DeadlineExceeded
 }
 
-// roundTrip writes the request and reads the reply. keep reports whether
-// the connection is reusable afterwards.
-func (uc *upstreamConn) roundTrip(host string, req request) (rep reply, keep bool, err error) {
+// send writes the request head and body in one write.
+func (uc *upstreamConn) send(host string, req request) error {
 	uc.head = appendRequestHead(uc.head[:0], host, req)
+	var err error
 	if len(req.body) == 0 {
 		_, err = uc.c.Write(uc.head)
 	} else {
@@ -144,23 +152,39 @@ func (uc *upstreamConn) roundTrip(host string, req request) (rep reply, keep boo
 		uc.iov[1] = nil // don't pin the page past its request
 	}
 	if err != nil {
-		return reply{}, false, fmt.Errorf("%w: %w", errNoReply, err)
+		return fmt.Errorf("%w: %w", errNoReply, err)
 	}
-	if _, err := uc.br.Peek(1); err != nil {
-		return reply{}, false, fmt.Errorf("%w: %w", errNoReply, err)
+	return nil
+}
+
+// awaitReply waits for the reply's first byte: for replyGrace without
+// watching ctx, then, if the deadline is further off, under the deadline
+// with ctx's cancellation expiring the connection's deadline (cancellation
+// has no channel to select on here; it fails the blocked read instead). stop
+// unregisters that watch; it is nil when none was started.
+func (uc *upstreamConn) awaitReply(ctx context.Context, deadline time.Time) (stop func() bool, err error) {
+	if grace := time.Now().Add(replyGrace); deadline.IsZero() || grace.Before(deadline) {
+		uc.c.SetReadDeadline(grace)
+		_, err = uc.br.Peek(1)
+		// The rest of the reply reads under the deadline. It is set before
+		// the watch starts, so a cancellation that fires at once is not
+		// overwritten.
+		uc.c.SetReadDeadline(deadline)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, noReply(err)
+		}
+		stop = context.AfterFunc(ctx, func() { uc.c.SetDeadline(aLongTimeAgo) })
 	}
-	resp, err := http.ReadResponse(uc.br, nil)
-	if err != nil {
-		return reply{}, false, err
+	_, err = uc.br.Peek(1)
+	return stop, noReply(err)
+}
+
+// noReply marks err, if any, as a failure before the first reply byte.
+func noReply(err error) error {
+	if err == nil {
+		return nil
 	}
-	if resp.StatusCode < 200 {
-		return reply{}, false, fmt.Errorf("unexpected interim response %d", resp.StatusCode)
-	}
-	out, err := httpwire.Read(resp.Body, resp.ContentLength, req.limit)
-	if err != nil {
-		return reply{}, false, err
-	}
-	return reply{status: resp.StatusCode, header: resp.Header, body: out}, !resp.Close && uc.br.Buffered() == 0, nil
+	return fmt.Errorf("%w: %w", errNoReply, err)
 }
 
 // appendRequestHead appends req's HTTP/1.1 request head to dst.
@@ -238,10 +262,10 @@ func (u *upstream) release(uc *upstreamConn) {
 	}
 }
 
-// dial opens a fresh connection under ctx.
-func (u *upstream) dial(ctx context.Context) (*upstreamConn, error) {
+// dial opens a fresh connection under ctx and deadline.
+func (u *upstream) dial(ctx context.Context, deadline time.Time) (*upstreamConn, error) {
 	u.dials.Add(1)
-	var d net.Dialer
+	d := net.Dialer{Deadline: deadline}
 	c, err := d.DialContext(ctx, "tcp", u.addr)
 	if err != nil {
 		return nil, err

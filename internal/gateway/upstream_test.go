@@ -339,6 +339,12 @@ func newLifecycleBackend(t *testing.T) *lifecycleBackend {
 				w.(http.Flusher).Flush()
 			}
 			return
+		case "trickle":
+			io.WriteString(w, "{")
+			w.(http.Flusher).Flush()
+			time.Sleep(20 * replyGrace)
+			fmt.Fprintf(w, "\"brief\":%d}\n", n)
+			return
 		case "slow":
 			time.Sleep(150 * time.Millisecond)
 			fmt.Fprintf(w, "{\"late\":%d}\n", n)
@@ -458,6 +464,20 @@ func TestUpstreamReplyFraming(t *testing.T) {
 	}
 }
 
+// TestUpstreamReplyOutlastsGrace: a reply whose first byte comes at once
+// and whose rest comes long after replyGrace relays whole, and its
+// connection is kept. The grace bounds the wait for the first byte only.
+func TestUpstreamReplyOutlastsGrace(t *testing.T) {
+	g, ts, _ := newLifecycleGateway(t, nil)
+	status, body := post(t, ts.URL, "mode=trickle", "<p>x</p>")
+	if status != http.StatusOK || string(body) != "{\"brief\":1}\n" {
+		t.Fatalf("trickled reply relayed as %d %q", status, body)
+	}
+	if b := backendBlock(g); b.IdleConns != 1 || b.Errors != 0 {
+		t.Fatalf("after a trickled reply: %+v, want its connection kept and no error", b)
+	}
+}
+
 // TestUpstreamTimeoutDropsConnection (c): a backend slower than the
 // deadline yields a 504 counted as timeout, without blaming the backend,
 // and the connection is dropped — the next request gets its own reply on a
@@ -486,8 +506,8 @@ func TestUpstreamTimeoutDropsConnection(t *testing.T) {
 }
 
 // TestUpstreamClientDisconnect (d): the client hangs up while the backend
-// is still working. The relay is interrupted at once (not when the backend
-// answers), counted canceled, and the backend is not blamed.
+// is still working. The relay is interrupted within the grace (not when the
+// backend answers), counted canceled, and the backend is not blamed.
 func TestUpstreamClientDisconnect(t *testing.T) {
 	g, ts, lb := newLifecycleGateway(t, nil)
 
@@ -520,6 +540,92 @@ func TestUpstreamClientDisconnect(t *testing.T) {
 		t.Fatalf("kept an interrupted connection: %+v", b)
 	}
 	waitCond(t, "the interrupted connection to close", func() bool { return lb.open.Load() == 0 })
+}
+
+// TestUpstreamDisconnectInsideGrace: the client sends its request and
+// hangs up at once, before the relay (on a kept connection) has waited
+// replyGrace for its reply. The exchange is not watching yet, so the hang-up
+// is noticed when the grace ends: the relay is canceled no later than the
+// grace plus slack for a loaded machine, the backend is not blamed, and the
+// connection is dropped.
+func TestUpstreamDisconnectInsideGrace(t *testing.T) {
+	const slack = 250 * time.Millisecond
+	g, ts, lb := newLifecycleGateway(t, nil)
+	// A dial would ask the request's context for Done; relay on a kept
+	// connection, as a hit does.
+	if status, _ := post(t, ts.URL, "", "<p>x</p>"); status != http.StatusOK {
+		t.Fatalf("warm-up request: %d", status)
+	}
+
+	c, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := "<p>x</p>"
+	if _, err := fmt.Fprintf(c, "POST /brief?mode=block HTTP/1.1\r\nHost: gw\r\nContent-Length: %d\r\n\r\n%s", len(page), page); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	hungUp := time.Now()
+
+	m := g.metrics
+	for countOf(m.Requests, Canceled) == 0 {
+		if time.Since(hungUp) > replyGrace+slack {
+			t.Fatalf("relay not canceled %v after the client hung up, want within %v", time.Since(hungUp), replyGrace+slack)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case <-lb.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the relay never reached the backend")
+	}
+	b := backendBlock(g)
+	if m.Ejections.Load() != 0 || b.BreakerState != "closed" || countOf(m.Requests, Timeout) != 0 || b.IdleConns != 0 {
+		t.Fatalf("early hang-up: ejections=%d breaker=%s timeout=%d idle=%d, want 0, closed, 0, 0",
+			m.Ejections.Load(), b.BreakerState, countOf(m.Requests, Timeout), b.IdleConns)
+	}
+	waitCond(t, "the interrupted connection to close", func() bool { return lb.open.Load() == 0 })
+}
+
+// doneCounter counts the calls to its Done: on an httpwire request context,
+// the first starts the disconnect watch.
+type doneCounter struct {
+	context.Context
+	calls atomic.Int64
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.calls.Add(1)
+	return c.Context.Done()
+}
+
+// TestRelayInsideGraceStartsNoWatch: a relay answered inside replyGrace
+// never asks its request's context for Done, so httpwire never starts the
+// background read that watches for a hang-up. Only relays that finished,
+// end to end, inside the grace are checked; on a machine too loaded for any
+// to, the test has nothing to check and skips.
+func TestRelayInsideGraceStartsNoWatch(t *testing.T) {
+	f := newRelayFixture(t, false)
+	f.relay(t) // the dial asks for Done
+	ctx := &doneCounter{Context: context.Background()}
+	f.req = f.req.WithContext(ctx)
+	fast := 0
+	for i := 0; i < 50; i++ {
+		before, start := ctx.calls.Load(), time.Now()
+		f.relay(t)
+		if time.Since(start) >= replyGrace {
+			continue
+		}
+		fast++
+		if n := ctx.calls.Load() - before; n != 0 {
+			t.Fatalf("a relay answered in %v asked its context for Done %d times", time.Since(start), n)
+		}
+	}
+	if fast == 0 {
+		t.Skip("no relay finished inside the grace")
+	}
+	t.Logf("%d of 50 relays finished inside the grace", fast)
 }
 
 // TestUpstreamShutdownAndReap (e): BeginShutdown leaves no idle upstream

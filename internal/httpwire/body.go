@@ -16,8 +16,8 @@ var ErrTooLarge = errors.New("body exceeds the size limit")
 const presizeMax = 64 << 10
 
 // Read reads one bounded message body to EOF into one buffer: the posted
-// page in wbserve and wbgate, and a backend's reply in the gateway's
-// upstream. declared is the message's Content-Length (negative when
+// page in wbserve and wbgate, and a chunked or close-framed reply in
+// ReadReply. declared is the message's Content-Length (negative when
 // undeclared). A declaration over limit is refused with ErrTooLarge before
 // anything is read; one within it sizes the buffer up front (up to
 // presizeMax), so a page is read into a single allocation instead of

@@ -99,6 +99,7 @@ func FuzzRequestHead(f *testing.F) {
 		"GET / HTTP/1.1\r\nHost: a b\r\n\r\n",
 		"GET / HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
 		"GET / HTTP/1.1\r\nHost: a\r\nPragma: no-cache\r\nConnection: close\r\n\r\n",
+		"GET / HTTP/1.1\r\nHost: a\r\nConnection: cloſe\r\n\r\n",
 		"GET / HTTP/1.1\nHost: a\n\n",
 		"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n",
 		"G\x00T / HTTP/1.1\r\nHost: a\r\n\r\n",
@@ -135,6 +136,97 @@ func FuzzRequestHead(f *testing.F) {
 			if !reflect.DeepEqual(d.got, d.want) {
 				t.Fatalf("%s: httpwire %s, net/http %s on %q", d.what, fmt.Sprint(d.got), fmt.Sprint(d.want), raw)
 			}
+		}
+	})
+}
+
+// referenceReply is what a relay made of a reply before ReadReply:
+// http.ReadResponse, a 1xx refused, and the body read whole under limit.
+// consumed is how far into raw the reply ran.
+func referenceReply(raw []byte, limit int64) (rep Reply, consumed int, err error) {
+	r := bytes.NewReader(raw)
+	br := bufio.NewReader(r)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return Reply{}, 0, err
+	}
+	if resp.StatusCode < 200 {
+		return Reply{}, 0, fmt.Errorf("interim response %d", resp.StatusCode)
+	}
+	body, err := Read(resp.Body, resp.ContentLength, limit)
+	if err != nil {
+		return Reply{}, 0, err
+	}
+	rep = Reply{Status: resp.StatusCode, ContentType: resp.Header.Get("Content-Type"),
+		RetryAfter: resp.Header.Get("Retry-After"), Body: body, Close: resp.Close}
+	return rep, len(raw) - r.Len() - br.Buffered(), nil
+}
+
+// FuzzReplyHead is the differential fuzz of the relay's reply reader against
+// net/http's: wherever http.ReadResponse (with the relay's 1xx refusal and
+// body read) refuses a reply, ReadReply refuses it too, and where both accept
+// they agree on the status, the body, keep-alive, the two forwarded values
+// and where the reply ends. ReadReply may refuse what net/http accepts only
+// for the reasons its doc comment declares.
+func FuzzReplyHead(f *testing.F) {
+	const date = "Date: Mon, 19 Oct 2026 17:30:00 GMT\r\n"
+	chunked := "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n" + date + "Transfer-Encoding: chunked\r\n\r\n"
+	for i := 0; i < 3; i++ {
+		chunked += "200\r\n" + strings.Repeat("0123456789abcdef", 32) + "\r\n"
+	}
+	chunked += "0\r\n\r\n"
+	for _, raw := range []string{
+		// wbserve's reply to a briefing, as httpwire sends it.
+		"HTTP/1.1 200 OK\r\nContent-Length: 88\r\nContent-Type: application/json\r\n" + date + "X-Request-Id: 5f3a9c1e00000001\r\n\r\n" +
+			`{"Topic":"job recruitment website","Attributes":[{"Name":"title","Value":"engineer"}]}` + "\n",
+		// TestUpstreamReplyFraming's replies from net/http's server.
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 12\r\nContent-Type: application/json\r\n" + date + "\r\n{\"brief\":1}\n",
+		chunked,
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 204 No Content\r\n" + date + "\r\n",
+		"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 9\r\nContent-Type: text/plain; charset=utf-8\r\nRetry-After: 1\r\n\r\ndraining\n",
+		"HTTP/1.1 200 OK\r\nServer-Timing: read;dur=0.004, cache;dur=0.002, decode;dur=1.2\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length:  2 \r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 02\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n2\r\nok\r\n0\r\nX-Sum: 1\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Type: a\r\n b\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nConnection: cloſe\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Type : text/html\r\ncontent-type: application/json\r\n\r\nto the close",
+		"HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n",
+		"HTTP/1.1 200 OK\nContent-Length: 2\n\nok",
+		"HTTP/1.1 +99 OK\r\n\r\n",
+		"HTTP/2.0 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/0.9 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\ntoo long for the limit",
+	} {
+		f.Add([]byte(raw))
+	}
+	const limit = 1 << 10
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ref, refEnd, refErr := referenceReply(raw, limit)
+		r := bytes.NewReader(raw)
+		br := bufio.NewReader(r)
+		got, err := ReadReply(br, limit)
+		end := len(raw) - r.Len() - br.Buffered()
+		switch {
+		case err != nil && refErr == nil:
+			for _, declared := range []error{errObsFold, errLineTooLong, errReplyTooLarge, errReplyTrailer} {
+				if errors.Is(err, declared) {
+					return
+				}
+			}
+			t.Fatalf("ReadReply refused what net/http accepts (%+v): %v on %q", ref, err, raw)
+		case err == nil && refErr != nil:
+			t.Fatalf("ReadReply accepted what net/http refuses (%v): %+v on %q", refErr, got, raw)
+		case err != nil:
+			return
+		}
+		if got.Status != ref.Status || got.ContentType != ref.ContentType || got.RetryAfter != ref.RetryAfter ||
+			got.Close != ref.Close || !bytes.Equal(got.Body, ref.Body) || end != refEnd {
+			t.Fatalf("ReadReply read %+v ending at %d, net/http %+v ending at %d, on %q", got, end, ref, refEnd, raw)
 		}
 	})
 }

@@ -225,15 +225,11 @@ func shouldClose(major, minor int, h http.Header) bool {
 }
 
 // hasToken reports whether any comma-separated element of vv equals token,
-// case-insensitively.
+// ignoring ASCII case only (listHas), as net/http's token match does.
 func hasToken(vv []string, token string) bool {
 	for _, v := range vv {
-		for v != "" {
-			var elem string
-			elem, v, _ = strings.Cut(v, ",")
-			if strings.EqualFold(textproto.TrimString(elem), token) {
-				return true
-			}
+		if listHas(v, token) {
+			return true
 		}
 	}
 	return false

@@ -29,9 +29,14 @@
 // hang up. net/http starts a background read on every request; here it
 // starts when the handler first asks the request's context for Done —
 // directly, or through context.WithTimeout, context.AfterFunc or a select —
-// and once the body has been read to its end. A cache hit that never waits
-// on its context never pays for the watch; a relay or a queued briefing
-// always waits on it and is canceled as before.
+// and once the body has been read to its end. A handler that never waits on
+// its context never pays for the watch: a cache hit, and a gateway relay
+// whose backend answers within the gateway's short grace. A relay that
+// outlasts the grace, or a queued briefing, waits on it and is canceled as
+// before.
+//
+// The package also holds the gateway's reply reader, ReadReply: net/http's
+// framing of a backend's reply, keeping only the fields a relay forwards.
 package httpwire
 
 import (

@@ -261,6 +261,7 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz=FuzzDecodeSnapshot -fuzztime="$FUZZTIME" ./internal/wb
     go test -run='^$' -fuzz=FuzzUpstreamRequestHead -fuzztime="$FUZZTIME" ./internal/gateway
     go test -run='^$' -fuzz=FuzzRequestHead -fuzztime="$FUZZTIME" ./internal/httpwire
+    go test -run='^$' -fuzz=FuzzReplyHead -fuzztime="$FUZZTIME" ./internal/httpwire
     go test -run='^$' -fuzz=FuzzSrcParam -fuzztime="$FUZZTIME" ./internal/briefcache
     go test -run='^$' -fuzz=FuzzRouteDomain -fuzztime="$FUZZTIME" ./internal/serve
     go test -run='^$' -fuzz=FuzzParsePolicy -fuzztime="$FUZZTIME" ./internal/briefcache
