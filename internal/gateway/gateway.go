@@ -203,26 +203,20 @@ func (g *Gateway) BeginShutdown() {
 // RouteKey computes the consistent-hash key for one request: the page's
 // source domain when the client attributes it (?src=, same extraction as
 // the backend cache's policy key), else a hash of the posted body — repeat
-// posts of one page still land on one backend's cache. The gateway routes
-// on routeHash, the key's ring hash computed without building the key.
+// posts of one page still land on one backend's cache.
 func RouteKey(rawQuery string, src string, body []byte) string {
-	if rawQuery != "" {
-		if d := briefcache.SrcDomain(src); d != "" {
-			return "domain:" + d
-		}
-	}
-	return "body:" + strconv.FormatUint(hashKey(body), 16)
+	return string(appendRouteKey(nil, rawQuery, src, body))
 }
 
-// routeHash is hashKey(RouteKey(rawQuery, src, body)), hashed in place.
-func routeHash(rawQuery string, src string, body []byte) uint64 {
+// appendRouteKey appends RouteKey's key to dst. The gateway routes on it
+// over a stack buffer, so a request's key is never a string.
+func appendRouteKey(dst []byte, rawQuery string, src string, body []byte) []byte {
 	if rawQuery != "" {
 		if d := briefcache.SrcDomain(src); d != "" {
-			return fmix64(fnv1a(fnv1a(fnvOffset, "domain:"), d))
+			return append(append(dst, "domain:"...), d...)
 		}
 	}
-	var hex [16]byte
-	return fmix64(fnv1a(fnv1a(fnvOffset, "body:"), strconv.AppendUint(hex[:0], hashKey(body), 16)))
+	return strconv.AppendUint(append(dst, "body:"...), hashKey(body), 16)
 }
 
 // requestID is the briefing's request ID: the client's X-Request-Id when it
@@ -279,8 +273,10 @@ func (g *Gateway) handleBrief(w http.ResponseWriter, r *http.Request) {
 	if g.cfg.Timeout > 0 {
 		deadline = time.Now().Add(g.cfg.Timeout)
 	}
-	var buf [8]string // a fleet of up to 8 routes without allocating
-	cands := g.ring.candidates(buf[:0], routeHash(r.URL.RawQuery, briefcache.SrcParam(r.URL.RawQuery), body), 0)
+	var kb [128]byte  // a key of up to 128 bytes routes without allocating
+	var buf [8]string // ... and so does a fleet of up to 8 backends
+	key := appendRouteKey(kb[:0], r.URL.RawQuery, briefcache.SrcParam(r.URL.RawQuery), body)
+	cands := g.ring.candidates(buf[:0], hashKey(key), 0)
 	g.proxy(w, r, deadline, id, body, cands)
 }
 

@@ -77,12 +77,13 @@ func (f *relayFixture) relay(tb testing.TB) {
 // TestRelayAllocs pins the allocations of one steady-state relay: the
 // gateway handler, the upstream exchange on a reused connection, and the
 // httptest backend's net/http server answering it (same process, so it is
-// counted too, identically in every row). Measured 32 (34 under -race). With
+// counted too, identically in every row). Measured 33 (35 under -race). With
 // http.ReadResponse reading the reply it was 47 (49), and 49 (51) for the
-// timed reply, whose field it parsed and dropped; the http.Client relay
-// before the upstream measured 98. The timed row must count what the plain
-// one counts: httpwire.ReadReply skips a field it does not forward without
-// allocating, so a backend may send Server-Timing for free.
+// timed reply, whose field it parsed and dropped; with only the reply reader
+// put back to http.ReadResponse, the rest of the relay as it is now, 42. The
+// http.Client relay before the upstream measured 98. The timed row must count
+// what the plain one counts: httpwire.ReadReply skips a field it does not
+// forward without allocating, so a backend may send Server-Timing for free.
 func TestRelayAllocs(t *testing.T) {
 	counts := map[bool]float64{}
 	for _, timed := range []bool{false, true} {
@@ -92,8 +93,8 @@ func TestRelayAllocs(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(200, func() { f.relay(t) })
 		t.Logf("one relay (Server-Timing %v): %.1f allocs", timed, allocs)
-		if allocs > 34 {
-			t.Fatalf("one warm relay (Server-Timing %v) allocates %.1f, want <= 34", timed, allocs)
+		if allocs > 35 {
+			t.Fatalf("one warm relay (Server-Timing %v) allocates %.1f, want <= 35", timed, allocs)
 		}
 		if b := f.g.snapshot().Backends[0]; b.UpstreamDials != 1 || b.UpstreamStaleReplays != 0 {
 			t.Fatalf("steady state dialed %d times with %d stale replays, want 1 and 0", b.UpstreamDials, b.UpstreamStaleReplays)

@@ -20,24 +20,13 @@ const DefaultVNodes = 64
 // "host:port#i" labels — the only ones that differ between a backend's
 // vnodes, or between two ports on one host — barely reach the high bits the
 // ring orders by, and raw FNV points cluster (two backends split 7 % / 93 %).
-func hashKey[T string | []byte](s T) uint64 { return fmix64(fnv1a(fnvOffset, s)) }
-
-// fnvOffset is FNV-1a 64's initial state.
-const fnvOffset = 14695981039346656037
-
-// fnv1a folds s into the FNV-1a 64 state h: folding a key's parts in turn
-// hashes their concatenation without building it.
-func fnv1a[T string | []byte](h uint64, s T) uint64 {
+func hashKey[T string | []byte](s T) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a 64
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return h
-}
-
-// fmix64 is MurmurHash3's 64-bit finaliser.
-func fmix64(h uint64) uint64 {
-	h ^= h >> 33
+	h ^= h >> 33 // fmix64
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53

@@ -87,9 +87,10 @@ var aLongTimeAgo = time.Unix(1, 0)
 // context.DeadlineExceeded. ctx's cancellation interrupts a dial, and a wait
 // for the reply once that has lasted replyGrace, and fails it with ctx's
 // error. If a reused connection turns out to be dead before any reply byte
-// arrived, the request is replayed once on a fresh one, as net/http's own
-// transport replays a replayable request; briefings are pure, so a backend
-// that did see the first copy loses nothing but time.
+// arrived and ctx is not done, the request is replayed once on a fresh one,
+// as net/http's own transport replays a replayable request; briefings are
+// pure, so a backend that did see the first copy loses nothing but time.
+// (ctx.Err does not start httpwire's disconnect watch; only Done does.)
 func (u *upstream) exchange(ctx context.Context, deadline time.Time, req request) (httpwire.Reply, error) {
 	uc, reused := u.acquire()
 	if uc == nil {
@@ -99,7 +100,7 @@ func (u *upstream) exchange(ctx context.Context, deadline time.Time, req request
 		}
 	}
 	rep, err := u.exchangeOn(ctx, deadline, uc, req)
-	if reused && errors.Is(err, errNoReply) {
+	if reused && errors.Is(err, errNoReply) && ctx.Err() == nil {
 		u.staleReplays.Add(1)
 		if uc, err = u.dial(ctx, deadline); err != nil {
 			return httpwire.Reply{}, err

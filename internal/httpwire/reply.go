@@ -217,11 +217,11 @@ func (f *replyFields) add(line []byte, rep *Reply) error {
 		f.trailerBadKeys = f.trailerBadKeys || listHas(v, "transfer-encoding") || listHas(v, "trailer") || listHas(v, "content-length")
 	case foldEqual(k, "content-type"):
 		if rep.ContentType == "" {
-			rep.ContentType = keptValue(v)
+			rep.ContentType = string(v)
 		}
 	case foldEqual(k, "retry-after"):
 		if rep.RetryAfter == "" {
-			rep.RetryAfter = keptValue(v)
+			rep.RetryAfter = string(v)
 		}
 	}
 	return nil
@@ -286,19 +286,6 @@ func readN(br *bufio.Reader, n int64) ([]byte, error) {
 		}
 	}
 	return b, nil
-}
-
-// keptValue copies a forwarded value out of the read buffer. The two
-// Content-Types wbserve sends, a briefing's and http.Error's, are constants
-// and cost nothing.
-func keptValue(v []byte) string {
-	switch string(v) {
-	case "application/json":
-		return "application/json"
-	case "text/plain; charset=utf-8":
-		return "text/plain; charset=utf-8"
-	}
-	return string(v)
 }
 
 // listHas reports whether a comma-separated field value lists token, as
