@@ -41,6 +41,9 @@
 // inbound HTTP/1.1 server is internal/httpwire, the same one wbserve runs,
 // with the same fixed limits (64 KiB heads, 5 s to finish one, 2 min idle);
 // httpwire.Run is the serving end of both mains.
+//
+// -debug-addr (off by default) serves net/http/pprof's runtime profiles,
+// /debug/pprof/, on a second httpwire server at that address, as in wbserve.
 package main
 
 import (
@@ -48,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	_ "net/http/pprof" // the profiles -debug-addr serves
 	"strings"
 	"time"
 
@@ -67,7 +71,15 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline, failover attempts included (0 = none)")
 	maxBody := flag.Int64("maxbody", httpwire.DefaultMaxBodyBytes, "request body limit in bytes (over-limit bodies get 413)")
 	drainWait := flag.Duration("drain", 30*time.Second, "max time to drain in-flight relays on shutdown")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof's profiles on this address (empty = off)")
 	flag.Parse()
+	if *debugAddr != "" {
+		at, err := httpwire.ServeDebug(*debugAddr)
+		if err != nil {
+			log.Fatalf("debug listener: %v", err)
+		}
+		log.Printf("serving net/http/pprof on %s (/debug/pprof/)", at)
+	}
 
 	var backends []string
 	for _, b := range strings.Split(*backendsFlag, ",") {

@@ -38,6 +38,11 @@
 // disconnect watch. The access log records the request's X-Request-Id as
 // "id" when it carries one (wbgate sends one on every attempt).
 //
+// -debug-addr (off by default) serves net/http/pprof's runtime profiles,
+// /debug/pprof/, on a second httpwire server at that address:
+//
+//	go tool pprof 'http://localhost:6060/debug/pprof/profile?seconds=10'
+//
 // The server self-heals: a replica that panics or wedges past -stall is
 // ejected from rotation (the request retries on another replica, up to
 // -replica-retries), probed on -probe-interval, and readmitted after two
@@ -90,6 +95,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	_ "net/http/pprof" // the profiles -debug-addr serves
 	"os"
 	"time"
 
@@ -123,7 +129,15 @@ func main() {
 	cacheCap := flag.Int("cache", 0, "content-addressed briefing cache capacity in briefings, each with one raw-bytes alias; SIEVE evicts past it (0 = off)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "default cache entry lifetime (0 = entries never expire)")
 	cachePolicyPath := flag.String("cache-policy", "", "per-domain admission/TTL policy file (deny/ttl/default lines; keyed by ?src=)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof's profiles on this address (empty = off)")
 	flag.Parse()
+	if *debugAddr != "" {
+		at, err := httpwire.ServeDebug(*debugAddr)
+		if err != nil {
+			log.Fatalf("debug listener: %v", err)
+		}
+		log.Printf("serving net/http/pprof on %s (/debug/pprof/)", at)
+	}
 
 	load := func() (*wb.FoldedOf[float64], *textproc.Vocab, error) {
 		f, err := os.Open(*modelPath)

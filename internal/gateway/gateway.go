@@ -105,7 +105,6 @@ type Gateway struct {
 	ring     *Ring
 	backends map[string]*backend
 	names    []string // sorted — the deterministic iteration order everywhere
-	mux      *http.ServeMux
 
 	ready        atomic.Bool
 	fleetGen     atomic.Int64 // min generation across backends after a fleet reload
@@ -144,7 +143,6 @@ func New(cfg Config) (*Gateway, error) {
 		ring:       ring,
 		backends:   make(map[string]*backend, ring.Size()),
 		names:      ring.Backends(),
-		mux:        http.NewServeMux(),
 		shutdownCh: make(chan struct{}),
 		probeDone:  make(chan struct{}),
 	}
@@ -160,10 +158,6 @@ func New(cfg Config) (*Gateway, error) {
 	rand.Read(prefix[:])
 	g.idPrefix = uint64(binary.BigEndian.Uint32(prefix[:])) << 32
 	g.ready.Store(true)
-	g.mux.HandleFunc("/brief", g.handleBrief)
-	g.mux.HandleFunc("/healthz", g.handleHealthz)
-	g.mux.HandleFunc("/metrics", g.handleMetrics)
-	g.mux.HandleFunc("/admin/reload", g.handleReload)
 	go g.probeLoop()
 	return g, nil
 }
@@ -181,8 +175,23 @@ func canonicalBackend(raw string) string {
 	return strings.TrimSpace(s)
 }
 
-// ServeHTTP implements http.Handler.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. It routes on the exact path, whatever
+// the method: a path that is not one of the four, unclean ones included
+// ("//brief", "/./brief"), is a 404.
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/brief":
+		g.handleBrief(w, r)
+	case "/healthz":
+		g.handleHealthz(w, r)
+	case "/metrics":
+		g.handleMetrics(w, r)
+	case "/admin/reload":
+		g.handleReload(w, r)
+	default:
+		http.NotFound(w, r)
+	}
+}
 
 // Ring exposes the routing ring (tests, operator tooling).
 func (g *Gateway) Ring() *Ring { return g.ring }

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"webbrief/internal/httpwire/httpwiretest"
 )
 
 // discardWriter is a reusable http.ResponseWriter, so the gates below count
@@ -20,10 +22,10 @@ func (w *discardWriter) Header() http.Header         { return w.header }
 func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// relayFixture is one gateway over one httptest backend answering every
-// /brief with a fixed briefing-sized reply, plus a reusable inbound request
-// posting an 850-byte page (the benchmark's median page). A timed fixture's
-// backend also sends serverTiming.
+// relayFixture is one gateway over one backend served on httpwire, as
+// wbserve is, answering every /brief with a fixed briefing-sized reply, plus
+// a reusable inbound request posting an 850-byte page (the benchmark's
+// median page). A timed fixture's backend also sends serverTiming.
 type relayFixture struct {
 	g    *Gateway
 	req  *http.Request
@@ -31,6 +33,9 @@ type relayFixture struct {
 	page []byte
 	w    *discardWriter
 }
+
+// jsonType is assigned, not Set, so the backend's handler allocates nothing.
+var jsonType = []string{"application/json"}
 
 // serverTiming is an eight-stage Server-Timing field, the shape a backend's
 // latency partition takes on the wire. It is built once, so the backend
@@ -41,16 +46,15 @@ var serverTiming = []string{"read;dur=0.004, cache;dur=0.002, queue_wait;dur=0.0
 func newRelayFixture(tb testing.TB, timed bool) *relayFixture {
 	tb.Helper()
 	answer := []byte(`{"Topic":"job recruitment website","Attributes":[{"Name":"title","Value":"engineer"}]}` + "\n")
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	backend := httpwiretest.NewFront(tb, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonType
 		if timed {
 			w.Header()["Server-Timing"] = serverTiming
 		}
 		w.Write(answer)
 	}))
-	tb.Cleanup(backend.Close)
-	g, err := New(Config{Backends: []string{backend.Listener.Addr().String()}})
+	g, err := New(Config{Backends: []string{strings.TrimPrefix(backend.URL, "http://")}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -76,14 +80,17 @@ func (f *relayFixture) relay(tb testing.TB) {
 
 // TestRelayAllocs pins the allocations of one steady-state relay: the
 // gateway handler, the upstream exchange on a reused connection, and the
-// httptest backend's net/http server answering it (same process, so it is
-// counted too, identically in every row). Measured 33 (35 under -race). With
-// http.ReadResponse reading the reply it was 47 (49), and 49 (51) for the
-// timed reply, whose field it parsed and dropped; with only the reply reader
-// put back to http.ReadResponse, the rest of the relay as it is now, 42. The
-// http.Client relay before the upstream measured 98. The timed row must count
-// what the plain one counts: httpwire.ReadReply skips a field it does not
-// forward without allocating, so a backend may send Server-Timing for free.
+// backend's httpwire server answering it (same process, so it is counted
+// too, identically in every row). Measured 10, also under -race. The
+// gateway's own are 6: the minted request ID, the request body, its two
+// header Sets (X-Request-Id and Content-Type), and the reply's Content-Type
+// and body. The backend's are httpwire's 4 per request (TestServerAllocs):
+// the head's string, the request and the header map's two. Before the
+// backend moved from httptest's net/http server to httpwire, the same relay
+// counted 33 (35 under -race), 27 of them net/http's. The timed row must
+// count what the plain one counts: httpwire.ReadReply skips a field it does
+// not forward without allocating, so a backend may send Server-Timing for
+// free.
 func TestRelayAllocs(t *testing.T) {
 	counts := map[bool]float64{}
 	for _, timed := range []bool{false, true} {
@@ -93,8 +100,8 @@ func TestRelayAllocs(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(200, func() { f.relay(t) })
 		t.Logf("one relay (Server-Timing %v): %.1f allocs", timed, allocs)
-		if allocs > 35 {
-			t.Fatalf("one warm relay (Server-Timing %v) allocates %.1f, want <= 35", timed, allocs)
+		if allocs > 10 {
+			t.Fatalf("one warm relay (Server-Timing %v) allocates %.1f, want <= 10", timed, allocs)
 		}
 		if b := f.g.snapshot().Backends[0]; b.UpstreamDials != 1 || b.UpstreamStaleReplays != 0 {
 			t.Fatalf("steady state dialed %d times with %d stale replays, want 1 and 0", b.UpstreamDials, b.UpstreamStaleReplays)
@@ -109,7 +116,7 @@ func TestRelayAllocs(t *testing.T) {
 
 // BenchmarkRelay times the same relay: the gateway handler called in
 // process (validation, routing, the upstream exchange and the reply read)
-// plus the in-process net/http backend. It does not cover what wbgate does
+// plus the in-process httpwire backend. It does not cover what wbgate does
 // around the handler — httpwire's inbound head parse, the response send and
 // the disconnect watch — so its profile is not wbgate's under fleet-hit.
 func BenchmarkRelay(b *testing.B) {

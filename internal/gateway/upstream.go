@@ -71,11 +71,12 @@ type request struct {
 // connection the backend closed while it sat idle.
 var errNoReply = errors.New("connection failed before any reply")
 
-// replyGrace is how long an exchange waits for the first reply byte before it
-// starts watching ctx. A cache hit's whole hop takes about 0.17 ms, so a hit
-// answers well inside it and never pays for the watch (on a relay, asking the
-// request's context for Done starts httpwire's background read). It is also
-// the longest a client's hang-up goes unnoticed by an exchange.
+// replyGrace is how long a dial, or an exchange's wait for the first reply
+// byte, runs before it starts watching ctx. A cache hit's whole hop takes
+// about 0.17 ms, so a hit answers well inside it and never pays for the watch
+// (on a relay, asking the request's context for Done starts httpwire's
+// background read). It is also the longest a client's hang-up goes unnoticed
+// by a dial or by a wait for a reply.
 const replyGrace = time.Millisecond
 
 // aLongTimeAgo is a deadline that fails a blocked read or write at once.
@@ -84,7 +85,7 @@ var aLongTimeAgo = time.Unix(1, 0)
 // exchange sends one request and buffers the reply, which may be at most
 // req.limit bytes (a longer one fails with httpwire.ErrTooLarge). deadline
 // (zero for none) bounds it, dial included, and fails it with
-// context.DeadlineExceeded. ctx's cancellation interrupts a dial, and a wait
+// context.DeadlineExceeded. ctx's cancellation interrupts a dial or a wait
 // for the reply once that has lasted replyGrace, and fails it with ctx's
 // error. If a reused connection turns out to be dead before any reply byte
 // arrived and ctx is not done, the request is replayed once on a fresh one,
@@ -215,8 +216,8 @@ func appendRequestHead(dst []byte, host string, req request) []byte {
 // headSafe reports whether s can be copied into a request head without
 // ending a line or a token early: no control byte, and no space unless
 // spaces is set (header values may hold them, a request target may not).
-// The inbound server's parseHead (internal/httpwire) already refuses such
-// bytes, net/url in the request target and net/textproto in a header value,
+// The inbound server's head parser (internal/httpwire) already refuses such
+// bytes in the request target and in a header value, as net/http does,
 // so this only ever fails for a handler driven in-process.
 func headSafe(s string, spaces bool) bool {
 	for i := 0; i < len(s); i++ {
@@ -263,11 +264,24 @@ func (u *upstream) release(uc *upstreamConn) {
 	}
 }
 
-// dial opens a fresh connection under ctx and deadline.
+// dial opens a fresh connection under deadline. Like awaitReply, it watches
+// ctx only once the dial has lasted replyGrace, so a relay whose dial ends
+// inside the grace (a loopback dial takes a fraction of it) does not start
+// httpwire's disconnect watch; past it, ctx's cancellation aborts the dial.
 func (u *upstream) dial(ctx context.Context, deadline time.Time) (*upstreamConn, error) {
 	u.dials.Add(1)
+	dctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	grace := time.AfterFunc(replyGrace, func() {
+		if dctx.Err() == nil {
+			stop := context.AfterFunc(ctx, cancel)
+			<-dctx.Done() // the dial has ended
+			stop()
+		}
+	})
+	defer grace.Stop()
 	d := net.Dialer{Deadline: deadline}
-	c, err := d.DialContext(ctx, "tcp", u.addr)
+	c, err := d.DialContext(dctx, "tcp", u.addr)
 	if err != nil {
 		return nil, err
 	}

@@ -543,19 +543,14 @@ func TestUpstreamClientDisconnect(t *testing.T) {
 }
 
 // TestUpstreamDisconnectInsideGrace: the client sends its request and
-// hangs up at once, before the relay (on a kept connection) has waited
-// replyGrace for its reply. The exchange is not watching yet, so the hang-up
-// is noticed when the grace ends: the relay is canceled no later than the
-// grace plus slack for a loaded machine, the backend is not blamed, and the
-// connection is dropped.
+// hangs up at once, before the relay has dialled its backend and waited
+// replyGrace for its reply. Neither the dial nor the exchange is watching
+// yet, so the hang-up is noticed when the reply's grace ends: the relay is
+// canceled no later than the grace plus slack for a loaded machine, the
+// backend is not blamed, and the connection is dropped.
 func TestUpstreamDisconnectInsideGrace(t *testing.T) {
 	const slack = 250 * time.Millisecond
 	g, ts, lb := newLifecycleGateway(t, nil)
-	// A dial would ask the request's context for Done; relay on a kept
-	// connection, as a hit does.
-	if status, _ := post(t, ts.URL, "", "<p>x</p>"); status != http.StatusOK {
-		t.Fatalf("warm-up request: %d", status)
-	}
 
 	c, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
 	if err != nil {
@@ -602,31 +597,45 @@ func (c *doneCounter) Done() <-chan struct{} {
 
 // TestRelayInsideGraceStartsNoWatch: a relay answered inside replyGrace
 // never asks its request's context for Done, so httpwire never starts the
-// background read that watches for a hang-up. Only relays that finished,
-// end to end, inside the grace are checked. A warm relay on loopback takes
-// a small fraction of the grace, so the test relays until 20 have, and fails
-// if 1000 relays give fewer than 5: it never passes having checked nothing.
+// background read that watches for a hang-up: neither on a kept connection
+// nor on one it dials (each relay of the dialled row finds no idle
+// connection). Only relays that finished, end to end, inside the grace are
+// checked. A warm relay on loopback takes a small fraction of the grace, so
+// each row relays until 20 have, and fails if 1000 relays give fewer than 5:
+// it never passes having checked nothing.
 func TestRelayInsideGraceStartsNoWatch(t *testing.T) {
-	f := newRelayFixture(t, false)
-	f.relay(t) // the dial asks for Done
-	ctx := &doneCounter{Context: context.Background()}
-	f.req = f.req.WithContext(ctx)
-	fast, tried := 0, 0
-	for ; fast < 20 && tried < 1000; tried++ {
-		before, start := ctx.calls.Load(), time.Now()
-		f.relay(t)
-		if time.Since(start) >= replyGrace {
-			continue
-		}
-		fast++
-		if n := ctx.calls.Load() - before; n != 0 {
-			t.Fatalf("a relay answered in %v asked its context for Done %d times", time.Since(start), n)
-		}
+	for _, dial := range []bool{false, true} {
+		t.Run(map[bool]string{false: "kept", true: "dialled"}[dial], func(t *testing.T) {
+			f := newRelayFixture(t, false)
+			up := f.g.backends[f.g.names[0]].up
+			ctx := &doneCounter{Context: context.Background()}
+			f.req = f.req.WithContext(ctx)
+			fast, tried := 0, 0
+			for ; fast < 20 && tried < 1000; tried++ {
+				if dial {
+					if uc, _ := up.acquire(); uc != nil {
+						uc.c.Close() // the relay finds no idle connection
+					}
+				}
+				dials, before, start := up.dials.Load(), ctx.calls.Load(), time.Now()
+				f.relay(t)
+				if time.Since(start) >= replyGrace {
+					continue
+				}
+				fast++
+				if n := ctx.calls.Load() - before; n != 0 {
+					t.Fatalf("a relay answered in %v asked its context for Done %d times", time.Since(start), n)
+				}
+				if dialled := up.dials.Load() != dials; dialled != dial && tried > 0 {
+					t.Fatalf("relay %d dialled=%v, want %v", tried, dialled, dial)
+				}
+			}
+			if fast < 5 {
+				t.Fatalf("only %d of %d relays finished inside the %v grace, want at least 5 to check", fast, tried, replyGrace)
+			}
+			t.Logf("%d of %d relays finished inside the grace", fast, tried)
+		})
 	}
-	if fast < 5 {
-		t.Fatalf("only %d of %d relays finished inside the %v grace, want at least 5 to check", fast, tried, replyGrace)
-	}
-	t.Logf("%d of %d relays finished inside the grace", fast, tried)
 }
 
 // TestUpstreamShutdownAndReap (e): BeginShutdown leaves no idle upstream

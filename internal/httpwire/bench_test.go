@@ -108,9 +108,10 @@ func BenchmarkServer(b *testing.B) {
 
 // TestServerAllocs pins what one warm keep-alive request costs httpwire in
 // allocations, client and handler included (both allocate nothing): the
-// request line, its URL, the header map and its values (net/textproto's),
-// the context and the request itself: measured 12, where net/http's server
-// measured 26 in the same fixture.
+// head's one string, the request (its http.Request, URL, context and first
+// header values in one allocation) and the header map (two: the map and its
+// first group). Measured 4, where net/http's server measured 26 in the same
+// fixture; the head parsed through net/textproto and net/url measured 12.
 func TestServerAllocs(t *testing.T) {
 	for _, im := range impls {
 		addr := im.start(t, hitHandler)
@@ -121,8 +122,48 @@ func TestServerAllocs(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(200, func() { rc.roundTrip(t) })
 		t.Logf("%s: %.1f allocs per keep-alive request", im.name, allocs)
-		if im.name == "httpwire" && allocs > 12 {
-			t.Errorf("one warm keep-alive request through httpwire allocates %.1f, want <= 12", allocs)
+		if im.name == "httpwire" && allocs > 4 {
+			t.Errorf("one warm keep-alive request through httpwire allocates %.1f, want <= 4", allocs)
+		}
+	}
+}
+
+// parseHeads are the heads both tiers parse on every briefing: the load
+// generator's (net/http's client) posting to wbgate, and wbgate's relay to a
+// backend (hitRequest's).
+var parseHeads = []struct{ name, head string }{
+	{"loadgen", "POST /brief?src=https://s3.books.example/p HTTP/1.1\r\nHost: 127.0.0.1:18419\r\n" +
+		"User-Agent: Go-http-client/1.1\r\nContent-Length: 850\r\nContent-Type: text/html\r\nAccept-Encoding: gzip\r\n\r\n"},
+	{"relay", string(hitRequest[:bytes.Index(hitRequest, []byte("\r\n\r\n"))+4])},
+}
+
+// BenchmarkParseHead is the impl × head grid of one head parse from a
+// buffered reader: httpwire's readHead and parseHead against net/http's
+// http.ReadRequest, the reference FuzzRequestHead holds it to.
+func BenchmarkParseHead(b *testing.B) {
+	for _, h := range parseHeads {
+		for _, impl := range []string{"httpwire", "net/http"} {
+			b.Run(impl+"/"+h.name, func(b *testing.B) {
+				r := strings.NewReader(h.head)
+				br := bufio.NewReaderSize(r, 4<<10)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r.Reset(h.head)
+					br.Reset(r)
+					var err error
+					if impl == "httpwire" {
+						var head string
+						if head, err = readHead(br, 0); err == nil {
+							err = parseHead(head, new(request))
+						}
+					} else {
+						_, err = http.ReadRequest(br)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

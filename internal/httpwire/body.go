@@ -132,19 +132,22 @@ func (b *body) Read(p []byte) (int, error) {
 func (b *body) Close() error { return nil }
 
 // readTrailer consumes the trailer after a chunked body's last chunk, under
-// the head's size limit, so the next request parses from its first byte.
+// the head's size limit, so the next request parses from its first byte. Its
+// fields are checked as a head's are, and dropped.
 func (b *body) readTrailer() error {
-	if p, err := b.c.br.Peek(2); err == nil && string(p) == "\r\n" {
-		b.c.br.Discard(2)
-		return nil
-	}
 	b.c.cr.remain = maxHeaderBytes
-	_, err := b.c.tp.ReadMIMEHeader()
+	trailer, err := readHead(b.c.br, 0)
 	b.c.cr.remain = noLimit
 	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+		return io.ErrUnexpectedEOF
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	f := fields{rest: trailer}
+	for _, _, ok := f.next(); ok; _, _, ok = f.next() {
+	}
+	return f.err
 }
 
 func (b *body) finish() {

@@ -107,10 +107,52 @@ func FuzzRequestHead(f *testing.F) {
 	} {
 		f.Add([]byte(raw))
 	}
+	// The in-place parser's edges: a head line across the 4 KiB read buffer,
+	// heads of 64 KiB and one byte more, many fields, keys to canonicalize and
+	// repeat, continuation lines and bare LFs, targets url.ParseRequestURI
+	// must parse, and a chunked body's trailer.
+	pad := func(n int) string {
+		head := "GET / HTTP/1.1\r\nHost: a\r\nX-Pad: \r\n\r\n"
+		return strings.Replace(head, "X-Pad: ", "X-Pad: "+strings.Repeat("p", n-len(head)), 1)
+	}
+	var many strings.Builder
+	many.WriteString("POST /brief HTTP/1.1\r\nHost: a\r\n")
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&many, "X-Field-%d: value %d\r\n", i, i)
+	}
+	many.WriteString("Content-Length: 0\r\n\r\n")
+	for _, raw := range []string{
+		"POST /brief HTTP/1.1\r\nHost: a\r\nX-Long: " + strings.Repeat("l", 4090) + "\r\nContent-Length: 2\r\n\r\nok",
+		pad(64 << 10),
+		pad(64<<10 + 1),
+		many.String(),
+		"POST /brief HTTP/1.1\r\nhost: a\r\ncontent-type: text/html\r\nx-request-id: 1\r\nX-REQUEST-ID: 2\r\nACCEPT: a\r\naccept: b\r\nContent-Length: 0\r\n\r\n",
+		"GET / HTTP/1.1\r\nHost: a\r\nX-Folded: one \r\n\t two\r\n  \r\n three\r\nX-Next: 1\r\n\r\n",
+		"GET / HTTP/1.1\r\nHost: a\r\nX-Empty:\r\n \r\n\r\n",
+		"GET / HTTP/1.1\r\nHost: a\r\nX-Trailing: a\r\n \r\nX-Lead:  \r\n\tb\r\n\r\n",
+		"POST /brief HTTP/1.1\nHost: a\nContent-Type: text/html\r\nContent-Length: 0\n\n",
+		"GET /a%20b/%2F;p=1/c#frag?q=%zz HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET /a;b,c@d:e=f&g+h$i~j HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET /a%zz HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET /a b HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET /a!b'c(d)*é? HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET //brief?src=x?y HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET /brief?\x7f HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET * HTTP/1.1\r\nHost: a\r\n\r\n",
+		"POST /brief HTTP/1.1\r\nHost: a\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum, X-Count\r\n\r\n3\r\nabc\r\n0\r\nX-Sum: 7\r\nx-count: 1\r\n\r\n",
+		"X-Sum: 7\r\n folded\r\nx-count: 1\r\n\r\n",
+	} {
+		f.Add([]byte(raw))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkFieldBlock(t, raw)
 		ref, refErr := referenceHead(raw)
-		var got http.Request
-		err := parseHead(textproto.NewReader(bufio.NewReader(bytes.NewReader(raw))), &got)
+		var rq request
+		head, err := readHead(bufio.NewReader(bytes.NewReader(raw)), 0)
+		if err == nil {
+			err = parseHead(head, &rq)
+		}
+		got := &rq.req
 		if errors.Is(err, errTEWithCL) || errors.Is(err, errVersion) && refErr == nil && ref.Method == "PRI" {
 			return // the declared differences
 		}
@@ -126,7 +168,7 @@ func FuzzRequestHead(f *testing.F) {
 		}{
 			{"method", got.Method, ref.Method},
 			{"request-target", got.RequestURI, ref.RequestURI},
-			{"URL", got.URL.String(), ref.URL.String()},
+			{"URL", *got.URL, *ref.URL},
 			{"Host", got.Host, ref.Host},
 			{"header", got.Header, ref.Header},
 			{"Content-Length", got.ContentLength, ref.ContentLength},
@@ -138,6 +180,28 @@ func FuzzRequestHead(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkFieldBlock holds the header-block parser, which also reads a chunked
+// body's trailer, to net/textproto's ReadMIMEHeader on raw read as a block
+// of fields: both refuse it, or both read the same fields.
+func checkFieldBlock(t *testing.T, raw []byte) {
+	ref, refErr := textproto.NewReader(bufio.NewReader(bytes.NewReader(raw))).ReadMIMEHeader()
+	got := textproto.MIMEHeader{}
+	block, err := readHead(bufio.NewReader(bytes.NewReader(raw)), 0)
+	if err == nil {
+		f := fields{rest: block}
+		for k, v, ok := f.next(); ok; k, v, ok = f.next() {
+			got[k] = append(got[k], v)
+		}
+		err = f.err
+	}
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("as a field block: httpwire err %v, net/textproto err %v on %q", err, refErr, raw)
+	}
+	if err == nil && !reflect.DeepEqual(got, ref) {
+		t.Fatalf("as a field block: httpwire read %q, net/textproto %q on %q", got, ref, raw)
+	}
 }
 
 // referenceReply is what a relay made of a reply before ReadReply:

@@ -68,3 +68,17 @@ func run(ln net.Listener, t Tier, reload func(), drain time.Duration, stop, hup 
 	log.Printf("drained, bye")
 	return nil
 }
+
+// ServeDebug listens on addr and serves net/http's DefaultServeMux on a
+// Server of its own for the rest of the process: the runtime profiles under
+// /debug/pprof/ in a binary that imports net/http/pprof, as wbserve and
+// wbgate do. It returns the address it listens on.
+func ServeDebug(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	srv := &Server{Handler: http.DefaultServeMux}
+	go srv.Serve(ln) // for the life of the process: nothing shuts it down
+	return ln.Addr().String(), nil
+}

@@ -1,11 +1,15 @@
 // Package httpwire is the inbound HTTP/1.1 server of both tiers: wbserve and
 // wbgate run their http.Handlers on it in place of net/http's server.
 //
-// One goroutine serves each connection. It parses a request head from the
-// connection's bufio.Reader into an http.Request, calls the handler
-// unchanged, and sends the handler's buffered response in one write framed
-// by Content-Length. What it accepts and what it refuses follow net/http's
-// server, row by row (TestWireBehaviour drives both through one table):
+// One goroutine serves each connection. It parses each request head in
+// place: one scan of the connection's buffered bytes finds the blank line
+// that ends it, the head is copied once into a string, and the method,
+// target, header keys and values of the http.Request are slices of it. It
+// calls the handler unchanged, and sends the handler's buffered response in
+// one write framed by Content-Length. What it accepts and what it refuses
+// follow net/http's server, row by row (TestWireBehaviour drives both
+// through one table, and FuzzRequestHead holds the parser to
+// http.ReadRequest):
 //
 //   - HTTP/1.1 and HTTP/1.0, keep-alive, pipelined requests answered in
 //     order, Connection: close honoured in both directions;
@@ -14,7 +18,8 @@
 //     other transfer coding is a 501, and Transfer-Encoding beside
 //     Content-Length a 400; Expect: 100-continue is answered on the first
 //     body read;
-//   - a head over 64 KiB is a 431; an HTTP/1.1 request needs exactly
+//   - a head over 64 KiB is a 431 (net/http answers 400 instead when a
+//     line before the limit is malformed); an HTTP/1.1 request needs exactly
 //     one Host; header names must be tokens and values free of control
 //     bytes; the request-target must pass url.ParseRequestURI — otherwise a
 //     400;
@@ -47,7 +52,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/textproto"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -181,12 +185,12 @@ type conn struct {
 	remote string
 	cr     connReader // under br: the head's byte limit and the disconnect watch
 	br     *bufio.Reader
-	tp     textproto.Reader
 	body   body
 	w      response
 	idle   atomic.Bool // waiting for a request's first byte: Shutdown may close it
 
 	deadline bool // a read deadline is armed for the head under way
+	headLen  int  // the length of the head under way, when next found it buffered whole
 }
 
 func (s *Server) newConn(rwc net.Conn) *conn {
@@ -194,7 +198,6 @@ func (s *Server) newConn(rwc net.Conn) *conn {
 	c.cr.c = c
 	c.cr.remain = noLimit
 	c.br = bufio.NewReaderSize(&c.cr, 4<<10)
-	c.tp.R = c.br
 	c.body.c = c
 	c.w.c = c
 	c.w.header = make(http.Header)
@@ -242,7 +245,8 @@ func (c *conn) next() bool {
 		}
 		c.idle.Store(false)
 	}
-	if !headBuffered(c.br) {
+	b, _ := c.br.Peek(c.br.Buffered())
+	if c.headLen, _ = scanHead(b, 0); c.headLen == 0 {
 		c.rwc.SetReadDeadline(time.Now().Add(readHeaderTimeout))
 		deadline = true
 	}

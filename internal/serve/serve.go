@@ -131,13 +131,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the pool-backed briefing server. Mount it directly (it is an
-// http.Handler routing /brief, /healthz and /metrics) or pick individual
-// handlers off Mux.
+// Server is the pool-backed briefing server, an http.Handler routing
+// /brief, /healthz, /metrics and /admin/reload.
 type Server struct {
 	cfg     Config
 	metrics *Metrics
-	mux     *http.ServeMux
 
 	// pool is the live replica pool. Hot reload (reload.go) swaps it
 	// atomically; the scheduler snapshots the pointer once per batch so one
@@ -202,7 +200,6 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 		cfg:        cfg,
 		metrics:    newMetrics(),
 		shutdownCh: make(chan struct{}),
-		mux:        http.NewServeMux(),
 		// Channel capacity matches the slot count, so a request holding a
 		// slot can always enqueue without blocking.
 		batchCh:     make(chan *batchItem, cfg.QueueDepth+pool.Size()),
@@ -219,16 +216,27 @@ func NewFromPool(pool *Pool, cfg Config) *Server {
 		})
 	}
 	s.ready.Store(true)
-	s.mux.HandleFunc("/brief", s.handleBrief)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/admin/reload", s.handleReload)
 	go s.dispatchBatches()
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. It routes on the exact path, whatever
+// the method: a path that is not one of the four, unclean ones included
+// ("//brief", "/./brief"), is a 404.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/brief":
+		s.handleBrief(w, r)
+	case "/healthz":
+		s.handleHealthz(w, r)
+	case "/metrics":
+		s.handleMetrics(w, r)
+	case "/admin/reload":
+		s.handleReload(w, r)
+	default:
+		http.NotFound(w, r)
+	}
+}
 
 // Pool exposes the live replica pool (the current generation's).
 func (s *Server) Pool() *Pool { return s.pool.Load() }
