@@ -114,6 +114,47 @@ func TestRelayAllocs(t *testing.T) {
 	}
 }
 
+// TestRelayConnOps pins what one warm relay costs the gateway in calls on
+// its upstream connection, counted by wrapping the idle connection (its
+// net.Conn and the bufio.Reader over it) after warm-up: two writes (the
+// wrapper hides writev, so the head and the page go out one Write each),
+// one read (the whole reply arrives in one segment and is read out of the
+// buffer) and three deadline sets (the exchange's deadline, the reply
+// grace, and the deadline again once the first byte is in). A reply reader
+// that peeked past what the buffer holds would add a read(2) per relay
+// that TestRelayAllocs does not see.
+func TestRelayConnOps(t *testing.T) {
+	f := newRelayFixture(t, false)
+	for i := 0; i < 5; i++ {
+		f.relay(t)
+	}
+	var cc *httpwiretest.CountingConn
+	for _, b := range f.g.backends {
+		b.up.mu.Lock()
+		if len(b.up.idle) != 1 {
+			b.up.mu.Unlock()
+			t.Fatalf("%d idle upstream connections after warm-up, want 1", len(b.up.idle))
+		}
+		uc := b.up.idle[0]
+		cc = &httpwiretest.CountingConn{Conn: uc.c}
+		uc.c = cc
+		uc.br.Reset(cc)
+		b.up.mu.Unlock()
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		f.relay(t)
+	}
+	got := cc.Ops().PerOp(httpwiretest.ConnOps{}, n)
+	t.Logf("per warm relay: %+v", got)
+	if want := (httpwiretest.ConnOps{Reads: 1, Writes: 2, Deadlines: 3}); got != want {
+		t.Fatalf("one warm relay makes %+v calls on its upstream connection, want %+v", got, want)
+	}
+	if b := f.g.snapshot().Backends[0]; b.UpstreamDials != 1 {
+		t.Fatalf("the relays dialed %d times, want 1: the counted connection was dropped", b.UpstreamDials)
+	}
+}
+
 // BenchmarkRelay times the same relay: the gateway handler called in
 // process (validation, routing, the upstream exchange and the reply read)
 // plus the in-process httpwire backend. It does not cover what wbgate does

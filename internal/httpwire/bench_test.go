@@ -128,42 +128,76 @@ func TestServerAllocs(t *testing.T) {
 	}
 }
 
-// parseHeads are the heads both tiers parse on every briefing: the load
-// generator's (net/http's client) posting to wbgate, and wbgate's relay to a
-// backend (hitRequest's).
-var parseHeads = []struct{ name, head string }{
-	{"loadgen", "POST /brief?src=https://s3.books.example/p HTTP/1.1\r\nHost: 127.0.0.1:18419\r\n" +
+// parseHeads are the heads both tiers parse on every briefing, in each
+// direction. Requests: the load generator's (net/http's client) posting to
+// wbgate, and wbgate's relay to a backend (hitRequest's). Replies, read
+// whole by the relay: wbserve's briefing as httpwire sends it, the same with
+// the eight-stage Server-Timing field of the gateway's TestRelayAllocs
+// fixture, and a chunked reply of three 512-byte chunks.
+var parseHeads = []struct{ dir, name, raw string }{
+	{"request", "loadgen", "POST /brief?src=https://s3.books.example/p HTTP/1.1\r\nHost: 127.0.0.1:18419\r\n" +
 		"User-Agent: Go-http-client/1.1\r\nContent-Length: 850\r\nContent-Type: text/html\r\nAccept-Encoding: gzip\r\n\r\n"},
-	{"relay", string(hitRequest[:bytes.Index(hitRequest, []byte("\r\n\r\n"))+4])},
+	{"request", "relay", string(hitRequest[:bytes.Index(hitRequest, []byte("\r\n\r\n"))+4])},
+	{"reply", "brief", briefHead("")},
+	{"reply", "brief-timed", briefHead("Server-Timing: read;dur=0.004, cache;dur=0.002, queue_wait;dur=0.001, parse;dur=0.061, " +
+		"encode;dur=0.412, decode;dur=1.208, reply;dur=0.006, log;dur=0.003\r\n")},
+	{"reply", "chunked", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nDate: Mon, 19 Oct 2026 17:30:00 GMT\r\n" +
+		"Transfer-Encoding: chunked\r\n\r\n" + strings.Repeat("200\r\n"+strings.Repeat("0123456789abcdef", 32)+"\r\n", 3) + "0\r\n\r\n"},
 }
 
-// BenchmarkParseHead is the impl × head grid of one head parse from a
-// buffered reader: httpwire's readHead and parseHead against net/http's
-// http.ReadRequest, the reference FuzzRequestHead holds it to.
+// briefHead is wbserve's reply to a briefing, with timing (a whole field
+// line, or "") among its fields.
+func briefHead(timing string) string {
+	return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\nContent-Type: application/json\r\n"+
+		"Date: Mon, 19 Oct 2026 17:30:00 GMT\r\n%sX-Request-Id: 5f3a9c1e00000001\r\n\r\n%s", len(briefReply), timing, briefReply)
+}
+
+// BenchmarkParseHead is the direction × impl × head grid of one head parse
+// from a buffered reader. A request is parsed by httpwire's readHead and
+// parseHead against net/http's http.ReadRequest, the reference
+// FuzzRequestHead holds it to; a reply is read whole, body included, by
+// ReadReply against http.ReadResponse and a read of its body, the reference
+// FuzzReplyHead holds it to.
 func BenchmarkParseHead(b *testing.B) {
 	for _, h := range parseHeads {
 		for _, impl := range []string{"httpwire", "net/http"} {
-			b.Run(impl+"/"+h.name, func(b *testing.B) {
-				r := strings.NewReader(h.head)
+			b.Run(h.dir+"/"+impl+"/"+h.name, func(b *testing.B) {
+				r := strings.NewReader(h.raw)
 				br := bufio.NewReaderSize(r, 4<<10)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					r.Reset(h.head)
+					r.Reset(h.raw)
 					br.Reset(r)
-					var err error
-					if impl == "httpwire" {
-						var head string
-						if head, err = readHead(br, 0); err == nil {
-							err = parseHead(head, new(request))
-						}
-					} else {
-						_, err = http.ReadRequest(br)
-					}
-					if err != nil {
+					if err := parseOnce(br, h.dir, impl); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
+}
+
+// parseOnce parses one head from br, in the direction and with the impl
+// BenchmarkParseHead names.
+func parseOnce(br *bufio.Reader, dir, impl string) error {
+	switch {
+	case dir == "request" && impl == "httpwire":
+		head, err := readHead(br, 0, maxHeaderBytes+4<<10)
+		if err != nil {
+			return err
+		}
+		return parseHead(string(head), new(request))
+	case dir == "request":
+		_, err := http.ReadRequest(br)
+		return err
+	case impl == "httpwire":
+		_, err := ReadReply(br, 1<<20)
+		return err
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return err
+	}
+	_, err = Read(resp.Body, resp.ContentLength, 1<<20)
+	return err
 }

@@ -78,7 +78,7 @@ func (b *body) reset(req *http.Request) {
 		b.c.cr.setBodyDone()
 		return
 	}
-	b.expect = req.ProtoAtLeast(1, 1) && hasToken(req.Header["Expect"], "100-continue")
+	b.expect = req.ProtoAtLeast(1, 1) && listHas("100-continue", req.Header["Expect"]...)
 	req.Body = b
 }
 
@@ -135,17 +135,15 @@ func (b *body) Close() error { return nil }
 // the head's size limit, so the next request parses from its first byte. Its
 // fields are checked as a head's are, and dropped.
 func (b *body) readTrailer() error {
-	b.c.cr.remain = maxHeaderBytes
-	trailer, err := readHead(b.c.br, 0)
-	b.c.cr.remain = noLimit
+	trailer, err := readHead(b.c.br, 0, b.c.br.Buffered()+maxHeaderBytes)
 	if err == io.EOF {
 		return io.ErrUnexpectedEOF
 	}
 	if err != nil {
 		return err
 	}
-	f := fields{rest: trailer}
-	for _, _, ok := f.next(); ok; _, _, ok = f.next() {
+	f := fields{scanner[string]{rest: string(trailer)}}
+	for _, _, _, ok := f.next(); ok; _, _, _, ok = f.next() {
 	}
 	return f.err
 }

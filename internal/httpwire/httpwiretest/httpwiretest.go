@@ -1,6 +1,7 @@
 // Package httpwiretest serves a handler the way wbserve and wbgate serve
-// theirs, on httpwire over loopback, and holds the raw clients both tiers'
-// chaos suites send below net/http's client.
+// theirs, on httpwire over loopback, holds the raw clients both tiers'
+// chaos suites send below net/http's client, and counts the calls a
+// connection's owner makes on it.
 package httpwiretest
 
 import (
@@ -11,6 +12,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,4 +96,87 @@ func HangUpMidBody(t testing.TB, url string, n int) {
 	}
 	io.WriteString(c, RawPostHead(n, "")+strings.Repeat("x", n/2))
 	c.Close()
+}
+
+// ConnOps counts the calls made on a connection that each cost a system
+// call: reads, writes and deadline sets (SetDeadline, SetReadDeadline and
+// SetWriteDeadline alike). An allocation gate does not see them.
+type ConnOps struct{ Reads, Writes, Deadlines int64 }
+
+// PerOp is the count per operation from before to o over n operations,
+// each rounded to the nearest whole call: a server's read for the next
+// request starts just after the reply its client waits for, so either end
+// of a window may hold one call more or less than the operations in it.
+func (o ConnOps) PerOp(before ConnOps, n int64) ConnOps {
+	per := func(now, then int64) int64 { return (now - then + n/2) / n }
+	return ConnOps{per(o.Reads, before.Reads), per(o.Writes, before.Writes), per(o.Deadlines, before.Deadlines)}
+}
+
+// CountingConn is a net.Conn that counts the calls made on it. It hides
+// the wrapped connection's other methods: a net.Buffers written to it is
+// written one Write per buffer, not as one writev.
+type CountingConn struct {
+	net.Conn
+	reads, writes, deadlines atomic.Int64
+}
+
+func (c *CountingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *CountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *CountingConn) SetDeadline(t time.Time) error {
+	c.deadlines.Add(1)
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *CountingConn) SetReadDeadline(t time.Time) error {
+	c.deadlines.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *CountingConn) SetWriteDeadline(t time.Time) error {
+	c.deadlines.Add(1)
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// Ops is the count so far.
+func (c *CountingConn) Ops() ConnOps {
+	return ConnOps{c.reads.Load(), c.writes.Load(), c.deadlines.Load()}
+}
+
+// CountingListener wraps every connection it accepts in a CountingConn.
+type CountingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*CountingConn
+}
+
+func (l *CountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &CountingConn{Conn: c}
+	l.mu.Lock()
+	l.conns = append(l.conns, cc)
+	l.mu.Unlock()
+	return cc, nil
+}
+
+// Ops is the count so far over every accepted connection.
+func (l *CountingListener) Ops() ConnOps {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var sum ConnOps
+	for _, c := range l.conns {
+		o := c.Ops()
+		sum.Reads, sum.Writes, sum.Deadlines = sum.Reads+o.Reads, sum.Writes+o.Writes, sum.Deadlines+o.Deadlines
+	}
+	return sum
 }

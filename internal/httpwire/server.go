@@ -1,28 +1,27 @@
-// Package httpwire is the inbound HTTP/1.1 server of both tiers: wbserve and
-// wbgate run their http.Handlers on it in place of net/http's server.
+// Package httpwire is the HTTP/1.1 of both tiers: the inbound server wbserve
+// and wbgate run their http.Handlers on, in place of net/http's server, and
+// ReadReply, with which wbgate reads a backend's reply. Both directions read
+// a head through one grammar (grammar.go): one reader finds the blank line
+// that ends it, one scanner reads its lines and fields in place, and one
+// framing routine decides its body and keep-alive.
 //
-// One goroutine serves each connection. It parses each request head in
-// place: one scan of the connection's buffered bytes finds the blank line
-// that ends it, the head is copied once into a string, and the method,
-// target, header keys and values of the http.Request are slices of it. It
-// calls the handler unchanged, and sends the handler's buffered response in
-// one write framed by Content-Length. What it accepts and what it refuses
-// follow net/http's server, row by row (TestWireBehaviour drives both
-// through one table, and FuzzRequestHead holds the parser to
-// http.ReadRequest):
+// One goroutine serves each connection. The request head is copied once
+// into a string, and the method, target, header keys and values of the
+// http.Request are slices of it. The server calls the handler unchanged, and
+// sends the handler's buffered response in one write framed by
+// Content-Length. What it accepts and what it refuses follow net/http's
+// server, row by row (TestWireBehaviour drives both through one table, and
+// FuzzRequestHead holds the parser to http.ReadRequest):
 //
 //   - HTTP/1.1 and HTTP/1.0, keep-alive, pipelined requests answered in
 //     order, Connection: close honoured in both directions;
 //   - request bodies framed by Content-Length (digits only; repeated values
 //     must agree), by chunked coding (trailers consumed), or absent; any
-//     other transfer coding is a 501, and Transfer-Encoding beside
-//     Content-Length a 400; Expect: 100-continue is answered on the first
-//     body read;
-//   - a head over 64 KiB is a 431 (net/http answers 400 instead when a
-//     line before the limit is malformed); an HTTP/1.1 request needs exactly
-//     one Host; header names must be tokens and values free of control
-//     bytes; the request-target must pass url.ParseRequestURI — otherwise a
-//     400;
+//     other transfer coding is a 501; Expect: 100-continue is answered on
+//     the first body read;
+//   - a head over 64 KiB is a 431; an HTTP/1.1 request needs exactly one
+//     Host; header names must be tokens and values free of control bytes;
+//     the request-target must pass url.ParseRequestURI — otherwise a 400;
 //   - every response carries Date and Content-Length (none for 1xx, 204 or
 //     304, and no body for those or for HEAD), header keys sorted, and a
 //     sniffed Content-Type when the handler set none; a request body left
@@ -30,7 +29,28 @@
 //   - a handler panic is logged (http.ErrAbortHandler is not) and closes its
 //     connection; the server keeps serving.
 //
-// The one difference is when a request starts watching for its client to
+// ReadReply frames a reply as http.ReadResponse does (FuzzReplyHead holds it
+// to it) and keeps only the two fields a relay forwards, reading the rest in
+// the reader's buffer.
+//
+// The declared differences from net/http, each a row of TestGrammarTable:
+//   - a request with Transfer-Encoding beside Content-Length is a 400, where
+//     net/http reads it chunked: a server that guesses is one half of a
+//     request-smuggling pair;
+//   - the h2c preface (PRI * HTTP/2.0) is a 505, as is any request not
+//     HTTP/1.x: neither tier speaks HTTP/2;
+//   - a request head over 64 KiB is a 431 even when a line before the limit
+//     is malformed, where net/http answers 400: the head is read whole
+//     before a line of it is parsed;
+//   - a reply is refused for a header line that begins with a space or tab
+//     (obs-fold), which net/http joins to the line before it, and for a head
+//     over 64 KiB, which net/http reads at any size;
+//   - a chunked reply is refused for trailer fields after its last chunk, or
+//     a bare LF in place of the CRLF that ends an empty trailer: wbserve
+//     sends neither, and net/http's rule for them (CRLF-ended, within one
+//     read buffer) is not the one the server applies to a request's trailer.
+//
+// One more difference is when a request starts watching for its client to
 // hang up. net/http starts a background read on every request; here it
 // starts when the handler first asks the request's context for Done —
 // directly, or through context.WithTimeout, context.AfterFunc or a select —
@@ -39,9 +59,6 @@
 // whose backend answers within the gateway's short grace. A relay that
 // outlasts the grace, or a queued briefing, waits on it and is canceled as
 // before.
-//
-// The package also holds the gateway's reply reader, ReadReply: net/http's
-// framing of a backend's reply, keeping only the fields a relay forwards.
 package httpwire
 
 import (
@@ -191,12 +208,12 @@ type conn struct {
 
 	deadline bool // a read deadline is armed for the head under way
 	headLen  int  // the length of the head under way, when next found it buffered whole
+	headMax  int  // the longest the head under way may be
 }
 
 func (s *Server) newConn(rwc net.Conn) *conn {
 	c := &conn{srv: s, rwc: rwc, remote: rwc.RemoteAddr().String()}
 	c.cr.c = c
-	c.cr.remain = noLimit
 	c.br = bufio.NewReaderSize(&c.cr, 4<<10)
 	c.body.c = c
 	c.w.c = c
@@ -231,7 +248,9 @@ func (c *conn) serve() {
 // client gone, shutdown). A head already buffered whole — the common case,
 // and every pipelined one — needs neither deadline.
 func (c *conn) next() bool {
-	c.cr.remain = maxHeaderBytes + 4<<10
+	// A head may pull maxHeaderBytes and one more buffer into the reader,
+	// as net/http's server lets it.
+	c.headMax = c.br.Buffered() + maxHeaderBytes + 4<<10
 	deadline := false
 	if c.br.Buffered() == 0 {
 		c.idle.Store(true)
@@ -264,7 +283,7 @@ func (c *conn) handle(req *http.Request) bool {
 		return false
 	}
 
-	keep := !req.Close && !c.srv.closing.Load() && !hasToken(c.w.header["Connection"], "close")
+	keep := !req.Close && !c.srv.closing.Load() && !listHas("close", c.w.header["Connection"]...)
 	if keep && !c.body.settle() {
 		keep = false
 	}
@@ -298,24 +317,28 @@ func (c *conn) runHandler(req *http.Request) (ok bool) {
 // handler, the way net/http's server does, and ends the connection. A read
 // that failed on the network gets no answer.
 func (c *conn) refuse(err error) {
-	var status int
-	var msg string
+	if status, msg := statusOf(err); status != 0 {
+		c.w.refusal(status, msg)
+		c.linger()
+	}
+}
+
+// statusOf is net/http's answer to a request head refused for err: its
+// status and body, or 0 for a read that failed on the network.
+func statusOf(err error) (status int, msg string) {
 	switch {
 	case err == errHeadTooLarge:
-		status, msg = http.StatusRequestHeaderFieldsTooLarge, "431 Request Header Fields Too Large"
+		return http.StatusRequestHeaderFieldsTooLarge, "431 Request Header Fields Too Large"
 	case isNetReadError(err):
-		return
+		return 0, ""
 	case err == errMissingHost, err == errBadHost, err == errBadHeaderName:
-		status, msg = http.StatusBadRequest, "400 Bad Request: "+err.Error()
+		return http.StatusBadRequest, "400 Bad Request: " + err.Error()
 	case errors.Is(err, errUnsupportedTE):
-		status, msg = http.StatusNotImplemented, "Unsupported transfer encoding"
+		return http.StatusNotImplemented, "Unsupported transfer encoding"
 	case errors.Is(err, errVersion):
-		status, msg = http.StatusHTTPVersionNotSupported, "505 HTTP Version Not Supported: unsupported protocol version"
-	default:
-		status, msg = http.StatusBadRequest, "400 Bad Request"
+		return http.StatusHTTPVersionNotSupported, "505 HTTP Version Not Supported: unsupported protocol version"
 	}
-	c.w.refusal(status, msg)
-	c.linger()
+	return http.StatusBadRequest, "400 Bad Request"
 }
 
 // isNetReadError reports a head read that failed on the network — the

@@ -82,15 +82,14 @@ func (x *reqCtx) end() {
 // aLongTimeAgo is a read deadline that fails a blocked read at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
-// connReader is the connection as the bufio.Reader sees it. It caps what a
-// request head may read, and it runs the disconnect watch: net/http's
+// connReader is the connection as the bufio.Reader sees it. It runs the
+// disconnect watch: net/http's
 // background read of one byte, which fails when the client hangs up and
 // cancels the request's context. The watch starts once both the handler has
 // armed it and the body has been read to its end — before that, the body's
 // own reads would race it for the connection's bytes.
 type connReader struct {
-	c      *conn
-	remain int64 // bytes the head under way may still read
+	c *conn
 
 	mu       sync.Mutex
 	bodyDone bool          // this request's body has been read to its end
@@ -102,23 +101,14 @@ type connReader struct {
 }
 
 func (cr *connReader) Read(p []byte) (int, error) {
-	if cr.remain <= 0 {
-		return 0, errHeadTooLarge
-	}
-	if int64(len(p)) > cr.remain {
-		p = p[:cr.remain]
-	}
 	// The background read has ended (endRequest waits for it) before
 	// anything reads the connection again.
 	if cr.hasByte {
 		p[0] = cr.byteBuf[0]
 		cr.hasByte = false
-		cr.remain--
 		return 1, nil
 	}
-	n, err := cr.c.rwc.Read(p)
-	cr.remain -= int64(n)
-	return n, err
+	return cr.c.rwc.Read(p)
 }
 
 // watch arms the disconnect watch for the current request.

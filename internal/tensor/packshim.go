@@ -4,7 +4,8 @@ package tensor
 // place). What is left here is the four names bench/wbload/replay.go compiles
 // against, restated over MatMulInto with no logic of their own, because
 // bench/ changes only in a `benchmark` PR. Nothing else in the tree calls
-// them, and the PR that does ROADMAP item 6(f) deletes this file.
+// them, and the PR that does ROADMAP item 13 (retiring the replay) deletes
+// this file.
 
 // PackBuf and PackBuf32 were the caller-owned pack buffers; they hold
 // nothing.

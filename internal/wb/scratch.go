@@ -11,8 +11,8 @@ import (
 // compiles against, restated over the batch functions with no logic of their
 // own, because bench/ changes only in a `benchmark` PR. Nothing else in the
 // tree may call them (scripts/check.sh holds that), and the PR that does
-// ROADMAP item 6(e)/(f) — repointing the harness at the batch entry points —
-// deletes this file.
+// ROADMAP item 13 — retiring the replay that still calls them — deletes
+// this file.
 
 // InferScratch is the teacher's workspace, InferScratch32 the student's.
 type (
